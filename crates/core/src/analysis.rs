@@ -69,22 +69,21 @@ pub struct AnalysisResult {
 }
 
 /// Merge the per-block shadows of every tested array and find the
-/// earliest cross-block flow-dependence sink, choosing the merge
-/// implementation by the executor's mode: the sequential scan under
-/// [`ExecMode::Simulated`] (whose determinism contract excludes any
-/// dependence on host parallelism), the partitioned parallel merge
-/// otherwise. Both produce identical [`AnalysisResult`]s — the
-/// randomized equivalence suite asserts it.
+/// earliest cross-block flow-dependence sink: the partitioned parallel
+/// merge on `fan_out` when the engine found the stage wide enough to pay
+/// for its fork-joins ([`Executor::fans_out`]), the sequential scan on
+/// the calling thread otherwise — always the latter under
+/// [`ExecMode::Simulated`], whose determinism contract
+/// excludes any dependence on host parallelism. Both produce identical
+/// [`AnalysisResult`]s — the randomized equivalence suite asserts it.
 pub(crate) fn analyze<T: Value>(
     per_pos_views: &[&[ProcView<T>]],
     tested_ids: &[usize],
-    executor: &Executor,
+    fan_out: Option<&Executor>,
 ) -> AnalysisResult {
-    match executor.mode() {
-        ExecMode::Simulated => analyze_seq(per_pos_views, tested_ids),
-        ExecMode::Threads | ExecMode::Pooled | ExecMode::Distributed => {
-            analyze_parallel(per_pos_views, tested_ids, executor)
-        }
+    match fan_out {
+        Some(executor) => analyze_parallel(per_pos_views, tested_ids, executor),
+        None => analyze_seq(per_pos_views, tested_ids),
     }
 }
 

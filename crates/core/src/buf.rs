@@ -144,6 +144,17 @@ impl<T: Copy> SharedBuf<T> {
     pub fn to_vec(&mut self) -> Vec<T> {
         self.as_slice().to_vec()
     }
+
+    /// Hand the contents out, consuming the buffer — no copy is made
+    /// (`UnsafeCell<T>` has the layout of `T`, so the collect reuses
+    /// the allocation in place).
+    pub fn into_vec(self) -> Vec<T> {
+        self.data
+            .into_vec()
+            .into_iter()
+            .map(UnsafeCell::into_inner)
+            .collect()
+    }
 }
 
 impl<T: Copy + std::fmt::Debug> std::fmt::Debug for SharedBuf<T> {
@@ -223,6 +234,17 @@ mod tests {
         let mut b = SharedBuf::new(vec![1, 2, 3]);
         b.as_mut_slice()[1] = 20;
         assert_eq!(b.to_vec(), vec![1, 20, 3]);
+    }
+
+    #[test]
+    fn into_vec_moves_the_storage_out() {
+        let mut b = SharedBuf::new(vec![1.5, 2.5, 3.5]);
+        let before = b.as_slice().as_ptr();
+        // SAFETY: single-threaded test, single writer.
+        unsafe { b.set(0, 9.0, 0) };
+        let v = b.into_vec();
+        assert_eq!(v, vec![9.0, 2.5, 3.5]);
+        assert_eq!(v.as_ptr(), before, "the allocation is reused, not copied");
     }
 
     #[test]

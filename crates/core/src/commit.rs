@@ -18,7 +18,7 @@
 use crate::buf::SharedBuf;
 use crate::value::{Reduction, Value};
 use crate::view::ProcView;
-use rlrpd_runtime::{ExecMode, Executor};
+use rlrpd_runtime::Executor;
 use rlrpd_shadow::hasher::FxBuildHasher;
 use std::collections::HashMap;
 
@@ -38,28 +38,45 @@ pub(crate) struct CommitStats {
 /// `tested_ids[slot]` maps the slot to its array declaration index in
 /// `shared`.
 ///
-/// The *merge* (resolving last-value/reduction order per element) runs
-/// sequentially under [`ExecMode::Simulated`] and as an
-/// element-partitioned parallel merge otherwise (same bucketing scheme
-/// as the parallel analysis); the *write-back* — the memory-heavy part
-/// — is partitioned by last contributing block and executed in
-/// parallel, which is how the paper's commit "is fully parallel and
-/// scales with the number of processors". Both merges produce the same
-/// final arrays and the same [`CommitStats`].
+/// With `fan_out` (the engine found the stage wide enough to pay for
+/// the fork-joins, see [`Executor::fans_out`]) the *merge* — resolving
+/// last-value/reduction order per element — is element-partitioned
+/// (same bucketing scheme as the parallel analysis) and the
+/// *write-back*, the memory-heavy part, is partitioned by last
+/// contributing block, which is how the paper's commit "is fully
+/// parallel and scales with the number of processors". Without it both
+/// run on the calling thread through the sequential reference merge.
+/// Either way the final arrays and the [`CommitStats`] are the same.
 pub(crate) fn commit_tested<T: Value>(
     per_pos_views: &[&[ProcView<T>]],
     tested_ids: &[usize],
     reductions: &[Option<Reduction<T>>],
     shared: &[SharedBuf<T>],
-    executor: &Executor,
+    fan_out: Option<&Executor>,
 ) -> CommitStats {
-    let (stats, per_block) = match executor.mode() {
-        ExecMode::Simulated => merge_seq(per_pos_views, tested_ids, reductions, shared),
-        ExecMode::Threads | ExecMode::Pooled | ExecMode::Distributed => {
-            merge_parallel(per_pos_views, tested_ids, reductions, shared, executor)
-        }
+    let (stats, mut per_block) = match fan_out {
+        Some(executor) => merge_parallel(per_pos_views, tested_ids, reductions, shared, executor),
+        None => merge_seq(per_pos_views, tested_ids, reductions, shared),
     };
-    writeback(per_block, shared, executor);
+    let write = |who: usize, entries: &mut Vec<(u32, usize, T)>| {
+        for &(array_id, elem, v) in entries.iter() {
+            // SAFETY: ownership partition — element `elem` of this
+            // array appears in exactly one block's work list, and each
+            // list is walked by one thread.
+            unsafe { shared[array_id as usize].set(elem, v, who as u32) };
+        }
+        entries.len() as f64
+    };
+    match fan_out {
+        Some(executor) => {
+            executor.run_blocks(&mut per_block, write);
+        }
+        None => {
+            for (who, entries) in per_block.iter_mut().enumerate() {
+                write(who, entries);
+            }
+        }
+    }
     stats
 }
 
@@ -248,23 +265,11 @@ fn bucket_of(slot: usize, elem: usize, buckets: usize) -> usize {
     (h >> 32) % buckets
 }
 
-/// Parallel write-back: each block writes the elements it owns (it was
-/// the last contributor), so the sets are disjoint per element.
-fn writeback<T: Value>(mut per_block: PerBlock<T>, shared: &[SharedBuf<T>], executor: &Executor) {
-    executor.run_blocks(&mut per_block, |who, entries| {
-        for &(array_id, elem, v) in entries.iter() {
-            // SAFETY: ownership partition — element `elem` of this
-            // array appears in exactly one block's work list.
-            unsafe { shared[array_id as usize].set(elem, v, who as u32) };
-        }
-        entries.len() as f64
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::array::ShadowKind;
+    use rlrpd_runtime::ExecMode;
 
     fn setup(init: Vec<f64>) -> SharedBuf<f64> {
         SharedBuf::new(init)
@@ -279,38 +284,69 @@ mod tests {
         let wrapped: Vec<Vec<ProcView<f64>>> = views.into_iter().map(|v| vec![v]).collect();
         let refs: Vec<&[ProcView<f64>]> = wrapped.iter().map(|v| v.as_slice()).collect();
         let bufs = std::slice::from_ref(buf);
-        let executor = Executor::new(rlrpd_runtime::ExecMode::Simulated);
-        commit_tested(&refs, &[0], &[red], bufs, &executor)
+        commit_tested(&refs, &[0], &[red], bufs, None)
     }
 
+    /// The partitioned merge and write-back against the sequential
+    /// reference, for every bucket count a pool of 1..=8 produces and
+    /// for scoped threads: same shared arrays, same [`CommitStats`],
+    /// same per-block write-back lists — on a population large enough
+    /// that every bucket of every width holds entries, with overwrites,
+    /// reduction chains and reductions over ordinary writes.
     #[test]
-    fn parallel_writeback_matches_sequential() {
-        // Same commit through both executors must yield identical state.
-        for mode in [
-            rlrpd_runtime::ExecMode::Simulated,
-            rlrpd_runtime::ExecMode::Threads,
-        ] {
-            let mut buf = SharedBuf::new(vec![0.0; 64]);
-            buf.new_epoch();
-            let mut views = Vec::new();
-            for pos in 0..4usize {
-                let mut v = ProcView::<f64>::new(64, ShadowKind::Dense, None);
-                for e in (pos..64).step_by(3) {
-                    v.write(e, (pos * 100 + e) as f64);
+    fn partitioned_commit_matches_the_sequential_reference() {
+        const N: usize = 4096;
+        let op = Reduction::sum();
+        let views: Vec<Vec<ProcView<f64>>> = (0..6usize)
+            .map(|pos| {
+                let mut red = ProcView::new(N, ShadowKind::Dense, Some(op));
+                let mut plain = ProcView::new(N, ShadowKind::Sparse, None);
+                for e in (pos..N).step_by(3) {
+                    plain.write(e, (pos * N + e) as f64);
+                    if (e + pos) % 2 == 0 {
+                        red.write(e, e as f64 + 0.5);
+                    } else {
+                        red.reduce(e, 1.0 / (pos + 1) as f64, |_| 1.0);
+                    }
                 }
-                views.push(vec![v]);
+                vec![red, plain]
+            })
+            .collect();
+        let refs: Vec<&[ProcView<f64>]> = views.iter().map(|v| v.as_slice()).collect();
+        let tested_ids = [1usize, 0];
+        let reductions = [Some(op), None];
+        let fresh = || {
+            let mut bufs = vec![SharedBuf::new(vec![0.0; N]), SharedBuf::new(vec![1.0; N])];
+            bufs.iter_mut().for_each(SharedBuf::new_epoch);
+            bufs
+        };
+        let sorted = |mut per_block: PerBlock<f64>| {
+            for list in &mut per_block {
+                list.sort_by_key(|&(array, elem, _)| (array, elem));
             }
-            let refs: Vec<&[ProcView<f64>]> = views.iter().map(|v| v.as_slice()).collect();
-            let executor = Executor::new(mode);
-            commit_tested(&refs, &[0], &[None], std::slice::from_ref(&buf), &executor);
-            // Last writer wins per element: recompute expectation.
-            let mut expect = vec![0.0; 64];
-            for pos in 0..4usize {
-                for e in (pos..64).step_by(3) {
-                    expect[e] = (pos * 100 + e) as f64;
-                }
+            per_block
+        };
+
+        let mut want = fresh();
+        let want_stats = commit_tested(&refs, &tested_ids, &reductions, &want, None);
+        let (_, want_lists) = merge_seq(&refs, &tested_ids, &reductions, &fresh());
+        assert!(want_stats.elems_committed > 2 * N - 8);
+
+        let executors = (1..=8)
+            .map(|p| Executor::with_procs(ExecMode::Pooled, p))
+            .chain([Executor::with_procs(ExecMode::Threads, 6)]);
+        for executor in executors {
+            let mut got = fresh();
+            let stats = commit_tested(&refs, &tested_ids, &reductions, &got, Some(&executor));
+            assert_eq!(stats, want_stats, "{executor:?}");
+            for (g, w) in got.iter_mut().zip(&mut want) {
+                let same = g.as_slice().iter().zip(w.as_slice());
+                assert!(same.clone().all(|(a, b)| a.to_bits() == b.to_bits()));
             }
-            assert_eq!(buf.as_slice(), &expect[..], "{mode:?}");
+            let (par_stats, lists) =
+                merge_parallel(&refs, &tested_ids, &reductions, &fresh(), &executor);
+            assert_eq!(par_stats, want_stats, "{executor:?}");
+            assert_eq!(sorted(lists), sorted(want_lists.clone()), "{executor:?}");
         }
     }
 

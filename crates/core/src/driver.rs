@@ -479,7 +479,7 @@ impl Runner {
     pub fn try_run<T: Value>(&mut self, lp: &dyn SpecLoop<T>) -> Result<RunResult<T>, RlrpdError> {
         let mut engine = Engine::new(lp, self.engine_cfg(), false);
         let (report, arcs) = self.drive(&mut engine, 0, &mut None)?;
-        let result = self.finish(&mut engine, report, arcs);
+        let result = self.finish(engine, report, arcs);
         self.pr.add(&result.report);
         Ok(result)
     }
@@ -509,7 +509,7 @@ impl Runner {
         journal.append_header(&header).map_err(RlrpdError::from)?;
         let mut sink = Some(JournalSink::new(journal));
         let (report, arcs) = self.drive(&mut engine, 0, &mut sink)?;
-        let result = self.finish(&mut engine, report, arcs);
+        let result = self.finish(engine, report, arcs);
         self.pr.add(&result.report);
         Ok(result)
     }
@@ -587,7 +587,7 @@ impl Runner {
             self.drive(&mut engine, frontier, &mut sink)?
         };
         report.resumed_at = Some(resumed_from);
-        let result = self.finish(&mut engine, report, arcs);
+        let result = self.finish(engine, report, arcs);
         self.pr.add(&result.report);
         Ok(result)
     }
@@ -617,7 +617,7 @@ impl Runner {
         remote::attach_remote(&mut engine, &header, spec, connector);
         let (mut report, arcs) = self.drive(&mut engine, 0, &mut None)?;
         remote::release_remote(&mut engine, &mut report);
-        let result = self.finish(&mut engine, report, arcs);
+        let result = self.finish(engine, report, arcs);
         self.pr.add(&result.report);
         Ok(result)
     }
@@ -647,7 +647,7 @@ impl Runner {
         let mut sink = Some(JournalSink::new(journal));
         let (mut report, arcs) = self.drive(&mut engine, 0, &mut sink)?;
         remote::release_remote(&mut engine, &mut report);
-        let result = self.finish(&mut engine, report, arcs);
+        let result = self.finish(engine, report, arcs);
         self.pr.add(&result.report);
         Ok(result)
     }
@@ -712,7 +712,7 @@ impl Runner {
         };
         report.resumed_at = Some(resumed_from);
         remote::release_remote(&mut engine, &mut report);
-        let result = self.finish(&mut engine, report, arcs);
+        let result = self.finish(engine, report, arcs);
         self.pr.add(&result.report);
         Ok(result)
     }
@@ -948,7 +948,7 @@ impl Runner {
 
     fn finish<T: Value>(
         &mut self,
-        engine: &mut Engine<'_, T>,
+        mut engine: Engine<'_, T>,
         mut report: RunReport,
         arcs: Vec<DepArc>,
     ) -> RunResult<T> {
@@ -970,7 +970,8 @@ impl Runner {
             self.cfg.balance,
             BalancePolicy::FeedbackGuided | BalancePolicy::FeedbackTrend
         ) {
-            self.partitioner.record(engine.iter_times.clone());
+            self.partitioner
+                .record(std::mem::take(&mut engine.iter_times));
         }
         RunResult {
             arrays: engine.arrays_out(),

@@ -359,6 +359,7 @@ impl<'l, T: Value> Engine<'l, T> {
             }
         }
         let cost = self.cfg.cost;
+        let forks_before = self.executor.fork_joins();
         let mut stats = StageStats {
             iters_attempted: schedule.num_iters(),
             ..Default::default()
@@ -521,6 +522,7 @@ impl<'l, T: Value> Engine<'l, T> {
             self.rebuild_views();
             self.account_shadow();
             stats.shadow_bytes_peak = stats.shadow_bytes_peak.max(self.cfg.budget.peak());
+            stats.fork_joins = self.executor.fork_joins() - forks_before;
             return Ok(StageOutcome {
                 violation: Some(0),
                 restart_iter: Some(schedule.block_start(0)),
@@ -535,11 +537,28 @@ impl<'l, T: Value> Engine<'l, T> {
             });
         }
 
+        // Size the post-execute phases to the stage's work: what the
+        // merges and the write-back walk is the entries the doall left
+        // in the shadows. A stage that left less than a grain per
+        // thread runs them, and the clear, right here — the doall stays
+        // its only fork-join, the one `s` the paper's model charges per
+        // stage; a wide stage fans all of them out. (Write-log entries
+        // are not counted: the clear resets them at about a nanosecond
+        // each, a fiftieth of what a merged shadow entry costs.)
+        let entries: usize = self
+            .states
+            .iter()
+            .flat_map(|st| &st.views)
+            .map(ProcView::num_touched)
+            .sum();
+        let wide = self.executor.fans_out(entries);
+
         // 4. Analysis: merge shadows, locate the earliest sink. The
         // tree merge over p shadows costs O(max_touched · log p).
         let phase_start = std::time::Instant::now();
         let per_pos: Vec<&[ProcView<T>]> = self.states.iter().map(|s| s.views.as_slice()).collect();
-        let analysis: AnalysisResult = analyze(&per_pos, &self.tested_ids, &self.executor);
+        let analysis: AnalysisResult =
+            analyze(&per_pos, &self.tested_ids, wide.then_some(&self.executor));
         if timed {
             stats.phases.analysis_seconds = phase_start.elapsed().as_secs_f64();
         }
@@ -592,7 +611,7 @@ impl<'l, T: Value> Engine<'l, T> {
             &self.tested_ids,
             &self.reductions,
             &self.shared,
-            &self.executor,
+            wide.then_some(&self.executor),
         );
         stats.overhead.add(
             OverheadKind::Commit,
@@ -656,9 +675,9 @@ impl<'l, T: Value> Engine<'l, T> {
         };
 
         // 8. Shadow re-initialization (O(touched) per block). Each
-        // block clears only its own private state, so the clears run on
-        // the stage executor — under the pooled mode they reuse the
-        // same persistent workers as the doall itself.
+        // block clears only its own private state, so a wide stage's
+        // clears run on the stage executor — under the pooled mode on
+        // the same persistent workers as the doall itself.
         let phase_start = std::time::Instant::now();
         let max_touched = self
             .states
@@ -683,7 +702,7 @@ impl<'l, T: Value> Engine<'l, T> {
                     .unwrap_or(0)
             })
             .collect();
-        self.executor.run_blocks(&mut self.states, |_, st| {
+        let clear = |st: &mut BlockState<T>| {
             for v in &mut st.views {
                 v.clear();
             }
@@ -691,8 +710,15 @@ impl<'l, T: Value> Engine<'l, T> {
             if record {
                 st.marks = (0..num_slots).map(|_| IterMarks::new()).collect();
             }
-            0.0
-        });
+        };
+        if wide {
+            self.executor.run_blocks(&mut self.states, |_, st| {
+                clear(st);
+                0.0
+            });
+        } else {
+            self.states.iter_mut().for_each(clear);
+        }
         if timed {
             stats.phases.shadow_clear_seconds = phase_start.elapsed().as_secs_f64();
         }
@@ -711,6 +737,7 @@ impl<'l, T: Value> Engine<'l, T> {
 
         // 9. Barrier.
         stats.overhead.add(OverheadKind::Sync, cost.sync);
+        stats.fork_joins = self.executor.fork_joins() - forks_before;
 
         Ok(StageOutcome {
             violation,
@@ -1105,12 +1132,13 @@ impl<'l, T: Value> Engine<'l, T> {
         }
     }
 
-    /// Final contents of every declared array, in declaration order.
-    pub fn arrays_out(&mut self) -> Vec<(&'static str, Vec<T>)> {
+    /// Final contents of every declared array, in declaration order —
+    /// moved out of the engine, which ends here.
+    pub fn arrays_out(self) -> Vec<(&'static str, Vec<T>)> {
         self.meta
             .iter()
             .map(|m| m.name)
-            .zip(self.shared.iter_mut().map(SharedBuf::to_vec))
+            .zip(self.shared.into_iter().map(SharedBuf::into_vec))
             .collect()
     }
 
@@ -1182,7 +1210,94 @@ pub fn run_sequential<T: Value>(lp: &dyn SpecLoop<T>) -> (Vec<(&'static str, Vec
     let arrays = meta
         .iter()
         .map(|m| m.name)
-        .zip(shared.iter_mut().map(SharedBuf::to_vec))
+        .zip(shared.into_iter().map(SharedBuf::into_vec))
         .collect();
     (arrays, work)
+}
+
+/// Which of `lp`'s arrays (in declaration order) declare a reduction
+/// operator — the arrays [`verify_against_sequential`] compares at a
+/// rounding tolerance.
+pub fn reduction_mask<T: Value>(lp: &dyn SpecLoop<T>) -> Vec<bool> {
+    lp.arrays()
+        .iter()
+        .map(|d| {
+            matches!(
+                d.kind,
+                ArrayKind::Tested {
+                    reduction: Some(_),
+                    ..
+                }
+            )
+        })
+        .collect()
+}
+
+/// The one acceptance rule for a finished run, shared by `rlrpd run`,
+/// the daemon and the benchmark: every array of `got` must equal the
+/// sequential `reference` bit for bit (`f64::to_bits`), except arrays
+/// flagged in `reductions` ([`reduction_mask`]) — a parallel fold
+/// reassociates the sum, so those compare at `1e-9 · max(|x|, 1)`.
+pub fn verify_against_sequential(
+    reference: &[(&'static str, Vec<f64>)],
+    got: &[(&'static str, Vec<f64>)],
+    reductions: &[bool],
+) -> Result<(), String> {
+    if reference.len() != got.len() || reference.len() != reductions.len() {
+        return Err(format!(
+            "{} arrays returned, {} expected",
+            got.len(),
+            reference.len()
+        ));
+    }
+    for (((name, want), (_, have)), &reduction) in reference.iter().zip(got).zip(reductions) {
+        if want.len() != have.len() {
+            return Err(format!(
+                "array {name}: length {} != {}",
+                have.len(),
+                want.len()
+            ));
+        }
+        let mut pairs = want.iter().zip(have);
+        let bad = if reduction {
+            pairs.position(|(a, b)| (a - b).abs() > 1e-9 * a.abs().max(1.0))
+        } else {
+            pairs.position(|(a, b)| a.to_bits() != b.to_bits())
+        };
+        if let Some(k) = bad {
+            return Err(format!(
+                "array {name}[{k}] = {} differs from sequential execution ({})",
+                have[k], want[k]
+            ));
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_ulp_fails_a_plain_array_and_passes_a_reduction() {
+        let reference = vec![("A", vec![1.0, 2.0]), ("SUM", vec![1e6])];
+        let mask = [false, true];
+        assert!(verify_against_sequential(&reference, &reference, &mask).is_ok());
+
+        let mut off = reference.clone();
+        off[1].1[0] = f64::from_bits(1e6f64.to_bits() + 1);
+        assert!(verify_against_sequential(&reference, &off, &mask).is_ok());
+        off[1].1[0] = 1e6 + 1.0;
+        assert!(verify_against_sequential(&reference, &off, &mask).is_err());
+
+        let mut off = reference.clone();
+        off[0].1[1] = f64::from_bits(2.0f64.to_bits() + 1);
+        let err = verify_against_sequential(&reference, &off, &mask).unwrap_err();
+        assert!(err.contains("A[1]"), "{err}");
+        // -0.0 == 0.0 numerically, but it is not what sequential wrote.
+        let zero = vec![("Z", vec![0.0])];
+        let neg = vec![("Z", vec![-0.0])];
+        assert!(verify_against_sequential(&zero, &neg, &[false]).is_err());
+        assert!(verify_against_sequential(&zero, &zero[..0], &[false]).is_err());
+    }
 }

@@ -90,7 +90,7 @@ pub use driver::{
     run_speculative, try_run_speculative, AdaptRule, BalancePolicy, DoacrossConfig, FallbackPolicy,
     FallbackReason, RunConfig, RunResult, Runner, Strategy,
 };
-pub use engine::run_sequential;
+pub use engine::{reduction_mask, run_sequential, verify_against_sequential};
 pub use error::RlrpdError;
 pub use induction::{run_induction, IndCtx, InductionLoop, InductionResult};
 pub use inspector::{run_inspector_executor, AccessTrace, Inspectable, InspectorResult};

@@ -168,6 +168,13 @@ impl RunReport {
         self.stages.iter().map(|s| s.shadow_pressure_events).sum()
     }
 
+    /// Parallel sections dispatched across all stages — the barriers
+    /// the run really paid (the paper's model charges one `s` per
+    /// stage; 0 for simulated runs).
+    pub fn fork_joins(&self) -> usize {
+        self.stages.iter().map(|s| s.fork_joins).sum()
+    }
+
     /// Machine-readable JSON image of the report: the schema behind
     /// `rlrpd run --format json` and the daemon's job-status frames.
     /// Hand-rolled (no JSON dependency); keys are stable.
@@ -204,7 +211,7 @@ impl RunReport {
                 "\"wire_bytes\":{},\"journal_bytes\":{},\"journal_seconds\":{:.6},",
                 "\"shadow_budget\":{},\"shadow_bytes_peak\":{},",
                 "\"shadow_migrations\":{},\"shadow_pressure_events\":{},",
-                "\"shadow_reprs\":[{}]}}"
+                "\"shadow_reprs\":[{}],\"fork_joins\":{}}}"
             ),
             self.stages.len(),
             self.restarts,
@@ -229,7 +236,8 @@ impl RunReport {
             self.shadow_bytes_peak(),
             self.shadow_migrations(),
             self.shadow_pressure_events(),
-            reprs.join(",")
+            reprs.join(","),
+            self.fork_joins()
         )
     }
 }

@@ -3,7 +3,7 @@
 //! The parallel analysis/commit pipeline must be *observationally
 //! invisible*: whatever host parallelism executes a stage, the R-LRPD
 //! decisions — which blocks commit, which arcs are reported, and the
-//! final array contents — are a pure function of the loop. Two layers
+//! final array contents — are a pure function of the loop. Three layers
 //! pin that down:
 //!
 //! 1. **Engine-level**: random loops run under every [`ExecMode`]
@@ -13,12 +13,16 @@
 //!    per-block shadow views equals [`analyze_seq`] byte-for-byte for
 //!    every processor count 1..=16 (the partitioned merge must be
 //!    insensitive to the bucket count).
+//! 3. **Both sides of the grain**: the engine runs a stage's merges on
+//!    the submitting thread below a touched-entry grain and partitioned
+//!    above it; `StageStats::fork_joins` proves which side ran, and
+//!    both must equal the simulated run (the sequential merges).
 
 use proptest::prelude::*;
 use rlrpd_core::view::ProcView;
 use rlrpd_core::{
     analyze_parallel, analyze_seq, run_speculative, ArrayDecl, ArrayId, ClosureLoop, ExecMode,
-    FaultPlan, Reduction, RunConfig, Runner, ShadowKind,
+    FaultPlan, Reduction, RunConfig, RunReport, Runner, ShadowKind, WindowConfig,
 };
 use rlrpd_runtime::Executor;
 use std::sync::Arc;
@@ -239,6 +243,177 @@ fn commit_prefix_identical_across_modes_on_fixed_loop() {
             );
             assert_eq!(got.arcs, reference.arcs, "mode={mode:?} p={p}");
         }
+    }
+}
+
+/// Per-stage `(iters_attempted, iters_committed, fork_joins)`.
+fn stage_shape(report: &RunReport) -> Vec<(usize, usize, usize)> {
+    report
+        .stages
+        .iter()
+        .map(|s| (s.iters_attempted, s.iters_committed, s.fork_joins))
+        .collect()
+}
+
+/// The cases above are all tiny: since the engine sizes its phases to
+/// the stage's work, they run `analyze_seq` / `merge_seq` under every
+/// executor and no longer reach the partitioned paths. This one does: a
+/// first stage of ~80 000 touched entries (five grains per thread at
+/// the widest setting tried) over a flow-dependent array, a reduction
+/// array and a sparse array, restarting until the remainder is small.
+/// Every stage must report either the doall alone (1 fork-join) or the
+/// doall plus the six partitioned phases (7), the first stage must be a
+/// 7 for every `p > 1` — the proof that `analyze_parallel` /
+/// `merge_parallel` / the parallel write-back and clear ran — and
+/// arrays, arcs and per-stage decisions must equal the simulated run,
+/// which is `analyze_seq` + `merge_seq` by construction.
+#[test]
+fn stages_above_the_grain_fan_out_and_match_the_sequential_merges() {
+    const N: usize = 1 << 14;
+    const FLOW: ArrayId = ArrayId(0);
+    const SUM: ArrayId = ArrayId(1);
+    const WIDE: ArrayId = ArrayId(2);
+    let mk = || {
+        ClosureLoop::<i64>::new(
+            N,
+            || {
+                vec![
+                    ArrayDecl::tested("FLOW", vec![1i64; N], ShadowKind::Dense),
+                    ArrayDecl::reduction(
+                        "SUM",
+                        vec![100i64; N / 4],
+                        ShadowKind::DensePacked,
+                        Reduction {
+                            identity: 0,
+                            combine: |a, b| a + b,
+                        },
+                    ),
+                    ArrayDecl::tested("WIDE", vec![0i64; 2 * N], ShadowKind::Sparse),
+                ]
+            },
+            |i, ctx| {
+                // A flow dependence a fifth of the loop back: blocks
+                // above the first fail for p >= 2, several times over.
+                let v = ctx.read(FLOW, i.saturating_sub(N / 5));
+                ctx.write(FLOW, i, v + i as i64);
+                ctx.reduce(SUM, (i * 13) % (N / 4), v);
+                ctx.write(WIDE, 2 * i, v);
+                ctx.write(WIDE, (2 * i + 7) % (2 * N), i as i64); // output deps
+            },
+        )
+    };
+    for p in 1..=8usize {
+        let reference = run_speculative(&mk(), RunConfig::new(p).with_exec(ExecMode::Simulated));
+        assert_eq!(reference.report.restarts > 0, p > 1, "p={p}");
+        assert_eq!(reference.report.fork_joins(), 0, "p={p}");
+        for mode in [ExecMode::Threads, ExecMode::Pooled] {
+            let got = run_speculative(&mk(), RunConfig::new(p).with_exec(mode));
+            let shape = stage_shape(&got.report);
+            // One thread has nobody to fan out to: p = 1 is the doall
+            // alone, however wide the stage.
+            let want = if p == 1 { 1 } else { 7 };
+            assert_eq!(
+                shape[0].2, want,
+                "mode={mode:?} p={p}: which side of the grain ran"
+            );
+            for (k, (&(att, com, forks), &(ratt, rcom, _))) in shape
+                .iter()
+                .zip(&stage_shape(&reference.report))
+                .enumerate()
+            {
+                assert_eq!((att, com), (ratt, rcom), "mode={mode:?} p={p} stage {k}");
+                assert!(
+                    forks == 1 || forks == 7,
+                    "mode={mode:?} p={p} stage {k}: {forks}"
+                );
+            }
+            assert_eq!(shape.len(), reference.report.stages.len());
+            for name in ["FLOW", "SUM", "WIDE"] {
+                assert_eq!(
+                    got.array(name),
+                    reference.array(name),
+                    "mode={mode:?} p={p}"
+                );
+            }
+            assert_eq!(got.arcs, reference.arcs, "mode={mode:?} p={p}");
+        }
+    }
+}
+
+/// One run on both sides of the grain: under a 64-iteration window the
+/// first stage touches 64 entries and stays on the submitting thread,
+/// the later ones touch 512 per iteration and fan out — with a
+/// cross-block flow dependence in the wide part, so a partitioned
+/// commit also has to stop at a prefix. Final arrays and every stage's
+/// `(attempted, committed)` equal the simulated run.
+#[test]
+fn one_run_straddles_the_grain() {
+    const LIGHT: usize = 64;
+    const HEAVY: usize = 128;
+    const K: usize = 512;
+    const SMALL: ArrayId = ArrayId(0);
+    const BIG: ArrayId = ArrayId(1);
+    let mk = || {
+        ClosureLoop::<i64>::new(
+            LIGHT + HEAVY,
+            || {
+                vec![
+                    ArrayDecl::tested("SMALL", vec![0i64; LIGHT + HEAVY], ShadowKind::Dense),
+                    ArrayDecl::tested("BIG", vec![0i64; HEAVY * K], ShadowKind::Dense),
+                ]
+            },
+            |i, ctx| {
+                if i < LIGHT {
+                    ctx.write(SMALL, i, i as i64);
+                    return;
+                }
+                // Twenty iterations back is another block of the same
+                // window (blocks are 16 iterations).
+                let v = ctx.read(SMALL, i - 20);
+                ctx.write(SMALL, i, v + 1);
+                for j in 0..K {
+                    ctx.write(BIG, (i - LIGHT) * K + j, v + j as i64);
+                }
+            },
+        )
+    };
+    let cfg = |mode| {
+        RunConfig::new(4)
+            .with_exec(mode)
+            .with_strategy(rlrpd_core::Strategy::SlidingWindow(WindowConfig::fixed(16)))
+    };
+    let reference = run_speculative(&mk(), cfg(ExecMode::Simulated));
+    assert!(reference.report.restarts > 0);
+    for mode in [ExecMode::Threads, ExecMode::Pooled] {
+        let got = run_speculative(&mk(), cfg(mode));
+        let forks: Vec<usize> = stage_shape(&got.report).iter().map(|s| s.2).collect();
+        assert_eq!(
+            forks[0], 1,
+            "mode={mode:?}: the light window stays sequential"
+        );
+        assert!(
+            forks[1..].contains(&7),
+            "mode={mode:?}: a heavy window fans out"
+        );
+        assert!(
+            forks.iter().all(|&f| f == 1 || f == 7),
+            "mode={mode:?}: {forks:?}"
+        );
+        let decisions = |r: &RunReport| -> Vec<(usize, usize)> {
+            stage_shape(r).iter().map(|s| (s.0, s.1)).collect()
+        };
+        assert_eq!(
+            decisions(&got.report),
+            decisions(&reference.report),
+            "mode={mode:?}"
+        );
+        assert_eq!(
+            got.array("SMALL"),
+            reference.array("SMALL"),
+            "mode={mode:?}"
+        );
+        assert_eq!(got.array("BIG"), reference.array("BIG"), "mode={mode:?}");
+        assert_eq!(got.arcs, reference.arcs, "mode={mode:?}");
     }
 }
 

@@ -27,7 +27,42 @@
 use crate::cost::Cost;
 use crate::pool::{JobPanic, SendPtr, WorkerPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Touched shadow entries per thread below which a stage's post-execute
+/// phases (analysis merge, commit merge, write-back, shadow clear) run
+/// on the submitting thread instead of fanning out — see
+/// [`Executor::fans_out`].
+///
+/// Derivation (p = 2, a two-array loop swept over window sizes; the
+/// pool figure is the benchmark's `runtime.pool_dispatch_us`):
+///
+/// * Fanning out costs a fixed `F` per stage: six pool round trips at
+///   ≈ 2 µs each on one pinned core, plus the bucket vectors and
+///   per-bucket hash maps — 13 µs measured there as the difference in
+///   stage time on stages too small for the merges to matter, and
+///   ≈ 90 µs once the pool's threads sit on different cores and every
+///   round trip is a cross-core wake-up.
+/// * The sequential merges cost ≈ 34 ns per touched entry (13 analysis,
+///   20 commit with its write-back, under 1 for the clear). The
+///   partitioned ones handle every entry twice — extract into buckets,
+///   then fold — for ≈ 47 ns of work per entry, spread over `w` threads.
+/// * `W` entries are therefore worth fanning out once
+///   `W · (34 − 47 / w) ns > F`: at `w = 2`, from 1 200 entries with the
+///   pinned `F` and 8 600 with the cross-core one, i.e. 600 to 4 300 per
+///   thread. At `w = 1` the left side is negative — one thread never
+///   gains — so a width-1 executor never fans out, whatever the count.
+///
+/// The constant is the power of two nearest the geometric middle of
+/// that range. It is deliberately per thread although the break-even in
+/// *total* entries barely moves with `w` (`F` grows with the threads to
+/// wake about as fast as `34 − 47 / w` does): on a wide pool the rule
+/// stays sequential up to ~3× longer than ideal, which forgoes a
+/// bounded share of one stage's merge time, whereas fanning out too
+/// early pays the whole `F` on every stage — the 36 → 6 µs of
+/// `core.stage_fixed_us` this rule exists to remove.
+const PHASE_GRAIN: usize = 2048;
 
 /// How to run the blocks of one stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -78,6 +113,11 @@ impl StageTiming {
 pub struct Executor {
     mode: ExecMode,
     pool: Option<Arc<WorkerPool>>,
+    /// Threads a parallel section spreads over: the pool's width, or
+    /// the block count under [`ExecMode::Threads`].
+    procs: usize,
+    /// Parallel sections dispatched so far (clones count together).
+    fork_joins: Arc<AtomicUsize>,
 }
 
 impl Executor {
@@ -100,7 +140,12 @@ impl Executor {
             ExecMode::Pooled | ExecMode::Distributed => Some(WorkerPool::shared(procs)),
             ExecMode::Threads | ExecMode::Simulated => None,
         };
-        Executor { mode, pool }
+        Executor {
+            mode,
+            pool,
+            procs: procs.max(1),
+            fork_joins: Arc::default(),
+        }
     }
 
     /// The executor's mode.
@@ -111,6 +156,24 @@ impl Executor {
     /// The persistent pool backing this executor, when pooled.
     pub fn pool(&self) -> Option<&Arc<WorkerPool>> {
         self.pool.as_ref()
+    }
+
+    /// Whether a phase over `entries` touched shadow entries is worth a
+    /// fork-join: at least one [`PHASE_GRAIN`] per thread, and more
+    /// than one thread to spread them over. Otherwise the caller runs
+    /// the phase's sequential implementation on its own thread. Always
+    /// `false` under [`ExecMode::Simulated`], whose results must not
+    /// depend on the host.
+    pub fn fans_out(&self, entries: usize) -> bool {
+        self.mode != ExecMode::Simulated && self.procs > 1 && entries >= PHASE_GRAIN * self.procs
+    }
+
+    /// Parallel sections (pool jobs, or rounds of scoped threads) this
+    /// executor and its clones have dispatched. Zero forever under
+    /// [`ExecMode::Simulated`]. A statistic: the difference across a
+    /// stage is the stage's barrier count.
+    pub fn fork_joins(&self) -> usize {
+        self.fork_joins.load(Ordering::Relaxed)
     }
 
     /// Run one stage: `work(pos, &mut states[pos])` for every block
@@ -180,6 +243,7 @@ impl Executor {
                 )
             }
             ExecMode::Threads => {
+                self.fork_joins.fetch_add(1, Ordering::Relaxed);
                 let start = std::time::Instant::now();
                 let work = &work;
                 let mut per_block_cost = vec![0.0; states.len()];
@@ -217,6 +281,7 @@ impl Executor {
                 )
             }
             ExecMode::Pooled | ExecMode::Distributed => {
+                self.fork_joins.fetch_add(1, Ordering::Relaxed);
                 let start = std::time::Instant::now();
                 let pool = self.pool.as_ref().expect("pooled executor has a pool");
                 let states_ptr = SendPtr::new(states.as_mut_ptr());
@@ -257,6 +322,9 @@ impl Executor {
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
+        if self.mode != ExecMode::Simulated {
+            self.fork_joins.fetch_add(1, Ordering::Relaxed);
+        }
         match self.mode {
             ExecMode::Simulated => (0..n).map(f).collect(),
             ExecMode::Pooled | ExecMode::Distributed => self
@@ -420,6 +488,34 @@ mod tests {
             }));
             assert!(caught.is_err(), "mode {:?}", ex.mode());
         }
+    }
+
+    #[test]
+    fn fork_joins_count_parallel_sections_only() {
+        for ex in modes() {
+            let mut states = vec![0usize; 3];
+            ex.run_blocks(&mut states, |_, _| 1.0);
+            ex.clone().run_indexed(3, |i| i);
+            let expect = if ex.mode() == ExecMode::Simulated {
+                0
+            } else {
+                2
+            };
+            assert_eq!(ex.fork_joins(), expect, "mode {:?}", ex.mode());
+        }
+    }
+
+    #[test]
+    fn small_phases_stay_on_the_submitting_thread() {
+        let pooled = Executor::with_procs(ExecMode::Pooled, 4);
+        assert!(!pooled.fans_out(0));
+        assert!(!pooled.fans_out(4 * PHASE_GRAIN - 1));
+        assert!(pooled.fans_out(4 * PHASE_GRAIN));
+        assert!(Executor::with_procs(ExecMode::Threads, 2).fans_out(2 * PHASE_GRAIN));
+        // One thread has nobody to fan out to; a simulated machine
+        // never forks.
+        assert!(!Executor::with_procs(ExecMode::Pooled, 1).fans_out(usize::MAX));
+        assert!(!Executor::with_procs(ExecMode::Simulated, 4).fans_out(usize::MAX));
     }
 
     #[test]

@@ -18,15 +18,26 @@
 //!   CAS; idle workers steal from the back of other workers' deques with
 //!   the same CAS word, so claiming is lock-free and a task index is
 //!   executed exactly once.
-//! * Workers park on a condvar between jobs; submission bumps an epoch
-//!   and wakes everyone. A job completes when every worker has drained
-//!   all deques (`active` hits zero), at which point the submitter is
-//!   released. Jobs are serialized: a second submitter waits until the
-//!   pool is idle.
+//! * **The submitting thread is worker 0.** A pool of width `threads`
+//!   owns `threads − 1` helper threads; the submitter drains deque 0
+//!   (then steals) itself instead of parking while someone else does. A
+//!   job splits into `min(n, threads)` deques, and helpers park on a
+//!   condvar until a job has an *unclaimed* deque: a helper that wakes
+//!   claims one under the pool lock, drains it, steals, and checks out.
+//!   When the submitter runs out of work every index has been claimed,
+//!   so it revokes the deques nobody came for and waits only for the
+//!   helpers that did claim one — a job the submitter finishes alone
+//!   never waits for a helper to be scheduled. A width-1 pool and a
+//!   one-index job run inline: no lock, no allocation, no wake-up.
+//!   Jobs are serialized: a second submitter waits until the first has
+//!   released the pool.
 //! * Task closures are lifetime-erased (`&'a dyn Fn(usize)` →
-//!   `&'static`). This is sound because [`WorkerPool::run`] blocks until
-//!   `active == 0`, i.e. until no worker can touch the closure again, so
-//!   the erased borrow strictly outlives every use.
+//!   `&'static`). This is sound because a helper touches the closure
+//!   only between claiming a deque and checking out, both under the pool
+//!   lock, and [`WorkerPool::try_run`] returns only after it has — under
+//!   that same lock — revoked every unclaimed deque and seen the count
+//!   of checked-in helpers reach zero. No helper can reach the closure
+//!   after that, so the erased borrow strictly outlives every use.
 //! * Task panics are *contained*: a panicking task never takes down a
 //!   worker or the job. Every remaining index still executes (other
 //!   tasks are independent speculative work whose results the caller
@@ -44,7 +55,7 @@ use crate::fault::panic_message;
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// A raw pointer that may be shared across the pool's workers.
@@ -155,10 +166,9 @@ impl std::fmt::Debug for JobPanic {
 /// One submitted parallel-for.
 struct Job {
     task: TaskRef,
+    /// One deque per participant: the submitter owns deque 0, the
+    /// helper that claims slot `k` owns deque `k`.
     deques: Box<[IndexDeque]>,
-    /// Workers that have not yet finished this job. The submitter is
-    /// released when this hits zero.
-    active: AtomicUsize,
     /// The lowest-index task panic, if any. Every index still executes
     /// after a panic — tasks are independent, and the caller decides
     /// what to do with the surviving results.
@@ -199,25 +209,38 @@ impl Job {
 
 struct PoolState {
     job: Option<Arc<Job>>,
-    /// Bumped on every submission; each worker runs each epoch once.
-    epoch: u64,
+    /// Deques of the current job that no helper has claimed yet
+    /// (deques `1..=unclaimed`; deque 0 is the submitter's).
+    unclaimed: usize,
+    /// Helpers that claimed a deque and have not checked out.
+    busy: usize,
     shutdown: bool,
 }
 
 struct PoolShared {
     state: Mutex<PoolState>,
-    /// Workers park here between jobs.
+    /// Helpers park here until a job has an unclaimed deque.
     work_cv: Condvar,
-    /// Submitters park here while the pool is busy / their job runs.
+    /// Submitters park here while the pool is busy / their helpers run.
     done_cv: Condvar,
 }
 
-/// A persistent pool of `threads` workers executing parallel-fors.
+impl PoolShared {
+    fn lock(&self) -> std::sync::MutexGuard<'_, PoolState> {
+        // Nothing panics while holding the lock (tasks run outside it,
+        // inside `catch_unwind`), so poisoning means a bug in this file.
+        self.state.lock().expect("pool state lock poisoned")
+    }
+}
+
+/// A persistent pool executing parallel-fors `threads` wide: the
+/// submitting thread plus `threads − 1` helper threads.
 ///
 /// Create one with [`WorkerPool::new`] or — preferred, so restarts and
 /// independent engines share OS threads — [`WorkerPool::shared`].
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
+    /// The `threads − 1` helpers.
     handles: Vec<std::thread::JoinHandle<()>>,
     threads: usize,
 }
@@ -229,25 +252,28 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawn a pool with `threads` workers (clamped to at least one).
+    /// A pool `threads` wide (clamped to at least one). The submitter
+    /// of each job is one of the `threads`, so this spawns
+    /// `threads − 1` helpers — a width-1 pool spawns none.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
                 job: None,
-                epoch: 0,
+                unclaimed: 0,
+                busy: 0,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
         });
-        let handles = (0..threads)
-            .map(|me| {
+        let handles = (1..threads)
+            .map(|k| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("rlrpd-pool-{me}"))
-                    .spawn(move || worker_loop(&shared, me))
-                    .expect("failed to spawn pool worker")
+                    .name(format!("rlrpd-pool-{k}"))
+                    .spawn(move || helper_loop(&shared))
+                    .expect("failed to spawn pool helper")
             })
             .collect();
         WorkerPool {
@@ -272,7 +298,8 @@ impl WorkerPool {
         )
     }
 
-    /// Number of workers.
+    /// Width of the pool: how many threads work on one job, the
+    /// submitter included.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -294,15 +321,17 @@ impl WorkerPool {
     /// either way — the panic slot lives in the job, which is dropped
     /// here, so the next submission starts clean.
     pub fn try_run(&self, n: usize, f: &(dyn Fn(usize) + Sync)) -> Result<(), JobPanic> {
-        if n == 0 {
-            return Ok(());
+        if self.threads == 1 || n <= 1 {
+            return run_inline(n, f);
         }
         assert!(n <= u32::MAX as usize, "pool job too large");
-        // SAFETY: we do not return until `active == 0`, i.e. until every
-        // worker has finished with the job, so the erased borrow
-        // strictly outlives every use of `task`.
+        // SAFETY: a helper uses `task` only between claiming a deque
+        // and checking out. We return only after revoking the
+        // unclaimed deques and seeing `busy == 0` under the pool lock,
+        // so no helper holds or can still obtain a claim on this job:
+        // the erased borrow strictly outlives every use of `task`.
         let task: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(f) };
-        let w = self.threads;
+        let w = self.threads.min(n);
         let chunk = n.div_ceil(w);
         let deques = (0..w)
             .map(|k| IndexDeque::new((k * chunk).min(n), ((k + 1) * chunk).min(n)))
@@ -310,27 +339,42 @@ impl WorkerPool {
         let job = Arc::new(Job {
             task: TaskRef(task),
             deques,
-            active: AtomicUsize::new(w),
             panic: Mutex::new(None),
         });
 
         let sh = &*self.shared;
         {
-            let mut st = sh.state.lock().unwrap();
+            let mut st = sh.lock();
             while st.job.is_some() {
-                st = sh.done_cv.wait(st).unwrap();
+                st = sh.done_cv.wait(st).expect("pool state lock poisoned");
             }
             st.job = Some(Arc::clone(&job));
-            st.epoch += 1;
+            st.unclaimed = w - 1;
         }
-        sh.work_cv.notify_all();
-
-        {
-            let mut st = sh.state.lock().unwrap();
-            while job.active.load(Ordering::Acquire) != 0 {
-                st = sh.done_cv.wait(st).unwrap();
+        if w == self.threads {
+            sh.work_cv.notify_all();
+        } else {
+            for _ in 1..w {
+                sh.work_cv.notify_one();
             }
         }
+
+        // Worker 0's share, then whatever can be stolen. `Job::exec`
+        // contains a panicking task, so this always returns.
+        job.run_from(0);
+
+        {
+            let mut st = sh.lock();
+            // Every index is claimed by now: a deque nobody came for
+            // is empty, and its helper need not show up at all.
+            st.unclaimed = 0;
+            while st.busy != 0 {
+                st = sh.done_cv.wait(st).expect("pool state lock poisoned");
+            }
+            st.job = None;
+        }
+        // Release any submitter queued behind this job.
+        sh.done_cv.notify_all();
 
         let taken = job.panic.lock().unwrap().take();
         match taken {
@@ -374,10 +418,23 @@ impl WorkerPool {
     }
 }
 
+/// The job on the calling thread alone, in index order — what a
+/// width-1 pool and a one-index job come down to. Same containment
+/// contract as the pooled path: every index runs, the lowest-index
+/// panic (the first one met, in this order) is reported.
+fn run_inline(n: usize, f: &(dyn Fn(usize) + Sync)) -> Result<(), JobPanic> {
+    let mut first = None;
+    for index in 0..n {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(index))) {
+            first.get_or_insert(JobPanic { index, payload });
+        }
+    }
+    first.map_or(Ok(()), Err)
+}
+
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap();
+        if let Ok(mut st) = self.shared.state.lock() {
             st.shutdown = true;
         }
         self.shared.work_cv.notify_all();
@@ -387,31 +444,32 @@ impl Drop for WorkerPool {
     }
 }
 
-fn worker_loop(sh: &PoolShared, me: usize) {
-    let mut seen_epoch = 0u64;
+fn helper_loop(sh: &PoolShared) {
+    let mut st = sh.lock();
     loop {
-        let job = {
-            let mut st = sh.state.lock().unwrap();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.epoch != seen_epoch {
-                    if let Some(job) = &st.job {
-                        seen_epoch = st.epoch;
-                        break Arc::clone(job);
-                    }
-                }
-                st = sh.work_cv.wait(st).unwrap();
-            }
+        if st.shutdown {
+            return;
+        }
+        let claim = match &st.job {
+            Some(job) if st.unclaimed > 0 => Some((Arc::clone(job), st.unclaimed)),
+            _ => None,
         };
+        let Some((job, me)) = claim else {
+            st = sh.work_cv.wait(st).expect("pool state lock poisoned");
+            continue;
+        };
+        st.unclaimed -= 1;
+        st.busy += 1;
+        drop(st);
+
         job.run_from(me);
-        if job.active.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last worker out: mark the pool idle and release the
-            // submitter (and anyone queued behind it).
-            let mut st = sh.state.lock().unwrap();
-            st.job = None;
-            drop(st);
+        drop(job);
+
+        st = sh.lock();
+        st.busy -= 1;
+        if st.busy == 0 {
+            // Possibly the last helper out: the submitter may be
+            // waiting on exactly this.
             sh.done_cv.notify_all();
         }
     }
@@ -420,7 +478,10 @@ fn worker_loop(sh: &PoolShared, me: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize};
+    use std::sync::Barrier;
+    use std::thread::ThreadId;
 
     #[test]
     fn index_deque_front_and_back_partition_the_range() {
@@ -587,6 +648,108 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::Relaxed), 4 * 50 * 7);
+    }
+
+    /// Which threads ran the tasks of one job.
+    fn threads_of(pool: &WorkerPool, n: usize) -> (Vec<AtomicU32>, HashSet<ThreadId>) {
+        let counts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+        let seen = Mutex::new(HashSet::new());
+        pool.run(n, &|i| {
+            counts[i].fetch_add(1, Ordering::Relaxed);
+            seen.lock().unwrap().insert(std::thread::current().id());
+        });
+        (counts, seen.into_inner().unwrap())
+    }
+
+    #[test]
+    fn fewer_indices_than_threads_need_fewer_threads() {
+        let pool = WorkerPool::new(8);
+        for n in 2..8 {
+            let (counts, seen) = threads_of(&pool, n);
+            assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+            assert!(
+                seen.len() <= n,
+                "n={n}: {} threads took part in a job with {n} deques",
+                seen.len()
+            );
+        }
+    }
+
+    #[test]
+    fn one_index_and_width_one_run_on_the_caller() {
+        let me = std::thread::current().id();
+        let wide = WorkerPool::new(4);
+        for _ in 0..50 {
+            let (counts, seen) = threads_of(&wide, 1);
+            assert_eq!(counts[0].load(Ordering::Relaxed), 1);
+            assert_eq!(seen, HashSet::from([me]), "n = 1 must not wake a helper");
+        }
+        let narrow = WorkerPool::new(1);
+        assert!(narrow.handles.is_empty(), "a width-1 pool spawns no thread");
+        let (counts, seen) = threads_of(&narrow, 9);
+        assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+        assert_eq!(seen, HashSet::from([me]));
+        // The inline path keeps the containment contract.
+        let err = narrow
+            .try_run(6, &|i| {
+                if i == 4 || i == 2 {
+                    std::panic::resume_unwind(Box::new(i));
+                }
+            })
+            .expect_err("two tasks panicked");
+        assert_eq!(err.index, 2);
+    }
+
+    #[test]
+    fn a_panic_in_the_callers_share_is_contained() {
+        let pool = WorkerPool::new(3);
+        let me = std::thread::current().id();
+        for _ in 0..20 {
+            let fired = AtomicBool::new(false);
+            let done = AtomicUsize::new(0);
+            let err = pool
+                .try_run(12, &|i| {
+                    if std::thread::current().id() != me {
+                        // Helpers hold their first task until the
+                        // submitter has taken (and lost) its own, so
+                        // they cannot drain deque 0 before it starts.
+                        while !fired.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
+                    } else if !fired.swap(true, Ordering::AcqRel) {
+                        std::panic::resume_unwind(Box::new(format!("caller at {i}")));
+                    }
+                    done.fetch_add(1, Ordering::Relaxed);
+                })
+                .expect_err("the submitter's own task panicked");
+            assert_eq!(err.index, 0, "the submitter starts at the front of deque 0");
+            assert_eq!(err.message(), "caller at 0");
+            assert_eq!(done.load(Ordering::Relaxed), 11, "every other index ran");
+        }
+        assert_eq!(pool.run_indexed(5, |i| i + 1), vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn two_submitters_released_together_both_complete() {
+        let pool = WorkerPool::new(3);
+        let gate = Barrier::new(2);
+        let totals = [AtomicUsize::new(0), AtomicUsize::new(0)];
+        std::thread::scope(|s| {
+            for total in &totals {
+                let (pool, gate) = (&pool, &gate);
+                s.spawn(move || {
+                    for _ in 0..100 {
+                        gate.wait();
+                        pool.run(9, &|_| {
+                            total.fetch_add(1, Ordering::Relaxed);
+                        });
+                    }
+                });
+            }
+        });
+        for total in &totals {
+            assert_eq!(total.load(Ordering::Relaxed), 900);
+        }
     }
 
     #[test]

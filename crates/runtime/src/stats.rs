@@ -196,6 +196,15 @@ pub struct StageStats {
     /// degraded configuration.
     #[serde(default)]
     pub shadow_pressure_events: usize,
+    /// Parallel sections (pool jobs, or rounds of scoped threads) the
+    /// stage dispatched — the barriers it really paid, against the one
+    /// `s` the paper's model charges. One (the doall) when the stage's
+    /// touched-entry count kept the analysis, commit and clear phases
+    /// on the submitting thread, seven when they fanned out; always 0
+    /// under the simulated executor, and 0 for the doall of a stage
+    /// whose blocks ran on a worker fleet.
+    #[serde(default)]
+    pub fork_joins: usize,
 }
 
 impl StageStats {

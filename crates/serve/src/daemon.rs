@@ -40,8 +40,8 @@ use rlrpd_core::remote::{
     RejectReason, StatusRequest, FRAME_STATUS_REQ, FRAME_SUBMIT, SERVE_PROTOCOL_VERSION,
 };
 use rlrpd_core::{
-    run_sequential, AdaptRule, ExecMode, FaultPlan, FrameObserver, Journal, RlrpdError, RunConfig,
-    Runner, Strategy, WindowConfig,
+    reduction_mask, run_sequential, verify_against_sequential, AdaptRule, ExecMode, FaultPlan,
+    FrameObserver, Journal, RlrpdError, RunConfig, Runner, Strategy, WindowConfig,
 };
 use rlrpd_dist::resolve_spec;
 use rlrpd_shadow::{BudgetLease, BudgetPool};
@@ -608,10 +608,12 @@ fn execute_job(job: &Arc<Job>, lease: &BudgetLease) -> Result<Outcome, JobStatus
                     });
                 }
             }
-            // Byte-identity against a sequential execution of the same
-            // loop: the daemon's contract, not the client's trust.
+            // Checked against a sequential execution of the same loop
+            // (bit identity; declared reductions at the CLI's rounding
+            // tolerance): the daemon's contract, not the client's trust.
             let (seq, _) = run_sequential(lp.as_ref());
-            let verified = res.arrays == seq;
+            let mask = reduction_mask(lp.as_ref());
+            let verified = verify_against_sequential(&seq, &res.arrays, &mask).is_ok();
             Ok(Outcome::Finished(JobStatusFrame {
                 key,
                 state: JobState::Done,

@@ -46,7 +46,9 @@
 //! is **not** an exit code: the run degrades to in-process execution
 //! and exits 0, reporting the degradation on stdout.
 
-use rlrpd::core::{AdaptRule, FallbackPolicy, FaultPlan, Timeline};
+use rlrpd::core::{
+    reduction_mask, verify_against_sequential, AdaptRule, FallbackPolicy, FaultPlan, Timeline,
+};
 use rlrpd::dist::{ChaosPlan, ChaosProxy, DistLauncher, DistPolicy, Endpoint};
 use rlrpd::{
     extract_ddg, run_sequential, BalancePolicy, CheckpointPolicy, ExecMode, FallbackReason,
@@ -1233,17 +1235,17 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
             println!("\n{}", Timeline::from_result(&res, cfg.p).render());
         }
 
-        // Always verify against sequential execution. Reductions
-        // reassociate floating-point sums across blocks, so the
-        // speculative tiers compare with a rounding-level tolerance;
-        // DOACROSS runs in sequential-equivalent order and must be
-        // byte-identical.
+        // Always verify against sequential execution: bit identity,
+        // except that a reduction reassociates floating-point sums
+        // across blocks, so arrays declaring one compare at a
+        // rounding-level tolerance. The plain view of a DOACROSS run
+        // declares none: it runs in sequential-equivalent order and
+        // must be byte-identical throughout.
         let (seq, _) = run_sequential(&lp);
+        verify(&seq, &res.arrays, &reduction_mask(&lp))?;
         if proven0.is_some() {
-            verify_exact(&seq, &res.arrays)?;
             println!("verified byte-identical to sequential execution ✓");
         } else {
-            verify(&seq, &res.arrays)?;
             println!("verified against sequential execution ✓");
         }
         if json {
@@ -1294,11 +1296,19 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
         }
         println!("whole-program speedup = {:.2}x", res.speedup());
         let seq = prog.run_sequential();
+        // An array is held to the reduction tolerance when any loop
+        // that ran speculatively declares a reduction on it.
+        let mut mask = vec![false; seq.len()];
+        for (k, proof) in proven.iter().enumerate() {
+            if !(doacross_active && proof.is_some()) {
+                let declared = reduction_mask(&prog.loop_view(k, initial_state(&prog)));
+                mask.iter_mut().zip(declared).for_each(|(m, d)| *m |= d);
+            }
+        }
+        verify(&seq, &res.arrays, &mask)?;
         if doacross_active && proven.iter().all(|p| p.is_some()) {
-            verify_exact(&seq, &res.arrays)?;
             println!("verified byte-identical to sequential execution ✓");
         } else {
-            verify(&seq, &res.arrays)?;
             println!("verified against sequential execution ✓");
         }
         if json {
@@ -1330,43 +1340,14 @@ fn run_induction_program(ind: rlrpd::lang::CompiledInduction, flags: &Flags) -> 
     Ok(())
 }
 
-/// Compare speculative and sequential array states, allowing
-/// rounding-level differences from reduction reassociation.
+/// The shared acceptance rule ([`verify_against_sequential`]), with the
+/// CLI's marker for "this is our bug, not yours".
 fn verify(
     seq: &[(&'static str, Vec<f64>)],
     spec: &[(&'static str, Vec<f64>)],
+    reductions: &[bool],
 ) -> Result<(), String> {
-    for ((name, s), (_, r)) in seq.iter().zip(spec) {
-        for (k, (a, b)) in s.iter().zip(r).enumerate() {
-            let tol = 1e-9 * a.abs().max(1.0);
-            if (a - b).abs() > tol {
-                return Err(format!(
-                    "INTERNAL: array {name}[{k}] differs from sequential execution                      ({a} vs {b})"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// DOACROSS runs perform direct in-order writes with no reduction
-/// reassociation, so the contract is *byte identity*: every f64 must
-/// match sequential execution bit for bit.
-fn verify_exact(
-    seq: &[(&'static str, Vec<f64>)],
-    spec: &[(&'static str, Vec<f64>)],
-) -> Result<(), String> {
-    for ((name, s), (_, r)) in seq.iter().zip(spec) {
-        for (k, (a, b)) in s.iter().zip(r).enumerate() {
-            if a.to_bits() != b.to_bits() {
-                return Err(format!(
-                    "INTERNAL: array {name}[{k}] is not byte-identical to sequential \
-                     execution ({a} vs {b})"
-                ));
-            }
-        }
-    }
-    Ok(())
+    verify_against_sequential(seq, spec, reductions).map_err(|e| format!("INTERNAL: {e}"))
 }
 
 fn initial_state(prog: &rlrpd::lang::CompiledProgram) -> Vec<Vec<f64>> {

@@ -75,6 +75,45 @@ fn nlfilt_agrees_across_executors() {
     assert_modes_agree("nlfilt/nrd", &lp, Strategy::Nrd, 8);
 }
 
+/// The paper's model charges one synchronization per stage. A
+/// sliding-window stage of NLFILT touches a few hundred shadow entries
+/// — far below the grain at which fanning the merges out pays — so
+/// its doall must be the only fork-join it issues: analysis, commit,
+/// write-back and shadow clear all run on the submitting thread. The
+/// simulated machine forks nothing at all, and both agree on every
+/// decision.
+#[test]
+fn a_windowed_nlfilt_stage_costs_one_fork_join() {
+    let lp = NlfiltLoop::new(NlfiltInput {
+        name: "windowed",
+        n: 8192,
+        slots: 8192,
+        write_rate: 0.012,
+        max_distance: 24,
+        seed: 5,
+    });
+    let run = |exec| {
+        let strategy = Strategy::SlidingWindow(WindowConfig::fixed(64));
+        run_speculative(
+            &lp,
+            RunConfig::new(2).with_strategy(strategy).with_exec(exec),
+        )
+    };
+    let sim = run(ExecMode::Simulated);
+    assert!(sim.report.restarts > 0, "the deck is partially parallel");
+    assert_eq!(sim.report.fork_joins(), 0);
+    for exec in [ExecMode::Pooled, ExecMode::Threads] {
+        let got = run(exec);
+        assert_eq!(got.arrays, sim.arrays, "{exec:?}");
+        assert_eq!(got.report.stages.len(), sim.report.stages.len(), "{exec:?}");
+        assert!(got.report.stages.len() >= 8192 / 128);
+        for (k, stage) in got.report.stages.iter().enumerate() {
+            assert_eq!(stage.fork_joins, 1, "{exec:?}: stage {k}");
+        }
+        assert_eq!(got.report.fork_joins(), got.report.stages.len());
+    }
+}
+
 #[test]
 fn quad_agrees_across_executors() {
     let lp = QuadLoop::new(300, 120, 9);

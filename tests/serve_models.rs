@@ -189,6 +189,55 @@ fn over_pool_submission_gets_typed_rejection() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A job whose program declares a reduction (every TRACK DSL deck:
+/// `ENERGY` is summed) used to end `verified = false`, because the
+/// daemon compared with strict `==` while a parallel fold reassociates
+/// the sum. The daemon now applies the rule `rlrpd run` applies — and
+/// that rule still fails a single corrupted bit in any array without a
+/// declared reduction.
+#[test]
+fn a_reduction_job_is_verified_and_a_corrupted_plain_element_is_not() {
+    use rlrpd::core::{reduction_mask, run_sequential, verify_against_sequential};
+
+    let dir = state_dir("reduction");
+    let handle = start(ServeConfig {
+        state_dir: dir.clone(),
+        ..ServeConfig::default()
+    });
+    let src = rlrpd::loops::dsl::track_dsl(4096);
+    let spec = spec_for(0x7_0000_0001, &format!("rlp:{src}"));
+    let out = submit(handle.addr(), &spec, &opts()).expect("track_dsl job");
+    assert_eq!(out.status.state, JobState::Done);
+    assert_eq!(out.status.exit_code, 0);
+    assert!(
+        out.status.verified,
+        "a reassociated reduction is not a wrong result: {}",
+        out.status.report_json
+    );
+    handle.drain();
+    assert_eq!(handle.join(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The same rule on the same loop, by hand.
+    let lp = rlrpd::lang::compile(&src).expect("deck compiles");
+    let (seq, _) = run_sequential(&lp);
+    let mask = reduction_mask(&lp);
+    let reduction = mask.iter().position(|&m| m).expect("ENERGY is a reduction");
+    let plain = mask.iter().position(|&m| !m).expect("a plain array");
+    let next_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+
+    let mut reassociated = seq.clone();
+    let e = &mut reassociated[reduction].1[0];
+    *e = next_up(*e);
+    assert!(verify_against_sequential(&seq, &reassociated, &mask).is_ok());
+
+    let mut corrupted = seq.clone();
+    let e = &mut corrupted[plain].1[0];
+    *e = next_up(*e);
+    let err = verify_against_sequential(&seq, &corrupted, &mask).unwrap_err();
+    assert!(err.contains(seq[plain].0), "{err}");
+}
+
 /// Resubmitting the same key with identical bytes attaches to the
 /// existing job and observes the same terminal status; the same key
 /// with *different* bytes is a `KeyConflict`.
