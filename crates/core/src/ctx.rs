@@ -58,6 +58,37 @@ pub struct IterCtx<'a, T: Value = f64> {
 }
 
 impl<'a, T: Value> IterCtx<'a, T> {
+    /// A direct-mode context (no speculation: references go straight
+    /// to shared storage) positioned at iteration `iter`.
+    pub(crate) fn direct(
+        iter: usize,
+        meta: &'a [ArrayMeta<T>],
+        shared: &'a [SharedBuf<T>],
+    ) -> Self {
+        IterCtx {
+            iter,
+            writer: 0,
+            meta,
+            shared,
+            views: &mut [],
+            wlog: None,
+            iter_marks: None,
+            extra_cost: 0.0,
+            exited: false,
+        }
+    }
+
+    /// Close the current iteration — its number, the extra cost it
+    /// charged and whether it asked to exit — and position the context
+    /// on the next one. The engine's half of the
+    /// [`crate::spec_loop::SpecLoop::run_iters`] contract.
+    pub(crate) fn advance(&mut self) -> (usize, f64, bool) {
+        let closed = (self.iter, self.extra_cost, self.exited);
+        self.iter += 1;
+        self.extra_cost = 0.0;
+        closed
+    }
+
     /// The current iteration number.
     #[inline]
     pub fn iter(&self) -> usize {
@@ -86,6 +117,48 @@ impl<'a, T: Value> IterCtx<'a, T> {
                 unsafe { self.shared[a.index()].get(i) }
             }
         }
+    }
+
+    /// Number of elements of array `a`.
+    #[inline]
+    pub fn len(&self, a: ArrayId) -> usize {
+        self.shared[a.index()].len()
+    }
+
+    /// This processor's speculative view of array `a` as the block has
+    /// left it so far — marks, private values, touched set, reference
+    /// count. `None` for an untested array and in direct mode. Read
+    /// only: diagnostics and differential tests look, the engine
+    /// decides.
+    pub fn view(&self, a: ArrayId) -> Option<&ProcView<T>> {
+        match self.meta[a.index()].route {
+            Route::Tested { slot } => self.views.get(slot),
+            _ => None,
+        }
+    }
+
+    /// The value [`IterCtx::read`] would return for element `i` of
+    /// array `a`, without the read happening: nothing is marked,
+    /// nothing is materialized, no reference is counted. `None` when
+    /// `i` is out of bounds (where `read` would panic). This is what
+    /// lets a body tier run iterations ahead side-effect free and
+    /// replay their references in order afterwards
+    /// ([`crate::spec_loop::SpecLoop::run_iters`]).
+    #[inline]
+    pub fn peek(&self, a: ArrayId, i: usize) -> Option<T> {
+        let buf = &self.shared[a.index()];
+        if i >= buf.len() {
+            return None;
+        }
+        Some(match self.meta[a.index()].route {
+            Route::Tested { slot } if !self.views.is_empty() => {
+                // SAFETY: as in `read` — tested shared data is stable
+                // during the stage.
+                self.views[slot].peek(i, |e| unsafe { buf.get(e) })
+            }
+            // SAFETY: as in `read`'s direct / untested arm.
+            _ => unsafe { buf.get(i) },
+        })
     }
 
     /// Write `v` to element `i` of array `a`.

@@ -13,7 +13,7 @@ use crate::checkpoint::{CheckpointPolicy, EagerSnapshot, WriteLog};
 use crate::commit::commit_tested;
 use crate::ctx::{ArrayMeta, IterCtx, Route};
 use crate::error::RlrpdError;
-use crate::spec_loop::SpecLoop;
+use crate::spec_loop::{BatchTally, SpecLoop};
 use crate::value::{Reduction, Value};
 use crate::view::ProcView;
 use rlrpd_runtime::{
@@ -69,6 +69,8 @@ pub(crate) struct BlockState<T: Value> {
     /// Iteration at which this block's body requested a premature
     /// exit, if any (execution of the block stops there).
     pub exit_iter: Option<u32>,
+    /// What the loop's batch entry reported for this stage's block.
+    pub tally: BatchTally,
 }
 
 /// Per-iteration marks of one committed block (DDG extraction).
@@ -249,6 +251,7 @@ impl<'l, T: Value> Engine<'l, T> {
                 },
                 iter_costs: Vec::new(),
                 exit_iter: None,
+                tally: BatchTally::default(),
             })
             .collect();
 
@@ -412,6 +415,10 @@ impl<'l, T: Value> Engine<'l, T> {
             self.run_blocks_local(schedule, fault_plan.as_deref())
         };
         stats.contained_faults = fault.is_some() as usize;
+        for st in &self.states {
+            stats.batched_iters += st.tally.batched_iters;
+            stats.scalar_strips += st.tally.scalar_strips;
+        }
         stats.loop_time = timing.critical_path();
         stats.total_work = timing.total_work();
         stats.wall_seconds = timing.wall_seconds;
@@ -942,42 +949,57 @@ impl<'l, T: Value> Engine<'l, T> {
         let (mut timing, panic) = self.executor.try_run_blocks(&mut self.states, |pos, st| {
             st.iter_costs.clear();
             st.exit_iter = None;
+            st.tally = BatchTally::default();
             let range = schedule.blocks()[pos].range.clone();
             let proc = schedule.blocks()[pos].proc.0;
             st.iter_costs.reserve(range.len());
             let mut total = 0.0;
-            for iter in range {
-                if let Some(plan) = plan {
-                    if plan.should_panic(proc, iter) {
-                        // resume_unwind skips the panic hook: injected
-                        // faults stay silent on stderr.
-                        std::panic::resume_unwind(Box::new(InjectedFault { proc, iter }));
-                    }
-                }
-                let mut ctx = IterCtx {
-                    iter,
-                    writer: pos as u32,
-                    meta,
-                    shared,
-                    views: &mut st.views,
-                    wlog: Some(&mut st.wlog),
-                    iter_marks: if record { Some(&mut st.marks) } else { None },
-                    extra_cost: 0.0,
-                    exited: false,
-                };
-                lp.body(iter, &mut ctx);
-                let exited = ctx.exited;
-                let mut c = lp.cost(iter) + ctx.extra_cost;
+            let mut ctx = IterCtx {
+                iter: range.start,
+                writer: pos as u32,
+                meta,
+                shared,
+                views: &mut st.views,
+                wlog: Some(&mut st.wlog),
+                iter_marks: if record { Some(&mut st.marks) } else { None },
+                extra_cost: 0.0,
+                exited: false,
+            };
+            let iter_costs = &mut st.iter_costs;
+            let exit_iter = &mut st.exit_iter;
+            let mut after = |ctx: &mut IterCtx<'_, T>| {
+                let (iter, extra, exited) = ctx.advance();
+                let mut c = lp.cost(iter) + extra;
                 if let Some(plan) = plan {
                     c += plan.delay_for(proc, iter);
                 }
-                st.iter_costs.push((iter as u32, c));
+                iter_costs.push((iter as u32, c));
                 total += c;
                 if exited {
                     // Within a block execution is sequential: the rest
                     // of the block is known-dead and is skipped.
-                    st.exit_iter = Some(iter as u32);
-                    break;
+                    *exit_iter = Some(iter as u32);
+                }
+                !exited
+            };
+            if plan.is_none() && !record {
+                st.tally = lp.run_iters(range, &mut ctx, &mut after);
+            } else {
+                // Fault injection fires between iterations and DDG
+                // extraction logs every reference under its iteration:
+                // both hand the loop one iteration at a time.
+                for iter in range {
+                    if let Some(plan) = plan {
+                        if plan.should_panic(proc, iter) {
+                            // resume_unwind skips the panic hook: injected
+                            // faults stay silent on stderr.
+                            std::panic::resume_unwind(Box::new(InjectedFault { proc, iter }));
+                        }
+                    }
+                    lp.run_iters(iter..iter + 1, &mut ctx, &mut after);
+                    if ctx.exited {
+                        break;
+                    }
                 }
             }
             total
@@ -1102,26 +1124,16 @@ impl<'l, T: Value> Engine<'l, T> {
         let meta = &self.meta;
         let shared = &self.shared;
         let run = catch_unwind(AssertUnwindSafe(|| {
-            for iter in range {
-                let mut ctx = IterCtx {
-                    iter,
-                    writer: 0,
-                    meta,
-                    shared,
-                    views: &mut [],
-                    wlog: None,
-                    iter_marks: None,
-                    extra_cost: 0.0,
-                    exited: false,
-                };
-                lp.body(iter, &mut ctx);
-                work += lp.cost(iter) + ctx.extra_cost;
+            let mut ctx = IterCtx::direct(range.start, meta, shared);
+            lp.run_iters(range, &mut ctx, &mut |ctx| {
+                let (iter, extra, exit) = ctx.advance();
+                work += lp.cost(iter) + extra;
                 done += 1;
-                if ctx.exited {
+                if exit {
                     exited = Some(iter);
-                    break;
                 }
-            }
+                !exit
+            });
         }));
         match run {
             Ok(()) => Ok((work, exited)),
@@ -1188,24 +1200,12 @@ pub fn run_sequential<T: Value>(lp: &dyn SpecLoop<T>) -> (Vec<(&'static str, Vec
     }
 
     let mut work = 0.0;
-    for iter in 0..lp.num_iters() {
-        let mut ctx = IterCtx {
-            iter,
-            writer: 0,
-            meta: &meta,
-            shared: &shared,
-            views: &mut [],
-            wlog: None,
-            iter_marks: None,
-            extra_cost: 0.0,
-            exited: false,
-        };
-        lp.body(iter, &mut ctx);
-        work += lp.cost(iter) + ctx.extra_cost;
-        if ctx.exited {
-            break;
-        }
-    }
+    let mut ctx = IterCtx::direct(0, &meta, &shared);
+    lp.run_iters(0..lp.num_iters(), &mut ctx, &mut |ctx| {
+        let (iter, extra, exited) = ctx.advance();
+        work += lp.cost(iter) + extra;
+        !exited
+    });
 
     let arrays = meta
         .iter()

@@ -105,7 +105,7 @@ pub use remote::{
     SERVE_PROTOCOL_VERSION,
 };
 pub use report::{PrAccumulator, RunReport};
-pub use spec_loop::{ClosureLoop, FullyInstrumented, SpecLoop};
+pub use spec_loop::{BatchTally, ClosureLoop, FullyInstrumented, SpecLoop};
 pub use timeline::Timeline;
 pub use value::{Reduction, Value};
 pub use wavefront::{execute_wavefronts, WavefrontReport, WavefrontSchedule};

@@ -175,6 +175,18 @@ impl RunReport {
         self.stages.iter().map(|s| s.fork_joins).sum()
     }
 
+    /// Iterations the body tier executed several-at-a-time across all
+    /// stages (the bytecode VM's strips; 0 for native loops).
+    pub fn batched_iters(&self) -> u64 {
+        self.stages.iter().map(|s| s.batched_iters).sum()
+    }
+
+    /// Strips that re-executed one iteration at a time, across all
+    /// stages, after their speculation failed or was abandoned.
+    pub fn scalar_strips(&self) -> u64 {
+        self.stages.iter().map(|s| s.scalar_strips).sum()
+    }
+
     /// Machine-readable JSON image of the report: the schema behind
     /// `rlrpd run --format json` and the daemon's job-status frames.
     /// Hand-rolled (no JSON dependency); keys are stable.
@@ -211,7 +223,8 @@ impl RunReport {
                 "\"wire_bytes\":{},\"journal_bytes\":{},\"journal_seconds\":{:.6},",
                 "\"shadow_budget\":{},\"shadow_bytes_peak\":{},",
                 "\"shadow_migrations\":{},\"shadow_pressure_events\":{},",
-                "\"shadow_reprs\":[{}],\"fork_joins\":{}}}"
+                "\"shadow_reprs\":[{}],\"fork_joins\":{},",
+                "\"batched_iters\":{},\"scalar_strips\":{}}}"
             ),
             self.stages.len(),
             self.restarts,
@@ -237,7 +250,9 @@ impl RunReport {
             self.shadow_migrations(),
             self.shadow_pressure_events(),
             reprs.join(","),
-            self.fork_joins()
+            self.fork_joins(),
+            self.batched_iters(),
+            self.scalar_strips()
         )
     }
 }
@@ -355,6 +370,14 @@ impl std::fmt::Display for RunReport {
                 write!(f, "; final reprs: {}", reprs.join(", "))?;
             }
             writeln!(f)?;
+        }
+        if self.batched_iters() > 0 || self.scalar_strips() > 0 {
+            writeln!(
+                f,
+                "strips: {} iterations batched, {} strips re-executed scalar",
+                self.batched_iters(),
+                self.scalar_strips()
+            )?;
         }
         writeln!(
             f,

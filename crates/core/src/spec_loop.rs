@@ -11,6 +11,21 @@
 use crate::array::{ArrayDecl, ArrayKind, ShadowKind};
 use crate::ctx::IterCtx;
 use crate::value::Value;
+use std::ops::Range;
+
+/// What [`SpecLoop::run_iters`] reports about how it ran its range: a
+/// body tier that executes several iterations per dispatch counts the
+/// iterations it ran that way and the groups it had to re-execute one
+/// iteration at a time. A loop without such a tier reports zeros.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BatchTally {
+    /// Iterations executed several-at-a-time.
+    pub batched_iters: u64,
+    /// Groups whose speculation on their independence failed (or was
+    /// abandoned on a would-be fault) and that re-ran one iteration at
+    /// a time.
+    pub scalar_strips: u64,
+}
 
 /// A loop prepared for speculative parallelization.
 pub trait SpecLoop<T: Value = f64>: Sync {
@@ -24,6 +39,34 @@ pub trait SpecLoop<T: Value = f64>: Sync {
     /// The loop body for iteration `iter`. All array references must go
     /// through `ctx`.
     fn body(&self, iter: usize, ctx: &mut IterCtx<'_, T>);
+
+    /// Execute the bodies of `iters` in ascending order against `ctx`,
+    /// calling `after` once each iteration's references are all made
+    /// and stopping as soon as it returns `false`. The caller owns the
+    /// per-iteration bookkeeping: `after` is where it records the
+    /// iteration's cost, notices a premature exit and moves `ctx` on to
+    /// the next iteration.
+    ///
+    /// The default is the per-iteration loop. A body tier that can run
+    /// several iterations per dispatch overrides it; whatever it does
+    /// inside, every reference must reach `ctx.read` / `write` /
+    /// `reduce` in iteration order and, within an iteration, in program
+    /// order, with `after` between iterations — so marks, private
+    /// values and reference counts are those of the default.
+    fn run_iters(
+        &self,
+        iters: Range<usize>,
+        ctx: &mut IterCtx<'_, T>,
+        after: &mut dyn FnMut(&mut IterCtx<'_, T>) -> bool,
+    ) -> BatchTally {
+        for iter in iters {
+            self.body(iter, ctx);
+            if !after(ctx) {
+                break;
+            }
+        }
+        BatchTally::default()
+    }
 
     /// Useful work `ω_i` of iteration `iter`, in virtual time units.
     /// Drives the simulated executor and feedback-guided load
@@ -136,6 +179,15 @@ impl<T: Value> SpecLoop<T> for FullyInstrumented<'_, T> {
 
     fn body(&self, iter: usize, ctx: &mut IterCtx<'_, T>) {
         self.inner.body(iter, ctx)
+    }
+
+    fn run_iters(
+        &self,
+        iters: Range<usize>,
+        ctx: &mut IterCtx<'_, T>,
+        after: &mut dyn FnMut(&mut IterCtx<'_, T>) -> bool,
+    ) -> BatchTally {
+        self.inner.run_iters(iters, ctx, after)
     }
 
     fn cost(&self, iter: usize) -> f64 {

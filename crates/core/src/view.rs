@@ -118,6 +118,23 @@ impl<T: Value> ProcView<T> {
         }
     }
 
+    /// The value [`ProcView::read`] would return for element `e`,
+    /// computed without side effects: no mark, no materialization, no
+    /// reference counted. A reduction-only element folds its delta
+    /// onto the shared value with the same `combine` call `read`'s
+    /// materialization makes, so the two agree to the bit.
+    pub fn peek(&self, e: usize, shared: impl Fn(usize) -> T) -> T {
+        let m = self.shadow.mark(e);
+        if m.is_written() {
+            self.store.get(e)
+        } else if m.is_reduction_only() {
+            let op = self.op.expect("reduction mark without operator");
+            (op.combine)(shared(e), self.accum.as_ref().expect("accum").get(e))
+        } else {
+            shared(e)
+        }
+    }
+
     /// Ordinary write of element `e`.
     pub fn write(&mut self, e: usize, v: T) {
         self.refs += 1;

@@ -51,8 +51,9 @@
 //! target, which is what licenses the VM's unchecked register and
 //! instruction fetches.
 
-use crate::analyze::Class;
+use crate::analyze::{Class, Classification};
 use crate::ast::{BinOp, Expr, Intrinsic, LoopNest, Span, Stmt, UpdateOp};
+use crate::depend::Certainty;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A register index into the VM's register file.
@@ -60,6 +61,11 @@ pub type Reg = u16;
 
 /// Register 0 always holds the loop variable.
 pub const REG_I: Reg = 0;
+
+/// `2^53`: every non-negative integer below it is an exact `f64` and an
+/// exact `u64`, which is what lets an integer-proven `%` skip its
+/// roundings ([`Insn::Rem`]'s `int` bit).
+pub(crate) const EXACT_INT: f64 = 9_007_199_254_740_992.0;
 
 /// Provisional temp-register tag used during lowering: temps are
 /// numbered from `TEMP_TAG` until the constant pool is complete, then
@@ -91,20 +97,6 @@ impl Pred {
             BinOp::Ge => Pred::Ge,
             _ => return None,
         })
-    }
-
-    /// Evaluate the predicate — the same IEEE comparison the unfused
-    /// `Cmp*` instruction would have materialized.
-    #[inline]
-    pub(crate) fn eval(self, a: f64, b: f64) -> bool {
-        match self {
-            Pred::Eq => a == b,
-            Pred::Ne => a != b,
-            Pred::Lt => a < b,
-            Pred::Le => a <= b,
-            Pred::Gt => a > b,
-            Pred::Ge => a >= b,
-        }
     }
 
     fn symbol(self) -> &'static str {
@@ -143,12 +135,21 @@ pub enum Insn {
     /// `dst <- a / b`.
     Div { dst: Reg, a: Reg, b: Reg },
     /// `dst <- a % b` on rounded integers (euclidean remainder).
-    Rem { dst: Reg, a: Reg, b: Reg },
+    /// `int`: lowering proved `a` a non-negative integer and `b` a
+    /// constant integer in `1..2^53`, so below `2^53` the remainder is
+    /// the unsigned one and both roundings are skipped.
+    Rem { dst: Reg, a: Reg, b: Reg, int: bool },
     /// `dst <- a % (mask + 1)` — strength-reduced remainder by a
     /// power-of-two constant: `round(a) & mask`, exactly the Euclidean
     /// remainder [`Insn::Rem`] computes for these divisors (two's
-    /// complement).
-    RemPow2 { dst: Reg, a: Reg, mask: u16 },
+    /// complement). `int`: `a` is a proven non-negative integer (no
+    /// rounding needed below `2^53`).
+    RemPow2 {
+        dst: Reg,
+        a: Reg,
+        mask: u16,
+        int: bool,
+    },
     /// `dst <- a * b + c`. Two IEEE roundings, exactly the mul-then-add
     /// pair it fuses (not an FMA).
     MulAdd { dst: Reg, a: Reg, b: Reg, c: Reg },
@@ -255,6 +256,144 @@ pub enum Insn {
     Halt,
 }
 
+/// Iterations per strip: how many consecutive iterations the VM
+/// executes per instruction dispatch when a loop is eligible
+/// ([`StripPlan`]).
+pub const STRIP: usize = 16;
+
+/// What a memory instruction does to its element.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum MemKind {
+    Load,
+    Store,
+    Reduce,
+}
+
+/// One memory instruction of the body, in pc order.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct MemOp {
+    pub kind: MemKind,
+    pub arr: u16,
+}
+
+/// A (store or reduce, load) pair on one array: the only shape that
+/// can make a strip's side-effect-free execution observe the wrong
+/// value, because loads are the only references that observe anything
+/// before replay.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Hazard {
+    /// Slot of the store / reduce.
+    pub store: u16,
+    /// Slot of the load. When it follows the store in program order the
+    /// pair is also checked within one lane.
+    pub load: u16,
+    /// Check the pair across lanes (store in an earlier lane than the
+    /// load). Off for arrays the classifier itself proved
+    /// iteration-disjoint — never on the word of a declaration hint,
+    /// so `run_sequential` stays exact under an unsound one.
+    pub cross: bool,
+}
+
+/// Why a loop's strips were refused at lowering.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StripRefusal {
+    /// `break if`: a premature exit ends the loop at one iteration.
+    Exit,
+    /// An induction counter threads a value through the iterations.
+    Counter,
+    /// Array `array` has a proven dependence `distance < STRIP`
+    /// iterations apart: every strip would fail its test.
+    MustDistance {
+        /// Declaration index of the array.
+        array: usize,
+        /// The proven minimum distance.
+        distance: usize,
+    },
+}
+
+/// What the strip executor needs beyond the instructions, decided once
+/// at lowering: which instructions reference memory (a strip logs each
+/// one's subscripts and values per lane) and which pairs of them the
+/// strip's validity test must compare.
+#[derive(Clone, Debug)]
+pub(crate) struct StripPlan {
+    /// Memory-op slot per instruction (meaningful only at memory
+    /// instructions). Branches are forward-only, so slot order is each
+    /// lane's execution order and an instruction runs at most once per
+    /// strip.
+    pub slot_of: Vec<u16>,
+    /// The memory instructions, by slot.
+    pub ops: Vec<MemOp>,
+    pub hazards: Vec<Hazard>,
+}
+
+impl StripPlan {
+    fn build(code: &[Insn], arrays: &[Classification]) -> Result<StripPlan, StripRefusal> {
+        // What the analysis itself concluded (a hint keeps it aside).
+        let own = |a: usize| arrays[a].unhinted.as_deref().unwrap_or(&arrays[a]);
+        for a in 0..arrays.len() {
+            if let Some(ev) = &own(a).evidence {
+                if let (Certainty::Must, Some(distance)) = (ev.certainty, ev.distance) {
+                    if distance < STRIP {
+                        return Err(StripRefusal::MustDistance { array: a, distance });
+                    }
+                }
+            }
+        }
+        let mut slot_of = vec![0u16; code.len()];
+        let mut ops = Vec::new();
+        for (pc, insn) in code.iter().enumerate() {
+            let op = match *insn {
+                Insn::Exit => return Err(StripRefusal::Exit),
+                Insn::Counter { .. } | Insn::Bump => return Err(StripRefusal::Counter),
+                Insn::Jump { target }
+                | Insn::JumpIfZero { target, .. }
+                | Insn::JumpUnless { target, .. } => {
+                    // The per-lane resume-pc mask relies on it.
+                    assert!(target as usize > pc, "lowering emitted a backward branch");
+                    continue;
+                }
+                Insn::Load { arr, .. } | Insn::LoadMarked { arr, .. } => MemOp {
+                    kind: MemKind::Load,
+                    arr,
+                },
+                Insn::Store { arr, .. } | Insn::StoreMarked { arr, .. } => MemOp {
+                    kind: MemKind::Store,
+                    arr,
+                },
+                Insn::Reduce { arr, .. } => MemOp {
+                    kind: MemKind::Reduce,
+                    arr,
+                },
+                _ => continue,
+            };
+            slot_of[pc] = ops.len() as u16;
+            ops.push(op);
+        }
+        let mut hazards = Vec::new();
+        for (s, st) in ops.iter().enumerate() {
+            for (l, ld) in ops.iter().enumerate() {
+                if st.kind == MemKind::Load || ld.kind != MemKind::Load || st.arr != ld.arr {
+                    continue;
+                }
+                let cross = own(st.arr as usize).class != Class::Untested;
+                if cross || l > s {
+                    hazards.push(Hazard {
+                        store: s as u16,
+                        load: l as u16,
+                        cross,
+                    });
+                }
+            }
+        }
+        Ok(StripPlan {
+            slot_of,
+            ops,
+            hazards,
+        })
+    }
+}
+
 /// The bytecode of one lowered loop body.
 #[derive(Clone, Debug)]
 pub struct LoopCode {
@@ -271,9 +410,18 @@ pub struct LoopCode {
     /// Process-unique id, used by the VM scratch to detect when its
     /// constant registers belong to a different loop.
     pub(crate) uid: u64,
+    /// The strip executor's plan, or why this loop runs one iteration
+    /// per dispatch only.
+    pub(crate) strips: Result<StripPlan, StripRefusal>,
 }
 
 impl LoopCode {
+    /// Why the VM executes this loop one iteration per dispatch, when
+    /// it does (`None`: it runs [`STRIP`] iterations per dispatch).
+    pub fn strip_refusal(&self) -> Option<StripRefusal> {
+        self.strips.as_ref().err().copied()
+    }
+
     /// First constant register.
     #[inline]
     pub(crate) fn const_base(&self) -> usize {
@@ -348,13 +496,18 @@ impl LoopCode {
                 Insn::Div { dst, a, b } => {
                     ("div", format!("{} <- {}, {}", r(dst), r(a), r(b)), None)
                 }
-                Insn::Rem { dst, a, b } => {
-                    ("rem", format!("{} <- {}, {}", r(dst), r(a), r(b)), None)
-                }
-                Insn::RemPow2 { dst, a, mask } => (
+                Insn::Rem { dst, a, b, int } => (
+                    "rem",
+                    format!("{} <- {}, {}", r(dst), r(a), r(b)),
+                    int.then(|| "integer operands".to_string()),
+                ),
+                Insn::RemPow2 { dst, a, mask, int } => (
                     "rem.p2",
                     format!("{} <- {} % {}", r(dst), r(a), mask as u32 + 1),
-                    Some("strength-reduced power-of-two modulus".to_string()),
+                    Some(format!(
+                        "strength-reduced power-of-two modulus{}",
+                        if int { ", integer operand" } else { "" }
+                    )),
                 ),
                 Insn::MulAdd { dst, a, b, c } => (
                     "mul.add",
@@ -565,6 +718,7 @@ fn pow2_mask(e: &Expr) -> Option<u16> {
 /// Lowering state for one loop body.
 struct Lower<'a> {
     classes: &'a [Class],
+    arrays: &'a [Classification],
     num_locals: u16,
     code: Vec<Insn>,
     spans: Vec<Span>,
@@ -585,15 +739,18 @@ struct Lower<'a> {
 
 static NEXT_UID: AtomicU64 = AtomicU64::new(1);
 
-/// Lower one loop body to bytecode. `classes` is the per-array verdict
-/// table of this loop (the same table the tree-walk interpreter uses to
-/// route `⊕=`), which here additionally selects the addressing mode:
+/// Lower one loop body to bytecode. `arrays` is the per-array verdict
+/// table of this loop; its classes (the same the tree-walk interpreter
+/// uses to route `⊕=`) additionally select the addressing mode —
 /// `Untested` arrays get the unmarked ops, everything else the fused
-/// marking ops.
-pub fn lower_loop(nest: &LoopNest, classes: &[Class]) -> LoopCode {
+/// marking ops — and its dependence evidence decides whether the loop
+/// may run in strips ([`StripPlan`]).
+pub fn lower_loop(nest: &LoopNest, arrays: &[Classification]) -> LoopCode {
     assert!(nest.num_locals < TEMP_TAG as usize, "too many locals");
+    let classes: Vec<Class> = arrays.iter().map(|c| c.class).collect();
     let mut lw = Lower {
-        classes,
+        classes: &classes,
+        arrays,
         num_locals: nest.num_locals as u16,
         code: Vec::new(),
         spans: Vec::new(),
@@ -862,8 +1019,17 @@ impl Lower<'_> {
                 BinOp::Add | BinOp::Sub if self.try_fuse_muladd(*op, lhs, rhs, dst) => {}
                 BinOp::Rem if pow2_mask(rhs).is_some() => {
                     let mask = pow2_mask(rhs).unwrap();
+                    let int = self.is_nni(lhs);
                     let a = self.expr(lhs);
-                    self.emit(Insn::RemPow2 { dst, a, mask }, Span::none());
+                    self.emit(Insn::RemPow2 { dst, a, mask, int }, Span::none());
+                }
+                BinOp::Rem => {
+                    let int = self.is_nni(lhs)
+                        && try_const(rhs)
+                            .is_some_and(|d| (1.0..EXACT_INT).contains(&d) && d.fract() == 0.0);
+                    let a = self.expr(lhs);
+                    let b = self.expr(rhs);
+                    self.emit(Insn::Rem { dst, a, b, int }, Span::none());
                 }
                 _ => {
                     let a = self.expr(lhs);
@@ -873,14 +1039,13 @@ impl Lower<'_> {
                         BinOp::Sub => Insn::Sub { dst, a, b },
                         BinOp::Mul => Insn::Mul { dst, a, b },
                         BinOp::Div => Insn::Div { dst, a, b },
-                        BinOp::Rem => Insn::Rem { dst, a, b },
                         BinOp::Eq => Insn::CmpEq { dst, a, b },
                         BinOp::Ne => Insn::CmpNe { dst, a, b },
                         BinOp::Lt => Insn::CmpLt { dst, a, b },
                         BinOp::Le => Insn::CmpLe { dst, a, b },
                         BinOp::Gt => Insn::CmpGt { dst, a, b },
                         BinOp::Ge => Insn::CmpGe { dst, a, b },
-                        BinOp::And | BinOp::Or => unreachable!("handled above"),
+                        BinOp::Rem | BinOp::And | BinOp::Or => unreachable!("handled above"),
                     };
                     self.emit(insn, Span::none());
                 }
@@ -1103,7 +1268,7 @@ impl Lower<'_> {
                 | Insn::Sub { dst, a, b }
                 | Insn::Mul { dst, a, b }
                 | Insn::Div { dst, a, b }
-                | Insn::Rem { dst, a, b }
+                | Insn::Rem { dst, a, b, .. }
                 | Insn::CmpEq { dst, a, b }
                 | Insn::CmpNe { dst, a, b }
                 | Insn::CmpLt { dst, a, b }
@@ -1159,6 +1324,7 @@ impl Lower<'_> {
             }
         }
         let code = LoopCode {
+            strips: StripPlan::build(&self.code, self.arrays),
             code: self.code,
             spans: self.spans,
             consts: self.consts,
@@ -1199,7 +1365,7 @@ fn verify(code: &LoopCode) {
             | Insn::Sub { dst, a, b }
             | Insn::Mul { dst, a, b }
             | Insn::Div { dst, a, b }
-            | Insn::Rem { dst, a, b }
+            | Insn::Rem { dst, a, b, .. }
             | Insn::CmpEq { dst, a, b }
             | Insn::CmpNe { dst, a, b }
             | Insn::CmpLt { dst, a, b }
@@ -1268,11 +1434,7 @@ mod tests {
 
     fn lower_src(src: &str) -> LoopCode {
         let prog = parse(src).unwrap();
-        let classes = crate::analyze::classify_loop(&prog, 0)
-            .into_iter()
-            .map(|c| c.class)
-            .collect::<Vec<_>>();
-        lower_loop(&prog.loops[0], &classes)
+        lower_loop(&prog.loops[0], &crate::analyze::classify_loop(&prog, 0))
     }
 
     #[test]

@@ -108,6 +108,26 @@ impl DataCtx for IterCtx<'_, f64> {
     }
 }
 
+/// A context the VM's strip executor can run ahead on: it answers what
+/// a read *would* return without the read happening, and how long an
+/// array is, so a strip can execute side-effect free and turn every
+/// would-be fault into an abandoned strip.
+pub(crate) trait PeekCtx: DataCtx {
+    /// The value `read(a, i)` would return, `None` out of bounds.
+    fn peek(&self, a: usize, i: usize) -> Option<f64>;
+    /// Number of elements of array `a`.
+    fn len(&self, a: usize) -> usize;
+}
+
+impl PeekCtx for IterCtx<'_, f64> {
+    fn peek(&self, a: usize, i: usize) -> Option<f64> {
+        IterCtx::peek(self, ArrayId(a as u32), i)
+    }
+    fn len(&self, a: usize) -> usize {
+        IterCtx::len(self, ArrayId(a as u32))
+    }
+}
+
 impl DataCtx for IndCtx<'_, f64> {
     fn read(&mut self, a: usize, i: usize) -> f64 {
         IndCtx::read(self, a, i)

@@ -68,9 +68,10 @@ use ast::Program;
 use bytecode::{lower_loop, LoopCode};
 use interp::Eval;
 use rlrpd_core::{
-    ArrayDecl, IndCtx, InductionLoop, IterCtx, Reduction, RunConfig, RunReport, ShadowKind,
-    SpecLoop,
+    ArrayDecl, BatchTally, IndCtx, InductionLoop, IterCtx, Reduction, RunConfig, RunReport,
+    ShadowKind, SpecLoop,
 };
+use std::ops::Range;
 
 /// Which execution tier runs the loop bodies.
 ///
@@ -122,6 +123,9 @@ pub struct CompiledProgram {
     bytecode: Vec<LoopCode>,
     /// Which tier executes the loop bodies.
     backend: Backend,
+    /// Test seam: keep the VM at one iteration per dispatch even where
+    /// the loop is eligible for strips.
+    scalar_vm: bool,
     /// Shadow-memory budget (bytes) the static shadow selection must
     /// respect at loop entry: predicted-dense picks are clamped
     /// down-tier when the dense footprint would blow the cap. `None` =
@@ -208,8 +212,8 @@ impl CompiledProgram {
         let bytecode = program
             .loops
             .iter()
-            .zip(&class_tables)
-            .map(|(nest, table): (_, &Vec<Class>)| lower_loop(nest, table))
+            .zip(&classes)
+            .map(|(nest, arrays)| lower_loop(nest, arrays))
             .collect();
         Ok(CompiledProgram {
             program,
@@ -219,6 +223,7 @@ impl CompiledProgram {
             full_instrumentation: false,
             bytecode,
             backend: Backend::Bytecode,
+            scalar_vm: false,
             shadow_budget: None,
         })
     }
@@ -248,6 +253,16 @@ impl CompiledProgram {
     /// `--no-compile`.
     pub fn with_interpreter(mut self) -> Self {
         self.backend = Backend::TreeWalk;
+        self
+    }
+
+    /// Keep the bytecode VM at one iteration per dispatch on every
+    /// loop. Not a user knob (nothing outside the tests selects it):
+    /// the differential suites hold the strip executor to this path,
+    /// reference for reference.
+    #[doc(hidden)]
+    pub fn with_scalar_vm(mut self) -> Self {
+        self.scalar_vm = true;
         self
     }
 
@@ -482,8 +497,75 @@ impl CompiledProgram {
                 };
                 let _ = writeln!(out, "{:<10} {} — {}", decl.name, kind, c.rationale);
             }
+            let _ = writeln!(out, "{}", self.describe_strips(k));
         }
         out
+    }
+
+    /// One line saying whether the bytecode VM runs loop `k` in strips
+    /// of [`bytecode::STRIP`] iterations, and the static reason when
+    /// not.
+    fn describe_strips(&self, k: usize) -> String {
+        use bytecode::{StripRefusal, STRIP};
+        match self.bytecode[k].strip_refusal() {
+            None => format!(
+                "strips: {STRIP} iterations per dispatch, tested per strip, replayed in order"
+            ),
+            Some(StripRefusal::Exit) => {
+                "strips: off — 'break if' ends the loop at one iteration".into()
+            }
+            Some(StripRefusal::Counter) => {
+                "strips: off — the induction counter threads through the iterations".into()
+            }
+            Some(StripRefusal::MustDistance { array, distance }) => format!(
+                "strips: off — '{}' carries a Must dependence at distance {distance} < {STRIP}",
+                self.program.arrays[array].name
+            ),
+        }
+    }
+
+    /// The body of iteration `iter` of loop `k`.
+    fn body_of(&self, k: usize, iter: usize, ctx: &mut IterCtx<'_, f64>) {
+        let nest = &self.program.loops[k];
+        let i = (nest.range.0 + iter) as f64;
+        match self.backend {
+            Backend::Bytecode => vm::iterate(&self.bytecode[k], i, ctx),
+            Backend::TreeWalk => interp::with_locals(nest.num_locals, |locals| {
+                let mut eval = Eval {
+                    i,
+                    locals,
+                    classes: &self.class_tables[k],
+                    ctx,
+                };
+                let _ = eval.stmts(&nest.body);
+            }),
+        }
+    }
+
+    /// [`SpecLoop::run_iters`] of loop `k`: the VM's strips where the
+    /// loop is eligible, the per-iteration loop otherwise.
+    fn run_iters_of(
+        &self,
+        k: usize,
+        iters: Range<usize>,
+        ctx: &mut IterCtx<'_, f64>,
+        after: &mut dyn FnMut(&mut IterCtx<'_, f64>) -> bool,
+    ) -> BatchTally {
+        match self.backend {
+            Backend::Bytecode => {
+                let first = self.program.loops[k].range.0;
+                vm::run_range(&self.bytecode[k], first, iters, !self.scalar_vm, ctx, after)
+            }
+            Backend::TreeWalk => {
+                for iter in iters {
+                    self.body_of(k, iter, ctx);
+                    if !after(ctx) {
+                        break;
+                    }
+                }
+                BatchTally::default()
+            }
+        }
     }
 
     fn decls_for(&self, k: usize, init: &[Vec<f64>]) -> Vec<ArrayDecl<f64>> {
@@ -567,20 +649,16 @@ impl SpecLoop<f64> for ProgramLoop<'_> {
     }
 
     fn body(&self, iter: usize, ctx: &mut IterCtx<'_, f64>) {
-        let nest = &self.prog.program.loops[self.k];
-        let i = (nest.range.0 + iter) as f64;
-        match self.prog.backend {
-            Backend::Bytecode => vm::iterate(&self.prog.bytecode[self.k], i, ctx),
-            Backend::TreeWalk => interp::with_locals(nest.num_locals, |locals| {
-                let mut eval = Eval {
-                    i,
-                    locals,
-                    classes: &self.prog.class_tables[self.k],
-                    ctx,
-                };
-                let _ = eval.stmts(&nest.body);
-            }),
-        }
+        self.prog.body_of(self.k, iter, ctx)
+    }
+
+    fn run_iters(
+        &self,
+        iters: Range<usize>,
+        ctx: &mut IterCtx<'_, f64>,
+        after: &mut dyn FnMut(&mut IterCtx<'_, f64>) -> bool,
+    ) -> BatchTally {
+        self.prog.run_iters_of(self.k, iters, ctx, after)
     }
 
     fn cost(&self, _iter: usize) -> f64 {
@@ -636,6 +714,13 @@ impl CompiledLoop {
         self
     }
 
+    /// See [`CompiledProgram::with_scalar_vm`].
+    #[doc(hidden)]
+    pub fn with_scalar_vm(mut self) -> Self {
+        self.inner = self.inner.with_scalar_vm();
+        self
+    }
+
     /// Which execution tier runs the loop body.
     pub fn backend(&self) -> Backend {
         self.inner.backend()
@@ -663,20 +748,16 @@ impl SpecLoop<f64> for CompiledLoop {
     }
 
     fn body(&self, iter: usize, ctx: &mut IterCtx<'_, f64>) {
-        let nest = &self.inner.program.loops[0];
-        let i = (nest.range.0 + iter) as f64;
-        match self.inner.backend {
-            Backend::Bytecode => vm::iterate(&self.inner.bytecode[0], i, ctx),
-            Backend::TreeWalk => interp::with_locals(nest.num_locals, |locals| {
-                let mut eval = Eval {
-                    i,
-                    locals,
-                    classes: &self.inner.class_tables[0],
-                    ctx,
-                };
-                let _ = eval.stmts(&nest.body);
-            }),
-        }
+        self.inner.body_of(0, iter, ctx)
+    }
+
+    fn run_iters(
+        &self,
+        iters: Range<usize>,
+        ctx: &mut IterCtx<'_, f64>,
+        after: &mut dyn FnMut(&mut IterCtx<'_, f64>) -> bool,
+    ) -> BatchTally {
+        self.inner.run_iters_of(0, iters, ctx, after)
     }
 
     fn cost(&self, _iter: usize) -> f64 {
@@ -732,19 +813,19 @@ impl CompiledInduction {
                 "induction programs have exactly one loop",
             ));
         }
-        let classes: Vec<Class> = classify_loop(&program, 0)
-            .into_iter()
-            .map(|c| match c.class {
-                Class::Reduction(_) => Class::Tested,
-                other => other,
-            })
-            .collect();
+        let mut arrays = classify_loop(&program, 0);
+        for c in &mut arrays {
+            if matches!(c.class, Class::Reduction(_)) {
+                c.class = Class::Tested;
+            }
+        }
+        let classes: Vec<Class> = arrays.iter().map(|c| c.class).collect();
         let names = program
             .arrays
             .iter()
             .map(|d| &*Box::leak(d.name.clone().into_boxed_str()))
             .collect();
-        let code = lower_loop(&program.loops[0], &classes);
+        let code = lower_loop(&program.loops[0], &arrays);
         Ok(CompiledInduction {
             program,
             names,

@@ -18,10 +18,23 @@
 //!    extracted DDG) must be set-identical — marks drive restarts, so
 //!    any divergence in marking shows up here even when final values
 //!    happen to agree.
+//!
+//! The same three observations — plus every stage's statistics, which
+//! carry the reference counts and touched-element counts the marks
+//! produce — hold the VM's *strips* (16 iterations per dispatch,
+//! tested, replayed in order) to the VM at one iteration per dispatch,
+//! on programs built to conflict inside a strip and on programs that
+//! fault in the middle of one.
 
 use proptest::prelude::*;
-use rlrpd_core::{extract_ddg, RunConfig, WindowConfig};
+use rlrpd_core::{
+    extract_ddg, try_run_speculative, ArrayDecl, ArrayId, BatchTally, IterCtx, RunConfig,
+    RunReport, SpecLoop, Strategy, WindowConfig,
+};
 use rlrpd_lang::CompiledProgram;
+use rlrpd_runtime::StageStats;
+use std::ops::Range;
+use std::sync::Mutex;
 
 /// Build a random guarded/affine program over A (strided + backward
 /// refs), B (disjoint rows — elision candidates), and H (modulo
@@ -97,6 +110,218 @@ fn observe(
     edges.1.sort_unstable();
     edges.2.sort_unstable();
     (arrays, shape, edges)
+}
+
+/// A program whose references collide *inside* a strip of 16: flow,
+/// anti and output dependences at distances 1..16 behind guards (so
+/// they stay `May` and the loop stays eligible), a lane reading its own
+/// store, a declared reduction that is also read, divergent `if/else`
+/// and nested guards. `fault` appends a subscript that goes negative
+/// part-way through.
+fn strip_program(n: usize, stmts: &[(u8, usize, usize)], fault: Option<usize>) -> String {
+    let sz = 2 * n + 40;
+    let mut body = String::new();
+    for &(kind, d, g) in stmts {
+        let d = d % 16 + 1; // distance 1..=16
+        let g = g % 5 + 2; // guard modulus 2..=6
+        match kind % 9 {
+            0 => body.push_str(&format!(
+                "  if i % {g} != 1 && i >= {d} {{ A[i] = A[i - {d}] * 0.5 + i; }}\n"
+            )),
+            1 => body.push_str(&format!(
+                "  if i % {g} != 1 {{ A[i] = A[i + {d}] + 0.25; }}\n"
+            )),
+            2 => body.push_str(&format!("  if i % {g} == 0 {{ A[i + {d}] = i; }} else {{ A[i] = 0 - i; }}\n")),
+            3 => body.push_str("  B[i] = i * 3;\n  C[i] = B[i] + 1;\n"),
+            4 => body.push_str(&format!("  H[i % 8] += i * 0.5;\n  C[i] = H[(i + {d}) % 8];\n")),
+            5 => body.push_str(&format!(
+                "  if i % {g} == 0 {{\n    if i % 3 == 0 {{ C[i] = A[i] * 2; }} else {{ C[i] = sqrt(i); }}\n  \
+                 }} else {{\n    if i % 2 == 0 || A[i] > 1 {{ B[i] = abs(C[i]) + {d}; }}\n  }}\n"
+            )),
+            6 => body.push_str(&format!("  let s = (i * 7 + {d}) % {n};\n  C[i] = A[s] + s % {g};\n")),
+            7 => body.push_str(&format!("  A[(i * {g}) % {n}] *= 1.0 + 1 / (i + {d});\n")),
+            _ => body.push_str("  H[i % 8] += 1;\n"),
+        }
+    }
+    if let Some(at) = fault {
+        body.push_str(&format!("  B[{at} - i] = 1;\n"));
+    }
+    format!(
+        "array A[{sz}] = 1;\narray B[{sz}] = 2;\narray C[{sz}];\n\
+         array H[8] : reduction(+);\nfor i in 0..{n} {{\n{body}}}"
+    )
+}
+
+/// What one block left in one processor's view of one array: the
+/// block's first iteration, the array, the view's reference count, and
+/// every touched element with its mark and its private value or
+/// reduction delta (`to_bits`).
+type BlockMarks = (usize, usize, u64, Vec<(usize, u8, u64)>);
+
+/// A loop that looks into the engine's speculative views at the end of
+/// every block its inner loop executes.
+struct Spy<'a> {
+    inner: &'a dyn SpecLoop<f64>,
+    num_arrays: usize,
+    seen: Mutex<Vec<BlockMarks>>,
+}
+
+impl SpecLoop<f64> for Spy<'_> {
+    fn num_iters(&self) -> usize {
+        self.inner.num_iters()
+    }
+    fn arrays(&self) -> Vec<ArrayDecl<f64>> {
+        self.inner.arrays()
+    }
+    fn body(&self, iter: usize, ctx: &mut IterCtx<'_, f64>) {
+        self.inner.body(iter, ctx)
+    }
+    fn run_iters(
+        &self,
+        iters: Range<usize>,
+        ctx: &mut IterCtx<'_, f64>,
+        after: &mut dyn FnMut(&mut IterCtx<'_, f64>) -> bool,
+    ) -> BatchTally {
+        let first = iters.start;
+        let tally = self.inner.run_iters(iters, ctx, after);
+        let mut seen = self.seen.lock().unwrap();
+        for a in 0..self.num_arrays {
+            let Some(view) = ctx.view(ArrayId(a as u32)) else {
+                continue;
+            };
+            let mut touched: Vec<_> = view
+                .touched()
+                .map(|(e, m)| {
+                    let private = if m.is_written() {
+                        view.written_value(e).to_bits()
+                    } else if m.is_reduction_only() {
+                        view.reduction_delta(e).to_bits()
+                    } else {
+                        0
+                    };
+                    (e, m.0, private)
+                })
+                .collect();
+            touched.sort_unstable();
+            assert_eq!(touched.len(), view.num_touched());
+            seen.push((first, a, view.refs(), touched));
+        }
+        tally
+    }
+    fn cost(&self, iter: usize) -> f64 {
+        self.inner.cost(iter)
+    }
+}
+
+/// Every block's marks, touched sets, reference counts and private
+/// values over a whole speculative run of `prog`.
+fn block_marks(prog: &CompiledProgram, cfg: RunConfig) -> Vec<BlockMarks> {
+    let arrays = &prog.program().arrays;
+    let init = arrays.iter().map(|d| vec![d.init; d.size]).collect();
+    let lp = prog.loop_view(0, init);
+    let spy = Spy {
+        inner: &lp,
+        num_arrays: arrays.len(),
+        seen: Mutex::new(Vec::new()),
+    };
+    try_run_speculative(&spy, cfg).expect("the program runs");
+    spy.seen.into_inner().unwrap()
+}
+
+/// Per-stage statistics without the two counters that say which way
+/// the VM ran — everything else (iterations, every overhead term, and
+/// through them reference and touched-element counts) must not know.
+fn stages(report: &RunReport) -> Vec<StageStats> {
+    report
+        .stages
+        .iter()
+        .cloned()
+        .map(|mut s| {
+            s.batched_iters = 0;
+            s.scalar_strips = 0;
+            s
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Strips are invisible: against the VM at one iteration per
+    /// dispatch and against the tree-walk oracle, under one, two and
+    /// three processors, a window smaller than a strip, and full
+    /// instrumentation.
+    #[test]
+    fn strips_are_byte_identical_to_the_scalar_vm_and_the_oracle(
+        n in 40usize..200,
+        stmts in prop::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 1..5),
+        p in 1usize..4,
+        full_instrumentation in any::<bool>(),
+    ) {
+        let src = strip_program(n, &stmts, None);
+        let build = |tier: u8| {
+            let mut prog = CompiledProgram::compile(&src).unwrap_or_else(|e| panic!("{src}\n{e}"));
+            if full_instrumentation {
+                prog = prog.with_full_instrumentation();
+            }
+            match tier {
+                0 => prog,
+                1 => prog.with_scalar_vm(),
+                _ => prog.with_interpreter(),
+            }
+        };
+        let small_window = Strategy::SlidingWindow(WindowConfig::fixed(5));
+        for cfg in [RunConfig::new(p), RunConfig::new(p).with_strategy(small_window)] {
+            let runs: Vec<_> = (0..3).map(|tier| build(tier).run(cfg)).collect();
+            for (tier, other) in runs.iter().enumerate().skip(1) {
+                let bits = |r: &rlrpd_lang::ProgramResult| -> Vec<Vec<u64>> {
+                    r.arrays.iter().map(|(_, d)| d.iter().map(|v| v.to_bits()).collect()).collect()
+                };
+                prop_assert_eq!(bits(&runs[0]), bits(other), "arrays, tier {} on:\n{}", tier, src);
+                prop_assert_eq!(
+                    stages(&runs[0].reports[0]), stages(&other.reports[0]),
+                    "stage statistics, tier {} on:\n{}", tier, src
+                );
+            }
+            prop_assert_eq!(runs[1].reports[0].batched_iters(), 0);
+        }
+        // What the engine's test reads: every block's per-element
+        // marks, touched sets, reference counts and private values.
+        let marks = block_marks(&build(0), RunConfig::new(p));
+        prop_assert_eq!(&marks, &block_marks(&build(1), RunConfig::new(p)), "marks, scalar VM on:\n{}", src);
+        prop_assert_eq!(&marks, &block_marks(&build(2), RunConfig::new(p)), "marks, oracle on:\n{}", src);
+        // Sequential execution — the ground truth — runs in strips too.
+        prop_assert_eq!(build(0).run_sequential(), build(2).run_sequential(), "sequential on:\n{}", src);
+        let (strips, scalar, oracle) = (observe(&build(0)), observe(&build(1)), observe(&build(2)));
+        prop_assert_eq!(&strips, &scalar, "strips vs scalar VM on:\n{}", src);
+        prop_assert_eq!(&strips, &oracle, "strips vs oracle on:\n{}", src);
+    }
+
+    /// A program fault in the middle of a strip is the scalar VM's
+    /// fault: same iteration, same message, same span.
+    #[test]
+    fn a_fault_mid_strip_is_reported_as_the_scalar_vm_reports_it(
+        n in 40usize..200,
+        stmts in prop::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 0..3),
+        at in 0usize..150,
+        p in 1usize..4,
+    ) {
+        let at = at % (n - 1);
+        let src = strip_program(n, &stmts, Some(at));
+        let run = |scalar: bool| {
+            let mut prog = CompiledProgram::compile(&src).unwrap_or_else(|e| panic!("{src}\n{e}"));
+            if scalar {
+                prog = prog.with_scalar_vm();
+            }
+            let init = prog.program().arrays.iter().map(|d| vec![d.init; d.size]).collect();
+            try_run_speculative(&prog.loop_view(0, init), RunConfig::new(p)).map(|r| r.arrays)
+        };
+        let (strips, scalar) = (run(false), run(true));
+        prop_assert!(scalar.is_err(), "iteration {} must fault on:\n{}", at + 1, src);
+        let message = format!("{:?}", scalar);
+        prop_assert!(message.contains("subscript"), "{}", message);
+        prop_assert_eq!(strips, scalar, "on:\n{}", src);
+    }
 }
 
 proptest! {

@@ -205,6 +205,16 @@ pub struct StageStats {
     /// whose blocks ran on a worker fleet.
     #[serde(default)]
     pub fork_joins: usize,
+    /// Iterations the loop's body tier executed several-at-a-time
+    /// during this stage's doall (the bytecode VM's strips), summed over
+    /// blocks; 0 for a loop without such a tier and for blocks that ran
+    /// on a worker fleet.
+    #[serde(default)]
+    pub batched_iters: u64,
+    /// Strips whose speculation failed or was abandoned and that
+    /// re-executed one iteration at a time, summed over blocks.
+    #[serde(default)]
+    pub scalar_strips: u64,
 }
 
 impl StageStats {

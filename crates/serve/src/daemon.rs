@@ -29,7 +29,7 @@
 //!    mid-run finishes byte-identical to an uninterrupted execution.
 
 use std::collections::{HashMap, VecDeque};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -155,6 +155,9 @@ pub struct Daemon;
 /// A running daemon: its bound address, drain switch, and join handle.
 pub struct DaemonHandle {
     addr: String,
+    /// Where [`DaemonHandle::drain`] connects to wake the accept loop:
+    /// the bound address, on loopback when the bind was a wildcard.
+    wake: SocketAddr,
     shared: Arc<Shared>,
     accept: std::thread::JoinHandle<()>,
     sched: std::thread::JoinHandle<()>,
@@ -173,6 +176,9 @@ impl DaemonHandle {
     pub fn drain(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.sched_cond.notify_all();
+        // The accept loop blocks in `accept`; one connection — made
+        // after the flag is set, so the loop sees it — wakes it.
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
     }
 
     /// Wait for the daemon to finish draining; returns the process
@@ -213,7 +219,14 @@ impl Daemon {
     pub fn start(cfg: ServeConfig) -> std::io::Result<DaemonHandle> {
         std::fs::create_dir_all(&cfg.state_dir)?;
         let listener = TcpListener::bind(&cfg.listen)?;
-        let addr = listener.local_addr()?.to_string();
+        let mut wake = listener.local_addr()?;
+        let addr = wake.to_string();
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let shared = Arc::new(Shared {
             pool: Arc::new(BudgetPool::new(cfg.pool_budget)),
             cfg,
@@ -238,6 +251,7 @@ impl Daemon {
         };
         Ok(DaemonHandle {
             addr,
+            wake,
             shared,
             accept,
             sched,
@@ -374,18 +388,18 @@ fn recover(shared: &Arc<Shared>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// The accept loop. Non-blocking so the drain flag is observed; on
-/// drain it stops accepting, pauses every job, and waits for the
-/// running set (then the session threads) to wind down.
+/// The accept loop. It blocks in `accept` — a client is served the
+/// moment it connects — and [`DaemonHandle::drain`] wakes it with a
+/// connection of its own after setting the flag. On drain it stops
+/// accepting, pauses every job, and waits for the running set (then
+/// the session threads) to wind down.
 fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
-    if listener.set_nonblocking(true).is_err() {
-        eprintln!("serve: cannot poll the listener; refusing to run blind");
-        shared.draining.store(true, Ordering::SeqCst);
-    }
     while !shared.draining.load(Ordering::SeqCst) {
         match listener.accept() {
+            // The drain's own wake-up (or a client that lost the race
+            // with it: admission has stopped either way).
+            Ok(_) if shared.draining.load(Ordering::SeqCst) => break,
             Ok((stream, _peer)) => {
-                let _ = stream.set_nonblocking(false);
                 shared.sessions.fetch_add(1, Ordering::SeqCst);
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || {
@@ -393,9 +407,8 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
                     shared.sessions.fetch_sub(1, Ordering::SeqCst);
                 });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            // A failing accept (fd exhaustion, an aborted handshake)
+            // must not spin.
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     }

@@ -60,6 +60,75 @@ fn classify_prints_the_pass_decisions() {
     assert!(stdout.contains("REDUCTION(+)"));
 }
 
+/// The run says whether the VM's strips ran, and `classify` says why
+/// not when lowering refused them.
+#[test]
+fn the_report_says_whether_strips_ran_and_classify_says_why_not() {
+    let (ok, stdout, _) = rlrpd(&[
+        "run",
+        &program("tracking.rlp"),
+        "--procs",
+        "2",
+        "--report",
+        "--format",
+        "json",
+    ]);
+    assert!(ok);
+    assert!(
+        stdout.contains("strips: 16 iterations per dispatch"),
+        "{stdout}"
+    );
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("strips: ") && l.contains("batched"))
+        .unwrap_or_else(|| panic!("no strips line in the report:\n{stdout}"));
+    assert!(!line.starts_with("strips: 0 iterations"), "{line}");
+    let json = stdout.lines().last().unwrap();
+    assert!(json.contains(",\"batched_iters\":"), "{json}");
+    assert!(!json.contains("\"batched_iters\":0,"), "{json}");
+    assert!(json.trim_end().ends_with('}'), "{json}");
+    let tail = &json[json.find("\"fork_joins\"").expect("fork_joins")..];
+    assert!(
+        tail.find("\"batched_iters\"") < tail.find("\"scalar_strips\""),
+        "the two counters are the last keys: {tail}"
+    );
+
+    // A proven short dependence: refused at lowering, never probed.
+    let dir = std::env::temp_dir().join("rlrpd_cli_strips");
+    std::fs::create_dir_all(&dir).unwrap();
+    let chain = dir.join("chain_d3.rlp");
+    std::fs::write(
+        &chain,
+        "array A[512] = 1;\nfor i in 3..512 { A[i] = A[i - 3] * 0.75 + i; }\n",
+    )
+    .unwrap();
+    let chain = chain.to_str().unwrap();
+    let (ok, stdout, _) = rlrpd(&["classify", chain]);
+    assert!(ok);
+    assert!(
+        stdout.contains("strips: off — 'A' carries a Must dependence at distance 3 < 16"),
+        "{stdout}"
+    );
+    let (ok, stdout, _) = rlrpd(&[
+        "run",
+        chain,
+        "--procs",
+        "2",
+        "--doacross",
+        "off",
+        "--format",
+        "json",
+    ]);
+    assert!(ok, "{stdout}");
+    let json = stdout.lines().last().unwrap();
+    assert!(
+        json.ends_with("\"batched_iters\":0,\"scalar_strips\":0}"),
+        "{json}"
+    );
+    let (_, stdout, _) = rlrpd(&["classify", &program("premature_exit.rlp")]);
+    assert!(stdout.contains("strips: off — 'break if'"), "{stdout}");
+}
+
 #[test]
 fn ddg_reports_wavefronts_and_saves_schedules() {
     let dir = std::env::temp_dir().join("rlrpd_cli_test");

@@ -305,6 +305,54 @@ fn stalled_client_does_not_block_other_tenants() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The accept loop blocks in `accept` instead of polling every 20 ms:
+/// an idle daemon answers a status query as soon as the client
+/// connects, and `drain()` — which has to wake that blocked `accept`
+/// itself — still winds an idle daemon down inside the session grace
+/// period.
+#[test]
+fn an_idle_daemon_answers_at_once_and_drain_wakes_the_blocked_accept() {
+    let dir = state_dir("idle");
+    let handle = start(ServeConfig {
+        state_dir: dir.clone(),
+        ..ServeConfig::default()
+    });
+    // The daemon is idle; the test binary's other tests are not. Take
+    // the calmest of three rounds — under the 20 ms poll every round's
+    // median sat near 10 ms.
+    let median = (0..3)
+        .map(|_| {
+            let mut rtts: Vec<Duration> = (0..20)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    let st = query_status(handle.addr(), 0xF_0000_0001, &opts()).expect("status");
+                    assert_eq!(st.state, JobState::Unknown);
+                    t0.elapsed()
+                })
+                .collect();
+            rtts.sort();
+            rtts[rtts.len() / 2]
+        })
+        .min()
+        .expect("three rounds");
+    assert!(
+        median < Duration::from_millis(5),
+        "idle status round trip: median of 20 calls {median:?}"
+    );
+
+    // No client is connected and none will come: the drain's own
+    // connection is the only thing that can end the `accept`.
+    let t0 = Instant::now();
+    handle.drain();
+    assert_eq!(handle.join(), 0, "clean drain exits 0");
+    assert!(
+        t0.elapsed() < Duration::from_secs(2),
+        "idle drain took {:?}",
+        t0.elapsed()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Drain mid-flight, then restart over the same state directory with
 /// `resume`: the job picks up from its durable journal and finishes
 /// verified, with the frontier at the full iteration count. Covers
