@@ -129,3 +129,402 @@ fn stage_structure_is_identical_across_shadow_kinds_and_checkpoints() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The pinned table.
+//
+// Every row below is a fingerprint of what a run *is* — its report, its
+// per-stage accounting, its detected arcs and the bits of its final
+// arrays — recorded in `tests/data/strategy_fingerprints.txt`. A change
+// to the stage loop that is meant to keep behaviour passes this test
+// with the table untouched; a change that moves a row has changed what
+// some run does, and says which.
+// ---------------------------------------------------------------------
+
+mod pinned {
+    use super::{workload, A, B};
+    use rlrpd::core::remote::record_chain as fnv;
+    use rlrpd::core::{AdaptRule, RunResult, WindowPolicy};
+    use rlrpd::loops::fptrak::FptrakInput;
+    use rlrpd::loops::*;
+    use rlrpd::runtime::OverheadKind;
+    use rlrpd::{
+        ArrayDecl, BalancePolicy, CheckpointPolicy, ClosureLoop, FallbackPolicy, FaultPlan,
+        Journal, RlrpdError, RunConfig, Runner, ShadowKind, SpecLoop, Strategy, WindowConfig,
+    };
+    use std::fmt::Write as _;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    const TABLE: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/strategy_fingerprints.txt"
+    );
+
+    /// `json` without `"key":<number>,` — the wall-clock fields of a
+    /// report are not behaviour.
+    fn without_key(json: &str, key: &str) -> String {
+        let pat = format!("\"{key}\":");
+        let Some(at) = json.find(&pat) else {
+            return json.to_string();
+        };
+        let end = at + json[at..].find(',').expect("not the last key") + 1;
+        format!("{}{}", &json[..at], &json[end..])
+    }
+
+    /// Append everything about `res` that must not move.
+    fn imprint(out: &mut Vec<u8>, res: &RunResult<f64>) {
+        let json = without_key(
+            &without_key(&res.report.to_json(), "wall_seconds"),
+            "journal_seconds",
+        );
+        out.extend_from_slice(json.as_bytes());
+        for s in &res.report.stages {
+            for v in [
+                s.iters_attempted as u64,
+                s.iters_committed as u64,
+                s.contained_faults as u64,
+                s.journal_bytes,
+                s.loop_time.to_bits(),
+                s.total_work.to_bits(),
+            ] {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            for kind in OverheadKind::ALL {
+                out.extend_from_slice(&s.overhead.get(kind).to_bits().to_le_bytes());
+            }
+        }
+        out.extend_from_slice(format!("{:?}", res.arcs).as_bytes());
+        for (name, data) in &res.arrays {
+            out.extend_from_slice(name.as_bytes());
+            for v in data {
+                out.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+        }
+    }
+
+    fn imprint_outcome(out: &mut Vec<u8>, res: Result<RunResult<f64>, RlrpdError>) {
+        match res {
+            Ok(res) => imprint(out, &res),
+            Err(e) => out.extend_from_slice(format!("error: {e}").as_bytes()),
+        }
+    }
+
+    fn decks() -> Vec<(&'static str, Box<dyn SpecLoop>)> {
+        let fptrak = |chain_rate| {
+            FptrakLoop::new(FptrakInput {
+                n: 480,
+                chain_rate,
+                max_chain_distance: 60,
+                ..FptrakInput::chained()
+            })
+        };
+        vec![
+            (
+                "track",
+                Box::new(rlrpd::lang::compile(&dsl::track_dsl(384)).expect("TRACK deck")),
+            ),
+            ("nlfilt", Box::new(NlfiltLoop::new(NlfiltInput::i4_50()))),
+            ("spice", Box::new(Dcdcmp15Loop::small(17))),
+            ("fma3d", Box::new(QuadLoop::new(200, 80, 3))),
+            ("fptrak-clean", Box::new(fptrak(0.0))),
+            ("fptrak-chained", Box::new(fptrak(0.05))),
+            ("dcdcmp70", Box::new(Dcdcmp70Loop::new(500, 420))),
+            ("alpha", Box::new(AlphaLoop::new(512, 0.5, 1.0))),
+            ("beta", Box::new(BetaLoop::new(400, 8, 2, 1.0))),
+        ]
+    }
+
+    fn strategies() -> Vec<(String, Strategy)> {
+        let mut out = vec![
+            ("nrd".to_string(), Strategy::Nrd),
+            ("rd".to_string(), Strategy::Rd),
+            (
+                "adaptive-eq4".to_string(),
+                Strategy::AdaptiveRd(AdaptRule::ModelEq4),
+            ),
+            (
+                "adaptive-measured".to_string(),
+                Strategy::AdaptiveRd(AdaptRule::Measured),
+            ),
+        ];
+        let windows = [
+            ("sw-fixed", 16, WindowPolicy::Fixed),
+            (
+                "sw-grow",
+                4,
+                WindowPolicy::GrowOnFailure {
+                    factor: 2.0,
+                    max: 64,
+                },
+            ),
+            (
+                "sw-shrink",
+                48,
+                WindowPolicy::ShrinkOnFailure {
+                    factor: 2.0,
+                    min: 3,
+                },
+            ),
+        ];
+        for (name, iters_per_proc, policy) in windows {
+            for circular in [true, false] {
+                out.push((
+                    format!("{name}-{}", if circular { "circular" } else { "linear" }),
+                    Strategy::SlidingWindow(WindowConfig {
+                        iters_per_proc,
+                        policy,
+                        circular,
+                    }),
+                ));
+            }
+        }
+        out
+    }
+
+    /// One line per deck × strategy × p; each folds both checkpoint
+    /// policies, an even run, and two instantiations of one
+    /// feedback-guided runner.
+    fn matrix_rows(rows: &mut Vec<(String, u64)>) {
+        for (deck, lp) in decks() {
+            for (sname, strategy) in strategies() {
+                for p in [1usize, 2, 4, 8] {
+                    let mut bytes = Vec::new();
+                    for checkpoint in [CheckpointPolicy::Eager, CheckpointPolicy::OnDemand] {
+                        let cfg = RunConfig::new(p)
+                            .with_strategy(strategy)
+                            .with_checkpoint(checkpoint);
+                        imprint(&mut bytes, &Runner::new(cfg).run(lp.as_ref()));
+                        let mut guided =
+                            Runner::new(cfg.with_balance(BalancePolicy::FeedbackGuided));
+                        imprint(&mut bytes, &guided.run(lp.as_ref()));
+                        imprint(&mut bytes, &guided.run(lp.as_ref()));
+                    }
+                    rows.push((format!("{deck}/{sname}/p{p}"), fnv(&bytes)));
+                }
+            }
+        }
+    }
+
+    fn sw(w: usize) -> Strategy {
+        Strategy::SlidingWindow(WindowConfig::fixed(w))
+    }
+
+    /// One line per branch of the stage loop that the matrix does not
+    /// reach: faults, pressure, the fallback policy, the caps, a pause.
+    fn branch_rows(rows: &mut Vec<(String, u64)>) {
+        let mut row = |name: &str, lp: &dyn SpecLoop, cfg: RunConfig, plan: Option<FaultPlan>| {
+            let mut runner = Runner::new(cfg);
+            if let Some(plan) = plan {
+                runner = runner.with_fault(Arc::new(plan));
+            }
+            let mut bytes = Vec::new();
+            imprint_outcome(&mut bytes, runner.try_run(lp));
+            rows.push((name.to_string(), fnv(&bytes)));
+        };
+        let dense = workload(ShadowKind::Dense);
+        let sparse = workload(ShadowKind::Sparse);
+        let capped = |strategy| {
+            RunConfig::new(6)
+                .with_strategy(strategy)
+                .with_shadow_budget(Some(1 << 20))
+        };
+        let pressure = || FaultPlan::new().shadow_pressure_at(0, 1 << 30);
+
+        for (sname, strategy) in [("nrd", Strategy::Nrd), ("rd", Strategy::Rd), ("sw8", sw(8))] {
+            let cfg = RunConfig::new(6).with_strategy(strategy);
+            row(
+                &format!("panic-contained/{sname}"),
+                &dense,
+                cfg,
+                Some(FaultPlan::new().panic_at_iter(131)),
+            );
+            row(
+                &format!("panic-twice-is-a-program-fault/{sname}"),
+                &dense,
+                cfg,
+                Some(FaultPlan::new().panic_at_iter(50).panic_at_iter(50)),
+            );
+            for stage in [0, 1] {
+                row(
+                    &format!("checkpoint-fault-at-{stage}/{sname}"),
+                    &dense,
+                    cfg,
+                    Some(FaultPlan::new().checkpoint_fault_at(stage)),
+                );
+            }
+            row(
+                &format!("pressure-relieved/{sname}"),
+                &dense,
+                capped(strategy),
+                Some(pressure()),
+            );
+            row(
+                &format!("max-restarts-1/{sname}"),
+                &dense,
+                cfg.with_fallback(FallbackPolicy::default().with_max_restarts(1)),
+                None,
+            );
+            let mut few = cfg;
+            few.max_stages = 2;
+            row(&format!("max-stages-2/{sname}"), &dense, few, None);
+        }
+        row(
+            "pressure-unrelieved-falls-back/nrd",
+            &sparse,
+            capped(Strategy::Nrd),
+            Some(pressure()),
+        );
+        row(
+            "pressure-unrelieved-shrinks/sw4",
+            &sparse,
+            capped(sw(4)),
+            Some(pressure()),
+        );
+        row(
+            "pressure-unrelieved-falls-back/sw1",
+            &sparse,
+            capped(sw(1)),
+            Some(pressure()),
+        );
+        row(
+            "watchdog-on-a-clean-window/sw4",
+            &FullyParallelLoop::new(256, 1.0),
+            RunConfig::new(4)
+                .with_strategy(sw(4))
+                .with_fallback(FallbackPolicy::default().with_watchdog(0.05)),
+            None,
+        );
+
+        // A pause requested from inside iteration 100: the stage that
+        // ran it finishes and commits, nothing after it starts.
+        for (sname, strategy) in [("nrd", Strategy::Nrd), ("sw8", sw(8))] {
+            let stop = Arc::new(AtomicBool::new(false));
+            let flag = Arc::clone(&stop);
+            let lp = ClosureLoop::new(
+                240,
+                || {
+                    vec![
+                        ArrayDecl::tested("A", vec![1.0; 240], ShadowKind::Dense),
+                        ArrayDecl::untested("B", vec![0.0; 240]),
+                    ]
+                },
+                move |i, ctx| {
+                    if i == 100 {
+                        flag.store(true, Ordering::Relaxed);
+                    }
+                    let v = if i % 29 == 0 && i >= 11 {
+                        ctx.read(A, i - 11)
+                    } else {
+                        i as f64
+                    };
+                    ctx.write(A, i, v * 0.5 + 1.0);
+                    ctx.write(B, i, v);
+                },
+            );
+            let mut bytes = Vec::new();
+            let cfg = RunConfig::new(6).with_strategy(strategy);
+            imprint_outcome(&mut bytes, Runner::new(cfg).with_stop(stop).try_run(&lp));
+            rows.push((format!("stop-raised-in-iteration-100/{sname}"), fnv(&bytes)));
+        }
+    }
+
+    /// Byte offsets just past each frame of a journal file (frame
+    /// layout: `u32 len | record`).
+    fn record_ends(bytes: &[u8]) -> Vec<usize> {
+        let mut ends = Vec::new();
+        let mut pos = 0usize;
+        while pos < bytes.len() {
+            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+            pos += 4 + len;
+            ends.push(pos);
+        }
+        ends
+    }
+
+    /// The journal file itself, fresh and resumed from a cut after its
+    /// third record (or its last but one, when it has only three), for
+    /// one recursive and one window strategy on the two TRACK decks.
+    fn journal_rows(rows: &mut Vec<(String, u64)>) {
+        let decks = decks();
+        for (deck, lp) in decks
+            .iter()
+            .filter(|(deck, _)| ["track", "fptrak-chained"].contains(deck))
+        {
+            for (sname, strategy) in [("nrd", Strategy::Nrd), ("sw16", sw(16))] {
+                let cfg = RunConfig::new(4).with_strategy(strategy);
+                let path = std::env::temp_dir().join(format!(
+                    "rlrpd-pinned-journal-{deck}-{sname}-{}",
+                    std::process::id()
+                ));
+                let mut journal = Journal::create(&path).unwrap();
+                let mut bytes = Vec::new();
+                imprint_outcome(
+                    &mut bytes,
+                    Runner::new(cfg).try_run_journaled(lp.as_ref(), &mut journal),
+                );
+                drop(journal);
+                let file = std::fs::read(&path).unwrap();
+                bytes.extend_from_slice(&file);
+                rows.push((format!("journal-fresh/{deck}/{sname}/p4"), fnv(&bytes)));
+
+                let ends = record_ends(&file);
+                assert!(ends.len() >= 3, "{deck}/{sname}: a single-commit journal");
+                let keep = 3.min(ends.len() - 1);
+                std::fs::write(&path, &file[..ends[keep - 1]]).unwrap();
+                let mut journal = Journal::open(&path).unwrap();
+                let mut bytes = Vec::new();
+                imprint_outcome(
+                    &mut bytes,
+                    Runner::new(cfg).resume(lp.as_ref(), &mut journal),
+                );
+                drop(journal);
+                let resumed = std::fs::read(&path).unwrap();
+                bytes.extend_from_slice(&resumed);
+                rows.push((
+                    format!("journal-cut-after-{keep}-resumed/{deck}/{sname}/p4"),
+                    fnv(&bytes),
+                ));
+                std::fs::remove_file(&path).ok();
+            }
+        }
+    }
+
+    #[test]
+    fn every_pinned_run_still_does_what_it_did() {
+        let mut rows = Vec::new();
+        matrix_rows(&mut rows);
+        branch_rows(&mut rows);
+        journal_rows(&mut rows);
+
+        let mut actual = String::new();
+        for (name, fp) in &rows {
+            writeln!(actual, "{name} {fp:016x}").unwrap();
+        }
+        let expected = std::fs::read_to_string(TABLE).unwrap_or_default();
+        if actual == expected {
+            return;
+        }
+        let dump = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join("strategy_fingerprints.actual.txt");
+        std::fs::write(&dump, &actual).unwrap();
+        let moved: Vec<&str> = actual
+            .lines()
+            .zip(expected.lines().chain(std::iter::repeat("")))
+            .filter(|(a, e)| a != e)
+            .map(|(a, _)| a)
+            .take(12)
+            .collect();
+        panic!(
+            "{} of {} pinned rows differ from {TABLE} (first: {moved:#?}); \
+             this run's table is in {}",
+            actual
+                .lines()
+                .zip(expected.lines().chain(std::iter::repeat("")))
+                .filter(|(a, e)| a != e)
+                .count(),
+            rows.len(),
+            dump.display()
+        );
+    }
+}
