@@ -1,15 +1,12 @@
 //! Benchmarks of the parallel analysis/commit pipeline.
 //!
-//! Two comparisons back the pooled executor:
-//!
 //! 1. **Sequential vs partitioned-parallel shadow merge** across
 //!    processor count × array size × touched density. On multicore
 //!    hosts the partitioned merge wins once the touched sets are large;
 //!    at one worker its overhead over the sequential scan is the price
 //!    of the partition pass.
-//! 2. **Pooled `run_blocks` vs spawn-per-stage** over a 100-stage run:
-//!    the persistent pool pays thread creation once per process, the
-//!    `ExecMode::Threads` baseline pays it on every stage.
+//! 2. **Pooled `run_blocks`** over a 100-stage run: what the persistent
+//!    pool charges a stage for its fork-join.
 //!
 //! Besides the criterion output, the harness re-times the headline
 //! configurations directly and records them to `BENCH_analysis.json`
@@ -98,25 +95,15 @@ fn stage_work(states: &mut [u64], ex: &Executor) {
     });
 }
 
-fn pooled_vs_spawn_per_stage(c: &mut Criterion) {
+fn pooled_run_blocks(c: &mut Criterion) {
     let mut g = c.benchmark_group("run_blocks_100_stages");
     for &procs in &[2usize, 4] {
         let pooled = Executor::with_procs(ExecMode::Pooled, procs);
-        let spawn = Executor::with_procs(ExecMode::Threads, procs);
         g.bench_with_input(BenchmarkId::new("pooled", procs), &(), |b, _| {
             let mut states = vec![0u64; procs];
             b.iter(|| {
                 for _ in 0..100 {
                     stage_work(&mut states, &pooled);
-                }
-                states[0]
-            });
-        });
-        g.bench_with_input(BenchmarkId::new("spawn_per_stage", procs), &(), |b, _| {
-            let mut states = vec![0u64; procs];
-            b.iter(|| {
-                for _ in 0..100 {
-                    stage_work(&mut states, &spawn);
                 }
                 states[0]
             });
@@ -171,28 +158,6 @@ fn record_baseline() {
         ));
     }
 
-    for &procs in &[2usize, 4] {
-        let pooled = Executor::with_procs(ExecMode::Pooled, procs);
-        let spawn = Executor::with_procs(ExecMode::Threads, procs);
-        let mut states = vec![0u64; procs];
-        let pooled_ns = time_ns(9, || {
-            for _ in 0..100 {
-                stage_work(&mut states, &pooled);
-            }
-        });
-        let spawn_ns = time_ns(9, || {
-            for _ in 0..100 {
-                stage_work(&mut states, &spawn);
-            }
-        });
-        entries.push(format!(
-            "    {{\"bench\": \"run_blocks_100_stages\", \"procs\": {procs}, \
-             \"pooled_ns\": {pooled_ns:.0}, \"spawn_per_stage_ns\": {spawn_ns:.0}, \
-             \"speedup\": {:.3}}}",
-            spawn_ns / pooled_ns
-        ));
-    }
-
     let json = format!(
         "{{\n  \"host_cores\": {cores},\n  \"results\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
@@ -205,7 +170,7 @@ fn record_baseline() {
     }
 }
 
-criterion_group!(benches, analyze_seq_vs_parallel, pooled_vs_spawn_per_stage);
+criterion_group!(benches, analyze_seq_vs_parallel, pooled_run_blocks);
 
 fn main() {
     benches();

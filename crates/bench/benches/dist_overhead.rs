@@ -17,7 +17,7 @@
 //! instead of running benchmarks.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use rlrpd_core::{ExecMode, RunConfig, Runner, SpecLoop, Strategy, WindowConfig};
+use rlrpd_core::{ExecMode, RunConfig, RunPlan, Runner, SpecLoop, Strategy, WindowConfig};
 use rlrpd_dist::{DistLauncher, DistPolicy};
 use std::hint::black_box;
 use std::time::Instant;
@@ -60,7 +60,13 @@ fn run_pooled(lp: &dyn SpecLoop<f64>) -> usize {
 fn run_distributed(lp: &dyn SpecLoop<f64>) -> usize {
     let mut connector = launcher();
     let res = Runner::new(config().with_exec(ExecMode::Distributed))
-        .try_run_distributed(lp, SPEC, &mut connector)
+        .execute(
+            lp,
+            RunPlan {
+                fleet: Some((SPEC, &mut connector)),
+                ..Default::default()
+            },
+        )
         .expect("bench loop has no genuine bug");
     assert!(
         res.report.fallback.is_none(),
@@ -124,7 +130,13 @@ fn record_baseline() {
     // Transport volume of one distributed run, for the record.
     let mut connector = launcher();
     let dist_run = Runner::new(config().with_exec(ExecMode::Distributed))
-        .try_run_distributed(lp.as_ref(), SPEC, &mut connector)
+        .execute(
+            lp.as_ref(),
+            RunPlan {
+                fleet: Some((SPEC, &mut connector)),
+                ..Default::default()
+            },
+        )
         .expect("bench loop has no genuine bug");
     let wire_bytes = dist_run.report.wire_bytes();
 

@@ -38,19 +38,13 @@ fn fully_parallel_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-fn thread_vs_simulated(c: &mut Criterion) {
-    use rlrpd_core::ExecMode;
+fn simulated_exec_mode(c: &mut Criterion) {
     let lp = FullyParallelLoop::new(4096, 1.0);
     let mut g = c.benchmark_group("exec_mode_p4");
-    for (label, mode) in [
-        ("simulated", ExecMode::Simulated),
-        ("threads", ExecMode::Threads),
-    ] {
-        g.bench_with_input(BenchmarkId::from_parameter(label), &mode, |b, &m| {
-            let cfg = RunConfig::new(4).with_exec(m);
-            b.iter(|| black_box(run_speculative(&lp, cfg).report.stages.len()));
-        });
-    }
+    g.bench_function("simulated", |b| {
+        let cfg = RunConfig::new(4);
+        b.iter(|| black_box(run_speculative(&lp, cfg).report.stages.len()));
+    });
     g.finish();
 }
 
@@ -73,7 +67,7 @@ criterion_group!(
     benches,
     strategies_alpha,
     fully_parallel_overhead,
-    thread_vs_simulated,
+    simulated_exec_mode,
     irregular_reduction_throughput
 );
 criterion_main!(benches);

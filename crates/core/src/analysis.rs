@@ -272,7 +272,6 @@ mod tests {
         // merge must agree with the sequential one in every mode.
         for executor in [
             Executor::new(ExecMode::Simulated),
-            Executor::new(ExecMode::Threads),
             Executor::with_procs(ExecMode::Pooled, 4),
         ] {
             let par = analyze_parallel(&refs, &[0], &executor);

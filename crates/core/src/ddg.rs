@@ -17,11 +17,13 @@
 //! iterations in place (no privatization), so it must respect them for
 //! in-place safety.
 
-use crate::driver::{RunConfig, RunResult};
+use crate::driver::{RunConfig, RunResult, Strategy};
 use crate::engine::{CommittedBlockMarks, Engine};
 use crate::spec_loop::SpecLoop;
+use crate::stages::run_stages;
 use crate::value::Value;
-use crate::window::{self, WindowConfig};
+use crate::window::WindowConfig;
+use rlrpd_runtime::FeedbackPartitioner;
 use rlrpd_shadow::hasher::FxBuildHasher;
 use rlrpd_shadow::{EventKind, LastRefTable};
 use std::collections::HashMap;
@@ -246,14 +248,24 @@ pub fn extract_ddg<T: Value>(
     cfg: &RunConfig,
     wcfg: WindowConfig,
 ) -> DdgResult<T> {
+    // A normal SW run over N-level mark lists, whatever strategy `cfg`
+    // names; window schedules never consult the partitioner.
+    let cfg = cfg.with_strategy(Strategy::SlidingWindow(wcfg));
     let mut engine = Engine::new(lp, cfg.engine_cfg(), true);
     let num_slots = engine.tested_ids.len();
     let n = engine.n;
     let mut collector = DepCollector::new(num_slots);
-    let (report, arcs) = window::run_window(&mut engine, cfg, wcfg, 0, &mut None, None, |blocks| {
-        collector.consume(blocks);
-    })
+    let (mut report, arcs) = run_stages(
+        &mut engine,
+        &cfg,
+        &FeedbackPartitioner::new(),
+        0,
+        &mut None,
+        None,
+        |blocks| collector.consume(blocks),
+    )
     .unwrap_or_else(|e| panic!("DDG extraction failed: {e}"));
+    report.wall_seconds = report.stages.iter().map(|s| s.wall_seconds).sum();
     let run = RunResult {
         arrays: engine.arrays_out(),
         report,

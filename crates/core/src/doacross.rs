@@ -1,6 +1,6 @@
-//! The DOACROSS execution tier: pipelined iterations synchronized by
-//! point-to-point post/wait cells at *statically proven* dependence
-//! distances.
+//! The DOACROSS execution tier: pipelined iterations synchronized by a
+//! point-to-point post/wait cell at the *statically proven* minimum
+//! dependence distance.
 //!
 //! When the compiler's dependence pass proves every cross-iteration
 //! conflict of a loop sits at a uniform distance (a `Must` proof — no
@@ -14,17 +14,19 @@
 //!   `w` runs start-relative iterations `w, w+L, w+2L, …` in order) —
 //!   iterations closer than `d_min` are proven independent, so up to
 //!   `d_min` of them may be in flight at once;
-//! * one cache-line-padded [`PostCell`] per proven distance holds the
-//!   count of *posted* (completed, writes published) iterations, always
-//!   a prefix because lanes post in iteration order;
-//! * before executing start-relative iteration `r`, a lane waits on
-//!   each cell of distance `d` until the counter covers the source
-//!   (`seq ≥ r − d + 1`); under the cyclic schedule with `L ≤ d` this
-//!   is already implied by the lane's own previous post, so the gate is
-//!   a cheap load — the *post-gate* carries the real synchronization:
-//!   after the body, the lane waits for its turn (`seq == r`) and
-//!   publishes `r + 1` with `Release` ordering, which is the entire
-//!   happens-before contract of the tier.
+//! * one cache-line-padded [`PostCell`] holds the count of *posted*
+//!   (completed, writes published) iterations, always a prefix because
+//!   lanes post in iteration order. One cell serves every proven
+//!   distance: the counter covering the source at the minimum distance
+//!   (`seq ≥ r − d_min + 1`) covers the source at every larger one, so
+//!   a wait per distance would only repeat an implied wait;
+//! * before executing start-relative iteration `r`, a lane waits until
+//!   the counter covers that nearest source; under the cyclic schedule
+//!   with `L ≤ d_min` this is already implied by the lane's own
+//!   previous post, so the gate is a cheap load — the *post-gate*
+//!   carries the real synchronization: after the body, the lane waits
+//!   for its turn (`seq == r`) and publishes `r + 1` with `Release`
+//!   ordering, which is the entire happens-before contract of the tier.
 //!
 //! There is no shadow memory (callers pass a plain all-untested loop
 //! view), no restart, and exactly one journal record: the commit
@@ -33,7 +35,7 @@
 //! induction — every wait targets a strictly smaller iteration.
 //!
 //! Fault containment has no speculative retry to lean on: a panic in
-//! any lane aborts the pipeline (every cell is woken, waiters observe
+//! any lane aborts the pipeline (the cell is woken, waiters observe
 //! the abort flag and unwind) and surfaces as
 //! [`RlrpdError::ProgramFault`] with the smallest faulting iteration —
 //! the same contract as direct execution, since the iteration ran on
@@ -41,11 +43,12 @@
 
 use crate::analysis::DepArc;
 use crate::ctx::IterCtx;
-use crate::driver::{journal_stage, DoacrossConfig, RunConfig};
+use crate::driver::{DoacrossConfig, RunConfig};
 use crate::engine::Engine;
 use crate::error::RlrpdError;
 use crate::journal::JournalSink;
 use crate::report::RunReport;
+use crate::stages::journal_stage;
 use crate::value::Value;
 use rlrpd_runtime::{panic_message, ExecMode, OverheadKind, PostCell, StageStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -103,16 +106,15 @@ pub(crate) fn run_doacross<T: Value>(
     stats.loop_time = loop_time;
     stats.wall_seconds = wall;
     // One synchronization for the whole run: the pipeline has no stage
-    // barriers, only the point-to-point cells (whose per-iteration cost
+    // barriers, only the point-to-point cell (whose per-iteration cost
     // is cache traffic, not a barrier).
     stats.overhead.add(OverheadKind::Sync, cfg.cost.sync);
 
     // One journal record: the post/wait protocol commits the whole
     // remainder as a single prefix, so the durable frontier is n.
     let delta = journal.is_some().then(|| engine.full_state_delta());
-    journal_stage(journal, &mut stats, n, None, delta)?;
+    journal_stage(journal, &mut stats, n, None, false, delta)?;
     report.stages.push(stats);
-    report.wall_seconds = wall;
     Ok((report, Vec::new()))
 }
 
@@ -130,8 +132,8 @@ fn premature_exit(iter: usize) -> RlrpdError {
     }
 }
 
-/// Execute the pipeline on real threads (`Threads`/`Pooled`): `depth`
-/// lanes on the engine's executor, post/wait cells between them.
+/// Execute the pipeline on real threads: `depth` lanes on the engine's
+/// executor, one post/wait cell between them.
 /// Returns `(total_work, loop_time, wall_seconds)`.
 fn run_lanes<T: Value>(
     engine: &mut Engine<'_, T>,
@@ -147,14 +149,14 @@ fn run_lanes<T: Value>(
     for buf in &mut engine.shared {
         buf.new_epoch();
     }
-    let cells: Vec<PostCell> = dcfg.distances().iter().map(|_| PostCell::new(0)).collect();
+    let posted = PostCell::new(0);
+    let d_min = dcfg.min_distance();
     let abort = AtomicBool::new(false);
     let fault: Mutex<Option<(usize, String)>> = Mutex::new(None);
-    let exit: Mutex<Option<usize>> = Mutex::new(None);
+    let exit: Mutex<Option<(usize, String)>> = Mutex::new(None);
     let lp = engine.lp;
     let meta = &engine.meta;
     let shared = &engine.shared;
-    let distances = dcfg.distances();
     let executor = engine.executor.clone();
 
     let stop_pipeline = |iter: usize, slot: &Mutex<Option<(usize, String)>>, message: String| {
@@ -166,9 +168,7 @@ fn run_lanes<T: Value>(
             }
         }
         abort.store(true, Ordering::Relaxed);
-        for c in &cells {
-            c.wake_all();
-        }
+        posted.wake_all();
     };
 
     let mut lanes = vec![(); depth];
@@ -179,15 +179,13 @@ fn run_lanes<T: Value>(
             if abort.load(Ordering::Relaxed) {
                 break;
             }
-            // Execute-gate: every proven source iteration must have
-            // posted. Under the cyclic schedule with depth ≤ d this is
-            // implied by this lane's own previous post, so the wait is
-            // a single satisfied load.
-            for (cell, &d) in cells.iter().zip(distances) {
-                let d = d as usize;
-                if r >= d && !cell.wait_for(r - d + 1, &abort) {
-                    break 'pipeline;
-                }
+            // Execute-gate: the nearest proven source iteration must
+            // have posted (and with it every farther one). Under the
+            // cyclic schedule with depth ≤ d_min this is implied by
+            // this lane's own previous post, so the wait is a single
+            // satisfied load.
+            if r >= d_min && !posted.wait_for(r - d_min + 1, &abort) {
+                break 'pipeline;
             }
             let iter = start + r;
             // Per-iteration containment: there is no speculation to
@@ -212,17 +210,7 @@ fn run_lanes<T: Value>(
                 Ok((c, exited)) => {
                     lane_work += c;
                     if exited {
-                        {
-                            let mut e = exit.lock().unwrap();
-                            match *e {
-                                Some(prev) if prev <= iter => {}
-                                _ => *e = Some(iter),
-                            }
-                        }
-                        abort.store(true, Ordering::Relaxed);
-                        for c in &cells {
-                            c.wake_all();
-                        }
+                        stop_pipeline(iter, &exit, String::new());
                         break 'pipeline;
                     }
                 }
@@ -232,15 +220,11 @@ fn run_lanes<T: Value>(
                 }
             }
             // Post-gate: wait for this lane's turn, then publish the
-            // new completed prefix on every cell (Release + notify).
-            for cell in &cells {
-                if !cell.wait_for(r, &abort) {
-                    break 'pipeline;
-                }
+            // new completed prefix (Release + notify).
+            if !posted.wait_for(r, &abort) {
+                break 'pipeline;
             }
-            for cell in &cells {
-                cell.post(r + 1);
-            }
+            posted.post(r + 1);
             r += depth;
         }
         lane_work
@@ -249,7 +233,7 @@ fn run_lanes<T: Value>(
     if let Some((iter, message)) = fault.into_inner().unwrap() {
         return Err(RlrpdError::ProgramFault { iter, message });
     }
-    if let Some(iter) = exit.into_inner().unwrap() {
+    if let Some((iter, _)) = exit.into_inner().unwrap() {
         return Err(premature_exit(iter));
     }
     Ok((
@@ -262,9 +246,7 @@ fn run_lanes<T: Value>(
 #[cfg(test)]
 mod tests {
     use crate::array::{ArrayDecl, ArrayId};
-    use crate::driver::{
-        run_speculative, try_run_speculative, DoacrossConfig, RunConfig, Runner, Strategy,
-    };
+    use crate::driver::{run_speculative, DoacrossConfig, RunConfig, Runner, Strategy};
     use crate::engine::run_sequential;
     use crate::error::RlrpdError;
     use crate::spec_loop::ClosureLoop;
@@ -300,7 +282,7 @@ mod tests {
             let lp = chain_loop(n, d);
             let (seq, _) = run_sequential(&lp);
             let want: Vec<u64> = seq[0].1.iter().map(|v| v.to_bits()).collect();
-            for exec in [ExecMode::Simulated, ExecMode::Threads, ExecMode::Pooled] {
+            for exec in [ExecMode::Simulated, ExecMode::Pooled] {
                 for p in [1usize, 2, 4, 8] {
                     let res = run_speculative(&lp, doacross_cfg(p, d, exec));
                     let got: Vec<u64> = res.array("A").iter().map(|v| v.to_bits()).collect();
@@ -336,7 +318,7 @@ mod tests {
         let dcfg = DoacrossConfig::from_distances(&[5, 3]).unwrap();
         assert_eq!(dcfg.min_distance(), 3);
         assert_eq!(dcfg.distances(), &[3, 5]);
-        for exec in [ExecMode::Threads, ExecMode::Pooled, ExecMode::Simulated] {
+        for exec in [ExecMode::Pooled, ExecMode::Simulated] {
             let cfg = RunConfig::new(8)
                 .with_exec(exec)
                 .with_strategy(Strategy::Doacross(dcfg));
@@ -373,8 +355,8 @@ mod tests {
                 ctx.write(a, i, v + 1.0);
             },
         );
-        for exec in [ExecMode::Threads, ExecMode::Pooled, ExecMode::Simulated] {
-            match try_run_speculative(&lp, doacross_cfg(4, 2, exec)) {
+        for exec in [ExecMode::Pooled, ExecMode::Simulated] {
+            match Runner::new(doacross_cfg(4, 2, exec)).try_run(&lp) {
                 Err(RlrpdError::ProgramFault { iter, message }) => {
                     assert_eq!(iter, 117, "exec={exec:?}");
                     assert!(message.contains("exploded"), "message: {message}");
@@ -389,7 +371,7 @@ mod tests {
         let lp = chain_loop(100, 2);
         let stop = Arc::new(AtomicBool::new(true));
         let mut runner =
-            Runner::new(doacross_cfg(4, 2, ExecMode::Threads)).with_stop(Arc::clone(&stop));
+            Runner::new(doacross_cfg(4, 2, ExecMode::Pooled)).with_stop(Arc::clone(&stop));
         let res = runner.try_run(&lp).unwrap();
         assert_eq!(res.report.stopped_at, Some(0));
         assert!(res.report.stages.is_empty());
@@ -405,9 +387,8 @@ mod tests {
         // d > n: every iteration is independent; depth clamps to total.
         let lp = chain_loop(6, 64);
         let (seq, _) = run_sequential(&lp);
-        for exec in [ExecMode::Threads, ExecMode::Pooled] {
-            let res = run_speculative(&lp, doacross_cfg(8, 64, exec));
-            assert_eq!(res.array("A"), &seq[0].1[..], "exec={exec:?}");
-        }
+        let exec = ExecMode::Pooled;
+        let res = run_speculative(&lp, doacross_cfg(8, 64, exec));
+        assert_eq!(res.array("A"), &seq[0].1[..], "exec={exec:?}");
     }
 }

@@ -1,8 +1,9 @@
-//! The recursive R-LRPD driver: speculate → test → commit prefix →
-//! repair → recurse on the remainder.
+//! Configuring and launching a speculative run: [`RunConfig`],
+//! [`Strategy`], and the [`Runner`] whose one run body attaches journal
+//! and fleet ([`RunPlan`]) and hands the engine to the stage loop.
 //!
 //! A partially parallel loop becomes a sequence of fully parallel
-//! stages. The driver chooses, after each failed stage, how the
+//! stages. The strategy chooses, after each failed stage, how the
 //! remaining iterations are scheduled:
 //!
 //! * [`Strategy::Nrd`] — failed processors re-run their own blocks;
@@ -16,28 +17,22 @@
 //!   Fig. 4 calls "adaptive";
 //! * [`Strategy::SlidingWindow`] — strip-mine the iteration space and
 //!   run the test window by window (see [`crate::window`]).
-//!
-//! Completion is guaranteed: the first non-empty block of every stage
-//! always commits, so each stage makes progress; a fully sequential
-//! loop degenerates to `p` stages under NRD — the paper's worst case of
-//! sequential time plus test overhead.
 
 use crate::analysis::DepArc;
 use crate::checkpoint::CheckpointPolicy;
-use crate::engine::{Engine, EngineCfg, StageDelta};
+use crate::engine::{Engine, EngineCfg};
 use crate::error::RlrpdError;
-use crate::journal::{self, Journal, JournalElem, JournalError, JournalHeader, JournalSink};
+use crate::journal::{
+    self, ElemBits, Journal, JournalElem, JournalError, JournalHeader, JournalSink,
+};
 use crate::remote::{self, DistConnector};
 use crate::report::{PrAccumulator, RunReport};
 use crate::spec_loop::SpecLoop;
+use crate::stages::run_stages;
 use crate::value::Value;
-use crate::window::{self, WindowConfig};
-use rlrpd_runtime::{
-    BlockSchedule, CostModel, ExecMode, FaultPlan, FeedbackPartitioner, OverheadKind, StageStats,
-    TrendMode,
-};
-use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
+use crate::window::WindowConfig;
+use rlrpd_runtime::{CostModel, ExecMode, FaultPlan, FeedbackPartitioner, TrendMode};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// How a failed stage's remainder is rescheduled.
@@ -59,6 +54,28 @@ pub enum Strategy {
     /// construction (DESIGN.md §16). Select it through
     /// [`RunConfig::auto_strategy`] with the classifier's verdict.
     Doacross(DoacrossConfig),
+}
+
+/// The CLI's and the daemon's strategy syntax: `nrd`, `rd`, `adaptive`
+/// (the measured rule) or `sw:W` (a fixed circular window of `W`
+/// iterations per processor).
+impl std::str::FromStr for Strategy {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "nrd" => Ok(Strategy::Nrd),
+            "rd" => Ok(Strategy::Rd),
+            "adaptive" => Ok(Strategy::AdaptiveRd(AdaptRule::Measured)),
+            _ => match s.strip_prefix("sw:") {
+                Some(w) => w
+                    .parse()
+                    .map(|w| Strategy::SlidingWindow(WindowConfig::fixed(w)))
+                    .map_err(|_| format!("bad window size in '{s}'")),
+                None => Err(format!("unknown strategy '{s}'")),
+            },
+        }
+    }
 }
 
 /// The statically proven uniform dependence distances that schedule a
@@ -114,7 +131,7 @@ impl DoacrossConfig {
         })
     }
 
-    /// The proven distances, ascending (one post/wait cell each).
+    /// The proven distances, ascending.
     pub fn distances(&self) -> &[u32] {
         &self.distances[..self.len as usize]
     }
@@ -402,6 +419,47 @@ impl<T: Value> RunResult<T> {
     }
 }
 
+/// What a run is attached to, beyond its loop and [`RunConfig`]: three
+/// independent attachments, any combination of which
+/// [`Runner::execute`] accepts. The default plan is a plain in-process
+/// run.
+#[derive(Default)]
+pub struct RunPlan<'a> {
+    /// Record every stage commit in this journal, write-ahead: each
+    /// record is fsynced before the run advances past its commit
+    /// point, so after a crash at any moment the journal holds a
+    /// consistent run prefix. Must be freshly created unless `resume`
+    /// is set.
+    pub journal: Option<&'a mut Journal>,
+    /// Dispatch every stage's blocks to the worker fleet this connector
+    /// launches; the `&str` is a loop spec the workers can resolve to
+    /// the *same* loop. A lost fleet — workers dead, hung or divergent
+    /// beyond the connector's respawn budget, or a fleet that never
+    /// launched — is **never** an error: the run degrades to the
+    /// in-process pooled path mid-stage without losing committed work
+    /// (blocks are idempotent over the committed prefix) and records
+    /// [`FallbackReason::WorkerLoss`]. With a journal as well, wire and
+    /// disk carry byte-identical commit records.
+    pub fleet: Option<(&'a str, &'a mut dyn DistConnector)>,
+    /// Continue the interrupted run `journal` holds instead of starting
+    /// one: validate its header against this configuration, replay the
+    /// committed deltas to rebuild the shared arrays exactly as they
+    /// stood at the last durable commit point, and speculate on from
+    /// that frontier (appending to the same journal; a fleet is first
+    /// brought up to the frontier with one full-state broadcast). A
+    /// journal whose last record already completes the run returns the
+    /// final arrays without executing anything.
+    ///
+    /// The checkpoint policy is *not* part of the journal's identity: a
+    /// run recorded under [`CheckpointPolicy::Eager`] resumes under
+    /// [`CheckpointPolicy::OnDemand`] and vice versa (commit deltas are
+    /// policy-independent). Everything else — loop shape, array layout,
+    /// element type, strategy, processor count — must match, or the
+    /// resume is rejected with [`JournalError::Mismatch`] naming the
+    /// field.
+    pub resume: bool,
+}
+
 /// A stateful runner: carries feedback-guided balancing history and the
 /// program-lifetime PR accumulator across loop instantiations.
 #[derive(Debug)]
@@ -438,11 +496,11 @@ impl Runner {
     }
 
     /// Wire a cooperative stop flag into every run of this runner: when
-    /// the flag becomes true the driver finishes the in-flight stage,
-    /// makes its commit durable, and returns with
+    /// the flag becomes true the stage loop finishes the in-flight
+    /// stage, makes its commit durable, and returns with
     /// [`RunReport::stopped_at`] holding the commit frontier instead of
     /// executing further stages. The run is *paused*, not failed — a
-    /// journaled run resumes from the frontier with [`Runner::resume`].
+    /// journaled run resumes from the frontier ([`RunPlan::resume`]).
     /// The daemon's graceful drain (SIGTERM) is built on this.
     pub fn with_stop(mut self, stop: Arc<AtomicBool>) -> Self {
         self.stop = Some(stop);
@@ -454,179 +512,71 @@ impl Runner {
         &self.cfg
     }
 
-    fn engine_cfg(&self) -> EngineCfg {
-        let mut ecfg = self.cfg.engine_cfg();
-        ecfg.fault = self.fault.clone();
-        ecfg
+    /// Execute one instantiation of `lp` speculatively, attached to
+    /// whatever `plan` names.
+    ///
+    /// Contained faults, watchdog trips, exhausted restart budgets,
+    /// checkpoint faults and a lost fleet are all recovered internally
+    /// (by rollback and, if the [`FallbackPolicy`] demands it,
+    /// sequential execution of the remainder) and reported on the
+    /// [`RunReport`]. An `Err` means the loop itself is faulty
+    /// ([`RlrpdError::ProgramFault`]), the run hit its hard stage cap,
+    /// or the journal failed: [`JournalError::NotEmpty`] for a fresh
+    /// run over a used journal, [`JournalError::NoHeader`] for a resume
+    /// with nothing to resume, [`JournalError::Mismatch`] for a journal
+    /// of some other run, or the I/O error of an append.
+    pub fn execute<T: Value + JournalElem>(
+        &mut self,
+        lp: &dyn SpecLoop<T>,
+        plan: RunPlan<'_>,
+    ) -> Result<RunResult<T>, RlrpdError> {
+        self.run_plan(lp, plan, Some(ElemBits::of()))
     }
 
-    /// Execute one instantiation of `lp` speculatively, panicking on an
-    /// unrecoverable fault (see [`Runner::try_run`] for the fallible
-    /// surface).
+    /// [`Runner::execute`] with nothing attached — for element types
+    /// that have no journal image.
+    pub fn try_run<T: Value>(&mut self, lp: &dyn SpecLoop<T>) -> Result<RunResult<T>, RlrpdError> {
+        self.run_plan(lp, RunPlan::default(), None)
+    }
+
+    /// [`Runner::try_run`], panicking on an unrecoverable fault.
     pub fn run<T: Value>(&mut self, lp: &dyn SpecLoop<T>) -> RunResult<T> {
         self.try_run(lp)
             .unwrap_or_else(|e| panic!("speculative run failed: {e}"))
     }
 
-    /// Execute one instantiation of `lp` speculatively.
-    ///
-    /// Contained faults, watchdog trips, exhausted restart budgets and
-    /// checkpoint faults are all recovered internally (by rollback and,
-    /// if the [`FallbackPolicy`] demands it, sequential execution of
-    /// the remainder) and reported on the [`RunReport`]. An `Err` means
-    /// the loop itself is faulty ([`RlrpdError::ProgramFault`]) or the
-    /// run hit its hard stage cap.
-    pub fn try_run<T: Value>(&mut self, lp: &dyn SpecLoop<T>) -> Result<RunResult<T>, RlrpdError> {
-        let mut engine = Engine::new(lp, self.engine_cfg(), false);
-        let (report, arcs) = self.drive(&mut engine, 0, &mut None)?;
-        let result = self.finish(engine, report, arcs);
-        self.pr.add(&result.report);
-        Ok(result)
-    }
-
-    /// Execute one instantiation of `lp` speculatively, recording every
-    /// stage commit in `journal` (which must be freshly created — resume
-    /// an interrupted journal with [`Runner::resume`] instead).
-    ///
-    /// Appends are write-ahead: each commit record is fsynced before
-    /// the run advances past its commit point, so after a crash at any
-    /// moment the journal holds a consistent run prefix and
-    /// [`Runner::resume`] completes the run with final arrays
-    /// byte-identical to an uninterrupted execution.
+    /// [`Runner::execute`] with a fresh `journal`.
     pub fn try_run_journaled<T: Value + JournalElem>(
         &mut self,
         lp: &dyn SpecLoop<T>,
         journal: &mut Journal,
     ) -> Result<RunResult<T>, RlrpdError> {
-        if !journal.is_empty() {
-            return Err(JournalError::NotEmpty.into());
-        }
-        let mut ecfg = self.engine_cfg();
-        ecfg.capture_deltas = true;
-        let mut engine = Engine::new(lp, ecfg, false);
-        let header = self.journal_header_for(&engine);
-        journal.set_fault(self.fault.clone());
-        journal.append_header(&header).map_err(RlrpdError::from)?;
-        let mut sink = Some(JournalSink::new(journal));
-        let (report, arcs) = self.drive(&mut engine, 0, &mut sink)?;
-        let result = self.finish(engine, report, arcs);
-        self.pr.add(&result.report);
-        Ok(result)
+        self.execute(
+            lp,
+            RunPlan {
+                journal: Some(journal),
+                ..Default::default()
+            },
+        )
     }
 
-    /// Resume an interrupted journaled run of `lp`: validate the
-    /// journal's header against this configuration, replay the
-    /// committed deltas to reconstruct the shared arrays exactly as
-    /// they stood at the last durable commit point, and continue
-    /// speculation from the frontier (appending further records to the
-    /// same journal). A journal whose last record already completes the
-    /// run returns the final arrays without executing anything.
-    ///
-    /// The checkpoint policy is *not* part of the journal's identity: a
-    /// run recorded under [`CheckpointPolicy::Eager`] resumes under
-    /// [`CheckpointPolicy::OnDemand`] and vice versa (commit deltas are
-    /// policy-independent). Everything else — loop shape, array layout,
-    /// element type, strategy, processor count — must match, or the
-    /// resume is rejected with [`JournalError::Mismatch`].
+    /// [`Runner::execute`] resuming the run `journal` holds.
     pub fn resume<T: Value + JournalElem>(
         &mut self,
         lp: &dyn SpecLoop<T>,
         journal: &mut Journal,
     ) -> Result<RunResult<T>, RlrpdError> {
-        let mut ecfg = self.engine_cfg();
-        ecfg.capture_deltas = true;
-        let mut engine = Engine::new(lp, ecfg, false);
-        let recorded = journal.header().cloned().ok_or(JournalError::NoHeader)?;
-        let expected = self.journal_header_for(&engine);
-        if recorded != expected {
-            let message = if recorded.n != expected.n {
-                format!("iteration count {} != {}", recorded.n, expected.n)
-            } else if recorded.p != expected.p {
-                format!("processor count {} != {}", recorded.p, expected.p)
-            } else if recorded.strategy_hash != expected.strategy_hash {
-                "strategy fingerprint differs".into()
-            } else if recorded.elem_hash != expected.elem_hash {
-                "element type differs".into()
-            } else {
-                "array layout differs".into()
-            };
-            return Err(JournalError::Mismatch { message }.into());
-        }
-
-        // Replay every committed delta over the initial arrays: shared
-        // state becomes exactly the state at the recovered frontier
-        // (post-stage state = pre-stage state + delta, inductively).
-        let mut frontier = 0usize;
-        let mut exited = None;
-        let mut fell_back = false;
-        for rec in journal.commits() {
-            for (id, elems) in &rec.arrays {
-                let buf = engine.shared[*id as usize].as_mut_slice();
-                for &(elem, bits) in elems {
-                    buf[elem as usize] = T::from_bits(bits);
-                }
-            }
-            frontier = rec.frontier;
-            exited = rec.exited_at;
-            fell_back = fell_back || rec.fallback;
-        }
-        engine.stage_ordinal = journal.commits().len();
-
-        let resumed_from = frontier;
-        let complete = fell_back || exited.is_some() || frontier >= engine.n;
-        let (mut report, arcs) = if complete {
-            let report = RunReport {
-                sequential_work: engine.sequential_work(),
-                exited_at: exited,
+        self.execute(
+            lp,
+            RunPlan {
+                journal: Some(journal),
+                resume: true,
                 ..Default::default()
-            };
-            (report, Vec::new())
-        } else {
-            journal.set_fault(self.fault.clone());
-            let mut sink = Some(JournalSink::new(journal));
-            self.drive(&mut engine, frontier, &mut sink)?
-        };
-        report.resumed_at = Some(resumed_from);
-        let result = self.finish(engine, report, arcs);
-        self.pr.add(&result.report);
-        Ok(result)
+            },
+        )
     }
 
-    /// Execute one instantiation of `lp` with every stage's blocks
-    /// dispatched to an external worker fleet obtained from `connector`
-    /// (the supervisor/worker execution mode). `spec` must be a loop
-    /// spec the workers can resolve to the *same* loop as `lp`.
-    ///
-    /// Robustness contract: a lost fleet — workers dead, hung, or
-    /// divergent beyond the connector's respawn budget, or a fleet that
-    /// never launched — is **never** an error. The run degrades to the
-    /// in-process pooled path mid-stage without losing committed work
-    /// (blocks are idempotent over the committed prefix) and records
-    /// [`FallbackReason::WorkerLoss`] on the report.
-    pub fn try_run_distributed<T: Value + JournalElem>(
-        &mut self,
-        lp: &dyn SpecLoop<T>,
-        spec: &str,
-        connector: &mut dyn DistConnector,
-    ) -> Result<RunResult<T>, RlrpdError> {
-        let mut ecfg = self.engine_cfg();
-        // Workers mirror commits via the same deltas the journal uses.
-        ecfg.capture_deltas = true;
-        let mut engine = Engine::new(lp, ecfg, false);
-        let header = self.journal_header_for(&engine);
-        remote::attach_remote(&mut engine, &header, spec, connector);
-        let (mut report, arcs) = self.drive(&mut engine, 0, &mut None)?;
-        remote::release_remote(&mut engine, &mut report);
-        let result = self.finish(engine, report, arcs);
-        self.pr.add(&result.report);
-        Ok(result)
-    }
-
-    /// [`Runner::try_run_distributed`] combined with
-    /// [`Runner::try_run_journaled`]: distributed execution whose
-    /// commits are also written ahead to a crash journal. On a fresh
-    /// journal the wire broadcast and the disk journal carry
-    /// byte-identical record chains.
+    /// [`Runner::execute`] over a fleet with a fresh `journal`.
     pub fn try_run_distributed_journaled<T: Value + JournalElem>(
         &mut self,
         lp: &dyn SpecLoop<T>,
@@ -634,316 +584,137 @@ impl Runner {
         connector: &mut dyn DistConnector,
         journal: &mut Journal,
     ) -> Result<RunResult<T>, RlrpdError> {
-        if !journal.is_empty() {
-            return Err(JournalError::NotEmpty.into());
-        }
-        let mut ecfg = self.engine_cfg();
-        ecfg.capture_deltas = true;
-        let mut engine = Engine::new(lp, ecfg, false);
-        let header = self.journal_header_for(&engine);
-        remote::attach_remote(&mut engine, &header, spec, connector);
-        journal.set_fault(self.fault.clone());
-        journal.append_header(&header).map_err(RlrpdError::from)?;
-        let mut sink = Some(JournalSink::new(journal));
-        let (mut report, arcs) = self.drive(&mut engine, 0, &mut sink)?;
-        remote::release_remote(&mut engine, &mut report);
-        let result = self.finish(engine, report, arcs);
-        self.pr.add(&result.report);
-        Ok(result)
+        self.execute(
+            lp,
+            RunPlan {
+                journal: Some(journal),
+                fleet: Some((spec, connector)),
+                resume: false,
+            },
+        )
     }
 
-    /// [`Runner::resume`] with distributed execution of the remainder:
-    /// replay the journal's committed prefix locally, then bring a
-    /// fresh worker fleet up to the frontier with one synthetic
-    /// full-state broadcast and continue dispatching stages to it.
-    pub fn resume_distributed<T: Value + JournalElem>(
+    /// The one run body: build the engine, bring journal and fleet to
+    /// the run's starting point, run the stages (or the DOACROSS
+    /// pipeline), fold the outcome into a [`RunResult`].
+    ///
+    /// `elem` is `None` only from [`Runner::try_run`], whose `T` has no
+    /// journal image and whose plan is therefore empty.
+    fn run_plan<T: Value>(
         &mut self,
         lp: &dyn SpecLoop<T>,
-        spec: &str,
-        connector: &mut dyn DistConnector,
-        journal: &mut Journal,
+        plan: RunPlan<'_>,
+        elem: Option<ElemBits<T>>,
     ) -> Result<RunResult<T>, RlrpdError> {
-        let mut ecfg = self.engine_cfg();
-        ecfg.capture_deltas = true;
+        let RunPlan {
+            mut journal,
+            fleet,
+            resume,
+        } = plan;
+        let mut ecfg = self.cfg.engine_cfg();
+        ecfg.fault = self.fault.clone();
+        // The journal's records and the fleet's mirror are both built
+        // from the stages' commit deltas.
+        ecfg.capture_deltas = journal.is_some() || fleet.is_some();
         let mut engine = Engine::new(lp, ecfg, false);
-        let recorded = journal.header().cloned().ok_or(JournalError::NoHeader)?;
-        let expected = self.journal_header_for(&engine);
-        if recorded != expected {
-            return Err(JournalError::Mismatch {
-                message: "journal does not describe this loop/configuration".into(),
+
+        // First uncommitted iteration, and — when the journal being
+        // resumed already holds the whole run — that run's report.
+        let mut start = 0usize;
+        let mut complete: Option<RunReport> = None;
+        let mut sink = None;
+        if let Some(elem) = elem {
+            let header = JournalHeader {
+                n: engine.n,
+                p: self.cfg.p,
+                strategy_hash: journal::strategy_fingerprint(&self.cfg.strategy, self.cfg.p),
+                elem_hash: elem.hash,
+                arrays: engine.layout(),
+            };
+            if resume {
+                let journal = journal.as_deref().ok_or(JournalError::NoHeader)?;
+                let recorded = journal.header().ok_or(JournalError::NoHeader)?;
+                if *recorded != header {
+                    let message = header.mismatch(recorded);
+                    return Err(JournalError::Mismatch { message }.into());
+                }
+                // Replay every committed delta over the initial arrays:
+                // shared state becomes exactly the state at the
+                // recovered frontier (post-stage state = pre-stage
+                // state + delta, inductively).
+                let mut exited = None;
+                let mut fell_back = false;
+                for rec in journal.commits() {
+                    for (id, elems) in &rec.arrays {
+                        let buf = engine.shared[*id as usize].as_mut_slice();
+                        for &(e, bits) in elems {
+                            buf[e as usize] = (elem.from_bits)(bits);
+                        }
+                    }
+                    start = rec.frontier;
+                    exited = rec.exited_at;
+                    fell_back = fell_back || rec.fallback;
+                }
+                engine.stage_ordinal = journal.commits().len();
+                if fell_back || exited.is_some() || start >= engine.n {
+                    complete = Some(RunReport {
+                        sequential_work: engine.sequential_work(),
+                        exited_at: exited,
+                        ..Default::default()
+                    });
+                }
+            } else if journal.as_deref().is_some_and(|j| !j.is_empty()) {
+                return Err(JournalError::NotEmpty.into());
             }
-            .into());
-        }
-        let mut frontier = 0usize;
-        let mut exited = None;
-        let mut fell_back = false;
-        for rec in journal.commits() {
-            for (id, elems) in &rec.arrays {
-                let buf = engine.shared[*id as usize].as_mut_slice();
-                for &(elem, bits) in elems {
-                    buf[elem as usize] = T::from_bits(bits);
+            if complete.is_none() {
+                if let Some((spec, connector)) = fleet {
+                    remote::attach_remote(&mut engine, &header, spec, connector, elem);
+                    if resume {
+                        // One synthetic record carries the replayed
+                        // state to the fleet (the wire chain restarts
+                        // at the hello; it need not match the on-disk
+                        // chain of the pre-crash records).
+                        let delta = engine.full_state_delta();
+                        engine.broadcast_commit(start, None, false, &delta);
+                    }
+                }
+                if let Some(journal) = journal.take() {
+                    journal.set_fault(self.fault.clone());
+                    if !resume {
+                        journal.append_header(&header).map_err(RlrpdError::from)?;
+                    }
+                    sink = Some(JournalSink::new(journal, elem));
                 }
             }
-            frontier = rec.frontier;
-            exited = rec.exited_at;
-            fell_back = fell_back || rec.fallback;
         }
-        engine.stage_ordinal = journal.commits().len();
 
-        let resumed_from = frontier;
-        let complete = fell_back || exited.is_some() || frontier >= engine.n;
-        let (mut report, arcs) = if complete {
-            let report = RunReport {
-                sequential_work: engine.sequential_work(),
-                exited_at: exited,
-                ..Default::default()
-            };
-            (report, Vec::new())
-        } else {
-            remote::attach_remote(&mut engine, &expected, spec, connector);
-            // One synthetic record carries the replayed state to the
-            // fleet (the wire chain restarts at the hello; it need not
-            // match the on-disk chain of the pre-crash records).
-            let delta = engine.full_state_delta();
-            engine.broadcast_commit(frontier, None, false, &delta);
-            journal.set_fault(self.fault.clone());
-            let mut sink = Some(JournalSink::new(journal));
-            self.drive(&mut engine, frontier, &mut sink)?
+        let (mut report, arcs) = match (complete, self.cfg.strategy) {
+            (Some(report), _) => (report, Vec::new()),
+            (None, Strategy::Doacross(dcfg)) => crate::doacross::run_doacross(
+                &mut engine,
+                &self.cfg,
+                dcfg,
+                start,
+                &mut sink,
+                self.stop.as_deref(),
+            )?,
+            (None, _) => run_stages(
+                &mut engine,
+                &self.cfg,
+                &self.partitioner,
+                start,
+                &mut sink,
+                self.stop.as_deref(),
+                |_| {},
+            )?,
         };
-        report.resumed_at = Some(resumed_from);
+        if resume {
+            report.resumed_at = Some(start);
+        }
         remote::release_remote(&mut engine, &mut report);
         let result = self.finish(engine, report, arcs);
         self.pr.add(&result.report);
         Ok(result)
-    }
-
-    /// The journal header describing this (loop, configuration) pair.
-    fn journal_header_for<T: Value + JournalElem>(&self, engine: &Engine<'_, T>) -> JournalHeader {
-        JournalHeader {
-            n: engine.n,
-            p: self.cfg.p,
-            strategy_hash: journal::strategy_fingerprint(&self.cfg.strategy, self.cfg.p),
-            elem_hash: journal::elem_fingerprint::<T>(),
-            arrays: engine.layout(),
-        }
-    }
-
-    /// Drive `engine` from iteration `start` to completion under the
-    /// configured strategy, journaling every commit when a sink is
-    /// attached.
-    fn drive<T: Value>(
-        &mut self,
-        engine: &mut Engine<'_, T>,
-        start: usize,
-        journal: &mut Option<JournalSink<'_, T>>,
-    ) -> Result<(RunReport, Vec<DepArc>), RlrpdError> {
-        match self.cfg.strategy {
-            Strategy::SlidingWindow(wcfg) => {
-                let cfg = self.cfg;
-                window::run_window(
-                    engine,
-                    &cfg,
-                    wcfg,
-                    start,
-                    journal,
-                    self.stop.as_deref(),
-                    |_| {},
-                )
-            }
-            Strategy::Doacross(dcfg) => {
-                let cfg = self.cfg;
-                crate::doacross::run_doacross(
-                    engine,
-                    &cfg,
-                    dcfg,
-                    start,
-                    journal,
-                    self.stop.as_deref(),
-                )
-            }
-            _ => self.drive_recursive(engine, start, journal),
-        }
-    }
-
-    fn drive_recursive<T: Value>(
-        &mut self,
-        engine: &mut Engine<'_, T>,
-        start: usize,
-        journal: &mut Option<JournalSink<'_, T>>,
-    ) -> Result<(RunReport, Vec<DepArc>), RlrpdError> {
-        let cfg = self.cfg;
-        let n = engine.n;
-        let mut report = RunReport {
-            sequential_work: engine.sequential_work(),
-            ..Default::default()
-        };
-        let mut arcs = Vec::new();
-
-        let mut schedule = self.cut(start..n, cfg.p);
-        // Redistribution cost to charge to the upcoming stage.
-        let mut pending_redist: Option<usize> = None;
-        // First uncommitted iteration (everything below it is final).
-        let mut commit_point = start;
-        // Restart point of the last fault-bound stage: a second fault
-        // binding at the same point means the faulting iteration re-ran
-        // from sequential-equivalent state — a genuine program fault.
-        let mut last_fault_restart: Option<usize> = None;
-
-        loop {
-            if self
-                .stop
-                .as_ref()
-                .is_some_and(|s| s.load(Ordering::Relaxed))
-            {
-                // Cooperative drain: everything below the commit point
-                // is durable; record where the run paused and return.
-                report.stopped_at = Some(commit_point);
-                break;
-            }
-            if report.stages.len() >= cfg.max_stages {
-                return Err(RlrpdError::StageLimit {
-                    max_stages: cfg.max_stages,
-                });
-            }
-            let mut outcome = match engine.run_stage(&schedule) {
-                Ok(o) => o,
-                Err(RlrpdError::CheckpointFault { .. }) => {
-                    // Checkpoint faults fire before any speculative
-                    // write, so the remainder can run directly from the
-                    // commit point.
-                    sequential_fallback(
-                        engine,
-                        &cfg,
-                        &mut report,
-                        commit_point,
-                        FallbackReason::CheckpointFault,
-                        journal,
-                    )?;
-                    break;
-                }
-                Err(e) => return Err(e),
-            };
-            if let Some(moved) = pending_redist.take() {
-                outcome.stats.overhead.add(
-                    OverheadKind::Redistribution,
-                    moved as f64 * cfg.cost.ell / cfg.p as f64,
-                );
-            }
-            arcs.extend(outcome.arcs);
-            let violation = outcome.violation;
-            let exit = outcome.exit;
-            let fault = outcome.fault;
-            let shadow_pressure = outcome.shadow_pressure;
-            let shadow_relieved = outcome.shadow_relieved;
-            // The frontier this stage's commit advanced to: everything
-            // below it is permanently correct.
-            let frontier = match (exit, violation) {
-                (Some(e), _) => e + 1,
-                (None, Some(_)) => {
-                    outcome
-                        .restart_iter
-                        .ok_or_else(|| RlrpdError::StageInvariant {
-                            message: "violation implies a restart point".into(),
-                        })?
-                }
-                (None, None) => n,
-            };
-            // Keep the worker fleet's mirror of shared state current
-            // before the frontier advances (no-op without a fleet).
-            if let Some(delta) = outcome.delta.as_ref() {
-                engine.broadcast_commit(frontier, exit, false, delta);
-            }
-            // Write-ahead: the commit record must be durable before the
-            // in-memory run advances past the commit point.
-            journal_stage(journal, &mut outcome.stats, frontier, exit, outcome.delta)?;
-            report.stages.push(outcome.stats);
-
-            // A trusted premature exit completes the loop: the prefix
-            // up to the exit committed, everything later was dead.
-            if let Some(e) = exit {
-                report.exited_at = Some(e);
-                break;
-            }
-            let Some(q) = violation else { break };
-            report.restarts += 1;
-            let restart = frontier;
-            if shadow_pressure {
-                // Budget exhaustion is contained like a speculation
-                // fault, but it is an execution-environment event, not
-                // an observation about the loop's dependence structure:
-                // it must not pollute the observed-first-dependence
-                // record or the genuine-fault detector. With the
-                // per-array ladder exhausted, the fixed strategies'
-                // only remaining rung is direct execution.
-                if !shadow_relieved {
-                    sequential_fallback(
-                        engine,
-                        &cfg,
-                        &mut report,
-                        restart,
-                        FallbackReason::ShadowBudget,
-                        journal,
-                    )?;
-                    break;
-                }
-                commit_point = restart;
-                schedule = schedule.nrd_restart(q);
-                continue;
-            }
-            // The first failed stage's restart point is the run-time
-            // observation of the first dependence sink (block-aligned
-            // lower bound; stages execute in commit order, so the first
-            // one recorded is the earliest).
-            report.observed_first_dependence.get_or_insert(restart);
-            if let Some(f) = &fault {
-                // The fault bound the restart (no earlier dependence
-                // sink) and bound it at the same point as the previous
-                // fault: the iteration re-executed from a fully
-                // committed prefix — state identical to sequential
-                // execution — and panicked again. Genuine.
-                if q == f.pos {
-                    if last_fault_restart == Some(restart) {
-                        return Err(RlrpdError::ProgramFault {
-                            iter: f.iter,
-                            message: f.message.clone(),
-                        });
-                    }
-                    last_fault_restart = Some(restart);
-                }
-            }
-            if let Some(reason) = cfg.fallback.check(&report) {
-                sequential_fallback(engine, &cfg, &mut report, restart, reason, journal)?;
-                break;
-            }
-            commit_point = restart;
-            let remaining = restart..n;
-
-            let redistribute = match cfg.strategy {
-                Strategy::Nrd => false,
-                Strategy::Rd => true,
-                Strategy::AdaptiveRd(AdaptRule::ModelEq4) => {
-                    cfg.cost.redistribution_pays(remaining.len(), cfg.p)
-                }
-                Strategy::AdaptiveRd(AdaptRule::Measured) => report
-                    .stages
-                    .last()
-                    .is_some_and(|last| last.loop_time > last.overhead.total()),
-                Strategy::SlidingWindow(_) | Strategy::Doacross(_) => {
-                    unreachable!("handled in run()")
-                }
-            };
-            schedule = if redistribute {
-                let new = self.cut(remaining, cfg.p);
-                // Charge ℓ only for iterations that actually changed
-                // processors (remote misses + data movement).
-                pending_redist = Some(new.moved_from(&schedule));
-                new
-            } else {
-                schedule.nrd_restart(q)
-            };
-        }
-
-        Ok((report, arcs))
     }
 
     fn finish<T: Value>(
@@ -979,15 +750,6 @@ impl Runner {
             arcs,
         }
     }
-
-    fn cut(&self, iters: Range<usize>, p: usize) -> BlockSchedule {
-        match self.cfg.balance {
-            BalancePolicy::Even => BlockSchedule::even(iters, p),
-            BalancePolicy::FeedbackGuided | BalancePolicy::FeedbackTrend => {
-                self.partitioner.schedule(iters, p)
-            }
-        }
-    }
 }
 
 /// One-shot convenience: run `lp` once under `cfg`.
@@ -995,82 +757,12 @@ pub fn run_speculative<T: Value>(lp: &dyn SpecLoop<T>, cfg: RunConfig) -> RunRes
     Runner::new(cfg).run(lp)
 }
 
-/// Fallible one-shot convenience: run `lp` once under `cfg`, surfacing
-/// genuine program faults as [`RlrpdError`] instead of panicking.
-pub fn try_run_speculative<T: Value>(
-    lp: &dyn SpecLoop<T>,
-    cfg: RunConfig,
-) -> Result<RunResult<T>, RlrpdError> {
-    Runner::new(cfg).try_run(lp)
-}
-
-/// Append one stage's commit record (write-ahead) when a journal sink
-/// is attached, folding the measured append time and bytes into the
-/// stage's statistics. `None` is the zero-cost no-journal path.
-pub(crate) fn journal_stage<T: Value>(
-    journal: &mut Option<JournalSink<'_, T>>,
-    stats: &mut StageStats,
-    frontier: usize,
-    exited_at: Option<usize>,
-    delta: Option<StageDelta<T>>,
-) -> Result<(), RlrpdError> {
-    let Some(sink) = journal else { return Ok(()) };
-    let delta = delta.ok_or_else(|| RlrpdError::StageInvariant {
-        message: "journaled stage captured no delta".into(),
-    })?;
-    let start = std::time::Instant::now();
-    let bytes = sink.append_stage(frontier, exited_at, false, delta)?;
-    stats.journal_seconds = start.elapsed().as_secs_f64();
-    stats.journal_bytes = bytes;
-    Ok(())
-}
-
-/// Execute the remainder `from..n` directly (sequentially) and account
-/// for it as one pseudo-stage, recording why speculation was abandoned.
-/// Shared by the recursive and sliding-window drivers.
-pub(crate) fn sequential_fallback<T: Value>(
-    engine: &mut Engine<'_, T>,
-    cfg: &RunConfig,
-    report: &mut RunReport,
-    from: usize,
-    reason: FallbackReason,
-    journal: &mut Option<JournalSink<'_, T>>,
-) -> Result<(), RlrpdError> {
-    let n = engine.n;
-    let (work, exited) = engine.run_direct(from..n)?;
-    let attempted = n - from;
-    let committed = exited.map_or(attempted, |e| e + 1 - from);
-    let mut seq = StageStats {
-        loop_time: work,
-        total_work: work,
-        iters_attempted: attempted,
-        iters_committed: committed,
-        ..Default::default()
-    };
-    seq.overhead.add(OverheadKind::Sync, cfg.cost.sync);
-    if let Some(sink) = journal {
-        // Direct writes are not delta-tracked: the fallback's record
-        // holds the full final state (rare and terminal, so O(array)
-        // is acceptable).
-        let start = std::time::Instant::now();
-        let frontier = exited.map_or(n, |e| e + 1);
-        let bytes = sink.append_stage(frontier, exited, true, engine.full_state_delta())?;
-        seq.journal_seconds = start.elapsed().as_secs_f64();
-        seq.journal_bytes = bytes;
-    }
-    report.stages.push(seq);
-    report.fallback = Some(reason);
-    if exited.is_some() {
-        report.exited_at = exited;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::array::{ArrayDecl, ArrayId, ShadowKind};
     use crate::spec_loop::ClosureLoop;
+    use rlrpd_runtime::OverheadKind;
 
     const A: ArrayId = ArrayId(0);
 
@@ -1108,16 +800,38 @@ mod tests {
     fn config_builders_compose() {
         let cfg = RunConfig::new(4)
             .with_strategy(Strategy::Rd)
-            .with_exec(ExecMode::Threads)
+            .with_exec(ExecMode::Pooled)
             .with_checkpoint(CheckpointPolicy::Eager)
             .with_balance(BalancePolicy::FeedbackTrend)
             .with_cost(CostModel::work_only(3.0));
         assert_eq!(cfg.p, 4);
         assert_eq!(cfg.strategy, Strategy::Rd);
-        assert_eq!(cfg.exec, ExecMode::Threads);
+        assert_eq!(cfg.exec, ExecMode::Pooled);
         assert_eq!(cfg.checkpoint, CheckpointPolicy::Eager);
         assert_eq!(cfg.balance, BalancePolicy::FeedbackTrend);
         assert_eq!(cfg.cost.omega, 3.0);
+    }
+
+    #[test]
+    fn strategies_parse_from_the_cli_syntax() {
+        assert_eq!("nrd".parse(), Ok(Strategy::Nrd));
+        assert_eq!("rd".parse(), Ok(Strategy::Rd));
+        assert_eq!(
+            "adaptive".parse(),
+            Ok(Strategy::AdaptiveRd(AdaptRule::Measured))
+        );
+        assert_eq!(
+            "sw:17".parse(),
+            Ok(Strategy::SlidingWindow(WindowConfig::fixed(17)))
+        );
+        assert_eq!(
+            "magic".parse::<Strategy>(),
+            Err("unknown strategy 'magic'".to_string())
+        );
+        assert_eq!(
+            "sw:none".parse::<Strategy>(),
+            Err("bad window size in 'sw:none'".to_string())
+        );
     }
 
     #[test]

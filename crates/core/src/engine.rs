@@ -530,9 +530,13 @@ impl<'l, T: Value> Engine<'l, T> {
             self.account_shadow();
             stats.shadow_bytes_peak = stats.shadow_bytes_peak.max(self.cfg.budget.peak());
             stats.fork_joins = self.executor.fork_joins() - forks_before;
+            // Nothing committed: re-execution starts where the schedule
+            // does — its first non-empty block, since an NRD restart
+            // leaves idle blocks parked below the commit point.
+            let first = schedule.span().map_or(schedule.block_start(0), |s| s.start);
             return Ok(StageOutcome {
                 violation: Some(0),
-                restart_iter: Some(schedule.block_start(0)),
+                restart_iter: Some(first),
                 stats,
                 arcs: Vec::new(),
                 committed_marks: Vec::new(),

@@ -195,6 +195,22 @@ pub struct JournalHeader {
 }
 
 impl JournalHeader {
+    /// Why a journal recorded under `recorded` cannot resume the run
+    /// this header describes: the first field that differs.
+    pub(crate) fn mismatch(&self, recorded: &JournalHeader) -> String {
+        if recorded.n != self.n {
+            format!("iteration count {} != {}", recorded.n, self.n)
+        } else if recorded.p != self.p {
+            format!("processor count {} != {}", recorded.p, self.p)
+        } else if recorded.strategy_hash != self.strategy_hash {
+            "strategy fingerprint differs".into()
+        } else if recorded.elem_hash != self.elem_hash {
+            "element type differs".into()
+        } else {
+            "array layout differs".into()
+        }
+    }
+
     /// Record bytes chained onto `prev_chain` (also the wire image of
     /// the distributed Hello payload).
     pub(crate) fn encode(&self, prev_chain: u64) -> Vec<u8> {
@@ -684,10 +700,32 @@ pub(crate) fn elem_fingerprint<T: JournalElem>() -> u64 {
     fnv(T::TAG.as_bytes())
 }
 
-/// Type-erasing adapter between the generic drivers (`T: Value`) and
-/// the bit-level journal: constructed only where `T: JournalElem` is
-/// known, then threaded through drivers as a plain `fn`-pointer
-/// converter so the drivers themselves stay `T: Value`.
+/// The journal image of an element type — its header fingerprint and
+/// its lossless bit converters — captured once where `T: JournalElem`
+/// is known and handed down as plain data, so the run body, the stage
+/// loop and the engine stay `T: Value`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ElemBits<T> {
+    /// [`elem_fingerprint`] of `T`.
+    pub hash: u64,
+    /// [`JournalElem::to_bits`].
+    pub to_bits: fn(T) -> u64,
+    /// [`JournalElem::from_bits`].
+    pub from_bits: fn(u64) -> T,
+}
+
+impl<T: JournalElem> ElemBits<T> {
+    pub(crate) fn of() -> Self {
+        ElemBits {
+            hash: elem_fingerprint::<T>(),
+            to_bits: T::to_bits,
+            from_bits: T::from_bits,
+        }
+    }
+}
+
+/// Where the stage loop writes its commit records: a journal plus the
+/// element converter its records need.
 pub(crate) struct JournalSink<'j, T> {
     journal: &'j mut Journal,
     to_bits: fn(T) -> u64,
@@ -695,13 +733,10 @@ pub(crate) struct JournalSink<'j, T> {
 
 impl<'j, T: Value> JournalSink<'j, T> {
     /// Build a sink over `journal` for element type `T`.
-    pub(crate) fn new(journal: &'j mut Journal) -> Self
-    where
-        T: JournalElem,
-    {
+    pub(crate) fn new(journal: &'j mut Journal, elem: ElemBits<T>) -> Self {
         JournalSink {
             journal,
-            to_bits: T::to_bits,
+            to_bits: elem.to_bits,
         }
     }
 

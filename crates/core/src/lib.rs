@@ -75,6 +75,7 @@ pub mod predictor;
 pub mod remote;
 pub mod report;
 pub mod spec_loop;
+mod stages;
 pub mod timeline;
 pub mod value;
 pub mod view;
@@ -87,8 +88,8 @@ pub use checkpoint::CheckpointPolicy;
 pub use ctx::IterCtx;
 pub use ddg::{extract_ddg, DdgResult, DepCollector, DepGraph, EdgeKind};
 pub use driver::{
-    run_speculative, try_run_speculative, AdaptRule, BalancePolicy, DoacrossConfig, FallbackPolicy,
-    FallbackReason, RunConfig, RunResult, Runner, Strategy,
+    run_speculative, AdaptRule, BalancePolicy, DoacrossConfig, FallbackPolicy, FallbackReason,
+    RunConfig, RunPlan, RunResult, Runner, Strategy,
 };
 pub use engine::{reduction_mask, run_sequential, verify_against_sequential};
 pub use error::RlrpdError;

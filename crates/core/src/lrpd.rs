@@ -14,8 +14,9 @@ use crate::engine::{Engine, EngineCfg};
 use crate::error::RlrpdError;
 use crate::report::RunReport;
 use crate::spec_loop::SpecLoop;
+use crate::stages::sequential_fallback;
 use crate::value::Value;
-use rlrpd_runtime::{BlockSchedule, OverheadKind, StageStats};
+use rlrpd_runtime::BlockSchedule;
 
 /// Run `lp` under the classic LRPD test: speculate once, re-execute
 /// sequentially on failure. Panics on an unrecoverable fault; see
@@ -53,20 +54,8 @@ pub fn try_run_classic_lrpd<T: Value>(
 
     if failed {
         report.restarts += 1;
-        // Sequential re-execution from (restored) pristine state. Its
-        // time is pure loop work with one trailing synchronization.
-        let (work, exited) = engine.run_direct(0..n)?;
-        let committed = exited.map_or(n, |e| e + 1);
-        let mut seq_stage = StageStats {
-            loop_time: work,
-            total_work: work,
-            iters_attempted: n,
-            iters_committed: committed,
-            ..Default::default()
-        };
-        seq_stage.overhead.add(OverheadKind::Sync, cfg.cost.sync);
-        report.stages.push(seq_stage);
-        report.exited_at = exited;
+        // Sequential re-execution from (restored) pristine state.
+        sequential_fallback(&mut engine, cfg, &mut report, 0, &mut None)?;
     }
 
     report.wall_seconds = report.stages.iter().map(|s| s.wall_seconds).sum();

@@ -52,7 +52,9 @@ use crate::checkpoint::CheckpointPolicy;
 use crate::ctx::IterCtx;
 use crate::driver::FallbackReason;
 use crate::engine::{Engine, EngineCfg, FaultEvent, StageDelta};
-use crate::journal::{elem_fingerprint, record_from_delta, JournalElem, JournalHeader, CHAIN_SEED};
+use crate::journal::{
+    elem_fingerprint, record_from_delta, ElemBits, JournalElem, JournalHeader, CHAIN_SEED,
+};
 use crate::persist::{
     fnv, PersistError, Reader, Writer, KIND_DIST_HEARTBEAT, KIND_DIST_HELLO, KIND_DIST_REPLY,
     KIND_DIST_REQUEST, KIND_DIST_SHUTDOWN, KIND_JOURNAL_COMMIT,
@@ -665,11 +667,8 @@ pub(crate) struct RemoteLink<T> {
     pub chain: u64,
     /// Commit records broadcast so far (stage ordinal of the next one).
     pub commits: usize,
-    /// Element-type bit converters (captured where `T: JournalElem` is
-    /// known, so the engine itself stays `T: Value`).
-    pub to_bits: fn(T) -> u64,
-    /// Inverse of `to_bits`.
-    pub from_bits: fn(u64) -> T,
+    /// The element type's bit converters.
+    pub elem: ElemBits<T>,
 }
 
 impl<T: Value> Engine<'_, T> {
@@ -707,7 +706,7 @@ impl<T: Value> Engine<'_, T> {
             stats.wire_bytes += t.wire_bytes;
             stats.respawns += t.respawns;
             stats.quarantined += t.quarantined;
-            (replies?, link.from_bits, link.chain)
+            (replies?, link.elem.from_bits, link.chain)
         };
         let wall_seconds = start.elapsed().as_secs_f64();
 
@@ -820,7 +819,7 @@ impl<T: Value> Engine<'_, T> {
             exited_at,
             fallback,
             delta,
-            link.to_bits,
+            link.elem.to_bits,
         );
         let bytes = rec.encode(link.chain);
         match link.dispatcher.broadcast(&bytes) {
@@ -846,14 +845,15 @@ pub(crate) fn fresh_run_id() -> u64 {
     ((std::process::id() as u64) << 32) | (NEXT.fetch_add(1, Ordering::Relaxed) & 0xffff_ffff)
 }
 
-/// Attach a worker fleet to `engine` (called by the distributed run
-/// entry points before driving). A connector failure records a worker
-/// loss and leaves the engine on its in-process path.
-pub(crate) fn attach_remote<T: Value + JournalElem>(
+/// Attach a worker fleet to `engine` (called by the run body before
+/// the first stage). A connector failure records a worker loss and
+/// leaves the engine on its in-process path.
+pub(crate) fn attach_remote<T: Value>(
     engine: &mut Engine<'_, T>,
     header: &JournalHeader,
     spec: &str,
     connector: &mut dyn DistConnector,
+    elem: ElemBits<T>,
 ) {
     let hello = WireHello {
         protocol: PROTOCOL_VERSION,
@@ -870,8 +870,7 @@ pub(crate) fn attach_remote<T: Value + JournalElem>(
             engine.remote = Some(RemoteLink {
                 chain: fnv(&hello.header),
                 commits: 0,
-                to_bits: T::to_bits,
-                from_bits: T::from_bits,
+                elem,
                 dispatcher,
             });
         }
@@ -1590,11 +1589,12 @@ pub fn commit_frontier(record: &[u8]) -> Option<u64> {
 mod tests {
     use super::*;
     use crate::array::{ArrayDecl, ArrayId, ShadowKind};
-    use crate::driver::{FallbackReason, RunConfig, Runner, Strategy};
+    use crate::driver::{FallbackReason, RunConfig, RunPlan, Runner, Strategy};
     use crate::engine::run_sequential;
     use crate::spec_loop::ClosureLoop;
     use crate::window::WindowConfig;
     use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::sync::{Arc, Mutex};
 
     /// A partially parallel loop touching every wire path: a tested
     /// array with read-modify-writes (exposed + write marks), plain
@@ -1685,6 +1685,8 @@ mod tests {
         /// directive (divergence-detection tests).
         corrupt_at: Vec<usize>,
         ordinal: usize,
+        /// Every record handed to `broadcast`, in order.
+        broadcasts: Arc<Mutex<Vec<Vec<u8>>>>,
     }
 
     impl Loopback {
@@ -1698,6 +1700,7 @@ mod tests {
     impl BlockDispatcher for Loopback {
         fn broadcast(&mut self, record: &[u8]) -> Result<(), WorkerLoss> {
             self.stats.wire_bytes += record.len() as u64;
+            self.broadcasts.lock().unwrap().push(record.to_vec());
             self.to_worker
                 .send(Self::frame(record))
                 .map_err(|_| WorkerLoss {
@@ -1761,6 +1764,7 @@ mod tests {
     struct LoopbackConnector {
         n: usize,
         corrupt_at: Vec<usize>,
+        broadcasts: Arc<Mutex<Vec<Vec<u8>>>>,
     }
 
     impl LoopbackConnector {
@@ -1768,6 +1772,7 @@ mod tests {
             LoopbackConnector {
                 n,
                 corrupt_at: Vec::new(),
+                broadcasts: Arc::default(),
             }
         }
     }
@@ -1781,6 +1786,7 @@ mod tests {
                 stats: TransportStats::default(),
                 corrupt_at: std::mem::take(&mut self.corrupt_at),
                 ordinal: 0,
+                broadcasts: Arc::clone(&self.broadcasts),
             }))
         }
     }
@@ -1886,7 +1892,13 @@ mod tests {
         let lp = model_loop(n);
         let mut connector = LoopbackConnector::new(n);
         let got = Runner::new(cfg)
-            .try_run_distributed(&lp, "loopback", &mut connector)
+            .execute(
+                &lp,
+                RunPlan {
+                    fleet: Some(("loopback", &mut connector)),
+                    ..Default::default()
+                },
+            )
             .expect("distributed run");
         let (seq, _) = run_sequential(&lp);
         assert_eq!(got.arrays, seq, "distributed state differs from sequential");
@@ -1930,7 +1942,13 @@ mod tests {
             let local = Runner::new(cfg).try_run(&lp).expect("in-process run");
             let mut connector = LoopbackConnector::new(n);
             let dist = Runner::new(cfg)
-                .try_run_distributed(&lp, "loopback", &mut connector)
+                .execute(
+                    &lp,
+                    RunPlan {
+                        fleet: Some(("loopback", &mut connector)),
+                        ..Default::default()
+                    },
+                )
                 .expect("distributed run");
             assert_eq!(dist.arrays, local.arrays, "{strategy:?}");
             assert_eq!(dist.report.restarts, local.report.restarts, "{strategy:?}");
@@ -1945,6 +1963,59 @@ mod tests {
                 assert_eq!(d.loop_time, l.loop_time, "{strategy:?}");
                 assert_eq!(d.overhead.total(), l.overhead.total(), "{strategy:?}");
             }
+        }
+    }
+
+    /// The promise on [`Engine::broadcast_commit`]: on a fresh journal
+    /// the wire and the disk carry the same record chain — through
+    /// every branch of the stage loop, budget pressure included.
+    #[test]
+    fn wire_and_disk_carry_the_same_commit_records_under_pressure() {
+        for strategy in [
+            Strategy::Nrd,
+            Strategy::SlidingWindow(WindowConfig::fixed(4)),
+        ] {
+            let n = 120;
+            let lp = model_loop(n);
+            let mut cfg = RunConfig::new(2).with_shadow_budget(Some(1 << 20));
+            cfg.strategy = strategy;
+            // Dense shadows can down-tier, so the pressured stage is
+            // relieved and re-runs instead of ending the run in a
+            // sequential fallback (whose record is not broadcast).
+            let plan = rlrpd_runtime::FaultPlan::new().shadow_pressure_at(1, 1 << 30);
+            let mut connector = LoopbackConnector::new(n);
+            let path = std::env::temp_dir().join(format!(
+                "rlrpd-wire-disk-{}-{}",
+                matches!(strategy, Strategy::Nrd),
+                std::process::id()
+            ));
+            let mut journal = crate::journal::Journal::create(&path).unwrap();
+            let got = Runner::new(cfg)
+                .with_fault(Arc::new(plan))
+                .execute(
+                    &lp,
+                    RunPlan {
+                        journal: Some(&mut journal),
+                        fleet: Some(("loopback", &mut connector)),
+                        resume: false,
+                    },
+                )
+                .expect("distributed journaled run");
+            drop(journal);
+            assert_eq!(got.report.shadow_pressure_events(), 1, "{strategy:?}");
+            assert_eq!(got.report.fallback, None, "{strategy:?}");
+
+            let file = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            let mut rest = &file[..];
+            let mut disk = Vec::new();
+            while let Some(record) = read_frame(&mut rest).unwrap() {
+                disk.push(record);
+            }
+            disk.remove(0); // the header travels in the hello
+            let wire = connector.broadcasts.lock().unwrap();
+            assert_eq!(wire.len(), disk.len(), "{strategy:?}: records on the wire");
+            assert!(*wire == disk, "{strategy:?}: wire and disk records differ");
         }
     }
 
@@ -1983,6 +2054,7 @@ mod tests {
                     stats: TransportStats::default(),
                     corrupt_at: Vec::new(),
                     ordinal: 0,
+                    broadcasts: Arc::default(),
                 }))
             }
         }
@@ -2025,7 +2097,13 @@ mod tests {
         let mut cfg = RunConfig::new(4);
         cfg.strategy = Strategy::Rd;
         let got = Runner::new(cfg)
-            .try_run_distributed(&lp, "loopback", &mut connector)
+            .execute(
+                &lp,
+                RunPlan {
+                    fleet: Some(("loopback", &mut connector)),
+                    ..Default::default()
+                },
+            )
             .expect("distributed run");
         let (seq, _) = run_sequential(&lp);
         assert_eq!(got.arrays, seq);
@@ -2040,7 +2118,13 @@ mod tests {
         let mut cfg = RunConfig::new(4);
         cfg.strategy = Strategy::Rd;
         let got = Runner::new(cfg)
-            .try_run_distributed(&lp, "loopback", &mut DeadConnector)
+            .execute(
+                &lp,
+                RunPlan {
+                    fleet: Some(("loopback", &mut DeadConnector)),
+                    ..Default::default()
+                },
+            )
             .expect("run must survive a dead connector");
         let (seq, _) = run_sequential(&lp);
         assert_eq!(got.arrays, seq);
@@ -2060,7 +2144,13 @@ mod tests {
         // in-process, and the run completes correctly.
         connector.corrupt_at = vec![4];
         let got = Runner::new(cfg)
-            .try_run_distributed(&lp, "loopback", &mut connector)
+            .execute(
+                &lp,
+                RunPlan {
+                    fleet: Some(("loopback", &mut connector)),
+                    ..Default::default()
+                },
+            )
             .expect("run must survive divergence");
         let (seq, _) = run_sequential(&lp);
         assert_eq!(got.arrays, seq);

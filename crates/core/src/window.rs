@@ -15,16 +15,6 @@
 //! uncovered dependences. Window size can adapt from failure history
 //! ([`WindowPolicy`]).
 
-use crate::analysis::DepArc;
-use crate::driver::{journal_stage, sequential_fallback, FallbackReason, RunConfig};
-use crate::engine::{CommittedBlockMarks, Engine};
-use crate::error::RlrpdError;
-use crate::journal::JournalSink;
-use crate::report::RunReport;
-use crate::value::Value;
-use rlrpd_runtime::BlockSchedule;
-use std::sync::atomic::{AtomicBool, Ordering};
-
 /// Window-size adaptation policy.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum WindowPolicy {
@@ -75,188 +65,8 @@ impl WindowConfig {
     }
 }
 
-/// Drive `engine` with the sliding-window strategy, starting at
-/// iteration `start` (everything below it is already committed — 0 for
-/// a fresh run, the recovered frontier for a journal resume).
-/// `on_commit` receives every stage's committed per-iteration marks
-/// (used by DDG extraction; pass a no-op otherwise); `journal` receives
-/// every stage's commit record when a sink is attached.
-pub(crate) fn run_window<T: Value>(
-    engine: &mut Engine<'_, T>,
-    cfg: &RunConfig,
-    wcfg: WindowConfig,
-    start: usize,
-    journal: &mut Option<JournalSink<'_, T>>,
-    stop: Option<&AtomicBool>,
-    mut on_commit: impl FnMut(&[CommittedBlockMarks]),
-) -> Result<(RunReport, Vec<DepArc>), RlrpdError> {
-    let n = engine.n;
-    let p = cfg.p;
-    let mut report = RunReport {
-        sequential_work: engine.sequential_work(),
-        ..Default::default()
-    };
-    let mut arcs = Vec::new();
-
-    let mut w = wcfg.iters_per_proc.max(1);
-    let mut commit_point = start;
-    let mut rotation = 0usize;
-    // Restart point of the last fault-bound window (genuine-fault
-    // detection; see the recursive driver).
-    let mut last_fault_restart: Option<usize> = None;
-
-    while commit_point < n {
-        if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
-            // Cooperative drain: the last window's commit is already
-            // durable; record where the run paused and return.
-            report.stopped_at = Some(commit_point);
-            break;
-        }
-        if report.stages.len() >= cfg.max_stages {
-            return Err(RlrpdError::StageLimit {
-                max_stages: cfg.max_stages,
-            });
-        }
-        let end = (commit_point + w * p).min(n);
-        let window = commit_point..end;
-        let schedule = if wcfg.circular {
-            BlockSchedule::circular(window, p, rotation % p)
-        } else {
-            BlockSchedule::even(window, p)
-        };
-
-        let mut outcome = match engine.run_stage(&schedule) {
-            Ok(o) => o,
-            Err(RlrpdError::CheckpointFault { .. }) => {
-                // Fired before any speculative write: finish the
-                // remainder directly from the commit point.
-                sequential_fallback(
-                    engine,
-                    cfg,
-                    &mut report,
-                    commit_point,
-                    FallbackReason::CheckpointFault,
-                    journal,
-                )?;
-                break;
-            }
-            Err(e) => return Err(e),
-        };
-        on_commit(&outcome.committed_marks);
-        arcs.extend(std::mem::take(&mut outcome.arcs));
-
-        if let Some(e) = outcome.exit {
-            // Trusted premature exit: the loop is complete.
-            if let Some(delta) = outcome.delta.as_ref() {
-                engine.broadcast_commit(e + 1, Some(e), false, delta);
-            }
-            journal_stage(journal, &mut outcome.stats, e + 1, Some(e), outcome.delta)?;
-            report.exited_at = Some(e);
-            report.stages.push(outcome.stats);
-            break;
-        }
-        match outcome.violation {
-            None => {
-                commit_point = end;
-                // Continue the round-robin past the blocks just used.
-                rotation += schedule.num_blocks();
-            }
-            Some(q) => {
-                report.restarts += 1;
-                let restart = outcome
-                    .restart_iter
-                    .ok_or_else(|| RlrpdError::StageInvariant {
-                        message: "violation implies a restart point".into(),
-                    })?;
-                if outcome.shadow_pressure {
-                    // Budget pressure, not a dependence: nothing
-                    // committed, the window re-executes from its own
-                    // start. The representation ladder is tried first
-                    // (run_stage already down-tiered when it could);
-                    // once exhausted, the window itself shrinks — a
-                    // smaller window touches fewer elements per stage —
-                    // and only a single-iteration window that still
-                    // cannot fit falls back to sequential.
-                    if !outcome.shadow_relieved {
-                        if w == 1 {
-                            journal_stage(
-                                journal,
-                                &mut outcome.stats,
-                                restart,
-                                None,
-                                outcome.delta,
-                            )?;
-                            report.stages.push(outcome.stats);
-                            sequential_fallback(
-                                engine,
-                                cfg,
-                                &mut report,
-                                restart,
-                                FallbackReason::ShadowBudget,
-                                journal,
-                            )?;
-                            break;
-                        }
-                        w = (w / 2).max(1);
-                    }
-                    commit_point = restart;
-                    rotation = schedule.blocks()[q].proc.index();
-                    journal_stage(journal, &mut outcome.stats, restart, None, outcome.delta)?;
-                    report.stages.push(outcome.stats);
-                    continue;
-                }
-                // Windows execute in commit order, so the first failed
-                // window's restart point is the earliest observed
-                // dependence sink (block-aligned lower bound).
-                report.observed_first_dependence.get_or_insert(restart);
-                if let Some(f) = &outcome.fault {
-                    // Same rule as the recursive driver: a fault that
-                    // binds the restart twice at the same point re-ran
-                    // its iteration from sequential-equivalent state.
-                    if q == f.pos {
-                        if last_fault_restart == Some(restart) {
-                            return Err(RlrpdError::ProgramFault {
-                                iter: f.iter,
-                                message: f.message.clone(),
-                            });
-                        }
-                        last_fault_restart = Some(restart);
-                    }
-                }
-                commit_point = restart;
-                // Keep the failed block on its original processor.
-                rotation = schedule.blocks()[q].proc.index();
-                w = adapt(w, wcfg.policy);
-            }
-        }
-        // Keep the worker fleet's mirror current (no-op without one).
-        if let Some(delta) = outcome.delta.as_ref() {
-            engine.broadcast_commit(commit_point, None, false, delta);
-        }
-        // Write-ahead: this window's commit becomes durable before the
-        // run advances past it (the frontier is the updated commit
-        // point in both the committed and the failed case).
-        journal_stage(
-            journal,
-            &mut outcome.stats,
-            commit_point,
-            None,
-            outcome.delta,
-        )?;
-        report.stages.push(outcome.stats);
-        if commit_point < n {
-            if let Some(reason) = cfg.fallback.check(&report) {
-                sequential_fallback(engine, cfg, &mut report, commit_point, reason, journal)?;
-                break;
-            }
-        }
-    }
-
-    report.wall_seconds = report.stages.iter().map(|s| s.wall_seconds).sum();
-    Ok((report, arcs))
-}
-
-fn adapt(w: usize, policy: WindowPolicy) -> usize {
+/// The per-processor block size after a failed window.
+pub(crate) fn adapt(w: usize, policy: WindowPolicy) -> usize {
     match policy {
         WindowPolicy::Fixed => w,
         WindowPolicy::GrowOnFailure { factor, max } => {

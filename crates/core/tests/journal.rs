@@ -11,8 +11,8 @@
 //! continuation byte-identical no matter where speculation restarts.
 
 use rlrpd_core::{
-    ArrayDecl, ArrayId, ClosureLoop, FaultPlan, Journal, JournalError, RlrpdError, RunConfig,
-    Runner, Strategy, WindowConfig,
+    ArrayDecl, ArrayId, BlockDispatcher, ClosureLoop, DistConnector, FaultPlan, Journal,
+    JournalError, RlrpdError, RunConfig, RunPlan, Runner, Strategy, WindowConfig, WireHello,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -266,6 +266,31 @@ fn resume_rejects_mismatched_configurations() {
     let mut journal = Journal::open(&path).unwrap();
     let err = Runner::new(cfg).resume(&other, &mut journal).unwrap_err();
     assert!(matches!(err, RlrpdError::Journal { .. }), "{err:?}");
+
+    // The rejection names the field that differs — with a fleet
+    // attached as without one — and comes before any worker launches.
+    struct NoFleet;
+    impl DistConnector for NoFleet {
+        fn connect(&mut self, _: &WireHello) -> Result<Box<dyn BlockDispatcher>, String> {
+            panic!("a rejected resume must not launch a fleet")
+        }
+    }
+    for fleet in [false, true] {
+        let mut journal = Journal::open(&path).unwrap();
+        let mut connector = NoFleet;
+        let plan = RunPlan {
+            journal: Some(&mut journal),
+            fleet: fleet.then_some(("unused", &mut connector as &mut dyn DistConnector)),
+            resume: true,
+        };
+        let err = Runner::new(RunConfig::new(8).with_strategy(Strategy::Nrd))
+            .execute(&lp, plan)
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("processor count 4 != 8"),
+            "fleet={fleet}: {err}"
+        );
+    }
 
     // A fresh journaled run over a used journal is rejected too.
     let mut journal = Journal::open(&path).unwrap();

@@ -126,10 +126,9 @@ proptest! {
         };
         let per_iter = Arc::new(per_iter);
         let reference = decisions(&per_iter, kind, p, ExecMode::Simulated);
-        for mode in [ExecMode::Threads, ExecMode::Pooled] {
-            let got = decisions(&per_iter, kind, p, mode);
-            prop_assert_eq!(&got, &reference, "mode={:?} p={} kind={:?}", mode, p, kind);
-        }
+        let mode = ExecMode::Pooled;
+        let got = decisions(&per_iter, kind, p, mode);
+        prop_assert_eq!(&got, &reference, "mode={:?} p={} kind={:?}", mode, p, kind);
     }
 }
 
@@ -194,17 +193,16 @@ proptest! {
         let tested_ids = [0usize, 3];
         let seq = analyze_seq(&refs, &tested_ids);
         for p in 1..=16usize {
-            for mode in [ExecMode::Threads, ExecMode::Pooled] {
-                let ex = Executor::with_procs(mode, p);
-                let par = analyze_parallel(&refs, &tested_ids, &ex);
-                prop_assert_eq!(
-                    par.first_violation, seq.first_violation,
-                    "mode={:?} p={}", mode, p
-                );
-                prop_assert_eq!(&par.arcs, &seq.arcs, "mode={:?} p={}", mode, p);
-                prop_assert_eq!(par.max_touched, seq.max_touched, "mode={:?} p={}", mode, p);
-                prop_assert_eq!(par.total_touched, seq.total_touched, "mode={:?} p={}", mode, p);
-            }
+            let mode = ExecMode::Pooled;
+            let ex = Executor::with_procs(mode, p);
+            let par = analyze_parallel(&refs, &tested_ids, &ex);
+            prop_assert_eq!(
+                par.first_violation, seq.first_violation,
+                "mode={:?} p={}", mode, p
+            );
+            prop_assert_eq!(&par.arcs, &seq.arcs, "mode={:?} p={}", mode, p);
+            prop_assert_eq!(par.max_touched, seq.max_touched, "mode={:?} p={}", mode, p);
+            prop_assert_eq!(par.total_touched, seq.total_touched, "mode={:?} p={}", mode, p);
         }
     }
 }
@@ -234,15 +232,14 @@ fn commit_prefix_identical_across_modes_on_fixed_loop() {
                 "p={p}: loop should be partially parallel"
             );
         }
-        for mode in [ExecMode::Threads, ExecMode::Pooled] {
-            let got = run_speculative(&mk(), RunConfig::new(p).with_exec(mode));
-            assert_eq!(got.array("A"), reference.array("A"), "mode={mode:?} p={p}");
-            assert_eq!(
-                got.report.restarts, reference.report.restarts,
-                "mode={mode:?} p={p}"
-            );
-            assert_eq!(got.arcs, reference.arcs, "mode={mode:?} p={p}");
-        }
+        let mode = ExecMode::Pooled;
+        let got = run_speculative(&mk(), RunConfig::new(p).with_exec(mode));
+        assert_eq!(got.array("A"), reference.array("A"), "mode={mode:?} p={p}");
+        assert_eq!(
+            got.report.restarts, reference.report.restarts,
+            "mode={mode:?} p={p}"
+        );
+        assert_eq!(got.arcs, reference.arcs, "mode={mode:?} p={p}");
     }
 }
 
@@ -306,37 +303,36 @@ fn stages_above_the_grain_fan_out_and_match_the_sequential_merges() {
         let reference = run_speculative(&mk(), RunConfig::new(p).with_exec(ExecMode::Simulated));
         assert_eq!(reference.report.restarts > 0, p > 1, "p={p}");
         assert_eq!(reference.report.fork_joins(), 0, "p={p}");
-        for mode in [ExecMode::Threads, ExecMode::Pooled] {
-            let got = run_speculative(&mk(), RunConfig::new(p).with_exec(mode));
-            let shape = stage_shape(&got.report);
-            // One thread has nobody to fan out to: p = 1 is the doall
-            // alone, however wide the stage.
-            let want = if p == 1 { 1 } else { 7 };
-            assert_eq!(
-                shape[0].2, want,
-                "mode={mode:?} p={p}: which side of the grain ran"
+        let mode = ExecMode::Pooled;
+        let got = run_speculative(&mk(), RunConfig::new(p).with_exec(mode));
+        let shape = stage_shape(&got.report);
+        // One thread has nobody to fan out to: p = 1 is the doall
+        // alone, however wide the stage.
+        let want = if p == 1 { 1 } else { 7 };
+        assert_eq!(
+            shape[0].2, want,
+            "mode={mode:?} p={p}: which side of the grain ran"
+        );
+        for (k, (&(att, com, forks), &(ratt, rcom, _))) in shape
+            .iter()
+            .zip(&stage_shape(&reference.report))
+            .enumerate()
+        {
+            assert_eq!((att, com), (ratt, rcom), "mode={mode:?} p={p} stage {k}");
+            assert!(
+                forks == 1 || forks == 7,
+                "mode={mode:?} p={p} stage {k}: {forks}"
             );
-            for (k, (&(att, com, forks), &(ratt, rcom, _))) in shape
-                .iter()
-                .zip(&stage_shape(&reference.report))
-                .enumerate()
-            {
-                assert_eq!((att, com), (ratt, rcom), "mode={mode:?} p={p} stage {k}");
-                assert!(
-                    forks == 1 || forks == 7,
-                    "mode={mode:?} p={p} stage {k}: {forks}"
-                );
-            }
-            assert_eq!(shape.len(), reference.report.stages.len());
-            for name in ["FLOW", "SUM", "WIDE"] {
-                assert_eq!(
-                    got.array(name),
-                    reference.array(name),
-                    "mode={mode:?} p={p}"
-                );
-            }
-            assert_eq!(got.arcs, reference.arcs, "mode={mode:?} p={p}");
         }
+        assert_eq!(shape.len(), reference.report.stages.len());
+        for name in ["FLOW", "SUM", "WIDE"] {
+            assert_eq!(
+                got.array(name),
+                reference.array(name),
+                "mode={mode:?} p={p}"
+            );
+        }
+        assert_eq!(got.arcs, reference.arcs, "mode={mode:?} p={p}");
     }
 }
 
@@ -384,37 +380,36 @@ fn one_run_straddles_the_grain() {
     };
     let reference = run_speculative(&mk(), cfg(ExecMode::Simulated));
     assert!(reference.report.restarts > 0);
-    for mode in [ExecMode::Threads, ExecMode::Pooled] {
-        let got = run_speculative(&mk(), cfg(mode));
-        let forks: Vec<usize> = stage_shape(&got.report).iter().map(|s| s.2).collect();
-        assert_eq!(
-            forks[0], 1,
-            "mode={mode:?}: the light window stays sequential"
-        );
-        assert!(
-            forks[1..].contains(&7),
-            "mode={mode:?}: a heavy window fans out"
-        );
-        assert!(
-            forks.iter().all(|&f| f == 1 || f == 7),
-            "mode={mode:?}: {forks:?}"
-        );
-        let decisions = |r: &RunReport| -> Vec<(usize, usize)> {
-            stage_shape(r).iter().map(|s| (s.0, s.1)).collect()
-        };
-        assert_eq!(
-            decisions(&got.report),
-            decisions(&reference.report),
-            "mode={mode:?}"
-        );
-        assert_eq!(
-            got.array("SMALL"),
-            reference.array("SMALL"),
-            "mode={mode:?}"
-        );
-        assert_eq!(got.array("BIG"), reference.array("BIG"), "mode={mode:?}");
-        assert_eq!(got.arcs, reference.arcs, "mode={mode:?}");
-    }
+    let mode = ExecMode::Pooled;
+    let got = run_speculative(&mk(), cfg(mode));
+    let forks: Vec<usize> = stage_shape(&got.report).iter().map(|s| s.2).collect();
+    assert_eq!(
+        forks[0], 1,
+        "mode={mode:?}: the light window stays sequential"
+    );
+    assert!(
+        forks[1..].contains(&7),
+        "mode={mode:?}: a heavy window fans out"
+    );
+    assert!(
+        forks.iter().all(|&f| f == 1 || f == 7),
+        "mode={mode:?}: {forks:?}"
+    );
+    let decisions = |r: &RunReport| -> Vec<(usize, usize)> {
+        stage_shape(r).iter().map(|s| (s.0, s.1)).collect()
+    };
+    assert_eq!(
+        decisions(&got.report),
+        decisions(&reference.report),
+        "mode={mode:?}"
+    );
+    assert_eq!(
+        got.array("SMALL"),
+        reference.array("SMALL"),
+        "mode={mode:?}"
+    );
+    assert_eq!(got.array("BIG"), reference.array("BIG"), "mode={mode:?}");
+    assert_eq!(got.arcs, reference.arcs, "mode={mode:?}");
 }
 
 /// An injected panic is contained identically whatever executor runs
@@ -452,9 +447,8 @@ fn fault_injection_is_identical_across_modes() {
             };
             let reference = run(ExecMode::Simulated);
             assert_eq!(reference.2, 1, "p={p} seed={seed}: fault must fire once");
-            for mode in [ExecMode::Threads, ExecMode::Pooled] {
-                assert_eq!(run(mode), reference, "mode={mode:?} p={p} seed={seed}");
-            }
+            let mode = ExecMode::Pooled;
+            assert_eq!(run(mode), reference, "mode={mode:?} p={p} seed={seed}");
         }
     }
 }

@@ -109,7 +109,7 @@ impl std::fmt::Display for Endpoint {
 }
 
 /// Launches worker fleets for distributed runs: the [`DistConnector`]
-/// handed to `Runner::try_run_distributed`.
+/// a run's `RunPlan::fleet` names.
 ///
 /// `program` + `args` must start a process that speaks the worker
 /// protocol on stdin/stdout — `rlrpd worker`, or any binary calling

@@ -14,7 +14,7 @@
 use std::net::TcpListener;
 use std::time::Duration;
 
-use rlrpd_core::driver::{RunConfig, Runner, Strategy};
+use rlrpd_core::driver::{RunConfig, RunPlan, Runner, Strategy};
 use rlrpd_core::{run_sequential, WindowConfig};
 use rlrpd_dist::{
     net, resolve_spec, ChaosFault, ChaosPlan, ChaosProxy, DistLauncher, DistPolicy, Endpoint,
@@ -92,7 +92,13 @@ fn assert_chaos_run_recovers(strategy: Strategy, plan: ChaosPlan, label: &str) -
     cfg.strategy = strategy;
     let mut connector = launcher_through(plan, &worker_addr);
     let got = Runner::new(cfg)
-        .try_run_distributed(lp.as_ref(), SPEC, &mut connector)
+        .execute(
+            lp.as_ref(),
+            RunPlan {
+                fleet: Some((SPEC, &mut connector)),
+                ..Default::default()
+            },
+        )
         .unwrap_or_else(|e| panic!("{label}: {strategy:?}: {e}"));
     let (seq, _) = run_sequential(lp.as_ref());
     assert_eq!(

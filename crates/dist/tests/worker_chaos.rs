@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use rlrpd_core::driver::{FallbackReason, RunConfig, Runner, Strategy};
+use rlrpd_core::driver::{FallbackReason, RunConfig, RunPlan, Runner, Strategy};
 use rlrpd_core::{run_sequential, FaultPlan, WindowConfig};
 use rlrpd_dist::{resolve_spec, DistLauncher, DistPolicy};
 
@@ -62,7 +62,13 @@ fn assert_chaos_run_matches_sequential(
     cfg.strategy = strategy;
     let mut connector = launcher(chaos_policy(), fault);
     let got = Runner::new(cfg)
-        .try_run_distributed(lp.as_ref(), SPEC, &mut connector)
+        .execute(
+            lp.as_ref(),
+            RunPlan {
+                fleet: Some((SPEC, &mut connector)),
+                ..Default::default()
+            },
+        )
         .expect("distributed run");
     let (seq, _) = run_sequential(lp.as_ref());
     assert_eq!(
@@ -156,7 +162,13 @@ fn exhausted_respawn_budget_degrades_to_in_process_not_an_error() {
         .kill_worker_at(30);
     let mut connector = launcher(policy, Some(fault));
     let got = Runner::new(cfg)
-        .try_run_distributed(lp.as_ref(), SPEC, &mut connector)
+        .execute(
+            lp.as_ref(),
+            RunPlan {
+                fleet: Some((SPEC, &mut connector)),
+                ..Default::default()
+            },
+        )
         .expect("degraded run still completes");
     let (seq, _) = run_sequential(lp.as_ref());
     assert_eq!(got.arrays, seq, "degraded state differs from sequential");
@@ -193,7 +205,13 @@ fn flapping_worker_is_quarantined_while_the_fleet_finishes() {
         .kill_worker_at(20);
     let mut connector = launcher(policy, Some(fault));
     let got = Runner::new(cfg)
-        .try_run_distributed(lp.as_ref(), SPEC, &mut connector)
+        .execute(
+            lp.as_ref(),
+            RunPlan {
+                fleet: Some((SPEC, &mut connector)),
+                ..Default::default()
+            },
+        )
         .expect("shrunken fleet still completes");
     let (seq, _) = run_sequential(lp.as_ref());
     assert_eq!(got.arrays, seq, "state differs from sequential");
@@ -224,7 +242,13 @@ fn unresolvable_spec_degrades_to_in_process() {
     };
     let mut connector = launcher(policy, None);
     let got = Runner::new(cfg)
-        .try_run_distributed(lp.as_ref(), "rlp:not a loop at all", &mut connector)
+        .execute(
+            lp.as_ref(),
+            RunPlan {
+                fleet: Some(("rlp:not a loop at all", &mut connector)),
+                ..Default::default()
+            },
+        )
         .expect("run must complete in-process");
     let (seq, _) = run_sequential(lp.as_ref());
     assert_eq!(got.arrays, seq);
@@ -238,7 +262,13 @@ fn missing_worker_binary_degrades_at_connect() {
     cfg.strategy = Strategy::Nrd;
     let mut connector = DistLauncher::new(PathBuf::from("/nonexistent/worker"), Vec::new());
     let got = Runner::new(cfg)
-        .try_run_distributed(lp.as_ref(), SPEC, &mut connector)
+        .execute(
+            lp.as_ref(),
+            RunPlan {
+                fleet: Some((SPEC, &mut connector)),
+                ..Default::default()
+            },
+        )
         .expect("run must complete in-process");
     let (seq, _) = run_sequential(lp.as_ref());
     assert_eq!(got.arrays, seq);

@@ -28,8 +28,8 @@
 
 use proptest::prelude::*;
 use rlrpd_core::{
-    extract_ddg, try_run_speculative, ArrayDecl, ArrayId, BatchTally, IterCtx, RunConfig,
-    RunReport, SpecLoop, Strategy, WindowConfig,
+    extract_ddg, ArrayDecl, ArrayId, BatchTally, IterCtx, RunConfig, RunReport, Runner, SpecLoop,
+    Strategy, WindowConfig,
 };
 use rlrpd_lang::CompiledProgram;
 use rlrpd_runtime::StageStats;
@@ -224,7 +224,7 @@ fn block_marks(prog: &CompiledProgram, cfg: RunConfig) -> Vec<BlockMarks> {
         num_arrays: arrays.len(),
         seen: Mutex::new(Vec::new()),
     };
-    try_run_speculative(&spy, cfg).expect("the program runs");
+    Runner::new(cfg).try_run(&spy).expect("the program runs");
     spy.seen.into_inner().unwrap()
 }
 
@@ -314,7 +314,9 @@ proptest! {
                 prog = prog.with_scalar_vm();
             }
             let init = prog.program().arrays.iter().map(|d| vec![d.init; d.size]).collect();
-            try_run_speculative(&prog.loop_view(0, init), RunConfig::new(p)).map(|r| r.arrays)
+            Runner::new(RunConfig::new(p))
+                .try_run(&prog.loop_view(0, init))
+                .map(|r| r.arrays)
         };
         let (strips, scalar) = (run(false), run(true));
         prop_assert!(scalar.is_err(), "iteration {} must fault on:\n{}", at + 1, src);

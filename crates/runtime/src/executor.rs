@@ -1,5 +1,5 @@
-//! Stage executors: real threads, a persistent worker pool, or a
-//! deterministic simulated machine.
+//! Stage executors: a persistent worker pool, or a deterministic
+//! simulated machine.
 //!
 //! A speculative stage runs one closure per block, each against that
 //! block's private per-processor state. Blocks are independent during a
@@ -7,13 +7,14 @@
 //! shared array is read-only), which is exactly what permits the
 //! interchangeable execution modes:
 //!
-//! * [`ExecMode::Threads`] — one scoped OS thread per block; this proves
-//!   the engine is genuinely parallel and data-race-free and provides
-//!   real wall-clock measurements.
-//! * [`ExecMode::Pooled`] — blocks run on a persistent work-stealing
-//!   [`WorkerPool`] created once and reused by every stage, phase, and
-//!   restart (see [`crate::pool`]). Same observable results as
-//!   `Threads`, without per-stage thread spawn cost.
+//! * [`ExecMode::Pooled`] — blocks run on real threads: a persistent
+//!   work-stealing [`WorkerPool`] created once and reused by every
+//!   stage, phase, and restart (see [`crate::pool`]). This proves the
+//!   engine is genuinely parallel and data-race-free and provides real
+//!   wall-clock measurements.
+//! * [`ExecMode::Distributed`] — block bodies run in worker processes;
+//!   everything else runs on the pool, as does the whole stage once the
+//!   fleet is lost.
 //! * [`ExecMode::Simulated`] — blocks run sequentially in block order and
 //!   report *virtual* cost; stage time is the max over blocks, as on an
 //!   idealized `p`-processor machine. This is our deterministic
@@ -28,7 +29,7 @@ use crate::cost::Cost;
 use crate::pool::{JobPanic, SendPtr, WorkerPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Touched shadow entries per thread below which a stage's post-execute
 /// phases (analysis merge, commit merge, write-back, shadow clear) run
@@ -67,8 +68,6 @@ const PHASE_GRAIN: usize = 2048;
 /// How to run the blocks of one stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum ExecMode {
-    /// One scoped OS thread per block, spawned per stage.
-    Threads,
     /// A persistent work-stealing worker pool, reused across stages.
     Pooled,
     /// Deterministic sequential emulation with virtual per-block clocks.
@@ -113,8 +112,7 @@ impl StageTiming {
 pub struct Executor {
     mode: ExecMode,
     pool: Option<Arc<WorkerPool>>,
-    /// Threads a parallel section spreads over: the pool's width, or
-    /// the block count under [`ExecMode::Threads`].
+    /// Threads a parallel section spreads over: the pool's width.
     procs: usize,
     /// Parallel sections dispatched so far (clones count together).
     fork_joins: Arc<AtomicUsize>,
@@ -138,7 +136,7 @@ impl Executor {
     pub fn with_procs(mode: ExecMode, procs: usize) -> Self {
         let pool = match mode {
             ExecMode::Pooled | ExecMode::Distributed => Some(WorkerPool::shared(procs)),
-            ExecMode::Threads | ExecMode::Simulated => None,
+            ExecMode::Simulated => None,
         };
         Executor {
             mode,
@@ -168,8 +166,8 @@ impl Executor {
         self.mode != ExecMode::Simulated && self.procs > 1 && entries >= PHASE_GRAIN * self.procs
     }
 
-    /// Parallel sections (pool jobs, or rounds of scoped threads) this
-    /// executor and its clones have dispatched. Zero forever under
+    /// Parallel sections (pool jobs) this executor and its clones have
+    /// dispatched. Zero forever under
     /// [`ExecMode::Simulated`]. A statistic: the difference across a
     /// stage is the stage's barrier count.
     pub fn fork_joins(&self) -> usize {
@@ -177,9 +175,8 @@ impl Executor {
     }
 
     /// Run one stage: `work(pos, &mut states[pos])` for every block
-    /// position, concurrently under [`ExecMode::Threads`] /
-    /// [`ExecMode::Pooled`], sequentially (but observably identically)
-    /// under [`ExecMode::Simulated`].
+    /// position, concurrently under [`ExecMode::Pooled`], sequentially
+    /// (but observably identically) under [`ExecMode::Simulated`].
     ///
     /// `work` returns the virtual cost the block accumulated. A block
     /// panic is re-raised here; use [`Executor::try_run_blocks`] for
@@ -242,44 +239,6 @@ impl Executor {
                     panic,
                 )
             }
-            ExecMode::Threads => {
-                self.fork_joins.fetch_add(1, Ordering::Relaxed);
-                let start = std::time::Instant::now();
-                let work = &work;
-                let mut per_block_cost = vec![0.0; states.len()];
-                let panic_slot: Mutex<Option<JobPanic>> = Mutex::new(None);
-                std::thread::scope(|scope| {
-                    for (pos, (s, out)) in
-                        states.iter_mut().zip(per_block_cost.iter_mut()).enumerate()
-                    {
-                        let panic_slot = &panic_slot;
-                        scope.spawn(move || {
-                            match catch_unwind(AssertUnwindSafe(|| work(pos, s))) {
-                                Ok(c) => *out = c,
-                                Err(payload) => {
-                                    let mut slot = panic_slot.lock().unwrap();
-                                    match &*slot {
-                                        Some(p) if p.index <= pos => {}
-                                        _ => {
-                                            *slot = Some(JobPanic {
-                                                index: pos,
-                                                payload,
-                                            })
-                                        }
-                                    }
-                                }
-                            }
-                        });
-                    }
-                });
-                (
-                    StageTiming {
-                        per_block_cost,
-                        wall_seconds: start.elapsed().as_secs_f64(),
-                    },
-                    panic_slot.into_inner().unwrap(),
-                )
-            }
             ExecMode::Pooled | ExecMode::Distributed => {
                 self.fork_joins.fetch_add(1, Ordering::Relaxed);
                 let start = std::time::Instant::now();
@@ -315,36 +274,20 @@ impl Executor {
     /// collect the results in index order. This is the substrate for
     /// the parallel analysis / commit-merge phases: sequential under
     /// [`ExecMode::Simulated`] (preserving bit-for-bit determinism),
-    /// scoped threads under [`ExecMode::Threads`], pool workers under
-    /// [`ExecMode::Pooled`].
+    /// on the pool's workers under [`ExecMode::Pooled`].
     pub fn run_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        if self.mode != ExecMode::Simulated {
-            self.fork_joins.fetch_add(1, Ordering::Relaxed);
-        }
         match self.mode {
             ExecMode::Simulated => (0..n).map(f).collect(),
-            ExecMode::Pooled | ExecMode::Distributed => self
-                .pool
-                .as_ref()
-                .expect("pooled executor has a pool")
-                .run_indexed(n, f),
-            ExecMode::Threads => {
-                let f = &f;
-                let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-                std::thread::scope(|scope| {
-                    for (i, slot) in out.iter_mut().enumerate() {
-                        scope.spawn(move || {
-                            *slot = Some(f(i));
-                        });
-                    }
-                });
-                out.into_iter()
-                    .map(|slot| slot.expect("indexed task did not run"))
-                    .collect()
+            ExecMode::Pooled | ExecMode::Distributed => {
+                self.fork_joins.fetch_add(1, Ordering::Relaxed);
+                self.pool
+                    .as_ref()
+                    .expect("pooled executor has a pool")
+                    .run_indexed(n, f)
             }
         }
     }
@@ -355,10 +298,9 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn modes() -> [Executor; 3] {
+    fn modes() -> [Executor; 2] {
         [
             Executor::new(ExecMode::Simulated),
-            Executor::new(ExecMode::Threads),
             Executor::with_procs(ExecMode::Pooled, 4),
         ]
     }
@@ -399,8 +341,8 @@ mod tests {
 
     #[test]
     #[cfg_attr(miri, ignore = "asserts real wall-clock progress")]
-    fn threads_mode_actually_reports_wall_time() {
-        let ex = Executor::new(ExecMode::Threads);
+    fn pooled_mode_actually_reports_wall_time() {
+        let ex = Executor::with_procs(ExecMode::Pooled, 4);
         let mut states = vec![(); 4];
         let t = ex.run_blocks(&mut states, |_, _| {
             std::thread::sleep(std::time::Duration::from_millis(5));
@@ -511,7 +453,6 @@ mod tests {
         assert!(!pooled.fans_out(0));
         assert!(!pooled.fans_out(4 * PHASE_GRAIN - 1));
         assert!(pooled.fans_out(4 * PHASE_GRAIN));
-        assert!(Executor::with_procs(ExecMode::Threads, 2).fans_out(2 * PHASE_GRAIN));
         // One thread has nobody to fan out to; a simulated machine
         // never forks.
         assert!(!Executor::with_procs(ExecMode::Pooled, 1).fans_out(usize::MAX));

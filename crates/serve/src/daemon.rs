@@ -40,8 +40,8 @@ use rlrpd_core::remote::{
     RejectReason, StatusRequest, FRAME_STATUS_REQ, FRAME_SUBMIT, SERVE_PROTOCOL_VERSION,
 };
 use rlrpd_core::{
-    reduction_mask, run_sequential, verify_against_sequential, AdaptRule, ExecMode, FaultPlan,
-    FrameObserver, Journal, RlrpdError, RunConfig, Runner, Strategy, WindowConfig,
+    reduction_mask, run_sequential, verify_against_sequential, ExecMode, FaultPlan, FrameObserver,
+    Journal, RlrpdError, RunConfig, RunPlan, Runner, Strategy,
 };
 use rlrpd_dist::resolve_spec;
 use rlrpd_shadow::{BudgetLease, BudgetPool};
@@ -607,12 +607,12 @@ fn execute_job(job: &Arc<Job>, lease: &BudgetLease) -> Result<Outcome, JobStatus
     };
     journal.set_observer(Some(observer));
 
-    let result = if resuming {
-        runner.resume(lp.as_ref(), &mut journal)
-    } else {
-        runner.try_run_journaled(lp.as_ref(), &mut journal)
+    let plan = RunPlan {
+        journal: Some(&mut journal),
+        resume: resuming,
+        ..Default::default()
     };
-    match result {
+    match runner.execute(lp.as_ref(), plan) {
         Ok(res) => {
             if let Some(at) = res.report.stopped_at {
                 if job.stop.load(Ordering::SeqCst) {
@@ -655,7 +655,7 @@ fn exit_code_of(e: &RlrpdError) -> u32 {
 /// Build the run configuration a submission asks for.
 fn job_config(spec: &JobSpec, budget: u64) -> Result<RunConfig, String> {
     let p = (spec.p as usize).max(1);
-    let strategy = parse_strategy(&spec.strategy)?;
+    let strategy: Strategy = spec.strategy.parse()?;
     let mut cfg = RunConfig::new(p)
         .with_strategy(strategy)
         .with_exec(ExecMode::Pooled)
@@ -664,22 +664,6 @@ fn job_config(spec: &JobSpec, budget: u64) -> Result<RunConfig, String> {
         cfg.max_stages = spec.max_stages as usize;
     }
     Ok(cfg)
-}
-
-/// Strategy strings in CLI syntax: `nrd`, `rd`, `adaptive`, `sw:W`.
-pub(crate) fn parse_strategy(s: &str) -> Result<Strategy, String> {
-    match s {
-        "nrd" => Ok(Strategy::Nrd),
-        "rd" => Ok(Strategy::Rd),
-        "adaptive" => Ok(Strategy::AdaptiveRd(AdaptRule::Measured)),
-        s if s.starts_with("sw:") => {
-            let w: usize = s[3..]
-                .parse()
-                .map_err(|_| format!("bad window size in '{s}'"))?;
-            Ok(Strategy::SlidingWindow(WindowConfig::fixed(w)))
-        }
-        other => Err(format!("unknown strategy '{other}'")),
-    }
 }
 
 /// Each job's faults are its own: a plan derived from *its*
@@ -713,7 +697,7 @@ fn job_faults(spec: &JobSpec, n: usize) -> Result<Option<FaultPlan>, String> {
 /// dispatch will make, surfaced at admission as a typed rejection.
 fn validate(spec: &JobSpec) -> Result<(), String> {
     let lp = resolve_spec(&spec.spec)?;
-    parse_strategy(&spec.strategy)?;
+    spec.strategy.parse::<Strategy>()?;
     job_faults(spec, lp.num_iters())?;
     if spec.p == 0 {
         return Err("processor count must be at least 1".into());
@@ -986,22 +970,6 @@ mod tests {
         let k = s.pop_next().unwrap();
         s.push_front(1, k);
         assert_eq!(s.pop_next(), Some(10), "a deferred carve keeps its turn");
-    }
-
-    #[test]
-    fn strategies_parse_cli_syntax() {
-        assert!(matches!(parse_strategy("nrd"), Ok(Strategy::Nrd)));
-        assert!(matches!(parse_strategy("rd"), Ok(Strategy::Rd)));
-        assert!(matches!(
-            parse_strategy("adaptive"),
-            Ok(Strategy::AdaptiveRd(_))
-        ));
-        assert!(matches!(
-            parse_strategy("sw:17"),
-            Ok(Strategy::SlidingWindow(_))
-        ));
-        assert!(parse_strategy("magic").is_err());
-        assert!(parse_strategy("sw:none").is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! rlrpd run <file.rlp> [--procs N] [--strategy nrd|rd|adaptive|sw:W]
 //!                      [--checkpoint eager|ondemand]
 //!                      [--balance even|feedback|trend]
-//!                      [--threads|--pooled] [--timeline] [--report] [--runs K]
+//!                      [--pooled] [--timeline] [--report] [--runs K]
 //!                      [--fault-seed S] [--watchdog F] [--max-restarts R]
 //!                      [--max-stages M] [--journal <path>] [--resume]
 //!                      [--dist-workers N|auto|SPEC] [--block-deadline SECS]
@@ -47,12 +47,12 @@
 //! and exits 0, reporting the degradation on stdout.
 
 use rlrpd::core::{
-    reduction_mask, verify_against_sequential, AdaptRule, FallbackPolicy, FaultPlan, Timeline,
+    reduction_mask, verify_against_sequential, DistConnector, FallbackPolicy, FaultPlan, Timeline,
 };
 use rlrpd::dist::{ChaosPlan, ChaosProxy, DistLauncher, DistPolicy, Endpoint};
 use rlrpd::{
     extract_ddg, run_sequential, BalancePolicy, CheckpointPolicy, ExecMode, FallbackReason,
-    Journal, RlrpdError, RunConfig, Runner, Strategy, WindowConfig,
+    Journal, RlrpdError, RunConfig, RunPlan, Runner, Strategy, WindowConfig,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -129,7 +129,7 @@ fn main() -> ExitCode {
 
 fn usage() -> String {
     "usage:\n  rlrpd run <file.rlp> [--procs N] [--strategy nrd|rd|adaptive|sw:W] \
-     [--checkpoint eager|ondemand] [--balance even|feedback|trend] [--threads|--pooled] \
+     [--checkpoint eager|ondemand] [--balance even|feedback|trend] [--pooled] \
      [--timeline] [--report] [--runs K] [--fault-seed S] [--watchdog F] \
      [--max-restarts R] [--max-stages M] [--journal <path>] [--resume] \
      [--dist-workers N|auto|host:port[:N],local[:N],...] [--block-deadline SECS] \
@@ -163,10 +163,10 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
         "submit" => cmd_submit(rest),
         "status" => cmd_status(rest),
         "chaos-proxy" => cmd_chaos_proxy(rest),
-        "classify" => cmd_classify(rest).map_err(CliError::from),
+        "classify" => cmd_classify(parse_flags(rest, &[])?).map_err(CliError::from),
         "analyze" => cmd_analyze(rest),
-        "fmt" => cmd_fmt(rest).map_err(CliError::from),
-        "ddg" => cmd_ddg(rest).map_err(CliError::from),
+        "fmt" => cmd_fmt(parse_flags(rest, &[])?).map_err(CliError::from),
+        "ddg" => cmd_ddg(parse_flags(rest, &["--pooled"])?).map_err(CliError::from),
         "model" => cmd_model(rest).map_err(CliError::from),
         "--help" | "-h" | "help" => {
             println!("{}", usage());
@@ -227,7 +227,10 @@ const VALUE_FLAGS: &[&str] = &[
     "--retry",
 ];
 
-fn parse_flags(args: Vec<String>) -> Result<Flags, String> {
+/// Split `args` into flags and positionals. `lone` names the valueless
+/// flags the subcommand understands; any other `--flag` that takes no
+/// value is a usage error, not a silently ignored word.
+fn parse_flags(args: Vec<String>, lone: &[&str]) -> Result<Flags, CliError> {
     let mut flags = Flags {
         pairs: Vec::new(),
         lone: Vec::new(),
@@ -236,10 +239,14 @@ fn parse_flags(args: Vec<String>) -> Result<Flags, String> {
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         if VALUE_FLAGS.contains(&a.as_str()) {
-            let v = it.next().ok_or(format!("{a} needs a value"))?;
+            let v = it
+                .next()
+                .ok_or_else(|| CliError::Usage(format!("{a} needs a value")))?;
             flags.pairs.push((a, v));
-        } else if a.starts_with("--") {
+        } else if lone.contains(&a.as_str()) {
             flags.lone.push(a);
+        } else if a.starts_with("--") {
+            return Err(CliError::Usage(format!("unknown flag '{a}'\n{}", usage())));
         } else {
             flags.positional.push(a);
         }
@@ -391,18 +398,7 @@ fn load(flags: &Flags) -> Result<rlrpd::lang::CompiledProgram, String> {
 
 fn config(flags: &Flags) -> Result<RunConfig, String> {
     let p = flags.usize_of("--procs", 8)?;
-    let strategy = match flags.get("--strategy").unwrap_or("adaptive") {
-        "nrd" => Strategy::Nrd,
-        "rd" => Strategy::Rd,
-        "adaptive" => Strategy::AdaptiveRd(AdaptRule::Measured),
-        s if s.starts_with("sw:") => {
-            let w: usize = s[3..]
-                .parse()
-                .map_err(|_| format!("bad window size in '{s}'"))?;
-            Strategy::SlidingWindow(WindowConfig::fixed(w))
-        }
-        other => return Err(format!("unknown strategy '{other}'")),
-    };
+    let strategy: Strategy = flags.get("--strategy").unwrap_or("adaptive").parse()?;
     let checkpoint = match flags.get("--checkpoint").unwrap_or("ondemand") {
         "eager" => CheckpointPolicy::Eager,
         "ondemand" => CheckpointPolicy::OnDemand,
@@ -416,8 +412,6 @@ fn config(flags: &Flags) -> Result<RunConfig, String> {
     };
     let exec = if flags.has("--pooled") {
         ExecMode::Pooled
-    } else if flags.has("--threads") {
-        ExecMode::Threads
     } else {
         ExecMode::Simulated
     };
@@ -463,9 +457,8 @@ fn doacross_mode(flags: &Flags) -> Result<DoacrossMode, String> {
 /// until killed). Exits 64 on protocol or usage errors, matching the
 /// CLI's usage-error convention.
 fn cmd_worker(args: Vec<String>) -> Result<(), CliError> {
-    let flags = parse_flags(args).map_err(CliError::Usage)?;
+    let flags = parse_flags(args, &[])?;
     if !flags.positional.is_empty()
-        || !flags.lone.is_empty()
         || flags
             .pairs
             .iter()
@@ -512,7 +505,7 @@ fn cmd_worker(args: Vec<String>) -> Result<(), CliError> {
 /// `--state-dir`, drains gracefully on SIGTERM, and resumes
 /// incomplete jobs on restart under `--resume`. Runs until signalled.
 fn cmd_serve(args: Vec<String>) -> Result<(), CliError> {
-    let flags = parse_flags(args).map_err(CliError::Usage)?;
+    let flags = parse_flags(args, &["--resume"])?;
     if !flags.positional.is_empty() {
         return Err(CliError::Usage(
             "serve takes no positional arguments (jobs arrive over the wire)".into(),
@@ -607,7 +600,7 @@ fn status_json(st: &rlrpd::core::remote::JobStatusFrame) -> String {
 /// limit / 4 journal / 1 other), so shell pipelines treat a remote
 /// run exactly like a local one.
 fn cmd_submit(args: Vec<String>) -> Result<(), CliError> {
-    let flags = parse_flags(args).map_err(CliError::Usage)?;
+    let flags = parse_flags(args, &[])?;
     let addr = flags
         .get("--connect")
         .ok_or_else(|| CliError::Usage("submit needs --connect ADDR".into()))?;
@@ -693,7 +686,7 @@ fn cmd_submit(args: Vec<String>) -> Result<(), CliError> {
 /// 1 when the daemon has no job under the key.
 fn cmd_status(args: Vec<String>) -> Result<(), CliError> {
     use rlrpd::core::remote::JobState;
-    let flags = parse_flags(args).map_err(CliError::Usage)?;
+    let flags = parse_flags(args, &[])?;
     let addr = flags
         .get("--connect")
         .ok_or_else(|| CliError::Usage("status needs --connect ADDR".into()))?;
@@ -731,8 +724,8 @@ fn cmd_status(args: Vec<String>) -> Result<(), CliError> {
 /// seed-derived plan under `--seed N`) keyed by connection ordinal.
 /// Runs until killed.
 fn cmd_chaos_proxy(args: Vec<String>) -> Result<(), CliError> {
-    let flags = parse_flags(args).map_err(CliError::Usage)?;
-    if !flags.positional.is_empty() || !flags.lone.is_empty() {
+    let flags = parse_flags(args, &[])?;
+    if !flags.positional.is_empty() {
         return Err(CliError::Usage(
             "chaos-proxy takes only --listen, --connect, and --fault/--seed".into(),
         ));
@@ -944,7 +937,16 @@ fn self_launcher(opts: &DistOptions) -> Result<DistLauncher, String> {
 }
 
 fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
-    let flags = parse_flags(args).map_err(CliError::Usage)?;
+    let flags = parse_flags(
+        args,
+        &[
+            "--pooled",
+            "--resume",
+            "--no-compile",
+            "--report",
+            "--timeline",
+        ],
+    )?;
     let src = source(&flags)?;
     let journal_path = flags.get("--journal").map(str::to_owned);
     let resume = flags.has("--resume");
@@ -1006,12 +1008,6 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
         prog = prog.with_shadow_budget(Some(cap));
     }
     if dist.is_some() {
-        if flags.has("--threads") {
-            return Err(CliError::Usage(
-                "--threads cannot combine with --dist-workers (blocks run in worker processes)"
-                    .into(),
-            ));
-        }
         cfg.exec = ExecMode::Distributed;
     }
     let runs = flags.usize_of("--runs", 1).map_err(CliError::Usage)?.max(1);
@@ -1132,44 +1128,40 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
         };
         let mut last = None;
         for k in 0..runs {
-            let res = match &journal_path {
-                Some(path) => {
-                    let mut journal = if resume {
-                        let j = Journal::open(path)
-                            .map_err(|e| CliError::Journal(format!("{path}: {e}")))?;
-                        if j.truncated_bytes() > 0 {
-                            println!(
-                                "journal: discarded {} torn/corrupt trailing bytes",
-                                j.truncated_bytes()
-                            );
-                        }
-                        j
-                    } else {
-                        Journal::create(path)
-                            .map_err(|e| CliError::Journal(format!("{path}: {e}")))?
-                    };
-                    let res = match (resume, connector.as_mut()) {
-                        (true, Some(conn)) => {
-                            runner.resume_distributed(&lp, &spec, conn, &mut journal)?
-                        }
-                        (true, None) => runner.resume(&lp, &mut journal)?,
-                        (false, Some(conn)) => {
-                            runner.try_run_distributed_journaled(&lp, &spec, conn, &mut journal)?
-                        }
-                        (false, None) => runner.try_run_journaled(&lp, &mut journal)?,
-                    };
-                    println!(
-                        "journal: {path} holds {} records ({} commits)",
-                        journal.records(),
-                        journal.commits().len()
-                    );
-                    res
+            let mut journal = match &journal_path {
+                Some(path) if resume => {
+                    let j = Journal::open(path)
+                        .map_err(|e| CliError::Journal(format!("{path}: {e}")))?;
+                    if j.truncated_bytes() > 0 {
+                        println!(
+                            "journal: discarded {} torn/corrupt trailing bytes",
+                            j.truncated_bytes()
+                        );
+                    }
+                    Some(j)
                 }
-                None => match connector.as_mut() {
-                    Some(conn) => runner.try_run_distributed(&lp, &spec, conn)?,
-                    None => runner.try_run(&lp)?,
-                },
+                Some(path) => Some(
+                    Journal::create(path).map_err(|e| CliError::Journal(format!("{path}: {e}")))?,
+                ),
+                None => None,
             };
+            let res = runner.execute(
+                &lp,
+                RunPlan {
+                    journal: journal.as_mut(),
+                    fleet: connector
+                        .as_mut()
+                        .map(|c| (spec.as_str(), c as &mut dyn DistConnector)),
+                    resume,
+                },
+            )?;
+            if let (Some(path), Some(journal)) = (&journal_path, &journal) {
+                println!(
+                    "journal: {path} holds {} records ({} commits)",
+                    journal.records(),
+                    journal.commits().len()
+                );
+            }
             let faults = res.report.contained_faults();
             println!(
                 "run {k}: stages = {}, restarts = {}, PR = {:.3}, speedup = {:.2}x{}{}{}{}",
@@ -1358,8 +1350,7 @@ fn initial_state(prog: &rlrpd::lang::CompiledProgram) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn cmd_fmt(args: Vec<String>) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+fn cmd_fmt(flags: Flags) -> Result<(), String> {
     let src = source(&flags)?;
     // Both compilation schemes share the parser; format whatever parses.
     let program = rlrpd::lang::parse(&src).map_err(|e| e.to_string())?;
@@ -1367,8 +1358,7 @@ fn cmd_fmt(args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_classify(args: Vec<String>) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+fn cmd_classify(flags: Flags) -> Result<(), String> {
     let prog = load(&flags)?;
     print!("{}", prog.report());
     Ok(())
@@ -1379,7 +1369,7 @@ fn cmd_classify(args: Vec<String>) -> Result<(), String> {
 /// `--deny-warnings`, 64 on usage or parse errors.
 fn cmd_analyze(args: Vec<String>) -> Result<(), CliError> {
     use rlrpd::lang::Level;
-    let flags = parse_flags(args).map_err(CliError::Usage)?;
+    let flags = parse_flags(args, &["--audit", "--deny-warnings"])?;
     // A missing or unreadable input is an invocation problem for a
     // static analysis (nothing ran), same bucket as a parse error.
     let src = source(&flags).map_err(CliError::Usage)?;
@@ -1537,8 +1527,7 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-fn cmd_ddg(args: Vec<String>) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+fn cmd_ddg(flags: Flags) -> Result<(), String> {
     let prog = load(&flags)?;
     if prog.num_loops() != 1 {
         return Err("ddg extraction operates on single-loop programs".into());

@@ -50,8 +50,8 @@ pub use rlrpd_shadow as shadow;
 // The most-used types, flattened for convenience.
 pub use rlrpd_core::{
     extract_ddg, run_classic_lrpd, run_induction, run_inspector_executor, run_sequential,
-    run_speculative, try_run_speculative, ArrayDecl, ArrayId, BalancePolicy, CheckpointPolicy,
-    ClosureLoop, CostModel, ExecMode, FallbackPolicy, FallbackReason, FaultPlan, IterCtx, Journal,
-    JournalElem, JournalError, Reduction, RlrpdError, RunConfig, RunResult, Runner, ShadowKind,
+    run_speculative, ArrayDecl, ArrayId, BalancePolicy, CheckpointPolicy, ClosureLoop, CostModel,
+    ExecMode, FallbackPolicy, FallbackReason, FaultPlan, IterCtx, Journal, JournalElem,
+    JournalError, Reduction, RlrpdError, RunConfig, RunPlan, RunResult, Runner, ShadowKind,
     SpecLoop, Strategy, Timeline, WavefrontSchedule, WindowConfig, WindowPolicy,
 };

@@ -15,8 +15,8 @@ use rlrpd::core::AdaptRule;
 use rlrpd::dist::{DistLauncher, DistPolicy};
 use rlrpd::loops::*;
 use rlrpd::{
-    run_sequential, ExecMode, FallbackReason, FaultPlan, RunConfig, Runner, SpecLoop, Strategy,
-    WindowConfig,
+    run_sequential, ExecMode, FallbackReason, FaultPlan, RunConfig, RunPlan, Runner, SpecLoop,
+    Strategy, WindowConfig,
 };
 
 fn strategies() -> Vec<Strategy> {
@@ -183,6 +183,60 @@ fn injected_pressure_is_contained_and_deterministic() {
     assert_eq!(inert.arrays, seq);
 }
 
+/// A pressured stage commits nothing, so the commit point stays where
+/// it was — also when the stage is an NRD re-run whose leading blocks
+/// were emptied by an earlier restart. (Those idle blocks sit parked
+/// *below* the commit point; re-execution starts at the first block
+/// that carries iterations, not at block 0, or a fallback would run
+/// committed iterations a second time.)
+#[test]
+fn pressure_after_an_nrd_restart_does_not_rerun_committed_iterations() {
+    use rlrpd::{ArrayDecl, ArrayId, ClosureLoop, ShadowKind};
+    let (a, b) = (ArrayId(0), ArrayId(1));
+    // Six blocks of 40; the first cross-block flow dependence is
+    // 76 -> 87, so stage 0 commits 0..80 and stage 1 re-runs 80..240
+    // with blocks 0 and 1 idle. B accumulates, so a second execution of
+    // any committed iteration shows in the result.
+    let lp: ClosureLoop = ClosureLoop::new(
+        240,
+        move || {
+            vec![
+                // Far larger than the 240 elements the loop touches, so
+                // commit-point re-selection keeps the shadow sparse.
+                ArrayDecl::tested("A", vec![1.0; 1 << 16], ShadowKind::Sparse),
+                ArrayDecl::untested("B", vec![0.0; 240]),
+            ]
+        },
+        move |i, ctx| {
+            let v = if i % 29 == 0 && i >= 11 {
+                ctx.read(a, i - 11)
+            } else {
+                i as f64
+            };
+            ctx.write(a, i, v * 0.5 + 1.0);
+            let old = ctx.read(b, i);
+            ctx.write(b, i, old + v);
+        },
+    );
+    let (seq, _) = run_sequential(&lp);
+    let cfg = RunConfig::new(6)
+        .with_strategy(Strategy::Nrd)
+        .with_shadow_budget(Some(1 << 20));
+    // Sparse shadows sit at the floor of the ladder: the spike at
+    // stage 1 is unrelieved and the run falls back from the commit point.
+    let res = Runner::new(cfg)
+        .with_fault(Arc::new(FaultPlan::new().shadow_pressure_at(1, 1 << 30)))
+        .try_run(&lp)
+        .expect("pressure is never an abort");
+    assert_eq!(res.report.fallback, Some(FallbackReason::ShadowBudget));
+    assert_eq!(
+        res.report.stages.last().unwrap().iters_attempted,
+        160,
+        "the fallback runs 80..240 and nothing below the commit point"
+    );
+    assert_eq!(res.arrays, seq);
+}
+
 /// The distributed leg: the budget rides the hello, so real `rlrpd
 /// worker` subprocesses enforce the same cap — a tight budget degrades
 /// the whole fleet's representations identically and the run still
@@ -223,7 +277,13 @@ fn distributed_runs_enforce_the_budget_fleet_wide() {
                 .with_exec(ExecMode::Distributed)
                 .with_shadow_budget(Some(budget));
             let got = Runner::new(cfg)
-                .try_run_distributed(lp.as_ref(), spec, &mut connector)
+                .execute(
+                    lp.as_ref(),
+                    RunPlan {
+                        fleet: Some((spec, &mut connector)),
+                        ..Default::default()
+                    },
+                )
                 .unwrap_or_else(|e| panic!("{spec}: budget {budget}: {e}"));
             assert_eq!(
                 got.arrays, seq,

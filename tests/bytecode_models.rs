@@ -6,7 +6,7 @@
 //! covers random programs on the simulated engine; this suite pins the
 //! *real* workloads — every `examples/programs/*.rlp` and the
 //! TRACK/SPICE/NLFILT DSL decks — and sweeps NRD/RD/sliding-window ×
-//! Simulated/Threads/Pooled, asserting byte-identical final arrays
+//! Simulated/Pooled, asserting byte-identical final arrays
 //! (`f64::to_bits`) between the two tiers. Restart machinery, block
 //! scheduling, privatization commit order, and thread-pool reuse all
 //! sit between the body and the observable state, so agreement here
@@ -32,7 +32,6 @@ fn strategies() -> Vec<(&'static str, Strategy)> {
 fn exec_modes() -> Vec<(&'static str, ExecMode)> {
     vec![
         ("simulated", ExecMode::Simulated),
-        ("threads", ExecMode::Threads),
         ("pooled", ExecMode::Pooled),
     ]
 }

@@ -635,8 +635,31 @@ fn dist_flag_misuse_exits_64() {
         exit_code(&["run", &prog, "--dist-workers", "1", "--dist-fault", "kill"]),
         64
     );
+}
+
+/// A `--flag` the subcommand does not know is a usage error that names
+/// it — not a word to skip, which would run a misspelt `--pooled`
+/// simulated and a retired `--threads` as if it were still there.
+#[test]
+fn unknown_flags_exit_64_and_are_named() {
+    let prog = program("tracking.rlp");
+    for flag in ["--threads", "--pooledd"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_rlrpd"))
+            .args(["run", &prog, flag])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(64), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag '{flag}'")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag}: nothing may run");
+    }
+    // Known to one subcommand is not known to all of them.
+    assert_eq!(exit_code(&["classify", &prog, "--report"]), 64);
     assert_eq!(
-        exit_code(&["run", &prog, "--dist-workers", "1", "--threads"]),
+        exit_code(&["serve", "--state-dir", "/nonexistent", "--pooled"]),
         64
     );
 }
@@ -822,13 +845,7 @@ fn distributed_run_recovers_from_an_injected_worker_kill() {
 /// one stage, zero restarts, byte-identical verification.
 #[test]
 fn doacross_auto_pipelines_the_beta_deck() {
-    let (ok, stdout, stderr) = rlrpd(&[
-        "run",
-        &program("beta_pipeline.rlp"),
-        "--procs",
-        "4",
-        "--verify",
-    ]);
+    let (ok, stdout, stderr) = rlrpd(&["run", &program("beta_pipeline.rlp"), "--procs", "4"]);
     assert!(ok, "{stderr}");
     assert!(stdout.contains("DOACROSS (d = 4, depth 4)"), "{stdout}");
     assert!(stdout.contains("DOACROSS (d = 2, depth 2)"), "{stdout}");
@@ -846,7 +863,6 @@ fn doacross_off_still_speculates_the_beta_deck() {
         &program("beta_pipeline.rlp"),
         "--procs",
         "4",
-        "--verify",
         "--doacross",
         "off",
     ]);
@@ -874,7 +890,6 @@ fn doacross_single_loop_announces_the_proof() {
         path.to_str().unwrap(),
         "--procs",
         "2",
-        "--verify",
         "--doacross",
         "on",
     ]);

@@ -82,7 +82,7 @@ fn wavefront_execution_agrees_across_executors() {
     let ddg = extract_ddg(&lp, &RunConfig::new(4), WindowConfig::fixed(16));
     let schedule = WavefrontSchedule::from_graph(&ddg.graph);
     let (sim, _) = execute_wavefronts(&lp, &schedule, 4, ExecMode::Simulated, CostModel::default());
-    let (thr, _) = execute_wavefronts(&lp, &schedule, 4, ExecMode::Threads, CostModel::default());
+    let (thr, _) = execute_wavefronts(&lp, &schedule, 4, ExecMode::Pooled, CostModel::default());
     assert_eq!(sim, thr);
 }
 

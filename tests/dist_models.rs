@@ -17,7 +17,8 @@ use std::time::Duration;
 
 use rlrpd::dist::{DistLauncher, DistPolicy, Endpoint};
 use rlrpd::{
-    run_sequential, ExecMode, FaultPlan, RunConfig, Runner, SpecLoop, Strategy, WindowConfig,
+    run_sequential, ExecMode, FaultPlan, RunConfig, RunPlan, Runner, SpecLoop, Strategy,
+    WindowConfig,
 };
 
 /// `(spec string, loop)` pairs: the supervisor resolves the very same
@@ -129,7 +130,13 @@ fn chaotic_distributed_model_runs_match_sequential() {
                 .with_exec(ExecMode::Distributed);
             let mut connector = launcher(Some(seeded_fault(seed, k)));
             let got = Runner::new(cfg)
-                .try_run_distributed(lp.as_ref(), spec, &mut connector)
+                .execute(
+                    lp.as_ref(),
+                    RunPlan {
+                        fleet: Some((spec, &mut connector)),
+                        ..Default::default()
+                    },
+                )
                 .unwrap_or_else(|e| panic!("{spec}: seed {seed}: {e}"));
             let (seq, _) = run_sequential(lp.as_ref());
             assert_eq!(
@@ -154,7 +161,13 @@ fn distributed_and_pooled_reports_share_the_commit_frontier_series() {
                 .unwrap_or_else(|e| panic!("{spec}: pooled: {e}"));
             let mut connector = launcher(None);
             let dist = Runner::new(base.with_exec(ExecMode::Distributed))
-                .try_run_distributed(lp.as_ref(), spec, &mut connector)
+                .execute(
+                    lp.as_ref(),
+                    RunPlan {
+                        fleet: Some((spec, &mut connector)),
+                        ..Default::default()
+                    },
+                )
                 .unwrap_or_else(|e| panic!("{spec}: distributed: {e}"));
             assert_eq!(dist.arrays, local.arrays, "{spec}: {strategy:?}");
             assert_eq!(dist.report.fallback, None, "{spec}: {strategy:?}");
@@ -197,7 +210,13 @@ fn tcp_fleets_run_the_models_identically_to_sequential() {
                 Endpoint::Local,
             ]);
             let got = Runner::new(cfg)
-                .try_run_distributed(lp.as_ref(), spec, &mut connector)
+                .execute(
+                    lp.as_ref(),
+                    RunPlan {
+                        fleet: Some((spec, &mut connector)),
+                        ..Default::default()
+                    },
+                )
                 .unwrap_or_else(|e| panic!("{spec}: tcp seed {seed}: {e}"));
             let (seq, _) = run_sequential(lp.as_ref());
             assert_eq!(

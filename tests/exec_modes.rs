@@ -18,7 +18,7 @@ fn assert_modes_agree(name: &str, lp: &dyn SpecLoop, strategy: Strategy, p: usiz
         lp,
         RunConfig::new(p)
             .with_strategy(strategy)
-            .with_exec(ExecMode::Threads),
+            .with_exec(ExecMode::Pooled),
     );
     assert_eq!(
         sim.report.stages.len(),
@@ -43,7 +43,7 @@ fn assert_modes_agree(name: &str, lp: &dyn SpecLoop, strategy: Strategy, p: usiz
     assert_eq!(sim.arrays, thr.arrays, "{name}: final arrays differ");
     assert!(
         thr.report.wall_seconds > 0.0,
-        "{name}: threads mode must measure wall time"
+        "{name}: real threads must measure wall time"
     );
     assert_eq!(
         sim.report.wall_seconds, 0.0,
@@ -102,16 +102,14 @@ fn a_windowed_nlfilt_stage_costs_one_fork_join() {
     let sim = run(ExecMode::Simulated);
     assert!(sim.report.restarts > 0, "the deck is partially parallel");
     assert_eq!(sim.report.fork_joins(), 0);
-    for exec in [ExecMode::Pooled, ExecMode::Threads] {
-        let got = run(exec);
-        assert_eq!(got.arrays, sim.arrays, "{exec:?}");
-        assert_eq!(got.report.stages.len(), sim.report.stages.len(), "{exec:?}");
-        assert!(got.report.stages.len() >= 8192 / 128);
-        for (k, stage) in got.report.stages.iter().enumerate() {
-            assert_eq!(stage.fork_joins, 1, "{exec:?}: stage {k}");
-        }
-        assert_eq!(got.report.fork_joins(), got.report.stages.len());
+    let got = run(ExecMode::Pooled);
+    assert_eq!(got.arrays, sim.arrays);
+    assert_eq!(got.report.stages.len(), sim.report.stages.len());
+    assert!(got.report.stages.len() >= 8192 / 128);
+    for (k, stage) in got.report.stages.iter().enumerate() {
+        assert_eq!(stage.fork_joins, 1, "stage {k}");
     }
+    assert_eq!(got.report.fork_joins(), got.report.stages.len());
 }
 
 #[test]
@@ -133,7 +131,7 @@ fn induction_scheme_agrees_across_executors() {
     use rlrpd::{run_induction, CostModel};
     let lp = ExtendLoop::new(ExtendInput::dense());
     let sim = run_induction(&lp, 8, ExecMode::Simulated, CostModel::default());
-    let thr = run_induction(&lp, 8, ExecMode::Threads, CostModel::default());
+    let thr = run_induction(&lp, 8, ExecMode::Pooled, CostModel::default());
     assert_eq!(sim.test_passed, thr.test_passed);
     assert_eq!(sim.final_counter, thr.final_counter);
     assert_eq!(sim.arrays, thr.arrays);

@@ -92,7 +92,7 @@ fn both_executors_across_the_strategy_row() {
         Strategy::Rd,
         Strategy::SlidingWindow(WindowConfig::fixed(10)),
     ] {
-        for exec in [ExecMode::Simulated, ExecMode::Threads] {
+        for exec in [ExecMode::Simulated, ExecMode::Pooled] {
             let res = run_speculative(
                 &lp,
                 RunConfig::new(6).with_strategy(strategy).with_exec(exec),
