@@ -265,7 +265,7 @@ pub fn extract_ddg<T: Value>(
         |blocks| collector.consume(blocks),
     )
     .unwrap_or_else(|e| panic!("DDG extraction failed: {e}"));
-    report.wall_seconds = report.stages.iter().map(|s| s.wall_seconds).sum();
+    report.sum_wall_seconds();
     let run = RunResult {
         arrays: engine.arrays_out(),
         report,

@@ -48,7 +48,7 @@ use crate::engine::Engine;
 use crate::error::RlrpdError;
 use crate::journal::JournalSink;
 use crate::report::RunReport;
-use crate::stages::journal_stage;
+use crate::stages::{journal_stage, settle_journal};
 use crate::value::Value;
 use rlrpd_runtime::{panic_message, ExecMode, OverheadKind, PostCell, StageStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -64,7 +64,7 @@ pub(crate) fn run_doacross<T: Value>(
     cfg: &RunConfig,
     dcfg: DoacrossConfig,
     start: usize,
-    journal: &mut Option<JournalSink<'_, T>>,
+    journal: &mut Option<JournalSink>,
     stop: Option<&AtomicBool>,
 ) -> Result<(RunReport, Vec<DepArc>), RlrpdError> {
     let n = engine.n;
@@ -111,10 +111,15 @@ pub(crate) fn run_doacross<T: Value>(
     stats.overhead.add(OverheadKind::Sync, cfg.cost.sync);
 
     // One journal record: the post/wait protocol commits the whole
-    // remainder as a single prefix, so the durable frontier is n.
-    let delta = journal.is_some().then(|| engine.full_state_delta());
-    journal_stage(journal, &mut stats, n, None, false, delta)?;
+    // remainder as a single prefix, so the durable frontier is n. No
+    // stage follows for its append to run beside: wait for it here.
+    let rec = journal
+        .as_ref()
+        .and_then(|_| engine.full_state_delta())
+        .map(|state| engine.commit_record(n, None, false, state));
+    journal_stage(journal, &mut report, &mut stats, rec)?;
     report.stages.push(stats);
+    settle_journal(journal, &mut report)?;
     Ok((report, Vec::new()))
 }
 

@@ -23,7 +23,7 @@ use crate::checkpoint::CheckpointPolicy;
 use crate::engine::{Engine, EngineCfg};
 use crate::error::RlrpdError;
 use crate::journal::{
-    self, ElemBits, Journal, JournalElem, JournalError, JournalHeader, JournalSink,
+    self, CommitRecord, ElemBits, Journal, JournalElem, JournalError, JournalHeader, JournalSink,
 };
 use crate::remote::{self, DistConnector};
 use crate::report::{PrAccumulator, RunReport};
@@ -390,7 +390,6 @@ impl RunConfig {
             checkpoint: self.checkpoint,
             commit_prefix_on_failure: true,
             fault: None,
-            capture_deltas: false,
             budget: Arc::new(rlrpd_shadow::ShadowBudget::new(self.shadow_budget)),
         }
     }
@@ -613,17 +612,20 @@ impl Runner {
         } = plan;
         let mut ecfg = self.cfg.engine_cfg();
         ecfg.fault = self.fault.clone();
-        // The journal's records and the fleet's mirror are both built
-        // from the stages' commit deltas.
-        ecfg.capture_deltas = journal.is_some() || fleet.is_some();
         let mut engine = Engine::new(lp, ecfg, false);
 
         // First uncommitted iteration, and — when the journal being
         // resumed already holds the whole run — that run's report.
         let mut start = 0usize;
         let mut complete: Option<RunReport> = None;
-        let mut sink = None;
+        // The journal this run appends to, header written.
+        let mut attached = None;
         if let Some(elem) = elem {
+            // The journal's records and the fleet's mirror are both
+            // built from the stages' commit deltas.
+            if journal.is_some() || fleet.is_some() {
+                engine.delta_bits = Some(elem.to_bits);
+            }
             let header = JournalHeader {
                 n: engine.n,
                 p: self.cfg.p,
@@ -656,6 +658,7 @@ impl Runner {
                     fell_back = fell_back || rec.fallback;
                 }
                 engine.stage_ordinal = journal.commits().len();
+                engine.commits = journal.commits().len();
                 if fell_back || exited.is_some() || start >= engine.n {
                     complete = Some(RunReport {
                         sequential_work: engine.sequential_work(),
@@ -674,8 +677,17 @@ impl Runner {
                         // state to the fleet (the wire chain restarts
                         // at the hello; it need not match the on-disk
                         // chain of the pre-crash records).
-                        let delta = engine.full_state_delta();
-                        engine.broadcast_commit(start, None, false, &delta);
+                        // Not one of the journal's records: the
+                        // record count does not move.
+                        if let Some(state) = engine.full_state_delta() {
+                            engine.broadcast_commit(&CommitRecord {
+                                stage: engine.commits,
+                                frontier: start,
+                                exited_at: None,
+                                fallback: false,
+                                arrays: state.arrays,
+                            });
+                        }
                     }
                 }
                 if let Some(journal) = journal.take() {
@@ -683,30 +695,26 @@ impl Runner {
                     if !resume {
                         journal.append_header(&header).map_err(RlrpdError::from)?;
                     }
-                    sink = Some(JournalSink::new(journal, elem));
+                    attached = Some(journal);
                 }
             }
         }
 
-        let (mut report, arcs) = match (complete, self.cfg.strategy) {
+        let (cfg, partitioner, stop) = (&self.cfg, &self.partitioner, self.stop.as_deref());
+        let mut drive = |sink: &mut Option<JournalSink>| match cfg.strategy {
+            Strategy::Doacross(dcfg) => {
+                crate::doacross::run_doacross(&mut engine, cfg, dcfg, start, sink, stop)
+            }
+            _ => run_stages(&mut engine, cfg, partitioner, start, sink, stop, |_| {}),
+        };
+        let (mut report, arcs) = match (complete, attached) {
             (Some(report), _) => (report, Vec::new()),
-            (None, Strategy::Doacross(dcfg)) => crate::doacross::run_doacross(
-                &mut engine,
-                &self.cfg,
-                dcfg,
-                start,
-                &mut sink,
-                self.stop.as_deref(),
-            )?,
-            (None, _) => run_stages(
-                &mut engine,
-                &self.cfg,
-                &self.partitioner,
-                start,
-                &mut sink,
-                self.stop.as_deref(),
-                |_| {},
-            )?,
+            (None, None) => drive(&mut None)?,
+            // A journaled run has one more thread: the journal's
+            // writer, one record behind the stage loop.
+            (None, Some(journal)) => {
+                journal::write_behind(journal, |sink| drive(&mut Some(sink)))??
+            }
         };
         if resume {
             report.resumed_at = Some(start);
@@ -723,7 +731,7 @@ impl Runner {
         mut report: RunReport,
         arcs: Vec<DepArc>,
     ) -> RunResult<T> {
-        report.wall_seconds = report.stages.iter().map(|s| s.wall_seconds).sum();
+        report.sum_wall_seconds();
         report.predicted_first_dependence = self.cfg.predicted_first_dependence;
         report.shadow_budget = self.cfg.shadow_budget;
         report.shadow_reprs = engine

@@ -13,6 +13,7 @@ use crate::checkpoint::{CheckpointPolicy, EagerSnapshot, WriteLog};
 use crate::commit::commit_tested;
 use crate::ctx::{ArrayMeta, IterCtx, Route};
 use crate::error::RlrpdError;
+use crate::journal::CommitRecord;
 use crate::spec_loop::{BatchTally, SpecLoop};
 use crate::value::{Reduction, Value};
 use crate::view::ProcView;
@@ -45,10 +46,6 @@ pub struct EngineCfg {
     /// Deterministic fault-injection plan, if any. `None` is the
     /// zero-cost fast path: no per-iteration injection checks run.
     pub fault: Option<Arc<FaultPlan>>,
-    /// Capture an O(touched) [`StageDelta`] of every stage's committed
-    /// writes (the crash journal's payload). `false` skips all capture
-    /// work — the no-journal path.
-    pub capture_deltas: bool,
     /// The run's shared shadow-memory accountant. Every engine of one
     /// run (strategy driver, baseline, distributed supervisor) charges
     /// the same budget, so the cap governs the run's total footprint.
@@ -90,11 +87,15 @@ pub(crate) struct CommittedBlockMarks {
 /// restored and are absent). Replaying every stage's delta over the
 /// initial arrays reproduces the shared state at the commit frontier
 /// exactly — the invariant the crash journal rests on.
+///
+/// Values are [`crate::journal::JournalElem::to_bits`] images: the delta
+/// is a commit record's payload as it stands, built once per stage and
+/// lent to the fleet and the journal alike.
 #[derive(Debug, Default, PartialEq)]
-pub(crate) struct StageDelta<T> {
-    /// `(array declaration id, sorted (element, value) pairs)`, only
-    /// for arrays with at least one changed element.
-    pub arrays: Vec<(u32, Vec<(u32, T)>)>,
+pub(crate) struct StageDelta {
+    /// `(array declaration id, sorted (element, value bits) pairs)`,
+    /// only for arrays with at least one changed element.
+    pub arrays: Vec<(u32, Vec<(u32, u64)>)>,
 }
 
 /// A panic contained inside one stage's speculative doall.
@@ -114,7 +115,7 @@ pub(crate) struct FaultEvent {
 }
 
 /// What one stage produced.
-pub(crate) struct StageOutcome<T: Value> {
+pub(crate) struct StageOutcome {
     /// Earliest dependence-sink block position, if the test failed.
     pub violation: Option<usize>,
     /// First iteration that must re-execute.
@@ -133,9 +134,9 @@ pub(crate) struct StageOutcome<T: Value> {
     /// `violation`; carried separately for fault accounting and
     /// genuine-fault detection).
     pub fault: Option<FaultEvent>,
-    /// Committed-write delta for the crash journal (`Some` iff
-    /// [`EngineCfg::capture_deltas`]).
-    pub delta: Option<StageDelta<T>>,
+    /// Committed-write delta for the crash journal and the fleet
+    /// (`Some` iff [`Engine::delta_bits`] is set).
+    pub delta: Option<StageDelta>,
     /// The shadow footprint crossed the budget cap during this stage.
     /// The stage committed nothing (contained like a speculation fault:
     /// untested writes restored, views rebuilt) and must re-execute
@@ -178,6 +179,13 @@ pub(crate) struct Engine<'l, T: Value> {
     /// Stages run over this engine's lifetime (keys checkpoint-fault
     /// injection sites).
     pub stage_ordinal: usize,
+    /// Set by a run with a journal or a fleet attached: capture an
+    /// O(touched) [`StageDelta`] of every stage's committed writes,
+    /// converting values with this. `None` skips all capture work.
+    pub delta_bits: Option<fn(T) -> u64>,
+    /// Commit records this run has produced so far, a resumed prefix
+    /// included: the `stage` of the next one.
+    pub commits: usize,
     /// Live link to a distributed worker fleet; stages execute their
     /// blocks remotely while this is `Some`.
     pub remote: Option<crate::remote::RemoteLink<T>>,
@@ -272,6 +280,8 @@ impl<'l, T: Value> Engine<'l, T> {
             last_proc: vec![u32::MAX; n],
             record_marks,
             stage_ordinal: 0,
+            delta_bits: None,
+            commits: 0,
             remote: None,
             worker_loss: false,
             accounted_bytes: 0,
@@ -345,7 +355,7 @@ impl<'l, T: Value> Engine<'l, T> {
     /// injected checkpoint fault (recoverable by the driver's
     /// sequential fallback, because it fires before any speculative
     /// write) or a violated internal invariant.
-    pub fn run_stage(&mut self, schedule: &BlockSchedule) -> Result<StageOutcome<T>, RlrpdError> {
+    pub fn run_stage(&mut self, schedule: &BlockSchedule) -> Result<StageOutcome, RlrpdError> {
         assert_eq!(schedule.num_blocks(), self.cfg.p, "one block per processor");
         let stage = self.stage_ordinal;
         self.stage_ordinal += 1;
@@ -542,7 +552,7 @@ impl<'l, T: Value> Engine<'l, T> {
                 committed_marks: Vec::new(),
                 exit: None,
                 fault: None,
-                delta: self.cfg.capture_deltas.then(StageDelta::default),
+                delta: self.delta_bits.map(|_| StageDelta::default()),
                 shadow_pressure: true,
                 shadow_relieved: relieved,
             });
@@ -679,11 +689,9 @@ impl<'l, T: Value> Engine<'l, T> {
         // 7.5 Journal delta capture — must run after commit/restore
         // (values read from shared are final) and before the shadow
         // clear below wipes the views and write-logs it walks.
-        let delta = if self.cfg.capture_deltas {
-            Some(self.capture_delta(commit_upto))
-        } else {
-            None
-        };
+        let delta = self
+            .delta_bits
+            .map(|to_bits| self.capture_delta(commit_upto, to_bits));
 
         // 8. Shadow re-initialization (O(touched) per block). Each
         // block clears only its own private state, so a wide stage's
@@ -1034,9 +1042,9 @@ impl<'l, T: Value> Engine<'l, T> {
     /// blocks' write-logs flagged. Values are read back from shared
     /// storage, so the delta is what actually landed — identical under
     /// the eager and on-demand checkpoint policies, and O(touched).
-    fn capture_delta(&mut self, commit_upto: usize) -> StageDelta<T> {
+    fn capture_delta(&mut self, commit_upto: usize, to_bits: fn(T) -> u64) -> StageDelta {
         use std::collections::BTreeSet;
-        let mut arrays: Vec<(u32, Vec<(u32, T)>)> = Vec::new();
+        let mut arrays: Vec<(u32, Vec<(u32, u64)>)> = Vec::new();
         for (slot, &id) in self.tested_ids.iter().enumerate() {
             let mut elems: BTreeSet<usize> = BTreeSet::new();
             for st in &self.states[..commit_upto] {
@@ -1050,7 +1058,7 @@ impl<'l, T: Value> Engine<'l, T> {
                 let buf = self.shared[id].as_slice();
                 arrays.push((
                     id as u32,
-                    elems.iter().map(|&e| (e as u32, buf[e])).collect(),
+                    elems.iter().map(|&e| (e as u32, to_bits(buf[e]))).collect(),
                 ));
             }
         }
@@ -1063,7 +1071,7 @@ impl<'l, T: Value> Engine<'l, T> {
                 let buf = self.shared[id].as_slice();
                 arrays.push((
                     id as u32,
-                    elems.iter().map(|&e| (e as u32, buf[e])).collect(),
+                    elems.iter().map(|&e| (e as u32, to_bits(buf[e]))).collect(),
                 ));
             }
         }
@@ -1075,7 +1083,8 @@ impl<'l, T: Value> Engine<'l, T> {
     /// the sequential fallback's journal record (its direct writes are
     /// not tracked by write-logs, so O(array) is the honest capture;
     /// fallback is rare and terminal).
-    pub(crate) fn full_state_delta(&mut self) -> StageDelta<T> {
+    pub(crate) fn full_state_delta(&mut self) -> Option<StageDelta> {
+        let to_bits = self.delta_bits?;
         let arrays = (0..self.shared.len())
             .map(|id| {
                 let buf = self.shared[id].as_slice();
@@ -1083,12 +1092,32 @@ impl<'l, T: Value> Engine<'l, T> {
                     id as u32,
                     buf.iter()
                         .enumerate()
-                        .map(|(e, &v)| (e as u32, v))
+                        .map(|(e, &v)| (e as u32, to_bits(v)))
                         .collect(),
                 )
             })
             .collect();
-        StageDelta { arrays }
+        Some(StageDelta { arrays })
+    }
+
+    /// This run's next commit record: `delta` and where it leaves the
+    /// run.
+    pub(crate) fn commit_record(
+        &mut self,
+        frontier: usize,
+        exited_at: Option<usize>,
+        fallback: bool,
+        delta: StageDelta,
+    ) -> CommitRecord {
+        let stage = self.commits;
+        self.commits += 1;
+        CommitRecord {
+            stage,
+            frontier,
+            exited_at,
+            fallback,
+            arrays: delta.arrays,
+        }
     }
 
     /// Per declared array, in declaration order: `(size, is_tested)` —

@@ -317,7 +317,7 @@ pub fn run_induction<T: Value>(
         report.stages.push(seq);
     }
 
-    report.wall_seconds = report.stages.iter().map(|s| s.wall_seconds).sum();
+    report.sum_wall_seconds();
     let arrays = names
         .into_iter()
         .zip(shared.iter_mut().map(SharedBuf::to_vec))

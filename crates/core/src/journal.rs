@@ -47,13 +47,12 @@
 //! everything from the corrupt record on — the recovered prefix is
 //! always a consistent run prefix.
 
-use crate::engine::StageDelta;
 use crate::persist::{fnv, PersistError, Reader, Writer, KIND_JOURNAL_COMMIT, KIND_JOURNAL_HEADER};
-use crate::value::Value;
 use rlrpd_runtime::FaultPlan;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 
 /// Chain seed of record 0 (no previous record to hash). Shared with the
@@ -212,8 +211,8 @@ impl JournalHeader {
     }
 
     /// Record bytes chained onto `prev_chain` (also the wire image of
-    /// the distributed Hello payload).
-    pub(crate) fn encode(&self, prev_chain: u64) -> Vec<u8> {
+    /// the distributed Hello payload), and the chain value after them.
+    pub(crate) fn encode(&self, prev_chain: u64) -> (Vec<u8>, u64) {
         let mut w = Writer::new(KIND_JOURNAL_HEADER);
         w.u64(prev_chain);
         w.u64(self.n as u64);
@@ -225,11 +224,13 @@ impl JournalHeader {
             w.u64(size);
             w.u32(tested as u32);
         }
-        w.finish()
+        w.finish_chained()
     }
 
-    pub(crate) fn decode(bytes: &[u8], prev_chain: u64) -> Result<Self, PersistError> {
-        let mut r = Reader::open(bytes, KIND_JOURNAL_HEADER)?;
+    /// The header in `bytes`, if they chain onto `prev_chain`, and the
+    /// chain value after them.
+    pub(crate) fn decode(bytes: &[u8], prev_chain: u64) -> Result<(Self, u64), PersistError> {
+        let (mut r, chain) = Reader::open_chained(bytes, KIND_JOURNAL_HEADER)?;
         if r.u64()? != prev_chain {
             return Err(PersistError::Corrupt);
         }
@@ -252,13 +253,14 @@ impl JournalHeader {
             arrays.push((size, tested));
         }
         r.done()?;
-        Ok(JournalHeader {
+        let header = JournalHeader {
             n,
             p,
             strategy_hash,
             elem_hash,
             arrays,
-        })
+        };
+        Ok((header, chain))
     }
 }
 
@@ -293,9 +295,15 @@ impl CommitRecord {
     }
 
     /// Record bytes chained onto `prev_chain` (also the wire image of a
-    /// distributed commit broadcast).
-    pub(crate) fn encode(&self, prev_chain: u64) -> Vec<u8> {
-        let mut w = Writer::new(KIND_JOURNAL_COMMIT);
+    /// distributed commit broadcast), and the chain value after them.
+    pub(crate) fn encode(&self, prev_chain: u64) -> (Vec<u8>, u64) {
+        let payload = 36
+            + self
+                .arrays
+                .iter()
+                .map(|(_, elems)| 12 + 12 * elems.len())
+                .sum::<usize>();
+        let mut w = Writer::with_payload(KIND_JOURNAL_COMMIT, payload);
         w.u64(prev_chain);
         w.u64(self.frontier as u64);
         w.u32(self.stage as u32);
@@ -317,11 +325,13 @@ impl CommitRecord {
                 w.u64(bits);
             }
         }
-        w.finish()
+        w.finish_chained()
     }
 
-    pub(crate) fn decode(bytes: &[u8], prev_chain: u64) -> Result<Self, PersistError> {
-        let mut r = Reader::open(bytes, KIND_JOURNAL_COMMIT)?;
+    /// The record in `bytes`, if they chain onto `prev_chain`, and the
+    /// chain value after them.
+    pub(crate) fn decode(bytes: &[u8], prev_chain: u64) -> Result<(Self, u64), PersistError> {
+        let (mut r, chain) = Reader::open_chained(bytes, KIND_JOURNAL_COMMIT)?;
         if r.u64()? != prev_chain {
             return Err(PersistError::Corrupt);
         }
@@ -370,13 +380,14 @@ impl CommitRecord {
             arrays.push((id, elems));
         }
         r.done()?;
-        Ok(CommitRecord {
+        let record = CommitRecord {
             stage,
             frontier,
             exited_at,
             fallback,
             arrays,
-        })
+        };
+        Ok((record, chain))
     }
 }
 
@@ -475,19 +486,21 @@ impl Journal {
                 break; // torn frame
             };
             let rec = &buf[end_of_len..end];
-            let ok = if records == 0 {
-                JournalHeader::decode(rec, chain)
-                    .map(|h| header = Some(h))
-                    .is_ok()
+            let decoded = if records == 0 {
+                JournalHeader::decode(rec, chain).map(|(h, next)| {
+                    header = Some(h);
+                    next
+                })
             } else {
-                CommitRecord::decode(rec, chain)
-                    .map(|c| commits.push(c))
-                    .is_ok()
+                CommitRecord::decode(rec, chain).map(|(c, next)| {
+                    commits.push(c);
+                    next
+                })
             };
-            if !ok {
+            let Ok(next_chain) = decoded else {
                 break; // corrupt record: the valid prefix ends here
-            }
-            chain = fnv(rec);
+            };
+            chain = next_chain;
             records += 1;
             pos = end;
         }
@@ -566,8 +579,8 @@ impl Journal {
         if self.records != 0 {
             return Err(JournalError::NotEmpty);
         }
-        let bytes = header.encode(self.chain);
-        let written = self.append_frame(bytes)?;
+        let (bytes, next_chain) = header.encode(self.chain);
+        let written = self.append_frame(&bytes, next_chain)?;
         self.header = Some(header.clone());
         Ok(written)
     }
@@ -578,20 +591,19 @@ impl Journal {
         if self.records == 0 {
             return Err(JournalError::NoHeader);
         }
-        let bytes = rec.encode(self.chain);
-        let written = self.append_frame(bytes)?;
+        let (bytes, next_chain) = rec.encode(self.chain);
+        let written = self.append_frame(&bytes, next_chain)?;
         self.commits.push(rec);
         Ok(written)
     }
 
     /// Frame, fault-inject, write, and fsync one record; advance the
-    /// chain only on success.
-    fn append_frame(&mut self, rec: Vec<u8>) -> Result<u64, JournalError> {
+    /// chain to `next_chain` only on success.
+    fn append_frame(&mut self, rec: &[u8], next_chain: u64) -> Result<u64, JournalError> {
         let ordinal = self.records;
-        let next_chain = fnv(&rec);
         let mut frame = Vec::with_capacity(4 + rec.len());
         frame.extend_from_slice(&(rec.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&rec);
+        frame.extend_from_slice(rec);
 
         if let Some(plan) = self.fault.clone() {
             if let Some(keep) = plan.io_short_write(ordinal) {
@@ -724,73 +736,80 @@ impl<T: JournalElem> ElemBits<T> {
     }
 }
 
-/// Where the stage loop writes its commit records: a journal plus the
-/// element converter its records need.
-pub(crate) struct JournalSink<'j, T> {
-    journal: &'j mut Journal,
-    to_bits: fn(T) -> u64,
+/// Where the stage loop hands its commit records: the near end of a
+/// depth-1 hand-off to the thread that owns the run's [`Journal`] (see
+/// [`write_behind`]). At most one record is in flight; the loop collects
+/// its result before submitting the next, so record `k + 1` is never
+/// written before record `k` is durable, and collects it before any
+/// exit, so a run that returns is durable to the frontier it reports.
+pub(crate) struct JournalSink {
+    records: SyncSender<CommitRecord>,
+    results: Receiver<Result<u64, JournalError>>,
+    in_flight: bool,
 }
 
-impl<'j, T: Value> JournalSink<'j, T> {
-    /// Build a sink over `journal` for element type `T`.
-    pub(crate) fn new(journal: &'j mut Journal, elem: ElemBits<T>) -> Self {
-        JournalSink {
-            journal,
-            to_bits: elem.to_bits,
+impl JournalSink {
+    /// Hand `rec` to the writer. The record in flight, if any, must
+    /// have been collected.
+    pub(crate) fn submit(&mut self, rec: CommitRecord) -> Result<(), JournalError> {
+        debug_assert!(!self.in_flight, "one record in flight");
+        self.records.send(rec).map_err(|_| writer_gone())?;
+        self.in_flight = true;
+        Ok(())
+    }
+
+    /// Wait until the record in flight is durable (or failed): the
+    /// bytes its append wrote, `None` when nothing was in flight.
+    pub(crate) fn collect(&mut self) -> Result<Option<u64>, JournalError> {
+        if !std::mem::take(&mut self.in_flight) {
+            return Ok(None);
         }
-    }
-
-    /// Append one stage's commit record assembled from the engine's
-    /// [`StageDelta`]. Returns the bytes appended.
-    pub(crate) fn append_stage(
-        &mut self,
-        frontier: usize,
-        exited_at: Option<usize>,
-        fallback: bool,
-        delta: StageDelta<T>,
-    ) -> Result<u64, JournalError> {
-        let rec = record_from_delta(
-            self.journal.commits().len(),
-            frontier,
-            exited_at,
-            fallback,
-            &delta,
-            self.to_bits,
-        );
-        self.journal.append_commit(rec)
+        self.results.recv().map_err(|_| writer_gone())?.map(Some)
     }
 }
 
-/// Assemble one stage's [`CommitRecord`] from a [`StageDelta`]: the
-/// single conversion point shared by the crash journal and the
-/// distributed commit broadcast, so both write byte-identical records.
-pub(crate) fn record_from_delta<T: Copy>(
-    stage: usize,
-    frontier: usize,
-    exited_at: Option<usize>,
-    fallback: bool,
-    delta: &StageDelta<T>,
-    to_bits: fn(T) -> u64,
-) -> CommitRecord {
-    CommitRecord {
-        stage,
-        frontier,
-        exited_at,
-        fallback,
-        arrays: delta
-            .arrays
-            .iter()
-            .map(|(id, elems)| {
-                (
-                    *id,
-                    elems
-                        .iter()
-                        .map(|&(e, v)| (e, to_bits(v)))
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .collect(),
+/// The writer thread ended with a record outstanding: it stops at the
+/// first failed append, whose error the loop has then already seen, or
+/// it panicked (an observer did), and the scope re-raises that.
+fn writer_gone() -> JournalError {
+    JournalError::Io {
+        message: "journal writer thread is gone".into(),
     }
+}
+
+/// Run `body` with a sink whose records are appended to `journal` by
+/// one extra thread, which owns the journal until `body` returns. Each
+/// record goes through [`Journal::append_commit`] — write, `fdatasync`,
+/// then observer, fault plan and all — in submission order; the writer
+/// stops at the first failed append, so nothing follows a torn or
+/// unconfirmed record into the file. `Err` only when the thread could
+/// not be started; `body` has then not run.
+pub(crate) fn write_behind<R>(
+    journal: &mut Journal,
+    body: impl FnOnce(JournalSink) -> R,
+) -> Result<R, JournalError> {
+    let (records, inbox) = sync_channel::<CommitRecord>(1);
+    let (outbox, results) = channel();
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .name("rlrpd-journal".into())
+            .spawn_scoped(scope, move || {
+                for rec in inbox {
+                    let appended = journal.append_commit(rec);
+                    let failed = appended.is_err();
+                    if outbox.send(appended).is_err() || failed {
+                        break;
+                    }
+                }
+            })?;
+        // `body` owns the sink, so its sender is dropped — and the
+        // writer's loop ends — before the scope joins.
+        Ok(body(JournalSink {
+            records,
+            results,
+            in_flight: false,
+        }))
+    })
 }
 
 #[cfg(test)]
@@ -971,11 +990,13 @@ mod tests {
         // Journal records ride the persist framing; hold them to the
         // same exhaustive truncation/corruption bar as the artifacts.
         let h = header();
-        let hb = h.encode(CHAIN_SEED);
+        let (hb, chain) = h.encode(CHAIN_SEED);
         crate::persist::assert_decode_hardened(&hb, |b| JournalHeader::decode(b, CHAIN_SEED));
-        let chain = fnv(&hb);
-        let cb = commit(0, 32).encode(chain);
+        assert_eq!(chain, fnv(&hb));
+        let (cb, next) = commit(0, 32).encode(chain);
         crate::persist::assert_decode_hardened(&cb, |b| CommitRecord::decode(b, chain));
+        assert_eq!(next, fnv(&cb));
+        assert_eq!(CommitRecord::decode(&cb, chain).unwrap().1, next);
     }
 
     #[test]

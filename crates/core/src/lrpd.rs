@@ -58,7 +58,7 @@ pub fn try_run_classic_lrpd<T: Value>(
         sequential_fallback(&mut engine, cfg, &mut report, 0, &mut None)?;
     }
 
-    report.wall_seconds = report.stages.iter().map(|s| s.wall_seconds).sum();
+    report.sum_wall_seconds();
     Ok(RunResult {
         arrays: engine.arrays_out(),
         report,

@@ -19,6 +19,8 @@ use crate::wavefront::WavefrontSchedule;
 
 const MAGIC: &[u8; 4] = b"RLPD";
 const VERSION: u32 = 1;
+/// Bytes of framing around a payload: magic, version, kind, checksum.
+const ENVELOPE: usize = 4 + 4 + 1 + 8;
 const KIND_GRAPH: u8 = 1;
 const KIND_SCHEDULE: u8 = 2;
 /// Crash-journal header record (first record of a journal file).
@@ -89,7 +91,13 @@ pub(crate) struct Writer {
 
 impl Writer {
     pub(crate) fn new(kind: u8) -> Self {
-        let mut buf = Vec::new();
+        Self::with_payload(kind, 0)
+    }
+
+    /// A writer for a record whose payload is known to be `payload`
+    /// bytes: the buffer is sized once instead of growing from empty.
+    pub(crate) fn with_payload(kind: u8, payload: usize) -> Self {
+        let mut buf = Vec::with_capacity(ENVELOPE + payload);
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&VERSION.to_le_bytes());
         buf.push(kind);
@@ -117,10 +125,17 @@ impl Writer {
         self.buf.extend_from_slice(bytes);
     }
 
-    pub(crate) fn finish(mut self) -> Vec<u8> {
+    pub(crate) fn finish(self) -> Vec<u8> {
+        self.finish_chained().0
+    }
+
+    /// The finished record and its chain value — `fnv` of the whole
+    /// record, which is the checksum's running state continued over the
+    /// eight checksum bytes, so the record is hashed once, not twice.
+    pub(crate) fn finish_chained(mut self) -> (Vec<u8>, u64) {
         let sum = fnv(&self.buf);
         self.u64(sum);
-        self.buf
+        (self.buf, fnv_from(sum, &sum.to_le_bytes()))
     }
 }
 
@@ -131,7 +146,13 @@ pub(crate) struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     pub(crate) fn open(buf: &'a [u8], kind: u8) -> Result<Self, PersistError> {
-        if buf.len() < 4 + 4 + 1 + 8 || &buf[..4] != MAGIC {
+        Self::open_chained(buf, kind).map(|(r, _)| r)
+    }
+
+    /// [`Reader::open`], also returning the record's chain value (see
+    /// [`Writer::finish_chained`]) from the one checksum pass.
+    pub(crate) fn open_chained(buf: &'a [u8], kind: u8) -> Result<(Self, u64), PersistError> {
+        if buf.len() < ENVELOPE || &buf[..4] != MAGIC {
             return Err(PersistError::NotAnArtifact);
         }
         let version = u32::from_le_bytes(
@@ -154,10 +175,11 @@ impl<'a> Reader<'a> {
         if buf[8] != kind {
             return Err(PersistError::WrongKind);
         }
-        Ok(Reader {
+        let reader = Reader {
             buf: &buf[..body_end],
             pos: 9,
-        })
+        };
+        Ok((reader, fnv_from(stored, &buf[body_end..])))
     }
 
     pub(crate) fn u64(&mut self) -> Result<u64, PersistError> {
@@ -218,7 +240,12 @@ impl<'a> Reader<'a> {
 }
 
 pub(crate) fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv_from(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// FNV-1a continued from the running state `h`:
+/// `fnv_from(fnv(a), b) == fnv(a ‖ b)`.
+fn fnv_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
@@ -414,6 +441,24 @@ mod tests {
     fn schedule_decoding_survives_every_truncation_and_corruption() {
         let s = WavefrontSchedule::from_graph(&graph());
         assert_decode_hardened(&s.to_bytes(), WavefrontSchedule::from_bytes);
+    }
+
+    #[test]
+    fn chain_from_the_checksum_state_is_the_hash_of_the_whole_record() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x52_4c50);
+        for _ in 0..1000 {
+            let len = rng.random_range(0usize..600);
+            let mut w = Writer::with_payload(KIND_JOURNAL_COMMIT, len);
+            for _ in 0..len {
+                w.raw(&[rng.random_range(0u8..=255)]);
+            }
+            let (record, chain) = w.finish_chained();
+            assert_eq!(chain, fnv(&record), "writer chain, {len}-byte payload");
+            let (_, read_chain) = Reader::open_chained(&record, KIND_JOURNAL_COMMIT).unwrap();
+            assert_eq!(read_chain, chain, "reader chain, {len}-byte payload");
+        }
     }
 
     #[test]

@@ -51,9 +51,9 @@
 use crate::checkpoint::CheckpointPolicy;
 use crate::ctx::IterCtx;
 use crate::driver::FallbackReason;
-use crate::engine::{Engine, EngineCfg, FaultEvent, StageDelta};
+use crate::engine::{Engine, EngineCfg, FaultEvent};
 use crate::journal::{
-    elem_fingerprint, record_from_delta, ElemBits, JournalElem, JournalHeader, CHAIN_SEED,
+    elem_fingerprint, CommitRecord, ElemBits, JournalElem, JournalHeader, CHAIN_SEED,
 };
 use crate::persist::{
     fnv, PersistError, Reader, Writer, KIND_DIST_HEARTBEAT, KIND_DIST_HELLO, KIND_DIST_REPLY,
@@ -76,7 +76,7 @@ pub const MAX_FRAME: usize = 256 << 20;
 /// 64 for a standalone worker) *before* any block work — a mismatched
 /// binary must be rejected at the handshake, not surface later as chain
 /// divergence.
-pub const PROTOCOL_VERSION: u32 = 3;
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Wire mark code: exposed read only (consumed shared data, produced
 /// nothing).
@@ -153,10 +153,21 @@ impl From<PersistError> for WireError {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Write one length-prefixed record and flush it.
+/// Append `record` to `out` as one frame: `u32 len | record`. Frames
+/// queued in one buffer reach the peer in one write.
+pub fn push_frame(out: &mut Vec<u8>, record: &[u8]) {
+    out.reserve(4 + record.len());
+    out.extend_from_slice(&(record.len() as u32).to_le_bytes());
+    out.extend_from_slice(record);
+}
+
+/// Write one length-prefixed record — length and record in a single
+/// write, so an unbuffered pipe or socket carries a frame as one
+/// `write(2)` — and flush it.
 pub fn write_frame(w: &mut dyn Write, record: &[u8]) -> std::io::Result<()> {
-    w.write_all(&(record.len() as u32).to_le_bytes())?;
-    w.write_all(record)?;
+    let mut frame = Vec::new();
+    push_frame(&mut frame, record);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -425,9 +436,38 @@ pub struct BlockReply {
 const NONE_SENTINEL: u64 = u64::MAX;
 
 impl BlockReply {
-    /// Encode to a wire record.
+    /// Encode to a wire record. `iter_costs` travels run-length
+    /// encoded — `(first iteration, count, cost bits)` per run of
+    /// consecutive iterations at one bit-equal cost — which is most of a
+    /// reply's pairs: a block's iterations are consecutive and a loop's
+    /// cost is usually one number.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new(KIND_DIST_REPLY);
+        let mut runs: Vec<(u32, u32, u64)> = Vec::new();
+        for &(iter, cost) in &self.iter_costs {
+            let bits = cost.to_bits();
+            match runs.last_mut() {
+                Some((first, count, run_bits))
+                    if *run_bits == bits && first.checked_add(*count) == Some(iter) =>
+                {
+                    *count += 1;
+                }
+                _ => runs.push((iter, 1, bits)),
+            }
+        }
+        let payload = 52
+            + self.fault.as_ref().map_or(0, |(_, msg)| 8 + msg.len())
+            + self
+                .tested
+                .iter()
+                .map(|slot| 16 + 16 * slot.touched.len())
+                .sum::<usize>()
+            + self
+                .untested
+                .iter()
+                .map(|entries| 8 + 12 * entries.len())
+                .sum::<usize>()
+            + 16 * runs.len();
+        let mut w = Writer::with_payload(KIND_DIST_REPLY, payload);
         w.u64(self.chain);
         w.u32(self.pos);
         w.u64(self.exit_iter.map_or(NONE_SENTINEL, |e| e as u64));
@@ -457,10 +497,11 @@ impl BlockReply {
                 w.u64(bits);
             }
         }
-        w.u64(self.iter_costs.len() as u64);
-        for &(iter, cost) in &self.iter_costs {
-            w.u32(iter);
-            w.u64(cost.to_bits());
+        w.u64(runs.len() as u64);
+        for &(first, count, bits) in &runs {
+            w.u32(first);
+            w.u32(count);
+            w.u64(bits);
         }
         w.u64(self.shadow_bytes);
         w.finish()
@@ -527,14 +568,25 @@ impl BlockReply {
             }
             untested.push(entries);
         }
-        let num_costs = r.u64()? as usize;
-        if num_costs > r.remaining() / 12 + 1 {
+        let num_runs = r.u64()? as usize;
+        if num_runs > r.remaining() / 16 + 1 {
             return Err(PersistError::Corrupt);
         }
-        let mut iter_costs = Vec::with_capacity(num_costs);
-        for _ in 0..num_costs {
-            let iter = r.u32()?;
-            iter_costs.push((iter, f64::from_bits(r.u64()?)));
+        let mut iter_costs: Vec<(u32, f64)> = Vec::new();
+        for _ in 0..num_runs {
+            let first = r.u32()?;
+            let count = r.u32()? as usize;
+            let cost = f64::from_bits(r.u64()?);
+            // A run expands to `count` pairs. Spelled out, they must
+            // themselves fit a frame: a count read from the wire never
+            // sizes an allocation past what a frame could have carried.
+            if count == 0 || count > MAX_FRAME / 12 - iter_costs.len() {
+                return Err(PersistError::Corrupt);
+            }
+            let last = first
+                .checked_add(count as u32 - 1)
+                .ok_or(PersistError::Corrupt)?;
+            iter_costs.extend((first..=last).map(|iter| (iter, cost)));
         }
         let shadow_bytes = r.u64()?;
         r.done()?;
@@ -665,10 +717,8 @@ pub(crate) struct RemoteLink<T> {
     pub dispatcher: Box<dyn BlockDispatcher>,
     /// FNV chain over hello-header + broadcast commit records.
     pub chain: u64,
-    /// Commit records broadcast so far (stage ordinal of the next one).
-    pub commits: usize,
-    /// The element type's bit converters.
-    pub elem: ElemBits<T>,
+    /// Rebuilds a value from its wire image.
+    pub from_bits: fn(u64) -> T,
 }
 
 impl<T: Value> Engine<'_, T> {
@@ -706,7 +756,7 @@ impl<T: Value> Engine<'_, T> {
             stats.wire_bytes += t.wire_bytes;
             stats.respawns += t.respawns;
             stats.quarantined += t.quarantined;
-            (replies?, link.elem.from_bits, link.chain)
+            (replies?, link.from_bits, link.chain)
         };
         let wall_seconds = start.elapsed().as_secs_f64();
 
@@ -797,36 +847,19 @@ impl<T: Value> Engine<'_, T> {
     }
 
     /// Broadcast one stage's commit record to the fleet (no-op without
-    /// a live link). The record is assembled by the same
-    /// [`record_from_delta`] the crash journal uses and chained with
-    /// the same FNV chain, so a journaled distributed run writes
-    /// byte-identical records to disk and wire. A broadcast failure
-    /// drops the link (the workers are gone) and the run continues
-    /// in-process.
-    pub(crate) fn broadcast_commit(
-        &mut self,
-        frontier: usize,
-        exited_at: Option<usize>,
-        fallback: bool,
-        delta: &StageDelta<T>,
-    ) {
+    /// a live link). It is the record the crash journal appends, chained
+    /// with the same FNV chain, so a journaled distributed run writes
+    /// byte-identical records to disk and wire (each side encodes
+    /// against its own chain: after a resume the wire's restarts at the
+    /// hello). A broadcast failure drops the link (the workers are
+    /// gone) and the run continues in-process.
+    pub(crate) fn broadcast_commit(&mut self, rec: &CommitRecord) {
         let Some(link) = self.remote.as_mut() else {
             return;
         };
-        let rec = record_from_delta(
-            link.commits,
-            frontier,
-            exited_at,
-            fallback,
-            delta,
-            link.elem.to_bits,
-        );
-        let bytes = rec.encode(link.chain);
+        let (bytes, next_chain) = rec.encode(link.chain);
         match link.dispatcher.broadcast(&bytes) {
-            Ok(()) => {
-                link.chain = fnv(&bytes);
-                link.commits += 1;
-            }
+            Ok(()) => link.chain = next_chain,
             Err(_) => {
                 self.remote = None;
                 self.worker_loss = true;
@@ -855,6 +888,7 @@ pub(crate) fn attach_remote<T: Value>(
     connector: &mut dyn DistConnector,
     elem: ElemBits<T>,
 ) {
+    let (header, chain) = header.encode(CHAIN_SEED);
     let hello = WireHello {
         protocol: PROTOCOL_VERSION,
         run_id: fresh_run_id(),
@@ -862,15 +896,14 @@ pub(crate) fn attach_remote<T: Value>(
         // from its policy before the hello goes on a wire.
         heartbeat_millis: 0,
         shadow_budget: engine.cfg.budget.cap().unwrap_or(0),
-        header: header.encode(CHAIN_SEED),
+        header,
         spec: spec.to_string(),
     };
     match connector.connect(&hello) {
         Ok(dispatcher) => {
             engine.remote = Some(RemoteLink {
-                chain: fnv(&hello.header),
-                commits: 0,
-                elem,
+                chain,
+                from_bits: elem.from_bits,
                 dispatcher,
             });
         }
@@ -917,7 +950,7 @@ pub fn serve_worker<T: Value + JournalElem>(
             hello.protocol, PROTOCOL_VERSION
         )));
     }
-    let header = JournalHeader::decode(&hello.header, CHAIN_SEED)
+    let (header, header_fnv) = JournalHeader::decode(&hello.header, CHAIN_SEED)
         .map_err(|e| WireError::Protocol(format!("bad hello header: {e}")))?;
     let mut engine = Engine::new(
         lp,
@@ -929,7 +962,6 @@ pub fn serve_worker<T: Value + JournalElem>(
             checkpoint: CheckpointPolicy::OnDemand,
             commit_prefix_on_failure: true,
             fault: None,
-            capture_deltas: false,
             budget: std::sync::Arc::new(rlrpd_shadow::ShadowBudget::new(
                 (hello.shadow_budget != 0).then_some(hello.shadow_budget),
             )),
@@ -956,12 +988,12 @@ pub fn serve_worker<T: Value + JournalElem>(
         &HelloAck {
             protocol: PROTOCOL_VERSION,
             run_id: hello.run_id,
-            header_fnv: fnv(&hello.header),
+            header_fnv,
         }
         .encode(),
     )?;
 
-    let mut chain = fnv(&hello.header);
+    let mut chain = header_fnv;
     loop {
         let Some(frame) = read_frame(input)? else {
             return Ok(()); // supervisor went away: orderly end
@@ -972,7 +1004,7 @@ pub fn serve_worker<T: Value + JournalElem>(
                 return Ok(());
             }
             Some(KIND_JOURNAL_COMMIT) => {
-                let rec = crate::journal::CommitRecord::decode(&frame, chain)
+                let (rec, next_chain) = CommitRecord::decode(&frame, chain)
                     .map_err(|e| WireError::Protocol(format!("bad commit broadcast: {e}")))?;
                 for (id, elems) in &rec.arrays {
                     let buf = engine
@@ -987,7 +1019,7 @@ pub fn serve_worker<T: Value + JournalElem>(
                         *slot = T::from_bits(bits);
                     }
                 }
-                chain = fnv(&frame);
+                chain = next_chain;
             }
             Some(KIND_DIST_REQUEST) => {
                 let (req, fault) = BlockRequest::decode(&frame)
@@ -1862,6 +1894,99 @@ mod tests {
         assert_eq!(BlockReply::decode(&reply.encode()).unwrap(), reply);
         crate::persist::assert_decode_hardened(&reply.encode(), BlockReply::decode);
 
+        // Wire v4 carries `iter_costs` as runs; whatever the pairs, the
+        // decoded reply is the encoded one, cost bits included.
+        let plain = |iter_costs: Vec<(u32, f64)>| BlockReply {
+            iter_costs,
+            ..Default::default()
+        };
+        let one_cost = plain((100..612).map(|i| (i, 1.0)).collect());
+        for (what, r) in [
+            ("empty", plain(Vec::new())),
+            ("single iteration", plain(vec![(7, 1.5)])),
+            ("one cost", one_cost.clone()),
+            (
+                "mixed costs and a gap",
+                BlockReply {
+                    iter_costs: vec![(0, 1.0), (1, 1.0), (2, 2.5), (3, 2.5), (9, 2.5), (10, 1.0)],
+                    ..reply.clone()
+                },
+            ),
+            ("equal but not bit-equal", plain(vec![(5, 0.0), (6, -0.0)])),
+            ("not ascending", plain(vec![(3, 1.0), (2, 1.0), (2, 1.0)])),
+            (
+                "end of the iteration space",
+                plain(vec![(u32::MAX - 1, 1.0), (u32::MAX, 1.0)]),
+            ),
+        ] {
+            let bytes = r.encode();
+            let back = BlockReply::decode(&bytes).unwrap();
+            assert_eq!(back, r, "{what}");
+            let bits = |r: &BlockReply| -> Vec<u64> {
+                r.iter_costs.iter().map(|&(_, c)| c.to_bits()).collect()
+            };
+            assert_eq!(bits(&back), bits(&r), "{what}: cost bits");
+            if r.iter_costs.len() < 16 {
+                crate::persist::assert_decode_hardened(&bytes, BlockReply::decode);
+            }
+        }
+        // 512 consecutive iterations at one cost are one run, not 6 KB.
+        assert_eq!(
+            one_cost.encode().len(),
+            plain(vec![(100, 1.0)]).encode().len()
+        );
+
+        // Hostile runs: a count read from the wire never sizes an
+        // allocation a frame could not have carried.
+        let with_runs = |declared: u64, runs: &[(u32, u32, u64)]| {
+            let mut w = Writer::new(KIND_DIST_REPLY);
+            w.u64(0);
+            w.u32(0);
+            w.u64(NONE_SENTINEL);
+            w.u64(NONE_SENTINEL);
+            w.u32(0);
+            w.u32(0);
+            w.u64(declared);
+            for &(first, count, bits) in runs {
+                w.u32(first);
+                w.u32(count);
+                w.u64(bits);
+            }
+            w.u64(0);
+            w.finish()
+        };
+        let c = 1.0f64.to_bits();
+        assert_eq!(
+            BlockReply::decode(&with_runs(1, &[(4, 3, c)])).unwrap(),
+            plain(vec![(4, 1.0), (5, 1.0), (6, 1.0)])
+        );
+        for (what, bytes) in [
+            ("count of u32::MAX", with_runs(1, &[(0, u32::MAX, c)])),
+            (
+                "count just past the cap",
+                with_runs(1, &[(0, (MAX_FRAME / 12) as u32 + 1, c)]),
+            ),
+            ("empty run", with_runs(1, &[(4, 0, c)])),
+            (
+                "run past the last iteration",
+                with_runs(1, &[(u32::MAX, 2, c)]),
+            ),
+            (
+                "more runs declared than sent",
+                with_runs(u64::MAX, &[(4, 3, c)]),
+            ),
+            (
+                "fewer runs declared than sent",
+                with_runs(1, &[(4, 3, c), (9, 1, c)]),
+            ),
+        ] {
+            assert_eq!(
+                BlockReply::decode(&bytes),
+                Err(PersistError::Corrupt),
+                "{what}"
+            );
+        }
+
         crate::persist::assert_decode_hardened(&encode_heartbeat(3), |b| {
             Reader::open(b, KIND_DIST_HEARTBEAT).and_then(|mut r| r.u64())
         });
@@ -1886,6 +2011,45 @@ mod tests {
         assert!(read_frame(&mut &torn[..]).is_err(), "EOF inside frame");
         let part = [5u8, 0];
         assert!(read_frame(&mut &part[..]).is_err(), "EOF inside length");
+    }
+
+    #[test]
+    fn every_frame_reaches_the_writer_as_one_write() {
+        /// Accepts everything; remembers the size of each `write`.
+        #[derive(Default)]
+        struct Counting(Vec<usize>);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let reply = BlockReply {
+            iter_costs: vec![(0, 1.0), (1, 2.0)],
+            ..Default::default()
+        };
+        for record in [
+            b"x".to_vec(),
+            // A line-buffered writer would cut this one at every byte.
+            vec![0x0A; 4096],
+            encode_heartbeat(1),
+            reply.encode(),
+        ] {
+            let mut w = Counting::default();
+            write_frame(&mut w, &record).unwrap();
+            assert_eq!(w.0, vec![4 + record.len()]);
+        }
+        // Frames queued in one buffer are still whole frames.
+        let mut queued = Vec::new();
+        push_frame(&mut queued, b"hello");
+        push_frame(&mut queued, b"world!");
+        let mut r = &queued[..];
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"world!");
+        assert!(read_frame(&mut r).unwrap().is_none());
     }
 
     fn assert_matches_sequential(cfg: RunConfig, n: usize) {
@@ -2169,7 +2333,6 @@ mod tests {
             checkpoint: CheckpointPolicy::OnDemand,
             commit_prefix_on_failure: true,
             fault: None,
-            capture_deltas: false,
             budget: std::sync::Arc::new(rlrpd_shadow::ShadowBudget::new(None)),
         };
         let engine = Engine::new(&lp, ecfg, false);
@@ -2185,7 +2348,7 @@ mod tests {
             run_id: fresh_run_id(),
             heartbeat_millis: 0,
             shadow_budget: 0,
-            header: header.encode(CHAIN_SEED),
+            header: header.encode(CHAIN_SEED).0,
             spec: "loopback".into(),
         };
         let mut input = std::io::empty();
@@ -2239,7 +2402,6 @@ mod tests {
             checkpoint: CheckpointPolicy::OnDemand,
             commit_prefix_on_failure: true,
             fault: None,
-            capture_deltas: false,
             budget: std::sync::Arc::new(rlrpd_shadow::ShadowBudget::new(None)),
         };
         let engine = Engine::new(&lp, ecfg, false);
@@ -2255,7 +2417,7 @@ mod tests {
             run_id: fresh_run_id(),
             heartbeat_millis: 10,
             shadow_budget: 0,
-            header: header.encode(CHAIN_SEED),
+            header: header.encode(CHAIN_SEED).0,
             spec: "loopback".into(),
         };
         let mut input = std::io::empty();

@@ -84,14 +84,22 @@ impl RunReport {
         self.stages.iter().map(|s| s.total_work).sum()
     }
 
+    /// Set [`RunReport::wall_seconds`] from the stages: every driver's
+    /// last step once its stages are in.
+    pub fn sum_wall_seconds(&mut self) {
+        self.wall_seconds = self.stages.iter().map(|s| s.wall_seconds).sum();
+    }
+
     /// Panics contained across all stages (each was recorded as a
     /// speculation fault of its block and recovered by re-execution).
     pub fn contained_faults(&self) -> usize {
         self.stages.iter().map(|s| s.contained_faults).sum()
     }
 
-    /// Wall-clock seconds spent appending crash-journal records across
-    /// all stages (0.0 for an unjournaled run).
+    /// Wall-clock seconds the run was blocked on its crash journal,
+    /// across all stages (0.0 for an unjournaled run): handing each
+    /// record to the journal's writer and waiting for the one before it
+    /// — the appends themselves run beside the next stage.
     pub fn journal_seconds(&self) -> f64 {
         self.stages.iter().map(|s| s.journal_seconds).sum()
     }
@@ -341,7 +349,7 @@ impl std::fmt::Display for RunReport {
         if jbytes > 0 {
             writeln!(
                 f,
-                "journal: {jbytes} bytes in {} records, {:.4}s append time",
+                "journal: {jbytes} bytes in {} records, {:.4}s blocked on it",
                 self.stages.iter().filter(|s| s.journal_bytes > 0).count(),
                 self.journal_seconds()
             )?;

@@ -19,14 +19,27 @@
 //! **The commit invariant**, stated here once. When a stage ends,
 //! everything below its frontier — the iteration after a trusted exit,
 //! the first dependence sink's block, or the window's end — is final:
-//! byte-identical to sequential execution. The loop then, in this
-//! order, (a) broadcasts the stage's commit record to the worker fleet,
-//! (b) appends the same record to the journal and waits for it to be
-//! durable, and only then (c) moves its commit point to the frontier.
-//! Every way out of the loop — done, paused, fallen back, failed —
-//! leaves the commit point at a durable frontier, so a resumed run, a
-//! re-dispatched block and a sequential fallback all start from state
-//! sequential execution would have produced.
+//! byte-identical to sequential execution. The loop then builds the
+//! stage's commit record once and, in this order, (a) queues it on the
+//! worker fleet, which sends it ahead of the next block request, (b)
+//! waits until the *previous* stage's record is durable and submits
+//! this one to the journal's writer, and (c) moves its commit point to
+//! the frontier:
+//!
+//! > prefix final ⇒ broadcast queued ⇒ record submitted; record `k`
+//! > durable ⇒ record `k + 1` may be written, observers see `k`, and
+//! > any exit may report `k`'s frontier.
+//!
+//! So one record's `write + fdatasync` overlaps the next stage, and
+//! memory runs at most one stage ahead of disk — only while the loop is
+//! running. Every way out of it — done, paused, fallen back, failed —
+//! first waits for the record in flight ([`run_stages`] does, around
+//! the loop), so the run returns with its commit point at a durable
+//! frontier, and a resumed run, a re-dispatched block and a sequential
+//! fallback all start from state sequential execution would have
+//! produced. A crash between submit and durable is a crash one stage
+//! earlier: the file ends at record `k − 1` or in a torn `k`, which
+//! resume truncates.
 //!
 //! Completion is guaranteed: the first non-empty block of every stage
 //! always commits, so each stage makes progress; a fully sequential
@@ -35,9 +48,9 @@
 
 use crate::analysis::DepArc;
 use crate::driver::{AdaptRule, BalancePolicy, FallbackReason, RunConfig, Strategy};
-use crate::engine::{CommittedBlockMarks, Engine, StageDelta};
+use crate::engine::{CommittedBlockMarks, Engine};
 use crate::error::RlrpdError;
-use crate::journal::JournalSink;
+use crate::journal::{CommitRecord, JournalError, JournalSink};
 use crate::report::RunReport;
 use crate::value::Value;
 use crate::window::{adapt, WindowConfig};
@@ -102,16 +115,48 @@ pub(crate) fn run_stages<T: Value>(
     cfg: &RunConfig,
     partitioner: &FeedbackPartitioner,
     start: usize,
-    journal: &mut Option<JournalSink<'_, T>>,
+    journal: &mut Option<JournalSink>,
     stop: Option<&AtomicBool>,
-    mut on_commit: impl FnMut(&[CommittedBlockMarks]),
+    on_commit: impl FnMut(&[CommittedBlockMarks]),
 ) -> Result<(RunReport, Vec<DepArc>), RlrpdError> {
-    let n = engine.n;
     let mut report = RunReport {
         sequential_work: engine.sequential_work(),
         ..Default::default()
     };
     let mut arcs = Vec::new();
+    let ran = stage_loop(
+        engine,
+        cfg,
+        partitioner,
+        start,
+        journal,
+        stop,
+        on_commit,
+        &mut report,
+        &mut arcs,
+    );
+    // Whichever way the loop ended, the record in flight is collected
+    // before anything is reported. Its failure is the earlier event (in
+    // the file, nothing follows it), so it is the one returned.
+    settle_journal(journal, &mut report)?;
+    ran?;
+    Ok((report, arcs))
+}
+
+/// The loop of [`run_stages`], which settles the journal around it.
+#[allow(clippy::too_many_arguments)]
+fn stage_loop<T: Value>(
+    engine: &mut Engine<'_, T>,
+    cfg: &RunConfig,
+    partitioner: &FeedbackPartitioner,
+    start: usize,
+    journal: &mut Option<JournalSink>,
+    stop: Option<&AtomicBool>,
+    mut on_commit: impl FnMut(&[CommittedBlockMarks]),
+    report: &mut RunReport,
+    arcs: &mut Vec<DepArc>,
+) -> Result<(), RlrpdError> {
+    let n = engine.n;
 
     let mut policy = match cfg.strategy {
         Strategy::Nrd => Policy::Keep,
@@ -138,8 +183,8 @@ pub(crate) fn run_stages<T: Value>(
     // speculation is abandoned (`Some(why)`).
     let abandoned = loop {
         if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
-            // Cooperative drain: everything below the commit point is
-            // durable; record where the run paused.
+            // Cooperative drain: record where the run paused (durable
+            // once the journal is settled).
             report.stopped_at = Some(commit_point);
             break None;
         }
@@ -174,19 +219,17 @@ pub(crate) fn run_stages<T: Value>(
                 })?,
             (None, None) => schedule.span().map_or(commit_point, |s| s.end),
         };
-        // The commit invariant: fleet mirror, then durable record, then
-        // the commit point (both are no-ops when not attached).
-        if let Some(delta) = outcome.delta.as_ref() {
-            engine.broadcast_commit(frontier, exit, false, delta);
+        // The commit invariant: one record, queued on the fleet, then
+        // submitted behind its durable predecessor, then the commit
+        // point (both sinks are no-ops when not attached).
+        let rec = outcome
+            .delta
+            .take()
+            .map(|delta| engine.commit_record(frontier, exit, false, delta));
+        if let Some(rec) = &rec {
+            engine.broadcast_commit(rec);
         }
-        journal_stage(
-            journal,
-            &mut outcome.stats,
-            frontier,
-            exit,
-            false,
-            outcome.delta,
-        )?;
+        journal_stage(journal, report, &mut outcome.stats, rec)?;
         report.stages.push(outcome.stats);
         commit_point = frontier;
 
@@ -280,37 +323,63 @@ pub(crate) fn run_stages<T: Value>(
                 }
             }
         }
-        if let Some(reason) = cfg.fallback.check(&report) {
+        if let Some(reason) = cfg.fallback.check(report) {
             break Some(reason);
         }
     };
 
     if let Some(reason) = abandoned {
-        sequential_fallback(engine, cfg, &mut report, commit_point, journal)?;
+        sequential_fallback(engine, cfg, report, commit_point, journal)?;
         report.fallback = Some(reason);
     }
-    Ok((report, arcs))
+    Ok(())
 }
 
-/// Append one stage's commit record (write-ahead) when a journal sink
-/// is attached, folding the measured append time and bytes into the
-/// stage's statistics. `None` is the zero-cost no-journal path.
-pub(crate) fn journal_stage<T: Value>(
-    journal: &mut Option<JournalSink<'_, T>>,
+/// Submit one stage's commit record when a journal sink is attached,
+/// behind the previous stage's: that record (the last of
+/// `report.stages`) must be durable first, and is credited its bytes.
+/// `stats.journal_seconds` is what the loop was blocked here — the wait
+/// for the predecessor plus the hand-off, not the append, which runs
+/// beside the next stage. `None` is the zero-cost no-journal path.
+pub(crate) fn journal_stage(
+    journal: &mut Option<JournalSink>,
+    report: &mut RunReport,
     stats: &mut StageStats,
-    frontier: usize,
-    exited_at: Option<usize>,
-    fallback: bool,
-    delta: Option<StageDelta<T>>,
+    rec: Option<CommitRecord>,
 ) -> Result<(), RlrpdError> {
     let Some(sink) = journal else { return Ok(()) };
-    let delta = delta.ok_or_else(|| RlrpdError::StageInvariant {
+    let rec = rec.ok_or_else(|| RlrpdError::StageInvariant {
         message: "journaled stage captured no delta".into(),
     })?;
     let start = std::time::Instant::now();
-    let bytes = sink.append_stage(frontier, exited_at, fallback, delta)?;
+    collect_record(sink, report)?;
+    sink.submit(rec)?;
     stats.journal_seconds = start.elapsed().as_secs_f64();
-    stats.journal_bytes = bytes;
+    Ok(())
+}
+
+/// Wait for the record in flight, if any, and credit its bytes to the
+/// stage that submitted it — the last of `report.stages`.
+fn collect_record(sink: &mut JournalSink, report: &mut RunReport) -> Result<(), JournalError> {
+    if let (Some(bytes), Some(wrote)) = (sink.collect()?, report.stages.last_mut()) {
+        wrote.journal_bytes = bytes;
+    }
+    Ok(())
+}
+
+/// Wait for the record in flight, if any: when this returns `Ok`, every
+/// record the run submitted is durable and observed, and the last stage
+/// carries its record's bytes and the wait.
+pub(crate) fn settle_journal(
+    journal: &mut Option<JournalSink>,
+    report: &mut RunReport,
+) -> Result<(), JournalError> {
+    let Some(sink) = journal else { return Ok(()) };
+    let start = std::time::Instant::now();
+    collect_record(sink, report)?;
+    if let Some(last) = report.stages.last_mut() {
+        last.journal_seconds += start.elapsed().as_secs_f64();
+    }
     Ok(())
 }
 
@@ -322,7 +391,7 @@ pub(crate) fn sequential_fallback<T: Value>(
     cfg: &RunConfig,
     report: &mut RunReport,
     from: usize,
-    journal: &mut Option<JournalSink<'_, T>>,
+    journal: &mut Option<JournalSink>,
 ) -> Result<(), RlrpdError> {
     let n = engine.n;
     let (work, exited) = engine.run_direct(from..n)?;
@@ -339,9 +408,12 @@ pub(crate) fn sequential_fallback<T: Value>(
     // Direct writes are not delta-tracked: the fallback's record holds
     // the full final state (rare and terminal, so O(array) is
     // acceptable).
-    let state = journal.is_some().then(|| engine.full_state_delta());
     let frontier = exited.map_or(n, |e| e + 1);
-    journal_stage(journal, &mut seq, frontier, exited, true, state)?;
+    let rec = journal
+        .as_ref()
+        .and_then(|_| engine.full_state_delta())
+        .map(|state| engine.commit_record(frontier, exited, true, state));
+    journal_stage(journal, report, &mut seq, rec)?;
     report.stages.push(seq);
     if exited.is_some() {
         report.exited_at = exited;

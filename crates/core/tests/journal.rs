@@ -11,11 +11,13 @@
 //! continuation byte-identical no matter where speculation restarts.
 
 use rlrpd_core::{
-    ArrayDecl, ArrayId, BlockDispatcher, ClosureLoop, DistConnector, FaultPlan, Journal,
-    JournalError, RlrpdError, RunConfig, RunPlan, Runner, Strategy, WindowConfig, WireHello,
+    run_sequential, ArrayDecl, ArrayId, BlockDispatcher, ClosureLoop, DistConnector, FaultPlan,
+    FrameObserver, Journal, JournalError, RlrpdError, RunConfig, RunPlan, Runner, Strategy,
+    WindowConfig, WireHello,
 };
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 const A: ArrayId = ArrayId(0);
 const U: ArrayId = ArrayId(1);
@@ -321,6 +323,243 @@ fn journaled_and_plain_runs_agree() {
             "{strategy:?}"
         );
         assert_eq!(plain.report.restarts, journaled.report.restarts);
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+// ---------------------------------------------------------------------
+// What "one record in flight" may not change. The stage loop runs one
+// stage ahead of the journal's writer; these pin that nothing a caller
+// can observe — the file, the observer stream, the error, the reported
+// frontier — tells the difference.
+// ---------------------------------------------------------------------
+
+/// Every iteration reads 13 behind itself, so every block but a
+/// stage's first fails and each strategy takes several stages. `hook`
+/// runs at the top of every iteration (raise a flag, panic).
+fn chained(n: usize, hook: impl Fn(usize) + Sync + 'static) -> ClosureLoop {
+    ClosureLoop::new(
+        n,
+        move || {
+            vec![
+                ArrayDecl::tested("A", vec![1.0; n], rlrpd_core::ShadowKind::Dense),
+                ArrayDecl::untested("U", vec![0.0; n]),
+            ]
+        },
+        move |i, ctx| {
+            hook(i);
+            let v = ctx.read(A, i.saturating_sub(13));
+            ctx.write(A, i, v + 1.0);
+            ctx.write(U, i, v - 0.5);
+        },
+    )
+}
+
+fn in_flight_strategies() -> Vec<Strategy> {
+    vec![
+        Strategy::Nrd,
+        Strategy::Rd,
+        Strategy::SlidingWindow(WindowConfig::fixed(16)),
+    ]
+}
+
+/// A fresh journal at `path` whose observer appends every frame it is
+/// shown to the returned buffer.
+fn observed_journal(path: &Path) -> (Journal, Arc<Mutex<Vec<u8>>>) {
+    let mut journal = Journal::create(path).unwrap();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    journal.set_observer(Some(FrameObserver::new(move |frame| {
+        sink.lock().unwrap().extend_from_slice(frame)
+    })));
+    (journal, seen)
+}
+
+#[test]
+fn a_failed_append_is_reported_with_nothing_written_or_observed_after_it() {
+    let lp = chained(96, |_| {});
+    let (seq, _) = run_sequential(&lp);
+    for (s, strategy) in in_flight_strategies().into_iter().enumerate() {
+        let cfg = RunConfig::new(4).with_strategy(strategy);
+        let (want, truth) = journaled_ground_truth(&lp, cfg, &format!("inflight-truth-{s}"));
+        assert_eq!(want, seq, "{strategy:?}");
+        let ends = record_boundaries(&truth);
+        assert!(ends.len() >= 4, "need a multi-stage run: {strategy:?}");
+
+        // Record k fails while stage k + 1 runs (the last one, while
+        // the run winds up). `landed` is how much of the fault-free
+        // file the fault leaves behind.
+        for k in 1..ends.len() {
+            for (plan, op, landed) in [
+                (FaultPlan::new().fsync_fail_at(k), "fsync", ends[k]),
+                (
+                    FaultPlan::new().short_write_at(k, 0),
+                    "short write",
+                    ends[k - 1],
+                ),
+                (
+                    FaultPlan::new().short_write_at(k, 9),
+                    "short write",
+                    ends[k - 1] + 9,
+                ),
+            ] {
+                let what = format!("{strategy:?}, {op} at record {k}");
+                let path = tmp(&format!("inflight-{s}-{k}-{landed}"));
+                let (mut journal, seen) = observed_journal(&path);
+                let err = Runner::new(cfg)
+                    .with_fault(Arc::new(plan))
+                    .try_run_journaled(&lp, &mut journal)
+                    .unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    RlrpdError::from(JournalError::Injected { record: k, op }).to_string(),
+                    "{what}"
+                );
+                drop(journal);
+
+                // No byte of record k + 1: the file is the fault-free
+                // run's, cut where the fault cut it.
+                let on_disk = std::fs::read(&path).unwrap();
+                assert!(on_disk == truth[..landed], "{what}: file contents");
+                // Observers saw every durable record and nothing else.
+                assert!(
+                    *seen.lock().unwrap() == truth[..ends[k - 1]],
+                    "{what}: observed frames"
+                );
+
+                // A re-open recovers what the observers saw — and, after
+                // a failed fsync, record k too: its bytes landed, only
+                // the confirmation was lost (a crash that loses them as
+                // well is the short write).
+                let mut journal = Journal::open(&path).unwrap();
+                let recovered = if op == "fsync" { k + 1 } else { k };
+                assert_eq!(journal.records(), recovered, "{what}");
+                let res = Runner::new(cfg).resume(&lp, &mut journal).unwrap();
+                assert_eq!(res.arrays, seq, "{what}: resume diverged");
+                std::fs::remove_file(&path).ok();
+            }
+        }
+    }
+}
+
+#[test]
+fn a_stop_raised_inside_an_iteration_pauses_at_a_durable_frontier() {
+    let (seq, _) = run_sequential(&chained(96, |_| {}));
+    for (s, strategy) in in_flight_strategies().into_iter().enumerate() {
+        let cfg = RunConfig::new(4).with_strategy(strategy);
+        let stop = Arc::new(AtomicBool::new(false));
+        let lp = {
+            let stop = Arc::clone(&stop);
+            let fired = AtomicBool::new(false);
+            chained(96, move |i| {
+                if i == 40 && !fired.swap(true, Ordering::Relaxed) {
+                    stop.store(true, Ordering::Relaxed);
+                }
+            })
+        };
+        let path = tmp(&format!("inflight-stop-{s}"));
+        let mut journal = Journal::create(&path).unwrap();
+        let res = Runner::new(cfg)
+            .with_stop(Arc::clone(&stop))
+            .try_run_journaled(&lp, &mut journal)
+            .unwrap();
+        drop(journal);
+        let stopped = res.report.stopped_at.expect("the run paused");
+        assert!(stopped < 96, "{strategy:?}: paused before the end");
+
+        // The reported frontier is on disk, whole.
+        let mut journal = Journal::open(&path).unwrap();
+        assert_eq!(journal.truncated_bytes(), 0, "{strategy:?}");
+        assert_eq!(
+            journal.commits().last().map(|c| c.frontier),
+            Some(stopped),
+            "{strategy:?}: stopped_at is the last durable frontier"
+        );
+        assert_eq!(journal.commits().len(), res.report.stages.len());
+
+        stop.store(false, Ordering::Relaxed);
+        let res = Runner::new(cfg).resume(&lp, &mut journal).unwrap();
+        assert_eq!(res.report.resumed_at, Some(stopped));
+        assert_eq!(res.arrays, seq, "{strategy:?}: resume diverged");
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
+fn a_run_that_errors_leaves_the_journal_at_its_last_committed_stage() {
+    let lp = chained(96, |_| {});
+    for (s, strategy) in in_flight_strategies().into_iter().enumerate() {
+        let cfg = RunConfig::new(4).with_strategy(strategy);
+        let (_, truth) = journaled_ground_truth(&lp, cfg, &format!("inflight-err-truth-{s}"));
+        let ends = record_boundaries(&truth);
+        const LIMIT: usize = 2;
+        assert!(
+            ends.len() > LIMIT + 1,
+            "{strategy:?}: more stages than the cap"
+        );
+        let capped = RunConfig {
+            max_stages: LIMIT,
+            ..cfg
+        };
+
+        // The stage cap: the record in flight when it trips is on disk,
+        // whole, and nothing follows it.
+        let path = tmp(&format!("inflight-limit-{s}"));
+        let mut journal = Journal::create(&path).unwrap();
+        let err = Runner::new(capped)
+            .try_run_journaled(&lp, &mut journal)
+            .unwrap_err();
+        assert!(
+            matches!(err, RlrpdError::StageLimit { max_stages: LIMIT }),
+            "{strategy:?}: {err:?}"
+        );
+        drop(journal);
+        assert!(
+            std::fs::read(&path).unwrap() == truth[..ends[LIMIT]],
+            "{strategy:?}: journal after the stage cap"
+        );
+
+        // When that record's append fails, the failure — the earlier
+        // event — is what the run reports, not the cap.
+        let mut journal = Journal::create(&path).unwrap();
+        let err = Runner::new(capped)
+            .with_fault(Arc::new(FaultPlan::new().fsync_fail_at(LIMIT)))
+            .try_run_journaled(&lp, &mut journal)
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            RlrpdError::from(JournalError::Injected {
+                record: LIMIT,
+                op: "fsync"
+            })
+            .to_string(),
+            "{strategy:?}"
+        );
+        drop(journal);
+
+        // A genuine program fault: every record the run believes it
+        // wrote is on disk, whole, and the last one stops short of the
+        // faulting iteration.
+        let faulty = chained(96, |i| assert!(i != 50, "iteration 50 exploded"));
+        let mut journal = Journal::create(&path).unwrap();
+        let err = Runner::new(cfg)
+            .try_run_journaled(&faulty, &mut journal)
+            .unwrap_err();
+        assert!(
+            matches!(err, RlrpdError::ProgramFault { iter: 50, .. }),
+            "{strategy:?}: {err:?}"
+        );
+        let believed = journal.commits().to_vec();
+        drop(journal);
+        let journal = Journal::open(&path).unwrap();
+        assert_eq!(journal.truncated_bytes(), 0, "{strategy:?}: nothing torn");
+        assert_eq!(
+            journal.commits(),
+            &believed[..],
+            "{strategy:?}: nothing lost"
+        );
+        let last = believed.last().expect("stages committed before the fault");
+        assert!(last.frontier <= 50, "{strategy:?}: {last:?}");
         std::fs::remove_file(&path).ok();
     }
 }

@@ -4,7 +4,7 @@
 //! detection.
 
 use std::collections::VecDeque;
-use std::io::{BufReader, Read};
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
@@ -14,10 +14,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rlrpd_core::remote::{
-    encode_shutdown, frame_kind, read_frame, write_frame, BlockDispatcher, BlockReply,
-    BlockRequest, DistConnector, HelloAck, TransportStats, WireHello, WorkerLoss, FAULT_CORRUPT,
-    FAULT_HANG, FAULT_KILL, FAULT_NONE, FRAME_HEARTBEAT, FRAME_HELLO, FRAME_REPLY,
-    PROTOCOL_VERSION,
+    encode_shutdown, frame_kind, push_frame, read_frame, BlockDispatcher, BlockReply, BlockRequest,
+    DistConnector, HelloAck, TransportStats, WireHello, WorkerLoss, FAULT_CORRUPT, FAULT_HANG,
+    FAULT_KILL, FAULT_NONE, FRAME_HEARTBEAT, FRAME_HELLO, FRAME_REPLY, PROTOCOL_VERSION,
 };
 use rlrpd_runtime::{FaultPlan, WorkerFault};
 
@@ -202,16 +201,21 @@ enum Link {
 }
 
 impl Link {
-    /// Write one frame to the worker.
-    fn write_record(&mut self, record: &[u8]) -> std::io::Result<()> {
-        match self {
-            Link::Child { stdin, .. } => write_frame(stdin, record),
-            Link::Tcp(stream) => write_frame(stream, record),
-            Link::Closed => Err(std::io::Error::new(
-                std::io::ErrorKind::BrokenPipe,
-                "worker link closed",
-            )),
-        }
+    /// Send `frames` — one or more whole frames, already
+    /// length-prefixed ([`push_frame`]) — to the worker in one write.
+    fn send(&mut self, frames: &[u8]) -> std::io::Result<()> {
+        let w: &mut dyn Write = match self {
+            Link::Child { stdin, .. } => stdin,
+            Link::Tcp(stream) => stream,
+            Link::Closed => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::BrokenPipe,
+                    "worker link closed",
+                ))
+            }
+        };
+        w.write_all(frames)?;
+        w.flush()
     }
 
     /// Tear the worker down: kill + reap a subprocess, shut down a
@@ -241,6 +245,11 @@ struct Worker {
     /// `(request index, dispatch time)` of blocks sent and not yet
     /// answered.
     outstanding: Vec<(usize, Instant)>,
+    /// Commit frames broadcast since this worker was last written to:
+    /// they leave in the same write as its next block request. A
+    /// replacement starts with none — the history it is replayed
+    /// already holds them.
+    queued: Vec<u8>,
     reader: Option<JoinHandle<()>>,
     /// Respawns charged to this slot so far.
     respawns: u32,
@@ -338,6 +347,7 @@ impl Fleet {
                         generation,
                         last_heartbeat: Instant::now(),
                         outstanding: Vec::new(),
+                        queued: Vec::new(),
                         reader: None,
                         respawns: 0,
                         quarantined: true,
@@ -385,7 +395,10 @@ impl Fleet {
                     .spawn()?;
                 let stdin = child.stdin.take().expect("worker stdin piped");
                 let stdout = child.stdout.take().expect("worker stdout piped");
-                (Link::Child { child, stdin }, Box::new(stdout))
+                (
+                    Link::Child { child, stdin },
+                    Box::new(BufReader::new(stdout)),
+                )
             }
             Endpoint::Tcp(addr) => {
                 let stream = net::connect(addr, &self.tuning, idx as u64)?;
@@ -408,18 +421,19 @@ impl Fleet {
                 }
             }
         });
-        let mut bytes = 4 + self.hello.len() as u64;
-        link.write_record(&self.hello)?;
+        let mut replay = Vec::new();
+        push_frame(&mut replay, &self.hello);
         for record in &self.history {
-            link.write_record(record)?;
-            bytes += 4 + record.len() as u64;
+            push_frame(&mut replay, record);
         }
-        self.stats.wire_bytes += bytes;
+        link.send(&replay)?;
+        self.stats.wire_bytes += replay.len() as u64;
         Ok(Worker {
             link,
             generation,
             last_heartbeat: Instant::now(),
             outstanding: Vec::new(),
+            queued: Vec::new(),
             reader: None,
             respawns: 0,
             quarantined: false,
@@ -439,6 +453,7 @@ impl Fleet {
             let _ = h.join();
         }
         let orphans: Vec<usize> = w.outstanding.drain(..).map(|(req, _)| req).collect();
+        w.queued = Vec::new();
         if !w.quarantined {
             w.quarantined = true;
             self.stats.quarantined += 1;
@@ -566,18 +581,22 @@ impl Fleet {
                     });
                 };
                 let record = reqs[req_index].encode(self.next_fault_code());
-                match self.workers[idx].link.write_record(&record) {
+                // The commit frames queued for this worker and the
+                // request: one write.
+                let w = &mut self.workers[idx];
+                push_frame(&mut w.queued, &record);
+                match w.link.send(&w.queued) {
                     Ok(()) => {
-                        self.stats.wire_bytes += 4 + record.len() as u64;
-                        self.workers[idx]
-                            .outstanding
-                            .push((req_index, Instant::now()));
+                        self.stats.wire_bytes += w.queued.len() as u64;
+                        w.queued.clear();
+                        w.outstanding.push((req_index, Instant::now()));
                         break;
                     }
                     Err(e) => {
                         // The worker died between blocks; its orphans
                         // join the queue and this request retries on
-                        // whatever slot is next.
+                        // whatever slot is next. The commit frames it
+                        // was owed reach its replacement in the replay.
                         let orphans = self.respawn(idx, &format!("request write failed: {e}"))?;
                         pending.extend(orphans);
                     }
@@ -644,24 +663,15 @@ impl BlockDispatcher for Fleet {
                 reason: "fleet already lost".into(),
             });
         }
-        let t0 = Instant::now();
-        // Push first: a respawn triggered by a failed write replays the
-        // history *including* this record, so the replacement needs no
-        // separate retry.
+        // Nothing is written here. The record joins the history — so a
+        // replacement's replay holds it — and each live worker's queue,
+        // which goes out ahead of that worker's next block request: no
+        // worker needs record `k` before it is asked for a block of
+        // stage `k + 1`, and the last stage's record is never needed.
         self.history.push(record.to_vec());
-        for idx in 0..self.workers.len() {
-            if self.workers[idx].quarantined {
-                continue;
-            }
-            match self.workers[idx].link.write_record(record) {
-                Ok(()) => self.stats.wire_bytes += 4 + record.len() as u64,
-                Err(e) => {
-                    let orphans = self.respawn(idx, &format!("commit broadcast failed: {e}"))?;
-                    debug_assert!(orphans.is_empty(), "broadcast happens between stages");
-                }
-            }
+        for w in self.workers.iter_mut().filter(|w| !w.quarantined) {
+            push_frame(&mut w.queued, record);
         }
-        self.stats.dispatch_seconds += t0.elapsed().as_secs_f64();
         Ok(())
     }
 
@@ -818,10 +828,11 @@ impl BlockDispatcher for Fleet {
 
 impl Drop for Fleet {
     fn drop(&mut self) {
-        let bye = encode_shutdown();
+        let mut bye = Vec::new();
+        push_frame(&mut bye, &encode_shutdown());
         for w in &mut self.workers {
             if !w.quarantined {
-                let _ = w.link.write_record(&bye);
+                let _ = w.link.send(&bye);
             }
         }
         for w in &mut self.workers {

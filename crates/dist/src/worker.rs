@@ -154,8 +154,13 @@ pub(crate) fn serve_session(
 /// failures.
 pub fn worker_entry() -> i32 {
     let mut input = std::io::stdin().lock();
-    let output: Arc<Mutex<Box<dyn Write + Send>>> =
-        Arc::new(Mutex::new(Box::new(std::io::stdout())));
+    let output = match raw_stdout() {
+        Ok(out) => Arc::new(Mutex::new(out)),
+        Err(e) => {
+            eprintln!("rlrpd worker: cannot open stdout: {e}");
+            return EXIT_TRANSPORT;
+        }
+    };
     // Over stdio the process serves exactly one session; a dead
     // supervisor pipe means there is nothing left to do.
     let on_heartbeat_failure: Arc<dyn Fn() + Send + Sync> =
@@ -167,4 +172,21 @@ pub fn worker_entry() -> i32 {
         on_heartbeat_failure,
         || {},
     )
+}
+
+/// This process's stdout as the bare descriptor. `std::io::stdout()` is
+/// a `LineWriter`: it would cut a binary frame at its last `0x0A` byte
+/// and hand the supervisor's pipe two writes where the frame is one.
+#[cfg(unix)]
+fn raw_stdout() -> std::io::Result<Box<dyn Write + Send>> {
+    use std::os::fd::AsFd;
+    let fd = std::io::stdout().as_fd().try_clone_to_owned()?;
+    Ok(Box::new(std::fs::File::from(fd)))
+}
+
+/// Where there is no descriptor to borrow, the buffered handle still
+/// carries every frame whole; only the write count differs.
+#[cfg(not(unix))]
+fn raw_stdout() -> std::io::Result<Box<dyn Write + Send>> {
+    Ok(Box::new(std::io::stdout()))
 }

@@ -10,7 +10,8 @@ use std::io::Read;
 
 use proptest::prelude::*;
 use rlrpd_core::remote::{
-    encode_heartbeat, encode_shutdown, read_frame, write_frame, BlockRequest, HelloAck, WireHello,
+    encode_heartbeat, encode_shutdown, read_frame, record_chain, write_frame, BlockReply,
+    BlockRequest, HelloAck, WireHello,
 };
 
 /// A reader that honors a list of cut positions: each `read` returns at
@@ -80,9 +81,30 @@ fn assert_stream_decodes(frames: &[Vec<u8>], mut reader: ChunkedReader) {
     );
 }
 
+/// A reply whose `iter_costs` is `runs` spelled out: `(first iteration,
+/// length, cost)` each — consecutive or not, one cost or several, none
+/// at all.
+fn reply_of(chain: u64, runs: &[(u32, u8, u8)]) -> BlockReply {
+    BlockReply {
+        chain,
+        iter_costs: runs
+            .iter()
+            .flat_map(|&(first, len, cost)| {
+                (0..len as u32).map(move |k| (first.saturating_add(k), cost as f64 / 4.0))
+            })
+            .collect(),
+        ..Default::default()
+    }
+}
+
 /// One arbitrary wire frame of any protocol kind.
 fn frame() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
+        (
+            any::<u64>(),
+            prop::collection::vec((any::<u32>(), 0u8..40, 0u8..3), 0..5)
+        )
+            .prop_map(|(chain, runs)| reply_of(chain, &runs).encode()),
         any::<u64>().prop_map(encode_heartbeat),
         Just(encode_shutdown()),
         (any::<u32>(), any::<u64>(), any::<u64>()).prop_map(|(protocol, run_id, header_fnv)| {
@@ -192,13 +214,54 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Wire v4: a reply's `(iteration, cost)` pairs travel run-length
+    /// encoded and come back as the pairs they were — mixed costs,
+    /// single iterations, gaps, repeats and no pairs at all.
+    #[test]
+    fn run_length_encoded_costs_round_trip(
+        chain in any::<u64>(),
+        runs in prop::collection::vec((any::<u32>(), 0u8..40, 0u8..3), 0..6),
+    ) {
+        let reply = reply_of(chain, &runs);
+        let back = BlockReply::decode(&reply.encode()).expect("own encoding decodes");
+        prop_assert_eq!(back, reply);
+    }
+}
+
+/// A run whose count was inflated on the wire — checksum made good, so
+/// only the decoder's own guard stands in the way — is refused before
+/// it sizes anything.
+#[test]
+fn hostile_run_counts_are_refused() {
+    let honest = reply_of(7, &[(100, 3, 4)]).encode();
+    // No fault, no slots, one run: its `count` sits after the 9-byte
+    // envelope head, chain, pos, exit, fault, two slot counts, the run
+    // count and the run's first iteration.
+    let count_at = 9 + 8 + 4 + 8 + 8 + 4 + 4 + 8 + 4;
+    assert_eq!(honest[count_at..count_at + 4], 3u32.to_le_bytes());
+    for count in [0u32, 1 << 25, u32::MAX] {
+        let mut forged = honest.clone();
+        forged[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+        let body = forged.len() - 8;
+        let sum = record_chain(&forged[..body]);
+        forged[body..].copy_from_slice(&sum.to_le_bytes());
+        assert!(
+            BlockReply::decode(&forged).is_err(),
+            "count {count} decoded"
+        );
+    }
+}
+
 /// Exhaustive (non-random) leg: one representative multi-frame stream,
 /// split into two reads at *every* byte position.
 #[test]
 fn every_two_chunk_split_decodes_identically() {
     let frames = vec![
         WireHello {
-            protocol: 3,
+            protocol: 4,
             run_id: 0xdead_beef_0000_0001,
             heartbeat_millis: 25,
             shadow_budget: 1 << 20,
@@ -215,6 +278,7 @@ fn every_two_chunk_split_decodes_identically() {
             end: 17,
         }
         .encode(0),
+        reply_of(42, &[(0, 17, 4), (17, 1, 2)]).encode(),
         encode_shutdown(),
     ];
     let stream = stream_of(&frames);

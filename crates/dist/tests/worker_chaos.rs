@@ -6,11 +6,15 @@
 //! is gone).
 
 use std::path::PathBuf;
+use std::process::Command;
 use std::sync::Arc;
 use std::time::Duration;
 
 use rlrpd_core::driver::{FallbackReason, RunConfig, RunPlan, Runner, Strategy};
-use rlrpd_core::{run_sequential, FaultPlan, WindowConfig};
+use rlrpd_core::remote::{
+    BlockDispatcher, BlockReply, BlockRequest, DistConnector, TransportStats, WireHello, WorkerLoss,
+};
+use rlrpd_core::{run_sequential, FaultPlan, RunReport, WindowConfig};
 use rlrpd_dist::{resolve_spec, DistLauncher, DistPolicy};
 
 /// A partially parallel loop in the wire spec registry: stride-13
@@ -50,22 +54,18 @@ fn strategies() -> Vec<Strategy> {
     ]
 }
 
-/// Run `SPEC` distributed under `fault` and assert the final arrays
-/// match a sequential execution exactly.
-fn assert_chaos_run_matches_sequential(
-    strategy: Strategy,
-    fault: Option<FaultPlan>,
-    min_respawns: usize,
-) {
+/// Run `SPEC` over the fleet `connector` launches; the run must stay
+/// distributed and end byte-identical to sequential execution. Returns
+/// its report.
+fn distributed_run_report(strategy: Strategy, connector: &mut dyn DistConnector) -> RunReport {
     let lp = resolve_spec(SPEC).expect("registry spec");
     let mut cfg = RunConfig::new(4);
     cfg.strategy = strategy;
-    let mut connector = launcher(chaos_policy(), fault);
     let got = Runner::new(cfg)
         .execute(
             lp.as_ref(),
             RunPlan {
-                fleet: Some((SPEC, &mut connector)),
+                fleet: Some((SPEC, connector)),
                 ..Default::default()
             },
         )
@@ -79,14 +79,22 @@ fn assert_chaos_run_matches_sequential(
         got.report.fallback, None,
         "{strategy:?}: unexpected fallback"
     );
+    got.report
+}
+
+/// Run `SPEC` distributed under `fault` and assert the final arrays
+/// match a sequential execution exactly.
+fn assert_chaos_run_matches_sequential(
+    strategy: Strategy,
+    fault: Option<FaultPlan>,
+    min_respawns: usize,
+) {
+    let report = distributed_run_report(strategy, &mut launcher(chaos_policy(), fault));
+    assert!(report.wire_bytes() > 0, "{strategy:?}: no transport stats");
     assert!(
-        got.report.wire_bytes() > 0,
-        "{strategy:?}: no transport stats"
-    );
-    assert!(
-        got.report.respawns() >= min_respawns,
+        report.respawns() >= min_respawns,
         "{strategy:?}: expected >= {min_respawns} respawns, saw {}",
-        got.report.respawns()
+        report.respawns()
     );
 }
 
@@ -274,4 +282,143 @@ fn missing_worker_binary_degrades_at_connect() {
     assert_eq!(got.arrays, seq);
     assert_eq!(got.report.fallback, Some(FallbackReason::WorkerLoss));
     assert_eq!(got.report.wire_bytes(), 0, "nothing ever hit a pipe");
+}
+
+// ---------------------------------------------------------------------
+// The deferred broadcast. A commit record is queued per worker and
+// leaves with that worker's next block request; a worker that dies in
+// between is owed nothing twice — its replacement is replayed the
+// history, which holds the record, and starts with an empty queue. A
+// record delivered twice would fail the replacement's chain check and
+// cost one more respawn, so an exact respawn count is the
+// exactly-once assertion.
+// ---------------------------------------------------------------------
+
+/// Wraps a fleet: after the `after`-th commit broadcast — the record
+/// queued, the next stage's requests not yet sent — SIGKILLs the worker
+/// `pidfile` lists first and waits until it is dead.
+struct KillBetweenStages {
+    fleet: Box<dyn BlockDispatcher>,
+    pidfile: PathBuf,
+    after: usize,
+    broadcasts: usize,
+}
+
+impl BlockDispatcher for KillBetweenStages {
+    fn broadcast(&mut self, record: &[u8]) -> Result<(), WorkerLoss> {
+        self.fleet.broadcast(record)?;
+        self.broadcasts += 1;
+        if self.broadcasts == self.after {
+            let pids = std::fs::read_to_string(&self.pidfile).expect("worker pid file");
+            let pid = pids.lines().next().expect("a worker started").to_string();
+            let killed = Command::new("kill").args(["-9", &pid]).status();
+            assert!(killed.is_ok_and(|s| s.success()), "kill -9 {pid}");
+            // Wait until it is dead to the last thread: the leader a
+            // zombie (the fleet has not reaped it yet) and no other task
+            // left, so its end of the pipes is closed and the next
+            // write to it fails instead of vanishing with it.
+            let (stat, tasks) = (format!("/proc/{pid}/stat"), format!("/proc/{pid}/task"));
+            while std::fs::read_to_string(&stat).is_ok_and(|s| !s.contains(") Z "))
+                || std::fs::read_dir(&tasks).is_ok_and(|t| t.count() > 1)
+            {
+                std::thread::yield_now();
+            }
+        }
+        Ok(())
+    }
+
+    fn dispatch(&mut self, reqs: &[BlockRequest]) -> Result<Vec<BlockReply>, WorkerLoss> {
+        self.fleet.dispatch(reqs)
+    }
+
+    fn take_stats(&mut self) -> TransportStats {
+        self.fleet.take_stats()
+    }
+}
+
+/// Launches workers through a shell that appends its pid to `pidfile`
+/// and then *becomes* the worker, so the file lists worker pids in
+/// spawn order.
+struct KillingConnector {
+    launcher: DistLauncher,
+    pidfile: PathBuf,
+    after: usize,
+}
+
+impl DistConnector for KillingConnector {
+    fn connect(&mut self, hello: &WireHello) -> Result<Box<dyn BlockDispatcher>, String> {
+        Ok(Box::new(KillBetweenStages {
+            fleet: self.launcher.connect(hello)?,
+            pidfile: self.pidfile.clone(),
+            after: self.after,
+            broadcasts: 0,
+        }))
+    }
+}
+
+/// Run `SPEC` over a fleet one of whose workers is killed after the
+/// second commit broadcast, with `fault` riding the block requests as
+/// well; the run must stay distributed, verify, and respawn exactly
+/// `respawns` times.
+fn assert_kill_between_stages_recovers(
+    strategy: Strategy,
+    fault: Option<FaultPlan>,
+    respawns: usize,
+    tag: &str,
+) {
+    let pidfile = std::env::temp_dir().join(format!(
+        "rlrpd-chaos-pids-{tag}-{strategy:?}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&pidfile);
+    let script = format!(
+        "echo $$ >> '{}'; exec '{}'",
+        pidfile.display(),
+        worker_bin().display()
+    );
+    let mut launcher = DistLauncher::new(PathBuf::from("/bin/sh"), vec!["-c".into(), script])
+        .with_policy(chaos_policy());
+    if let Some(f) = fault {
+        launcher = launcher.with_fault(Arc::new(f));
+    }
+    let mut connector = KillingConnector {
+        launcher,
+        pidfile: pidfile.clone(),
+        after: 2,
+    };
+    let report = distributed_run_report(strategy, &mut connector);
+    let _ = std::fs::remove_file(&pidfile);
+    assert_eq!(
+        report.respawns(),
+        respawns,
+        "{strategy:?}: a replacement that saw a commit record twice (or not at all) dies of it"
+    );
+}
+
+#[test]
+fn worker_killed_between_stages_is_replayed_each_commit_record_once() {
+    for strategy in strategies() {
+        assert_kill_between_stages_recovers(strategy, None, 1, "between");
+    }
+}
+
+#[test]
+fn worker_killed_in_the_first_dispatch_after_a_respawn_is_replayed_once_too() {
+    // Two broadcasts precede the kill, so the dead worker is found — and
+    // replaced — by the third stage's dispatch, whose block requests
+    // carry ordinals 8 and up (four per stage, one more for the write
+    // that found the corpse). Ordinal 10 is in that same dispatch: it
+    // kills a worker that was just replayed, or the survivor whose
+    // queue was just flushed.
+    for strategy in [
+        Strategy::Rd,
+        Strategy::SlidingWindow(WindowConfig::fixed(17)),
+    ] {
+        assert_kill_between_stages_recovers(
+            strategy,
+            Some(FaultPlan::new().kill_worker_at(10)),
+            2,
+            "after-respawn",
+        );
+    }
 }

@@ -153,10 +153,13 @@ pub struct StageStats {
     /// Number of panics contained by this stage (recorded as
     /// speculation faults of their block, like a dependence arc).
     pub contained_faults: usize,
-    /// Wall-clock seconds spent appending this stage's commit record to
-    /// the crash journal (0.0 when the run is not journaled). Unlike
-    /// [`PhaseSeconds`], this is real I/O and is measured under every
-    /// executor — it never feeds back into virtual-time results.
+    /// Wall-clock seconds this stage was blocked on the crash journal
+    /// (0.0 when the run is not journaled): waiting for the previous
+    /// stage's record to be durable, then handing over its own, whose
+    /// append runs beside the next stage (the run's last stage also
+    /// carries the final wait). Unlike [`PhaseSeconds`], this is real
+    /// I/O and is measured under every executor — it never feeds back
+    /// into virtual-time results.
     pub journal_seconds: f64,
     /// Bytes appended to the crash journal for this stage (0 when the
     /// run is not journaled).
