@@ -22,16 +22,25 @@
 //! the earliest dependence sink executed correctly and can be
 //! committed.* The `analyze` function returns that earliest sink
 //! position.
+//!
+//! The arc rule is written once, in `flow_arcs`: a scan of one element
+//! population's touched entries in block order. It has two feeders.
+//! [`analyze_seq`] hands it the views themselves, one tested array at a
+//! time, on the calling thread; [`analyze_parallel`] first partitions
+//! the entries by element into one bucket per pool thread and hands it
+//! each bucket. Which one a stage uses is the engine's choice
+//! ([`Executor::fans_out`]); what an arc *is* does not depend on it.
 
 use crate::value::Value;
 use crate::view::ProcView;
-use rlrpd_runtime::{ExecMode, Executor};
+use rlrpd_runtime::Executor;
 use rlrpd_shadow::hasher::FxBuildHasher;
 use rlrpd_shadow::Mark;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// One detected cross-block flow arc (first arc per element reported).
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DepArc {
     /// Declaration index of the tested array.
     pub array: u32,
@@ -73,7 +82,7 @@ pub struct AnalysisResult {
 /// merge on `fan_out` when the engine found the stage wide enough to pay
 /// for its fork-joins ([`Executor::fans_out`]), the sequential scan on
 /// the calling thread otherwise — always the latter under
-/// [`ExecMode::Simulated`], whose determinism contract
+/// [`rlrpd_runtime::ExecMode::Simulated`], whose determinism contract
 /// excludes any dependence on host parallelism. Both produce identical
 /// [`AnalysisResult`]s — the randomized equivalence suite asserts it.
 pub(crate) fn analyze<T: Value>(
@@ -87,7 +96,48 @@ pub(crate) fn analyze<T: Value>(
     }
 }
 
-/// Sequential reference implementation of the shadow merge.
+/// The arc rule. `blocks` yields, in block order, each block's touched
+/// entries of one element population (`key` names the element: every
+/// entry of an element must pass through the same call); `arc_at` turns
+/// a key back into the `(array, element)` an arc reports. The first
+/// exposed read of an element that a strictly earlier block produced is
+/// pushed onto `arcs`, once per element.
+fn flow_arcs<K: Copy + Eq + Hash>(
+    blocks: impl Iterator<Item = impl Iterator<Item = (K, Mark)>>,
+    arc_at: impl Fn(K) -> (u32, usize),
+    arcs: &mut Vec<DepArc>,
+) {
+    // element -> (earliest producing block position, arc reported).
+    let mut producers: HashMap<K, (u32, bool), FxBuildHasher> = HashMap::default();
+    for (pos, block) in blocks.enumerate() {
+        for (key, mark) in block {
+            // Check the read against *strictly earlier* producers
+            // before recording this block as a producer: an exposed
+            // read below this block's own write is satisfied by
+            // copy-in.
+            if mark.is_exposed_read() {
+                if let Some((src_pos, reported)) = producers.get_mut(&key) {
+                    if !*reported {
+                        *reported = true;
+                        let (array, elem) = arc_at(key);
+                        arcs.push(DepArc {
+                            array,
+                            elem,
+                            src_pos: *src_pos as usize,
+                            sink_pos: pos,
+                        });
+                    }
+                }
+            }
+            if mark.is_dependence_source() {
+                producers.entry(key).or_insert((pos as u32, false));
+            }
+        }
+    }
+}
+
+/// Sequential reference implementation of the shadow merge: the arc
+/// rule over the views as they stand, one tested array at a time.
 ///
 /// `per_pos_views[pos][slot]` is block `pos`'s view of tested array
 /// `slot`; `tested_ids[slot]` maps a slot back to its declaration index
@@ -97,39 +147,13 @@ pub fn analyze_seq<T: Value>(
     tested_ids: &[usize],
 ) -> AnalysisResult {
     let mut result = AnalysisResult::default();
-    let num_slots = tested_ids.len();
-
-    for slot in 0..num_slots {
-        // elem -> earliest producing block position.
-        let mut producers: HashMap<usize, usize, FxBuildHasher> = HashMap::default();
-        // elem -> already reported an arc.
-        let mut reported: HashMap<usize, (), FxBuildHasher> = HashMap::default();
-
-        for (pos, views) in per_pos_views.iter().enumerate() {
-            for (elem, mark) in views[slot].touched() {
-                // Check the read against *strictly earlier* producers
-                // before recording this block as a producer: an exposed
-                // read below this block's own write is satisfied by
-                // copy-in.
-                if mark.is_exposed_read() {
-                    if let Some(&src) = producers.get(&elem) {
-                        if reported.insert(elem, ()).is_none() {
-                            result.arcs.push(DepArc {
-                                array: tested_ids[slot] as u32,
-                                elem,
-                                src_pos: src,
-                                sink_pos: pos,
-                            });
-                        }
-                    }
-                }
-                if mark.is_dependence_source() {
-                    producers.entry(elem).or_insert(pos);
-                }
-            }
-        }
+    for (slot, &id) in tested_ids.iter().enumerate() {
+        flow_arcs(
+            per_pos_views.iter().map(|views| views[slot].touched()),
+            |elem| (id as u32, elem),
+            &mut result.arcs,
+        );
     }
-
     finish(&mut result, per_pos_views);
     result
 }
@@ -143,9 +167,8 @@ pub fn analyze_seq<T: Value>(
 ///    `(slot, elem)`.
 /// 2. **Merge** (parallel over buckets): every entry of a given element
 ///    lands in exactly one bucket, and within a bucket entries are
-///    scanned in block order — so the per-element producer/reported
-///    logic is *verbatim* the sequential one, run independently per
-///    bucket with no sharing.
+///    scanned in block order — so each bucket is an element population
+///    the arc rule runs over independently, with no sharing.
 /// 3. **Combine** (sequential, cheap): bucket arc lists are
 ///    concatenated and canonically sorted; the earliest sink is a `min`
 ///    over all arcs.
@@ -159,15 +182,16 @@ pub fn analyze_parallel<T: Value>(
     tested_ids: &[usize],
     executor: &Executor,
 ) -> AnalysisResult {
-    let num_pos = per_pos_views.len();
-    let num_slots = tested_ids.len();
-    let buckets = merge_width(executor, num_pos);
+    let buckets = merge_buckets(executor);
 
     // Pass 1: partition each block's touched entries by element bucket.
-    let partitioned: Vec<Vec<Vec<(u32, usize, Mark)>>> = executor.run_indexed(num_pos, |pos| {
-        let mut out: Vec<Vec<(u32, usize, Mark)>> = vec![Vec::new(); buckets];
-        for slot in 0..num_slots {
-            for (elem, mark) in per_pos_views[pos][slot].touched() {
+    // (Flat triples: 16 bytes an entry, where `((slot, elem), mark)`
+    // would be 24.)
+    type Bucket = Vec<(u32, usize, Mark)>;
+    let partitioned: Vec<Vec<Bucket>> = executor.run_indexed(per_pos_views.len(), |pos| {
+        let mut out: Vec<Bucket> = vec![Vec::new(); buckets];
+        for (slot, view) in per_pos_views[pos].iter().enumerate().take(tested_ids.len()) {
+            for (elem, mark) in view.touched() {
                 out[bucket_of(slot, elem, buckets)].push((slot as u32, elem, mark));
             }
         }
@@ -176,28 +200,15 @@ pub fn analyze_parallel<T: Value>(
 
     // Pass 2: per-bucket merge in block order.
     let per_bucket_arcs: Vec<Vec<DepArc>> = executor.run_indexed(buckets, |b| {
-        let mut producers: HashMap<(u32, usize), usize, FxBuildHasher> = HashMap::default();
-        let mut reported: HashMap<(u32, usize), (), FxBuildHasher> = HashMap::default();
         let mut arcs = Vec::new();
-        for (pos, block_buckets) in partitioned.iter().enumerate() {
-            for &(slot, elem, mark) in &block_buckets[b] {
-                if mark.is_exposed_read() {
-                    if let Some(&src) = producers.get(&(slot, elem)) {
-                        if reported.insert((slot, elem), ()).is_none() {
-                            arcs.push(DepArc {
-                                array: tested_ids[slot as usize] as u32,
-                                elem,
-                                src_pos: src,
-                                sink_pos: pos,
-                            });
-                        }
-                    }
-                }
-                if mark.is_dependence_source() {
-                    producers.entry((slot, elem)).or_insert(pos);
-                }
-            }
-        }
+        flow_arcs(
+            partitioned.iter().map(|block| {
+                let entries = block[b].iter();
+                entries.map(|&(slot, elem, mark)| ((slot, elem), mark))
+            }),
+            |(slot, elem)| (tested_ids[slot as usize] as u32, elem),
+            &mut arcs,
+        );
         arcs
     });
 
@@ -227,21 +238,17 @@ fn finish<T: Value>(result: &mut AnalysisResult, per_pos_views: &[&[ProcView<T>]
     result.first_violation = result.arcs.iter().map(|a| a.sink_pos).min();
 }
 
-/// Number of merge buckets: the pool's width when pooled, one bucket
-/// per block under scoped threads, and a single bucket sequentially.
-fn merge_width(executor: &Executor, num_pos: usize) -> usize {
-    match executor.pool() {
-        Some(pool) => pool.threads(),
-        None if executor.mode() == ExecMode::Simulated => 1,
-        None => num_pos,
-    }
-    .max(1)
+/// Number of buckets the partitioned merges (here and in
+/// [`crate::commit`]) split a stage's entries into: the pool's width,
+/// and a single bucket for an executor without a pool.
+pub(crate) fn merge_buckets(executor: &Executor) -> usize {
+    executor.pool().map_or(1, |pool| pool.threads()).max(1)
 }
 
 /// Deterministic element-to-bucket assignment (multiplicative hash so
 /// striding access patterns spread instead of aliasing onto one bucket).
 #[inline]
-fn bucket_of(slot: usize, elem: usize, buckets: usize) -> usize {
+pub(crate) fn bucket_of(slot: usize, elem: usize, buckets: usize) -> usize {
     let h = (elem ^ (slot << 56)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     (h >> 32) % buckets
 }
@@ -251,6 +258,7 @@ mod tests {
     use super::*;
     use crate::array::ShadowKind;
     use crate::value::Reduction;
+    use rlrpd_runtime::ExecMode;
 
     fn view(size: usize) -> ProcView<f64> {
         ProcView::new(size, ShadowKind::Dense, None)

@@ -20,7 +20,7 @@ use crate::flags::TouchedFlags;
 use crate::value::Value;
 
 /// When untested-array checkpoints are taken.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CheckpointPolicy {
     /// Snapshot every untested array at every stage start.
     Eager,

@@ -14,13 +14,25 @@
 //!
 //! Committing also establishes the flow-dependence repair for the next
 //! stage: re-executed blocks copy in the committed values on demand.
+//!
+//! The fold is written once, in `fold_in_block_order`, over the
+//! contributions [`ProcView::contribution`] selects; like the analysis
+//! it has a sequential feeder (`merge_seq`: the views themselves, one
+//! tested array at a time) and a partitioned one (`merge_parallel`: one
+//! bucket of elements per pool thread). What the fold produced — per
+//! contributing block, the `(array, element, value)` triples to write
+//! back — is also exactly what the stage changed in the tested arrays,
+//! so [`commit_tested`] returns the lists and the engine builds the
+//! journal / wire delta from them instead of scanning the views again.
 
+use crate::analysis::{bucket_of, merge_buckets};
 use crate::buf::SharedBuf;
 use crate::value::{Reduction, Value};
-use crate::view::ProcView;
+use crate::view::{Contribution, ProcView};
 use rlrpd_runtime::Executor;
 use rlrpd_shadow::hasher::FxBuildHasher;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Cost-accounting summary of one commit.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -31,7 +43,13 @@ pub(crate) struct CommitStats {
     pub max_per_block: usize,
 }
 
-/// Fold the committing blocks' private data into shared storage.
+/// Write-back work list per contributing block:
+/// (array declaration index, element, final value).
+pub(crate) type PerBlock<T> = Vec<Vec<(u32, usize, T)>>;
+
+/// Fold the committing blocks' private data into shared storage, and
+/// return what was written: element `e` of array `a` appears in exactly
+/// one block's list, with the value shared storage now holds.
 ///
 /// `per_pos_views` must be the committing prefix, in block order;
 /// `reductions[slot]` is the declared operator of tested slot `slot`;
@@ -46,14 +64,15 @@ pub(crate) struct CommitStats {
 /// contributing block, which is how the paper's commit "is fully
 /// parallel and scales with the number of processors". Without it both
 /// run on the calling thread through the sequential reference merge.
-/// Either way the final arrays and the [`CommitStats`] are the same.
+/// Either way the final arrays, the [`CommitStats`] and the set of
+/// triples returned are the same.
 pub(crate) fn commit_tested<T: Value>(
     per_pos_views: &[&[ProcView<T>]],
     tested_ids: &[usize],
     reductions: &[Option<Reduction<T>>],
     shared: &[SharedBuf<T>],
     fan_out: Option<&Executor>,
-) -> CommitStats {
+) -> (CommitStats, PerBlock<T>) {
     let (stats, mut per_block) = match fan_out {
         Some(executor) => merge_parallel(per_pos_views, tested_ids, reductions, shared, executor),
         None => merge_seq(per_pos_views, tested_ids, reductions, shared),
@@ -77,15 +96,48 @@ pub(crate) fn commit_tested<T: Value>(
             }
         }
     }
-    stats
+    (stats, per_block)
 }
 
-/// Write-back work list per contributing block:
-/// (array declaration index, element, final value).
-type PerBlock<T> = Vec<Vec<(u32, usize, T)>>;
+/// The fold rule. `blocks` yields, in block order, each committing
+/// block's contributions to one element population (`key` names the
+/// element: every contribution to an element must pass through the same
+/// call). A write replaces the element's value; a delta folds, with
+/// `operator(key)`, onto the value so far — `shared_value(key)` when no
+/// earlier block contributed. Returns each element's final value with
+/// the last block that contributed to it, and the largest number of
+/// contributions any one block made.
+fn fold_in_block_order<K: Copy + Eq + Hash, T: Value>(
+    blocks: impl Iterator<Item = impl Iterator<Item = (K, Contribution<T>)>>,
+    shared_value: impl Fn(K) -> T,
+    operator: impl Fn(K) -> Reduction<T>,
+) -> (HashMap<K, (T, usize), FxBuildHasher>, usize) {
+    // element -> (value so far, last contributing block position).
+    let mut final_vals: HashMap<K, (T, usize), FxBuildHasher> = HashMap::default();
+    let mut max_per_block = 0usize;
+    for (pos, block) in blocks.enumerate() {
+        let mut contributions = 0usize;
+        for (key, produced) in block {
+            let value = match produced {
+                Contribution::Write(v) => v,
+                Contribution::Delta(delta) => {
+                    let base = match final_vals.get(&key) {
+                        Some(&(v, _)) => v,
+                        None => shared_value(key),
+                    };
+                    (operator(key).combine)(base, delta)
+                }
+            };
+            final_vals.insert(key, (value, pos));
+            contributions += 1;
+        }
+        max_per_block = max_per_block.max(contributions);
+    }
+    (final_vals, max_per_block)
+}
 
-/// Sequential reference merge: per slot, fold touched entries in block
-/// order into each element's final value and last contributor.
+/// Sequential reference merge: the fold rule over the views as they
+/// stand, one tested array at a time.
 fn merge_seq<T: Value>(
     per_pos_views: &[&[ProcView<T>]],
     tested_ids: &[usize],
@@ -97,33 +149,18 @@ fn merge_seq<T: Value>(
 
     for (slot, &array_id) in tested_ids.iter().enumerate() {
         let buf = &shared[array_id];
-        // elem -> (value so far, last contributing block position).
-        let mut final_vals: HashMap<usize, (T, usize), FxBuildHasher> = HashMap::default();
-
-        for (pos, views) in per_pos_views.iter().enumerate() {
-            let mut contributions = 0usize;
-            for (elem, mark) in views[slot].touched() {
-                if mark.is_written() {
-                    final_vals.insert(elem, (views[slot].written_value(elem), pos));
-                    contributions += 1;
-                } else if mark.is_reduction_only() {
-                    let op = reductions[slot].expect("reduction mark without operator");
-                    let delta = views[slot].reduction_delta(elem);
-                    let base = final_vals
-                        .get(&elem)
-                        .map(|&(v, _)| v)
-                        // SAFETY: commit runs after the stage barrier;
-                        // no concurrent writers of tested shared data.
-                        .unwrap_or_else(|| unsafe { buf.get(elem) });
-                    final_vals.insert(elem, ((op.combine)(base, delta), pos));
-                    contributions += 1;
-                }
-            }
-            stats.max_per_block = stats.max_per_block.max(contributions);
-        }
-
+        let (final_vals, most) = fold_in_block_order(
+            per_pos_views
+                .iter()
+                .map(|views| views[slot].contributions()),
+            // SAFETY: commit runs after the stage barrier; no
+            // concurrent writers of tested shared data.
+            |elem| unsafe { buf.get(elem) },
+            |_| reductions[slot].expect("reduction mark without operator"),
+        );
+        stats.max_per_block = stats.max_per_block.max(most);
         stats.elems_committed += final_vals.len();
-        for (&elem, &(v, who)) in &final_vals {
+        for (elem, (v, who)) in final_vals {
             per_block[who].push((array_id as u32, elem, v));
         }
     }
@@ -131,27 +168,14 @@ fn merge_seq<T: Value>(
     (stats, per_block)
 }
 
-/// One merge-relevant touched entry, with its value fetched up front so
-/// the bucket pass never touches the views again.
-#[derive(Clone, Copy)]
-struct Contribution<T> {
-    slot: u32,
-    elem: usize,
-    /// `true`: ordinary write (replaces). `false`: reduction delta
-    /// (folds with the slot's operator).
-    is_write: bool,
-    value: T,
-}
-
 /// Element-partitioned parallel merge. Pass 1 (parallel over blocks)
-/// extracts each block's contributions — mark kind, element, and the
-/// private value — bucketed by element hash, and counts contributions
-/// per `(block, slot)` for the critical-path statistic. Pass 2
-/// (parallel over buckets) folds each bucket's contributions in block
-/// order, exactly as [`merge_seq`] does per element; every entry of a
-/// given `(slot, elem)` lands in one bucket, so the fold is the
-/// sequential one. Pass 3 (sequential, cheap) redistributes the final
-/// values into per-last-contributor write-back lists.
+/// extracts each block's contributions — element, kind and the private
+/// value — bucketed by element hash, and counts contributions per
+/// `(block, slot)` for the critical-path statistic. Pass 2 (parallel
+/// over buckets) runs the fold rule over each bucket: every entry of a
+/// given `(slot, elem)` lands in one bucket, in block order, so the
+/// fold is the sequential one. Pass 3 (sequential, cheap) redistributes
+/// the final values into per-last-contributor write-back lists.
 fn merge_parallel<T: Value>(
     per_pos_views: &[&[ProcView<T>]],
     tested_ids: &[usize],
@@ -161,15 +185,12 @@ fn merge_parallel<T: Value>(
 ) -> (CommitStats, PerBlock<T>) {
     let num_pos = per_pos_views.len();
     let num_slots = tested_ids.len();
-    let buckets = match executor.pool() {
-        Some(pool) => pool.threads(),
-        None => num_pos,
-    }
-    .max(1);
+    let buckets = merge_buckets(executor);
 
     // Pass 1: per-block contribution extraction.
+    type Bucket<T> = Vec<((u32, usize), Contribution<T>)>;
     struct BlockPart<T> {
-        buckets: Vec<Vec<Contribution<T>>>,
+        buckets: Vec<Bucket<T>>,
         /// Contribution count per slot (sequential counts per
         /// `(slot, pos)`; the stats maximum ranges over both).
         per_slot_contribs: Vec<usize>,
@@ -180,26 +201,9 @@ fn merge_parallel<T: Value>(
             per_slot_contribs: vec![0; num_slots],
         };
         for (slot, view) in per_pos_views[pos].iter().enumerate().take(num_slots) {
-            for (elem, mark) in view.touched() {
-                let contribution = if mark.is_written() {
-                    Contribution {
-                        slot: slot as u32,
-                        elem,
-                        is_write: true,
-                        value: view.written_value(elem),
-                    }
-                } else if mark.is_reduction_only() {
-                    Contribution {
-                        slot: slot as u32,
-                        elem,
-                        is_write: false,
-                        value: view.reduction_delta(elem),
-                    }
-                } else {
-                    continue;
-                };
+            for (elem, produced) in view.contributions() {
                 part.per_slot_contribs[slot] += 1;
-                part.buckets[bucket_of(slot, elem, buckets)].push(contribution);
+                part.buckets[bucket_of(slot, elem, buckets)].push(((slot as u32, elem), produced));
             }
         }
         part
@@ -207,32 +211,13 @@ fn merge_parallel<T: Value>(
 
     // Pass 2: per-bucket fold in block order.
     let folded: Vec<Vec<(u32, usize, T, u32)>> = executor.run_indexed(buckets, |b| {
-        // (slot, elem) -> (value so far, last contributing block).
-        let mut final_vals: HashMap<(u32, usize), (T, usize), FxBuildHasher> = HashMap::default();
-        for (pos, part) in parts.iter().enumerate() {
-            for &Contribution {
-                slot,
-                elem,
-                is_write,
-                value,
-            } in &part.buckets[b]
-            {
-                if is_write {
-                    final_vals.insert((slot, elem), (value, pos));
-                } else {
-                    let op = reductions[slot as usize].expect("reduction mark without operator");
-                    let base = final_vals
-                        .get(&(slot, elem))
-                        .map(|&(v, _)| v)
-                        .unwrap_or_else(
-                            // SAFETY: commit runs after the stage barrier;
-                            // no concurrent writers of tested shared data.
-                            || unsafe { shared[tested_ids[slot as usize]].get(elem) },
-                        );
-                    final_vals.insert((slot, elem), ((op.combine)(base, value), pos));
-                }
-            }
-        }
+        let (final_vals, _) = fold_in_block_order(
+            parts.iter().map(|part| part.buckets[b].iter().copied()),
+            // SAFETY: commit runs after the stage barrier; no
+            // concurrent writers of tested shared data.
+            |(slot, elem)| unsafe { shared[tested_ids[slot as usize]].get(elem) },
+            |(slot, _)| reductions[slot as usize].expect("reduction mark without operator"),
+        );
         final_vals
             .into_iter()
             .map(|((slot, elem), (v, who))| (tested_ids[slot as usize] as u32, elem, v, who as u32))
@@ -257,14 +242,6 @@ fn merge_parallel<T: Value>(
     (stats, per_block)
 }
 
-/// Same deterministic element-to-bucket hash the parallel analysis
-/// uses.
-#[inline]
-fn bucket_of(slot: usize, elem: usize, buckets: usize) -> usize {
-    let h = (elem ^ (slot << 56)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    (h >> 32) % buckets
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,13 +261,13 @@ mod tests {
         let wrapped: Vec<Vec<ProcView<f64>>> = views.into_iter().map(|v| vec![v]).collect();
         let refs: Vec<&[ProcView<f64>]> = wrapped.iter().map(|v| v.as_slice()).collect();
         let bufs = std::slice::from_ref(buf);
-        commit_tested(&refs, &[0], &[red], bufs, None)
+        commit_tested(&refs, &[0], &[red], bufs, None).0
     }
 
     /// The partitioned merge and write-back against the sequential
-    /// reference, for every bucket count a pool of 1..=8 produces and
-    /// for scoped threads: same shared arrays, same [`CommitStats`],
-    /// same per-block write-back lists — on a population large enough
+    /// reference, for every bucket count a pool of 1..=8 produces:
+    /// same shared arrays, same [`CommitStats`], same per-block
+    /// write-back lists returned — on a population large enough
     /// that every bucket of every width holds entries, with overwrites,
     /// reduction chains and reductions over ordinary writes.
     #[test]
@@ -328,22 +305,19 @@ mod tests {
         };
 
         let mut want = fresh();
-        let want_stats = commit_tested(&refs, &tested_ids, &reductions, &want, None);
-        let (_, want_lists) = merge_seq(&refs, &tested_ids, &reductions, &fresh());
+        let (want_stats, want_lists) = commit_tested(&refs, &tested_ids, &reductions, &want, None);
         assert!(want_stats.elems_committed > 2 * N - 8);
 
         for executor in (1..=8).map(|p| Executor::with_procs(ExecMode::Pooled, p)) {
             let mut got = fresh();
-            let stats = commit_tested(&refs, &tested_ids, &reductions, &got, Some(&executor));
+            let (stats, lists) =
+                commit_tested(&refs, &tested_ids, &reductions, &got, Some(&executor));
             assert_eq!(stats, want_stats, "{executor:?}");
+            assert_eq!(sorted(lists), sorted(want_lists.clone()), "{executor:?}");
             for (g, w) in got.iter_mut().zip(&mut want) {
                 let same = g.as_slice().iter().zip(w.as_slice());
                 assert!(same.clone().all(|(a, b)| a.to_bits() == b.to_bits()));
             }
-            let (par_stats, lists) =
-                merge_parallel(&refs, &tested_ids, &reductions, &fresh(), &executor);
-            assert_eq!(par_stats, want_stats, "{executor:?}");
-            assert_eq!(sorted(lists), sorted(want_lists.clone()), "{executor:?}");
         }
     }
 

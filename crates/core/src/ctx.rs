@@ -17,7 +17,7 @@
 //! [`IterCtx::charge`] and, in DDG-extraction mode, logs per-iteration
 //! marks.
 
-use crate::array::ArrayId;
+use crate::array::{ArrayDecl, ArrayId, ArrayKind, ShadowKind};
 use crate::buf::SharedBuf;
 use crate::checkpoint::WriteLog;
 use crate::value::{Reduction, Value};
@@ -40,6 +40,55 @@ pub(crate) struct ArrayMeta<T> {
     pub reduction: Option<Reduction<T>>,
 }
 
+/// A loop's declared arrays, routed. `meta` and `shared` hold one entry
+/// per declared array — the table every context of a run dispatches
+/// through; the rest is per tested / untested slot, in declaration
+/// order: the array's declaration index and size, and a tested array's
+/// declared shadow and reduction. Built once per run, by the
+/// speculative engine and by the wavefront executor alike.
+#[derive(Default)]
+pub(crate) struct RoutedArrays<T> {
+    pub meta: Vec<ArrayMeta<T>>,
+    pub shared: Vec<SharedBuf<T>>,
+    pub tested_ids: Vec<usize>,
+    pub tested_sizes: Vec<usize>,
+    pub tested_shadow: Vec<ShadowKind>,
+    pub reductions: Vec<Option<Reduction<T>>>,
+    pub untested_ids: Vec<usize>,
+    pub untested_sizes: Vec<usize>,
+}
+
+impl<T: Value> RoutedArrays<T> {
+    pub(crate) fn new(decls: Vec<ArrayDecl<T>>) -> Self {
+        let mut routed = RoutedArrays::default();
+        for (id, ArrayDecl { name, kind, init }) in decls.into_iter().enumerate() {
+            let (route, reduction) = match kind {
+                ArrayKind::Tested { shadow, reduction } => {
+                    routed.tested_ids.push(id);
+                    routed.tested_sizes.push(init.len());
+                    routed.tested_shadow.push(shadow);
+                    routed.reductions.push(reduction);
+                    let slot = routed.tested_ids.len() - 1;
+                    (Route::Tested { slot }, reduction)
+                }
+                ArrayKind::Untested => {
+                    routed.untested_ids.push(id);
+                    routed.untested_sizes.push(init.len());
+                    let slot = routed.untested_ids.len() - 1;
+                    (Route::Untested { slot }, None)
+                }
+            };
+            routed.meta.push(ArrayMeta {
+                name,
+                route,
+                reduction,
+            });
+            routed.shared.push(SharedBuf::new(init));
+        }
+        routed
+    }
+}
+
 /// The body's view of one iteration.
 pub struct IterCtx<'a, T: Value = f64> {
     pub(crate) iter: usize,
@@ -59,15 +108,17 @@ pub struct IterCtx<'a, T: Value = f64> {
 
 impl<'a, T: Value> IterCtx<'a, T> {
     /// A direct-mode context (no speculation: references go straight
-    /// to shared storage) positioned at iteration `iter`.
+    /// to shared storage) positioned at iteration `iter`, writing as
+    /// `writer`.
     pub(crate) fn direct(
         iter: usize,
+        writer: u32,
         meta: &'a [ArrayMeta<T>],
         shared: &'a [SharedBuf<T>],
     ) -> Self {
         IterCtx {
             iter,
-            writer: 0,
+            writer,
             meta,
             shared,
             views: &mut [],
@@ -75,6 +126,28 @@ impl<'a, T: Value> IterCtx<'a, T> {
             iter_marks: None,
             extra_cost: 0.0,
             exited: false,
+        }
+    }
+
+    /// A speculative context positioned at iteration `iter`: tested
+    /// references go to the block's private `views`, untested writes go
+    /// to shared storage as `writer` and are logged in `wlog`, and with
+    /// `iter_marks` every tested reference is also logged under its
+    /// iteration (DDG extraction).
+    pub(crate) fn speculative(
+        iter: usize,
+        writer: u32,
+        meta: &'a [ArrayMeta<T>],
+        shared: &'a [SharedBuf<T>],
+        views: &'a mut [ProcView<T>],
+        wlog: &'a mut WriteLog<T>,
+        iter_marks: Option<&'a mut [IterMarks]>,
+    ) -> Self {
+        IterCtx {
+            views,
+            wlog: Some(wlog),
+            iter_marks,
+            ..IterCtx::direct(iter, writer, meta, shared)
         }
     }
 

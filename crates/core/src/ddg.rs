@@ -29,7 +29,7 @@ use rlrpd_shadow::{EventKind, LastRefTable};
 use std::collections::HashMap;
 
 /// Dependence edge classification.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EdgeKind {
     /// Write → later read (true dependence).
     Flow,
@@ -40,7 +40,7 @@ pub enum EdgeKind {
 }
 
 /// The iteration data dependence graph of one loop instantiation.
-#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct DepGraph {
     /// Number of iterations.
     pub n: usize,

@@ -197,17 +197,7 @@ fn run_lanes<T: Value>(
             // retry under, so a panic is a genuine program fault — but
             // it must not tear down the sibling lanes' threads.
             let run = catch_unwind(AssertUnwindSafe(|| {
-                let mut ctx = IterCtx {
-                    iter,
-                    writer: 0,
-                    meta,
-                    shared,
-                    views: &mut [],
-                    wlog: None,
-                    iter_marks: None,
-                    extra_cost: 0.0,
-                    exited: false,
-                };
+                let mut ctx = IterCtx::direct(iter, 0, meta, shared);
                 lp.body(iter, &mut ctx);
                 (lp.cost(iter) + ctx.extra_cost, ctx.exited)
             }));

@@ -179,7 +179,7 @@ pub enum BalancePolicy {
 /// abandoned speculation and executed the remainder directly
 /// (sequentially); [`FallbackReason::WorkerLoss`] records a milder
 /// degradation, from distributed workers to in-process speculation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FallbackReason {
     /// The restart budget ([`FallbackPolicy::max_restarts`]) was
     /// exhausted.
@@ -643,16 +643,25 @@ impl Runner {
                 // Replay every committed delta over the initial arrays:
                 // shared state becomes exactly the state at the
                 // recovered frontier (post-stage state = pre-stage
-                // state + delta, inductively).
+                // state + delta, inductively). `Journal::open` vouched
+                // for each record's bytes and place in the chain, not
+                // for what it says: a record that moves the frontier
+                // backwards or past the loop, or names storage the
+                // header's layout does not have, is not this run's.
                 let mut exited = None;
                 let mut fell_back = false;
-                for rec in journal.commits() {
-                    for (id, elems) in &rec.arrays {
-                        let buf = engine.shared[*id as usize].as_mut_slice();
-                        for &(e, bits) in elems {
-                            buf[e as usize] = (elem.from_bits)(bits);
-                        }
+                for (k, rec) in journal.commits().iter().enumerate() {
+                    let bad = |why: String| JournalError::Mismatch {
+                        message: format!("commit record {k} {why}"),
+                    };
+                    if !(start..=engine.n).contains(&rec.frontier) {
+                        return Err(bad(format!(
+                            "moves the frontier from {start} to {} of {} iterations",
+                            rec.frontier, engine.n
+                        ))
+                        .into());
                     }
+                    rec.apply(&mut engine.shared, elem.from_bits).map_err(bad)?;
                     start = rec.frontier;
                     exited = rec.exited_at;
                     fell_back = fell_back || rec.fallback;

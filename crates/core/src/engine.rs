@@ -7,11 +7,11 @@
 //! everything inside a stage is identical and lives here.
 
 use crate::analysis::{analyze, AnalysisResult, DepArc};
-use crate::array::{ArrayDecl, ArrayKind, ShadowKind};
+use crate::array::{ArrayKind, ShadowKind};
 use crate::buf::SharedBuf;
 use crate::checkpoint::{CheckpointPolicy, EagerSnapshot, WriteLog};
-use crate::commit::commit_tested;
-use crate::ctx::{ArrayMeta, IterCtx, Route};
+use crate::commit::{commit_tested, PerBlock};
+use crate::ctx::{ArrayMeta, IterCtx, Route, RoutedArrays};
 use crate::error::RlrpdError;
 use crate::journal::CommitRecord;
 use crate::spec_loop::{BatchTally, SpecLoop};
@@ -202,45 +202,16 @@ impl<'l, T: Value> Engine<'l, T> {
     pub fn new(lp: &'l dyn SpecLoop<T>, cfg: EngineCfg, record_marks: bool) -> Self {
         assert!(cfg.p > 0, "need at least one processor");
         let n = lp.num_iters();
-        let decls = lp.arrays();
-
-        let mut meta = Vec::with_capacity(decls.len());
-        let mut shared = Vec::with_capacity(decls.len());
-        let mut tested_ids = Vec::new();
-        let mut tested_sizes = Vec::new();
-        let mut tested_shadow = Vec::new();
-        let mut reductions = Vec::new();
-        let mut untested_ids = Vec::new();
-        let mut untested_sizes = Vec::new();
-
-        for (id, decl) in decls.into_iter().enumerate() {
-            let ArrayDecl { name, kind, init } = decl;
-            let route = match kind {
-                ArrayKind::Tested { shadow, reduction } => {
-                    let slot = tested_ids.len();
-                    tested_ids.push(id);
-                    tested_sizes.push(init.len());
-                    tested_shadow.push(shadow);
-                    reductions.push(reduction);
-                    Route::Tested { slot }
-                }
-                ArrayKind::Untested => {
-                    let slot = untested_ids.len();
-                    untested_ids.push(id);
-                    untested_sizes.push(init.len());
-                    Route::Untested { slot }
-                }
-            };
-            meta.push(ArrayMeta {
-                name,
-                route,
-                reduction: match route {
-                    Route::Tested { slot } => reductions[slot],
-                    Route::Untested { .. } => None,
-                },
-            });
-            shared.push(SharedBuf::new(init));
-        }
+        let RoutedArrays {
+            meta,
+            shared,
+            tested_ids,
+            tested_sizes,
+            tested_shadow,
+            reductions,
+            untested_ids,
+            untested_sizes,
+        } = RoutedArrays::new(lp.arrays());
 
         let states = ProcId::all(cfg.p)
             .map(|_| BlockState {
@@ -422,7 +393,7 @@ impl<'l, T: Value> Engine<'l, T> {
         let (timing, fault) = if let Some(r) = remote_result {
             r
         } else {
-            self.run_blocks_local(schedule, fault_plan.as_deref())
+            self.run_blocks_local(schedule, fault_plan.as_deref(), false)
         };
         stats.contained_faults = fault.is_some() as usize;
         for st in &self.states {
@@ -627,7 +598,7 @@ impl<'l, T: Value> Engine<'l, T> {
             .iter()
             .map(|s| s.views.as_slice())
             .collect();
-        let cstats = commit_tested(
+        let (cstats, written) = commit_tested(
             &committing,
             &self.tested_ids,
             &self.reductions,
@@ -688,24 +659,22 @@ impl<'l, T: Value> Engine<'l, T> {
 
         // 7.5 Journal delta capture — must run after commit/restore
         // (values read from shared are final) and before the shadow
-        // clear below wipes the views and write-logs it walks.
+        // clear below wipes the write-logs it walks.
         let delta = self
             .delta_bits
-            .map(|to_bits| self.capture_delta(commit_upto, to_bits));
+            .map(|to_bits| self.capture_delta(commit_upto, &written, to_bits));
+        drop(written);
 
         // 8. Shadow re-initialization (O(touched) per block). Each
         // block clears only its own private state, so a wide stage's
         // clears run on the stage executor — under the pooled mode on
         // the same persistent workers as the doall itself.
         let phase_start = std::time::Instant::now();
-        let max_touched = self
-            .states
-            .iter()
-            .map(|st| st.views.iter().map(ProcView::num_touched).sum::<usize>())
-            .fold(0, usize::max);
+        // The busiest block's touched count, as the analysis found it
+        // (nothing has touched the views since).
         stats.overhead.add(
             OverheadKind::ShadowInit,
-            max_touched as f64 * cost.shadow_init_per_elem,
+            analysis.max_touched as f64 * cost.shadow_init_per_elem,
         );
         let record = self.record_marks;
         let num_slots = self.tested_ids.len();
@@ -777,7 +746,7 @@ impl<'l, T: Value> Engine<'l, T> {
     /// the largest per-block restore count for overhead accounting —
     /// the body of phase 6 of [`Engine::run_stage`], shared with the
     /// budget-pressure containment path (which restores *all* blocks).
-    fn restore_untested_writes(
+    pub(crate) fn restore_untested_writes(
         &mut self,
         commit_upto: usize,
         snapshot: Option<&EagerSnapshot<T>>,
@@ -946,13 +915,26 @@ impl<'l, T: Value> Engine<'l, T> {
         }
     }
 
-    /// Execute the stage's blocks on the in-process executor, containing
-    /// any panic, and return the timing plus the contained fault (if
-    /// any) — the local half of phase 3 of [`Engine::run_stage`].
-    fn run_blocks_local(
+    /// The one block body. Execute the stage's blocks on the in-process
+    /// executor — per block: reset its state, run its iterations
+    /// against its private views, record each iteration's cost and a
+    /// requested exit — containing any panic, and return the timing plus
+    /// the contained fault (if any). The local half of phase 3 of
+    /// [`Engine::run_stage`], and the whole of a fleet worker's block
+    /// ([`crate::remote`]: a one-block schedule on a one-processor
+    /// engine).
+    ///
+    /// The loop gets a block's whole range in one
+    /// [`SpecLoop::run_iters`] call unless something must act between
+    /// iterations: fault injection fires there, DDG extraction logs
+    /// every reference under its iteration, and `stepwise` asks for it
+    /// outright (the worker's setting until ROADMAP 4(d) measures
+    /// strips there).
+    pub(crate) fn run_blocks_local(
         &mut self,
         schedule: &BlockSchedule,
         plan: Option<&FaultPlan>,
+        stepwise: bool,
     ) -> (StageTiming, Option<FaultEvent>) {
         let lp = self.lp;
         let meta = &self.meta;
@@ -966,17 +948,15 @@ impl<'l, T: Value> Engine<'l, T> {
             let proc = schedule.blocks()[pos].proc.0;
             st.iter_costs.reserve(range.len());
             let mut total = 0.0;
-            let mut ctx = IterCtx {
-                iter: range.start,
-                writer: pos as u32,
+            let mut ctx = IterCtx::speculative(
+                range.start,
+                pos as u32,
                 meta,
                 shared,
-                views: &mut st.views,
-                wlog: Some(&mut st.wlog),
-                iter_marks: if record { Some(&mut st.marks) } else { None },
-                extra_cost: 0.0,
-                exited: false,
-            };
+                &mut st.views,
+                &mut st.wlog,
+                record.then_some(&mut st.marks[..]),
+            );
             let iter_costs = &mut st.iter_costs;
             let exit_iter = &mut st.exit_iter;
             let mut after = |ctx: &mut IterCtx<'_, T>| {
@@ -994,12 +974,9 @@ impl<'l, T: Value> Engine<'l, T> {
                 }
                 !exited
             };
-            if plan.is_none() && !record {
+            if plan.is_none() && !record && !stepwise {
                 st.tally = lp.run_iters(range, &mut ctx, &mut after);
             } else {
-                // Fault injection fires between iterations and DDG
-                // extraction logs every reference under its iteration:
-                // both hand the loop one iteration at a time.
                 for iter in range {
                     if let Some(plan) = plan {
                         if plan.should_panic(proc, iter) {
@@ -1035,47 +1012,43 @@ impl<'l, T: Value> Engine<'l, T> {
         (timing, fault)
     }
 
-    /// Assemble the committed-write delta of the stage that just ran:
-    /// for tested arrays, the elements the committing prefix's views
-    /// would write or reduction-fold (exactly the commit phase's
-    /// selection); for untested arrays, the elements the committed
-    /// blocks' write-logs flagged. Values are read back from shared
-    /// storage, so the delta is what actually landed — identical under
-    /// the eager and on-demand checkpoint policies, and O(touched).
-    fn capture_delta(&mut self, commit_upto: usize, to_bits: fn(T) -> u64) -> StageDelta {
-        use std::collections::BTreeSet;
-        let mut arrays: Vec<(u32, Vec<(u32, u64)>)> = Vec::new();
-        for (slot, &id) in self.tested_ids.iter().enumerate() {
-            let mut elems: BTreeSet<usize> = BTreeSet::new();
-            for st in &self.states[..commit_upto] {
-                for (elem, mark) in st.views[slot].touched() {
-                    if mark.is_written() || mark.is_reduction_only() {
-                        elems.insert(elem);
-                    }
-                }
-            }
-            if !elems.is_empty() {
-                let buf = self.shared[id].as_slice();
-                arrays.push((
-                    id as u32,
-                    elems.iter().map(|&e| (e as u32, to_bits(buf[e]))).collect(),
-                ));
-            }
+    /// Assemble the committed-write delta of the stage that just ran.
+    /// For tested arrays it *is* the commit: `written`, the write-back
+    /// lists [`commit_tested`] returned, sorted by element. For
+    /// untested arrays it is the elements the committed blocks'
+    /// write-logs flagged, with the values shared storage holds now —
+    /// identical under the eager and on-demand checkpoint policies.
+    /// O(touched) either way.
+    fn capture_delta(
+        &mut self,
+        commit_upto: usize,
+        written: &PerBlock<T>,
+        to_bits: fn(T) -> u64,
+    ) -> StageDelta {
+        let mut by_array: Vec<Vec<(u32, u64)>> = vec![Vec::new(); self.shared.len()];
+        for &(id, elem, v) in written.iter().flatten() {
+            by_array[id as usize].push((elem as u32, to_bits(v)));
         }
         for (slot, &id) in self.untested_ids.iter().enumerate() {
-            let mut elems: BTreeSet<usize> = BTreeSet::new();
+            let buf = self.shared[id].as_slice();
             for st in &self.states[..commit_upto] {
-                elems.extend(st.wlog.written(slot));
-            }
-            if !elems.is_empty() {
-                let buf = self.shared[id].as_slice();
-                arrays.push((
-                    id as u32,
-                    elems.iter().map(|&e| (e as u32, to_bits(buf[e]))).collect(),
-                ));
+                by_array[id].extend(st.wlog.written(slot).map(|e| (e as u32, to_bits(buf[e]))));
             }
         }
-        arrays.sort_by_key(|&(id, _)| id);
+        let arrays = by_array
+            .into_iter()
+            .enumerate()
+            .filter(|(_, elems)| !elems.is_empty())
+            .map(|(id, mut elems)| {
+                // A record's lists are strictly ascending. The commit
+                // writes each tested element back once; an untested
+                // element is its block's alone only by the loop's
+                // contract, so drop repeats.
+                elems.sort_unstable_by_key(|&(elem, _)| elem);
+                elems.dedup_by_key(|&mut (elem, _)| elem);
+                (id as u32, elems)
+            })
+            .collect();
         StageDelta { arrays }
     }
 
@@ -1157,7 +1130,7 @@ impl<'l, T: Value> Engine<'l, T> {
         let meta = &self.meta;
         let shared = &self.shared;
         let run = catch_unwind(AssertUnwindSafe(|| {
-            let mut ctx = IterCtx::direct(range.start, meta, shared);
+            let mut ctx = IterCtx::direct(range.start, 0, meta, shared);
             lp.run_iters(range, &mut ctx, &mut |ctx| {
                 let (iter, extra, exit) = ctx.advance();
                 work += lp.cost(iter) + extra;
@@ -1233,7 +1206,7 @@ pub fn run_sequential<T: Value>(lp: &dyn SpecLoop<T>) -> (Vec<(&'static str, Vec
     }
 
     let mut work = 0.0;
-    let mut ctx = IterCtx::direct(0, &meta, &shared);
+    let mut ctx = IterCtx::direct(0, 0, &meta, &shared);
     lp.run_iters(0..lp.num_iters(), &mut ctx, &mut |ctx| {
         let (iter, extra, exited) = ctx.advance();
         work += lp.cost(iter) + extra;

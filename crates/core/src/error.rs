@@ -62,6 +62,21 @@ pub enum RlrpdError {
     },
 }
 
+impl RlrpdError {
+    /// The process exit code this failure maps to — the one contract
+    /// `rlrpd run` exits with and the daemon stamps on a failed job:
+    /// 2 genuine program fault, 3 stage cap exceeded, 4 crash-journal
+    /// failure, 1 anything else.
+    pub fn exit_code(&self) -> u8 {
+        match self {
+            RlrpdError::ProgramFault { .. } => 2,
+            RlrpdError::StageLimit { .. } => 3,
+            RlrpdError::Journal { .. } => 4,
+            RlrpdError::CheckpointFault { .. } | RlrpdError::StageInvariant { .. } => 1,
+        }
+    }
+}
+
 impl From<crate::journal::JournalError> for RlrpdError {
     fn from(e: crate::journal::JournalError) -> Self {
         RlrpdError::Journal {
@@ -111,11 +126,14 @@ mod tests {
         assert!(RlrpdError::StageLimit { max_stages: 9 }
             .to_string()
             .contains("9"));
-        assert!(RlrpdError::CheckpointFault {
+        let checkpoint = RlrpdError::CheckpointFault {
             stage: 3,
-            message: "injected".into()
-        }
-        .to_string()
-        .contains("stage 3"));
+            message: "injected".into(),
+        };
+        assert!(checkpoint.to_string().contains("stage 3"));
+        assert_eq!((e.exit_code(), checkpoint.exit_code()), (2, 1));
+        assert_eq!(RlrpdError::StageLimit { max_stages: 9 }.exit_code(), 3);
+        let journal = RlrpdError::from(crate::JournalError::NotEmpty);
+        assert_eq!(journal.exit_code(), 4);
     }
 }

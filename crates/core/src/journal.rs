@@ -47,7 +47,9 @@
 //! everything from the corrupt record on — the recovered prefix is
 //! always a consistent run prefix.
 
+use crate::buf::SharedBuf;
 use crate::persist::{fnv, PersistError, Reader, Writer, KIND_JOURNAL_COMMIT, KIND_JOURNAL_HEADER};
+use crate::value::Value;
 use rlrpd_runtime::FaultPlan;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
@@ -292,6 +294,35 @@ impl CommitRecord {
     /// Does this record complete the run (nothing left to execute)?
     pub fn completes(&self, n: usize) -> bool {
         self.frontier >= n || self.exited_at.is_some() || self.fallback
+    }
+
+    /// Land this record on `arrays` (declaration order), rebuilding
+    /// values with `from_bits` — the one way a commit record reaches
+    /// shared storage, whether it arrived from a journal being resumed
+    /// or from the supervisor's broadcast. A record is outside input on
+    /// both paths: an array it names that `arrays` does not have, or an
+    /// element at or past that array's length, is refused with the
+    /// reason (elements before it are already written; both callers
+    /// abandon the arrays on an error).
+    pub(crate) fn apply<T: Value>(
+        &self,
+        arrays: &mut [SharedBuf<T>],
+        from_bits: fn(u64) -> T,
+    ) -> Result<(), String> {
+        let declared = arrays.len();
+        for (id, elems) in &self.arrays {
+            let slice = arrays
+                .get_mut(*id as usize)
+                .ok_or_else(|| format!("names array {id}, the loop declares {declared}"))?
+                .as_mut_slice();
+            let len = slice.len();
+            for &(elem, bits) in elems {
+                *slice.get_mut(elem as usize).ok_or_else(|| {
+                    format!("names element {elem} of array {id}, which holds {len}")
+                })? = from_bits(bits);
+            }
+        }
+        Ok(())
     }
 
     /// Record bytes chained onto `prev_chain` (also the wire image of a

@@ -49,7 +49,6 @@
 //! [`BlockDispatcher`] trait the fleet implements).
 
 use crate::checkpoint::CheckpointPolicy;
-use crate::ctx::IterCtx;
 use crate::driver::FallbackReason;
 use crate::engine::{Engine, EngineCfg, FaultEvent};
 use crate::journal::{
@@ -62,9 +61,9 @@ use crate::persist::{
 use crate::report::RunReport;
 use crate::spec_loop::SpecLoop;
 use crate::value::Value;
-use rlrpd_runtime::{panic_message, BlockSchedule, CostModel, ExecMode, StageStats, StageTiming};
+use crate::view::Contribution;
+use rlrpd_runtime::{BlockSchedule, CostModel, ExecMode, StageStats, StageTiming};
 use std::io::{Read, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Upper bound on one wire frame; larger lengths are protocol errors
 /// (a corrupt length prefix must not drive an allocation).
@@ -799,13 +798,14 @@ impl<T: Value> Engine<'_, T> {
             for (slot, sr) in reply.tested.iter().enumerate() {
                 let view = &mut st.views[slot];
                 for &(elem, code, bits) in &sr.touched {
-                    let e = elem as usize;
-                    match code {
-                        MARK_EXPOSED => view.replay_exposed_read(e),
-                        MARK_WRITE => view.replay_write(e, from_bits(bits), false),
-                        MARK_WRITE_EXPOSED => view.replay_write(e, from_bits(bits), true),
-                        _ => view.replay_reduction(e, from_bits(bits)),
-                    }
+                    // The inverse of the worker's encoding (`run_block`).
+                    let (exposed, produced) = match code {
+                        MARK_EXPOSED => (true, None),
+                        MARK_WRITE => (false, Some(Contribution::Write(from_bits(bits)))),
+                        MARK_WRITE_EXPOSED => (true, Some(Contribution::Write(from_bits(bits)))),
+                        _ => (false, Some(Contribution::Delta(from_bits(bits)))),
+                    };
+                    view.replay(elem as usize, exposed, produced);
                 }
                 view.set_refs(sr.refs);
             }
@@ -1006,19 +1006,8 @@ pub fn serve_worker<T: Value + JournalElem>(
             Some(KIND_JOURNAL_COMMIT) => {
                 let (rec, next_chain) = CommitRecord::decode(&frame, chain)
                     .map_err(|e| WireError::Protocol(format!("bad commit broadcast: {e}")))?;
-                for (id, elems) in &rec.arrays {
-                    let buf = engine
-                        .shared
-                        .get_mut(*id as usize)
-                        .ok_or_else(|| WireError::Protocol("commit names unknown array".into()))?;
-                    let slice = buf.as_mut_slice();
-                    for &(elem, bits) in elems {
-                        let slot = slice.get_mut(elem as usize).ok_or_else(|| {
-                            WireError::Protocol("commit element out of bounds".into())
-                        })?;
-                        *slot = T::from_bits(bits);
-                    }
-                }
+                rec.apply(&mut engine.shared, T::from_bits)
+                    .map_err(|e| WireError::Protocol(format!("bad commit broadcast: {e}")))?;
                 chain = next_chain;
             }
             Some(KIND_DIST_REQUEST) => {
@@ -1066,43 +1055,14 @@ fn run_block<T: Value + JournalElem>(engine: &mut Engine<'_, T>, req: &BlockRequ
     for buf in &mut engine.shared {
         buf.new_epoch();
     }
-    let lp = engine.lp;
-    let meta = &engine.meta;
-    let shared = &engine.shared;
-    let st = &mut engine.states[0];
-    st.iter_costs.clear();
-    st.exit_iter = None;
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        for iter in start..end {
-            let mut ctx = IterCtx {
-                iter,
-                writer: 0,
-                meta,
-                shared,
-                views: &mut st.views,
-                wlog: Some(&mut st.wlog),
-                iter_marks: None,
-                extra_cost: 0.0,
-                exited: false,
-            };
-            lp.body(iter, &mut ctx);
-            let exited = ctx.exited;
-            st.iter_costs
-                .push((iter as u32, lp.cost(iter) + ctx.extra_cost));
-            if exited {
-                st.exit_iter = Some(iter as u32);
-                break;
-            }
-        }
-    }));
-    // One entry per completed iteration, executed in order: the
-    // faulting iteration is the next one (same rule as the engine).
-    let fault = run.err().map(|payload| {
-        (
-            (start + st.iter_costs.len()) as u64,
-            panic_message(payload.as_ref()),
-        )
-    });
+    // The engine's block body, as a one-block stage of this
+    // one-processor engine (whose simulated executor contains a panic
+    // exactly as a local stage's does) — still one iteration per loop
+    // call.
+    let schedule = BlockSchedule::even(start..end, 1);
+    let (_, fault) = engine.run_blocks_local(&schedule, None, true);
+    let fault = fault.map(|f| (f.iter as u64, f.message));
+    let st = &engine.states[0];
 
     let tested = st
         .views
@@ -1110,17 +1070,15 @@ fn run_block<T: Value + JournalElem>(engine: &mut Engine<'_, T>, req: &BlockRequ
         .map(|view| {
             let mut touched = Vec::with_capacity(view.num_touched());
             for (elem, mark) in view.touched() {
-                let (code, bits) = if mark.is_written() {
-                    let code = if mark.is_exposed_read() {
-                        MARK_WRITE_EXPOSED
-                    } else {
-                        MARK_WRITE
-                    };
-                    (code, T::to_bits(view.written_value(elem)))
-                } else if mark.is_reduction_only() {
-                    (MARK_REDUCTION, T::to_bits(view.reduction_delta(elem)))
-                } else {
-                    (MARK_EXPOSED, 0)
+                // The commit's contribution rule, plus the exposed bit
+                // the supervisor's analysis needs.
+                let (code, bits) = match view.contribution(elem, mark) {
+                    Some(Contribution::Write(v)) if mark.is_exposed_read() => {
+                        (MARK_WRITE_EXPOSED, T::to_bits(v))
+                    }
+                    Some(Contribution::Write(v)) => (MARK_WRITE, T::to_bits(v)),
+                    Some(Contribution::Delta(d)) => (MARK_REDUCTION, T::to_bits(d)),
+                    None => (MARK_EXPOSED, 0),
                 };
                 touched.push((elem as u32, code, bits));
             }
@@ -1158,12 +1116,14 @@ fn run_block<T: Value + JournalElem>(engine: &mut Engine<'_, T>, req: &BlockRequ
             .sum(),
     };
 
-    // Roll back: restore untested writes, drop all speculative state.
-    // The worker's arrays are again exactly the committed prefix.
-    for (slot, elem, old) in st.wlog.undo_rev() {
-        // SAFETY: restoring elements only this block wrote.
-        unsafe { engine.shared[engine.untested_ids[slot]].set(elem, old, 0) };
-    }
+    // Roll back: restore untested writes as the engine restores a
+    // discarded block's (this engine's policy is on-demand: the undo
+    // log, no snapshot), drop all speculative state. The worker's
+    // arrays are again exactly the committed prefix.
+    engine
+        .restore_untested_writes(0, None, 0)
+        .expect("the on-demand policy restores from its undo log");
+    let st = &mut engine.states[0];
     for v in &mut st.views {
         v.clear();
     }

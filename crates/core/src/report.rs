@@ -5,7 +5,7 @@ use crate::driver::FallbackReason;
 use rlrpd_runtime::{OverheadKind, PhaseSeconds, StageStats};
 
 /// Report of one speculative run of a loop (one instantiation).
-#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RunReport {
     /// Per-stage statistics, in execution order.
     pub stages: Vec<StageStats>,
@@ -39,17 +39,14 @@ pub struct RunReport {
     pub observed_first_dependence: Option<usize>,
     /// The run's shadow-memory cap in bytes, copied from the
     /// configuration (`None` = unlimited).
-    #[serde(default)]
     pub shadow_budget: Option<u64>,
     /// Per tested array, in declaration order: `(name, final shadow
     /// representation)` at the end of the run — the observable trace of
     /// commit-point re-selection and budget degradation.
-    #[serde(default)]
     pub shadow_reprs: Vec<(String, String)>,
     /// Commit frontier at which a cooperative stop
     /// ([`crate::Runner::with_stop`]) paused this run; `None` for a run
     /// that completed. A paused journaled run resumes from here.
-    #[serde(default)]
     pub stopped_at: Option<usize>,
 }
 
@@ -429,7 +426,7 @@ impl std::fmt::Display for RunReport {
 
 /// Parallelism ratio over the life of a program:
 /// `PR = #instantiations / (#restarts + #instantiations)`.
-#[derive(Clone, Copy, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PrAccumulator {
     /// Loop instantiations observed.
     pub instantiations: u64,

@@ -58,6 +58,19 @@ impl<T: Value> PrivStore<T> {
     }
 }
 
+/// What one touched element of a view hands to the commit: the paper's
+/// last-value rule has two kinds of producer, and everything else a
+/// block touched (an exposed read) produces nothing.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Contribution<T> {
+    /// An ordinary write: the block's final private value replaces the
+    /// element's.
+    Write(T),
+    /// A reduction-only element: the accumulated delta folds onto the
+    /// element's value with the array's operator.
+    Delta(T),
+}
+
 /// One processor's privatized view of one tested array for one stage.
 pub struct ProcView<T> {
     store: PrivStore<T>,
@@ -206,6 +219,27 @@ impl<T: Value> ProcView<T> {
         self.shadow.touched()
     }
 
+    /// The contribution rule, stated once: does touched element `e`,
+    /// whose mark is `mark`, produce a value for the commit — as a
+    /// write or as a reduction delta — and which. The commit fold, the
+    /// fleet worker's reply and [`ProcView::migrate`] all ask here.
+    pub(crate) fn contribution(&self, e: usize, mark: Mark) -> Option<Contribution<T>> {
+        if mark.is_written() {
+            Some(Contribution::Write(self.written_value(e)))
+        } else if mark.is_reduction_only() {
+            Some(Contribution::Delta(self.reduction_delta(e)))
+        } else {
+            None
+        }
+    }
+
+    /// This view's contributions in touched order: every touched
+    /// element [`ProcView::contribution`] answers `Some` for.
+    pub(crate) fn contributions(&self) -> impl Iterator<Item = (usize, Contribution<T>)> + '_ {
+        self.touched()
+            .filter_map(|(e, mark)| Some((e, self.contribution(e, mark)?)))
+    }
+
     /// Number of distinct elements touched.
     pub fn num_touched(&self) -> usize {
         self.shadow.num_touched()
@@ -216,35 +250,32 @@ impl<T: Value> ProcView<T> {
         self.refs
     }
 
-    /// Replay an exposed-read mark received from a distributed worker
-    /// ([`crate::remote`]): the element read shared data and produced
-    /// nothing, exactly as a local [`ProcView::read`] first touch would
-    /// record.
-    pub(crate) fn replay_exposed_read(&mut self, e: usize) {
-        self.shadow.on_read(e);
-    }
-
-    /// Replay a written element from a distributed worker: the private
-    /// slot holds `v`, and `exposed` carries whether the element also
-    /// consumed shared data (read-then-write, or a materialized
-    /// reduction). Produces the same final mark bits as the local
-    /// reference sequence.
-    pub(crate) fn replay_write(&mut self, e: usize, v: T, exposed: bool) {
+    /// Replay one touched element received from a distributed worker
+    /// ([`crate::remote`]): `exposed` carries whether the element
+    /// consumed shared data (a read first touch, read-then-write, or a
+    /// materialized reduction) and `produced` what
+    /// [`ProcView::contribution`] answered for it on the worker.
+    /// Leaves the mark bits and private value the local reference
+    /// sequence would have.
+    pub(crate) fn replay(&mut self, e: usize, exposed: bool, produced: Option<Contribution<T>>) {
         if exposed {
             self.shadow.on_read(e);
         }
-        self.shadow.on_write(e);
-        self.store.set(e, v);
-    }
-
-    /// Replay a reduction-only element from a distributed worker: the
-    /// accumulator holds the worker's final `delta` for this stage.
-    pub(crate) fn replay_reduction(&mut self, e: usize, delta: T) {
-        self.shadow.on_reduce(e);
-        self.accum
-            .as_mut()
-            .expect("reduction replay on array declared without an operator")
-            .set(e, delta);
+        match produced {
+            Some(Contribution::Write(v)) => {
+                self.shadow.on_write(e);
+                self.store.set(e, v);
+            }
+            Some(Contribution::Delta(delta)) => {
+                self.shadow.on_reduce(e);
+                let accum = self
+                    .accum
+                    .as_mut()
+                    .expect("reduction replay without operator");
+                accum.set(e, delta);
+            }
+            None => {}
+        }
     }
 
     /// Adopt the worker-counted dynamic reference count so the
@@ -307,12 +338,10 @@ impl<T: Value> ProcView<T> {
                     PrivStore::Sparse(HashMap::default())
                 }
             });
-            for (e, m) in self.shadow.touched() {
-                if m.is_written() {
-                    store.set(e, self.store.get(e));
-                } else if m.is_reduction_only() {
-                    let old = self.accum.as_ref().expect("reduction mark without accum");
-                    accum.as_mut().expect("accum").set(e, old.get(e));
+            for (e, produced) in self.contributions() {
+                match produced {
+                    Contribution::Write(v) => store.set(e, v),
+                    Contribution::Delta(d) => accum.as_mut().expect("accum").set(e, d),
                 }
             }
             self.store = store;

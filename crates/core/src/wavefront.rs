@@ -8,16 +8,15 @@
 //! and, as the paper does for SPICE, reused for every subsequent
 //! instantiation of the loop.
 
-use crate::array::ArrayKind;
 use crate::buf::SharedBuf;
-use crate::ctx::{ArrayMeta, IterCtx, Route};
+use crate::ctx::{IterCtx, RoutedArrays};
 use crate::ddg::{DepGraph, EdgeKind};
 use crate::spec_loop::SpecLoop;
 use crate::value::Value;
 use rlrpd_runtime::{Cost, CostModel, ExecMode, Executor};
 
 /// A reusable wavefront schedule.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WavefrontSchedule {
     levels: Vec<Vec<u32>>,
 }
@@ -72,7 +71,7 @@ impl WavefrontSchedule {
 }
 
 /// Outcome of one wavefront execution.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WavefrontReport {
     /// Number of levels executed (one barrier each).
     pub levels: usize,
@@ -108,33 +107,10 @@ pub fn execute_wavefronts<T: Value>(
         "schedule does not cover the loop"
     );
 
-    // Direct-mode shared state.
-    let mut meta: Vec<ArrayMeta<T>> = Vec::new();
-    let mut shared: Vec<SharedBuf<T>> = Vec::new();
-    let mut tested_slot = 0usize;
-    let mut untested_slot = 0usize;
-    for decl in lp.arrays() {
-        let (route, reduction) = match decl.kind {
-            ArrayKind::Tested { reduction, .. } => {
-                let r = Route::Tested { slot: tested_slot };
-                tested_slot += 1;
-                (r, reduction)
-            }
-            ArrayKind::Untested => {
-                let r = Route::Untested {
-                    slot: untested_slot,
-                };
-                untested_slot += 1;
-                (r, None)
-            }
-        };
-        meta.push(ArrayMeta {
-            name: decl.name,
-            route,
-            reduction,
-        });
-        shared.push(SharedBuf::new(decl.init));
-    }
+    // Direct-mode shared state, routed exactly as the engine routes it.
+    let RoutedArrays {
+        meta, mut shared, ..
+    } = RoutedArrays::new(lp.arrays());
 
     let executor = Executor::with_procs(exec, p);
     let mut virtual_time = 0.0;
@@ -155,17 +131,7 @@ pub fn execute_wavefronts<T: Value>(
         let timing = executor.run_blocks(&mut states, |pos, _| {
             let mut total = 0.0;
             for &iter in chunks[pos] {
-                let mut ctx = IterCtx {
-                    iter: iter as usize,
-                    writer: pos as u32,
-                    meta: meta_ref,
-                    shared: shared_ref,
-                    views: &mut [],
-                    wlog: None,
-                    iter_marks: None,
-                    extra_cost: 0.0,
-                    exited: false,
-                };
+                let mut ctx = IterCtx::direct(iter as usize, pos as u32, meta_ref, shared_ref);
                 lp.body(iter as usize, &mut ctx);
                 total += lp.cost(iter as usize) + ctx.extra_cost;
             }

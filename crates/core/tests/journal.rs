@@ -95,7 +95,10 @@ fn journaled_ground_truth(
 
 #[test]
 fn resume_from_every_record_prefix_is_byte_identical() {
-    let lp = partially_parallel(96);
+    // 112, not 96: at p = 4 the 28-iteration blocks start on multiples
+    // of 7, so sinks fall on block boundaries and every strategy
+    // restarts (at 96 none does, and the assertion below fails).
+    let lp = partially_parallel(112);
     for (k, strategy) in strategies().into_iter().enumerate() {
         let cfg = RunConfig::new(4).with_strategy(strategy);
         let (want, bytes) = journaled_ground_truth(&lp, cfg, &format!("prefix-{k}"));
@@ -300,6 +303,61 @@ fn resume_rejects_mismatched_configurations() {
         .try_run_journaled(&lp, &mut journal)
         .unwrap_err();
     assert!(matches!(err, RlrpdError::Journal { .. }), "{err:?}");
+    std::fs::remove_file(&path).ok();
+}
+
+/// A record can pass `Journal::open` — checksum good, chained onto its
+/// predecessor — and still not be a record of this run: it names an
+/// array the header's layout does not have, an element past an array's
+/// end, or a frontier that runs backwards or off the loop. Resume
+/// refuses it as a journal error; it used to index out of bounds.
+#[test]
+fn resume_refuses_records_that_do_not_fit_the_run() {
+    use rlrpd_core::CommitRecord;
+    let lp = partially_parallel(112);
+    let cfg = RunConfig::new(4).with_strategy(Strategy::SlidingWindow(WindowConfig::fixed(9)));
+    let (want, good) = journaled_ground_truth(&lp, cfg, "unfit-truth");
+    let path = tmp("unfit");
+    std::fs::write(&path, &good).unwrap();
+    let stage = Journal::open(&path).unwrap().commits().len();
+
+    let record = |frontier: usize, arrays| CommitRecord {
+        stage,
+        frontier,
+        exited_at: None,
+        fallback: false,
+        arrays,
+    };
+    for (bad, names) in [
+        (record(112, vec![(9, vec![(0, 0)])]), "array 9"),
+        (record(112, vec![(0, vec![(100_000, 0)])]), "element 100000"),
+        // The run ended at frontier 112 of 112.
+        (record(111, Vec::new()), "frontier"),
+        (record(113, Vec::new()), "frontier"),
+    ] {
+        std::fs::write(&path, &good).unwrap();
+        Journal::open(&path).unwrap().append_commit(bad).unwrap();
+        let mut journal = Journal::open(&path).unwrap();
+        assert_eq!(
+            journal.commits().len(),
+            stage + 1,
+            "the record survives open"
+        );
+        let plan = RunPlan {
+            journal: Some(&mut journal),
+            resume: true,
+            ..Default::default()
+        };
+        let err = Runner::new(cfg).execute(&lp, plan).unwrap_err();
+        assert!(matches!(err, RlrpdError::Journal { .. }), "{err:?}");
+        assert!(err.to_string().contains(names), "{names}: {err}");
+    }
+
+    // The journal as the run left it still resumes to the right arrays.
+    std::fs::write(&path, &good).unwrap();
+    let mut journal = Journal::open(&path).unwrap();
+    let res = Runner::new(cfg).resume(&lp, &mut journal).unwrap();
+    assert_eq!(res.arrays, want);
     std::fs::remove_file(&path).ok();
 }
 

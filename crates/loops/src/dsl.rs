@@ -8,8 +8,8 @@
 //! structure as loop-language source, so the compiled tiers —
 //! tree-walk interpreter and register-bytecode VM — can be measured and
 //! differentially tested on workloads with the paper's reference
-//! shapes rather than toy bodies. `BENCH_compile.json` runs all three
-//! tiers over exactly these sources.
+//! shapes rather than toy bodies. The benchmark harness (`bench/`)
+//! prices all three tiers over exactly these sources.
 //!
 //! The sources are deterministic pure functions of `n`, so the
 //! supervisor and a worker fleet (or two test backends) independently

@@ -2,7 +2,7 @@
 
 /// The quantities the paper assumes known a priori (estimable through
 /// static analysis plus measurement).
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ModelParams {
     /// `n`: iterations in the loop.
     pub n: usize,
@@ -31,7 +31,7 @@ impl ModelParams {
 
 /// Dependence-distribution class of a partially parallel loop
 /// (Section 4).
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LoopClass {
     /// A constant fraction `1 − α` of the *remaining* iterations
     /// completes each stage; `alpha` ∈ [0, 1).

@@ -13,7 +13,7 @@ use crate::formulas::redistribution_pays;
 use crate::params::ModelParams;
 
 /// When to redistribute remaining iterations over all processors.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RedistPolicy {
     /// NRD: failed processors re-run their own blocks, others idle.
     Never,
@@ -24,7 +24,7 @@ pub enum RedistPolicy {
 }
 
 /// One simulated stage of the speculative execution.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StageRecord {
     /// Stage index (0 = initial speculative run).
     pub stage: usize,

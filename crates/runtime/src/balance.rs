@@ -18,7 +18,7 @@ use std::ops::Range;
 
 /// How the next instantiation's per-iteration times are predicted from
 /// history.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TrendMode {
     /// First-order predictor: next = last (the paper's implemented
     /// technique).

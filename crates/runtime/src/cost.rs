@@ -19,7 +19,7 @@ pub type Cost = f64;
 
 /// Machine/loop cost parameters `(ω, ℓ, s)` plus the per-element costs of
 /// the R-LRPD bookkeeping phases.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostModel {
     /// `ω`: useful work per iteration (default unit of the model).
     pub omega: Cost,

@@ -66,7 +66,7 @@ use std::sync::Arc;
 const PHASE_GRAIN: usize = 2048;
 
 /// How to run the blocks of one stage.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
     /// A persistent work-stealing worker pool, reused across stages.
     Pooled,
@@ -83,7 +83,7 @@ pub enum ExecMode {
 
 /// Raw timing of one executed stage, before the driver layers analysis /
 /// commit / restore costs on top.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StageTiming {
     /// Virtual cost accumulated by each block, in block order.
     pub per_block_cost: Vec<Cost>,

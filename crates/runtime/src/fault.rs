@@ -59,6 +59,23 @@ impl std::fmt::Display for InjectedFault {
     }
 }
 
+/// Parse a byte count with an optional binary suffix: `4096`, `512K`,
+/// `64M`, `2G` (case-insensitive). Zero and counts past `u64` are
+/// refused.
+pub fn parse_bytes(v: &str) -> Result<u64, String> {
+    let bad = || format!("expected a byte count (with optional K/M/G suffix), got '{v}'");
+    let (digits, shift) = match v.chars().last() {
+        Some('k') | Some('K') => (&v[..v.len() - 1], 10),
+        Some('m') | Some('M') => (&v[..v.len() - 1], 20),
+        Some('g') | Some('G') => (&v[..v.len() - 1], 30),
+        _ => (v, 0),
+    };
+    let n: u64 = digits.parse().map_err(|_| bad())?;
+    n.checked_mul(1u64 << shift)
+        .filter(|&b| b > 0)
+        .ok_or_else(bad)
+}
+
 /// Render a caught panic payload as a human-readable message.
 ///
 /// Understands the payload types that actually occur: `&str` / `String`
@@ -261,6 +278,23 @@ impl FaultPlan {
     pub fn shadow_pressure_at(mut self, stage: usize, bytes: u64) -> Self {
         self.shadow_pressure.push((Site::new(0, stage), bytes));
         self
+    }
+
+    /// Add the shadow-pressure injections `spec` names: the
+    /// `--shadow-fault` grammar, `STAGE:BYTES[,STAGE:BYTES...]` with
+    /// [`parse_bytes`] byte counts, as the CLI and a daemon job
+    /// submission both spell it.
+    pub fn shadow_pressure_spec(mut self, spec: &str) -> Result<Self, String> {
+        for part in spec.split(',') {
+            let (stage, bytes) = part
+                .split_once(':')
+                .ok_or(format!("expected STAGE:BYTES entries, got '{part}'"))?;
+            let stage: usize = stage
+                .parse()
+                .map_err(|_| format!("bad stage ordinal '{stage}'"))?;
+            self = self.shadow_pressure_at(stage, parse_bytes(bytes)?);
+        }
+        Ok(self)
     }
 
     /// Derive a single-panic plan from `seed` for a loop of `n`
@@ -577,6 +611,21 @@ mod tests {
         assert!(text.contains("kill-worker@dispatch 0"), "{text}");
         assert!(text.contains("hang-worker@dispatch 3"), "{text}");
         assert!(text.contains("corrupt-result@dispatch 5"), "{text}");
+    }
+
+    #[test]
+    fn shadow_pressure_spec_is_the_cli_grammar() {
+        let plan = FaultPlan::new()
+            .shadow_pressure_spec("0:64K,3:2m,7:4096")
+            .unwrap();
+        assert_eq!(plan.shadow_pressure(0), Some(64 << 10));
+        assert_eq!(plan.shadow_pressure(3), Some(2 << 20));
+        assert_eq!(plan.shadow_pressure(7), Some(4096));
+        for bad in ["", "3", "x:1K", "0:0", "0:1T", "0:64K,", "0:99999999999G"] {
+            let err = FaultPlan::new().shadow_pressure_spec(bad);
+            assert!(err.is_err(), "'{bad}' must be refused");
+        }
+        assert_eq!(parse_bytes("2G"), Ok(2 << 30));
     }
 
     #[test]

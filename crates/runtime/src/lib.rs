@@ -9,8 +9,7 @@
 //! * [`BlockSchedule`] — contiguous, increasing-order iteration blocks
 //!   (the paper requires static block scheduling so that partial work can
 //!   be committed in iteration order),
-//! * [`Executor`] — runs one speculative stage on real threads (one
-//!   scoped OS thread per virtual processor), on a persistent
+//! * [`Executor`] — runs one speculative stage on a persistent
 //!   work-stealing [`WorkerPool`] reused across stages and restarts, or
 //!   on a deterministic *simulated machine* with per-processor virtual
 //!   clocks (our substitution for the paper's 16-processor HP V2200;
@@ -65,7 +64,7 @@ pub mod sync;
 pub use balance::{FeedbackPartitioner, TrendMode};
 pub use cost::{Cost, CostModel};
 pub use executor::{ExecMode, Executor, StageTiming};
-pub use fault::{panic_message, FaultPlan, InjectedFault, WorkerFault};
+pub use fault::{panic_message, parse_bytes, FaultPlan, InjectedFault, WorkerFault};
 pub use pool::{JobPanic, WorkerPool};
 pub use proc::ProcId;
 pub use schedule::{Block, BlockSchedule};

@@ -15,9 +15,7 @@ use std::fmt;
 /// `i` always executes iterations strictly below those of processor
 /// `i + 1`, which is what lets the analysis phase commit a *prefix* of
 /// processors after a failed stage.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcId(pub u32);
 
 impl ProcId {

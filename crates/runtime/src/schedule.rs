@@ -18,7 +18,7 @@ use std::ops::Range;
 
 /// One contiguous run of iterations assigned to a single processor for
 /// one speculative stage.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Block {
     /// The physical processor that executes (and keeps the private state
     /// for) this block.
@@ -42,7 +42,7 @@ impl Block {
 
 /// A static block schedule for one speculative stage: blocks in strictly
 /// increasing iteration order, each on a distinct processor.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BlockSchedule {
     blocks: Vec<Block>,
 }

@@ -10,7 +10,7 @@ use crate::cost::Cost;
 
 /// The overhead categories the R-LRPD test adds around the useful loop
 /// work, mirroring Section 4's accounting.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OverheadKind {
     /// Shadow-array marking during the speculative loop itself.
     Marking,
@@ -51,7 +51,7 @@ impl OverheadKind {
 }
 
 /// Virtual-time overhead totals per category.
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct OverheadBreakdown {
     costs: [Cost; 9],
 }
@@ -95,7 +95,7 @@ impl OverheadBreakdown {
 /// what the pooled analysis/commit pipeline optimizes: `analysis` and
 /// `commit` were sequential merges in the seed, `shadow_clear` a
 /// sequential loop.
-#[derive(Clone, Copy, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseSeconds {
     /// The speculative doall itself (the parallel section).
     pub execute_seconds: f64,
@@ -130,7 +130,7 @@ impl PhaseSeconds {
 }
 
 /// Statistics of a single speculative stage (one doall attempt).
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StageStats {
     /// Virtual loop time: `max` over processors of their accumulated
     /// per-iteration work (the critical path of the doall).
@@ -187,36 +187,30 @@ pub struct StageStats {
     /// bytes, summed across this engine's processors (the budget
     /// accountant's high-water mark delta). Under distributed execution
     /// the supervisor folds in the workers' own peaks.
-    #[serde(default)]
     pub shadow_bytes_peak: u64,
     /// Shadow-representation migrations performed at this stage's
     /// commit point (re-selection from observed touch density) or by
     /// the budget-pressure relief ladder.
-    #[serde(default)]
     pub shadow_migrations: usize,
     /// Budget-pressure events contained during this stage: the shadow
     /// footprint crossed the cap and the stage re-executes under a
     /// degraded configuration.
-    #[serde(default)]
     pub shadow_pressure_events: usize,
-    /// Parallel sections (pool jobs, or rounds of scoped threads) the
-    /// stage dispatched — the barriers it really paid, against the one
-    /// `s` the paper's model charges. One (the doall) when the stage's
+    /// Parallel sections (pool jobs) the stage dispatched — the
+    /// barriers it really paid, against the one `s` the paper's model
+    /// charges. One (the doall) when the stage's
     /// touched-entry count kept the analysis, commit and clear phases
     /// on the submitting thread, seven when they fanned out; always 0
     /// under the simulated executor, and 0 for the doall of a stage
     /// whose blocks ran on a worker fleet.
-    #[serde(default)]
     pub fork_joins: usize,
     /// Iterations the loop's body tier executed several-at-a-time
     /// during this stage's doall (the bytecode VM's strips), summed over
     /// blocks; 0 for a loop without such a tier and for blocks that ran
     /// on a worker fleet.
-    #[serde(default)]
     pub batched_iters: u64,
     /// Strips whose speculation failed or was abandoned and that
     /// re-executed one iteration at a time, summed over blocks.
-    #[serde(default)]
     pub scalar_strips: u64,
 }
 

@@ -41,7 +41,7 @@ use rlrpd_core::remote::{
 };
 use rlrpd_core::{
     reduction_mask, run_sequential, verify_against_sequential, ExecMode, FaultPlan, FrameObserver,
-    Journal, RlrpdError, RunConfig, RunPlan, Runner, Strategy,
+    Journal, RunConfig, RunPlan, Runner, Strategy,
 };
 use rlrpd_dist::resolve_spec;
 use rlrpd_shadow::{BudgetLease, BudgetPool};
@@ -637,18 +637,7 @@ fn execute_job(job: &Arc<Job>, lease: &BudgetLease) -> Result<Outcome, JobStatus
                 message: String::new(),
             }))
         }
-        Err(e) => Err(fail(exit_code_of(&e), e.to_string())),
-    }
-}
-
-/// Map an engine error onto the CLI exit-code contract (2 program
-/// fault / 3 stage limit / 4 journal / 1 other).
-fn exit_code_of(e: &RlrpdError) -> u32 {
-    match e {
-        RlrpdError::ProgramFault { .. } => 2,
-        RlrpdError::StageLimit { .. } => 3,
-        RlrpdError::Journal { .. } => 4,
-        _ => 1,
+        Err(e) => Err(fail(e.exit_code() as u32, e.to_string())),
     }
 }
 
@@ -676,19 +665,10 @@ fn job_faults(spec: &JobSpec, n: usize) -> Result<Option<FaultPlan>, String> {
         armed = true;
     }
     if !spec.shadow_fault.is_empty() {
-        for part in spec.shadow_fault.split(',') {
-            let (stage, bytes) = part
-                .split_once(':')
-                .ok_or(format!("shadow fault expects STAGE:BYTES, got '{part}'"))?;
-            let stage: usize = stage
-                .parse()
-                .map_err(|_| format!("bad stage ordinal '{stage}'"))?;
-            let bytes: u64 = bytes
-                .parse()
-                .map_err(|_| format!("bad byte count '{bytes}'"))?;
-            plan = plan.shadow_pressure_at(stage, bytes);
-            armed = true;
-        }
+        plan = plan
+            .shadow_pressure_spec(&spec.shadow_fault)
+            .map_err(|e| format!("shadow fault {e}"))?;
+        armed = true;
     }
     Ok(armed.then_some(plan))
 }

@@ -13,7 +13,7 @@ use crate::hasher::FxBuildHasher;
 use std::collections::HashMap;
 
 /// What an element-level event records.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
     /// The iteration wrote the element (any write, first one recorded).
     Write,

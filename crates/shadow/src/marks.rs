@@ -23,9 +23,7 @@
 //! invariant the analysis phase (in `rlrpd-core`) relies on.
 
 /// A per-element mark byte.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Mark(pub u8);
 
 impl Mark {

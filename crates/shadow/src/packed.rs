@@ -6,7 +6,8 @@
 //! {write, exposed-read} + a separate reduction plane, i.e. ~4× less
 //! shadow memory — which mattered on the paper's 4 MB-cache testbed and
 //! still matters for cache residency of hot marking loops. The
-//! `shadow_ops` bench compares the two.
+//! harness's `shadow.mark_ns_dense` / `shadow.mark_ns_packed` compare
+//! the two.
 //!
 //! Semantics are bit-for-bit identical to [`crate::marks::Mark`]'s
 //! transition rules; a shared test module asserts equivalence against

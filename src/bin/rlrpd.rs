@@ -21,7 +21,7 @@
 //! rlrpd analyze <file.rlp> [--procs N] [--format text|json] [--deny-warnings]
 //!                          [--emit bytecode] [--audit]
 //! rlrpd fmt <file.rlp>
-//! rlrpd ddg <file.rlp> [--procs N] [--window W] [--save <out.bin>]
+//! rlrpd ddg <file.rlp> [--procs N] [--window W] [--save <out.bin>] [--pooled]
 //! rlrpd model [n] [p] [omega] [ell] [sync] [alpha]
 //! ```
 //!
@@ -50,6 +50,7 @@ use rlrpd::core::{
     reduction_mask, verify_against_sequential, DistConnector, FallbackPolicy, FaultPlan, Timeline,
 };
 use rlrpd::dist::{ChaosPlan, ChaosProxy, DistLauncher, DistPolicy, Endpoint};
+use rlrpd::runtime::parse_bytes;
 use rlrpd::{
     extract_ddg, run_sequential, BalancePolicy, CheckpointPolicy, ExecMode, FallbackReason,
     Journal, RlrpdError, RunConfig, RunPlan, Runner, Strategy, WindowConfig,
@@ -63,16 +64,10 @@ enum CliError {
     /// Bad invocation: unknown command, flag, or flag value (exit 64,
     /// the BSD `EX_USAGE` convention).
     Usage(String),
-    /// The program itself is faulty — the iteration re-fired from
-    /// sequential-equivalent state (exit 2).
-    Fault(String),
-    /// The run exceeded its hard stage cap (exit 3).
-    StageLimit(String),
-    /// Crash-journal failure: corrupt or mismatched journal, or a
-    /// journal append could not be made durable (exit 4).
-    Journal(String),
-    /// Everything else: I/O, compile errors, internal invariants
-    /// (exit 1).
+    /// The run itself failed — a genuine program fault, the stage cap,
+    /// the crash journal (exit [`RlrpdError::exit_code`]: 2 / 3 / 4).
+    Run(RlrpdError),
+    /// Everything else: I/O, compile errors (exit 1).
     Other(String),
 }
 
@@ -80,21 +75,23 @@ impl CliError {
     fn code(&self) -> u8 {
         match self {
             CliError::Usage(_) => 64,
-            CliError::Fault(_) => 2,
-            CliError::StageLimit(_) => 3,
-            CliError::Journal(_) => 4,
+            CliError::Run(e) => e.exit_code(),
             CliError::Other(_) => 1,
         }
     }
 
-    fn message(&self) -> &str {
+    fn message(&self) -> String {
         match self {
-            CliError::Usage(m)
-            | CliError::Fault(m)
-            | CliError::StageLimit(m)
-            | CliError::Journal(m)
-            | CliError::Other(m) => m,
+            CliError::Usage(m) | CliError::Other(m) => m.clone(),
+            CliError::Run(e) => e.to_string(),
         }
+    }
+
+    /// A journal that could not be created or opened at `path`.
+    fn journal(path: &str, e: rlrpd::JournalError) -> Self {
+        CliError::Run(RlrpdError::Journal {
+            message: format!("{path}: {e}"),
+        })
     }
 }
 
@@ -106,13 +103,7 @@ impl From<String> for CliError {
 
 impl From<RlrpdError> for CliError {
     fn from(e: RlrpdError) -> Self {
-        let m = e.to_string();
-        match e {
-            RlrpdError::ProgramFault { .. } => CliError::Fault(m),
-            RlrpdError::StageLimit { .. } => CliError::StageLimit(m),
-            RlrpdError::Journal { .. } => CliError::Journal(m),
-            _ => CliError::Other(m),
-        }
+        CliError::Run(e)
     }
 }
 
@@ -163,10 +154,15 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
         "submit" => cmd_submit(rest),
         "status" => cmd_status(rest),
         "chaos-proxy" => cmd_chaos_proxy(rest),
-        "classify" => cmd_classify(parse_flags(rest, &[])?).map_err(CliError::from),
+        "classify" => cmd_classify(parse_flags(rest, &[], &[])?).map_err(CliError::from),
         "analyze" => cmd_analyze(rest),
-        "fmt" => cmd_fmt(parse_flags(rest, &[])?).map_err(CliError::from),
-        "ddg" => cmd_ddg(parse_flags(rest, &["--pooled"])?).map_err(CliError::from),
+        "fmt" => cmd_fmt(parse_flags(rest, &[], &[])?).map_err(CliError::from),
+        "ddg" => cmd_ddg(parse_flags(
+            rest,
+            &["--procs", "--window", "--save"],
+            &["--pooled"],
+        )?)
+        .map_err(CliError::from),
         "model" => cmd_model(rest).map_err(CliError::from),
         "--help" | "-h" | "help" => {
             println!("{}", usage());
@@ -187,50 +183,11 @@ struct Flags {
     positional: Vec<String>,
 }
 
-const VALUE_FLAGS: &[&str] = &[
-    "--procs",
-    "--format",
-    "--emit",
-    "--strategy",
-    "--checkpoint",
-    "--balance",
-    "--window",
-    "--save",
-    "--runs",
-    "--fault-seed",
-    "--watchdog",
-    "--max-restarts",
-    "--max-stages",
-    "--journal",
-    "--dist-workers",
-    "--block-deadline",
-    "--max-respawns",
-    "--fleet-max-respawns",
-    "--heartbeat-interval",
-    "--dist-fault",
-    "--shadow-budget",
-    "--shadow-fault",
-    "--doacross",
-    "--job-ttl",
-    "--listen",
-    "--connect",
-    "--fault",
-    "--seed",
-    "--idle-timeout",
-    "--state-dir",
-    "--max-jobs",
-    "--pool-budget",
-    "--stream-buffer",
-    "--spec",
-    "--key",
-    "--budget",
-    "--retry",
-];
-
-/// Split `args` into flags and positionals. `lone` names the valueless
-/// flags the subcommand understands; any other `--flag` that takes no
-/// value is a usage error, not a silently ignored word.
-fn parse_flags(args: Vec<String>, lone: &[&str]) -> Result<Flags, CliError> {
+/// Split `args` into flags and positionals. `valued` names the
+/// `--flag VALUE` pairs and `lone` the valueless flags *this
+/// subcommand* understands; any other `--word` is a usage error naming
+/// it, not a silently ignored word.
+fn parse_flags(args: Vec<String>, valued: &[&str], lone: &[&str]) -> Result<Flags, CliError> {
     let mut flags = Flags {
         pairs: Vec::new(),
         lone: Vec::new(),
@@ -238,7 +195,7 @@ fn parse_flags(args: Vec<String>, lone: &[&str]) -> Result<Flags, CliError> {
     };
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
-        if VALUE_FLAGS.contains(&a.as_str()) {
+        if valued.contains(&a.as_str()) {
             let v = it
                 .next()
                 .ok_or_else(|| CliError::Usage(format!("{a} needs a value")))?;
@@ -294,20 +251,6 @@ impl Flags {
                 .map_err(|_| format!("{name} expects an integer, got '{v}'")),
         }
     }
-}
-
-/// Parse a byte count with an optional binary suffix: `4096`, `512K`,
-/// `64M`, `2G` (case-insensitive).
-fn parse_bytes(v: &str) -> Result<u64, String> {
-    let bad = || format!("expected a byte count (with optional K/M/G suffix), got '{v}'");
-    let (digits, shift) = match v.chars().last() {
-        Some('k') | Some('K') => (&v[..v.len() - 1], 10),
-        Some('m') | Some('M') => (&v[..v.len() - 1], 20),
-        Some('g') | Some('G') => (&v[..v.len() - 1], 30),
-        _ => (v, 0),
-    };
-    let n: u64 = digits.parse().map_err(|_| bad())?;
-    n.checked_shl(shift).filter(|&b| b > 0).ok_or_else(bad)
 }
 
 /// `MemAvailable` from `/proc/meminfo`, in bytes.
@@ -371,16 +314,9 @@ fn shadow_faults(flags: &Flags, mut plan: FaultPlan) -> Result<(FaultPlan, bool)
     let Some(spec) = flags.get("--shadow-fault") else {
         return Ok((plan, false));
     };
-    for part in spec.split(',') {
-        let (stage, bytes) = part.split_once(':').ok_or(format!(
-            "--shadow-fault expects STAGE:BYTES entries, got '{part}'"
-        ))?;
-        let stage: usize = stage
-            .parse()
-            .map_err(|_| format!("bad stage ordinal '{stage}' in --shadow-fault"))?;
-        let bytes = parse_bytes(bytes).map_err(|e| format!("--shadow-fault {e}"))?;
-        plan = plan.shadow_pressure_at(stage, bytes);
-    }
+    plan = plan
+        .shadow_pressure_spec(spec)
+        .map_err(|e| format!("--shadow-fault {e}"))?;
     Ok((plan, true))
 }
 
@@ -457,13 +393,8 @@ fn doacross_mode(flags: &Flags) -> Result<DoacrossMode, String> {
 /// until killed). Exits 64 on protocol or usage errors, matching the
 /// CLI's usage-error convention.
 fn cmd_worker(args: Vec<String>) -> Result<(), CliError> {
-    let flags = parse_flags(args, &[])?;
-    if !flags.positional.is_empty()
-        || flags
-            .pairs
-            .iter()
-            .any(|(k, _)| k != "--listen" && k != "--idle-timeout")
-    {
+    let flags = parse_flags(args, &["--listen", "--idle-timeout"], &[])?;
+    if !flags.positional.is_empty() {
         return Err(CliError::Usage(
             "worker takes only --listen ADDR [--idle-timeout SECS]; without --listen, \
              it speaks the fleet protocol on stdin/stdout"
@@ -505,7 +436,18 @@ fn cmd_worker(args: Vec<String>) -> Result<(), CliError> {
 /// `--state-dir`, drains gracefully on SIGTERM, and resumes
 /// incomplete jobs on restart under `--resume`. Runs until signalled.
 fn cmd_serve(args: Vec<String>) -> Result<(), CliError> {
-    let flags = parse_flags(args, &["--resume"])?;
+    let flags = parse_flags(
+        args,
+        &[
+            "--state-dir",
+            "--listen",
+            "--pool-budget",
+            "--max-jobs",
+            "--stream-buffer",
+            "--job-ttl",
+        ],
+        &["--resume"],
+    )?;
     if !flags.positional.is_empty() {
         return Err(CliError::Usage(
             "serve takes no positional arguments (jobs arrive over the wire)".into(),
@@ -600,7 +542,23 @@ fn status_json(st: &rlrpd::core::remote::JobStatusFrame) -> String {
 /// limit / 4 journal / 1 other), so shell pipelines treat a remote
 /// run exactly like a local one.
 fn cmd_submit(args: Vec<String>) -> Result<(), CliError> {
-    let flags = parse_flags(args, &[])?;
+    let flags = parse_flags(
+        args,
+        &[
+            "--connect",
+            "--key",
+            "--spec",
+            "--procs",
+            "--strategy",
+            "--shadow-budget",
+            "--fault-seed",
+            "--shadow-fault",
+            "--max-stages",
+            "--retry",
+            "--format",
+        ],
+        &[],
+    )?;
     let addr = flags
         .get("--connect")
         .ok_or_else(|| CliError::Usage("submit needs --connect ADDR".into()))?;
@@ -686,7 +644,7 @@ fn cmd_submit(args: Vec<String>) -> Result<(), CliError> {
 /// 1 when the daemon has no job under the key.
 fn cmd_status(args: Vec<String>) -> Result<(), CliError> {
     use rlrpd::core::remote::JobState;
-    let flags = parse_flags(args, &[])?;
+    let flags = parse_flags(args, &["--connect", "--key", "--retry", "--format"], &[])?;
     let addr = flags
         .get("--connect")
         .ok_or_else(|| CliError::Usage("status needs --connect ADDR".into()))?;
@@ -724,7 +682,7 @@ fn cmd_status(args: Vec<String>) -> Result<(), CliError> {
 /// seed-derived plan under `--seed N`) keyed by connection ordinal.
 /// Runs until killed.
 fn cmd_chaos_proxy(args: Vec<String>) -> Result<(), CliError> {
-    let flags = parse_flags(args, &[])?;
+    let flags = parse_flags(args, &["--listen", "--connect", "--fault", "--seed"], &[])?;
     if !flags.positional.is_empty() {
         return Err(CliError::Usage(
             "chaos-proxy takes only --listen, --connect, and --fault/--seed".into(),
@@ -940,6 +898,28 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
     let flags = parse_flags(
         args,
         &[
+            "--procs",
+            "--strategy",
+            "--checkpoint",
+            "--balance",
+            "--runs",
+            "--fault-seed",
+            "--watchdog",
+            "--max-restarts",
+            "--max-stages",
+            "--journal",
+            "--dist-workers",
+            "--block-deadline",
+            "--max-respawns",
+            "--fleet-max-respawns",
+            "--heartbeat-interval",
+            "--dist-fault",
+            "--shadow-budget",
+            "--shadow-fault",
+            "--doacross",
+            "--format",
+        ],
+        &[
             "--pooled",
             "--resume",
             "--no-compile",
@@ -1130,8 +1110,7 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
         for k in 0..runs {
             let mut journal = match &journal_path {
                 Some(path) if resume => {
-                    let j = Journal::open(path)
-                        .map_err(|e| CliError::Journal(format!("{path}: {e}")))?;
+                    let j = Journal::open(path).map_err(|e| CliError::journal(path, e))?;
                     if j.truncated_bytes() > 0 {
                         println!(
                             "journal: discarded {} torn/corrupt trailing bytes",
@@ -1140,9 +1119,7 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
                     }
                     Some(j)
                 }
-                Some(path) => Some(
-                    Journal::create(path).map_err(|e| CliError::Journal(format!("{path}: {e}")))?,
-                ),
+                Some(path) => Some(Journal::create(path).map_err(|e| CliError::journal(path, e))?),
                 None => None,
             };
             let res = runner.execute(
@@ -1369,7 +1346,11 @@ fn cmd_classify(flags: Flags) -> Result<(), String> {
 /// `--deny-warnings`, 64 on usage or parse errors.
 fn cmd_analyze(args: Vec<String>) -> Result<(), CliError> {
     use rlrpd::lang::Level;
-    let flags = parse_flags(args, &["--audit", "--deny-warnings"])?;
+    let flags = parse_flags(
+        args,
+        &["--procs", "--format", "--emit"],
+        &["--audit", "--deny-warnings"],
+    )?;
     // A missing or unreadable input is an invocation problem for a
     // static analysis (nothing ran), same bucket as a parse error.
     let src = source(&flags).map_err(CliError::Usage)?;

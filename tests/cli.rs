@@ -531,6 +531,37 @@ fn journal_corruption_exits_4() {
         ]),
         4
     );
+
+    // So is a journal whose records are intact but not this run's: one
+    // that names an array the program does not declare.
+    let prog = program("tracking.rlp");
+    let journal = path.to_str().unwrap();
+    std::fs::remove_file(&path).ok();
+    let (ok, _, stderr) = rlrpd(&["run", &prog, "--procs", "4", "--journal", journal]);
+    assert!(ok, "{stderr}");
+    let mut j = rlrpd::Journal::open(&path).unwrap();
+    let stage = j.commits().len();
+    j.append_commit(rlrpd::core::CommitRecord {
+        stage,
+        frontier: j.commits()[stage - 1].frontier,
+        exited_at: None,
+        fallback: false,
+        arrays: vec![(9, vec![(0, 0)])],
+    })
+    .unwrap();
+    drop(j);
+    let resume = [
+        "run",
+        &prog,
+        "--procs",
+        "4",
+        "--journal",
+        journal,
+        "--resume",
+    ];
+    let (ok, _, stderr) = rlrpd(&resume);
+    assert!(!ok && stderr.contains("names array 9"), "{stderr}");
+    assert_eq!(exit_code(&resume), 4);
     std::fs::remove_file(&path).ok();
 }
 
@@ -643,18 +674,45 @@ fn dist_flag_misuse_exits_64() {
 #[test]
 fn unknown_flags_exit_64_and_are_named() {
     let prog = program("tracking.rlp");
-    for flag in ["--threads", "--pooledd"] {
+    let rows: [(&[&str], &str); 5] = [
+        (&["run", &prog, "--threads"], "--threads"),
+        (&["run", &prog, "--pooledd"], "--pooledd"),
+        // A flag that takes a value is known per subcommand too.
+        (
+            &["fmt", &prog, "--dist-workers", "3", "--journal", "X"],
+            "--dist-workers",
+        ),
+        (
+            &["classify", &prog, "--strategy", "bogus", "--max-jobs", "x"],
+            "--strategy",
+        ),
+        // Never read by anything; the real flag is `--shadow-budget`.
+        (
+            &[
+                "submit",
+                &prog,
+                "--connect",
+                "127.0.0.1:1",
+                "--key",
+                "9",
+                "--budget",
+                "1M",
+            ],
+            "--budget",
+        ),
+    ];
+    for (args, flag) in rows {
         let out = Command::new(env!("CARGO_BIN_EXE_rlrpd"))
-            .args(["run", &prog, flag])
+            .args(args)
             .output()
             .expect("binary runs");
-        assert_eq!(out.status.code(), Some(64), "{flag}");
+        assert_eq!(out.status.code(), Some(64), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
             stderr.contains(&format!("unknown flag '{flag}'")),
             "{stderr}"
         );
-        assert!(out.stdout.is_empty(), "{flag}: nothing may run");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
     }
     // Known to one subcommand is not known to all of them.
     assert_eq!(exit_code(&["classify", &prog, "--report"]), 64);

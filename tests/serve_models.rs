@@ -189,6 +189,36 @@ fn over_pool_submission_gets_typed_rejection() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A submission spells a shadow fault as `rlrpd run --shadow-fault`
+/// does — `STAGE:BYTES` with the K/M/G suffixes, one parser for both.
+/// The daemon used to read the byte count as a bare integer, so
+/// `0:64K` ran under the CLI and was a `BadSpec` here.
+#[test]
+fn a_submission_spells_shadow_faults_as_the_cli_does() {
+    let dir = state_dir("faultspec");
+    let handle = start(ServeConfig {
+        state_dir: dir.clone(),
+        ..ServeConfig::default()
+    });
+    let mut spec = spec_for(0x8_0000_0001, MODELS[0]);
+    spec.shadow_fault = "0:64K".into();
+    let out = submit(handle.addr(), &spec, &opts()).expect("0:64K is a shadow fault");
+    assert_eq!(out.status.state, JobState::Done);
+    assert_eq!((out.status.exit_code, out.status.verified), (0, true));
+
+    spec.key += 1;
+    spec.shadow_fault = "0:64Q".into();
+    match submit(handle.addr(), &spec, &opts()) {
+        Err(ClientError::Rejected(RejectReason::BadSpec(why))) => {
+            assert!(why.contains("64Q"), "{why}")
+        }
+        other => panic!("expected a BadSpec rejection, got {other:?}"),
+    }
+    handle.drain();
+    assert_eq!(handle.join(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A job whose program declares a reduction (every TRACK DSL deck:
 /// `ENERGY` is summed) used to end `verified = false`, because the
 /// daemon compared with strict `==` while a parallel fold reassociates
@@ -296,7 +326,17 @@ fn stalled_client_does_not_block_other_tenants() {
 
     // The stalled job itself still ran to a durable finish — client
     // liveness and job durability are decoupled.
-    let st = query_status(handle.addr(), stalled.key, &opts()).expect("status");
+    // (It was admitted first but need not finish first: ask until it
+    // is no longer running.)
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    let st = loop {
+        let st = query_status(handle.addr(), stalled.key, &opts()).expect("status");
+        let live = matches!(st.state, JobState::Queued | JobState::Running);
+        if !live || std::time::Instant::now() > deadline {
+            break st;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
     assert_eq!(st.state, JobState::Done, "stalled client's job: {st:?}");
     assert!(st.verified);
     drop(silent);
