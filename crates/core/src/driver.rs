@@ -21,7 +21,7 @@
 use crate::analysis::DepArc;
 use crate::checkpoint::CheckpointPolicy;
 use crate::engine::{Engine, EngineCfg};
-use crate::error::RlrpdError;
+use crate::error::{PlanError, RlrpdError};
 use crate::journal::{
     self, CommitRecord, ElemBits, Journal, JournalElem, JournalError, JournalHeader, JournalSink,
 };
@@ -419,9 +419,9 @@ impl<T: Value> RunResult<T> {
 }
 
 /// What a run is attached to, beyond its loop and [`RunConfig`]: three
-/// independent attachments, any combination of which
-/// [`Runner::execute`] accepts. The default plan is a plain in-process
-/// run.
+/// attachments, every combination of which [`Runner::execute`] accepts
+/// except those [`RunPlan::validate`] names. The default plan is a
+/// plain in-process run.
 #[derive(Default)]
 pub struct RunPlan<'a> {
     /// Record every stage commit in this journal, write-ahead: each
@@ -457,6 +457,37 @@ pub struct RunPlan<'a> {
     /// resume is rejected with [`JournalError::Mismatch`] naming the
     /// field.
     pub resume: bool,
+}
+
+impl RunPlan<'_> {
+    /// The one definition of a legal run: may this plan run under `cfg`
+    /// with the runner's fault plan `fault`? [`Runner::execute`] asks
+    /// before it builds an engine, asks a connector to connect or writes
+    /// a journal byte, so no caller can skip the question; the CLI and
+    /// the daemon's admission ask it earlier only to refuse sooner.
+    ///
+    /// A journal never makes a plan illegal, so a caller that has not
+    /// opened its journal yet may validate the plan without it.
+    pub fn validate(&self, cfg: &RunConfig, fault: Option<&FaultPlan>) -> Result<(), PlanError> {
+        if cfg.p == 0 {
+            return Err(PlanError::NoProcessors);
+        }
+        if self.resume && self.journal.is_none() {
+            return Err(PlanError::ResumeWithoutJournal);
+        }
+        if matches!(cfg.strategy, Strategy::Doacross(_)) {
+            if self.fleet.is_some() {
+                return Err(PlanError::DoacrossOverFleet);
+            }
+            // The pipeline runs every iteration once, directly: it has
+            // no stage for a shadow-pressure site and no rollback for a
+            // panic site, so an armed plan would silently never fire.
+            if fault.is_some_and(|f| !f.is_empty()) {
+                return Err(PlanError::DoacrossWithFaults);
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A stateful runner: carries feedback-guided balancing history and the
@@ -518,12 +549,13 @@ impl Runner {
     /// checkpoint faults and a lost fleet are all recovered internally
     /// (by rollback and, if the [`FallbackPolicy`] demands it,
     /// sequential execution of the remainder) and reported on the
-    /// [`RunReport`]. An `Err` means the loop itself is faulty
-    /// ([`RlrpdError::ProgramFault`]), the run hit its hard stage cap,
-    /// or the journal failed: [`JournalError::NotEmpty`] for a fresh
-    /// run over a used journal, [`JournalError::NoHeader`] for a resume
-    /// with nothing to resume, [`JournalError::Mismatch`] for a journal
-    /// of some other run, or the I/O error of an append.
+    /// [`RunReport`]. An `Err` means the plan was refused before anything
+    /// ran ([`RlrpdError::Plan`], see [`RunPlan::validate`]), the loop
+    /// itself is faulty ([`RlrpdError::ProgramFault`]), the run hit its
+    /// hard stage cap, or the journal failed: [`JournalError::NotEmpty`]
+    /// for a fresh run over a used journal, [`JournalError::NoHeader`]
+    /// for a resume with nothing to resume, [`JournalError::Mismatch`]
+    /// for a journal of some other run, or the I/O error of an append.
     pub fn execute<T: Value + JournalElem>(
         &mut self,
         lp: &dyn SpecLoop<T>,
@@ -593,9 +625,9 @@ impl Runner {
         )
     }
 
-    /// The one run body: build the engine, bring journal and fleet to
-    /// the run's starting point, run the stages (or the DOACROSS
-    /// pipeline), fold the outcome into a [`RunResult`].
+    /// The one run body: validate the plan, build the engine, bring
+    /// journal and fleet to the run's starting point, run the stages (or
+    /// the DOACROSS pipeline), fold the outcome into a [`RunResult`].
     ///
     /// `elem` is `None` only from [`Runner::try_run`], whose `T` has no
     /// journal image and whose plan is therefore empty.
@@ -605,6 +637,7 @@ impl Runner {
         plan: RunPlan<'_>,
         elem: Option<ElemBits<T>>,
     ) -> Result<RunResult<T>, RlrpdError> {
+        plan.validate(&self.cfg, self.fault.as_deref())?;
         let RunPlan {
             mut journal,
             fleet,
@@ -634,7 +667,9 @@ impl Runner {
                 arrays: engine.layout(),
             };
             if resume {
-                let journal = journal.as_deref().ok_or(JournalError::NoHeader)?;
+                let journal = journal
+                    .as_deref()
+                    .expect("validated: a resume has a journal");
                 let recorded = journal.header().ok_or(JournalError::NoHeader)?;
                 if *recorded != header {
                     let message = header.mismatch(recorded);

@@ -10,6 +10,42 @@
 //! fault, and it surfaces as an [`RlrpdError`] from the fallible run
 //! surface ([`crate::Runner::try_run`]) rather than an unwind.
 
+/// Why a run was refused before it started: one variant, and one
+/// `Display` line, per combination [`crate::RunPlan::validate`] rejects.
+/// The lines name the `rlrpd run` flags that spell the combination, so
+/// the CLI, the daemon's admission and a library caller all report the
+/// same sentence.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PlanError {
+    /// [`crate::RunConfig::p`] is 0.
+    NoProcessors,
+    /// [`crate::RunPlan::resume`] without a [`crate::RunPlan::journal`].
+    ResumeWithoutJournal,
+    /// [`crate::Strategy::Doacross`] with a [`crate::RunPlan::fleet`].
+    DoacrossOverFleet,
+    /// [`crate::Strategy::Doacross`] with a non-empty fault plan.
+    DoacrossWithFaults,
+}
+
+impl std::fmt::Display for PlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            PlanError::NoProcessors => "a run needs at least one processor (--procs 0)",
+            PlanError::ResumeWithoutJournal => {
+                "--resume requires --journal <path>: the journal holds the run to continue"
+            }
+            PlanError::DoacrossOverFleet => {
+                "the DOACROSS tier (--doacross) cannot combine with a worker fleet \
+                 (--dist-workers): post/wait cells synchronize threads in one address space"
+            }
+            PlanError::DoacrossWithFaults => {
+                "the DOACROSS tier (--doacross) cannot combine with fault injection \
+                 (--fault-seed, --shadow-fault): the plan arms sites the pipeline never visits"
+            }
+        })
+    }
+}
+
 /// A structured failure of a speculative run.
 ///
 /// Everything recoverable (contained panics, watchdog trips, restart
@@ -60,18 +96,23 @@ pub enum RlrpdError {
         /// The rendered [`crate::JournalError`].
         message: String,
     },
+    /// The run was never started: its configuration, attachments and
+    /// fault plan do not combine ([`crate::RunPlan::validate`]).
+    Plan(PlanError),
 }
 
 impl RlrpdError {
     /// The process exit code this failure maps to — the one contract
     /// `rlrpd run` exits with and the daemon stamps on a failed job:
     /// 2 genuine program fault, 3 stage cap exceeded, 4 crash-journal
-    /// failure, 1 anything else.
+    /// failure, 64 a plan refused before it ran (a usage error), 1
+    /// anything else.
     pub fn exit_code(&self) -> u8 {
         match self {
             RlrpdError::ProgramFault { .. } => 2,
             RlrpdError::StageLimit { .. } => 3,
             RlrpdError::Journal { .. } => 4,
+            RlrpdError::Plan(_) => 64,
             RlrpdError::CheckpointFault { .. } | RlrpdError::StageInvariant { .. } => 1,
         }
     }
@@ -82,6 +123,12 @@ impl From<crate::journal::JournalError> for RlrpdError {
         RlrpdError::Journal {
             message: e.to_string(),
         }
+    }
+}
+
+impl From<PlanError> for RlrpdError {
+    fn from(e: PlanError) -> Self {
+        RlrpdError::Plan(e)
     }
 }
 
@@ -103,6 +150,7 @@ impl std::fmt::Display for RlrpdError {
             RlrpdError::Journal { message } => {
                 write!(f, "journal failure: {message}")
             }
+            RlrpdError::Plan(e) => e.fmt(f),
         }
     }
 }
@@ -135,5 +183,8 @@ mod tests {
         assert_eq!(RlrpdError::StageLimit { max_stages: 9 }.exit_code(), 3);
         let journal = RlrpdError::from(crate::JournalError::NotEmpty);
         assert_eq!(journal.exit_code(), 4);
+        let plan = RlrpdError::from(PlanError::NoProcessors);
+        assert_eq!(plan.exit_code(), 64);
+        assert_eq!(plan.to_string(), PlanError::NoProcessors.to_string());
     }
 }

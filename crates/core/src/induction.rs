@@ -287,24 +287,7 @@ pub fn run_induction<T: Value>(
         stage2.overhead.add(OverheadKind::Sync, cost.sync);
         report.stages.push(stage2);
         report.restarts += 1;
-        for buf in &mut shared {
-            buf.new_epoch();
-        }
-        let mut counter = initial;
-        let mut work = 0.0;
-        for iter in 0..n {
-            let mut ctx = IndCtx {
-                counter,
-                bumps: 0,
-                shared: &shared,
-                state: None,
-                writer: 0,
-                extra_cost: 0.0,
-            };
-            lp.body(iter, &mut ctx);
-            counter = ctx.counter;
-            work += lp.cost(iter) + ctx.extra_cost;
-        }
+        let (counter, work) = sequential_pass(lp, &mut shared);
         final_counter = counter;
         let mut seq = StageStats {
             loop_time: work,
@@ -328,6 +311,51 @@ pub fn run_induction<T: Value>(
         final_counter,
         report,
     }
+}
+
+/// Execute `lp` sequentially — no speculation, the true counter
+/// threaded through every iteration — and return the final tracked
+/// arrays and the final counter: the ground truth [`run_induction`] is
+/// checked against, and what it degenerates to when its range test
+/// fails.
+pub fn run_induction_sequential<T: Value>(
+    lp: &dyn InductionLoop<T>,
+) -> (Vec<(&'static str, Vec<T>)>, usize) {
+    let (names, mut shared): (Vec<_>, Vec<_>) = lp
+        .arrays()
+        .into_iter()
+        .map(|d| (d.name, SharedBuf::new(d.init)))
+        .unzip();
+    let (counter, _) = sequential_pass(lp, &mut shared);
+    let arrays = shared.into_iter().map(SharedBuf::into_vec);
+    (names.into_iter().zip(arrays).collect(), counter)
+}
+
+/// The sequential execution itself, over `shared` in place; returns the
+/// final counter and the work done.
+fn sequential_pass<T: Value>(
+    lp: &dyn InductionLoop<T>,
+    shared: &mut [SharedBuf<T>],
+) -> (usize, f64) {
+    for buf in shared.iter_mut() {
+        buf.new_epoch();
+    }
+    let mut counter = lp.initial_counter();
+    let mut work = 0.0;
+    for iter in 0..lp.num_iters() {
+        let mut ctx = IndCtx {
+            counter,
+            bumps: 0,
+            shared,
+            state: None,
+            writer: 0,
+            extra_cost: 0.0,
+        };
+        lp.body(iter, &mut ctx);
+        counter = ctx.counter;
+        work += lp.cost(iter) + ctx.extra_cost;
+    }
+    (counter, work)
 }
 
 /// Run one speculative doall pass; returns (critical path, total work,

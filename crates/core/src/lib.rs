@@ -92,8 +92,10 @@ pub use driver::{
     RunConfig, RunPlan, RunResult, Runner, Strategy,
 };
 pub use engine::{reduction_mask, run_sequential, verify_against_sequential};
-pub use error::RlrpdError;
-pub use induction::{run_induction, IndCtx, InductionLoop, InductionResult};
+pub use error::{PlanError, RlrpdError};
+pub use induction::{
+    run_induction, run_induction_sequential, IndCtx, InductionLoop, InductionResult,
+};
 pub use inspector::{run_inspector_executor, AccessTrace, Inspectable, InspectorResult};
 pub use journal::{CommitRecord, FrameObserver, Journal, JournalElem, JournalError, JournalHeader};
 pub use lrpd::{run_classic_lrpd, try_run_classic_lrpd};

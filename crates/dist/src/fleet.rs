@@ -54,9 +54,9 @@ pub struct DistPolicy {
     pub backoff: Duration,
     /// Interval between worker heartbeat frames; travels to the worker
     /// in the hello. Must be comfortably below `block_deadline` or the
-    /// staleness sweep cannot tell busy from dead (the CLI validates
-    /// this; the fleet just floors the staleness timeout at 4
-    /// heartbeats).
+    /// staleness sweep cannot tell busy from dead
+    /// ([`DistPolicy::validate`]; the fleet also floors the staleness
+    /// timeout at 4 heartbeats).
     pub heartbeat: Duration,
 }
 
@@ -74,6 +74,32 @@ impl Default for DistPolicy {
 }
 
 impl DistPolicy {
+    /// Is the policy coherent? Both intervals must be positive, and at
+    /// least two heartbeats must fit in the failure-detection window —
+    /// the block deadline, floored at the fleet's minimum staleness
+    /// timeout — or every busy worker looks dead. Asked where a policy
+    /// is made from outside input, and again by [`Fleet::launch`]
+    /// before it starts a worker.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.block_deadline.is_zero() {
+            return Err("--block-deadline must be positive".into());
+        }
+        if self.heartbeat.is_zero() {
+            return Err("--heartbeat-interval must be positive".into());
+        }
+        let window = self.block_deadline.max(MIN_HEARTBEAT_TIMEOUT);
+        if self.heartbeat * 2 > window {
+            return Err(format!(
+                "--heartbeat-interval {}s is incoherent with --block-deadline: at least \
+                 two heartbeats must fit in the failure-detection window ({}s); lower the \
+                 interval or raise the deadline",
+                self.heartbeat.as_secs_f64(),
+                window.as_secs_f64()
+            ));
+        }
+        Ok(())
+    }
+
     /// The effective fleet-wide respawn cap for a fleet of `workers`
     /// slots (resolves the `0` = auto default).
     pub fn fleet_cap(&self, workers: usize) -> usize {
@@ -299,8 +325,10 @@ impl Fleet {
     /// Spawn/connect one worker per endpoint and replay the hello to
     /// each. A slot that cannot be started is quarantined on the spot
     /// (the fleet starts smaller); only a fleet with **zero** startable
-    /// slots fails (as a connect error, degrading the run in-process).
+    /// slots — or an incoherent policy ([`DistPolicy::validate`]) —
+    /// fails (as a connect error, degrading the run in-process).
     pub fn launch(launcher: &DistLauncher, hello: &WireHello) -> Result<Fleet, String> {
+        launcher.policy.validate()?;
         let endpoints = launcher
             .endpoints
             .clone()

@@ -69,7 +69,7 @@ use bytecode::{lower_loop, LoopCode};
 use interp::Eval;
 use rlrpd_core::{
     ArrayDecl, BatchTally, IndCtx, InductionLoop, IterCtx, Reduction, RunConfig, RunReport,
-    ShadowKind, SpecLoop,
+    RunResult, ShadowKind, SpecLoop,
 };
 use std::ops::Range;
 
@@ -353,8 +353,9 @@ impl CompiledProgram {
         rlrpd_core::DoacrossConfig::from_distances(&plan.distances())
     }
 
-    /// Initial array contents from the declarations.
-    fn initial_arrays(&self) -> Vec<Vec<f64>> {
+    /// Initial array contents from the declarations (declaration
+    /// order): the state the first loop starts from.
+    pub fn initial_arrays(&self) -> Vec<Vec<f64>> {
         self.program
             .arrays
             .iter()
@@ -373,25 +374,36 @@ impl CompiledProgram {
             .min()
     }
 
+    /// A program is a sequence of loops through one path: `run_loop(k,
+    /// state)` executes loop `k` from the array contents `state`
+    /// (declaration order) however the caller sees fit — which view,
+    /// which tier, journaled, fault-injected, verified — and its final
+    /// arrays are the state the next loop starts from. The one place
+    /// state is threaded through a program's speculative runs.
+    pub fn run_loops<E>(
+        &self,
+        mut run_loop: impl FnMut(usize, Vec<Vec<f64>>) -> Result<RunResult<f64>, E>,
+    ) -> Result<ProgramResult, E> {
+        let mut state = self.initial_arrays();
+        let mut reports = Vec::new();
+        for k in 0..self.num_loops() {
+            let res = run_loop(k, state)?;
+            state = res.arrays.into_iter().map(|(_, data)| data).collect();
+            reports.push(res.report);
+        }
+        Ok(ProgramResult {
+            arrays: self.names.iter().copied().zip(state).collect(),
+            reports,
+        })
+    }
+
     /// Execute the whole program speculatively: each loop runs under
     /// its own speculative run, state flowing from one to the next.
     /// Each loop's config carries that loop's statically-predicted
     /// first dependence sink so the report can compare it with the
     /// observed one.
     pub fn run(&self, cfg: RunConfig) -> ProgramResult {
-        let mut state = self.initial_arrays();
-        let mut reports = Vec::new();
-        for k in 0..self.num_loops() {
-            let view = self.loop_view(k, state);
-            let cfg = cfg.with_dependence_prediction(self.predicted_first_dependence(k));
-            let res = rlrpd_core::run_speculative(&view, cfg);
-            state = res.arrays.into_iter().map(|(_, data)| data).collect();
-            reports.push(res.report);
-        }
-        ProgramResult {
-            arrays: self.names.iter().copied().zip(state).collect(),
-            reports,
-        }
+        self.run_tiers(cfg, |_| None)
     }
 
     /// Execute the whole program with per-loop strategy auto-selection:
@@ -402,27 +414,32 @@ impl CompiledProgram {
     /// ladder of DESIGN.md §16, surfaced on the CLI as
     /// `--doacross auto`.
     pub fn run_auto(&self, cfg: RunConfig) -> ProgramResult {
-        let mut state = self.initial_arrays();
-        let mut reports = Vec::new();
-        for k in 0..self.num_loops() {
-            let cfg_k = cfg.with_dependence_prediction(self.predicted_first_dependence(k));
-            let res = match self.doacross_config(k) {
-                Some(proven) => {
-                    let view = self.loop_view_plain(k, state);
-                    rlrpd_core::run_speculative(&view, cfg_k.auto_strategy(Some(proven)))
-                }
-                None => {
-                    let view = self.loop_view(k, state);
-                    rlrpd_core::run_speculative(&view, cfg_k)
-                }
+        self.run_tiers(cfg, |k| self.doacross_config(k))
+    }
+
+    /// [`CompiledProgram::run_loops`] with each loop on the tier
+    /// `proven` selects for it: DOACROSS over a plain view at the
+    /// distances it returns, the speculative strategy of `cfg` over the
+    /// tested view where it returns none.
+    fn run_tiers(
+        &self,
+        cfg: RunConfig,
+        proven: impl Fn(usize) -> Option<rlrpd_core::DoacrossConfig>,
+    ) -> ProgramResult {
+        let Ok(res) = self.run_loops(|k, state| {
+            let proven = proven(k);
+            let view = ProgramLoop {
+                prog: self,
+                k,
+                init: state,
+                plain: proven.is_some(),
             };
-            state = res.arrays.into_iter().map(|(_, data)| data).collect();
-            reports.push(res.report);
-        }
-        ProgramResult {
-            arrays: self.names.iter().copied().zip(state).collect(),
-            reports,
-        }
+            let cfg = cfg
+                .with_dependence_prediction(self.predicted_first_dependence(k))
+                .auto_strategy(proven);
+            Ok::<_, std::convert::Infallible>(rlrpd_core::run_speculative(&view, cfg))
+        });
+        res
     }
 
     /// Run the program speculatively and compare every instrumented
@@ -972,20 +989,11 @@ mod tests {
         .unwrap();
         let prog = CompiledProgram::compile(&src).unwrap();
         // Ground truth: sequential execution, state flowing loop to loop.
-        let mut state: Vec<Vec<f64>> = prog
-            .program()
-            .arrays
-            .iter()
-            .map(|d| vec![d.init; d.size])
-            .collect();
-        for k in 0..prog.num_loops() {
-            let (seq, _) = run_sequential(&prog.loop_view(k, state));
-            state = seq.into_iter().map(|(_, data)| data).collect();
-        }
+        let seq = prog.run_sequential();
 
         for p in [1usize, 2, 4, 8] {
             let res = prog.run_auto(RunConfig::new(p));
-            for ((name, want), (rn, got)) in prog.names.iter().zip(&state).zip(&res.arrays) {
+            for ((name, want), (rn, got)) in seq.iter().zip(&res.arrays) {
                 assert_eq!(name, rn);
                 let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
                 let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();

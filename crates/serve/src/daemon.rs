@@ -643,9 +643,8 @@ fn execute_job(job: &Arc<Job>, lease: &BudgetLease) -> Result<Outcome, JobStatus
 
 /// Build the run configuration a submission asks for.
 fn job_config(spec: &JobSpec, budget: u64) -> Result<RunConfig, String> {
-    let p = (spec.p as usize).max(1);
     let strategy: Strategy = spec.strategy.parse()?;
-    let mut cfg = RunConfig::new(p)
+    let mut cfg = RunConfig::new(spec.p as usize)
         .with_strategy(strategy)
         .with_exec(ExecMode::Pooled)
         .with_shadow_budget(Some(budget));
@@ -673,16 +672,19 @@ fn job_faults(spec: &JobSpec, n: usize) -> Result<Option<FaultPlan>, String> {
     Ok(armed.then_some(plan))
 }
 
-/// Validate a submission without creating any state: the same checks
-/// dispatch will make, surfaced at admission as a typed rejection.
+/// Validate a submission without creating any state: build what
+/// dispatch will build and ask the run's own question
+/// ([`RunPlan::validate`]), so a plan the core would refuse is a typed
+/// rejection at admission, never a failed job. (The budget is granted
+/// at dispatch and legal at any size; the journal the job will run
+/// under never makes a plan illegal.)
 fn validate(spec: &JobSpec) -> Result<(), String> {
     let lp = resolve_spec(&spec.spec)?;
-    spec.strategy.parse::<Strategy>()?;
-    job_faults(spec, lp.num_iters())?;
-    if spec.p == 0 {
-        return Err("processor count must be at least 1".into());
-    }
-    Ok(())
+    let cfg = job_config(spec, spec.budget_bytes)?;
+    let fault = job_faults(spec, lp.num_iters())?;
+    RunPlan::default()
+        .validate(&cfg, fault.as_ref())
+        .map_err(|e| e.to_string())
 }
 
 /// Admit a submission: decide, and durably record accepted jobs.

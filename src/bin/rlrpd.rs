@@ -14,7 +14,7 @@
 //!                      [--dist-fault k:O[,k:O...]] [--no-compile]
 //!                      [--shadow-budget BYTES|auto]
 //!                      [--shadow-fault STAGE:BYTES[,...]]
-//!                      [--doacross auto|on|off]
+//!                      [--doacross auto|on|off] [--format text|json]
 //! rlrpd worker [--listen ADDR]
 //! rlrpd chaos-proxy --listen ADDR --connect ADDR [--fault SPEC | --seed N]
 //! rlrpd classify <file.rlp>
@@ -37,19 +37,24 @@
 //! |  3   | run exceeded its `--max-stages` cap                  |
 //! |  4   | crash-journal failure (corrupt, mismatched, or I/O)  |
 //! |  64  | usage error (unknown command, flag, or flag value;   |
+//! |      | a combination of flags, or of a flag and a kind of   |
+//! |      | program, that cannot run — refused before the first  |
+//! |      | line of output, see README "What can be combined";   |
 //! |      | `rlrpd worker` protocol errors, including a          |
 //! |      | protocol-version mismatch between supervisor and     |
-//! |      | worker binaries; incoherent `--heartbeat-interval` / |
-//! |      | `--block-deadline` combinations)                     |
+//! |      | worker binaries)                                     |
 //!
 //! Worker-fleet loss (`--dist-workers` with all respawn budget spent)
 //! is **not** an exit code: the run degrades to in-process execution
 //! and exits 0, reporting the degradation on stdout.
 
+use rlrpd::core::report::json_string;
 use rlrpd::core::{
-    reduction_mask, verify_against_sequential, DistConnector, FallbackPolicy, FaultPlan, Timeline,
+    reduction_mask, verify_against_sequential, DistConnector, DoacrossConfig, FallbackPolicy,
+    FaultPlan, PlanError, RunReport, Timeline,
 };
 use rlrpd::dist::{ChaosPlan, ChaosProxy, DistLauncher, DistPolicy, Endpoint};
+use rlrpd::lang::{CompiledInduction, CompiledProgram, DoacrossVerdict};
 use rlrpd::runtime::parse_bytes;
 use rlrpd::{
     extract_ddg, run_sequential, BalancePolicy, CheckpointPolicy, ExecMode, FallbackReason,
@@ -104,6 +109,12 @@ impl From<String> for CliError {
 impl From<RlrpdError> for CliError {
     fn from(e: RlrpdError) -> Self {
         CliError::Run(e)
+    }
+}
+
+impl From<PlanError> for CliError {
+    fn from(e: PlanError) -> Self {
+        CliError::Run(e.into())
     }
 }
 
@@ -224,32 +235,45 @@ impl Flags {
         self.lone.iter().any(|f| f == name)
     }
 
+    /// Is `flag` on the command line? `--name` asks for the flag with
+    /// any value (or the lone flag); `--name value` for that value.
+    fn given(&self, flag: &str) -> bool {
+        match flag.split_once(' ') {
+            Some((name, value)) => self.get(name) == Some(value),
+            None => self.get(flag).is_some() || self.has(flag),
+        }
+    }
+
+    /// `--format text|json` (text when absent): is it JSON?
+    fn json(&self) -> Result<bool, CliError> {
+        match self.get("--format").unwrap_or("text") {
+            "text" => Ok(false),
+            "json" => Ok(true),
+            other => Err(CliError::Usage(format!(
+                "--format expects 'text' or 'json', got '{other}'"
+            ))),
+        }
+    }
+
+    /// `name`'s value as a `T` (`None` when absent); `what` says what
+    /// a `T` is when the value is not one.
+    fn parsed<T: std::str::FromStr>(&self, name: &str, what: &str) -> Result<Option<T>, String> {
+        let parse = |v: &str| {
+            v.parse()
+                .map_err(|_| format!("{name} expects {what}, got '{v}'"))
+        };
+        self.get(name).map(parse).transpose()
+    }
+
     fn usize_of(&self, name: &str, default: usize) -> Result<usize, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("{name} expects an integer, got '{v}'")),
-        }
+        Ok(self.parsed(name, "an integer")?.unwrap_or(default))
     }
 
-    fn f64_of(&self, name: &str, default: f64) -> Result<f64, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("{name} expects a number, got '{v}'")),
-        }
-    }
-
-    fn u64_opt(&self, name: &str) -> Result<Option<u64>, String> {
-        match self.get(name) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("{name} expects an integer, got '{v}'")),
-        }
+    /// `name SECS` as a duration (`None` when absent).
+    fn seconds_of(&self, name: &str) -> Result<Option<Duration>, String> {
+        let secs = self.parsed::<f64>(name, "seconds")?;
+        let span = secs.map(Duration::try_from_secs_f64).transpose();
+        span.map_err(|e| format!("{name} expects seconds: {e}"))
     }
 }
 
@@ -308,16 +332,25 @@ fn shadow_budget(flags: &Flags) -> Result<Option<u64>, String> {
     Ok(Some(bytes))
 }
 
-/// Parse `--shadow-fault STAGE:BYTES[,...]` into deterministic
-/// shadow-pressure injections on a fault plan.
-fn shadow_faults(flags: &Flags, mut plan: FaultPlan) -> Result<(FaultPlan, bool), String> {
-    let Some(spec) = flags.get("--shadow-fault") else {
-        return Ok((plan, false));
-    };
-    plan = plan
-        .shadow_pressure_spec(spec)
-        .map_err(|e| format!("--shadow-fault {e}"))?;
-    Ok((plan, true))
+/// The fault plan `--fault-seed` / `--shadow-fault` arm on a loop of `n`
+/// iterations, with the lines that announce it (`None` when neither
+/// flag is given).
+fn fault_plan(flags: &Flags, n: usize) -> Result<Option<(Arc<FaultPlan>, String)>, String> {
+    let mut plan = FaultPlan::new();
+    let mut said = String::new();
+    if let Some(seed) = flags.parsed("--fault-seed", "an integer")? {
+        // Transient (one-shot) injected fault: the containment layer
+        // recovers and the run must still verify.
+        plan = FaultPlan::seeded_panic(seed, n);
+        said = format!("fault injection: seed {seed} -> {plan}\n");
+    }
+    if let Some(spec) = flags.get("--shadow-fault") {
+        plan = plan
+            .shadow_pressure_spec(spec)
+            .map_err(|e| format!("--shadow-fault {e}"))?;
+        said += &format!("fault injection: {plan}\n");
+    }
+    Ok((!said.is_empty()).then(|| (Arc::new(plan), said)))
 }
 
 fn source(flags: &Flags) -> Result<String, String> {
@@ -328,13 +361,21 @@ fn source(flags: &Flags) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
 }
 
-fn load(flags: &Flags) -> Result<rlrpd::lang::CompiledProgram, String> {
-    rlrpd::lang::CompiledProgram::compile(&source(flags)?).map_err(|e| e.to_string())
+fn load(flags: &Flags) -> Result<CompiledProgram, String> {
+    CompiledProgram::compile(&source(flags)?).map_err(|e| e.to_string())
 }
 
+/// `--procs` and `--strategy` when absent, for every subcommand that
+/// takes them.
+const DEFAULT_PROCS: usize = 8;
+const DEFAULT_STRATEGY: &str = "adaptive";
+
 fn config(flags: &Flags) -> Result<RunConfig, String> {
-    let p = flags.usize_of("--procs", 8)?;
-    let strategy: Strategy = flags.get("--strategy").unwrap_or("adaptive").parse()?;
+    let p = flags.usize_of("--procs", DEFAULT_PROCS)?;
+    let strategy: Strategy = flags
+        .get("--strategy")
+        .unwrap_or(DEFAULT_STRATEGY)
+        .parse()?;
     let checkpoint = match flags.get("--checkpoint").unwrap_or("ondemand") {
         "eager" => CheckpointPolicy::Eager,
         "ondemand" => CheckpointPolicy::OnDemand,
@@ -353,7 +394,11 @@ fn config(flags: &Flags) -> Result<RunConfig, String> {
     };
     let fallback = FallbackPolicy::default()
         .with_max_restarts(flags.usize_of("--max-restarts", usize::MAX)?)
-        .with_watchdog(flags.f64_of("--watchdog", f64::INFINITY)?);
+        .with_watchdog(
+            flags
+                .parsed("--watchdog", "a number")?
+                .unwrap_or(f64::INFINITY),
+        );
     let mut cfg = RunConfig::new(p)
         .with_strategy(strategy)
         .with_checkpoint(checkpoint)
@@ -403,19 +448,12 @@ fn cmd_worker(args: Vec<String>) -> Result<(), CliError> {
     }
     // Idle reaper for listener sessions: a connection that never sends
     // its hello within this window is reclaimed. 0 disables.
-    let idle = match flags.get("--idle-timeout") {
+    let idle = match flags
+        .seconds_of("--idle-timeout")
+        .map_err(CliError::Usage)?
+    {
         None => Some(rlrpd::dist::DEFAULT_IDLE_TIMEOUT),
-        Some(v) => {
-            let s: f64 = v.parse().map_err(|_| {
-                CliError::Usage(format!("--idle-timeout expects seconds, got '{v}'"))
-            })?;
-            if s < 0.0 || !s.is_finite() {
-                return Err(CliError::Usage(format!(
-                    "--idle-timeout must be non-negative, got '{v}'"
-                )));
-            }
-            (s > 0.0).then(|| Duration::from_secs_f64(s))
-        }
+        Some(d) => (!d.is_zero()).then_some(d),
     };
     match flags.get("--listen") {
         Some(addr) => std::process::exit(rlrpd::dist::listen_entry(addr, idle)),
@@ -461,20 +499,6 @@ fn cmd_serve(args: Vec<String>) -> Result<(), CliError> {
         Some("auto") => auto_budget("--pool-budget").map_err(CliError::Usage)?,
         Some(v) => parse_bytes(v).map_err(|e| CliError::Usage(format!("--pool-budget {e}")))?,
     };
-    let job_ttl = match flags.get("--job-ttl") {
-        None => None,
-        Some(v) => {
-            let secs: f64 = v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("--job-ttl expects seconds, got '{v}'")))?;
-            if !(secs >= 0.0 && secs.is_finite()) {
-                return Err(CliError::Usage(
-                    "--job-ttl must be a non-negative number of seconds".into(),
-                ));
-            }
-            Some(Duration::from_secs_f64(secs))
-        }
-    };
     let cfg = rlrpd::serve::ServeConfig {
         listen: flags.get("--listen").unwrap_or("127.0.0.1:0").to_string(),
         state_dir: state_dir.into(),
@@ -484,7 +508,7 @@ fn cmd_serve(args: Vec<String>) -> Result<(), CliError> {
             .usize_of("--stream-buffer", 256)
             .map_err(CliError::Usage)?,
         resume: flags.has("--resume"),
-        job_ttl,
+        job_ttl: flags.seconds_of("--job-ttl").map_err(CliError::Usage)?,
         ..rlrpd::serve::ServeConfig::default()
     };
     std::process::exit(rlrpd::serve::serve_entry(cfg))
@@ -504,12 +528,12 @@ fn job_key(flags: &Flags) -> Result<u64, CliError> {
 
 /// Shared client retry options from `--retry SECS`.
 fn client_options(flags: &Flags, progress: bool) -> Result<rlrpd::serve::ClientOptions, CliError> {
-    let secs = flags.f64_of("--retry", 60.0).map_err(CliError::Usage)?;
-    if !(secs > 0.0 && secs.is_finite()) {
+    let deadline = flags.seconds_of("--retry").map_err(CliError::Usage)?;
+    if deadline.is_some_and(|d| d.is_zero()) {
         return Err(CliError::Usage("--retry must be positive seconds".into()));
     }
     Ok(rlrpd::serve::ClientOptions {
-        deadline: Duration::from_secs_f64(secs),
+        deadline: deadline.unwrap_or(Duration::from_secs(60)),
         progress,
         ..rlrpd::serve::ClientOptions::default()
     })
@@ -520,7 +544,7 @@ fn client_options(flags: &Flags, progress: bool) -> Result<rlrpd::serve::ClientO
 fn status_json(st: &rlrpd::core::remote::JobStatusFrame) -> String {
     format!(
         "{{\"key\":\"{:016x}\",\"state\":\"{:?}\",\"exit_code\":{},\"verified\":{},\
-         \"frontier\":{},\"report\":{},\"message\":\"{}\"}}",
+         \"frontier\":{},\"report\":{},\"message\":{}}}",
         st.key,
         st.state,
         st.exit_code,
@@ -531,7 +555,7 @@ fn status_json(st: &rlrpd::core::remote::JobStatusFrame) -> String {
         } else {
             &st.report_json
         },
-        json_escape(&st.message)
+        json_string(&st.message)
     )
 }
 
@@ -583,29 +607,26 @@ fn cmd_submit(args: Vec<String>) -> Result<(), CliError> {
         None | Some("auto") => 0,
         Some(v) => parse_bytes(v).map_err(|e| CliError::Usage(format!("--shadow-budget {e}")))?,
     };
-    let json = match flags.get("--format").unwrap_or("text") {
-        "text" => false,
-        "json" => true,
-        other => {
-            return Err(CliError::Usage(format!(
-                "--format expects 'text' or 'json', got '{other}'"
-            )))
-        }
-    };
+    let json = flags.json()?;
     let spec = rlrpd::core::remote::JobSpec {
         protocol: rlrpd::core::remote::SERVE_PROTOCOL_VERSION,
         key,
         spec: spec_str,
-        p: flags.usize_of("--procs", 8).map_err(CliError::Usage)? as u32,
-        strategy: flags.get("--strategy").unwrap_or("adaptive").to_string(),
+        p: flags
+            .usize_of("--procs", DEFAULT_PROCS)
+            .map_err(CliError::Usage)? as u32,
+        strategy: flags
+            .get("--strategy")
+            .unwrap_or(DEFAULT_STRATEGY)
+            .to_string(),
         budget_bytes,
         fault_seed: flags
-            .u64_opt("--fault-seed")
+            .parsed("--fault-seed", "an integer")
             .map_err(CliError::Usage)?
             .unwrap_or(0),
         shadow_fault: flags.get("--shadow-fault").unwrap_or("").to_string(),
         max_stages: flags
-            .u64_opt("--max-stages")
+            .parsed("--max-stages", "an integer")
             .map_err(CliError::Usage)?
             .unwrap_or(0),
     };
@@ -649,7 +670,7 @@ fn cmd_status(args: Vec<String>) -> Result<(), CliError> {
         .get("--connect")
         .ok_or_else(|| CliError::Usage("status needs --connect ADDR".into()))?;
     let key = job_key(&flags)?;
-    let json = flags.get("--format") == Some("json");
+    let json = flags.json()?;
     let opts = client_options(&flags, false)?;
     let st =
         rlrpd::serve::query_status(addr, key, &opts).map_err(|e| CliError::Other(e.to_string()))?;
@@ -696,7 +717,9 @@ fn cmd_chaos_proxy(args: Vec<String>) -> Result<(), CliError> {
         .ok_or_else(|| CliError::Usage("chaos-proxy needs --connect ADDR".into()))?;
     let plan = match (
         flags.get("--fault"),
-        flags.u64_opt("--seed").map_err(CliError::Usage)?,
+        flags
+            .parsed("--seed", "an integer")
+            .map_err(CliError::Usage)?,
     ) {
         (Some(_), Some(_)) => {
             return Err(CliError::Usage(
@@ -719,13 +742,6 @@ fn cmd_chaos_proxy(args: Vec<String>) -> Result<(), CliError> {
     let _ = std::io::stdout().flush();
     proxy.run(); // forever
     Ok(())
-}
-
-/// Distributed execution options (`None` without `--dist-workers`).
-struct DistOptions {
-    policy: DistPolicy,
-    fault: Option<Arc<FaultPlan>>,
-    endpoints: Vec<Endpoint>,
 }
 
 /// Parse a `--dist-workers` spec into worker endpoints.
@@ -795,7 +811,12 @@ fn parse_dist_workers(spec: &str) -> Result<Vec<Endpoint>, String> {
     Ok(endpoints)
 }
 
-fn dist_options(flags: &Flags) -> Result<Option<DistOptions>, String> {
+/// The fleet `--dist-workers` asks for (`None` without it): a launcher
+/// whose `local` slots run `rlrpd worker` on this very binary and whose
+/// `host:port` slots dial standalone listeners, under the policy and
+/// worker-fault plan of the fleet's other flags. Nothing is launched
+/// until a run connects.
+fn dist_launcher(flags: &Flags) -> Result<Option<DistLauncher>, String> {
     let Some(workers) = flags.get("--dist-workers") else {
         for f in [
             "--block-deadline",
@@ -815,83 +836,221 @@ fn dist_options(flags: &Flags) -> Result<Option<DistOptions>, String> {
         workers: endpoints.len(),
         ..DistPolicy::default()
     };
-    if let Some(secs) = flags.get("--block-deadline") {
-        let s: f64 = secs
-            .parse()
-            .map_err(|_| format!("--block-deadline expects seconds, got '{secs}'"))?;
-        if !(s > 0.0 && s.is_finite()) {
-            return Err(format!("--block-deadline must be positive, got '{secs}'"));
-        }
-        policy.block_deadline = Duration::from_secs_f64(s);
+    if let Some(d) = flags.seconds_of("--block-deadline")? {
+        policy.block_deadline = d;
     }
     policy.max_respawns = flags.usize_of("--max-respawns", policy.max_respawns)?;
     policy.fleet_max_respawns =
         flags.usize_of("--fleet-max-respawns", policy.fleet_max_respawns)?;
-    if let Some(secs) = flags.get("--heartbeat-interval") {
-        let s: f64 = secs
-            .parse()
-            .map_err(|_| format!("--heartbeat-interval expects seconds, got '{secs}'"))?;
-        if !(s > 0.0 && s.is_finite()) {
-            return Err(format!(
-                "--heartbeat-interval must be positive, got '{secs}'"
-            ));
-        }
-        // Coherence: the staleness sweep needs several heartbeats to
-        // fit inside the deadline window (floored at the fleet's
-        // 500ms minimum), or every busy worker looks dead.
-        let window = policy.block_deadline.as_secs_f64().max(0.5);
-        if 2.0 * s > window {
-            return Err(format!(
-                "--heartbeat-interval {s}s is incoherent with --block-deadline: \
-                 at least two heartbeats must fit in the failure-detection window \
-                 ({window}s); lower the interval or raise the deadline"
-            ));
-        }
-        policy.heartbeat = Duration::from_secs_f64(s);
+    if let Some(d) = flags.seconds_of("--heartbeat-interval")? {
+        policy.heartbeat = d;
     }
-    let fault = match flags.get("--dist-fault") {
-        None => None,
-        Some(spec) => {
-            let mut plan = FaultPlan::new();
-            for part in spec.split(',') {
-                let (kind, ordinal) = part.split_once(':').ok_or(format!(
-                    "--dist-fault expects kind:ordinal entries, got '{part}'"
-                ))?;
-                let ordinal: usize = ordinal
-                    .parse()
-                    .map_err(|_| format!("bad dispatch ordinal '{ordinal}' in --dist-fault"))?;
-                plan = match kind {
-                    "kill" => plan.kill_worker_at(ordinal),
-                    "hang" => plan.hang_worker_at(ordinal),
-                    "corrupt" => plan.corrupt_result_at(ordinal),
-                    other => {
-                        return Err(format!(
-                            "unknown worker fault '{other}' (expected kill, hang, or corrupt)"
-                        ))
-                    }
-                };
-            }
-            Some(Arc::new(plan))
-        }
-    };
-    Ok(Some(DistOptions {
-        policy,
-        fault,
-        endpoints,
-    }))
-}
-
-/// A launcher whose `local` slots run `rlrpd worker` on this very
-/// binary and whose `host:port` slots dial standalone listeners.
-fn self_launcher(opts: &DistOptions) -> Result<DistLauncher, String> {
+    policy.validate()?;
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
     let mut launcher = DistLauncher::new(exe, vec!["worker".into()])
-        .with_policy(opts.policy)
-        .with_endpoints(opts.endpoints.clone());
-    if let Some(fault) = &opts.fault {
-        launcher = launcher.with_fault(Arc::clone(fault));
+        .with_policy(policy)
+        .with_endpoints(endpoints);
+    if let Some(spec) = flags.get("--dist-fault") {
+        let mut plan = FaultPlan::new();
+        for part in spec.split(',') {
+            let (kind, ordinal) = part.split_once(':').ok_or(format!(
+                "--dist-fault expects kind:ordinal entries, got '{part}'"
+            ))?;
+            let ordinal: usize = ordinal
+                .parse()
+                .map_err(|_| format!("bad dispatch ordinal '{ordinal}' in --dist-fault"))?;
+            plan = match kind {
+                "kill" => plan.kill_worker_at(ordinal),
+                "hang" => plan.hang_worker_at(ordinal),
+                "corrupt" => plan.corrupt_result_at(ordinal),
+                other => {
+                    return Err(format!(
+                        "unknown worker fault '{other}' (expected kill, hang, or corrupt)"
+                    ))
+                }
+            };
+        }
+        launcher = launcher.with_fault(Arc::new(plan));
     }
-    Ok(launcher)
+    Ok(Some(launcher))
+}
+
+/// The program kinds whose run scheme cannot honour every flag.
+const MULTI: &str = "a multi-loop program";
+const COUNTER: &str = "a counter program";
+
+/// What a program kind cannot honour — `(kind, flags, reason)`, a flag
+/// spelt `--name value` meaning that one value of it. Every flag `run`
+/// accepts is honoured by every program kind (a single loop honours
+/// them all) or is a row here; with [`RunPlan::validate`] this is
+/// checked before the first line of output, the first file created and
+/// the first worker launched.
+const KIND_RULES: [(&str, &[&str], &str); 8] = [
+    (
+        MULTI,
+        &["--journal"],
+        "one journal file records the run of one loop",
+    ),
+    (MULTI, &["--dist-workers"], "one worker spec names one loop"),
+    (
+        COUNTER,
+        &[
+            "--strategy",
+            "--checkpoint",
+            "--balance",
+            "--max-restarts",
+            "--watchdog",
+            "--max-stages",
+        ],
+        "the induction scheme is two doalls and a range test: it has no stage to \
+         reschedule, checkpoint, balance, restart or cap",
+    ),
+    (
+        COUNTER,
+        &["--runs", "--report", "--timeline", "--format json"],
+        "the induction scheme runs once and reports on its one summary line",
+    ),
+    (
+        COUNTER,
+        &["--fault-seed", "--shadow-fault", "--shadow-budget"],
+        "the induction scheme keeps no shadow memory and has no rollback for an \
+         injected fault to exercise",
+    ),
+    (
+        COUNTER,
+        &["--journal"],
+        "the induction scheme has no commit point to journal",
+    ),
+    (
+        COUNTER,
+        &["--dist-workers"],
+        "the induction scheme has no block to dispatch",
+    ),
+    (
+        COUNTER,
+        &["--doacross on"],
+        "the induction scheme has no loop body to pipeline",
+    ),
+];
+
+/// Refuse the first flag on the command line that `kind` cannot honour.
+fn check_kind(kind: &str, flags: &Flags) -> Result<(), CliError> {
+    for (_, refused, reason) in KIND_RULES.iter().filter(|(k, ..)| *k == kind) {
+        if let Some(flag) = refused.iter().find(|f| flags.given(f)) {
+            return Err(CliError::Usage(format!("{flag} on {kind}: {reason}")));
+        }
+    }
+    Ok(())
+}
+
+/// A run's attachments: its journal, and the fleet `connector` launches
+/// for the loop `spec` names.
+fn attach<'a>(
+    journal: Option<&'a mut Journal>,
+    spec: &'a str,
+    connector: &'a mut Option<DistLauncher>,
+    resume: bool,
+) -> RunPlan<'a> {
+    RunPlan {
+        journal,
+        fleet: connector
+            .as_mut()
+            .map(|c| (spec, c as &mut dyn DistConnector)),
+        resume,
+    }
+}
+
+/// One loop's run, decided before anything is printed.
+struct Leg {
+    cfg: RunConfig,
+    /// The proven distances, when the loop pipelines.
+    proven: Option<DoacrossConfig>,
+    /// Why `--doacross auto` stepped a provable loop down to speculation.
+    skipped: Option<PlanError>,
+    fault: Option<(Arc<FaultPlan>, String)>,
+}
+
+/// Decide every loop's leg, top rung of the ladder first: `--doacross
+/// on` demands the proof and the pipeline; `auto` pipelines the loops
+/// that have the proof where the plan allows it and speculates on the
+/// rest. `probe` is the run's plan as far as it is known before the
+/// journal is opened; nothing is printed and nothing started.
+fn plan_legs(
+    prog: &CompiledProgram,
+    cfg: RunConfig,
+    flags: &Flags,
+    doacross: DoacrossMode,
+    probe: &RunPlan<'_>,
+) -> Result<Vec<Leg>, CliError> {
+    let mut legs = Vec::new();
+    for k in 0..prog.num_loops() {
+        let (lo, hi) = prog.program().loops[k].range;
+        let fault = fault_plan(flags, hi - lo).map_err(CliError::Usage)?;
+        let armed = fault.as_ref().map(|(plan, _)| &**plan);
+        let cfg = cfg.with_dependence_prediction(prog.predicted_first_dependence(k));
+        let mut proven = match doacross {
+            DoacrossMode::Off => None,
+            _ => prog.doacross_config(k),
+        };
+        if doacross == DoacrossMode::On && proven.is_none() {
+            let reason = match prog.doacross_plan(k).verdict {
+                DoacrossVerdict::Blocked(b) => b.reason,
+                DoacrossVerdict::Independent => "no cross-iteration dependence exists (a doall: \
+                                                 synchronization would be pure overhead)"
+                    .into(),
+                DoacrossVerdict::Eligible => unreachable!("eligible proves Some"),
+            };
+            return Err(CliError::Usage(format!(
+                "--doacross on: loop {k} is not provably DOACROSS-eligible: {reason}"
+            )));
+        }
+        let mut skipped = None;
+        if doacross == DoacrossMode::Auto && proven.is_some() {
+            if let Err(e) = probe.validate(&cfg.auto_strategy(proven), armed) {
+                (skipped, proven) = (Some(e), None);
+            }
+        }
+        let cfg = cfg.auto_strategy(proven);
+        probe.validate(&cfg, armed)?;
+        legs.push(Leg {
+            cfg,
+            proven,
+            skipped,
+            fault,
+        });
+    }
+    Ok(legs)
+}
+
+/// The tail every `run k:` line shares.
+fn run_line(report: &RunReport) -> String {
+    let faults = report.contained_faults();
+    format!(
+        "stages = {}, restarts = {}, PR = {:.3}, speedup = {:.2}x{}{}{}{}",
+        report.stages.len(),
+        report.restarts,
+        report.pr(),
+        report.speedup(),
+        match report.exited_at {
+            Some(e) => format!(", exited at iteration {e}"),
+            None => String::new(),
+        },
+        match report.resumed_at {
+            Some(f) => format!(", resumed from iteration {f}"),
+            None => String::new(),
+        },
+        if faults > 0 {
+            format!(", contained faults = {faults}")
+        } else {
+            String::new()
+        },
+        match report.fallback {
+            Some(FallbackReason::WorkerLoss) =>
+                ", degraded to in-process (worker loss)".to_string(),
+            Some(r) => format!(", fell back to sequential ({r:?})"),
+            None => String::new(),
+        }
+    )
 }
 
 fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
@@ -928,187 +1087,112 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
         ],
     )?;
     let src = source(&flags)?;
-    let journal_path = flags.get("--journal").map(str::to_owned);
+    let journal_path = flags.get("--journal");
     let resume = flags.has("--resume");
-    if resume && journal_path.is_none() {
-        return Err(CliError::Usage("--resume requires --journal <path>".into()));
-    }
-    let dist = dist_options(&flags).map_err(CliError::Usage)?;
-    let json = match flags.get("--format").unwrap_or("text") {
-        "text" => false,
-        "json" => true,
-        other => {
-            return Err(CliError::Usage(format!(
-                "--format expects 'text' or 'json', got '{other}'"
-            )))
-        }
-    };
+    let mut connector = dist_launcher(&flags).map_err(CliError::Usage)?;
+    let workers = connector.as_ref().map(|fleet| fleet.policy.workers);
+    let json = flags.json()?;
     let no_compile = flags.has("--no-compile");
     let doacross = doacross_mode(&flags).map_err(CliError::Usage)?;
-    // Counter programs run under the EXTEND two-pass induction scheme.
-    if let Ok(ind) = rlrpd::lang::CompiledInduction::compile(&src) {
-        if doacross == DoacrossMode::On {
-            return Err(CliError::Usage(
-                "--doacross on: counter programs compile to the EXTEND induction scheme, \
-                 which has no pipelineable loop body"
-                    .into(),
-            ));
-        }
-        if journal_path.is_some() {
-            return Err(CliError::Usage(
-                "--journal is not supported for induction programs".into(),
-            ));
-        }
-        if dist.is_some() {
-            return Err(CliError::Usage(
-                "--dist-workers is not supported for induction programs".into(),
-            ));
-        }
-        if json {
-            return Err(CliError::Usage(
-                "--format json is not supported for induction programs".into(),
-            ));
-        }
-        let ind = if no_compile {
-            ind.with_interpreter()
-        } else {
-            ind
-        };
-        return run_induction_program(ind, &flags).map_err(CliError::from);
-    }
-    let mut prog = rlrpd::lang::CompiledProgram::compile(&src).map_err(|e| e.to_string())?;
-    if no_compile {
-        prog = prog.with_interpreter();
-    }
-    let mut cfg = config(&flags).map_err(CliError::Usage)?;
-    if let Some(cap) = cfg.shadow_budget {
-        // The same cap governs the static entry selection and the
-        // run-time accountant (and, distributed, every worker).
-        println!("shadow budget: {cap} bytes");
-        prog = prog.with_shadow_budget(Some(cap));
-    }
-    if dist.is_some() {
-        cfg.exec = ExecMode::Distributed;
-    }
     let runs = flags.usize_of("--runs", 1).map_err(CliError::Usage)?.max(1);
     if journal_path.is_some() && runs > 1 {
         return Err(CliError::Usage(
             "--journal records exactly one run; drop --runs".into(),
         ));
     }
-
-    // DOACROSS eligibility: one verdict per loop. `on` demands the
-    // proof everywhere; `auto` steps down to speculation per loop; both
-    // defer to the speculative tier when fault-injection flags ask to
-    // exercise its containment, or when blocks run in worker processes
-    // (post/wait cells are in-process shared memory).
-    let fault_flags = flags.get("--fault-seed").is_some() || flags.get("--shadow-fault").is_some();
-    let proven: Vec<Option<rlrpd::core::DoacrossConfig>> = (0..prog.num_loops())
-        .map(|k| prog.doacross_config(k))
-        .collect();
-    if doacross == DoacrossMode::On {
-        if dist.is_some() {
-            return Err(CliError::Usage(
-                "--doacross on cannot combine with --dist-workers: post/wait cells \
-                 synchronize threads in one address space"
-                    .into(),
-            ));
-        }
-        if fault_flags {
-            return Err(CliError::Usage(
-                "--doacross on cannot combine with fault injection: a DOACROSS run has \
-                 no speculative containment to exercise"
-                    .into(),
-            ));
-        }
-        for (k, p) in proven.iter().enumerate() {
-            if p.is_none() {
-                let reason = match prog.doacross_plan(k).verdict {
-                    rlrpd::lang::DoacrossVerdict::Blocked(b) => b.reason,
-                    rlrpd::lang::DoacrossVerdict::Independent => {
-                        "no cross-iteration dependence exists (a doall: synchronization \
-                         would be pure overhead)"
-                            .into()
-                    }
-                    rlrpd::lang::DoacrossVerdict::Eligible => unreachable!("eligible proves Some"),
-                };
-                return Err(CliError::Usage(format!(
-                    "--doacross on: loop {k} is not provably DOACROSS-eligible: {reason}"
-                )));
-            }
-        }
+    let mut cfg = config(&flags).map_err(CliError::Usage)?;
+    if connector.is_some() {
+        cfg.exec = ExecMode::Distributed;
     }
-    let doacross_active = doacross != DoacrossMode::Off && dist.is_none() && !fault_flags;
-    if doacross == DoacrossMode::Auto && !doacross_active && proven.iter().any(|p| p.is_some()) {
-        println!(
-            "doacross: skipped ({})",
-            if dist.is_some() {
-                "--dist-workers runs blocks out of process"
-            } else {
-                "fault injection exercises the speculative tier"
-            }
-        );
+    // The worker fleet resolves the same source through the spec
+    // registry, rebuilding an identical loop on its side of the pipe —
+    // on the same backend, so --no-compile reaches the workers too.
+    let spec = if no_compile {
+        format!("rlp-interp:{src}")
+    } else {
+        format!("rlp:{src}")
+    };
+    // Plans are validated before the journal is opened: a journal never
+    // makes a plan illegal, so only its absence can refuse a resume.
+    let probe = attach(
+        None,
+        &spec,
+        &mut connector,
+        resume && journal_path.is_none(),
+    );
+
+    // Counter programs run under the EXTEND two-pass induction scheme.
+    if let Ok(ind) = CompiledInduction::compile(&src) {
+        check_kind(COUNTER, &flags)?;
+        probe.validate(&cfg, None)?;
+        let ind = if no_compile {
+            ind.with_interpreter()
+        } else {
+            ind
+        };
+        return run_induction_program(ind, &cfg);
+    }
+    let mut prog = CompiledProgram::compile(&src).map_err(|e| e.to_string())?;
+    if no_compile {
+        prog = prog.with_interpreter();
+    }
+    // The same cap governs the static entry selection and the run-time
+    // accountant (and, distributed, every worker).
+    prog = prog.with_shadow_budget(cfg.shadow_budget);
+    let multi = prog.num_loops() > 1;
+    if multi {
+        check_kind(MULTI, &flags)?;
     }
 
+    let legs = plan_legs(&prog, cfg, &flags, doacross, &probe)?;
+
+    if let Some(cap) = cfg.shadow_budget {
+        println!("shadow budget: {cap} bytes");
+    }
     println!("classification:\n{}", prog.report());
     println!("backend: {}", prog.backend().describe());
 
-    if prog.num_loops() == 1 {
-        // Single loop: a stateful runner accumulates PR and balancing
-        // history across --runs instantiations.
-        let proven0 = if doacross_active { proven[0] } else { None };
-        let lp = match proven0 {
+    // The one per-loop body; a program is its loops through it in turn.
+    let res = prog.run_loops(|k, state| -> Result<_, CliError> {
+        let Leg {
+            cfg,
+            proven,
+            skipped,
+            fault,
+        } = &legs[k];
+        let at = if multi {
+            format!("loop {k}: ")
+        } else {
+            String::new()
+        };
+        let lp = match proven {
             // The proof licenses a plain zero-shadow view: post/wait
             // cells, not the LRPD test, order conflicting accesses.
-            Some(_) => prog.loop_view_plain(0, initial_state(&prog)),
-            None => prog.loop_view(0, initial_state(&prog)),
+            Some(_) => prog.loop_view_plain(k, state),
+            None => prog.loop_view(k, state),
         };
-        if let Some(d) = proven0 {
+        if let Some(why) = skipped {
+            println!("{at}doacross: skipped ({why})");
+        }
+        if let Some(d) = proven {
             println!(
-                "doacross: proven distances {:?}, pipeline depth min({}, {}) = {}",
+                "{at}doacross: proven distances {:?}, pipeline depth min({}, {}) = {}",
                 d.distances(),
                 d.min_distance(),
                 cfg.p,
                 d.pipeline_depth(cfg.p)
             );
         }
-        let cfg = cfg
-            .with_dependence_prediction(prog.predicted_first_dependence(0))
-            .auto_strategy(proven0);
-        let mut runner = Runner::new(cfg);
-        let mut plan = FaultPlan::new();
-        let mut seeded = false;
-        if let Some(seed) = flags.u64_opt("--fault-seed").map_err(CliError::Usage)? {
-            // Transient (one-shot) injected fault: the containment
-            // layer recovers and the run must still verify below.
-            use rlrpd::core::SpecLoop;
-            plan = FaultPlan::seeded_panic(seed, lp.num_iters());
-            println!("fault injection: seed {seed} -> {plan}");
-            seeded = true;
+        // A stateful runner accumulates PR and balancing history across
+        // --runs instantiations.
+        let mut runner = Runner::new(*cfg);
+        if let Some((plan, said)) = fault {
+            said.lines().for_each(|line| println!("{at}{line}"));
+            runner = runner.with_fault(Arc::clone(plan));
         }
-        let (plan, pressured) = shadow_faults(&flags, plan).map_err(CliError::Usage)?;
-        if pressured {
-            println!("fault injection: {plan}");
-        }
-        if seeded || pressured {
-            runner = runner.with_fault(Arc::new(plan));
-        }
-        // The worker fleet resolves the same source through the spec
-        // registry, rebuilding an identical loop on its side of the
-        // pipe — on the same backend, so --no-compile reaches the
-        // workers too.
-        let spec = if no_compile {
-            format!("rlp-interp:{src}")
-        } else {
-            format!("rlp:{src}")
-        };
-        let mut connector = match &dist {
-            Some(opts) => Some(self_launcher(opts).map_err(CliError::Other)?),
-            None => None,
-        };
         let mut last = None;
-        for k in 0..runs {
-            let mut journal = match &journal_path {
+        for r in 0..runs {
+            let mut journal = match journal_path {
                 Some(path) if resume => {
                     let j = Journal::open(path).map_err(|e| CliError::journal(path, e))?;
                     if j.truncated_bytes() > 0 {
@@ -1122,58 +1206,23 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
                 Some(path) => Some(Journal::create(path).map_err(|e| CliError::journal(path, e))?),
                 None => None,
             };
-            let res = runner.execute(
-                &lp,
-                RunPlan {
-                    journal: journal.as_mut(),
-                    fleet: connector
-                        .as_mut()
-                        .map(|c| (spec.as_str(), c as &mut dyn DistConnector)),
-                    resume,
-                },
-            )?;
-            if let (Some(path), Some(journal)) = (&journal_path, &journal) {
+            let plan = attach(journal.as_mut(), &spec, &mut connector, resume);
+            let res = runner.execute(&lp, plan)?;
+            if let (Some(path), Some(journal)) = (journal_path, &journal) {
                 println!(
                     "journal: {path} holds {} records ({} commits)",
                     journal.records(),
                     journal.commits().len()
                 );
             }
-            let faults = res.report.contained_faults();
-            println!(
-                "run {k}: stages = {}, restarts = {}, PR = {:.3}, speedup = {:.2}x{}{}{}{}",
-                res.report.stages.len(),
-                res.report.restarts,
-                res.report.pr(),
-                res.report.speedup(),
-                match res.report.exited_at {
-                    Some(e) => format!(", exited at iteration {e}"),
-                    None => String::new(),
-                },
-                match res.report.resumed_at {
-                    Some(f) => format!(", resumed from iteration {f}"),
-                    None => String::new(),
-                },
-                if faults > 0 {
-                    format!(", contained faults = {faults}")
-                } else {
-                    String::new()
-                },
-                match res.report.fallback {
-                    Some(FallbackReason::WorkerLoss) =>
-                        ", degraded to in-process (worker loss)".to_string(),
-                    Some(r) => format!(", fell back to sequential ({r:?})"),
-                    None => String::new(),
-                }
-            );
+            println!("{at}run {r}: {}", run_line(&res.report));
             last = Some(res);
         }
         let res = last.expect("at least one run");
-        if let Some(opts) = &dist {
+        if let Some(workers) = workers {
             println!(
-                "distributed: {} workers, {} respawns, {} quarantined, {} wire bytes, \
+                "distributed: {workers} workers, {} respawns, {} quarantined, {} wire bytes, \
                  {:.4}s dispatch, {:.4}s collect",
-                opts.endpoints.len(),
                 res.report.respawns(),
                 res.report.quarantined(),
                 res.report.wire_bytes(),
@@ -1187,7 +1236,7 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
         );
         if cfg.shadow_budget.is_some() || migrations > 0 || pressure > 0 {
             println!(
-                "shadow: peak {} bytes{}, {migrations} migrations, {pressure} pressure events",
+                "{at}shadow: peak {} bytes{}, {migrations} migrations, {pressure} pressure events",
                 res.report.shadow_bytes_peak(),
                 match cfg.shadow_budget {
                     Some(cap) => format!(" of {cap} budget"),
@@ -1195,8 +1244,7 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
                 }
             );
         }
-        println!("program-lifetime PR = {:.3}", runner.pr.pr());
-
+        println!("{at}program-lifetime PR = {:.3}", runner.pr.pr());
         if flags.has("--report") {
             println!("\n{}", res.report);
         }
@@ -1204,92 +1252,42 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
             println!("\n{}", Timeline::from_result(&res, cfg.p).render());
         }
 
-        // Always verify against sequential execution: bit identity,
-        // except that a reduction reassociates floating-point sums
-        // across blocks, so arrays declaring one compare at a
-        // rounding-level tolerance. The plain view of a DOACROSS run
-        // declares none: it runs in sequential-equivalent order and
-        // must be byte-identical throughout.
+        // Always verify against sequential execution of this loop from
+        // the state it started from: bit identity, except that a
+        // reduction reassociates floating-point sums across blocks, so
+        // arrays declaring one compare at a rounding-level tolerance.
+        // The plain view of a DOACROSS run declares none: it runs in
+        // sequential-equivalent order and must be byte-identical
+        // throughout.
         let (seq, _) = run_sequential(&lp);
         verify(&seq, &res.arrays, &reduction_mask(&lp))?;
-        if proven0.is_some() {
-            println!("verified byte-identical to sequential execution ✓");
-        } else {
-            println!("verified against sequential execution ✓");
-        }
-        if json {
-            // Machine-readable report, last on stdout so pipelines can
-            // `tail -1 | jq`. The same schema rides inside the daemon's
-            // job-status frames (`rlrpd submit --format json`).
-            println!("{}", res.report.to_json());
-        }
-        return Ok(());
-    } else {
-        if journal_path.is_some() {
-            return Err(CliError::Usage(
-                "--journal operates on single-loop programs".into(),
-            ));
-        }
-        if dist.is_some() {
-            return Err(CliError::Usage(
-                "--dist-workers operates on single-loop programs".into(),
-            ));
-        }
-        // Multi-loop program: run the phases in sequence, each loop on
-        // the tier its proof (or lack of one) selects.
-        let res = if doacross_active {
-            prog.run_auto(cfg)
-        } else {
-            prog.run(cfg)
-        };
-        for (k, report) in res.reports.iter().enumerate() {
-            let tier = match (doacross_active, &proven[k]) {
-                (true, Some(d)) => format!(
-                    ", DOACROSS (d = {}, depth {})",
-                    d.min_distance(),
-                    d.pipeline_depth(cfg.p)
-                ),
-                _ => String::new(),
-            };
-            println!(
-                "loop {k}: stages = {}, restarts = {}, PR = {:.3}, speedup = {:.2}x{}{tier}",
-                report.stages.len(),
-                report.restarts,
-                report.pr(),
-                report.speedup(),
-                match report.exited_at {
-                    Some(e) => format!(", exited at iteration {e}"),
-                    None => String::new(),
-                }
-            );
-        }
-        println!("whole-program speedup = {:.2}x", res.speedup());
-        let seq = prog.run_sequential();
-        // An array is held to the reduction tolerance when any loop
-        // that ran speculatively declares a reduction on it.
-        let mut mask = vec![false; seq.len()];
-        for (k, proof) in proven.iter().enumerate() {
-            if !(doacross_active && proof.is_some()) {
-                let declared = reduction_mask(&prog.loop_view(k, initial_state(&prog)));
-                mask.iter_mut().zip(declared).for_each(|(m, d)| *m |= d);
+        println!(
+            "{at}verified {} sequential execution ✓",
+            match proven {
+                Some(_) => "byte-identical to",
+                None => "against",
             }
-        }
-        verify(&seq, &res.arrays, &mask)?;
-        if doacross_active && proven.iter().all(|p| p.is_some()) {
-            println!("verified byte-identical to sequential execution ✓");
-        } else {
-            println!("verified against sequential execution ✓");
-        }
-        if json {
-            let reports: Vec<String> = res.reports.iter().map(|r| r.to_json()).collect();
-            println!("[{}]", reports.join(","));
+        );
+        Ok(res)
+    })?;
+    if multi {
+        println!("whole-program speedup = {:.2}x", res.speedup());
+    }
+    if json {
+        // Machine-readable report(s), last on stdout so pipelines can
+        // `tail -1 | jq`: one object for a single loop (the schema that
+        // rides inside the daemon's job-status frames), an array of
+        // them for a multi-loop program.
+        let reports: Vec<String> = res.reports.iter().map(|r| r.to_json()).collect();
+        match multi {
+            true => println!("[{}]", reports.join(",")),
+            false => println!("{}", reports[0]),
         }
     }
     Ok(())
 }
 
-fn run_induction_program(ind: rlrpd::lang::CompiledInduction, flags: &Flags) -> Result<(), String> {
-    let cfg = config(flags)?;
+fn run_induction_program(ind: CompiledInduction, cfg: &RunConfig) -> Result<(), CliError> {
     let (name, init) = ind.counter();
     println!("induction program: counter '{name}' starting at {init}");
     println!("backend: {}", ind.backend().describe());
@@ -1306,6 +1304,17 @@ fn run_induction_program(ind: rlrpd::lang::CompiledInduction, flags: &Flags) -> 
         res.report.speedup(),
         res.final_counter
     );
+    // The scheme declares no reductions: bit identity, and the counter
+    // must end where sequential execution leaves it.
+    let (seq, counter) = rlrpd::core::run_induction_sequential(&ind);
+    verify(&seq, &res.arrays, &vec![false; seq.len()])?;
+    if res.final_counter != counter {
+        return Err(CliError::Other(format!(
+            "INTERNAL: final {name} = {}, sequential execution ends at {counter}",
+            res.final_counter
+        )));
+    }
+    println!("verified against sequential execution ✓");
     Ok(())
 }
 
@@ -1317,14 +1326,6 @@ fn verify(
     reductions: &[bool],
 ) -> Result<(), String> {
     verify_against_sequential(seq, spec, reductions).map_err(|e| format!("INTERNAL: {e}"))
-}
-
-fn initial_state(prog: &rlrpd::lang::CompiledProgram) -> Vec<Vec<f64>> {
-    prog.program()
-        .arrays
-        .iter()
-        .map(|d| vec![d.init; d.size])
-        .collect()
 }
 
 fn cmd_fmt(flags: Flags) -> Result<(), String> {
@@ -1364,7 +1365,9 @@ fn cmd_analyze(args: Vec<String>) -> Result<(), CliError> {
         }
     }
     let program = rlrpd::lang::parse(&src).map_err(|e| CliError::Usage(e.to_string()))?;
-    let p = flags.usize_of("--procs", 8).map_err(CliError::Usage)?;
+    let p = flags
+        .usize_of("--procs", DEFAULT_PROCS)
+        .map_err(CliError::Usage)?;
     if flags.has("--audit") {
         return audit_densities(&src, p);
     }
@@ -1375,53 +1378,45 @@ fn cmd_analyze(args: Vec<String>) -> Result<(), CliError> {
         count(Level::Warning),
         count(Level::Note),
     );
-    match flags.get("--format").unwrap_or("text") {
-        "text" => {
-            for d in &diags {
-                println!("{d}");
-            }
-            println!("analyze: {errors} error(s), {warnings} warning(s), {notes} note(s)");
-        }
-        "json" => {
-            let mut out = String::from("{\"diagnostics\":[");
-            for (k, d) in diags.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"level\":\"{}\",\"code\":\"{}\",\"line\":{},\"col\":{},\
-                     \"loop\":{},\"array\":{},\"distance\":{},\"guarded\":{},\
-                     \"message\":\"{}\"}}",
-                    d.level,
-                    d.code,
-                    d.span.line,
-                    d.span.col,
-                    d.loop_index,
-                    match &d.array {
-                        Some(a) => format!("\"{}\"", json_escape(a)),
-                        None => "null".into(),
-                    },
-                    // The satellite fix: a guarded (May) conflict with
-                    // known geometry keeps its distance — `guarded`
-                    // tells the consumer it is contingent.
-                    match d.distance {
-                        Some(dist) => dist.to_string(),
-                        None => "null".into(),
-                    },
-                    d.guarded,
-                    json_escape(&d.message)
-                ));
+    if flags.json()? {
+        let mut out = String::from("{\"diagnostics\":[");
+        for (k, d) in diags.iter().enumerate() {
+            if k > 0 {
+                out.push(',');
             }
             out.push_str(&format!(
-                "],\"errors\":{errors},\"warnings\":{warnings},\"notes\":{notes}}}"
+                "{{\"level\":\"{}\",\"code\":\"{}\",\"line\":{},\"col\":{},\
+                 \"loop\":{},\"array\":{},\"distance\":{},\"guarded\":{},\
+                 \"message\":{}}}",
+                d.level,
+                d.code,
+                d.span.line,
+                d.span.col,
+                d.loop_index,
+                match &d.array {
+                    Some(a) => json_string(a),
+                    None => "null".into(),
+                },
+                // The satellite fix: a guarded (May) conflict with
+                // known geometry keeps its distance — `guarded`
+                // tells the consumer it is contingent.
+                match d.distance {
+                    Some(dist) => dist.to_string(),
+                    None => "null".into(),
+                },
+                d.guarded,
+                json_string(&d.message)
             ));
-            println!("{out}");
         }
-        other => {
-            return Err(CliError::Usage(format!(
-                "--format expects 'text' or 'json', got '{other}'"
-            )))
+        out.push_str(&format!(
+            "],\"errors\":{errors},\"warnings\":{warnings},\"notes\":{notes}}}"
+        ));
+        println!("{out}");
+    } else {
+        for d in &diags {
+            println!("{d}");
         }
+        println!("analyze: {errors} error(s), {warnings} warning(s), {notes} note(s)");
     }
     if errors > 0 {
         return Err(CliError::Other(format!("analysis found {errors} error(s)")));
@@ -1491,29 +1486,12 @@ fn emit_bytecode(src: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Minimal JSON string escaping for diagnostic text.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn cmd_ddg(flags: Flags) -> Result<(), String> {
     let prog = load(&flags)?;
     if prog.num_loops() != 1 {
-        return Err("ddg extraction operates on single-loop programs".into());
+        return Err("ddg extraction needs a single-loop program".into());
     }
-    let lp = prog.loop_view(0, initial_state(&prog));
+    let lp = prog.loop_view(0, prog.initial_arrays());
     let cfg = config(&flags)?;
     let w = flags.usize_of("--window", 32)?;
     let ddg = extract_ddg(&lp, &cfg, WindowConfig::fixed(w));

@@ -7,25 +7,18 @@
 //! shrink → sequential fallback) absorbs it, and the report records
 //! what degraded.
 
-use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::Duration;
+mod common;
 
-use rlrpd::core::AdaptRule;
-use rlrpd::dist::{DistLauncher, DistPolicy};
+use std::sync::Arc;
+
 use rlrpd::loops::*;
 use rlrpd::{
     run_sequential, ExecMode, FallbackReason, FaultPlan, RunConfig, RunPlan, Runner, SpecLoop,
-    Strategy, WindowConfig,
+    Strategy,
 };
 
 fn strategies() -> Vec<Strategy> {
-    vec![
-        Strategy::Nrd,
-        Strategy::Rd,
-        Strategy::AdaptiveRd(AdaptRule::Measured),
-        Strategy::SlidingWindow(WindowConfig::fixed(7)),
-    ]
+    common::strategies(&["nrd", "rd", "adaptive", "sw:7"])
 }
 
 /// The acceptance bar, per model loop:
@@ -261,18 +254,7 @@ fn distributed_runs_enforce_the_budget_fleet_wide() {
             res.report.shadow_bytes_peak()
         };
         for budget in [peak.saturating_mul(2), (peak / 4).max(1)] {
-            let policy = DistPolicy {
-                workers: 2,
-                block_deadline: Duration::from_millis(800),
-                max_respawns: 8,
-                backoff: Duration::from_millis(10),
-                ..DistPolicy::default()
-            };
-            let mut connector = DistLauncher::new(
-                PathBuf::from(env!("CARGO_BIN_EXE_rlrpd")),
-                vec!["worker".into()],
-            )
-            .with_policy(policy);
+            let mut connector = common::launcher(None);
             let cfg = RunConfig::new(4)
                 .with_exec(ExecMode::Distributed)
                 .with_shadow_budget(Some(budget));

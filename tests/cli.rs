@@ -185,6 +185,11 @@ fn counter_program_uses_the_induction_scheme() {
     assert!(ok, "{stderr}");
     assert!(stdout.contains("induction program"), "{stdout}");
     assert!(stdout.contains("range test PASSED"), "{stdout}");
+    // Checked against sequential execution like every other `run`.
+    assert!(
+        stdout.contains("verified against sequential execution ✓"),
+        "{stdout}"
+    );
 }
 
 #[test]
@@ -472,11 +477,6 @@ fn usage_errors_exit_64() {
         exit_code(&["run", &program("tracking.rlp"), "--strategy", "warp"]),
         64
     );
-    assert_eq!(
-        exit_code(&["run", &program("tracking.rlp"), "--resume"]),
-        64,
-        "--resume without --journal is a usage error"
-    );
 }
 
 #[test]
@@ -649,8 +649,6 @@ fn dist_flag_misuse_exits_64() {
     let prog = program("tracking.rlp");
     assert_eq!(exit_code(&["run", &prog, "--dist-workers", "zero"]), 64);
     assert_eq!(exit_code(&["run", &prog, "--dist-workers", "0"]), 64);
-    assert_eq!(exit_code(&["run", &prog, "--block-deadline", "1"]), 64);
-    assert_eq!(exit_code(&["run", &prog, "--max-respawns", "3"]), 64);
     assert_eq!(
         exit_code(&[
             "run",
@@ -735,11 +733,6 @@ fn cross_host_flag_misuse_exits_64() {
     );
     // The heartbeat knobs are distributed-only and must be coherent
     // with the failure-detection window.
-    assert_eq!(
-        exit_code(&["run", &prog, "--heartbeat-interval", "0.01"]),
-        64
-    );
-    assert_eq!(exit_code(&["run", &prog, "--fleet-max-respawns", "4"]), 64);
     assert_eq!(
         exit_code(&[
             "run",
@@ -905,8 +898,14 @@ fn distributed_run_recovers_from_an_injected_worker_kill() {
 fn doacross_auto_pipelines_the_beta_deck() {
     let (ok, stdout, stderr) = rlrpd(&["run", &program("beta_pipeline.rlp"), "--procs", "4"]);
     assert!(ok, "{stderr}");
-    assert!(stdout.contains("DOACROSS (d = 4, depth 4)"), "{stdout}");
-    assert!(stdout.contains("DOACROSS (d = 2, depth 2)"), "{stdout}");
+    assert!(
+        stdout.contains("loop 0: doacross: proven distances [4], pipeline depth min(4, 4) = 4"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("loop 1: doacross: proven distances [2], pipeline depth min(2, 4) = 2"),
+        "{stdout}"
+    );
     assert!(!stdout.contains("restarts = 1"), "{stdout}");
     assert!(
         stdout.contains("verified byte-identical to sequential execution"),
@@ -971,23 +970,6 @@ fn doacross_flag_misuse_exits_64() {
     // `on` demands a proof: tracking's indirection has none.
     assert_eq!(
         exit_code(&["run", &program("tracking.rlp"), "--doacross", "on"]),
-        64
-    );
-    // Counter programs compile to the induction scheme — no loop body
-    // to pipeline.
-    assert_eq!(
-        exit_code(&["run", &program("extend.rlp"), "--doacross", "on"]),
-        64
-    );
-    // Fault injection has nothing to exercise without speculation.
-    assert_eq!(
-        exit_code(&["run", &beta, "--doacross", "on", "--fault-seed", "7"]),
-        64
-    );
-    // Post/wait cells are one-address-space; distributed fleets can't
-    // share them.
-    assert_eq!(
-        exit_code(&["run", &beta, "--doacross", "on", "--dist-workers", "auto"]),
         64
     );
 }
@@ -1056,4 +1038,345 @@ fn distributed_journaled_run_resumes_after_a_torn_tail() {
         "{stdout}"
     );
     std::fs::remove_file(&path).ok();
+}
+
+/// One refused `run`: exit 64, nothing on stdout, every needle on
+/// stderr, and no journal file left behind.
+fn assert_refused(args: &[&str], needles: &[&str], journal: &std::path::Path) {
+    let out = Command::new(env!("CARGO_BIN_EXE_rlrpd"))
+        .arg("run")
+        .args(args)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(64), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?}: nothing may be printed");
+    for needle in needles {
+        assert!(stderr.contains(needle), "{args:?}: no '{needle}': {stderr}");
+    }
+    assert!(!journal.exists(), "{args:?}: nothing may be created");
+}
+
+/// A single loop whose dependence distance is proven (d = 3): the one
+/// program kind that reaches the DOACROSS × fleet rule.
+fn proven_chain() -> std::path::PathBuf {
+    let path = scratch("proven_chain.rlp");
+    std::fs::write(
+        &path,
+        "array A[64] = 1;\nfor i in 3..64 { A[i] = A[i - 3] * 0.5 + i; }\n",
+    )
+    .unwrap();
+    path
+}
+
+/// Every combination `rlrpd run` refuses — a row per `PlanError`
+/// variant, per row of the program-kind table, and per flag that needs
+/// another — is refused before the first line of output and the first
+/// file, with the flag and the reason named.
+#[test]
+fn illegal_combinations_exit_64_name_the_rule_and_print_nothing_else() {
+    let single = program("tracking.rlp");
+    let multi = program("two_phase.rlp");
+    let counter = program("extend.rlp");
+    let beta = program("beta_pipeline.rlp");
+    let chain = proven_chain();
+    let chain = chain.to_str().unwrap();
+    let journal = scratch("refused.journal");
+    let j = journal.to_str().unwrap();
+
+    let mut rows: Vec<(Vec<&str>, Vec<&str>)> = vec![
+        // PlanError::NoProcessors, whatever the program.
+        (vec![&single, "--procs", "0"], vec!["--procs 0"]),
+        (vec![&multi, "--procs", "0"], vec!["--procs 0"]),
+        (vec![&counter, "--procs", "0"], vec!["--procs 0"]),
+        (
+            vec![&single, "--procs", "0", "--journal", j],
+            vec!["--procs 0"],
+        ),
+        // PlanError::ResumeWithoutJournal.
+        (
+            vec![&single, "--resume"],
+            vec!["--resume requires --journal"],
+        ),
+        (
+            vec![&multi, "--resume"],
+            vec!["--resume requires --journal"],
+        ),
+        // PlanError::DoacrossOverFleet.
+        (
+            vec![chain, "--doacross", "on", "--dist-workers", "1"],
+            vec!["--doacross", "--dist-workers", "one address space"],
+        ),
+        // PlanError::DoacrossWithFaults, by either injection flag.
+        (
+            vec![chain, "--doacross", "on", "--fault-seed", "7"],
+            vec!["--doacross", "--fault-seed", "never visits"],
+        ),
+        (
+            vec![&beta, "--doacross", "on", "--shadow-fault", "0:1K"],
+            vec!["--doacross", "--shadow-fault", "never visits"],
+        ),
+        // One journal file is one run.
+        (vec![&single, "--journal", j, "--runs", "2"], vec!["--runs"]),
+    ];
+    // The fleet's knobs need a fleet.
+    for flag in [
+        "--block-deadline",
+        "--max-respawns",
+        "--fleet-max-respawns",
+        "--heartbeat-interval",
+    ] {
+        rows.push((
+            vec![&single, flag, "1"],
+            vec![flag, "requires --dist-workers"],
+        ));
+    }
+    rows.push((
+        vec![&single, "--dist-fault", "kill:0"],
+        vec!["--dist-fault requires --dist-workers"],
+    ));
+    // The program-kind table: what a multi-loop program cannot honour …
+    for flag in [["--journal", j], ["--dist-workers", "2"]] {
+        let mut args = vec![multi.as_str()];
+        args.extend(flag);
+        rows.push((args, vec![flag[0], "a multi-loop program", "one loop"]));
+    }
+    // … and what the induction scheme cannot.
+    for flag in [
+        vec!["--strategy", "nrd"],
+        vec!["--checkpoint", "eager"],
+        vec!["--balance", "feedback"],
+        vec!["--max-restarts", "3"],
+        vec!["--watchdog", "2"],
+        vec!["--max-stages", "9"],
+        vec!["--runs", "2"],
+        vec!["--report"],
+        vec!["--timeline"],
+        vec!["--format", "json"],
+        vec!["--fault-seed", "3"],
+        vec!["--shadow-fault", "0:1K"],
+        vec!["--shadow-budget", "1M"],
+        vec!["--journal", j],
+        vec!["--dist-workers", "2"],
+        vec!["--doacross", "on"],
+    ] {
+        let mut args = vec![counter.as_str()];
+        args.extend(&flag);
+        rows.push((
+            args,
+            vec![flag[0], "a counter program", "the induction scheme"],
+        ));
+    }
+    for (args, needles) in rows {
+        assert_refused(&args, &needles, &journal);
+    }
+}
+
+/// The multi-loop path is the single-loop path per loop: a fault is
+/// injected into (and contained by) each loop, `--runs` instantiates
+/// each loop twice, `--report` reports on each. (At the parent commit
+/// all three flags were dropped without a word.)
+#[test]
+fn a_multi_loop_program_honours_fault_injection_runs_and_reports() {
+    let (ok, stdout, stderr) = rlrpd(&[
+        "run",
+        &program("two_phase.rlp"),
+        "--procs",
+        "4",
+        "--fault-seed",
+        "3",
+        "--runs",
+        "2",
+        "--report",
+    ]);
+    assert!(ok, "{stderr}");
+    let count = |needle: &str| stdout.matches(needle).count();
+    for k in 0..2 {
+        assert_eq!(count(&format!("loop {k}: fault injection: seed 3")), 1);
+        assert_eq!(count(&format!("loop {k}: run 0:")), 1, "{stdout}");
+        assert_eq!(count(&format!("loop {k}: run 1:")), 1, "{stdout}");
+        assert_eq!(
+            count(&format!(
+                "loop {k}: verified against sequential execution ✓"
+            )),
+            1,
+            "{stdout}"
+        );
+    }
+    // The one-shot fault fires in each loop's first instantiation.
+    assert_eq!(count("contained faults = 1"), 2, "{stdout}");
+    assert_eq!(count("\nstages: "), 2, "one report per loop: {stdout}");
+    assert!(stdout.contains("whole-program speedup"), "{stdout}");
+}
+
+/// What a pair of (flag, program kind) must do: `run` accepts 25 flags,
+/// and each is honoured by each kind of program or refused by name.
+enum Honour {
+    /// Exit 64 naming the flag, nothing printed.
+    Refused,
+    /// Exits with this code, and the output differs from the same
+    /// invocation without the flag.
+    Changes(i32),
+    /// Taken into the run, where no example deck can show it on stdout
+    /// (every DSL iteration costs the same, so feedback balancing cuts
+    /// even blocks; a heartbeat interval only changes when a silent
+    /// worker is presumed dead): the witness is that a value the flag
+    /// cannot take is refused here. Their effect is pinned where it can
+    /// be seen — `crates/core` balance tests, `dist/tests/worker_chaos`.
+    Parsed(&'static str),
+}
+
+#[test]
+fn every_run_flag_is_honoured_or_refused_by_every_program_kind() {
+    use Honour::*;
+    let journal = scratch("honoured.journal");
+    let chain = proven_chain();
+    let programs = [
+        program("tracking.rlp"),
+        program("two_phase.rlp"),
+        program("extend.rlp"),
+    ];
+    // One worker, killed on its first block and again on that block's
+    // re-dispatch (two blocks a stage: transmissions 0 and 2).
+    const KILLS: &str = "--procs 2 --dist-workers 1 --dist-fault kill:0,kill:2";
+    // (flag and value; what else is on both command lines; the
+    // single-loop / multi-loop / counter expectation). `J` is the
+    // journal path.
+    let table = [
+        ("--procs 2", "", [Changes(0), Changes(0), Changes(0)]),
+        ("--strategy nrd", "", [Changes(0), Changes(0), Refused]),
+        ("--checkpoint eager", "", [Changes(0), Changes(0), Refused]),
+        (
+            "--balance feedback",
+            "",
+            [Parsed("psychic"), Parsed("psychic"), Refused],
+        ),
+        ("--runs 2", "", [Changes(0), Changes(0), Refused]),
+        ("--fault-seed 3", "", [Changes(0), Changes(0), Refused]),
+        ("--watchdog 0.01", "", [Changes(0), Changes(0), Refused]),
+        ("--max-restarts 0", "", [Changes(0), Changes(0), Refused]),
+        ("--max-stages 1", "", [Changes(3), Changes(3), Refused]),
+        ("--journal J", "", [Changes(0), Refused, Refused]),
+        // Nothing at `J` to resume: the journal error is the effect.
+        ("--resume", "--journal J", [Changes(4), Refused, Refused]),
+        ("--dist-workers 1", "", [Changes(0), Refused, Refused]),
+        // (Its effect — a hung worker caught sooner — is timed below.)
+        (
+            "--block-deadline 2",
+            "--dist-workers 1",
+            [Parsed("0"), Refused, Refused],
+        ),
+        ("--max-respawns 0", KILLS, [Changes(0), Refused, Refused]),
+        (
+            "--fleet-max-respawns 1",
+            KILLS,
+            [Changes(0), Refused, Refused],
+        ),
+        (
+            "--heartbeat-interval 0.02",
+            "--dist-workers 1",
+            [Parsed("9"), Refused, Refused],
+        ),
+        (
+            "--dist-fault kill:0",
+            "--dist-workers 1",
+            [Changes(0), Refused, Refused],
+        ),
+        ("--shadow-budget 1M", "", [Changes(0), Changes(0), Refused]),
+        ("--shadow-fault 0:1K", "", [Changes(0), Changes(0), Refused]),
+        // (No proof on these decks; the proven chain is run below.)
+        ("--doacross on", "", [Refused, Refused, Refused]),
+        ("--format json", "", [Changes(0), Changes(0), Refused]),
+        // The executor shows in the JSON report's `fork_joins`; the
+        // induction scheme's (it takes the flag) prints nowhere.
+        (
+            "--pooled",
+            "--format json",
+            [Changes(0), Changes(0), Parsed("")],
+        ),
+        ("--no-compile", "", [Changes(0), Changes(0), Changes(0)]),
+        ("--report", "", [Changes(0), Changes(0), Refused]),
+        ("--timeline", "", [Changes(0), Changes(0), Refused]),
+    ];
+    assert_eq!(table.len(), 25);
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_rlrpd"))
+            .arg("run")
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let code = out.status.code().expect("not signalled");
+        // The wall-clock fields are not the flag's doing: of the
+        // `distributed:` line keep the fleet's fate, of a JSON report
+        // the executor's mark.
+        let stdout: Vec<String> = String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .map(
+                |l| match (l.find("quarantined"), l.find("\"fork_joins\":")) {
+                    (Some(at), _) if l.starts_with("distributed:") => l[..at].to_string(),
+                    (_, Some(at)) => l[at..].split(',').next().unwrap().to_string(),
+                    _ => l.to_string(),
+                },
+            )
+            .collect();
+        (code, stdout.join("\n"))
+    };
+    let j = journal.to_str().unwrap();
+    let words = |s: &'static str| s.split_whitespace().map(|w| if w == "J" { j } else { w });
+    for (flag, context, honours) in &table {
+        let flag: Vec<&str> = words(flag).collect();
+        for (program, honour) in programs.iter().zip(honours) {
+            std::fs::remove_file(&journal).ok();
+            let mut without = vec![program.as_str()];
+            let alone: Vec<&str> = without.iter().chain(&flag).copied().collect();
+            match honour {
+                Refused => assert_refused(&alone, &[flag[0]], &journal),
+                Changes(code) => {
+                    without.extend(words(context));
+                    let with: Vec<&str> = without.iter().chain(&flag).copied().collect();
+                    let (base_code, base) = run(&without);
+                    std::fs::remove_file(&journal).ok();
+                    let (got_code, got) = run(&with);
+                    assert_eq!(got_code, *code, "{with:?}");
+                    assert!(
+                        got != base || got_code != base_code,
+                        "{with:?}: the flag changed nothing:\n{got}"
+                    );
+                }
+                Parsed(bad) => {
+                    // The counter's context is its own refusal.
+                    if !bad.is_empty() {
+                        without.extend(words(context));
+                        let bad: Vec<&str> =
+                            without.iter().chain(&[flag[0], bad]).copied().collect();
+                        assert_refused(&bad, &[], &journal);
+                    }
+                    let with: Vec<&str> = without.iter().chain(&flag).copied().collect();
+                    assert_eq!(run(&with).0, 0, "{with:?}");
+                }
+            }
+        }
+    }
+    // `--doacross`, on a loop that has the proof: `off` keeps it on the
+    // speculative tier, `on` and `auto` pipeline it.
+    let chain = chain.to_str().unwrap();
+    let (_, auto) = run(&[chain]);
+    assert!(auto.contains("doacross: proven distances [3]"), "{auto}");
+    assert_eq!(run(&[chain, "--doacross", "on"]).1, auto);
+    assert!(!run(&[chain, "--doacross", "off"]).1.contains("doacross:"));
+    // `--block-deadline`: a worker hung on its first block is caught at
+    // the deadline (0.3 s here, 5 s by default) and the run recovers.
+    let t = std::time::Instant::now();
+    let hung = "--dist-workers 1 --dist-fault hang:0 --block-deadline 0.3";
+    let args: Vec<&str> = std::iter::once(programs[0].as_str())
+        .chain(words(hung))
+        .collect();
+    let (code, stdout) = run(&args);
+    assert_eq!(code, 0);
+    assert!(stdout.contains(" 1 respawns"), "{stdout}");
+    assert!(
+        t.elapsed().as_secs_f64() < 3.0,
+        "caught at the default deadline"
+    );
+    std::fs::remove_file(&journal).ok();
 }

@@ -9,17 +9,14 @@
 //! This is the workload-level counterpart of the synthetic-loop chaos
 //! suite in `crates/dist/tests/worker_chaos.rs`.
 
-use std::io::BufRead;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
-use std::time::Duration;
+mod common;
 
-use rlrpd::dist::{DistLauncher, DistPolicy, Endpoint};
-use rlrpd::{
-    run_sequential, ExecMode, FaultPlan, RunConfig, RunPlan, Runner, SpecLoop, Strategy,
-    WindowConfig,
-};
+use std::io::BufRead;
+use std::process::{Child, Command, Stdio};
+
+use common::{launcher, seeds};
+use rlrpd::dist::Endpoint;
+use rlrpd::{run_sequential, ExecMode, FaultPlan, RunConfig, RunPlan, Runner, SpecLoop, Strategy};
 
 /// `(spec string, loop)` pairs: the supervisor resolves the very same
 /// registry entry the worker subprocess will.
@@ -36,41 +33,7 @@ fn models() -> Vec<(&'static str, Box<dyn SpecLoop<f64>>)> {
 }
 
 fn strategies() -> Vec<Strategy> {
-    vec![
-        Strategy::Nrd,
-        Strategy::Rd,
-        Strategy::SlidingWindow(WindowConfig::fixed(7)),
-    ]
-}
-
-/// Seeds for the chaos sweep; the CI matrix pins one per job through
-/// `RLRPD_FAULT_SEED`.
-fn seeds() -> Vec<u64> {
-    match std::env::var("RLRPD_FAULT_SEED") {
-        Ok(v) => vec![v
-            .parse()
-            .expect("RLRPD_FAULT_SEED must be an unsigned integer")],
-        Err(_) => vec![3, 17, 2002],
-    }
-}
-
-fn launcher(fault: Option<FaultPlan>) -> DistLauncher {
-    let policy = DistPolicy {
-        workers: 2,
-        block_deadline: Duration::from_millis(800),
-        max_respawns: 8,
-        backoff: Duration::from_millis(10),
-        ..DistPolicy::default()
-    };
-    let mut l = DistLauncher::new(
-        PathBuf::from(env!("CARGO_BIN_EXE_rlrpd")),
-        vec!["worker".into()],
-    )
-    .with_policy(policy);
-    if let Some(f) = fault {
-        l = l.with_fault(Arc::new(f));
-    }
-    l
+    common::strategies(&["nrd", "rd", "sw:7"])
 }
 
 /// A standalone `rlrpd worker --listen` host on a loopback port,

@@ -4,33 +4,15 @@
 //! to sequential execution — and the run's report records the contained
 //! fault rather than the process aborting.
 
-use rlrpd::core::AdaptRule;
+mod common;
+
+use common::seeds;
 use rlrpd::loops::*;
-use rlrpd::{
-    run_sequential, FallbackPolicy, FaultPlan, RunConfig, Runner, SpecLoop, Strategy, WindowConfig,
-};
+use rlrpd::{run_sequential, FallbackPolicy, FaultPlan, RunConfig, Runner, SpecLoop, Strategy};
 use std::sync::Arc;
 
 fn strategies() -> Vec<Strategy> {
-    vec![
-        Strategy::Nrd,
-        Strategy::Rd,
-        Strategy::AdaptiveRd(AdaptRule::ModelEq4),
-        Strategy::AdaptiveRd(AdaptRule::Measured),
-        Strategy::SlidingWindow(WindowConfig::fixed(7)),
-        Strategy::SlidingWindow(WindowConfig::fixed(64)),
-    ]
-}
-
-/// Seeds for the seeded sweep; the CI fault matrix pins one seed per
-/// job through `RLRPD_FAULT_SEED`.
-fn seeds() -> Vec<u64> {
-    match std::env::var("RLRPD_FAULT_SEED") {
-        Ok(v) => vec![v
-            .parse()
-            .expect("RLRPD_FAULT_SEED must be an unsigned integer")],
-        Err(_) => vec![3, 17, 2002],
-    }
+    common::strategies(&["nrd", "rd", "adaptive-eq4", "adaptive", "sw:7", "sw:64"])
 }
 
 /// The acceptance bar: for each seed, derive a one-panic plan, run the

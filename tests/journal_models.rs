@@ -7,30 +7,16 @@
 //! in `crates/core/tests/journal.rs`: same crash/resume machinery, but
 //! exercised through the real kernels the paper evaluates.
 
+mod common;
+
+use common::seeds;
 use rlrpd::loops::*;
-use rlrpd::{
-    run_sequential, FaultPlan, Journal, RunConfig, Runner, SpecLoop, Strategy, WindowConfig,
-};
+use rlrpd::{run_sequential, FaultPlan, Journal, RunConfig, Runner, SpecLoop, Strategy};
 use std::path::PathBuf;
 use std::sync::Arc;
 
 fn strategies() -> Vec<Strategy> {
-    vec![
-        Strategy::Nrd,
-        Strategy::Rd,
-        Strategy::SlidingWindow(WindowConfig::fixed(7)),
-    ]
-}
-
-/// Seeds for the I/O-fault sweep; the CI fault matrix pins one seed per
-/// job through `RLRPD_FAULT_SEED`.
-fn seeds() -> Vec<u64> {
-    match std::env::var("RLRPD_FAULT_SEED") {
-        Ok(v) => vec![v
-            .parse()
-            .expect("RLRPD_FAULT_SEED must be an unsigned integer")],
-        Err(_) => vec![3, 17, 2002],
-    }
+    common::strategies(&["nrd", "rd", "sw:7"])
 }
 
 fn tmp(name: &str) -> PathBuf {

@@ -11,11 +11,14 @@
 //! suite in `tests/dist_models.rs`; the CI `serve-chaos` job drives
 //! the same daemon as a real process with SIGTERM and SIGKILL.
 
+mod common;
+
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use common::seeds;
 use rlrpd::core::remote::{write_frame, JobSpec, JobState, RejectReason, SERVE_PROTOCOL_VERSION};
 use rlrpd::serve::{query_status, submit, ClientError, ClientOptions, Daemon, ServeConfig};
 
@@ -34,17 +37,6 @@ fn state_dir(tag: &str) -> PathBuf {
 /// Registry specs exercised by the soak — the same workload models as
 /// the distributed chaos suite.
 const MODELS: [&str; 3] = ["fptrak:0", "dcdcmp15:17", "nlfilt:i4_50"];
-
-/// Seeds for the chaos sweep; the CI matrix pins one per job through
-/// `RLRPD_FAULT_SEED`.
-fn seeds() -> Vec<u64> {
-    match std::env::var("RLRPD_FAULT_SEED") {
-        Ok(v) => vec![v
-            .parse()
-            .expect("RLRPD_FAULT_SEED must be an unsigned integer")],
-        Err(_) => vec![3, 17, 2002],
-    }
-}
 
 fn spec_for(key: u64, spec: &str) -> JobSpec {
     JobSpec {
@@ -211,6 +203,18 @@ fn a_submission_spells_shadow_faults_as_the_cli_does() {
     match submit(handle.addr(), &spec, &opts()) {
         Err(ClientError::Rejected(RejectReason::BadSpec(why))) => {
             assert!(why.contains("64Q"), "{why}")
+        }
+        other => panic!("expected a BadSpec rejection, got {other:?}"),
+    }
+
+    // And admission asks the run's own question: a plan `Runner::execute`
+    // would refuse (`rlrpd submit --procs 0`) is a `BadSpec` in the
+    // core's words, never an accepted job that fails.
+    spec.shadow_fault.clear();
+    spec.p = 0;
+    match submit(handle.addr(), &spec, &opts()) {
+        Err(ClientError::Rejected(RejectReason::BadSpec(why))) => {
+            assert_eq!(why, rlrpd::core::PlanError::NoProcessors.to_string())
         }
         other => panic!("expected a BadSpec rejection, got {other:?}"),
     }
