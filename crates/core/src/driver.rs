@@ -31,7 +31,8 @@ use crate::spec_loop::SpecLoop;
 use crate::stages::run_stages;
 use crate::value::Value;
 use crate::window::WindowConfig;
-use rlrpd_runtime::{CostModel, ExecMode, FaultPlan, FeedbackPartitioner, TrendMode};
+use rlrpd_runtime::{CostModel, ExecMode, FaultDomain, FaultPlan, FeedbackPartitioner, TrendMode};
+use std::num::NonZeroUsize;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -57,7 +58,7 @@ pub enum Strategy {
 }
 
 /// The CLI's and the daemon's strategy syntax: `nrd`, `rd`, `adaptive`
-/// (the measured rule) or `sw:W` (a fixed circular window of `W`
+/// (the measured rule) or `sw:W` (a fixed circular window of `W ≥ 1`
 /// iterations per processor).
 impl std::str::FromStr for Strategy {
     type Err = String;
@@ -69,9 +70,9 @@ impl std::str::FromStr for Strategy {
             "adaptive" => Ok(Strategy::AdaptiveRd(AdaptRule::Measured)),
             _ => match s.strip_prefix("sw:") {
                 Some(w) => w
-                    .parse()
-                    .map(|w| Strategy::SlidingWindow(WindowConfig::fixed(w)))
-                    .map_err(|_| format!("bad window size in '{s}'")),
+                    .parse::<NonZeroUsize>()
+                    .map(|w| Strategy::SlidingWindow(WindowConfig::fixed(w.get())))
+                    .map_err(|_| format!("bad window size in '{s}': expected an integer ≥ 1")),
                 None => Err(format!("unknown strategy '{s}'")),
             },
         }
@@ -481,8 +482,10 @@ impl RunPlan<'_> {
             }
             // The pipeline runs every iteration once, directly: it has
             // no stage for a shadow-pressure site and no rollback for a
-            // panic site, so an armed plan would silently never fire.
-            if fault.is_some_and(|f| !f.is_empty()) {
+            // panic site, so either would silently never fire. Its
+            // journal does visit every record site.
+            let unvisited = [FaultDomain::Iteration, FaultDomain::Stage];
+            if fault.is_some_and(|f| unvisited.iter().any(|&d| f.arms(d))) {
                 return Err(PlanError::DoacrossWithFaults);
             }
         }
@@ -880,10 +883,16 @@ mod tests {
             "magic".parse::<Strategy>(),
             Err("unknown strategy 'magic'".to_string())
         );
-        assert_eq!(
-            "sw:none".parse::<Strategy>(),
-            Err("bad window size in 'sw:none'".to_string())
-        );
+        // `sw:0` is refused like any other non-window, not coerced to
+        // `sw:1` (the same schedule under another journal fingerprint).
+        for bad in ["sw:none", "sw:0", "sw:-1"] {
+            assert_eq!(
+                bad.parse::<Strategy>(),
+                Err(format!(
+                    "bad window size in '{bad}': expected an integer ≥ 1"
+                ))
+            );
+        }
     }
 
     #[test]

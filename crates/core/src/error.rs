@@ -23,7 +23,8 @@ pub enum PlanError {
     ResumeWithoutJournal,
     /// [`crate::Strategy::Doacross`] with a [`crate::RunPlan::fleet`].
     DoacrossOverFleet,
-    /// [`crate::Strategy::Doacross`] with a non-empty fault plan.
+    /// [`crate::Strategy::Doacross`] with a fault plan that arms
+    /// iteration or stage sites ([`crate::FaultPlan::arms`]).
     DoacrossWithFaults,
 }
 
@@ -39,8 +40,9 @@ impl std::fmt::Display for PlanError {
                  (--dist-workers): post/wait cells synchronize threads in one address space"
             }
             PlanError::DoacrossWithFaults => {
-                "the DOACROSS tier (--doacross) cannot combine with fault injection \
-                 (--fault-seed, --shadow-fault): the plan arms sites the pipeline never visits"
+                "the DOACROSS tier (--doacross) cannot combine with fault injection at an \
+                 iteration or a stage (--fault-seed, --shadow-fault): the plan arms sites the \
+                 pipeline never visits"
             }
         })
     }

@@ -115,4 +115,4 @@ pub use wavefront::{execute_wavefronts, WavefrontReport, WavefrontSchedule};
 pub use window::{WindowConfig, WindowPolicy};
 
 // Re-export the runtime types users need to configure runs.
-pub use rlrpd_runtime::{CostModel, ExecMode, FaultPlan, InjectedFault, WorkerFault};
+pub use rlrpd_runtime::{CostModel, ExecMode, FaultDomain, FaultPlan, InjectedFault, WorkerFault};

@@ -164,7 +164,7 @@ fn stage_loop<T: Value>(
         Strategy::AdaptiveRd(rule) => Policy::Recut(Some(rule)),
         Strategy::SlidingWindow(wcfg) => Policy::Window {
             wcfg,
-            w: wcfg.iters_per_proc.max(1),
+            w: wcfg.iters_per_proc,
             rotation: 0,
         },
         Strategy::Doacross(_) => unreachable!("a DOACROSS run is a pipeline, not a stage loop"),

@@ -45,7 +45,9 @@ pub enum WindowPolicy {
 /// Sliding-window configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WindowConfig {
-    /// Iterations per processor per window (the super-iteration size).
+    /// Iterations per processor per window (the super-iteration size),
+    /// at least 1: an empty window never moves the commit point, so the
+    /// run would end at its stage cap.
     pub iters_per_proc: usize,
     /// Size adaptation policy.
     pub policy: WindowPolicy,

@@ -215,6 +215,16 @@ enum Event {
     Eof,
 }
 
+/// What a worker's event — or its silence — calls for.
+enum Verdict {
+    /// Nothing: a heartbeat, a valid ack, an accepted reply.
+    Fine,
+    /// The worker is dead, hung or wrong: kill it, start a replacement.
+    Replace(String),
+    /// It is wrong in a way a restart would repeat: out of the rotation.
+    Quarantine(String),
+}
+
 /// The writable half of one worker slot.
 enum Link {
     /// Subprocess worker: pipe pair.
@@ -281,8 +291,6 @@ struct Worker {
     respawns: u32,
     /// Out of the rotation for the rest of the run.
     quarantined: bool,
-    /// The slot's current incarnation passed handshake validation.
-    acked: bool,
 }
 
 /// A live worker fleet implementing [`BlockDispatcher`].
@@ -379,7 +387,6 @@ impl Fleet {
                         reader: None,
                         respawns: 0,
                         quarantined: true,
-                        acked: false,
                     });
                     fleet.stats.quarantined += 1;
                 }
@@ -462,12 +469,10 @@ impl Fleet {
             last_heartbeat: Instant::now(),
             outstanding: Vec::new(),
             queued: Vec::new(),
-            reader: None,
+            reader: Some(reader),
             respawns: 0,
             quarantined: false,
-            acked: false,
-        }
-        .with_reader(reader))
+        })
     }
 
     /// Take slot `idx` out of the rotation for good: tear the link
@@ -476,10 +481,7 @@ impl Fleet {
     /// [`WorkerLoss`] only when no active worker remains.
     fn quarantine(&mut self, idx: usize, why: &str) -> Result<Vec<usize>, WorkerLoss> {
         let w = &mut self.workers[idx];
-        w.link.kill();
-        if let Some(h) = w.reader.take() {
-            let _ = h.join();
-        }
+        w.teardown();
         let orphans: Vec<usize> = w.outstanding.drain(..).map(|(req, _)| req).collect();
         w.queued = Vec::new();
         if !w.quarantined {
@@ -529,13 +531,7 @@ impl Fleet {
                 ),
             );
         }
-        {
-            let old = &mut self.workers[idx];
-            old.link.kill();
-            if let Some(h) = old.reader.take() {
-                let _ = h.join();
-            }
-        }
+        self.workers[idx].teardown();
         let per = self.workers[idx].respawns;
         let exp = (per - 1).min(10);
         let backoff = self.policy.backoff * 2u32.saturating_pow(exp)
@@ -637,34 +633,72 @@ impl Fleet {
     /// Validate a worker's handshake ack. A mismatch is deterministic —
     /// a wrong binary or a cross-wired connection — so the slot is
     /// quarantined outright without burning respawn budget (a restart
-    /// would fail the same way). Returns orphans to re-dispatch.
-    fn check_ack(&mut self, idx: usize, frame: &[u8]) -> Result<Vec<usize>, WorkerLoss> {
+    /// would fail the same way).
+    fn check_ack(&self, frame: &[u8]) -> Verdict {
         let ack = match HelloAck::decode(frame) {
             Ok(a) => a,
-            Err(e) => return self.respawn(idx, &format!("undecodable hello ack: {e}")),
+            Err(e) => return Verdict::Replace(format!("undecodable hello ack: {e}")),
         };
         if ack.protocol != PROTOCOL_VERSION {
-            return self.quarantine(
-                idx,
-                &format!(
-                    "protocol version mismatch: supervisor speaks v{}, worker speaks v{} \
-                     (mismatched rlrpd binaries?)",
-                    PROTOCOL_VERSION, ack.protocol
-                ),
-            );
+            return Verdict::Quarantine(format!(
+                "protocol version mismatch: supervisor speaks v{}, worker speaks v{} \
+                 (mismatched rlrpd binaries?)",
+                PROTOCOL_VERSION, ack.protocol
+            ));
         }
         if ack.run_id != self.run_id || ack.header_fnv != self.header_fnv {
-            return self.quarantine(
-                idx,
-                &format!(
-                    "handshake identity mismatch: expected run {:#x}/header {:#x}, \
-                     worker acknowledged run {:#x}/header {:#x} (cross-wired connection?)",
-                    self.run_id, self.header_fnv, ack.run_id, ack.header_fnv
-                ),
-            );
+            return Verdict::Quarantine(format!(
+                "handshake identity mismatch: expected run {:#x}/header {:#x}, \
+                 worker acknowledged run {:#x}/header {:#x} (cross-wired connection?)",
+                self.run_id, self.header_fnv, ack.run_id, ack.header_fnv
+            ));
         }
-        self.workers[idx].acked = true;
-        Ok(Vec::new())
+        Verdict::Fine
+    }
+
+    /// Match a reply frame from worker `idx` to the block it answers
+    /// and take that block off the worker's hands; `Err` says why the
+    /// worker cannot be trusted instead.
+    fn accept_reply(
+        &mut self,
+        idx: usize,
+        frame: &[u8],
+        reqs: &[BlockRequest],
+    ) -> Result<(usize, BlockReply), String> {
+        let reply = BlockReply::decode(frame).map_err(|e| format!("undecodable reply: {e}"))?;
+        let outstanding = &mut self.workers[idx].outstanding;
+        let slot = outstanding
+            .iter()
+            .position(|&(r, _)| reqs[r].pos == reply.pos)
+            .ok_or("reply for a block never dispatched")?;
+        let (req_index, _) = outstanding[slot];
+        if reply.chain != reqs[req_index].chain {
+            // Divergent worker: its mirror of the committed state no
+            // longer matches ours. Reject the result and rebuild it
+            // from scratch.
+            return Err("divergent result (input-chain mismatch)".into());
+        }
+        outstanding.swap_remove(slot);
+        Ok((req_index, reply))
+    }
+
+    /// The one recovery step: replace worker `idx` — or, on a fault a
+    /// restart would repeat, quarantine it — and hand whatever it was
+    /// working on to the slots that remain.
+    fn recover(
+        &mut self,
+        idx: usize,
+        verdict: Verdict,
+        pending: &mut VecDeque<usize>,
+        reqs: &[BlockRequest],
+    ) -> Result<(), WorkerLoss> {
+        let orphans = match verdict {
+            Verdict::Fine => return Ok(()),
+            Verdict::Replace(why) => self.respawn(idx, &why)?,
+            Verdict::Quarantine(why) => self.quarantine(idx, &why)?,
+        };
+        pending.extend(orphans);
+        self.pump_pending(pending, reqs)
     }
 
     /// Heartbeat-staleness threshold: a busy worker silent this long is
@@ -678,9 +712,12 @@ impl Fleet {
 }
 
 impl Worker {
-    fn with_reader(mut self, reader: JoinHandle<()>) -> Worker {
-        self.reader = Some(reader);
-        self
+    /// Kill the worker and reap its reader thread.
+    fn teardown(&mut self) {
+        self.link.kill();
+        if let Some(h) = self.reader.take() {
+            let _ = h.join();
+        }
     }
 }
 
@@ -727,75 +764,34 @@ impl BlockDispatcher for Fleet {
                     {
                         continue; // stale event from a killed predecessor
                     }
-                    match event {
+                    let verdict = match event {
+                        Event::Eof => Verdict::Replace("worker exited".into()),
                         Event::Frame(frame) => {
-                            self.stats.wire_bytes += 4 + frame.len() as u64;
-                            match frame_kind(&frame) {
-                                Some(FRAME_HELLO) => {
-                                    // The worker's handshake ack.
-                                    self.workers[idx].last_heartbeat = Instant::now();
-                                    let orphans = self.check_ack(idx, &frame)?;
-                                    pending.extend(orphans);
-                                    self.pump_pending(&mut pending, reqs)?;
-                                }
-                                Some(FRAME_HEARTBEAT) => {
-                                    self.workers[idx].last_heartbeat = Instant::now();
-                                }
-                                Some(FRAME_REPLY) => {
-                                    self.workers[idx].last_heartbeat = Instant::now();
-                                    let reply = match BlockReply::decode(&frame) {
-                                        Ok(r) => r,
-                                        Err(e) => {
-                                            let orphans = self
-                                                .respawn(idx, &format!("undecodable reply: {e}"))?;
-                                            pending.extend(orphans);
-                                            self.pump_pending(&mut pending, reqs)?;
-                                            continue;
+                            let kind = frame_kind(&frame);
+                            // A heartbeat is a function of the clock,
+                            // not of the run: it is not counted.
+                            if kind != Some(FRAME_HEARTBEAT) {
+                                self.stats.wire_bytes += 4 + frame.len() as u64;
+                            }
+                            self.workers[idx].last_heartbeat = Instant::now();
+                            match kind {
+                                Some(FRAME_HEARTBEAT) => Verdict::Fine,
+                                // The worker's handshake ack.
+                                Some(FRAME_HELLO) => self.check_ack(&frame),
+                                Some(FRAME_REPLY) => match self.accept_reply(idx, &frame, reqs) {
+                                    Ok((req_index, reply)) => {
+                                        if replies[req_index].replace(reply).is_none() {
+                                            remaining -= 1;
                                         }
-                                    };
-                                    let req_index = self.workers[idx]
-                                        .outstanding
-                                        .iter()
-                                        .position(|&(r, _)| reqs[r].pos == reply.pos);
-                                    let Some(slot) = req_index else {
-                                        let orphans = self
-                                            .respawn(idx, "reply for a block never dispatched")?;
-                                        pending.extend(orphans);
-                                        self.pump_pending(&mut pending, reqs)?;
-                                        continue;
-                                    };
-                                    let (req_index, _) = self.workers[idx].outstanding[slot];
-                                    if reply.chain != reqs[req_index].chain {
-                                        // Divergent worker: its mirror of
-                                        // the committed state no longer
-                                        // matches ours. Reject the result
-                                        // and rebuild it from scratch.
-                                        let orphans = self.respawn(
-                                            idx,
-                                            "divergent result (input-chain mismatch)",
-                                        )?;
-                                        pending.extend(orphans);
-                                        self.pump_pending(&mut pending, reqs)?;
-                                        continue;
+                                        Verdict::Fine
                                     }
-                                    self.workers[idx].outstanding.swap_remove(slot);
-                                    if replies[req_index].replace(reply).is_none() {
-                                        remaining -= 1;
-                                    }
-                                }
-                                _ => {
-                                    let orphans = self.respawn(idx, "unexpected frame kind")?;
-                                    pending.extend(orphans);
-                                    self.pump_pending(&mut pending, reqs)?;
-                                }
+                                    Err(why) => Verdict::Replace(why),
+                                },
+                                _ => Verdict::Replace("unexpected frame kind".into()),
                             }
                         }
-                        Event::Eof => {
-                            let orphans = self.respawn(idx, "worker exited")?;
-                            pending.extend(orphans);
-                            self.pump_pending(&mut pending, reqs)?;
-                        }
-                    }
+                    };
+                    self.recover(idx, verdict, &mut pending, reqs)?;
                 }
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
@@ -831,9 +827,7 @@ impl BlockDispatcher for Fleet {
                         } else {
                             "heartbeat lost"
                         };
-                        let orphans = self.respawn(idx, why)?;
-                        pending.extend(orphans);
-                        self.pump_pending(&mut pending, reqs)?;
+                        self.recover(idx, Verdict::Replace(why.into()), &mut pending, reqs)?;
                     }
                 }
             }
@@ -863,11 +857,6 @@ impl Drop for Fleet {
                 let _ = w.link.send(&bye);
             }
         }
-        for w in &mut self.workers {
-            w.link.kill();
-            if let Some(h) = w.reader.take() {
-                let _ = h.join();
-            }
-        }
+        self.workers.iter_mut().for_each(Worker::teardown);
     }
 }

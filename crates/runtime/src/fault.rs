@@ -2,39 +2,40 @@
 //!
 //! The R-LRPD containment story is only trustworthy if every recovery
 //! path — contained panic, watchdog-tripping straggler, failed
-//! checkpoint — is exercised by deterministic tests. A [`FaultPlan`]
-//! describes *exactly* which faults to inject and where:
+//! checkpoint, torn journal, lost worker — is exercised by
+//! deterministic tests. A [`FaultPlan`] is **one table** of sites, each
+//! saying what to inject, at which ordinal of which [`FaultDomain`],
+//! and how many times:
 //!
-//! * a **panic** at a `(proc, iteration)` pair: the engine raises an
-//!   [`InjectedFault`] unwind just before the iteration body runs,
-//!   exercising the same catch/contain/re-execute machinery a genuine
-//!   program fault would;
-//! * a **delay** at a `(proc, iteration)` pair: extra virtual cost
-//!   charged to that iteration, inflating the stage's critical path so
-//!   the driver's watchdog budget trips deterministically;
-//! * a **checkpoint fault** at a stage ordinal: the engine's
-//!   checkpoint phase reports failure at the start of that stage
-//!   (before any speculative write), modelling an I/O or allocation
-//!   error in the checkpoint machinery;
-//! * **journal I/O faults** at a journal-record ordinal: a *short
-//!   write* (the record is torn after a byte prefix and the run aborts,
-//!   modelling a crash mid-append), a *silent corruption* (one payload
-//!   byte is flipped as the record lands on disk, modelling media
-//!   corruption the next open must detect and truncate), and an
-//!   *fsync failure* (the durability barrier itself reports an error).
+//! * at an **iteration** (on one processor, or on whichever runs it): a
+//!   *panic* — the engine raises an [`InjectedFault`] unwind just
+//!   before the body runs, exercising the catch/contain/re-execute
+//!   machinery a genuine program fault would — or a *delay*, extra
+//!   virtual cost that inflates the stage's critical path so the
+//!   driver's watchdog budget trips deterministically;
+//! * at a **stage**: a *checkpoint fault* (the checkpoint phase fails
+//!   before any speculative write) or *shadow pressure* (phantom bytes
+//!   charged to the budget accountant);
+//! * at a **journal record**: a *short write* (the append is torn and
+//!   the run aborts, a crash mid-append), a *silent corruption* (the
+//!   next open must detect and truncate it), an *fsync failure*, or
+//!   *transient* write errors the journal's bounded retry absorbs;
+//! * at a **dispatch** to a worker fleet: the worker is *killed*,
+//!   *hangs*, or returns a *corrupt result* ([`WorkerFault`]).
 //!
-//! Injected panics and checkpoint faults are **one-shot**: each site
-//! fires at most once per plan, modelling transient faults so the
-//! containment layer's retry actually succeeds. Delays fire on every
-//! execution of their site (a persistently slow iteration).
+//! One rule fires them all (`FaultPlan::fire`): a site fires at its
+//! ordinal while it has shots left, and spends one. Most sites are
+//! **one-shot**, modelling transient faults so the containment layer's
+//! retry actually succeeds; transient I/O errors are *counted*; delays
+//! are *persistent* (a slow iteration is slow every time it runs).
 //!
 //! A plan is injected through `EngineCfg`; engines without a plan pay
 //! only a single well-predicted branch per iteration (the no-fault fast
-//! path). Because sites are keyed by the *schedule-determined*
-//! `(proc, iteration)` pair, not by thread timing, injection is
-//! deterministic across the simulated, threaded, and pooled executors.
+//! path). Because sites are keyed by *schedule-determined* ordinals,
+//! not by thread timing, injection is deterministic across the
+//! simulated and pooled executors.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// The unwind payload of an injected panic.
 ///
@@ -92,36 +93,25 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Wildcard processor: the site fires on whichever processor executes
-/// its iteration (each stage's blocks partition the iteration space, so
-/// exactly one does).
-const ANY_PROC: u32 = u32::MAX;
-
-/// One injectable site keyed by `(proc, iteration)`.
-#[derive(Debug)]
-struct Site {
-    proc: u32,
-    iter: u32,
-    /// One-shot arming (panic sites) — cleared on first firing.
-    armed: AtomicBool,
+/// What a fault site's ordinal counts, and so which part of a run
+/// visits it. A run that never visits a domain asks [`FaultPlan::arms`]
+/// and refuses a plan armed there, instead of silently never firing it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultDomain {
+    /// A loop iteration, executed by a speculative block.
+    Iteration,
+    /// A stage ordinal (0-based, counted over the engine's lifetime).
+    Stage,
+    /// A journal-record ordinal (0-based over the journal's lifetime,
+    /// header included).
+    Record,
+    /// A dispatch ordinal: the 0-based count of block transmissions to
+    /// a worker fleet over the run, re-dispatches included.
+    Dispatch,
 }
 
-impl Site {
-    fn new(proc: u32, iter: usize) -> Self {
-        Site {
-            proc,
-            iter: iter as u32,
-            armed: AtomicBool::new(true),
-        }
-    }
-
-    fn matches(&self, proc: u32, iter: usize) -> bool {
-        (self.proc == proc || self.proc == ANY_PROC) && self.iter as usize == iter
-    }
-}
-
-/// A worker-subprocess fault directive, keyed by dispatch ordinal (the
-/// count of block transmissions over the run, re-dispatches included).
+/// A worker-subprocess fault directive, delivered in the block request
+/// frame of its dispatch ordinal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkerFault {
     /// The worker aborts (SIGABRT) on receipt — models a crash/SIGKILL;
@@ -137,6 +127,62 @@ pub enum WorkerFault {
     CorruptResult,
 }
 
+/// What a site injects (each is documented on its builder).
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum FaultKind {
+    Panic,
+    Delay(f64),
+    CheckpointFault,
+    ShortWrite(usize),
+    Corrupt,
+    FsyncFail,
+    TransientIo,
+    Worker(WorkerFault),
+    ShadowPressure(u64),
+}
+
+impl FaultKind {
+    fn domain(self) -> FaultDomain {
+        match self {
+            FaultKind::Panic | FaultKind::Delay(_) => FaultDomain::Iteration,
+            FaultKind::CheckpointFault | FaultKind::ShadowPressure(_) => FaultDomain::Stage,
+            FaultKind::ShortWrite(_)
+            | FaultKind::Corrupt
+            | FaultKind::FsyncFail
+            | FaultKind::TransientIo => FaultDomain::Record,
+            FaultKind::Worker(_) => FaultDomain::Dispatch,
+        }
+    }
+}
+
+/// The `pick` of [`FaultPlan::fire`] for one kind: its payload.
+macro_rules! pick {
+    ($kind:pat => $payload:expr) => {
+        |k| match k {
+            $kind => Some($payload),
+            _ => None,
+        }
+    };
+}
+
+/// [`Site::shots`] of a persistent site: it fires and is never spent.
+const PERSISTENT: u32 = u32::MAX;
+
+/// One row of the fault table.
+#[derive(Debug)]
+struct Site {
+    kind: FaultKind,
+    /// Where the site fires, counted in the kind's domain.
+    ordinal: u32,
+    /// The one processor an iteration site fires on; `None` is
+    /// whichever processor executes the iteration (each stage's blocks
+    /// partition the iteration space, so exactly one does).
+    proc: Option<u32>,
+    /// Firings left: 1 for a one-shot site, `times` for a counted one,
+    /// [`PERSISTENT`] for one that fires on every visit.
+    shots: AtomicU32,
+}
+
 /// A deterministic, seedable description of faults to inject into a
 /// speculative run. See the module docs for the fault vocabulary.
 ///
@@ -144,32 +190,7 @@ pub enum WorkerFault {
 /// when comparing runs (e.g. cross-executor equivalence tests).
 #[derive(Debug, Default)]
 pub struct FaultPlan {
-    panics: Vec<Site>,
-    delays: Vec<(u32, u32, f64)>,
-    checkpoint_faults: Vec<Site>,
-    /// `(site keyed by record ordinal, bytes to keep)` — the append of
-    /// that journal record is torn after `keep` bytes.
-    io_short_writes: Vec<(Site, u32)>,
-    /// Record ordinals whose payload is silently corrupted on append.
-    io_corrupts: Vec<Site>,
-    /// Record ordinals whose durability barrier (fsync) fails.
-    io_fsync_fails: Vec<Site>,
-    /// `(site keyed by record ordinal, remaining transient failures)` —
-    /// the first `remaining` write attempts of that record fail with a
-    /// transient errno (EINTR); the bounded retry in the journal should
-    /// absorb them.
-    io_transients: Vec<(Site, AtomicU32)>,
-    /// `(site keyed by dispatch ordinal, directive)` — worker-process
-    /// faults, delivered in the block request frame.
-    worker_faults: Vec<(Site, WorkerFault)>,
-    /// `(site keyed by stage ordinal, phantom bytes)` — the engine
-    /// charges the bytes to its shadow-budget accountant at the end of
-    /// that stage's execute phase (and releases them immediately after
-    /// the pressure check), simulating a burst of shadow growth. The
-    /// injection only bites when a budget cap is armed: with an
-    /// unlimited budget the charge is accounted (it still shows in the
-    /// peak) but can never trip pressure.
-    shadow_pressure: Vec<(Site, u64)>,
+    sites: Vec<Site>,
 }
 
 impl FaultPlan {
@@ -179,105 +200,101 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Add a one-shot panic at `(proc, iter)`.
-    pub fn panic_at(mut self, proc: usize, iter: usize) -> Self {
-        self.panics.push(Site::new(proc as u32, iter));
+    fn site(mut self, kind: FaultKind, ordinal: usize, proc: Option<usize>, shots: u32) -> Self {
+        self.sites.push(Site {
+            kind,
+            ordinal: ordinal as u32,
+            proc: proc.map(|p| p as u32),
+            shots: AtomicU32::new(shots),
+        });
         self
+    }
+
+    /// Add a one-shot panic at `(proc, iter)`.
+    pub fn panic_at(self, proc: usize, iter: usize) -> Self {
+        self.site(FaultKind::Panic, iter, Some(proc), 1)
     }
 
     /// Add a one-shot panic at iteration `iter` on whichever processor
     /// executes it (exact-`(proc, iter)` sites only fire when the
     /// schedule happens to place the iteration on that processor; an
     /// iteration-keyed site always fires).
-    pub fn panic_at_iter(mut self, iter: usize) -> Self {
-        self.panics.push(Site::new(ANY_PROC, iter));
-        self
+    pub fn panic_at_iter(self, iter: usize) -> Self {
+        self.site(FaultKind::Panic, iter, None, 1)
     }
 
     /// Add `cost` virtual time units of delay to every execution of
-    /// iteration `iter` on processor `proc`.
-    pub fn delay_at(mut self, proc: usize, iter: usize, cost: f64) -> Self {
-        self.delays.push((proc as u32, iter as u32, cost));
-        self
+    /// iteration `iter` on processor `proc` (persistent).
+    pub fn delay_at(self, proc: usize, iter: usize, cost: f64) -> Self {
+        self.site(FaultKind::Delay(cost), iter, Some(proc), PERSISTENT)
     }
 
-    /// Fail the checkpoint phase of stage ordinal `stage` (0-based,
-    /// counted over the engine's lifetime), one-shot.
-    pub fn checkpoint_fault_at(mut self, stage: usize) -> Self {
-        self.checkpoint_faults.push(Site::new(0, stage));
-        self
+    /// Fail the checkpoint phase of stage ordinal `stage`, one-shot. It
+    /// fires before the stage touches any state, so the driver recovers
+    /// by running the remainder sequentially from the commit point.
+    pub fn checkpoint_fault_at(self, stage: usize) -> Self {
+        self.site(FaultKind::CheckpointFault, stage, None, 1)
     }
 
-    /// Tear the append of journal record ordinal `record` (0-based over
-    /// the journal's lifetime, header included) after `keep` bytes,
-    /// one-shot. The append reports an I/O error after writing the
-    /// prefix, modelling a crash mid-write: the next open must truncate
-    /// the torn tail.
-    pub fn short_write_at(mut self, record: usize, keep: usize) -> Self {
-        self.io_short_writes
-            .push((Site::new(0, record), keep as u32));
-        self
+    /// Tear the append of journal record ordinal `record` after `keep`
+    /// bytes, one-shot. The append reports an I/O error after writing
+    /// the prefix, modelling a crash mid-write: the next open must
+    /// truncate the torn tail.
+    pub fn short_write_at(self, record: usize, keep: usize) -> Self {
+        self.site(FaultKind::ShortWrite(keep), record, None, 1)
     }
 
     /// Silently flip one byte of journal record ordinal `record` as it
     /// lands on disk, one-shot. The append *succeeds* — the corruption
     /// is only detectable by the checksum/chain validation on the next
     /// open, which must truncate the record.
-    pub fn corrupt_record_at(mut self, record: usize) -> Self {
-        self.io_corrupts.push(Site::new(0, record));
-        self
+    pub fn corrupt_record_at(self, record: usize) -> Self {
+        self.site(FaultKind::Corrupt, record, None, 1)
     }
 
     /// Fail the fsync durability barrier after journal record ordinal
     /// `record` is written, one-shot.
-    pub fn fsync_fail_at(mut self, record: usize) -> Self {
-        self.io_fsync_fails.push(Site::new(0, record));
-        self
+    pub fn fsync_fail_at(self, record: usize) -> Self {
+        self.site(FaultKind::FsyncFail, record, None, 1)
     }
 
     /// Fail the first `times` write attempts of journal record ordinal
-    /// `record` with a transient errno (EINTR). Unlike the other I/O
-    /// sites this is a *counted* site: it fires `times` times, then the
-    /// write goes through — exercising the journal's bounded retry.
-    pub fn transient_io_at(mut self, record: usize, times: u32) -> Self {
-        self.io_transients
-            .push((Site::new(0, record), AtomicU32::new(times)));
-        self
+    /// `record` with a transient errno (EINTR). A *counted* site: it
+    /// fires `times` times, then the write goes through — exercising
+    /// the journal's bounded retry.
+    pub fn transient_io_at(self, record: usize, times: u32) -> Self {
+        self.site(FaultKind::TransientIo, record, None, times)
     }
 
-    /// Kill the worker that receives dispatch ordinal `dispatch`
-    /// (0-based count of block transmissions over the run), one-shot.
-    pub fn kill_worker_at(mut self, dispatch: usize) -> Self {
-        self.worker_faults
-            .push((Site::new(ANY_PROC, dispatch), WorkerFault::Kill));
-        self
+    /// Kill the worker that receives dispatch ordinal `dispatch`,
+    /// one-shot — so the re-dispatch after recovery runs clean.
+    pub fn kill_worker_at(self, dispatch: usize) -> Self {
+        self.site(FaultKind::Worker(WorkerFault::Kill), dispatch, None, 1)
     }
 
     /// Hang the worker that receives dispatch ordinal `dispatch` — its
     /// heartbeats continue but the block never completes — one-shot.
-    pub fn hang_worker_at(mut self, dispatch: usize) -> Self {
-        self.worker_faults
-            .push((Site::new(ANY_PROC, dispatch), WorkerFault::Hang));
-        self
+    pub fn hang_worker_at(self, dispatch: usize) -> Self {
+        self.site(FaultKind::Worker(WorkerFault::Hang), dispatch, None, 1)
     }
 
     /// Make the worker that receives dispatch ordinal `dispatch` return
     /// a result with a corrupted input-chain hash, one-shot.
-    pub fn corrupt_result_at(mut self, dispatch: usize) -> Self {
-        self.worker_faults
-            .push((Site::new(ANY_PROC, dispatch), WorkerFault::CorruptResult));
-        self
+    pub fn corrupt_result_at(self, dispatch: usize) -> Self {
+        let kind = FaultKind::Worker(WorkerFault::CorruptResult);
+        self.site(kind, dispatch, None, 1)
     }
 
     /// Charge `bytes` of phantom shadow growth to the budget accountant
-    /// at the end of stage ordinal `stage`'s execute phase, one-shot.
+    /// at the end of stage ordinal `stage`'s execute phase (released
+    /// right after the pressure check), one-shot — so the stage's
+    /// re-execution under the degraded configuration runs clean.
     /// Exercises the budget-pressure containment path (down-tier ladder,
     /// window shrink, sequential fallback) deterministically; a run with
     /// no budget cap armed records the charge in the peak but never
     /// trips pressure.
-    pub fn shadow_pressure_at(mut self, stage: usize, bytes: u64) -> Self {
-        self.shadow_pressure.push((Site::new(0, stage), bytes));
-        self
+    pub fn shadow_pressure_at(self, stage: usize, bytes: u64) -> Self {
+        self.site(FaultKind::ShadowPressure(bytes), stage, None, 1)
     }
 
     /// Add the shadow-pressure injections `spec` names: the
@@ -311,159 +328,149 @@ impl FaultPlan {
 
     /// True when the plan has no sites at all (checks can be skipped).
     pub fn is_empty(&self) -> bool {
-        self.panics.is_empty()
-            && self.delays.is_empty()
-            && self.checkpoint_faults.is_empty()
-            && self.io_short_writes.is_empty()
-            && self.io_corrupts.is_empty()
-            && self.io_fsync_fails.is_empty()
-            && self.io_transients.is_empty()
-            && self.worker_faults.is_empty()
-            && self.shadow_pressure.is_empty()
+        self.sites.is_empty()
     }
 
-    /// Should a panic fire for iteration `iter` on processor `proc`?
-    /// Disarms the site (one-shot).
+    /// Does the plan hold a site of `domain`, fired or not?
+    pub fn arms(&self, domain: FaultDomain) -> bool {
+        self.sites.iter().any(|s| s.kind.domain() == domain)
+    }
+
+    /// **The firing rule**, which every query below calls: a site fires
+    /// at its ordinal (on its processor, if it names one) while it has
+    /// shots left, and spends one. `pick` names the kind the caller
+    /// injects — a kind fixes its domain, so `ordinal` counts what the
+    /// caller counts — and what a firing hands back. Sites are tried in
+    /// the order they were added, lazily: a caller that takes the first
+    /// firing spends no later site.
+    fn fire<'a, R: 'a>(
+        &'a self,
+        ordinal: usize,
+        proc: u32,
+        pick: impl Fn(FaultKind) -> Option<R> + 'a,
+    ) -> impl Iterator<Item = R> + 'a {
+        let spend = |shots| match shots {
+            0 => None,
+            PERSISTENT => Some(PERSISTENT),
+            n => Some(n - 1),
+        };
+        let relaxed = Ordering::Relaxed;
+        self.sites.iter().filter_map(move |s| {
+            let hit = pick(s.kind)?;
+            let here = s.ordinal as usize == ordinal && s.proc.is_none_or(|p| p == proc);
+            (here && s.shots.fetch_update(relaxed, relaxed, spend).is_ok()).then_some(hit)
+        })
+    }
+
+    /// Does a `kind` site fire at `(ordinal, proc)`?
+    fn fires(&self, kind: FaultKind, ordinal: usize, proc: u32) -> bool {
+        let mut firing = self.fire(ordinal, proc, |k| (k == kind).then_some(()));
+        firing.next().is_some()
+    }
+
+    /// Does a panic fire for iteration `iter` on processor `proc`?
     #[inline]
     pub fn should_panic(&self, proc: u32, iter: usize) -> bool {
-        self.panics
-            .iter()
-            .any(|s| s.matches(proc, iter) && s.armed.swap(false, Ordering::Relaxed))
+        self.fires(FaultKind::Panic, iter, proc)
     }
 
     /// Extra virtual cost to charge iteration `iter` on processor
     /// `proc` (0.0 almost always).
     #[inline]
     pub fn delay_for(&self, proc: u32, iter: usize) -> f64 {
-        self.delays
-            .iter()
-            .filter(|(dp, di, _)| *dp == proc && *di as usize == iter)
-            .map(|(_, _, c)| *c)
+        self.fire(iter, proc, pick!(FaultKind::Delay(cost) => cost))
             .sum()
     }
 
-    /// Should the checkpoint phase of stage ordinal `stage` fail?
-    /// Disarms the site (one-shot).
+    /// Does the checkpoint phase of stage ordinal `stage` fail?
     #[inline]
     pub fn should_fail_checkpoint(&self, stage: usize) -> bool {
-        self.checkpoint_faults
-            .iter()
-            .any(|s| s.iter as usize == stage && s.armed.swap(false, Ordering::Relaxed))
+        self.fires(FaultKind::CheckpointFault, stage, 0)
     }
 
-    /// Should the append of journal record ordinal `record` be torn?
-    /// Returns the byte count to keep, disarming the site (one-shot).
+    /// The byte count to keep, if the append of journal record ordinal
+    /// `record` is torn.
     #[inline]
     pub fn io_short_write(&self, record: usize) -> Option<usize> {
-        self.io_short_writes
-            .iter()
-            .find(|(s, _)| s.iter as usize == record && s.armed.swap(false, Ordering::Relaxed))
-            .map(|(_, keep)| *keep as usize)
+        self.fire(record, 0, pick!(FaultKind::ShortWrite(keep) => keep))
+            .next()
     }
 
-    /// Should journal record ordinal `record` be silently corrupted on
-    /// append? Disarms the site (one-shot).
+    /// Is journal record ordinal `record` silently corrupted on append?
     #[inline]
     pub fn io_corrupt(&self, record: usize) -> bool {
-        self.io_corrupts
-            .iter()
-            .any(|s| s.iter as usize == record && s.armed.swap(false, Ordering::Relaxed))
+        self.fires(FaultKind::Corrupt, record, 0)
     }
 
-    /// Should the fsync after journal record ordinal `record` fail?
-    /// Disarms the site (one-shot).
+    /// Does the fsync after journal record ordinal `record` fail?
     #[inline]
     pub fn io_fsync_fail(&self, record: usize) -> bool {
-        self.io_fsync_fails
-            .iter()
-            .any(|s| s.iter as usize == record && s.armed.swap(false, Ordering::Relaxed))
+        self.fires(FaultKind::FsyncFail, record, 0)
     }
 
-    /// Should this write attempt of journal record ordinal `record`
-    /// fail with a transient errno? Decrements the site's remaining
-    /// count (counted, not one-shot).
+    /// Does this write attempt of journal record ordinal `record` fail
+    /// with a transient errno?
     #[inline]
     pub fn io_transient(&self, record: usize) -> bool {
-        self.io_transients.iter().any(|(s, remaining)| {
-            s.iter as usize == record
-                && remaining
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                    .is_ok()
-        })
+        self.fires(FaultKind::TransientIo, record, 0)
     }
 
     /// The worker fault directive (if any) for dispatch ordinal
-    /// `dispatch`. Disarms the site (one-shot), so a re-dispatch of the
-    /// same block after recovery runs clean.
+    /// `dispatch`.
     #[inline]
     pub fn worker_fault(&self, dispatch: usize) -> Option<WorkerFault> {
-        self.worker_faults
-            .iter()
-            .find(|(s, _)| s.iter as usize == dispatch && s.armed.swap(false, Ordering::Relaxed))
-            .map(|(_, k)| *k)
+        self.fire(dispatch, 0, pick!(FaultKind::Worker(w) => w))
+            .next()
     }
 
     /// Phantom shadow bytes (if any) to charge at the end of stage
-    /// ordinal `stage`'s execute phase. Disarms the site (one-shot), so
-    /// the stage's re-execution under the degraded configuration runs
-    /// clean.
+    /// ordinal `stage`'s execute phase.
     #[inline]
     pub fn shadow_pressure(&self, stage: usize) -> Option<u64> {
-        self.shadow_pressure
-            .iter()
-            .find(|(s, _)| s.iter as usize == stage && s.armed.swap(false, Ordering::Relaxed))
-            .map(|(_, bytes)| *bytes)
+        self.fire(stage, 0, pick!(FaultKind::ShadowPressure(bytes) => bytes))
+            .next()
     }
 }
 
+impl std::fmt::Display for Site {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (at, proc) = (self.ordinal, self.proc);
+        match self.kind {
+            FaultKind::Panic => match proc {
+                Some(proc) => write!(f, "panic@(proc {proc}, iter {at})"),
+                None => write!(f, "panic@iter {at}"),
+            },
+            FaultKind::Delay(cost) => {
+                write!(f, "delay {cost}@(proc {}, iter {at})", proc.unwrap_or(0))
+            }
+            FaultKind::CheckpointFault => write!(f, "checkpoint-fault@stage {at}"),
+            FaultKind::ShortWrite(keep) => write!(f, "short-write@record {at} (keep {keep})"),
+            FaultKind::Corrupt => write!(f, "corrupt@record {at}"),
+            FaultKind::FsyncFail => write!(f, "fsync-fail@record {at}"),
+            FaultKind::TransientIo => {
+                let left = self.shots.load(Ordering::Relaxed);
+                write!(f, "transient-io@record {at} (×{left})")
+            }
+            FaultKind::Worker(WorkerFault::Kill) => write!(f, "kill-worker@dispatch {at}"),
+            FaultKind::Worker(WorkerFault::Hang) => write!(f, "hang-worker@dispatch {at}"),
+            FaultKind::Worker(WorkerFault::CorruptResult) => {
+                write!(f, "corrupt-result@dispatch {at}")
+            }
+            FaultKind::ShadowPressure(bytes) => {
+                write!(f, "shadow-pressure@stage {at} ({bytes} bytes)")
+            }
+        }
+    }
+}
+
+/// The sites in the order they were added.
 impl std::fmt::Display for FaultPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut parts = Vec::new();
-        for s in &self.panics {
-            parts.push(if s.proc == ANY_PROC {
-                format!("panic@iter {}", s.iter)
-            } else {
-                format!("panic@(proc {}, iter {})", s.proc, s.iter)
-            });
+        if self.sites.is_empty() {
+            return write!(f, "no faults");
         }
-        for (proc, iter, cost) in &self.delays {
-            parts.push(format!("delay {cost}@(proc {proc}, iter {iter})"));
-        }
-        for s in &self.checkpoint_faults {
-            parts.push(format!("checkpoint-fault@stage {}", s.iter));
-        }
-        for (s, keep) in &self.io_short_writes {
-            parts.push(format!("short-write@record {} (keep {keep})", s.iter));
-        }
-        for s in &self.io_corrupts {
-            parts.push(format!("corrupt@record {}", s.iter));
-        }
-        for s in &self.io_fsync_fails {
-            parts.push(format!("fsync-fail@record {}", s.iter));
-        }
-        for (s, remaining) in &self.io_transients {
-            parts.push(format!(
-                "transient-io@record {} (×{})",
-                s.iter,
-                remaining.load(Ordering::Relaxed)
-            ));
-        }
-        for (s, kind) in &self.worker_faults {
-            let name = match kind {
-                WorkerFault::Kill => "kill-worker",
-                WorkerFault::Hang => "hang-worker",
-                WorkerFault::CorruptResult => "corrupt-result",
-            };
-            parts.push(format!("{name}@dispatch {}", s.iter));
-        }
-        for (s, bytes) in &self.shadow_pressure {
-            parts.push(format!("shadow-pressure@stage {} ({bytes} bytes)", s.iter));
-        }
-        if parts.is_empty() {
-            write!(f, "no faults")
-        } else {
-            write!(f, "{}", parts.join(", "))
-        }
+        let sites: Vec<String> = self.sites.iter().map(Site::to_string).collect();
+        write!(f, "{}", sites.join(", "))
     }
 }
 
@@ -483,6 +490,132 @@ impl SplitMix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const DOMAINS: [FaultDomain; 4] = [
+        FaultDomain::Iteration,
+        FaultDomain::Stage,
+        FaultDomain::Record,
+        FaultDomain::Dispatch,
+    ];
+
+    /// How many sites fire when `domain`'s queries visit `ordinal` (the
+    /// iteration queries as processor 1).
+    fn firings(plan: &FaultPlan, domain: FaultDomain, ordinal: usize) -> usize {
+        let fired: &[bool] = match domain {
+            FaultDomain::Iteration => &[
+                plan.should_panic(1, ordinal),
+                plan.delay_for(1, ordinal) != 0.0,
+            ],
+            FaultDomain::Stage => &[
+                plan.should_fail_checkpoint(ordinal),
+                plan.shadow_pressure(ordinal).is_some(),
+            ],
+            FaultDomain::Record => &[
+                plan.io_short_write(ordinal).is_some(),
+                plan.io_corrupt(ordinal),
+                plan.io_fsync_fail(ordinal),
+                plan.io_transient(ordinal),
+            ],
+            FaultDomain::Dispatch => &[plan.worker_fault(ordinal).is_some()],
+        };
+        fired.iter().filter(|&&f| f).count()
+    }
+
+    /// The table is held to its own rule, kind by kind: a site fires at
+    /// its ordinal exactly `shots` times, never at another ordinal or in
+    /// another domain; `arms` names exactly its domain; and `Display`
+    /// prints it as `rlrpd run`'s `fault injection:` lines always have.
+    #[test]
+    fn every_kind_fires_at_its_site_exactly_shots_times() {
+        use FaultDomain::*;
+        type Build = fn(FaultPlan) -> FaultPlan;
+        let kinds: [(Build, FaultDomain, u32, &str); 12] = [
+            (|p| p.panic_at(1, 5), Iteration, 1, "panic@(proc 1, iter 5)"),
+            (|p| p.panic_at_iter(5), Iteration, 1, "panic@iter 5"),
+            (
+                |p| p.delay_at(1, 5, 2.5),
+                Iteration,
+                PERSISTENT,
+                "delay 2.5@(proc 1, iter 5)",
+            ),
+            (
+                |p| p.checkpoint_fault_at(5),
+                Stage,
+                1,
+                "checkpoint-fault@stage 5",
+            ),
+            (
+                |p| p.shadow_pressure_at(5, 65536),
+                Stage,
+                1,
+                "shadow-pressure@stage 5 (65536 bytes)",
+            ),
+            (
+                |p| p.short_write_at(5, 8),
+                Record,
+                1,
+                "short-write@record 5 (keep 8)",
+            ),
+            (|p| p.corrupt_record_at(5), Record, 1, "corrupt@record 5"),
+            (|p| p.fsync_fail_at(5), Record, 1, "fsync-fail@record 5"),
+            (
+                |p| p.transient_io_at(5, 3),
+                Record,
+                3,
+                "transient-io@record 5 (×3)",
+            ),
+            (
+                |p| p.kill_worker_at(5),
+                Dispatch,
+                1,
+                "kill-worker@dispatch 5",
+            ),
+            (
+                |p| p.hang_worker_at(5),
+                Dispatch,
+                1,
+                "hang-worker@dispatch 5",
+            ),
+            (
+                |p| p.corrupt_result_at(5),
+                Dispatch,
+                1,
+                "corrupt-result@dispatch 5",
+            ),
+        ];
+        for (build, domain, shots, shown) in kinds {
+            let plan = build(FaultPlan::new());
+            assert_eq!(plan.to_string(), shown);
+            assert!(!plan.is_empty(), "{shown}");
+            for d in DOMAINS {
+                assert_eq!(plan.arms(d), d == domain, "{shown}: arms({d:?})");
+                for at in [0, 4, 6] {
+                    assert_eq!(firings(&plan, d, at), 0, "{shown}: fired at {d:?} {at}");
+                }
+                if d != domain {
+                    assert_eq!(firings(&plan, d, 5), 0, "{shown}: fired in {d:?}");
+                }
+            }
+            // A persistent site is still firing long after a counted
+            // one would have been spent.
+            for shot in 0..shots.min(10) {
+                assert_eq!(firings(&plan, domain, 5), 1, "{shown}: shot {shot}");
+            }
+            let spent = (shots != PERSISTENT) as usize;
+            assert_eq!(firings(&plan, domain, 5), 1 - spent, "{shown}: after");
+        }
+        // An exact-processor site never fires on another processor.
+        let plan = FaultPlan::new().panic_at(2, 5).delay_at(2, 5, 1.0);
+        assert_eq!(firings(&plan, Iteration, 5), 0);
+        // A whole plan prints its sites in the order they were added.
+        let plan = FaultPlan::seeded_panic(3, 100).shadow_pressure_at(0, 65536);
+        let shown = plan.to_string();
+        assert!(shown.starts_with("panic@iter "), "{shown}");
+        assert!(
+            shown.ends_with(", shadow-pressure@stage 0 (65536 bytes)"),
+            "{shown}"
+        );
+    }
 
     #[test]
     fn panic_sites_are_one_shot() {
@@ -514,11 +647,11 @@ mod tests {
         for seed in [0u64, 1, 0xDEAD_BEEF, u64::MAX] {
             let a = FaultPlan::seeded_panic(seed, 100);
             let b = FaultPlan::seeded_panic(seed, 100);
-            let site_a = &a.panics[0];
-            let site_b = &b.panics[0];
-            assert_eq!((site_a.proc, site_a.iter), (site_b.proc, site_b.iter));
-            assert_eq!(site_a.proc, ANY_PROC);
-            assert!((site_a.iter as usize) < 100);
+            let (site_a, site_b) = (&a.sites[0], &b.sites[0]);
+            assert_eq!(site_a.kind, FaultKind::Panic);
+            assert_eq!((site_a.proc, site_a.ordinal), (site_b.proc, site_b.ordinal));
+            assert_eq!(site_a.proc, None, "fires on whichever processor runs it");
+            assert!((site_a.ordinal as usize) < 100);
         }
     }
 

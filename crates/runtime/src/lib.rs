@@ -64,7 +64,7 @@ pub mod sync;
 pub use balance::{FeedbackPartitioner, TrendMode};
 pub use cost::{Cost, CostModel};
 pub use executor::{ExecMode, Executor, StageTiming};
-pub use fault::{panic_message, parse_bytes, FaultPlan, InjectedFault, WorkerFault};
+pub use fault::{panic_message, parse_bytes, FaultDomain, FaultPlan, InjectedFault, WorkerFault};
 pub use pool::{JobPanic, WorkerPool};
 pub use proc::ProcId;
 pub use schedule::{Block, BlockSchedule};

@@ -60,6 +60,7 @@ use rlrpd::{
     extract_ddg, run_sequential, BalancePolicy, CheckpointPolicy, ExecMode, FallbackReason,
     Journal, RlrpdError, RunConfig, RunPlan, Runner, Strategy, WindowConfig,
 };
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -269,6 +270,12 @@ impl Flags {
         Ok(self.parsed(name, "an integer")?.unwrap_or(default))
     }
 
+    /// [`Flags::usize_of`] for a count that cannot be 0.
+    fn count_of(&self, name: &str, default: usize) -> Result<usize, String> {
+        let count = self.parsed::<NonZeroUsize>(name, "an integer of at least 1")?;
+        Ok(count.map_or(default, NonZeroUsize::get))
+    }
+
     /// `name SECS` as a duration (`None` when absent).
     fn seconds_of(&self, name: &str) -> Result<Option<Duration>, String> {
         let secs = self.parsed::<f64>(name, "seconds")?;
@@ -375,7 +382,8 @@ fn config(flags: &Flags) -> Result<RunConfig, String> {
     let strategy: Strategy = flags
         .get("--strategy")
         .unwrap_or(DEFAULT_STRATEGY)
-        .parse()?;
+        .parse()
+        .map_err(|e| format!("--strategy: {e}"))?;
     let checkpoint = match flags.get("--checkpoint").unwrap_or("ondemand") {
         "eager" => CheckpointPolicy::Eager,
         "ondemand" => CheckpointPolicy::OnDemand,
@@ -392,13 +400,16 @@ fn config(flags: &Flags) -> Result<RunConfig, String> {
     } else {
         ExecMode::Simulated
     };
+    let watchdog = flags.parsed::<f64>("--watchdog", "a number")?;
+    if watchdog.is_some_and(|factor| !(factor.is_finite() && factor > 0.0)) {
+        let bad = flags.get("--watchdog").unwrap_or_default();
+        return Err(format!(
+            "--watchdog expects a finite number > 0, got '{bad}'"
+        ));
+    }
     let fallback = FallbackPolicy::default()
         .with_max_restarts(flags.usize_of("--max-restarts", usize::MAX)?)
-        .with_watchdog(
-            flags
-                .parsed("--watchdog", "a number")?
-                .unwrap_or(f64::INFINITY),
-        );
+        .with_watchdog(watchdog.unwrap_or(f64::INFINITY));
     let mut cfg = RunConfig::new(p)
         .with_strategy(strategy)
         .with_checkpoint(checkpoint)
@@ -1094,7 +1105,7 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
     let json = flags.json()?;
     let no_compile = flags.has("--no-compile");
     let doacross = doacross_mode(&flags).map_err(CliError::Usage)?;
-    let runs = flags.usize_of("--runs", 1).map_err(CliError::Usage)?.max(1);
+    let runs = flags.count_of("--runs", 1).map_err(CliError::Usage)?;
     if journal_path.is_some() && runs > 1 {
         return Err(CliError::Usage(
             "--journal records exactly one run; drop --runs".into(),
@@ -1493,7 +1504,7 @@ fn cmd_ddg(flags: Flags) -> Result<(), String> {
     }
     let lp = prog.loop_view(0, prog.initial_arrays());
     let cfg = config(&flags)?;
-    let w = flags.usize_of("--window", 32)?;
+    let w = flags.count_of("--window", 32)?;
     let ddg = extract_ddg(&lp, &cfg, WindowConfig::fixed(w));
     println!(
         "iterations = {}, flow edges = {}, anti = {}, output = {}",

@@ -51,7 +51,7 @@ pub use rlrpd_shadow as shadow;
 pub use rlrpd_core::{
     extract_ddg, run_classic_lrpd, run_induction, run_inspector_executor, run_sequential,
     run_speculative, ArrayDecl, ArrayId, BalancePolicy, CheckpointPolicy, ClosureLoop, CostModel,
-    ExecMode, FallbackPolicy, FallbackReason, FaultPlan, IterCtx, Journal, JournalElem,
-    JournalError, Reduction, RlrpdError, RunConfig, RunPlan, RunResult, Runner, ShadowKind,
-    SpecLoop, Strategy, Timeline, WavefrontSchedule, WindowConfig, WindowPolicy,
+    ExecMode, FallbackPolicy, FallbackReason, FaultDomain, FaultPlan, IterCtx, Journal,
+    JournalElem, JournalError, Reduction, RlrpdError, RunConfig, RunPlan, RunResult, Runner,
+    ShadowKind, SpecLoop, Strategy, Timeline, WavefrontSchedule, WindowConfig, WindowPolicy,
 };

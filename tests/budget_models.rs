@@ -11,108 +11,26 @@ mod common;
 
 use std::sync::Arc;
 
-use rlrpd::loops::*;
-use rlrpd::{
-    run_sequential, ExecMode, FallbackReason, FaultPlan, RunConfig, RunPlan, Runner, SpecLoop,
-    Strategy,
-};
+use common::{slice, Deck, Leg};
+use rlrpd::{run_sequential, ExecMode, FallbackReason, FaultPlan, RunConfig, Runner, Strategy};
 
-fn strategies() -> Vec<Strategy> {
-    common::strategies(&["nrd", "rd", "adaptive", "sw:7"])
-}
-
-/// The acceptance bar, per model loop:
-///
-/// 1. an armed-but-unlimited budget changes nothing observable (same
-///    arrays, stages, restarts, and density-driven migrations; no
-///    pressure);
-/// 2. every budget on a generous→starvation ladder still produces
-///    arrays byte-identical to sequential execution;
-/// 3. somewhere on the ladder the governance machinery visibly engaged
-///    (migrations, pressure events, or a `ShadowBudget` fallback).
-fn assert_budget_governed(name: &str, lp: &dyn SpecLoop) {
-    let (seq, _) = run_sequential(lp);
-    let p = 4;
-    for strategy in strategies() {
-        let base = RunConfig::new(p).with_strategy(strategy);
-        let free = Runner::new(base)
-            .try_run(lp)
-            .unwrap_or_else(|e| panic!("{name}: {strategy:?}: ungoverned: {e}"));
-        let armed = Runner::new(base.with_shadow_budget(Some(u64::MAX / 2)))
-            .try_run(lp)
-            .unwrap_or_else(|e| panic!("{name}: {strategy:?}: armed-unlimited: {e}"));
-        assert_eq!(
-            armed.arrays, free.arrays,
-            "{name}: {strategy:?}: arming an unlimited budget changed the results"
-        );
-        assert_eq!(armed.report.stages.len(), free.report.stages.len());
-        assert_eq!(armed.report.restarts, free.report.restarts);
-        // Commit-point re-selection is density-driven and runs with or
-        // without a cap, so the migration counts must agree — the cap
-        // itself must add nothing when there is headroom.
-        assert_eq!(
-            armed.report.shadow_migrations(),
-            free.report.shadow_migrations()
-        );
-        assert_eq!(armed.report.shadow_pressure_events(), 0);
-        let peak = armed.report.shadow_bytes_peak();
-        assert!(peak > 0, "{name}: {strategy:?}: accountant saw no shadows");
-
-        let mut engaged = false;
-        for budget in [
-            peak.saturating_mul(2), // generous: fits outright
-            (peak / 2).max(1),      // tight: the ladder must shed bytes
-            (peak / 8).max(1),      // tighter
-            64,                     // starvation: even sparse marks overflow
-        ] {
-            let res = Runner::new(base.with_shadow_budget(Some(budget)))
-                .try_run(lp)
-                .unwrap_or_else(|e| {
-                    panic!("{name}: {strategy:?}: budget {budget}: must degrade, not fail: {e}")
-                });
-            for ((sname, sdata), (rname, rdata)) in seq.iter().zip(&res.arrays) {
-                assert_eq!(sname, rname);
-                assert_eq!(
-                    sdata, rdata,
-                    "{name}: array {sname} differs under {strategy:?} budget {budget}"
-                );
-            }
-            assert_eq!(
-                res.report.shadow_budget,
-                Some(budget),
-                "{name}: budget not stamped"
-            );
-            if res.report.shadow_pressure_events() > 0
-                || res.report.fallback == Some(FallbackReason::ShadowBudget)
-                || res.report.shadow_migrations() > armed.report.shadow_migrations()
-            {
-                engaged = true;
-            }
-        }
-        assert!(
-            engaged,
-            "{name}: {strategy:?}: no budget on the ladder engaged the governance machinery"
-        );
-    }
-}
+/// The acceptance bar, per model loop: its slice of the plan matrix
+/// (`tests/common`) under `Leg::BudgetLadder` at `p = 4`.
+const STRATEGIES: [&str; 4] = ["nrd", "rd", "adaptive", "sw:7"];
 
 #[test]
 fn track_fptrak_degrades_gracefully_under_budgets() {
-    let input = rlrpd::loops::fptrak::FptrakInput::all()
-        .into_iter()
-        .next()
-        .expect("TRACK ships at least one input deck");
-    assert_budget_governed("track/fptrak", &FptrakLoop::new(input));
+    slice(&["fptrak:0"], &[Leg::BudgetLadder], &STRATEGIES, &[4]);
 }
 
 #[test]
 fn spice_dcdcmp_degrades_gracefully_under_budgets() {
-    assert_budget_governed("spice/dcdcmp", &Dcdcmp15Loop::small(17));
+    slice(&["dcdcmp15:17"], &[Leg::BudgetLadder], &STRATEGIES, &[4]);
 }
 
 #[test]
 fn nlfilt_degrades_gracefully_under_budgets() {
-    assert_budget_governed("nlfilt", &NlfiltLoop::new(NlfiltInput::i4_50()));
+    slice(&["nlfilt:i4_50"], &[Leg::BudgetLadder], &STRATEGIES, &[4]);
 }
 
 /// Injected pressure spikes (`FaultPlan::shadow_pressure_at`) are
@@ -123,16 +41,11 @@ fn nlfilt_degrades_gracefully_under_budgets() {
 /// deterministic: two identically-built plans produce identical runs.
 #[test]
 fn injected_pressure_is_contained_and_deterministic() {
-    let input = rlrpd::loops::fptrak::FptrakInput::all()
-        .into_iter()
-        .next()
-        .expect("deck");
-    let lp = FptrakLoop::new(input);
-    let (seq, _) = run_sequential(&lp);
+    let Deck { lp, seq, .. } = Deck::named("fptrak:0");
 
     let peak = {
         let res = Runner::new(RunConfig::new(4).with_shadow_budget(Some(u64::MAX / 2)))
-            .try_run(&lp)
+            .try_run(lp.as_ref())
             .expect("baseline");
         res.report.shadow_bytes_peak()
     };
@@ -141,7 +54,7 @@ fn injected_pressure_is_contained_and_deterministic() {
         let cfg = RunConfig::new(4).with_shadow_budget(Some(peak.saturating_mul(2)));
         Runner::new(cfg)
             .with_fault(Arc::new(FaultPlan::new().shadow_pressure_at(0, spike)))
-            .try_run(&lp)
+            .try_run(lp.as_ref())
             .expect("pressure must be contained, never an abort")
     };
 
@@ -170,7 +83,7 @@ fn injected_pressure_is_contained_and_deterministic() {
         .with_fault(Arc::new(
             FaultPlan::new().shadow_pressure_at(0, u64::MAX / 4),
         ))
-        .try_run(&lp)
+        .try_run(lp.as_ref())
         .expect("inert injection");
     assert_eq!(inert.report.shadow_pressure_events(), 0);
     assert_eq!(inert.arrays, seq);
@@ -236,17 +149,9 @@ fn pressure_after_an_nrd_restart_does_not_rerun_committed_iterations() {
 /// matches sequential execution byte for byte.
 #[test]
 fn distributed_runs_enforce_the_budget_fleet_wide() {
-    let models: Vec<(&str, Box<dyn SpecLoop<f64>>)> = ["fptrak:0", "dcdcmp15:17"]
-        .into_iter()
-        .map(|spec| {
-            (
-                spec,
-                rlrpd::dist::resolve_spec(spec).expect("registry spec"),
-            )
-        })
-        .collect();
-    for (spec, lp) in models {
-        let (seq, _) = run_sequential(lp.as_ref());
+    for spec in ["fptrak:0", "dcdcmp15:17"] {
+        let deck = Deck::named(spec);
+        let (lp, seq) = (&deck.lp, &deck.seq);
         let peak = {
             let res = Runner::new(RunConfig::new(4).with_shadow_budget(Some(u64::MAX / 2)))
                 .try_run(lp.as_ref())
@@ -258,17 +163,9 @@ fn distributed_runs_enforce_the_budget_fleet_wide() {
             let cfg = RunConfig::new(4)
                 .with_exec(ExecMode::Distributed)
                 .with_shadow_budget(Some(budget));
-            let got = Runner::new(cfg)
-                .execute(
-                    lp.as_ref(),
-                    RunPlan {
-                        fleet: Some((spec, &mut connector)),
-                        ..Default::default()
-                    },
-                )
-                .unwrap_or_else(|e| panic!("{spec}: budget {budget}: {e}"));
+            let got = deck.run_over(cfg, &mut connector);
             assert_eq!(
-                got.arrays, seq,
+                &got.arrays, seq,
                 "{spec}: budget {budget}: differs from sequential"
             );
             assert_ne!(

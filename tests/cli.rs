@@ -1118,6 +1118,25 @@ fn illegal_combinations_exit_64_name_the_rule_and_print_nothing_else() {
         ),
         // One journal file is one run.
         (vec![&single, "--journal", j, "--runs", "2"], vec!["--runs"]),
+        // Values that used to be coerced without a word: `--runs 0` ran
+        // once, `sw:0` ran as `sw:1` under another journal fingerprint,
+        // `--watchdog nan` disabled the watchdog.
+        (
+            vec![&single, "--runs", "0", "--journal", j],
+            vec!["--runs", "at least 1"],
+        ),
+        (
+            vec![&single, "--strategy", "sw:0", "--journal", j],
+            vec!["--strategy", "'sw:0'", "an integer ≥ 1"],
+        ),
+        (
+            vec![&single, "--watchdog", "nan", "--journal", j],
+            vec!["--watchdog", "finite number > 0", "'nan'"],
+        ),
+        (
+            vec![&single, "--watchdog", "-1"],
+            vec!["--watchdog", "finite number > 0", "'-1'"],
+        ),
     ];
     // The fleet's knobs need a fleet.
     for flag in [

@@ -14,27 +14,13 @@ mod common;
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
 
-use common::{launcher, seeds};
+use common::{dispatch_fault, launcher, seeded, seeds, slice, strategies, Deck, Leg, MODELS};
 use rlrpd::dist::Endpoint;
-use rlrpd::{run_sequential, ExecMode, FaultPlan, RunConfig, RunPlan, Runner, SpecLoop, Strategy};
+use rlrpd::{ExecMode, RunConfig, Runner};
 
-/// `(spec string, loop)` pairs: the supervisor resolves the very same
-/// registry entry the worker subprocess will.
-fn models() -> Vec<(&'static str, Box<dyn SpecLoop<f64>>)> {
-    ["fptrak:0", "dcdcmp15:17", "nlfilt:i4_50"]
-        .into_iter()
-        .map(|spec| {
-            (
-                spec,
-                rlrpd::dist::resolve_spec(spec).expect("registry spec"),
-            )
-        })
-        .collect()
-}
-
-fn strategies() -> Vec<Strategy> {
-    common::strategies(&["nrd", "rd", "sw:7"])
-}
+/// The strategies the fleet tests run over [`MODELS`] (the supervisor
+/// resolves the very same registry entry the worker subprocess will).
+const STRATEGIES: [&str; 3] = ["nrd", "rd", "sw:7"];
 
 /// A standalone `rlrpd worker --listen` host on a loopback port,
 /// reaped on drop.
@@ -72,66 +58,48 @@ impl Drop for TcpWorkerHost {
     }
 }
 
-/// One worker fault derived from a seed: the kind rotates with `salt`,
-/// the dispatch ordinal scatters with the seed.
-fn seeded_fault(seed: u64, salt: usize) -> FaultPlan {
-    let ordinal = (seed as usize).wrapping_mul(31).wrapping_add(salt) % 8;
-    match (seed as usize + salt) % 3 {
-        0 => FaultPlan::new().kill_worker_at(ordinal),
-        1 => FaultPlan::new().hang_worker_at(ordinal),
-        _ => FaultPlan::new().corrupt_result_at(ordinal),
-    }
-}
-
+/// The slice of the plan matrix (`tests/common`) under the seeded
+/// dispatch leg: a worker killed, hung or made to lie at a seeded
+/// dispatch ordinal; the final arrays match sequential execution and
+/// the fleet recovers (`fallback == None`) rather than degrades.
 #[test]
 fn chaotic_distributed_model_runs_match_sequential() {
-    for seed in seeds() {
-        for (k, (spec, lp)) in models().iter().enumerate() {
-            let strategy = strategies()[(seed as usize + k) % 3];
-            let cfg = RunConfig::new(4)
-                .with_strategy(strategy)
-                .with_exec(ExecMode::Distributed);
-            let mut connector = launcher(Some(seeded_fault(seed, k)));
-            let got = Runner::new(cfg)
-                .execute(
-                    lp.as_ref(),
-                    RunPlan {
-                        fleet: Some((spec, &mut connector)),
-                        ..Default::default()
-                    },
-                )
-                .unwrap_or_else(|e| panic!("{spec}: seed {seed}: {e}"));
-            let (seq, _) = run_sequential(lp.as_ref());
-            assert_eq!(
-                got.arrays, seq,
-                "{spec}: seed {seed}: {strategy:?}: final state differs from sequential"
-            );
-            assert_eq!(
-                got.report.fallback, None,
-                "{spec}: seed {seed}: the fleet must recover, not degrade"
-            );
-        }
-    }
+    slice(&MODELS, &seeded(Leg::SeededDispatch), &STRATEGIES, &[4]);
+}
+
+/// `wire_bytes` counts the frames the protocol exchanges for the run —
+/// hello and replay, ack, commits, requests, replies — and not the
+/// heartbeats, which are a function of the clock: two runs of one plan
+/// report the same bytes, here at a heartbeat per millisecond. (The
+/// parent counted every frame it received, so repeats disagreed.)
+#[test]
+fn wire_bytes_are_a_function_of_the_run_not_of_the_clock() {
+    let deck = Deck::named("dcdcmp15:17");
+    let run = || {
+        let mut connector = launcher(None);
+        connector.policy.heartbeat = std::time::Duration::from_millis(1);
+        let cfg = RunConfig::new(4)
+            .with_strategy(strategies(&["sw:7"])[0])
+            .with_exec(ExecMode::Distributed);
+        let report = deck.run_over(cfg, &mut connector).report;
+        assert_eq!((report.fallback, report.respawns()), (None, 0));
+        report.wire_bytes()
+    };
+    let first = run();
+    assert!(first > 0);
+    assert_eq!(run(), first);
 }
 
 #[test]
 fn distributed_and_pooled_reports_share_the_commit_frontier_series() {
-    for (spec, lp) in models() {
-        for strategy in strategies() {
+    for spec in MODELS {
+        let deck = Deck::named(spec);
+        for strategy in strategies(&STRATEGIES) {
             let base = RunConfig::new(4).with_strategy(strategy);
             let local = Runner::new(base.with_exec(ExecMode::Pooled))
-                .try_run(lp.as_ref())
+                .try_run(deck.lp.as_ref())
                 .unwrap_or_else(|e| panic!("{spec}: pooled: {e}"));
-            let mut connector = launcher(None);
-            let dist = Runner::new(base.with_exec(ExecMode::Distributed))
-                .execute(
-                    lp.as_ref(),
-                    RunPlan {
-                        fleet: Some((spec, &mut connector)),
-                        ..Default::default()
-                    },
-                )
-                .unwrap_or_else(|e| panic!("{spec}: distributed: {e}"));
+            let dist = deck.run_over(base.with_exec(ExecMode::Distributed), &mut launcher(None));
             assert_eq!(dist.arrays, local.arrays, "{spec}: {strategy:?}");
             assert_eq!(dist.report.fallback, None, "{spec}: {strategy:?}");
             assert_eq!(
@@ -162,28 +130,21 @@ fn distributed_and_pooled_reports_share_the_commit_frontier_series() {
 fn tcp_fleets_run_the_models_identically_to_sequential() {
     let host = TcpWorkerHost::spawn();
     for seed in seeds() {
-        for (k, (spec, lp)) in models().iter().enumerate() {
-            let strategy = strategies()[(seed as usize + k) % 3];
+        for (k, spec) in MODELS.into_iter().enumerate() {
+            let deck = Deck::named(spec);
+            let strategy = strategies(&STRATEGIES)[(seed as usize + k) % 3];
             let cfg = RunConfig::new(4)
                 .with_strategy(strategy)
                 .with_exec(ExecMode::Distributed);
-            let mut connector = launcher(Some(seeded_fault(seed, k))).with_endpoints(vec![
+            let fault = dispatch_fault(seed, k, 4).1;
+            let mut connector = launcher(Some(fault)).with_endpoints(vec![
                 Endpoint::Tcp(host.addr.clone()),
                 Endpoint::Tcp(host.addr.clone()),
                 Endpoint::Local,
             ]);
-            let got = Runner::new(cfg)
-                .execute(
-                    lp.as_ref(),
-                    RunPlan {
-                        fleet: Some((spec, &mut connector)),
-                        ..Default::default()
-                    },
-                )
-                .unwrap_or_else(|e| panic!("{spec}: tcp seed {seed}: {e}"));
-            let (seq, _) = run_sequential(lp.as_ref());
+            let got = deck.run_over(cfg, &mut connector);
             assert_eq!(
-                got.arrays, seq,
+                got.arrays, deck.seq,
                 "{spec}: tcp seed {seed}: {strategy:?}: final state differs from sequential"
             );
             assert_eq!(

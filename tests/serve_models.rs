@@ -218,6 +218,15 @@ fn a_submission_spells_shadow_faults_as_the_cli_does() {
         }
         other => panic!("expected a BadSpec rejection, got {other:?}"),
     }
+    // So is a value the strategy parser refuses rather than coerces.
+    spec.p = 2;
+    spec.strategy = "sw:0".into();
+    match submit(handle.addr(), &spec, &opts()) {
+        Err(ClientError::Rejected(RejectReason::BadSpec(why))) => {
+            assert_eq!(why, "sw:0".parse::<rlrpd::Strategy>().unwrap_err())
+        }
+        other => panic!("expected a BadSpec rejection, got {other:?}"),
+    }
     handle.drain();
     assert_eq!(handle.join(), 0);
     let _ = std::fs::remove_dir_all(&dir);
