@@ -117,7 +117,7 @@ pub(crate) fn run_doacross<T: Value>(
         .as_ref()
         .and_then(|_| engine.full_state_delta())
         .map(|state| engine.commit_record(n, None, false, state));
-    journal_stage(journal, &mut report, &mut stats, rec)?;
+    journal_stage(journal, &mut stats, rec)?;
     report.stages.push(stats);
     settle_journal(journal, &mut report)?;
     Ok((report, Vec::new()))

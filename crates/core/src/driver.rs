@@ -425,11 +425,13 @@ impl<T: Value> RunResult<T> {
 /// plain in-process run.
 #[derive(Default)]
 pub struct RunPlan<'a> {
-    /// Record every stage commit in this journal, write-ahead: each
-    /// record is fsynced before the run advances past its commit
-    /// point, so after a crash at any moment the journal holds a
-    /// consistent run prefix. Must be freshly created unless `resume`
-    /// is set.
+    /// Record every stage commit in this journal, write-ahead: records
+    /// reach the file in commit order, each is counted and observed only
+    /// once an `fdatasync` covers it, and the run returns only when all
+    /// are durable — so after a crash at any moment the journal holds a
+    /// consistent run prefix, at most a few stages short of where the
+    /// run had got to ([`crate::journal`]). Must be freshly created
+    /// unless `resume` is set.
     pub journal: Option<&'a mut Journal>,
     /// Dispatch every stage's blocks to the worker fleet this connector
     /// launches; the `&str` is a loop spec the workers can resolve to
@@ -467,8 +469,15 @@ impl RunPlan<'_> {
     /// a journal byte, so no caller can skip the question; the CLI and
     /// the daemon's admission ask it earlier only to refuse sooner.
     ///
-    /// A journal never makes a plan illegal, so a caller that has not
-    /// opened its journal yet may validate the plan without it.
+    /// A journal never makes a plan illegal; its absence refuses a
+    /// resume and a fault plan that arms journal-record sites. So a
+    /// caller whose plan is neither may validate it before it has opened
+    /// its journal (`rlrpd run` and the daemon's admission do: nothing
+    /// they accept arms a record site).
+    ///
+    /// A fault site the run would never visit is refused, not left to
+    /// silently never fire: [`FaultPlan::arms`] against what this plan
+    /// attaches.
     pub fn validate(&self, cfg: &RunConfig, fault: Option<&FaultPlan>) -> Result<(), PlanError> {
         if cfg.p == 0 {
             return Err(PlanError::NoProcessors);
@@ -476,6 +485,7 @@ impl RunPlan<'_> {
         if self.resume && self.journal.is_none() {
             return Err(PlanError::ResumeWithoutJournal);
         }
+        let arms = |domain| fault.is_some_and(|f| f.arms(domain));
         if matches!(cfg.strategy, Strategy::Doacross(_)) {
             if self.fleet.is_some() {
                 return Err(PlanError::DoacrossOverFleet);
@@ -484,10 +494,18 @@ impl RunPlan<'_> {
             // no stage for a shadow-pressure site and no rollback for a
             // panic site, so either would silently never fire. Its
             // journal does visit every record site.
-            let unvisited = [FaultDomain::Iteration, FaultDomain::Stage];
-            if fault.is_some_and(|f| unvisited.iter().any(|&d| f.arms(d))) {
+            if arms(FaultDomain::Iteration) || arms(FaultDomain::Stage) {
                 return Err(PlanError::DoacrossWithFaults);
             }
+        }
+        // A fleet's workers run their blocks with no plan
+        // (`remote::run_blocks_local(…, None, …)`): an iteration site
+        // would be announced and never fire.
+        if self.fleet.is_some() && arms(FaultDomain::Iteration) {
+            return Err(PlanError::FleetWithIterationFaults);
+        }
+        if self.journal.is_none() && arms(FaultDomain::Record) {
+            return Err(PlanError::RecordFaultsWithoutJournal);
         }
         Ok(())
     }
@@ -758,7 +776,7 @@ impl Runner {
             (Some(report), _) => (report, Vec::new()),
             (None, None) => drive(&mut None)?,
             // A journaled run has one more thread: the journal's
-            // writer, one record behind the stage loop.
+            // writer, committing in groups behind the stage loop.
             (None, Some(journal)) => {
                 journal::write_behind(journal, |sink| drive(&mut Some(sink)))??
             }

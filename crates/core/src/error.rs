@@ -26,6 +26,12 @@ pub enum PlanError {
     /// [`crate::Strategy::Doacross`] with a fault plan that arms
     /// iteration or stage sites ([`crate::FaultPlan::arms`]).
     DoacrossWithFaults,
+    /// A [`crate::RunPlan::fleet`] with a fault plan that arms iteration
+    /// sites: workers run their blocks with no plan.
+    FleetWithIterationFaults,
+    /// A fault plan that arms journal-record sites without a
+    /// [`crate::RunPlan::journal`] to visit them.
+    RecordFaultsWithoutJournal,
 }
 
 impl std::fmt::Display for PlanError {
@@ -43,6 +49,15 @@ impl std::fmt::Display for PlanError {
                 "the DOACROSS tier (--doacross) cannot combine with fault injection at an \
                  iteration or a stage (--fault-seed, --shadow-fault): the plan arms sites the \
                  pipeline never visits"
+            }
+            PlanError::FleetWithIterationFaults => {
+                "a worker fleet (--dist-workers) cannot combine with fault injection at an \
+                 iteration (--fault-seed): workers run their blocks with no fault plan, so the \
+                 plan arms sites the run never visits"
+            }
+            PlanError::RecordFaultsWithoutJournal => {
+                "fault injection at a journal record requires a journal (--journal <path>): \
+                 the plan arms sites an unjournaled run never visits"
             }
         })
     }

@@ -37,8 +37,14 @@
 //!
 //! ## Torn-write recovery
 //!
-//! Appends are write-ahead: the frame is written and fsynced *before*
-//! the in-memory run advances past the commit point. A crash can
+//! Appends are write-ahead where it counts: a record is counted, shown
+//! to an observer and reported to the run only after an `fdatasync` that
+//! covers it has returned, records reach the file in submission order,
+//! and a run leaves its stage loop — done, paused, fallen back, failed —
+//! only once every record it submitted is durable. While the loop runs
+//! it may be a bounded number of stages ahead of the durable frontier
+//! (**group commit**, [`write_behind`]): what a crash then costs is the
+//! re-execution of those stages on resume. A crash can
 //! therefore leave at most a torn or missing suffix. [`Journal::open`]
 //! scans frames from the start, validating length, framing, checksum,
 //! kind, and chain; at the first invalid byte it **truncates the file**
@@ -50,12 +56,13 @@
 use crate::buf::SharedBuf;
 use crate::persist::{fnv, PersistError, Reader, Writer, KIND_JOURNAL_COMMIT, KIND_JOURNAL_HEADER};
 use crate::value::Value;
-use rlrpd_runtime::FaultPlan;
+use rlrpd_runtime::{FaultDomain, FaultPlan};
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Chain seed of record 0 (no previous record to hash). Shared with the
 /// distributed wire protocol ([`crate::remote`]), which replays the
@@ -63,7 +70,7 @@ use std::sync::Arc;
 pub(crate) const CHAIN_SEED: u64 = 0x524c_5250_444a_4e4c; // "RLRPDJNL"
 
 /// Bounded transient-errno (`EINTR`/`EAGAIN`) retries absorbed per
-/// journal frame before the failure surfaces.
+/// frame written, and per sync, before the failure surfaces.
 const TRANSIENT_RETRIES: u32 = 8;
 
 /// Sentinel for "no premature exit" in the on-disk flags.
@@ -459,6 +466,8 @@ pub struct Journal {
     commits: Vec<CommitRecord>,
     /// Torn/corrupt bytes discarded by the last [`Journal::open`].
     truncated_bytes: u64,
+    /// `fdatasync`s that made commit records durable.
+    syncs: usize,
     fault: Option<Arc<FaultPlan>>,
     observer: Option<FrameObserver>,
 }
@@ -481,6 +490,7 @@ impl Journal {
             header: None,
             commits: Vec::new(),
             truncated_bytes: 0,
+            syncs: 0,
             fault: None,
             observer: None,
         })
@@ -555,6 +565,7 @@ impl Journal {
             header,
             commits,
             truncated_bytes,
+            syncs: 0,
             fault: None,
             observer: None,
         })
@@ -605,111 +616,121 @@ impl Journal {
         self.truncated_bytes
     }
 
+    /// How many `fdatasync`s made this journal's commit records durable
+    /// since it was created or opened. A run's writer commits in groups
+    /// ([`write_behind`]), so this is at most — and, whenever a sync was
+    /// slower than a stage, less than — the records appended. It depends
+    /// on timing: a diagnostic, never part of a report.
+    pub fn syncs(&self) -> usize {
+        self.syncs
+    }
+
     /// Write the header record. Must be the first append.
     pub fn append_header(&mut self, header: &JournalHeader) -> Result<u64, JournalError> {
         if self.records != 0 {
             return Err(JournalError::NotEmpty);
         }
         let (bytes, next_chain) = header.encode(self.chain);
-        let written = self.append_frame(&bytes, next_chain)?;
+        let frame = framed(&bytes);
+        self.write_frame(&frame, 0)?;
+        self.sync()?;
+        self.confirm(&frame, next_chain);
         self.header = Some(header.clone());
-        Ok(written)
-    }
-
-    /// Append one stage's commit record (write-ahead: returns only
-    /// after the bytes are fsynced). Returns the bytes appended.
-    pub fn append_commit(&mut self, rec: CommitRecord) -> Result<u64, JournalError> {
-        if self.records == 0 {
-            return Err(JournalError::NoHeader);
-        }
-        let (bytes, next_chain) = rec.encode(self.chain);
-        let written = self.append_frame(&bytes, next_chain)?;
-        self.commits.push(rec);
-        Ok(written)
-    }
-
-    /// Frame, fault-inject, write, and fsync one record; advance the
-    /// chain to `next_chain` only on success.
-    fn append_frame(&mut self, rec: &[u8], next_chain: u64) -> Result<u64, JournalError> {
-        let ordinal = self.records;
-        let mut frame = Vec::with_capacity(4 + rec.len());
-        frame.extend_from_slice(&(rec.len() as u32).to_le_bytes());
-        frame.extend_from_slice(rec);
-
-        if let Some(plan) = self.fault.clone() {
-            if let Some(keep) = plan.io_short_write(ordinal) {
-                // Torn append: a byte prefix lands, then the "crash".
-                let keep = keep.min(frame.len());
-                self.file.write_all(&frame[..keep])?;
-                let _ = self.file.sync_data();
-                return Err(JournalError::Injected {
-                    record: ordinal,
-                    op: "short write",
-                });
-            }
-            if plan.io_corrupt(ordinal) {
-                // Silent media corruption: the append *succeeds* (the
-                // run continues normally) but the bytes on disk are
-                // wrong — only the next open's validation catches it.
-                // Observers see the *intended* bytes: the run's live
-                // view is the logical record, not the damaged media.
-                let mid = 4 + rec.len() / 2;
-                let mut damaged = frame.clone();
-                damaged[mid] ^= 0x01;
-                self.file.write_all(&damaged)?;
-                self.file.sync_data()?;
-                self.chain = next_chain;
-                self.records += 1;
-                if let Some(obs) = self.observer.as_mut() {
-                    (obs.0)(&frame);
-                }
-                return Ok(frame.len() as u64);
-            }
-            if plan.io_fsync_fail(ordinal) {
-                // The write may have landed, but durability was never
-                // confirmed: report the fault without advancing, as a
-                // real fsync failure would.
-                self.file.write_all(&frame)?;
-                return Err(JournalError::Injected {
-                    record: ordinal,
-                    op: "fsync",
-                });
-            }
-        }
-
-        self.write_frame_with_retry(&frame, ordinal)?;
-        self.chain = next_chain;
-        self.records += 1;
-        if let Some(obs) = self.observer.as_mut() {
-            (obs.0)(&frame);
-        }
         Ok(frame.len() as u64)
     }
 
-    /// Write and fsync one frame, absorbing up to
-    /// [`TRANSIENT_RETRIES`] transient errnos (`EINTR`/`EAGAIN`) per
-    /// frame. Transient failures are retried from the exact byte they
-    /// interrupted (never re-writing a landed prefix); anything else —
-    /// or a transient streak longer than the bound — surfaces as
-    /// [`JournalError::Io`].
-    fn write_frame_with_retry(&mut self, frame: &[u8], ordinal: usize) -> Result<(), JournalError> {
+    /// Append one stage's commit record (write-ahead: returns only
+    /// after the bytes are fsynced) — a group of one through
+    /// [`Journal::append_commits`]. Returns the bytes appended.
+    pub fn append_commit(&mut self, rec: CommitRecord) -> Result<u64, JournalError> {
+        let mut appended = 0;
+        self.append_commits(vec![rec], |bytes| appended = bytes)?;
+        Ok(appended)
+    }
+
+    /// **The one append**, of a group of commit records: each is encoded
+    /// against the running chain and written with its own `write`, in
+    /// order; then **one** `fdatasync` covers them all; and only after
+    /// it has returned is each record, in the same order, counted
+    /// (`chain`, `records`, `commits`), shown to the observer and
+    /// reported to `durable` with the bytes it appended. On a failure
+    /// nothing of the group is counted, observed or reported — whatever
+    /// reached the file is a chain-valid prefix with at most a torn
+    /// tail, which the next [`Journal::open`] sorts out.
+    pub(crate) fn append_commits(
+        &mut self,
+        recs: Vec<CommitRecord>,
+        mut durable: impl FnMut(u64),
+    ) -> Result<(), JournalError> {
+        if self.records == 0 {
+            return Err(JournalError::NoHeader);
+        }
+        let mut chain = self.chain;
+        let mut frames = Vec::with_capacity(recs.len());
+        for (k, rec) in recs.iter().enumerate() {
+            let (bytes, next_chain) = rec.encode(chain);
+            let frame = framed(&bytes);
+            self.write_frame(&frame, self.records + k)?;
+            frames.push((frame, next_chain));
+            chain = next_chain;
+        }
+        self.sync()?;
+        self.syncs += 1;
+        for (rec, (frame, next_chain)) in recs.into_iter().zip(frames) {
+            self.confirm(&frame, next_chain);
+            self.commits.push(rec);
+            durable(frame.len() as u64);
+        }
+        Ok(())
+    }
+
+    /// How many records one `fdatasync` may cover. A plan that arms
+    /// journal-record sites gets one record per sync, so that a torn
+    /// write, a failed or slow sync or a corrupted record leaves exactly
+    /// the file and the observer prefix its ordinal says, run after run.
+    fn group_limit(&self) -> usize {
+        let fault = self.fault.as_deref();
+        if fault.is_some_and(|plan| plan.arms(FaultDomain::Record)) {
+            1
+        } else {
+            IN_FLIGHT
+        }
+    }
+
+    /// Write the frame of record `ordinal` at the end of the file — or
+    /// what the fault plan makes of it there, up to the stall a slow
+    /// device puts in front of its sync. Transient errnos
+    /// (`EINTR`/`EAGAIN`) are retried from the exact byte they
+    /// interrupted, never re-writing a landed prefix, up to
+    /// [`TRANSIENT_RETRIES`] per frame; anything else — or a longer
+    /// streak — surfaces as [`JournalError::Io`].
+    fn write_frame(&mut self, frame: &[u8], ordinal: usize) -> Result<(), JournalError> {
+        let plan = self.fault.as_deref();
+        if let Some(keep) = plan.and_then(|p| p.io_short_write(ordinal)) {
+            // Torn append: a byte prefix lands, then the "crash".
+            self.file.write_all(&frame[..keep.min(frame.len())])?;
+            return Err(JournalError::Injected {
+                record: ordinal,
+                op: "short write",
+            });
+        }
+        if plan.is_some_and(|p| p.io_corrupt(ordinal)) {
+            // Silent media corruption: the append *succeeds* (the run
+            // continues normally) but the bytes on disk are wrong — only
+            // the next open's validation catches it. Observers see the
+            // *intended* bytes: the run's live view is the logical
+            // record, not the damaged media.
+            let mut damaged = frame.to_vec();
+            damaged[4 + (frame.len() - 4) / 2] ^= 0x01;
+            self.file.write_all(&damaged)?;
+            return Ok(());
+        }
         let mut transients = 0u32;
-        let mut absorb = |e: std::io::Error| -> Result<(), JournalError> {
-            let transient = matches!(
-                e.kind(),
-                std::io::ErrorKind::Interrupted | std::io::ErrorKind::WouldBlock
-            );
-            if transient && transients < TRANSIENT_RETRIES {
-                transients += 1;
-                Ok(())
-            } else {
-                Err(e.into())
-            }
-        };
         let mut written = 0usize;
         while written < frame.len() {
-            if self.fault.as_ref().is_some_and(|p| p.io_transient(ordinal)) {
-                absorb(std::io::Error::from(std::io::ErrorKind::Interrupted))?;
+            if plan.is_some_and(|p| p.io_transient(ordinal)) {
+                let interrupted = std::io::ErrorKind::Interrupted;
+                absorb(&mut transients, interrupted.into())?;
                 continue;
             }
             match self.file.write(&frame[written..]) {
@@ -717,15 +738,67 @@ impl Journal {
                     return Err(std::io::Error::from(std::io::ErrorKind::WriteZero).into());
                 }
                 Ok(n) => written += n,
-                Err(e) => absorb(e)?,
+                Err(e) => absorb(&mut transients, e)?,
             }
         }
+        if plan.is_some_and(|p| p.io_fsync_fail(ordinal)) {
+            // The write landed, but durability is never confirmed:
+            // report the fault with nothing counted, as a real fsync
+            // failure would.
+            return Err(JournalError::Injected {
+                record: ordinal,
+                op: "fsync",
+            });
+        }
+        if let Some(stall) = plan.and_then(|p| p.io_slow_fsync(ordinal)) {
+            std::thread::sleep(stall);
+        }
+        Ok(())
+    }
+
+    /// The durability barrier: `fdatasync`, absorbing up to
+    /// [`TRANSIENT_RETRIES`] transient errnos.
+    fn sync(&mut self) -> Result<(), JournalError> {
+        let mut transients = 0u32;
         loop {
             match self.file.sync_data() {
                 Ok(()) => return Ok(()),
-                Err(e) => absorb(e)?,
+                Err(e) => absorb(&mut transients, e)?,
             }
         }
+    }
+
+    /// Count a frame that a sync has covered: the chain moves past it
+    /// and the observer sees it.
+    fn confirm(&mut self, frame: &[u8], next_chain: u64) {
+        self.chain = next_chain;
+        self.records += 1;
+        if let Some(obs) = self.observer.as_mut() {
+            (obs.0)(frame);
+        }
+    }
+}
+
+/// A record as it lies in the file: `u32 len | record`.
+fn framed(rec: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(4 + rec.len());
+    frame.extend_from_slice(&(rec.len() as u32).to_le_bytes());
+    frame.extend_from_slice(rec);
+    frame
+}
+
+/// Count one more transient errno against [`TRANSIENT_RETRIES`]: `Err`
+/// for any other error, and for a transient streak past the bound.
+fn absorb(transients: &mut u32, e: std::io::Error) -> Result<(), JournalError> {
+    let transient = matches!(
+        e.kind(),
+        std::io::ErrorKind::Interrupted | std::io::ErrorKind::WouldBlock
+    );
+    if transient && *transients < TRANSIENT_RETRIES {
+        *transients += 1;
+        Ok(())
+    } else {
+        Err(e.into())
     }
 }
 
@@ -767,41 +840,145 @@ impl<T: JournalElem> ElemBits<T> {
     }
 }
 
-/// Where the stage loop hands its commit records: the near end of a
-/// depth-1 hand-off to the thread that owns the run's [`Journal`] (see
-/// [`write_behind`]). At most one record is in flight; the loop collects
-/// its result before submitting the next, so record `k + 1` is never
-/// written before record `k` is durable, and collects it before any
-/// exit, so a run that returns is durable to the frontier it reports.
+/// How many records a run may have submitted to its journal's writer
+/// and not yet know to be durable — the depth of the queue between the
+/// stage loop and the writer, the most one `fdatasync` ever covers, and
+/// the number of stages a crash can cost a resume.
+///
+/// The writer syncs a group at half this bound (see [`LINGER`]), so a
+/// run of fast stages pays one `fdatasync` per `IN_FLIGHT / 2` records
+/// and keeps the other half to run ahead on while that sync is under
+/// way. What a sync costs sets the value. On the benchmark host the
+/// `write + fdatasync` of a 5.7 KB record takes 180–220 µs, little of
+/// which a stage can hide (the harness pins the run, its workers and
+/// the writer to one CPU, and the virtual disk's flush holds it). The
+/// SPICE deck (`spice_durable_fleet`: 350 records per op, ≈ 400 µs per
+/// fleet stage) read, three runs per depth in one hour in which the
+/// parent — a hand-off of depth one — read 1.58 to 1.69:
+///
+/// | `IN_FLIGHT` | syncs per 70 records | `op_cal_ratio` |
+/// |---|---|---|
+/// | 2 | 68 | 1.72, 1.61, 1.65 |
+/// | 4 | 34 | 1.49, 1.42, 1.34 |
+/// | 8 | 18 | 1.24, 1.30, 1.24 |
+/// | 16 | 9 | 1.16, 1.17, 1.13 |
+/// | 32 | 5 | 1.15, 1.19, 1.10 |
+///
+/// Each halving of the syncs saves half of what the one before did. 8
+/// takes about 70 % of what there is to take. 16 would take most of the
+/// rest, and double both what a crash re-executes and what a run may
+/// hold queued: a daemon job's records are ≈ 166 KB each — 1.3 MiB per
+/// running job at 8 — under a 5 % bound on a `peak_rss_mb` of ≈ 100.
+const IN_FLIGHT: usize = 8;
+
+/// How long the writer waits for the next record before it syncs a
+/// group that is short of half the bound.
+///
+/// Without the wait a group is what queued during the previous sync —
+/// 1.2 to 1.5 records where a sync takes about as long as a stage, as
+/// on the benchmark host: 53–60 syncs per 70 records and an
+/// `op_cal_ratio` of 1.41, 1.44, 1.46, against 18 syncs and 1.20–1.31
+/// with it (same hour, `IN_FLIGHT` 8). The value must exceed the stages
+/// worth grouping and stay below anything a client watching a job, or a
+/// resume, would notice. Stages of 130–400 µs group fully at 0.5, 1, 2
+/// and 4 ms alike (18 syncs at each; three runs each read 1.20–1.38,
+/// 1.27–1.31, 1.25–1.41, 1.20–1.26, in no order); a loop whose stages
+/// outlast it is synced record by record, each at most this late, for
+/// under a tenth of a stage. The wait is never on the run's path:
+/// nothing waits for a record until `IN_FLIGHT` are outstanding — half
+/// the bound has queued long before — or until the sink settles, which
+/// closes the queue and ends the wait at once. And it bounds in time
+/// what a crash costs: the loop gets more than one record ahead only
+/// while its stages are shorter than this.
+const LINGER: Duration = Duration::from_millis(2);
+
+/// Where the stage loop hands its commit records: the near end of the
+/// bounded queue to the thread that owns the run's [`Journal`] (see
+/// [`write_behind`]). Records are written in submission order and their
+/// results come back in that order; at most [`IN_FLIGHT`] are ever
+/// outstanding — submitted, result not yet taken — and
+/// [`JournalSink::settle`], which every exit of the run goes through
+/// and which ends the sink, waits for all of them, so a run that returns
+/// is durable to the frontier it reports.
 pub(crate) struct JournalSink {
     records: SyncSender<CommitRecord>,
     results: Receiver<Result<u64, JournalError>>,
-    in_flight: bool,
+    /// Records handed to the writer.
+    submitted: usize,
+    /// What each record known to be durable appended, in submission
+    /// order.
+    durable: Vec<u64>,
 }
 
 impl JournalSink {
-    /// Hand `rec` to the writer. The record in flight, if any, must
-    /// have been collected.
+    fn outstanding(&self) -> usize {
+        self.submitted - self.durable.len()
+    }
+
+    /// Take the next result — waiting for it if `wait`; `Ok(false)` when
+    /// there is none yet. Results are taken in submission order, so the
+    /// first failure met is the earliest; nothing is outstanding after
+    /// it, because the writer has stopped.
+    fn reap(&mut self, wait: bool) -> Result<bool, JournalError> {
+        let taken = if wait {
+            self.results.recv().map_err(|_| TryRecvError::Disconnected)
+        } else {
+            self.results.try_recv()
+        };
+        let appended = match taken {
+            Ok(appended) => appended,
+            Err(TryRecvError::Empty) => return Ok(false),
+            Err(TryRecvError::Disconnected) => Err(writer_gone()),
+        };
+        if appended.is_err() {
+            self.submitted = self.durable.len();
+        }
+        self.durable.push(appended?);
+        Ok(true)
+    }
+
+    /// Hand `rec` to the writer, behind everything submitted before it.
+    /// Takes the results that already exist without waiting, and waits
+    /// for one only when [`IN_FLIGHT`] records are outstanding. A failed
+    /// append of an earlier record is reported here, or by `settle`.
     pub(crate) fn submit(&mut self, rec: CommitRecord) -> Result<(), JournalError> {
-        debug_assert!(!self.in_flight, "one record in flight");
-        self.records.send(rec).map_err(|_| writer_gone())?;
-        self.in_flight = true;
+        while self.outstanding() > 0 && self.reap(self.outstanding() == IN_FLIGHT)? {}
+        if self.records.send(rec).is_err() {
+            // The writer stopped at a failed append. That record's own
+            // error — the earlier event — is among the results not yet
+            // taken, and is what the run reports.
+            while self.outstanding() > 0 {
+                self.reap(true)?;
+            }
+            return Err(writer_gone());
+        }
+        self.submitted += 1;
         Ok(())
     }
 
-    /// Wait until the record in flight is durable (or failed): the
-    /// bytes its append wrote, `None` when nothing was in flight.
-    pub(crate) fn collect(&mut self) -> Result<Option<u64>, JournalError> {
-        if !std::mem::take(&mut self.in_flight) {
-            return Ok(None);
+    /// Wait until every record submitted is durable (or one has
+    /// failed): what each appended, in submission order. The queue is
+    /// closed first, which tells a writer that is waiting for a group
+    /// to fill that nothing more is coming.
+    pub(crate) fn settle(self) -> Result<Vec<u64>, JournalError> {
+        let JournalSink {
+            records,
+            results,
+            submitted,
+            mut durable,
+        } = self;
+        drop(records);
+        while durable.len() < submitted {
+            let appended = results.recv().map_err(|_| writer_gone())?;
+            durable.push(appended?);
         }
-        self.results.recv().map_err(|_| writer_gone())?.map(Some)
+        Ok(durable)
     }
 }
 
-/// The writer thread ended with a record outstanding: it stops at the
-/// first failed append, whose error the loop has then already seen, or
-/// it panicked (an observer did), and the scope re-raises that.
+/// The writer thread ended owing a result. A writer that stops at a
+/// failed append has reported it first, so this one panicked (an
+/// observer did), and the scope re-raises that.
 fn writer_gone() -> JournalError {
     JournalError::Io {
         message: "journal writer thread is gone".into(),
@@ -809,26 +986,48 @@ fn writer_gone() -> JournalError {
 }
 
 /// Run `body` with a sink whose records are appended to `journal` by
-/// one extra thread, which owns the journal until `body` returns. Each
-/// record goes through [`Journal::append_commit`] — write, `fdatasync`,
-/// then observer, fault plan and all — in submission order; the writer
-/// stops at the first failed append, so nothing follows a torn or
-/// unconfirmed record into the file. `Err` only when the thread could
-/// not be started; `body` has then not run.
+/// one extra thread, which owns the journal until `body` returns — and
+/// which **commits in groups**: it blocks for one record, gives the
+/// group at most [`LINGER`] per record to fill to half the bound, takes
+/// every other record that has queued meanwhile, and appends them with
+/// one `fdatasync` ([`Journal::append_commits`]: fault plan, observer
+/// and all, in submission order). Whatever queued behind a sync shares
+/// the next one, so the run advances at the speed of its stages, not of
+/// the device, at most [`IN_FLIGHT`] records ahead of the durable
+/// frontier; half the bound per group leaves the other half for the
+/// stages that run beside its sync. The writer stops at the first
+/// failed append, so nothing follows a torn or unconfirmed record into
+/// the file. `Err` only when the thread could not be started; `body`
+/// has then not run.
 pub(crate) fn write_behind<R>(
     journal: &mut Journal,
     body: impl FnOnce(JournalSink) -> R,
 ) -> Result<R, JournalError> {
-    let (records, inbox) = sync_channel::<CommitRecord>(1);
+    let (records, inbox) = sync_channel::<CommitRecord>(IN_FLIGHT);
     let (outbox, results) = channel();
     std::thread::scope(|scope| {
         std::thread::Builder::new()
             .name("rlrpd-journal".into())
             .spawn_scoped(scope, move || {
-                for rec in inbox {
-                    let appended = journal.append_commit(rec);
-                    let failed = appended.is_err();
-                    if outbox.send(appended).is_err() || failed {
+                let limit = journal.group_limit();
+                while let Ok(first) = inbox.recv() {
+                    let mut group = vec![first];
+                    // (Not at all under a limit of one. A closed queue —
+                    // the sink is settling — and a quiet one both end
+                    // the wait.)
+                    while group.len() < limit / 2 {
+                        let Ok(rec) = inbox.recv_timeout(LINGER) else {
+                            break;
+                        };
+                        group.push(rec);
+                    }
+                    group.extend(inbox.try_iter().take(limit - group.len()));
+                    // (A sink that is gone takes no results.)
+                    let appended = journal.append_commits(group, |bytes| {
+                        let _ = outbox.send(Ok(bytes));
+                    });
+                    if let Err(e) = appended {
+                        let _ = outbox.send(Err(e));
                         break;
                     }
                 }
@@ -838,7 +1037,8 @@ pub(crate) fn write_behind<R>(
         Ok(body(JournalSink {
             records,
             results,
-            in_flight: false,
+            submitted: 0,
+            durable: Vec::new(),
         }))
     })
 }
@@ -1150,6 +1350,115 @@ mod tests {
                 "tail {tail:?} truncated"
             );
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_group_of_records_shares_one_sync_and_is_observed_only_after_it() {
+        let path = tmp("group");
+        let mut j = Journal::create(&path).unwrap();
+        j.append_header(&header()).unwrap();
+        // The observer notes how long the file is each time it is
+        // called: with the whole group in it, every time.
+        let lens = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let (seen, file) = (Arc::clone(&lens), path.clone());
+        j.set_observer(Some(FrameObserver::new(move |_| {
+            let len = std::fs::metadata(&file).unwrap().len();
+            seen.lock().unwrap().push(len);
+        })));
+        let group = vec![commit(0, 32), commit(1, 64), commit(2, 128)];
+        let mut appended = Vec::new();
+        j.append_commits(group.clone(), |bytes| appended.push(bytes))
+            .unwrap();
+        assert_eq!((j.syncs(), j.records()), (1, 4));
+        assert_eq!(j.commits(), &group[..]);
+        let len = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(*lens.lock().unwrap(), vec![len; 3]);
+        assert_eq!(appended.len(), 3);
+        // One more, alone: the same function, a group of one.
+        j.append_commit(commit(3, 128)).unwrap();
+        assert_eq!((j.syncs(), j.records()), (2, 5));
+        drop(j);
+
+        // The file is what record-by-record appends write.
+        let one_by_one = tmp("group-singly");
+        let mut k = Journal::create(&one_by_one).unwrap();
+        k.append_header(&header()).unwrap();
+        for (rec, &bytes) in group.iter().zip(&appended) {
+            assert_eq!(k.append_commit(rec.clone()), Ok(bytes));
+        }
+        k.append_commit(commit(3, 128)).unwrap();
+        assert_eq!(k.syncs(), 4);
+        assert!(std::fs::read(&path).unwrap() == std::fs::read(&one_by_one).unwrap());
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&one_by_one).ok();
+    }
+
+    #[test]
+    fn a_failed_group_counts_nothing_and_a_record_fault_plan_is_not_grouped() {
+        let path = tmp("group-fail");
+        let mut j = Journal::create(&path).unwrap();
+        j.append_header(&header()).unwrap();
+        assert_eq!(j.group_limit(), IN_FLIGHT);
+        j.set_fault(Some(Arc::new(FaultPlan::new().panic_at_iter(3))));
+        assert_eq!(j.group_limit(), IN_FLIGHT, "no record site armed");
+        j.set_fault(Some(Arc::new(FaultPlan::new().fsync_fail_at(2))));
+        assert_eq!(j.group_limit(), 1);
+        // Were the two appended as a group all the same: the second
+        // record's failure leaves the first written and uncounted.
+        let mut appended = 0;
+        let err = j
+            .append_commits(vec![commit(0, 32), commit(1, 64)], |_| appended += 1)
+            .unwrap_err();
+        let op = "fsync";
+        assert_eq!(err, JournalError::Injected { record: 2, op });
+        assert_eq!((appended, j.syncs(), j.records()), (0, 0, 1));
+        assert!(j.commits().is_empty());
+        drop(j);
+        // Both are in the file, whole and chained: a re-open keeps them,
+        // as it keeps any record whose confirmation alone was lost.
+        assert_eq!(Journal::open(&path).unwrap().commits().len(), 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn the_writer_runs_at_most_in_flight_records_behind_the_sink() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::mpsc::channel;
+        let path = tmp("bound");
+        let mut j = Journal::create(&path).unwrap();
+        j.append_header(&header()).unwrap();
+        // The observer holds the writer on the first commit frame — its
+        // result does not exist — until the test lets go.
+        let (let_go, held) = channel::<()>();
+        let released = AtomicBool::new(false);
+        j.set_observer(Some(FrameObserver::new(move |_| {
+            let _ = held.recv();
+        })));
+        let durable = write_behind(&mut j, |mut sink| {
+            std::thread::scope(|scope| {
+                for k in 0..IN_FLIGHT {
+                    sink.submit(commit(k, k + 1)).unwrap();
+                }
+                // None of those waited: nothing has been let go.
+                assert_eq!(sink.outstanding(), IN_FLIGHT);
+                let released = &released;
+                scope.spawn(move || {
+                    std::thread::sleep(std::time::Duration::from_millis(30));
+                    released.store(true, Ordering::SeqCst);
+                    drop(let_go);
+                });
+                // One more is one too many: it waits for a result.
+                sink.submit(commit(IN_FLIGHT, 128)).unwrap();
+                assert!(released.load(Ordering::SeqCst), "submitted past the bound");
+                assert!(sink.outstanding() <= IN_FLIGHT);
+            });
+            sink.settle().unwrap().len()
+        })
+        .unwrap();
+        assert_eq!(durable, IN_FLIGHT + 1);
+        assert_eq!(j.commits().len(), IN_FLIGHT + 1);
+        assert!(j.syncs() <= 3, "the queue shared a sync: {}", j.syncs());
         std::fs::remove_file(&path).ok();
     }
 

@@ -22,24 +22,28 @@
 //! byte-identical to sequential execution. The loop then builds the
 //! stage's commit record once and, in this order, (a) queues it on the
 //! worker fleet, which sends it ahead of the next block request, (b)
-//! waits until the *previous* stage's record is durable and submits
-//! this one to the journal's writer, and (c) moves its commit point to
-//! the frontier:
+//! submits it to the journal's writer, behind every record submitted
+//! before it, and (c) moves its commit point to the frontier:
 //!
-//! > prefix final ⇒ broadcast queued ⇒ record submitted; record `k`
-//! > durable ⇒ record `k + 1` may be written, observers see `k`, and
-//! > any exit may report `k`'s frontier.
+//! > prefix final ⇒ broadcast queued ⇒ record submitted; records reach
+//! > the file in submission order; a record is counted, observed and
+//! > reported only once an `fdatasync` that covers it has returned; the
+//! > loop runs at most `IN_FLIGHT` records ahead of the durable
+//! > frontier, and every way out of it — done, paused, fallen back,
+//! > failed — first waits for all of them.
 //!
-//! So one record's `write + fdatasync` overlaps the next stage, and
-//! memory runs at most one stage ahead of disk — only while the loop is
-//! running. Every way out of it — done, paused, fallen back, failed —
-//! first waits for the record in flight ([`run_stages`] does, around
-//! the loop), so the run returns with its commit point at a durable
-//! frontier, and a resumed run, a re-dispatched block and a sequential
-//! fallback all start from state sequential execution would have
-//! produced. A crash between submit and durable is a crash one stage
-//! earlier: the file ends at record `k − 1` or in a torn `k`, which
-//! resume truncates.
+//! So the writer's `write + fdatasync` overlap the stages that follow,
+//! every record that queued behind one sync shares the next
+//! (`journal::write_behind`), and the loop waits for the device only
+//! when `IN_FLIGHT` (a private constant of `journal.rs`) records are
+//! outstanding. Memory runs ahead of disk only while the loop is
+//! running: [`run_stages`] settles the journal around it, so the run
+//! returns with its commit point at a durable frontier, and a resumed
+//! run, a re-dispatched block and a sequential fallback all start from
+//! state sequential execution would have produced. A crash with `j`
+//! records submitted and not durable is a crash `j ≤ IN_FLIGHT` stages
+//! earlier: the file ends in a chain-valid prefix of them with at most
+//! a torn tail, which resume truncates, and those stages re-execute.
 //!
 //! Completion is guaranteed: the first non-empty block of every stage
 //! always commits, so each stage makes progress; a fully sequential
@@ -135,9 +139,9 @@ pub(crate) fn run_stages<T: Value>(
         &mut report,
         &mut arcs,
     );
-    // Whichever way the loop ended, the record in flight is collected
-    // before anything is reported. Its failure is the earlier event (in
-    // the file, nothing follows it), so it is the one returned.
+    // Whichever way the loop ended, every record submitted is waited
+    // for before anything is reported. A failed append is the earlier
+    // event (in the file, nothing follows it), so it is the one returned.
     settle_journal(journal, &mut report)?;
     ran?;
     Ok((report, arcs))
@@ -220,8 +224,8 @@ fn stage_loop<T: Value>(
             (None, None) => schedule.span().map_or(commit_point, |s| s.end),
         };
         // The commit invariant: one record, queued on the fleet, then
-        // submitted behind its durable predecessor, then the commit
-        // point (both sinks are no-ops when not attached).
+        // submitted behind its predecessors, then the commit point
+        // (both sinks are no-ops when not attached).
         let rec = outcome
             .delta
             .take()
@@ -229,7 +233,7 @@ fn stage_loop<T: Value>(
         if let Some(rec) = &rec {
             engine.broadcast_commit(rec);
         }
-        journal_stage(journal, report, &mut outcome.stats, rec)?;
+        journal_stage(journal, &mut outcome.stats, rec)?;
         report.stages.push(outcome.stats);
         commit_point = frontier;
 
@@ -335,15 +339,13 @@ fn stage_loop<T: Value>(
     Ok(())
 }
 
-/// Submit one stage's commit record when a journal sink is attached,
-/// behind the previous stage's: that record (the last of
-/// `report.stages`) must be durable first, and is credited its bytes.
-/// `stats.journal_seconds` is what the loop was blocked here — the wait
-/// for the predecessor plus the hand-off, not the append, which runs
-/// beside the next stage. `None` is the zero-cost no-journal path.
+/// Submit one stage's commit record when a journal sink is attached.
+/// `stats.journal_seconds` is what the loop was blocked here — the
+/// hand-off, and at the bound the wait for the oldest outstanding
+/// record — not the append, which runs beside the stages that follow.
+/// `None` is the zero-cost no-journal path.
 pub(crate) fn journal_stage(
     journal: &mut Option<JournalSink>,
-    report: &mut RunReport,
     stats: &mut StageStats,
     rec: Option<CommitRecord>,
 ) -> Result<(), RlrpdError> {
@@ -352,31 +354,28 @@ pub(crate) fn journal_stage(
         message: "journaled stage captured no delta".into(),
     })?;
     let start = std::time::Instant::now();
-    collect_record(sink, report)?;
     sink.submit(rec)?;
     stats.journal_seconds = start.elapsed().as_secs_f64();
     Ok(())
 }
 
-/// Wait for the record in flight, if any, and credit its bytes to the
-/// stage that submitted it — the last of `report.stages`.
-fn collect_record(sink: &mut JournalSink, report: &mut RunReport) -> Result<(), JournalError> {
-    if let (Some(bytes), Some(wrote)) = (sink.collect()?, report.stages.last_mut()) {
-        wrote.journal_bytes = bytes;
-    }
-    Ok(())
-}
-
-/// Wait for the record in flight, if any: when this returns `Ok`, every
-/// record the run submitted is durable and observed, and the last stage
-/// carries its record's bytes and the wait.
+/// Wait for every record the run submitted, which ends the sink: when
+/// this returns `Ok`, all of them are durable and observed, each stage
+/// carries the bytes its own record appended (records and journaled
+/// stages are one-to-one, in order), and the last stage carries the
+/// wait.
 pub(crate) fn settle_journal(
     journal: &mut Option<JournalSink>,
     report: &mut RunReport,
 ) -> Result<(), JournalError> {
-    let Some(sink) = journal else { return Ok(()) };
+    let Some(sink) = journal.take() else {
+        return Ok(());
+    };
     let start = std::time::Instant::now();
-    collect_record(sink, report)?;
+    let appended = sink.settle()?;
+    for (stage, bytes) in report.stages.iter_mut().zip(appended) {
+        stage.journal_bytes = bytes;
+    }
     if let Some(last) = report.stages.last_mut() {
         last.journal_seconds += start.elapsed().as_secs_f64();
     }
@@ -413,7 +412,7 @@ pub(crate) fn sequential_fallback<T: Value>(
         .as_ref()
         .and_then(|_| engine.full_state_delta())
         .map(|state| engine.commit_record(frontier, exited, true, state));
-    journal_stage(journal, report, &mut seq, rec)?;
+    journal_stage(journal, &mut seq, rec)?;
     report.stages.push(seq);
     if exited.is_some() {
         report.exited_at = exited;

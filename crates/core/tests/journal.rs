@@ -12,11 +12,11 @@
 
 use rlrpd_core::{
     run_sequential, ArrayDecl, ArrayId, BlockDispatcher, ClosureLoop, DistConnector, FaultPlan,
-    FrameObserver, Journal, JournalError, RlrpdError, RunConfig, RunPlan, Runner, Strategy,
-    WindowConfig, WireHello,
+    FrameObserver, Journal, JournalError, PlanError, RlrpdError, RunConfig, RunPlan, Runner,
+    Strategy, WindowConfig, WireHello,
 };
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 const A: ArrayId = ArrayId(0);
@@ -386,11 +386,16 @@ fn journaled_and_plain_runs_agree() {
 }
 
 // ---------------------------------------------------------------------
-// What "one record in flight" may not change. The stage loop runs one
-// stage ahead of the journal's writer; these pin that nothing a caller
-// can observe — the file, the observer stream, the error, the reported
-// frontier — tells the difference.
+// What group commit may not change. The stage loop runs up to
+// `IN_FLIGHT` records ahead of the journal's writer, which syncs them
+// in groups; these pin that nothing a caller can observe — the file,
+// the observer stream, the error, the reported frontier — tells the
+// difference, and that the bound is the bound.
 // ---------------------------------------------------------------------
+
+/// `journal.rs`'s private bound on records submitted and not yet known
+/// durable.
+const IN_FLIGHT: usize = 8;
 
 /// Every iteration reads 13 behind itself, so every block but a
 /// stage's first fails and each strategy takes several stages. `hook`
@@ -422,13 +427,34 @@ fn in_flight_strategies() -> Vec<Strategy> {
 }
 
 /// A fresh journal at `path` whose observer appends every frame it is
-/// shown to the returned buffer.
+/// shown to the returned buffer — after checking, at that instant, that
+/// the file already holds everything it has been shown, this frame
+/// included (a group's later frames may follow it there).
 fn observed_journal(path: &Path) -> (Journal, Arc<Mutex<Vec<u8>>>) {
+    observed_journal_with(path, |_| {})
+}
+
+/// [`observed_journal`], whose observer then runs `on_frame` with the
+/// count of frames seen so far.
+fn observed_journal_with(
+    path: &Path,
+    on_frame: impl Fn(usize) + Send + 'static,
+) -> (Journal, Arc<Mutex<Vec<u8>>>) {
     let mut journal = Journal::create(path).unwrap();
     let seen = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&seen);
+    let (sink, file) = (Arc::clone(&seen), path.to_path_buf());
+    let mut frames = 0usize;
     journal.set_observer(Some(FrameObserver::new(move |frame| {
-        sink.lock().unwrap().extend_from_slice(frame)
+        let mut seen = sink.lock().unwrap();
+        seen.extend_from_slice(frame);
+        let on_disk = std::fs::read(&file).unwrap();
+        assert!(
+            on_disk.starts_with(&seen),
+            "frame {frames} observed before the file held it"
+        );
+        drop(seen);
+        frames += 1;
+        on_frame(frames);
     })));
     (journal, seen)
 }
@@ -620,4 +646,139 @@ fn a_run_that_errors_leaves_the_journal_at_its_last_committed_stage() {
         assert!(last.frontier <= 50, "{strategy:?}: {last:?}");
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// An iteration that is not above the last one executed opens a stage:
+/// on the simulated executor a stage of [`chained`] runs its iterations
+/// in ascending order, and the next one starts below where it stopped
+/// (its first block always commits, a later one always fails). The
+/// stage before it has submitted its record by then. Returns the hook
+/// that calls `opened` with the count of stages opened so far.
+fn stage_counter(opened: impl Fn(usize) + Sync + 'static) -> impl Fn(usize) + Sync + 'static {
+    let (last, stages) = (AtomicUsize::new(usize::MAX), AtomicUsize::new(0));
+    move |i| {
+        let prev = last.swap(i, Ordering::Relaxed);
+        if prev != usize::MAX && i <= prev {
+            opened(stages.fetch_add(1, Ordering::Relaxed) + 1);
+        }
+    }
+}
+
+/// Group commit itself: while one record's confirmation is slow — here
+/// the observer holds the writer's thread on the first commit frame
+/// until the loop is three stages further on — the records the loop
+/// goes on submitting queue up, and share the next sync. Neither the
+/// file nor the observer's stream can tell.
+#[test]
+fn records_that_queue_behind_a_sync_share_the_next_one() {
+    for (s, strategy) in in_flight_strategies().into_iter().enumerate() {
+        let cfg = RunConfig::new(16).with_strategy(strategy);
+        let plain = chained(384, |_| {});
+        let (want, truth) = journaled_ground_truth(&plain, cfg, &format!("group-truth-{s}"));
+        let (opened, stages) = std::sync::mpsc::channel();
+        let lp = chained(
+            384,
+            stage_counter(move |_| {
+                let _ = opened.send(());
+            }),
+        );
+        let path = tmp(&format!("group-{s}"));
+        // Frame 1 is the header, written before the loop starts; frame 2
+        // is the record of stage 0. Stage 3 open means records 2 and 3
+        // are submitted behind it.
+        let (mut journal, seen) = observed_journal_with(&path, move |frames| {
+            if frames == 2 {
+                stages.iter().take(3).for_each(drop);
+            }
+        });
+        let res = Runner::new(cfg)
+            .try_run_journaled(&lp, &mut journal)
+            .unwrap();
+        assert_eq!(res.arrays, want, "{strategy:?}");
+        let commits = journal.commits().len();
+        assert_eq!(commits, res.report.stages.len(), "{strategy:?}");
+        assert!(
+            journal.syncs() < commits,
+            "{strategy:?}: {} syncs for {commits} records",
+            journal.syncs()
+        );
+        drop(journal);
+        // Same bytes, each frame observed once, in order.
+        assert!(std::fs::read(&path).unwrap() == truth, "{strategy:?}: file");
+        assert!(*seen.lock().unwrap() == truth, "{strategy:?}: observed");
+        // Each stage is credited its own record's bytes.
+        let ends = record_boundaries(&truth);
+        for (k, stage) in res.report.stages.iter().enumerate() {
+            let bytes = (ends[k + 1] - ends[k]) as u64;
+            assert_eq!(stage.journal_bytes, bytes, "{strategy:?}: stage {k}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// The bound, held to its word by a slow device: the writer stalls
+/// before the sync of the first commit record, the loop runs on — and
+/// an iteration never executes with more than `IN_FLIGHT` records
+/// submitted and not yet observed. It does get that far (a loop that
+/// waited for each record before the next stage never gets past 1).
+#[test]
+fn a_slow_sync_lets_the_loop_run_ahead_by_no_more_than_the_bound() {
+    for (s, strategy) in in_flight_strategies().into_iter().enumerate() {
+        let cfg = RunConfig::new(16).with_strategy(strategy);
+        let (want, truth) =
+            journaled_ground_truth(&chained(384, |_| {}), cfg, &format!("bound-truth-{s}"));
+        let observed = Arc::new(AtomicUsize::new(0));
+        let furthest = Arc::new(AtomicUsize::new(0));
+        let lp = {
+            let (observed, furthest) = (Arc::clone(&observed), Arc::clone(&furthest));
+            // Every stage opened has a predecessor that submitted its
+            // record; the frames observed, less the header, are durable.
+            // (Measured as each stage opens: nothing is submitted inside
+            // one, so that is where the loop is furthest ahead.)
+            chained(
+                384,
+                stage_counter(move |submitted| {
+                    let durable = observed.load(Ordering::SeqCst).saturating_sub(1);
+                    furthest.fetch_max(submitted.saturating_sub(durable), Ordering::Relaxed);
+                }),
+            )
+        };
+        let path = tmp(&format!("bound-{s}"));
+        let (mut journal, seen) = {
+            let observed = Arc::clone(&observed);
+            observed_journal_with(&path, move |frames| {
+                observed.store(frames, Ordering::SeqCst)
+            })
+        };
+        let res = Runner::new(cfg)
+            .with_fault(Arc::new(FaultPlan::new().slow_fsync_at(1, 200)))
+            .try_run_journaled(&lp, &mut journal)
+            .unwrap();
+        assert_eq!(res.arrays, want, "{strategy:?}");
+        assert!(res.report.stages.len() > IN_FLIGHT + 1, "{strategy:?}");
+        assert_eq!(
+            furthest.load(Ordering::Relaxed),
+            IN_FLIGHT,
+            "{strategy:?}: how far the loop ran ahead of the observer"
+        );
+        // A plan that arms record sites syncs record by record.
+        assert_eq!(journal.syncs(), journal.commits().len(), "{strategy:?}");
+        drop(journal);
+        assert!(std::fs::read(&path).unwrap() == truth, "{strategy:?}: file");
+        assert!(*seen.lock().unwrap() == truth, "{strategy:?}: observed");
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// A plan of journal-record sites on a run with no journal arms sites
+/// nothing visits: refused, like every fault that could never fire.
+#[test]
+fn record_faults_without_a_journal_are_refused() {
+    let lp = chained(96, |_| {});
+    let err = Runner::new(RunConfig::new(4))
+        .with_fault(Arc::new(FaultPlan::new().slow_fsync_at(1, 5)))
+        .execute(&lp, RunPlan::default())
+        .unwrap_err();
+    assert_eq!(err, RlrpdError::Plan(PlanError::RecordFaultsWithoutJournal));
+    assert!(err.to_string().contains("--journal"), "{err}");
 }

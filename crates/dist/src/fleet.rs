@@ -31,6 +31,11 @@ const TICK: Duration = Duration::from_millis(50);
 /// scheduling jitter look like a dead worker.
 const MIN_HEARTBEAT_TIMEOUT: Duration = Duration::from_millis(500);
 
+/// Buffer of every reader of wire frames, sized to hold a whole frame:
+/// `BufReader`'s default 8 KiB takes two `read`s for an 8.1 KB block
+/// reply, on every block of every stage.
+pub(crate) const FRAME_READER_BYTES: usize = 64 << 10;
+
 /// Fault-tolerance policy of a worker fleet.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DistPolicy {
@@ -432,13 +437,14 @@ impl Fleet {
                 let stdout = child.stdout.take().expect("worker stdout piped");
                 (
                     Link::Child { child, stdin },
-                    Box::new(BufReader::new(stdout)),
+                    Box::new(BufReader::with_capacity(FRAME_READER_BYTES, stdout)),
                 )
             }
             Endpoint::Tcp(addr) => {
                 let stream = net::connect(addr, &self.tuning, idx as u64)?;
                 let reader = stream.try_clone()?;
-                (Link::Tcp(stream), Box::new(BufReader::new(reader)))
+                let reader = BufReader::with_capacity(FRAME_READER_BYTES, reader);
+                (Link::Tcp(stream), Box::new(reader))
             }
         };
         let tx = self.tx.clone();

@@ -21,6 +21,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use crate::fleet::FRAME_READER_BYTES;
 use crate::worker::{serve_session, EXIT_USAGE};
 
 /// Socket-level tuning for supervisor→worker TCP connections.
@@ -259,7 +260,7 @@ fn serve_tcp_session(stream: TcpStream, peer: SocketAddr, idle: Option<Duration>
     let on_hello = move || {
         let _ = disarm.set_read_timeout(None);
     };
-    let mut input = BufReader::new(stream);
+    let mut input = BufReader::with_capacity(FRAME_READER_BYTES, stream);
     serve_session(&label, &mut input, output, on_heartbeat_failure, on_hello);
 }
 

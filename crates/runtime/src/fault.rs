@@ -18,8 +18,10 @@
 //!   charged to the budget accountant);
 //! * at a **journal record**: a *short write* (the append is torn and
 //!   the run aborts, a crash mid-append), a *silent corruption* (the
-//!   next open must detect and truncate it), an *fsync failure*, or
-//!   *transient* write errors the journal's bounded retry absorbs;
+//!   next open must detect and truncate it), an *fsync failure*,
+//!   *transient* write errors the journal's bounded retry absorbs, or a
+//!   *slow fsync* (the device stalls before the record's sync — the run
+//!   must neither wait for it stage by stage nor outrun it unboundedly);
 //! * at a **dispatch** to a worker fleet: the worker is *killed*,
 //!   *hangs*, or returns a *corrupt result* ([`WorkerFault`]).
 //!
@@ -137,6 +139,7 @@ enum FaultKind {
     Corrupt,
     FsyncFail,
     TransientIo,
+    SlowFsync(u64),
     Worker(WorkerFault),
     ShadowPressure(u64),
 }
@@ -149,7 +152,8 @@ impl FaultKind {
             FaultKind::ShortWrite(_)
             | FaultKind::Corrupt
             | FaultKind::FsyncFail
-            | FaultKind::TransientIo => FaultDomain::Record,
+            | FaultKind::TransientIo
+            | FaultKind::SlowFsync(_) => FaultDomain::Record,
             FaultKind::Worker(_) => FaultDomain::Dispatch,
         }
     }
@@ -264,6 +268,14 @@ impl FaultPlan {
     /// the journal's bounded retry.
     pub fn transient_io_at(self, record: usize, times: u32) -> Self {
         self.site(FaultKind::TransientIo, record, None, times)
+    }
+
+    /// Stall the journal's writer for `millis` milliseconds between the
+    /// write of journal record ordinal `record` and its sync, one-shot:
+    /// a slow device. Nothing fails; the run may get ahead of the
+    /// durable frontier by no more than its bound while it lasts.
+    pub fn slow_fsync_at(self, record: usize, millis: u64) -> Self {
+        self.site(FaultKind::SlowFsync(millis), record, None, 1)
     }
 
     /// Kill the worker that receives dispatch ordinal `dispatch`,
@@ -415,6 +427,15 @@ impl FaultPlan {
         self.fires(FaultKind::TransientIo, record, 0)
     }
 
+    /// How long the sync of journal record ordinal `record` stalls
+    /// before it starts, if it does.
+    #[inline]
+    pub fn io_slow_fsync(&self, record: usize) -> Option<std::time::Duration> {
+        self.fire(record, 0, pick!(FaultKind::SlowFsync(millis) => millis))
+            .next()
+            .map(std::time::Duration::from_millis)
+    }
+
     /// The worker fault directive (if any) for dispatch ordinal
     /// `dispatch`.
     #[inline]
@@ -451,6 +472,7 @@ impl std::fmt::Display for Site {
                 let left = self.shots.load(Ordering::Relaxed);
                 write!(f, "transient-io@record {at} (×{left})")
             }
+            FaultKind::SlowFsync(millis) => write!(f, "slow-fsync@record {at} ({millis} ms)"),
             FaultKind::Worker(WorkerFault::Kill) => write!(f, "kill-worker@dispatch {at}"),
             FaultKind::Worker(WorkerFault::Hang) => write!(f, "hang-worker@dispatch {at}"),
             FaultKind::Worker(WorkerFault::CorruptResult) => {
@@ -515,6 +537,7 @@ mod tests {
                 plan.io_corrupt(ordinal),
                 plan.io_fsync_fail(ordinal),
                 plan.io_transient(ordinal),
+                plan.io_slow_fsync(ordinal).is_some(),
             ],
             FaultDomain::Dispatch => &[plan.worker_fault(ordinal).is_some()],
         };
@@ -529,7 +552,7 @@ mod tests {
     fn every_kind_fires_at_its_site_exactly_shots_times() {
         use FaultDomain::*;
         type Build = fn(FaultPlan) -> FaultPlan;
-        let kinds: [(Build, FaultDomain, u32, &str); 12] = [
+        let kinds: [(Build, FaultDomain, u32, &str); 13] = [
             (|p| p.panic_at(1, 5), Iteration, 1, "panic@(proc 1, iter 5)"),
             (|p| p.panic_at_iter(5), Iteration, 1, "panic@iter 5"),
             (
@@ -563,6 +586,12 @@ mod tests {
                 Record,
                 3,
                 "transient-io@record 5 (×3)",
+            ),
+            (
+                |p| p.slow_fsync_at(5, 40),
+                Record,
+                1,
+                "slow-fsync@record 5 (40 ms)",
             ),
             (
                 |p| p.kill_worker_at(5),

@@ -677,7 +677,8 @@ fn job_faults(spec: &JobSpec, n: usize) -> Result<Option<FaultPlan>, String> {
 /// ([`RunPlan::validate`]), so a plan the core would refuse is a typed
 /// rejection at admission, never a failed job. (The budget is granted
 /// at dispatch and legal at any size; the journal the job will run
-/// under never makes a plan illegal.)
+/// under never makes a plan illegal, and nothing a submission can arm
+/// needs one to be legal.)
 fn validate(spec: &JobSpec) -> Result<(), String> {
     let lp = resolve_spec(&spec.spec)?;
     let cfg = job_config(spec, spec.budget_bytes)?;

@@ -3,11 +3,14 @@
 //! per-subscriber buffers that give the daemon backpressure.
 //!
 //! The stream a client receives IS the job's crash journal: every frame
-//! the publisher fans out is the exact length-framed record that was
-//! just fsynced to the journal file, so "watch the job" and "replicate
-//! the journal" are the same operation. A subscriber that attaches late
-//! is caught up from the file itself (the first `records` frames) and
-//! then switched to the live queue — the file and the stream can never
+//! the publisher fans out is the exact length-framed record that an
+//! `fdatasync` of the journal file has just covered, so "watch the job"
+//! and "replicate the journal" are the same operation. A subscriber
+//! that attaches late is caught up from the file itself — the first
+//! `records` frames, **by count**: the journal's writer commits in
+//! groups, so the file may hold frames that are written and not yet
+//! durable, and the accounted frames are a prefix of it — and then
+//! switched to the live queue. The file and the stream can never
 //! disagree because they are the same bytes.
 
 use std::collections::VecDeque;
@@ -174,7 +177,7 @@ impl Subscriber {
 struct PubInner {
     subs: Vec<Arc<Subscriber>>,
     /// Complete frames durably in the journal file and accounted here
-    /// (file prefix == accounted frames; see module docs).
+    /// (accounted frames are a prefix of the file; see module docs).
     records: u64,
     /// Last commit frontier seen in the stream.
     frontier: u64,

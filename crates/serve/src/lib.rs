@@ -7,11 +7,11 @@
 //! process-wide shadow-budget pool, one journal directory.
 //!
 //! The protocol *is* the journal format: every frame the daemon
-//! streams to a watching client is the exact record it just fsynced
-//! to that job's crash journal. "Follow the job" and "replicate the
-//! journal" are the same operation, which is why a client that
-//! reconnects after a daemon crash can be caught up from the file
-//! byte-for-byte.
+//! streams to a watching client is the exact record an `fdatasync` of
+//! that job's crash journal has just covered. "Follow the job" and
+//! "replicate the journal" are the same operation, which is why a
+//! client that reconnects after a daemon crash can be caught up from
+//! the file byte-for-byte.
 //!
 //! Robustness properties, each deterministic enough to assert in CI:
 //!

@@ -1124,7 +1124,8 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
         format!("rlp:{src}")
     };
     // Plans are validated before the journal is opened: a journal never
-    // makes a plan illegal, so only its absence can refuse a resume.
+    // makes a plan illegal, and its absence refuses only a resume (and a
+    // fault plan of journal-record sites, which no flag here arms).
     let probe = attach(
         None,
         &spec,

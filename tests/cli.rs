@@ -1116,6 +1116,28 @@ fn illegal_combinations_exit_64_name_the_rule_and_print_nothing_else() {
             vec![&beta, "--doacross", "on", "--shadow-fault", "0:1K"],
             vec!["--doacross", "--shadow-fault", "never visits"],
         ),
+        // PlanError::FleetWithIterationFaults, journaled or not: the
+        // workers would run their blocks with no plan, and the parent
+        // announced an injection that never happened.
+        (
+            vec![&single, "--fault-seed", "3", "--dist-workers", "2"],
+            vec!["--dist-workers", "--fault-seed", "never visits"],
+        ),
+        (
+            vec![
+                &single,
+                "--fault-seed",
+                "3",
+                "--dist-workers",
+                "2",
+                "--journal",
+                j,
+            ],
+            vec!["--dist-workers", "--fault-seed", "never visits"],
+        ),
+        // (PlanError::RecordFaultsWithoutJournal has no spelling here: no
+        // flag arms a journal-record site. `tests/plan_matrix.rs` and
+        // `crates/core/tests/journal.rs` produce it.)
         // One journal file is one run.
         (vec![&single, "--journal", j, "--runs", "2"], vec!["--runs"]),
         // Values that used to be coerced without a word: `--runs 0` ran

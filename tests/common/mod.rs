@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Every strategy the model suites run, under the name `rlrpd run
 /// --strategy` spells it (`adaptive-eq4`, the model rule, has no CLI
@@ -198,8 +198,8 @@ pub enum JournalLeg {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Leg {
     None,
-    /// One panic at a seeded iteration: `contained_faults == 1` (a
-    /// fleet's workers run no plan, so over a fleet it never fires).
+    /// One panic at a seeded iteration: `contained_faults == 1`. (A
+    /// fleet's workers run no plan, so over a fleet the plan is refused.)
     SeededPanic(u64),
     /// A phantom gigabyte of shadow growth at stage 0 under a 1 MiB cap:
     /// the pressure is recorded.
@@ -215,9 +215,18 @@ pub enum Leg {
     /// seeded record: the first two abort the run, which resumes; the
     /// third is found and truncated by the next open.
     SeededIo(u64),
+    /// The device stalls [`STALL`] before the sync of the first commit
+    /// record, so the stage loop runs ahead of the durable frontier: the
+    /// run takes at least that long, and ends with the journal file a
+    /// fault-free run of the same tuple writes, to the byte. (Without a
+    /// journal the plan arms a site no run visits, and is refused.)
+    SlowFsync,
     /// [`dispatch_fault`] over the fleet: it recovers, `fallback == None`.
     SeededDispatch(u64),
 }
+
+/// How long [`Leg::SlowFsync`] stalls the journal's writer.
+pub const STALL: Duration = Duration::from_millis(25);
 
 #[derive(Clone, Copy, Debug)]
 pub struct Tuple {
@@ -368,9 +377,14 @@ pub fn check(deck: &Deck, t: &Tuple, tally: &mut Tally) {
             Some(1 << 20),
             Some(FaultPlan::new().shadow_pressure_at(0, 1 << 30)),
         ),
+        Leg::SlowFsync => {
+            let stall = FaultPlan::new().slow_fsync_at(1, STALL.as_millis() as u64);
+            (None, Some(stall))
+        }
         Leg::SeededDispatch(seed) => (None, Some(dispatch(seed).1)),
         _ => (None, None),
     };
+    let began = Instant::now();
     let res = match run_once(deck, t, budget, fault, &path, false) {
         Ok(outcome) => outcome.unwrap_or_else(|e| panic!("{what}: legal, yet: {e}")),
         Err(e) => {
@@ -379,6 +393,7 @@ pub fn check(deck: &Deck, t: &Tuple, tally: &mut Tally) {
             return tally.count(&format!("{e:?}"));
         }
     };
+    let took = began.elapsed();
     tally.count("legal");
     deck.verify(&res.arrays, &what);
     // The same (legal) tuple again, disturbed otherwise.
@@ -427,7 +442,6 @@ pub fn check(deck: &Deck, t: &Tuple, tally: &mut Tally) {
             assert_eq!(bytes, first, "{what}: wire bytes vary between repeats");
         }
         Leg::None => {}
-        Leg::SeededPanic(_) if t.fleet => assert_eq!(report.contained_faults(), 0, "{what}"),
         Leg::SeededPanic(_) => {
             assert_eq!(report.contained_faults(), 1, "{what}: fault not recorded");
             tally.count("panic");
@@ -437,6 +451,15 @@ pub fn check(deck: &Deck, t: &Tuple, tally: &mut Tally) {
             let recorded = report.shadow_pressure_events() >= 1 || fell_back;
             assert!(recorded, "{what}: pressure not recorded");
             tally.count("shadow-pressure");
+        }
+        Leg::SlowFsync => {
+            assert!(took >= STALL, "{what}: the stall never happened");
+            tally.count("slow-fsync");
+            let stalled = std::fs::read(&path).unwrap();
+            let free = rerun(None, None, false).unwrap_or_else(|e| panic!("{what}: {e}"));
+            deck.verify(&free.arrays, &format!("{what}: fault-free"));
+            let same = stalled == std::fs::read(&path).unwrap();
+            assert!(same, "{what}: the stalled run's journal differs");
         }
         Leg::SeededDispatch(seed) => {
             assert_eq!(report.fallback, None, "{what}: the fleet must recover");
@@ -530,7 +553,10 @@ pub fn slice(decks: &[&'static str], legs: &[Leg], strategies: &[&str], ps: &[us
     for deck in decks.iter().map(|name| Deck::named(name)) {
         for &leg in legs {
             let fleet = matches!(leg, Leg::SeededDispatch(_));
-            let journaled = matches!(leg, Leg::KillAtEveryCommit | Leg::SeededIo(_));
+            let journaled = matches!(
+                leg,
+                Leg::KillAtEveryCommit | Leg::SeededIo(_) | Leg::SlowFsync
+            );
             for strategy in self::strategies(strategies) {
                 for &p in ps {
                     let t = Tuple {

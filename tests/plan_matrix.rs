@@ -19,6 +19,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///   width over it × {no fault, injected pressure, a seeded panic};
 /// * the budget ladder, the kill at every commit record and the seeded
 ///   journal I/O faults, in process at `p = 4`;
+/// * the slow fsync, journaled in process and over the fleet — and with
+///   no journal, where it is refused;
 /// * the seeded dispatch faults over the fleet.
 fn tuples(deck: &Deck) -> Vec<Tuple> {
     let mut strategies = common::strategies(&STRATEGIES);
@@ -58,6 +60,9 @@ fn tuples(deck: &Deck) -> Vec<Tuple> {
             for &leg in &journaled {
                 push(JournalLeg::Fresh, false, leg, 4);
             }
+            push(JournalLeg::Fresh, false, Leg::SlowFsync, 4);
+            push(JournalLeg::Fresh, true, Leg::SlowFsync, 2);
+            push(JournalLeg::None, false, Leg::SlowFsync, 4);
             for leg in seeded(Leg::SeededDispatch) {
                 push(JournalLeg::None, true, leg, 2);
             }
@@ -99,14 +104,21 @@ fn validate_and_execute_agree_on_every_tuple() {
     // listed.)
     use PlanError::*;
     let refusals = match NoProcessors {
-        NoProcessors | ResumeWithoutJournal | DoacrossOverFleet | DoacrossWithFaults => [
+        NoProcessors
+        | ResumeWithoutJournal
+        | DoacrossOverFleet
+        | DoacrossWithFaults
+        | FleetWithIterationFaults
+        | RecordFaultsWithoutJournal => [
             NoProcessors,
             ResumeWithoutJournal,
             DoacrossOverFleet,
             DoacrossWithFaults,
+            FleetWithIterationFaults,
+            RecordFaultsWithoutJournal,
         ],
     };
-    let kinds = "panic shadow-pressure budget short-write fsync-fail corrupt \
+    let kinds = "panic shadow-pressure budget short-write fsync-fail corrupt slow-fsync \
                  kill-worker hang-worker corrupt-result";
     let refusals = refusals.map(|e| format!("{e:?}"));
     for what in refusals

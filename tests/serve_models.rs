@@ -580,3 +580,87 @@ fn query_incomplete(dir: &std::path::Path) -> bool {
         })
         .unwrap_or(false)
 }
+
+/// A subscriber that attaches while the journal's file is ahead of its
+/// syncs — the writer has written a record and the device is slow to
+/// confirm it — is caught up with the first `records` frames *by
+/// count*, the ones accounted, and gets the rest live: every frame
+/// exactly once, in order. (Caught up with everything the file holds,
+/// it would be served the unconfirmed frame twice, and before it was
+/// durable.) No submission can arm a journal-record site, so this is
+/// the daemon's job body — the job's `Publisher` fed by its journal's
+/// observer — and a session's catch-up-then-follow, by hand.
+#[test]
+fn a_subscriber_attaching_under_a_slow_fsync_gets_every_frame_once_in_order() {
+    use rlrpd::core::FrameObserver;
+    use rlrpd::serve::jobs::{count_frames, read_frames, StreamItem, JOURNAL_FILE};
+    use rlrpd::serve::Publisher;
+    use rlrpd::{FaultPlan, Journal, RunConfig, RunPlan, Runner};
+    use std::sync::Arc;
+
+    let dir = state_dir("late-subscriber");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(JOURNAL_FILE);
+    let lp = rlrpd::dist::resolve_spec(MODELS[1]).expect("registry spec");
+    let strategy = "sw:7".parse().unwrap();
+    let cfg = RunConfig::new(4).with_strategy(strategy);
+
+    let publisher = Arc::new(Publisher::new(0xD_0000_0001, 0));
+    let mut journal = Journal::create(&path).unwrap();
+    let feed = Arc::clone(&publisher);
+    journal.set_observer(Some(FrameObserver::new(move |frame| feed.publish(frame))));
+    let stall = FaultPlan::new().slow_fsync_at(3, 300);
+
+    let frames = std::thread::scope(|scope| {
+        let job = scope.spawn(|| {
+            let plan = RunPlan {
+                journal: Some(&mut journal),
+                ..Default::default()
+            };
+            let ran = Runner::new(cfg)
+                .with_fault(Arc::new(stall))
+                .execute(lp.as_ref(), plan);
+            publisher.finish(b"status");
+            ran
+        });
+        // Attach inside the window: record 3 is in the file, whole, and
+        // the publisher has accounted three frames.
+        let t0 = Instant::now();
+        while count_frames(&path) <= publisher.summary(0).records as usize {
+            assert!(t0.elapsed() < Duration::from_secs(30), "no window opened");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        let (sub, snapshot, finished) = publisher.subscribe(4096);
+        assert!(finished.is_none(), "attached after the job");
+        let mut frames = read_frames(&path, snapshot as usize).unwrap();
+        assert_eq!(frames.len() as u64, snapshot);
+        assert!(
+            count_frames(&path) as u64 > snapshot,
+            "the file was not ahead of the accounted frames"
+        );
+        while let StreamItem::Frame { record, dropped } = sub.next() {
+            assert_eq!(dropped, 0);
+            frames.push(record);
+        }
+        let res = job.join().expect("job thread").expect("the job runs");
+        assert!(res.report.stages.len() > 8, "a run of many commits");
+        frames
+    });
+
+    // The stream is the file, frame for frame, then the status. (A live
+    // frame carries the journal's own length prefix; a caught-up one is
+    // the bare record.)
+    let (status, stream) = frames.split_last().unwrap();
+    assert_eq!(status, b"status");
+    let on_disk = read_frames(&path, usize::MAX).unwrap();
+    assert_eq!(stream.len(), on_disk.len(), "every frame exactly once");
+    for (k, (got, want)) in stream.iter().zip(&on_disk).enumerate() {
+        let got = if got.len() == want.len() + 4 {
+            &got[4..]
+        } else {
+            &got[..]
+        };
+        assert!(got == &want[..], "frame {k} out of order or altered");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
