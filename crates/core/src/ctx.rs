@@ -321,10 +321,4 @@ impl<'a, T: Value> IterCtx<'a, T> {
     pub fn exit(&mut self) {
         self.exited = true;
     }
-
-    /// True once [`IterCtx::exit`] was called this iteration.
-    #[inline]
-    pub fn has_exited(&self) -> bool {
-        self.exited
-    }
 }

@@ -55,6 +55,7 @@
 
 use crate::buf::SharedBuf;
 use crate::persist::{fnv, PersistError, Reader, Writer, KIND_JOURNAL_COMMIT, KIND_JOURNAL_HEADER};
+use crate::remote::{frames, push_frame};
 use crate::value::Value;
 use rlrpd_runtime::{FaultDomain, FaultPlan};
 use std::fs::{File, OpenOptions};
@@ -247,20 +248,16 @@ impl JournalHeader {
         let p = r.u32()? as usize;
         let strategy_hash = r.u64()?;
         let elem_hash = r.u64()?;
-        let num_arrays = r.u32()? as usize;
-        if num_arrays > r.remaining() {
-            return Err(PersistError::Corrupt);
-        }
-        let mut arrays = Vec::with_capacity(num_arrays);
-        for _ in 0..num_arrays {
+        let num_arrays = r.u32()?;
+        let arrays = r.list(num_arrays.into(), 12, |r| {
             let size = r.u64()?;
             let tested = match r.u32()? {
                 0 => false,
                 1 => true,
                 _ => return Err(PersistError::Corrupt),
             };
-            arrays.push((size, tested));
-        }
+            Ok((size, tested))
+        })?;
         r.done()?;
         let header = JournalHeader {
             n,
@@ -392,20 +389,12 @@ impl CommitRecord {
             None
         };
         let fallback = flags & FLAG_FALLBACK != 0;
-        let num_arrays = r.u32()? as usize;
-        if num_arrays > r.remaining() {
-            return Err(PersistError::Corrupt);
-        }
-        let mut arrays = Vec::with_capacity(num_arrays);
-        for _ in 0..num_arrays {
+        let num_arrays = r.u32()?;
+        let arrays = r.list(num_arrays.into(), 12, |r| {
             let id = r.u32()?;
-            let count = r.u64()? as usize;
-            if count > r.remaining() / 12 + 1 {
-                return Err(PersistError::Corrupt);
-            }
-            let mut elems = Vec::with_capacity(count);
+            let count = r.u64()?;
             let mut prev: Option<u32> = None;
-            for _ in 0..count {
+            let elems = r.list(count, 12, |r| {
                 let elem = r.u32()?;
                 // Elements are written sorted; a disordered list is
                 // corruption, and rejecting it keeps replay canonical.
@@ -413,10 +402,10 @@ impl CommitRecord {
                     return Err(PersistError::Corrupt);
                 }
                 prev = Some(elem);
-                elems.push((elem, r.u64()?));
-            }
-            arrays.push((id, elems));
-        }
+                Ok((elem, r.u64()?))
+            })?;
+            Ok((id, elems))
+        })?;
         r.done()?;
         let record = CommitRecord {
             stage,
@@ -433,9 +422,11 @@ impl CommitRecord {
 type FrameFn = Box<dyn FnMut(&[u8]) + Send>;
 
 /// A live tap on the journal's append stream: called with the exact
-/// frame bytes (`u32 len | record`) after each durable append. The
-/// daemon uses this to fan journal frames out to subscribed clients —
-/// the wire stream *is* the journal stream, byte for byte.
+/// frame bytes (`u32 len | record`) after each durable append, so what
+/// an observer has been handed is at every moment a prefix of the file.
+/// The daemon fans these frames out to subscribed clients as they are —
+/// it frames nothing a second time — which makes a subscriber's stream
+/// that same prefix, verbatim.
 pub struct FrameObserver(FrameFn);
 
 impl FrameObserver {
@@ -512,21 +503,9 @@ impl Journal {
         let mut header = None;
         let mut commits = Vec::new();
         let mut records = 0usize;
-        // Length-checked framing: every arithmetic step is guarded,
-        // so no byte sequence — torn, corrupt, or adversarial — can
-        // panic the scan. Any inconsistency ends the valid prefix.
-        while let Some(end_of_len) = pos.checked_add(4).filter(|&e| e <= buf.len()) {
-            let Ok(len_bytes) = <[u8; 4]>::try_from(&buf[pos..end_of_len]) else {
-                break;
-            };
-            let len = u32::from_le_bytes(len_bytes) as usize;
-            if len == 0 {
-                break;
-            }
-            let Some(end) = end_of_len.checked_add(len).filter(|&e| e <= buf.len()) else {
-                break; // torn frame
-            };
-            let rec = &buf[end_of_len..end];
+        // The walk ends at a zero length or a torn frame; a record that
+        // does not decode, or does not chain, ends the valid prefix too.
+        for (rec, end) in frames(&buf) {
             let decoded = if records == 0 {
                 JournalHeader::decode(rec, chain).map(|(h, next)| {
                     header = Some(h);
@@ -631,7 +610,8 @@ impl Journal {
             return Err(JournalError::NotEmpty);
         }
         let (bytes, next_chain) = header.encode(self.chain);
-        let frame = framed(&bytes);
+        let mut frame = Vec::new();
+        push_frame(&mut frame, &bytes);
         self.write_frame(&frame, 0)?;
         self.sync()?;
         self.confirm(&frame, next_chain);
@@ -669,7 +649,8 @@ impl Journal {
         let mut frames = Vec::with_capacity(recs.len());
         for (k, rec) in recs.iter().enumerate() {
             let (bytes, next_chain) = rec.encode(chain);
-            let frame = framed(&bytes);
+            let mut frame = Vec::new();
+            push_frame(&mut frame, &bytes);
             self.write_frame(&frame, self.records + k)?;
             frames.push((frame, next_chain));
             chain = next_chain;
@@ -777,14 +758,6 @@ impl Journal {
             (obs.0)(frame);
         }
     }
-}
-
-/// A record as it lies in the file: `u32 len | record`.
-fn framed(rec: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(4 + rec.len());
-    frame.extend_from_slice(&(rec.len() as u32).to_le_bytes());
-    frame.extend_from_slice(rec);
-    frame
 }
 
 /// Count one more transient errno against [`TRANSIENT_RETRIES`]: `Err`
@@ -1222,12 +1195,53 @@ mod tests {
         // same exhaustive truncation/corruption bar as the artifacts.
         let h = header();
         let (hb, chain) = h.encode(CHAIN_SEED);
-        crate::persist::assert_decode_hardened(&hb, |b| JournalHeader::decode(b, CHAIN_SEED));
+        use crate::persist::assert_decode_hardened;
+        assert_decode_hardened(
+            &hb,
+            |b| JournalHeader::decode(b, CHAIN_SEED),
+            |(h, _)| h.encode(CHAIN_SEED).0,
+        );
         assert_eq!(chain, fnv(&hb));
         let (cb, next) = commit(0, 32).encode(chain);
-        crate::persist::assert_decode_hardened(&cb, |b| CommitRecord::decode(b, chain));
+        let decode = |b: &[u8]| CommitRecord::decode(b, chain);
+        assert_decode_hardened(&cb, decode, |(c, _)| c.encode(chain).0);
         assert_eq!(next, fnv(&cb));
-        assert_eq!(CommitRecord::decode(&cb, chain).unwrap().1, next);
+        assert_eq!(decode(&cb).unwrap().1, next);
+        // Every flag combination, and no delta at all.
+        for (exited_at, fallback) in [(Some(77), false), (None, true), (Some(0), true)] {
+            let rec = CommitRecord {
+                exited_at,
+                fallback,
+                arrays: Vec::new(),
+                ..commit(3, 78)
+            };
+            assert_decode_hardened(&rec.encode(chain).0, decode, |(c, _)| c.encode(chain).0);
+        }
+
+        // Hostile counts, resealed: refused by the list bound before an
+        // array is read (an array is 32 B in memory; 1 MiB holds 87 381).
+        let with_arrays = |declared: u32, payload: usize| {
+            let mut w = Writer::new(KIND_JOURNAL_COMMIT);
+            w.u64(chain);
+            w.u64(32);
+            w.u32(0);
+            w.u32(0);
+            w.u64(NO_EXIT);
+            w.u32(declared);
+            for _ in 0..payload / 4 {
+                w.u32(0);
+            }
+            w.finish()
+        };
+        let (empty, _) = decode(&with_arrays(2, 2 * 12)).unwrap();
+        assert_eq!(empty.arrays, vec![(0, Vec::new()); 2]);
+        for declared in [u32::MAX, (1 << 20) / 12 + 1, 1 << 20] {
+            assert_eq!(
+                decode(&with_arrays(declared, 1 << 20)).map(|_| ()),
+                Err(PersistError::Corrupt),
+                "{declared} arrays in front of 1 MiB"
+            );
+        }
     }
 
     #[test]

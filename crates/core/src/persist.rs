@@ -13,6 +13,27 @@
 //! ```text
 //! magic "RLPD" | u32 version | u8 kind | payload … | u64 fnv checksum
 //! ```
+//!
+//! ## The bound on a count read from outside
+//!
+//! Every record that crosses a process boundary — these artifacts, the
+//! journal's records, the worker and serve frames — is decoded through
+//! [`Reader`], and a count a record declares is outside input: the
+//! checksum is not a MAC, so whoever writes the bytes can reseal them.
+//! The rule is stated once, in [`Reader::list`]: *`count` elements of at
+//! least `min_elem_bytes` encoded bytes each must fit in what is left of
+//! the payload, checked before anything is allocated*. A count therefore
+//! never reserves more than a small constant multiple (an element's size
+//! in memory over its encoded minimum, at most 3) of the bytes actually
+//! present. [`Reader::blob`] and [`Reader::string`] are the same rule at
+//! one byte per element; no decoder sees how many bytes are left.
+//!
+//! `min_elem_bytes` is a literal at each call site, beside the reads it
+//! counts (`r.list(n, 12, |r| Ok((r.u32()?, r.u64()?)))`; a nested list
+//! counts as its count field): derived from a type it would follow the
+//! in-memory layout, which is not the encoding. Too small only loosens
+//! the multiple; too large refuses a valid record, which every
+//! round-trip test catches.
 
 use crate::ddg::DepGraph;
 use crate::wavefront::WavefrontSchedule;
@@ -120,8 +141,10 @@ impl Writer {
         }
     }
 
-    /// Append raw bytes (callers write their own length prefix).
-    pub(crate) fn raw(&mut self, bytes: &[u8]) {
+    /// `u64 len | bytes`: what [`Reader::blob`] and [`Reader::string`]
+    /// read back.
+    pub(crate) fn blob(&mut self, bytes: &[u8]) {
+        self.u64(bytes.len() as u64);
         self.buf.extend_from_slice(bytes);
     }
 
@@ -182,52 +205,67 @@ impl<'a> Reader<'a> {
         Ok((reader, fnv_from(stored, &buf[body_end..])))
     }
 
+    /// Unread bytes of the payload.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// The next `len` bytes of the payload, which every read goes
+    /// through — or `Corrupt` when fewer are left.
+    fn take(&mut self, len: u64) -> Result<&'a [u8], PersistError> {
+        if len > self.remaining() as u64 {
+            return Err(PersistError::Corrupt);
+        }
+        let start = self.pos;
+        self.pos += len as usize;
+        Ok(&self.buf[start..self.pos])
+    }
+
     pub(crate) fn u64(&mut self) -> Result<u64, PersistError> {
-        let end = self.pos.checked_add(8).ok_or(PersistError::Corrupt)?;
-        let bytes = self.buf.get(self.pos..end).ok_or(PersistError::Corrupt)?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(
-            bytes.try_into().map_err(|_| PersistError::Corrupt)?,
-        ))
+        let bytes = self.take(8)?.try_into().expect("take(8) is 8 bytes");
+        Ok(u64::from_le_bytes(bytes))
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32, PersistError> {
-        let end = self.pos.checked_add(4).ok_or(PersistError::Corrupt)?;
-        let bytes = self.buf.get(self.pos..end).ok_or(PersistError::Corrupt)?;
-        self.pos = end;
-        Ok(u32::from_le_bytes(
-            bytes.try_into().map_err(|_| PersistError::Corrupt)?,
-        ))
+        let bytes = self.take(4)?.try_into().expect("take(4) is 4 bytes");
+        Ok(u32::from_le_bytes(bytes))
     }
 
-    /// Read `len` raw bytes (length-prefixed blobs on the distributed
-    /// wire).
-    pub(crate) fn raw(&mut self, len: usize) -> Result<&'a [u8], PersistError> {
-        let end = self.pos.checked_add(len).ok_or(PersistError::Corrupt)?;
-        let bytes = self.buf.get(self.pos..end).ok_or(PersistError::Corrupt)?;
-        self.pos = end;
-        Ok(bytes)
+    /// **The bound** (module docs): `count` elements, each read by
+    /// `elem` and each at least `min_elem_bytes` long when encoded, or
+    /// `Corrupt` — before `elem` is entered or anything is reserved —
+    /// when that many cannot fit in what is left of the payload.
+    pub(crate) fn list<T>(
+        &mut self,
+        count: u64,
+        min_elem_bytes: usize,
+        mut elem: impl FnMut(&mut Self) -> Result<T, PersistError>,
+    ) -> Result<Vec<T>, PersistError> {
+        if count > (self.remaining() / min_elem_bytes) as u64 {
+            return Err(PersistError::Corrupt);
+        }
+        let mut out = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            out.push(elem(self)?);
+        }
+        Ok(out)
     }
 
-    /// Remaining unread bytes of the payload (sanity caps for
-    /// corrupted length fields).
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
+    /// A `u64 len | bytes` blob ([`Writer::blob`]), borrowed from the
+    /// record: a length past the payload is `Corrupt`.
+    pub(crate) fn blob(&mut self) -> Result<&'a [u8], PersistError> {
+        let len = self.u64()?;
+        self.take(len)
+    }
+
+    /// A blob that must be UTF-8.
+    pub(crate) fn string(&mut self) -> Result<String, PersistError> {
+        String::from_utf8(self.blob()?.to_vec()).map_err(|_| PersistError::Corrupt)
     }
 
     fn edges(&mut self) -> Result<Vec<(u32, u32)>, PersistError> {
-        let n = self.u64()? as usize;
-        // Sanity cap against corrupted lengths.
-        if n > self.buf.len() / 8 + 1 {
-            return Err(PersistError::Corrupt);
-        }
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            let a = self.u32()?;
-            let b = self.u32()?;
-            v.push((a, b));
-        }
-        Ok(v)
+        let n = self.u64()?;
+        self.list(n, 8, |r| Ok((r.u32()?, r.u32()?)))
     }
 
     pub(crate) fn done(&self) -> Result<(), PersistError> {
@@ -298,38 +336,36 @@ impl WavefrontSchedule {
     /// Deserialize from [`WavefrontSchedule::to_bytes`] output.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, PersistError> {
         let mut r = Reader::open(bytes, KIND_SCHEDULE)?;
-        let num_levels = r.u64()? as usize;
-        if num_levels > bytes.len() {
-            return Err(PersistError::Corrupt);
-        }
-        let mut levels = Vec::with_capacity(num_levels);
-        for _ in 0..num_levels {
-            let len = r.u64()? as usize;
-            if len > bytes.len() {
-                return Err(PersistError::Corrupt);
-            }
-            let mut level = Vec::with_capacity(len);
-            for _ in 0..len {
-                level.push(r.u32()?);
-            }
-            levels.push(level);
-        }
+        let num_levels = r.u64()?;
+        let levels = r.list(num_levels, 8, |r| {
+            let len = r.u64()?;
+            r.list(len, 4, Reader::u32)
+        })?;
         r.done()?;
-        Ok(WavefrontSchedule::from_levels(levels))
+        // An iteration scheduled twice is corruption, not a panic.
+        WavefrontSchedule::checked(levels).map_err(|_| PersistError::Corrupt)
     }
 }
 
-/// Exhaustive decode-hardening harness: decoding **every** prefix
-/// truncation (0..len bytes) and **every** single-byte corruption (all
-/// 255 non-identity values at every offset) of a valid artifact must
-/// return an error — never panic, and never succeed on mangled input.
-/// Shared by the artifact tests below and the journal-record tests.
+/// Exhaustive decode-hardening harness, in two sweeps over a valid
+/// artifact. **Stale**: every prefix truncation (0..len bytes) and every
+/// single-byte corruption (all 255 non-identity values at every offset)
+/// must return an error — that is the checksum's job. **Resealed**: the
+/// checksum is not a MAC, so the same truncations and corruptions of
+/// everything in front of it are made again with the checksum
+/// recomputed, which is what reaches a decoder's own field checks; each
+/// must decode to an error or to a value that `encode` turns back into
+/// the mutant byte for byte (a decoder accepts one spelling of a value),
+/// and none may panic. Shared by the artifact tests below and the
+/// journal-record, wire and serve-frame tests.
 #[cfg(test)]
 pub(crate) fn assert_decode_hardened<T, E: std::fmt::Debug>(
     bytes: &[u8],
     decode: impl Fn(&[u8]) -> Result<T, E>,
+    encode: impl Fn(&T) -> Vec<u8>,
 ) {
-    assert!(decode(bytes).is_ok(), "harness needs a valid artifact");
+    let valid = decode(bytes).expect("harness needs a valid artifact");
+    assert!(encode(&valid) == bytes, "the artifact does not round-trip");
     for cut in 0..bytes.len() {
         assert!(
             decode(&bytes[..cut]).is_err(),
@@ -347,6 +383,29 @@ pub(crate) fn assert_decode_hardened<T, E: std::fmt::Debug>(
             );
         }
         mangled[pos] = bytes[pos];
+    }
+
+    let body = &bytes[..bytes.len() - 8];
+    let resealed = |body: &[u8], what: std::fmt::Arguments<'_>| {
+        let mut mutant = body.to_vec();
+        mutant.extend_from_slice(&fnv(body).to_le_bytes());
+        if let Ok(value) = decode(&mutant) {
+            assert!(
+                encode(&value) == mutant,
+                "resealed, {what} decoded to a value that encodes differently"
+            );
+        }
+    };
+    for cut in 0..body.len() {
+        resealed(&body[..cut], format_args!("truncation to {cut} bytes"));
+    }
+    let mut mangled = body.to_vec();
+    for pos in 0..body.len() {
+        for flip in 1..=255u8 {
+            mangled[pos] = body[pos] ^ flip;
+            resealed(&mangled, format_args!("byte {pos} ^{flip:#04x}"));
+        }
+        mangled[pos] = body[pos];
     }
 }
 
@@ -434,13 +493,83 @@ mod tests {
 
     #[test]
     fn graph_decoding_survives_every_truncation_and_corruption() {
-        assert_decode_hardened(&graph().to_bytes(), DepGraph::from_bytes);
+        assert_decode_hardened(
+            &graph().to_bytes(),
+            DepGraph::from_bytes,
+            DepGraph::to_bytes,
+        );
     }
 
     #[test]
     fn schedule_decoding_survives_every_truncation_and_corruption() {
         let s = WavefrontSchedule::from_graph(&graph());
-        assert_decode_hardened(&s.to_bytes(), WavefrontSchedule::from_bytes);
+        assert_decode_hardened(
+            &s.to_bytes(),
+            WavefrontSchedule::from_bytes,
+            WavefrontSchedule::to_bytes,
+        );
+        // A resealed schedule that names an iteration twice is corrupt
+        // (`from_levels` would panic on it).
+        let mut w = Writer::new(KIND_SCHEDULE);
+        for v in [2u64, 2] {
+            w.u64(v);
+        }
+        w.u32(0);
+        w.u32(1);
+        w.u64(1);
+        w.u32(1);
+        assert_eq!(
+            WavefrontSchedule::from_bytes(&w.finish()).map(|s| s.depth()),
+            Err(PersistError::Corrupt)
+        );
+    }
+
+    /// The bound, at its one home: a count that cannot fit is refused
+    /// before the element closure runs once or a byte is reserved.
+    #[test]
+    fn a_list_count_is_bounded_by_the_bytes_left_before_any_element_is_read() {
+        let mut w = Writer::new(KIND_GRAPH);
+        for k in 0..5u32 {
+            w.u64(k as u64);
+            w.u32(k);
+        }
+        let bytes = w.finish();
+        let triple = |r: &mut Reader<'_>| Ok((r.u64()?, r.u32()?));
+        for (count, fits) in [(5, true), (6, false), (u64::MAX, false), (0, true)] {
+            let mut r = Reader::open(&bytes, KIND_GRAPH).unwrap();
+            assert_eq!(r.remaining(), 60);
+            let mut entered = 0;
+            let got = r.list(count, 12, |r| {
+                entered += 1;
+                triple(r)
+            });
+            if fits {
+                let want: Vec<_> = (0..count).map(|k| (k, k as u32)).collect();
+                assert_eq!(got, Ok(want), "count {count}");
+                assert_eq!(entered, count);
+            } else {
+                assert_eq!(got, Err(PersistError::Corrupt), "count {count}");
+                assert_eq!(entered, 0, "count {count}: an element was read");
+                assert_eq!(r.remaining(), 60, "count {count}: bytes were consumed");
+            }
+        }
+        // Elements longer than their declared minimum still end at the
+        // payload: the closure's own reads are checked too.
+        let mut r = Reader::open(&bytes, KIND_GRAPH).unwrap();
+        assert_eq!(r.list(6, 8, triple), Err(PersistError::Corrupt));
+
+        let mut w = Writer::new(KIND_GRAPH);
+        w.blob(b"caf\xc3\xa9");
+        w.u64(u64::MAX); // a declared length past the payload
+        let bytes = w.finish();
+        let mut r = Reader::open(&bytes, KIND_GRAPH).unwrap();
+        assert_eq!(r.string().as_deref(), Ok("café"));
+        assert_eq!(r.blob(), Err(PersistError::Corrupt));
+        let mut w = Writer::new(KIND_GRAPH);
+        w.blob(&[0xff, 0xfe]);
+        let bytes = w.finish();
+        let mut r = Reader::open(&bytes, KIND_GRAPH).unwrap();
+        assert_eq!(r.string(), Err(PersistError::Corrupt), "not UTF-8");
     }
 
     #[test]
@@ -452,7 +581,7 @@ mod tests {
             let len = rng.random_range(0usize..600);
             let mut w = Writer::with_payload(KIND_JOURNAL_COMMIT, len);
             for _ in 0..len {
-                w.raw(&[rng.random_range(0u8..=255)]);
+                w.buf.push(rng.random_range(0u8..=255));
             }
             let (record, chain) = w.finish_chained();
             assert_eq!(chain, fnv(&record), "writer chain, {len}-byte payload");

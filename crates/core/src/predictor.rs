@@ -189,14 +189,6 @@ impl PredictiveRunner {
         self
     }
 
-    /// Seed the candidate set from a statically-predicted minimum
-    /// dependence distance (see
-    /// [`StrategyPredictor::with_static_distance`]).
-    pub fn with_static_hint(mut self, distance: usize) -> Self {
-        self.predictor = StrategyPredictor::with_static_distance(distance, self.base_cfg.p);
-        self
-    }
-
     /// Run one instantiation under the predicted strategy.
     pub fn run<T: Value>(&mut self, lp: &dyn SpecLoop<T>) -> RunResult<T> {
         let strategy = self.predictor.next_strategy();

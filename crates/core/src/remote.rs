@@ -202,6 +202,23 @@ pub fn read_frame(r: &mut dyn Read) -> std::io::Result<Option<Vec<u8>>> {
     Ok(Some(buf))
 }
 
+/// The one walk over frames lying in a buffer — a journal file, or the
+/// frame a [`crate::journal::FrameObserver`] was handed: each complete
+/// frame's record, in order, with the offset its frame ends at. The walk
+/// ends where a journal's valid prefix can go no further: at a zero
+/// length, or at a frame the buffer holds only part of (a torn tail).
+pub fn frames(buf: &[u8]) -> impl Iterator<Item = (&[u8], usize)> {
+    let mut pos = 0usize;
+    std::iter::from_fn(move || {
+        let start = pos.checked_add(4)?;
+        let len = u32::from_le_bytes(buf.get(pos..start)?.try_into().ok()?) as usize;
+        let end = start.checked_add(len).filter(|_| len > 0)?;
+        let record = buf.get(start..end)?;
+        pos = end;
+        Some((record, end))
+    })
+}
+
 /// The persist `kind` byte of a framed record (offset 8), if present.
 /// A peek only — decoding still validates magic, version, and checksum.
 pub fn frame_kind(record: &[u8]) -> Option<u8> {
@@ -257,10 +274,8 @@ impl WireHello {
         w.u64(self.run_id);
         w.u32(self.heartbeat_millis);
         w.u64(self.shadow_budget);
-        w.u64(self.header.len() as u64);
-        w.raw(&self.header);
-        w.u64(self.spec.len() as u64);
-        w.raw(self.spec.as_bytes());
+        w.blob(&self.header);
+        w.blob(self.spec.as_bytes());
         w.finish()
     }
 
@@ -273,16 +288,8 @@ impl WireHello {
         let run_id = r.u64()?;
         let heartbeat_millis = r.u32()?;
         let shadow_budget = r.u64()?;
-        let hl = r.u64()? as usize;
-        if hl > r.remaining() {
-            return Err(PersistError::Corrupt);
-        }
-        let header = r.raw(hl)?.to_vec();
-        let sl = r.u64()? as usize;
-        if sl > r.remaining() {
-            return Err(PersistError::Corrupt);
-        }
-        let spec = String::from_utf8(r.raw(sl)?.to_vec()).map_err(|_| PersistError::Corrupt)?;
+        let header = r.blob()?.to_vec();
+        let spec = r.string()?;
         r.done()?;
         Ok(WireHello {
             protocol,
@@ -474,8 +481,7 @@ impl BlockReply {
             None => w.u64(NONE_SENTINEL),
             Some((iter, msg)) => {
                 w.u64(*iter);
-                w.u64(msg.len() as u64);
-                w.raw(msg.as_bytes());
+                w.blob(msg.as_bytes());
             }
         }
         w.u32(self.tested.len() as u32);
@@ -521,61 +527,34 @@ impl BlockReply {
         let fault = if fault_raw == NONE_SENTINEL {
             None
         } else {
-            let ml = r.u64()? as usize;
-            if ml > r.remaining() {
-                return Err(PersistError::Corrupt);
-            }
-            let msg = String::from_utf8(r.raw(ml)?.to_vec()).map_err(|_| PersistError::Corrupt)?;
-            Some((fault_raw, msg))
+            Some((fault_raw, r.string()?))
         };
-        let num_tested = r.u32()? as usize;
-        if num_tested > r.remaining() {
-            return Err(PersistError::Corrupt);
-        }
-        let mut tested = Vec::with_capacity(num_tested);
-        for _ in 0..num_tested {
+        let num_tested = r.u32()?;
+        let tested = r.list(num_tested.into(), 16, |r| {
             let refs = r.u64()?;
-            let count = r.u64()? as usize;
-            if count > r.remaining() / 16 + 1 {
-                return Err(PersistError::Corrupt);
-            }
-            let mut touched = Vec::with_capacity(count);
-            for _ in 0..count {
+            let count = r.u64()?;
+            let touched = r.list(count, 16, |r| {
                 let elem = r.u32()?;
                 let code = r.u32()?;
                 if !(MARK_EXPOSED as u32..=MARK_REDUCTION as u32).contains(&code) {
                     return Err(PersistError::Corrupt);
                 }
-                touched.push((elem, code as u8, r.u64()?));
-            }
-            tested.push(SlotReply { refs, touched });
-        }
-        let num_untested = r.u32()? as usize;
-        if num_untested > r.remaining() {
-            return Err(PersistError::Corrupt);
-        }
-        let mut untested = Vec::with_capacity(num_untested);
-        for _ in 0..num_untested {
-            let count = r.u64()? as usize;
-            if count > r.remaining() / 12 + 1 {
-                return Err(PersistError::Corrupt);
-            }
-            let mut entries = Vec::with_capacity(count);
-            for _ in 0..count {
-                let elem = r.u32()?;
-                entries.push((elem, r.u64()?));
-            }
-            untested.push(entries);
-        }
-        let num_runs = r.u64()? as usize;
-        if num_runs > r.remaining() / 16 + 1 {
-            return Err(PersistError::Corrupt);
-        }
+                Ok((elem, code as u8, r.u64()?))
+            })?;
+            Ok(SlotReply { refs, touched })
+        })?;
+        let num_untested = r.u32()?;
+        let untested = r.list(num_untested.into(), 8, |r| {
+            let count = r.u64()?;
+            r.list(count, 12, |r| Ok((r.u32()?, r.u64()?)))
+        })?;
+        let num_runs = r.u64()?;
         let mut iter_costs: Vec<(u32, f64)> = Vec::new();
-        for _ in 0..num_runs {
+        let mut prev_run = None;
+        r.list(num_runs, 16, |r| {
             let first = r.u32()?;
             let count = r.u32()? as usize;
-            let cost = f64::from_bits(r.u64()?);
+            let bits = r.u64()?;
             // A run expands to `count` pairs. Spelled out, they must
             // themselves fit a frame: a count read from the wire never
             // sizes an allocation past what a frame could have carried.
@@ -585,8 +564,19 @@ impl BlockReply {
             let last = first
                 .checked_add(count as u32 - 1)
                 .ok_or(PersistError::Corrupt)?;
+            // A run that continues the one before it is one run spelled
+            // as two, which `encode` never writes.
+            if first
+                .checked_sub(1)
+                .is_some_and(|end| prev_run == Some((end, bits)))
+            {
+                return Err(PersistError::Corrupt);
+            }
+            prev_run = Some((last, bits));
+            let cost = f64::from_bits(bits);
             iter_costs.extend((first..=last).map(|iter| (iter, cost)));
-        }
+            Ok(())
+        })?;
         let shadow_bytes = r.u64()?;
         r.done()?;
         Ok(BlockReply {
@@ -1202,8 +1192,7 @@ impl JobSpec {
         w.u64(self.fault_seed);
         w.u64(self.max_stages);
         for s in [&self.spec, &self.strategy, &self.shadow_fault] {
-            w.u64(s.len() as u64);
-            w.raw(s.as_bytes());
+            w.blob(s.as_bytes());
         }
         w.finish()
     }
@@ -1217,19 +1206,10 @@ impl JobSpec {
         let budget_bytes = r.u64()?;
         let fault_seed = r.u64()?;
         let max_stages = r.u64()?;
-        let mut strings = Vec::with_capacity(3);
-        for _ in 0..3 {
-            let len = r.u64()? as usize;
-            if len > r.remaining() {
-                return Err(PersistError::Corrupt);
-            }
-            strings
-                .push(String::from_utf8(r.raw(len)?.to_vec()).map_err(|_| PersistError::Corrupt)?);
-        }
+        let spec = r.string()?;
+        let strategy = r.string()?;
+        let shadow_fault = r.string()?;
         r.done()?;
-        let shadow_fault = strings.pop().expect("three strings");
-        let strategy = strings.pop().expect("two strings");
-        let spec = strings.pop().expect("one string");
         Ok(JobSpec {
             protocol,
             key,
@@ -1337,8 +1317,7 @@ impl JobDecision {
         w.u32(reason_code);
         w.u64(a);
         w.u64(b);
-        w.u64(msg.len() as u64);
-        w.raw(msg.as_bytes());
+        w.blob(msg.as_bytes());
         w.finish()
     }
 
@@ -1349,13 +1328,9 @@ impl JobDecision {
         let reason_code = r.u32()?;
         let a = r.u64()?;
         let b = r.u64()?;
-        let ml = r.u64()? as usize;
-        if ml > r.remaining() {
-            return Err(PersistError::Corrupt);
-        }
-        let msg = String::from_utf8(r.raw(ml)?.to_vec()).map_err(|_| PersistError::Corrupt)?;
+        let msg = r.string()?;
         r.done()?;
-        Ok(match code {
+        let decision = match code {
             DECISION_ACCEPTED => JobDecision::Accepted,
             DECISION_QUEUED => JobDecision::Queued,
             DECISION_ATTACHED => JobDecision::Attached,
@@ -1371,7 +1346,13 @@ impl JobDecision {
                 _ => return Err(PersistError::Corrupt),
             }),
             _ => return Err(PersistError::Corrupt),
-        })
+        };
+        // The fields a variant does not use are written as zero and
+        // empty; anything else in them is not a decision `encode` wrote.
+        if decision.encode() != bytes {
+            return Err(PersistError::Corrupt);
+        }
+        Ok(decision)
     }
 }
 
@@ -1451,8 +1432,7 @@ impl JobStatusFrame {
         w.u32(self.verified as u32);
         w.u64(self.frontier);
         for s in [&self.report_json, &self.message] {
-            w.u64(s.len() as u64);
-            w.raw(s.as_bytes());
+            w.blob(s.as_bytes());
         }
         w.finish()
     }
@@ -1469,18 +1449,9 @@ impl JobStatusFrame {
             _ => return Err(PersistError::Corrupt),
         };
         let frontier = r.u64()?;
-        let mut strings = Vec::with_capacity(2);
-        for _ in 0..2 {
-            let len = r.u64()? as usize;
-            if len > r.remaining() {
-                return Err(PersistError::Corrupt);
-            }
-            strings
-                .push(String::from_utf8(r.raw(len)?.to_vec()).map_err(|_| PersistError::Corrupt)?);
-        }
+        let report_json = r.string()?;
+        let message = r.string()?;
         r.done()?;
-        let message = strings.pop().expect("two strings");
-        let report_json = strings.pop().expect("one string");
         Ok(JobStatusFrame {
             key,
             state,
@@ -1583,6 +1554,7 @@ mod tests {
     use crate::array::{ArrayDecl, ArrayId, ShadowKind};
     use crate::driver::{FallbackReason, RunConfig, RunPlan, Runner, Strategy};
     use crate::engine::run_sequential;
+    use crate::persist::assert_decode_hardened;
     use crate::spec_loop::ClosureLoop;
     use crate::window::WindowConfig;
     use std::sync::mpsc::{channel, Receiver, Sender};
@@ -1803,7 +1775,7 @@ mod tests {
             spec: "rlp:A[i] = A[i - 1];".into(),
         };
         assert_eq!(WireHello::decode(&hello.encode()).unwrap(), hello);
-        crate::persist::assert_decode_hardened(&hello.encode(), WireHello::decode);
+        assert_decode_hardened(&hello.encode(), WireHello::decode, WireHello::encode);
 
         let ack = HelloAck {
             protocol: PROTOCOL_VERSION,
@@ -1811,7 +1783,7 @@ mod tests {
             header_fnv: fnv(&hello.header),
         };
         assert_eq!(HelloAck::decode(&ack.encode()).unwrap(), ack);
-        crate::persist::assert_decode_hardened(&ack.encode(), HelloAck::decode);
+        assert_decode_hardened(&ack.encode(), HelloAck::decode, HelloAck::encode);
 
         let req = BlockRequest {
             chain: 0xdead_beef_1234_5678,
@@ -1824,10 +1796,17 @@ mod tests {
             BlockRequest::decode(&req.encode(FAULT_HANG)).unwrap(),
             (req, FAULT_HANG)
         );
-        crate::persist::assert_decode_hardened(&req.encode(FAULT_NONE), |b| {
-            BlockRequest::decode(b)
-        });
+        assert_decode_hardened(
+            &req.encode(FAULT_NONE),
+            BlockRequest::decode,
+            |(req, fault)| req.encode(*fault),
+        );
 
+        // Swept replies name iterations at the top of the space: there a
+        // mutated run count overflows it and is refused, where lower
+        // down it would be a valid run of up to 2^24 pairs, expanded and
+        // re-encoded 255 times for each byte of each count.
+        let top = u32::MAX - 64;
         let reply = BlockReply {
             chain: 42,
             pos: 1,
@@ -1848,11 +1827,11 @@ mod tests {
                 },
             ],
             untested: vec![vec![(5, 8.0f64.to_bits()), (6, 9.0f64.to_bits())], vec![]],
-            iter_costs: vec![(100, 1.0), (101, 2.5)],
+            iter_costs: vec![(top, 1.0), (top + 1, 2.5)],
             shadow_bytes: 12_288,
         };
         assert_eq!(BlockReply::decode(&reply.encode()).unwrap(), reply);
-        crate::persist::assert_decode_hardened(&reply.encode(), BlockReply::decode);
+        assert_decode_hardened(&reply.encode(), BlockReply::decode, BlockReply::encode);
 
         // Wire v4 carries `iter_costs` as runs; whatever the pairs, the
         // decoded reply is the encoded one, cost bits included.
@@ -1863,17 +1842,25 @@ mod tests {
         let one_cost = plain((100..612).map(|i| (i, 1.0)).collect());
         for (what, r) in [
             ("empty", plain(Vec::new())),
-            ("single iteration", plain(vec![(7, 1.5)])),
+            ("single iteration", plain(vec![(top + 7, 1.5)])),
             ("one cost", one_cost.clone()),
             (
                 "mixed costs and a gap",
                 BlockReply {
-                    iter_costs: vec![(0, 1.0), (1, 1.0), (2, 2.5), (3, 2.5), (9, 2.5), (10, 1.0)],
+                    iter_costs: [(0, 1.0), (1, 1.0), (2, 2.5), (3, 2.5), (9, 2.5), (10, 1.0)]
+                        .map(|(i, c)| (top + i, c))
+                        .to_vec(),
                     ..reply.clone()
                 },
             ),
-            ("equal but not bit-equal", plain(vec![(5, 0.0), (6, -0.0)])),
-            ("not ascending", plain(vec![(3, 1.0), (2, 1.0), (2, 1.0)])),
+            (
+                "equal but not bit-equal",
+                plain(vec![(top + 5, 0.0), (top + 6, -0.0)]),
+            ),
+            (
+                "not ascending",
+                plain(vec![(top + 3, 1.0), (top + 2, 1.0), (top + 2, 1.0)]),
+            ),
             (
                 "end of the iteration space",
                 plain(vec![(u32::MAX - 1, 1.0), (u32::MAX, 1.0)]),
@@ -1887,7 +1874,7 @@ mod tests {
             };
             assert_eq!(bits(&back), bits(&r), "{what}: cost bits");
             if r.iter_costs.len() < 16 {
-                crate::persist::assert_decode_hardened(&bytes, BlockReply::decode);
+                assert_decode_hardened(&bytes, BlockReply::decode, BlockReply::encode);
             }
         }
         // 512 consecutive iterations at one cost are one run, not 6 KB.
@@ -1939,6 +1926,10 @@ mod tests {
                 "fewer runs declared than sent",
                 with_runs(1, &[(4, 3, c), (9, 1, c)]),
             ),
+            (
+                "one run spelled as two",
+                with_runs(2, &[(4, 3, c), (7, 1, c)]),
+            ),
         ] {
             assert_eq!(
                 BlockReply::decode(&bytes),
@@ -1947,10 +1938,203 @@ mod tests {
             );
         }
 
-        crate::persist::assert_decode_hardened(&encode_heartbeat(3), |b| {
-            Reader::open(b, KIND_DIST_HEARTBEAT).and_then(|mut r| r.u64())
-        });
+        // Hostile counts: the list bound refuses them before a slot is
+        // read (a slot is 32 B in memory; 1 MiB of payload holds 65 536).
+        let with_tested = |declared: u32, payload: usize| {
+            let mut w = Writer::new(KIND_DIST_REPLY);
+            w.u64(0);
+            w.u32(0);
+            w.u64(NONE_SENTINEL);
+            w.u64(NONE_SENTINEL);
+            w.u32(declared);
+            for _ in 0..payload / 4 {
+                w.u32(0);
+            }
+            w.finish()
+        };
+        let empty_slots = BlockReply::decode(&with_tested(3, 3 * 16 + 4 + 8 + 8)).unwrap();
+        assert_eq!(empty_slots.tested, vec![SlotReply::default(); 3]);
+        for declared in [u32::MAX, (1 << 20) / 16 + 1, 1 << 20] {
+            assert_eq!(
+                BlockReply::decode(&with_tested(declared, 1 << 20)),
+                Err(PersistError::Corrupt),
+                "{declared} tested slots in front of 1 MiB"
+            );
+        }
+
+        assert_decode_hardened(
+            &encode_heartbeat(3),
+            |b| {
+                let mut r = Reader::open(b, KIND_DIST_HEARTBEAT)?;
+                let seq = r.u64()?;
+                r.done().map(|()| seq)
+            },
+            |&seq| encode_heartbeat(seq),
+        );
         assert_eq!(frame_kind(&encode_shutdown()), Some(FRAME_SHUTDOWN));
+    }
+
+    #[test]
+    fn serve_frames_round_trip_and_are_hardened() {
+        let spec = JobSpec {
+            protocol: SERVE_PROTOCOL_VERSION,
+            key: 0xA_0000_0007,
+            spec: "rlp:A[i] = A[i - 1] + ε;".into(),
+            p: 4,
+            strategy: "sw:64".into(),
+            budget_bytes: 1 << 20,
+            fault_seed: 3,
+            shadow_fault: "0:64K".into(),
+            max_stages: 9,
+        };
+        assert_eq!(JobSpec::decode(&spec.encode()).unwrap(), spec);
+        assert_decode_hardened(&spec.encode(), JobSpec::decode, JobSpec::encode);
+
+        for decision in [
+            JobDecision::Accepted,
+            JobDecision::Queued,
+            JobDecision::Attached,
+            JobDecision::Rejected(RejectReason::OverPool {
+                requested: 2 << 20,
+                pool: 1 << 20,
+            }),
+            JobDecision::Rejected(RejectReason::KeyConflict),
+            JobDecision::Rejected(RejectReason::BadSpec("no such deck".into())),
+            JobDecision::Rejected(RejectReason::Draining),
+            JobDecision::Rejected(RejectReason::ProtocolMismatch { server: 7 }),
+        ] {
+            let bytes = decision.encode();
+            assert_eq!(JobDecision::decode(&bytes).unwrap(), decision);
+            assert_decode_hardened(&bytes, JobDecision::decode, JobDecision::encode);
+        }
+
+        for state in [
+            JobState::Queued,
+            JobState::Running,
+            JobState::Paused,
+            JobState::Done,
+            JobState::Failed,
+            JobState::Unknown,
+        ] {
+            let status = JobStatusFrame {
+                key: 0xB_0000_0001,
+                state,
+                exit_code: 3,
+                verified: state == JobState::Done,
+                frontier: 4096,
+                report_json: "{\"stages\":7}".into(),
+                message: "stage limit".into(),
+            };
+            let bytes = status.encode();
+            assert_eq!(JobStatusFrame::decode(&bytes).unwrap(), status);
+            assert_decode_hardened(&bytes, JobStatusFrame::decode, JobStatusFrame::encode);
+        }
+
+        let summary = FrontierSummary {
+            key: 0xC_0000_0001,
+            frontier: 640,
+            records: 11,
+            dropped: 4,
+        };
+        assert_eq!(FrontierSummary::decode(&summary.encode()).unwrap(), summary);
+        assert_decode_hardened(
+            &summary.encode(),
+            FrontierSummary::decode,
+            FrontierSummary::encode,
+        );
+
+        let query = StatusRequest {
+            protocol: SERVE_PROTOCOL_VERSION,
+            key: 0xC_0000_0001,
+        };
+        assert_eq!(StatusRequest::decode(&query.encode()).unwrap(), query);
+        assert_decode_hardened(
+            &query.encode(),
+            StatusRequest::decode,
+            StatusRequest::encode,
+        );
+
+        // Hostile fields, checksum resealed by the writer.
+        let record = |kind: u8, fields: &[u64], tail: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::new(kind);
+            for &f in fields {
+                w.u64(f);
+            }
+            tail(&mut w);
+            w.finish()
+        };
+        use crate::persist::{KIND_SERVE_DECISION, KIND_SERVE_STATUS, KIND_SERVE_SUBMIT};
+        // protocol + p, key, budget, seed, stages; then a spec whose
+        // declared length runs past the payload.
+        let past_the_payload = record(KIND_SERVE_SUBMIT, &[0; 5], &|w| {
+            w.u64(u64::MAX);
+            w.blob(b"rd");
+            w.blob(b"");
+        });
+        assert_eq!(
+            JobSpec::decode(&past_the_payload[..]),
+            Err(PersistError::Corrupt)
+        );
+        let status = |state: u32, verified: u32| {
+            record(KIND_SERVE_STATUS, &[1], &|w| {
+                w.u32(state);
+                w.u32(0);
+                w.u32(verified);
+                w.u64(0);
+                w.blob(b"");
+                w.blob(b"");
+            })
+        };
+        assert!(JobStatusFrame::decode(&status(5, 1)).is_ok());
+        for (what, bytes) in [
+            ("verified = 2", status(3, 2)),
+            ("unknown state", status(6, 0)),
+        ] {
+            assert_eq!(
+                JobStatusFrame::decode(&bytes),
+                Err(PersistError::Corrupt),
+                "{what}"
+            );
+        }
+        let decision = |code: u32, reason: u32, a: u64, msg: &'static [u8]| {
+            record(KIND_SERVE_DECISION, &[], &|w| {
+                w.u32(code);
+                w.u32(reason);
+                w.u64(a);
+                w.u64(0);
+                w.blob(msg);
+            })
+        };
+        assert_eq!(
+            JobDecision::decode(&decision(DECISION_REJECTED, REJECT_DRAINING, 0, b"")),
+            Ok(JobDecision::Rejected(RejectReason::Draining))
+        );
+        for (what, bytes) in [
+            ("unknown decision", decision(4, 0, 0, b"")),
+            ("unknown reason", decision(DECISION_REJECTED, 5, 0, b"")),
+            (
+                "message not UTF-8",
+                decision(DECISION_REJECTED, REJECT_BAD_SPEC, 0, b"\xff"),
+            ),
+            (
+                "an unused field set",
+                decision(DECISION_ACCEPTED, 0, 1, b""),
+            ),
+            (
+                "a reason on an accept",
+                decision(DECISION_QUEUED, REJECT_DRAINING, 0, b""),
+            ),
+            (
+                "a version wider than its field",
+                decision(DECISION_REJECTED, REJECT_PROTOCOL, 1 << 32, b""),
+            ),
+        ] {
+            assert_eq!(
+                JobDecision::decode(&bytes),
+                Err(PersistError::Corrupt),
+                "{what}"
+            );
+        }
     }
 
     #[test]
@@ -1971,6 +2155,30 @@ mod tests {
         assert!(read_frame(&mut &torn[..]).is_err(), "EOF inside frame");
         let part = [5u8, 0];
         assert!(read_frame(&mut &part[..]).is_err(), "EOF inside length");
+
+        // The same frames lying in a buffer: each record with the offset
+        // its frame ends at; the walk stops for good at a torn frame, a
+        // partial length or a zero length.
+        let walk = |buf: &[u8]| -> Vec<(Vec<u8>, usize)> {
+            let mut it = frames(buf);
+            let walked = it.by_ref().map(|(rec, end)| (rec.to_vec(), end)).collect();
+            assert!(it.next().is_none(), "the walk resumed");
+            walked
+        };
+        let whole = vec![(b"hello".to_vec(), 9), (b"world!".to_vec(), 19)];
+        assert_eq!(walk(&buf), whole);
+        assert_eq!(walk(&[]), vec![]);
+        for tail in [
+            &torn[..],
+            &part[..],
+            &huge[..],
+            &[0, 0, 0, 0, 1, 0, 0, 0, b'x'][..],
+        ] {
+            let mut longer = buf.clone();
+            longer.extend_from_slice(tail);
+            assert_eq!(walk(&longer), whole, "tail {tail:?}");
+        }
+        assert_eq!(walk(&buf[..18]), whole[..1], "a torn second frame");
     }
 
     #[test]

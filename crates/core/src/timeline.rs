@@ -45,7 +45,6 @@ pub enum Cell {
 /// committed/discarded totals.
 #[derive(Clone, Debug)]
 pub struct Timeline {
-    p: usize,
     rows: Vec<Vec<Cell>>,
     stats: Vec<StageStats>,
 }
@@ -85,7 +84,6 @@ impl Timeline {
             })
             .collect();
         Timeline {
-            p,
             rows,
             stats: result.report.stages.clone(),
         }
@@ -94,11 +92,6 @@ impl Timeline {
     /// Number of stages.
     pub fn num_stages(&self) -> usize {
         self.rows.len()
-    }
-
-    /// Number of processors per stage.
-    pub fn num_procs(&self) -> usize {
-        self.p
     }
 
     /// The cells of one stage, indexed by processor.

@@ -37,13 +37,17 @@ impl WavefrontSchedule {
     /// # Panics
     /// Panics when an iteration appears in more than one level.
     pub fn from_levels(levels: Vec<Vec<u32>>) -> Self {
+        Self::checked(levels).unwrap_or_else(|i| panic!("iteration {i} scheduled twice"))
+    }
+
+    /// [`WavefrontSchedule::from_levels`] for levels read from outside:
+    /// `Err` names the first iteration that appears twice.
+    pub(crate) fn checked(levels: Vec<Vec<u32>>) -> Result<Self, u32> {
         let mut seen = std::collections::HashSet::new();
-        for level in &levels {
-            for &i in level {
-                assert!(seen.insert(i), "iteration {i} scheduled twice");
-            }
+        match levels.iter().flatten().find(|&&i| !seen.insert(i)) {
+            Some(&i) => Err(i),
+            None => Ok(WavefrontSchedule { levels }),
         }
-        WavefrontSchedule { levels }
     }
 
     /// The levels, in execution order.

@@ -131,11 +131,6 @@ impl ConstraintLoop {
             bonds,
         }
     }
-
-    /// Number of constraints (= iterations).
-    pub fn num_bonds(&self) -> usize {
-        self.bonds.len()
-    }
 }
 
 impl SpecLoop for ConstraintLoop {

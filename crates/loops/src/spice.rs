@@ -77,20 +77,6 @@ impl Dcdcmp15Loop {
     pub fn small(seed: u64) -> Self {
         Self::new(600, 30, seed)
     }
-
-    /// The generator's intended critical path (levels).
-    pub fn intended_cp(&self) -> usize {
-        if self.n == 0 {
-            0
-        } else {
-            let per_level = self
-                .parents
-                .iter()
-                .position(|p| !p.is_empty())
-                .unwrap_or(self.n);
-            self.n.div_ceil(per_level.max(1))
-        }
-    }
 }
 
 impl SpecLoop for Dcdcmp15Loop {

@@ -47,7 +47,7 @@ use rlrpd_dist::resolve_spec;
 use rlrpd_shadow::{BudgetLease, BudgetPool};
 
 use crate::jobs::{
-    count_frames, job_dir, key_of_dir, read_frames, tenant_of, write_atomic, Job, StreamItem,
+    count_frames, job_dir, journal_prefix, key_of_dir, tenant_of, write_atomic, Job, StreamItem,
     META_FILE, STATUS_FILE,
 };
 
@@ -489,7 +489,7 @@ fn scheduler(shared: Arc<Shared>) {
         job.set_state(JobState::Running);
         let shared2 = Arc::clone(&shared);
         std::thread::spawn(move || {
-            run_job(&shared2, &job, &lease);
+            run_job(&job, &lease);
             shared2.running.fetch_sub(1, Ordering::SeqCst);
             drop(lease);
             shared2.sched_cond.notify_all();
@@ -532,22 +532,21 @@ fn grant_bytes(cfg: &ServeConfig, spec: &JobSpec) -> u64 {
 
 /// Execute one job to a terminal state (or a drain pause), publishing
 /// its journal stream and recording the outcome.
-fn run_job(shared: &Arc<Shared>, job: &Arc<Job>, lease: &BudgetLease) {
+fn run_job(job: &Arc<Job>, lease: &BudgetLease) {
     match execute_job(job, lease) {
         Ok(Outcome::Paused { frontier }) => {
             job.set_state(JobState::Paused);
             let status = paused_status(job, frontier);
             job.publisher.finish(&status.encode());
         }
-        Ok(Outcome::Finished(status)) => settle(shared, job, status),
-        Err(status) => settle(shared, job, status),
+        Ok(Outcome::Finished(status)) | Err(status) => settle(job, status),
     }
 }
 
 /// Persist and publish a terminal status: sidecar first (tmp +
 /// rename + fsync — after this the restart scan knows the job is
 /// over), then the in-memory record, then the subscribers.
-fn settle(_shared: &Arc<Shared>, job: &Arc<Job>, status: JobStatusFrame) {
+fn settle(job: &Arc<Job>, status: JobStatusFrame) {
     let bytes = status.encode();
     if let Err(e) = write_atomic(&job.status_path(), &bytes) {
         eprintln!(
@@ -818,20 +817,20 @@ fn session(shared: &Arc<Shared>, mut stream: TcpStream) {
     }
 }
 
-/// Stream a job's journal to one client: catch up from the file
-/// (the stream and the file are the same bytes), then follow the
-/// live queue, coalescing dropped frames into frontier summaries. A
-/// write that stalls past the configured timeout disconnects the
-/// client; the job itself never notices.
+/// Stream a job's journal to one client: catch up with the file's own
+/// bytes, then follow the live queue — journal frames go out as they
+/// lie in the file, and only the daemon's own records (a frontier
+/// summary where frames were dropped, the terminal status) are framed
+/// here. A write that stalls past the configured timeout disconnects
+/// the client; the job itself never notices.
 fn stream_job(shared: &Arc<Shared>, job: &Arc<Job>, mut stream: TcpStream) {
+    use std::io::Write as _;
     let _ = stream.set_write_timeout(Some(shared.cfg.stall_timeout));
     let (sub, snapshot, finished) = job.publisher.subscribe(shared.cfg.stream_buffer);
-    let catch_up = read_frames(&job.journal_path(), snapshot as usize).unwrap_or_default();
-    for frame in &catch_up {
-        if write_frame(&mut stream, frame).is_err() {
-            sub.mark_gone();
-            return;
-        }
+    let catch_up = journal_prefix(&job.journal_path(), snapshot as usize).unwrap_or_default();
+    if stream.write_all(&catch_up).is_err() {
+        sub.mark_gone();
+        return;
     }
     if let Some(status) = finished {
         let _ = write_frame(&mut stream, &status);
@@ -847,7 +846,12 @@ fn stream_job(shared: &Arc<Shared>, job: &Arc<Job>, mut stream: TcpStream) {
                         return;
                     }
                 }
-                if write_frame(&mut stream, &record).is_err() {
+                let sent = if sub.finished() {
+                    write_frame(&mut stream, &record)
+                } else {
+                    stream.write_all(&record)
+                };
+                if sent.is_err() {
                     sub.mark_gone();
                     return;
                 }

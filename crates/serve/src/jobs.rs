@@ -2,24 +2,25 @@
 //! journal stream out to subscribed clients, and the bounded
 //! per-subscriber buffers that give the daemon backpressure.
 //!
-//! The stream a client receives IS the job's crash journal: every frame
-//! the publisher fans out is the exact length-framed record that an
-//! `fdatasync` of the journal file has just covered, so "watch the job"
-//! and "replicate the journal" are the same operation. A subscriber
-//! that attaches late is caught up from the file itself — the first
-//! `records` frames, **by count**: the journal's writer commits in
-//! groups, so the file may hold frames that are written and not yet
-//! durable, and the accounted frames are a prefix of it — and then
-//! switched to the live queue. The file and the stream can never
-//! disagree because they are the same bytes.
+//! The stream a client receives IS the job's crash journal, verbatim:
+//! what a subscriber is sent in front of the daemon's own records — a
+//! [`FrontierSummary`] where its queue overflowed, the terminal
+//! [`JobStatusFrame`] — is a prefix of the journal file, byte for byte,
+//! so "watch the job" and "replicate the journal" are one operation. A
+//! live frame is the `u32 len | record` the journal's observer is handed
+//! once an `fdatasync` has covered it, queued and written as it is. A
+//! late subscriber is caught up with the file's own bytes — the range of
+//! its first `records` frames, **by count**: the writer commits in
+//! groups, so the file may hold frames not yet durable, and the
+//! accounted frames are a prefix of it — then switched to the live
+//! queue. The daemon frames nothing of the journal a second time.
 
 use std::collections::VecDeque;
-use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Condvar, Mutex};
 
-use rlrpd_core::remote::{commit_frontier, FrontierSummary};
+use rlrpd_core::remote::{commit_frontier, frames, FrontierSummary};
 use rlrpd_core::remote::{JobSpec, JobState, JobStatusFrame};
 
 /// File name of the job's meta image (the exact [`JobSpec`] record the
@@ -64,39 +65,31 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Walk a journal file's length-framed records and return the first
-/// `limit` complete frames (all of them under `usize::MAX`). Stops at
-/// the first incomplete frame — a torn tail from a crash mid-append is
-/// simply not part of the snapshot, exactly as `Journal::open` will
-/// truncate it on resume.
+/// A journal file's bytes up to the end of its `limit`-th complete
+/// frame (of its last, under `usize::MAX`; nothing for a file that does
+/// not exist) — what a late subscriber is caught up with. The walk is
+/// [`frames`]: a torn tail from a crash mid-append is simply not part of
+/// the snapshot, exactly as `Journal::open` will truncate it on resume.
+pub(crate) fn journal_prefix(path: &Path, limit: usize) -> std::io::Result<Vec<u8>> {
+    let mut buf = match std::fs::read(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        read => read?,
+    };
+    let end = frames(&buf).take(limit).last().map_or(0, |(_, end)| end);
+    buf.truncate(end);
+    Ok(buf)
+}
+
+/// The records of the first `limit` complete frames of a journal file,
+/// one by one.
 pub fn read_frames(path: &Path, limit: usize) -> std::io::Result<Vec<Vec<u8>>> {
-    let mut buf = Vec::new();
-    match std::fs::File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut buf)?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    }
-    let mut frames = Vec::new();
-    let mut at = 0usize;
-    while frames.len() < limit {
-        let Some(len_bytes) = buf.get(at..at + 4) else {
-            break;
-        };
-        let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
-        let Some(rec) = buf.get(at + 4..at + 4 + len) else {
-            break;
-        };
-        frames.push(rec.to_vec());
-        at += 4 + len;
-    }
-    Ok(frames)
+    let prefix = journal_prefix(path, limit)?;
+    Ok(frames(&prefix).map(|(rec, _)| rec.to_vec()).collect())
 }
 
 /// Count the complete frames currently in a journal file.
 pub fn count_frames(path: &Path) -> usize {
-    read_frames(path, usize::MAX).map(|v| v.len()).unwrap_or(0)
+    journal_prefix(path, usize::MAX).map_or(0, |buf| frames(&buf).count())
 }
 
 /// One subscribed client stream: a bounded frame queue plus drop
@@ -126,10 +119,12 @@ struct SubState {
 
 /// What a session's queue pop yields.
 pub enum StreamItem {
-    /// A journal (or status) frame to forward verbatim, preceded by a
-    /// summary of `dropped` frames if any were lost to backpressure.
+    /// A journal frame — the file's bytes, `u32 len | record`, to
+    /// forward as they are — or, last of all, the terminal status
+    /// record ([`Subscriber::finished`] tells them apart), preceded by
+    /// a summary of `dropped` frames if any were lost to backpressure.
     Frame {
-        /// The record bytes to forward.
+        /// The bytes as they were published.
         record: Vec<u8>,
         /// Frames dropped before this one (0 = none; emit a
         /// [`FrontierSummary`] first when positive).
@@ -165,6 +160,15 @@ impl Subscriber {
             }
             st = self.cond.wait(st).expect("subscriber lock");
         }
+    }
+
+    /// Has the queue delivered its last frame? [`Publisher::finish`]
+    /// pushes the terminal status record last and closes the queue
+    /// behind it, so the frame that leaves a closed queue empty is the
+    /// status — the one frame of the stream that is not the journal's.
+    pub fn finished(&self) -> bool {
+        let st = self.state.lock().expect("subscriber lock");
+        st.closed && st.queue.is_empty()
     }
 
     /// Mark this subscriber dead (its session hit a write error or a
@@ -217,13 +221,15 @@ impl Publisher {
         }
     }
 
-    /// Fan one durable journal record out to every live subscriber.
-    /// Full queues drop the frame and count it; dead sessions are
-    /// pruned here.
-    pub fn publish(&self, record: &[u8]) {
+    /// Fan one durable journal frame — `u32 len | record`, as the
+    /// journal's observer is handed it — out to every live subscriber,
+    /// unchanged. Full queues drop the frame and count it; dead
+    /// sessions are pruned here.
+    pub fn publish(&self, frame: &[u8]) {
         let mut inner = self.inner.lock().expect("publisher lock");
         inner.records += 1;
-        if let Some(fr) = commit_frontier(record) {
+        let record = frames(frame).next().map(|(record, _)| record);
+        if let Some(fr) = record.and_then(commit_frontier) {
             inner.frontier = inner.frontier.max(fr);
         }
         inner.subs.retain(|sub| {
@@ -235,7 +241,7 @@ impl Publisher {
                 st.pending_dropped += 1;
             } else {
                 let dropped = std::mem::take(&mut st.pending_dropped);
-                st.queue.push_back((record.to_vec(), dropped));
+                st.queue.push_back((frame.to_vec(), dropped));
             }
             sub.cond.notify_one();
             true

@@ -845,6 +845,75 @@ fn cross_host_run_composes_tcp_and_local_workers() {
     );
 }
 
+/// `rlrpd submit` shows the job's progress while it runs: one `commit
+/// frontier` line per commit record on the *first* submit, which
+/// follows the job live — as many as on a second submit of the same
+/// key, which is caught up from the finished job's journal file, and as
+/// the final line counts frames less the header. (The first used to
+/// print none: a live frame went out framed twice.)
+#[test]
+fn submit_prints_a_progress_line_per_commit_while_the_job_runs() {
+    use std::io::BufRead;
+    use std::process::Stdio;
+    let state = std::env::temp_dir().join(format!("rlrpd-cli-serve-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state);
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_rlrpd"))
+        .args(["serve", "--listen", "127.0.0.1:0", "--state-dir"])
+        .arg(&state)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn daemon");
+    let banner = std::io::BufReader::new(daemon.stdout.take().expect("daemon stdout"))
+        .lines()
+        .next()
+        .expect("daemon banner")
+        .expect("read banner");
+    let addr = banner
+        .strip_prefix("serve listening on ")
+        .and_then(|rest| rest.split(' ').next())
+        .unwrap_or_else(|| panic!("unexpected banner: {banner}"))
+        .to_string();
+    let prog = program("tracking.rlp");
+    let submit = || {
+        rlrpd(&[
+            "submit",
+            &prog,
+            "--connect",
+            &addr,
+            "--key",
+            "0x500000001",
+            "--procs",
+            "4",
+            "--strategy",
+            "sw:4",
+            "--retry",
+            "60",
+        ])
+    };
+    let runs = [submit(), submit()];
+    let _ = daemon.kill();
+    let _ = daemon.wait();
+    let _ = std::fs::remove_dir_all(&state);
+    let [live, attached] = runs.map(|(ok, stdout, stderr)| {
+        assert!(ok, "{stderr}");
+        assert!(stdout.contains("Done, exit 0, verified true"), "{stdout}");
+        let frames: usize = stdout
+            .lines()
+            .last()
+            .and_then(|l| {
+                l.split(", ")
+                    .find_map(|f| f.split_once(" frames")?.0.parse().ok())
+            })
+            .unwrap_or_else(|| panic!("no frame count: {stdout}"));
+        let lines = stdout.matches("submit: commit frontier ").count();
+        assert_eq!(lines + 1, frames, "{stdout}");
+        lines
+    });
+    assert!(live > 8, "{live} progress lines for a run of many stages");
+    assert_eq!(live, attached);
+}
+
 #[test]
 fn distributed_run_verifies_and_reports_transport() {
     let (ok, stdout, stderr) = rlrpd(&[

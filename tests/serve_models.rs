@@ -664,3 +664,176 @@ fn a_subscriber_attaching_under_a_slow_fsync_gets_every_frame_once_in_order() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// What one raw connection saw of a job: the bytes of every frame in
+/// front of the terminal status (re-framed as they were read, so a
+/// frame the daemon framed twice reads back framed twice), the frontier
+/// summaries among them, and the status.
+struct RawStream {
+    journal: Vec<u8>,
+    commits: Vec<Option<u64>>,
+    summaries: Vec<rlrpd::core::remote::FrontierSummary>,
+    status: rlrpd::core::remote::JobStatusFrame,
+}
+
+/// Submit `spec` over a bare socket and record the stream, reading
+/// nothing until `before_reading` returns.
+fn raw_submit(addr: &str, spec: &JobSpec, before_reading: impl FnOnce()) -> RawStream {
+    use rlrpd::core::remote::{
+        commit_frontier, frame_kind, push_frame, read_frame, FrontierSummary, JobDecision,
+        JobStatusFrame, FRAME_STATUS, FRAME_SUMMARY,
+    };
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    write_frame(&mut stream, &spec.encode()).expect("submit frame");
+    let mut next = || read_frame(&mut stream).expect("stream").expect("a frame");
+    let decision = JobDecision::decode(&next()).expect("decision frame");
+    assert!(
+        !matches!(decision, JobDecision::Rejected(_)),
+        "{decision:?}"
+    );
+    before_reading();
+    let (mut journal, mut commits, mut summaries) = (Vec::new(), Vec::new(), Vec::new());
+    loop {
+        let frame = next();
+        match frame_kind(&frame) {
+            Some(FRAME_STATUS) => {
+                let status = JobStatusFrame::decode(&frame).expect("status frame");
+                return RawStream {
+                    journal,
+                    commits,
+                    summaries,
+                    status,
+                };
+            }
+            Some(FRAME_SUMMARY) => {
+                summaries.push(FrontierSummary::decode(&frame).expect("summary frame"))
+            }
+            _ => {
+                push_frame(&mut journal, &frame);
+                commits.push(commit_frontier(&frame));
+            }
+        }
+    }
+}
+
+/// The stream is the file: what a subscriber receives in front of the
+/// status frame — following the job live from its first record, or
+/// attached after it finished and caught up from the file — is the
+/// job's journal file, byte for byte, and every frame after the header
+/// reads as a commit record with its frontier. (The daemon used to
+/// frame a live frame a second time, `len | len | record`, which no
+/// reader recognised as a commit.)
+#[test]
+fn a_live_stream_a_caught_up_stream_and_the_journal_file_are_the_same_bytes() {
+    let dir = state_dir("verbatim");
+    let handle = start(ServeConfig {
+        state_dir: dir.clone(),
+        ..ServeConfig::default()
+    });
+    let mut spec = spec_for(0x11_0000_0001, MODELS[1]);
+    spec.strategy = "sw:7".into();
+    let n = rlrpd::dist::resolve_spec(&spec.spec)
+        .expect("registry spec")
+        .num_iters() as u64;
+
+    let live = raw_submit(handle.addr(), &spec, || {});
+    let attached = raw_submit(handle.addr(), &spec, || {});
+    let file = std::fs::read(dir.join(format!("job-{:016x}/journal.bin", spec.key)))
+        .expect("the job's journal");
+    for (what, got) in [("live", &live), ("attached", &attached)] {
+        assert_eq!(got.status.state, JobState::Done, "{what}");
+        assert!(got.status.verified, "{what}");
+        assert!(got.summaries.is_empty(), "{what}: frames were dropped");
+        assert!(got.journal == file, "{what} stream differs from the file");
+        let (header, commits) = got.commits.split_first().expect("a header frame");
+        assert_eq!(*header, None, "{what}");
+        assert!(commits.len() > 8, "{what}: a run of many commits");
+        assert!(
+            commits.iter().all(Option::is_some),
+            "{what}: a commit frame did not read as one"
+        );
+        assert_eq!(commits.last(), Some(&Some(n)), "{what}");
+    }
+    handle.drain();
+    assert_eq!(handle.join(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A subscriber squeezed through a one-frame buffer is told how far the
+/// job has come: the summary standing in for the frames it lost carries
+/// the frontier of the last durable commit. (It carried 0, always: the
+/// publisher never found a frontier in a frame it had been handed with
+/// the journal's length prefix in front.)
+#[test]
+fn a_frontier_summary_carries_the_durable_frontier() {
+    let dir = state_dir("summary");
+    let handle = start(ServeConfig {
+        state_dir: dir.clone(),
+        stream_buffer: 1,
+        ..ServeConfig::default()
+    });
+    let mut spec = spec_for(0x12_0000_0001, MODELS[1]);
+    spec.strategy = "sw:7".into();
+    // Read nothing until the job is over: the socket's buffers fill or
+    // not, the writer's groups of records outrun a queue of one.
+    let addr = handle.addr().to_string();
+    let got = raw_submit(&addr, &spec, || {
+        let t0 = Instant::now();
+        while query_status(&addr, spec.key, &opts())
+            .expect("status")
+            .state
+            != JobState::Done
+        {
+            assert!(t0.elapsed() < Duration::from_secs(60), "job never finished");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    });
+    assert_eq!(got.status.state, JobState::Done);
+    assert!(!got.summaries.is_empty(), "nothing was dropped");
+    let mut last = 0;
+    for s in &got.summaries {
+        assert!(s.dropped > 0 && s.records > 1, "{s:?}");
+        assert!(s.frontier > 0, "a summary without a frontier: {s:?}");
+        assert!(s.frontier >= last, "frontiers went backwards: {s:?}");
+        last = s.frontier;
+    }
+    assert!(last <= got.status.frontier);
+    handle.drain();
+    assert_eq!(handle.join(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job that fails mid-run reports the frontier its last durable
+/// record carries — what a resubmission under a larger stage cap would
+/// not have to redo — not 0.
+#[test]
+fn a_failed_job_reports_the_frontier_of_its_last_durable_record() {
+    use rlrpd::core::remote::commit_frontier;
+    use rlrpd::serve::jobs::read_frames;
+
+    let dir = state_dir("failed-frontier");
+    let handle = start(ServeConfig {
+        state_dir: dir.clone(),
+        ..ServeConfig::default()
+    });
+    let mut spec = spec_for(0x13_0000_0001, MODELS[1]);
+    spec.strategy = "sw:7".into();
+    spec.max_stages = 3;
+    let got = raw_submit(handle.addr(), &spec, || {});
+    assert_eq!(got.status.state, JobState::Failed, "{:?}", got.status);
+    assert_eq!(got.status.exit_code, 3, "the stage limit's exit code");
+
+    let path = dir.join(format!("job-{:016x}/journal.bin", spec.key));
+    let records = read_frames(&path, usize::MAX).expect("the job's journal");
+    let durable = records.last().and_then(|rec| commit_frontier(rec));
+    assert!(records.len() > 1 && durable > Some(0), "{durable:?}");
+    assert_eq!(Some(got.status.frontier), durable);
+    let asked = query_status(handle.addr(), spec.key, &opts()).expect("status");
+    assert_eq!(Some(asked.frontier), durable);
+    handle.drain();
+    assert_eq!(handle.join(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
