@@ -667,6 +667,15 @@ impl Runner {
         let mut ecfg = self.cfg.engine_cfg();
         ecfg.fault = self.fault.clone();
         let mut engine = Engine::new(lp, ecfg, false);
+        // The per-iteration timing record (paper §5.1) is kept for the
+        // policies that cut the next run's blocks from it, and for no
+        // other run.
+        if matches!(
+            self.cfg.balance,
+            BalancePolicy::FeedbackGuided | BalancePolicy::FeedbackTrend
+        ) {
+            engine.iter_times = Some(vec![0.0; engine.n]);
+        }
 
         // First uncommitted iteration, and — when the journal being
         // resumed already holds the whole run — that run's report.
@@ -810,12 +819,8 @@ impl Runner {
                 )
             })
             .collect();
-        if matches!(
-            self.cfg.balance,
-            BalancePolicy::FeedbackGuided | BalancePolicy::FeedbackTrend
-        ) {
-            self.partitioner
-                .record(std::mem::take(&mut engine.iter_times));
+        if let Some(iter_times) = engine.iter_times.take() {
+            self.partitioner.record(iter_times);
         }
         RunResult {
             arrays: engine.arrays_out(),

@@ -14,6 +14,7 @@ use crate::commit::{commit_tested, PerBlock};
 use crate::ctx::{ArrayMeta, IterCtx, Route, RoutedArrays};
 use crate::error::RlrpdError;
 use crate::journal::CommitRecord;
+use crate::ledger::{CostRuns, LastProc};
 use crate::spec_loop::{BatchTally, SpecLoop};
 use crate::value::{Reduction, Value};
 use crate::view::ProcView;
@@ -61,8 +62,11 @@ pub(crate) struct BlockState<T: Value> {
     pub wlog: WriteLog<T>,
     /// Per-iteration mark lists, one per tested slot (DDG mode only).
     pub marks: Vec<IterMarks>,
-    /// `(iteration, cost)` pairs executed this stage.
-    pub iter_costs: Vec<(u32, f64)>,
+    /// What each iteration executed this stage cost, in execution
+    /// order, as runs: a block runs its range front to back, so these
+    /// are the iterations `range.start .. range.start + iter_costs.len()`
+    /// — one run when the loop's cost is one number.
+    pub iter_costs: CostRuns,
     /// Iteration at which this block's body requested a premature
     /// exit, if any (execution of the block stops there).
     pub exit_iter: Option<u32>,
@@ -169,11 +173,15 @@ pub(crate) struct Engine<'l, T: Value> {
     pub states: Vec<BlockState<T>>,
     pub executor: Executor,
     pub cfg: EngineCfg,
-    /// Committed per-iteration costs (feedback-guided load balancing).
-    pub iter_times: Vec<f64>,
-    /// Last processor to execute each iteration (u32::MAX = never):
-    /// drives the remote-miss locality accounting.
-    pub last_proc: Vec<u32>,
+    /// Committed per-iteration costs, one entry per iteration of the
+    /// loop — the paper's §5.1 timing record. `Some` only when the
+    /// driver runs under a feedback balance policy, the one reader:
+    /// every other run neither allocates nor maintains it.
+    pub iter_times: Option<Vec<f64>>,
+    /// Last processor to execute each iteration, as spans: drives the
+    /// remote-miss locality accounting, asked and updated once per
+    /// block per stage.
+    pub last_proc: LastProc,
     /// Record per-iteration marks for DDG extraction.
     pub record_marks: bool,
     /// Stages run over this engine's lifetime (keys checkpoint-fault
@@ -228,7 +236,7 @@ impl<'l, T: Value> Engine<'l, T> {
                 } else {
                     Vec::new()
                 },
-                iter_costs: Vec::new(),
+                iter_costs: CostRuns::default(),
                 exit_iter: None,
                 tally: BatchTally::default(),
             })
@@ -247,8 +255,8 @@ impl<'l, T: Value> Engine<'l, T> {
             states,
             executor: Executor::with_procs(cfg.exec, cfg.p),
             cfg,
-            iter_times: vec![0.0; n],
-            last_proc: vec![u32::MAX; n],
+            iter_times: None,
+            last_proc: LastProc::default(),
             record_marks,
             stage_ordinal: 0,
             delta_bits: None,
@@ -408,31 +416,31 @@ impl<'l, T: Value> Engine<'l, T> {
         // processor than its last toucher pays a remote-miss penalty —
         // the ccNUMA effect that motivates the circular sliding window
         // and half the cost of redistribution. Charged as the max over
-        // blocks (misses happen inside the parallel section).
+        // blocks (misses happen inside the parallel section). A block
+        // executed the front of its range, so the ledger is asked once
+        // per block — every block's misses before any is assigned.
+        let executed = |pos: usize| {
+            let first = schedule.blocks()[pos].range.start;
+            (
+                first..first + self.states[pos].iter_costs.len(),
+                schedule.blocks()[pos].proc.0,
+            )
+        };
         if cost.remote_miss > 0.0 {
-            let mut max_misses = 0usize;
-            for (pos, st) in self.states.iter().enumerate() {
-                let proc = schedule.blocks()[pos].proc.0;
-                let misses = st
-                    .iter_costs
-                    .iter()
-                    .filter(|(it, _)| {
-                        let lp = self.last_proc[*it as usize];
-                        lp != u32::MAX && lp != proc
-                    })
-                    .count();
-                max_misses = max_misses.max(misses);
-            }
+            let max_misses = (0..self.cfg.p)
+                .map(|pos| {
+                    let (iters, proc) = executed(pos);
+                    self.last_proc.misses(iters, proc)
+                })
+                .fold(0, usize::max);
             stats.overhead.add(
                 OverheadKind::RemoteMiss,
                 max_misses as f64 * cost.remote_miss,
             );
         }
-        for (pos, st) in self.states.iter().enumerate() {
-            let proc = schedule.blocks()[pos].proc.0;
-            for &(it, _) in &st.iter_costs {
-                self.last_proc[it as usize] = proc;
-            }
+        for pos in 0..self.cfg.p {
+            let (iters, proc) = executed(pos);
+            self.last_proc.assign(iters, proc);
         }
 
         // On-demand checkpoint entries were saved during the loop; the
@@ -614,9 +622,12 @@ impl<'l, T: Value> Engine<'l, T> {
             stats.phases.commit_seconds = phase_start.elapsed().as_secs_f64();
         }
 
-        for st in &self.states[..commit_upto] {
-            for &(iter, c) in &st.iter_costs {
-                self.iter_times[iter as usize] = c;
+        if let Some(iter_times) = &mut self.iter_times {
+            for (iter, c) in self.states[..commit_upto]
+                .iter()
+                .flat_map(|st| st.iter_costs.iter())
+            {
+                iter_times[iter as usize] = c;
             }
         }
         stats.iters_committed = schedule.blocks()[..commit_upto]
@@ -946,7 +957,6 @@ impl<'l, T: Value> Engine<'l, T> {
             st.tally = BatchTally::default();
             let range = schedule.blocks()[pos].range.clone();
             let proc = schedule.blocks()[pos].proc.0;
-            st.iter_costs.reserve(range.len());
             let mut total = 0.0;
             let mut ctx = IterCtx::speculative(
                 range.start,
@@ -965,7 +975,7 @@ impl<'l, T: Value> Engine<'l, T> {
                 if let Some(plan) = plan {
                     c += plan.delay_for(proc, iter);
                 }
-                iter_costs.push((iter as u32, c));
+                iter_costs.push(iter as u32, c);
                 total += c;
                 if exited {
                     // Within a block execution is sequential: the rest
@@ -996,13 +1006,13 @@ impl<'l, T: Value> Engine<'l, T> {
         let fault = panic.map(|jp| {
             let pos = jp.index;
             let range = &schedule.blocks()[pos].range;
-            // iter_costs holds one entry per iteration completed before
-            // the panic, and blocks run their contiguous range in
-            // order, so the faulting iteration is the next one.
+            // iter_costs counts the iterations completed before the
+            // panic, and blocks run their contiguous range in order, so
+            // the faulting iteration is the next one.
             let iter = range.start + self.states[pos].iter_costs.len();
             // The executor reports 0.0 for the panicked block; restore
             // the partial work it actually performed.
-            timing.per_block_cost[pos] = self.states[pos].iter_costs.iter().map(|&(_, c)| c).sum();
+            timing.per_block_cost[pos] = self.states[pos].iter_costs.total();
             FaultEvent {
                 pos,
                 iter,
@@ -1283,6 +1293,201 @@ pub fn verify_against_sequential(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::array::{ArrayDecl, ArrayId};
+    use crate::spec_loop::ClosureLoop;
+
+    fn engine_cfg(p: usize, fault: Option<FaultPlan>) -> EngineCfg {
+        EngineCfg {
+            p,
+            exec: ExecMode::Simulated,
+            cost: CostModel::default(),
+            checkpoint: CheckpointPolicy::OnDemand,
+            commit_prefix_on_failure: true,
+            fault: fault.map(Arc::new),
+            budget: Arc::new(ShadowBudget::unlimited()),
+        }
+    }
+
+    /// `A[i] = i` (tested), `U[i]` written twice and `V[i]` once
+    /// (untested), optionally exiting at one iteration.
+    fn doall(n: usize, exit_at: Option<usize>) -> ClosureLoop {
+        ClosureLoop::new(
+            n,
+            move || {
+                vec![
+                    ArrayDecl::tested("A", vec![0.0; n], ShadowKind::Dense),
+                    ArrayDecl::untested("U", vec![0.0; n]),
+                    ArrayDecl::untested("V", vec![0.0; n]),
+                ]
+            },
+            move |i, ctx| {
+                ctx.write(ArrayId(0), i, i as f64);
+                ctx.write(ArrayId(1), i, 1.0);
+                ctx.write(ArrayId(2), i, 2.0);
+                ctx.write(ArrayId(1), i, 3.0);
+                if Some(i) == exit_at {
+                    ctx.exit();
+                }
+            },
+        )
+    }
+
+    /// Costs whose sum depends on the order of the additions.
+    fn mixed(i: usize) -> f64 {
+        if i.is_multiple_of(3) {
+            0.1
+        } else {
+            2.5
+        }
+    }
+
+    fn bits(costs: &[f64]) -> Vec<u64> {
+        costs.iter().map(|c| c.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_doall_stage_leaves_ledgers_the_size_of_its_structure() {
+        let (n, p) = (4096, 4);
+        let lp = doall(n, None);
+        let schedule = BlockSchedule::even(0..n, p);
+
+        // What a block holds when it finishes (the stage's clear wipes
+        // the write log): one cost run, and one write-log run for the
+        // untested array it swept.
+        let sweep = ClosureLoop::new(
+            n,
+            move || {
+                vec![
+                    ArrayDecl::tested("A", vec![0.0; n], ShadowKind::Dense),
+                    ArrayDecl::untested("U", vec![0.0; n]),
+                ]
+            },
+            |i, ctx| {
+                ctx.write(ArrayId(0), i, 1.0);
+                ctx.write(ArrayId(1), i, 1.0);
+            },
+        );
+        let mut eng = Engine::new(&sweep, engine_cfg(p, None), false);
+        eng.run_blocks_local(&schedule, None, false);
+        for st in &eng.states {
+            assert_eq!(st.iter_costs.runs().len(), 1);
+            assert_eq!(st.iter_costs.len(), n / p);
+            assert_eq!((st.wlog.num_runs(), st.wlog.num_written()), (1, n / p));
+        }
+        // Two untested arrays written turn about never extend each
+        // other's run: the log is in write order, so this is its worst
+        // case — a run per first write, what the flat log always held.
+        let mut eng = Engine::new(&lp, engine_cfg(p, None), false);
+        eng.run_blocks_local(&schedule, None, false);
+        for st in &eng.states {
+            assert_eq!(st.wlog.num_written(), 2 * n / p);
+            assert_eq!(st.wlog.num_runs(), 2 * n / p);
+        }
+
+        // A whole stage: one span per block, and no per-iteration
+        // timing record unless a feedback policy asked for one.
+        let mut eng = Engine::new(&lp, engine_cfg(p, None), false);
+        let out = eng.run_stage(&schedule).unwrap();
+        assert_eq!(out.stats.iters_committed, n);
+        assert_eq!(eng.last_proc.spans().len(), p);
+        assert!(eng.states.iter().all(|st| st.iter_costs.runs().len() == 1));
+        assert!(eng.iter_times.is_none());
+        // The same blocks on the same processors again: nothing moves,
+        // nothing misses, nothing grows.
+        let out = eng.run_stage(&schedule).unwrap();
+        assert_eq!(out.stats.overhead.get(OverheadKind::RemoteMiss), 0.0);
+        assert_eq!(eng.last_proc.spans().len(), p);
+        // Rotated by one processor, every iteration misses.
+        let out = eng.run_stage(&BlockSchedule::circular(0..n, p, 1)).unwrap();
+        assert_eq!(
+            out.stats.overhead.get(OverheadKind::RemoteMiss),
+            (n / p) as f64
+        );
+        assert_eq!(eng.last_proc.spans().len(), p);
+
+        // With the record on, it is the committed iterations' costs.
+        let lp = doall(64, None).with_cost(mixed);
+        let mut eng = Engine::new(&lp, engine_cfg(p, None), false);
+        eng.iter_times = Some(vec![0.0; 64]);
+        eng.run_stage(&BlockSchedule::even(0..64, p)).unwrap();
+        let want: Vec<f64> = (0..64).map(mixed).collect();
+        assert_eq!(eng.iter_times.as_deref(), Some(&want[..]));
+    }
+
+    /// A contained panic, then a premature exit, on ledgers kept as
+    /// runs: fault iteration, block costs to the bit and remote-miss
+    /// charge are the numbers the per-iteration ledgers produced (read
+    /// off the parent commit of the change that introduced the runs).
+    #[test]
+    fn faults_and_exits_report_what_the_flat_ledgers_reported() {
+        let lp = doall(64, Some(50)).with_cost(mixed);
+        let whole = BlockSchedule::even(0..64, 4);
+        let rest = BlockSchedule::even(32..64, 4);
+
+        // Block level: the panicked block's partial cost is rebuilt
+        // from its ledger; the block after it still ran (to its exit).
+        let plan = FaultPlan::new().panic_at_iter(40);
+        let mut eng = Engine::new(&lp, engine_cfg(4, None), false);
+        let (timing, fault) = eng.run_blocks_local(&whole, Some(&plan), false);
+        let fault = fault.expect("the injected panic is contained");
+        assert_eq!((fault.pos, fault.iter), (2, 40));
+        assert_eq!(
+            bits(&timing.per_block_cost),
+            [
+                0x403999999999999a,
+                0x403c000000000000,
+                0x4029999999999999,
+                0x4014666666666666
+            ]
+        );
+        let mut eng = Engine::new(&lp, engine_cfg(4, None), false);
+        let (timing, fault) = eng.run_blocks_local(&rest, None, false);
+        assert!(fault.is_none());
+        let exits: Vec<_> = eng.states.iter().map(|st| st.exit_iter).collect();
+        assert_eq!(exits, [None, None, Some(50), None]);
+        assert_eq!(
+            bits(&timing.per_block_cost),
+            [
+                0x4029999999999999,
+                0x402e666666666666,
+                0x4014666666666666,
+                0x4029999999999999
+            ]
+        );
+
+        // Stage level: the panic stage commits two blocks and restores
+        // the rest; the stage after it redistributes 32..64, so the
+        // iterations that ran before the panic (32..40 on processor 2,
+        // 48..51 on 3) miss on their new processors — 8 at most in one
+        // block — and the exit at 50 ends the loop.
+        let plan = FaultPlan::new().panic_at_iter(40);
+        let mut eng = Engine::new(&lp, engine_cfg(4, Some(plan)), false);
+        let out = eng.run_stage(&whole).unwrap();
+        let fault = out.fault.as_ref().expect("contained");
+        assert_eq!((fault.pos, fault.iter), (2, 40));
+        assert_eq!((out.violation, out.restart_iter), (Some(2), Some(32)));
+        assert_eq!(out.stats.iters_committed, 32);
+        assert_eq!(out.stats.loop_time.to_bits(), 0x403c000000000000);
+        assert_eq!(out.stats.total_work.to_bits(), 0x4051e00000000000);
+        let overhead = |out: &StageOutcome, kind| out.stats.overhead.get(kind);
+        assert_eq!(overhead(&out, OverheadKind::RemoteMiss), 0.0);
+        assert_eq!(overhead(&out, OverheadKind::Restore), 0.8);
+        assert_eq!(overhead(&out, OverheadKind::Checkpoint), 1.6);
+        assert_eq!(
+            eng.last_proc.spans().len(),
+            4,
+            "0..16, 16..32, 32..40, 48..51"
+        );
+
+        let out = eng.run_stage(&rest).unwrap();
+        assert_eq!((out.exit, out.violation), (Some(50), None));
+        assert_eq!(out.stats.iters_committed, 19);
+        assert_eq!(out.stats.loop_time.to_bits(), 0x402e666666666666);
+        assert_eq!(out.stats.total_work.to_bits(), 0x4046f33333333333);
+        assert_eq!(overhead(&out, OverheadKind::RemoteMiss), 8.0);
+        assert_eq!(overhead(&out, OverheadKind::Restore), 0.8);
+        assert_eq!(overhead(&out, OverheadKind::Checkpoint), 0.8);
+    }
 
     #[test]
     fn one_ulp_fails_a_plain_array_and_passes_a_reduction() {

@@ -65,10 +65,10 @@ mod doacross;
 pub mod driver;
 mod engine;
 pub mod error;
-pub mod flags;
 pub mod induction;
 pub mod inspector;
 pub mod journal;
+pub mod ledger;
 pub mod lrpd;
 pub mod persist;
 pub mod predictor;
@@ -98,6 +98,7 @@ pub use induction::{
 };
 pub use inspector::{run_inspector_executor, AccessTrace, Inspectable, InspectorResult};
 pub use journal::{CommitRecord, FrameObserver, Journal, JournalElem, JournalError, JournalHeader};
+pub use ledger::{CostRun, CostRuns};
 pub use lrpd::{run_classic_lrpd, try_run_classic_lrpd};
 pub use persist::PersistError;
 pub use predictor::{PredictiveRunner, StrategyPredictor};

@@ -54,6 +54,7 @@ use crate::engine::{Engine, EngineCfg, FaultEvent};
 use crate::journal::{
     elem_fingerprint, CommitRecord, ElemBits, JournalElem, JournalHeader, CHAIN_SEED,
 };
+use crate::ledger::{CostRun, CostRuns};
 use crate::persist::{
     fnv, PersistError, Reader, Writer, KIND_DIST_HEARTBEAT, KIND_DIST_HELLO, KIND_DIST_REPLY,
     KIND_DIST_REQUEST, KIND_DIST_SHUTDOWN, KIND_JOURNAL_COMMIT,
@@ -430,8 +431,9 @@ pub struct BlockReply {
     /// Per untested slot, in slot order: the `(element, new value
     /// bits)` pairs the block wrote in place.
     pub untested: Vec<Vec<(u32, u64)>>,
-    /// `(iteration, cost)` pairs executed, in execution order.
-    pub iter_costs: Vec<(u32, f64)>,
+    /// `(iteration, cost)` pairs executed, in execution order — as the
+    /// runs the wire carries them in.
+    pub iter_costs: CostRuns,
     /// The worker's shadow footprint (bytes) while this block's marks
     /// were live — folded (max) into the supervisor's
     /// `shadow_bytes_peak` so the report reflects the whole fleet.
@@ -442,24 +444,13 @@ pub struct BlockReply {
 const NONE_SENTINEL: u64 = u64::MAX;
 
 impl BlockReply {
-    /// Encode to a wire record. `iter_costs` travels run-length
-    /// encoded — `(first iteration, count, cost bits)` per run of
-    /// consecutive iterations at one bit-equal cost — which is most of a
-    /// reply's pairs: a block's iterations are consecutive and a loop's
-    /// cost is usually one number.
+    /// Encode to a wire record. `iter_costs` travels as the runs it is
+    /// held in — `(first iteration, count, cost bits)` per run of
+    /// consecutive iterations at one bit-equal cost ([`CostRuns`]) —
+    /// which is most of a reply's pairs: a block's iterations are
+    /// consecutive and a loop's cost is usually one number.
     pub fn encode(&self) -> Vec<u8> {
-        let mut runs: Vec<(u32, u32, u64)> = Vec::new();
-        for &(iter, cost) in &self.iter_costs {
-            let bits = cost.to_bits();
-            match runs.last_mut() {
-                Some((first, count, run_bits))
-                    if *run_bits == bits && first.checked_add(*count) == Some(iter) =>
-                {
-                    *count += 1;
-                }
-                _ => runs.push((iter, 1, bits)),
-            }
-        }
+        let runs = self.iter_costs.runs();
         let payload = 52
             + self.fault.as_ref().map_or(0, |(_, msg)| 8 + msg.len())
             + self
@@ -503,10 +494,10 @@ impl BlockReply {
             }
         }
         w.u64(runs.len() as u64);
-        for &(first, count, bits) in &runs {
-            w.u32(first);
-            w.u32(count);
-            w.u64(bits);
+        for run in runs {
+            w.u32(run.first);
+            w.u32(run.count);
+            w.u64(run.cost.to_bits());
         }
         w.u64(self.shadow_bytes);
         w.finish()
@@ -549,33 +540,23 @@ impl BlockReply {
             r.list(count, 12, |r| Ok((r.u32()?, r.u64()?)))
         })?;
         let num_runs = r.u64()?;
-        let mut iter_costs: Vec<(u32, f64)> = Vec::new();
-        let mut prev_run = None;
+        // The runs are kept as runs: a count read from the wire sizes
+        // nothing, so a run may be as long as the iteration space. What
+        // is refused here is what `encode` never writes — an empty run,
+        // a run past the last iteration, one run spelled as two; whether
+        // the runs are the *block's* is `execute_remote`'s to check.
+        let mut iter_costs = CostRuns::default();
         r.list(num_runs, 16, |r| {
-            let first = r.u32()?;
-            let count = r.u32()? as usize;
-            let bits = r.u64()?;
-            // A run expands to `count` pairs. Spelled out, they must
-            // themselves fit a frame: a count read from the wire never
-            // sizes an allocation past what a frame could have carried.
-            if count == 0 || count > MAX_FRAME / 12 - iter_costs.len() {
-                return Err(PersistError::Corrupt);
+            let run = CostRun {
+                first: r.u32()?,
+                count: r.u32()?,
+                cost: f64::from_bits(r.u64()?),
+            };
+            if iter_costs.push_run(run) {
+                Ok(())
+            } else {
+                Err(PersistError::Corrupt)
             }
-            let last = first
-                .checked_add(count as u32 - 1)
-                .ok_or(PersistError::Corrupt)?;
-            // A run that continues the one before it is one run spelled
-            // as two, which `encode` never writes.
-            if first
-                .checked_sub(1)
-                .is_some_and(|end| prev_run == Some((end, bits)))
-            {
-                return Err(PersistError::Corrupt);
-            }
-            prev_run = Some((last, bits));
-            let cost = f64::from_bits(bits);
-            iter_costs.extend((first..=last).map(|iter| (iter, cost)));
-            Ok(())
         })?;
         let shadow_bytes = r.u64()?;
         r.done()?;
@@ -758,18 +739,18 @@ impl<T: Value> Engine<'_, T> {
                 ),
             });
         }
-        // Defensive re-validation of the dispatcher contract; only
-        // after every reply passes does any engine state change, so a
-        // loss here leaves the stage cleanly re-runnable in-process.
+        // Defensive re-validation of the dispatcher contract — a reply
+        // is checksummed, not authenticated, and everything below
+        // indexes by what it names; only after every reply passes does
+        // any engine state change, so a loss here leaves the stage
+        // cleanly re-runnable in-process.
         for (pos, reply) in replies.iter().enumerate() {
             if reply.pos as usize != pos || reply.chain != chain {
                 return Err(WorkerLoss {
                     reason: format!("divergent reply for block {pos}"),
                 });
             }
-            if reply.tested.len() != self.tested_ids.len()
-                || reply.untested.len() != self.untested_ids.len()
-            {
+            if !self.reply_fits(reply, &schedule.blocks()[pos].range) {
                 return Err(WorkerLoss {
                     reason: format!("malformed reply for block {pos}"),
                 });
@@ -781,10 +762,9 @@ impl<T: Value> Engine<'_, T> {
         for (pos, reply) in replies.into_iter().enumerate() {
             stats.shadow_bytes_peak = stats.shadow_bytes_peak.max(reply.shadow_bytes);
             let st = &mut self.states[pos];
-            st.iter_costs.clear();
-            st.iter_costs.extend_from_slice(&reply.iter_costs);
+            per_block_cost[pos] = reply.iter_costs.total();
+            st.iter_costs = reply.iter_costs;
             st.exit_iter = reply.exit_iter;
-            per_block_cost[pos] = reply.iter_costs.iter().map(|&(_, c)| c).sum();
             for (slot, sr) in reply.tested.iter().enumerate() {
                 let view = &mut st.views[slot];
                 for &(elem, code, bits) in &sr.touched {
@@ -834,6 +814,43 @@ impl<T: Value> Engine<'_, T> {
             },
             fault,
         ))
+    }
+
+    /// Is `reply` shaped like this engine's execution of `block`: one
+    /// entry per array slot, every element it names inside its array,
+    /// and a cost ledger that is the front of the block — runs ascending
+    /// and contiguous from `block.start`, none past `block.end` — ending
+    /// on the exit iteration if it reports one? Everything the stage
+    /// goes on to index by a number the reply supplied.
+    fn reply_fits(&self, reply: &BlockReply, block: &std::ops::Range<usize>) -> bool {
+        let mut next = block.start as u64;
+        let front_of_block = reply.iter_costs.runs().iter().all(|run| {
+            let contiguous = run.first as u64 == next;
+            next += run.count as u64;
+            contiguous
+        }) && next <= block.end as u64;
+        front_of_block
+            && reply
+                .exit_iter
+                .is_none_or(|e| next > block.start as u64 && e as u64 == next - 1)
+            && reply.tested.len() == self.tested_ids.len()
+            && reply.untested.len() == self.untested_ids.len()
+            && reply
+                .tested
+                .iter()
+                .zip(&self.tested_sizes)
+                .all(|(slot, &len)| {
+                    let mut elems = slot.touched.iter();
+                    elems.all(|&(elem, _, _)| (elem as usize) < len)
+                })
+            && reply
+                .untested
+                .iter()
+                .zip(&self.untested_ids)
+                .all(|(entries, &id)| {
+                    let len = self.shared[id].len();
+                    entries.iter().all(|&(elem, _)| (elem as usize) < len)
+                })
     }
 
     /// Broadcast one stage's commit record to the fleet (no-op without
@@ -1802,10 +1819,9 @@ mod tests {
             |(req, fault)| req.encode(*fault),
         );
 
-        // Swept replies name iterations at the top of the space: there a
-        // mutated run count overflows it and is refused, where lower
-        // down it would be a valid run of up to 2^24 pairs, expanded and
-        // re-encoded 255 times for each byte of each count.
+        // Swept replies name iterations at the top of the space, where a
+        // mutated run count overflows it: the sweep meets the refusal as
+        // well as the (O(1), since runs stay runs) acceptance.
         let top = u32::MAX - 64;
         let reply = BlockReply {
             chain: 42,
@@ -1827,16 +1843,52 @@ mod tests {
                 },
             ],
             untested: vec![vec![(5, 8.0f64.to_bits()), (6, 9.0f64.to_bits())], vec![]],
-            iter_costs: vec![(top, 1.0), (top + 1, 2.5)],
+            iter_costs: [(top, 1.0), (top + 1, 2.5)].into_iter().collect(),
             shadow_bytes: 12_288,
         };
         assert_eq!(BlockReply::decode(&reply.encode()).unwrap(), reply);
         assert_decode_hardened(&reply.encode(), BlockReply::decode, BlockReply::encode);
 
+        // A reply that is nothing but its ledger, written out by hand.
+        let with_runs = |declared: u64, runs: &[(u32, u32, u64)]| {
+            let mut w = Writer::new(KIND_DIST_REPLY);
+            w.u64(0);
+            w.u32(0);
+            w.u64(NONE_SENTINEL);
+            w.u64(NONE_SENTINEL);
+            w.u32(0);
+            w.u32(0);
+            w.u64(declared);
+            for &(first, count, bits) in runs {
+                w.u32(first);
+                w.u32(count);
+                w.u64(bits);
+            }
+            w.u64(0);
+            w.finish()
+        };
+        // The runs `encode` derived from a reply's pair vector while the
+        // ledger was one (wire v4 as it first shipped).
+        let runs_of_pairs = |pairs: &[(u32, f64)]| {
+            let mut runs: Vec<(u32, u32, u64)> = Vec::new();
+            for &(iter, cost) in pairs {
+                let bits = cost.to_bits();
+                match runs.last_mut() {
+                    Some((first, count, run_bits))
+                        if *run_bits == bits && first.checked_add(*count) == Some(iter) =>
+                    {
+                        *count += 1;
+                    }
+                    _ => runs.push((iter, 1, bits)),
+                }
+            }
+            runs
+        };
         // Wire v4 carries `iter_costs` as runs; whatever the pairs, the
-        // decoded reply is the encoded one, cost bits included.
-        let plain = |iter_costs: Vec<(u32, f64)>| BlockReply {
-            iter_costs,
+        // decoded reply is the encoded one, cost bits included, and the
+        // bytes are the ones that derivation produced.
+        let plain = |pairs: Vec<(u32, f64)>| BlockReply {
+            iter_costs: pairs.into_iter().collect(),
             ..Default::default()
         };
         let one_cost = plain((100..612).map(|i| (i, 1.0)).collect());
@@ -1848,8 +1900,9 @@ mod tests {
                 "mixed costs and a gap",
                 BlockReply {
                     iter_costs: [(0, 1.0), (1, 1.0), (2, 2.5), (3, 2.5), (9, 2.5), (10, 1.0)]
+                        .into_iter()
                         .map(|(i, c)| (top + i, c))
-                        .to_vec(),
+                        .collect(),
                     ..reply.clone()
                 },
             ),
@@ -1870,11 +1923,24 @@ mod tests {
             let back = BlockReply::decode(&bytes).unwrap();
             assert_eq!(back, r, "{what}");
             let bits = |r: &BlockReply| -> Vec<u64> {
-                r.iter_costs.iter().map(|&(_, c)| c.to_bits()).collect()
+                r.iter_costs.iter().map(|(_, c)| c.to_bits()).collect()
             };
             assert_eq!(bits(&back), bits(&r), "{what}: cost bits");
             if r.iter_costs.len() < 16 {
                 assert_decode_hardened(&bytes, BlockReply::decode, BlockReply::encode);
+            }
+            let pairs: Vec<(u32, f64)> = r.iter_costs.iter().collect();
+            let derived = runs_of_pairs(&pairs);
+            let held: Vec<_> = r.iter_costs.runs().iter().collect();
+            assert_eq!(held.len(), derived.len(), "{what}: runs");
+            for (run, &(first, count, bits)) in held.iter().zip(&derived) {
+                assert_eq!(
+                    (run.first, run.count, run.cost.to_bits()),
+                    (first, count, bits)
+                );
+            }
+            if r == plain(pairs) {
+                assert_eq!(bytes, with_runs(derived.len() as u64, &derived), "{what}");
             }
         }
         // 512 consecutive iterations at one cost are one run, not 6 KB.
@@ -1883,36 +1949,28 @@ mod tests {
             plain(vec![(100, 1.0)]).encode().len()
         );
 
-        // Hostile runs: a count read from the wire never sizes an
-        // allocation a frame could not have carried.
-        let with_runs = |declared: u64, runs: &[(u32, u32, u64)]| {
-            let mut w = Writer::new(KIND_DIST_REPLY);
-            w.u64(0);
-            w.u32(0);
-            w.u64(NONE_SENTINEL);
-            w.u64(NONE_SENTINEL);
-            w.u32(0);
-            w.u32(0);
-            w.u64(declared);
-            for &(first, count, bits) in runs {
-                w.u32(first);
-                w.u32(count);
-                w.u64(bits);
-            }
-            w.u64(0);
-            w.finish()
-        };
+        // Hostile runs: a count read from the wire sizes no allocation
+        // at all — a run stays a run, however long — and a run `encode`
+        // never writes is refused.
         let c = 1.0f64.to_bits();
         assert_eq!(
             BlockReply::decode(&with_runs(1, &[(4, 3, c)])).unwrap(),
             plain(vec![(4, 1.0), (5, 1.0), (6, 1.0)])
         );
+        // These were refused here while decoding expanded a run into
+        // pairs. They are well-formed runs of *some* block; whether of
+        // the block that was dispatched is `execute_remote`'s question
+        // (`a_poisoned_reply_costs_the_fleet_not_the_run`).
+        for (what, count) in [
+            ("count of u32::MAX", u32::MAX),
+            ("count just past the cap", (MAX_FRAME / 12) as u32 + 1),
+            ("all but one iteration", u32::MAX - 1),
+        ] {
+            let back = BlockReply::decode(&with_runs(1, &[(0, count, c)])).unwrap();
+            assert_eq!(back.iter_costs.runs().len(), 1, "{what}");
+            assert_eq!(back.iter_costs.len(), count as usize, "{what}");
+        }
         for (what, bytes) in [
-            ("count of u32::MAX", with_runs(1, &[(0, u32::MAX, c)])),
-            (
-                "count just past the cap",
-                with_runs(1, &[(0, (MAX_FRAME / 12) as u32 + 1, c)]),
-            ),
             ("empty run", with_runs(1, &[(4, 0, c)])),
             (
                 "run past the last iteration",
@@ -2196,7 +2254,7 @@ mod tests {
             }
         }
         let reply = BlockReply {
-            iter_costs: vec![(0, 1.0), (1, 2.0)],
+            iter_costs: [(0, 1.0), (1, 2.0)].into_iter().collect(),
             ..Default::default()
         };
         for record in [
@@ -2487,6 +2545,128 @@ mod tests {
         let (seq, _) = run_sequential(&lp);
         assert_eq!(got.arrays, seq);
         assert_eq!(got.report.fallback, Some(FallbackReason::WorkerLoss));
+    }
+
+    /// A fleet whose `at`-th reply is rewritten before the engine sees
+    /// it — a worker that lies in a frame whose checksum holds.
+    struct Poisoner {
+        inner: Box<dyn BlockDispatcher>,
+        at: usize,
+        seen: usize,
+        poison: fn(&mut BlockReply),
+    }
+
+    impl BlockDispatcher for Poisoner {
+        fn broadcast(&mut self, record: &[u8]) -> Result<(), WorkerLoss> {
+            self.inner.broadcast(record)
+        }
+
+        fn dispatch(&mut self, reqs: &[BlockRequest]) -> Result<Vec<BlockReply>, WorkerLoss> {
+            let mut replies = self.inner.dispatch(reqs)?;
+            for reply in &mut replies {
+                if self.seen == self.at {
+                    (self.poison)(reply);
+                }
+                self.seen += 1;
+            }
+            Ok(replies)
+        }
+
+        fn take_stats(&mut self) -> TransportStats {
+            self.inner.take_stats()
+        }
+    }
+
+    struct PoisonedConnector {
+        inner: LoopbackConnector,
+        at: usize,
+        poison: fn(&mut BlockReply),
+    }
+
+    impl DistConnector for PoisonedConnector {
+        fn connect(&mut self, hello: &WireHello) -> Result<Box<dyn BlockDispatcher>, String> {
+            Ok(Box::new(Poisoner {
+                inner: self.inner.connect(hello)?,
+                at: self.at,
+                seen: 0,
+                poison: self.poison,
+            }))
+        }
+    }
+
+    /// Every number of a reply that the stage goes on to index by:
+    /// each, out of range, must cost the run its fleet and nothing
+    /// else. (Before `execute_remote` checked them the first of these
+    /// was `index out of bounds: the len is 200 but the index is
+    /// 4000000000` in `run_stage`.)
+    #[test]
+    fn a_poisoned_reply_costs_the_fleet_not_the_run() {
+        fn one_run(first: u32, count: u32) -> CostRuns {
+            let mut runs = CostRuns::default();
+            let cost = 1.0;
+            assert!(runs.push_run(CostRun { first, count, cost }));
+            runs
+        }
+        type Poison = fn(&mut BlockReply);
+        let poisons: [(&str, Poison); 9] = [
+            ("an iteration far outside the loop", |r| {
+                r.iter_costs = one_run(4_000_000_000, 1)
+            }),
+            // The two counts `decode` refused while it expanded runs.
+            ("count of u32::MAX", |r| r.iter_costs = one_run(0, u32::MAX)),
+            ("count just past the cap", |r| {
+                let first = r.iter_costs.runs().first().map_or(0, |run| run.first);
+                r.iter_costs = one_run(first, (MAX_FRAME / 12) as u32 + 1)
+            }),
+            ("a ledger that skips the block's first iteration", |r| {
+                let pairs: Vec<_> = r.iter_costs.iter().skip(1).collect();
+                r.iter_costs = pairs.into_iter().collect()
+            }),
+            ("a ledger with a hole", |r| {
+                let pairs: Vec<_> = r.iter_costs.iter().collect();
+                let (front, back) = pairs.split_at(pairs.len() / 2);
+                r.iter_costs = front.iter().chain(&back[1..]).copied().collect()
+            }),
+            ("an exit that is not the last iteration run", |r| {
+                r.exit_iter = Some(4_000_000_000)
+            }),
+            ("a tested element past its array", |r| {
+                r.tested[0].touched.push((64, MARK_WRITE, 0))
+            }),
+            ("an untested element past its array", |r| {
+                r.untested[0].push((256, 0))
+            }),
+            ("a missing untested slot", |r| r.untested.clear()),
+        ];
+        let n = 200;
+        let lp = model_loop(n);
+        let (seq, _) = run_sequential(&lp);
+        for (what, poison) in poisons {
+            for at in [0, 5] {
+                let mut cfg = RunConfig::new(4);
+                cfg.strategy = Strategy::Rd;
+                let mut connector = PoisonedConnector {
+                    inner: LoopbackConnector::new(n),
+                    at,
+                    poison,
+                };
+                let got = Runner::new(cfg)
+                    .execute(
+                        &lp,
+                        RunPlan {
+                            fleet: Some(("loopback", &mut connector)),
+                            ..Default::default()
+                        },
+                    )
+                    .unwrap_or_else(|e| panic!("{what} in reply {at}: {e}"));
+                assert_eq!(got.arrays, seq, "{what} in reply {at}");
+                assert_eq!(
+                    got.report.fallback,
+                    Some(FallbackReason::WorkerLoss),
+                    "{what} in reply {at}"
+                );
+            }
+        }
     }
 
     #[test]

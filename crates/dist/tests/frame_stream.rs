@@ -232,26 +232,38 @@ proptest! {
 }
 
 /// A run whose count was inflated on the wire — checksum made good, so
-/// only the decoder's own guard stands in the way — is refused before
-/// it sizes anything.
+/// only the decoder stands in the way — sizes nothing: a count no
+/// ledger could hold (none, or past the last iteration) is refused, and
+/// any other stays one run, to be held against the dispatched block by
+/// the supervisor (`execute_remote`), not expanded here.
 #[test]
-fn hostile_run_counts_are_refused() {
+fn hostile_run_counts_size_nothing() {
     let honest = reply_of(7, &[(100, 3, 4)]).encode();
     // No fault, no slots, one run: its `count` sits after the 9-byte
     // envelope head, chain, pos, exit, fault, two slot counts, the run
     // count and the run's first iteration.
     let count_at = 9 + 8 + 4 + 8 + 8 + 4 + 4 + 8 + 4;
     assert_eq!(honest[count_at..count_at + 4], 3u32.to_le_bytes());
-    for count in [0u32, 1 << 25, u32::MAX] {
+    let forge = |count: u32| {
         let mut forged = honest.clone();
         forged[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
         let body = forged.len() - 8;
         let sum = record_chain(&forged[..body]);
         forged[body..].copy_from_slice(&sum.to_le_bytes());
+        forged
+    };
+    for count in [0u32, u32::MAX - 98, u32::MAX] {
         assert!(
-            BlockReply::decode(&forged).is_err(),
+            BlockReply::decode(&forge(count)).is_err(),
             "count {count} decoded"
         );
+    }
+    for count in [1 << 25, u32::MAX - 99] {
+        let forged = forge(count);
+        let back = BlockReply::decode(&forged).expect("one run, however long");
+        assert_eq!(back.iter_costs.runs().len(), 1);
+        assert_eq!(back.iter_costs.len(), count as usize);
+        assert_eq!(back.encode(), forged);
     }
 }
 
