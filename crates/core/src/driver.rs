@@ -250,14 +250,17 @@ impl FallbackPolicy {
         self
     }
 
-    /// Should the run fall back, given its report so far? Checked at
-    /// stage boundaries (virtual time is only meaningful there).
-    pub(crate) fn check(&self, report: &RunReport) -> Option<FallbackReason> {
+    /// Should the run fall back, given its report so far and the
+    /// `virtual_time` of its stages — [`RunReport::virtual_time`], which
+    /// the stage loop keeps as a running total instead of summing every
+    /// stage again after each one? Checked at stage boundaries (virtual
+    /// time is only meaningful there).
+    pub(crate) fn check(&self, report: &RunReport, virtual_time: f64) -> Option<FallbackReason> {
         if report.restarts > self.max_restarts {
             return Some(FallbackReason::MaxRestarts);
         }
         if self.watchdog_factor.is_finite()
-            && report.virtual_time() > self.watchdog_factor * report.sequential_work
+            && virtual_time > self.watchdog_factor * report.sequential_work
         {
             return Some(FallbackReason::Watchdog);
         }
@@ -840,7 +843,7 @@ mod tests {
     use super::*;
     use crate::array::{ArrayDecl, ArrayId, ShadowKind};
     use crate::spec_loop::ClosureLoop;
-    use rlrpd_runtime::OverheadKind;
+    use rlrpd_runtime::{OverheadKind, StageStats};
 
     const A: ArrayId = ArrayId(0);
 
@@ -991,5 +994,51 @@ mod tests {
         let lp = alpha_half(16);
         let res = run_speculative(&lp, RunConfig::new(2));
         assert!(std::panic::catch_unwind(|| res.array("NOPE")).is_err());
+    }
+
+    /// The stage loop's running total decides as the sum over the
+    /// report's stages did, stage after stage — including a bound that
+    /// one prefix of the series meets exactly (not over it: no fallback
+    /// yet) and the next exceeds.
+    #[test]
+    fn the_watchdog_decides_on_the_running_total_as_on_the_report() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5741_5443);
+        for _ in 0..300 {
+            let stages: Vec<StageStats> = (0..rng.random_range(1..80))
+                .map(|_| {
+                    let mut s = StageStats {
+                        loop_time: rng.random_range(0.0..500.0),
+                        ..Default::default()
+                    };
+                    s.overhead
+                        .add(OverheadKind::Sync, rng.random_range(0.0..40.0));
+                    s
+                })
+                .collect();
+            let at = rng.random_range(0..stages.len());
+            let exact: f64 = stages[..=at].iter().map(StageStats::virtual_time).sum();
+            let work = rng.random_range(1.0..5000.0);
+            for (factor, work) in [(exact, 1.0), (rng.random_range(0.0..3.0), work)] {
+                let policy = FallbackPolicy::default().with_watchdog(factor);
+                let mut report = RunReport {
+                    sequential_work: work,
+                    ..Default::default()
+                };
+                let mut virtual_time = 0.0;
+                for (k, stage) in stages.iter().enumerate() {
+                    virtual_time += stage.virtual_time();
+                    report.stages.push(stage.clone());
+                    assert_eq!(virtual_time, report.virtual_time());
+                    let tripped = report.virtual_time() > factor * report.sequential_work;
+                    let decided = policy.check(&report, virtual_time);
+                    assert_eq!(decided, tripped.then_some(FallbackReason::Watchdog));
+                    if factor == exact && work == 1.0 && k == at {
+                        assert_eq!(decided, None, "at the bound is not over it");
+                    }
+                }
+            }
+        }
     }
 }

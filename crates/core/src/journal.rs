@@ -20,8 +20,8 @@
 //! ```
 //!
 //! Each record reuses the [`crate::persist`] artifact framing
-//! (`magic "RLPD" | u32 version | u8 kind | payload | u64 fnv`), so a
-//! journal record is independently self-describing and checksummed.
+//! (`magic "RLPD" | u32 version | u8 kind | payload | u64 checksum`), so
+//! a journal record is independently self-describing and checksummed.
 //! Record 0 is the **header** (`KIND_JOURNAL_HEADER`): loop shape,
 //! array layout, element type, and strategy fingerprints. Every further
 //! record is a **commit record** (`KIND_JOURNAL_COMMIT`): the commit
@@ -29,11 +29,15 @@
 //! value)` pairs the stage's commit/untested writes changed in shared
 //! storage, O(touched) via the checkpoint write-logs, *not* O(array).
 //!
-//! Every payload starts with a **chained hash**: the FNV of the
-//! previous record's full bytes ([`CHAIN_SEED`] for the header). The
-//! chain makes records order- and identity-bound: a record spliced from
-//! another journal, a reordered record, or a record following a torn
-//! write is rejected even though its own checksum passes.
+//! Every payload starts with a **chained hash**: the previous record's
+//! chain value ([`CHAIN_SEED`] for the header) — a function of its
+//! checksum, which binds all of its bytes (FNV-1a of its full bytes for
+//! a version-1 record: a journal an older binary wrote resumes, its
+//! records verified and chained by their own version and the new ones
+//! appended as version 2). The chain makes records order- and
+//! identity-bound: a record spliced from another journal, a reordered
+//! record, or a record following a torn write is rejected even though
+//! its own checksum passes.
 //!
 //! ## Torn-write recovery
 //!
@@ -448,7 +452,7 @@ impl std::fmt::Debug for FrameObserver {
 pub struct Journal {
     file: File,
     path: PathBuf,
-    /// FNV of the last valid record's full bytes (CHAIN_SEED initially).
+    /// Chain value after the last valid record (CHAIN_SEED initially).
     chain: u64,
     /// Records in the file, header included (== ordinal of the next
     /// append).
@@ -1201,11 +1205,11 @@ mod tests {
             |b| JournalHeader::decode(b, CHAIN_SEED),
             |(h, _)| h.encode(CHAIN_SEED).0,
         );
-        assert_eq!(chain, fnv(&hb));
+        assert_eq!(Some(chain), crate::persist::record_chain(&hb));
         let (cb, next) = commit(0, 32).encode(chain);
         let decode = |b: &[u8]| CommitRecord::decode(b, chain);
         assert_decode_hardened(&cb, decode, |(c, _)| c.encode(chain).0);
-        assert_eq!(next, fnv(&cb));
+        assert_eq!(Some(next), crate::persist::record_chain(&cb));
         assert_eq!(decode(&cb).unwrap().1, next);
         // Every flag combination, and no delta at all.
         for (exited_at, fallback) in [(Some(77), false), (None, true), (Some(0), true)] {

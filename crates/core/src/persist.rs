@@ -11,8 +11,31 @@
 //! Format (all integers little-endian):
 //!
 //! ```text
-//! magic "RLPD" | u32 version | u8 kind | payload … | u64 fnv checksum
+//! magic "RLPD" | u32 version | u8 kind | payload … | u64 checksum
 //! ```
+//!
+//! ## The checksum, and the chain
+//!
+//! Writers seal version 2: the checksum is `checksum`, a word-parallel
+//! 64-bit hash (four multiply–rotate lanes over 32-byte blocks, then the
+//! 8-byte words and the bytes left over, the length, and a final
+//! avalanche) that runs at memory speed. Every one of its steps is a
+//! bijection of its state for a fixed input, and each lane step and tail
+//! step is also a bijection of the input word for a fixed state — so a
+//! substitution inside any one 8-byte word of a record (any single
+//! corrupted byte, in particular) changes the sum *by construction*, not
+//! with high probability. A record's **chain value** — what the next
+//! record of a journal or of a worker's commit stream embeds to bind
+//! itself to its predecessor — is a fixed bijective function of the
+//! stored checksum, which already binds every byte in front of it:
+//! opening a record yields its chain value without a second pass.
+//!
+//! Version 1 (byte-serial FNV-1a; chain value = FNV-1a of the whole
+//! record, checksum included) is still read: `Reader` verifies and
+//! chains each record by the version it carries, so a journal written by
+//! an older binary resumes with version-2 records appended behind its
+//! version-1 prefix, and artifacts and daemon state written before still
+//! load. Nothing writes version 1.
 //!
 //! ## The bound on a count read from outside
 //!
@@ -39,7 +62,10 @@ use crate::ddg::DepGraph;
 use crate::wavefront::WavefrontSchedule;
 
 const MAGIC: &[u8; 4] = b"RLPD";
-const VERSION: u32 = 1;
+/// The envelope version every writer seals: [`checksum`].
+const VERSION: u32 = 2;
+/// The envelope version sealed with FNV-1a, read and never written.
+const VERSION_FNV: u32 = 1;
 /// Bytes of framing around a payload: magic, version, kind, checksum.
 const ENVELOPE: usize = 4 + 4 + 1 + 8;
 const KIND_GRAPH: u8 = 1;
@@ -96,7 +122,10 @@ impl std::fmt::Display for PersistError {
         match self {
             PersistError::NotAnArtifact => write!(f, "not an rlrpd artifact"),
             PersistError::VersionMismatch { found } => {
-                write!(f, "artifact version {found} != {VERSION}")
+                write!(
+                    f,
+                    "artifact version {found} is neither {VERSION} nor {VERSION_FNV}"
+                )
             }
             PersistError::WrongKind => write!(f, "artifact holds a different type"),
             PersistError::Corrupt => write!(f, "artifact truncated or corrupted"),
@@ -152,13 +181,12 @@ impl Writer {
         self.finish_chained().0
     }
 
-    /// The finished record and its chain value — `fnv` of the whole
-    /// record, which is the checksum's running state continued over the
-    /// eight checksum bytes, so the record is hashed once, not twice.
+    /// The finished record and its chain value ([`chain_of`] its
+    /// checksum: the record is hashed once).
     pub(crate) fn finish_chained(mut self) -> (Vec<u8>, u64) {
-        let sum = fnv(&self.buf);
+        let sum = checksum(&self.buf);
         self.u64(sum);
-        (self.buf, fnv_from(sum, &sum.to_le_bytes()))
+        (self.buf, chain_of(sum))
     }
 }
 
@@ -173,36 +201,20 @@ impl<'a> Reader<'a> {
     }
 
     /// [`Reader::open`], also returning the record's chain value (see
-    /// [`Writer::finish_chained`]) from the one checksum pass.
+    /// [`Writer::finish_chained`]) from the one checksum pass. A record
+    /// is verified and chained by the version it carries.
     pub(crate) fn open_chained(buf: &'a [u8], kind: u8) -> Result<(Self, u64), PersistError> {
-        if buf.len() < ENVELOPE || &buf[..4] != MAGIC {
-            return Err(PersistError::NotAnArtifact);
-        }
-        let version = u32::from_le_bytes(
-            buf[4..8]
-                .try_into()
-                .map_err(|_| PersistError::NotAnArtifact)?,
-        );
-        if version != VERSION {
-            return Err(PersistError::VersionMismatch { found: version });
-        }
-        let body_end = buf.len() - 8;
-        let stored = u64::from_le_bytes(
-            buf[body_end..]
-                .try_into()
-                .map_err(|_| PersistError::Corrupt)?,
-        );
-        if fnv(&buf[..body_end]) != stored {
-            return Err(PersistError::Corrupt);
-        }
+        let (body, stored) = envelope(buf)?;
+        let chain = match version_of(buf) {
+            VERSION if checksum(body) == stored => chain_of(stored),
+            VERSION_FNV if fnv(body) == stored => fnv_from(stored, &stored.to_le_bytes()),
+            VERSION | VERSION_FNV => return Err(PersistError::Corrupt),
+            found => return Err(PersistError::VersionMismatch { found }),
+        };
         if buf[8] != kind {
             return Err(PersistError::WrongKind);
         }
-        let reader = Reader {
-            buf: &buf[..body_end],
-            pos: 9,
-        };
-        Ok((reader, fnv_from(stored, &buf[body_end..])))
+        Ok((Reader { buf: body, pos: 9 }, chain))
     }
 
     /// Unread bytes of the payload.
@@ -277,6 +289,127 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// A record's body (everything in front of its checksum) and its stored
+/// checksum — or `NotAnArtifact` when `buf` is too short to be a record
+/// or does not start with the magic.
+fn envelope(buf: &[u8]) -> Result<(&[u8], u64), PersistError> {
+    if buf.len() < ENVELOPE || &buf[..4] != MAGIC {
+        return Err(PersistError::NotAnArtifact);
+    }
+    let (body, sum) = buf.split_at(buf.len() - 8);
+    Ok((body, word(sum)))
+}
+
+/// The version field of a record [`envelope`] accepted.
+fn version_of(record: &[u8]) -> u32 {
+    u32::from_le_bytes(record[4..8].try_into().expect("4 version bytes"))
+}
+
+/// The chain value after `record` — how both ends of the worker wire
+/// advance their commit chain, identical to the crash journal's on-disk
+/// chain: a fixed bijection of the checksum the record ends with (FNV-1a
+/// of the whole record for a version-1 record). Read, not verified
+/// (decoding verifies); `None` when `record` is not a record of a
+/// version this build reads.
+pub fn record_chain(record: &[u8]) -> Option<u64> {
+    let (_, stored) = envelope(record).ok()?;
+    match version_of(record) {
+        VERSION => Some(chain_of(stored)),
+        VERSION_FNV => Some(fnv(record)),
+        _ => None,
+    }
+}
+
+/// Seal `record` again after its bytes were changed: the version-2
+/// checksum of everything in front of its last eight bytes, stored
+/// there, as a writer seals. For tests and tools that forge records on
+/// purpose — the checksum is not a MAC, so what stands behind it is
+/// each decoder's own checks.
+///
+/// # Panics
+/// When `record` is shorter than a checksum.
+pub fn reseal(record: &mut [u8]) {
+    let body = record
+        .len()
+        .checked_sub(8)
+        .expect("a record ends in its checksum");
+    let sum = checksum(&record[..body]);
+    record[body..].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// The little-endian `u64` in the first eight bytes of `bytes`.
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
+}
+
+// The five odd 64-bit multipliers of xxHash64, which the checksum's
+// steps borrow; being odd, multiplication by each is a bijection.
+const P1: u64 = 0x9e37_79b1_85eb_ca87;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const P5: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// One multiply–rotate step: for a fixed `word` a bijection of `acc`
+/// (add, rotate, multiply by an odd constant), and for a fixed `acc` a
+/// bijection of `word` (multiply by an odd constant, then the same).
+fn round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// A bijective finaliser: every input bit reaches every output bit.
+fn avalanche(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
+/// The version-2 checksum (module docs): four independent lanes of
+/// [`round`] over 32-byte blocks, folded in lane order; then each
+/// remaining 8-byte word, then each remaining byte, the length, and
+/// [`avalanche`]. A changed word changes its lane from that block on (a
+/// lane step is a bijection of the word, and every later step one of the
+/// lane), the fold (a bijection of each lane in turn) and everything
+/// after it; a changed tail word or byte likewise. The lanes carry no
+/// dependence on each other, so the four words of a block are hashed
+/// side by side, not one after another.
+pub(crate) fn checksum(bytes: &[u8]) -> u64 {
+    let mut blocks = bytes.chunks_exact(32);
+    let mut lanes = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+    for block in &mut blocks {
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            *lane = round(*lane, word(&block[8 * k..]));
+        }
+    }
+    let mut h = lanes.iter().fold(P5, |h, &lane| {
+        (h ^ round(0, lane)).wrapping_mul(P1).wrapping_add(P4)
+    });
+    let mut words = blocks.remainder().chunks_exact(8);
+    for w in &mut words {
+        h = round(h, word(w));
+    }
+    for &b in words.remainder() {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    avalanche(h ^ bytes.len() as u64)
+}
+
+/// The chain value after a version-2 record whose checksum is `sum`: a
+/// bijection of it (the checksum already binds the whole record), kept
+/// distinct from the bytes the record ends with.
+fn chain_of(sum: u64) -> u64 {
+    avalanche(sum ^ P3)
+}
+
+/// FNV-1a: the version-1 checksum, and the fingerprints a journal header
+/// stores (`journal::{strategy,elem}_fingerprint`), which must not change
+/// while version-1 journals are resumed.
 pub(crate) fn fnv(bytes: &[u8]) -> u64 {
     fnv_from(0xcbf2_9ce4_8422_2325, bytes)
 }
@@ -385,16 +518,28 @@ pub(crate) fn assert_decode_hardened<T, E: std::fmt::Debug>(
         mangled[pos] = bytes[pos];
     }
 
+    // A mutant resealed with anything but the checksum the reader checks
+    // would stop at the envelope like a stale one, and the sweep would
+    // pass without reaching a single field check: every payload mutant
+    // must get past the envelope to its decoder.
     let body = &bytes[..bytes.len() - 8];
+    assert!(
+        body.len() > 9,
+        "the harness needs an artifact with a payload"
+    );
+    let kind = bytes[8];
     let resealed = |body: &[u8], what: std::fmt::Arguments<'_>| {
         let mut mutant = body.to_vec();
-        mutant.extend_from_slice(&fnv(body).to_le_bytes());
+        mutant.extend_from_slice(&[0; 8]);
+        reseal(&mut mutant);
+        let past_envelope = Reader::open(&mutant, kind).is_ok();
         if let Ok(value) = decode(&mutant) {
             assert!(
                 encode(&value) == mutant,
                 "resealed, {what} decoded to a value that encodes differently"
             );
         }
+        past_envelope
     };
     for cut in 0..body.len() {
         resealed(&body[..cut], format_args!("truncation to {cut} bytes"));
@@ -403,7 +548,11 @@ pub(crate) fn assert_decode_hardened<T, E: std::fmt::Debug>(
     for pos in 0..body.len() {
         for flip in 1..=255u8 {
             mangled[pos] = body[pos] ^ flip;
-            resealed(&mangled, format_args!("byte {pos} ^{flip:#04x}"));
+            let past_envelope = resealed(&mangled, format_args!("byte {pos} ^{flip:#04x}"));
+            assert!(
+                past_envelope || pos < 9,
+                "resealed, payload byte {pos} ^{flip:#04x} stopped at the envelope"
+            );
         }
         mangled[pos] = body[pos];
     }
@@ -413,6 +562,7 @@ pub(crate) fn assert_decode_hardened<T, E: std::fmt::Debug>(
 mod tests {
     use super::*;
     use crate::ddg::EdgeKind;
+    use proptest::prelude::*;
 
     fn graph() -> DepGraph {
         DepGraph {
@@ -572,8 +722,18 @@ mod tests {
         assert_eq!(r.string(), Err(PersistError::Corrupt), "not UTF-8");
     }
 
+    /// `record` as a version-1 writer sealed it: version 1, FNV-1a.
+    fn as_v1(record: &[u8]) -> Vec<u8> {
+        let mut old = record.to_vec();
+        old[4..8].copy_from_slice(&VERSION_FNV.to_le_bytes());
+        let body = old.len() - 8;
+        let sum = fnv(&old[..body]);
+        old[body..].copy_from_slice(&sum.to_le_bytes());
+        old
+    }
+
     #[test]
-    fn chain_from_the_checksum_state_is_the_hash_of_the_whole_record() {
+    fn each_version_chains_by_its_own_rule() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0x52_4c50);
@@ -584,10 +744,82 @@ mod tests {
                 w.buf.push(rng.random_range(0u8..=255));
             }
             let (record, chain) = w.finish_chained();
-            assert_eq!(chain, fnv(&record), "writer chain, {len}-byte payload");
-            let (_, read_chain) = Reader::open_chained(&record, KIND_JOURNAL_COMMIT).unwrap();
+            let stored = word(&record[record.len() - 8..]);
+            assert_eq!(chain, chain_of(stored), "writer chain, {len}-byte payload");
+            assert_eq!(record_chain(&record), Some(chain));
+            let (r, read_chain) = Reader::open_chained(&record, KIND_JOURNAL_COMMIT).unwrap();
             assert_eq!(read_chain, chain, "reader chain, {len}-byte payload");
+            let payload = r.buf[9..].to_vec();
+
+            let old = as_v1(&record);
+            let (r, old_chain) = Reader::open_chained(&old, KIND_JOURNAL_COMMIT).unwrap();
+            assert_eq!(old_chain, fnv(&old), "version-1 chain, {len}-byte payload");
+            assert_eq!(record_chain(&old), Some(old_chain));
+            assert_eq!(
+                r.buf[9..],
+                payload[..],
+                "the same payload under either seal"
+            );
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The by-construction claim (module docs), held to every offset
+        /// and every value of the body of random records.
+        #[test]
+        fn every_single_byte_substitution_changes_the_sum_and_every_truncation_is_refused(
+            payload in prop::collection::vec(any::<u8>(), 0..600),
+        ) {
+            let mut w = Writer::with_payload(KIND_JOURNAL_COMMIT, payload.len());
+            w.buf.extend_from_slice(&payload);
+            let record = w.finish();
+            let body = &record[..record.len() - 8];
+            let sum = checksum(body);
+            let mut mutant = body.to_vec();
+            for pos in 0..body.len() {
+                for flip in 1..=255u8 {
+                    mutant[pos] = body[pos] ^ flip;
+                    prop_assert!(checksum(&mutant) != sum, "byte {pos} ^{flip:#04x}");
+                }
+                mutant[pos] = body[pos];
+            }
+            for cut in 0..record.len() {
+                prop_assert!(Reader::open(&record[..cut], KIND_JOURNAL_COMMIT).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn artifacts_of_either_version_load_and_no_other_version_does() {
+        let g = graph();
+        let old = as_v1(&g.to_bytes());
+        let decode = |bytes: &[u8]| DepGraph::from_bytes(bytes).map(|g| g.to_bytes());
+        assert_eq!(decode(&old), Ok(g.to_bytes()));
+        let mut stale = old.clone();
+        stale[12] ^= 1;
+        assert_eq!(decode(&stale), Err(PersistError::Corrupt));
+        // A version-2 seal under a version-1 label, and the reverse.
+        let mut relabelled = g.to_bytes();
+        relabelled[4] = 1;
+        assert_eq!(decode(&relabelled), Err(PersistError::Corrupt));
+        let mut relabelled = old;
+        relabelled[4] = 2;
+        assert_eq!(decode(&relabelled), Err(PersistError::Corrupt));
+        for found in [0u32, 3, u32::MAX] {
+            let mut future = g.to_bytes();
+            future[4..8].copy_from_slice(&found.to_le_bytes());
+            reseal(&mut future);
+            assert_eq!(
+                decode(&future),
+                Err(PersistError::VersionMismatch { found })
+            );
+            assert_eq!(record_chain(&future), None);
+        }
+        let s = WavefrontSchedule::from_graph(&g);
+        let back = WavefrontSchedule::from_bytes(&as_v1(&s.to_bytes())).unwrap();
+        assert_eq!(back.levels(), s.levels());
     }
 
     #[test]

@@ -14,16 +14,16 @@
 //!
 //! Every message is a length-framed [`crate::persist`] record
 //! (`u32 len | magic "RLPD" | u32 version | u8 kind | payload | u64
-//! fnv`) — the same envelope the crash journal uses on disk:
+//! checksum`) — the same envelope the crash journal uses on disk:
 //!
 //! * **Hello** ([`KIND_DIST_HELLO`], supervisor→worker): the run's
 //!   journal-header record (loop shape, array layout, element type)
 //!   plus a loop-spec string the worker resolves to the actual loop.
 //! * **Commit broadcast** ([`KIND_JOURNAL_COMMIT`]): byte-identical to
 //!   the crash journal's commit records (both sides share
-//!   [`crate::journal::record_from_delta`]), chained with the same FNV
-//!   chain starting from the same seed. Workers fold each record into
-//!   their mirror of shared storage.
+//!   [`crate::journal::record_from_delta`]), chained with the same
+//!   record chain starting from the same seed. Workers fold each record
+//!   into their mirror of shared storage.
 //! * **Block request** ([`KIND_DIST_REQUEST`], supervisor→worker): one
 //!   stage block `(stage, pos, start..end)` plus the supervisor's
 //!   current chain value. A worker whose own chain differs has diverged
@@ -56,7 +56,7 @@ use crate::journal::{
 };
 use crate::ledger::{CostRun, CostRuns};
 use crate::persist::{
-    fnv, PersistError, Reader, Writer, KIND_DIST_HEARTBEAT, KIND_DIST_HELLO, KIND_DIST_REPLY,
+    PersistError, Reader, Writer, KIND_DIST_HEARTBEAT, KIND_DIST_HELLO, KIND_DIST_REPLY,
     KIND_DIST_REQUEST, KIND_DIST_SHUTDOWN, KIND_JOURNAL_COMMIT,
 };
 use crate::report::RunReport;
@@ -75,8 +75,9 @@ pub const MAX_FRAME: usize = 256 << 20;
 /// own version differs refuses the session with a protocol error (exit
 /// 64 for a standalone worker) *before* any block work — a mismatched
 /// binary must be rejected at the handshake, not surface later as chain
-/// divergence.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// divergence. (Version 5 is version 4 sealed with the version-2
+/// envelope checksum, [`crate::persist`]; no frame changed.)
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Wire mark code: exposed read only (consumed shared data, produced
 /// nothing).
@@ -226,11 +227,7 @@ pub fn frame_kind(record: &[u8]) -> Option<u8> {
     record.get(8).copied()
 }
 
-/// The FNV chain value after `record` — how both ends advance their
-/// commit chain (identical to the crash journal's on-disk chain).
-pub fn record_chain(record: &[u8]) -> u64 {
-    fnv(record)
-}
+pub use crate::persist::record_chain;
 
 // ---------------------------------------------------------------------------
 // Wire types
@@ -302,18 +299,19 @@ impl WireHello {
         })
     }
 
-    /// FNV of the header bytes — the value a correct worker echoes in
-    /// [`HelloAck::header_fnv`], and the seed both sides start their
-    /// commit chain from.
-    pub fn header_fnv(&self) -> u64 {
-        fnv(&self.header)
+    /// The chain value after the header record — what a correct worker
+    /// echoes in [`HelloAck::header_chain`], and the seed both sides
+    /// start their commit chain from. `None` when the header is not a
+    /// record (no worker accepts such a hello).
+    pub fn header_chain(&self) -> Option<u64> {
+        record_chain(&self.header)
     }
 }
 
 /// The worker's half of the handshake, sent as its first frame after
 /// validating the hello: its own protocol version, the run identity it
-/// accepted, and the FNV of the header it chained from. The supervisor
-/// validates all three; a mismatch means a wrong binary or a
+/// accepted, and the chain value of the header it chained from. The
+/// supervisor validates all three; a mismatch means a wrong binary or a
 /// cross-wired connection, and the worker is quarantined rather than
 /// respawned (a deterministic mismatch cannot be respawned away).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -322,9 +320,9 @@ pub struct HelloAck {
     pub protocol: u32,
     /// Echo of [`WireHello::run_id`].
     pub run_id: u64,
-    /// FNV of the hello's header bytes — the chain seed both sides
-    /// start their commit chain from.
-    pub header_fnv: u64,
+    /// The chain value after the hello's header record — the seed both
+    /// sides start their commit chain from.
+    pub header_chain: u64,
 }
 
 impl HelloAck {
@@ -334,7 +332,7 @@ impl HelloAck {
         let mut w = Writer::new(KIND_DIST_HELLO);
         w.u32(self.protocol);
         w.u64(self.run_id);
-        w.u64(self.header_fnv);
+        w.u64(self.header_chain);
         w.finish()
     }
 
@@ -344,7 +342,7 @@ impl HelloAck {
         let ack = HelloAck {
             protocol: r.u32()?,
             run_id: r.u64()?,
-            header_fnv: r.u64()?,
+            header_chain: r.u64()?,
         };
         r.done()?;
         Ok(ack)
@@ -685,7 +683,7 @@ pub trait DistConnector {
 pub(crate) struct RemoteLink<T> {
     /// The fleet.
     pub dispatcher: Box<dyn BlockDispatcher>,
-    /// FNV chain over hello-header + broadcast commit records.
+    /// Record chain over hello-header + broadcast commit records.
     pub chain: u64,
     /// Rebuilds a value from its wire image.
     pub from_bits: fn(u64) -> T,
@@ -855,7 +853,7 @@ impl<T: Value> Engine<'_, T> {
 
     /// Broadcast one stage's commit record to the fleet (no-op without
     /// a live link). It is the record the crash journal appends, chained
-    /// with the same FNV chain, so a journaled distributed run writes
+    /// with the same record chain, so a journaled distributed run writes
     /// byte-identical records to disk and wire (each side encodes
     /// against its own chain: after a resume the wire's restarts at the
     /// hello). A broadcast failure drops the link (the workers are
@@ -957,7 +955,7 @@ pub fn serve_worker<T: Value + JournalElem>(
             hello.protocol, PROTOCOL_VERSION
         )));
     }
-    let (header, header_fnv) = JournalHeader::decode(&hello.header, CHAIN_SEED)
+    let (header, header_chain) = JournalHeader::decode(&hello.header, CHAIN_SEED)
         .map_err(|e| WireError::Protocol(format!("bad hello header: {e}")))?;
     let mut engine = Engine::new(
         lp,
@@ -995,12 +993,12 @@ pub fn serve_worker<T: Value + JournalElem>(
         &HelloAck {
             protocol: PROTOCOL_VERSION,
             run_id: hello.run_id,
-            header_fnv,
+            header_chain,
         }
         .encode(),
     )?;
 
-    let mut chain = header_fnv;
+    let mut chain = header_chain;
     loop {
         let Some(frame) = read_frame(input)? else {
             return Ok(()); // supervisor went away: orderly end
@@ -1797,8 +1795,9 @@ mod tests {
         let ack = HelloAck {
             protocol: PROTOCOL_VERSION,
             run_id: 0x1234_0000_0042,
-            header_fnv: fnv(&hello.header),
+            header_chain: 0x5eed_0000_c4a1_0001,
         };
+        assert_eq!(hello.header_chain(), None, "five bytes are no record");
         assert_eq!(HelloAck::decode(&ack.encode()).unwrap(), ack);
         assert_decode_hardened(&ack.encode(), HelloAck::decode, HelloAck::encode);
 
@@ -2782,9 +2781,10 @@ mod tests {
             HelloAck {
                 protocol: PROTOCOL_VERSION,
                 run_id: hello.run_id,
-                header_fnv: fnv(&hello.header),
+                header_chain: header.encode(CHAIN_SEED).1,
             }
         );
+        assert_eq!(hello.header_chain(), Some(ack.header_chain));
     }
 
     #[test]

@@ -182,6 +182,9 @@ fn stage_loop<T: Value>(
     // binding at the same point means the faulting iteration re-ran
     // from sequential-equivalent state — a genuine program fault.
     let mut last_fault_restart: Option<usize> = None;
+    // `report.virtual_time()`, added to stage by stage: the watchdog asks
+    // after every stage, and summing every stage each time is quadratic.
+    let mut virtual_time = 0.0;
 
     // Stage after stage, until the loop is done or paused (`None`) or
     // speculation is abandoned (`Some(why)`).
@@ -234,6 +237,7 @@ fn stage_loop<T: Value>(
             engine.broadcast_commit(rec);
         }
         journal_stage(journal, &mut outcome.stats, rec)?;
+        virtual_time += outcome.stats.virtual_time();
         report.stages.push(outcome.stats);
         commit_point = frontier;
 
@@ -327,7 +331,7 @@ fn stage_loop<T: Value>(
                 }
             }
         }
-        if let Some(reason) = cfg.fallback.check(report) {
+        if let Some(reason) = cfg.fallback.check(report, virtual_time) {
             break Some(reason);
         }
     };

@@ -315,8 +315,9 @@ pub struct Fleet {
     hello: Vec<u8>,
     /// This run's identity — every worker must echo it in its ack.
     run_id: u64,
-    /// FNV of the hello's header bytes — ditto.
-    header_fnv: u64,
+    /// The chain value after the hello's header record — ditto (`None`
+    /// for a header that is no record, which no worker acknowledges).
+    header_chain: Option<u64>,
     /// Every commit record broadcast so far, in order — the replay log
     /// that rebuilds a fresh worker's mirror of the committed prefix.
     history: Vec<Vec<u8>>,
@@ -352,7 +353,7 @@ impl Fleet {
         let mut hello = hello.clone();
         hello.heartbeat_millis = launcher.policy.heartbeat.as_millis().min(u32::MAX as u128) as u32;
         let run_id = hello.run_id;
-        let header_fnv = hello.header_fnv();
+        let header_chain = hello.header_chain();
         let (tx, rx) = mpsc::channel();
         let mut fleet = Fleet {
             program: launcher.program.clone(),
@@ -363,7 +364,7 @@ impl Fleet {
             endpoints,
             hello: hello.encode(),
             run_id,
-            header_fnv,
+            header_chain,
             history: Vec::new(),
             workers: Vec::new(),
             tx,
@@ -652,11 +653,11 @@ impl Fleet {
                 PROTOCOL_VERSION, ack.protocol
             ));
         }
-        if ack.run_id != self.run_id || ack.header_fnv != self.header_fnv {
+        if ack.run_id != self.run_id || Some(ack.header_chain) != self.header_chain {
             return Verdict::Quarantine(format!(
-                "handshake identity mismatch: expected run {:#x}/header {:#x}, \
+                "handshake identity mismatch: expected run {:#x}/header {:x?}, \
                  worker acknowledged run {:#x}/header {:#x} (cross-wired connection?)",
-                self.run_id, self.header_fnv, ack.run_id, ack.header_fnv
+                self.run_id, self.header_chain, ack.run_id, ack.header_chain
             ));
         }
         Verdict::Fine

@@ -25,8 +25,8 @@
 //!   respawned after an exponentially growing backoff and its
 //!   outstanding blocks re-dispatched, up to
 //!   [`DistPolicy::max_respawns`] across the run;
-//! - **divergence detection** — every block reply echoes the FNV chain
-//!   hash of the inputs the worker computed from (the same chain the
+//! - **divergence detection** — every block reply echoes the record
+//!   chain of the inputs the worker computed from (the same chain the
 //!   crash journal uses); a mismatch means the worker's mirror of the
 //!   committed state has diverged, so the result is rejected and the
 //!   worker rebuilt from scratch.

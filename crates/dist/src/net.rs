@@ -2,7 +2,7 @@
 //! and the standalone listener mode for `rlrpd worker --listen`.
 //!
 //! The wire protocol is byte-identical to the pipe transport — the same
-//! length-framed [`rlrpd_core::persist`] records, the same FNV chain —
+//! length-framed [`rlrpd_core::persist`] records, the same record chain —
 //! so everything above the socket (hello replay, heartbeats, deadlines,
 //! divergence detection, respawn) is reused unchanged. What this module
 //! adds is the part pipes never needed: connect timeouts with

@@ -9,9 +9,10 @@
 use std::io::Read;
 
 use proptest::prelude::*;
+use rlrpd_core::persist::reseal;
 use rlrpd_core::remote::{
-    encode_heartbeat, encode_shutdown, read_frame, record_chain, write_frame, BlockReply,
-    BlockRequest, HelloAck, WireHello,
+    encode_heartbeat, encode_shutdown, read_frame, write_frame, BlockReply, BlockRequest, HelloAck,
+    WireHello,
 };
 
 /// A reader that honors a list of cut positions: each `read` returns at
@@ -107,11 +108,11 @@ fn frame() -> impl Strategy<Value = Vec<u8>> {
             .prop_map(|(chain, runs)| reply_of(chain, &runs).encode()),
         any::<u64>().prop_map(encode_heartbeat),
         Just(encode_shutdown()),
-        (any::<u32>(), any::<u64>(), any::<u64>()).prop_map(|(protocol, run_id, header_fnv)| {
+        (any::<u32>(), any::<u64>(), any::<u64>()).prop_map(|(protocol, run_id, header_chain)| {
             HelloAck {
                 protocol,
                 run_id,
-                header_fnv,
+                header_chain,
             }
             .encode()
         }),
@@ -247,9 +248,7 @@ fn hostile_run_counts_size_nothing() {
     let forge = |count: u32| {
         let mut forged = honest.clone();
         forged[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
-        let body = forged.len() - 8;
-        let sum = record_chain(&forged[..body]);
-        forged[body..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut forged);
         forged
     };
     for count in [0u32, u32::MAX - 98, u32::MAX] {

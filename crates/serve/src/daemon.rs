@@ -41,7 +41,7 @@ use rlrpd_core::remote::{
 };
 use rlrpd_core::{
     reduction_mask, run_sequential, verify_against_sequential, ExecMode, FaultPlan, FrameObserver,
-    Journal, RunConfig, RunPlan, Runner, Strategy,
+    Journal, JournalError, RunConfig, RunPlan, Runner, Strategy,
 };
 use rlrpd_dist::resolve_spec;
 use rlrpd_shadow::{BudgetLease, BudgetPool};
@@ -582,24 +582,8 @@ fn execute_job(job: &Arc<Job>, lease: &BudgetLease) -> Result<Outcome, JobStatus
         runner = runner.with_fault(Arc::new(plan));
     }
 
-    let path = job.journal_path();
-    let (mut journal, resuming) = if path.exists() {
-        match Journal::open(&path) {
-            Ok(j) if j.header().is_some() => (j, true),
-            _ => {
-                // Unusable (headerless or unrecoverable) journal: a
-                // crash before the first durable record. Start over.
-                let _ = std::fs::remove_file(&path);
-                let j =
-                    Journal::create(&path).map_err(|e| fail(4, format!("journal create: {e}")))?;
-                (j, false)
-            }
-        }
-    } else {
-        let j = Journal::create(&path).map_err(|e| fail(4, format!("journal create: {e}")))?;
-        (j, false)
-    };
-    job.publisher.reconcile_records(journal.records() as u64);
+    let (mut journal, resuming) =
+        open_journal(job).map_err(|e| fail(4, format!("journal create: {e}")))?;
     let observer = {
         let job = Arc::clone(job);
         FrameObserver::new(move |frame: &[u8]| job.publisher.publish(frame))
@@ -638,6 +622,26 @@ fn execute_job(job: &Arc<Job>, lease: &BudgetLease) -> Result<Outcome, JobStatus
         }
         Err(e) => Err(fail(e.exit_code() as u32, e.to_string())),
     }
+}
+
+/// The job's journal, and whether the run resumes it: the file's valid
+/// prefix when it holds a header, else a fresh file (a crash before the
+/// first durable record left nothing to resume). The publisher is
+/// reconciled with what the file durably holds — its record count, and
+/// the frontier of its last commit, which a recovered job's summaries
+/// and statuses carry until its first new commit.
+fn open_journal(job: &Job) -> Result<(Journal, bool), JournalError> {
+    let path = job.journal_path();
+    let (journal, resuming) = match Journal::open(&path) {
+        Ok(j) => (j, true),
+        Err(_) => {
+            let _ = std::fs::remove_file(&path);
+            (Journal::create(&path)?, false)
+        }
+    };
+    let frontier = journal.commits().last().map_or(0, |c| c.frontier as u64);
+    job.publisher.reconcile(journal.records() as u64, frontier);
+    Ok((journal, resuming))
 }
 
 /// Build the run configuration a submission asks for.
@@ -957,6 +961,53 @@ mod tests {
         let k = s.pop_next().unwrap();
         s.push_front(1, k);
         assert_eq!(s.pop_next(), Some(10), "a deferred carve keeps its turn");
+    }
+
+    /// A job recovered from a journal cut after its third commit says,
+    /// before it commits anything new — in a summary, and so in a paused
+    /// or failed status — the frontier that commit reached, not 0.
+    #[test]
+    fn a_recovered_job_starts_at_the_frontier_of_its_last_durable_commit() {
+        use rlrpd_core::remote::frames;
+        let dir =
+            std::env::temp_dir().join(format!("rlrpd-recovered-frontier-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = JobSpec {
+            protocol: SERVE_PROTOCOL_VERSION,
+            key: 1,
+            spec: "dcdcmp15:17".into(),
+            p: 4,
+            strategy: "sw:7".into(),
+            budget_bytes: 0,
+            fault_seed: 0,
+            shadow_fault: String::new(),
+            max_stages: 0,
+        };
+        let path = Job::new(spec.clone(), dir.clone(), 0).journal_path();
+        let lp = resolve_spec(&spec.spec).unwrap();
+        let cfg = RunConfig::new(4).with_strategy(spec.strategy.parse().unwrap());
+        let mut journal = Journal::create(&path).unwrap();
+        let plan = RunPlan {
+            journal: Some(&mut journal),
+            ..Default::default()
+        };
+        Runner::new(cfg).execute(lp.as_ref(), plan).unwrap();
+        let third = journal.commits()[2].frontier as u64;
+        assert!(0 < third && third < lp.num_iters() as u64);
+        drop(journal);
+        let file = std::fs::read(&path).unwrap();
+        let (_, end) = frames(&file).nth(3).unwrap();
+        std::fs::write(&path, &file[..end]).unwrap();
+
+        let recovered = Job::new(spec, dir.clone(), count_frames(&path) as u64);
+        let (journal, resuming) = open_journal(&recovered).unwrap();
+        assert!(resuming);
+        assert_eq!(journal.commits().len(), 3);
+        let summary = recovered.publisher.summary(0);
+        assert_eq!((summary.frontier, summary.records), (third, 4));
+        assert_eq!(paused_status(&recovered, 0).frontier, third);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -212,13 +212,14 @@ impl Publisher {
         }
     }
 
-    /// Reconcile the accounted record count after `Journal::open`
-    /// truncated a torn or corrupt tail (never grows the count).
-    pub fn reconcile_records(&self, durable: u64) {
+    /// Reconcile with the journal `Journal::open` recovered: the
+    /// accounted record count drops to the `durable` records it kept (a
+    /// torn or corrupt tail was truncated; never grows the count), and
+    /// the frontier rises to the one its last commit carries.
+    pub fn reconcile(&self, durable: u64, frontier: u64) {
         let mut inner = self.inner.lock().expect("publisher lock");
-        if durable < inner.records {
-            inner.records = durable;
-        }
+        inner.records = inner.records.min(durable);
+        inner.frontier = inner.frontier.max(frontier);
     }
 
     /// Fan one durable journal frame — `u32 len | record`, as the

@@ -575,3 +575,43 @@ pub fn slice(decks: &[&'static str], legs: &[Leg], strategies: &[&str], ps: &[us
     assert_eq!(tally.get("illegal"), 0, "{decks:?}: a slice is legal");
     tally
 }
+
+/// FNV-1a: the checksum a record of envelope version 1 carries.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
+/// `record` as a binary from before envelope version 2 sealed it:
+/// version 1, an FNV-1a checksum — and, for a chained record (a journal
+/// header or commit), `prev` in its chain field. Returns the record and
+/// its version-1 chain value, FNV-1a of all of its bytes.
+pub fn as_v1(record: &[u8], prev: Option<u64>) -> (Vec<u8>, u64) {
+    let mut old = record.to_vec();
+    old[4..8].copy_from_slice(&1u32.to_le_bytes());
+    if let Some(prev) = prev {
+        old[9..17].copy_from_slice(&prev.to_le_bytes());
+    }
+    let body = old.len() - 8;
+    let sum = fnv1a(&old[..body]);
+    old[body..].copy_from_slice(&sum.to_le_bytes());
+    let chain = fnv1a(&old);
+    (old, chain)
+}
+
+/// A journal file resealed record by record as version 1, each record
+/// chained onto its predecessor's version-1 chain value (the header onto
+/// the seed it already carries).
+pub fn journal_as_v1(file: &[u8]) -> Vec<u8> {
+    use rlrpd::core::remote::{frames, push_frame};
+    let mut out = Vec::new();
+    let mut chain = None;
+    for (record, _) in frames(file) {
+        let prev = chain.unwrap_or_else(|| u64::from_le_bytes(record[9..17].try_into().unwrap()));
+        let (old, next) = as_v1(record, Some(prev));
+        push_frame(&mut out, &old);
+        chain = Some(next);
+    }
+    out
+}

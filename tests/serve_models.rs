@@ -665,11 +665,12 @@ fn a_subscriber_attaching_under_a_slow_fsync_gets_every_frame_once_in_order() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// What one raw connection saw of a job: the bytes of every frame in
-/// front of the terminal status (re-framed as they were read, so a
-/// frame the daemon framed twice reads back framed twice), the frontier
-/// summaries among them, and the status.
+/// What one raw connection saw of a job: the admission decision, the
+/// bytes of every frame in front of the terminal status (re-framed as
+/// they were read, so a frame the daemon framed twice reads back framed
+/// twice), the frontier summaries among them, and the status.
 struct RawStream {
+    decision: rlrpd::core::remote::JobDecision,
     journal: Vec<u8>,
     commits: Vec<Option<u64>>,
     summaries: Vec<rlrpd::core::remote::FrontierSummary>,
@@ -702,6 +703,7 @@ fn raw_submit(addr: &str, spec: &JobSpec, before_reading: impl FnOnce()) -> RawS
             Some(FRAME_STATUS) => {
                 let status = JobStatusFrame::decode(&frame).expect("status frame");
                 return RawStream {
+                    decision,
                     journal,
                     commits,
                     summaries,
@@ -835,5 +837,79 @@ fn a_failed_job_reports_the_frontier_of_its_last_durable_record() {
     assert_eq!(Some(asked.frontier), durable);
     handle.drain();
     assert_eq!(handle.join(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A state directory an older binary left — every job's meta image,
+/// status sidecar and journal sealed as envelope version 1 — recovers.
+/// The finished job re-attaches (admission compares decoded specs, not
+/// bytes) and is caught up with its journal file's own version-1 bytes;
+/// the job whose journal was cut after its third commit, and whose
+/// sidecar is gone, resumes to a verified finish with version-2 records
+/// appended behind the version-1 prefix.
+#[test]
+fn a_state_dir_written_before_envelope_version_2_recovers_and_reattaches() {
+    use common::{as_v1, journal_as_v1};
+    use rlrpd::core::remote::{frames, JobDecision};
+
+    let dir = state_dir("v1");
+    let handle = start(ServeConfig {
+        state_dir: dir.clone(),
+        ..ServeConfig::default()
+    });
+    let mut done = spec_for(0x14_0000_0001, MODELS[1]);
+    done.strategy = "sw:7".into();
+    let cut = JobSpec {
+        key: 0x14_0000_0002,
+        ..done.clone()
+    };
+    let first: Vec<_> = [&done, &cut]
+        .map(|spec| submit(handle.addr(), spec, &opts()).expect("first submission"))
+        .into_iter()
+        .map(|out| out.status)
+        .collect();
+    assert!(first.iter().all(|st| st.state == JobState::Done));
+    handle.drain();
+    assert_eq!(handle.join(), 0);
+
+    let file = |spec: &JobSpec, name: &str| dir.join(format!("job-{:016x}/{name}", spec.key));
+    let read = |path: &PathBuf| std::fs::read(path).expect("job state");
+    for spec in [&done, &cut] {
+        let meta = file(spec, "meta.bin");
+        std::fs::write(&meta, as_v1(&read(&meta), None).0).unwrap();
+        let path = file(spec, "journal.bin");
+        let journal = read(&path);
+        let keep = match spec.key == cut.key {
+            true => frames(&journal).nth(3).expect("three commits").1,
+            false => journal.len(),
+        };
+        std::fs::write(&path, journal_as_v1(&journal[..keep])).unwrap();
+    }
+    let status = file(&done, "status.bin");
+    std::fs::write(&status, as_v1(&read(&status), None).0).unwrap();
+    std::fs::remove_file(file(&cut, "status.bin")).unwrap();
+    let done_v1 = read(&file(&done, "journal.bin"));
+    let cut_v1 = read(&file(&cut, "journal.bin"));
+
+    let restarted = start(ServeConfig {
+        state_dir: dir.clone(),
+        resume: true,
+        ..ServeConfig::default()
+    });
+    let again = raw_submit(restarted.addr(), &done, || {});
+    assert_eq!(again.decision, JobDecision::Attached);
+    assert_eq!(again.status, first[0], "the sidecar's status, read back");
+    assert!(again.journal == done_v1, "caught up with the file as it is");
+
+    let resumed = raw_submit(restarted.addr(), &cut, || {});
+    assert_eq!(resumed.decision, JobDecision::Attached);
+    assert_eq!(resumed.status.state, JobState::Done, "{:?}", resumed.status);
+    assert!(resumed.status.verified, "resumed job must verify");
+    let n = rlrpd::dist::resolve_spec(&cut.spec).unwrap().num_iters() as u64;
+    assert_eq!(resumed.status.frontier, n);
+    let journal = read(&file(&cut, "journal.bin"));
+    assert!(journal.starts_with(&cut_v1) && journal.len() > cut_v1.len());
+    restarted.drain();
+    assert_eq!(restarted.join(), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -143,7 +143,6 @@ fn stage_structure_is_identical_across_shadow_kinds_and_checkpoints() {
 
 mod pinned {
     use super::{workload, A, B};
-    use rlrpd::core::remote::record_chain as fnv;
     use rlrpd::core::{AdaptRule, RunResult, WindowPolicy};
     use rlrpd::loops::fptrak::FptrakInput;
     use rlrpd::loops::*;
@@ -160,6 +159,15 @@ mod pinned {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/data/strategy_fingerprints.txt"
     );
+
+    /// A row's fingerprint: FNV-1a of its bytes. The table's own, so
+    /// that a change to the record checksum moves only the rows whose
+    /// bytes hold checksums (the journal files).
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+        })
+    }
 
     /// `json` without `"key":<number>,` — the wall-clock fields of a
     /// report are not behaviour.
