@@ -2,9 +2,9 @@
 //! for every design choice DESIGN.md calls out, on one realistic
 //! partially parallel workload (NLFILT 16-400, p = 16).
 //!
-//! Complements the criterion benches (which measure the *machinery's*
-//! wall-clock cost) with the *algorithmic* virtual-time effect of each
-//! choice, reproducible bit-for-bit.
+//! Complements the benchmark harness under `bench/` (which measures the
+//! *machinery's* wall-clock cost) with the *algorithmic* virtual-time
+//! effect of each choice, reproducible bit-for-bit.
 
 use rlrpd_bench::{fmt, print_table};
 use rlrpd_core::{

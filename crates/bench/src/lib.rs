@@ -1,5 +1,4 @@
-//! Shared harness for the figure-regenerating binaries and criterion
-//! benches.
+//! Shared helpers for the figure-regenerating binaries.
 //!
 //! Every figure of the paper has a `fig*` binary in `src/bin/` that
 //! prints the same series the figure plots (see DESIGN.md §5 for the
@@ -7,8 +6,6 @@
 //! helpers here keep the binaries small: processor sweeps, aligned
 //! table printing, and the Amdahl combination used for whole-program
 //! speedups.
-
-use rlrpd_core::{RunConfig, RunResult, SpecLoop, Value};
 
 /// The processor counts the paper's speedup figures sweep (the HP
 /// V2200 had 16 processors).
@@ -44,11 +41,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         line(row.clone());
     }
-}
-
-/// Run `lp` once under `cfg` (convenience for sweeps).
-pub fn run_once<T: Value>(lp: &dyn SpecLoop<T>, cfg: RunConfig) -> RunResult<T> {
-    rlrpd_core::run_speculative(lp, cfg)
 }
 
 /// Whole-program speedup by Amdahl combination: `fractions[i]` of

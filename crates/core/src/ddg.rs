@@ -25,7 +25,7 @@ use crate::value::Value;
 use crate::window::WindowConfig;
 use rlrpd_runtime::FeedbackPartitioner;
 use rlrpd_shadow::hasher::FxBuildHasher;
-use rlrpd_shadow::{EventKind, LastRefTable};
+use rlrpd_shadow::EventKind;
 use std::collections::HashMap;
 
 /// Dependence edge classification.
@@ -124,12 +124,10 @@ impl DepGraph {
 /// DDG extraction and the inspector/executor baseline.
 #[derive(Debug, Default)]
 pub struct DepCollector {
-    /// Per (array slot, element): producer / reader history.
+    /// Per (array slot, element): producer / reader history. Its
+    /// `last_write` is the paper's distributed last-reference table: the
+    /// last committed writer of each element, carried across windows.
     hist: HashMap<(u32, usize), Hist, FxBuildHasher>,
-    /// Last committed writer per element, per slot (the paper's
-    /// distributed last-reference table; kept for parity/diagnostics —
-    /// `hist` subsumes it for edge derivation).
-    last_ref: Vec<LastRefTable>,
     flow: Vec<(u32, u32)>,
     anti: Vec<(u32, u32)>,
     output: Vec<(u32, u32)>,
@@ -142,14 +140,6 @@ struct Hist {
 }
 
 impl DepCollector {
-    /// A collector over `num_slots` tested arrays.
-    pub fn new(num_slots: usize) -> Self {
-        DepCollector {
-            last_ref: (0..num_slots).map(|_| LastRefTable::new()).collect(),
-            ..Default::default()
-        }
-    }
-
     /// Record an exposed read of `(slot, elem)` by iteration `iter`.
     pub fn read(&mut self, slot: u32, elem: usize, iter: u32) {
         let h = self.hist.entry((slot, elem)).or_default();
@@ -176,7 +166,6 @@ impl DepCollector {
         }
         h.last_write = Some(iter);
         h.readers_since_write.clear();
-        self.last_ref[slot as usize].record_write(elem, iter);
     }
 
     /// Consume one stage's committed per-iteration marks, in block
@@ -252,9 +241,8 @@ pub fn extract_ddg<T: Value>(
     // names; window schedules never consult the partitioner.
     let cfg = cfg.with_strategy(Strategy::SlidingWindow(wcfg));
     let mut engine = Engine::new(lp, cfg.engine_cfg(), true);
-    let num_slots = engine.tested_ids.len();
     let n = engine.n;
-    let mut collector = DepCollector::new(num_slots);
+    let mut collector = DepCollector::default();
     let (mut report, arcs) = run_stages(
         &mut engine,
         &cfg,
@@ -283,7 +271,7 @@ mod tests {
 
     #[test]
     fn collector_derives_flow_anti_output() {
-        let mut c = DepCollector::new(1);
+        let mut c = DepCollector::default();
         // iter 0 writes e; iter 1 reads e; iter 2 writes e.
         c.write(0, 7, 0);
         c.read(0, 7, 1);
@@ -296,7 +284,7 @@ mod tests {
 
     #[test]
     fn all_readers_get_anti_edges() {
-        let mut c = DepCollector::new(1);
+        let mut c = DepCollector::default();
         c.read(0, 3, 0);
         c.read(0, 3, 1);
         c.write(0, 3, 2);
@@ -306,7 +294,7 @@ mod tests {
 
     #[test]
     fn same_iteration_events_never_self_loop() {
-        let mut c = DepCollector::new(1);
+        let mut c = DepCollector::default();
         c.read(0, 3, 1);
         c.write(0, 3, 1);
         c.write(0, 3, 1);
@@ -316,7 +304,7 @@ mod tests {
 
     #[test]
     fn duplicate_edges_are_deduplicated() {
-        let mut c = DepCollector::new(1);
+        let mut c = DepCollector::default();
         c.write(0, 1, 0);
         c.read(0, 1, 1);
         c.write(0, 2, 0);

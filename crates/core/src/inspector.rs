@@ -76,7 +76,7 @@ pub fn run_inspector_executor<T: Value>(
         }
     }
 
-    let mut collector = DepCollector::new(slots as usize);
+    let mut collector = DepCollector::default();
     let mut refs = 0u64;
     for iter in 0..n {
         let trace = lp.inspect(iter);

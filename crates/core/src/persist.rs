@@ -658,8 +658,7 @@ mod tests {
             WavefrontSchedule::from_bytes,
             WavefrontSchedule::to_bytes,
         );
-        // A resealed schedule that names an iteration twice is corrupt
-        // (`from_levels` would panic on it).
+        // A resealed schedule that names an iteration twice is corrupt.
         let mut w = Writer::new(KIND_SCHEDULE);
         for v in [2u64, 2] {
             w.u64(v);

@@ -60,27 +60,6 @@ impl StrategyPredictor {
         ])
     }
 
-    /// A predictor seeded from a statically-predicted minimum
-    /// dependence distance `d` on `p` processors.
-    ///
-    /// A loop with minimum distance `d` commits at least `d` iterations
-    /// per stage, so a sliding window of about `d / p` iterations per
-    /// processor is the natural schedule (≈⌈n/(p·d)⌉ stages total, the
-    /// R-LRPD bound). That window size is prepended to the default
-    /// candidate set so exploration tries the statically-derived
-    /// schedule first; measured history still takes over afterwards.
-    pub fn with_static_distance(distance: usize, p: usize) -> Self {
-        let per_proc = (distance / p.max(1)).max(1);
-        let mut candidates = vec![Strategy::SlidingWindow(WindowConfig::fixed(per_proc))];
-        for s in Self::new().scores {
-            let strategy = s.strategy;
-            if !candidates.contains(&strategy) {
-                candidates.push(strategy);
-            }
-        }
-        Self::with_candidates(candidates)
-    }
-
     /// A predictor over an explicit candidate set.
     ///
     /// # Panics
@@ -231,24 +210,6 @@ mod tests {
             sequential_work: work,
             ..Default::default()
         }
-    }
-
-    #[test]
-    fn static_distance_seeds_a_matching_window_candidate() {
-        let p = StrategyPredictor::with_static_distance(32, 4);
-        // d/p = 8 iterations per processor, tried before anything else.
-        assert_eq!(
-            p.next_strategy(),
-            Strategy::SlidingWindow(WindowConfig::fixed(8))
-        );
-        // The default candidates are still in the pool.
-        assert!(p.scores().iter().any(|(s, _, _)| *s == Strategy::Nrd));
-        // Degenerate inputs clamp to a 1-iteration window.
-        let tiny = StrategyPredictor::with_static_distance(1, 8);
-        assert_eq!(
-            tiny.next_strategy(),
-            Strategy::SlidingWindow(WindowConfig::fixed(1))
-        );
     }
 
     #[test]

@@ -106,10 +106,6 @@ pub const FAULT_CORRUPT: u32 = 3;
 
 /// Frame kind of a session hello ([`WireHello`]).
 pub const FRAME_HELLO: u8 = KIND_DIST_HELLO;
-/// Frame kind of a commit broadcast (a crash-journal commit record).
-pub const FRAME_COMMIT: u8 = KIND_JOURNAL_COMMIT;
-/// Frame kind of a block request ([`BlockRequest`]).
-pub const FRAME_REQUEST: u8 = KIND_DIST_REQUEST;
 /// Frame kind of a block reply ([`BlockReply`]).
 pub const FRAME_REPLY: u8 = KIND_DIST_REPLY;
 /// Frame kind of a worker liveness heartbeat.
@@ -1152,8 +1148,6 @@ pub const SERVE_PROTOCOL_VERSION: u32 = 1;
 
 /// Frame kind of a job submission ([`JobSpec`]).
 pub const FRAME_SUBMIT: u8 = crate::persist::KIND_SERVE_SUBMIT;
-/// Frame kind of an admission decision ([`JobDecision`]).
-pub const FRAME_DECISION: u8 = crate::persist::KIND_SERVE_DECISION;
 /// Frame kind of a job status ([`JobStatusFrame`]).
 pub const FRAME_STATUS: u8 = crate::persist::KIND_SERVE_STATUS;
 /// Frame kind of a frontier summary ([`FrontierSummary`]).

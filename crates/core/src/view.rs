@@ -302,11 +302,6 @@ impl<T: Value> ProcView<T> {
         self.shadow.shadow_bytes()
     }
 
-    /// The representation this view's shadow currently uses.
-    pub fn shadow_kind(&self) -> ShadowKind {
-        ShadowKind::from_choice(self.shadow.choice())
-    }
-
     /// Migrate this view to representation `kind`, carrying every piece
     /// of live state across: shadow marks, private written values, and
     /// reduction deltas.

@@ -32,16 +32,8 @@ impl WavefrontSchedule {
     }
 
     /// Rebuild a schedule from explicit levels (e.g. deserialized from
-    /// [`WavefrontSchedule::to_bytes`]).
-    ///
-    /// # Panics
-    /// Panics when an iteration appears in more than one level.
-    pub fn from_levels(levels: Vec<Vec<u32>>) -> Self {
-        Self::checked(levels).unwrap_or_else(|i| panic!("iteration {i} scheduled twice"))
-    }
-
-    /// [`WavefrontSchedule::from_levels`] for levels read from outside:
-    /// `Err` names the first iteration that appears twice.
+    /// [`WavefrontSchedule::to_bytes`]): `Err` names the first iteration
+    /// that appears in more than one level.
     pub(crate) fn checked(levels: Vec<Vec<u32>>) -> Result<Self, u32> {
         let mut seen = std::collections::HashSet::new();
         match levels.iter().flatten().find(|&&i| !seen.insert(i)) {
@@ -167,14 +159,8 @@ mod tests {
     use super::*;
 
     #[test]
-    #[should_panic(expected = "scheduled twice")]
-    fn duplicate_iterations_rejected_in_from_levels() {
-        WavefrontSchedule::from_levels(vec![vec![0, 1], vec![1]]);
-    }
-
-    #[test]
     fn empty_schedule_is_valid() {
-        let s = WavefrontSchedule::from_levels(vec![]);
+        let s = WavefrontSchedule::checked(vec![]).unwrap();
         assert_eq!(s.depth(), 0);
         assert_eq!(s.num_iters(), 0);
         assert_eq!(s.avg_width(), 0.0);

@@ -29,11 +29,6 @@
 //!   (sparse reductions) (Fig. 6);
 //! * [`fma3d`] — FMA3D `Quad`: indirection-based, fully parallel
 //!   (Fig. 5);
-//! * [`moldyn`] — a CHARMM-style non-bonded force kernel (irregular
-//!   reductions through neighbor lists) and a bond-constraint sweep;
-//! * [`fock`] — a GAUSSIAN-style Fock-matrix build (screened integral
-//!   quartets scattering into six matrix entries each — both from the
-//!   intro's motivating application classes);
 //! * [`track_program`] — the whole-TRACK multi-instantiation harness
 //!   behind Fig. 12(b);
 //! * [`dsl`] — TRACK/SPICE/NLFILT reference shapes as mini-language
@@ -45,9 +40,7 @@
 pub mod dsl;
 pub mod extend;
 pub mod fma3d;
-pub mod fock;
 pub mod fptrak;
-pub mod moldyn;
 pub mod nlfilt;
 pub mod spice;
 pub mod spice_program;
@@ -56,9 +49,7 @@ pub mod track_program;
 
 pub use extend::ExtendLoop;
 pub use fma3d::QuadLoop;
-pub use fock::FockBuildLoop;
 pub use fptrak::FptrakLoop;
-pub use moldyn::{ConstraintLoop, MoldynSystem, NonbondedLoop};
 pub use nlfilt::{NlfiltInput, NlfiltLoop};
 pub use spice::{BjtLoop, Dcdcmp15Loop, Dcdcmp70Loop};
 pub use spice_program::{NewtonReport, SpiceProgram};

@@ -16,7 +16,7 @@
 //!   see DESIGN.md §2),
 //! * [`CostModel`] — the (ω, ℓ, s) parameters of the paper's Section 4
 //!   analytical model plus a remote-miss penalty for redistribution,
-//! * [`prefix`] — sequential and parallel prefix sums (used by the
+//! * [`prefix`] — exclusive prefix sums (used by the
 //!   feedback-guided load balancer and the EXTEND induction-variable
 //!   technique),
 //! * [`FaultPlan`] — deterministic, seedable fault injection (panics,

@@ -1,4 +1,4 @@
-//! Prefix sums — sequential and blocked-parallel.
+//! Prefix sums.
 //!
 //! Two users in this reproduction, both straight from the paper:
 //!
@@ -36,52 +36,6 @@ pub fn exclusive_prefix_sum_usize(xs: &[usize]) -> Vec<usize> {
     out
 }
 
-/// Blocked parallel prefix sum over `xs`, using `p` blocks: each block is
-/// summed independently, block offsets are prefix-summed, then each block
-/// is rescanned with its offset. This is the classic two-pass scheme the
-/// paper's "parallel prefix routine" refers to; we run the passes with
-/// scoped threads.
-///
-/// Returns the *exclusive* prefix (same contract as
-/// [`exclusive_prefix_sum`]).
-pub fn parallel_exclusive_prefix_sum(xs: &[Cost], p: usize) -> Vec<Cost> {
-    assert!(p > 0);
-    let n = xs.len();
-    if n == 0 {
-        return vec![0.0];
-    }
-    let chunk = n.div_ceil(p);
-    let mut block_sums = vec![0.0; xs.chunks(chunk).count()];
-    std::thread::scope(|scope| {
-        for (sum, block) in block_sums.iter_mut().zip(xs.chunks(chunk)) {
-            scope.spawn(move || {
-                *sum = block.iter().sum();
-            });
-        }
-    });
-
-    let offsets = exclusive_prefix_sum(&block_sums);
-
-    let mut out = vec![0.0; n + 1];
-    // out[0] = 0 already; fill out[1..=n] blockwise.
-    std::thread::scope(|scope| {
-        let mut rest = &mut out[1..];
-        for (b, block) in xs.chunks(chunk).enumerate() {
-            let (mine, tail) = rest.split_at_mut(block.len());
-            rest = tail;
-            let base = offsets[b];
-            scope.spawn(move || {
-                let mut acc = base;
-                for (o, &x) in mine.iter_mut().zip(block) {
-                    acc += x;
-                    *o = acc;
-                }
-            });
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,20 +58,5 @@ mod tests {
         // and total 6, exactly the EXTEND_400 second-pass offsets.
         let incs = [3, 0, 2, 1];
         assert_eq!(exclusive_prefix_sum_usize(&incs), vec![0, 3, 3, 5, 6]);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_uneven_sizes() {
-        for n in [0usize, 1, 2, 7, 64, 101] {
-            let xs: Vec<Cost> = (0..n).map(|i| (i as Cost) * 0.5 + 1.0).collect();
-            for p in [1, 2, 3, 8] {
-                let seq = exclusive_prefix_sum(&xs);
-                let par = parallel_exclusive_prefix_sum(&xs, p);
-                assert_eq!(seq.len(), par.len());
-                for (a, b) in seq.iter().zip(par.iter()) {
-                    assert!((a - b).abs() < 1e-9, "n={n} p={p}: {a} vs {b}");
-                }
-            }
-        }
     }
 }

@@ -184,12 +184,6 @@ impl BlockSchedule {
         self.blocks.iter().all(Block::is_empty)
     }
 
-    /// The block position (dependence rank) executing global iteration
-    /// `iter`, if any block covers it.
-    pub fn position_of_iter(&self, iter: usize) -> Option<usize> {
-        self.blocks.iter().position(|b| b.range.contains(&iter))
-    }
-
     /// The block position held by processor `proc`, if it participates.
     pub fn position_of_proc(&self, proc: ProcId) -> Option<usize> {
         self.blocks.iter().position(|b| b.proc == proc)
@@ -255,15 +249,6 @@ mod tests {
         let lens: Vec<_> = s.blocks().iter().map(Block::len).collect();
         assert_eq!(lens, vec![1, 1, 0, 0]);
         assert_eq!(s.span(), Some(5..7));
-    }
-
-    #[test]
-    fn position_of_iter_finds_owning_block() {
-        let s = BlockSchedule::even(0..8, 4);
-        assert_eq!(s.position_of_iter(0), Some(0));
-        assert_eq!(s.position_of_iter(3), Some(1));
-        assert_eq!(s.position_of_iter(7), Some(3));
-        assert_eq!(s.position_of_iter(8), None);
     }
 
     #[test]

@@ -1,8 +1,6 @@
-//! Property tests for schedules, prefix sums, and the feedback-guided
-//! partitioner.
+//! Property tests for schedules and the feedback-guided partitioner.
 
 use proptest::prelude::*;
-use rlrpd_runtime::prefix::{exclusive_prefix_sum, parallel_exclusive_prefix_sum};
 use rlrpd_runtime::{BlockSchedule, FeedbackPartitioner, TrendMode};
 
 proptest! {
@@ -54,17 +52,6 @@ proptest! {
         let shifted = BlockSchedule::even(len / 2..len, p);
         let moved = shifted.moved_from(&s);
         prop_assert!(moved <= shifted.num_iters());
-    }
-
-    /// Parallel prefix sums equal sequential ones.
-    #[test]
-    fn parallel_prefix_matches(xs in prop::collection::vec(-100.0f64..100.0, 0..300), p in 1usize..9) {
-        let a = exclusive_prefix_sum(&xs);
-        let b = parallel_exclusive_prefix_sum(&xs, p);
-        prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert!((x - y).abs() < 1e-6);
-        }
     }
 
     /// Feedback cuts are monotone, in-bounds, and the resulting

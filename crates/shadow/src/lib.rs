@@ -19,9 +19,7 @@
 //!   per element in planes), ~4× smaller than the byte shadow,
 //! * [`Shadow`] — a runtime-selected combination of the two,
 //! * [`IterMarks`] — per-*iteration* mark lists (the paper's "N-level
-//!   mark list") used by sliding-window DDG extraction,
-//! * [`LastRefTable`] — the distributed last-reference table carrying the
-//!   last committed writer of each element across windows.
+//!   mark list") used by sliding-window DDG extraction.
 //!
 //! All structures are per-processor and single-threaded by design; the
 //! analysis phase merges them across processors.
@@ -48,7 +46,6 @@ pub mod budget;
 pub mod dense;
 pub mod hasher;
 pub mod iter_marks;
-pub mod last_ref;
 pub mod marks;
 pub mod packed;
 pub mod select;
@@ -58,7 +55,6 @@ pub mod sparse;
 pub use budget::{BudgetLease, BudgetPool, ShadowBudget};
 pub use dense::DenseShadow;
 pub use iter_marks::{ElemEvents, EventKind, IterMarks};
-pub use last_ref::LastRefTable;
 pub use marks::Mark;
 pub use packed::PackedShadow;
 pub use select::{choose, clamp_to_budget, footprint, ShadowChoice};
