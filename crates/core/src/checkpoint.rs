@@ -19,7 +19,7 @@
 //! # The write log is kept as runs
 //!
 //! A [`WriteLog`] answers "is this the block's first write of the
-//! element?" with one flag per element, and remembers *which* elements
+//! element?" with one flag bit per element, and remembers *which* elements
 //! were written as **runs**: `(slot, first, len)` stands for the `len`
 //! elements `first..first + len` of untested array `slot`, first-written
 //! in that order. A write extends the last run when it lands on that
@@ -34,10 +34,11 @@
 //!
 //! A block that sweeps an array — the common case: `B[i] = …` over the
 //! block's consecutive iterations — is one run however long the sweep:
-//! 1 flag byte + 8 bytes of old value per write where the per-element
-//! log held 1 + 4 (touched list) + 16 (`(slot, elem, old)` triple). A
-//! fully scattered block is one run per write, 1 + 12 + 8 bytes: never
-//! more than before. Clearing is a `fill(false)` per run.
+//! 1 flag bit + 8 bytes of old value per write where the per-element
+//! log held a flag byte + 4 (touched list) + 16 (`(slot, elem, old)`
+//! triple). A fully scattered block is one run per write, 12 + 8 bytes
+//! and a bit: never more than before. Clearing zeroes each run's bit
+//! range, a word at a time.
 
 use crate::value::Value;
 
@@ -65,12 +66,31 @@ impl WriteRun {
     }
 }
 
+/// Clear bits `elems` of a bitset, whole words in the middle and the
+/// partial words at both ends by mask.
+fn clear_bits(words: &mut [u64], elems: std::ops::Range<usize>) {
+    if elems.is_empty() {
+        return;
+    }
+    let (lo, hi) = (elems.start / 64, (elems.end - 1) / 64);
+    let head = !0u64 << (elems.start % 64);
+    let tail = !0u64 >> (63 - (elems.end - 1) % 64);
+    if lo == hi {
+        words[lo] &= !(head & tail);
+    } else {
+        words[lo] &= !head;
+        words[lo + 1..hi].fill(0);
+        words[hi] &= !tail;
+    }
+}
+
 /// One processor's write tracking for all untested arrays during one
 /// stage.
 #[derive(Debug)]
 pub struct WriteLog<T> {
-    /// First-write flags, one vector per untested array slot.
-    written: Vec<Vec<bool>>,
+    /// First-write flags, one bitset (64 elements a word) per untested
+    /// array slot.
+    written: Vec<Vec<u64>>,
     /// What was first-written, in write order (module docs).
     runs: Vec<WriteRun>,
     /// On-demand policy: the pre-write value of every first-written
@@ -84,7 +104,7 @@ impl<T: Value> WriteLog<T> {
     pub fn new(sizes: &[usize], policy: CheckpointPolicy) -> Self {
         assert!(sizes.iter().all(|&s| s <= u32::MAX as usize));
         WriteLog {
-            written: sizes.iter().map(|&s| vec![false; s]).collect(),
+            written: sizes.iter().map(|&s| vec![0; s.div_ceil(64)]).collect(),
             runs: Vec::new(),
             old: Vec::new(),
             policy,
@@ -96,11 +116,11 @@ impl<T: Value> WriteLog<T> {
     /// element this stage (and only under the on-demand policy).
     #[inline]
     pub fn record(&mut self, slot: usize, elem: usize, old: impl FnOnce() -> T) {
-        let flag = &mut self.written[slot][elem];
-        if *flag {
+        let (word, bit) = (&mut self.written[slot][elem / 64], 1u64 << (elem % 64));
+        if *word & bit != 0 {
             return;
         }
-        *flag = true;
+        *word |= bit;
         let (slot, elem) = (slot as u32, elem as u32);
         match self.runs.last_mut() {
             Some(run) if run.slot == slot && run.first + run.len == elem => run.len += 1,
@@ -160,7 +180,7 @@ impl<T: Value> WriteLog<T> {
     /// Reset for the next stage, O(written).
     pub fn clear(&mut self) {
         for run in &self.runs {
-            self.written[run.slot as usize][run.elems()].fill(false);
+            clear_bits(&mut self.written[run.slot as usize], run.elems());
         }
         self.runs.clear();
         self.old.clear();
@@ -349,6 +369,23 @@ mod tests {
         assert_eq!(log.written(1).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         let undo: Vec<_> = log.undo_rev().take(3).collect();
         assert_eq!(undo, vec![(1, 3, 1.0), (0, 3, 0.0), (1, 2, 1.0)]);
+    }
+
+    #[test]
+    fn clearing_a_run_clears_exactly_its_bits() {
+        // Every range over three words: inside one word, across one
+        // boundary, across two, starting and ending on word edges.
+        const BITS: usize = 192;
+        for start in 0..BITS {
+            for end in start..=BITS {
+                let mut words = [!0u64; BITS / 64];
+                clear_bits(&mut words, start..end);
+                for e in 0..BITS {
+                    let set = words[e / 64] >> (e % 64) & 1 == 1;
+                    assert_eq!(set, !(start..end).contains(&e), "{start}..{end} bit {e}");
+                }
+            }
+        }
     }
 
     #[test]

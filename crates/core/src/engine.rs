@@ -161,7 +161,8 @@ pub(crate) struct Engine<'l, T: Value> {
     pub shared: Vec<SharedBuf<T>>,
     /// slot -> array declaration index.
     pub tested_ids: Vec<usize>,
-    /// slot -> declared size (migration rebuilds views from these).
+    /// slot -> declared size (the pressure path rebuilds views from
+    /// these).
     pub tested_sizes: Vec<usize>,
     /// slot -> *current* shadow representation: starts at the declared
     /// kind (possibly down-tiered at construction to fit the budget)
@@ -854,7 +855,8 @@ impl<'l, T: Value> Engine<'l, T> {
     /// the pressure path's replacement for the O(touched) clear. A
     /// fresh build (unlike `clear`, which keeps allocations for reuse)
     /// actually returns memory: already-sparse slots drop their hash
-    /// capacity too, so relief is real even below the ladder.
+    /// capacity and every view its private-value slab, so relief is
+    /// real even below the ladder.
     fn rebuild_views(&mut self) {
         let record = self.record_marks;
         let num_slots = self.tested_ids.len();

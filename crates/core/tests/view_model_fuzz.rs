@@ -15,7 +15,13 @@ use rlrpd_core::{
 };
 use std::sync::{Arc, Mutex};
 
-const SIZE: usize = 16;
+/// Four private-store pages of 32 elements and a partial fifth, so
+/// references cross page boundaries and land on a short last page.
+const SIZE: usize = 133;
+/// Page edges (for page sizes 32, 64 and 128) and the array's ends:
+/// half of all element draws land on one of these, so the same few
+/// elements are read, written and reduced across iterations.
+const EDGES: [usize; 8] = [0, 31, 32, 63, 64, 127, 128, SIZE - 1];
 const A: ArrayId = ArrayId(0);
 
 /// One primitive operation against the array under test.
@@ -30,11 +36,16 @@ fn ops() -> impl proptest::strategy::Strategy<Value = Vec<Vec<Op>>> {
     // A loop of up to 12 iterations, each with up to 6 operations.
     prop::collection::vec(
         prop::collection::vec(
-            (0usize..SIZE, -20i64..20, 0u8..3).prop_map(|(e, v, k)| match k {
-                0 => Op::Read(e),
-                1 => Op::Write(e, v),
-                _ => Op::Reduce(e, v),
-            }),
+            (0usize..SIZE, 0usize..2 * EDGES.len(), -20i64..20, 0u8..3).prop_map(
+                |(e, edge, v, k)| {
+                    let e = EDGES.get(edge).copied().unwrap_or(e);
+                    match k {
+                        0 => Op::Read(e),
+                        1 => Op::Write(e, v),
+                        _ => Op::Reduce(e, v),
+                    }
+                },
+            ),
             0..6,
         ),
         1..12,

@@ -585,7 +585,7 @@ impl CompiledProgram {
         }
     }
 
-    fn decls_for(&self, k: usize, init: &[Vec<f64>]) -> Vec<ArrayDecl<f64>> {
+    fn decls_for(&self, k: usize, init: Vec<Vec<f64>>) -> Vec<ArrayDecl<f64>> {
         self.program
             .arrays
             .iter()
@@ -603,17 +603,17 @@ impl CompiledProgram {
                         rlrpd_shadow::ShadowChoice::Sparse => ShadowKind::Sparse,
                     };
                 match class.class {
-                    Class::Tested => ArrayDecl::tested(name, data.clone(), shadow),
+                    Class::Tested => ArrayDecl::tested(name, data, shadow),
                     // Shadow elision: a statically safe array gets no
                     // shadow and no marking (unless the elision-check
                     // baseline asked for full instrumentation).
                     Class::Untested if !self.full_instrumentation => {
-                        ArrayDecl::untested(name, data.clone())
+                        ArrayDecl::untested(name, data)
                     }
-                    Class::Untested => ArrayDecl::tested(name, data.clone(), shadow),
+                    Class::Untested => ArrayDecl::tested(name, data, shadow),
                     Class::Reduction(op) => ArrayDecl::reduction(
                         name,
-                        data.clone(),
+                        data,
                         shadow,
                         match op {
                             ast::UpdateOp::Add => Reduction::sum(),
@@ -629,13 +629,11 @@ impl CompiledProgram {
     /// untested, so the engine neither allocates shadow state nor marks
     /// accesses. The bytecode is unchanged — elided ops route through
     /// the context, which simply skips marking when no shadow exists.
-    fn plain_decls_for(&self, init: &[Vec<f64>]) -> Vec<ArrayDecl<f64>> {
-        self.program
-            .arrays
+    fn plain_decls_for(&self, init: Vec<Vec<f64>>) -> Vec<ArrayDecl<f64>> {
+        self.names
             .iter()
-            .zip(&self.names)
             .zip(init)
-            .map(|((_, &name), data)| ArrayDecl::untested(name, data.clone()))
+            .map(|(&name, data)| ArrayDecl::untested(name, data))
             .collect()
     }
 }
@@ -658,10 +656,11 @@ impl SpecLoop<f64> for ProgramLoop<'_> {
     }
 
     fn arrays(&self) -> Vec<ArrayDecl<f64>> {
+        let init = self.init.clone();
         if self.plain {
-            self.prog.plain_decls_for(&self.init)
+            self.prog.plain_decls_for(init)
         } else {
-            self.prog.decls_for(self.k, &self.init)
+            self.prog.decls_for(self.k, init)
         }
     }
 
@@ -761,7 +760,7 @@ impl SpecLoop<f64> for CompiledLoop {
     }
 
     fn arrays(&self) -> Vec<ArrayDecl<f64>> {
-        self.inner.decls_for(0, &self.inner.initial_arrays())
+        self.inner.decls_for(0, self.inner.initial_arrays())
     }
 
     fn body(&self, iter: usize, ctx: &mut IterCtx<'_, f64>) {
