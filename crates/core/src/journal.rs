@@ -1194,33 +1194,15 @@ mod tests {
     }
 
     #[test]
-    fn records_survive_the_persist_hardening_harness() {
-        // Journal records ride the persist framing; hold them to the
-        // same exhaustive truncation/corruption bar as the artifacts.
-        let h = header();
-        let (hb, chain) = h.encode(CHAIN_SEED);
-        use crate::persist::assert_decode_hardened;
-        assert_decode_hardened(
-            &hb,
-            |b| JournalHeader::decode(b, CHAIN_SEED),
-            |(h, _)| h.encode(CHAIN_SEED).0,
-        );
+    fn records_chain_and_refuse_hostile_counts() {
+        // The decode sweep over every record kind is `persist`'s; here,
+        // what the chain and the list bound add for journal records.
+        let (hb, chain) = header().encode(CHAIN_SEED);
         assert_eq!(Some(chain), crate::persist::record_chain(&hb));
         let (cb, next) = commit(0, 32).encode(chain);
         let decode = |b: &[u8]| CommitRecord::decode(b, chain);
-        assert_decode_hardened(&cb, decode, |(c, _)| c.encode(chain).0);
         assert_eq!(Some(next), crate::persist::record_chain(&cb));
         assert_eq!(decode(&cb).unwrap().1, next);
-        // Every flag combination, and no delta at all.
-        for (exited_at, fallback) in [(Some(77), false), (None, true), (Some(0), true)] {
-            let rec = CommitRecord {
-                exited_at,
-                fallback,
-                arrays: Vec::new(),
-                ..commit(3, 78)
-            };
-            assert_decode_hardened(&rec.encode(chain).0, decode, |(c, _)| c.encode(chain).0);
-        }
 
         // Hostile counts, resealed: refused by the list bound before an
         // array is read (an array is 32 B in memory; 1 MiB holds 87 381).

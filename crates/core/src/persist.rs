@@ -489,20 +489,24 @@ impl WavefrontSchedule {
 /// recomputed, which is what reaches a decoder's own field checks; each
 /// must decode to an error or to a value that `encode` turns back into
 /// the mutant byte for byte (a decoder accepts one spelling of a value),
-/// and none may panic. Shared by the artifact tests below and the
-/// journal-record, wire and serve-frame tests.
+/// and none may panic. Called once, by the sweep over the record table
+/// (`every_record_survives_the_decode_sweep`).
 #[cfg(test)]
 pub(crate) fn assert_decode_hardened<T, E: std::fmt::Debug>(
+    name: &str,
     bytes: &[u8],
     decode: impl Fn(&[u8]) -> Result<T, E>,
     encode: impl Fn(&T) -> Vec<u8>,
 ) {
     let valid = decode(bytes).expect("harness needs a valid artifact");
-    assert!(encode(&valid) == bytes, "the artifact does not round-trip");
+    assert!(
+        encode(&valid) == bytes,
+        "{name}: the artifact does not round-trip"
+    );
     for cut in 0..bytes.len() {
         assert!(
             decode(&bytes[..cut]).is_err(),
-            "truncation to {cut} of {} bytes decoded successfully",
+            "{name}: truncation to {cut} of {} bytes decoded successfully",
             bytes.len()
         );
     }
@@ -512,7 +516,7 @@ pub(crate) fn assert_decode_hardened<T, E: std::fmt::Debug>(
             mangled[pos] = bytes[pos] ^ flip;
             assert!(
                 decode(&mangled).is_err(),
-                "corrupting byte {pos} with ^{flip:#04x} decoded successfully"
+                "{name}: corrupting byte {pos} with ^{flip:#04x} decoded successfully"
             );
         }
         mangled[pos] = bytes[pos];
@@ -523,10 +527,6 @@ pub(crate) fn assert_decode_hardened<T, E: std::fmt::Debug>(
     // pass without reaching a single field check: every payload mutant
     // must get past the envelope to its decoder.
     let body = &bytes[..bytes.len() - 8];
-    assert!(
-        body.len() > 9,
-        "the harness needs an artifact with a payload"
-    );
     let kind = bytes[8];
     let resealed = |body: &[u8], what: std::fmt::Arguments<'_>| {
         let mut mutant = body.to_vec();
@@ -536,7 +536,7 @@ pub(crate) fn assert_decode_hardened<T, E: std::fmt::Debug>(
         if let Ok(value) = decode(&mutant) {
             assert!(
                 encode(&value) == mutant,
-                "resealed, {what} decoded to a value that encodes differently"
+                "{name}: resealed, {what} decoded to a value that encodes differently"
             );
         }
         past_envelope
@@ -551,7 +551,7 @@ pub(crate) fn assert_decode_hardened<T, E: std::fmt::Debug>(
             let past_envelope = resealed(&mangled, format_args!("byte {pos} ^{flip:#04x}"));
             assert!(
                 past_envelope || pos < 9,
-                "resealed, payload byte {pos} ^{flip:#04x} stopped at the envelope"
+                "{name}: resealed, payload byte {pos} ^{flip:#04x} stopped at the envelope"
             );
         }
         mangled[pos] = body[pos];
@@ -641,24 +641,356 @@ mod tests {
         ));
     }
 
+    /// One row of the record table: a name, a record's bytes, and how to
+    /// decode them and encode what they decoded to.
+    struct Sample {
+        name: String,
+        bytes: Vec<u8>,
+        reencode: Box<dyn Fn(&[u8]) -> Result<Vec<u8>, PersistError>>,
+    }
+
+    fn sample<T: 'static>(
+        name: impl Into<String>,
+        value: &T,
+        encode: impl Fn(&T) -> Vec<u8> + 'static,
+        decode: impl Fn(&[u8]) -> Result<T, PersistError> + 'static,
+    ) -> Sample {
+        Sample {
+            name: name.into(),
+            bytes: encode(value),
+            reencode: Box::new(move |bytes| decode(bytes).map(|v| encode(&v))),
+        }
+    }
+
+    /// Every record kind, and every variant of one: the table
+    /// `tests/data/record_fingerprints.txt` pins and the decode sweep
+    /// walks.
+    fn samples() -> Vec<Sample> {
+        use crate::journal::{elem_fingerprint, CommitRecord, JournalHeader, CHAIN_SEED};
+        use crate::remote::*;
+        let mut out = Vec::new();
+
+        let schedule = WavefrontSchedule::from_graph(&graph());
+        out.push(sample(
+            "schedule",
+            &schedule,
+            WavefrontSchedule::to_bytes,
+            WavefrontSchedule::from_bytes,
+        ));
+
+        let header = JournalHeader {
+            n: 128,
+            p: 4,
+            strategy_hash: 0x1111,
+            elem_hash: elem_fingerprint::<f64>(),
+            arrays: vec![(64, true), (16, false)],
+        };
+        let (header_bytes, chain) = header.encode(CHAIN_SEED);
+        out.push(sample(
+            "journal_header",
+            &header,
+            |h| h.encode(CHAIN_SEED).0,
+            |b| JournalHeader::decode(b, CHAIN_SEED).map(|(h, _)| h),
+        ));
+        let commit = CommitRecord {
+            stage: 3,
+            frontier: 78,
+            exited_at: None,
+            fallback: false,
+            arrays: vec![(0, vec![(1, 42), (5, 7)]), (2, vec![(0, 1.5f64.to_bits())])],
+        };
+        for (name, exited_at, fallback, arrays) in [
+            ("plain", None, false, commit.arrays.clone()),
+            ("exited", Some(77), false, commit.arrays.clone()),
+            ("fallback", None, true, commit.arrays.clone()),
+            ("exited_fallback_empty", Some(0), true, Vec::new()),
+        ] {
+            let rec = CommitRecord {
+                exited_at,
+                fallback,
+                arrays,
+                ..commit.clone()
+            };
+            out.push(sample(
+                format!("commit_record/{name}"),
+                &rec,
+                move |c| c.encode(chain).0,
+                move |b| CommitRecord::decode(b, chain).map(|(c, _)| c),
+            ));
+        }
+
+        let hello = WireHello {
+            protocol: PROTOCOL_VERSION,
+            run_id: 0x1234_0000_0042,
+            heartbeat_millis: 25,
+            shadow_budget: 4 << 20,
+            header: header_bytes,
+            spec: "rlp:A[i] = A[i - 1] + ε;".into(),
+        };
+        out.push(sample(
+            "wire_hello",
+            &hello,
+            WireHello::encode,
+            WireHello::decode,
+        ));
+        let ack = HelloAck {
+            protocol: PROTOCOL_VERSION,
+            run_id: 0x1234_0000_0042,
+            header_chain: chain,
+        };
+        out.push(sample(
+            "hello_ack",
+            &ack,
+            HelloAck::encode,
+            HelloAck::decode,
+        ));
+
+        let req = BlockRequest {
+            chain: 0xdead_beef_1234_5678,
+            stage: 7,
+            pos: 3,
+            start: 100,
+            end: 164,
+        };
+        for (name, fault) in [
+            ("none", FAULT_NONE),
+            ("kill", FAULT_KILL),
+            ("hang", FAULT_HANG),
+            ("corrupt", FAULT_CORRUPT),
+        ] {
+            out.push(sample(
+                format!("block_request/{name}"),
+                &(req, fault),
+                |(req, fault)| req.encode(*fault),
+                BlockRequest::decode,
+            ));
+        }
+
+        let top = u32::MAX - 64;
+        let full = BlockReply {
+            chain: 42,
+            pos: 1,
+            exit_iter: Some(17),
+            fault: Some((23, "boom: index out of range".into())),
+            tested: vec![
+                SlotReply {
+                    refs: 9,
+                    touched: vec![
+                        (0, MARK_EXPOSED, 0),
+                        (3, MARK_WRITE, 4.5f64.to_bits()),
+                        (4, MARK_WRITE_EXPOSED, 1.0f64.to_bits()),
+                    ],
+                },
+                SlotReply {
+                    refs: 2,
+                    touched: vec![(1, MARK_REDUCTION, 2.25f64.to_bits())],
+                },
+            ],
+            untested: vec![vec![(5, 8.0f64.to_bits()), (6, 9.0f64.to_bits())], vec![]],
+            iter_costs: [(top, 1.0), (top + 1, 2.5)].into_iter().collect(),
+            shadow_bytes: 12_288,
+        };
+        for (name, reply) in [
+            ("empty", BlockReply::default()),
+            ("full", full.clone()),
+            (
+                "exit_only",
+                BlockReply {
+                    fault: None,
+                    ..full.clone()
+                },
+            ),
+            (
+                "fault_only",
+                BlockReply {
+                    exit_iter: None,
+                    ..full.clone()
+                },
+            ),
+            (
+                "runs",
+                BlockReply {
+                    exit_iter: None,
+                    fault: None,
+                    untested: Vec::new(),
+                    iter_costs: [(0, 1.0), (1, 1.0), (2, 2.5), (3, 2.5), (9, 2.5), (10, 1.0)]
+                        .into_iter()
+                        .map(|(i, c)| (top + i, c))
+                        .collect(),
+                    ..full.clone()
+                },
+            ),
+        ] {
+            out.push(sample(
+                format!("block_reply/{name}"),
+                &reply,
+                BlockReply::encode,
+                BlockReply::decode,
+            ));
+        }
+
+        out.push(sample(
+            "heartbeat",
+            &3u64,
+            |&seq| encode_heartbeat(seq),
+            |b| {
+                let mut r = Reader::open(b, KIND_DIST_HEARTBEAT)?;
+                let seq = r.u64()?;
+                r.done().map(|()| seq)
+            },
+        ));
+        out.push(sample(
+            "shutdown",
+            &(),
+            |()| encode_shutdown(),
+            |b| Reader::open(b, KIND_DIST_SHUTDOWN)?.done(),
+        ));
+
+        let spec = JobSpec {
+            protocol: SERVE_PROTOCOL_VERSION,
+            key: 0xA_0000_0007,
+            spec: "rlp:A[i] = A[i - 1] + ε;".into(),
+            p: 4,
+            strategy: "sw:64".into(),
+            budget_bytes: 1 << 20,
+            fault_seed: 3,
+            shadow_fault: "0:64K".into(),
+            max_stages: 9,
+        };
+        out.push(sample("job_spec", &spec, JobSpec::encode, JobSpec::decode));
+        for (name, decision) in [
+            ("accepted", JobDecision::Accepted),
+            ("queued", JobDecision::Queued),
+            ("attached", JobDecision::Attached),
+            (
+                "over_pool",
+                JobDecision::Rejected(RejectReason::OverPool {
+                    requested: 2 << 20,
+                    pool: 1 << 20,
+                }),
+            ),
+            (
+                "key_conflict",
+                JobDecision::Rejected(RejectReason::KeyConflict),
+            ),
+            (
+                "bad_spec",
+                JobDecision::Rejected(RejectReason::BadSpec("no such deck".into())),
+            ),
+            ("draining", JobDecision::Rejected(RejectReason::Draining)),
+            (
+                "protocol_mismatch",
+                JobDecision::Rejected(RejectReason::ProtocolMismatch { server: 7 }),
+            ),
+        ] {
+            out.push(sample(
+                format!("job_decision/{name}"),
+                &decision,
+                JobDecision::encode,
+                JobDecision::decode,
+            ));
+        }
+        for (name, state) in [
+            ("queued", JobState::Queued),
+            ("running", JobState::Running),
+            ("paused", JobState::Paused),
+            ("done", JobState::Done),
+            ("failed", JobState::Failed),
+            ("unknown", JobState::Unknown),
+        ] {
+            let status = JobStatusFrame {
+                key: 0xB_0000_0001,
+                state,
+                exit_code: 3,
+                verified: state == JobState::Done,
+                frontier: 4096,
+                report_json: "{\"stages\":7}".into(),
+                message: "stage limit".into(),
+            };
+            out.push(sample(
+                format!("job_status/{name}"),
+                &status,
+                JobStatusFrame::encode,
+                JobStatusFrame::decode,
+            ));
+        }
+        let summary = FrontierSummary {
+            key: 0xC_0000_0001,
+            frontier: 640,
+            records: 11,
+            dropped: 4,
+        };
+        out.push(sample(
+            "frontier_summary",
+            &summary,
+            FrontierSummary::encode,
+            FrontierSummary::decode,
+        ));
+        let query = StatusRequest {
+            protocol: SERVE_PROTOCOL_VERSION,
+            key: 0xC_0000_0001,
+        };
+        out.push(sample(
+            "status_request",
+            &query,
+            StatusRequest::encode,
+            StatusRequest::decode,
+        ));
+        out
+    }
+
+    const RECORD_TABLE: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/data/record_fingerprints.txt"
+    );
+
+    /// Not one byte of any record moves: each row is a record's length
+    /// and the FNV-1a of its bytes, and what a record decodes to encodes
+    /// back to it. A record kind without a row fails here.
     #[test]
-    fn graph_decoding_survives_every_truncation_and_corruption() {
-        assert_decode_hardened(
-            &graph().to_bytes(),
-            DepGraph::from_bytes,
-            DepGraph::to_bytes,
+    fn every_record_kind_keeps_its_bytes() {
+        use std::fmt::Write as _;
+        let samples = samples();
+        let mut actual = String::new();
+        for s in &samples {
+            assert_eq!(
+                (s.reencode)(&s.bytes).as_ref(),
+                Ok(&s.bytes),
+                "{}: decoding does not give back what encodes to it",
+                s.name
+            );
+            writeln!(
+                actual,
+                "{} {} {:016x}",
+                s.name,
+                s.bytes.len(),
+                fnv(&s.bytes)
+            )
+            .unwrap();
+        }
+        let kinds: std::collections::BTreeSet<u8> = samples.iter().map(|s| s.bytes[8]).collect();
+        assert_eq!(
+            kinds,
+            (KIND_SCHEDULE..=KIND_SERVE_STATUS_REQ).collect(),
+            "a record kind has no row"
+        );
+        let expected = std::fs::read_to_string(RECORD_TABLE).unwrap_or_default();
+        assert!(
+            actual == expected,
+            "record bytes differ from {RECORD_TABLE}; this tree's table:\n{actual}"
         );
     }
 
+    /// Every row of the record table, through [`assert_decode_hardened`].
     #[test]
-    fn schedule_decoding_survives_every_truncation_and_corruption() {
-        let s = WavefrontSchedule::from_graph(&graph());
-        assert_decode_hardened(
-            &s.to_bytes(),
-            WavefrontSchedule::from_bytes,
-            WavefrontSchedule::to_bytes,
-        );
-        // A resealed schedule that names an iteration twice is corrupt.
+    fn every_record_survives_the_decode_sweep() {
+        for s in samples() {
+            assert_decode_hardened(&s.name, &s.bytes, |b| (s.reencode)(b), Vec::clone);
+        }
+    }
+
+    #[test]
+    fn a_resealed_schedule_that_names_an_iteration_twice_is_corrupt() {
         let mut w = Writer::new(KIND_SCHEDULE);
         for v in [2u64, 2] {
             w.u64(v);

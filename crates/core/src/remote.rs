@@ -1563,7 +1563,6 @@ mod tests {
     use crate::array::{ArrayDecl, ArrayId, ShadowKind};
     use crate::driver::{FallbackReason, RunConfig, RunPlan, Runner, Strategy};
     use crate::engine::run_sequential;
-    use crate::persist::assert_decode_hardened;
     use crate::spec_loop::ClosureLoop;
     use crate::window::WindowConfig;
     use std::sync::mpsc::{channel, Receiver, Sender};
@@ -1784,7 +1783,6 @@ mod tests {
             spec: "rlp:A[i] = A[i - 1];".into(),
         };
         assert_eq!(WireHello::decode(&hello.encode()).unwrap(), hello);
-        assert_decode_hardened(&hello.encode(), WireHello::decode, WireHello::encode);
 
         let ack = HelloAck {
             protocol: PROTOCOL_VERSION,
@@ -1793,7 +1791,6 @@ mod tests {
         };
         assert_eq!(hello.header_chain(), None, "five bytes are no record");
         assert_eq!(HelloAck::decode(&ack.encode()).unwrap(), ack);
-        assert_decode_hardened(&ack.encode(), HelloAck::decode, HelloAck::encode);
 
         let req = BlockRequest {
             chain: 0xdead_beef_1234_5678,
@@ -1805,11 +1802,6 @@ mod tests {
         assert_eq!(
             BlockRequest::decode(&req.encode(FAULT_HANG)).unwrap(),
             (req, FAULT_HANG)
-        );
-        assert_decode_hardened(
-            &req.encode(FAULT_NONE),
-            BlockRequest::decode,
-            |(req, fault)| req.encode(*fault),
         );
 
         // Swept replies name iterations at the top of the space, where a
@@ -1840,7 +1832,6 @@ mod tests {
             shadow_bytes: 12_288,
         };
         assert_eq!(BlockReply::decode(&reply.encode()).unwrap(), reply);
-        assert_decode_hardened(&reply.encode(), BlockReply::decode, BlockReply::encode);
 
         // A reply that is nothing but its ledger, written out by hand.
         let with_runs = |declared: u64, runs: &[(u32, u32, u64)]| {
@@ -1919,9 +1910,6 @@ mod tests {
                 r.iter_costs.iter().map(|(_, c)| c.to_bits()).collect()
             };
             assert_eq!(bits(&back), bits(&r), "{what}: cost bits");
-            if r.iter_costs.len() < 16 {
-                assert_decode_hardened(&bytes, BlockReply::decode, BlockReply::encode);
-            }
             let pairs: Vec<(u32, f64)> = r.iter_costs.iter().collect();
             let derived = runs_of_pairs(&pairs);
             let held: Vec<_> = r.iter_costs.runs().iter().collect();
@@ -2013,15 +2001,6 @@ mod tests {
             );
         }
 
-        assert_decode_hardened(
-            &encode_heartbeat(3),
-            |b| {
-                let mut r = Reader::open(b, KIND_DIST_HEARTBEAT)?;
-                let seq = r.u64()?;
-                r.done().map(|()| seq)
-            },
-            |&seq| encode_heartbeat(seq),
-        );
         assert_eq!(frame_kind(&encode_shutdown()), Some(FRAME_SHUTDOWN));
     }
 
@@ -2039,7 +2018,6 @@ mod tests {
             max_stages: 9,
         };
         assert_eq!(JobSpec::decode(&spec.encode()).unwrap(), spec);
-        assert_decode_hardened(&spec.encode(), JobSpec::decode, JobSpec::encode);
 
         for decision in [
             JobDecision::Accepted,
@@ -2056,7 +2034,6 @@ mod tests {
         ] {
             let bytes = decision.encode();
             assert_eq!(JobDecision::decode(&bytes).unwrap(), decision);
-            assert_decode_hardened(&bytes, JobDecision::decode, JobDecision::encode);
         }
 
         for state in [
@@ -2078,7 +2055,6 @@ mod tests {
             };
             let bytes = status.encode();
             assert_eq!(JobStatusFrame::decode(&bytes).unwrap(), status);
-            assert_decode_hardened(&bytes, JobStatusFrame::decode, JobStatusFrame::encode);
         }
 
         let summary = FrontierSummary {
@@ -2088,22 +2064,12 @@ mod tests {
             dropped: 4,
         };
         assert_eq!(FrontierSummary::decode(&summary.encode()).unwrap(), summary);
-        assert_decode_hardened(
-            &summary.encode(),
-            FrontierSummary::decode,
-            FrontierSummary::encode,
-        );
 
         let query = StatusRequest {
             protocol: SERVE_PROTOCOL_VERSION,
             key: 0xC_0000_0001,
         };
         assert_eq!(StatusRequest::decode(&query.encode()).unwrap(), query);
-        assert_decode_hardened(
-            &query.encode(),
-            StatusRequest::decode,
-            StatusRequest::encode,
-        );
 
         // Hostile fields, checksum resealed by the writer.
         let record = |kind: u8, fields: &[u64], tail: &dyn Fn(&mut Writer)| {
