@@ -465,6 +465,12 @@ pub struct RunPlan<'a> {
     pub resume: bool,
 }
 
+/// The most virtual processors a run may have: a run builds state per
+/// processor and a pool of `p - 1` threads that outlives it, so a `p`
+/// from outside (a daemon submission) is bounded before anything is
+/// built. Every deck, figure and benchmark runs at 16 or fewer.
+pub const MAX_PROCESSORS: usize = 1024;
+
 impl RunPlan<'_> {
     /// The one definition of a legal run: may this plan run under `cfg`
     /// with the runner's fault plan `fault`? [`Runner::execute`] asks
@@ -484,6 +490,9 @@ impl RunPlan<'_> {
     pub fn validate(&self, cfg: &RunConfig, fault: Option<&FaultPlan>) -> Result<(), PlanError> {
         if cfg.p == 0 {
             return Err(PlanError::NoProcessors);
+        }
+        if cfg.p > MAX_PROCESSORS {
+            return Err(PlanError::TooManyProcessors);
         }
         if self.resume && self.journal.is_none() {
             return Err(PlanError::ResumeWithoutJournal);

@@ -19,6 +19,9 @@
 pub enum PlanError {
     /// [`crate::RunConfig::p`] is 0.
     NoProcessors,
+    /// [`crate::RunConfig::p`] is above
+    /// [`crate::driver::MAX_PROCESSORS`].
+    TooManyProcessors,
     /// [`crate::RunPlan::resume`] without a [`crate::RunPlan::journal`].
     ResumeWithoutJournal,
     /// [`crate::Strategy::Doacross`] with a [`crate::RunPlan::fleet`].
@@ -38,6 +41,13 @@ impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             PlanError::NoProcessors => "a run needs at least one processor (--procs 0)",
+            PlanError::TooManyProcessors => {
+                let most = crate::driver::MAX_PROCESSORS;
+                return write!(
+                    f,
+                    "a run takes at most {most} processors (--procs above {most})"
+                );
+            }
             PlanError::ResumeWithoutJournal => {
                 "--resume requires --journal <path>: the journal holds the run to continue"
             }

@@ -28,6 +28,11 @@
 //! frontier after one stage plus the committed deltas — the `(element,
 //! value)` pairs the stage's commit/untested writes changed in shared
 //! storage, O(touched) via the checkpoint write-logs, *not* O(array).
+//! Both are declared once, as `crate::schema` records: the struct, each
+//! field with its wire type, in wire order. The commit record's check —
+//! each array's elements strictly ascending — is the one thing about it
+//! that is not layout; its flags word and exit word are one field type,
+//! `ExitFlags`, which accepts only the pairs it writes.
 //!
 //! Every payload starts with a **chained hash**: the previous record's
 //! chain value ([`CHAIN_SEED`] for the header) — a function of its
@@ -60,6 +65,7 @@
 use crate::buf::SharedBuf;
 use crate::persist::{fnv, PersistError, Reader, Writer, KIND_JOURNAL_COMMIT, KIND_JOURNAL_HEADER};
 use crate::remote::{frames, push_frame};
+use crate::schema::{open, schema, seal, As, Flag, List, OrMax, Wire};
 use crate::value::Value;
 use rlrpd_runtime::{FaultDomain, FaultPlan};
 use std::fs::{File, OpenOptions};
@@ -77,9 +83,6 @@ pub(crate) const CHAIN_SEED: u64 = 0x524c_5250_444a_4e4c; // "RLRPDJNL"
 /// Bounded transient-errno (`EINTR`/`EAGAIN`) retries absorbed per
 /// frame written, and per sync, before the failure surfaces.
 const TRANSIENT_RETRIES: u32 = 8;
-
-/// Sentinel for "no premature exit" in the on-disk flags.
-const NO_EXIT: u64 = u64::MAX;
 
 /// Flag bit: the run exited prematurely at `exited_at`.
 const FLAG_EXITED: u32 = 1;
@@ -191,20 +194,22 @@ impl JournalElem for f32 {
     }
 }
 
-/// The journal's header record: everything resume needs to check that
-/// the journal belongs to this (loop, configuration) pair.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JournalHeader {
-    /// Iteration count of the journaled loop.
-    pub n: usize,
-    /// Virtual processor count of the journaled run.
-    pub p: usize,
-    /// FNV fingerprint of the canonical strategy description.
-    pub strategy_hash: u64,
-    /// FNV fingerprint of [`JournalElem::TAG`].
-    pub elem_hash: u64,
-    /// Per declared array, in declaration order: `(size, is_tested)`.
-    pub arrays: Vec<(u64, bool)>,
+schema! {
+    /// The journal's header record: everything resume needs to check that
+    /// the journal belongs to this (loop, configuration) pair.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct JournalHeader {
+        /// Iteration count of the journaled loop.
+        pub n: usize => As<usize, u64>,
+        /// Virtual processor count of the journaled run.
+        pub p: usize => As<usize, u32>,
+        /// FNV fingerprint of the canonical strategy description.
+        pub strategy_hash: u64 => u64,
+        /// FNV fingerprint of [`JournalElem::TAG`].
+        pub elem_hash: u64 => u64,
+        /// Per declared array, in declaration order: `(size, is_tested)`.
+        pub arrays: Vec<(u64, bool)> => List<u32, (u64, Flag)>,
+    }
 }
 
 impl JournalHeader {
@@ -227,50 +232,13 @@ impl JournalHeader {
     /// Record bytes chained onto `prev_chain` (also the wire image of
     /// the distributed Hello payload), and the chain value after them.
     pub(crate) fn encode(&self, prev_chain: u64) -> (Vec<u8>, u64) {
-        let mut w = Writer::new(KIND_JOURNAL_HEADER);
-        w.u64(prev_chain);
-        w.u64(self.n as u64);
-        w.u32(self.p as u32);
-        w.u64(self.strategy_hash);
-        w.u64(self.elem_hash);
-        w.u32(self.arrays.len() as u32);
-        for &(size, tested) in &self.arrays {
-            w.u64(size);
-            w.u32(tested as u32);
-        }
-        w.finish_chained()
+        seal::<Self>(KIND_JOURNAL_HEADER, Some(prev_chain), self)
     }
 
     /// The header in `bytes`, if they chain onto `prev_chain`, and the
     /// chain value after them.
     pub(crate) fn decode(bytes: &[u8], prev_chain: u64) -> Result<(Self, u64), PersistError> {
-        let (mut r, chain) = Reader::open_chained(bytes, KIND_JOURNAL_HEADER)?;
-        if r.u64()? != prev_chain {
-            return Err(PersistError::Corrupt);
-        }
-        let n = r.u64()? as usize;
-        let p = r.u32()? as usize;
-        let strategy_hash = r.u64()?;
-        let elem_hash = r.u64()?;
-        let num_arrays = r.u32()?;
-        let arrays = r.list(num_arrays.into(), 12, |r| {
-            let size = r.u64()?;
-            let tested = match r.u32()? {
-                0 => false,
-                1 => true,
-                _ => return Err(PersistError::Corrupt),
-            };
-            Ok((size, tested))
-        })?;
-        r.done()?;
-        let header = JournalHeader {
-            n,
-            p,
-            strategy_hash,
-            elem_hash,
-            arrays,
-        };
-        Ok((header, chain))
+        open::<Self>(KIND_JOURNAL_HEADER, bytes, Some(prev_chain))
     }
 }
 
@@ -336,89 +304,59 @@ impl CommitRecord {
     /// Record bytes chained onto `prev_chain` (also the wire image of a
     /// distributed commit broadcast), and the chain value after them.
     pub(crate) fn encode(&self, prev_chain: u64) -> (Vec<u8>, u64) {
-        let payload = 36
-            + self
-                .arrays
-                .iter()
-                .map(|(_, elems)| 12 + 12 * elems.len())
-                .sum::<usize>();
-        let mut w = Writer::with_payload(KIND_JOURNAL_COMMIT, payload);
-        w.u64(prev_chain);
-        w.u64(self.frontier as u64);
-        w.u32(self.stage as u32);
-        let mut flags = 0u32;
-        if self.exited_at.is_some() {
-            flags |= FLAG_EXITED;
-        }
-        if self.fallback {
-            flags |= FLAG_FALLBACK;
-        }
-        w.u32(flags);
-        w.u64(self.exited_at.map_or(NO_EXIT, |e| e as u64));
-        w.u32(self.arrays.len() as u32);
-        for (id, elems) in &self.arrays {
-            w.u32(*id);
-            w.u64(elems.len() as u64);
-            for &(elem, bits) in elems {
-                w.u32(elem);
-                w.u64(bits);
-            }
-        }
-        w.finish_chained()
+        seal::<Self>(KIND_JOURNAL_COMMIT, Some(prev_chain), self)
     }
 
     /// The record in `bytes`, if they chain onto `prev_chain`, and the
     /// chain value after them.
     pub(crate) fn decode(bytes: &[u8], prev_chain: u64) -> Result<(Self, u64), PersistError> {
-        let (mut r, chain) = Reader::open_chained(bytes, KIND_JOURNAL_COMMIT)?;
-        if r.u64()? != prev_chain {
-            return Err(PersistError::Corrupt);
-        }
-        let frontier = r.u64()? as usize;
-        let stage = r.u32()? as usize;
+        open::<Self>(KIND_JOURNAL_COMMIT, bytes, Some(prev_chain))
+    }
+
+    /// The record's check: each array's elements strictly ascending, as
+    /// they are written — a disordered list is corruption, and refusing
+    /// it keeps replay canonical.
+    fn elems_ascend(&self) -> bool {
+        self.arrays
+            .iter()
+            .all(|(_, elems)| elems.windows(2).all(|pair| pair[0].0 < pair[1].0))
+    }
+}
+
+schema! {
+    CommitRecord {
+        frontier: As<usize, u64>,
+        stage: As<usize, u32>,
+        exited_at, fallback: ExitFlags,
+        arrays: List<u32, (u32, List<u64, (u32, u64)>)>,
+    } check CommitRecord::elems_ascend
+}
+
+/// A commit record's `exited_at` and `fallback`, spelled as they always
+/// were: a `u32` flags word ([`FLAG_EXITED`], [`FLAG_FALLBACK`]), then
+/// the exit iteration as a `u64`, `u64::MAX` when there is none. The
+/// exit flag is set exactly when the exit word is not the sentinel; any
+/// other flag bit, or a flag that disagrees with the word, is `Corrupt`.
+struct ExitFlags;
+
+impl Wire for ExitFlags {
+    type Value = (Option<usize>, bool);
+    const MIN: usize = 4 + 8;
+    fn put(&(exited_at, fallback): &Self::Value, w: &mut Writer) {
+        let exited = if exited_at.is_some() { FLAG_EXITED } else { 0 };
+        let flags = exited | if fallback { FLAG_FALLBACK } else { 0 };
+        w.u32(flags);
+        <OrMax<As<usize, u64>>>::put(&exited_at, w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self::Value, PersistError> {
         let flags = r.u32()?;
-        if flags & !(FLAG_EXITED | FLAG_FALLBACK) != 0 {
+        let exited_at = <OrMax<As<usize, u64>>>::get(r)?;
+        if flags & !(FLAG_EXITED | FLAG_FALLBACK) != 0
+            || (flags & FLAG_EXITED != 0) != exited_at.is_some()
+        {
             return Err(PersistError::Corrupt);
         }
-        let exit_raw = r.u64()?;
-        let exited_at = if flags & FLAG_EXITED != 0 {
-            if exit_raw == NO_EXIT {
-                return Err(PersistError::Corrupt);
-            }
-            Some(exit_raw as usize)
-        } else {
-            if exit_raw != NO_EXIT {
-                return Err(PersistError::Corrupt);
-            }
-            None
-        };
-        let fallback = flags & FLAG_FALLBACK != 0;
-        let num_arrays = r.u32()?;
-        let arrays = r.list(num_arrays.into(), 12, |r| {
-            let id = r.u32()?;
-            let count = r.u64()?;
-            let mut prev: Option<u32> = None;
-            let elems = r.list(count, 12, |r| {
-                let elem = r.u32()?;
-                // Elements are written sorted; a disordered list is
-                // corruption, and rejecting it keeps replay canonical.
-                if prev.is_some_and(|p| p >= elem) {
-                    return Err(PersistError::Corrupt);
-                }
-                prev = Some(elem);
-                Ok((elem, r.u64()?))
-            })?;
-            Ok((id, elems))
-        })?;
-        r.done()?;
-        let record = CommitRecord {
-            stage,
-            frontier,
-            exited_at,
-            fallback,
-            arrays,
-        };
-        Ok((record, chain))
+        Ok((exited_at, flags & FLAG_FALLBACK != 0))
     }
 }
 
@@ -1207,17 +1145,17 @@ mod tests {
         // Hostile counts, resealed: refused by the list bound before an
         // array is read (an array is 32 B in memory; 1 MiB holds 87 381).
         let with_arrays = |declared: u32, payload: usize| {
-            let mut w = Writer::new(KIND_JOURNAL_COMMIT);
+            let mut w = Writer::with_payload(KIND_JOURNAL_COMMIT, 0);
             w.u64(chain);
             w.u64(32);
             w.u32(0);
             w.u32(0);
-            w.u64(NO_EXIT);
+            w.u64(u64::MAX); // no exit
             w.u32(declared);
             for _ in 0..payload / 4 {
                 w.u32(0);
             }
-            w.finish()
+            w.finish().0
         };
         let (empty, _) = decode(&with_arrays(2, 2 * 12)).unwrap();
         assert_eq!(empty.arrays, vec![(0, Vec::new()); 2]);

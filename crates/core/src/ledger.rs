@@ -17,9 +17,9 @@
 //! runs come out in execution order — ascending or not. Two runs that
 //! *could* be one (the second continues the first at a bit-equal cost)
 //! therefore never coexist; that canonical form is what
-//! [`crate::remote::BlockReply`] carries on the wire since v4, and the
-//! decoder refuses anything else, so the in-memory ledger and its wire
-//! image are one spelling.
+//! [`crate::remote::BlockReply`] carries on the wire since v4, and
+//! [`CostRuns`]' wire field refuses anything else, so the in-memory
+//! ledger and its wire image are one spelling.
 //!
 //! **Sums stay per iteration.** `f64` addition does not distribute:
 //! `count · cost` is not the `count`-fold sum, and a virtual-time
@@ -28,18 +28,21 @@
 //! was summed — runs save the memory and the passes, not the additions
 //! a fault path or a worker reply makes once per block.
 
+use crate::schema::{schema, Bits, List};
 use std::ops::Range;
 
-/// One run of a [`CostRuns`] ledger: `count` consecutive iterations
-/// from `first`, each at `cost` (bit-equal).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CostRun {
-    /// First iteration of the run.
-    pub first: u32,
-    /// Iterations in the run (never 0).
-    pub count: u32,
-    /// What each of them cost.
-    pub cost: f64,
+schema! {
+    /// One run of a [`CostRuns`] ledger: `count` consecutive iterations
+    /// from `first`, each at `cost` (bit-equal).
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct CostRun {
+        /// First iteration of the run.
+        pub first: u32 => u32,
+        /// Iterations in the run (never 0).
+        pub count: u32 => u32,
+        /// What each of them cost.
+        pub cost: f64 => Bits,
+    }
 }
 
 impl CostRun {
@@ -56,13 +59,16 @@ impl CostRun {
     }
 }
 
-/// The `(iteration, cost)` pairs a block executed, in execution order,
-/// as runs — see the module docs.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct CostRuns {
-    runs: Vec<CostRun>,
-    /// Iterations recorded: the sum of the runs' counts.
-    iters: usize,
+schema! {
+    /// The `(iteration, cost)` pairs a block executed, in execution order,
+    /// as runs — see the module docs. On the wire, the runs after a `u64`
+    /// count; a run may be as long as the iteration space, since a count
+    /// sizes nothing but the runs (whether they are a *block's* is the
+    /// receiver's question, `Engine::reply_fits`).
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct CostRuns {
+        runs: Vec<CostRun> => List<u64, CostRun>,
+    } check CostRuns::canonical
 }
 
 impl CostRuns {
@@ -71,7 +77,6 @@ impl CostRuns {
     /// otherwise.
     #[inline]
     pub fn push(&mut self, iter: u32, cost: f64) {
-        self.iters += 1;
         match self.runs.last_mut() {
             Some(run) if run.continues(iter, cost) => run.count += 1,
             _ => self.runs.push(CostRun {
@@ -82,27 +87,18 @@ impl CostRuns {
         }
     }
 
-    /// Append a whole run, as read from the wire. Refused (`false`,
-    /// nothing recorded) when the run is empty, runs past the last
-    /// iteration, or continues the run before it — one run spelled as
-    /// two. These are the forms [`CostRuns::push`] never produces, so
-    /// an accepted ledger equals the pushed one run for run.
-    pub(crate) fn push_run(&mut self, run: CostRun) -> bool {
-        let canonical = run.last().is_some()
-            && !self
-                .runs
-                .last()
-                .is_some_and(|prev| prev.continues(run.first, run.cost));
-        if canonical {
-            self.iters = self.iters.saturating_add(run.count as usize);
-            self.runs.push(run);
-        }
-        canonical
+    /// The check a ledger read from the wire must pass: no run empty, or
+    /// past the last iteration, or continuing the run before it (one run
+    /// spelled as two). These are the forms [`CostRuns::push`] never
+    /// produces, so an accepted ledger equals the pushed one run for run.
+    fn canonical(&self) -> bool {
+        self.runs.iter().all(|run| run.last().is_some())
+            && (self.runs.windows(2)).all(|pair| !pair[0].continues(pair[1].first, pair[1].cost))
     }
 
     /// Iterations recorded.
     pub fn len(&self) -> usize {
-        self.iters
+        self.runs.iter().map(|run| run.count as usize).sum()
     }
 
     /// No iteration recorded.
@@ -113,7 +109,6 @@ impl CostRuns {
     /// Forget everything, keeping the allocation.
     pub fn clear(&mut self) {
         self.runs.clear();
-        self.iters = 0;
     }
 
     /// The runs, in execution order.
@@ -315,15 +310,12 @@ mod tests {
             }
             let flat_sum: f64 = pairs.iter().map(|&(_, c)| c).sum();
             prop_assert_eq!(runs.total().to_bits(), flat_sum.to_bits());
-            // Canonical: no run continues the one before it, so reading
-            // the runs back one at a time is accepted and is the same
-            // ledger.
-            let mut reread = CostRuns::default();
-            for &run in runs.runs() {
+            // Canonical: no run continues the one before it, so the
+            // wire's check accepts the ledger as pushed.
+            for run in runs.runs() {
                 prop_assert!(run.count > 0 && run.last().is_some());
-                prop_assert!(reread.push_run(run));
             }
-            prop_assert_eq!(&reread, &runs);
+            prop_assert!(runs.canonical());
         }
     }
 
@@ -339,24 +331,35 @@ mod tests {
     }
 
     #[test]
-    fn push_run_refuses_what_push_never_builds() {
+    fn the_check_refuses_what_push_never_builds() {
         let run = |first, count, cost| CostRun { first, count, cost };
-        let mut runs = CostRuns::default();
-        assert!(!runs.push_run(run(4, 0, 1.0)), "empty");
+        let accepts = |runs: &[CostRun]| {
+            CostRuns {
+                runs: runs.to_vec(),
+            }
+            .canonical()
+        };
+        assert!(!accepts(&[run(4, 0, 1.0)]), "empty");
         assert!(
-            !runs.push_run(run(u32::MAX, 2, 1.0)),
+            !accepts(&[run(u32::MAX, 2, 1.0)]),
             "past the last iteration"
         );
-        assert!(runs.push_run(run(4, 3, 1.0)));
-        assert!(!runs.push_run(run(7, 1, 1.0)), "one run spelled as two");
-        assert!(runs.push_run(run(7, 1, 2.0)), "a new cost is a new run");
-        assert!(runs.push_run(run(4, 4, 2.0)), "so is going back");
         assert!(
-            runs.push_run(run(0, u32::MAX, 1.0)),
-            "any length, no memory"
+            !accepts(&[run(4, 3, 1.0), run(7, 1, 1.0)]),
+            "one run spelled as two"
         );
-        assert_eq!(runs.len(), 3 + 1 + 4 + u32::MAX as usize);
-        assert_eq!(runs.runs().len(), 4);
+        let runs = [
+            run(4, 3, 1.0),
+            run(7, 1, 2.0),        // a new cost is a new run
+            run(4, 4, 2.0),        // so is going back
+            run(0, u32::MAX, 1.0), // any length, no memory
+        ];
+        let ledger = CostRuns {
+            runs: runs.to_vec(),
+        };
+        assert!(ledger.canonical());
+        assert_eq!(ledger.len(), 3 + 1 + 4 + u32::MAX as usize);
+        assert_eq!(ledger.runs().len(), 4);
     }
 
     #[test]

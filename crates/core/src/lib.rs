@@ -74,6 +74,7 @@ pub mod persist;
 pub mod predictor;
 pub mod remote;
 pub mod report;
+mod schema;
 pub mod spec_loop;
 mod stages;
 pub mod timeline;

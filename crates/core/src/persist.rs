@@ -1,18 +1,18 @@
-//! Persistence of extracted dependence graphs and wavefront schedules.
+//! The record envelope every artifact, journal record and wire frame
+//! shares, and the one reader and writer of payloads.
 //!
-//! The paper amortizes DDG extraction by reusing the wavefront schedule
-//! "throughout the remainder of the program execution"; for programs
-//! that run repeatedly on the same deck (SPICE re-analyzing one
-//! circuit), the natural extension is to persist the schedule across
-//! *process* lifetimes. This module provides a small, versioned,
-//! self-describing binary format — no external serializer needed — with
-//! checksummed round-trips.
-//!
-//! Format (all integers little-endian):
+//! The paper reuses a wavefront schedule "throughout the remainder of
+//! the program execution"; persisting it carries that reuse across
+//! *process* lifetimes. The same small, versioned, self-describing
+//! binary format carries the crash journal, the worker wire and the
+//! daemon's frames (all integers little-endian):
 //!
 //! ```text
 //! magic "RLPD" | u32 version | u8 kind | payload … | u64 checksum
 //! ```
+//!
+//! What a payload holds is declared once per record kind (`schema`):
+//! encoder, decoder, encoded length and list bounds all come from it.
 //!
 //! ## The checksum, and the chain
 //!
@@ -39,27 +39,15 @@
 //!
 //! ## The bound on a count read from outside
 //!
-//! Every record that crosses a process boundary — these artifacts, the
-//! journal's records, the worker and serve frames — is decoded through
-//! [`Reader`], and a count a record declares is outside input: the
-//! checksum is not a MAC, so whoever writes the bytes can reseal them.
-//! The rule is stated once, in [`Reader::list`]: *`count` elements of at
-//! least `min_elem_bytes` encoded bytes each must fit in what is left of
-//! the payload, checked before anything is allocated*. A count therefore
-//! never reserves more than a small constant multiple (an element's size
-//! in memory over its encoded minimum, at most 3) of the bytes actually
-//! present. [`Reader::blob`] and [`Reader::string`] are the same rule at
-//! one byte per element; no decoder sees how many bytes are left.
-//!
-//! `min_elem_bytes` is a literal at each call site, beside the reads it
-//! counts (`r.list(n, 12, |r| Ok((r.u32()?, r.u64()?)))`; a nested list
-//! counts as its count field): derived from a type it would follow the
-//! in-memory layout, which is not the encoding. Too small only loosens
-//! the multiple; too large refuses a valid record, which every
-//! round-trip test catches.
-
-use crate::ddg::DepGraph;
-use crate::wavefront::WavefrontSchedule;
+//! A count a record declares is outside input: the checksum is not a
+//! MAC, so whoever writes the bytes can reseal them. The rule is stated
+//! once, in [`Reader::list`]: *`count` elements of at least
+//! `min_elem_bytes` encoded bytes each must fit in what is left of the
+//! payload, checked before anything is allocated* — so a count never
+//! reserves more than a small multiple (an element's size in memory over
+//! its encoded minimum, at most 3) of the bytes present. [`Reader::blob`]
+//! is the same rule at one byte per element. The minimum is the encoded
+//! minimum of the element's declaration, never a number beside the reads.
 
 const MAGIC: &[u8; 4] = b"RLPD";
 /// The envelope version every writer seals: [`checksum`].
@@ -68,37 +56,21 @@ const VERSION: u32 = 2;
 const VERSION_FNV: u32 = 1;
 /// Bytes of framing around a payload: magic, version, kind, checksum.
 const ENVELOPE: usize = 4 + 4 + 1 + 8;
-const KIND_GRAPH: u8 = 1;
-const KIND_SCHEDULE: u8 = 2;
-/// Crash-journal header record (first record of a journal file).
+// The record kinds: the kind byte each record's declaration names. Kind
+// 1 was a persisted dependence graph; it is retired, and no record may
+// take it again. A hello and its ack share kind 5.
+pub(crate) const KIND_SCHEDULE: u8 = 2;
 pub(crate) const KIND_JOURNAL_HEADER: u8 = 3;
-/// Crash-journal per-stage commit record.
 pub(crate) const KIND_JOURNAL_COMMIT: u8 = 4;
-/// Distributed wire: supervisor→worker session hello (run identity +
-/// loop spec). The embedded run-identity record is a
-/// [`KIND_JOURNAL_HEADER`] chained from the journal seed.
 pub(crate) const KIND_DIST_HELLO: u8 = 5;
-/// Distributed wire: supervisor→worker block request.
 pub(crate) const KIND_DIST_REQUEST: u8 = 6;
-/// Distributed wire: worker→supervisor block reply.
 pub(crate) const KIND_DIST_REPLY: u8 = 7;
-/// Distributed wire: worker→supervisor liveness heartbeat.
 pub(crate) const KIND_DIST_HEARTBEAT: u8 = 8;
-/// Distributed wire: supervisor→worker orderly shutdown.
 pub(crate) const KIND_DIST_SHUTDOWN: u8 = 9;
-/// Serve wire: client→daemon job submission (loop spec + run options +
-/// idempotency key).
 pub(crate) const KIND_SERVE_SUBMIT: u8 = 10;
-/// Serve wire: daemon→client admission decision (accepted / queued /
-/// typed rejection).
 pub(crate) const KIND_SERVE_DECISION: u8 = 11;
-/// Serve wire: daemon→client terminal job status (exit-code contract +
-/// report digest). Also the on-disk status sidecar record.
 pub(crate) const KIND_SERVE_STATUS: u8 = 12;
-/// Serve wire: daemon→client frontier summary, substituted for dropped
-/// journal frames when a slow client's stream buffer overflows.
 pub(crate) const KIND_SERVE_SUMMARY: u8 = 13;
-/// Serve wire: client→daemon status query by idempotency key.
 pub(crate) const KIND_SERVE_STATUS_REQ: u8 = 14;
 
 /// Errors from decoding a persisted artifact.
@@ -140,10 +112,6 @@ pub(crate) struct Writer {
 }
 
 impl Writer {
-    pub(crate) fn new(kind: u8) -> Self {
-        Self::with_payload(kind, 0)
-    }
-
     /// A writer for a record whose payload is known to be `payload`
     /// bytes: the buffer is sized once instead of growing from empty.
     pub(crate) fn with_payload(kind: u8, payload: usize) -> Self {
@@ -162,48 +130,33 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn edges(&mut self, edges: &[(u32, u32)]) {
-        self.u64(edges.len() as u64);
-        for &(a, b) in edges {
-            self.u32(a);
-            self.u32(b);
-        }
-    }
-
-    /// `u64 len | bytes`: what [`Reader::blob`] and [`Reader::string`]
-    /// read back.
+    /// `u64 len | bytes`: what [`Reader::blob`] reads back.
     pub(crate) fn blob(&mut self, bytes: &[u8]) {
         self.u64(bytes.len() as u64);
         self.buf.extend_from_slice(bytes);
     }
 
-    pub(crate) fn finish(self) -> Vec<u8> {
-        self.finish_chained().0
-    }
-
     /// The finished record and its chain value ([`chain_of`] its
     /// checksum: the record is hashed once).
-    pub(crate) fn finish_chained(mut self) -> (Vec<u8>, u64) {
+    pub(crate) fn finish(mut self) -> (Vec<u8>, u64) {
         let sum = checksum(&self.buf);
         self.u64(sum);
         (self.buf, chain_of(sum))
     }
 }
 
+#[derive(Clone)]
 pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn open(buf: &'a [u8], kind: u8) -> Result<Self, PersistError> {
-        Self::open_chained(buf, kind).map(|(r, _)| r)
-    }
-
-    /// [`Reader::open`], also returning the record's chain value (see
-    /// [`Writer::finish_chained`]) from the one checksum pass. A record
-    /// is verified and chained by the version it carries.
-    pub(crate) fn open_chained(buf: &'a [u8], kind: u8) -> Result<(Self, u64), PersistError> {
+    /// A reader of the payload of `buf`, a record of kind `kind`, and
+    /// the record's chain value (see [`Writer::finish`]) from the one
+    /// checksum pass. A record is verified and chained by the version it
+    /// carries.
+    pub(crate) fn open(buf: &'a [u8], kind: u8) -> Result<(Self, u64), PersistError> {
         let (body, stored) = envelope(buf)?;
         let chain = match version_of(buf) {
             VERSION if checksum(body) == stored => chain_of(stored),
@@ -215,6 +168,14 @@ impl<'a> Reader<'a> {
             return Err(PersistError::WrongKind);
         }
         Ok((Reader { buf: body, pos: 9 }, chain))
+    }
+
+    /// A reader of `buf`'s payload if it is framed as a record of kind
+    /// `kind`, its checksum *not* verified: for a peek at a record that
+    /// was verified where it came from.
+    pub(crate) fn unverified(buf: &'a [u8], kind: u8) -> Option<Self> {
+        let (body, _) = envelope(buf).ok()?;
+        (buf[8] == kind).then_some(Reader { buf: body, pos: 9 })
     }
 
     /// Unread bytes of the payload.
@@ -243,6 +204,11 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes(bytes))
     }
 
+    /// The next `u64`, left unread.
+    pub(crate) fn peek_u64(&self) -> Result<u64, PersistError> {
+        self.clone().u64()
+    }
+
     /// **The bound** (module docs): `count` elements, each read by
     /// `elem` and each at least `min_elem_bytes` long when encoded, or
     /// `Corrupt` — before `elem` is entered or anything is reserved —
@@ -268,16 +234,6 @@ impl<'a> Reader<'a> {
     pub(crate) fn blob(&mut self) -> Result<&'a [u8], PersistError> {
         let len = self.u64()?;
         self.take(len)
-    }
-
-    /// A blob that must be UTF-8.
-    pub(crate) fn string(&mut self) -> Result<String, PersistError> {
-        String::from_utf8(self.blob()?.to_vec()).map_err(|_| PersistError::Corrupt)
-    }
-
-    fn edges(&mut self) -> Result<Vec<(u32, u32)>, PersistError> {
-        let n = self.u64()?;
-        self.list(n, 8, |r| Ok((r.u32()?, r.u32()?)))
     }
 
     pub(crate) fn done(&self) -> Result<(), PersistError> {
@@ -424,62 +380,6 @@ fn fnv_from(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-impl DepGraph {
-    /// Serialize to the versioned binary format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new(KIND_GRAPH);
-        w.u64(self.n as u64);
-        w.edges(&self.flow);
-        w.edges(&self.anti);
-        w.edges(&self.output);
-        w.finish()
-    }
-
-    /// Deserialize from [`DepGraph::to_bytes`] output.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, PersistError> {
-        let mut r = Reader::open(bytes, KIND_GRAPH)?;
-        let n = r.u64()? as usize;
-        let flow = r.edges()?;
-        let anti = r.edges()?;
-        let output = r.edges()?;
-        r.done()?;
-        Ok(DepGraph {
-            n,
-            flow,
-            anti,
-            output,
-        })
-    }
-}
-
-impl WavefrontSchedule {
-    /// Serialize to the versioned binary format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new(KIND_SCHEDULE);
-        w.u64(self.levels().len() as u64);
-        for level in self.levels() {
-            w.u64(level.len() as u64);
-            for &i in level {
-                w.u32(i);
-            }
-        }
-        w.finish()
-    }
-
-    /// Deserialize from [`WavefrontSchedule::to_bytes`] output.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, PersistError> {
-        let mut r = Reader::open(bytes, KIND_SCHEDULE)?;
-        let num_levels = r.u64()?;
-        let levels = r.list(num_levels, 8, |r| {
-            let len = r.u64()?;
-            r.list(len, 4, Reader::u32)
-        })?;
-        r.done()?;
-        // An iteration scheduled twice is corruption, not a panic.
-        WavefrontSchedule::checked(levels).map_err(|_| PersistError::Corrupt)
-    }
-}
-
 /// Exhaustive decode-hardening harness, in two sweeps over a valid
 /// artifact. **Stale**: every prefix truncation (0..len bytes) and every
 /// single-byte corruption (all 255 non-identity values at every offset)
@@ -561,7 +461,9 @@ pub(crate) fn assert_decode_hardened<T, E: std::fmt::Debug>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ddg::EdgeKind;
+    use crate::ddg::{DepGraph, EdgeKind};
+    use crate::schema::{Str, Wire};
+    use crate::wavefront::WavefrontSchedule;
     use proptest::prelude::*;
 
     fn graph() -> DepGraph {
@@ -573,21 +475,14 @@ mod tests {
         }
     }
 
-    #[test]
-    fn graph_round_trips() {
-        let g = graph();
-        let bytes = g.to_bytes();
-        let back = DepGraph::from_bytes(&bytes).unwrap();
-        assert_eq!(back.n, g.n);
-        assert_eq!(back.flow, g.flow);
-        assert_eq!(back.anti, g.anti);
-        assert_eq!(back.output, g.output);
+    fn schedule() -> WavefrontSchedule {
+        WavefrontSchedule::from_graph(&graph())
     }
 
     #[test]
     fn schedule_round_trips_and_stays_valid() {
         let g = graph();
-        let s = WavefrontSchedule::from_graph(&g);
+        let s = schedule();
         let back = WavefrontSchedule::from_bytes(&s.to_bytes()).unwrap();
         assert_eq!(back.levels(), s.levels());
         assert_eq!(back.depth(), s.depth());
@@ -604,49 +499,29 @@ mod tests {
     }
 
     #[test]
-    fn corruption_is_detected() {
-        let mut bytes = graph().to_bytes();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        assert!(matches!(
-            DepGraph::from_bytes(&bytes),
-            Err(PersistError::Corrupt)
-        ));
-    }
-
-    #[test]
-    fn truncation_is_detected() {
-        let bytes = graph().to_bytes();
+    fn corruption_truncation_a_wrong_kind_and_a_wrong_magic_are_refused() {
+        let bytes = schedule().to_bytes();
+        let mut flipped = bytes.clone();
+        flipped[bytes.len() / 2] ^= 0xff;
+        let decode = WavefrontSchedule::from_bytes;
+        assert_eq!(decode(&flipped).err(), Some(PersistError::Corrupt));
         for cut in [0usize, 3, 8, bytes.len() - 1] {
-            assert!(DepGraph::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
+            assert!(decode(&bytes[..cut]).is_err(), "cut at {cut}");
         }
+        let heartbeat = crate::remote::encode_heartbeat(1);
+        assert_eq!(decode(&heartbeat).err(), Some(PersistError::WrongKind));
+        assert_eq!(decode(b"NOPEnope").err(), Some(PersistError::NotAnArtifact));
     }
 
-    #[test]
-    fn wrong_kind_is_rejected() {
-        let g = graph();
-        let s = WavefrontSchedule::from_graph(&g);
-        assert!(matches!(
-            DepGraph::from_bytes(&s.to_bytes()),
-            Err(PersistError::WrongKind)
-        ));
-        assert!(WavefrontSchedule::from_bytes(&g.to_bytes()).is_err());
-    }
-
-    #[test]
-    fn wrong_magic_is_rejected() {
-        assert!(matches!(
-            DepGraph::from_bytes(b"NOPEnope"),
-            Err(PersistError::NotAnArtifact)
-        ));
-    }
+    /// Decode a record and encode what it decoded to.
+    type Reencode = Box<dyn Fn(&[u8]) -> Result<Vec<u8>, PersistError>>;
 
     /// One row of the record table: a name, a record's bytes, and how to
     /// decode them and encode what they decoded to.
     struct Sample {
         name: String,
         bytes: Vec<u8>,
-        reencode: Box<dyn Fn(&[u8]) -> Result<Vec<u8>, PersistError>>,
+        reencode: Reencode,
     }
 
     fn sample<T: 'static>(
@@ -670,10 +545,9 @@ mod tests {
         use crate::remote::*;
         let mut out = Vec::new();
 
-        let schedule = WavefrontSchedule::from_graph(&graph());
         out.push(sample(
             "schedule",
-            &schedule,
+            &schedule(),
             WavefrontSchedule::to_bytes,
             WavefrontSchedule::from_bytes,
         ));
@@ -833,17 +707,13 @@ mod tests {
             "heartbeat",
             &3u64,
             |&seq| encode_heartbeat(seq),
-            |b| {
-                let mut r = Reader::open(b, KIND_DIST_HEARTBEAT)?;
-                let seq = r.u64()?;
-                r.done().map(|()| seq)
-            },
+            |b| crate::schema::decode::<u64>(KIND_DIST_HEARTBEAT, b),
         ));
         out.push(sample(
             "shutdown",
             &(),
             |()| encode_shutdown(),
-            |b| Reader::open(b, KIND_DIST_SHUTDOWN)?.done(),
+            |b| crate::schema::decode::<()>(KIND_DIST_SHUTDOWN, b),
         ));
 
         let spec = JobSpec {
@@ -990,8 +860,9 @@ mod tests {
     }
 
     #[test]
-    fn a_resealed_schedule_that_names_an_iteration_twice_is_corrupt() {
-        let mut w = Writer::new(KIND_SCHEDULE);
+    fn a_resealed_schedule_that_is_not_a_permutation_is_corrupt() {
+        // Levels [[0, 1], [1]]: iteration 1 twice.
+        let mut w = Writer::with_payload(KIND_SCHEDULE, 0);
         for v in [2u64, 2] {
             w.u64(v);
         }
@@ -1000,7 +871,20 @@ mod tests {
         w.u64(1);
         w.u32(1);
         assert_eq!(
-            WavefrontSchedule::from_bytes(&w.finish()).map(|s| s.depth()),
+            WavefrontSchedule::from_bytes(&w.finish().0).map(|s| s.depth()),
+            Err(PersistError::Corrupt)
+        );
+        // A valid schedule with its last iteration renamed 10⁹: every
+        // iteration once, but not a schedule of 0..9 — which
+        // `install_schedule` would have accepted, its only check being
+        // the count.
+        let mut mutant = schedule().to_bytes();
+        let last = mutant.len() - 8 - 4;
+        assert_eq!(mutant[last..last + 4], 8u32.to_le_bytes());
+        mutant[last..last + 4].copy_from_slice(&1_000_000_000u32.to_le_bytes());
+        reseal(&mut mutant);
+        assert_eq!(
+            WavefrontSchedule::from_bytes(&mutant).map(|s| s.num_iters()),
             Err(PersistError::Corrupt)
         );
     }
@@ -1009,15 +893,15 @@ mod tests {
     /// before the element closure runs once or a byte is reserved.
     #[test]
     fn a_list_count_is_bounded_by_the_bytes_left_before_any_element_is_read() {
-        let mut w = Writer::new(KIND_GRAPH);
+        let mut w = Writer::with_payload(KIND_SCHEDULE, 0);
         for k in 0..5u32 {
             w.u64(k as u64);
             w.u32(k);
         }
-        let bytes = w.finish();
+        let bytes = w.finish().0;
         let triple = |r: &mut Reader<'_>| Ok((r.u64()?, r.u32()?));
         for (count, fits) in [(5, true), (6, false), (u64::MAX, false), (0, true)] {
-            let mut r = Reader::open(&bytes, KIND_GRAPH).unwrap();
+            let mut r = Reader::open(&bytes, KIND_SCHEDULE).unwrap().0;
             assert_eq!(r.remaining(), 60);
             let mut entered = 0;
             let got = r.list(count, 12, |r| {
@@ -1036,21 +920,21 @@ mod tests {
         }
         // Elements longer than their declared minimum still end at the
         // payload: the closure's own reads are checked too.
-        let mut r = Reader::open(&bytes, KIND_GRAPH).unwrap();
+        let mut r = Reader::open(&bytes, KIND_SCHEDULE).unwrap().0;
         assert_eq!(r.list(6, 8, triple), Err(PersistError::Corrupt));
 
-        let mut w = Writer::new(KIND_GRAPH);
+        let mut w = Writer::with_payload(KIND_SCHEDULE, 0);
         w.blob(b"caf\xc3\xa9");
         w.u64(u64::MAX); // a declared length past the payload
-        let bytes = w.finish();
-        let mut r = Reader::open(&bytes, KIND_GRAPH).unwrap();
-        assert_eq!(r.string().as_deref(), Ok("café"));
+        let bytes = w.finish().0;
+        let mut r = Reader::open(&bytes, KIND_SCHEDULE).unwrap().0;
+        assert_eq!(Str::get(&mut r).as_deref(), Ok("café"));
         assert_eq!(r.blob(), Err(PersistError::Corrupt));
-        let mut w = Writer::new(KIND_GRAPH);
+        let mut w = Writer::with_payload(KIND_SCHEDULE, 0);
         w.blob(&[0xff, 0xfe]);
-        let bytes = w.finish();
-        let mut r = Reader::open(&bytes, KIND_GRAPH).unwrap();
-        assert_eq!(r.string(), Err(PersistError::Corrupt), "not UTF-8");
+        let bytes = w.finish().0;
+        let mut r = Reader::open(&bytes, KIND_SCHEDULE).unwrap().0;
+        assert_eq!(Str::get(&mut r), Err(PersistError::Corrupt), "not UTF-8");
     }
 
     /// `record` as a version-1 writer sealed it: version 1, FNV-1a.
@@ -1074,16 +958,16 @@ mod tests {
             for _ in 0..len {
                 w.buf.push(rng.random_range(0u8..=255));
             }
-            let (record, chain) = w.finish_chained();
+            let (record, chain) = w.finish();
             let stored = word(&record[record.len() - 8..]);
             assert_eq!(chain, chain_of(stored), "writer chain, {len}-byte payload");
             assert_eq!(record_chain(&record), Some(chain));
-            let (r, read_chain) = Reader::open_chained(&record, KIND_JOURNAL_COMMIT).unwrap();
+            let (r, read_chain) = Reader::open(&record, KIND_JOURNAL_COMMIT).unwrap();
             assert_eq!(read_chain, chain, "reader chain, {len}-byte payload");
             let payload = r.buf[9..].to_vec();
 
             let old = as_v1(&record);
-            let (r, old_chain) = Reader::open_chained(&old, KIND_JOURNAL_COMMIT).unwrap();
+            let (r, old_chain) = Reader::open(&old, KIND_JOURNAL_COMMIT).unwrap();
             assert_eq!(old_chain, fnv(&old), "version-1 chain, {len}-byte payload");
             assert_eq!(record_chain(&old), Some(old_chain));
             assert_eq!(
@@ -1105,7 +989,7 @@ mod tests {
         ) {
             let mut w = Writer::with_payload(KIND_JOURNAL_COMMIT, payload.len());
             w.buf.extend_from_slice(&payload);
-            let record = w.finish();
+            let record = w.finish().0;
             let body = &record[..record.len() - 8];
             let sum = checksum(body);
             let mut mutant = body.to_vec();
@@ -1124,22 +1008,22 @@ mod tests {
 
     #[test]
     fn artifacts_of_either_version_load_and_no_other_version_does() {
-        let g = graph();
-        let old = as_v1(&g.to_bytes());
-        let decode = |bytes: &[u8]| DepGraph::from_bytes(bytes).map(|g| g.to_bytes());
-        assert_eq!(decode(&old), Ok(g.to_bytes()));
+        let s = schedule();
+        let old = as_v1(&s.to_bytes());
+        let decode = |bytes: &[u8]| WavefrontSchedule::from_bytes(bytes).map(|s| s.to_bytes());
+        assert_eq!(decode(&old), Ok(s.to_bytes()));
         let mut stale = old.clone();
         stale[12] ^= 1;
         assert_eq!(decode(&stale), Err(PersistError::Corrupt));
         // A version-2 seal under a version-1 label, and the reverse.
-        let mut relabelled = g.to_bytes();
+        let mut relabelled = s.to_bytes();
         relabelled[4] = 1;
         assert_eq!(decode(&relabelled), Err(PersistError::Corrupt));
         let mut relabelled = old;
         relabelled[4] = 2;
         assert_eq!(decode(&relabelled), Err(PersistError::Corrupt));
         for found in [0u32, 3, u32::MAX] {
-            let mut future = g.to_bytes();
+            let mut future = s.to_bytes();
             future[4..8].copy_from_slice(&found.to_le_bytes());
             reseal(&mut future);
             assert_eq!(
@@ -1148,19 +1032,5 @@ mod tests {
             );
             assert_eq!(record_chain(&future), None);
         }
-        let s = WavefrontSchedule::from_graph(&g);
-        let back = WavefrontSchedule::from_bytes(&as_v1(&s.to_bytes())).unwrap();
-        assert_eq!(back.levels(), s.levels());
-    }
-
-    #[test]
-    fn empty_graph_round_trips() {
-        let g = DepGraph {
-            n: 0,
-            ..Default::default()
-        };
-        let back = DepGraph::from_bytes(&g.to_bytes()).unwrap();
-        assert_eq!(back.n, 0);
-        assert_eq!(back.num_edges(), 0);
     }
 }

@@ -12,35 +12,20 @@
 //!
 //! ## Wire format
 //!
-//! Every message is a length-framed [`crate::persist`] record
-//! (`u32 len | magic "RLPD" | u32 version | u8 kind | payload | u64
-//! checksum`) — the same envelope the crash journal uses on disk:
-//!
-//! * **Hello** ([`KIND_DIST_HELLO`], supervisor→worker): the run's
-//!   journal-header record (loop shape, array layout, element type)
-//!   plus a loop-spec string the worker resolves to the actual loop.
-//! * **Commit broadcast** ([`KIND_JOURNAL_COMMIT`]): byte-identical to
-//!   the crash journal's commit records (both sides share
-//!   [`crate::journal::record_from_delta`]), chained with the same
-//!   record chain starting from the same seed. Workers fold each record
-//!   into their mirror of shared storage.
-//! * **Block request** ([`KIND_DIST_REQUEST`], supervisor→worker): one
-//!   stage block `(stage, pos, start..end)` plus the supervisor's
-//!   current chain value. A worker whose own chain differs has diverged
-//!   and refuses the request.
-//! * **Block reply** ([`KIND_DIST_REPLY`], worker→supervisor): the
-//!   block's speculative outcome — per tested slot the touched
-//!   `(element, mark, value)` triples and reference count, per untested
-//!   slot the `(element, new value)` pairs, per-iteration costs, the
-//!   premature-exit iteration, and any contained panic. The reply
-//!   echoes the worker's chain; a mismatched echo is a **divergent
-//!   worker** and the supervisor discards the reply.
-//! * **Heartbeat** ([`KIND_DIST_HEARTBEAT`], worker→supervisor):
-//!   periodic liveness, emitted from a side thread so a *hung* block
-//!   (deadline exceeded, heartbeats flowing) is distinguishable from a
-//!   *dead* worker (pipe EOF / heartbeats stopped).
-//! * **Shutdown** ([`KIND_DIST_SHUTDOWN`], supervisor→worker): orderly
-//!   end of session.
+//! Every message is a length-framed [`crate::persist`] record (`u32 len |
+//! record`), the envelope the crash journal uses on disk, and each record
+//! kind is declared once, as its struct with one wire field type per
+//! field (`crate::schema`): [`WireHello`] and the worker's [`HelloAck`],
+//! [`BlockRequest`], [`BlockReply`], the heartbeat and the shutdown, and
+//! the serve frames below. Encode, decode, encoded length and list bounds
+//! all come from those declarations; what they cannot say — a reply's
+//! mark codes, a request's fault directive — is each record's one check.
+//! A **commit broadcast** is the crash journal's commit record byte for
+//! byte, chained from the same seed; workers fold each into their mirror
+//! of shared storage. A request carries the supervisor's chain and a reply
+//! echoes the worker's: a mismatch is a **divergent worker**. Heartbeats
+//! come from a side thread, so a *hung* block (deadline passed, heartbeats
+//! flowing) is told from a *dead* worker (EOF, heartbeats stopped).
 //!
 //! The supervisor side of the fleet (process spawning, heartbeats,
 //! deadlines, respawn with backoff) lives in the `rlrpd-dist` crate;
@@ -54,12 +39,14 @@ use crate::engine::{Engine, EngineCfg, FaultEvent};
 use crate::journal::{
     elem_fingerprint, CommitRecord, ElemBits, JournalElem, JournalHeader, CHAIN_SEED,
 };
-use crate::ledger::{CostRun, CostRuns};
+use crate::ledger::CostRuns;
 use crate::persist::{
     PersistError, Reader, Writer, KIND_DIST_HEARTBEAT, KIND_DIST_HELLO, KIND_DIST_REPLY,
-    KIND_DIST_REQUEST, KIND_DIST_SHUTDOWN, KIND_JOURNAL_COMMIT,
+    KIND_DIST_REQUEST, KIND_DIST_SHUTDOWN, KIND_JOURNAL_COMMIT, KIND_SERVE_DECISION,
+    KIND_SERVE_STATUS, KIND_SERVE_STATUS_REQ, KIND_SERVE_SUBMIT, KIND_SERVE_SUMMARY,
 };
 use crate::report::RunReport;
+use crate::schema::{schema, As, Blob, List, OrMax, Str, Wire};
 use crate::spec_loop::SpecLoop;
 use crate::value::Value;
 use crate::view::Contribution;
@@ -229,72 +216,41 @@ pub use crate::persist::record_chain;
 // Wire types
 // ---------------------------------------------------------------------------
 
-/// The session hello: the protocol handshake, the run's identity, and
-/// the loop spec the worker resolves to an executable loop.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WireHello {
-    /// Dist-protocol version of the supervisor binary
-    /// ([`PROTOCOL_VERSION`]); the worker refuses a session from a
-    /// mismatched binary at the handshake.
-    pub protocol: u32,
-    /// Identity of this run (unique per supervisor process and run);
-    /// echoed in the worker's [`HelloAck`] so a cross-wired connection
-    /// is caught at the handshake.
-    pub run_id: u64,
-    /// Heartbeat interval the worker must beat at, in milliseconds
-    /// (`0` = the worker's built-in default). Set by the transport
-    /// connector from its `DistPolicy`, not by the engine.
-    pub heartbeat_millis: u32,
-    /// Shadow-memory budget every worker must enforce, in bytes
-    /// (`0` = unlimited). Stamped from the supervisor's own cap so a
-    /// distributed run degrades identically on every host; a worker
-    /// whose freshly built shadows exceed it down-tiers representations
-    /// at construction instead of crashing.
-    pub shadow_budget: u64,
-    /// The run's journal-header record bytes (a
-    /// [`crate::journal::JournalHeader`] chained from the journal
-    /// seed): loop shape, array layout, element type.
-    pub header: Vec<u8>,
-    /// Registry spec string (e.g. `"rlp:<source>"`) the worker resolves
-    /// to the loop it will execute.
-    pub spec: String,
+schema! {
+    /// The session hello: the protocol handshake, the run's identity, and
+    /// the loop spec the worker resolves to an executable loop.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct WireHello @ KIND_DIST_HELLO {
+        /// Dist-protocol version of the supervisor binary
+        /// ([`PROTOCOL_VERSION`]); the worker refuses a session from a
+        /// mismatched binary at the handshake. Any version decodes, so
+        /// the refusal can name both.
+        pub protocol: u32 => u32,
+        /// Identity of this run (unique per supervisor process and run);
+        /// echoed in the worker's [`HelloAck`] so a cross-wired connection
+        /// is caught at the handshake.
+        pub run_id: u64 => u64,
+        /// Heartbeat interval the worker must beat at, in milliseconds
+        /// (`0` = the worker's built-in default). Set by the transport
+        /// connector from its `DistPolicy`, not by the engine.
+        pub heartbeat_millis: u32 => u32,
+        /// Shadow-memory budget every worker must enforce, in bytes
+        /// (`0` = unlimited). Stamped from the supervisor's own cap so a
+        /// distributed run degrades identically on every host; a worker
+        /// whose freshly built shadows exceed it down-tiers representations
+        /// at construction instead of crashing.
+        pub shadow_budget: u64 => u64,
+        /// The run's journal-header record bytes (a
+        /// [`crate::journal::JournalHeader`] chained from the journal
+        /// seed): loop shape, array layout, element type.
+        pub header: Vec<u8> => Blob,
+        /// Registry spec string (e.g. `"rlp:<source>"`) the worker resolves
+        /// to the loop it will execute.
+        pub spec: String => Str,
+    }
 }
 
 impl WireHello {
-    /// Encode to a wire record.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new(KIND_DIST_HELLO);
-        w.u32(self.protocol);
-        w.u64(self.run_id);
-        w.u32(self.heartbeat_millis);
-        w.u64(self.shadow_budget);
-        w.blob(&self.header);
-        w.blob(self.spec.as_bytes());
-        w.finish()
-    }
-
-    /// Decode from a wire record. A version mismatch is *not* a decode
-    /// error — the worker reports it as a protocol error with both
-    /// versions in the message, which a raw [`PersistError`] could not.
-    pub fn decode(bytes: &[u8]) -> Result<Self, PersistError> {
-        let mut r = Reader::open(bytes, KIND_DIST_HELLO)?;
-        let protocol = r.u32()?;
-        let run_id = r.u64()?;
-        let heartbeat_millis = r.u32()?;
-        let shadow_budget = r.u64()?;
-        let header = r.blob()?.to_vec();
-        let spec = r.string()?;
-        r.done()?;
-        Ok(WireHello {
-            protocol,
-            run_id,
-            heartbeat_millis,
-            shadow_budget,
-            header,
-            spec,
-        })
-    }
-
     /// The chain value after the header record — what a correct worker
     /// echoes in [`HelloAck::header_chain`], and the seed both sides
     /// start their commit chain from. `None` when the header is not a
@@ -304,61 +260,42 @@ impl WireHello {
     }
 }
 
-/// The worker's half of the handshake, sent as its first frame after
-/// validating the hello: its own protocol version, the run identity it
-/// accepted, and the chain value of the header it chained from. The
-/// supervisor validates all three; a mismatch means a wrong binary or a
-/// cross-wired connection, and the worker is quarantined rather than
-/// respawned (a deterministic mismatch cannot be respawned away).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HelloAck {
-    /// The worker binary's [`PROTOCOL_VERSION`].
-    pub protocol: u32,
-    /// Echo of [`WireHello::run_id`].
-    pub run_id: u64,
-    /// The chain value after the hello's header record — the seed both
-    /// sides start their commit chain from.
-    pub header_chain: u64,
-}
-
-impl HelloAck {
-    /// Encode to a wire record. Shares [`KIND_DIST_HELLO`] with the
-    /// hello itself; direction disambiguates (only workers send acks).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new(KIND_DIST_HELLO);
-        w.u32(self.protocol);
-        w.u64(self.run_id);
-        w.u64(self.header_chain);
-        w.finish()
-    }
-
-    /// Decode from a wire record.
-    pub fn decode(bytes: &[u8]) -> Result<Self, PersistError> {
-        let mut r = Reader::open(bytes, KIND_DIST_HELLO)?;
-        let ack = HelloAck {
-            protocol: r.u32()?,
-            run_id: r.u64()?,
-            header_chain: r.u64()?,
-        };
-        r.done()?;
-        Ok(ack)
+schema! {
+    /// The worker's half of the handshake, sent as its first frame after
+    /// validating the hello: its own protocol version, the run identity it
+    /// accepted, and the chain value of the header it chained from. The
+    /// supervisor validates all three; a mismatch means a wrong binary or a
+    /// cross-wired connection, and the worker is quarantined rather than
+    /// respawned (a deterministic mismatch cannot be respawned away). It
+    /// shares the hello's kind: only workers send acks.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct HelloAck @ KIND_DIST_HELLO {
+        /// The worker binary's [`PROTOCOL_VERSION`].
+        pub protocol: u32 => u32,
+        /// Echo of [`WireHello::run_id`].
+        pub run_id: u64 => u64,
+        /// The chain value after the hello's header record — the seed both
+        /// sides start their commit chain from.
+        pub header_chain: u64 => u64,
     }
 }
 
-/// One block of one stage, dispatched to a worker.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BlockRequest {
-    /// The supervisor's commit chain at dispatch time; a worker whose
-    /// own chain differs has diverged from the committed prefix.
-    pub chain: u64,
-    /// Stage ordinal (diagnostics).
-    pub stage: u32,
-    /// Block position in the stage schedule.
-    pub pos: u32,
-    /// First iteration of the block.
-    pub start: u64,
-    /// One past the last iteration of the block.
-    pub end: u64,
+schema! {
+    /// One block of one stage, dispatched to a worker.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct BlockRequest {
+        /// The supervisor's commit chain at dispatch time; a worker whose
+        /// own chain differs has diverged from the committed prefix.
+        pub chain: u64 => u64,
+        /// Stage ordinal (diagnostics).
+        pub stage: u32 => u32,
+        /// Block position in the stage schedule.
+        pub pos: u32 => u32,
+        /// First iteration of the block.
+        pub start: u64 => u64,
+        /// One past the last iteration of the block.
+        pub end: u64 => u64,
+    }
 }
 
 impl BlockRequest {
@@ -367,216 +304,81 @@ impl BlockRequest {
     /// request — not the worker state — so a re-dispatched block never
     /// re-fires a one-shot fault.
     pub fn encode(&self, fault: u32) -> Vec<u8> {
-        let mut w = Writer::new(KIND_DIST_REQUEST);
-        w.u64(self.chain);
-        w.u32(self.stage);
-        w.u32(self.pos);
-        w.u64(self.start);
-        w.u64(self.end);
-        w.u32(fault);
-        w.finish()
+        crate::schema::encode::<(Self, u32)>(KIND_DIST_REQUEST, &(*self, fault))
     }
 
     /// Decode from a wire record, returning the request and its fault
-    /// directive.
+    /// directive — one of the `FAULT_*` codes, or the record is
+    /// `Corrupt`.
     pub fn decode(bytes: &[u8]) -> Result<(Self, u32), PersistError> {
-        let mut r = Reader::open(bytes, KIND_DIST_REQUEST)?;
-        let req = BlockRequest {
-            chain: r.u64()?,
-            stage: r.u32()?,
-            pos: r.u32()?,
-            start: r.u64()?,
-            end: r.u64()?,
-        };
-        let fault = r.u32()?;
+        let (req, fault) = crate::schema::decode::<(Self, u32)>(KIND_DIST_REQUEST, bytes)?;
         if fault > FAULT_CORRUPT {
             return Err(PersistError::Corrupt);
         }
-        r.done()?;
         Ok((req, fault))
     }
 }
 
-/// One tested slot's speculative outcome inside a [`BlockReply`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SlotReply {
-    /// Dynamic reference count (marking-overhead accounting).
-    pub refs: u64,
-    /// Touched elements: `(element, mark code, value bits)`. The value
-    /// is the written value for write marks, the accumulated delta for
-    /// reduction marks, and 0 for exposed reads.
-    pub touched: Vec<(u32, u8, u64)>,
+schema! {
+    /// One tested slot's speculative outcome inside a [`BlockReply`].
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct SlotReply {
+        /// Dynamic reference count (marking-overhead accounting).
+        pub refs: u64 => u64,
+        /// Touched elements: `(element, mark code, value bits)`. The value
+        /// is the written value for write marks, the accumulated delta for
+        /// reduction marks, and 0 for exposed reads.
+        pub touched: Vec<(u32, u8, u64)> => List<u64, (u32, As<u8, u32>, u64)>,
+    } check SlotReply::marks_known
 }
 
-/// A worker's result for one dispatched block.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct BlockReply {
-    /// The worker's commit chain when it executed the block; must match
-    /// the supervisor's or the worker has diverged.
-    pub chain: u64,
-    /// Echo of [`BlockRequest::pos`].
-    pub pos: u32,
-    /// Iteration at which the block requested a premature exit, if any.
-    pub exit_iter: Option<u32>,
-    /// A panic contained during the block: `(iteration, message)`.
-    pub fault: Option<(u64, String)>,
-    /// Per tested slot, in slot order.
-    pub tested: Vec<SlotReply>,
-    /// Per untested slot, in slot order: the `(element, new value
-    /// bits)` pairs the block wrote in place.
-    pub untested: Vec<Vec<(u32, u64)>>,
-    /// `(iteration, cost)` pairs executed, in execution order — as the
-    /// runs the wire carries them in.
-    pub iter_costs: CostRuns,
-    /// The worker's shadow footprint (bytes) while this block's marks
-    /// were live — folded (max) into the supervisor's
-    /// `shadow_bytes_peak` so the report reflects the whole fleet.
-    pub shadow_bytes: u64,
-}
-
-/// Sentinel for "no exit" / "no fault" flags on the wire.
-const NONE_SENTINEL: u64 = u64::MAX;
-
-impl BlockReply {
-    /// Encode to a wire record. `iter_costs` travels as the runs it is
-    /// held in — `(first iteration, count, cost bits)` per run of
-    /// consecutive iterations at one bit-equal cost ([`CostRuns`]) —
-    /// which is most of a reply's pairs: a block's iterations are
-    /// consecutive and a loop's cost is usually one number.
-    pub fn encode(&self) -> Vec<u8> {
-        let runs = self.iter_costs.runs();
-        let payload = 52
-            + self.fault.as_ref().map_or(0, |(_, msg)| 8 + msg.len())
-            + self
-                .tested
-                .iter()
-                .map(|slot| 16 + 16 * slot.touched.len())
-                .sum::<usize>()
-            + self
-                .untested
-                .iter()
-                .map(|entries| 8 + 12 * entries.len())
-                .sum::<usize>()
-            + 16 * runs.len();
-        let mut w = Writer::with_payload(KIND_DIST_REPLY, payload);
-        w.u64(self.chain);
-        w.u32(self.pos);
-        w.u64(self.exit_iter.map_or(NONE_SENTINEL, |e| e as u64));
-        match &self.fault {
-            None => w.u64(NONE_SENTINEL),
-            Some((iter, msg)) => {
-                w.u64(*iter);
-                w.blob(msg.as_bytes());
-            }
-        }
-        w.u32(self.tested.len() as u32);
-        for slot in &self.tested {
-            w.u64(slot.refs);
-            w.u64(slot.touched.len() as u64);
-            for &(elem, code, bits) in &slot.touched {
-                w.u32(elem);
-                w.u32(code as u32);
-                w.u64(bits);
-            }
-        }
-        w.u32(self.untested.len() as u32);
-        for entries in &self.untested {
-            w.u64(entries.len() as u64);
-            for &(elem, bits) in entries {
-                w.u32(elem);
-                w.u64(bits);
-            }
-        }
-        w.u64(runs.len() as u64);
-        for run in runs {
-            w.u32(run.first);
-            w.u32(run.count);
-            w.u64(run.cost.to_bits());
-        }
-        w.u64(self.shadow_bytes);
-        w.finish()
+impl SlotReply {
+    /// The slot's check: every mark one of the four wire codes.
+    fn marks_known(&self) -> bool {
+        let known = MARK_EXPOSED..=MARK_REDUCTION;
+        self.touched.iter().all(|(_, code, _)| known.contains(code))
     }
+}
 
-    /// Decode from a wire record.
-    pub fn decode(bytes: &[u8]) -> Result<Self, PersistError> {
-        let mut r = Reader::open(bytes, KIND_DIST_REPLY)?;
-        let chain = r.u64()?;
-        let pos = r.u32()?;
-        let exit_raw = r.u64()?;
-        let exit_iter = if exit_raw == NONE_SENTINEL {
-            None
-        } else {
-            Some(u32::try_from(exit_raw).map_err(|_| PersistError::Corrupt)?)
-        };
-        let fault_raw = r.u64()?;
-        let fault = if fault_raw == NONE_SENTINEL {
-            None
-        } else {
-            Some((fault_raw, r.string()?))
-        };
-        let num_tested = r.u32()?;
-        let tested = r.list(num_tested.into(), 16, |r| {
-            let refs = r.u64()?;
-            let count = r.u64()?;
-            let touched = r.list(count, 16, |r| {
-                let elem = r.u32()?;
-                let code = r.u32()?;
-                if !(MARK_EXPOSED as u32..=MARK_REDUCTION as u32).contains(&code) {
-                    return Err(PersistError::Corrupt);
-                }
-                Ok((elem, code as u8, r.u64()?))
-            })?;
-            Ok(SlotReply { refs, touched })
-        })?;
-        let num_untested = r.u32()?;
-        let untested = r.list(num_untested.into(), 8, |r| {
-            let count = r.u64()?;
-            r.list(count, 12, |r| Ok((r.u32()?, r.u64()?)))
-        })?;
-        let num_runs = r.u64()?;
-        // The runs are kept as runs: a count read from the wire sizes
-        // nothing, so a run may be as long as the iteration space. What
-        // is refused here is what `encode` never writes — an empty run,
-        // a run past the last iteration, one run spelled as two; whether
-        // the runs are the *block's* is `execute_remote`'s to check.
-        let mut iter_costs = CostRuns::default();
-        r.list(num_runs, 16, |r| {
-            let run = CostRun {
-                first: r.u32()?,
-                count: r.u32()?,
-                cost: f64::from_bits(r.u64()?),
-            };
-            if iter_costs.push_run(run) {
-                Ok(())
-            } else {
-                Err(PersistError::Corrupt)
-            }
-        })?;
-        let shadow_bytes = r.u64()?;
-        r.done()?;
-        Ok(BlockReply {
-            chain,
-            pos,
-            exit_iter,
-            fault,
-            tested,
-            untested,
-            iter_costs,
-            shadow_bytes,
-        })
+schema! {
+    /// A worker's result for one dispatched block. On the wire, "no
+    /// exit" and "no fault" are `u64::MAX` where the iteration would be.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct BlockReply @ KIND_DIST_REPLY {
+        /// The worker's commit chain when it executed the block; must match
+        /// the supervisor's or the worker has diverged.
+        pub chain: u64 => u64,
+        /// Echo of [`BlockRequest::pos`].
+        pub pos: u32 => u32,
+        /// Iteration at which the block requested a premature exit, if any.
+        pub exit_iter: Option<u32> => OrMax<As<u32, u64>>,
+        /// A panic contained during the block: `(iteration, message)`.
+        pub fault: Option<(u64, String)> => OrMax<(u64, Str)>,
+        /// Per tested slot, in slot order.
+        pub tested: Vec<SlotReply> => List<u32, SlotReply>,
+        /// Per untested slot, in slot order: the `(element, new value
+        /// bits)` pairs the block wrote in place.
+        pub untested: Vec<Vec<(u32, u64)>> => List<u32, List<u64, (u32, u64)>>,
+        /// `(iteration, cost)` pairs executed, in execution order — as the
+        /// runs the wire carries them in, which is most of a reply's pairs:
+        /// a block's iterations are consecutive and a loop's cost is
+        /// usually one number.
+        pub iter_costs: CostRuns => CostRuns,
+        /// The worker's shadow footprint (bytes) while this block's marks
+        /// were live — folded (max) into the supervisor's
+        /// `shadow_bytes_peak` so the report reflects the whole fleet.
+        pub shadow_bytes: u64 => u64,
     }
 }
 
 /// Encode a liveness heartbeat carrying a worker-local sequence number.
 pub fn encode_heartbeat(seq: u64) -> Vec<u8> {
-    let mut w = Writer::new(KIND_DIST_HEARTBEAT);
-    w.u64(seq);
-    w.finish()
+    crate::schema::encode::<u64>(KIND_DIST_HEARTBEAT, &seq)
 }
 
 /// Encode an orderly-shutdown record.
 pub fn encode_shutdown() -> Vec<u8> {
-    Writer::new(KIND_DIST_SHUTDOWN).finish()
+    crate::schema::encode::<()>(KIND_DIST_SHUTDOWN, &())
 }
 
 // ---------------------------------------------------------------------------
@@ -1001,7 +803,7 @@ pub fn serve_worker<T: Value + JournalElem>(
         };
         match frame_kind(&frame) {
             Some(KIND_DIST_SHUTDOWN) => {
-                Reader::open(&frame, KIND_DIST_SHUTDOWN)?.done()?;
+                crate::schema::decode::<()>(KIND_DIST_SHUTDOWN, &frame)?;
                 return Ok(());
             }
             Some(KIND_JOURNAL_COMMIT) => {
@@ -1147,89 +949,48 @@ fn run_block<T: Value + JournalElem>(engine: &mut Engine<'_, T>, req: &BlockRequ
 pub const SERVE_PROTOCOL_VERSION: u32 = 1;
 
 /// Frame kind of a job submission ([`JobSpec`]).
-pub const FRAME_SUBMIT: u8 = crate::persist::KIND_SERVE_SUBMIT;
+pub const FRAME_SUBMIT: u8 = KIND_SERVE_SUBMIT;
 /// Frame kind of a job status ([`JobStatusFrame`]).
-pub const FRAME_STATUS: u8 = crate::persist::KIND_SERVE_STATUS;
+pub const FRAME_STATUS: u8 = KIND_SERVE_STATUS;
 /// Frame kind of a frontier summary ([`FrontierSummary`]).
-pub const FRAME_SUMMARY: u8 = crate::persist::KIND_SERVE_SUMMARY;
+pub const FRAME_SUMMARY: u8 = KIND_SERVE_SUMMARY;
 /// Frame kind of a status query ([`StatusRequest`]).
-pub const FRAME_STATUS_REQ: u8 = crate::persist::KIND_SERVE_STATUS_REQ;
+pub const FRAME_STATUS_REQ: u8 = KIND_SERVE_STATUS_REQ;
 
-/// A client's job submission: everything the daemon needs to rebuild
-/// the run configuration, plus the client-chosen idempotency key. The
-/// encoded record doubles as the job's on-disk meta file, so a
-/// restarted daemon recovers jobs by decoding the exact bytes the
-/// client sent — and a resubmission with the same key but different
-/// bytes is a detectable conflict, not a silent overwrite.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JobSpec {
-    /// Serve-protocol version of the client ([`SERVE_PROTOCOL_VERSION`]).
-    pub protocol: u32,
-    /// Client-chosen idempotency key: resubmitting the same key with
-    /// the same bytes attaches to the existing job (running or done)
-    /// instead of starting a duplicate.
-    pub key: u64,
-    /// Registry spec string (e.g. `"rlp:<source>"`, `"fptrak:0"`) the
-    /// daemon resolves to the loop it will execute.
-    pub spec: String,
-    /// Virtual processor count.
-    pub p: u32,
-    /// Strategy string in CLI syntax (`"adaptive"`, `"nrd"`, `"rd"`,
-    /// `"sw:W"`).
-    pub strategy: String,
-    /// Shadow-budget request in bytes; `0` asks the daemon to carve a
-    /// fair share of its process-wide pool.
-    pub budget_bytes: u64,
-    /// Deterministic panic-fault seed (`0` = none) — each job's faults
-    /// are its own, injected from its own plan.
-    pub fault_seed: u64,
-    /// Shadow-pressure injections in CLI syntax (`"STAGE:BYTES[,..]"`,
-    /// empty = none).
-    pub shadow_fault: String,
-    /// Hard stage cap (`0` = the daemon's default).
-    pub max_stages: u64,
-}
-
-impl JobSpec {
-    /// Encode to a wire record (also the on-disk job meta image).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new(crate::persist::KIND_SERVE_SUBMIT);
-        w.u32(self.protocol);
-        w.u64(self.key);
-        w.u32(self.p);
-        w.u64(self.budget_bytes);
-        w.u64(self.fault_seed);
-        w.u64(self.max_stages);
-        for s in [&self.spec, &self.strategy, &self.shadow_fault] {
-            w.blob(s.as_bytes());
-        }
-        w.finish()
-    }
-
-    /// Decode from a wire record or a recovered meta file.
-    pub fn decode(bytes: &[u8]) -> Result<Self, PersistError> {
-        let mut r = Reader::open(bytes, crate::persist::KIND_SERVE_SUBMIT)?;
-        let protocol = r.u32()?;
-        let key = r.u64()?;
-        let p = r.u32()?;
-        let budget_bytes = r.u64()?;
-        let fault_seed = r.u64()?;
-        let max_stages = r.u64()?;
-        let spec = r.string()?;
-        let strategy = r.string()?;
-        let shadow_fault = r.string()?;
-        r.done()?;
-        Ok(JobSpec {
-            protocol,
-            key,
-            spec,
-            p,
-            strategy,
-            budget_bytes,
-            fault_seed,
-            shadow_fault,
-            max_stages,
-        })
+schema! {
+    /// A client's job submission: everything the daemon needs to rebuild
+    /// the run configuration, plus the client-chosen idempotency key. The
+    /// encoded record doubles as the job's on-disk meta file, so a
+    /// restarted daemon recovers jobs by decoding the exact bytes the
+    /// client sent — and a resubmission with the same key but different
+    /// bytes is a detectable conflict, not a silent overwrite.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct JobSpec @ KIND_SERVE_SUBMIT {
+        /// Serve-protocol version of the client ([`SERVE_PROTOCOL_VERSION`]).
+        pub protocol: u32 => u32,
+        /// Client-chosen idempotency key: resubmitting the same key with
+        /// the same bytes attaches to the existing job (running or done)
+        /// instead of starting a duplicate.
+        pub key: u64 => u64,
+        /// Virtual processor count.
+        pub p: u32 => u32,
+        /// Shadow-budget request in bytes; `0` asks the daemon to carve a
+        /// fair share of its process-wide pool.
+        pub budget_bytes: u64 => u64,
+        /// Deterministic panic-fault seed (`0` = none) — each job's faults
+        /// are its own, injected from its own plan.
+        pub fault_seed: u64 => u64,
+        /// Hard stage cap (`0` = the daemon's default).
+        pub max_stages: u64 => u64,
+        /// Registry spec string (e.g. `"rlp:<source>"`, `"fptrak:0"`) the
+        /// daemon resolves to the loop it will execute.
+        pub spec: String => Str,
+        /// Strategy string in CLI syntax (`"adaptive"`, `"nrd"`, `"rd"`,
+        /// `"sw:W"`).
+        pub strategy: String => Str,
+        /// Shadow-pressure injections in CLI syntax (`"STAGE:BYTES[,..]"`,
+        /// empty = none).
+        pub shadow_fault: String => Str,
     }
 }
 
@@ -1302,66 +1063,73 @@ pub enum JobDecision {
     Rejected(RejectReason),
 }
 
+/// A decision's five fixed slots: `u32 decision | u32 reason | u64 a |
+/// u64 b | message`. Each variant uses its own; the others are zero and
+/// empty, and a decision that sets them is `Corrupt`.
+type DecisionSlots = (u32, u32, u64, u64, Str);
+
+impl Wire for JobDecision {
+    type Value = Self;
+    const MIN: usize = DecisionSlots::MIN;
+    fn len(v: &Self) -> usize {
+        DecisionSlots::len(&v.slots())
+    }
+    fn put(v: &Self, w: &mut Writer) {
+        DecisionSlots::put(&v.slots(), w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        use JobDecision::Rejected;
+        use RejectReason::*;
+        let (code, reason, a, b, msg) = DecisionSlots::get(r)?;
+        let no_msg = msg.is_empty();
+        Ok(match (code, reason, a, b, no_msg) {
+            (DECISION_ACCEPTED, 0, 0, 0, true) => JobDecision::Accepted,
+            (DECISION_QUEUED, 0, 0, 0, true) => JobDecision::Queued,
+            (DECISION_ATTACHED, 0, 0, 0, true) => JobDecision::Attached,
+            (DECISION_REJECTED, REJECT_OVER_POOL, requested, pool, true) => {
+                Rejected(OverPool { requested, pool })
+            }
+            (DECISION_REJECTED, REJECT_KEY_CONFLICT, 0, 0, true) => Rejected(KeyConflict),
+            (DECISION_REJECTED, REJECT_BAD_SPEC, 0, 0, _) => Rejected(BadSpec(msg)),
+            (DECISION_REJECTED, REJECT_DRAINING, 0, 0, true) => Rejected(Draining),
+            (DECISION_REJECTED, REJECT_PROTOCOL, server, 0, true) => Rejected(ProtocolMismatch {
+                server: u32::try_from(server).map_err(|_| PersistError::Corrupt)?,
+            }),
+            _ => return Err(PersistError::Corrupt),
+        })
+    }
+}
+
 impl JobDecision {
-    /// Encode to a wire record.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new(crate::persist::KIND_SERVE_DECISION);
-        let (code, reason_code, a, b, msg): (u32, u32, u64, u64, &str) = match self {
-            JobDecision::Accepted => (DECISION_ACCEPTED, 0, 0, 0, ""),
-            JobDecision::Queued => (DECISION_QUEUED, 0, 0, 0, ""),
-            JobDecision::Attached => (DECISION_ATTACHED, 0, 0, 0, ""),
+    /// The decision in its five slots ([`DecisionSlots`]).
+    fn slots(&self) -> (u32, u32, u64, u64, String) {
+        let (reason, a, b, msg) = match self {
+            JobDecision::Accepted => return (DECISION_ACCEPTED, 0, 0, 0, String::new()),
+            JobDecision::Queued => return (DECISION_QUEUED, 0, 0, 0, String::new()),
+            JobDecision::Attached => return (DECISION_ATTACHED, 0, 0, 0, String::new()),
             JobDecision::Rejected(r) => match r {
                 RejectReason::OverPool { requested, pool } => {
-                    (DECISION_REJECTED, REJECT_OVER_POOL, *requested, *pool, "")
+                    (REJECT_OVER_POOL, *requested, *pool, "")
                 }
-                RejectReason::KeyConflict => (DECISION_REJECTED, REJECT_KEY_CONFLICT, 0, 0, ""),
-                RejectReason::BadSpec(m) => (DECISION_REJECTED, REJECT_BAD_SPEC, 0, 0, m.as_str()),
-                RejectReason::Draining => (DECISION_REJECTED, REJECT_DRAINING, 0, 0, ""),
+                RejectReason::KeyConflict => (REJECT_KEY_CONFLICT, 0, 0, ""),
+                RejectReason::BadSpec(m) => (REJECT_BAD_SPEC, 0, 0, m.as_str()),
+                RejectReason::Draining => (REJECT_DRAINING, 0, 0, ""),
                 RejectReason::ProtocolMismatch { server } => {
-                    (DECISION_REJECTED, REJECT_PROTOCOL, *server as u64, 0, "")
+                    (REJECT_PROTOCOL, u64::from(*server), 0, "")
                 }
             },
         };
-        w.u32(code);
-        w.u32(reason_code);
-        w.u64(a);
-        w.u64(b);
-        w.blob(msg.as_bytes());
-        w.finish()
+        (DECISION_REJECTED, reason, a, b, msg.to_string())
+    }
+
+    /// Encode to a wire record.
+    pub fn encode(&self) -> Vec<u8> {
+        crate::schema::encode::<Self>(KIND_SERVE_DECISION, self)
     }
 
     /// Decode from a wire record.
     pub fn decode(bytes: &[u8]) -> Result<Self, PersistError> {
-        let mut r = Reader::open(bytes, crate::persist::KIND_SERVE_DECISION)?;
-        let code = r.u32()?;
-        let reason_code = r.u32()?;
-        let a = r.u64()?;
-        let b = r.u64()?;
-        let msg = r.string()?;
-        r.done()?;
-        let decision = match code {
-            DECISION_ACCEPTED => JobDecision::Accepted,
-            DECISION_QUEUED => JobDecision::Queued,
-            DECISION_ATTACHED => JobDecision::Attached,
-            DECISION_REJECTED => JobDecision::Rejected(match reason_code {
-                REJECT_OVER_POOL => RejectReason::OverPool {
-                    requested: a,
-                    pool: b,
-                },
-                REJECT_KEY_CONFLICT => RejectReason::KeyConflict,
-                REJECT_BAD_SPEC => RejectReason::BadSpec(msg),
-                REJECT_DRAINING => RejectReason::Draining,
-                REJECT_PROTOCOL => RejectReason::ProtocolMismatch { server: a as u32 },
-                _ => return Err(PersistError::Corrupt),
-            }),
-            _ => return Err(PersistError::Corrupt),
-        };
-        // The fields a variant does not use are written as zero and
-        // empty; anything else in them is not a decision `encode` wrote.
-        if decision.encode() != bytes {
-            return Err(PersistError::Corrupt);
-        }
-        Ok(decision)
+        crate::schema::decode::<Self>(KIND_SERVE_DECISION, bytes)
     }
 }
 
@@ -1382,179 +1150,94 @@ pub enum JobState {
     Unknown,
 }
 
-impl JobState {
-    fn code(self) -> u32 {
-        match self {
-            JobState::Queued => 0,
-            JobState::Running => 1,
-            JobState::Paused => 2,
-            JobState::Done => 3,
-            JobState::Failed => 4,
-            JobState::Unknown => 5,
-        }
+/// Every [`JobState`], at the index that is its wire code.
+const JOB_STATES: [JobState; 6] = [
+    JobState::Queued,
+    JobState::Running,
+    JobState::Paused,
+    JobState::Done,
+    JobState::Failed,
+    JobState::Unknown,
+];
+
+/// A [`JobState`] as a `u32`: its index in [`JOB_STATES`]. A code past
+/// the table is `Corrupt`.
+impl Wire for JobState {
+    type Value = Self;
+    const MIN: usize = 4;
+    fn put(v: &Self, w: &mut Writer) {
+        let code = JOB_STATES.iter().position(|s| s == v);
+        w.u32(code.expect("every state is in the table") as u32);
     }
-
-    fn from_code(c: u32) -> Result<Self, PersistError> {
-        Ok(match c {
-            0 => JobState::Queued,
-            1 => JobState::Running,
-            2 => JobState::Paused,
-            3 => JobState::Done,
-            4 => JobState::Failed,
-            5 => JobState::Unknown,
-            _ => return Err(PersistError::Corrupt),
-        })
-    }
-}
-
-/// A job's status: the CLI exit-code contract (0 success / 1 other /
-/// 2 program fault / 3 stage limit / 4 journal / 64 usage) mapped onto
-/// a wire frame, plus the run-report JSON (the `--format json` schema)
-/// for finished jobs. Also written (atomically) as the job's on-disk
-/// status sidecar, so a restarted daemon knows which jobs finished.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JobStatusFrame {
-    /// The job's idempotency key.
-    pub key: u64,
-    /// Lifecycle state.
-    pub state: JobState,
-    /// Exit code per the CLI contract (meaningful for `Done`/`Failed`).
-    pub exit_code: u32,
-    /// True when the finished arrays were verified byte-identical to a
-    /// sequential execution of the same loop.
-    pub verified: bool,
-    /// Last durable commit frontier.
-    pub frontier: u64,
-    /// [`RunReport::to_json`] of the finished run (empty until then).
-    pub report_json: String,
-    /// Human-readable diagnostic (error text for `Failed`).
-    pub message: String,
-}
-
-impl JobStatusFrame {
-    /// Encode to a wire record (also the status sidecar image).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new(crate::persist::KIND_SERVE_STATUS);
-        w.u64(self.key);
-        w.u32(self.state.code());
-        w.u32(self.exit_code);
-        w.u32(self.verified as u32);
-        w.u64(self.frontier);
-        for s in [&self.report_json, &self.message] {
-            w.blob(s.as_bytes());
-        }
-        w.finish()
-    }
-
-    /// Decode from a wire record or a recovered sidecar file.
-    pub fn decode(bytes: &[u8]) -> Result<Self, PersistError> {
-        let mut r = Reader::open(bytes, crate::persist::KIND_SERVE_STATUS)?;
-        let key = r.u64()?;
-        let state = JobState::from_code(r.u32()?)?;
-        let exit_code = r.u32()?;
-        let verified = match r.u32()? {
-            0 => false,
-            1 => true,
-            _ => return Err(PersistError::Corrupt),
-        };
-        let frontier = r.u64()?;
-        let report_json = r.string()?;
-        let message = r.string()?;
-        r.done()?;
-        Ok(JobStatusFrame {
-            key,
-            state,
-            exit_code,
-            verified,
-            frontier,
-            report_json,
-            message,
-        })
+    fn get(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        let code = r.u32()? as usize;
+        JOB_STATES.get(code).copied().ok_or(PersistError::Corrupt)
     }
 }
 
-/// A frontier summary: substituted for journal frames a slow client's
-/// bounded stream buffer had to drop. The client learns how far its job
-/// has durably progressed (and how much detail it missed) without the
-/// daemon buffering unboundedly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FrontierSummary {
-    /// The job's idempotency key.
-    pub key: u64,
-    /// Last durable commit frontier at summary time.
-    pub frontier: u64,
-    /// Journal records appended so far (header included).
-    pub records: u64,
-    /// Full frames dropped from this client's stream since the last
-    /// summary.
-    pub dropped: u64,
-}
-
-impl FrontierSummary {
-    /// Encode to a wire record.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new(crate::persist::KIND_SERVE_SUMMARY);
-        w.u64(self.key);
-        w.u64(self.frontier);
-        w.u64(self.records);
-        w.u64(self.dropped);
-        w.finish()
-    }
-
-    /// Decode from a wire record.
-    pub fn decode(bytes: &[u8]) -> Result<Self, PersistError> {
-        let mut r = Reader::open(bytes, crate::persist::KIND_SERVE_SUMMARY)?;
-        let s = FrontierSummary {
-            key: r.u64()?,
-            frontier: r.u64()?,
-            records: r.u64()?,
-            dropped: r.u64()?,
-        };
-        r.done()?;
-        Ok(s)
+schema! {
+    /// A job's status: the CLI exit-code contract (0 success / 1 other /
+    /// 2 program fault / 3 stage limit / 4 journal / 64 usage) mapped onto
+    /// a wire frame, plus the run-report JSON (the `--format json` schema)
+    /// for finished jobs. Also written (atomically) as the job's on-disk
+    /// status sidecar, so a restarted daemon knows which jobs finished.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct JobStatusFrame @ KIND_SERVE_STATUS {
+        /// The job's idempotency key.
+        pub key: u64 => u64,
+        /// Lifecycle state.
+        pub state: JobState => JobState,
+        /// Exit code per the CLI contract (meaningful for `Done`/`Failed`).
+        pub exit_code: u32 => u32,
+        /// True when the finished arrays were verified byte-identical to a
+        /// sequential execution of the same loop.
+        pub verified: bool => crate::schema::Flag,
+        /// Last durable commit frontier.
+        pub frontier: u64 => u64,
+        /// [`RunReport::to_json`] of the finished run (empty until then).
+        pub report_json: String => Str,
+        /// Human-readable diagnostic (error text for `Failed`).
+        pub message: String => Str,
     }
 }
 
-/// A status query by idempotency key (`rlrpd status`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StatusRequest {
-    /// Serve-protocol version of the client.
-    pub protocol: u32,
-    /// Key of the job being asked about.
-    pub key: u64,
+schema! {
+    /// A frontier summary: substituted for journal frames a slow client's
+    /// bounded stream buffer had to drop. The client learns how far its job
+    /// has durably progressed (and how much detail it missed) without the
+    /// daemon buffering unboundedly.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct FrontierSummary @ KIND_SERVE_SUMMARY {
+        /// The job's idempotency key.
+        pub key: u64 => u64,
+        /// Last durable commit frontier at summary time.
+        pub frontier: u64 => u64,
+        /// Journal records appended so far (header included).
+        pub records: u64 => u64,
+        /// Full frames dropped from this client's stream since the last
+        /// summary.
+        pub dropped: u64 => u64,
+    }
 }
 
-impl StatusRequest {
-    /// Encode to a wire record.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new(crate::persist::KIND_SERVE_STATUS_REQ);
-        w.u32(self.protocol);
-        w.u64(self.key);
-        w.finish()
-    }
-
-    /// Decode from a wire record.
-    pub fn decode(bytes: &[u8]) -> Result<Self, PersistError> {
-        let mut r = Reader::open(bytes, crate::persist::KIND_SERVE_STATUS_REQ)?;
-        let s = StatusRequest {
-            protocol: r.u32()?,
-            key: r.u64()?,
-        };
-        r.done()?;
-        Ok(s)
+schema! {
+    /// A status query by idempotency key (`rlrpd status`).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct StatusRequest @ KIND_SERVE_STATUS_REQ {
+        /// Serve-protocol version of the client.
+        pub protocol: u32 => u32,
+        /// Key of the job being asked about.
+        pub key: u64 => u64,
     }
 }
 
 /// The commit frontier of a framed journal commit record, if `record`
 /// is one — a peek for stream consumers (progress display, frontier
-/// summaries) that does not re-validate the checksum. Payload layout
-/// after the 9-byte persist header: `u64 chain | u64 frontier | …`.
+/// summaries) that does not re-validate the checksum.
 pub fn commit_frontier(record: &[u8]) -> Option<u64> {
-    if frame_kind(record) != Some(KIND_JOURNAL_COMMIT) {
-        return None;
-    }
-    let bytes = record.get(17..25)?;
-    Some(u64::from_le_bytes(bytes.try_into().ok()?))
+    // The chain word, then the field `CommitRecord` declares first.
+    let mut r = Reader::unverified(record, KIND_JOURNAL_COMMIT)?;
+    <(u64, u64)>::get(&mut r).ok().map(|(_, frontier)| frontier)
 }
 
 #[cfg(test)]
@@ -1835,11 +1518,11 @@ mod tests {
 
         // A reply that is nothing but its ledger, written out by hand.
         let with_runs = |declared: u64, runs: &[(u32, u32, u64)]| {
-            let mut w = Writer::new(KIND_DIST_REPLY);
+            let mut w = Writer::with_payload(KIND_DIST_REPLY, 0);
             w.u64(0);
             w.u32(0);
-            w.u64(NONE_SENTINEL);
-            w.u64(NONE_SENTINEL);
+            w.u64(u64::MAX);
+            w.u64(u64::MAX);
             w.u32(0);
             w.u32(0);
             w.u64(declared);
@@ -1849,7 +1532,7 @@ mod tests {
                 w.u64(bits);
             }
             w.u64(0);
-            w.finish()
+            w.finish().0
         };
         // The runs `encode` derived from a reply's pair vector while the
         // ledger was one (wire v4 as it first shipped).
@@ -1980,16 +1663,16 @@ mod tests {
         // Hostile counts: the list bound refuses them before a slot is
         // read (a slot is 32 B in memory; 1 MiB of payload holds 65 536).
         let with_tested = |declared: u32, payload: usize| {
-            let mut w = Writer::new(KIND_DIST_REPLY);
+            let mut w = Writer::with_payload(KIND_DIST_REPLY, 0);
             w.u64(0);
             w.u32(0);
-            w.u64(NONE_SENTINEL);
-            w.u64(NONE_SENTINEL);
+            w.u64(u64::MAX);
+            w.u64(u64::MAX);
             w.u32(declared);
             for _ in 0..payload / 4 {
                 w.u32(0);
             }
-            w.finish()
+            w.finish().0
         };
         let empty_slots = BlockReply::decode(&with_tested(3, 3 * 16 + 4 + 8 + 8)).unwrap();
         assert_eq!(empty_slots.tested, vec![SlotReply::default(); 3]);
@@ -2073,12 +1756,12 @@ mod tests {
 
         // Hostile fields, checksum resealed by the writer.
         let record = |kind: u8, fields: &[u64], tail: &dyn Fn(&mut Writer)| {
-            let mut w = Writer::new(kind);
+            let mut w = Writer::with_payload(kind, 0);
             for &f in fields {
                 w.u64(f);
             }
             tail(&mut w);
-            w.finish()
+            w.finish().0
         };
         use crate::persist::{KIND_SERVE_DECISION, KIND_SERVE_STATUS, KIND_SERVE_SUBMIT};
         // protocol + p, key, budget, seed, stages; then a spec whose
@@ -2561,10 +2244,12 @@ mod tests {
     #[test]
     fn a_poisoned_reply_costs_the_fleet_not_the_run() {
         fn one_run(first: u32, count: u32) -> CostRuns {
-            let mut runs = CostRuns::default();
-            let cost = 1.0;
-            assert!(runs.push_run(CostRun { first, count, cost }));
-            runs
+            let mut w = Writer::with_payload(KIND_DIST_REPLY, 0);
+            w.u64(1);
+            w.u32(first);
+            w.u32(count);
+            w.u64(1.0f64.to_bits());
+            crate::schema::decode::<CostRuns>(KIND_DIST_REPLY, &w.finish().0).unwrap()
         }
         type Poison = fn(&mut BlockReply);
         let poisons: [(&str, Poison); 9] = [

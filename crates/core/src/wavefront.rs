@@ -11,14 +11,18 @@
 use crate::buf::SharedBuf;
 use crate::ctx::{IterCtx, RoutedArrays};
 use crate::ddg::{DepGraph, EdgeKind};
+use crate::persist::{PersistError, KIND_SCHEDULE};
+use crate::schema::{schema, List};
 use crate::spec_loop::SpecLoop;
 use crate::value::Value;
 use rlrpd_runtime::{Cost, CostModel, ExecMode, Executor};
 
-/// A reusable wavefront schedule.
-#[derive(Clone, Debug)]
-pub struct WavefrontSchedule {
-    levels: Vec<Vec<u32>>,
+schema! {
+    /// A reusable wavefront schedule.
+    #[derive(Clone, Debug)]
+    pub struct WavefrontSchedule {
+        levels: Vec<Vec<u32>> => List<u64, List<u64, u32>>,
+    } check WavefrontSchedule::is_permutation
 }
 
 impl WavefrontSchedule {
@@ -31,15 +35,28 @@ impl WavefrontSchedule {
         }
     }
 
-    /// Rebuild a schedule from explicit levels (e.g. deserialized from
-    /// [`WavefrontSchedule::to_bytes`]): `Err` names the first iteration
-    /// that appears in more than one level.
-    pub(crate) fn checked(levels: Vec<Vec<u32>>) -> Result<Self, u32> {
-        let mut seen = std::collections::HashSet::new();
-        match levels.iter().flatten().find(|&&i| !seen.insert(i)) {
-            Some(&i) => Err(i),
-            None => Ok(WavefrontSchedule { levels }),
-        }
+    /// Serialize to the versioned binary format ([`crate::persist`]).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        crate::schema::encode::<Self>(KIND_SCHEDULE, self)
+    }
+
+    /// Deserialize from [`WavefrontSchedule::to_bytes`] output: a
+    /// schedule that is not a permutation of `0..num_iters` is
+    /// `Corrupt`.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, PersistError> {
+        crate::schema::decode::<Self>(KIND_SCHEDULE, bytes)
+    }
+
+    /// The check a decoded schedule must pass: every iteration of
+    /// `0..num_iters` scheduled, each once. A schedule of the right
+    /// count that names an iteration twice, or one past the loop, would
+    /// run some iteration twice or index past the arrays.
+    fn is_permutation(&self) -> bool {
+        let mut seen = vec![false; self.num_iters()];
+        self.levels.iter().flatten().all(|&i| {
+            seen.get_mut(i as usize)
+                .is_some_and(|s| !std::mem::replace(s, true))
+        })
     }
 
     /// The levels, in execution order.
@@ -160,7 +177,8 @@ mod tests {
 
     #[test]
     fn empty_schedule_is_valid() {
-        let s = WavefrontSchedule::checked(vec![]).unwrap();
+        let s = WavefrontSchedule { levels: vec![] };
+        assert!(s.is_permutation());
         assert_eq!(s.depth(), 0);
         assert_eq!(s.num_iters(), 0);
         assert_eq!(s.avg_width(), 0.0);

@@ -1162,6 +1162,15 @@ fn illegal_combinations_exit_64_name_the_rule_and_print_nothing_else() {
             vec![&single, "--procs", "0", "--journal", j],
             vec!["--procs 0"],
         ),
+        // PlanError::TooManyProcessors: a run's pool is `--procs` wide.
+        (
+            vec![&single, "--procs", "1025", "--journal", j],
+            vec!["--procs above 1024"],
+        ),
+        (
+            vec![&multi, "--procs", "4294967296"],
+            vec!["--procs above 1024"],
+        ),
         // PlanError::ResumeWithoutJournal.
         (
             vec![&single, "--resume"],

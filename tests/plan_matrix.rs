@@ -8,6 +8,7 @@
 mod common;
 
 use common::{check, seeded, Deck, JournalLeg, Leg, Tally, Tuple, DECKS, STRATEGIES};
+use rlrpd::core::driver::MAX_PROCESSORS;
 use rlrpd::core::PlanError;
 use rlrpd::{ExecMode, Strategy};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -17,6 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// * the journal legs × `p` ∈ {0, 1, 4} in process and the fleet's
 ///   width over it × {no fault, injected pressure, a seeded panic};
+/// * one processor more than a run may have;
 /// * the budget ladder, the kill at every commit record and the seeded
 ///   journal I/O faults, in process at `p = 4`;
 /// * the slow fsync, journaled in process and over the fleet — and with
@@ -56,6 +58,7 @@ fn tuples(deck: &Deck) -> Vec<Tuple> {
                     }
                 }
             }
+            push(JournalLeg::None, false, Leg::None, MAX_PROCESSORS + 1);
             push(JournalLeg::None, false, Leg::BudgetLadder, 4);
             for &leg in &journaled {
                 push(JournalLeg::Fresh, false, leg, 4);
@@ -105,12 +108,14 @@ fn validate_and_execute_agree_on_every_tuple() {
     use PlanError::*;
     let refusals = match NoProcessors {
         NoProcessors
+        | TooManyProcessors
         | ResumeWithoutJournal
         | DoacrossOverFleet
         | DoacrossWithFaults
         | FleetWithIterationFaults
         | RecordFaultsWithoutJournal => [
             NoProcessors,
+            TooManyProcessors,
             ResumeWithoutJournal,
             DoacrossOverFleet,
             DoacrossWithFaults,

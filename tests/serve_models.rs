@@ -181,6 +181,38 @@ fn over_pool_submission_gets_typed_rejection() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `p` is a `u32` a client chooses, and a run builds per-processor
+/// state and keeps a `p`-wide pool for the life of the process: a `p`
+/// past the core's bound is refused at admission with the core's reason,
+/// before any job state is written, and the daemon goes on serving.
+#[test]
+fn a_processor_count_past_the_bound_is_refused_before_any_state_is_written() {
+    let dir = state_dir("maxprocs");
+    let handle = start(ServeConfig {
+        state_dir: dir.clone(),
+        ..ServeConfig::default()
+    });
+    let mut spec = spec_for(0x7_0000_0002, MODELS[0]);
+    spec.p = u32::MAX;
+    match submit(handle.addr(), &spec, &opts()) {
+        Err(ClientError::Rejected(RejectReason::BadSpec(why))) => {
+            assert_eq!(why, rlrpd::core::PlanError::TooManyProcessors.to_string())
+        }
+        other => panic!("expected a BadSpec rejection, got {other:?}"),
+    }
+    let job_path = dir.join(format!("job-{:016x}", spec.key));
+    assert!(!job_path.exists(), "a refused job left {job_path:?}");
+
+    spec.key += 1;
+    spec.p = 4;
+    let out = submit(handle.addr(), &spec, &opts()).expect("a legal job after the refusal");
+    assert_eq!(out.status.state, JobState::Done);
+    assert_eq!((out.status.exit_code, out.status.verified), (0, true));
+    handle.drain();
+    assert_eq!(handle.join(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A submission spells a shadow fault as `rlrpd run --shadow-fault`
 /// does — `STAGE:BYTES` with the K/M/G suffixes, one parser for both.
 /// The daemon used to read the byte count as a bare integer, so
