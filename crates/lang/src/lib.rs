@@ -366,12 +366,16 @@ impl CompiledProgram {
     /// The statically-predicted first dependence sink of loop `k`: the
     /// earliest iteration any Tested array's dependence evidence says
     /// can consume a cross-iteration value (`None` when the analysis
-    /// found no dependence or could not bound the sink).
+    /// found no dependence or could not bound the sink). An iteration
+    /// index in `0..n`, as the run reports the observed one — the
+    /// evidence holds a loop-variable value.
     pub fn predicted_first_dependence(&self, k: usize) -> Option<usize> {
+        let lo = self.program.loops[k].range.0;
         self.classes[k]
             .iter()
             .filter_map(|c| c.evidence.as_ref().and_then(|ev| ev.first_sink))
             .min()
+            .map(|sink| sink - lo)
     }
 
     /// A program is a sequence of loops through one path: `run_loop(k,
@@ -1256,6 +1260,29 @@ mod tests {
         let run = free.run(RunConfig::new(4));
         assert_eq!(run.reports[0].predicted_first_dependence, None);
         assert_eq!(run.reports[0].observed_first_dependence, None);
+    }
+
+    #[test]
+    fn predicted_first_dependence_is_an_iteration_index() {
+        // The same loop written over 40..200 and over 0..160 with the
+        // offset moved into the subscripts: both first collide at their
+        // ninth iteration, index 8.
+        let offset = CompiledProgram::compile(
+            "array A[200];\nfor i in 40..200 { A[i] = A[i - 8] + 1; }",
+        )
+        .unwrap();
+        let shifted = CompiledProgram::compile(
+            "array A[200];\nfor i in 0..160 { A[i + 40] = A[i + 32] + 1; }",
+        )
+        .unwrap();
+        assert_eq!(offset.predicted_first_dependence(0), Some(8));
+        assert_eq!(shifted.predicted_first_dependence(0), Some(8));
+        let cfg = RunConfig::new(4).with_strategy(Strategy::Nrd);
+        let report = &offset.run(cfg).reports[0];
+        let observed = report
+            .observed_first_dependence
+            .expect("a distance-8 chain restarts at p = 4");
+        assert!(observed >= 8, "observed {observed} precedes the prediction");
     }
 
     #[test]
