@@ -15,9 +15,10 @@
 //!   with provable cross-iteration conflicts): privatize, mark, and run
 //!   the LRPD test.
 //!
-//! The conflict decision is the symbolic GCD/Banerjee analysis of
-//! [`crate::depend`] — O(refs²) per array, independent of the loop
-//! range — and every verdict carries structured evidence: the
+//! The conflict decision is a fold over the loop's one pair table
+//! ([`LoopDeps`], the symbolic GCD/Banerjee analysis) — O(refs²) per
+//! array, independent of the loop range — as is the DOACROSS proof
+//! ([`analyze_loop`]), and every verdict carries structured evidence: the
 //! conflicting reference pair with source spans, the minimum dependence
 //! distance when one is provable, and a predicted touch-density
 //! estimate for shadow selection. The pre-symbolic exact enumerator is
@@ -26,7 +27,8 @@
 
 use crate::ast::*;
 use crate::depend::{
-    self, array_conflict, touch_estimate, ArrayRefs, Certainty, ConflictEvidence, TouchEstimate,
+    self, doacross_plan, touch_estimate, ArrayRefs, Certainty, ConflictEvidence, DoacrossPlan,
+    LoopDeps, TouchEstimate,
 };
 use std::collections::HashMap;
 
@@ -80,40 +82,58 @@ impl Classification {
     }
 }
 
-/// Classify every array for every loop of `program`:
-/// `result[loop][array]`. An array may be tested in one loop and
-/// untested in another — each loop instance gets its own run-time
-/// treatment, exactly as the pass instruments each loop separately.
-pub fn classify_program(program: &Program) -> Vec<Vec<Classification>> {
+/// Everything the pass decides about one loop, each a fold over the
+/// loop's one dependence table ([`LoopDeps`]).
+#[derive(Clone, Debug)]
+pub struct LoopAnalysis {
+    /// Per-array classifications (declaration order).
+    pub classes: Vec<Classification>,
+    /// The DOACROSS eligibility proof.
+    pub plan: DoacrossPlan,
+}
+
+/// Analyze every loop of `program`: `result[loop]`. An array may be
+/// tested in one loop and untested in another — each loop instance gets
+/// its own run-time treatment, exactly as the pass instruments each loop
+/// separately.
+pub fn analyze_program(program: &Program) -> Vec<LoopAnalysis> {
     (0..program.loops.len())
-        .map(|k| classify_loop(program, k))
+        .map(|k| analyze_loop(program, k))
         .collect()
+}
+
+/// Build loop `k`'s dependence table once and fold it into the
+/// per-array classifications and the DOACROSS proof.
+pub fn analyze_loop(program: &Program, k: usize) -> LoopAnalysis {
+    let deps = LoopDeps::build(program, k);
+    let classes = classify(program, k, &deps);
+    let plan = doacross_plan(program, k, &deps, &classes);
+    LoopAnalysis { classes, plan }
 }
 
 /// Classify every array of loop `k` (declaration order).
 pub fn classify_loop(program: &Program, k: usize) -> Vec<Classification> {
-    let refs = depend::collect_refs(program, k);
+    classify(program, k, &LoopDeps::build(program, k))
+}
+
+fn classify(program: &Program, k: usize, deps: &LoopDeps) -> Vec<Classification> {
     let (lo, hi) = program.loops[k].range;
     program
         .arrays
         .iter()
         .enumerate()
         .map(|(id, decl)| {
-            let mut c = classify_array(decl.hint, &refs[id], lo, hi);
-            if !refs[id].accesses.is_empty() {
-                c.touch = Some(touch_estimate(&refs[id].accesses, lo, hi, decl.size));
+            let mut c = classify_array(decl.hint, deps, id);
+            let accesses = &deps.refs[id].accesses;
+            if !accesses.is_empty() {
+                c.touch = Some(touch_estimate(accesses, lo, hi, decl.size));
             }
             c
         })
         .collect()
 }
 
-fn classify_array(
-    hint: Option<KindHint>,
-    refs: &ArrayRefs,
-    lo: usize,
-    hi: usize,
-) -> Classification {
+fn classify_array(hint: Option<KindHint>, deps: &LoopDeps, id: usize) -> Classification {
     if let Some(hint) = hint {
         let class = match hint {
             KindHint::Tested => Class::Tested,
@@ -122,10 +142,11 @@ fn classify_array(
         };
         let mut c = Classification::new(class, "explicit declaration hint");
         // What the analysis alone would say — the hint lints compare.
-        c.unhinted = Some(Box::new(classify_array(None, refs, lo, hi)));
+        c.unhinted = Some(Box::new(classify_array(None, deps, id)));
         return c;
     }
 
+    let refs: &ArrayRefs = &deps.refs[id];
     if !refs.updates.is_empty() && !refs.non_reduction_ref {
         let (op, first_span) = refs.updates[0];
         if refs.updates.iter().all(|&(o, _)| o == op) {
@@ -153,25 +174,15 @@ fn classify_array(
         return Classification::new(Class::Untested, "read-only");
     }
 
-    // Symbolic cross-iteration conflict decision (GCD + Banerjee +
-    // interval disjointness) — never enumerates the loop range.
-    match array_conflict(&refs.accesses, lo, hi) {
+    // The strongest row of the loop's table (GCD + Banerjee + interval
+    // disjointness) — never enumerates the loop range.
+    match deps.evidence(id) {
         Some(ev) => {
-            let rationale = describe(&ev);
-            let mut c = Classification::new(Class::Tested, rationale);
-            if ev.guarded {
-                // Would the array be safe with every conditional
-                // reference ignored? Then a guard alone forces the
-                // test — worth a diagnostic.
-                let unguarded: Vec<_> = refs
-                    .accesses
-                    .iter()
-                    .filter(|a| a.guard.is_none())
-                    .cloned()
-                    .collect();
-                if array_conflict(&unguarded, lo, hi).is_none() {
-                    c.guard_only = ev.src.guard.or(ev.sink.guard);
-                }
+            let mut c = Classification::new(Class::Tested, describe(&ev));
+            // Every conflicting pair involves a conditional reference:
+            // a guard alone forces the test — worth a diagnostic.
+            if deps.rows(id).all(|r| r.guarded) {
+                c.guard_only = ev.src.guard.or(ev.sink.guard);
             }
             c.evidence = Some(ev);
             c

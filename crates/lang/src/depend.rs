@@ -23,12 +23,16 @@
 //! * opaque subscripts fall back to interval disjointness (a proof of
 //!   independence) or a pigeonhole argument (`width < #iters` forces a
 //!   repeated element — a *must* conflict for an unguarded write);
+//! * every conflicting pair is decided once, into one [`LoopDeps`]
+//!   table per loop; classification, the DOACROSS proof
+//!   ([`doacross_plan`]), the strip refusal and the lint notes read it;
 //! * a per-array **touch-density estimate** (how many distinct elements
 //!   the loop will mark) feeds shadow-structure selection.
 //!
 //! Nothing in the conflict decisions iterates over the loop range, so
 //! classifying a `0..10^15` loop costs the same as a `0..10` one.
 
+use crate::analyze::{Class, Classification};
 use crate::ast::*;
 use crate::pretty::subscript_to_string;
 
@@ -776,62 +780,119 @@ pub struct ConflictEvidence {
     pub guarded: bool,
 }
 
-/// Decide whether any two *different* iterations of `lo..hi` can touch
-/// the same element of one array with a write involved. Pairwise over
-/// the collected references — O(refs²), never O(iterations).
-pub fn array_conflict(accesses: &[AccessDesc], lo: usize, hi: usize) -> Option<ConflictEvidence> {
-    let n_iters = hi.saturating_sub(lo) as u64;
-    let mut best: Option<ConflictEvidence> = None;
-    let mut consider = |ev: ConflictEvidence| {
-        let better = match &best {
-            None => true,
-            Some(b) => {
-                let rank = |e: &ConflictEvidence| {
-                    (
-                        e.certainty == Certainty::May,
-                        e.distance.unwrap_or(usize::MAX),
-                    )
-                };
-                rank(&ev) < rank(b)
-            }
-        };
-        if better {
-            best = Some(ev);
-        }
-    };
+/// One conflicting reference pair of one array: `accesses[p]` and
+/// `accesses[q]` of `refs[array]`, `q ≥ p` (`p == q` is one reference
+/// against itself in another iteration).
+#[derive(Clone, Copy, Debug)]
+pub struct PairRow {
+    /// Array declaration index.
+    pub array: usize,
+    /// The earlier reference in body order.
+    pub p: usize,
+    /// The later (or the same) reference in body order.
+    pub q: usize,
+    /// Certainty, minimum distance and first sink. A guard demotes the
+    /// certainty to `May` — it may never fire — but its distance
+    /// geometry still holds *if* it fires.
+    pub dep: PairDep,
+    /// Both subscripts are affine with equal strides, so the distance
+    /// is the same at every iteration.
+    pub uniform: bool,
+    /// On a uniform row, `q` is the source (touches the element first)
+    /// and `p` the sink; the write is the source of a constant element.
+    pub reversed: bool,
+    /// At least one endpoint sits under a guard.
+    pub guarded: bool,
+}
 
-    for (p, ap) in accesses.iter().enumerate() {
-        for aq in &accesses[p..] {
-            if !ap.is_write && !aq.is_write {
-                continue;
-            }
-            let guarded = ap.guard.is_some() || aq.guard.is_some();
-            let mut dep = if std::ptr::eq(ap, aq) {
-                self_conflict(ap, lo, n_iters)
-            } else {
-                subscripts_conflict(ap.subscript, aq.subscript, lo, hi)
-            };
-            // A guard may never fire: the conflict is possible, not
-            // proven — but its distance geometry still holds *if* it
-            // fires, so keep it for scheduling hints.
-            if let Some(d) = dep.as_mut() {
-                if guarded {
-                    d.certainty = Certainty::May;
+/// A loop's dependence table: its references, from the one
+/// [`collect_refs`] walk, and every pair of them that two *different*
+/// iterations can make touch the same element with a write involved,
+/// decided once — O(refs²), never O(iterations). Classification, the
+/// DOACROSS proof, the strip refusal and the lint notes are folds over
+/// it.
+#[derive(Clone, Debug)]
+pub struct LoopDeps {
+    /// `refs[array]`: the normalized references.
+    pub refs: Vec<ArrayRefs>,
+    /// The conflicting pairs, in `(array, p, q ≥ p)` order.
+    pub pairs: Vec<PairRow>,
+}
+
+impl LoopDeps {
+    /// Walk loop `k` of `program` once and decide every reference pair.
+    pub fn build(program: &Program, k: usize) -> Self {
+        let (lo, hi) = program.loops[k].range;
+        let n_iters = hi.saturating_sub(lo) as u64;
+        let refs = collect_refs(program, k);
+        let mut pairs = Vec::new();
+        for (array, ar) in refs.iter().enumerate() {
+            for (p, ap) in ar.accesses.iter().enumerate() {
+                for (q, aq) in ar.accesses.iter().enumerate().skip(p) {
+                    if !ap.is_write && !aq.is_write {
+                        continue;
+                    }
+                    let dep = if p == q {
+                        self_conflict(ap, lo, n_iters)
+                    } else {
+                        subscripts_conflict(ap.subscript, aq.subscript, lo, hi)
+                    };
+                    let Some(mut dep) = dep else { continue };
+                    let guarded = ap.guard.is_some() || aq.guard.is_some();
+                    if guarded {
+                        dep.certainty = Certainty::May;
+                    }
+                    // `aq` at iteration `i + t` touches what `ap` did at
+                    // `i`, with `t = (b1 - b2) / a`.
+                    let (uniform, reversed) = match (ap.subscript, aq.subscript) {
+                        (Subscript::Affine { a: 0, .. }, Subscript::Affine { a: 0, .. }) => {
+                            (true, aq.is_write && !ap.is_write)
+                        }
+                        (
+                            Subscript::Affine { a: a1, b: b1 },
+                            Subscript::Affine { a: a2, b: b2 },
+                        ) if a1 == a2 => (true, (b1 as i128 - b2 as i128) / (a1 as i128) < 0),
+                        _ => (false, false),
+                    };
+                    pairs.push(PairRow {
+                        array,
+                        p,
+                        q,
+                        dep,
+                        uniform,
+                        reversed,
+                        guarded,
+                    });
                 }
             }
-            if let Some(d) = dep {
-                consider(ConflictEvidence {
-                    src: RefInfo::of(ap),
-                    sink: RefInfo::of(aq),
-                    certainty: d.certainty,
-                    distance: d.distance,
-                    first_sink: d.first_sink,
-                    guarded,
-                });
-            }
         }
+        LoopDeps { refs, pairs }
     }
-    best
+
+    /// The rows of one array, in table order.
+    pub fn rows(&self, array: usize) -> impl Iterator<Item = &PairRow> {
+        self.pairs.iter().filter(move |r| r.array == array)
+    }
+
+    /// The evidence that most forces the test on `array`: the first row
+    /// at the best rank — proven before possible, nearer before farther.
+    pub fn evidence(&self, array: usize) -> Option<ConflictEvidence> {
+        let row = self.rows(array).min_by_key(|r| {
+            (
+                r.dep.certainty == Certainty::May,
+                r.dep.distance.unwrap_or(usize::MAX),
+            )
+        })?;
+        let acc = &self.refs[array].accesses;
+        Some(ConflictEvidence {
+            src: RefInfo::of(&acc[row.p]),
+            sink: RefInfo::of(&acc[row.q]),
+            certainty: row.dep.certainty,
+            distance: row.dep.distance,
+            first_sink: row.dep.first_sink,
+            guarded: row.guarded,
+        })
+    }
 }
 
 /// Can one access conflict with *itself* across iterations?
@@ -977,194 +1038,111 @@ fn body_has_break(body: &[Stmt]) -> bool {
     })
 }
 
-/// Build the DOACROSS eligibility proof for loop `k` of `program`.
+/// Fold loop `k`'s dependence table into its DOACROSS eligibility
+/// proof.
 ///
 /// The ladder, in order: counter programs are blocked (they compile to
 /// the EXTEND two-pass scheme, not a pipelineable body); loops with
-/// fewer than two iterations are trivially independent; every
-/// conflicting reference pair must be affine with *equal* strides
-/// (uniform distance) and unguarded, or provably disjoint — anything
-/// else blocks; reduction-classified arrays block (their lowered body
-/// performs speculative reduction ops with no direct-mode equivalent);
-/// a `break` blocks; and a loop whose surviving dependence set is
-/// empty is `Independent`, not `Eligible`.
-pub fn doacross_plan(program: &Program, k: usize) -> DoacrossPlan {
-    let nest = &program.loops[k];
-    let (lo, hi) = nest.range;
+/// fewer than two iterations are trivially independent; then, array by
+/// array, a reduction (hinted or natural, as `classes` says) blocks —
+/// its lowered body performs speculative reduction ops with no
+/// direct-mode equivalent — and so does the first row that is not
+/// uniform (opaque or unequal strides) or sits under a guard; a `break`
+/// blocks; and a loop with no uniform row is `Independent`, not
+/// `Eligible`.
+pub fn doacross_plan(
+    program: &Program,
+    k: usize,
+    deps: &LoopDeps,
+    classes: &[Classification],
+) -> DoacrossPlan {
+    let (lo, hi) = program.loops[k].range;
     let n_iters = hi.saturating_sub(lo);
-    let blocked = |array: Option<usize>, reference: Option<RefInfo>, reason: String| DoacrossPlan {
-        verdict: DoacrossVerdict::Blocked(DoacrossBlock {
-            array,
-            reference,
-            reason,
-        }),
-        deps: Vec::new(),
-        n_iters,
+    let (verdict, deps) = match prove(program, k, n_iters, deps, classes) {
+        Ok(deps) if deps.is_empty() => (DoacrossVerdict::Independent, deps),
+        Ok(deps) => (DoacrossVerdict::Eligible, deps),
+        Err(block) => (DoacrossVerdict::Blocked(block), Vec::new()),
     };
-
-    if program.counter.is_some() {
-        return blocked(
-            None,
-            None,
-            "program declares an induction counter (EXTEND scheme)".into(),
-        );
-    }
-    if n_iters < 2 {
-        return DoacrossPlan {
-            verdict: DoacrossVerdict::Independent,
-            deps: Vec::new(),
-            n_iters,
-        };
-    }
-
-    let refs = collect_refs(program, k);
-    let mut deps: Vec<DoacrossDep> = Vec::new();
-    for (array, ar) in refs.iter().enumerate() {
-        // Reduction-classified arrays lower to speculative reduction
-        // ops (no direct-mode execution path), so their presence in a
-        // dependent loop blocks the plan outright.
-        let hinted_reduction = matches!(program.arrays[array].hint, Some(KindHint::Reduction(_)));
-        let mut ops = ar.updates.iter().map(|(op, _)| *op);
-        let natural_reduction = !ar.updates.is_empty()
-            && !ar.non_reduction_ref
-            && ops.next().is_some_and(|first| ops.all(|op| op == first));
-        if hinted_reduction || natural_reduction {
-            let span = ar.updates.first().map(|(_, s)| *s).unwrap_or_default();
-            return blocked(
-                Some(array),
-                ar.accesses.first().map(RefInfo::of),
-                format!(
-                    "'{}' is a reduction (line {}): reductions lower to speculative ops",
-                    program.arrays[array].name, span.line
-                ),
-            );
-        }
-
-        for (p, ap) in ar.accesses.iter().enumerate() {
-            for aq in &ar.accesses[p..] {
-                if !ap.is_write && !aq.is_write {
-                    continue;
-                }
-                let is_self = std::ptr::eq(ap, aq);
-                match (ap.subscript, aq.subscript) {
-                    (Subscript::Affine { a: a1, b: b1 }, Subscript::Affine { a: a2, b: b2 })
-                        if a1 == a2 =>
-                    {
-                        // Uniform-distance candidate: i2 = i1 + t with
-                        // t = (b1 - b2) / a fixed across iterations.
-                        let t: i128 = if a1 == 0 {
-                            if is_self || b1 == b2 {
-                                1 // the same element, every iteration
-                            } else {
-                                continue; // distinct constants: disjoint
-                            }
-                        } else {
-                            if is_self {
-                                continue; // injective subscript: no self dep
-                            }
-                            let c = b1 as i128 - b2 as i128;
-                            if c % a1 as i128 != 0 {
-                                continue; // never the same element
-                            }
-                            c / a1 as i128
-                        };
-                        let d = t.unsigned_abs();
-                        if d == 0 || d >= n_iters as u128 {
-                            continue; // same-iteration touch or out of range
-                        }
-                        if ap.guard.is_some() || aq.guard.is_some() {
-                            let r = if ap.guard.is_some() { ap } else { aq };
-                            return blocked(
-                                Some(array),
-                                Some(RefInfo::of(r)),
-                                format!(
-                                    "'{}' (line {}) conflicts under a guard: the dependence may or may not fire",
-                                    r.text, r.span.line
-                                ),
-                            );
-                        }
-                        let (source, sink) = if a1 == 0 {
-                            // Same element every iteration: orient the
-                            // write as the source.
-                            if aq.is_write && !ap.is_write {
-                                (RefInfo::of(aq), RefInfo::of(ap))
-                            } else {
-                                (RefInfo::of(ap), RefInfo::of(aq))
-                            }
-                        } else if t > 0 {
-                            (RefInfo::of(ap), RefInfo::of(aq))
-                        } else {
-                            (RefInfo::of(aq), RefInfo::of(ap))
-                        };
-                        let distance = d as usize;
-                        if !deps
-                            .iter()
-                            .any(|e| e.array == array && e.distance == distance)
-                        {
-                            deps.push(DoacrossDep {
-                                array,
-                                distance,
-                                source,
-                                sink,
-                            });
-                        }
-                    }
-                    _ => {
-                        // Non-uniform or opaque geometry: only a proof
-                        // of disjointness saves the plan.
-                        let dep = if is_self {
-                            self_conflict(ap, lo, n_iters as u64)
-                        } else {
-                            subscripts_conflict(ap.subscript, aq.subscript, lo, hi)
-                        };
-                        if dep.is_some() {
-                            let opaque = matches!(ap.subscript, Subscript::Opaque { .. })
-                                || matches!(aq.subscript, Subscript::Opaque { .. });
-                            let r = if matches!(ap.subscript, Subscript::Opaque { .. }) {
-                                ap
-                            } else {
-                                aq
-                            };
-                            return blocked(
-                                Some(array),
-                                Some(RefInfo::of(r)),
-                                format!(
-                                    "'{}' (line {}) {}",
-                                    r.text,
-                                    r.span.line,
-                                    if opaque {
-                                        "has an opaque subscript: no uniform distance can be proven"
-                                    } else {
-                                        "conflicts at a non-uniform distance (unequal strides)"
-                                    }
-                                ),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    if deps.is_empty() {
-        return DoacrossPlan {
-            verdict: DoacrossVerdict::Independent,
-            deps,
-            n_iters,
-        };
-    }
-    if body_has_break(&nest.body) {
-        return blocked(
-            None,
-            None,
-            "loop has a premature exit: in-flight later iterations could not be undone".into(),
-        );
-    }
     DoacrossPlan {
-        verdict: DoacrossVerdict::Eligible,
+        verdict,
         deps,
         n_iters,
     }
+}
+
+/// The uniform dependences of [`doacross_plan`]'s ladder, or what
+/// blocks it.
+fn prove(
+    program: &Program,
+    k: usize,
+    n_iters: usize,
+    deps: &LoopDeps,
+    classes: &[Classification],
+) -> Result<Vec<DoacrossDep>, DoacrossBlock> {
+    let block = |array, reference: Option<&AccessDesc>, reason: String| DoacrossBlock {
+        array,
+        reference: reference.map(RefInfo::of),
+        reason,
+    };
+    if program.counter.is_some() {
+        let reason = "program declares an induction counter (EXTEND scheme)";
+        return Err(block(None, None, reason.into()));
+    }
+    if n_iters < 2 {
+        return Ok(Vec::new());
+    }
+
+    let is_reduction = |c: &Classification| matches!(c.class, Class::Reduction(_));
+    let mut proven: Vec<DoacrossDep> = Vec::new();
+    for (array, ar) in deps.refs.iter().enumerate() {
+        let c = &classes[array];
+        if is_reduction(c) || c.unhinted.as_deref().is_some_and(is_reduction) {
+            let span = ar.updates.first().map(|(_, s)| *s).unwrap_or_default();
+            let reason = format!(
+                "'{}' is a reduction (line {}): reductions lower to speculative ops",
+                program.arrays[array].name, span.line
+            );
+            return Err(block(Some(array), ar.accesses.first(), reason));
+        }
+        for row in deps.rows(array) {
+            let (ap, aq) = (&ar.accesses[row.p], &ar.accesses[row.q]);
+            let opaque = |a: &AccessDesc| matches!(a.subscript, Subscript::Opaque { .. });
+            let (r, why) = match (row.uniform, row.guarded) {
+                (false, _) if opaque(ap) || opaque(aq) => (
+                    if opaque(ap) { ap } else { aq },
+                    "has an opaque subscript: no uniform distance can be proven",
+                ),
+                (false, _) => (aq, "conflicts at a non-uniform distance (unequal strides)"),
+                (true, true) => (
+                    if ap.guard.is_some() { ap } else { aq },
+                    "conflicts under a guard: the dependence may or may not fire",
+                ),
+                (true, false) => {
+                    let distance = row.dep.distance.expect("a uniform row has a distance");
+                    if !proven
+                        .iter()
+                        .any(|e| e.array == array && e.distance == distance)
+                    {
+                        let (source, sink) = if row.reversed { (aq, ap) } else { (ap, aq) };
+                        proven.push(DoacrossDep {
+                            array,
+                            distance,
+                            source: RefInfo::of(source),
+                            sink: RefInfo::of(sink),
+                        });
+                    }
+                    continue;
+                }
+            };
+            let reason = format!("'{}' (line {}) {why}", r.text, r.span.line);
+            return Err(block(Some(array), Some(r), reason));
+        }
+    }
+    if !proven.is_empty() && body_has_break(&program.loops[k].body) {
+        let reason = "loop has a premature exit: in-flight later iterations could not be undone";
+        return Err(block(None, None, reason.into()));
+    }
+    Ok(proven)
 }
 
 /// Predicted marking footprint of one array in one loop.
@@ -1238,6 +1216,11 @@ mod tests {
 
     fn aff(a: i64, b: i64) -> Subscript {
         Subscript::Affine { a, b }
+    }
+
+    /// The evidence on array 0 of the first loop of `src`.
+    fn evidence_for(src: &str) -> Option<ConflictEvidence> {
+        LoopDeps::build(&parse(src).unwrap(), 0).evidence(0)
     }
 
     #[test]
@@ -1386,18 +1369,16 @@ mod tests {
 
     #[test]
     fn pigeonhole_makes_narrow_opaque_writes_a_must_conflict() {
-        let (refs, lo, hi) = refs_for("array A[10];\nfor i in 0..100 { A[i % 10] = i; }", 0);
-        let ev = array_conflict(&refs.accesses, lo, hi).unwrap();
+        let ev = evidence_for("array A[10];\nfor i in 0..100 { A[i % 10] = i; }").unwrap();
         assert_eq!(ev.certainty, Certainty::Must, "100 writes into 10 slots");
     }
 
     #[test]
     fn guards_demote_must_to_may() {
-        let (refs, lo, hi) = refs_for(
+        let ev = evidence_for(
             "array A[200];\nfor i in 0..100 { if i > 5 { A[i + 5] = 1; } A[i] = A[i] + 1; }",
-            0,
-        );
-        let ev = array_conflict(&refs.accesses, lo, hi).unwrap();
+        )
+        .unwrap();
         assert_eq!(ev.certainty, Certainty::May);
         assert!(ev.guarded);
         assert_eq!(ev.distance, Some(5), "the geometry still holds if it fires");
@@ -1405,8 +1386,7 @@ mod tests {
 
     #[test]
     fn conflict_evidence_carries_spans_and_text() {
-        let (refs, lo, hi) = refs_for("array A[101];\nfor i in 1..100 { A[i] = A[i - 1] + 1; }", 0);
-        let ev = array_conflict(&refs.accesses, lo, hi).unwrap();
+        let ev = evidence_for("array A[101];\nfor i in 1..100 { A[i] = A[i - 1] + 1; }").unwrap();
         assert_eq!(ev.distance, Some(1));
         assert!(ev.src.span.line > 0 && ev.sink.span.line > 0);
         assert!(
@@ -1416,7 +1396,7 @@ mod tests {
     }
 
     fn plan_for(src: &str) -> DoacrossPlan {
-        doacross_plan(&parse(src).unwrap(), 0)
+        crate::analyze::analyze_loop(&parse(src).unwrap(), 0).plan
     }
 
     #[test]

@@ -57,8 +57,11 @@ pub mod pretty;
 pub mod token;
 mod vm;
 
-pub use analyze::{classify_loop, classify_loop_exact, classify_program, Class, Classification};
-pub use depend::{doacross_plan, DoacrossBlock, DoacrossDep, DoacrossPlan, DoacrossVerdict};
+pub use analyze::{
+    analyze_loop, analyze_program, classify_loop, classify_loop_exact, Class, Classification,
+    LoopAnalysis,
+};
+pub use depend::{DoacrossBlock, DoacrossDep, DoacrossPlan, DoacrossVerdict};
 pub use error::LangError;
 pub use lint::{lint, Diagnostic, Level};
 pub use parse::parse;
@@ -102,8 +105,9 @@ impl Backend {
 #[derive(Debug)]
 pub struct CompiledProgram {
     program: Program,
-    /// `classes[loop][array]`.
-    classes: Vec<Vec<Classification>>,
+    /// `analyses[loop]`: the classifications and the DOACROSS plan,
+    /// decided once per loop.
+    analyses: Vec<LoopAnalysis>,
     /// Plain per-loop class tables (`class_tables[loop][array]`),
     /// precomputed so the per-iteration body never rebuilds them.
     class_tables: Vec<Vec<Class>>,
@@ -199,10 +203,10 @@ impl CompiledProgram {
                 "programs with a counter use the induction scheme: CompiledInduction::compile",
             ));
         }
-        let classes = classify_program(&program);
-        let class_tables = classes
+        let analyses = analyze_program(&program);
+        let class_tables = analyses
             .iter()
-            .map(|loop_classes| loop_classes.iter().map(|c| c.class).collect())
+            .map(|a| a.classes.iter().map(|c| c.class).collect())
             .collect();
         let names = program
             .arrays
@@ -212,12 +216,12 @@ impl CompiledProgram {
         let bytecode = program
             .loops
             .iter()
-            .zip(&classes)
-            .map(|(nest, arrays)| lower_loop(nest, arrays))
+            .zip(&analyses)
+            .map(|(nest, a)| lower_loop(nest, &a.classes))
             .collect();
         Ok(CompiledProgram {
             program,
-            classes,
+            analyses,
             class_tables,
             names,
             full_instrumentation: false,
@@ -299,7 +303,7 @@ impl CompiledProgram {
 
     /// The classifications of loop `k` (declaration order).
     pub fn classifications(&self, k: usize) -> &[Classification] {
-        &self.classes[k]
+        &self.analyses[k].classes
     }
 
     /// The parsed program.
@@ -335,11 +339,12 @@ impl CompiledProgram {
         }
     }
 
-    /// The DOACROSS eligibility proof for loop `k`: the uniform
-    /// distance set, source/sink roles, and (when blocked) the
-    /// reference that forced speculation. See [`depend::doacross_plan`].
-    pub fn doacross_plan(&self, k: usize) -> DoacrossPlan {
-        depend::doacross_plan(&self.program, k)
+    /// The DOACROSS eligibility proof for loop `k`, built at compile
+    /// time: the uniform distance set, source/sink roles, and (when
+    /// blocked) the reference that forced speculation. See
+    /// [`depend::doacross_plan`].
+    pub fn doacross_plan(&self, k: usize) -> &DoacrossPlan {
+        &self.analyses[k].plan
     }
 
     /// The proven distance vector of loop `k` packaged for
@@ -371,7 +376,8 @@ impl CompiledProgram {
     /// evidence holds a loop-variable value.
     pub fn predicted_first_dependence(&self, k: usize) -> Option<usize> {
         let lo = self.program.loops[k].range.0;
-        self.classes[k]
+        self.analyses[k]
+            .classes
             .iter()
             .filter_map(|c| c.evidence.as_ref().and_then(|ev| ev.first_sink))
             .min()
@@ -454,7 +460,7 @@ impl CompiledProgram {
         let res = self.run(cfg);
         let mut rows = Vec::new();
         for (k, report) in res.reports.iter().enumerate() {
-            for (decl, class) in self.program.arrays.iter().zip(&self.classes[k]) {
+            for (decl, class) in self.program.arrays.iter().zip(&self.analyses[k].classes) {
                 let touched = class.touch.map_or(0, |t| t.touched);
                 let predicted =
                     rlrpd_shadow::select::choose(decl.size, touched, self.shadow_budget).describe();
@@ -495,7 +501,7 @@ impl CompiledProgram {
     pub fn report(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        for (k, loop_classes) in self.classes.iter().enumerate() {
+        for (k, analysis) in self.analyses.iter().enumerate() {
             if self.num_loops() > 1 {
                 let nest = &self.program.loops[k];
                 let _ = writeln!(
@@ -504,7 +510,7 @@ impl CompiledProgram {
                     nest.loop_var, nest.range.0, nest.range.1
                 );
             }
-            for (decl, c) in self.program.arrays.iter().zip(loop_classes) {
+            for (decl, c) in self.program.arrays.iter().zip(&analysis.classes) {
                 let kind = match c.class {
                     Class::Tested => "TESTED   ".to_string(),
                     Class::Untested => "UNTESTED ".to_string(),
@@ -593,7 +599,7 @@ impl CompiledProgram {
         self.program
             .arrays
             .iter()
-            .zip(&self.classes[k])
+            .zip(&self.analyses[k].classes)
             .zip(&self.names)
             .zip(init)
             .map(|(((decl, class), &name), data)| {
@@ -1267,10 +1273,9 @@ mod tests {
         // The same loop written over 40..200 and over 0..160 with the
         // offset moved into the subscripts: both first collide at their
         // ninth iteration, index 8.
-        let offset = CompiledProgram::compile(
-            "array A[200];\nfor i in 40..200 { A[i] = A[i - 8] + 1; }",
-        )
-        .unwrap();
+        let offset =
+            CompiledProgram::compile("array A[200];\nfor i in 40..200 { A[i] = A[i - 8] + 1; }")
+                .unwrap();
         let shifted = CompiledProgram::compile(
             "array A[200];\nfor i in 0..160 { A[i + 40] = A[i + 32] + 1; }",
         )

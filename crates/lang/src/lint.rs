@@ -15,9 +15,9 @@
 //!
 //! Driven by the `rlrpd analyze` CLI subcommand.
 
-use crate::analyze::{classify_program, Class, Classification};
+use crate::analyze::{analyze_program, Class, Classification, LoopAnalysis};
 use crate::ast::{Program, Span, UpdateOp};
-use crate::depend::{doacross_plan, Certainty, DoacrossVerdict};
+use crate::depend::{Certainty, DoacrossVerdict};
 
 /// Severity of a [`Diagnostic`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -75,29 +75,16 @@ impl std::fmt::Display for Diagnostic {
 }
 
 /// Lint every loop of `program` assuming `p` processors (the schedule
-/// estimates need `p`). Classifies internally; use [`lint_classified`]
-/// to reuse existing classifications.
+/// estimates need `p`).
 pub fn lint(program: &Program, p: usize) -> Vec<Diagnostic> {
-    lint_classified(program, &classify_program(program), p)
-}
-
-/// Lint with precomputed classifications (`classes[loop][array]`).
-pub fn lint_classified(
-    program: &Program,
-    classes: &[Vec<Classification>],
-    p: usize,
-) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for (k, loop_classes) in classes.iter().enumerate() {
+    for (k, LoopAnalysis { classes, plan }) in analyze_program(program).iter().enumerate() {
         let (lo, hi) = program.loops[k].range;
         let n = hi.saturating_sub(lo);
 
         // Fully elided loops deserve saying so: no array needs the
         // LRPD test, so the loop runs as a single parallel doall.
-        if loop_classes
-            .iter()
-            .all(|c| matches!(c.class, Class::Untested))
-        {
+        if classes.iter().all(|c| matches!(c.class, Class::Untested)) {
             out.push(Diagnostic {
                 level: Level::Note,
                 code: "loop-parallel",
@@ -116,7 +103,6 @@ pub fn lint_classified(
 
         // DOACROSS verdict: can proven uniform distances replace the
         // speculation entirely?
-        let plan = doacross_plan(program, k);
         match &plan.verdict {
             DoacrossVerdict::Eligible => {
                 let dmin = plan.min_distance().unwrap_or(1);
@@ -163,7 +149,7 @@ pub fn lint_classified(
             // everything DOACROSS synchronization could add (nothing).
             DoacrossVerdict::Independent => {}
         }
-        for (id, c) in loop_classes.iter().enumerate() {
+        for (id, c) in classes.iter().enumerate() {
             let decl = &program.arrays[id];
             let mut d = |level, code, span, message, distance: Option<usize>, guarded: bool| {
                 out.push(Diagnostic {

@@ -317,11 +317,11 @@ mod tests {
             let p1 = parse(src).unwrap();
             let printed = print_program(&p1);
             let p2 = parse(&printed).unwrap_or_else(|e| panic!("reprint failed: {e}\n{printed}"));
-            let c1 = crate::classify_program(&p1);
-            let c2 = crate::classify_program(&p2);
+            let c1 = crate::analyze_program(&p1);
+            let c2 = crate::analyze_program(&p2);
             assert_eq!(c1.len(), c2.len());
             for (k, (l1, l2)) in c1.iter().zip(&c2).enumerate() {
-                for (j, (a, b)) in l1.iter().zip(l2).enumerate() {
+                for (j, (a, b)) in l1.classes.iter().zip(&l2.classes).enumerate() {
                     assert_eq!(
                         a.class, b.class,
                         "loop {k}, array {}: class changed across round trip\n{printed}",

@@ -1004,8 +1004,8 @@ fn plan_legs(
             _ => prog.doacross_config(k),
         };
         if doacross == DoacrossMode::On && proven.is_none() {
-            let reason = match prog.doacross_plan(k).verdict {
-                DoacrossVerdict::Blocked(b) => b.reason,
+            let reason = match &prog.doacross_plan(k).verdict {
+                DoacrossVerdict::Blocked(b) => b.reason.clone(),
                 DoacrossVerdict::Independent => "no cross-iteration dependence exists (a doall: \
                                                  synchronization would be pure overhead)"
                     .into(),
