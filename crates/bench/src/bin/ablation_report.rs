@@ -142,7 +142,7 @@ fn main() {
     const A: ArrayId = ArrayId(0);
     let rows: Vec<Vec<String>> = [
         ("dense (byte)", ShadowKind::Dense),
-        ("dense (bit-packed)", ShadowKind::DensePacked),
+        ("dense (bit-packed)", ShadowKind::Packed),
         ("sparse (hash)", ShadowKind::Sparse),
     ]
     .into_iter()

@@ -29,53 +29,16 @@ impl ArrayId {
     }
 }
 
-/// Shadow/private-storage representation for a tested array.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShadowKind {
-    /// One mark byte and one private slot per element. Right when the
-    /// loop touches a large fraction of the array (TRACK's NUSED).
-    Dense,
-    /// The paper's literal bit-packed layout: 3 mark bits per element
-    /// in planes (~4× smaller shadows), dense private slots.
-    DensePacked,
-    /// Hash-based shadow and private storage. Right for huge, sparsely
-    /// touched arrays (SPICE's equivalenced VALUE workspace).
-    Sparse,
-}
-
-impl ShadowKind {
-    /// The selection-layer choice this kind maps onto (the shadow
-    /// crate's pure selector speaks [`rlrpd_shadow::ShadowChoice`]; the
-    /// runtime additionally varies private storage by kind).
-    pub fn to_choice(self) -> rlrpd_shadow::ShadowChoice {
-        match self {
-            ShadowKind::Dense => rlrpd_shadow::ShadowChoice::Dense,
-            ShadowKind::DensePacked => rlrpd_shadow::ShadowChoice::Packed,
-            ShadowKind::Sparse => rlrpd_shadow::ShadowChoice::Sparse,
-        }
-    }
-
-    /// The kind implementing a selection-layer choice.
-    pub fn from_choice(choice: rlrpd_shadow::ShadowChoice) -> Self {
-        match choice {
-            rlrpd_shadow::ShadowChoice::Dense => ShadowKind::Dense,
-            rlrpd_shadow::ShadowChoice::Packed => ShadowKind::DensePacked,
-            rlrpd_shadow::ShadowChoice::Sparse => ShadowKind::Sparse,
-        }
-    }
-
-    /// The next-smaller representation on the budget-degradation
-    /// ladder, or `None` at the sparse floor.
-    pub fn down_tier(self) -> Option<ShadowKind> {
-        self.to_choice().down_tier().map(Self::from_choice)
-    }
-}
+/// Shadow representation of a tested array: dense mark bytes, the
+/// paper's bit-packed planes, or a hash map for huge sparsely touched
+/// arrays. Private values are paged the same way for every kind.
+pub use rlrpd_shadow::ShadowKind;
 
 /// How an array participates in the speculative execution.
 pub enum ArrayKind<T> {
     /// Compiler-unanalyzable: privatize, mark, test, commit.
     Tested {
-        /// Shadow & private-storage representation.
+        /// Shadow representation.
         shadow: ShadowKind,
         /// Optional speculative reduction operator: elements referenced
         /// exclusively through [`crate::ctx::IterCtx::reduce`] are

@@ -827,7 +827,7 @@ impl Runner {
             .map(|(&id, kind)| {
                 (
                     engine.meta[id].name.to_string(),
-                    kind.to_choice().describe().to_string(),
+                    kind.describe().to_string(),
                 )
             })
             .collect();

@@ -844,8 +844,7 @@ impl<'l, T: Value> Engine<'l, T> {
             self.tested_shadow[slot] = next;
             stats.shadow_migrations += 1;
             changed = true;
-            let projected =
-                p * rlrpd_shadow::footprint(next.to_choice(), self.tested_sizes[slot], touched);
+            let projected = p * rlrpd_shadow::footprint(next, self.tested_sizes[slot], touched);
             total = total.saturating_sub(bytes).saturating_add(projected);
         }
         changed
@@ -884,10 +883,10 @@ impl<'l, T: Value> Engine<'l, T> {
         let p = self.cfg.p as u64;
         let num_slots = self.tested_ids.len();
         let current: Vec<ShadowKind> = self.tested_shadow.clone();
-        let mut choices: Vec<rlrpd_shadow::ShadowChoice> = (0..num_slots)
+        let mut choices: Vec<ShadowKind> = (0..num_slots)
             .map(|slot| {
                 if observed[slot] == 0 {
-                    current[slot].to_choice()
+                    current[slot]
                 } else {
                     rlrpd_shadow::choose(self.tested_sizes[slot], observed[slot], None)
                 }
@@ -917,7 +916,7 @@ impl<'l, T: Value> Engine<'l, T> {
             }
         }
         for slot in 0..num_slots {
-            let kind = ShadowKind::from_choice(choices[slot]);
+            let kind = choices[slot];
             if kind != current[slot] {
                 self.tested_shadow[slot] = kind;
                 for st in &mut self.states {

@@ -129,7 +129,7 @@ impl<T: Value> ProcView<T> {
             store: PagedStore::new(size),
             accum: op.map(|_| PagedStore::new(size)),
             op,
-            shadow: Shadow::for_choice(kind.to_choice(), size),
+            shadow: Shadow::for_kind(kind, size),
             size,
             refs: 0,
         }
@@ -339,9 +339,8 @@ impl<T: Value> ProcView<T> {
     /// `migrating_a_live_view_changes_no_answer` test holds it to the
     /// contract on live views, every kind to every kind.
     pub fn migrate(&mut self, kind: ShadowKind) {
-        let choice = kind.to_choice();
-        if self.shadow.choice() != choice {
-            self.shadow = self.shadow.migrated(choice, self.size);
+        if self.shadow.kind() != kind {
+            self.shadow = self.shadow.migrated(kind, self.size);
         }
     }
 }
@@ -376,7 +375,7 @@ impl<T: Value> ProcView<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array::ShadowKind::{Dense, DensePacked, Sparse};
+    use crate::array::ShadowKind::{Dense, Packed, Sparse};
 
     fn shared_of(vals: &[f64]) -> impl Fn(usize) -> f64 + '_ {
         move |e| vals[e]
@@ -384,7 +383,7 @@ mod tests {
 
     #[test]
     fn exposed_read_copies_in_from_shared() {
-        for kind in [Dense, DensePacked, Sparse] {
+        for kind in [Dense, Packed, Sparse] {
             let shared = [10.0, 20.0, 30.0];
             let mut v = ProcView::<f64>::new(3, kind, None);
             assert_eq!(v.read(1, shared_of(&shared)), 20.0);
@@ -394,7 +393,7 @@ mod tests {
 
     #[test]
     fn write_then_read_stays_private() {
-        for kind in [Dense, DensePacked, Sparse] {
+        for kind in [Dense, Packed, Sparse] {
             let shared = [10.0, 20.0, 30.0];
             let mut v = ProcView::<f64>::new(3, kind, None);
             v.write(1, 99.0);
@@ -417,7 +416,7 @@ mod tests {
 
     #[test]
     fn pure_reduction_accumulates_delta() {
-        for kind in [Dense, DensePacked, Sparse] {
+        for kind in [Dense, Packed, Sparse] {
             let shared = [100.0; 2];
             let mut v = ProcView::new(2, kind, Some(Reduction::sum()));
             v.reduce(0, 3.0, shared_of(&shared));
@@ -474,7 +473,7 @@ mod tests {
 
     #[test]
     fn clear_resets_all_state() {
-        for kind in [Dense, DensePacked, Sparse] {
+        for kind in [Dense, Packed, Sparse] {
             let shared = [10.0; 4];
             let mut v = ProcView::new(4, kind, Some(Reduction::sum()));
             v.write(0, 1.0);
@@ -492,7 +491,7 @@ mod tests {
     #[test]
     fn a_view_holds_the_pages_it_wrote() {
         const SIZE: usize = 1 << 24;
-        for kind in [Dense, DensePacked, Sparse] {
+        for kind in [Dense, Packed, Sparse] {
             let mut v = ProcView::<f64>::new(SIZE, kind, None);
             for e in [5, SIZE / 2, SIZE - 1] {
                 v.write(e, e as f64);
@@ -547,8 +546,8 @@ mod tests {
             combine: |a: i64, b| a + b,
         };
         let shared = |e: usize| 1000 + e as i64;
-        for from in [Dense, DensePacked, Sparse] {
-            for to in [Dense, DensePacked, Sparse] {
+        for from in [Dense, Packed, Sparse] {
+            for to in [Dense, Packed, Sparse] {
                 let mut v = ProcView::new(SIZE, from, Some(sum));
                 // Every state of the machine, on page edges and inside
                 // pages: written, read-then-written, exposed read,

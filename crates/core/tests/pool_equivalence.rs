@@ -121,7 +121,7 @@ proptest! {
     ) {
         let kind = match kind_sel {
             0 => ShadowKind::Dense,
-            1 => ShadowKind::DensePacked,
+            1 => ShadowKind::Packed,
             _ => ShadowKind::Sparse,
         };
         let per_iter = Arc::new(per_iter);
@@ -185,7 +185,7 @@ proptest! {
     ) {
         let kind = match kind_sel {
             0 => ShadowKind::Dense,
-            1 => ShadowKind::DensePacked,
+            1 => ShadowKind::Packed,
             _ => ShadowKind::Sparse,
         };
         let views = build_views(&blocks, kind);
@@ -279,7 +279,7 @@ fn stages_above_the_grain_fan_out_and_match_the_sequential_merges() {
                     ArrayDecl::reduction(
                         "SUM",
                         vec![100i64; N / 4],
-                        ShadowKind::DensePacked,
+                        ShadowKind::Packed,
                         Reduction {
                             identity: 0,
                             combine: |a, b| a + b,

@@ -84,7 +84,7 @@ proptest! {
     ) {
         let kind = match kind_sel {
             0 => ShadowKind::Dense,
-            1 => ShadowKind::DensePacked,
+            1 => ShadowKind::Packed,
             _ => ShadowKind::Sparse,
         };
         let (expect_final, _) = oracle(&per_iter);

@@ -606,12 +606,7 @@ impl CompiledProgram {
                 // Shadow selection from the predicted touch density
                 // (arrays the loop never references predict 0 touches).
                 let touched = class.touch.map_or(0, |t| t.touched);
-                let shadow =
-                    match rlrpd_shadow::select::choose(decl.size, touched, self.shadow_budget) {
-                        rlrpd_shadow::ShadowChoice::Dense => ShadowKind::Dense,
-                        rlrpd_shadow::ShadowChoice::Packed => ShadowKind::DensePacked,
-                        rlrpd_shadow::ShadowChoice::Sparse => ShadowKind::Sparse,
-                    };
+                let shadow = rlrpd_shadow::select::choose(decl.size, touched, self.shadow_budget);
                 match class.class {
                     Class::Tested => ArrayDecl::tested(name, data, shadow),
                     // Shadow elision: a statically safe array gets no

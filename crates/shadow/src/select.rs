@@ -13,16 +13,18 @@
 //! budgets" item).
 //!
 //! [`choose`] is a pure function of `(size, predicted_touched, budget)`
-//! so the decision is auditable and testable in isolation; the language
-//! crate maps the result onto the runtime's shadow kinds. The optional
+//! so the decision is auditable and testable in isolation; the engine
+//! declares and migrates shadows in the same [`ShadowKind`]. The optional
 //! per-array budget clamps the density pick down the
 //! dense→packed→sparse ladder when the picked structure alone would
 //! exceed it ([`clamp_to_budget`]); sparse is the floor — its footprint
 //! follows touches, not `n`, so it is always admissible.
 
-/// Which shadow structure to instrument an array with.
+/// Which shadow structure to instrument an array with (re-exported by
+/// the engine as `rlrpd_core::ShadowKind`). Only the marks differ by
+/// kind: private values are paged the same way for every kind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShadowChoice {
+pub enum ShadowKind {
     /// One mark byte per element ([`crate::DenseShadow`]): fastest
     /// marks, O(size) allocation — right when most elements are hit.
     Dense,
@@ -35,23 +37,23 @@ pub enum ShadowChoice {
     Sparse,
 }
 
-impl ShadowChoice {
+impl ShadowKind {
     /// Short lowercase name for reports and lints.
     pub fn describe(self) -> &'static str {
         match self {
-            ShadowChoice::Dense => "dense",
-            ShadowChoice::Packed => "packed",
-            ShadowChoice::Sparse => "sparse",
+            ShadowKind::Dense => "dense",
+            ShadowKind::Packed => "packed",
+            ShadowKind::Sparse => "sparse",
         }
     }
 
     /// The next-smaller representation on the degradation ladder, or
     /// `None` at the sparse floor.
-    pub fn down_tier(self) -> Option<ShadowChoice> {
+    pub fn down_tier(self) -> Option<ShadowKind> {
         match self {
-            ShadowChoice::Dense => Some(ShadowChoice::Packed),
-            ShadowChoice::Packed => Some(ShadowChoice::Sparse),
-            ShadowChoice::Sparse => None,
+            ShadowKind::Dense => Some(ShadowKind::Packed),
+            ShadowKind::Packed => Some(ShadowKind::Sparse),
+            ShadowKind::Sparse => None,
         }
     }
 }
@@ -77,36 +79,36 @@ pub const SPARSE_ENTRY_BYTES: u64 = 16;
 pub const TOUCH_LIST_BYTES: u64 = 4;
 
 /// Predicted per-processor footprint, in bytes, of one shadow of
-/// `choice` over an array of `size` elements with `touched` distinct
+/// `kind` over an array of `size` elements with `touched` distinct
 /// references per stage. Pure; mirrors what the live structures report
 /// through the accountant (dense: a mark byte per element; packed:
 /// three bit-planes; sparse: hash entries), so the budget clamp and the
 /// runtime ladder agree on which representations fit.
-pub fn footprint(choice: ShadowChoice, size: usize, touched: usize) -> u64 {
+pub fn footprint(kind: ShadowKind, size: usize, touched: usize) -> u64 {
     // Distinct touches cannot exceed the array (overcounted predictions
     // clamp, mirroring `choose`'s density clamp).
     let touched = touched.min(size) as u64;
-    match choice {
-        ShadowChoice::Dense => size as u64 + touched * TOUCH_LIST_BYTES,
-        ShadowChoice::Packed => size.div_ceil(64) as u64 * 24 + touched * TOUCH_LIST_BYTES,
-        ShadowChoice::Sparse => touched * SPARSE_ENTRY_BYTES,
+    match kind {
+        ShadowKind::Dense => size as u64 + touched * TOUCH_LIST_BYTES,
+        ShadowKind::Packed => size.div_ceil(64) as u64 * 24 + touched * TOUCH_LIST_BYTES,
+        ShadowKind::Sparse => touched * SPARSE_ENTRY_BYTES,
     }
 }
 
-/// Walk `choice` down the dense→packed→sparse ladder until its
+/// Walk `kind` down the dense→packed→sparse ladder until its
 /// predicted [`footprint`] fits `budget` (no-op when `budget` is
 /// `None`). Sparse is the floor: it is returned even when its
 /// touch-proportional footprint exceeds the budget, because no
 /// representation can do better and the runtime's window-shrink /
 /// sequential-fallback rungs take over from there.
 pub fn clamp_to_budget(
-    choice: ShadowChoice,
+    kind: ShadowKind,
     size: usize,
     touched: usize,
     budget: Option<u64>,
-) -> ShadowChoice {
-    let Some(cap) = budget else { return choice };
-    let mut c = choice;
+) -> ShadowKind {
+    let Some(cap) = budget else { return kind };
+    let mut c = kind;
     while footprint(c, size, touched) > cap {
         match c.down_tier() {
             Some(next) => c = next,
@@ -121,17 +123,17 @@ pub fn clamp_to_budget(
 /// per speculative stage, under an optional per-array byte `budget`
 /// (see [`clamp_to_budget`]). Pure and total: callers may feed
 /// `touched > size` (clamped) or `size == 0` (dense).
-pub fn choose(size: usize, touched: usize, budget: Option<u64>) -> ShadowChoice {
+pub fn choose(size: usize, touched: usize, budget: Option<u64>) -> ShadowKind {
     let unclamped = if size < SMALL_ARRAY {
-        ShadowChoice::Dense
+        ShadowKind::Dense
     } else {
         let density = touched.min(size) as f64 / size as f64;
         if density <= SPARSE_DENSITY {
-            ShadowChoice::Sparse
+            ShadowKind::Sparse
         } else if density <= PACKED_DENSITY {
-            ShadowChoice::Packed
+            ShadowKind::Packed
         } else {
-            ShadowChoice::Dense
+            ShadowKind::Dense
         }
     };
     clamp_to_budget(unclamped, size, touched, budget)
@@ -143,42 +145,42 @@ mod tests {
 
     #[test]
     fn small_arrays_are_always_dense() {
-        assert_eq!(choose(8, 1, None), ShadowChoice::Dense);
-        assert_eq!(choose(1023, 0, None), ShadowChoice::Dense);
-        assert_eq!(choose(0, 0, None), ShadowChoice::Dense);
+        assert_eq!(choose(8, 1, None), ShadowKind::Dense);
+        assert_eq!(choose(1023, 0, None), ShadowKind::Dense);
+        assert_eq!(choose(0, 0, None), ShadowKind::Dense);
     }
 
     #[test]
     fn sparse_touches_on_big_arrays_hash() {
-        assert_eq!(choose(1 << 20, 100, None), ShadowChoice::Sparse);
-        assert_eq!(choose(1 << 20, (1 << 20) / 64, None), ShadowChoice::Sparse);
+        assert_eq!(choose(1 << 20, 100, None), ShadowKind::Sparse);
+        assert_eq!(choose(1 << 20, (1 << 20) / 64, None), ShadowKind::Sparse);
     }
 
     #[test]
     fn moderate_density_bit_packs() {
-        assert_eq!(choose(1 << 20, 1 << 17, None), ShadowChoice::Packed);
-        assert_eq!(choose(4096, 512, None), ShadowChoice::Packed);
+        assert_eq!(choose(1 << 20, 1 << 17, None), ShadowKind::Packed);
+        assert_eq!(choose(4096, 512, None), ShadowKind::Packed);
     }
 
     #[test]
     fn dense_touches_stay_dense() {
-        assert_eq!(choose(1 << 20, 1 << 19, None), ShadowChoice::Dense);
-        assert_eq!(choose(4096, 4096, None), ShadowChoice::Dense);
+        assert_eq!(choose(1 << 20, 1 << 19, None), ShadowKind::Dense);
+        assert_eq!(choose(4096, 4096, None), ShadowKind::Dense);
     }
 
     #[test]
     fn overcounted_touches_clamp() {
-        assert_eq!(choose(4096, usize::MAX, None), ShadowChoice::Dense);
+        assert_eq!(choose(4096, usize::MAX, None), ShadowKind::Dense);
     }
 
     #[test]
     fn boundaries_are_stable() {
         let size = 1 << 12;
         // Exactly at the sparse threshold: still sparse (<=).
-        assert_eq!(choose(size, size / 64, None), ShadowChoice::Sparse);
-        assert_eq!(choose(size, size / 64 + 1, None), ShadowChoice::Packed);
-        assert_eq!(choose(size, size / 4, None), ShadowChoice::Packed);
-        assert_eq!(choose(size, size / 4 + 1, None), ShadowChoice::Dense);
+        assert_eq!(choose(size, size / 64, None), ShadowKind::Sparse);
+        assert_eq!(choose(size, size / 64 + 1, None), ShadowKind::Packed);
+        assert_eq!(choose(size, size / 4, None), ShadowKind::Packed);
+        assert_eq!(choose(size, size / 4 + 1, None), ShadowKind::Dense);
     }
 
     #[test]
@@ -197,16 +199,13 @@ mod tests {
         // budget must drop to packed, and then to sparse.
         let size = 1 << 20;
         let touched = size / 2;
-        assert_eq!(choose(size, touched, None), ShadowChoice::Dense);
-        let packed_fits = footprint(ShadowChoice::Packed, size, touched);
-        assert_eq!(
-            choose(size, touched, Some(packed_fits)),
-            ShadowChoice::Packed
-        );
+        assert_eq!(choose(size, touched, None), ShadowKind::Dense);
+        let packed_fits = footprint(ShadowKind::Packed, size, touched);
+        assert_eq!(choose(size, touched, Some(packed_fits)), ShadowKind::Packed);
         // Below packed's footprint the only remaining tier is sparse.
         assert_eq!(
             choose(size, touched, Some(packed_fits - 1)),
-            ShadowChoice::Sparse
+            ShadowKind::Sparse
         );
     }
 
@@ -214,10 +213,10 @@ mod tests {
     fn sparse_is_the_floor_even_over_budget() {
         // Nothing smaller exists: a starvation budget still yields
         // sparse (the runtime ladder handles the rest).
-        assert_eq!(choose(1 << 20, 1 << 19, Some(1)), ShadowChoice::Sparse);
+        assert_eq!(choose(1 << 20, 1 << 19, Some(1)), ShadowKind::Sparse);
         assert_eq!(
-            clamp_to_budget(ShadowChoice::Sparse, 1 << 20, 1 << 19, Some(1)),
-            ShadowChoice::Sparse
+            clamp_to_budget(ShadowKind::Sparse, 1 << 20, 1 << 19, Some(1)),
+            ShadowKind::Sparse
         );
     }
 
@@ -225,15 +224,15 @@ mod tests {
     fn small_arrays_also_respect_the_budget() {
         // The small-array fast path is a performance default, not an
         // exemption from governance.
-        assert_eq!(choose(512, 4, Some(64)), ShadowChoice::Sparse);
+        assert_eq!(choose(512, 4, Some(64)), ShadowKind::Sparse);
     }
 
     #[test]
     fn footprint_orders_the_ladder() {
         let (size, touched) = (1 << 20, 1 << 14);
-        let d = footprint(ShadowChoice::Dense, size, touched);
-        let p = footprint(ShadowChoice::Packed, size, touched);
-        let s = footprint(ShadowChoice::Sparse, size, touched);
+        let d = footprint(ShadowKind::Dense, size, touched);
+        let p = footprint(ShadowKind::Packed, size, touched);
+        let s = footprint(ShadowKind::Sparse, size, touched);
         assert!(d > p && p > s, "{d} > {p} > {s}");
     }
 }

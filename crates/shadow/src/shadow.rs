@@ -9,7 +9,7 @@
 use crate::dense::DenseShadow;
 use crate::marks::Mark;
 use crate::packed::PackedShadow;
-use crate::select::ShadowChoice;
+use crate::select::ShadowKind;
 use crate::sparse::SparseShadow;
 
 /// A per-processor shadow of one array under test, dense or sparse.
@@ -39,22 +39,22 @@ impl Shadow {
         Shadow::Sparse(SparseShadow::new())
     }
 
-    /// A fresh shadow of the representation `choice` picked for an
-    /// array of `size` elements.
-    pub fn for_choice(choice: ShadowChoice, size: usize) -> Self {
-        match choice {
-            ShadowChoice::Dense => Shadow::dense(size),
-            ShadowChoice::Packed => Shadow::packed(size),
-            ShadowChoice::Sparse => Shadow::sparse(),
+    /// A fresh shadow of representation `kind` for an array of `size`
+    /// elements.
+    pub fn for_kind(kind: ShadowKind, size: usize) -> Self {
+        match kind {
+            ShadowKind::Dense => Shadow::dense(size),
+            ShadowKind::Packed => Shadow::packed(size),
+            ShadowKind::Sparse => Shadow::sparse(),
         }
     }
 
     /// Which representation this shadow currently is.
-    pub fn choice(&self) -> ShadowChoice {
+    pub fn kind(&self) -> ShadowKind {
         match self {
-            Shadow::Dense(_) => ShadowChoice::Dense,
-            Shadow::Packed(_) => ShadowChoice::Packed,
-            Shadow::Sparse(_) => ShadowChoice::Sparse,
+            Shadow::Dense(_) => ShadowKind::Dense,
+            Shadow::Packed(_) => ShadowKind::Packed,
+            Shadow::Sparse(_) => ShadowKind::Sparse,
         }
     }
 
@@ -160,7 +160,7 @@ impl Shadow {
         }
     }
 
-    /// A copy of this shadow in representation `choice` over `size`
+    /// A copy of this shadow in representation `kind` over `size`
     /// elements, carrying every live mark across.
     ///
     /// **Byte-identity guarantee:** the migrated shadow answers every
@@ -169,8 +169,8 @@ impl Shadow {
     /// depend on it, per [`Shadow::touched`]'s contract). The proptest
     /// suite holds Dense↔Packed↔Sparse round-trips to this contract
     /// for arbitrary mark sequences.
-    pub fn migrated(&self, choice: ShadowChoice, size: usize) -> Shadow {
-        let mut out = Shadow::for_choice(choice, size);
+    pub fn migrated(&self, kind: ShadowKind, size: usize) -> Shadow {
+        let mut out = Shadow::for_kind(kind, size);
         for (e, m) in self.touched() {
             out.restore(e, m);
         }

@@ -180,16 +180,16 @@ proptest! {
     /// round-tripping back — preserves every element's mark exactly.
     #[test]
     fn migration_preserves_all_marks(ops in ops(64)) {
-        use rlrpd_shadow::{Shadow, ShadowChoice};
+        use rlrpd_shadow::{Shadow, ShadowKind};
         let size = 64;
-        for start in [ShadowChoice::Dense, ShadowChoice::Packed, ShadowChoice::Sparse] {
-            let mut shadow = Shadow::for_choice(start, size);
+        for start in [ShadowKind::Dense, ShadowKind::Packed, ShadowKind::Sparse] {
+            let mut shadow = Shadow::for_kind(start, size);
             for op in &ops {
                 apply(&mut shadow, op);
             }
-            for dest in [ShadowChoice::Dense, ShadowChoice::Packed, ShadowChoice::Sparse] {
+            for dest in [ShadowKind::Dense, ShadowKind::Packed, ShadowKind::Sparse] {
                 let migrated = shadow.migrated(dest, size);
-                prop_assert_eq!(migrated.choice(), dest);
+                prop_assert_eq!(migrated.kind(), dest);
                 for e in 0..size {
                     prop_assert_eq!(
                         shadow.mark(e), migrated.mark(e),
@@ -213,9 +213,9 @@ proptest! {
         ops_a in ops(48), ops_b in ops(48),
         route in 0usize..3,
     ) {
-        use rlrpd_shadow::{Shadow, ShadowChoice};
+        use rlrpd_shadow::{Shadow, ShadowKind};
         let size = 48;
-        let dest = [ShadowChoice::Dense, ShadowChoice::Packed, ShadowChoice::Sparse][route];
+        let dest = [ShadowKind::Dense, ShadowKind::Packed, ShadowKind::Sparse][route];
         // Reference: one dense shadow, no migration.
         let mut reference = Shadow::dense(size);
         for op in ops_a.iter().chain(&ops_b) {

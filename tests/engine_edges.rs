@@ -249,7 +249,7 @@ fn packed_shadow_kind_runs_identically_to_dense() {
         )
     };
     let dense = run_speculative(&make(ShadowKind::Dense), RunConfig::new(4));
-    let packed = run_speculative(&make(ShadowKind::DensePacked), RunConfig::new(4));
+    let packed = run_speculative(&make(ShadowKind::Packed), RunConfig::new(4));
     let sparse = run_speculative(&make(ShadowKind::Sparse), RunConfig::new(4));
     assert_eq!(dense.arrays, packed.arrays);
     assert_eq!(dense.arrays, sparse.arrays);

@@ -50,11 +50,7 @@ fn every_configuration_combination_is_correct() {
         BalancePolicy::FeedbackTrend,
     ];
     let checkpoints = [CheckpointPolicy::Eager, CheckpointPolicy::OnDemand];
-    let kinds = [
-        ShadowKind::Dense,
-        ShadowKind::DensePacked,
-        ShadowKind::Sparse,
-    ];
+    let kinds = [ShadowKind::Dense, ShadowKind::Packed, ShadowKind::Sparse];
 
     for kind in kinds {
         let lp = workload(kind);
@@ -111,7 +107,7 @@ fn stage_structure_is_identical_across_shadow_kinds_and_checkpoints() {
         &workload(ShadowKind::Dense),
         RunConfig::new(6).with_strategy(Strategy::Nrd),
     );
-    for kind in [ShadowKind::DensePacked, ShadowKind::Sparse] {
+    for kind in [ShadowKind::Packed, ShadowKind::Sparse] {
         for checkpoint in [CheckpointPolicy::Eager, CheckpointPolicy::OnDemand] {
             let res = run_speculative(
                 &workload(kind),
