@@ -106,31 +106,27 @@ pub fn analyze_program(program: &Program) -> Vec<LoopAnalysis> {
 /// per-array classifications and the DOACROSS proof.
 pub fn analyze_loop(program: &Program, k: usize) -> LoopAnalysis {
     let deps = LoopDeps::build(program, k);
-    let classes = classify(program, k, &deps);
-    let plan = doacross_plan(program, k, &deps, &classes);
-    LoopAnalysis { classes, plan }
-}
-
-/// Classify every array of loop `k` (declaration order).
-pub fn classify_loop(program: &Program, k: usize) -> Vec<Classification> {
-    classify(program, k, &LoopDeps::build(program, k))
-}
-
-fn classify(program: &Program, k: usize, deps: &LoopDeps) -> Vec<Classification> {
     let (lo, hi) = program.loops[k].range;
-    program
+    let classes: Vec<Classification> = program
         .arrays
         .iter()
         .enumerate()
         .map(|(id, decl)| {
-            let mut c = classify_array(decl.hint, deps, id);
+            let mut c = classify_array(decl.hint, &deps, id);
             let accesses = &deps.refs[id].accesses;
             if !accesses.is_empty() {
                 c.touch = Some(touch_estimate(accesses, lo, hi, decl.size));
             }
             c
         })
-        .collect()
+        .collect();
+    let plan = doacross_plan(program, k, &deps, &classes);
+    LoopAnalysis { classes, plan }
+}
+
+/// Classify every array of loop `k` (declaration order).
+pub fn classify_loop(program: &Program, k: usize) -> Vec<Classification> {
+    analyze_loop(program, k).classes
 }
 
 fn classify_array(hint: Option<KindHint>, deps: &LoopDeps, id: usize) -> Classification {
