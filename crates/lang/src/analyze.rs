@@ -27,8 +27,8 @@
 
 use crate::ast::*;
 use crate::depend::{
-    self, doacross_plan, touch_estimate, ArrayRefs, Certainty, ConflictEvidence, DoacrossPlan,
-    LoopDeps, TouchEstimate,
+    self, doacross_plan, touch_estimate, Certainty, ConflictEvidence, DoacrossPlan, LoopDeps,
+    TouchEstimate,
 };
 use std::collections::HashMap;
 
@@ -84,7 +84,7 @@ impl Classification {
 
 /// Everything the pass decides about one loop, each a fold over the
 /// loop's one dependence table ([`LoopDeps`]).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct LoopAnalysis {
     /// Per-array classifications (declaration order).
     pub classes: Vec<Classification>,
@@ -142,7 +142,7 @@ fn classify_array(hint: Option<KindHint>, deps: &LoopDeps, id: usize) -> Classif
         return c;
     }
 
-    let refs: &ArrayRefs = &deps.refs[id];
+    let refs = &deps.refs[id];
     if !refs.updates.is_empty() && !refs.non_reduction_ref {
         let (op, first_span) = refs.updates[0];
         if refs.updates.iter().all(|&(o, _)| o == op) {

@@ -798,8 +798,9 @@ pub struct PairRow {
     /// Both subscripts are affine with equal strides, so the distance
     /// is the same at every iteration.
     pub uniform: bool,
-    /// On a uniform row, `q` is the source (touches the element first)
-    /// and `p` the sink; the write is the source of a constant element.
+    /// On a uniform row: `q` is the source (it touches the element at
+    /// the earlier iteration) and `p` the sink. Of two references to
+    /// one constant element, the write is the source.
     pub reversed: bool,
     /// At least one endpoint sits under a guard.
     pub guarded: bool,
@@ -1093,6 +1094,7 @@ fn prove(
     }
 
     let is_reduction = |c: &Classification| matches!(c.class, Class::Reduction(_));
+    let opaque = |a: &AccessDesc| matches!(a.subscript, Subscript::Opaque { .. });
     let mut proven: Vec<DoacrossDep> = Vec::new();
     for (array, ar) in deps.refs.iter().enumerate() {
         let c = &classes[array];
@@ -1106,7 +1108,6 @@ fn prove(
         }
         for row in deps.rows(array) {
             let (ap, aq) = (&ar.accesses[row.p], &ar.accesses[row.q]);
-            let opaque = |a: &AccessDesc| matches!(a.subscript, Subscript::Opaque { .. });
             let (r, why) = match (row.uniform, row.guarded) {
                 (false, _) if opaque(ap) || opaque(aq) => (
                     if opaque(ap) { ap } else { aq },
