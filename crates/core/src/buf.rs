@@ -9,12 +9,11 @@
 //! 1. **untested arrays during a stage** — the compiler (here: the
 //!    caller, via [`crate::array::ArrayKind::Untested`]'s contract)
 //!    guarantees concurrent iterations never write the same element;
-//! 2. **parallel commit** — the analysis phase partitions elements by
-//!    their *last committing writer*, so each block writes a disjoint
-//!    element set;
-//! 3. **parallel restore** — each failed processor undoes exactly the
-//!    elements it wrote, which the stage-1 contract already made
-//!    disjoint.
+//! 2. **commit** — each committed element is written once, tagged with
+//!    its *last committing writer*, so the blocks' write sets are
+//!    disjoint;
+//! 3. **restore** — each failed processor undoes exactly the elements
+//!    it wrote, which the stage-1 contract already made disjoint.
 //!
 //! In all three cases disjointness is an algorithmic invariant the type
 //! system cannot see, so writes go through [`SharedBuf::set`], an

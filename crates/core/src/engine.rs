@@ -11,7 +11,7 @@ use crate::array::{ArrayKind, ShadowKind};
 use crate::buf::SharedBuf;
 use crate::checkpoint::{CheckpointPolicy, EagerSnapshot, WriteLog};
 use crate::commit::{commit_tested, PerBlock};
-use crate::ctx::{ArrayMeta, IterCtx, Route, RoutedArrays};
+use crate::ctx::{ArrayMeta, IterCtx, RoutedArrays};
 use crate::error::RlrpdError;
 use crate::journal::CommitRecord;
 use crate::ledger::{CostRuns, LastProc};
@@ -538,28 +538,14 @@ impl<'l, T: Value> Engine<'l, T> {
             });
         }
 
-        // Size the post-execute phases to the stage's work: what the
-        // merges and the write-back walk is the entries the doall left
-        // in the shadows. A stage that left less than a grain per
-        // thread runs them, and the clear, right here — the doall stays
-        // its only fork-join, the one `s` the paper's model charges per
-        // stage; a wide stage fans all of them out. (Write-log entries
-        // are not counted: the clear resets them at about a nanosecond
-        // each, a fiftieth of what a merged shadow entry costs.)
-        let entries: usize = self
-            .states
-            .iter()
-            .flat_map(|st| &st.views)
-            .map(ProcView::num_touched)
-            .sum();
-        let wide = self.executor.fans_out(entries);
-
+        // Every phase below runs on this thread: the doall above is
+        // the stage's only fork-join, the one `s` the paper's model
+        // charges per stage (DESIGN §4.6).
         // 4. Analysis: merge shadows, locate the earliest sink. The
         // tree merge over p shadows costs O(max_touched · log p).
         let phase_start = std::time::Instant::now();
         let per_pos: Vec<&[ProcView<T>]> = self.states.iter().map(|s| s.views.as_slice()).collect();
-        let analysis: AnalysisResult =
-            analyze(&per_pos, &self.tested_ids, wide.then_some(&self.executor));
+        let analysis: AnalysisResult = analyze(&per_pos, &self.tested_ids);
         if timed {
             stats.phases.analysis_seconds = phase_start.elapsed().as_secs_f64();
         }
@@ -612,7 +598,6 @@ impl<'l, T: Value> Engine<'l, T> {
             &self.tested_ids,
             &self.reductions,
             &self.shared,
-            wide.then_some(&self.executor),
         );
         stats.overhead.add(
             OverheadKind::Commit,
@@ -677,10 +662,7 @@ impl<'l, T: Value> Engine<'l, T> {
             .map(|to_bits| self.capture_delta(commit_upto, &written, to_bits));
         drop(written);
 
-        // 8. Shadow re-initialization (O(touched) per block). Each
-        // block clears only its own private state, so a wide stage's
-        // clears run on the stage executor — under the pooled mode on
-        // the same persistent workers as the doall itself.
+        // 8. Shadow re-initialization (O(touched) per block).
         let phase_start = std::time::Instant::now();
         // The busiest block's touched count, as the analysis found it
         // (nothing has touched the views since).
@@ -702,7 +684,7 @@ impl<'l, T: Value> Engine<'l, T> {
                     .unwrap_or(0)
             })
             .collect();
-        let clear = |st: &mut BlockState<T>| {
+        for st in &mut self.states {
             for v in &mut st.views {
                 v.clear();
             }
@@ -710,14 +692,6 @@ impl<'l, T: Value> Engine<'l, T> {
             if record {
                 st.marks = (0..num_slots).map(|_| IterMarks::new()).collect();
             }
-        };
-        if wide {
-            self.executor.run_blocks(&mut self.states, |_, st| {
-                clear(st);
-                0.0
-            });
-        } else {
-            self.states.iter_mut().for_each(clear);
         }
         if timed {
             stats.phases.shadow_clear_seconds = phase_start.elapsed().as_secs_f64();
@@ -1182,40 +1156,7 @@ impl<'l, T: Value> Engine<'l, T> {
 /// truth every speculative strategy is tested against, and the
 /// denominator of reported speedups.
 pub fn run_sequential<T: Value>(lp: &dyn SpecLoop<T>) -> (Vec<(&'static str, Vec<T>)>, f64) {
-    let decls = lp.arrays();
-    let mut meta = Vec::with_capacity(decls.len());
-    let mut shared = Vec::with_capacity(decls.len());
-    let mut tested_slot = 0usize;
-    let mut untested_slot = 0usize;
-    for decl in decls {
-        let route = match decl.kind {
-            ArrayKind::Tested { reduction, .. } => {
-                let r = Route::Tested { slot: tested_slot };
-                tested_slot += 1;
-                meta.push(ArrayMeta {
-                    name: decl.name,
-                    route: r,
-                    reduction,
-                });
-                shared.push(SharedBuf::new(decl.init));
-                continue;
-            }
-            ArrayKind::Untested => {
-                let r = Route::Untested {
-                    slot: untested_slot,
-                };
-                untested_slot += 1;
-                r
-            }
-        };
-        meta.push(ArrayMeta {
-            name: decl.name,
-            route,
-            reduction: None,
-        });
-        shared.push(SharedBuf::new(decl.init));
-    }
-
+    let RoutedArrays { meta, shared, .. } = RoutedArrays::new(lp.arrays());
     let mut work = 0.0;
     let mut ctx = IterCtx::direct(0, 0, &meta, &shared);
     lp.run_iters(0..lp.num_iters(), &mut ctx, &mut |ctx| {
@@ -1250,11 +1191,24 @@ pub fn reduction_mask<T: Value>(lp: &dyn SpecLoop<T>) -> Vec<bool> {
         .collect()
 }
 
+/// Whether `have` may stand for the sequential `want` on a reduction
+/// array: the same bits, both NaN, or both finite and within
+/// `1e-9 · max(|want|, 1)`. A NaN or an infinity never passes for a
+/// number, nor a number for one.
+fn reduction_matches(want: f64, have: f64) -> bool {
+    want.to_bits() == have.to_bits()
+        || (want.is_nan() && have.is_nan())
+        || (want.is_finite()
+            && have.is_finite()
+            && (want - have).abs() <= 1e-9 * want.abs().max(1.0))
+}
+
 /// The one acceptance rule for a finished run, shared by `rlrpd run`,
 /// the daemon and the benchmark: every array of `got` must equal the
 /// sequential `reference` bit for bit (`f64::to_bits`), except arrays
 /// flagged in `reductions` ([`reduction_mask`]) — a parallel fold
-/// reassociates the sum, so those compare at `1e-9 · max(|x|, 1)`.
+/// reassociates the sum, so those compare at `1e-9 · max(|x|, 1)`
+/// between finite values ([`reduction_matches`]).
 pub fn verify_against_sequential(
     reference: &[(&'static str, Vec<f64>)],
     got: &[(&'static str, Vec<f64>)],
@@ -1277,7 +1231,7 @@ pub fn verify_against_sequential(
         }
         let mut pairs = want.iter().zip(have);
         let bad = if reduction {
-            pairs.position(|(a, b)| (a - b).abs() > 1e-9 * a.abs().max(1.0))
+            pairs.position(|(a, b)| !reduction_matches(*a, *b))
         } else {
             pairs.position(|(a, b)| a.to_bits() != b.to_bits())
         };
@@ -1501,6 +1455,18 @@ mod tests {
         assert!(verify_against_sequential(&reference, &off, &mask).is_ok());
         off[1].1[0] = 1e6 + 1.0;
         assert!(verify_against_sequential(&reference, &off, &mask).is_err());
+        // A NaN or an infinity is not a number within tolerance.
+        let one = vec![("SUM", vec![1.0])];
+        let nan = vec![("SUM", vec![f64::NAN])];
+        assert!(verify_against_sequential(&one, &nan, &[true]).is_err());
+        assert!(verify_against_sequential(&nan, &one, &[true]).is_err());
+        assert!(verify_against_sequential(&nan, &nan, &[true]).is_ok());
+        let inf = vec![("SUM", vec![f64::INFINITY])];
+        let five = vec![("SUM", vec![5.0])];
+        assert!(verify_against_sequential(&inf, &five, &[true]).is_err());
+        assert!(verify_against_sequential(&inf, &inf, &[true]).is_ok());
+        let neg_inf = vec![("SUM", vec![f64::NEG_INFINITY])];
+        assert!(verify_against_sequential(&inf, &neg_inf, &[true]).is_err());
 
         let mut off = reference.clone();
         off[0].1[1] = f64::from_bits(2.0f64.to_bits() + 1);

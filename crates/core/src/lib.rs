@@ -83,7 +83,7 @@ pub mod view;
 pub mod wavefront;
 pub mod window;
 
-pub use analysis::{analyze_parallel, analyze_seq, AnalysisResult, DepArc};
+pub use analysis::{AnalysisResult, DepArc};
 pub use array::{ArrayDecl, ArrayId, ArrayKind, ShadowKind};
 pub use checkpoint::CheckpointPolicy;
 pub use ctx::IterCtx;

@@ -9,12 +9,11 @@
 //!
 //! * [`ExecMode::Pooled`] — blocks run on real threads: a persistent
 //!   work-stealing [`WorkerPool`] created once and reused by every
-//!   stage, phase, and restart (see [`crate::pool`]). This proves the
+//!   stage and restart (see [`crate::pool`]). This proves the
 //!   engine is genuinely parallel and data-race-free and provides real
 //!   wall-clock measurements.
 //! * [`ExecMode::Distributed`] — block bodies run in worker processes;
-//!   everything else runs on the pool, as does the whole stage once the
-//!   fleet is lost.
+//!   once the fleet is lost the blocks run on the pool.
 //! * [`ExecMode::Simulated`] — blocks run sequentially in block order and
 //!   report *virtual* cost; stage time is the max over blocks, as on an
 //!   idealized `p`-processor machine. This is our deterministic
@@ -23,47 +22,15 @@
 //!   bit-for-bit reproducible on any host.
 //!
 //! All modes produce identical speculative outcomes; integration tests
-//! assert this.
+//! assert this. [`Executor::run_blocks`] / [`Executor::try_run_blocks`]
+//! are the one entry point: a stage's analysis, commit and shadow clear
+//! run on the submitting thread, so a pooled stage is one fork-join.
 
 use crate::cost::Cost;
 use crate::pool::{JobPanic, SendPtr, WorkerPool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Touched shadow entries per thread below which a stage's post-execute
-/// phases (analysis merge, commit merge, write-back, shadow clear) run
-/// on the submitting thread instead of fanning out — see
-/// [`Executor::fans_out`].
-///
-/// Derivation (p = 2, a two-array loop swept over window sizes; the
-/// pool figure is the benchmark's `runtime.pool_dispatch_us`):
-///
-/// * Fanning out costs a fixed `F` per stage: six pool round trips at
-///   ≈ 2 µs each on one pinned core, plus the bucket vectors and
-///   per-bucket hash maps — 13 µs measured there as the difference in
-///   stage time on stages too small for the merges to matter, and
-///   ≈ 90 µs once the pool's threads sit on different cores and every
-///   round trip is a cross-core wake-up.
-/// * The sequential merges cost ≈ 34 ns per touched entry (13 analysis,
-///   20 commit with its write-back, under 1 for the clear). The
-///   partitioned ones handle every entry twice — extract into buckets,
-///   then fold — for ≈ 47 ns of work per entry, spread over `w` threads.
-/// * `W` entries are therefore worth fanning out once
-///   `W · (34 − 47 / w) ns > F`: at `w = 2`, from 1 200 entries with the
-///   pinned `F` and 8 600 with the cross-core one, i.e. 600 to 4 300 per
-///   thread. At `w = 1` the left side is negative — one thread never
-///   gains — so a width-1 executor never fans out, whatever the count.
-///
-/// The constant is the power of two nearest the geometric middle of
-/// that range. It is deliberately per thread although the break-even in
-/// *total* entries barely moves with `w` (`F` grows with the threads to
-/// wake about as fast as `34 − 47 / w` does): on a wide pool the rule
-/// stays sequential up to ~3× longer than ideal, which forgoes a
-/// bounded share of one stage's merge time, whereas fanning out too
-/// early pays the whole `F` on every stage — the 36 → 6 µs of
-/// `core.stage_fixed_us` this rule exists to remove.
-const PHASE_GRAIN: usize = 2048;
 
 /// How to run the blocks of one stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,7 +41,7 @@ pub enum ExecMode {
     Simulated,
     /// Supervisor of a fleet of worker subprocesses: block bodies are
     /// dispatched over a wire protocol while analysis/commit phases run
-    /// on the in-process pool. When the dispatcher is lost (worker-loss
+    /// in process. When the dispatcher is lost (worker-loss
     /// budget exhausted) the executor itself behaves exactly like
     /// [`ExecMode::Pooled`], which is the first rung of the distributed
     /// degradation ladder.
@@ -112,8 +79,6 @@ impl StageTiming {
 pub struct Executor {
     mode: ExecMode,
     pool: Option<Arc<WorkerPool>>,
-    /// Threads a parallel section spreads over: the pool's width.
-    procs: usize,
     /// Parallel sections dispatched so far (clones count together).
     fork_joins: Arc<AtomicUsize>,
 }
@@ -141,7 +106,6 @@ impl Executor {
         Executor {
             mode,
             pool,
-            procs: procs.max(1),
             fork_joins: Arc::default(),
         }
     }
@@ -149,21 +113,6 @@ impl Executor {
     /// The executor's mode.
     pub fn mode(&self) -> ExecMode {
         self.mode
-    }
-
-    /// The persistent pool backing this executor, when pooled.
-    pub fn pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.pool.as_ref()
-    }
-
-    /// Whether a phase over `entries` touched shadow entries is worth a
-    /// fork-join: at least one [`PHASE_GRAIN`] per thread, and more
-    /// than one thread to spread them over. Otherwise the caller runs
-    /// the phase's sequential implementation on its own thread. Always
-    /// `false` under [`ExecMode::Simulated`], whose results must not
-    /// depend on the host.
-    pub fn fans_out(&self, entries: usize) -> bool {
-        self.mode != ExecMode::Simulated && self.procs > 1 && entries >= PHASE_GRAIN * self.procs
     }
 
     /// Parallel sections (pool jobs) this executor and its clones have
@@ -269,28 +218,6 @@ impl Executor {
             }
         }
     }
-
-    /// Run `f(i)` for `i in 0..n` under this executor's parallelism and
-    /// collect the results in index order. This is the substrate for
-    /// the parallel analysis / commit-merge phases: sequential under
-    /// [`ExecMode::Simulated`] (preserving bit-for-bit determinism),
-    /// on the pool's workers under [`ExecMode::Pooled`].
-    pub fn run_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        match self.mode {
-            ExecMode::Simulated => (0..n).map(f).collect(),
-            ExecMode::Pooled | ExecMode::Distributed => {
-                self.fork_joins.fetch_add(1, Ordering::Relaxed);
-                self.pool
-                    .as_ref()
-                    .expect("pooled executor has a pool")
-                    .run_indexed(n, f)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -354,7 +281,7 @@ mod tests {
     #[test]
     fn pooled_mode_reuses_one_pool_across_stages() {
         let ex = Executor::with_procs(ExecMode::Pooled, 3);
-        let pool = Arc::clone(ex.pool().expect("pooled executor has a pool"));
+        let pool = Arc::clone(ex.pool.as_ref().expect("pooled executor has a pool"));
         for stage in 0..50 {
             let mut states = vec![0usize; 5];
             let t = ex.run_blocks(&mut states, |pos, s| {
@@ -365,16 +292,7 @@ mod tests {
             assert!(states.iter().enumerate().all(|(p, &s)| s == stage * 10 + p));
         }
         // Same executor, same pool object throughout.
-        assert!(Arc::ptr_eq(&pool, ex.pool().unwrap()));
-    }
-
-    #[test]
-    fn run_indexed_matches_sequential_in_every_mode() {
-        for ex in modes() {
-            let out = ex.run_indexed(17, |i| i * 3 + 1);
-            let expect: Vec<usize> = (0..17).map(|i| i * 3 + 1).collect();
-            assert_eq!(out, expect, "mode {:?}", ex.mode());
-        }
+        assert!(Arc::ptr_eq(&pool, ex.pool.as_ref().unwrap()));
     }
 
     #[test]
@@ -437,7 +355,7 @@ mod tests {
         for ex in modes() {
             let mut states = vec![0usize; 3];
             ex.run_blocks(&mut states, |_, _| 1.0);
-            ex.clone().run_indexed(3, |i| i);
+            ex.clone().run_blocks(&mut states, |_, _| 1.0);
             let expect = if ex.mode() == ExecMode::Simulated {
                 0
             } else {
@@ -445,18 +363,6 @@ mod tests {
             };
             assert_eq!(ex.fork_joins(), expect, "mode {:?}", ex.mode());
         }
-    }
-
-    #[test]
-    fn small_phases_stay_on_the_submitting_thread() {
-        let pooled = Executor::with_procs(ExecMode::Pooled, 4);
-        assert!(!pooled.fans_out(0));
-        assert!(!pooled.fans_out(4 * PHASE_GRAIN - 1));
-        assert!(pooled.fans_out(4 * PHASE_GRAIN));
-        // One thread has nobody to fan out to; a simulated machine
-        // never forks.
-        assert!(!Executor::with_procs(ExecMode::Pooled, 1).fans_out(usize::MAX));
-        assert!(!Executor::with_procs(ExecMode::Simulated, 4).fans_out(usize::MAX));
     }
 
     #[test]

@@ -2,12 +2,10 @@
 //!
 //! The seed executor spawned one scoped OS thread per block per stage.
 //! An R-LRPD run executes *many* stages — every restart re-runs the
-//! remaining iterations as a fresh doall, and the analysis / commit /
-//! shadow-reset phases between stages are themselves parallel loops — so
-//! thread creation cost was paid hundreds of times per loop
-//! instantiation. This module replaces that with a pool of workers
-//! created **once** (per requested width) and reused by every stage,
-//! every phase, and every restart.
+//! remaining iterations as a fresh doall — so thread creation cost was
+//! paid hundreds of times per loop instantiation. This module replaces
+//! that with a pool of workers created **once** (per requested width)
+//! and reused by every stage and every restart.
 //!
 //! Design:
 //!
@@ -382,40 +380,6 @@ impl WorkerPool {
             None => Ok(()),
         }
     }
-
-    /// Run `f(i)` for every `i in 0..n` and collect the results in index
-    /// order. Task panics are re-raised.
-    pub fn run_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        match self.try_run_indexed(n, f) {
-            Ok(out) => out,
-            Err(p) => resume_unwind(p.payload),
-        }
-    }
-
-    /// Like [`WorkerPool::run_indexed`], but a task panic is contained
-    /// and returned as `Err(JobPanic)`; the surviving results are
-    /// discarded (the caller cannot know which slots are valid).
-    pub fn try_run_indexed<R, F>(&self, n: usize, f: F) -> Result<Vec<R>, JobPanic>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        let slots = SendPtr::new(out.as_mut_ptr());
-        self.try_run(n, &|i| {
-            // SAFETY: task indices are distinct and each writes only its
-            // own slot, so the derived &mut is exclusive.
-            unsafe { *slots.get().add(i) = Some(f(i)) };
-        })?;
-        Ok(out
-            .into_iter()
-            .map(|slot| slot.expect("pool task did not run"))
-            .collect())
-    }
 }
 
 /// The job on the calling thread alone, in index order — what a
@@ -511,13 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn run_indexed_returns_results_in_order() {
-        let pool = WorkerPool::new(3);
-        let out = pool.run_indexed(10, |i| i * i);
-        assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36, 49, 64, 81]);
-    }
-
-    #[test]
     fn pool_is_reused_across_many_jobs() {
         let pool = WorkerPool::new(2);
         let total = AtomicUsize::new(0);
@@ -584,21 +541,6 @@ mod tests {
             14,
             "all non-panicking indices still execute"
         );
-    }
-
-    #[test]
-    fn try_run_indexed_reports_the_panic() {
-        let pool = WorkerPool::new(2);
-        let err = pool
-            .try_run_indexed(6, |i| {
-                if i == 2 {
-                    std::panic::resume_unwind(Box::new("idx"));
-                }
-                i * 2
-            })
-            .expect_err("task 2 panicked");
-        assert_eq!(err.index, 2);
-        assert_eq!(pool.try_run_indexed(6, |i| i * 2).unwrap()[5], 10);
     }
 
     #[test]
@@ -726,7 +668,8 @@ mod tests {
             assert_eq!(err.message(), "caller at 0");
             assert_eq!(done.load(Ordering::Relaxed), 11, "every other index ran");
         }
-        assert_eq!(pool.run_indexed(5, |i| i + 1), vec![1, 2, 3, 4, 5]);
+        let (counts, _) = threads_of(&pool, 5);
+        assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
@@ -766,6 +709,7 @@ mod tests {
     fn zero_width_pool_is_clamped_to_one() {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.threads(), 1);
-        assert_eq!(pool.run_indexed(3, |i| i + 1), vec![1, 2, 3]);
+        let (counts, _) = threads_of(&pool, 3);
+        assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 }

@@ -101,7 +101,7 @@ pub struct PhaseSeconds {
     pub execute_seconds: f64,
     /// Shadow merge + dependence-test evaluation.
     pub analysis_seconds: f64,
-    /// Commit merge and parallel write-back.
+    /// Commit merge and write-back.
     pub commit_seconds: f64,
     /// Restoring untested state written by failed blocks.
     pub restore_seconds: f64,

@@ -75,13 +75,11 @@ fn nlfilt_agrees_across_executors() {
     assert_modes_agree("nlfilt/nrd", &lp, Strategy::Nrd, 8);
 }
 
-/// The paper's model charges one synchronization per stage. A
-/// sliding-window stage of NLFILT touches a few hundred shadow entries
-/// — far below the grain at which fanning the merges out pays — so
-/// its doall must be the only fork-join it issues: analysis, commit,
-/// write-back and shadow clear all run on the submitting thread. The
-/// simulated machine forks nothing at all, and both agree on every
-/// decision.
+/// The paper's model charges one synchronization per stage, so a
+/// sliding-window stage of NLFILT must issue its doall as its only
+/// fork-join: analysis, commit, write-back and shadow clear all run on
+/// the submitting thread. The simulated machine forks nothing at all,
+/// and both agree on every decision.
 #[test]
 fn a_windowed_nlfilt_stage_costs_one_fork_join() {
     let lp = NlfiltLoop::new(NlfiltInput {
