@@ -224,13 +224,7 @@ impl<'l, T: Value> Engine<'l, T> {
 
         let states = ProcId::all(cfg.p)
             .map(|_| BlockState {
-                views: tested_ids
-                    .iter()
-                    .enumerate()
-                    .map(|(slot, _)| {
-                        ProcView::new(tested_sizes[slot], tested_shadow[slot], reductions[slot])
-                    })
-                    .collect(),
+                views: fresh_views(&tested_sizes, &tested_shadow, &reductions),
                 wlog: WriteLog::new(&untested_sizes, cfg.checkpoint),
                 marks: if record_marks {
                     tested_ids.iter().map(|_| IterMarks::new()).collect()
@@ -292,34 +286,54 @@ impl<'l, T: Value> Engine<'l, T> {
         self.accounted_bytes = now;
     }
 
-    /// With a cap armed, down-tier the freshly built representations
-    /// (largest footprint first) until they fit — a worker handed a
-    /// budget smaller than its static selection assumed degrades here
-    /// instead of crashing. Ladder exhaustion is not an error: the
-    /// first stage's pressure check and the driver's window-shrink /
-    /// sequential-fallback rungs take over from there.
+    /// Per slot, the densest processor's distinct-touch count in the
+    /// live views: what the budget ladders project the next stage from.
+    fn densest_touches(&self) -> Vec<usize> {
+        (0..self.tested_ids.len())
+            .map(|slot| {
+                self.states
+                    .iter()
+                    .map(|st| st.views[slot].num_touched())
+                    .max()
+                    .unwrap_or(0)
+            })
+            .collect()
+    }
+
+    /// Walk the run's one budget ladder ([`rlrpd_shadow::fit_budget`])
+    /// from `kinds` under the cap, projecting `observed` touches plus
+    /// `extra` bytes, and migrate the views of every slot whose kind
+    /// changed. Returns how many did.
+    fn fit_shadows(&mut self, kinds: &[ShadowKind], observed: &[usize], extra: u64) -> usize {
+        let cap = self.cfg.budget.cap().unwrap_or(u64::MAX);
+        let p = self.cfg.p as u64;
+        let kinds = rlrpd_shadow::fit_budget(kinds, &self.tested_sizes, observed, p, extra, cap);
+        let mut migrated = 0;
+        for (slot, kind) in kinds.into_iter().enumerate() {
+            if kind != self.tested_shadow[slot] {
+                self.tested_shadow[slot] = kind;
+                for st in &mut self.states {
+                    st.views[slot].migrate(kind);
+                }
+                migrated += 1;
+            }
+        }
+        migrated
+    }
+
+    /// Fit the current representations to the cap before the next
+    /// stage runs: a worker handed a budget smaller than its static
+    /// selection assumed degrades here instead of crashing. The ladder
+    /// projects the live views' touches; the accountant's bytes beyond
+    /// this engine's (other engines of the same run) count as extra.
+    /// Ladder exhaustion is not an error: the first stage's pressure
+    /// check and the driver's window-shrink / sequential-fallback rungs
+    /// take over from there.
     pub(crate) fn enforce_budget_at_entry(&mut self) {
         self.account_shadow();
-        if !self.cfg.budget.is_limited() {
-            return;
-        }
-        while self.cfg.budget.over() {
-            let target = (0..self.tested_ids.len())
-                .filter(|&s| self.tested_shadow[s].down_tier().is_some())
-                .max_by_key(|&s| {
-                    self.states
-                        .iter()
-                        .map(|st| st.views[s].shadow_bytes())
-                        .sum::<u64>()
-                });
-            let Some(slot) = target else { return };
-            let next = self.tested_shadow[slot]
-                .down_tier()
-                .expect("filtered above");
-            self.tested_shadow[slot] = next;
-            for st in &mut self.states {
-                st.views[slot].migrate(next);
-            }
+        let others = self.cfg.budget.used().saturating_sub(self.accounted_bytes);
+        let kinds = self.tested_shadow.clone();
+        if self.fit_shadows(&kinds, &self.densest_touches(), others) > 0 {
             self.account_shadow();
         }
     }
@@ -479,22 +493,21 @@ impl<'l, T: Value> Engine<'l, T> {
         // 3.5 Budget accounting at the execute→analysis boundary: the
         // shadows grew during the doall; charge the delta and decide
         // whether the run is under budget pressure. Injected pressure
-        // charges phantom bytes (they show in the peak) and releases
-        // them immediately — only a run with a cap armed can trip.
+        // is a phantom spike on top of the live bytes (it shows in the
+        // peak, never in `used`) — only a run with a cap armed can trip.
         self.account_shadow();
         let mut pressured = self.cfg.budget.over();
         let mut phantom = 0u64;
-        if let Some(plan) = &fault_plan {
-            if let Some(bytes) = plan.shadow_pressure(stage) {
-                self.cfg.budget.charge(bytes);
-                if self.cfg.budget.over() {
-                    pressured = true;
-                    // The injected spike is real pressure to the relief
-                    // ladder: the representations must shed enough
-                    // bytes to absorb it, or the ladder is exhausted.
-                    phantom = bytes;
-                }
-                self.cfg.budget.release(bytes);
+        if let Some(bytes) = fault_plan
+            .as_ref()
+            .and_then(|plan| plan.shadow_pressure(stage))
+        {
+            if self.cfg.budget.spike(bytes) {
+                pressured = true;
+                // The injected spike is real pressure to the relief
+                // ladder: the representations must shed enough bytes
+                // to absorb it, or the ladder is exhausted.
+                phantom = bytes;
             }
         }
         if pressured {
@@ -672,18 +685,9 @@ impl<'l, T: Value> Engine<'l, T> {
         );
         let record = self.record_marks;
         let num_slots = self.tested_ids.len();
-        // Per-slot observed density for the commit-point re-selection
-        // below: the densest processor's distinct-touch count, captured
-        // before the clear wipes it.
-        let observed: Vec<usize> = (0..num_slots)
-            .map(|slot| {
-                self.states
-                    .iter()
-                    .map(|st| st.views[slot].num_touched())
-                    .max()
-                    .unwrap_or(0)
-            })
-            .collect();
+        // Observed density for the commit-point re-selection below,
+        // captured before the clear wipes it.
+        let observed = self.densest_touches();
         for st in &mut self.states {
             for v in &mut st.views {
                 v.clear();
@@ -699,13 +703,20 @@ impl<'l, T: Value> Engine<'l, T> {
 
         // 8.5 Commit-point re-selection: with the stage's work safely
         // committed or restored and the views empty, re-decide each
-        // array's representation from the observed touch density and
-        // migrate (O(1) per unchanged slot). Then reconcile the
-        // accountant: this is where dense→sparse migrations give bytes
-        // back.
+        // array's representation from the observed touch density (a
+        // slot the stage never touched keeps its kind), fit the picks
+        // to the cap and migrate (O(1) per unchanged slot). Then
+        // reconcile the accountant: this is where dense→sparse
+        // migrations give bytes back.
+        let picks: Vec<ShadowKind> = (0..num_slots)
+            .map(|slot| match observed[slot] {
+                0 => self.tested_shadow[slot],
+                seen => rlrpd_shadow::choose(self.tested_sizes[slot], seen),
+            })
+            .collect();
+        stats.shadow_migrations += self.fit_shadows(&picks, &observed, 0);
         // Max-fold rather than overwrite: on a distributed stage the
         // workers' reported footprints are already folded in.
-        self.reselect_shadows(&observed, &mut stats);
         self.account_shadow();
         stats.shadow_bytes_peak = stats.shadow_bytes_peak.max(self.cfg.budget.peak());
 
@@ -785,19 +796,16 @@ impl<'l, T: Value> Engine<'l, T> {
             return false;
         };
         let p = self.cfg.p as u64;
-        let mut by_size: Vec<(usize, u64, usize)> = (0..self.tested_ids.len())
-            .map(|slot| {
+        let mut by_size: Vec<(usize, u64, usize)> = self
+            .densest_touches()
+            .into_iter()
+            .enumerate()
+            .map(|(slot, touched)| {
                 let bytes = self
                     .states
                     .iter()
                     .map(|st| st.views[slot].shadow_bytes())
                     .sum();
-                let touched = self
-                    .states
-                    .iter()
-                    .map(|st| st.views[slot].num_touched())
-                    .max()
-                    .unwrap_or(0);
                 (slot, bytes, touched)
             })
             .collect();
@@ -834,69 +842,10 @@ impl<'l, T: Value> Engine<'l, T> {
         let record = self.record_marks;
         let num_slots = self.tested_ids.len();
         for st in &mut self.states {
-            for (slot, v) in st.views.iter_mut().enumerate() {
-                *v = ProcView::new(
-                    self.tested_sizes[slot],
-                    self.tested_shadow[slot],
-                    self.reductions[slot],
-                );
-            }
+            st.views = fresh_views(&self.tested_sizes, &self.tested_shadow, &self.reductions);
             st.wlog.clear();
             if record {
                 st.marks = (0..num_slots).map(|_| IterMarks::new()).collect();
-            }
-        }
-    }
-
-    /// Re-decide every array's representation from this stage's
-    /// observed per-processor touch density (slots the stage never
-    /// touched keep their current pick), clamp the set to the budget
-    /// cap largest-projected-first, and migrate the views whose kind
-    /// changed.
-    fn reselect_shadows(&mut self, observed: &[usize], stats: &mut StageStats) {
-        let p = self.cfg.p as u64;
-        let num_slots = self.tested_ids.len();
-        let current: Vec<ShadowKind> = self.tested_shadow.clone();
-        let mut choices: Vec<ShadowKind> = (0..num_slots)
-            .map(|slot| {
-                if observed[slot] == 0 {
-                    current[slot]
-                } else {
-                    rlrpd_shadow::choose(self.tested_sizes[slot], observed[slot], None)
-                }
-            })
-            .collect();
-        if let Some(cap) = self.cfg.budget.cap() {
-            loop {
-                let foot: Vec<u64> = (0..num_slots)
-                    .map(|slot| {
-                        p * rlrpd_shadow::footprint(
-                            choices[slot],
-                            self.tested_sizes[slot],
-                            observed[slot],
-                        )
-                    })
-                    .collect();
-                if foot.iter().sum::<u64>() <= cap {
-                    break;
-                }
-                let Some(slot) = (0..num_slots)
-                    .filter(|&s| choices[s].down_tier().is_some())
-                    .max_by_key(|&s| foot[s])
-                else {
-                    break;
-                };
-                choices[slot] = choices[slot].down_tier().expect("filtered above");
-            }
-        }
-        for slot in 0..num_slots {
-            let kind = choices[slot];
-            if kind != current[slot] {
-                self.tested_shadow[slot] = kind;
-                for st in &mut self.states {
-                    st.views[slot].migrate(kind);
-                }
-                stats.shadow_migrations += 1;
             }
         }
     }
@@ -914,7 +863,7 @@ impl<'l, T: Value> Engine<'l, T> {
     /// [`SpecLoop::run_iters`] call unless something must act between
     /// iterations: fault injection fires there, DDG extraction logs
     /// every reference under its iteration, and `stepwise` asks for it
-    /// outright (the worker's setting until ROADMAP 4(d) measures
+    /// outright (the worker's setting until ROADMAP 8(d) measures
     /// strips there).
     pub(crate) fn run_blocks_local(
         &mut self,
@@ -1149,6 +1098,17 @@ impl<'l, T: Value> Engine<'l, T> {
     pub fn sequential_work(&self) -> f64 {
         (0..self.n).map(|i| self.lp.cost(i)).sum()
     }
+}
+
+/// Fresh views, one per tested slot, each in its slot's kind.
+fn fresh_views<T: Value>(
+    sizes: &[usize],
+    kinds: &[ShadowKind],
+    reductions: &[Option<Reduction<T>>],
+) -> Vec<ProcView<T>> {
+    (0..sizes.len())
+        .map(|slot| ProcView::new(sizes[slot], kinds[slot], reductions[slot]))
+        .collect()
 }
 
 /// Execute `lp` sequentially (direct references, no speculation) and

@@ -926,16 +926,16 @@ fn run_block<T: Value + JournalElem>(engine: &mut Engine<'_, T>, req: &BlockRequ
     engine
         .restore_untested_writes(0, None, 0)
         .expect("the on-demand policy restores from its undo log");
+    // Worker-side governance: a block whose touches project past the
+    // hello's cap down-tiers here, before the clear, so the ladder
+    // sees what the block touched — the worker degrades rather than
+    // outgrowing the budget it was handed.
+    engine.enforce_budget_at_entry();
     let st = &mut engine.states[0];
     for v in &mut st.views {
         v.clear();
     }
     st.wlog.clear();
-    // Worker-side governance: a block that grew a sparse shadow past
-    // the hello's cap down-tiers here (cleared views keep their
-    // allocations, so the accountant still sees the growth) — the
-    // worker degrades rather than outgrowing the budget it was handed.
-    engine.enforce_budget_at_entry();
     reply
 }
 

@@ -130,12 +130,6 @@ pub struct CompiledProgram {
     /// Test seam: keep the VM at one iteration per dispatch even where
     /// the loop is eligible for strips.
     scalar_vm: bool,
-    /// Shadow-memory budget (bytes) the static shadow selection must
-    /// respect at loop entry: predicted-dense picks are clamped
-    /// down-tier when the dense footprint would blow the cap. `None` =
-    /// unlimited. The run-time accountant enforces the same cap against
-    /// *observed* footprints; this only shapes the starting point.
-    shadow_budget: Option<u64>,
 }
 
 /// One row of the observed-vs-predicted shadow audit
@@ -228,17 +222,7 @@ impl CompiledProgram {
             bytecode,
             backend: Backend::Bytecode,
             scalar_vm: false,
-            shadow_budget: None,
         })
-    }
-
-    /// Arm a shadow-memory budget: the entry shadow selection clamps
-    /// dense picks down-tier so the predicted footprint fits `bytes`,
-    /// and callers should arm the same cap on the run config so the
-    /// run-time ladder takes over from there.
-    pub fn with_shadow_budget(mut self, bytes: Option<u64>) -> Self {
-        self.shadow_budget = bytes;
-        self
     }
 
     /// Disable shadow elision: every non-reduction array is declared
@@ -462,8 +446,7 @@ impl CompiledProgram {
         for (k, report) in res.reports.iter().enumerate() {
             for (decl, class) in self.program.arrays.iter().zip(&self.analyses[k].classes) {
                 let touched = class.touch.map_or(0, |t| t.touched);
-                let predicted =
-                    rlrpd_shadow::select::choose(decl.size, touched, self.shadow_budget).describe();
+                let predicted = rlrpd_shadow::select::choose(decl.size, touched).describe();
                 // Only arrays the run actually instrumented appear on
                 // the report (elided arrays have no shadow to audit).
                 let Some((_, observed)) = report
@@ -606,7 +589,7 @@ impl CompiledProgram {
                 // Shadow selection from the predicted touch density
                 // (arrays the loop never references predict 0 touches).
                 let touched = class.touch.map_or(0, |t| t.touched);
-                let shadow = rlrpd_shadow::select::choose(decl.size, touched, self.shadow_budget);
+                let shadow = rlrpd_shadow::select::choose(decl.size, touched);
                 match class.class {
                     Class::Tested => ArrayDecl::tested(name, data, shadow),
                     // Shadow elision: a statically safe array gets no

@@ -308,7 +308,7 @@ pub fn lint(program: &Program, p: usize) -> Vec<Diagnostic> {
                             t.density * 100.0,
                             t.touched,
                             decl.size,
-                            rlrpd_shadow::select::choose(decl.size, t.touched, None).describe(),
+                            rlrpd_shadow::select::choose(decl.size, t.touched).describe(),
                         ),
                         None,
                         false,

@@ -10,10 +10,10 @@
 //!
 //! The accountant is deliberately dumb: it tracks `used` and `peak`
 //! bytes against an optional `cap` and answers "are we over?". *Policy*
-//! — the dense→packed→sparse ladder, window shrinking, sequential
-//! fallback — lives with the engine and driver, which consult the
-//! accountant at safe points (commit points, where untested state is
-//! about to be re-executed anyway).
+//! — the dense→packed→sparse ladder ([`crate::select::fit_budget`]),
+//! window shrinking, sequential fallback — lives with the engine and
+//! driver, which consult the accountant at safe points (commit points,
+//! where untested state is about to be re-executed anyway).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -73,18 +73,29 @@ impl ShadowBudget {
         (self.cap != UNLIMITED).then_some(self.cap)
     }
 
-    /// Whether a cap is armed.
-    pub fn is_limited(&self) -> bool {
-        self.cap != UNLIMITED
-    }
-
-    /// Report `bytes` of new shadow allocation or growth.
+    /// Report `bytes` of new shadow allocation or growth. Saturates at
+    /// `u64::MAX`: a charge never wraps.
     pub fn charge(&self, bytes: u64) {
         if bytes == 0 {
             return;
         }
-        let now = self.used.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        let grow = |used: u64| Some(used.saturating_add(bytes));
+        let was = self
+            .used
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, grow)
+            .unwrap_or_else(|was| was);
+        self.peak
+            .fetch_max(was.saturating_add(bytes), Ordering::Relaxed);
+    }
+
+    /// A transient spike of `bytes` on top of current usage (an
+    /// injected phantom allocation): it shows in the peak, `used` stays
+    /// where it was. Returns whether the spike exceeds the cap — any
+    /// size does under a cap, none does unlimited.
+    pub fn spike(&self, bytes: u64) -> bool {
+        let now = self.used().saturating_add(bytes);
         self.peak.fetch_max(now, Ordering::Relaxed);
+        now > self.cap
     }
 
     /// Report `bytes` of shadow memory returned (shrunk or freed).
@@ -120,11 +131,6 @@ impl ShadowBudget {
     /// unlimited).
     pub fn over(&self) -> bool {
         self.used() > self.cap
-    }
-
-    /// Whether usage of `bytes` would exceed the cap.
-    pub fn would_exceed(&self, bytes: u64) -> bool {
-        bytes > self.cap
     }
 }
 
@@ -250,7 +256,6 @@ mod tests {
         let b = ShadowBudget::unlimited();
         b.charge(u64::MAX / 2);
         assert!(!b.over());
-        assert!(!b.is_limited());
         assert_eq!(b.cap(), None);
         assert_eq!(b.peak(), u64::MAX / 2);
     }
@@ -281,7 +286,29 @@ mod tests {
     fn new_maps_option_to_cap() {
         assert_eq!(ShadowBudget::new(Some(64)).cap(), Some(64));
         assert_eq!(ShadowBudget::new(None).cap(), None);
-        assert!(ShadowBudget::new(Some(0)).would_exceed(1));
+    }
+
+    #[test]
+    fn a_charge_saturates_instead_of_overflowing() {
+        let b = ShadowBudget::limited(100);
+        b.charge(10);
+        b.charge(u64::MAX);
+        assert_eq!(b.used(), u64::MAX);
+        assert_eq!(b.peak(), u64::MAX);
+        assert!(b.over());
+    }
+
+    #[test]
+    fn a_spike_of_any_size_trips_the_cap_and_leaves_usage_alone() {
+        let b = ShadowBudget::limited(100);
+        b.charge(10);
+        for bytes in [91, u64::MAX - 10, u64::MAX] {
+            assert!(b.spike(bytes), "{bytes}");
+            assert_eq!(b.used(), 10, "{bytes}");
+        }
+        assert!(!b.spike(90), "exactly at the cap is not over");
+        assert_eq!(b.peak(), u64::MAX, "the spike shows in the peak");
+        assert!(!ShadowBudget::unlimited().spike(u64::MAX));
     }
 
     #[test]

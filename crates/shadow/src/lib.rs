@@ -57,6 +57,6 @@ pub use dense::DenseShadow;
 pub use iter_marks::{ElemEvents, EventKind, IterMarks};
 pub use marks::Mark;
 pub use packed::PackedShadow;
-pub use select::{choose, clamp_to_budget, footprint, ShadowKind};
+pub use select::{choose, fit_budget, footprint, ShadowKind};
 pub use shadow::Shadow;
 pub use sparse::SparseShadow;

@@ -12,13 +12,13 @@
 //! density (the ROADMAP "adaptive shadow selection under memory
 //! budgets" item).
 //!
-//! [`choose`] is a pure function of `(size, predicted_touched, budget)`
-//! so the decision is auditable and testable in isolation; the engine
-//! declares and migrates shadows in the same [`ShadowKind`]. The optional
-//! per-array budget clamps the density pick down the
-//! dense→packed→sparse ladder when the picked structure alone would
-//! exceed it ([`clamp_to_budget`]); sparse is the floor — its footprint
-//! follows touches, not `n`, so it is always admissible.
+//! [`choose`] is a pure function of `(size, predicted_touched)` so the
+//! decision is auditable and testable in isolation; the engine declares
+//! and migrates shadows in the same [`ShadowKind`]. There is no
+//! per-array budget: the byte cap is a run setting, and [`fit_budget`]
+//! is the run's one dense→packed→sparse ladder over all of a loop's
+//! tested arrays at once. Sparse is the floor — its footprint follows
+//! touches, not `n`, so it is always admissible.
 
 /// Which shadow structure to instrument an array with (re-exported by
 /// the engine as `rlrpd_core::ShadowKind`). Only the marks differ by
@@ -82,8 +82,8 @@ pub const TOUCH_LIST_BYTES: u64 = 4;
 /// `kind` over an array of `size` elements with `touched` distinct
 /// references per stage. Pure; mirrors what the live structures report
 /// through the accountant (dense: a mark byte per element; packed:
-/// three bit-planes; sparse: hash entries), so the budget clamp and the
-/// runtime ladder agree on which representations fit.
+/// three bit-planes; sparse: hash entries), so [`fit_budget`]'s
+/// projection and the accountant agree on which representations fit.
 pub fn footprint(kind: ShadowKind, size: usize, touched: usize) -> u64 {
     // Distinct touches cannot exceed the array (overcounted predictions
     // clamp, mirroring `choose`'s density clamp).
@@ -95,144 +95,173 @@ pub fn footprint(kind: ShadowKind, size: usize, touched: usize) -> u64 {
     }
 }
 
-/// Walk `kind` down the dense→packed→sparse ladder until its
-/// predicted [`footprint`] fits `budget` (no-op when `budget` is
-/// `None`). Sparse is the floor: it is returned even when its
-/// touch-proportional footprint exceeds the budget, because no
-/// representation can do better and the runtime's window-shrink /
-/// sequential-fallback rungs take over from there.
-pub fn clamp_to_budget(
-    kind: ShadowKind,
-    size: usize,
-    touched: usize,
-    budget: Option<u64>,
-) -> ShadowKind {
-    let Some(cap) = budget else { return kind };
-    let mut c = kind;
-    while footprint(c, size, touched) > cap {
-        match c.down_tier() {
-            Some(next) => c = next,
-            None => break,
-        }
-    }
-    c
-}
-
 /// Pick the shadow structure for an array of `size` elements of which
 /// the static analysis predicts `touched` distinct ones are referenced
-/// per speculative stage, under an optional per-array byte `budget`
-/// (see [`clamp_to_budget`]). Pure and total: callers may feed
+/// per speculative stage. Pure and total: callers may feed
 /// `touched > size` (clamped) or `size == 0` (dense).
-pub fn choose(size: usize, touched: usize, budget: Option<u64>) -> ShadowKind {
-    let unclamped = if size < SMALL_ARRAY {
-        ShadowKind::Dense
+pub fn choose(size: usize, touched: usize) -> ShadowKind {
+    if size < SMALL_ARRAY {
+        return ShadowKind::Dense;
+    }
+    let density = touched.min(size) as f64 / size as f64;
+    if density <= SPARSE_DENSITY {
+        ShadowKind::Sparse
+    } else if density <= PACKED_DENSITY {
+        ShadowKind::Packed
     } else {
-        let density = touched.min(size) as f64 / size as f64;
-        if density <= SPARSE_DENSITY {
-            ShadowKind::Sparse
-        } else if density <= PACKED_DENSITY {
-            ShadowKind::Packed
-        } else {
-            ShadowKind::Dense
-        }
+        ShadowKind::Dense
+    }
+}
+
+/// The run's one budget ladder. Slot `s` of a loop holds `kinds[s]`
+/// over `sizes[s]` elements, `touched[s]` of them per processor; the
+/// projection is `p` copies of every slot's [`footprint`] plus `extra`
+/// bytes the slots do not model. While it exceeds `cap`, the slot with
+/// the largest predicted footprint that is not yet sparse steps one
+/// tier down. Sparse is the floor: the result may still exceed `cap`,
+/// and the runtime's window-shrink / sequential-fallback rungs take
+/// over from there.
+pub fn fit_budget(
+    kinds: &[ShadowKind],
+    sizes: &[usize],
+    touched: &[usize],
+    p: u64,
+    extra: u64,
+    cap: u64,
+) -> Vec<ShadowKind> {
+    let mut kinds = kinds.to_vec();
+    let foot = |kinds: &[ShadowKind], s: usize| {
+        p.saturating_mul(footprint(kinds[s], sizes[s], touched[s]))
     };
-    clamp_to_budget(unclamped, size, touched, budget)
+    loop {
+        let total = (0..kinds.len()).fold(extra, |t, s| t.saturating_add(foot(&kinds, s)));
+        if total <= cap {
+            return kinds;
+        }
+        let Some((slot, next)) = (0..kinds.len())
+            .filter_map(|s| Some((s, kinds[s].down_tier()?)))
+            .max_by_key(|&(s, _)| foot(&kinds, s))
+        else {
+            return kinds;
+        };
+        kinds[slot] = next;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ShadowKind::{Dense, Packed, Sparse};
 
     #[test]
     fn small_arrays_are_always_dense() {
-        assert_eq!(choose(8, 1, None), ShadowKind::Dense);
-        assert_eq!(choose(1023, 0, None), ShadowKind::Dense);
-        assert_eq!(choose(0, 0, None), ShadowKind::Dense);
+        assert_eq!(choose(8, 1), ShadowKind::Dense);
+        assert_eq!(choose(1023, 0), ShadowKind::Dense);
+        assert_eq!(choose(0, 0), ShadowKind::Dense);
     }
 
     #[test]
     fn sparse_touches_on_big_arrays_hash() {
-        assert_eq!(choose(1 << 20, 100, None), ShadowKind::Sparse);
-        assert_eq!(choose(1 << 20, (1 << 20) / 64, None), ShadowKind::Sparse);
+        assert_eq!(choose(1 << 20, 100), ShadowKind::Sparse);
+        assert_eq!(choose(1 << 20, (1 << 20) / 64), ShadowKind::Sparse);
     }
 
     #[test]
     fn moderate_density_bit_packs() {
-        assert_eq!(choose(1 << 20, 1 << 17, None), ShadowKind::Packed);
-        assert_eq!(choose(4096, 512, None), ShadowKind::Packed);
+        assert_eq!(choose(1 << 20, 1 << 17), ShadowKind::Packed);
+        assert_eq!(choose(4096, 512), ShadowKind::Packed);
     }
 
     #[test]
     fn dense_touches_stay_dense() {
-        assert_eq!(choose(1 << 20, 1 << 19, None), ShadowKind::Dense);
-        assert_eq!(choose(4096, 4096, None), ShadowKind::Dense);
+        assert_eq!(choose(1 << 20, 1 << 19), ShadowKind::Dense);
+        assert_eq!(choose(4096, 4096), ShadowKind::Dense);
     }
 
     #[test]
     fn overcounted_touches_clamp() {
-        assert_eq!(choose(4096, usize::MAX, None), ShadowKind::Dense);
+        assert_eq!(choose(4096, usize::MAX), ShadowKind::Dense);
     }
 
     #[test]
     fn boundaries_are_stable() {
         let size = 1 << 12;
         // Exactly at the sparse threshold: still sparse (<=).
-        assert_eq!(choose(size, size / 64, None), ShadowKind::Sparse);
-        assert_eq!(choose(size, size / 64 + 1, None), ShadowKind::Packed);
-        assert_eq!(choose(size, size / 4, None), ShadowKind::Packed);
-        assert_eq!(choose(size, size / 4 + 1, None), ShadowKind::Dense);
+        assert_eq!(choose(size, size / 64), ShadowKind::Sparse);
+        assert_eq!(choose(size, size / 64 + 1), ShadowKind::Packed);
+        assert_eq!(choose(size, size / 4), ShadowKind::Packed);
+        assert_eq!(choose(size, size / 4 + 1), ShadowKind::Dense);
     }
 
     #[test]
-    fn unlimited_budget_changes_nothing() {
-        for (size, touched) in [(8, 1), (1 << 20, 100), (4096, 512), (4096, 4096)] {
-            assert_eq!(
-                choose(size, touched, None),
-                choose(size, touched, Some(u64::MAX))
-            );
-        }
-    }
-
-    #[test]
-    fn dense_pick_over_budget_down_tiers() {
-        // A dense-density array whose byte shadow alone exceeds the
-        // budget must drop to packed, and then to sparse.
-        let size = 1 << 20;
-        let touched = size / 2;
-        assert_eq!(choose(size, touched, None), ShadowKind::Dense);
-        let packed_fits = footprint(ShadowKind::Packed, size, touched);
-        assert_eq!(choose(size, touched, Some(packed_fits)), ShadowKind::Packed);
-        // Below packed's footprint the only remaining tier is sparse.
+    fn the_largest_predicted_footprint_steps_first() {
+        // Two dense slots over one cap: the bigger array steps first,
+        // and one step is enough.
+        let (sizes, touched) = ([1 << 12, 1 << 16], [64, 64]);
+        let fits_one_step =
+            2 * (footprint(Dense, sizes[0], touched[0]) + footprint(Packed, sizes[1], touched[1]));
         assert_eq!(
-            choose(size, touched, Some(packed_fits - 1)),
-            ShadowKind::Sparse
+            fit_budget(&[Dense, Dense], &sizes, &touched, 2, 0, fits_one_step),
+            [Dense, Packed]
+        );
+        // One byte less: the packed slot is still the largest, so it
+        // steps again and the small dense one is never touched.
+        assert_eq!(
+            fit_budget(&[Dense, Dense], &sizes, &touched, 2, 0, fits_one_step - 1),
+            [Dense, Sparse]
         );
     }
 
     #[test]
     fn sparse_is_the_floor_even_over_budget() {
-        // Nothing smaller exists: a starvation budget still yields
-        // sparse (the runtime ladder handles the rest).
-        assert_eq!(choose(1 << 20, 1 << 19, Some(1)), ShadowKind::Sparse);
+        // Nothing smaller exists: a starvation cap walks every slot to
+        // sparse and stops there (the runtime's rungs handle the rest).
+        let sizes = [1 << 20, 512];
+        let kinds = fit_budget(&[Dense, Packed], &sizes, &[1 << 19, 4], 4, 0, 1);
+        assert_eq!(kinds, [Sparse, Sparse]);
+        // The small-array fast path is a performance default, not an
+        // exemption from the ladder.
         assert_eq!(
-            clamp_to_budget(ShadowKind::Sparse, 1 << 20, 1 << 19, Some(1)),
-            ShadowKind::Sparse
+            fit_budget(&[choose(512, 4)], &[512], &[4], 1, 0, 64),
+            [Sparse]
         );
     }
 
     #[test]
-    fn small_arrays_also_respect_the_budget() {
-        // The small-array fast path is a performance default, not an
-        // exemption from governance.
-        assert_eq!(choose(512, 4, Some(64)), ShadowKind::Sparse);
+    fn extra_bytes_count_toward_the_total() {
+        let (sizes, touched) = ([1 << 16], [1 << 15]);
+        let dense = 4 * footprint(Dense, sizes[0], touched[0]);
+        assert_eq!(fit_budget(&[Dense], &sizes, &touched, 4, 0, dense), [Dense]);
+        assert_eq!(
+            fit_budget(&[Dense], &sizes, &touched, 4, 1, dense),
+            [Packed]
+        );
+        // An unbounded extra cannot overflow the projection: it walks
+        // to the floor.
+        assert_eq!(
+            fit_budget(&[Dense], &sizes, &touched, 4, u64::MAX, dense),
+            [Sparse]
+        );
+    }
+
+    #[test]
+    fn nothing_steps_when_the_projection_fits() {
+        let kinds = [Dense, Packed, Sparse];
+        let (sizes, touched) = ([8, 1 << 20, 1 << 20], [8, 1 << 17, 100]);
+        let total: u64 = (0..3)
+            .map(|s| 3 * footprint(kinds[s], sizes[s], touched[s]))
+            .sum();
+        assert_eq!(fit_budget(&kinds, &sizes, &touched, 3, 0, total), kinds);
+        assert_eq!(fit_budget(&kinds, &sizes, &touched, 3, 0, u64::MAX), kinds);
+        assert!(fit_budget(&[], &[], &[], 3, 0, 0).is_empty());
     }
 
     #[test]
     fn footprint_orders_the_ladder() {
         let (size, touched) = (1 << 20, 1 << 14);
-        let d = footprint(ShadowKind::Dense, size, touched);
-        let p = footprint(ShadowKind::Packed, size, touched);
-        let s = footprint(ShadowKind::Sparse, size, touched);
+        let d = footprint(Dense, size, touched);
+        let p = footprint(Packed, size, touched);
+        let s = footprint(Sparse, size, touched);
         assert!(d > p && p > s, "{d} > {p} > {s}");
     }
 }

@@ -1148,9 +1148,6 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
     if no_compile {
         prog = prog.with_interpreter();
     }
-    // The same cap governs the static entry selection and the run-time
-    // accountant (and, distributed, every worker).
-    prog = prog.with_shadow_budget(cfg.shadow_budget);
     let multi = prog.num_loops() > 1;
     if multi {
         check_kind(MULTI, &flags)?;

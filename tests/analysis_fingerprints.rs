@@ -148,7 +148,7 @@ fn rows_of(name: &str, src: &str, rows: &mut Vec<(String, u64)>) {
             writeln!(text, "{:?}", prog.predicted_first_dependence(k)).unwrap();
             for (decl, c) in program.arrays.iter().zip(prog.classifications(k)) {
                 let touched = c.touch.map_or(0, |t| t.touched);
-                let pick = rlrpd::shadow::select::choose(decl.size, touched, None);
+                let pick = rlrpd::shadow::select::choose(decl.size, touched);
                 writeln!(text, "{} {}", decl.name, pick.describe()).unwrap();
             }
             text.push_str(&prog.disassembly());

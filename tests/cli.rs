@@ -1499,3 +1499,80 @@ fn every_run_flag_is_honoured_or_refused_by_every_program_kind() {
     );
     std::fs::remove_file(&journal).ok();
 }
+
+/// The value of `"key":` in a one-object JSON report, up to the next
+/// top-level comma (`shadow_reprs` is taken whole, brackets included).
+fn json_field<'a>(json: &'a str, key: &str) -> &'a str {
+    let at = json.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+    let rest = &json[at..];
+    let end = match rest.starts_with('[') {
+        true => rest.find(']').expect("closing bracket") + 1,
+        false => rest.find([',', '}']).expect("end of field"),
+    };
+    &rest[..end]
+}
+
+/// The shadow budget is a run setting only: the CLI takes the same
+/// ladder as a library caller (and the daemon) that arms nothing but
+/// `RunConfig::shadow_budget`.
+#[test]
+fn the_cli_and_a_library_run_walk_one_budget_ladder() {
+    let path = program("tracking_large.rlp");
+    let flags = [
+        "--procs",
+        "4",
+        "--strategy",
+        "sw:16",
+        "--shadow-budget",
+        "2K",
+    ];
+    let args: Vec<&str> = ["run", &path, "--format", "json"]
+        .into_iter()
+        .chain(flags)
+        .collect();
+    let (ok, stdout, stderr) = rlrpd(&args);
+    assert!(ok, "{stderr}");
+    let cli = stdout.lines().last().expect("the JSON report");
+
+    let prog = rlrpd::lang::CompiledProgram::compile(&std::fs::read_to_string(&path).unwrap())
+        .expect("compiles");
+    let cfg = rlrpd::RunConfig::new(4)
+        .with_strategy("sw:16".parse().expect("strategy"))
+        .with_shadow_budget(Some(2048));
+    let lib = rlrpd::Runner::new(cfg)
+        .try_run(&prog.loop_view(0, prog.initial_arrays()))
+        .expect("runs")
+        .report
+        .to_json();
+    for key in [
+        "stages",
+        "restarts",
+        "shadow_migrations",
+        "shadow_pressure_events",
+        "shadow_reprs",
+    ] {
+        assert_eq!(json_field(cli, key), json_field(&lib, key), "{key}");
+    }
+}
+
+/// An injected spike of any size — `u64::MAX` bytes included — is one
+/// pressure event under a cap, contained and verified.
+#[test]
+fn a_phantom_spike_of_any_size_trips_the_budget() {
+    let (ok, stdout, stderr) = rlrpd(&[
+        "run",
+        &program("tracking_large.rlp"),
+        "--procs",
+        "4",
+        "--shadow-budget",
+        "48K",
+        "--shadow-fault",
+        "1:18446744073709551615",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(
+        stdout.contains("verified against sequential execution"),
+        "{stdout}"
+    );
+    assert!(stdout.contains(" 1 pressure events"), "{stdout}");
+}
