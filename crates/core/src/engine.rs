@@ -715,9 +715,9 @@ impl<'l, T: Value> Engine<'l, T> {
             })
             .collect();
         stats.shadow_migrations += self.fit_shadows(&picks, &observed, 0);
+        self.account_shadow();
         // Max-fold rather than overwrite: on a distributed stage the
         // workers' reported footprints are already folded in.
-        self.account_shadow();
         stats.shadow_bytes_peak = stats.shadow_bytes_peak.max(self.cfg.budget.peak());
 
         // 9. Barrier.
