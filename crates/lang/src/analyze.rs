@@ -26,6 +26,7 @@
 //! symbolic path is property-tested against.
 
 use crate::ast::*;
+use crate::bytecode::fold_expr;
 use crate::depend::{
     self, doacross_plan, touch_estimate, Certainty, ConflictEvidence, DoacrossPlan, LoopDeps,
     TouchEstimate,
@@ -278,7 +279,8 @@ pub fn classify_loop_exact(program: &Program, k: usize) -> Vec<Class> {
 }
 
 /// One iteration of the oracle's walk: evaluates pure subscripts with
-/// the interpreter's arithmetic, assumes every guard taken.
+/// the language's arithmetic ([`fold_expr`]), assumes every guard
+/// taken.
 struct ExactWalk<'t> {
     i: f64,
     iter: usize,
@@ -297,54 +299,15 @@ struct Group {
 }
 
 impl ExactWalk<'_> {
-    /// Pure evaluation mirroring the interpreter's arithmetic
-    /// (rounded `rem_euclid`, f64 elsewhere); `None` when the value
-    /// depends on array contents or the induction counter.
+    /// Pure evaluation with the language's arithmetic
+    /// ([`fold_expr`]); `None` when the value depends on array contents
+    /// or the induction counter.
     fn eval(&self, e: &Expr) -> Option<f64> {
-        match e {
-            Expr::Num(n) => Some(*n),
+        fold_expr(e, &|leaf| match leaf {
             Expr::LoopVar => Some(self.i),
-            Expr::Counter | Expr::Read { .. } => None,
             Expr::Local(slot) => self.locals.get(*slot).copied().flatten(),
-            Expr::Neg(inner) => Some(-self.eval(inner)?),
-            Expr::Not(inner) => Some(if self.eval(inner)? != 0.0 { 0.0 } else { 1.0 }),
-            Expr::Call { func, args } => {
-                let a = self.eval(&args[0])?;
-                Some(match func {
-                    Intrinsic::Min => a.min(self.eval(&args[1])?),
-                    Intrinsic::Max => a.max(self.eval(&args[1])?),
-                    Intrinsic::Abs => a.abs(),
-                    Intrinsic::Sqrt => a.sqrt(),
-                    Intrinsic::Floor => a.floor(),
-                })
-            }
-            Expr::Bin { op, lhs, rhs } => {
-                let l = self.eval(lhs)?;
-                let r = self.eval(rhs)?;
-                let b = |v: bool| if v { 1.0 } else { 0.0 };
-                Some(match op {
-                    BinOp::Add => l + r,
-                    BinOp::Sub => l - r,
-                    BinOp::Mul => l * r,
-                    BinOp::Div => l / r,
-                    BinOp::Rem => {
-                        let (li, ri) = (l.round() as i64, r.round() as i64);
-                        if ri == 0 {
-                            return None;
-                        }
-                        li.rem_euclid(ri) as f64
-                    }
-                    BinOp::Eq => b(l == r),
-                    BinOp::Ne => b(l != r),
-                    BinOp::Lt => b(l < r),
-                    BinOp::Le => b(l <= r),
-                    BinOp::Gt => b(l > r),
-                    BinOp::Ge => b(l >= r),
-                    BinOp::And => b(l != 0.0 && r != 0.0),
-                    BinOp::Or => b(l != 0.0 || r != 0.0),
-                })
-            }
-        }
+            _ => None,
+        })
     }
 
     fn record(&mut self, array: usize, index: &Expr, is_write: bool) {

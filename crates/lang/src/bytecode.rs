@@ -256,6 +256,63 @@ pub enum Insn {
     Halt,
 }
 
+impl Insn {
+    /// Visit every register operand once — the one list of the
+    /// registers an instruction names. The lowering remaps its
+    /// temporaries through it and [`verify`] bounds every register
+    /// through it; only the VM's dispatch loop and the disassembler
+    /// match on the fields themselves.
+    pub(crate) fn for_each_reg(&mut self, mut f: impl FnMut(&mut Reg)) {
+        let regs: &mut [&mut Reg] = match self {
+            Insn::Counter { dst } => &mut [dst],
+            Insn::JumpIfZero { cond, .. } => &mut [cond],
+            Insn::Move { dst, src } => &mut [dst, src],
+            Insn::Neg { dst, a }
+            | Insn::Not { dst, a }
+            | Insn::Abs { dst, a }
+            | Insn::Sqrt { dst, a }
+            | Insn::Floor { dst, a }
+            | Insn::RemPow2 { dst, a, .. } => &mut [dst, a],
+            Insn::Load { dst, idx, .. } | Insn::LoadMarked { dst, idx, .. } => &mut [dst, idx],
+            Insn::Store { idx, src, .. }
+            | Insn::StoreMarked { idx, src, .. }
+            | Insn::Reduce { idx, src, .. } => &mut [idx, src],
+            Insn::JumpUnless { a, b, .. } => &mut [a, b],
+            Insn::Add { dst, a, b }
+            | Insn::Sub { dst, a, b }
+            | Insn::Mul { dst, a, b }
+            | Insn::Div { dst, a, b }
+            | Insn::Rem { dst, a, b, .. }
+            | Insn::CmpEq { dst, a, b }
+            | Insn::CmpNe { dst, a, b }
+            | Insn::CmpLt { dst, a, b }
+            | Insn::CmpLe { dst, a, b }
+            | Insn::CmpGt { dst, a, b }
+            | Insn::CmpGe { dst, a, b }
+            | Insn::Min { dst, a, b }
+            | Insn::Max { dst, a, b } => &mut [dst, a, b],
+            Insn::MulAdd { dst, a, b, c }
+            | Insn::MulSub { dst, a, b, c }
+            | Insn::MulRSub { dst, a, b, c } => &mut [dst, a, b, c],
+            Insn::DualMulAdd { dst, a, b, c, d } => &mut [dst, a, b, c, d],
+            Insn::Jump { .. } | Insn::Bump | Insn::Exit | Insn::Halt => &mut [],
+        };
+        for r in regs {
+            f(r);
+        }
+    }
+
+    /// The branch target of a branch instruction.
+    pub(crate) fn target(&mut self) -> Option<&mut u32> {
+        match self {
+            Insn::Jump { target }
+            | Insn::JumpIfZero { target, .. }
+            | Insn::JumpUnless { target, .. } => Some(target),
+            _ => None,
+        }
+    }
+}
+
 /// Iterations per strip: how many consecutive iterations the VM
 /// executes per instruction dispatch when a loop is eligible
 /// ([`StripPlan`]).
@@ -342,17 +399,15 @@ impl StripPlan {
         }
         let mut slot_of = vec![0u16; code.len()];
         let mut ops = Vec::new();
-        for (pc, insn) in code.iter().enumerate() {
-            let op = match *insn {
+        for (pc, mut insn) in code.iter().copied().enumerate() {
+            if let Some(&mut target) = insn.target() {
+                // The per-lane resume-pc mask relies on it.
+                assert!(target as usize > pc, "lowering emitted a backward branch");
+                continue;
+            }
+            let op = match insn {
                 Insn::Exit => return Err(StripRefusal::Exit),
                 Insn::Counter { .. } | Insn::Bump => return Err(StripRefusal::Counter),
-                Insn::Jump { target }
-                | Insn::JumpIfZero { target, .. }
-                | Insn::JumpUnless { target, .. } => {
-                    // The per-lane resume-pc mask relies on it.
-                    assert!(target as usize > pc, "lowering emitted a backward branch");
-                    continue;
-                }
                 Insn::Load { arr, .. } | Insn::LoadMarked { arr, .. } => MemOp {
                     kind: MemKind::Load,
                     arr,
@@ -650,57 +705,61 @@ impl LoopCode {
     }
 }
 
-/// Fold a binary operator over two constants, mirroring the VM's (and
-/// the tree-walk interpreter's) runtime semantics exactly. Returns
-/// `None` when the operation must be left to fault at run time
-/// (`% 0`), so injected program faults fire identically under both
-/// backends.
-fn fold_bin(op: BinOp, l: f64, r: f64) -> Option<f64> {
+/// The one pure evaluator of the language's arithmetic on known
+/// values: the operators and intrinsics exactly as the VM and the
+/// tree-walk interpreter execute them, so folded results are
+/// bit-identical. `leaf` supplies every other leaf (the loop variable,
+/// locals); `None` — from a leaf, or from a `% 0` left to fault at run
+/// time under both backends — makes the whole expression unknown.
+pub(crate) fn fold_expr(e: &Expr, leaf: &impl Fn(&Expr) -> Option<f64>) -> Option<f64> {
+    let fold = |x: &Expr| fold_expr(x, leaf);
     let b = |v: bool| if v { 1.0 } else { 0.0 };
-    Some(match op {
-        BinOp::Add => l + r,
-        BinOp::Sub => l - r,
-        BinOp::Mul => l * r,
-        BinOp::Div => l / r,
-        BinOp::Rem => {
-            let (li, ri) = (crate::interp::round_i64(l), crate::interp::round_i64(r));
-            if ri == 0 {
-                return None;
-            }
-            li.rem_euclid(ri) as f64
-        }
-        BinOp::Eq => b(l == r),
-        BinOp::Ne => b(l != r),
-        BinOp::Lt => b(l < r),
-        BinOp::Le => b(l <= r),
-        BinOp::Gt => b(l > r),
-        BinOp::Ge => b(l >= r),
-        BinOp::And => b(l != 0.0 && r != 0.0),
-        BinOp::Or => b(l != 0.0 || r != 0.0),
-    })
-}
-
-/// Evaluate a constant subexpression at lowering time, or `None` when
-/// any leaf depends on the iteration. Folding uses the same IEEE ops
-/// the VM would execute, so folded results are bit-identical.
-fn try_const(e: &Expr) -> Option<f64> {
     match e {
         Expr::Num(n) => Some(*n),
-        Expr::Neg(x) => try_const(x).map(|v| -v),
-        Expr::Not(x) => try_const(x).map(|v| if v != 0.0 { 0.0 } else { 1.0 }),
-        Expr::Bin { op, lhs, rhs } => fold_bin(*op, try_const(lhs)?, try_const(rhs)?),
+        Expr::Neg(x) => fold(x).map(|v| -v),
+        Expr::Not(x) => fold(x).map(|v| b(v == 0.0)),
         Expr::Call { func, args } => {
-            let a = try_const(&args[0])?;
+            let a = fold(&args[0])?;
             Some(match func {
-                Intrinsic::Min => a.min(try_const(&args[1])?),
-                Intrinsic::Max => a.max(try_const(&args[1])?),
+                Intrinsic::Min => a.min(fold(&args[1])?),
+                Intrinsic::Max => a.max(fold(&args[1])?),
                 Intrinsic::Abs => a.abs(),
                 Intrinsic::Sqrt => a.sqrt(),
                 Intrinsic::Floor => a.floor(),
             })
         }
-        _ => None,
+        Expr::Bin { op, lhs, rhs } => {
+            let (l, r) = (fold(lhs)?, fold(rhs)?);
+            Some(match op {
+                BinOp::Add => l + r,
+                BinOp::Sub => l - r,
+                BinOp::Mul => l * r,
+                BinOp::Div => l / r,
+                BinOp::Rem => {
+                    let (li, ri) = (crate::interp::round_i64(l), crate::interp::round_i64(r));
+                    if ri == 0 {
+                        return None;
+                    }
+                    li.rem_euclid(ri) as f64
+                }
+                BinOp::Eq => b(l == r),
+                BinOp::Ne => b(l != r),
+                BinOp::Lt => b(l < r),
+                BinOp::Le => b(l <= r),
+                BinOp::Gt => b(l > r),
+                BinOp::Ge => b(l >= r),
+                BinOp::And => b(l != 0.0 && r != 0.0),
+                BinOp::Or => b(l != 0.0 || r != 0.0),
+            })
+        }
+        _ => leaf(e),
     }
+}
+
+/// Evaluate a constant subexpression at lowering time, or `None` when
+/// any leaf depends on the iteration.
+fn try_const(e: &Expr) -> Option<f64> {
+    fold_expr(e, &|_| None)
 }
 
 /// The `mask` licensing [`Insn::RemPow2`]: `e` is a constant whose
@@ -1056,12 +1115,7 @@ impl Lower<'_> {
     /// Patch a placeholder jump's target to the current position.
     fn patch(&mut self, at: usize) {
         let here = self.code.len() as u32;
-        match &mut self.code[at] {
-            Insn::Jump { target }
-            | Insn::JumpIfZero { target, .. }
-            | Insn::JumpUnless { target, .. } => *target = here,
-            other => unreachable!("patching non-jump {other:?}"),
-        }
+        *self.code[at].target().expect("patching a non-jump") = here;
     }
 
     /// Short-circuit `&&` / `||` producing `1.0` / `0.0` in `dst`,
@@ -1252,76 +1306,12 @@ impl Lower<'_> {
     fn finish(mut self) -> LoopCode {
         let temp_base = 1 + self.num_locals + self.consts.len() as u16;
         let num_regs = temp_base + self.max_temp;
-        let fix = |r: &mut Reg| {
-            if *r >= TEMP_TAG {
-                *r = temp_base + (*r - TEMP_TAG);
-            }
-        };
         for insn in &mut self.code {
-            match insn {
-                Insn::Move { dst, src } => {
-                    fix(dst);
-                    fix(src);
+            insn.for_each_reg(|r| {
+                if *r >= TEMP_TAG {
+                    *r = temp_base + (*r - TEMP_TAG);
                 }
-                Insn::Counter { dst } => fix(dst),
-                Insn::Add { dst, a, b }
-                | Insn::Sub { dst, a, b }
-                | Insn::Mul { dst, a, b }
-                | Insn::Div { dst, a, b }
-                | Insn::Rem { dst, a, b, .. }
-                | Insn::CmpEq { dst, a, b }
-                | Insn::CmpNe { dst, a, b }
-                | Insn::CmpLt { dst, a, b }
-                | Insn::CmpLe { dst, a, b }
-                | Insn::CmpGt { dst, a, b }
-                | Insn::CmpGe { dst, a, b }
-                | Insn::Min { dst, a, b }
-                | Insn::Max { dst, a, b } => {
-                    fix(dst);
-                    fix(a);
-                    fix(b);
-                }
-                Insn::MulAdd { dst, a, b, c }
-                | Insn::MulSub { dst, a, b, c }
-                | Insn::MulRSub { dst, a, b, c } => {
-                    fix(dst);
-                    fix(a);
-                    fix(b);
-                    fix(c);
-                }
-                Insn::DualMulAdd { dst, a, b, c, d } => {
-                    fix(dst);
-                    fix(a);
-                    fix(b);
-                    fix(c);
-                    fix(d);
-                }
-                Insn::Neg { dst, a }
-                | Insn::Not { dst, a }
-                | Insn::Abs { dst, a }
-                | Insn::Sqrt { dst, a }
-                | Insn::Floor { dst, a }
-                | Insn::RemPow2 { dst, a, .. } => {
-                    fix(dst);
-                    fix(a);
-                }
-                Insn::Load { dst, idx, .. } | Insn::LoadMarked { dst, idx, .. } => {
-                    fix(dst);
-                    fix(idx);
-                }
-                Insn::Store { idx, src, .. }
-                | Insn::StoreMarked { idx, src, .. }
-                | Insn::Reduce { idx, src, .. } => {
-                    fix(idx);
-                    fix(src);
-                }
-                Insn::JumpIfZero { cond, .. } => fix(cond),
-                Insn::JumpUnless { a, b, .. } => {
-                    fix(a);
-                    fix(b);
-                }
-                Insn::Jump { .. } | Insn::Bump | Insn::Exit | Insn::Halt => {}
-            }
+            });
         }
         let code = LoopCode {
             strips: StripPlan::build(&self.code, self.arrays),
@@ -1354,75 +1344,10 @@ fn verify(code: &LoopCode) {
         matches!(code.code.last(), Some(Insn::Halt)),
         "body must end in halt"
     );
-    for insn in &code.code {
-        match *insn {
-            Insn::Move { dst, src } => {
-                reg(dst);
-                reg(src);
-            }
-            Insn::Counter { dst } => reg(dst),
-            Insn::Add { dst, a, b }
-            | Insn::Sub { dst, a, b }
-            | Insn::Mul { dst, a, b }
-            | Insn::Div { dst, a, b }
-            | Insn::Rem { dst, a, b, .. }
-            | Insn::CmpEq { dst, a, b }
-            | Insn::CmpNe { dst, a, b }
-            | Insn::CmpLt { dst, a, b }
-            | Insn::CmpLe { dst, a, b }
-            | Insn::CmpGt { dst, a, b }
-            | Insn::CmpGe { dst, a, b }
-            | Insn::Min { dst, a, b }
-            | Insn::Max { dst, a, b } => {
-                reg(dst);
-                reg(a);
-                reg(b);
-            }
-            Insn::MulAdd { dst, a, b, c }
-            | Insn::MulSub { dst, a, b, c }
-            | Insn::MulRSub { dst, a, b, c } => {
-                reg(dst);
-                reg(a);
-                reg(b);
-                reg(c);
-            }
-            Insn::DualMulAdd { dst, a, b, c, d } => {
-                reg(dst);
-                reg(a);
-                reg(b);
-                reg(c);
-                reg(d);
-            }
-            Insn::Neg { dst, a }
-            | Insn::Not { dst, a }
-            | Insn::Abs { dst, a }
-            | Insn::Sqrt { dst, a }
-            | Insn::Floor { dst, a }
-            | Insn::RemPow2 { dst, a, .. } => {
-                reg(dst);
-                reg(a);
-            }
-            Insn::Load { dst, idx, .. } | Insn::LoadMarked { dst, idx, .. } => {
-                reg(dst);
-                reg(idx);
-            }
-            Insn::Store { idx, src, .. }
-            | Insn::StoreMarked { idx, src, .. }
-            | Insn::Reduce { idx, src, .. } => {
-                reg(idx);
-                reg(src);
-            }
-            Insn::Jump { target } => tgt(target),
-            Insn::JumpIfZero { cond, target } => {
-                reg(cond);
-                tgt(target);
-            }
-            Insn::JumpUnless { a, b, target, .. } => {
-                reg(a);
-                reg(b);
-                tgt(target);
-            }
-            Insn::Bump | Insn::Exit | Insn::Halt => {}
+    for mut insn in code.code.iter().copied() {
+        insn.for_each_reg(|r| reg(*r));
+        if let Some(&mut t) = insn.target() {
+            tgt(t);
         }
     }
 }
@@ -1442,6 +1367,205 @@ mod tests {
         // Fixed width: the four-register multiply-accumulate forms and
         // the fused compare-and-branch set the size.
         assert_eq!(std::mem::size_of::<Insn>(), 12);
+    }
+
+    /// Every variant once, its register fields numbered `1, 2, …` and
+    /// each branch aimed at the final `halt` (pc 1 of `[insn, halt]`).
+    fn every_insn() -> Vec<(Insn, usize)> {
+        let (trusted, int, target, pred) = (false, false, 1, Pred::Lt);
+        let rows = vec![
+            (Insn::Move { dst: 1, src: 2 }, 2),
+            (Insn::Counter { dst: 1 }, 1),
+            (Insn::Add { dst: 1, a: 2, b: 3 }, 3),
+            (Insn::Sub { dst: 1, a: 2, b: 3 }, 3),
+            (Insn::Mul { dst: 1, a: 2, b: 3 }, 3),
+            (Insn::Div { dst: 1, a: 2, b: 3 }, 3),
+            (
+                Insn::Rem {
+                    dst: 1,
+                    a: 2,
+                    b: 3,
+                    int,
+                },
+                3,
+            ),
+            (
+                Insn::RemPow2 {
+                    dst: 1,
+                    a: 2,
+                    mask: 7,
+                    int,
+                },
+                2,
+            ),
+            (
+                Insn::MulAdd {
+                    dst: 1,
+                    a: 2,
+                    b: 3,
+                    c: 4,
+                },
+                4,
+            ),
+            (
+                Insn::DualMulAdd {
+                    dst: 1,
+                    a: 2,
+                    b: 3,
+                    c: 4,
+                    d: 5,
+                },
+                5,
+            ),
+            (
+                Insn::MulSub {
+                    dst: 1,
+                    a: 2,
+                    b: 3,
+                    c: 4,
+                },
+                4,
+            ),
+            (
+                Insn::MulRSub {
+                    dst: 1,
+                    a: 2,
+                    b: 3,
+                    c: 4,
+                },
+                4,
+            ),
+            (Insn::CmpEq { dst: 1, a: 2, b: 3 }, 3),
+            (Insn::CmpNe { dst: 1, a: 2, b: 3 }, 3),
+            (Insn::CmpLt { dst: 1, a: 2, b: 3 }, 3),
+            (Insn::CmpLe { dst: 1, a: 2, b: 3 }, 3),
+            (Insn::CmpGt { dst: 1, a: 2, b: 3 }, 3),
+            (Insn::CmpGe { dst: 1, a: 2, b: 3 }, 3),
+            (Insn::Neg { dst: 1, a: 2 }, 2),
+            (Insn::Not { dst: 1, a: 2 }, 2),
+            (Insn::Min { dst: 1, a: 2, b: 3 }, 3),
+            (Insn::Max { dst: 1, a: 2, b: 3 }, 3),
+            (Insn::Abs { dst: 1, a: 2 }, 2),
+            (Insn::Sqrt { dst: 1, a: 2 }, 2),
+            (Insn::Floor { dst: 1, a: 2 }, 2),
+            (
+                Insn::Load {
+                    dst: 1,
+                    arr: 0,
+                    idx: 2,
+                    trusted,
+                },
+                2,
+            ),
+            (
+                Insn::Store {
+                    arr: 0,
+                    idx: 1,
+                    src: 2,
+                    trusted,
+                },
+                2,
+            ),
+            (
+                Insn::LoadMarked {
+                    dst: 1,
+                    arr: 0,
+                    idx: 2,
+                    trusted,
+                },
+                2,
+            ),
+            (
+                Insn::StoreMarked {
+                    arr: 0,
+                    idx: 1,
+                    src: 2,
+                    trusted,
+                },
+                2,
+            ),
+            (
+                Insn::Reduce {
+                    arr: 0,
+                    idx: 1,
+                    src: 2,
+                    trusted,
+                },
+                2,
+            ),
+            (Insn::Jump { target }, 0),
+            (Insn::JumpIfZero { cond: 1, target }, 1),
+            (
+                Insn::JumpUnless {
+                    pred,
+                    a: 1,
+                    b: 2,
+                    target,
+                },
+                2,
+            ),
+            (Insn::Bump, 0),
+            (Insn::Exit, 0),
+            (Insn::Halt, 0),
+        ];
+        let kinds: std::collections::HashSet<_> = rows
+            .iter()
+            .map(|(i, _)| std::mem::discriminant(i))
+            .collect();
+        assert_eq!(kinds.len(), rows.len(), "one row per variant");
+        rows
+    }
+
+    /// `[insn, halt]` over six registers: every operand of
+    /// [`every_insn`] in range, every target inside the code.
+    fn body(insn: Insn) -> LoopCode {
+        LoopCode {
+            code: vec![insn, Insn::Halt],
+            spans: vec![Span::none(); 2],
+            consts: Vec::new(),
+            num_locals: 0,
+            num_regs: 6,
+            uid: 0,
+            strips: Err(StripRefusal::Exit),
+        }
+    }
+
+    fn rejects(code: &LoopCode) -> bool {
+        std::panic::catch_unwind(|| verify(code)).is_err()
+    }
+
+    #[test]
+    fn the_operand_list_visits_each_register_field_once() {
+        for (mut insn, fields) in every_insn() {
+            let mut seen = Vec::new();
+            insn.for_each_reg(|r| seen.push(*r));
+            seen.sort_unstable();
+            let want: Vec<Reg> = (1..=fields as Reg).collect();
+            assert_eq!(seen, want, "{insn:?}");
+        }
+    }
+
+    #[test]
+    fn the_verifier_rejects_every_register_and_target_out_of_range() {
+        for (insn, fields) in every_insn() {
+            assert!(!rejects(&body(insn)), "{insn:?} is in range");
+            for k in 0..fields {
+                let mut bad = insn;
+                let mut at = 0;
+                bad.for_each_reg(|r| {
+                    if at == k {
+                        *r = 6;
+                    }
+                    at += 1;
+                });
+                assert!(rejects(&body(bad)), "{bad:?}: register {k} = num_regs");
+            }
+            let mut bad = insn;
+            if let Some(t) = bad.target() {
+                *t = 2;
+                assert!(rejects(&body(bad)), "{bad:?}: target = code.len()");
+            }
+        }
     }
 
     #[test]

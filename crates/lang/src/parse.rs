@@ -371,48 +371,7 @@ impl Parser {
                 let (_, line, col) = self.ident()?;
                 let span = Span::at(line, col);
                 if let Some(&array) = self.scalar_ids.get(&name) {
-                    // Scalar assignment: desugar to element 0.
-                    let index = Expr::Num(0.0);
-                    let stmt = match self.peek().kind {
-                        Tok::Op("=") => {
-                            self.bump();
-                            let expr = self.expr()?;
-                            Stmt::Assign {
-                                array,
-                                index,
-                                expr,
-                                span,
-                            }
-                        }
-                        Tok::Op("+=") => {
-                            self.bump();
-                            let expr = self.expr()?;
-                            Stmt::Update {
-                                array,
-                                index,
-                                op: UpdateOp::Add,
-                                expr,
-                                span,
-                            }
-                        }
-                        Tok::Op("*=") => {
-                            self.bump();
-                            let expr = self.expr()?;
-                            Stmt::Update {
-                                array,
-                                index,
-                                op: UpdateOp::Mul,
-                                expr,
-                                span,
-                            }
-                        }
-                        ref other => {
-                            let msg = format!("expected '=', '+=' or '*=', found {other}");
-                            return self.err(msg);
-                        }
-                    };
-                    self.expect_punct(';')?;
-                    return Ok(stmt);
+                    return self.assignment(array, Expr::Num(0.0), span);
                 }
                 let Some(&array) = self.array_ids.get(&name) else {
                     return Err(LangError::at(
@@ -424,52 +383,45 @@ impl Parser {
                 self.expect_punct('[')?;
                 let index = self.expr()?;
                 self.expect_punct(']')?;
-                let stmt = match self.peek().kind {
-                    Tok::Op("=") => {
-                        self.bump();
-                        let expr = self.expr()?;
-                        Stmt::Assign {
-                            array,
-                            index,
-                            expr,
-                            span,
-                        }
-                    }
-                    Tok::Op("+=") => {
-                        self.bump();
-                        let expr = self.expr()?;
-                        Stmt::Update {
-                            array,
-                            index,
-                            op: UpdateOp::Add,
-                            expr,
-                            span,
-                        }
-                    }
-                    Tok::Op("*=") => {
-                        self.bump();
-                        let expr = self.expr()?;
-                        Stmt::Update {
-                            array,
-                            index,
-                            op: UpdateOp::Mul,
-                            expr,
-                            span,
-                        }
-                    }
-                    ref other => {
-                        let msg = format!("expected '=', '+=' or '*=', found {other}");
-                        return self.err(msg);
-                    }
-                };
-                self.expect_punct(';')?;
-                Ok(stmt)
+                self.assignment(array, index, span)
             }
             other => {
                 let msg = format!("expected a statement, found {other}");
                 self.err(msg)
             }
         }
+    }
+
+    /// `(= | += | *=) expr ;` after an assignment target: `array[index]`,
+    /// or a scalar, which is its hidden array at index 0.
+    fn assignment(&mut self, array: usize, index: Expr, span: Span) -> Result<Stmt, LangError> {
+        let op = match self.peek().kind {
+            Tok::Op("=") => None,
+            Tok::Op("+=") => Some(UpdateOp::Add),
+            Tok::Op("*=") => Some(UpdateOp::Mul),
+            ref other => {
+                let msg = format!("expected '=', '+=' or '*=', found {other}");
+                return self.err(msg);
+            }
+        };
+        self.bump();
+        let expr = self.expr()?;
+        self.expect_punct(';')?;
+        Ok(match op {
+            None => Stmt::Assign {
+                array,
+                index,
+                expr,
+                span,
+            },
+            Some(op) => Stmt::Update {
+                array,
+                index,
+                op,
+                expr,
+                span,
+            },
+        })
     }
 
     fn expr(&mut self) -> Result<Expr, LangError> {
@@ -735,6 +687,22 @@ mod tests {
     fn reduction_hint_parses() {
         let p = parse("array Y[4] : reduction(*);\nfor i in 0..4 { Y[0] *= 2; }").unwrap();
         assert_eq!(p.arrays[0].hint, Some(KindHint::Reduction(UpdateOp::Mul)));
+    }
+
+    #[test]
+    fn a_bad_assignment_operator_is_named_at_its_position() {
+        // Pinned before scalar and array targets shared one parser.
+        for (src, line, col) in [
+            ("scalar s;\nfor i in 0..4 {\n  s - 1;\n}", 3, 5),
+            ("array A[4];\nfor i in 0..4 {\n  A[i] - 1;\n}", 3, 8),
+        ] {
+            let err = parse(src).unwrap_err();
+            assert_eq!(
+                err.message, "expected '=', '+=' or '*=', found '-'",
+                "{src}"
+            );
+            assert_eq!((err.line, err.col), (line, col), "{src}");
+        }
     }
 
     #[test]

@@ -15,7 +15,15 @@
 //!                      [--shadow-budget BYTES|auto]
 //!                      [--shadow-fault STAGE:BYTES[,...]]
 //!                      [--doacross auto|on|off] [--format text|json]
-//! rlrpd worker [--listen ADDR]
+//! rlrpd worker [--listen ADDR [--idle-timeout SECS]]
+//! rlrpd serve --state-dir DIR [--listen ADDR] [--pool-budget BYTES|auto]
+//!             [--max-jobs N] [--stream-buffer FRAMES] [--resume]
+//!             [--job-ttl SECS]
+//! rlrpd submit --connect ADDR --key K <file.rlp | --spec SPEC> [--procs N]
+//!              [--strategy S] [--shadow-budget BYTES|auto] [--fault-seed S]
+//!              [--shadow-fault STAGE:BYTES[,...]] [--max-stages M]
+//!              [--retry SECS] [--format text|json]
+//! rlrpd status --connect ADDR --key K [--retry SECS] [--format text|json]
 //! rlrpd chaos-proxy --listen ADDR --connect ADDR [--fault SPEC | --seed N]
 //! rlrpd classify <file.rlp>
 //! rlrpd analyze <file.rlp> [--procs N] [--format text|json] [--deny-warnings]
@@ -151,7 +159,7 @@ fn usage() -> String {
      [--fault kind:conn[:arg][,...] | --seed N]\n  rlrpd classify \
      <file.rlp>\n  rlrpd analyze <file.rlp> [--procs N] [--format text|json] \
      [--deny-warnings] [--emit bytecode] [--audit]\n  rlrpd fmt <file.rlp>\n  rlrpd ddg <file.rlp> \
-     [--procs N] [--window W] [--save <out.bin>]\n  rlrpd model [n p omega ell sync alpha]"
+     [--procs N] [--window W] [--save <out.bin>] [--pooled]\n  rlrpd model [n p omega ell sync alpha]"
         .into()
 }
 
@@ -631,15 +639,11 @@ fn cmd_submit(args: Vec<String>) -> Result<(), CliError> {
             .unwrap_or(DEFAULT_STRATEGY)
             .to_string(),
         budget_bytes,
-        fault_seed: flags
-            .parsed("--fault-seed", "an integer")
-            .map_err(CliError::Usage)?
-            .unwrap_or(0),
+        // A job spec reads 0 as unset, so the 0 that `run` would act
+        // on is refused here rather than dropped.
+        fault_seed: flags.count_of("--fault-seed", 0).map_err(CliError::Usage)? as u64,
         shadow_fault: flags.get("--shadow-fault").unwrap_or("").to_string(),
-        max_stages: flags
-            .parsed("--max-stages", "an integer")
-            .map_err(CliError::Usage)?
-            .unwrap_or(0),
+        max_stages: flags.count_of("--max-stages", 0).map_err(CliError::Usage)? as u64,
     };
     let opts = client_options(&flags, !json)?;
     match rlrpd::serve::submit(addr, &spec, &opts) {

@@ -720,6 +720,26 @@ fn unknown_flags_exit_64_and_are_named() {
     );
 }
 
+/// A job spec reads 0 as "unset", but `run` acts on `--fault-seed 0`
+/// (it arms a plan) and `--max-stages 0` (it exits 3). `submit`
+/// refuses both before it connects instead of dropping them.
+#[test]
+fn submit_refuses_the_zeros_a_job_reads_as_unset() {
+    let prog = program("tracking.rlp");
+    for flag in ["--fault-seed", "--max-stages"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_rlrpd"))
+            .args(["submit", "--connect", "127.0.0.1:1", "--key", "1"])
+            .args(["--retry", "0.2", flag, "0", &prog])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(64), "{flag}: {stderr}");
+        assert!(stderr.contains(&format!("{flag} expects")), "{stderr}");
+        assert!(!stderr.contains("reconnecting"), "{flag}: it connected");
+        assert!(out.stdout.is_empty(), "{flag}");
+    }
+}
+
 #[test]
 fn cross_host_flag_misuse_exits_64() {
     let prog = program("tracking.rlp");
