@@ -49,7 +49,13 @@ pub enum ArrayKind<T> {
     /// storage, checkpointed for rollback. The *caller* guarantees (as
     /// the compiler would) that concurrent iterations never write the
     /// same element.
-    Untested,
+    Untested {
+        /// The caller also guarantees that the loop never reads the
+        /// array, stores it on every path at subscripts of the iteration
+        /// alone and never exits early: re-execution rewrites whatever a
+        /// discarded block wrote, so no old value is saved or restored.
+        restore_free: bool,
+    },
 }
 
 impl<T> std::fmt::Debug for ArrayKind<T> {
@@ -60,7 +66,10 @@ impl<T> std::fmt::Debug for ArrayKind<T> {
                 .field("shadow", shadow)
                 .field("reduction", &reduction.is_some())
                 .finish(),
-            ArrayKind::Untested => write!(f, "Untested"),
+            ArrayKind::Untested {
+                restore_free: false,
+            } => write!(f, "Untested"),
+            ArrayKind::Untested { .. } => write!(f, "Untested (restore-free)"),
         }
     }
 }
@@ -110,7 +119,9 @@ impl<T: Value> ArrayDecl<T> {
     pub fn untested(name: &'static str, init: Vec<T>) -> Self {
         ArrayDecl {
             name,
-            kind: ArrayKind::Untested,
+            kind: ArrayKind::Untested {
+                restore_free: false,
+            },
             init,
         }
     }

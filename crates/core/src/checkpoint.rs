@@ -39,6 +39,15 @@
 //! triple). A fully scattered block is one run per write, 12 + 8 bytes
 //! and a bit: never more than before. Clearing zeroes each run's bit
 //! range, a word at a time.
+//!
+//! # Undo only what must be restored
+//!
+//! Each slot has an undo flag from its declaration
+//! ([`crate::array::ArrayKind::Untested`]'s `restore_free`). A
+//! restore-free slot is logged as runs like any other (the commit delta
+//! and a worker's reply list its writes) but saves no old value, and
+//! [`WriteLog::undo_rev`] skips its runs: re-execution rewrites what a
+//! discarded block left there. `old` holds the undo slots' entries only.
 
 use crate::value::Value;
 
@@ -84,27 +93,49 @@ fn clear_bits(words: &mut [u64], elems: std::ops::Range<usize>) {
     }
 }
 
+/// One untested array's part of a [`WriteLog`].
+#[derive(Debug)]
+struct SlotLog {
+    /// First-write flags, 64 elements a word.
+    written: Vec<u64>,
+    /// Are the array's writes undone when their block is discarded?
+    undo: bool,
+    /// `undo` under the on-demand policy: first writes save old values
+    /// (one flag for `record` to test on every first write).
+    save_old: bool,
+}
+
 /// One processor's write tracking for all untested arrays during one
 /// stage.
 #[derive(Debug)]
 pub struct WriteLog<T> {
-    /// First-write flags, one bitset (64 elements a word) per untested
-    /// array slot.
-    written: Vec<Vec<u64>>,
+    /// One per untested array slot.
+    slots: Vec<SlotLog>,
     /// What was first-written, in write order (module docs).
     runs: Vec<WriteRun>,
     /// On-demand policy: the pre-write value of every first-written
-    /// element, in write order. Empty under the eager policy.
+    /// element of an undo slot, in write order. Empty under the eager
+    /// policy.
     old: Vec<T>,
     policy: CheckpointPolicy,
 }
 
 impl<T: Value> WriteLog<T> {
-    /// A log for untested arrays of the given sizes.
-    pub fn new(sizes: &[usize], policy: CheckpointPolicy) -> Self {
+    /// A log for untested arrays of the given sizes, `undo[slot]`
+    /// saying whether that slot's writes are undone (module docs).
+    pub fn new(sizes: &[usize], undo: &[bool], policy: CheckpointPolicy) -> Self {
         assert!(sizes.iter().all(|&s| s <= u32::MAX as usize));
+        assert_eq!(sizes.len(), undo.len());
         WriteLog {
-            written: sizes.iter().map(|&s| vec![0; s.div_ceil(64)]).collect(),
+            slots: sizes
+                .iter()
+                .zip(undo)
+                .map(|(&s, &undo)| SlotLog {
+                    written: vec![0; s.div_ceil(64)],
+                    undo,
+                    save_old: undo && policy == CheckpointPolicy::OnDemand,
+                })
+                .collect(),
             runs: Vec::new(),
             old: Vec::new(),
             policy,
@@ -113,14 +144,19 @@ impl<T: Value> WriteLog<T> {
 
     /// Record a write of `elem` in untested array `slot`; `old` supplies
     /// the pre-write value and is only called on the first write of the
-    /// element this stage (and only under the on-demand policy).
+    /// element this stage, and only for an undo slot under the
+    /// on-demand policy.
     #[inline]
     pub fn record(&mut self, slot: usize, elem: usize, old: impl FnOnce() -> T) {
-        let (word, bit) = (&mut self.written[slot][elem / 64], 1u64 << (elem % 64));
+        let log = &mut self.slots[slot];
+        let (word, bit) = (&mut log.written[elem / 64], 1u64 << (elem % 64));
         if *word & bit != 0 {
             return;
         }
         *word |= bit;
+        if log.save_old {
+            self.old.push(old());
+        }
         let (slot, elem) = (slot as u32, elem as u32);
         match self.runs.last_mut() {
             Some(run) if run.slot == slot && run.first + run.len == elem => run.len += 1,
@@ -129,9 +165,6 @@ impl<T: Value> WriteLog<T> {
                 first: elem,
                 len: 1,
             }),
-        }
-        if self.policy == CheckpointPolicy::OnDemand {
-            self.old.push(old());
         }
     }
 
@@ -144,12 +177,19 @@ impl<T: Value> WriteLog<T> {
             .flat_map(WriteRun::elems)
     }
 
+    /// Whether untested array `slot`'s writes are undone.
+    pub fn needs_undo(&self, slot: usize) -> bool {
+        self.slots[slot].undo
+    }
+
     /// Undo entries in reverse write order: replaying them restores the
-    /// pre-stage state of everything this processor wrote.
+    /// pre-stage state of everything this processor wrote in an undo
+    /// slot.
     pub fn undo_rev(&self) -> impl Iterator<Item = (usize, usize, T)> + '_ {
         self.runs
             .iter()
             .rev()
+            .filter(|run| self.slots[run.slot as usize].undo)
             .flat_map(|run| run.elems().rev().map(move |elem| (run.slot as usize, elem)))
             .zip(self.old.iter().rev())
             .map(|((slot, elem), &old)| (slot, elem, old))
@@ -180,7 +220,7 @@ impl<T: Value> WriteLog<T> {
     /// Reset for the next stage, O(written).
     pub fn clear(&mut self) {
         for run in &self.runs {
-            clear_bits(&mut self.written[run.slot as usize], run.elems());
+            clear_bits(&mut self.slots[run.slot as usize].written, run.elems());
         }
         self.runs.clear();
         self.old.clear();
@@ -194,8 +234,9 @@ pub struct EagerSnapshot<T> {
 }
 
 impl<T: Value> EagerSnapshot<T> {
-    /// Snapshot the given untested arrays (called at stage start under
-    /// the eager policy).
+    /// Snapshot the given untested arrays, one per slot (called at
+    /// stage start under the eager policy). A slot that needs no undo
+    /// passes an empty array.
     pub fn take(arrays: Vec<Vec<T>>) -> Self {
         EagerSnapshot { arrays }
     }
@@ -218,7 +259,7 @@ mod tests {
 
     #[test]
     fn on_demand_saves_old_value_once() {
-        let mut log = WriteLog::<f64>::new(&[4, 2], CheckpointPolicy::OnDemand);
+        let mut log = WriteLog::<f64>::new(&[4, 2], &[true, true], CheckpointPolicy::OnDemand);
         let mut calls = 0;
         log.record(0, 2, || {
             calls += 1;
@@ -236,7 +277,7 @@ mod tests {
 
     #[test]
     fn eager_policy_records_writes_but_no_undo() {
-        let mut log = WriteLog::<f64>::new(&[4], CheckpointPolicy::Eager);
+        let mut log = WriteLog::<f64>::new(&[4], &[true], CheckpointPolicy::Eager);
         log.record(0, 1, || unreachable!("eager never reads old values"));
         assert_eq!(log.num_undo(), 0);
         assert_eq!(log.num_written(), 1);
@@ -246,7 +287,7 @@ mod tests {
 
     #[test]
     fn undo_replays_in_reverse_order() {
-        let mut log = WriteLog::<i64>::new(&[4], CheckpointPolicy::OnDemand);
+        let mut log = WriteLog::<i64>::new(&[4], &[true], CheckpointPolicy::OnDemand);
         log.record(0, 0, || 100);
         log.record(0, 1, || 200);
         let order: Vec<_> = log.undo_rev().map(|(_, e, _)| e).collect();
@@ -255,7 +296,7 @@ mod tests {
 
     #[test]
     fn clear_resets_for_next_stage() {
-        let mut log = WriteLog::<f64>::new(&[2], CheckpointPolicy::OnDemand);
+        let mut log = WriteLog::<f64>::new(&[2], &[true], CheckpointPolicy::OnDemand);
         log.record(0, 0, || 1.0);
         log.clear();
         assert_eq!(log.num_written(), 0);
@@ -270,12 +311,14 @@ mod tests {
     }
 
     /// The per-element log this one replaced: a flag and a touched list
-    /// per slot, `(slot, elem, old)` triples in write order.
+    /// per slot, `(slot, elem, old)` triples in write order — for the
+    /// slots that need undo.
     struct FlatLog {
         flags: Vec<Vec<bool>>,
         touched: Vec<Vec<usize>>,
         undo: Vec<(usize, usize, i64)>,
         on_demand: bool,
+        undo_slots: [bool; 2],
     }
 
     impl FlatLog {
@@ -283,7 +326,7 @@ mod tests {
             let first = !std::mem::replace(&mut self.flags[slot][elem], true);
             if first {
                 self.touched[slot].push(elem);
-                if self.on_demand {
+                if self.on_demand && self.undo_slots[slot] {
                     self.undo.push((slot, elem, old));
                 }
             }
@@ -297,6 +340,7 @@ mod tests {
         #[test]
         fn the_log_by_runs_is_the_log_by_elements(
             on_demand in any::<bool>(),
+            undo_slots in (any::<bool>(), any::<bool>()),
             // Two stages of writes over two slots: sweeps up (runs),
             // sweeps down and repeats (no runs), slot changes mid-sweep.
             stages in prop::collection::vec(
@@ -305,14 +349,16 @@ mod tests {
             ),
         ) {
             let sizes = [16usize, 12];
+            let undo_slots = [undo_slots.0, undo_slots.1];
             let policy = if on_demand { CheckpointPolicy::OnDemand } else { CheckpointPolicy::Eager };
-            let mut log = WriteLog::<i64>::new(&sizes, policy);
+            let mut log = WriteLog::<i64>::new(&sizes, &undo_slots, policy);
             for sweeps in stages {
                 let mut flat = FlatLog {
                     flags: sizes.iter().map(|&s| vec![false; s]).collect(),
                     touched: vec![Vec::new(); 2],
                     undo: Vec::new(),
                     on_demand,
+                    undo_slots,
                 };
                 let mut stamp = 0i64;
                 for (slot, from, len, up) in sweeps {
@@ -325,9 +371,9 @@ mod tests {
                             stamp
                         });
                         let first = flat.record(slot, elem, stamp);
-                        // `old` runs on first writes exactly, and never
-                        // under the eager policy.
-                        prop_assert_eq!(called, first && on_demand);
+                        // `old` runs on first writes of an undo slot
+                        // exactly, and never under the eager policy.
+                        prop_assert_eq!(called, first && on_demand && undo_slots[slot]);
                     }
                 }
                 for slot in 0..2 {
@@ -350,7 +396,7 @@ mod tests {
 
     #[test]
     fn a_sweep_is_one_run_and_a_scatter_is_one_run_per_write() {
-        let mut log = WriteLog::<f64>::new(&[64, 64], CheckpointPolicy::OnDemand);
+        let mut log = WriteLog::<f64>::new(&[64, 64], &[true, true], CheckpointPolicy::OnDemand);
         for e in 8..40 {
             log.record(0, e, || e as f64);
             log.record(0, e, || unreachable!("second write of the iteration"));
@@ -369,6 +415,36 @@ mod tests {
         assert_eq!(log.written(1).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         let undo: Vec<_> = log.undo_rev().take(3).collect();
         assert_eq!(undo, vec![(1, 3, 1.0), (0, 3, 0.0), (1, 2, 1.0)]);
+    }
+
+    #[test]
+    fn a_restore_free_slot_is_logged_but_never_undone() {
+        // Slot 0 needs undo, slot 1 is restore-free; a sweep writes both
+        // turn about, as `U[i] = …; W[i] = …` does.
+        let mut log = WriteLog::<f64>::new(&[8, 8], &[true, false], CheckpointPolicy::OnDemand);
+        for e in 2..6 {
+            log.record(0, e, || 10.0 + e as f64);
+            log.record(1, e, || {
+                unreachable!("a restore-free slot saves no old value")
+            });
+            log.record(0, e, || unreachable!("second write of the iteration"));
+        }
+        assert_eq!(
+            log.undo_rev().collect::<Vec<_>>(),
+            vec![(0, 5, 15.0), (0, 4, 14.0), (0, 3, 13.0), (0, 2, 12.0)]
+        );
+        assert_eq!(log.written(0).collect::<Vec<_>>(), vec![2, 3, 4, 5]);
+        assert_eq!(log.written(1).collect::<Vec<_>>(), vec![2, 3, 4, 5]);
+        assert_eq!(
+            (log.num_written(), log.num_undo(), log.num_runs()),
+            (8, 4, 8)
+        );
+        assert!(log.needs_undo(0) && !log.needs_undo(1));
+        // The eager policy saves nothing either way; the log is the same.
+        let mut eager = WriteLog::<f64>::new(&[8, 8], &[true, false], CheckpointPolicy::Eager);
+        eager.record(1, 3, || unreachable!("eager never reads old values"));
+        assert_eq!((eager.num_written(), eager.num_undo()), (1, 0));
+        assert_eq!(eager.undo_rev().count(), 0);
     }
 
     #[test]

@@ -43,8 +43,9 @@ pub(crate) struct ArrayMeta<T> {
 /// A loop's declared arrays, routed. `meta` and `shared` hold one entry
 /// per declared array — the table every context of a run dispatches
 /// through; the rest is per tested / untested slot, in declaration
-/// order: the array's declaration index and size, and a tested array's
-/// declared shadow and reduction. Built once per run, by the
+/// order: the array's declaration index and size, a tested array's
+/// declared shadow and reduction, and whether an untested array's
+/// writes are undone. Built once per run, by the
 /// speculative engine, the wavefront executor and `run_sequential`.
 pub(crate) struct RoutedArrays<T> {
     pub meta: Vec<ArrayMeta<T>>,
@@ -55,6 +56,7 @@ pub(crate) struct RoutedArrays<T> {
     pub reductions: Vec<Option<Reduction<T>>>,
     pub untested_ids: Vec<usize>,
     pub untested_sizes: Vec<usize>,
+    pub untested_undo: Vec<bool>,
 }
 
 impl<T: Value> RoutedArrays<T> {
@@ -74,6 +76,7 @@ impl<T: Value> RoutedArrays<T> {
             reductions: Vec::with_capacity(n),
             untested_ids: Vec::with_capacity(n),
             untested_sizes: Vec::with_capacity(n),
+            untested_undo: Vec::with_capacity(n),
         };
         for (id, ArrayDecl { name, kind, init }) in decls.into_iter().enumerate() {
             let (route, reduction) = match kind {
@@ -85,9 +88,10 @@ impl<T: Value> RoutedArrays<T> {
                     let slot = routed.tested_ids.len() - 1;
                     (Route::Tested { slot }, reduction)
                 }
-                ArrayKind::Untested => {
+                ArrayKind::Untested { restore_free } => {
                     routed.untested_ids.push(id);
                     routed.untested_sizes.push(init.len());
+                    routed.untested_undo.push(!restore_free);
                     let slot = routed.untested_ids.len() - 1;
                     (Route::Untested { slot }, None)
                 }

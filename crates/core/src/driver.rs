@@ -564,7 +564,10 @@ impl Runner {
     /// [`RunReport::stopped_at`] holding the commit frontier instead of
     /// executing further stages. The run is *paused*, not failed — a
     /// journaled run resumes from the frontier ([`RunPlan::resume`]).
-    /// The daemon's graceful drain (SIGTERM) is built on this.
+    /// The daemon's graceful drain (SIGTERM) is built on this. A paused
+    /// result's arrays are final below the frontier only: above it a
+    /// restore-free array may hold a discarded block's values, which
+    /// the resumed run rewrites.
     pub fn with_stop(mut self, stop: Arc<AtomicBool>) -> Self {
         self.stop = Some(stop);
         self

@@ -220,12 +220,13 @@ impl<'l, T: Value> Engine<'l, T> {
             reductions,
             untested_ids,
             untested_sizes,
+            untested_undo,
         } = RoutedArrays::new(lp.arrays());
 
         let states = ProcId::all(cfg.p)
             .map(|_| BlockState {
                 views: fresh_views(&tested_sizes, &tested_shadow, &reductions),
-                wlog: WriteLog::new(&untested_sizes, cfg.checkpoint),
+                wlog: WriteLog::new(&untested_sizes, &untested_undo, cfg.checkpoint),
                 marks: if record_marks {
                     tested_ids.iter().map(|_| IterMarks::new()).collect()
                 } else {
@@ -372,13 +373,18 @@ impl<'l, T: Value> Engine<'l, T> {
             ..Default::default()
         };
 
-        // 1. Eager checkpoint of untested arrays.
+        // 1. Eager checkpoint of the untested arrays that need undo.
         let snapshot =
             if self.cfg.checkpoint == CheckpointPolicy::Eager && !self.untested_ids.is_empty() {
+                let wlog = &self.states[0].wlog;
                 let arrays: Vec<Vec<T>> = self
                     .untested_ids
                     .iter()
-                    .map(|&id| self.shared[id].to_vec())
+                    .enumerate()
+                    .map(|(slot, &id)| match wlog.needs_undo(slot) {
+                        true => self.shared[id].to_vec(),
+                        false => Vec::new(),
+                    })
                     .collect();
                 let snap = EagerSnapshot::take(arrays);
                 stats.overhead.add(
@@ -742,7 +748,9 @@ impl<'l, T: Value> Engine<'l, T> {
     /// positions `commit_upto..` (their work is discarded), returning
     /// the largest per-block restore count for overhead accounting —
     /// the body of phase 6 of [`Engine::run_stage`], shared with the
-    /// budget-pressure containment path (which restores *all* blocks).
+    /// budget-pressure containment path (which restores *all* blocks)
+    /// and a fleet worker's rollback. A restore-free array's writes
+    /// stay: re-execution rewrites them (`crate::checkpoint`).
     pub(crate) fn restore_untested_writes(
         &mut self,
         commit_upto: usize,
@@ -752,7 +760,7 @@ impl<'l, T: Value> Engine<'l, T> {
         let mut max_restored = 0usize;
         for (off, st) in self.states[commit_upto..].iter().enumerate() {
             let pos = commit_upto + off;
-            let restored = st.wlog.num_written();
+            let mut restored = 0;
             match st.wlog.policy() {
                 CheckpointPolicy::OnDemand => {
                     for (slot, elem, old) in st.wlog.undo_rev() {
@@ -760,6 +768,7 @@ impl<'l, T: Value> Engine<'l, T> {
                         // elements it wrote, disjoint by the untested
                         // contract; commit wrote only tested arrays.
                         unsafe { self.shared[self.untested_ids[slot]].set(elem, old, pos as u32) };
+                        restored += 1;
                     }
                 }
                 CheckpointPolicy::Eager => {
@@ -770,11 +779,15 @@ impl<'l, T: Value> Engine<'l, T> {
                         message: format!("eager policy took no snapshot before stage {stage}"),
                     })?;
                     for (slot, &id) in self.untested_ids.iter().enumerate() {
+                        if !st.wlog.needs_undo(slot) {
+                            continue;
+                        }
                         for elem in st.wlog.written(slot) {
                             // SAFETY: as above.
                             unsafe {
                                 self.shared[id].set(elem, snap.value(slot, elem), pos as u32)
                             };
+                            restored += 1;
                         }
                     }
                 }
@@ -1267,8 +1280,52 @@ mod tests {
         let schedule = BlockSchedule::even(0..n, p);
 
         // What a block holds when it finishes (the stage's clear wipes
-        // the write log): one cost run, and one write-log run for the
-        // untested array it swept.
+        // the write log): one cost run, and one write-log run for each
+        // untested array it swept — with an undo entry per element for
+        // `U`, none for the restore-free `W`.
+        let sweep = ClosureLoop::new(
+            n,
+            move || {
+                vec![
+                    ArrayDecl::tested("A", vec![0.0; n], ShadowKind::Dense),
+                    ArrayDecl::untested("U", vec![0.0; n]),
+                    ArrayDecl {
+                        name: "W",
+                        kind: ArrayKind::Untested { restore_free: true },
+                        init: vec![0.0; n],
+                    },
+                ]
+            },
+            |i, ctx| {
+                ctx.write(ArrayId(0), i, 1.0);
+                if i % 2 == 0 {
+                    ctx.write(ArrayId(1), i, 1.0);
+                }
+                ctx.write(ArrayId(2), i, 1.0);
+            },
+        );
+        let mut eng = Engine::new(&sweep, engine_cfg(p, None), false);
+        eng.run_blocks_local(&schedule, None, false);
+        for st in &eng.states {
+            assert_eq!(st.iter_costs.runs().len(), 1);
+            assert_eq!(st.iter_costs.len(), n / p);
+            // `U` every other element, `W` every element, turn about:
+            // a `U` run and a two-element `W` run per pair.
+            assert_eq!(st.wlog.written(0).count(), n / p / 2);
+            assert_eq!(st.wlog.written(1).count(), n / p);
+            assert_eq!(st.wlog.num_runs(), n / p);
+            assert_eq!(st.wlog.num_undo(), n / p / 2);
+            assert!(st
+                .wlog
+                .undo_rev()
+                .all(|(slot, elem, _)| slot == 0 && elem % 2 == 0));
+        }
+        // A discarded block restores `U` and leaves `W` to re-execution.
+        eng.restore_untested_writes(0, None, 0).unwrap();
+        let arrays = eng.arrays_out();
+        assert_eq!(arrays[1].1, vec![0.0; n]);
+        assert_eq!(arrays[2].1, vec![1.0; n]);
+        // With one untested sweep alone: one run per block.
         let sweep = ClosureLoop::new(
             n,
             move || {
@@ -1285,8 +1342,6 @@ mod tests {
         let mut eng = Engine::new(&sweep, engine_cfg(p, None), false);
         eng.run_blocks_local(&schedule, None, false);
         for st in &eng.states {
-            assert_eq!(st.iter_costs.runs().len(), 1);
-            assert_eq!(st.iter_costs.len(), n / p);
             assert_eq!((st.wlog.num_runs(), st.wlog.num_written()), (1, n / p));
         }
         // Two untested arrays written turn about never extend each

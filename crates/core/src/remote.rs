@@ -736,10 +736,12 @@ pub(crate) fn release_remote<T: Value>(engine: &mut Engine<'_, T>, report: &mut 
 /// `send` is a closure rather than a writer so the caller can interleave
 /// heartbeat frames from a side thread behind one lock.
 ///
-/// Block execution is **idempotent**: the worker's arrays always hold
-/// exactly the committed prefix — speculative untested writes are
-/// rolled back through the write-log after every block — so the
-/// supervisor may re-dispatch any block to a fresh worker at any time.
+/// Block execution is **idempotent**: the worker's arrays hold the
+/// committed prefix — speculative untested writes are rolled back
+/// through the write-log after every block, but for a restore-free
+/// array's, which no iteration reads and the next run of those
+/// iterations rewrites — so the supervisor may re-dispatch any block to
+/// a fresh worker at any time.
 pub fn serve_worker<T: Value + JournalElem>(
     lp: &dyn SpecLoop<T>,
     hello: &WireHello,
@@ -922,7 +924,10 @@ fn run_block<T: Value + JournalElem>(engine: &mut Engine<'_, T>, req: &BlockRequ
     // Roll back: restore untested writes as the engine restores a
     // discarded block's (this engine's policy is on-demand: the undo
     // log, no snapshot), drop all speculative state. The worker's
-    // arrays are again exactly the committed prefix.
+    // arrays are again the committed prefix, except that a
+    // restore-free array keeps this block's values: nothing reads
+    // them, and the block that next runs these iterations rewrites
+    // them.
     engine
         .restore_untested_writes(0, None, 0)
         .expect("the on-demand policy restores from its undo log");

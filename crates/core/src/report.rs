@@ -51,15 +51,33 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Σ over stages of one number, `0.0` for a run with no stages
+    /// (`Sum for f64` starts at `-0.0`, which prints as `-0.000000`).
+    fn total(&self, f: impl Fn(&StageStats) -> f64) -> f64 {
+        self.stages.iter().map(f).fold(0.0, |a, b| a + b)
+    }
+
     /// Total virtual time: Σ over stages of loop critical path plus all
     /// overheads.
     pub fn virtual_time(&self) -> f64 {
-        self.stages.iter().map(StageStats::virtual_time).sum()
+        self.total(StageStats::virtual_time)
     }
 
-    /// Virtual speedup over sequential execution of the same loop.
+    /// Virtual speedup over sequential execution of the same loop. Not
+    /// finite for a run with no virtual time (a resume of a complete
+    /// journal runs no stage): JSON writes it as `null`,
+    /// [`RunReport::speedup_text`] as `n/a`.
     pub fn speedup(&self) -> f64 {
         self.sequential_work / self.virtual_time()
+    }
+
+    /// [`RunReport::speedup`] for a text line: `1.23x`, or `n/a` when
+    /// there is no virtual time to divide by.
+    pub fn speedup_text(&self) -> String {
+        match self.speedup() {
+            s if s.is_finite() => format!("{s:.2}x"),
+            _ => "n/a".into(),
+        }
     }
 
     /// This run's parallelism ratio contribution:
@@ -71,20 +89,20 @@ impl RunReport {
 
     /// Total overhead of one kind across stages.
     pub fn overhead(&self, kind: OverheadKind) -> f64 {
-        self.stages.iter().map(|s| s.overhead.get(kind)).sum()
+        self.total(|s| s.overhead.get(kind))
     }
 
     /// Total useful work actually executed (including work discarded by
     /// restarts); `total_work_executed - sequential_work` is the wasted
     /// speculation.
     pub fn total_work_executed(&self) -> f64 {
-        self.stages.iter().map(|s| s.total_work).sum()
+        self.total(|s| s.total_work)
     }
 
     /// Set [`RunReport::wall_seconds`] from the stages: every driver's
     /// last step once its stages are in.
     pub fn sum_wall_seconds(&mut self) {
-        self.wall_seconds = self.stages.iter().map(|s| s.wall_seconds).sum();
+        self.wall_seconds = self.total(|s| s.wall_seconds);
     }
 
     /// Panics contained across all stages (each was recorded as a
@@ -98,7 +116,7 @@ impl RunReport {
     /// record to the journal's writer and waiting for the one before it
     /// — the appends themselves run beside the next stage.
     pub fn journal_seconds(&self) -> f64 {
-        self.stages.iter().map(|s| s.journal_seconds).sum()
+        self.total(|s| s.journal_seconds)
     }
 
     /// Bytes appended to the crash journal across all stages (0 for an
@@ -131,13 +149,13 @@ impl RunReport {
     /// Wall-clock seconds spent shipping block requests to workers
     /// across all stages (0.0 for in-process runs).
     pub fn dispatch_seconds(&self) -> f64 {
-        self.stages.iter().map(|s| s.dispatch_seconds).sum()
+        self.total(|s| s.dispatch_seconds)
     }
 
     /// Wall-clock seconds spent waiting on and decoding worker replies
     /// across all stages (0.0 for in-process runs).
     pub fn collect_seconds(&self) -> f64 {
-        self.stages.iter().map(|s| s.collect_seconds).sum()
+        self.total(|s| s.collect_seconds)
     }
 
     /// Wall-clock per-phase totals across all stages (all zero when the
@@ -202,6 +220,13 @@ impl RunReport {
         fn opt_u64(v: Option<u64>) -> String {
             v.map_or("null".into(), |x| x.to_string())
         }
+        // JSON has no infinity or NaN.
+        fn num(v: f64) -> String {
+            match v.is_finite() {
+                true => format!("{v:.6}"),
+                false => "null".into(),
+            }
+        }
         let fallback = match self.fallback {
             Some(r) => format!("\"{r:?}\""),
             None => "null".into(),
@@ -219,13 +244,13 @@ impl RunReport {
             .collect();
         format!(
             concat!(
-                "{{\"stages\":{},\"restarts\":{},\"pr\":{:.6},",
-                "\"sequential_work\":{:.6},\"virtual_time\":{:.6},\"speedup\":{:.6},",
-                "\"wall_seconds\":{:.6},\"exited_at\":{},\"fallback\":{},",
+                "{{\"stages\":{},\"restarts\":{},\"pr\":{},",
+                "\"sequential_work\":{},\"virtual_time\":{},\"speedup\":{},",
+                "\"wall_seconds\":{},\"exited_at\":{},\"fallback\":{},",
                 "\"resumed_at\":{},\"stopped_at\":{},",
                 "\"predicted_first_dependence\":{},\"observed_first_dependence\":{},",
                 "\"contained_faults\":{},\"quarantined\":{},\"respawns\":{},",
-                "\"wire_bytes\":{},\"journal_bytes\":{},\"journal_seconds\":{:.6},",
+                "\"wire_bytes\":{},\"journal_bytes\":{},\"journal_seconds\":{},",
                 "\"shadow_budget\":{},\"shadow_bytes_peak\":{},",
                 "\"shadow_migrations\":{},\"shadow_pressure_events\":{},",
                 "\"shadow_reprs\":[{}],\"fork_joins\":{},",
@@ -233,11 +258,11 @@ impl RunReport {
             ),
             self.stages.len(),
             self.restarts,
-            self.pr(),
-            self.sequential_work,
-            self.virtual_time(),
-            self.speedup(),
-            self.wall_seconds,
+            num(self.pr()),
+            num(self.sequential_work),
+            num(self.virtual_time()),
+            num(self.speedup()),
+            num(self.wall_seconds),
             opt_usize(self.exited_at),
             fallback,
             opt_usize(self.resumed_at),
@@ -249,7 +274,7 @@ impl RunReport {
             self.respawns(),
             self.wire_bytes(),
             self.journal_bytes(),
-            self.journal_seconds(),
+            num(self.journal_seconds()),
             opt_u64(self.shadow_budget),
             self.shadow_bytes_peak(),
             self.shadow_migrations(),
@@ -386,12 +411,12 @@ impl std::fmt::Display for RunReport {
         }
         writeln!(
             f,
-            "virtual time {:.1} vs sequential {:.1} -> speedup {:.2}x",
+            "virtual time {:.1} vs sequential {:.1} -> speedup {}",
             self.virtual_time(),
             self.sequential_work,
-            self.speedup()
+            self.speedup_text()
         )?;
-        let loop_time: f64 = self.stages.iter().map(|s| s.loop_time).sum();
+        let loop_time = self.total(|s| s.loop_time);
         writeln!(
             f,
             "loop time {:.1} ({:.1} executed, {:.1} wasted)",
@@ -474,6 +499,27 @@ mod tests {
         assert_eq!(r.virtual_time(), 17.0);
         assert!((r.speedup() - 30.0 / 17.0).abs() < 1e-12);
         assert_eq!(r.pr(), 0.5);
+    }
+
+    #[test]
+    fn a_run_with_no_stages_reports_no_speedup() {
+        let r = RunReport {
+            sequential_work: 30.0,
+            resumed_at: Some(512),
+            ..Default::default()
+        };
+        assert_eq!(r.virtual_time().to_bits(), 0.0f64.to_bits());
+        assert_eq!(r.speedup_text(), "n/a");
+        let json = r.to_json();
+        assert!(
+            json.contains("\"virtual_time\":0.000000,\"speedup\":null,"),
+            "{json}"
+        );
+        assert!(!json.contains("inf") && !json.contains("NaN"), "{json}");
+        assert!(r.to_string().contains("-> speedup n/a"), "{r}");
+        // Nothing to divide either: NaN, written the same way.
+        let empty = RunReport::default().to_json();
+        assert!(empty.contains("\"speedup\":null,"), "{empty}");
     }
 
     #[test]

@@ -171,7 +171,9 @@ impl<T: Value> SpecLoop<T> for FullyInstrumented<'_, T> {
             .arrays()
             .into_iter()
             .map(|decl| match decl.kind {
-                ArrayKind::Untested => ArrayDecl::tested(decl.name, decl.init, ShadowKind::Dense),
+                ArrayKind::Untested { .. } => {
+                    ArrayDecl::tested(decl.name, decl.init, ShadowKind::Dense)
+                }
                 _ => decl,
             })
             .collect()

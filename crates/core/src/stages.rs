@@ -19,7 +19,13 @@
 //! **The commit invariant**, stated here once. When a stage ends,
 //! everything below its frontier — the iteration after a trusted exit,
 //! the first dependence sink's block, or the window's end — is final:
-//! byte-identical to sequential execution. The loop then builds the
+//! byte-identical to sequential execution. Above it, state is as it
+//! was when the stage began, except that a restore-free array
+//! (`crate::checkpoint`) may still hold a discarded block's values;
+//! each of those elements is rewritten before the run returns — by
+//! re-execution, by the sequential fallback, or by a resume, which
+//! replays the journal onto fresh arrays (a paused run's arrays are
+//! discarded). The loop then builds the
 //! stage's commit record once and, in this order, (a) queues it on the
 //! worker fleet, which sends it ahead of the next block request, (b)
 //! submits it to the journal's writer, behind every record submitted
@@ -40,7 +46,8 @@
 //! running: [`run_stages`] settles the journal around it, so the run
 //! returns with its commit point at a durable frontier, and a resumed
 //! run, a re-dispatched block and a sequential fallback all start from
-//! state sequential execution would have produced. A crash with `j`
+//! state sequential execution would have produced, but for the
+//! restore-free elements above the frontier they rewrite. A crash with `j`
 //! records submitted and not durable is a crash `j ≤ IN_FLIGHT` stages
 //! earlier: the file ends in a chain-valid prefix of them with at most
 //! a torn tail, which resume truncates, and those stages re-execute.

@@ -28,8 +28,8 @@
 use crate::ast::*;
 use crate::bytecode::fold_expr;
 use crate::depend::{
-    self, doacross_plan, touch_estimate, Certainty, ConflictEvidence, DoacrossPlan, LoopDeps,
-    TouchEstimate,
+    self, body_has_break, doacross_plan, touch_estimate, Certainty, ConflictEvidence, DoacrossPlan,
+    LoopDeps, Subscript, TouchEstimate,
 };
 use std::collections::HashMap;
 
@@ -67,6 +67,11 @@ pub struct Classification {
     /// For hinted declarations: what the analysis alone would have
     /// decided (drives the unsound-hint / redundant-hint lints).
     pub unhinted: Option<Box<Classification>>,
+    /// An untested array whose discarded writes need no undo: never
+    /// read, every store unconditional at a subscript affine in `i`, in
+    /// a loop without `break` — re-execution rewrites whatever a
+    /// discarded block left. Only the analysis sets it, never a hint.
+    pub restore_free: bool,
 }
 
 impl Classification {
@@ -79,6 +84,7 @@ impl Classification {
             guard_only: None,
             mixed_ops: None,
             unhinted: None,
+            restore_free: false,
         }
     }
 }
@@ -118,6 +124,18 @@ pub fn analyze_loop(program: &Program, k: usize) -> LoopAnalysis {
             if !accesses.is_empty() {
                 c.touch = Some(touch_estimate(accesses, lo, hi, decl.size));
             }
+            // (A counter program runs the induction scheme, which
+            // keeps its own log.)
+            c.restore_free = decl.hint.is_none()
+                && program.counter.is_none()
+                && c.class == Class::Untested
+                && !body_has_break(&program.loops[k].body)
+                && accesses.iter().any(|a| a.is_write)
+                && accesses.iter().all(|a| {
+                    a.is_write
+                        && a.guard.is_none()
+                        && matches!(a.subscript, Subscript::Affine { .. })
+                });
             c
         })
         .collect();

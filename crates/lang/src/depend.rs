@@ -1026,8 +1026,9 @@ impl DoacrossPlan {
 
 /// Is there a `break` anywhere in `body`? A premature exit under
 /// DOACROSS would leave direct writes from in-flight later iterations
-/// with nothing to undo them, so it demotes the loop to speculation.
-fn body_has_break(body: &[Stmt]) -> bool {
+/// with nothing to undo them, so it demotes the loop to speculation;
+/// under speculation it keeps every untested array's undo log.
+pub(crate) fn body_has_break(body: &[Stmt]) -> bool {
     body.iter().any(|s| match s {
         Stmt::Break { .. } => true,
         Stmt::If {

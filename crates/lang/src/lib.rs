@@ -71,8 +71,8 @@ use ast::Program;
 use bytecode::{lower_loop, LoopCode};
 use interp::Eval;
 use rlrpd_core::{
-    ArrayDecl, BatchTally, IndCtx, InductionLoop, IterCtx, Reduction, RunConfig, RunReport,
-    RunResult, ShadowKind, SpecLoop,
+    ArrayDecl, ArrayKind, BatchTally, IndCtx, InductionLoop, IterCtx, Reduction, RunConfig,
+    RunReport, RunResult, ShadowKind, SpecLoop,
 };
 use std::ops::Range;
 
@@ -505,7 +505,11 @@ impl CompiledProgram {
                         }
                     ),
                 };
-                let _ = writeln!(out, "{:<10} {} — {}", decl.name, kind, c.rationale);
+                let undo = match c.restore_free {
+                    true => "; no undo: written unconditionally at its own element, never read",
+                    false => "",
+                };
+                let _ = writeln!(out, "{:<10} {} — {}{undo}", decl.name, kind, c.rationale);
             }
             let _ = writeln!(out, "{}", self.describe_strips(k));
         }
@@ -595,9 +599,13 @@ impl CompiledProgram {
                     // Shadow elision: a statically safe array gets no
                     // shadow and no marking (unless the elision-check
                     // baseline asked for full instrumentation).
-                    Class::Untested if !self.full_instrumentation => {
-                        ArrayDecl::untested(name, data)
-                    }
+                    Class::Untested if !self.full_instrumentation => ArrayDecl {
+                        name,
+                        kind: ArrayKind::Untested {
+                            restore_free: class.restore_free,
+                        },
+                        init: data,
+                    },
                     Class::Untested => ArrayDecl::tested(name, data, shadow),
                     Class::Reduction(op) => ArrayDecl::reduction(
                         name,

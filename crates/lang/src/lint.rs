@@ -258,18 +258,27 @@ pub fn lint(program: &Program, p: usize) -> Vec<Diagnostic> {
                         None,
                         false,
                     ),
-                    Class::Untested => {
-                        if c.touch.is_none() {
-                            d(
-                                Level::Note,
-                                "unused-array",
-                                decl_span,
-                                format!("array '{name}' is never referenced by loop {k}"),
-                                None,
-                                false,
-                            );
-                        }
-                    }
+                    Class::Untested if c.touch.is_none() => d(
+                        Level::Note,
+                        "unused-array",
+                        decl_span,
+                        format!("array '{name}' is never referenced by loop {k}"),
+                        None,
+                        false,
+                    ),
+                    Class::Untested if c.restore_free => d(
+                        Level::Note,
+                        "no-undo",
+                        decl_span,
+                        format!(
+                            "array '{name}' keeps no undo log: written unconditionally at \
+                             its own element and never read, so re-executing a discarded \
+                             block rewrites everything it wrote"
+                        ),
+                        None,
+                        false,
+                    ),
+                    Class::Untested => {}
                 }
             }
 
@@ -492,6 +501,20 @@ mod tests {
         let ds = lints("array A[8];\narray B[8];\nfor i in 0..8 { A[i] = i; }");
         let d = find(&ds, "unused-array");
         assert_eq!(d.array.as_deref(), Some("B"));
+    }
+
+    #[test]
+    fn only_a_restore_free_array_gets_the_no_undo_note() {
+        // `A` written at its own element and never read; `B` behind a
+        // guard; `C` also read.
+        let ds = lints(
+            "array A[8];\narray B[8];\narray C[8];\n\
+             for i in 0..8 { A[i] = i; if i > 3 { B[i] = 1; } C[i] = C[i] + 1; }",
+        );
+        let notes: Vec<_> = ds.iter().filter(|d| d.code == "no-undo").collect();
+        assert_eq!(notes.len(), 1, "{ds:#?}");
+        assert_eq!(notes[0].array.as_deref(), Some("A"));
+        assert_eq!(notes[0].level, Level::Note);
     }
 
     #[test]

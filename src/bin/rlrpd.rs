@@ -1041,11 +1041,11 @@ fn plan_legs(
 fn run_line(report: &RunReport) -> String {
     let faults = report.contained_faults();
     format!(
-        "stages = {}, restarts = {}, PR = {:.3}, speedup = {:.2}x{}{}{}{}",
+        "stages = {}, restarts = {}, PR = {:.3}, speedup = {}{}{}{}{}",
         report.stages.len(),
         report.restarts,
         report.pr(),
-        report.speedup(),
+        report.speedup_text(),
         match report.exited_at {
             Some(e) => format!(", exited at iteration {e}"),
             None => String::new(),

@@ -1359,9 +1359,11 @@ enum Honour {
     /// Taken into the run, where no example deck can show it on stdout
     /// (every DSL iteration costs the same, so feedback balancing cuts
     /// even blocks; a heartbeat interval only changes when a silent
-    /// worker is presumed dead): the witness is that a value the flag
-    /// cannot take is refused here. Their effect is pinned where it can
-    /// be seen — `crates/core` balance tests, `dist/tests/worker_chaos`.
+    /// worker is presumed dead; `tracking.rlp`'s one untested array is
+    /// restore-free, so neither checkpoint policy saves anything there):
+    /// the witness is that a value the flag cannot take is refused
+    /// here. Their effect is pinned where it can be seen — `crates/core`
+    /// balance tests, `dist/tests/worker_chaos`, the multi-loop column.
     Parsed(&'static str),
 }
 
@@ -1384,7 +1386,11 @@ fn every_run_flag_is_honoured_or_refused_by_every_program_kind() {
     let table = [
         ("--procs 2", "", [Changes(0), Changes(0), Changes(0)]),
         ("--strategy nrd", "", [Changes(0), Changes(0), Refused]),
-        ("--checkpoint eager", "", [Changes(0), Changes(0), Refused]),
+        (
+            "--checkpoint eager",
+            "",
+            [Parsed("lazy"), Changes(0), Refused],
+        ),
         (
             "--balance feedback",
             "",
@@ -1595,4 +1601,131 @@ fn a_phantom_spike_of_any_size_trips_the_budget() {
         "{stdout}"
     );
     assert!(stdout.contains(" 1 pressure events"), "{stdout}");
+}
+
+/// The end of the JSON value that starts at `s[i]` (after whitespace),
+/// or `None` when there is no valid value there — RFC 8259's grammar,
+/// so `inf`, `NaN` and `-inf` are rejected like any other bare word.
+fn json_value_end(s: &[u8], mut i: usize) -> Option<usize> {
+    let ws = |s: &[u8], mut i: usize| {
+        while s.get(i).is_some_and(u8::is_ascii_whitespace) {
+            i += 1;
+        }
+        i
+    };
+    let digits = |s: &[u8], mut i: usize| {
+        let from = i;
+        while s.get(i).is_some_and(u8::is_ascii_digit) {
+            i += 1;
+        }
+        (i > from).then_some(i)
+    };
+    i = ws(s, i);
+    match *s.get(i)? {
+        open @ (b'{' | b'[') => {
+            let close = if open == b'{' { b'}' } else { b']' };
+            i = ws(s, i + 1);
+            if s.get(i) == Some(&close) {
+                return Some(i + 1);
+            }
+            loop {
+                if open == b'{' {
+                    i = ws(s, json_value_end(s, i).filter(|_| s[ws(s, i)] == b'"')?);
+                    i = (s.get(i) == Some(&b':')).then_some(i + 1)?;
+                }
+                i = ws(s, json_value_end(s, i)?);
+                match *s.get(i)? {
+                    b',' => i += 1,
+                    c if c == close => return Some(i + 1),
+                    _ => return None,
+                }
+            }
+        }
+        b'"' => {
+            i += 1;
+            loop {
+                match *s.get(i)? {
+                    b'"' => return Some(i + 1),
+                    b'\\' => i += 2,
+                    c if c < 0x20 => return None,
+                    _ => i += 1,
+                }
+            }
+        }
+        b't' if s[i..].starts_with(b"true") => Some(i + 4),
+        b'f' if s[i..].starts_with(b"false") => Some(i + 5),
+        b'n' if s[i..].starts_with(b"null") => Some(i + 4),
+        _ => {
+            if s[i] == b'-' {
+                i += 1;
+            }
+            i = match s.get(i)? {
+                b'0' => i + 1,
+                _ => digits(s, i)?,
+            };
+            if s.get(i) == Some(&b'.') {
+                i = digits(s, i + 1)?;
+            }
+            if matches!(s.get(i), Some(b'e' | b'E')) {
+                i += 1;
+                if matches!(s.get(i), Some(b'+' | b'-')) {
+                    i += 1;
+                }
+                i = digits(s, i)?;
+            }
+            Some(i)
+        }
+    }
+}
+
+fn is_json(text: &str) -> bool {
+    let s = text.trim().as_bytes();
+    json_value_end(s, 0) == Some(s.len())
+}
+
+#[test]
+fn the_json_check_rejects_what_json_cannot_hold() {
+    for good in ["{}", "[1,-0.5,2e3]", r#"{"a":null,"b":[true,"x\"y"]}"#] {
+        assert!(is_json(good), "{good}");
+    }
+    for bad in [
+        r#"{"speedup":-inf}"#,
+        r#"{"a":NaN}"#,
+        "[1,]",
+        r#"{"a" 1}"#,
+        "01",
+    ] {
+        assert!(!is_json(bad), "{bad}");
+    }
+}
+
+/// Resuming a journal that already holds the whole loop runs no stage:
+/// the report has no virtual time, so no speedup — `null` in JSON and
+/// `n/a` in text, never `inf` or a `-0.000000` total.
+#[test]
+fn resuming_a_complete_journal_reports_no_speedup() {
+    let journal = std::env::temp_dir().join(format!("rlrpd-cli-complete-{}", std::process::id()));
+    std::fs::remove_file(&journal).ok();
+    let path = program("tracking.rlp");
+    let j = journal.to_str().unwrap();
+    let (ok, _, stderr) = rlrpd(&["run", &path, "--procs", "4", "--journal", j]);
+    assert!(ok, "{stderr}");
+    let resume = ["run", &path, "--procs", "4", "--journal", j, "--resume"];
+    let (ok, text, stderr) = rlrpd(&resume);
+    assert!(ok, "{stderr}");
+    assert!(text.contains("stages = 0, "), "{text}");
+    assert!(
+        text.contains("speedup = n/a, resumed from iteration 512"),
+        "{text}"
+    );
+    let (ok, stdout, stderr) = rlrpd(&[&resume[..], &["--format", "json"]].concat());
+    std::fs::remove_file(&journal).ok();
+    assert!(ok, "{stderr}");
+    let json = stdout.lines().last().expect("the JSON report");
+    assert!(is_json(json), "not JSON: {json}");
+    assert_eq!(json_field(json, "speedup"), "null", "{json}");
+    assert_eq!(json_field(json, "virtual_time"), "0.000000", "{json}");
+    for out in [&text, &stdout] {
+        assert!(!out.contains("inf") && !out.contains("-0.000000"), "{out}");
+    }
 }

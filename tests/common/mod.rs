@@ -52,6 +52,7 @@ pub fn strategies(names: &[&str]) -> Vec<Strategy> {
         "rd" => Strategy::Rd,
         "adaptive-eq4" => Strategy::AdaptiveRd(AdaptRule::ModelEq4),
         "adaptive" => Strategy::AdaptiveRd(AdaptRule::Measured),
+        "sw:2" => sw(2),
         "sw:7" => sw(7),
         "sw:64" => sw(64),
         _ => panic!("no strategy named '{name}'"),
