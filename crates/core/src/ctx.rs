@@ -252,6 +252,37 @@ impl<'a, T: Value> IterCtx<'a, T> {
         })
     }
 
+    /// [`IterCtx::peek`] of array `a` for every lane `l` set in `live`:
+    /// `out[l]` becomes what `read(a, idx[l])` would return, with the
+    /// array's route and bound resolved once for all lanes. `false`
+    /// when a lane's index is out of bounds (`out` is then partly
+    /// written).
+    #[inline]
+    pub fn peek_lanes(&self, a: ArrayId, live: u32, idx: &[usize], out: &mut [T]) -> bool {
+        let buf = &self.shared[a.index()];
+        let len = buf.len();
+        let view = match self.meta[a.index()].route {
+            Route::Tested { slot } if !self.views.is_empty() => Some(&self.views[slot]),
+            _ => None,
+        };
+        let mut m = live;
+        while m != 0 {
+            let l = m.trailing_zeros() as usize;
+            m &= m - 1;
+            let i = idx[l];
+            if i >= len {
+                return false;
+            }
+            out[l] = match view {
+                // SAFETY: as in `peek`.
+                Some(view) => view.peek(i, |e| unsafe { buf.get(e) }),
+                // SAFETY: as in `peek`.
+                None => unsafe { buf.get(i) },
+            };
+        }
+        true
+    }
+
     /// Write `v` to element `i` of array `a`.
     #[inline]
     pub fn write(&mut self, a: ArrayId, i: usize, v: T) {

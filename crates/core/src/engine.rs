@@ -906,20 +906,23 @@ impl<'l, T: Value> Engine<'l, T> {
             );
             let iter_costs = &mut st.iter_costs;
             let exit_iter = &mut st.exit_iter;
-            let mut after = |ctx: &mut IterCtx<'_, T>| {
-                let (iter, extra, exited) = ctx.advance();
-                let mut c = lp.cost(iter) + extra;
-                if let Some(plan) = plan {
-                    c += plan.delay_for(proc, iter);
+            let mut after = |ctx: &mut IterCtx<'_, T>, n: usize| {
+                for _ in 0..n {
+                    let (iter, extra, exited) = ctx.advance();
+                    let mut c = lp.cost(iter) + extra;
+                    if let Some(plan) = plan {
+                        c += plan.delay_for(proc, iter);
+                    }
+                    iter_costs.push(iter as u32, c);
+                    total += c;
+                    if exited {
+                        // Within a block execution is sequential: the
+                        // rest of the block is known-dead and is skipped.
+                        *exit_iter = Some(iter as u32);
+                        return false;
+                    }
                 }
-                iter_costs.push(iter as u32, c);
-                total += c;
-                if exited {
-                    // Within a block execution is sequential: the rest
-                    // of the block is known-dead and is skipped.
-                    *exit_iter = Some(iter as u32);
-                }
-                !exited
+                true
             };
             if plan.is_none() && !record && !stepwise {
                 st.tally = lp.run_iters(range, &mut ctx, &mut after);
@@ -1078,14 +1081,17 @@ impl<'l, T: Value> Engine<'l, T> {
         let shared = &self.shared;
         let run = catch_unwind(AssertUnwindSafe(|| {
             let mut ctx = IterCtx::direct(range.start, 0, meta, shared);
-            lp.run_iters(range, &mut ctx, &mut |ctx| {
-                let (iter, extra, exit) = ctx.advance();
-                work += lp.cost(iter) + extra;
-                done += 1;
-                if exit {
-                    exited = Some(iter);
+            lp.run_iters(range, &mut ctx, &mut |ctx, n| {
+                for _ in 0..n {
+                    let (iter, extra, exit) = ctx.advance();
+                    work += lp.cost(iter) + extra;
+                    done += 1;
+                    if exit {
+                        exited = Some(iter);
+                        return false;
+                    }
                 }
-                !exit
+                true
             });
         }));
         match run {
@@ -1132,10 +1138,15 @@ pub fn run_sequential<T: Value>(lp: &dyn SpecLoop<T>) -> (Vec<(&'static str, Vec
     let RoutedArrays { meta, shared, .. } = RoutedArrays::new(lp.arrays());
     let mut work = 0.0;
     let mut ctx = IterCtx::direct(0, 0, &meta, &shared);
-    lp.run_iters(0..lp.num_iters(), &mut ctx, &mut |ctx| {
-        let (iter, extra, exited) = ctx.advance();
-        work += lp.cost(iter) + extra;
-        !exited
+    lp.run_iters(0..lp.num_iters(), &mut ctx, &mut |ctx, n| {
+        for _ in 0..n {
+            let (iter, extra, exited) = ctx.advance();
+            work += lp.cost(iter) + extra;
+            if exited {
+                return false;
+            }
+        }
+        true
     });
 
     let arrays = meta

@@ -41,27 +41,32 @@ pub trait SpecLoop<T: Value = f64>: Sync {
     fn body(&self, iter: usize, ctx: &mut IterCtx<'_, T>);
 
     /// Execute the bodies of `iters` in ascending order against `ctx`,
-    /// calling `after` once each iteration's references are all made
-    /// and stopping as soon as it returns `false`. The caller owns the
-    /// per-iteration bookkeeping: `after` is where it records the
-    /// iteration's cost, notices a premature exit and moves `ctx` on to
-    /// the next iteration.
+    /// calling `after(ctx, n)` once the references of the `n`
+    /// iterations run since the last call are all made, and stopping as
+    /// soon as it returns `false`. The caller owns the per-iteration
+    /// bookkeeping: `after` is where it records each of those
+    /// iterations' cost, notices a premature exit and moves `ctx` on
+    /// past them.
     ///
-    /// The default is the per-iteration loop. A body tier that can run
-    /// several iterations per dispatch overrides it; whatever it does
-    /// inside, every reference must reach `ctx.read` / `write` /
-    /// `reduce` in iteration order and, within an iteration, in program
-    /// order, with `after` between iterations — so marks, private
-    /// values and reference counts are those of the default.
+    /// The default is the per-iteration loop, which passes `n = 1`. A
+    /// body tier that can run several iterations per dispatch overrides
+    /// it; whatever it does inside, every reference must reach
+    /// `ctx.read` / `write` / `reduce` in iteration order and, within
+    /// an iteration, in program order — so marks, private values and
+    /// reference counts are those of the default. It may close several
+    /// iterations with one `after` only where none of them can exit,
+    /// charge, fault or be recorded under its own iteration number: a
+    /// fault between two such calls is charged to the first iteration
+    /// `after` has not closed.
     fn run_iters(
         &self,
         iters: Range<usize>,
         ctx: &mut IterCtx<'_, T>,
-        after: &mut dyn FnMut(&mut IterCtx<'_, T>) -> bool,
+        after: &mut dyn FnMut(&mut IterCtx<'_, T>, usize) -> bool,
     ) -> BatchTally {
         for iter in iters {
             self.body(iter, ctx);
-            if !after(ctx) {
+            if !after(ctx, 1) {
                 break;
             }
         }
@@ -187,7 +192,7 @@ impl<T: Value> SpecLoop<T> for FullyInstrumented<'_, T> {
         &self,
         iters: Range<usize>,
         ctx: &mut IterCtx<'_, T>,
-        after: &mut dyn FnMut(&mut IterCtx<'_, T>) -> bool,
+        after: &mut dyn FnMut(&mut IterCtx<'_, T>, usize) -> bool,
     ) -> BatchTally {
         self.inner.run_iters(iters, ctx, after)
     }

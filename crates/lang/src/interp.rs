@@ -117,11 +117,28 @@ pub(crate) trait PeekCtx: DataCtx {
     fn peek(&self, a: usize, i: usize) -> Option<f64>;
     /// Number of elements of array `a`.
     fn len(&self, a: usize) -> usize;
+    /// `peek(a, idx[l])` into `out[l]` for every lane `l` set in
+    /// `live`; `false` when one is out of bounds.
+    fn peek_lanes(&self, a: usize, live: u32, idx: &[usize], out: &mut [f64]) -> bool {
+        let mut m = live;
+        while m != 0 {
+            let l = m.trailing_zeros() as usize;
+            m &= m - 1;
+            match self.peek(a, idx[l]) {
+                Some(v) => out[l] = v,
+                None => return false,
+            }
+        }
+        true
+    }
 }
 
 impl PeekCtx for IterCtx<'_, f64> {
     fn peek(&self, a: usize, i: usize) -> Option<f64> {
         IterCtx::peek(self, ArrayId(a as u32), i)
+    }
+    fn peek_lanes(&self, a: usize, live: u32, idx: &[usize], out: &mut [f64]) -> bool {
+        IterCtx::peek_lanes(self, ArrayId(a as u32), live, idx, out)
     }
     fn len(&self, a: usize) -> usize {
         IterCtx::len(self, ArrayId(a as u32))

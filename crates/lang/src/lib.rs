@@ -563,7 +563,7 @@ impl CompiledProgram {
         k: usize,
         iters: Range<usize>,
         ctx: &mut IterCtx<'_, f64>,
-        after: &mut dyn FnMut(&mut IterCtx<'_, f64>) -> bool,
+        after: &mut dyn FnMut(&mut IterCtx<'_, f64>, usize) -> bool,
     ) -> BatchTally {
         match self.backend {
             Backend::Bytecode => {
@@ -573,7 +573,7 @@ impl CompiledProgram {
             Backend::TreeWalk => {
                 for iter in iters {
                     self.body_of(k, iter, ctx);
-                    if !after(ctx) {
+                    if !after(ctx, 1) {
                         break;
                     }
                 }
@@ -668,7 +668,7 @@ impl SpecLoop<f64> for ProgramLoop<'_> {
         &self,
         iters: Range<usize>,
         ctx: &mut IterCtx<'_, f64>,
-        after: &mut dyn FnMut(&mut IterCtx<'_, f64>) -> bool,
+        after: &mut dyn FnMut(&mut IterCtx<'_, f64>, usize) -> bool,
     ) -> BatchTally {
         self.prog.run_iters_of(self.k, iters, ctx, after)
     }
@@ -767,7 +767,7 @@ impl SpecLoop<f64> for CompiledLoop {
         &self,
         iters: Range<usize>,
         ctx: &mut IterCtx<'_, f64>,
-        after: &mut dyn FnMut(&mut IterCtx<'_, f64>) -> bool,
+        after: &mut dyn FnMut(&mut IterCtx<'_, f64>, usize) -> bool,
     ) -> BatchTally {
         self.inner.run_iters_of(0, iters, ctx, after)
     }

@@ -126,20 +126,32 @@ fn step<C: DataCtx>(code: &LoopCode, one: &mut File<1>, i: f64, ctx: &mut C) {
 }
 
 /// Execute iterations `iters` of `code` in order (iteration `k` runs
-/// with the loop variable at `first + k`), calling `after` between
-/// them and stopping when it returns `false` — in strips where the
-/// loop is eligible, `strips` allows it and a whole strip remains,
-/// otherwise one iteration at a time. A failed strip backs off: the
-/// next 1, 2, 4 … strips of this call run scalar without probing (reset
-/// by the next success), so a loop whose dependences are short pays a
-/// bounded probe cost.
+/// with the loop variable at `first + k`), calling `after(ctx, n)` once
+/// the `n` iterations since the last call have made their references
+/// and stopping when it returns `false` — in strips where the loop is
+/// eligible, `strips` allows it and a whole strip remains (`n =`
+/// [`STRIP`], once after the strip's replay), otherwise one iteration
+/// at a time (`n = 1`). A failed strip backs off: the next 1, 2, 4 …
+/// strips of this call run scalar without probing (reset by the next
+/// success), so a loop whose dependences are short pays a bounded
+/// probe cost.
+///
+/// A validated strip's replay cannot fault, so closing its iterations
+/// only at its end leaves a caller that counts what `after` closed —
+/// the engine's fault iteration, `run_direct`'s `done` — exact: every
+/// subscript was checked against its array's length during execution,
+/// every load's value was peeked, and an eligible loop holds no
+/// counter, bump or exit. The references it replays are in-bounds
+/// `read` / `write` / `reduce` calls; whatever can fault (a bad
+/// subscript, `%` by zero) abandons the strip instead, and its
+/// iterations then run and fault one at a time.
 pub(crate) fn run_range<C: PeekCtx>(
     code: &LoopCode,
     first: usize,
     iters: Range<usize>,
     strips: bool,
     ctx: &mut C,
-    after: &mut dyn FnMut(&mut C) -> bool,
+    after: &mut dyn FnMut(&mut C, usize) -> bool,
 ) -> BatchTally {
     let mut tally = BatchTally::default();
     SCRATCH.with(|cell| {
@@ -172,9 +184,9 @@ pub(crate) fn run_range<C: PeekCtx>(
                 if batched {
                     for l in 0..STRIP {
                         replay(plan, log, l, ctx);
-                        if !after(ctx) {
-                            return;
-                        }
+                    }
+                    if !after(ctx, STRIP) {
+                        return;
                     }
                     tally.batched_iters += STRIP as u64;
                     penalty = 0;
@@ -205,11 +217,11 @@ fn steps<C: DataCtx>(
     first: usize,
     iters: Range<usize>,
     ctx: &mut C,
-    after: &mut dyn FnMut(&mut C) -> bool,
+    after: &mut dyn FnMut(&mut C, usize) -> bool,
 ) -> bool {
     for iter in iters {
         step(code, one, (first + iter) as f64, ctx);
-        if !after(ctx) {
+        if !after(ctx, 1) {
             return false;
         }
     }
@@ -370,6 +382,12 @@ struct Ahead<'a, C> {
 impl<C: PeekCtx> Ahead<'_, C> {
     /// Log `live`'s subscripts (and `src` values) under the
     /// instruction's slot; `false` on a subscript that would fault.
+    ///
+    /// A trusted subscript takes one range check and one packed cast
+    /// over every lane: a lane inside `[0, len − 1]` (the proof makes it
+    /// an integer) is the element [`At::try_index`] names, read off the
+    /// low mantissa bits of `v + 2^52`, and a lane that is not live may
+    /// hold anything — its index is never read.
     #[inline(always)]
     fn note(
         &mut self,
@@ -381,13 +399,20 @@ impl<C: PeekCtx> Ahead<'_, C> {
         let len = self.ctx.len(at.arr as usize);
         let acc = &mut self.log[self.plan.slot_of[at.pc] as usize];
         acc.lanes = live;
-        let mut m = live;
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
-            match at.try_index(idx[l]) {
-                Some(j) if j < len => acc.idx[l] = j,
-                _ => return false,
+        if at.trusted {
+            if !within(idx, len as f64 - 1.0) & live != 0 {
+                return false;
+            }
+            acc.idx = idx.map(|v| ((v + ROUND).to_bits() & MANTISSA) as usize);
+        } else {
+            let mut m = live;
+            while m != 0 {
+                let l = m.trailing_zeros() as usize;
+                m &= m - 1;
+                match at.try_index(idx[l]) {
+                    Some(j) if j < len => acc.idx[l] = j,
+                    _ => return false,
+                }
             }
         }
         if let Some(src) = src {
@@ -400,20 +425,10 @@ impl<C: PeekCtx> Ahead<'_, C> {
 impl<C: PeekCtx> Port<STRIP> for Ahead<'_, C> {
     #[inline(always)]
     fn load(&mut self, at: At<'_>, live: u32, idx: &[f64; STRIP], out: &mut [f64; STRIP]) -> bool {
-        if !self.note(at, live, idx, None) {
-            return false;
+        self.note(at, live, idx, None) && {
+            let acc = &self.log[self.plan.slot_of[at.pc] as usize];
+            self.ctx.peek_lanes(at.arr as usize, live, &acc.idx, out)
         }
-        let acc = &self.log[self.plan.slot_of[at.pc] as usize];
-        let mut m = live;
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
-            match self.ctx.peek(at.arr as usize, acc.idx[l]) {
-                Some(v) => out[l] = v,
-                None => return false,
-            }
-        }
-        true
     }
     #[inline(always)]
     fn store(&mut self, at: At<'_>, live: u32, idx: &[f64; STRIP], src: &[f64; STRIP]) -> bool {
@@ -489,6 +504,64 @@ fn rem_pow2(x: f64, mask: u16, int: bool) -> f64 {
     } else {
         (round_i64(x) & mask as i64) as f64
     }
+}
+
+/// `2^52`: adding it to a `f64` in `[0, 2^51)` rounds the sum to an
+/// integer, whose value is then the sum's low 52 mantissa bits —
+/// rounding and conversion in packed arithmetic, which baseline x86-64
+/// lacks for `as` casts (each lane's `as u64` / `as i32` is a scalar
+/// conversion with its saturation fix-ups).
+const ROUND: f64 = 4_503_599_627_370_496.0;
+const MANTISSA: u64 = (1 << 52) - 1;
+
+/// The largest operand the packed remainders take: below `2^31` the
+/// error analysis of [`rem_of`] has room to spare.
+const PACKED_MAX: f64 = 2_147_483_647.0;
+
+/// The lanes of `x` inside `[0, hi]`, as a bit mask (`-0.0` is inside,
+/// `NaN` is not).
+#[inline(always)]
+fn within<const W: usize>(x: &[f64; W], hi: f64) -> u32 {
+    let mut m = 0;
+    for (l, &v) in x.iter().enumerate() {
+        m |= ((v >= 0.0) as u32 & (v <= hi) as u32) << l;
+    }
+    m
+}
+
+/// `x mod y` for integers `0 <= x <= 2^31 − 1`, `1 <= y <= 2^31 − 1`,
+/// given `t`, the quotient `x / y` correctly rounded. `t` is within
+/// `2^-22` of the true quotient, whose floor is `k`, so the integer
+/// nearest it is `k` or `k + 1`; `x − q·y` is exact (every term is an
+/// integer below `2^53`) and lands in `[−y, y)`, and one correction
+/// step makes it the remainder. `+ 0.0` turns the `-0.0` a `-0.0`
+/// dividend leaves into the `+0.0` that `as u64` gives.
+#[inline(always)]
+fn rem_of(x: f64, y: f64, t: f64) -> f64 {
+    let q = (t + ROUND) - ROUND;
+    let r = x - q * y;
+    (if r < 0.0 { r + y } else { r }) + 0.0
+}
+
+/// [`rem`] with the `int` bit on every lane at once, in packed `f64`
+/// arithmetic; `None` (take the per-lane path) unless every lane of
+/// both operands is at most `2^31 − 1`.
+#[inline(always)]
+fn rem_lanes<const W: usize>(x: &[f64; W], y: &[f64; W]) -> Option<[f64; W]> {
+    let full = u32::MAX >> (32 - W);
+    (within(x, PACKED_MAX) & within(y, PACKED_MAX) == full)
+        .then(|| std::array::from_fn(|l| rem_of(x[l], y[l], x[l] / y[l])))
+}
+
+/// [`rem_pow2`] with the `int` bit on every lane at once: [`rem_of`]
+/// with the exact quotient `x · 2^-k`; `None` unless every lane is at
+/// most `2^31 − 1`.
+#[inline(always)]
+fn rem_pow2_lanes<const W: usize>(x: &[f64; W], mask: u16) -> Option<[f64; W]> {
+    let full = u32::MAX >> (32 - W);
+    let y = mask as f64 + 1.0;
+    let inv = 1.0 / y;
+    (within(x, PACKED_MAX) == full).then(|| x.map(|v| rem_of(v, y, v * inv)))
 }
 
 /// A parked lane's resume pc when it has none.
@@ -612,15 +685,35 @@ fn run<const W: usize, P: Port<W>>(code: &LoopCode, regs: &mut [[f64; W]], port:
             Insn::Mul { dst, a, b } => set!(dst, |l| r!(a)[l] * r!(b)[l]),
             Insn::Div { dst, a, b } => set!(dst, |l| r!(a)[l] / r!(b)[l]),
             Insn::Rem { dst, a, b, int } => {
-                if W > 1 && !int {
-                    // A zero divisor is a fault in waiting.
-                    lanes!(|l| if round_i64(r!(b)[l]) == 0 {
-                        return false;
-                    });
+                let packed = if W > 1 && int {
+                    rem_lanes(r!(a), r!(b))
+                } else {
+                    None
+                };
+                if let Some(out) = packed {
+                    set!(dst, |l| out[l]);
+                } else {
+                    if W > 1 && !int {
+                        // A zero divisor is a fault in waiting.
+                        lanes!(|l| if round_i64(r!(b)[l]) == 0 {
+                            return false;
+                        });
+                    }
+                    set!(dst, |l| rem(r!(a)[l], r!(b)[l], int));
                 }
-                set!(dst, |l| rem(r!(a)[l], r!(b)[l], int));
             }
-            Insn::RemPow2 { dst, a, mask, int } => set!(dst, |l| rem_pow2(r!(a)[l], mask, int)),
+            Insn::RemPow2 { dst, a, mask, int } => {
+                let packed = if W > 1 && int {
+                    rem_pow2_lanes(r!(a), mask)
+                } else {
+                    None
+                };
+                if let Some(out) = packed {
+                    set!(dst, |l| out[l]);
+                } else {
+                    set!(dst, |l| rem_pow2(r!(a)[l], mask, int));
+                }
+            }
             Insn::MulAdd { dst, a, b, c } => set!(dst, |l| r!(a)[l] * r!(b)[l] + r!(c)[l]),
             Insn::DualMulAdd { dst, a, b, c, d } => {
                 set!(dst, |l| r!(a)[l] * r!(b)[l] + r!(c)[l] * r!(d)[l]);
@@ -737,8 +830,8 @@ mod tests {
         Read(usize, usize),
         Write(usize, usize, u64),
         Reduce(usize, usize, u64),
-        /// The iteration ended (`after` ran).
-        Done,
+        /// `after` closed this many iterations.
+        Done(usize),
     }
 
     /// A direct-memory context recording every reference — enough to
@@ -776,9 +869,39 @@ mod tests {
         }
     }
 
-    fn after(ctx: &mut MemCtx) -> bool {
-        ctx.trace.push(Ref::Done);
+    fn after(ctx: &mut MemCtx, n: usize) -> bool {
+        ctx.trace.push(Ref::Done(n));
         !ctx.exited
+    }
+
+    /// `per_iter` (a trace closing one iteration per `after`) with the
+    /// boundaries merged as `merged` closes them: every `Done(n)` of
+    /// `merged` stands for the next `n` boundaries of `per_iter`, so a
+    /// strip's trace must equal the result exactly — its references in
+    /// the same order, its iteration boundaries merged into one at its
+    /// end, nothing else moved.
+    fn merge_boundaries(per_iter: &[Ref], merged: &[Ref]) -> Vec<Ref> {
+        let mut counts = merged.iter().filter_map(|r| match r {
+            Ref::Done(n) => Some(*n),
+            _ => None,
+        });
+        let (mut open, mut n) = (0, 0);
+        let mut out = Vec::new();
+        for r in per_iter {
+            if *r != Ref::Done(1) {
+                out.push(*r);
+                continue;
+            }
+            if open == 0 {
+                n = counts.next().unwrap_or(1);
+                open = n;
+            }
+            open -= 1;
+            if open == 0 {
+                out.push(Ref::Done(n));
+            }
+        }
+        out
     }
 
     struct Tiers {
@@ -811,7 +934,7 @@ mod tests {
                 ctx: &mut tree_walk,
             };
             let _ = eval.stmts(&nest.body);
-            if !after(&mut tree_walk) {
+            if !after(&mut tree_walk, 1) {
                 break;
             }
         }
@@ -836,11 +959,25 @@ mod tests {
     }
 
     /// All three tiers made the same references in the same order and
-    /// left the same bits behind.
+    /// left the same bits behind; the scalar VM closes every iteration
+    /// on its own, strips close each batched strip's [`STRIP`] at once.
     fn assert_identical(src: &str, iters: Range<usize>) -> BatchTally {
         let t = run_tiers(src, iters);
+        let closed = |ctx: &MemCtx, n| ctx.trace.iter().filter(|r| **r == Ref::Done(n)).count();
+        assert_eq!(
+            closed(&t.strips, STRIP) * STRIP,
+            t.tally.batched_iters as usize
+        );
+        assert!(t.strips.trace.iter().all(|r| match r {
+            Ref::Done(n) => *n == 1 || *n == STRIP,
+            _ => true,
+        }));
         for (name, got) in [("scalar VM", &t.scalar), ("strips", &t.strips)] {
-            assert_eq!(got.trace, t.tree_walk.trace, "{name}: references diverged");
+            assert_eq!(
+                got.trace,
+                merge_boundaries(&t.tree_walk.trace, &got.trace),
+                "{name}: references diverged"
+            );
             for (a, (ga, wa)) in got.arrays.iter().zip(&t.tree_walk.arrays).enumerate() {
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(ga), bits(wa), "{name}: array {a} diverged");
@@ -1098,10 +1235,21 @@ mod tests {
             let (scalar_msg, scalar) = run_to_fault(src, 64, false);
             let (strip_msg, strips) = run_to_fault(src, 64, true);
             assert_eq!(strip_msg, scalar_msg, "{src}");
-            assert_eq!(strips.trace, scalar.trace, "{src}");
+            assert_eq!(
+                strips.trace,
+                merge_boundaries(&scalar.trace, &strips.trace),
+                "{src}"
+            );
             assert_eq!(strips.arrays, scalar.arrays, "{src}");
             // The strips before the faulting one really ran batched.
-            assert!(scalar.trace.iter().filter(|r| **r == Ref::Done).count() >= 2 * STRIP);
+            assert!(
+                strips
+                    .trace
+                    .iter()
+                    .filter(|r| **r == Ref::Done(STRIP))
+                    .count()
+                    >= 2
+            );
         }
     }
 
@@ -1137,6 +1285,126 @@ mod tests {
             "array A[64];\nfor i in 0..64 { A[i] = (i - 70) % 7 + i % 2.5; }",
             0..64,
         );
+    }
+
+    /// Non-negative integers at `k·y − 1`, `k·y` and `k·y + 1` for each
+    /// divisor `y`, up to `2^31 − 1`, and `-0.0`, in strips of lanes.
+    fn packed_cases(ys: &[f64]) -> Vec<[f64; STRIP]> {
+        let top = PACKED_MAX;
+        let mut xs = vec![-0.0, 0.0, 1.0, top];
+        for &y in ys {
+            let most = (top / y).floor();
+            for k in [1.0, 2.0, 3.0, 7.0, 1000.0, most - 1.0, most] {
+                for x in [k * y - 1.0, k * y, k * y + 1.0] {
+                    if (0.0..=top).contains(&x) {
+                        xs.push(x);
+                    }
+                }
+            }
+        }
+        xs.chunks(STRIP)
+            .map(|c| std::array::from_fn(|l| c[l % c.len()]))
+            .collect()
+    }
+
+    #[test]
+    fn packed_integer_paths_are_bit_equal_to_the_lane_ones() {
+        let ys = [1.0, 3.0, 16.0, (11 << 17) as f64, PACKED_MAX];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for x in packed_cases(&ys) {
+            for y in ys {
+                let got = rem_lanes(&x, &[y; STRIP]).expect("every lane below 2^31");
+                assert_eq!(bits(&got), bits(&x.map(|v| rem(v, y, true))), "{x:?} % {y}");
+            }
+            for mask in [0, 15, u16::MAX] {
+                let got = rem_pow2_lanes(&x, mask).expect("every lane below 2^31");
+                assert_eq!(
+                    bits(&got),
+                    bits(&x.map(|v| rem_pow2(v, mask, true))),
+                    "{x:?}"
+                );
+            }
+        }
+        assert_eq!(
+            rem_lanes(&[-0.0; STRIP], &[3.0; STRIP]).unwrap()[0].to_bits(),
+            0
+        );
+        // One lane at 2^31 sends the whole strip down the lane path.
+        let mut x = [5.0; STRIP];
+        x[9] = PACKED_MAX + 1.0;
+        assert!(rem_lanes(&x, &[3.0; STRIP]).is_none());
+        assert!(rem_pow2_lanes(&x, 15).is_none());
+        assert!(rem_lanes(&[5.0; STRIP], &[PACKED_MAX + 1.0; STRIP]).is_none());
+
+        // The trusted subscript's packed cast logs what `try_index`
+        // resolves, and refuses exactly the lanes past the array.
+        struct Sized(usize);
+        impl DataCtx for Sized {
+            fn read(&mut self, _: usize, _: usize) -> f64 {
+                unreachable!()
+            }
+            fn write(&mut self, _: usize, _: usize, _: f64) {}
+            fn reduce(&mut self, _: usize, _: usize, _: f64) {}
+            fn exit(&mut self) {}
+        }
+        impl PeekCtx for Sized {
+            fn peek(&self, _: usize, _: usize) -> Option<f64> {
+                None
+            }
+            fn len(&self, _: usize) -> usize {
+                self.0
+            }
+        }
+        let prog = parse("array A[64];\nfor i in 0..64 { A[i] = 1; }").unwrap();
+        let code = lower_loop(&prog.loops[0], &classify_loop(&prog, 0));
+        let plan = code.strips.as_ref().expect("eligible");
+        let pc = code
+            .code
+            .iter()
+            .position(|i| matches!(i, Insn::Store { .. } | Insn::StoreMarked { .. }))
+            .unwrap();
+        let at = At {
+            code: &code,
+            pc,
+            arr: 0,
+            trusted: true,
+        };
+        let mut log = vec![
+            Access {
+                lanes: 0,
+                idx: [0; STRIP],
+                val: [0.0; STRIP],
+            };
+            plan.ops.len()
+        ];
+        for len in [PACKED_MAX as usize, 1 << 20, 0] {
+            let ctx = Sized(len);
+            for x in packed_cases(&ys) {
+                let want: Option<Vec<usize>> = x
+                    .iter()
+                    .map(|&v| at.try_index(v).filter(|&j| j < len))
+                    .collect();
+                let mut ahead = Ahead {
+                    ctx: &ctx,
+                    plan,
+                    log: &mut log,
+                };
+                let full = u32::MAX >> (32 - STRIP);
+                let ok = ahead.note(at, full, &x, None);
+                assert_eq!(ok, want.is_some(), "{x:?} into {len}");
+                if let Some(want) = want {
+                    assert_eq!(log[plan.slot_of[pc] as usize].idx.to_vec(), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_dividend_crossing_2_pow_31_inside_a_strip_takes_the_lane_path() {
+        // i = 128 sits at lane 8 of the strip starting at 120.
+        let src = "array A[256];\narray B[256];\nfor i in 120..376 {\n  A[i - 120] = (i * 16777216 + 3) % 1000;\n  B[i - 120] = (i * 16777216 + 3) % 64;\n}";
+        let tally = assert_identical(src, 0..256);
+        assert_eq!((tally.batched_iters, tally.scalar_strips), (256, 0));
     }
 
     #[test]

@@ -180,7 +180,7 @@ impl SpecLoop<f64> for Spy<'_> {
         &self,
         iters: Range<usize>,
         ctx: &mut IterCtx<'_, f64>,
-        after: &mut dyn FnMut(&mut IterCtx<'_, f64>) -> bool,
+        after: &mut dyn FnMut(&mut IterCtx<'_, f64>, usize) -> bool,
     ) -> BatchTally {
         let first = iters.start;
         let tally = self.inner.run_iters(iters, ctx, after);

@@ -61,37 +61,49 @@ fn classify_prints_the_pass_decisions() {
 }
 
 /// The run says whether the VM's strips ran, and `classify` says why
-/// not when lowering refused them.
+/// not when lowering refused them. Both TRACK decks stay on the fast
+/// path: every strip they probe passes, so a strip executor that
+/// abandons strips it should run (a packed path that falls back wrong)
+/// fails here and not only in the benchmark.
 #[test]
 fn the_report_says_whether_strips_ran_and_classify_says_why_not() {
-    let (ok, stdout, _) = rlrpd(&[
-        "run",
-        &program("tracking.rlp"),
-        "--procs",
-        "2",
-        "--report",
-        "--format",
-        "json",
-    ]);
-    assert!(ok);
-    assert!(
-        stdout.contains("strips: 16 iterations per dispatch"),
-        "{stdout}"
-    );
-    let line = stdout
-        .lines()
-        .find(|l| l.starts_with("strips: ") && l.contains("batched"))
-        .unwrap_or_else(|| panic!("no strips line in the report:\n{stdout}"));
-    assert!(!line.starts_with("strips: 0 iterations"), "{line}");
-    let json = stdout.lines().last().unwrap();
-    assert!(json.contains(",\"batched_iters\":"), "{json}");
-    assert!(!json.contains("\"batched_iters\":0,"), "{json}");
-    assert!(json.trim_end().ends_with('}'), "{json}");
-    let tail = &json[json.find("\"fork_joins\"").expect("fork_joins")..];
-    assert!(
-        tail.find("\"batched_iters\"") < tail.find("\"scalar_strips\""),
-        "the two counters are the last keys: {tail}"
-    );
+    for deck in ["tracking.rlp", "tracking_large.rlp"] {
+        let (ok, stdout, _) = rlrpd(&[
+            "run",
+            &program(deck),
+            "--procs",
+            "2",
+            "--report",
+            "--format",
+            "json",
+        ]);
+        assert!(ok, "{deck}");
+        assert!(
+            stdout.contains("strips: 16 iterations per dispatch"),
+            "{stdout}"
+        );
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("strips: ") && l.contains("batched"))
+            .unwrap_or_else(|| panic!("no strips line in the report:\n{stdout}"));
+        assert!(!line.starts_with("strips: 0 iterations"), "{line}");
+        assert!(
+            line.ends_with(" batched, 0 strips re-executed scalar"),
+            "{deck}: {line}"
+        );
+        let json = stdout.lines().last().unwrap();
+        assert!(json.contains(",\"batched_iters\":"), "{json}");
+        assert!(!json.contains("\"batched_iters\":0,"), "{json}");
+        assert!(
+            json.trim_end().ends_with(",\"scalar_strips\":0}"),
+            "{deck}: {json}"
+        );
+        let tail = &json[json.find("\"fork_joins\"").expect("fork_joins")..];
+        assert!(
+            tail.find("\"batched_iters\"") < tail.find("\"scalar_strips\""),
+            "the two counters are the last keys: {tail}"
+        );
+    }
 
     // A proven short dependence: refused at lowering, never probed.
     let dir = std::env::temp_dir().join("rlrpd_cli_strips");
