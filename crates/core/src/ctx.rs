@@ -228,35 +228,15 @@ impl<'a, T: Value> IterCtx<'a, T> {
         }
     }
 
-    /// The value [`IterCtx::read`] would return for element `i` of
-    /// array `a`, without the read happening: nothing is marked,
-    /// nothing is materialized, no reference is counted. `None` when
-    /// `i` is out of bounds (where `read` would panic). This is what
-    /// lets a body tier run iterations ahead side-effect free and
-    /// replay their references in order afterwards
-    /// ([`crate::spec_loop::SpecLoop::run_iters`]).
-    #[inline]
-    pub fn peek(&self, a: ArrayId, i: usize) -> Option<T> {
-        let buf = &self.shared[a.index()];
-        if i >= buf.len() {
-            return None;
-        }
-        Some(match self.meta[a.index()].route {
-            Route::Tested { slot } if !self.views.is_empty() => {
-                // SAFETY: as in `read` — tested shared data is stable
-                // during the stage.
-                self.views[slot].peek(i, |e| unsafe { buf.get(e) })
-            }
-            // SAFETY: as in `read`'s direct / untested arm.
-            _ => unsafe { buf.get(i) },
-        })
-    }
-
-    /// [`IterCtx::peek`] of array `a` for every lane `l` set in `live`:
-    /// `out[l]` becomes what `read(a, idx[l])` would return, with the
-    /// array's route and bound resolved once for all lanes. `false`
-    /// when a lane's index is out of bounds (`out` is then partly
-    /// written).
+    /// The values [`IterCtx::read`] would return for elements
+    /// `idx[l]` of array `a`, into `out[l]` for every lane `l` set in
+    /// `live`, without the reads happening: nothing is marked, nothing
+    /// is materialized, no reference is counted. The array's route and
+    /// bound are resolved once for all lanes. `false` when a lane's
+    /// index is out of bounds, where `read` would panic (`out` is then
+    /// partly written). This is what lets a body tier run iterations
+    /// ahead side-effect free and replay their references in order
+    /// afterwards ([`crate::spec_loop::SpecLoop::run_iters`]).
     #[inline]
     pub fn peek_lanes(&self, a: ArrayId, live: u32, idx: &[usize], out: &mut [T]) -> bool {
         let buf = &self.shared[a.index()];
@@ -274,9 +254,10 @@ impl<'a, T: Value> IterCtx<'a, T> {
                 return false;
             }
             out[l] = match view {
-                // SAFETY: as in `peek`.
+                // SAFETY: as in `read` — tested shared data is stable
+                // during the stage.
                 Some(view) => view.peek(i, |e| unsafe { buf.get(e) }),
-                // SAFETY: as in `peek`.
+                // SAFETY: as in `read`'s direct / untested arm.
                 None => unsafe { buf.get(i) },
             };
         }

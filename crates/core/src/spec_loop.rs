@@ -54,9 +54,9 @@ pub trait SpecLoop<T: Value = f64>: Sync {
     /// `ctx.read` / `write` / `reduce` in iteration order and, within
     /// an iteration, in program order — so marks, private values and
     /// reference counts are those of the default. It may close several
-    /// iterations with one `after` only where none of them can exit,
-    /// charge, fault or be recorded under its own iteration number: a
-    /// fault between two such calls is charged to the first iteration
+    /// iterations with one `after` only when none of them can exit,
+    /// charge cost, fault, or be recorded under its own iteration
+    /// number: the engine charges a fault to the first iteration
     /// `after` has not closed.
     fn run_iters(
         &self,

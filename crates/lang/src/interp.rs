@@ -109,34 +109,18 @@ impl DataCtx for IterCtx<'_, f64> {
 }
 
 /// A context the VM's strip executor can run ahead on: it answers what
-/// a read *would* return without the read happening, and how long an
+/// reads *would* return without the reads happening, and how long an
 /// array is, so a strip can execute side-effect free and turn every
 /// would-be fault into an abandoned strip.
 pub(crate) trait PeekCtx: DataCtx {
-    /// The value `read(a, i)` would return, `None` out of bounds.
-    fn peek(&self, a: usize, i: usize) -> Option<f64>;
+    /// What `read(a, idx[l])` would return, into `out[l]` for every
+    /// lane `l` set in `live`; `false` when one is out of bounds.
+    fn peek_lanes(&self, a: usize, live: u32, idx: &[usize], out: &mut [f64]) -> bool;
     /// Number of elements of array `a`.
     fn len(&self, a: usize) -> usize;
-    /// `peek(a, idx[l])` into `out[l]` for every lane `l` set in
-    /// `live`; `false` when one is out of bounds.
-    fn peek_lanes(&self, a: usize, live: u32, idx: &[usize], out: &mut [f64]) -> bool {
-        let mut m = live;
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
-            match self.peek(a, idx[l]) {
-                Some(v) => out[l] = v,
-                None => return false,
-            }
-        }
-        true
-    }
 }
 
 impl PeekCtx for IterCtx<'_, f64> {
-    fn peek(&self, a: usize, i: usize) -> Option<f64> {
-        IterCtx::peek(self, ArrayId(a as u32), i)
-    }
     fn peek_lanes(&self, a: usize, live: u32, idx: &[usize], out: &mut [f64]) -> bool {
         IterCtx::peek_lanes(self, ArrayId(a as u32), live, idx, out)
     }

@@ -861,8 +861,14 @@ mod tests {
     }
 
     impl PeekCtx for MemCtx {
-        fn peek(&self, a: usize, i: usize) -> Option<f64> {
-            self.arrays[a].get(i).copied()
+        fn peek_lanes(&self, a: usize, live: u32, idx: &[usize], out: &mut [f64]) -> bool {
+            for l in (0..STRIP).filter(|l| live >> l & 1 != 0) {
+                match self.arrays[a].get(idx[l]) {
+                    Some(&v) => out[l] = v,
+                    None => return false,
+                }
+            }
+            true
         }
         fn len(&self, a: usize) -> usize {
             self.arrays[a].len()
@@ -1348,8 +1354,8 @@ mod tests {
             fn exit(&mut self) {}
         }
         impl PeekCtx for Sized {
-            fn peek(&self, _: usize, _: usize) -> Option<f64> {
-                None
+            fn peek_lanes(&self, _: usize, _: u32, _: &[usize], _: &mut [f64]) -> bool {
+                unreachable!()
             }
             fn len(&self, _: usize) -> usize {
                 self.0
