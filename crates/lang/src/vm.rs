@@ -385,9 +385,10 @@ impl<C: PeekCtx> Ahead<'_, C> {
     ///
     /// A trusted subscript takes one range check and one packed cast
     /// over every lane: a lane inside `[0, len − 1]` (the proof makes it
-    /// an integer) is the element [`At::try_index`] names, read off the
-    /// low mantissa bits of `v + 2^52`, and a lane that is not live may
-    /// hold anything — its index is never read.
+    /// an integer, and no array comes near `2^51` elements) is the
+    /// element [`At::try_index`] names, read off the low mantissa bits
+    /// of `v + 2^52`, and a lane that is not live may hold anything —
+    /// its index is never read.
     #[inline(always)]
     fn note(
         &mut self,
