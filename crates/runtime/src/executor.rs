@@ -8,7 +8,7 @@
 //! interchangeable execution modes:
 //!
 //! * [`ExecMode::Pooled`] — blocks run on real threads: a persistent
-//!   work-stealing [`WorkerPool`] created once and reused by every
+//!   fork-join [`WorkerPool`] created once and reused by every
 //!   stage and restart (see [`crate::pool`]). This proves the
 //!   engine is genuinely parallel and data-race-free and provides real
 //!   wall-clock measurements.
@@ -27,15 +27,14 @@
 //! run on the submitting thread, so a pooled stage is one fork-join.
 
 use crate::cost::Cost;
-use crate::pool::{JobPanic, SendPtr, WorkerPool};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use crate::pool::{run_inline, JobPanic, SendPtr, WorkerPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// How to run the blocks of one stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
-    /// A persistent work-stealing worker pool, reused across stages.
+    /// A persistent fork-join worker pool, reused across stages.
     Pooled,
     /// Deterministic sequential emulation with virtual per-block clocks.
     Simulated,
@@ -157,72 +156,44 @@ impl Executor {
         S: Send,
         F: Fn(usize, &mut S) -> Cost + Sync,
     {
-        match self.mode {
-            ExecMode::Simulated => {
-                let mut panic: Option<JobPanic> = None;
-                let per_block_cost = states
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(pos, s)| {
-                        match catch_unwind(AssertUnwindSafe(|| work(pos, s))) {
-                            Ok(c) => c,
-                            Err(payload) => {
-                                // Sequential block order: the first panic
-                                // seen is the lowest position.
-                                if panic.is_none() {
-                                    panic = Some(JobPanic {
-                                        index: pos,
-                                        payload,
-                                    });
-                                }
-                                0.0
-                            }
-                        }
-                    })
-                    .collect();
-                (
-                    StageTiming {
-                        per_block_cost,
-                        wall_seconds: 0.0,
-                    },
-                    panic,
-                )
-            }
-            ExecMode::Pooled | ExecMode::Distributed => {
+        let states_ptr = SendPtr::new(states.as_mut_ptr());
+        let mut per_block_cost = vec![0.0; states.len()];
+        let costs_ptr = SendPtr::new(per_block_cost.as_mut_ptr());
+        let task = |pos: usize| {
+            // SAFETY: block positions are distinct, so each task derives
+            // an exclusive &mut to its own state and cost slot.
+            let s = unsafe { &mut *states_ptr.get().add(pos) };
+            let c = work(pos, s);
+            // SAFETY: same disjointness argument — `pos` is unique per
+            // task, so this cost slot is written by exactly one thread.
+            // A panicked block never gets here and keeps its `0.0`.
+            unsafe { *costs_ptr.get().add(pos) = c };
+        };
+        let (panic, wall_seconds) = match &self.pool {
+            Some(pool) => {
                 self.fork_joins.fetch_add(1, Ordering::Relaxed);
                 let start = std::time::Instant::now();
-                let pool = self.pool.as_ref().expect("pooled executor has a pool");
-                let states_ptr = SendPtr::new(states.as_mut_ptr());
-                let mut per_block_cost = vec![0.0; states.len()];
-                let costs_ptr = SendPtr::new(per_block_cost.as_mut_ptr());
-                let panic = pool
-                    .try_run(states.len(), &|pos| {
-                        // SAFETY: block positions are distinct, so each
-                        // task derives an exclusive &mut to its own
-                        // state and cost slot.
-                        let s = unsafe { &mut *states_ptr.get().add(pos) };
-                        let c = work(pos, s);
-                        // SAFETY: same disjointness argument — `pos` is
-                        // unique per task, so this cost slot is written
-                        // by exactly one thread.
-                        unsafe { *costs_ptr.get().add(pos) = c };
-                    })
-                    .err();
-                (
-                    StageTiming {
-                        per_block_cost,
-                        wall_seconds: start.elapsed().as_secs_f64(),
-                    },
-                    panic,
-                )
+                let panic = pool.try_run(states.len(), &task);
+                (panic, start.elapsed().as_secs_f64())
             }
-        }
+            // Simulated: block order on this thread, so the first panic
+            // met is the lowest position.
+            None => (run_inline(0..states.len(), &task), 0.0),
+        };
+        (
+            StageTiming {
+                per_block_cost,
+                wall_seconds,
+            },
+            panic.err(),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn modes() -> [Executor; 2] {

@@ -10,7 +10,7 @@
 //!   (the paper requires static block scheduling so that partial work can
 //!   be committed in iteration order),
 //! * [`Executor`] — runs one speculative stage on a persistent
-//!   work-stealing [`WorkerPool`] reused across stages and restarts, or
+//!   fork-join [`WorkerPool`] reused across stages and restarts, or
 //!   on a deterministic *simulated machine* with per-processor virtual
 //!   clocks (our substitution for the paper's 16-processor HP V2200;
 //!   see DESIGN.md §2),

@@ -1,76 +1,24 @@
-//! A persistent work-stealing worker pool for speculative stages.
-//!
-//! The seed executor spawned one scoped OS thread per block per stage.
-//! An R-LRPD run executes *many* stages — every restart re-runs the
-//! remaining iterations as a fresh doall — so thread creation cost was
-//! paid hundreds of times per loop instantiation. This module replaces
-//! that with a pool of workers created **once** (per requested width)
-//! and reused by every stage and every restart.
-//!
-//! Design:
-//!
-//! * Each submitted job is a *parallel for* over indices `0..n`. The
-//!   index space is split into one contiguous chunk per worker, each
-//!   held in an [`IndexDeque`]: a `(start, end)` pair packed into one
-//!   atomic word. The owning worker claims indices from the front with
-//!   CAS; idle workers steal from the back of other workers' deques with
-//!   the same CAS word, so claiming is lock-free and a task index is
-//!   executed exactly once.
-//! * **The submitting thread is worker 0.** A pool of width `threads`
-//!   owns `threads − 1` helper threads; the submitter drains deque 0
-//!   (then steals) itself instead of parking while someone else does. A
-//!   job splits into `min(n, threads)` deques, and helpers park on a
-//!   condvar until a job has an *unclaimed* deque: a helper that wakes
-//!   claims one under the pool lock, drains it, steals, and checks out.
-//!   When the submitter runs out of work every index has been claimed,
-//!   so it revokes the deques nobody came for and waits only for the
-//!   helpers that did claim one — a job the submitter finishes alone
-//!   never waits for a helper to be scheduled. A width-1 pool and a
-//!   one-index job run inline: no lock, no allocation, no wake-up.
-//!   Jobs are serialized: a second submitter waits until the first has
-//!   released the pool.
-//! * Task closures are lifetime-erased (`&'a dyn Fn(usize)` →
-//!   `&'static`). This is sound because a helper touches the closure
-//!   only between claiming a deque and checking out, both under the pool
-//!   lock, and [`WorkerPool::try_run`] returns only after it has — under
-//!   that same lock — revoked every unclaimed deque and seen the count
-//!   of checked-in helpers reach zero. No helper can reach the closure
-//!   after that, so the erased borrow strictly outlives every use.
-//! * Task panics are *contained*: a panicking task never takes down a
-//!   worker or the job. Every remaining index still executes (other
-//!   tasks are independent speculative work whose results the caller
-//!   may commit), and the panic of the lowest index is recorded in the
-//!   job. [`WorkerPool::try_run`] hands it back as a [`JobPanic`];
-//!   [`WorkerPool::run`] re-raises it with `resume_unwind`. Either way
-//!   the panic slot dies with the job, so the pool stays usable and the
-//!   next job starts clean.
-//!
-//! [`WorkerPool::shared`] memoizes pools by width in a process-global
-//! map so independent engines (and restarted runs) reuse the same OS
-//! threads instead of re-spawning.
+//! A persistent fork-join pool, reused by every stage and restart. A
+//! job's `0..n` is cut into `min(n, threads)` contiguous chunks, one
+//! per *slot*: an atomic state word, free → claimed → done. DESIGN §4.6
+//! states the protocol and why it is live and sound.
 
 use crate::fault::panic_message;
 use std::any::Any;
+use std::cell::UnsafeCell;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::{JoinHandle, Thread};
 
-/// A raw pointer that may be shared across the pool's workers.
-///
-/// Used to hand disjoint `&mut` slots of a slice to tasks: each task
-/// index derives exactly one element pointer, so exclusivity is an
-/// indexing invariant the caller upholds (and documents at the use
-/// site), not something the type system can see.
+/// A raw pointer shared by tasks that each derive a disjoint element.
 pub struct SendPtr<T>(*mut T);
 
-// SAFETY: a SendPtr is only a capability to *derive* element pointers;
-// every dereference happens at an unsafe site whose caller guarantees
-// disjointness. Sending the pointer itself between threads is sound
-// whenever the pointee values may move between threads.
+// SAFETY: no access by itself; each dereference site justifies its own.
 unsafe impl<T: Send> Send for SendPtr<T> {}
-// SAFETY: as above — sharing the pointer grants no access by itself;
-// every dereference site must justify exclusivity on its own.
+// SAFETY: as above.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
@@ -85,62 +33,7 @@ impl<T> SendPtr<T> {
     }
 }
 
-/// One worker's contiguous slice of the job's index space, packed as
-/// `(start << 32) | end` in a single atomic word. The owner pops from
-/// the front, thieves pop from the back; both are CAS loops on the same
-/// word, so the deque never hands out an index twice.
-struct IndexDeque(AtomicU64);
-
-impl IndexDeque {
-    fn new(start: usize, end: usize) -> Self {
-        debug_assert!(start <= end && end <= u32::MAX as usize);
-        IndexDeque(AtomicU64::new(((start as u64) << 32) | end as u64))
-    }
-
-    fn pop_front(&self) -> Option<usize> {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let (start, end) = ((cur >> 32) as u32, cur as u32);
-            if start >= end {
-                return None;
-            }
-            let next = ((u64::from(start) + 1) << 32) | u64::from(end);
-            match self
-                .0
-                .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return Some(start as usize),
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    fn pop_back(&self) -> Option<usize> {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let (start, end) = ((cur >> 32) as u32, cur as u32);
-            if start >= end {
-                return None;
-            }
-            let next = (u64::from(start) << 32) | u64::from(end - 1);
-            match self
-                .0
-                .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return Some((end - 1) as usize),
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-}
-
-/// Lifetime-erased task reference. `&dyn Fn + Sync` is `Send + Sync`,
-/// so the reference may be handed to every worker.
-#[derive(Clone, Copy)]
-struct TaskRef(&'static (dyn Fn(usize) + Sync));
-
-/// A contained task panic: which index panicked (the lowest, when
-/// several did) and the original unwind payload.
+/// A contained task panic: the lowest task index that panicked.
 pub struct JobPanic {
     /// The lowest task index that panicked.
     pub index: usize,
@@ -161,234 +54,185 @@ impl std::fmt::Debug for JobPanic {
     }
 }
 
-/// One submitted parallel-for.
-struct Job {
-    task: TaskRef,
-    /// One deque per participant: the submitter owns deque 0, the
-    /// helper that claims slot `k` owns deque `k`.
-    deques: Box<[IndexDeque]>,
-    /// The lowest-index task panic, if any. Every index still executes
-    /// after a panic — tasks are independent, and the caller decides
-    /// what to do with the surviving results.
-    panic: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
+/// Slot states; `DONE` is also the state between jobs.
+const DONE: u8 = 0;
+const FREE: u8 = 1;
+const CLAIMED: u8 = 2;
+
+type SlotFn<'a> = dyn Fn(usize) -> Option<JobPanic> + Sync + 'a;
+
+/// One cache line each: different threads write different slots.
+#[derive(Default)]
+#[repr(align(64))]
+struct Slot {
+    state: AtomicU8,
+    panic: UnsafeCell<Option<JobPanic>>,
 }
 
-impl Job {
-    fn exec(&self, i: usize) {
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.task.0)(i))) {
-            let mut slot = self.panic.lock().unwrap();
-            match &*slot {
-                Some((idx, _)) if *idx <= i => {}
-                _ => *slot = Some((i, payload)),
-            }
-        }
+#[derive(Default)]
+struct Shared {
+    /// The running job and its submitter.
+    job: UnsafeCell<Option<(&'static SlotFn<'static>, Thread)>>,
+    slots: Box<[Slot]>,
+    /// Submitters take turns.
+    turn: Mutex<()>,
+    shutdown: AtomicBool,
+}
+
+// SAFETY: the cells are the only fields that are not `Sync`. `job` is
+// written only while every slot is `DONE` and read only by a slot's
+// claimant. A slot's `panic` (its payload is `Send`) is moved in by the
+// claimant before the `DONE` store and out by the submitter after it
+// loads `DONE`.
+unsafe impl Sync for Shared {}
+
+impl Shared {
+    /// Claim slot `own` if it is free, otherwise any free slot.
+    fn claim(&self, own: usize) -> Option<usize> {
+        let take = |k: &usize| {
+            let s = &self.slots[*k].state;
+            (s.compare_exchange(FREE, CLAIMED, Ordering::Acquire, Ordering::Relaxed)).is_ok()
+        };
+        (own..self.slots.len()).chain(1..own).find(take)
     }
 
-    /// Drain the job from worker `me`'s point of view: own deque from
-    /// the front, then every other deque from the back. The index space
-    /// is fixed at submission, so one pass that fully drains each deque
-    /// in turn leaves nothing claimable.
-    fn run_from(&self, me: usize) {
-        let w = self.deques.len();
-        for k in 0..w {
-            let victim = (me + k) % w;
-            if k == 0 {
-                while let Some(i) = self.deques[victim].pop_front() {
-                    self.exec(i);
-                }
-            } else {
-                while let Some(i) = self.deques[victim].pop_back() {
-                    self.exec(i);
+    /// Run slot `s`, claimed by the caller, and mark it done. Returns
+    /// the submitter when no slot is left undone.
+    fn run_slot(&self, s: usize) -> Option<Thread> {
+        // SAFETY: the caller holds slot `s`: until the `DONE` store the job
+        // stays as published, and no other thread touches the slot's panic.
+        let submitter = unsafe {
+            let (run, submitter) = (*self.job.get()).clone().expect("a claimed job");
+            *self.slots[s].panic.get() = run(s);
+            submitter
+        };
+        // `SeqCst` here and in `all_done`: of two threads finishing at
+        // once, at least one sees both slots done.
+        self.slots[s].state.store(DONE, Ordering::SeqCst);
+        self.all_done().then_some(submitter)
+    }
+
+    fn all_done(&self) -> bool {
+        let done = |s: &Slot| s.state.load(Ordering::SeqCst) == DONE;
+        self.slots.iter().all(done)
+    }
+
+    /// Helper `me`: run slots while any is free, else park.
+    fn help(&self, me: usize) {
+        while !self.shutdown.load(Ordering::Acquire) {
+            while let Some(s) = self.claim(me) {
+                if let Some(submitter) = self.run_slot(s) {
+                    submitter.unpark();
                 }
             }
+            std::thread::park();
         }
-    }
-}
-
-struct PoolState {
-    job: Option<Arc<Job>>,
-    /// Deques of the current job that no helper has claimed yet
-    /// (deques `1..=unclaimed`; deque 0 is the submitter's).
-    unclaimed: usize,
-    /// Helpers that claimed a deque and have not checked out.
-    busy: usize,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    /// Helpers park here until a job has an unclaimed deque.
-    work_cv: Condvar,
-    /// Submitters park here while the pool is busy / their helpers run.
-    done_cv: Condvar,
-}
-
-impl PoolShared {
-    fn lock(&self) -> std::sync::MutexGuard<'_, PoolState> {
-        // Nothing panics while holding the lock (tasks run outside it,
-        // inside `catch_unwind`), so poisoning means a bug in this file.
-        self.state.lock().expect("pool state lock poisoned")
     }
 }
 
 /// A persistent pool executing parallel-fors `threads` wide: the
-/// submitting thread plus `threads − 1` helper threads.
-///
-/// Create one with [`WorkerPool::new`] or — preferred, so restarts and
-/// independent engines share OS threads — [`WorkerPool::shared`].
+/// submitting thread plus `threads − 1` helpers. Prefer
+/// [`WorkerPool::shared`], so restarts and independent engines share it.
 pub struct WorkerPool {
-    shared: Arc<PoolShared>,
-    /// The `threads − 1` helpers.
-    handles: Vec<std::thread::JoinHandle<()>>,
-    threads: usize,
+    shared: Arc<Shared>,
+    /// `handles[k − 1]` is helper `k`.
+    handles: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "WorkerPool(threads={})", self.threads)
+        write!(f, "WorkerPool(threads={})", self.threads())
     }
 }
 
 impl WorkerPool {
-    /// A pool `threads` wide (clamped to at least one). The submitter
-    /// of each job is one of the `threads`, so this spawns
-    /// `threads − 1` helpers — a width-1 pool spawns none.
+    /// A pool `threads` wide (clamped to at least one). It spawns
+    /// `threads − 1` helpers, so a width-1 pool spawns none.
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                job: None,
-                unclaimed: 0,
-                busy: 0,
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
+        let slots = (0..threads.max(1)).map(|_| Slot::default()).collect();
+        let shared = Arc::new(Shared {
+            slots,
+            ..Shared::default()
         });
-        let handles = (1..threads)
-            .map(|k| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("rlrpd-pool-{k}"))
-                    .spawn(move || helper_loop(&shared))
-                    .expect("failed to spawn pool helper")
-            })
-            .collect();
-        WorkerPool {
-            shared,
-            handles,
-            threads,
-        }
+        let spawn = |k: usize| {
+            let sh = Arc::clone(&shared);
+            let helper = std::thread::Builder::new().name(format!("rlrpd-pool-{k}"));
+            helper.spawn(move || sh.help(k)).expect("spawn pool helper")
+        };
+        let handles = (1..threads).map(spawn).collect();
+        WorkerPool { shared, handles }
     }
 
-    /// The process-wide pool of this width, created on first use and
-    /// kept alive for the life of the process.
+    /// The process-wide pool of this width, created on first use.
     pub fn shared(threads: usize) -> Arc<WorkerPool> {
         static POOLS: OnceLock<Mutex<HashMap<usize, Arc<WorkerPool>>>> = OnceLock::new();
-        let threads = threads.max(1);
-        let pools = POOLS.get_or_init(|| Mutex::new(HashMap::new()));
-        Arc::clone(
-            pools
-                .lock()
-                .unwrap()
-                .entry(threads)
-                .or_insert_with(|| Arc::new(WorkerPool::new(threads))),
-        )
+        let pools = POOLS.get_or_init(Mutex::default).lock();
+        let mut pools = pools.expect("pool registry lock poisoned");
+        let pool = pools.entry(threads.max(1));
+        Arc::clone(pool.or_insert_with(|| Arc::new(WorkerPool::new(threads))))
     }
 
-    /// Width of the pool: how many threads work on one job, the
-    /// submitter included.
+    /// How many threads work on one job, the submitter included.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.shared.slots.len()
     }
 
-    /// Run `f(i)` for every `i in 0..n` across the pool and block until
-    /// all calls finish. Panics from tasks are re-raised here (the
-    /// lowest-index panic when several tasks panicked). Jobs are
-    /// serialized; concurrent submitters queue.
+    /// Run `f(i)` for every `i in 0..n` and block until all calls
+    /// finish. The lowest-index task panic is re-raised here.
     pub fn run(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
         if let Err(p) = self.try_run(n, f) {
             resume_unwind(p.payload);
         }
     }
 
-    /// Like [`WorkerPool::run`], but a task panic is *contained* and
-    /// returned as `Err(JobPanic)` instead of re-raised. Every index
-    /// still executes (panicked tasks excepted); the reported panic is
-    /// the one with the lowest index. The pool stays fully usable
-    /// either way — the panic slot lives in the job, which is dropped
-    /// here, so the next submission starts clean.
+    /// Like [`WorkerPool::run`], but task panics are *contained*: every
+    /// other index still runs, the lowest-index panic is returned, and
+    /// the pool stays usable.
     pub fn try_run(&self, n: usize, f: &(dyn Fn(usize) + Sync)) -> Result<(), JobPanic> {
-        if self.threads == 1 || n <= 1 {
-            return run_inline(n, f);
+        let (sh, w) = (&*self.shared, self.threads().min(n));
+        if w <= 1 {
+            return run_inline(0..n, f);
         }
-        assert!(n <= u32::MAX as usize, "pool job too large");
-        // SAFETY: a helper uses `task` only between claiming a deque
-        // and checking out. We return only after revoking the
-        // unclaimed deques and seeing `busy == 0` under the pool lock,
-        // so no helper holds or can still obtain a claim on this job:
-        // the erased borrow strictly outlives every use of `task`.
-        let task: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(f) };
-        let w = self.threads.min(n);
+        let _turn = sh.turn.lock().expect("pool turn lock poisoned");
         let chunk = n.div_ceil(w);
-        let deques = (0..w)
-            .map(|k| IndexDeque::new((k * chunk).min(n), ((k + 1) * chunk).min(n)))
-            .collect();
-        let job = Arc::new(Job {
-            task: TaskRef(task),
-            deques,
-            panic: Mutex::new(None),
-        });
-
-        let sh = &*self.shared;
-        {
-            let mut st = sh.lock();
-            while st.job.is_some() {
-                st = sh.done_cv.wait(st).expect("pool state lock poisoned");
-            }
-            st.job = Some(Arc::clone(&job));
-            st.unclaimed = w - 1;
+        let run: &SlotFn = &|s| run_inline((s * chunk).min(n)..((s + 1) * chunk).min(n), f).err();
+        // SAFETY: no thread uses `run` after this call returns. The job is
+        // written before the slots are freed with `Release`. A thread reads
+        // it only after an `Acquire` claim of a freed slot, and not after
+        // marking that slot `DONE`. This call returns only after every slot
+        // reads `DONE`, and no slot is freed again before the next job.
+        let run: &'static SlotFn<'static> = unsafe { std::mem::transmute(run) };
+        // SAFETY: every slot is `DONE` between jobs, so no thread reads it.
+        unsafe { *sh.job.get() = Some((run, std::thread::current())) };
+        for slot in &sh.slots[..w] {
+            slot.state.store(FREE, Ordering::Release);
         }
-        if w == self.threads {
-            sh.work_cv.notify_all();
-        } else {
-            for _ in 1..w {
-                sh.work_cv.notify_one();
-            }
+        for helper in &self.handles[..w - 1] {
+            helper.thread().unpark();
         }
-
-        // Worker 0's share, then whatever can be stolen. `Job::exec`
-        // contains a panicking task, so this always returns.
-        job.run_from(0);
-
-        {
-            let mut st = sh.lock();
-            // Every index is claimed by now: a deque nobody came for
-            // is empty, and its helper need not show up at all.
-            st.unclaimed = 0;
-            while st.busy != 0 {
-                st = sh.done_cv.wait(st).expect("pool state lock poisoned");
-            }
-            st.job = None;
+        // Slot 0 first (no helper claims it), then every slot still free.
+        while let Some(s) = sh.claim(0) {
+            sh.run_slot(s);
         }
-        // Release any submitter queued behind this job.
-        sh.done_cv.notify_all();
-
-        let taken = job.panic.lock().unwrap().take();
-        match taken {
-            Some((index, payload)) => Err(JobPanic { index, payload }),
-            None => Ok(()),
+        while !sh.all_done() {
+            std::thread::park();
+        }
+        // SAFETY: every slot is `DONE`, so no other thread touches the job
+        // or a slot's panic before the next submission.
+        unsafe {
+            *sh.job.get() = None;
+            let panics = sh.slots[..w].iter().filter_map(|s| (*s.panic.get()).take());
+            panics.min_by_key(|p| p.index).map_or(Ok(()), Err)
         }
     }
 }
 
-/// The job on the calling thread alone, in index order — what a
-/// width-1 pool and a one-index job come down to. Same containment
-/// contract as the pooled path: every index runs, the lowest-index
-/// panic (the first one met, in this order) is reported.
-fn run_inline(n: usize, f: &(dyn Fn(usize) + Sync)) -> Result<(), JobPanic> {
+/// Run `f` over `range` on the calling thread, in order: the inline
+/// pool path, one slot, and the simulated executor. Every index runs;
+/// the first panic met, the lowest index, is returned.
+pub(crate) fn run_inline(range: Range<usize>, f: &(dyn Fn(usize) + Sync)) -> Result<(), JobPanic> {
     let mut first = None;
-    for index in 0..n {
+    for index in range {
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(index))) {
             first.get_or_insert(JobPanic { index, payload });
         }
@@ -398,43 +242,10 @@ fn run_inline(n: usize, f: &(dyn Fn(usize) + Sync)) -> Result<(), JobPanic> {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        if let Ok(mut st) = self.shared.state.lock() {
-            st.shutdown = true;
-        }
-        self.shared.work_cv.notify_all();
+        self.shared.shutdown.store(true, Ordering::Release);
         for h in self.handles.drain(..) {
+            h.thread().unpark();
             let _ = h.join();
-        }
-    }
-}
-
-fn helper_loop(sh: &PoolShared) {
-    let mut st = sh.lock();
-    loop {
-        if st.shutdown {
-            return;
-        }
-        let claim = match &st.job {
-            Some(job) if st.unclaimed > 0 => Some((Arc::clone(job), st.unclaimed)),
-            _ => None,
-        };
-        let Some((job, me)) = claim else {
-            st = sh.work_cv.wait(st).expect("pool state lock poisoned");
-            continue;
-        };
-        st.unclaimed -= 1;
-        st.busy += 1;
-        drop(st);
-
-        job.run_from(me);
-        drop(job);
-
-        st = sh.lock();
-        st.busy -= 1;
-        if st.busy == 0 {
-            // Possibly the last helper out: the submitter may be
-            // waiting on exactly this.
-            sh.done_cv.notify_all();
         }
     }
 }
@@ -446,18 +257,6 @@ mod tests {
     use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize};
     use std::sync::Barrier;
     use std::thread::ThreadId;
-
-    #[test]
-    fn index_deque_front_and_back_partition_the_range() {
-        let d = IndexDeque::new(3, 8);
-        assert_eq!(d.pop_front(), Some(3));
-        assert_eq!(d.pop_back(), Some(7));
-        assert_eq!(d.pop_front(), Some(4));
-        assert_eq!(d.pop_back(), Some(6));
-        assert_eq!(d.pop_front(), Some(5));
-        assert_eq!(d.pop_front(), None);
-        assert_eq!(d.pop_back(), None);
-    }
 
     #[test]
     fn every_index_runs_exactly_once() {
@@ -489,9 +288,8 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore = "timing-based; slow under the interpreter")]
     fn skewed_work_is_stolen_and_completes() {
-        // All the work lands in worker 0's chunk by cost; thieves must
-        // take from the back for the job to finish quickly — but
-        // correctness alone is what we assert here.
+        // All the costly indices land in slot 0's chunk, which one
+        // thread runs alone; completion is what we assert here.
         let pool = WorkerPool::new(4);
         let done = AtomicUsize::new(0);
         pool.run(64, &|i| {
@@ -692,6 +490,52 @@ mod tests {
         });
         for total in &totals {
             assert_eq!(total.load(Ordering::Relaxed), 900);
+        }
+    }
+
+    #[test]
+    fn every_task_of_a_job_no_wider_than_the_pool_runs_at_once() {
+        // DOACROSS lanes wait on each other, so each task of a job with
+        // `n <= threads` needs a thread of its own. A hang fails the
+        // test after a minute instead of stalling the suite.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let wide = WorkerPool::new(4);
+            for w in 2..=4 {
+                for pool in [&WorkerPool::new(w), &wide] {
+                    let barrier = Barrier::new(w);
+                    for _ in 0..200 {
+                        pool.run(w, &|_| {
+                            barrier.wait();
+                        });
+                    }
+                }
+            }
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("every task of a width-w job reached the barrier");
+    }
+
+    #[test]
+    fn a_borrow_dropped_as_the_job_returns_is_never_read_late() {
+        // With `2 <= n < threads` the submitter often claims a slot whose
+        // helper has not woken yet. That helper wakes after `try_run`
+        // has returned and `counts` is freed: it must find no slot to
+        // claim and so never read the task that borrowed `counts`.
+        let pool = WorkerPool::new(4);
+        for round in 0..3000 {
+            let n = 2 + round % 2;
+            let counts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+            pool.try_run(n, &|i| {
+                counts[i].fetch_add(1, Ordering::Relaxed);
+            })
+            .expect("no task panics");
+            assert!(
+                counts.into_iter().all(|c| c.into_inner() == 1),
+                "round {round}: some index ran 0 or 2+ times"
+            );
         }
     }
 
