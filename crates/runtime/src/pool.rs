@@ -499,7 +499,7 @@ mod tests {
         // `n <= threads` needs a thread of its own. A hang fails the
         // test after a minute instead of stalling the suite.
         let (done, finished) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
+        let jobs = std::thread::spawn(move || {
             let wide = WorkerPool::new(4);
             for w in 2..=4 {
                 for pool in [&WorkerPool::new(w), &wide] {
@@ -516,6 +516,7 @@ mod tests {
         finished
             .recv_timeout(std::time::Duration::from_secs(60))
             .expect("every task of a width-w job reached the barrier");
+        jobs.join().expect("the job thread finishes");
     }
 
     #[test]
