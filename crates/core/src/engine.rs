@@ -2,8 +2,8 @@
 //! processor-wise LRPD test and performs analysis, commit, restoration,
 //! and shadow re-initialization.
 //!
-//! Strategy drivers ([`crate::driver`], [`crate::window`]) differ only
-//! in *which* [`BlockSchedule`] they hand to [`Engine::run_stage`] next;
+//! The one stage loop ([`crate::stages`]) decides, per strategy, only
+//! *which* [`BlockSchedule`] it hands to [`Engine::run_stage`] next;
 //! everything inside a stage is identical and lives here.
 
 use crate::analysis::{analyze, AnalysisResult, DepArc};

@@ -412,37 +412,10 @@ pub struct TransportStats {
     pub wire_bytes: u64,
     /// Workers respawned (kill, deadline, or divergence), fleet-wide.
     pub respawns: usize,
-    /// Cumulative respawn count per worker slot — one flapping host is
-    /// visible as one hot entry instead of vanishing into the sum.
-    pub per_worker_respawns: Vec<u32>,
     /// Worker slots quarantined (removed from rotation for the rest of
     /// the run after exhausting their own respawn budget or failing a
     /// deterministic check such as the handshake).
     pub quarantined: usize,
-}
-
-impl TransportStats {
-    /// Accumulate another measurement into this one. `per_worker_respawns`
-    /// is a cumulative snapshot, so elementwise max — not a sum — merges
-    /// two drains of the same fleet.
-    pub fn merge(&mut self, other: &TransportStats) {
-        self.dispatch_seconds += other.dispatch_seconds;
-        self.collect_seconds += other.collect_seconds;
-        self.wire_bytes += other.wire_bytes;
-        self.respawns += other.respawns;
-        if self.per_worker_respawns.len() < other.per_worker_respawns.len() {
-            self.per_worker_respawns
-                .resize(other.per_worker_respawns.len(), 0);
-        }
-        for (mine, theirs) in self
-            .per_worker_respawns
-            .iter_mut()
-            .zip(&other.per_worker_respawns)
-        {
-            *mine = (*mine).max(*theirs);
-        }
-        self.quarantined += other.quarantined;
-    }
 }
 
 /// The supervisor's handle on a worker fleet. Implemented by
@@ -2443,30 +2416,5 @@ mod tests {
         let b = fresh_run_id();
         assert_ne!(a, b);
         assert_eq!(a >> 32, (std::process::id() as u64) & 0xffff_ffff);
-    }
-
-    #[test]
-    fn transport_stats_merge_sums_counters_and_maxes_per_worker_snapshots() {
-        let mut a = TransportStats {
-            dispatch_seconds: 1.0,
-            collect_seconds: 2.0,
-            wire_bytes: 10,
-            respawns: 1,
-            per_worker_respawns: vec![1, 0],
-            quarantined: 0,
-        };
-        let b = TransportStats {
-            dispatch_seconds: 0.5,
-            collect_seconds: 0.25,
-            wire_bytes: 5,
-            respawns: 2,
-            per_worker_respawns: vec![1, 2, 1],
-            quarantined: 1,
-        };
-        a.merge(&b);
-        assert_eq!(a.wire_bytes, 15);
-        assert_eq!(a.respawns, 3);
-        assert_eq!(a.per_worker_respawns, vec![1, 2, 1]);
-        assert_eq!(a.quarantined, 1);
     }
 }

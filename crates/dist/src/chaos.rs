@@ -21,6 +21,7 @@
 //! sequential execution or degrade to the in-process path — never a
 //! wrong answer.
 
+use rlrpd_runtime::SplitMix;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -95,19 +96,19 @@ impl ChaosPlan {
         let mut s = SplitMix(seed);
         let mut plan = ChaosPlan::new();
         for conn in 0..2 {
-            let fault = match s.next() % 6 {
+            let fault = match s.next_u64() % 6 {
                 0 => ChaosFault::Refuse,
                 1 => ChaosFault::Disconnect {
-                    after: 64 + s.next() % 512,
+                    after: 64 + s.next_u64() % 512,
                 },
                 2 => ChaosFault::Partition {
-                    after: 64 + s.next() % 512,
+                    after: 64 + s.next_u64() % 512,
                 },
                 3 => ChaosFault::Corrupt {
-                    at: 16 + s.next() % 256,
+                    at: 16 + s.next_u64() % 256,
                 },
                 4 => ChaosFault::Delay {
-                    millis: 1 + s.next() % 5,
+                    millis: 1 + s.next_u64() % 5,
                 },
                 _ => ChaosFault::Trickle,
             };
@@ -377,19 +378,6 @@ fn pump_server_to_client(mut server: TcpStream, mut client: TcpStream, blackhole
     }
     if !blackhole.load(Ordering::Relaxed) {
         let _ = client.shutdown(Shutdown::Both);
-    }
-}
-
-/// SplitMix64 — the same seed-expansion scheme `FaultPlan` uses.
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
     }
 }
 

@@ -20,7 +20,7 @@ use rlrpd_core::remote::{
 };
 use rlrpd_runtime::{FaultPlan, WorkerFault};
 
-use crate::net::{self, TcpTuning};
+use crate::net;
 
 /// How often the supervisor's collect loop wakes to check deadlines and
 /// heartbeat staleness when no frame has arrived.
@@ -123,7 +123,7 @@ pub enum Endpoint {
     /// + `args`), framed over stdin/stdout pipes.
     Local,
     /// A remote `rlrpd worker --listen` host (`host:port`), dialed over
-    /// TCP with the launcher's [`TcpTuning`]. A "respawn" of a TCP slot
+    /// TCP ([`net::connect`]). A "respawn" of a TCP slot
     /// is a fresh connection that replays hello + commit history —
     /// which is also how a partitioned slot rejoins.
     Tcp(String),
@@ -162,8 +162,6 @@ pub struct DistLauncher {
     /// Explicit worker slots; `None` means `policy.workers` subprocess
     /// slots.
     pub endpoints: Option<Vec<Endpoint>>,
-    /// Socket tuning for [`Endpoint::Tcp`] slots.
-    pub tuning: TcpTuning,
 }
 
 impl DistLauncher {
@@ -175,7 +173,6 @@ impl DistLauncher {
             policy: DistPolicy::default(),
             fault: None,
             endpoints: None,
-            tuning: TcpTuning::default(),
         }
     }
 
@@ -195,12 +192,6 @@ impl DistLauncher {
     /// subprocess slots.
     pub fn with_endpoints(mut self, endpoints: Vec<Endpoint>) -> Self {
         self.endpoints = Some(endpoints);
-        self
-    }
-
-    /// Replace the TCP socket tuning.
-    pub fn with_tuning(mut self, tuning: TcpTuning) -> Self {
-        self.tuning = tuning;
         self
     }
 }
@@ -308,7 +299,6 @@ pub struct Fleet {
     args: Vec<String>,
     policy: DistPolicy,
     fault: Option<Arc<FaultPlan>>,
-    tuning: TcpTuning,
     endpoints: Vec<Endpoint>,
     /// Encoded hello record (heartbeat interval already stamped in),
     /// replayed first to every (re)spawned worker.
@@ -360,7 +350,6 @@ impl Fleet {
             args: launcher.args.clone(),
             policy: launcher.policy,
             fault: launcher.fault.clone(),
-            tuning: launcher.tuning,
             endpoints,
             hello: hello.encode(),
             run_id,
@@ -442,7 +431,7 @@ impl Fleet {
                 )
             }
             Endpoint::Tcp(addr) => {
-                let stream = net::connect(addr, &self.tuning, idx as u64)?;
+                let stream = net::connect(addr, idx as u64)?;
                 let reader = stream.try_clone()?;
                 let reader = BufReader::with_capacity(FRAME_READER_BYTES, reader);
                 (Link::Tcp(stream), Box::new(reader))
@@ -847,11 +836,7 @@ impl BlockDispatcher for Fleet {
     }
 
     fn take_stats(&mut self) -> TransportStats {
-        let mut stats = std::mem::take(&mut self.stats);
-        // Cumulative per-slot snapshot (the engine's merge takes the
-        // elementwise max, so repeated snapshots don't double-count).
-        stats.per_worker_respawns = self.workers.iter().map(|w| w.respawns).collect();
-        stats
+        std::mem::take(&mut self.stats)
     }
 }
 

@@ -48,7 +48,7 @@
 //! - **TCP** ([`Endpoint::Tcp`]) — a standalone `rlrpd worker --listen
 //!   ADDR` host ([`listen_entry`]), connected with per-attempt timeouts,
 //!   jittered exponential backoff, socket deadlines, and keepalive
-//!   ([`TcpTuning`]). A respawn is a fresh connection that replays
+//!   ([`net::connect`]). A respawn is a fresh connection that replays
 //!   hello + commit history, so reconnect-and-rejoin after a transient
 //!   partition falls out of the same machinery.
 //!
@@ -73,6 +73,6 @@ mod worker;
 
 pub use chaos::{ChaosFault, ChaosPlan, ChaosProxy};
 pub use fleet::{DistLauncher, DistPolicy, Endpoint, Fleet};
-pub use net::{listen_entry, TcpTuning, DEFAULT_IDLE_TIMEOUT};
+pub use net::{listen_entry, DEFAULT_IDLE_TIMEOUT};
 pub use spec::resolve_spec;
 pub use worker::{worker_entry, EXIT_OK, EXIT_TRANSPORT, EXIT_USAGE};

@@ -21,49 +21,24 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use rlrpd_runtime::SplitMix;
+
 use crate::fleet::FRAME_READER_BYTES;
 use crate::worker::{serve_session, EXIT_USAGE};
 
-/// Socket-level tuning for supervisor→worker TCP connections.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TcpTuning {
-    /// Per-attempt connect timeout.
-    pub connect_timeout: Duration,
-    /// Connection attempts before the connect is reported failed (the
-    /// fleet then treats it like a spawn failure: quarantine).
-    pub connect_attempts: u32,
-    /// Base delay between connect attempts; doubles per attempt, plus
-    /// deterministic jitter.
-    pub connect_backoff: Duration,
-    /// Read/write deadline on the supervisor side of the socket — the
-    /// backstop that turns a half-open connection into an I/O error
-    /// when even the heartbeat-staleness sweep cannot see it (e.g. a
-    /// write blocked on a full kernel buffer).
-    pub io_timeout: Duration,
-    /// Enable `SO_KEEPALIVE` so the kernel eventually notices a peer
-    /// that vanished without a FIN.
-    pub keepalive: bool,
-}
-
-impl Default for TcpTuning {
-    fn default() -> Self {
-        TcpTuning {
-            connect_timeout: Duration::from_secs(1),
-            connect_attempts: 3,
-            connect_backoff: Duration::from_millis(50),
-            io_timeout: Duration::from_secs(10),
-            keepalive: true,
-        }
-    }
-}
-
-/// SplitMix64 step — deterministic jitter without a rand dependency.
-fn splitmix(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+/// Per-attempt connect timeout of a supervisor→worker connection.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+/// Connection attempts before the connect is reported failed (the
+/// fleet then treats it like a spawn failure: quarantine).
+const CONNECT_ATTEMPTS: u32 = 3;
+/// Base delay between connect attempts; doubles per attempt, plus
+/// deterministic jitter.
+const CONNECT_BACKOFF: Duration = Duration::from_millis(50);
+/// Read/write deadline on the supervisor side of the socket — the
+/// backstop that turns a half-open connection into an I/O error when
+/// even the heartbeat-staleness sweep cannot see it (e.g. a write
+/// blocked on a full kernel buffer).
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Deterministic backoff jitter in `0..=max/2`, keyed by (worker slot,
 /// attempt/respawn ordinal). Every supervisor computes the same delays
@@ -71,20 +46,20 @@ fn splitmix(seed: u64) -> u64 {
 /// worker slots retrying concurrently still de-synchronize.
 pub(crate) fn jitter(key: u64, ordinal: u64, max: Duration) -> Duration {
     let half = max.as_millis().max(2) as u64 / 2;
-    Duration::from_millis(splitmix(key ^ ordinal.wrapping_mul(0x9e37_79b9)) % half)
+    let draw = SplitMix(key ^ ordinal.wrapping_mul(0x9e37_79b9)).next_u64();
+    Duration::from_millis(draw % half)
 }
 
 /// Connect to `addr` with per-attempt timeouts and jittered exponential
-/// backoff between attempts, then apply the socket tuning (nodelay,
-/// read/write deadlines, keepalive). `jitter_key` should identify the
-/// worker slot so concurrent retries spread out deterministically.
-pub fn connect(addr: &str, tuning: &TcpTuning, jitter_key: u64) -> std::io::Result<TcpStream> {
+/// backoff between attempts, then set nodelay, read/write deadlines and
+/// keepalive on the socket. `jitter_key` should identify the worker
+/// slot so concurrent retries spread out deterministically.
+pub fn connect(addr: &str, jitter_key: u64) -> std::io::Result<TcpStream> {
     let mut last_err = None;
-    for attempt in 0..tuning.connect_attempts.max(1) {
+    for attempt in 0..CONNECT_ATTEMPTS {
         if attempt > 0 {
-            let exp = (attempt - 1).min(10);
-            let backoff = tuning.connect_backoff * 2u32.saturating_pow(exp)
-                + jitter(jitter_key, attempt as u64, tuning.connect_backoff);
+            let backoff = CONNECT_BACKOFF * 2u32.pow(attempt - 1)
+                + jitter(jitter_key, attempt as u64, CONNECT_BACKOFF);
             std::thread::sleep(backoff);
         }
         // Re-resolve per attempt: DNS may heal while we retry.
@@ -96,9 +71,12 @@ pub fn connect(addr: &str, tuning: &TcpTuning, jitter_key: u64) -> std::io::Resu
             }
         };
         for sa in addrs {
-            match TcpStream::connect_timeout(&sa, tuning.connect_timeout) {
+            match TcpStream::connect_timeout(&sa, CONNECT_TIMEOUT) {
                 Ok(stream) => {
-                    tune_stream(&stream, tuning)?;
+                    stream.set_nodelay(true)?;
+                    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+                    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+                    set_keepalive(&stream);
                     return Ok(stream);
                 }
                 Err(e) => last_err = Some(e),
@@ -111,17 +89,6 @@ pub fn connect(addr: &str, tuning: &TcpTuning, jitter_key: u64) -> std::io::Resu
             format!("{addr}: no addresses"),
         )
     }))
-}
-
-/// Apply nodelay, read/write deadlines, and keepalive to a socket.
-fn tune_stream(stream: &TcpStream, tuning: &TcpTuning) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(tuning.io_timeout))?;
-    stream.set_write_timeout(Some(tuning.io_timeout))?;
-    if tuning.keepalive {
-        set_keepalive(stream);
-    }
-    Ok(())
 }
 
 /// Enable `SO_KEEPALIVE`. Hand-declared syscall on Linux (the workspace
@@ -286,14 +253,10 @@ mod tests {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap().to_string()
         };
-        let tuning = TcpTuning {
-            connect_timeout: Duration::from_millis(200),
-            connect_attempts: 2,
-            connect_backoff: Duration::from_millis(5),
-            ..TcpTuning::default()
-        };
+        // A refused connect fails at once: the cost is the two backoffs
+        // between the three attempts, 50 ms and 100 ms plus jitter.
         let t0 = std::time::Instant::now();
-        assert!(connect(&addr, &tuning, 0).is_err());
+        assert!(connect(&addr, 0).is_err());
         assert!(
             t0.elapsed() < Duration::from_secs(5),
             "refusal must be fast, took {:?}",
@@ -305,7 +268,7 @@ mod tests {
     fn connect_applies_deadlines_to_an_accepted_stream() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let stream = connect(&addr, &TcpTuning::default(), 1).unwrap();
+        let stream = connect(&addr, 1).unwrap();
         assert!(stream.read_timeout().unwrap().is_some());
         assert!(stream.write_timeout().unwrap().is_some());
         assert!(stream.nodelay().unwrap());

@@ -18,7 +18,6 @@ use rlrpd_core::driver::{RunConfig, RunPlan, Runner, Strategy};
 use rlrpd_core::{run_sequential, WindowConfig};
 use rlrpd_dist::{
     net, resolve_spec, ChaosFault, ChaosPlan, ChaosProxy, DistLauncher, DistPolicy, Endpoint,
-    TcpTuning,
 };
 
 /// A partially parallel loop small enough that even a trickled link
@@ -54,7 +53,7 @@ fn spawn_listener() -> String {
 }
 
 /// A fleet of two TCP slots routed through a chaos proxy in front of
-/// `worker_addr`, with fast-recovery tuning.
+/// `worker_addr`, with a fast-recovery policy.
 fn launcher_through(plan: ChaosPlan, worker_addr: &str) -> DistLauncher {
     let proxy = ChaosProxy::bind("127.0.0.1:0", worker_addr, plan).expect("bind proxy");
     let proxy_addr = proxy.local_addr().expect("proxy addr").to_string();
@@ -66,12 +65,6 @@ fn launcher_through(plan: ChaosPlan, worker_addr: &str) -> DistLauncher {
         backoff: Duration::from_millis(10),
         ..DistPolicy::default()
     };
-    let tuning = TcpTuning {
-        connect_timeout: Duration::from_millis(500),
-        connect_attempts: 2,
-        connect_backoff: Duration::from_millis(10),
-        ..TcpTuning::default()
-    };
     // The worker program is never spawned for TCP slots; any path works.
     DistLauncher::new("unused".into(), Vec::new())
         .with_policy(policy)
@@ -79,7 +72,6 @@ fn launcher_through(plan: ChaosPlan, worker_addr: &str) -> DistLauncher {
             Endpoint::Tcp(proxy_addr.clone()),
             Endpoint::Tcp(proxy_addr),
         ])
-        .with_tuning(tuning)
 }
 
 /// Run `SPEC` through a chaos proxy applying `plan`; assert the final

@@ -169,10 +169,7 @@ fn classify_array(hint: Option<KindHint>, deps: &LoopDeps, id: usize) -> Classif
                 Class::Reduction(op),
                 format!(
                     "referenced only as 'x {}= expr' with x not in expr",
-                    match op {
-                        UpdateOp::Add => "+",
-                        UpdateOp::Mul => "*",
-                    }
+                    op.symbol()
                 ),
             );
         }

@@ -212,6 +212,16 @@ pub enum UpdateOp {
     Mul,
 }
 
+impl UpdateOp {
+    /// The operator's symbol without the `=`: `+` or `*`.
+    pub fn symbol(self) -> &'static str {
+        match self {
+            UpdateOp::Add => "+",
+            UpdateOp::Mul => "*",
+        }
+    }
+}
+
 /// Explicit classification override on a declaration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KindHint {

@@ -40,8 +40,14 @@
 //! `f64`; `#` starts a line comment. Scalars desugar to one-element
 //! arrays, so write-first scalars privatize speculatively, `s += e`
 //! scalars become parallel reductions, and loop-carried scalars
-//! serialize correctly under the test. Multi-loop sources compile to
-//! [`CompiledProgram`], single loops to [`CompiledLoop`].
+//! serialize correctly under the test.
+//!
+//! There is one compile path: parse, analyse every loop, lower. Its
+//! output is a [`CompiledProgram`], which [`CompiledLoop`] (one loop)
+//! and [`CompiledInduction`] (one loop and a `counter`) wrap for the
+//! runtime they hand it to — the speculative drivers or the EXTEND
+//! induction scheme. One tier dispatch (bytecode VM or tree-walk) runs
+//! the bodies of both.
 
 #![warn(missing_docs)]
 
@@ -111,8 +117,7 @@ pub struct CompiledProgram {
     /// Plain per-loop class tables (`class_tables[loop][array]`),
     /// precomputed so the per-iteration body never rebuilds them.
     class_tables: Vec<Vec<Class>>,
-    /// Leaked array names (`ArrayDecl` requires `&'static str`; one
-    /// small leak per compilation, documented).
+    /// Leaked array names, declaration order.
     names: Vec<&'static str>,
     /// When set, `Untested` verdicts are ignored at declaration time
     /// and every non-reduction array is fully instrumented — the
@@ -197,7 +202,27 @@ impl CompiledProgram {
                 "programs with a counter use the induction scheme: CompiledInduction::compile",
             ));
         }
-        let analyses = analyze_program(&program);
+        Ok(Self::build(program))
+    }
+
+    /// The one compile path of both schemes: analyse every loop, leak
+    /// the array names (`ArrayDecl` requires `&'static str`; one small
+    /// leak per compilation), build the class tables and lower.
+    ///
+    /// A counter program's `Reduction` verdicts are demoted to `Tested`
+    /// first: the induction context has no reduction path
+    /// ([`IndCtx::reduce`] panics), so `⊕=` routes as plain
+    /// read-modify-write and no `Reduce` instruction is emitted. Every
+    /// other verdict is the speculative scheme's.
+    fn build(program: Program) -> Self {
+        let mut analyses = analyze_program(&program);
+        if program.counter.is_some() {
+            for c in analyses.iter_mut().flat_map(|a| &mut a.classes) {
+                if matches!(c.class, Class::Reduction(_)) {
+                    c.class = Class::Tested;
+                }
+            }
+        }
         let class_tables = analyses
             .iter()
             .map(|a| a.classes.iter().map(|c| c.class).collect())
@@ -213,7 +238,7 @@ impl CompiledProgram {
             .zip(&analyses)
             .map(|(nest, a)| lower_loop(nest, &a.classes))
             .collect();
-        Ok(CompiledProgram {
+        CompiledProgram {
             program,
             analyses,
             class_tables,
@@ -222,11 +247,12 @@ impl CompiledProgram {
             bytecode,
             backend: Backend::Bytecode,
             scalar_vm: false,
-        })
+        }
     }
 
     /// Disable shadow elision: every non-reduction array is declared
-    /// `Tested` with a dense shadow, regardless of the static verdict.
+    /// `Tested`, with the shadow its predicted touch density selects,
+    /// regardless of the static verdict.
     /// Reductions keep their classification (their parallel fold is a
     /// different commit path, not an instrumentation level). This is
     /// the always-instrumented baseline the elision tests compare
@@ -266,23 +292,31 @@ impl CompiledProgram {
 
     /// Human-readable disassembly of every loop's bytecode.
     pub fn disassembly(&self) -> String {
-        use std::fmt::Write;
         let mut out = String::new();
         for (k, code) in self.bytecode.iter().enumerate() {
-            let nest = &self.program.loops[k];
-            let _ = writeln!(
-                out,
-                "loop {k} (for {} in {}..{}):",
-                nest.loop_var, nest.range.0, nest.range.1
-            );
-            out.push_str(&code.disassemble(&self.names, &nest.loop_var));
+            out.push_str(&self.loop_header(k));
+            out.push_str(&code.disassemble(&self.names, &self.program.loops[k].loop_var));
         }
         out
+    }
+
+    /// `loop K (for VAR in LO..HI):`, the line that heads loop `k` in
+    /// the disassembly and in a multi-loop report.
+    fn loop_header(&self, k: usize) -> String {
+        let nest = &self.program.loops[k];
+        let (lo, hi) = nest.range;
+        format!("loop {k} (for {} in {lo}..{hi}):\n", nest.loop_var)
     }
 
     /// Number of loops in the program.
     pub fn num_loops(&self) -> usize {
         self.program.loops.len()
+    }
+
+    /// Number of iterations of loop `k`.
+    fn iters_of(&self, k: usize) -> usize {
+        let (lo, hi) = self.program.loops[k].range;
+        hi - lo
     }
 
     /// The classifications of loop `k` (declaration order).
@@ -314,12 +348,9 @@ impl CompiledProgram {
     /// whose post/wait protocol makes cross-iteration order correct by
     /// construction, or plain sequential execution.
     pub fn loop_view_plain(&self, k: usize, init: Vec<Vec<f64>>) -> ProgramLoop<'_> {
-        assert_eq!(init.len(), self.program.arrays.len());
         ProgramLoop {
-            prog: self,
-            k,
-            init,
             plain: true,
+            ..self.loop_view(k, init)
         }
     }
 
@@ -423,10 +454,8 @@ impl CompiledProgram {
         let Ok(res) = self.run_loops(|k, state| {
             let proven = proven(k);
             let view = ProgramLoop {
-                prog: self,
-                k,
-                init: state,
                 plain: proven.is_some(),
+                ..self.loop_view(k, state)
             };
             let cfg = cfg
                 .with_dependence_prediction(self.predicted_first_dependence(k))
@@ -486,24 +515,13 @@ impl CompiledProgram {
         let mut out = String::new();
         for (k, analysis) in self.analyses.iter().enumerate() {
             if self.num_loops() > 1 {
-                let nest = &self.program.loops[k];
-                let _ = writeln!(
-                    out,
-                    "loop {k} (for {} in {}..{}):",
-                    nest.loop_var, nest.range.0, nest.range.1
-                );
+                out.push_str(&self.loop_header(k));
             }
             for (decl, c) in self.program.arrays.iter().zip(&analysis.classes) {
                 let kind = match c.class {
                     Class::Tested => "TESTED   ".to_string(),
                     Class::Untested => "UNTESTED ".to_string(),
-                    Class::Reduction(op) => format!(
-                        "REDUCTION({})",
-                        match op {
-                            ast::UpdateOp::Add => "+",
-                            ast::UpdateOp::Mul => "*",
-                        }
-                    ),
+                    Class::Reduction(op) => format!("REDUCTION({})", op.symbol()),
                 };
                 let undo = match c.restore_free {
                     true => "; no undo: written unconditionally at its own element, never read",
@@ -538,8 +556,10 @@ impl CompiledProgram {
         }
     }
 
-    /// The body of iteration `iter` of loop `k`.
-    fn body_of(&self, k: usize, iter: usize, ctx: &mut IterCtx<'_, f64>) {
+    /// The body of iteration `iter` of loop `k`, on the speculative
+    /// context or the induction one: the one tier dispatch of both
+    /// schemes.
+    fn body_of<C: interp::DataCtx>(&self, k: usize, iter: usize, ctx: &mut C) {
         let nest = &self.program.loops[k];
         let i = (nest.range.0 + iter) as f64;
         match self.backend {
@@ -620,18 +640,6 @@ impl CompiledProgram {
             })
             .collect()
     }
-
-    /// Declarations for a plain (zero-shadow) view: every array is
-    /// untested, so the engine neither allocates shadow state nor marks
-    /// accesses. The bytecode is unchanged — elided ops route through
-    /// the context, which simply skips marking when no shadow exists.
-    fn plain_decls_for(&self, init: Vec<Vec<f64>>) -> Vec<ArrayDecl<f64>> {
-        self.names
-            .iter()
-            .zip(init)
-            .map(|(&name, data)| ArrayDecl::untested(name, data))
-            .collect()
-    }
 }
 
 /// One loop of a [`CompiledProgram`], viewed as a [`SpecLoop`] starting
@@ -647,17 +655,23 @@ pub struct ProgramLoop<'a> {
 
 impl SpecLoop<f64> for ProgramLoop<'_> {
     fn num_iters(&self) -> usize {
-        let (lo, hi) = self.prog.program.loops[self.k].range;
-        hi - lo
+        self.prog.iters_of(self.k)
     }
 
     fn arrays(&self) -> Vec<ArrayDecl<f64>> {
         let init = self.init.clone();
-        if self.plain {
-            self.prog.plain_decls_for(init)
-        } else {
-            self.prog.decls_for(self.k, init)
+        if !self.plain {
+            return self.prog.decls_for(self.k, init);
         }
+        // Every array untested: the engine neither allocates shadow
+        // state nor marks accesses. The bytecode is unchanged — elided
+        // ops route through the context, which skips marking when no
+        // shadow exists.
+        let names = self.prog.names.iter();
+        names
+            .zip(init)
+            .map(|(&name, data)| ArrayDecl::untested(name, data))
+            .collect()
     }
 
     fn body(&self, iter: usize, ctx: &mut IterCtx<'_, f64>) {
@@ -685,9 +699,7 @@ impl SpecLoop<f64> for ProgramLoop<'_> {
 /// A compiled single-loop program — the common case, implementing
 /// [`SpecLoop`] directly so it plugs into every driver.
 #[derive(Debug)]
-pub struct CompiledLoop {
-    inner: CompiledProgram,
-}
+pub struct CompiledLoop(CompiledProgram);
 
 impl CompiledLoop {
     /// Parse and classify `src`, which must contain exactly one loop
@@ -700,67 +712,38 @@ impl CompiledLoop {
                 inner.num_loops()
             )));
         }
-        Ok(CompiledLoop { inner })
-    }
-
-    /// The classification the pass chose for each array, with
-    /// rationales (declaration order).
-    pub fn classifications(&self) -> &[Classification] {
-        self.inner.classifications(0)
-    }
-
-    /// The parsed program.
-    pub fn program(&self) -> &Program {
-        self.inner.program()
+        Ok(CompiledLoop(inner))
     }
 
     /// The underlying single-loop program.
     pub fn as_program(&self) -> &CompiledProgram {
-        &self.inner
+        &self.0
     }
 
     /// Execute the body on the tree-walk interpreter instead of the
     /// bytecode VM (the `--no-compile` escape hatch).
-    pub fn with_interpreter(mut self) -> Self {
-        self.inner = self.inner.with_interpreter();
-        self
+    pub fn with_interpreter(self) -> Self {
+        CompiledLoop(self.0.with_interpreter())
     }
 
     /// See [`CompiledProgram::with_scalar_vm`].
     #[doc(hidden)]
-    pub fn with_scalar_vm(mut self) -> Self {
-        self.inner = self.inner.with_scalar_vm();
-        self
-    }
-
-    /// Which execution tier runs the loop body.
-    pub fn backend(&self) -> Backend {
-        self.inner.backend()
-    }
-
-    /// Human-readable disassembly of the loop's bytecode.
-    pub fn disassembly(&self) -> String {
-        self.inner.disassembly()
-    }
-
-    /// Pretty one-line-per-array report of the pass's decisions.
-    pub fn report(&self) -> String {
-        self.inner.report()
+    pub fn with_scalar_vm(self) -> Self {
+        CompiledLoop(self.0.with_scalar_vm())
     }
 }
 
 impl SpecLoop<f64> for CompiledLoop {
     fn num_iters(&self) -> usize {
-        let (lo, hi) = self.inner.program.loops[0].range;
-        hi - lo
+        self.0.iters_of(0)
     }
 
     fn arrays(&self) -> Vec<ArrayDecl<f64>> {
-        self.inner.decls_for(0, self.inner.initial_arrays())
+        self.0.decls_for(0, self.0.initial_arrays())
     }
 
     fn body(&self, iter: usize, ctx: &mut IterCtx<'_, f64>) {
-        self.inner.body_of(0, iter, ctx)
+        self.0.body_of(0, iter, ctx)
     }
 
     fn run_iters(
@@ -769,15 +752,15 @@ impl SpecLoop<f64> for CompiledLoop {
         ctx: &mut IterCtx<'_, f64>,
         after: &mut dyn FnMut(&mut IterCtx<'_, f64>, usize) -> bool,
     ) -> BatchTally {
-        self.inner.run_iters_of(0, iters, ctx, after)
+        self.0.run_iters_of(0, iters, ctx, after)
     }
 
     fn cost(&self, _iter: usize) -> f64 {
-        self.inner.program.loops[0].cost
+        self.0.program.loops[0].cost
     }
 
     fn backend(&self) -> &'static str {
-        self.inner.backend.describe()
+        self.0.backend.describe()
     }
 }
 
@@ -791,24 +774,11 @@ pub fn compile(src: &str) -> Result<CompiledLoop, LangError> {
 /// under the EXTEND two-pass scheme
 /// ([`rlrpd_core::run_induction`]) — first doall from zero offsets
 /// collecting bump counts and reference ranges, prefix sum, range
-/// test, second doall with exact offsets.
+/// test, second doall with exact offsets. The type guarantees a counter
+/// and exactly one loop; the compiled program is the speculative
+/// scheme's, built by the same path.
 #[derive(Debug)]
-pub struct CompiledInduction {
-    program: Program,
-    names: Vec<&'static str>,
-    /// Real classifier verdicts with `Reduction` demoted to `Tested`:
-    /// the induction context has no reduction path
-    /// ([`IndCtx::reduce`] panics), so `⊕=` must route as plain
-    /// read-modify-write — but every other verdict comes from the same
-    /// static analysis as parsed [`CompiledProgram`]s.
-    classes: Vec<Class>,
-    /// The lowered bytecode of the (single) loop. Lowered from the
-    /// demoted class table, so no `Reduce` instruction is ever emitted
-    /// (`IndCtx` has no reduction path).
-    code: LoopCode,
-    /// Which tier executes the loop body.
-    backend: Backend,
-}
+pub struct CompiledInduction(CompiledProgram);
 
 impl CompiledInduction {
     /// Parse `src`, which must declare a `counter` and contain exactly
@@ -825,103 +795,53 @@ impl CompiledInduction {
                 "induction programs have exactly one loop",
             ));
         }
-        let mut arrays = classify_loop(&program, 0);
-        for c in &mut arrays {
-            if matches!(c.class, Class::Reduction(_)) {
-                c.class = Class::Tested;
-            }
-        }
-        let classes: Vec<Class> = arrays.iter().map(|c| c.class).collect();
-        let names = program
-            .arrays
-            .iter()
-            .map(|d| &*Box::leak(d.name.clone().into_boxed_str()))
-            .collect();
-        let code = lower_loop(&program.loops[0], &arrays);
-        Ok(CompiledInduction {
-            program,
-            names,
-            classes,
-            code,
-            backend: Backend::Bytecode,
-        })
+        Ok(CompiledInduction(CompiledProgram::build(program)))
     }
 
     /// The counter's name and initial value.
     pub fn counter(&self) -> (&str, usize) {
-        let (name, init) = self.program.counter.as_ref().expect("checked at compile");
+        let (name, init) = self.0.program.counter.as_ref().expect("checked at compile");
         (name, *init)
+    }
+
+    /// The underlying single-loop program.
+    pub fn as_program(&self) -> &CompiledProgram {
+        &self.0
     }
 
     /// Execute the body on the tree-walk interpreter instead of the
     /// bytecode VM (the `--no-compile` escape hatch).
-    pub fn with_interpreter(mut self) -> Self {
-        self.backend = Backend::TreeWalk;
-        self
-    }
-
-    /// Which execution tier runs the loop body.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// Human-readable disassembly of the loop's bytecode.
-    pub fn disassembly(&self) -> String {
-        use std::fmt::Write;
-        let nest = &self.program.loops[0];
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "loop 0 (for {} in {}..{}):",
-            nest.loop_var, nest.range.0, nest.range.1
-        );
-        out.push_str(&self.code.disassemble(&self.names, &nest.loop_var));
-        out
+    pub fn with_interpreter(self) -> Self {
+        CompiledInduction(self.0.with_interpreter())
     }
 }
 
 impl InductionLoop<f64> for CompiledInduction {
     fn num_iters(&self) -> usize {
-        let (lo, hi) = self.program.loops[0].range;
-        hi - lo
+        self.0.iters_of(0)
     }
 
     fn initial_counter(&self) -> usize {
-        self.program.counter.as_ref().expect("checked").1
+        self.counter().1
     }
 
     fn arrays(&self) -> Vec<ArrayDecl<f64>> {
         // The induction runtime range-tests every array itself; the
         // declared kinds are ignored (ArrayDecl::tested as carrier).
-        self.program
-            .arrays
+        self.0
+            .names
             .iter()
-            .zip(&self.names)
-            .map(|(decl, &name)| {
-                ArrayDecl::tested(name, vec![decl.init; decl.size], ShadowKind::Sparse)
-            })
+            .zip(self.0.initial_arrays())
+            .map(|(&name, data)| ArrayDecl::tested(name, data, ShadowKind::Sparse))
             .collect()
     }
 
     fn body(&self, iter: usize, ctx: &mut IndCtx<'_, f64>) {
-        let nest = &self.program.loops[0];
-        let i = (nest.range.0 + iter) as f64;
-        match self.backend {
-            Backend::Bytecode => vm::iterate(&self.code, i, ctx),
-            Backend::TreeWalk => interp::with_locals(nest.num_locals, |locals| {
-                let mut eval = Eval {
-                    i,
-                    locals,
-                    classes: &self.classes,
-                    ctx,
-                };
-                let _ = eval.stmts(&nest.body);
-            }),
-        }
+        self.0.body_of(0, iter, ctx)
     }
 
     fn cost(&self, _iter: usize) -> f64 {
-        self.program.loops[0].cost
+        self.0.program.loops[0].cost
     }
 }
 
@@ -1043,7 +963,10 @@ mod tests {
             "array HIST[8];\narray V[256];\nfor i in 0..256 { V[i] = i; HIST[V[i] % 8] += 1; }",
         )
         .unwrap();
-        assert!(matches!(lp.classifications()[0].class, Class::Reduction(_)));
+        assert!(matches!(
+            lp.as_program().classifications(0)[0].class,
+            Class::Reduction(_)
+        ));
         let spec = run_speculative(&lp, RunConfig::new(8));
         assert_eq!(spec.report.stages.len(), 1, "reductions never conflict");
         // Each of 8 buckets gets 256/8 = 32 hits.
@@ -1085,7 +1008,7 @@ mod tests {
     fn report_names_every_array() {
         let lp =
             compile("array A[8];\narray Y[4];\nfor i in 0..8 { A[i] = i; Y[0] += i; }").unwrap();
-        let report = lp.report();
+        let report = lp.as_program().report();
         assert!(report.contains("A"), "{report}");
         assert!(report.contains("UNTESTED"), "{report}");
         assert!(report.contains("REDUCTION(+)"), "{report}");
@@ -1172,9 +1095,12 @@ mod tests {
         let src = "array A[64];\nscalar total;\nfor i in 0..64 {\n  A[i] = i;\n  total += i;\n}";
         let lp = compile(src).unwrap();
         assert!(
-            matches!(lp.classifications()[1].class, Class::Reduction(_)),
+            matches!(
+                lp.as_program().classifications(0)[1].class,
+                Class::Reduction(_)
+            ),
             "{}",
-            lp.report()
+            lp.as_program().report()
         );
         let res = check(src, 8);
         assert_eq!(res.report.stages.len(), 1);

@@ -16,7 +16,7 @@
 //! Driven by the `rlrpd analyze` CLI subcommand.
 
 use crate::analyze::{analyze_program, Class, Classification, LoopAnalysis};
-use crate::ast::{Program, Span, UpdateOp};
+use crate::ast::{Program, Span};
 use crate::depend::{Certainty, DoacrossVerdict};
 
 /// Severity of a [`Diagnostic`].
@@ -253,7 +253,7 @@ pub fn lint(program: &Program, p: usize) -> Vec<Diagnostic> {
                         format!(
                             "array '{name}' is a speculative '{}' reduction (validated at \
                              run time, folded in parallel)",
-                            op_str(op)
+                            op.symbol()
                         ),
                         None,
                         false,
@@ -399,21 +399,14 @@ fn lint_hint(
             format!(
                 "array '{name}' is declared 'reduction({})' but its references do not \
                  all match the 'x {}= expr' pattern ({})",
-                op_str(op),
-                op_str(op),
+                op.symbol(),
+                op.symbol(),
                 u.rationale
             ),
             None,
             false,
         ),
         _ => {}
-    }
-}
-
-fn op_str(op: UpdateOp) -> &'static str {
-    match op {
-        UpdateOp::Add => "+",
-        UpdateOp::Mul => "*",
     }
 }
 

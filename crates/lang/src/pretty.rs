@@ -22,8 +22,7 @@ pub fn print_program(program: &Program) -> String {
                 match hint {
                     KindHint::Tested => "tested".to_string(),
                     KindHint::Untested => "untested".to_string(),
-                    KindHint::Reduction(UpdateOp::Add) => "reduction(+)".to_string(),
-                    KindHint::Reduction(UpdateOp::Mul) => "reduction(*)".to_string(),
+                    KindHint::Reduction(op) => format!("reduction({})", op.symbol()),
                 }
             );
         }
@@ -122,7 +121,7 @@ fn stmt(out: &mut String, s: &Stmt, names: &Names<'_>, depth: usize) {
         } => {
             let _ = write!(out, "{}[", names.array(*array));
             expr_str(out, index, names);
-            let _ = write!(out, "] {}= ", if *op == UpdateOp::Add { "+" } else { "*" });
+            let _ = write!(out, "] {}= ", op.symbol());
             expr_str(out, expr, names);
             out.push_str(";\n");
         }

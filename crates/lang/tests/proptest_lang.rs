@@ -111,8 +111,8 @@ proptest! {
         let src = program(n, stmts);
         let a = compile(&src).unwrap();
         let b = compile(&src).unwrap();
-        let ca: Vec<_> = a.classifications().iter().map(|c| c.class).collect();
-        let cb: Vec<_> = b.classifications().iter().map(|c| c.class).collect();
+        let ca: Vec<_> = a.as_program().classifications(0).iter().map(|c| c.class).collect();
+        let cb: Vec<_> = b.as_program().classifications(0).iter().map(|c| c.class).collect();
         prop_assert_eq!(ca, cb);
     }
 

@@ -334,7 +334,7 @@ impl FaultPlan {
     /// assigns that iteration to.
     pub fn seeded_panic(seed: u64, n: usize) -> Self {
         let mut s = SplitMix(seed);
-        let iter = (s.next() % n.max(1) as u64) as usize;
+        let iter = (s.next_u64() % n.max(1) as u64) as usize;
         FaultPlan::new().panic_at_iter(iter)
     }
 
@@ -496,11 +496,15 @@ impl std::fmt::Display for FaultPlan {
     }
 }
 
-/// SplitMix64 — deterministic seed expansion with no dependencies.
-struct SplitMix(u64);
+/// SplitMix64 — deterministic seed expansion with no dependencies: the
+/// one generator behind seeded fault plans, seeded chaos plans and the
+/// fleet's connect jitter, so a seed names the same run everywhere.
+#[derive(Clone, Debug)]
+pub struct SplitMix(pub u64);
 
 impl SplitMix {
-    fn next(&mut self) -> u64 {
+    /// The next value of the sequence.
+    pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -682,6 +686,22 @@ mod tests {
             assert_eq!(site_a.proc, None, "fires on whichever processor runs it");
             assert!((site_a.ordinal as usize) < 100);
         }
+    }
+
+    /// The generator is SplitMix64 exactly: a seed printed by one
+    /// binary names the same fault, chaos plan and jitter in another.
+    #[test]
+    fn splitmix_is_pinned_at_seed_zero() {
+        let mut s = SplitMix(0);
+        let first: Vec<u64> = (0..3).map(|_| s.next_u64()).collect();
+        assert_eq!(
+            first,
+            [
+                0xe220_a839_7b1d_cdaf,
+                0x6e78_9e6a_a1b9_65f4,
+                0x06c4_5d18_8009_454f
+            ]
+        );
     }
 
     #[test]

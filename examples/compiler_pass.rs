@@ -33,7 +33,10 @@ for i in 0..256 {
 fn main() {
     let lp = compile(SOURCE).expect("source compiles");
 
-    println!("the pass classified the arrays as:\n{}", lp.report());
+    println!(
+        "the pass classified the arrays as:\n{}",
+        lp.as_program().report()
+    );
 
     for (label, strategy) in [
         ("NRD", Strategy::Nrd),

@@ -1303,7 +1303,7 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
 fn run_induction_program(ind: CompiledInduction, cfg: &RunConfig) -> Result<(), CliError> {
     let (name, init) = ind.counter();
     println!("induction program: counter '{name}' starting at {init}");
-    println!("backend: {}", ind.backend().describe());
+    println!("backend: {}", ind.as_program().backend().describe());
     let res = rlrpd::run_induction(&ind, cfg.p, cfg.exec, cfg.cost);
     println!(
         "range test {}; stages = {}, PR = {:.3}, speedup = {:.2}x, final {name} = {}",
@@ -1350,9 +1350,22 @@ fn cmd_fmt(flags: Flags) -> Result<(), String> {
 }
 
 fn cmd_classify(flags: Flags) -> Result<(), String> {
-    let prog = load(&flags)?;
-    print!("{}", prog.report());
+    let report = with_program(&source(&flags)?, CompiledProgram::report);
+    print!("{}", report.map_err(|e| e.to_string())?);
     Ok(())
+}
+
+/// `f` of `src` compiled under the scheme its declarations select: the
+/// induction scheme for a counter program, the speculative one
+/// otherwise.
+fn with_program<R>(
+    src: &str,
+    f: impl FnOnce(&CompiledProgram) -> R,
+) -> Result<R, rlrpd::lang::LangError> {
+    match CompiledInduction::compile(src) {
+        Ok(ind) => Ok(f(ind.as_program())),
+        Err(_) => CompiledProgram::compile(src).map(|prog| f(&prog)),
+    }
 }
 
 /// `rlrpd analyze`: the static lint pass. Exit 0 when clean (notes are
@@ -1489,12 +1502,8 @@ fn audit_densities(src: &str, p: usize) -> Result<(), CliError> {
 /// through the induction scheme (whose demoted class table changes the
 /// lowering of `⊕=`).
 fn emit_bytecode(src: &str) -> Result<(), CliError> {
-    let text = match rlrpd::lang::CompiledInduction::compile(src) {
-        Ok(ind) => ind.disassembly(),
-        Err(_) => rlrpd::lang::CompiledProgram::compile(src)
-            .map_err(|e| CliError::Usage(e.to_string()))?
-            .disassembly(),
-    };
+    let text = with_program(src, CompiledProgram::disassembly)
+        .map_err(|e| CliError::Usage(e.to_string()))?;
     print!("{text}");
     Ok(())
 }

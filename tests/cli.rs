@@ -60,6 +60,26 @@ fn classify_prints_the_pass_decisions() {
     assert!(stdout.contains("REDUCTION(+)"));
 }
 
+/// A counter program classifies as the induction scheme compiles it:
+/// no reductions, and strips off because of the counter. The audit,
+/// which runs the speculative scheme, still refuses it as a usage
+/// error.
+#[test]
+fn classify_accepts_a_counter_program() {
+    let (ok, stdout, stderr) = rlrpd(&["classify", &program("extend.rlp")]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.starts_with("TRACK      TESTED "), "{stdout}");
+    assert!(
+        stdout.contains("strips: off — the induction counter threads through the iterations"),
+        "{stdout}"
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_rlrpd"))
+        .args(["analyze", &program("extend.rlp"), "--audit"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(64), "{out:?}");
+}
+
 /// The run says whether the VM's strips ran, and `classify` says why
 /// not when lowering refused them. Both TRACK decks stay on the fast
 /// path: every strip they probe passes, so a strip executor that
