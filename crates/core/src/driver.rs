@@ -573,11 +573,6 @@ impl Runner {
         self
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &RunConfig {
-        &self.cfg
-    }
-
     /// Execute one instantiation of `lp` speculatively, attached to
     /// whatever `plan` names.
     ///

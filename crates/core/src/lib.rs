@@ -71,7 +71,6 @@ pub mod journal;
 pub mod ledger;
 pub mod lrpd;
 pub mod persist;
-pub mod predictor;
 pub mod remote;
 pub mod report;
 mod schema;
@@ -102,7 +101,6 @@ pub use journal::{CommitRecord, FrameObserver, Journal, JournalElem, JournalErro
 pub use ledger::{CostRun, CostRuns};
 pub use lrpd::{run_classic_lrpd, try_run_classic_lrpd};
 pub use persist::PersistError;
-pub use predictor::{PredictiveRunner, StrategyPredictor};
 pub use remote::{
     serve_worker, BlockDispatcher, BlockReply, BlockRequest, DistConnector, FrontierSummary,
     HelloAck, JobDecision, JobSpec, JobState, JobStatusFrame, RejectReason, SlotReply,

@@ -29,8 +29,6 @@
 //!   (sparse reductions) (Fig. 6);
 //! * [`fma3d`] — FMA3D `Quad`: indirection-based, fully parallel
 //!   (Fig. 5);
-//! * [`track_program`] — the whole-TRACK multi-instantiation harness
-//!   behind Fig. 12(b);
 //! * [`dsl`] — TRACK/SPICE/NLFILT reference shapes as mini-language
 //!   *source*, for measuring and differentially testing the compiled
 //!   tiers (tree-walk interpreter vs. register-bytecode VM).
@@ -45,7 +43,6 @@ pub mod nlfilt;
 pub mod spice;
 pub mod spice_program;
 pub mod synthetic;
-pub mod track_program;
 
 pub use extend::ExtendLoop;
 pub use fma3d::QuadLoop;
@@ -54,4 +51,3 @@ pub use nlfilt::{NlfiltInput, NlfiltLoop};
 pub use spice::{BjtLoop, Dcdcmp15Loop, Dcdcmp70Loop};
 pub use spice_program::{NewtonReport, SpiceProgram};
 pub use synthetic::{AlphaLoop, BetaLoop, FullyParallelLoop, RandomDepLoop, SequentialChainLoop};
-pub use track_program::{ProgramMode, ProgramReport, TrackProgram};

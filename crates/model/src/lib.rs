@@ -47,4 +47,6 @@ pub use formulas::{
     t_total_geometric,
 };
 pub use params::{LoopClass, ModelParams};
-pub use stage_sim::{simulate_stages, simulate_stages_linear, RedistPolicy, StageRecord};
+pub use stage_sim::{
+    simulate_stages, simulate_stages_linear, RedistPolicy, StageRecord, MAX_SIM_STAGES,
+};

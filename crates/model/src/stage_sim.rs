@@ -47,6 +47,10 @@ impl StageRecord {
     }
 }
 
+/// The most stages [`simulate_stages`] runs before it panics as
+/// diverged.
+pub const MAX_SIM_STAGES: usize = 10_000;
+
 /// Simulate a geometric (α) loop stage by stage under `policy`.
 ///
 /// Semantics, mirroring the paper's synthetic experiment:
@@ -107,7 +111,7 @@ pub fn simulate_stages(m: &ModelParams, alpha: f64, policy: RedistPolicy) -> Vec
             (remaining as f64 * alpha).floor() as usize
         };
         stage += 1;
-        assert!(stage < 10_000, "stage simulation diverged");
+        assert!(stage < MAX_SIM_STAGES, "stage simulation diverged");
     }
     records
 }

@@ -338,6 +338,24 @@ impl FaultPlan {
         FaultPlan::new().panic_at_iter(iter)
     }
 
+    /// The plan a run's options arm on a loop of `n` iterations: a
+    /// [`seeded_panic`](Self::seeded_panic) for `seed`, then the
+    /// [`shadow_pressure_spec`](Self::shadow_pressure_spec) injections
+    /// for `shadow_fault`; `None` when neither is given. The CLI's
+    /// `--fault-seed` / `--shadow-fault` and a daemon job's fields both
+    /// build their plan here.
+    pub fn from_options(
+        seed: Option<u64>,
+        shadow_fault: Option<&str>,
+        n: usize,
+    ) -> Result<Option<Self>, String> {
+        let plan = seed.map_or_else(FaultPlan::new, |seed| FaultPlan::seeded_panic(seed, n));
+        match shadow_fault {
+            Some(spec) => plan.shadow_pressure_spec(spec).map(Some),
+            None => Ok(seed.is_some().then_some(plan)),
+        }
+    }
+
     /// True when the plan has no sites at all (checks can be skipped).
     pub fn is_empty(&self) -> bool {
         self.sites.is_empty()
@@ -808,6 +826,26 @@ mod tests {
             assert!(err.is_err(), "'{bad}' must be refused");
         }
         assert_eq!(parse_bytes("2G"), Ok(2 << 30));
+    }
+
+    #[test]
+    fn from_options_arms_the_seeded_panic_then_the_spec() {
+        assert!(FaultPlan::from_options(None, None, 100).unwrap().is_none());
+        let seeded = FaultPlan::from_options(Some(3), None, 100)
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            seeded.to_string(),
+            FaultPlan::seeded_panic(3, 100).to_string()
+        );
+        let both = FaultPlan::from_options(Some(3), Some("0:64K"), 100)
+            .unwrap()
+            .unwrap();
+        let want = FaultPlan::seeded_panic(3, 100).shadow_pressure_at(0, 64 << 10);
+        assert_eq!(both.to_string(), want.to_string());
+        let spec = FaultPlan::from_options(None, Some("0:64K"), 100).unwrap();
+        assert_eq!(spec.unwrap().shadow_pressure(0), Some(64 << 10));
+        assert!(FaultPlan::from_options(Some(3), Some(""), 100).is_err());
     }
 
     #[test]

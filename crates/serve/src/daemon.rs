@@ -660,19 +660,9 @@ fn job_config(spec: &JobSpec, budget: u64) -> Result<RunConfig, String> {
 /// Each job's faults are its own: a plan derived from *its*
 /// submission, never shared across tenants.
 fn job_faults(spec: &JobSpec, n: usize) -> Result<Option<FaultPlan>, String> {
-    let mut plan = FaultPlan::new();
-    let mut armed = false;
-    if spec.fault_seed != 0 {
-        plan = FaultPlan::seeded_panic(spec.fault_seed, n);
-        armed = true;
-    }
-    if !spec.shadow_fault.is_empty() {
-        plan = plan
-            .shadow_pressure_spec(&spec.shadow_fault)
-            .map_err(|e| format!("shadow fault {e}"))?;
-        armed = true;
-    }
-    Ok(armed.then_some(plan))
+    let seed = (spec.fault_seed != 0).then_some(spec.fault_seed);
+    let shadow = (!spec.shadow_fault.is_empty()).then_some(spec.shadow_fault.as_str());
+    FaultPlan::from_options(seed, shadow, n).map_err(|e| format!("shadow fault {e}"))
 }
 
 /// Validate a submission without creating any state: build what

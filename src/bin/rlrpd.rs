@@ -183,7 +183,7 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
             &["--pooled"],
         )?)
         .map_err(CliError::from),
-        "model" => cmd_model(rest).map_err(CliError::from),
+        "model" => cmd_model(rest),
         "--help" | "-h" | "help" => {
             println!("{}", usage());
             Ok(())
@@ -351,21 +351,24 @@ fn shadow_budget(flags: &Flags) -> Result<Option<u64>, String> {
 /// iterations, with the lines that announce it (`None` when neither
 /// flag is given).
 fn fault_plan(flags: &Flags, n: usize) -> Result<Option<(Arc<FaultPlan>, String)>, String> {
-    let mut plan = FaultPlan::new();
+    let seed = flags.parsed("--fault-seed", "an integer")?;
+    let spec = flags.get("--shadow-fault");
+    let Some(plan) =
+        FaultPlan::from_options(seed, spec, n).map_err(|e| format!("--shadow-fault {e}"))?
+    else {
+        return Ok(None);
+    };
     let mut said = String::new();
-    if let Some(seed) = flags.parsed("--fault-seed", "an integer")? {
+    if let Some(seed) = seed {
         // Transient (one-shot) injected fault: the containment layer
         // recovers and the run must still verify.
-        plan = FaultPlan::seeded_panic(seed, n);
-        said = format!("fault injection: seed {seed} -> {plan}\n");
+        let panic = FaultPlan::seeded_panic(seed, n);
+        said = format!("fault injection: seed {seed} -> {panic}\n");
     }
-    if let Some(spec) = flags.get("--shadow-fault") {
-        plan = plan
-            .shadow_pressure_spec(spec)
-            .map_err(|e| format!("--shadow-fault {e}"))?;
+    if spec.is_some() {
         said += &format!("fault injection: {plan}\n");
     }
-    Ok((!said.is_empty()).then(|| (Arc::new(plan), said)))
+    Ok(Some((Arc::new(plan), said)))
 }
 
 fn source(flags: &Flags) -> Result<String, String> {
@@ -1538,30 +1541,92 @@ fn cmd_ddg(flags: Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_model(args: Vec<String>) -> Result<(), String> {
-    use rlrpd::model::{simulate_stages, ModelParams, RedistPolicy};
-    let nums: Vec<f64> = args
-        .iter()
-        .map(|a| a.parse().map_err(|_| format!("bad number '{a}'")))
-        .collect::<Result<_, _>>()?;
-    let get = |k: usize, d: f64| nums.get(k).copied().unwrap_or(d);
-    let m = ModelParams {
-        n: get(0, 4096.0) as usize,
-        p: get(1, 8.0) as usize,
-        omega: get(2, 100.0),
-        ell: get(3, 10.0),
-        sync: get(4, 50.0),
+/// The §4 model for a geometric loop: the parameters, the closed forms
+/// (k_s, k_d, the Eq. 4 cutoff, T_static, T(n)) and the per-stage
+/// simulation under each redistribution policy.
+fn cmd_model(args: Vec<String>) -> Result<(), CliError> {
+    use rlrpd::model::{
+        k_d_geometric, k_s_geometric, simulate_stages, t_static, t_total_geometric, ModelParams,
+        RedistPolicy, MAX_SIM_STAGES,
     };
-    let alpha = get(5, 0.5);
-    println!("{m:?}, alpha = {alpha}");
+    const ARGS: [(&str, f64, &str); 6] = [
+        ("n", 4096.0, "an integer >= 1"),
+        ("p", 8.0, "an integer >= 1"),
+        ("omega", 100.0, "a finite number >= 0"),
+        ("ell", 10.0, "a finite number >= 0"),
+        ("sync", 50.0, "a finite number >= 0"),
+        ("alpha", 0.5, "in [0, 1)"),
+    ];
+    if args.len() > ARGS.len() {
+        let msg = format!("model takes at most 6 numbers (n p omega ell sync alpha), got {args:?}");
+        return Err(CliError::Usage(msg));
+    }
+    let mut nums = ARGS.map(|(_, default, _)| default);
+    for (k, a) in args.iter().enumerate() {
+        let ok = |x: f64| match k {
+            0 | 1 => x >= 1.0 && x as usize as f64 == x,
+            5 => (0.0..1.0).contains(&x),
+            _ => x.is_finite() && x >= 0.0,
+        };
+        let (name, _, want) = ARGS[k];
+        let bad = || CliError::Usage(format!("model: {name} must be {want}, got '{a}'"));
+        nums[k] = a.parse().ok().filter(|&x| ok(x)).ok_or_else(bad)?;
+    }
+    let [n, p, omega, ell, sync, alpha] = nums;
+    // After k stages at most n·α^k iterations remain, so the simulation
+    // ends within ln n / ln(1/α) + 1 stages.
+    if n.ln() / -alpha.ln() + 1.0 >= MAX_SIM_STAGES as f64 {
+        return Err(CliError::Usage(format!(
+            "model: alpha {alpha} keeps n = {n} iterations failing past {MAX_SIM_STAGES} stages"
+        )));
+    }
+    let params = ModelParams {
+        n: n as usize,
+        p: p as usize,
+        omega,
+        ell,
+        sync,
+    };
+
+    println!("model parameters: {params:?}, alpha = {alpha}");
+    println!("  total work n·ω            = {}", params.total_work());
+    println!(
+        "  ideal parallel time       = {}",
+        params.ideal_parallel_time()
+    );
+    let k_s = k_s_geometric(alpha, params.p);
+    let k_d = k_d_geometric(&params, alpha);
+    let cutoff = params.p as f64 * params.sync / (params.omega - params.ell).max(1e-12);
+    println!("  k_s (NRD stages)          = {k_s:.2}");
+    println!("  k_d (redistributing)      = {k_d:.2}");
+    println!("  Eq. 4 cutoff (iterations) = {cutoff:.1}");
+    println!(
+        "  T_static (pure NRD)       = {:.1}",
+        t_static(&params, k_s.ceil())
+    );
+    println!(
+        "  T(n) (adaptive, Eq. 6)    = {:.1}",
+        t_total_geometric(&params, alpha)
+    );
     for policy in [
         RedistPolicy::Never,
         RedistPolicy::Adaptive,
         RedistPolicy::Always,
     ] {
-        let stages = simulate_stages(&m, alpha, policy);
+        let stages = simulate_stages(&params, alpha, policy);
         let total: f64 = stages.iter().map(|s| s.total()).sum();
-        println!("  {policy:?}: {} stages, total {total:.1}", stages.len());
+        println!("\n  {policy:?}: {} stages, total {total:.1}", stages.len());
+        for s in &stages {
+            println!(
+                "    stage {:>2}: remaining {:>6}  loop {:>9.1}  redist {:>7.1}  sync {:>6.1}{}",
+                s.stage,
+                s.remaining,
+                s.loop_time,
+                s.redist_overhead,
+                s.sync_overhead,
+                if s.redistributed { "  [RD]" } else { "" }
+            );
+        }
     }
     Ok(())
 }

@@ -240,6 +240,35 @@ fn model_subcommand_ranks_policies() {
     assert!(stdout.contains("Never"));
     assert!(stdout.contains("Adaptive"));
     assert!(stdout.contains("Always"));
+    assert!(
+        stdout.contains("Eq. 4 cutoff (iterations) = 4.4"),
+        "{stdout}"
+    );
+
+    // A bad argument is a usage error that names it: never a panic, an
+    // `inf` / `NaN` total or a silently truncated value.
+    for (args, named) in [
+        (&["4096", "8", "100", "10", "50", "1.5"][..], "alpha"),
+        (&["4096", "0"], "p must"),
+        (&["-5"], "n must"),
+        (&["4096", "8.7"], "p must"),
+        (&["4096", "8", "nan"], "omega"),
+        (&["4096", "8", "100", "-1"], "ell"),
+        (&["4096", "8", "100", "10", "inf"], "sync"),
+        (&["x"], "n must"),
+        (&["1", "2", "3", "4", "5", "0.5", "7"], "at most 6"),
+        (&["1000000000", "2", "100", "10", "50", "0.99999"], "alpha"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_rlrpd"))
+            .arg("model")
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(64), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
 }
 
 #[test]

@@ -243,3 +243,27 @@ fn the_scanner_reads_what_the_docs_write() {
         ["8.3", "11"]
     );
 }
+
+/// What a reader must get through: CHANGES, DESIGN, README and
+/// PAPER_MAP together.
+const REQUIRED_PROSE: &[&str] = &["CHANGES.md", "DESIGN.md", "README.md", "PAPER_MAP.md"];
+
+/// The byte budget of [`REQUIRED_PROSE`]: its size when the budget was
+/// last set, rounded up to the next KiB, so that growing the prose is a
+/// visible decision. ROADMAP item 12 exits at ≤ 200 KB.
+const REQUIRED_PROSE_BUDGET: u64 = 425 * 1024;
+
+#[test]
+fn the_required_prose_stays_inside_its_byte_budget() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let total: u64 = REQUIRED_PROSE
+        .iter()
+        .map(|f| std::fs::metadata(root.join(f)).unwrap().len())
+        .sum();
+    assert!(
+        total <= REQUIRED_PROSE_BUDGET,
+        "{} are {total} bytes, over the budget of {REQUIRED_PROSE_BUDGET}: \
+         cut them, or raise the budget in the same change",
+        REQUIRED_PROSE.join(" + ")
+    );
+}
