@@ -259,9 +259,9 @@ pub enum Insn {
 impl Insn {
     /// Visit every register operand once — the one list of the
     /// registers an instruction names. The lowering remaps its
-    /// temporaries through it and [`verify`] bounds every register
-    /// through it; only the VM's dispatch loop and the disassembler
-    /// match on the fields themselves.
+    /// temporaries through it, [`verify`] bounds every register
+    /// through it and the disassembler prints them in its order; only
+    /// the VM's dispatch loop matches on the fields themselves.
     pub(crate) fn for_each_reg(&mut self, mut f: impl FnMut(&mut Reg)) {
         let regs: &mut [&mut Reg] = match self {
             Insn::Counter { dst } => &mut [dst],
@@ -309,6 +309,48 @@ impl Insn {
             | Insn::JumpIfZero { target, .. }
             | Insn::JumpUnless { target, .. } => Some(target),
             _ => None,
+        }
+    }
+
+    /// The disassembler's name for the instruction.
+    fn mnemonic(&self) -> &'static str {
+        match self {
+            Insn::Move { .. } => "mov",
+            Insn::Counter { .. } => "cnt",
+            Insn::Add { .. } => "add",
+            Insn::Sub { .. } => "sub",
+            Insn::Mul { .. } => "mul",
+            Insn::Div { .. } => "div",
+            Insn::Rem { .. } => "rem",
+            Insn::RemPow2 { .. } => "rem.p2",
+            Insn::MulAdd { .. } => "mul.add",
+            Insn::DualMulAdd { .. } => "mul.add2",
+            Insn::MulSub { .. } => "mul.sub",
+            Insn::MulRSub { .. } => "mul.rsub",
+            Insn::CmpEq { .. } => "ceq",
+            Insn::CmpNe { .. } => "cne",
+            Insn::CmpLt { .. } => "clt",
+            Insn::CmpLe { .. } => "cle",
+            Insn::CmpGt { .. } => "cgt",
+            Insn::CmpGe { .. } => "cge",
+            Insn::Neg { .. } => "neg",
+            Insn::Not { .. } => "not",
+            Insn::Min { .. } => "min",
+            Insn::Max { .. } => "max",
+            Insn::Abs { .. } => "abs",
+            Insn::Sqrt { .. } => "sqrt",
+            Insn::Floor { .. } => "floor",
+            Insn::Load { .. } => "ld",
+            Insn::Store { .. } => "st",
+            Insn::LoadMarked { .. } => "ld.mark",
+            Insn::StoreMarked { .. } => "st.mark",
+            Insn::Reduce { .. } => "red.mark",
+            Insn::Jump { .. } => "jmp",
+            Insn::JumpIfZero { .. } => "jz",
+            Insn::JumpUnless { .. } => "jf",
+            Insn::Bump => "bump",
+            Insn::Exit => "exit",
+            Insn::Halt => "halt",
         }
     }
 }
@@ -532,156 +574,74 @@ impl LoopCode {
             temps,
         );
         let r = |reg: Reg| self.reg_name(reg, loop_var);
-        let arr = |a: u16| names.get(a as usize).copied().unwrap_or("?");
-        // Trusted-subscript suffix on a memory op's note.
+        let name = |a: u16| names.get(a as usize).copied().unwrap_or("?");
+        // A memory op's note, with its trusted-subscript suffix.
         let tr = |trusted: bool| if trusted { ", trusted subscript" } else { "" };
+        let elided = |trusted| {
+            Some(format!(
+                "unmarked (shadow elided: statically disjoint){}",
+                tr(trusted)
+            ))
+        };
+        let fused = |mark: &str, a, trusted| {
+            Some(format!("fused {mark}-mark of {}{}", name(a), tr(trusted)))
+        };
         for (pc, insn) in self.code.iter().enumerate() {
-            let (op, operands, note) = match *insn {
-                Insn::Move { dst, src } => ("mov", format!("{} <- {}", r(dst), r(src)), None),
-                Insn::Counter { dst } => ("cnt", format!("{} <- counter", r(dst)), None),
-                Insn::Add { dst, a, b } => {
-                    ("add", format!("{} <- {}, {}", r(dst), r(a), r(b)), None)
-                }
-                Insn::Sub { dst, a, b } => {
-                    ("sub", format!("{} <- {}, {}", r(dst), r(a), r(b)), None)
-                }
-                Insn::Mul { dst, a, b } => {
-                    ("mul", format!("{} <- {}, {}", r(dst), r(a), r(b)), None)
-                }
-                Insn::Div { dst, a, b } => {
-                    ("div", format!("{} <- {}, {}", r(dst), r(a), r(b)), None)
-                }
-                Insn::Rem { dst, a, b, int } => (
-                    "rem",
-                    format!("{} <- {}, {}", r(dst), r(a), r(b)),
-                    int.then(|| "integer operands".to_string()),
-                ),
-                Insn::RemPow2 { dst, a, mask, int } => (
-                    "rem.p2",
-                    format!("{} <- {} % {}", r(dst), r(a), mask as u32 + 1),
+            let (mut regs, mut copy) = (Vec::new(), *insn);
+            copy.for_each_reg(|reg| regs.push(r(*reg)));
+            // The common shape: `d <- a` or `d <- a, b`.
+            let plain = || format!("{} <- {}", regs[0], regs[1..].join(", "));
+            let load = |a| format!("{} <- {}[{}]", regs[0], name(a), regs[1]);
+            let store = |a, op: &str| format!("{}[{}] {op} {}", name(a), regs[0], regs[1]);
+            let (operands, note) = match *insn {
+                Insn::Counter { .. } => (format!("{} <- counter", regs[0]), None),
+                Insn::Rem { int, .. } => (plain(), int.then(|| "integer operands".to_string())),
+                Insn::RemPow2 { mask, int, .. } => (
+                    format!("{} <- {} % {}", regs[0], regs[1], mask as u32 + 1),
                     Some(format!(
                         "strength-reduced power-of-two modulus{}",
                         if int { ", integer operand" } else { "" }
                     )),
                 ),
-                Insn::MulAdd { dst, a, b, c } => (
-                    "mul.add",
-                    format!("{} <- {} * {} + {}", r(dst), r(a), r(b), r(c)),
+                Insn::MulAdd { .. } => (
+                    format!("{} <- {} * {} + {}", regs[0], regs[1], regs[2], regs[3]),
                     None,
                 ),
-                Insn::DualMulAdd { dst, a, b, c, d } => (
-                    "mul.add2",
-                    format!("{} <- {} * {} + {} * {}", r(dst), r(a), r(b), r(c), r(d)),
+                Insn::DualMulAdd { .. } => (
+                    format!(
+                        "{} <- {} * {} + {} * {}",
+                        regs[0], regs[1], regs[2], regs[3], regs[4]
+                    ),
                     None,
                 ),
-                Insn::MulSub { dst, a, b, c } => (
-                    "mul.sub",
-                    format!("{} <- {} * {} - {}", r(dst), r(a), r(b), r(c)),
+                Insn::MulSub { .. } => (
+                    format!("{} <- {} * {} - {}", regs[0], regs[1], regs[2], regs[3]),
                     None,
                 ),
-                Insn::MulRSub { dst, a, b, c } => (
-                    "mul.rsub",
-                    format!("{} <- {} - {} * {}", r(dst), r(c), r(a), r(b)),
+                Insn::MulRSub { .. } => (
+                    format!("{} <- {} - {} * {}", regs[0], regs[3], regs[1], regs[2]),
                     None,
                 ),
-                Insn::CmpEq { dst, a, b } => {
-                    ("ceq", format!("{} <- {}, {}", r(dst), r(a), r(b)), None)
+                Insn::Load { arr, trusted, .. } => (load(arr), elided(trusted)),
+                Insn::Store { arr, trusted, .. } => (store(arr, "<-"), elided(trusted)),
+                Insn::LoadMarked { arr, trusted, .. } => (load(arr), fused("read", arr, trusted)),
+                Insn::StoreMarked { arr, trusted, .. } => {
+                    (store(arr, "<-"), fused("write", arr, trusted))
                 }
-                Insn::CmpNe { dst, a, b } => {
-                    ("cne", format!("{} <- {}, {}", r(dst), r(a), r(b)), None)
+                Insn::Reduce { arr, trusted, .. } => {
+                    (store(arr, "⊕="), fused("reduction", arr, trusted))
                 }
-                Insn::CmpLt { dst, a, b } => {
-                    ("clt", format!("{} <- {}, {}", r(dst), r(a), r(b)), None)
-                }
-                Insn::CmpLe { dst, a, b } => {
-                    ("cle", format!("{} <- {}, {}", r(dst), r(a), r(b)), None)
-                }
-                Insn::CmpGt { dst, a, b } => {
-                    ("cgt", format!("{} <- {}, {}", r(dst), r(a), r(b)), None)
-                }
-                Insn::CmpGe { dst, a, b } => {
-                    ("cge", format!("{} <- {}, {}", r(dst), r(a), r(b)), None)
-                }
-                Insn::Neg { dst, a } => ("neg", format!("{} <- {}", r(dst), r(a)), None),
-                Insn::Not { dst, a } => ("not", format!("{} <- {}", r(dst), r(a)), None),
-                Insn::Min { dst, a, b } => {
-                    ("min", format!("{} <- {}, {}", r(dst), r(a), r(b)), None)
-                }
-                Insn::Max { dst, a, b } => {
-                    ("max", format!("{} <- {}, {}", r(dst), r(a), r(b)), None)
-                }
-                Insn::Abs { dst, a } => ("abs", format!("{} <- {}", r(dst), r(a)), None),
-                Insn::Sqrt { dst, a } => ("sqrt", format!("{} <- {}", r(dst), r(a)), None),
-                Insn::Floor { dst, a } => ("floor", format!("{} <- {}", r(dst), r(a)), None),
-                Insn::Load {
-                    dst,
-                    arr: a,
-                    idx,
-                    trusted,
-                } => (
-                    "ld",
-                    format!("{} <- {}[{}]", r(dst), arr(a), r(idx)),
-                    Some(format!(
-                        "unmarked (shadow elided: statically disjoint){}",
-                        tr(trusted)
-                    )),
-                ),
-                Insn::Store {
-                    arr: a,
-                    idx,
-                    src,
-                    trusted,
-                } => (
-                    "st",
-                    format!("{}[{}] <- {}", arr(a), r(idx), r(src)),
-                    Some(format!(
-                        "unmarked (shadow elided: statically disjoint){}",
-                        tr(trusted)
-                    )),
-                ),
-                Insn::LoadMarked {
-                    dst,
-                    arr: a,
-                    idx,
-                    trusted,
-                } => (
-                    "ld.mark",
-                    format!("{} <- {}[{}]", r(dst), arr(a), r(idx)),
-                    Some(format!("fused read-mark of {}{}", arr(a), tr(trusted))),
-                ),
-                Insn::StoreMarked {
-                    arr: a,
-                    idx,
-                    src,
-                    trusted,
-                } => (
-                    "st.mark",
-                    format!("{}[{}] <- {}", arr(a), r(idx), r(src)),
-                    Some(format!("fused write-mark of {}{}", arr(a), tr(trusted))),
-                ),
-                Insn::Reduce {
-                    arr: a,
-                    idx,
-                    src,
-                    trusted,
-                } => (
-                    "red.mark",
-                    format!("{}[{}] ⊕= {}", arr(a), r(idx), r(src)),
-                    Some(format!("fused reduction-mark of {}{}", arr(a), tr(trusted))),
-                ),
-                Insn::Jump { target } => ("jmp", format!("-> {target:03}"), None),
-                Insn::JumpIfZero { cond, target } => {
-                    ("jz", format!("{} -> {target:03}", r(cond)), None)
-                }
-                Insn::JumpUnless { pred, a, b, target } => (
-                    "jf",
-                    format!("{} {} {} -> {target:03}", r(a), pred.symbol(), r(b)),
+                Insn::Jump { target } => (format!("-> {target:03}"), None),
+                Insn::JumpIfZero { target, .. } => (format!("{} -> {target:03}", regs[0]), None),
+                Insn::JumpUnless { pred, target, .. } => (
+                    format!("{} {} {} -> {target:03}", regs[0], pred.symbol(), regs[1]),
                     Some("fused compare-and-branch".to_string()),
                 ),
-                Insn::Bump => ("bump", "counter".to_string(), None),
-                Insn::Exit => ("exit", String::new(), None),
-                Insn::Halt => ("halt", String::new(), None),
+                Insn::Bump => ("counter".to_string(), None),
+                Insn::Exit | Insn::Halt => (String::new(), None),
+                _ => (plain(), None),
             };
+            let op = insn.mnemonic();
             let span = self.spans[pc];
             let mut line = format!("  {pc:03}  {op:<8} {operands}");
             if note.is_some() || span.line != 0 {

@@ -68,52 +68,13 @@ pub const MAX_SIM_STAGES: usize = 10_000;
 ///   first processor always executes correctly).
 pub fn simulate_stages(m: &ModelParams, alpha: f64, policy: RedistPolicy) -> Vec<StageRecord> {
     assert!((0.0..1.0).contains(&alpha));
-    let p = m.p as f64;
-    let original_block = (m.n as f64 / p).ceil();
-    let mut records = Vec::new();
-    let mut remaining = m.n;
-    let mut stage = 0usize;
-
-    while remaining > 0 {
-        let redistributed = stage > 0
-            && match policy {
-                RedistPolicy::Never => false,
-                RedistPolicy::Always => true,
-                RedistPolicy::Adaptive => redistribution_pays(m, remaining),
-            };
-        // Block size this stage: redistribution re-blocks evenly; NRD
-        // keeps the original block size.
-        let block = if redistributed || stage == 0 {
-            (remaining as f64 / p).ceil()
-        } else {
-            original_block.min(remaining as f64)
-        };
-        let loop_time = block * m.omega;
-        let redist_overhead = if redistributed {
-            remaining as f64 * m.ell / p
-        } else {
-            0.0
-        };
-        records.push(StageRecord {
-            stage,
-            remaining,
-            redistributed,
-            loop_time,
-            redist_overhead,
-            sync_overhead: m.sync,
-        });
-
-        // The work that survives to the next stage.
-        let spans_one_block = remaining as f64 <= block + 0.5;
-        remaining = if spans_one_block {
+    simulate(m, policy, MAX_SIM_STAGES, |remaining, block| {
+        if remaining as f64 <= block + 0.5 {
             0 // a single block always completes correctly
         } else {
             (remaining as f64 * alpha).floor() as usize
-        };
-        stage += 1;
-        assert!(stage < MAX_SIM_STAGES, "stage simulation diverged");
-    }
-    records
+        }
+    })
 }
 
 /// Simulate a linear (β) loop stage by stage under `policy`: a
@@ -129,20 +90,35 @@ pub fn simulate_stages_linear(
     policy: RedistPolicy,
 ) -> Vec<StageRecord> {
     assert!((0.0..1.0).contains(&beta));
+    let step = (((1.0 - beta) * m.n as f64).ceil() as usize).max(1);
+    simulate(m, policy, 1_000_000, |remaining, _| {
+        remaining.saturating_sub(step)
+    })
+}
+
+/// The stage loop both loop classes share: `survivors(remaining,
+/// block)` is the work left after a stage of blocks of `block`
+/// iterations, and the loop panics as diverged at `max_stages`.
+fn simulate(
+    m: &ModelParams,
+    policy: RedistPolicy,
+    max_stages: usize,
+    survivors: impl Fn(usize, f64) -> usize,
+) -> Vec<StageRecord> {
     let p = m.p as f64;
     let original_block = (m.n as f64 / p).ceil();
-    let step = (((1.0 - beta) * m.n as f64).ceil() as usize).max(1);
     let mut records = Vec::new();
     let mut remaining = m.n;
-    let mut stage = 0usize;
-
     while remaining > 0 {
+        let stage = records.len();
         let redistributed = stage > 0
             && match policy {
                 RedistPolicy::Never => false,
                 RedistPolicy::Always => true,
                 RedistPolicy::Adaptive => redistribution_pays(m, remaining),
             };
+        // Block size this stage: redistribution re-blocks evenly; NRD
+        // keeps the original block size.
         let block = if redistributed || stage == 0 {
             (remaining as f64 / p).ceil()
         } else {
@@ -160,9 +136,8 @@ pub fn simulate_stages_linear(
             },
             sync_overhead: m.sync,
         });
-        remaining = remaining.saturating_sub(step);
-        stage += 1;
-        assert!(stage < 1_000_000, "linear stage simulation diverged");
+        remaining = survivors(remaining, block);
+        assert!(stage + 1 < max_stages, "stage simulation diverged");
     }
     records
 }

@@ -181,8 +181,7 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
             rest,
             &["--procs", "--window", "--save"],
             &["--pooled"],
-        )?)
-        .map_err(CliError::from),
+        )?),
         "model" => cmd_model(rest),
         "--help" | "-h" | "help" => {
             println!("{}", usage());
@@ -1383,6 +1382,10 @@ fn cmd_analyze(args: Vec<String>) -> Result<(), CliError> {
     )?;
     // A missing or unreadable input is an invocation problem for a
     // static analysis (nothing ran), same bucket as a parse error.
+    let p = flags
+        .usize_of("--procs", DEFAULT_PROCS)
+        .map_err(CliError::Usage)?;
+    RunPlan::default().validate(&RunConfig::new(p), None)?;
     let src = source(&flags).map_err(CliError::Usage)?;
     match flags.get("--emit") {
         None => {}
@@ -1394,9 +1397,6 @@ fn cmd_analyze(args: Vec<String>) -> Result<(), CliError> {
         }
     }
     let program = rlrpd::lang::parse(&src).map_err(|e| CliError::Usage(e.to_string()))?;
-    let p = flags
-        .usize_of("--procs", DEFAULT_PROCS)
-        .map_err(CliError::Usage)?;
     if flags.has("--audit") {
         return audit_densities(&src, p);
     }
@@ -1511,14 +1511,17 @@ fn emit_bytecode(src: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_ddg(flags: Flags) -> Result<(), String> {
+fn cmd_ddg(flags: Flags) -> Result<(), CliError> {
+    let cfg = config(&flags).map_err(CliError::Usage)?;
+    RunPlan::default().validate(&cfg, None)?;
+    let w = flags.count_of("--window", 32).map_err(CliError::Usage)?;
     let prog = load(&flags)?;
     if prog.num_loops() != 1 {
-        return Err("ddg extraction needs a single-loop program".into());
+        return Err(CliError::Other(
+            "ddg extraction needs a single-loop program".into(),
+        ));
     }
     let lp = prog.loop_view(0, prog.initial_arrays());
-    let cfg = config(&flags)?;
-    let w = flags.count_of("--window", 32)?;
     let ddg = extract_ddg(&lp, &cfg, WindowConfig::fixed(w));
     println!(
         "iterations = {}, flow edges = {}, anti = {}, output = {}",

@@ -1192,9 +1192,9 @@ fn distributed_journaled_run_resumes_after_a_torn_tail() {
 
 /// One refused `run`: exit 64, nothing on stdout, every needle on
 /// stderr, and no journal file left behind.
-fn assert_refused(args: &[&str], needles: &[&str], journal: &std::path::Path) {
+fn assert_refused(cmd: &str, args: &[&str], needles: &[&str], journal: &std::path::Path) {
     let out = Command::new(env!("CARGO_BIN_EXE_rlrpd"))
-        .arg("run")
+        .arg(cmd)
         .args(args)
         .output()
         .expect("binary runs");
@@ -1222,7 +1222,8 @@ fn proven_chain() -> std::path::PathBuf {
 /// Every combination `rlrpd run` refuses — a row per `PlanError`
 /// variant, per row of the program-kind table, and per flag that needs
 /// another — is refused before the first line of output and the first
-/// file, with the flag and the reason named.
+/// file, with the flag and the reason named; so is an illegal `--procs`
+/// given to `ddg` or `analyze`.
 #[test]
 fn illegal_combinations_exit_64_name_the_rule_and_print_nothing_else() {
     let single = program("tracking.rlp");
@@ -1368,7 +1369,30 @@ fn illegal_combinations_exit_64_name_the_rule_and_print_nothing_else() {
         ));
     }
     for (args, needles) in rows {
-        assert_refused(&args, &needles, &journal);
+        assert_refused("run", &args, &needles, &journal);
+    }
+    // `ddg` and `analyze` build a run of `--procs` processors too, under
+    // the same rule.
+    for (cmd, args, needle) in [
+        ("ddg", vec![single.as_str(), "--procs", "0"], "--procs 0"),
+        (
+            "ddg",
+            vec![single.as_str(), "--procs", "2000"],
+            "--procs above 1024",
+        ),
+        (
+            "analyze",
+            vec![single.as_str(), "--procs", "0", "--audit"],
+            "--procs 0",
+        ),
+        ("analyze", vec![beta.as_str(), "--procs", "0"], "--procs 0"),
+        (
+            "analyze",
+            vec![beta.as_str(), "--procs", "2000"],
+            "--procs above 1024",
+        ),
+    ] {
+        assert_refused(cmd, &args, &[needle], &journal);
     }
 }
 
@@ -1536,7 +1560,7 @@ fn every_run_flag_is_honoured_or_refused_by_every_program_kind() {
             let mut without = vec![program.as_str()];
             let alone: Vec<&str> = without.iter().chain(&flag).copied().collect();
             match honour {
-                Refused => assert_refused(&alone, &[flag[0]], &journal),
+                Refused => assert_refused("run", &alone, &[flag[0]], &journal),
                 Changes(code) => {
                     without.extend(words(context));
                     let with: Vec<&str> = without.iter().chain(&flag).copied().collect();
@@ -1555,7 +1579,7 @@ fn every_run_flag_is_honoured_or_refused_by_every_program_kind() {
                         without.extend(words(context));
                         let bad: Vec<&str> =
                             without.iter().chain(&[flag[0], bad]).copied().collect();
-                        assert_refused(&bad, &[], &journal);
+                        assert_refused("run", &bad, &[], &journal);
                     }
                     let with: Vec<&str> = without.iter().chain(&flag).copied().collect();
                     assert_eq!(run(&with).0, 0, "{with:?}");
