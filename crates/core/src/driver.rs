@@ -394,7 +394,7 @@ impl RunConfig {
             checkpoint: self.checkpoint,
             commit_prefix_on_failure: true,
             fault: None,
-            budget: Arc::new(rlrpd_shadow::ShadowBudget::new(self.shadow_budget)),
+            shadow_cap: self.shadow_budget,
         }
     }
 }
@@ -818,6 +818,7 @@ impl Runner {
         report.sum_wall_seconds();
         report.predicted_first_dependence = self.cfg.predicted_first_dependence;
         report.shadow_budget = self.cfg.shadow_budget;
+        report.shadow_touches = std::mem::take(&mut engine.densest_seen);
         report.shadow_reprs = engine
             .tested_ids
             .iter()

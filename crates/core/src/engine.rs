@@ -22,7 +22,7 @@ use rlrpd_runtime::{
     panic_message, BlockSchedule, CostModel, ExecMode, Executor, FaultPlan, InjectedFault,
     OverheadKind, ProcId, StageStats, StageTiming,
 };
-use rlrpd_shadow::{IterMarks, ShadowBudget};
+use rlrpd_shadow::IterMarks;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -47,11 +47,9 @@ pub struct EngineCfg {
     /// Deterministic fault-injection plan, if any. `None` is the
     /// zero-cost fast path: no per-iteration injection checks run.
     pub fault: Option<Arc<FaultPlan>>,
-    /// The run's shared shadow-memory accountant. Every engine of one
-    /// run (strategy driver, baseline, distributed supervisor) charges
-    /// the same budget, so the cap governs the run's total footprint.
-    /// [`ShadowBudget::unlimited`] is the zero-pressure default.
-    pub budget: Arc<ShadowBudget>,
+    /// The cap on this engine's shadow footprint (every view's marks,
+    /// all processors), in bytes; `None` never reports pressure.
+    pub shadow_cap: Option<u64>,
 }
 
 /// Per-block (per-processor) speculative state for one stage.
@@ -164,10 +162,16 @@ pub(crate) struct Engine<'l, T: Value> {
     /// slot -> declared size (the pressure path rebuilds views from
     /// these).
     pub tested_sizes: Vec<usize>,
-    /// slot -> *current* shadow representation: starts at the declared
-    /// kind (possibly down-tiered at construction to fit the budget)
-    /// and is re-decided at every commit point from observed density.
+    /// slot -> *current* shadow representation: the declared (static)
+    /// kind, fitted to the cap when the engine is built, and changed
+    /// after that only by the pressure ladder or a fleet worker's fit —
+    /// always on empty views (`Engine::fit_shadows`).
     pub tested_shadow: Vec<ShadowKind>,
+    /// slot -> the densest processor's distinct touches in the last
+    /// stage that touched the slot, pressure re-runs aside (0: none
+    /// did) — the observed density `rlrpd analyze --audit` holds the
+    /// static pick to.
+    pub densest_seen: Vec<usize>,
     pub reductions: Vec<Option<Reduction<T>>>,
     /// slot -> array declaration index for untested arrays.
     pub untested_ids: Vec<usize>,
@@ -201,9 +205,9 @@ pub(crate) struct Engine<'l, T: Value> {
     /// The worker fleet was lost (or never launched) at some point of
     /// this run — reported as [`crate::FallbackReason::WorkerLoss`].
     pub worker_loss: bool,
-    /// Shadow bytes this engine has charged to the budget accountant so
-    /// far (accounting is by delta at phase boundaries).
-    pub accounted_bytes: u64,
+    /// High-water mark of the views' footprint, injected spikes
+    /// included (saturating: a spike of `u64::MAX` reads as that).
+    pub shadow_peak: u64,
 }
 
 impl<'l, T: Value> Engine<'l, T> {
@@ -244,6 +248,7 @@ impl<'l, T: Value> Engine<'l, T> {
             meta,
             shared,
             tested_ids,
+            densest_seen: vec![0; tested_sizes.len()],
             tested_sizes,
             tested_shadow,
             reductions,
@@ -259,9 +264,12 @@ impl<'l, T: Value> Engine<'l, T> {
             commits: 0,
             remote: None,
             worker_loss: false,
-            accounted_bytes: 0,
+            shadow_peak: 0,
         };
-        eng.enforce_budget_at_entry();
+        // Fit the static picks to the cap before any stage runs: a
+        // worker handed a smaller cap than the selection assumed
+        // degrades here instead of crashing.
+        eng.fit_shadows(&vec![0; eng.tested_ids.len()], 0);
         eng
     }
 
@@ -274,22 +282,18 @@ impl<'l, T: Value> Engine<'l, T> {
             .sum()
     }
 
-    /// Reconcile the budget accountant with the views' current
-    /// footprint (charge or release the delta since the last call).
-    pub(crate) fn account_shadow(&mut self) {
-        let now = self.shadow_bytes_now();
-        let was = self.accounted_bytes;
-        if now > was {
-            self.cfg.budget.charge(now - was);
-        } else {
-            self.cfg.budget.release(was - now);
-        }
-        self.accounted_bytes = now;
+    /// Fold the views' footprint plus a `spike` of injected bytes into
+    /// the peak, and say whether it is over the cap. Saturating: under
+    /// a cap a spike of any size trips it; uncapped nothing does.
+    fn over_cap(&mut self, spike: u64) -> bool {
+        let now = self.shadow_bytes_now().saturating_add(spike);
+        self.shadow_peak = self.shadow_peak.max(now);
+        self.cfg.shadow_cap.is_some_and(|cap| now > cap)
     }
 
     /// Per slot, the densest processor's distinct-touch count in the
-    /// live views: what the budget ladders project the next stage from.
-    fn densest_touches(&self) -> Vec<usize> {
+    /// live views: what the ladder projects the next stage from.
+    pub(crate) fn densest_touches(&self) -> Vec<usize> {
         (0..self.tested_ids.len())
             .map(|slot| {
                 self.states
@@ -301,42 +305,25 @@ impl<'l, T: Value> Engine<'l, T> {
             .collect()
     }
 
-    /// Walk the run's one budget ladder ([`rlrpd_shadow::fit_budget`])
-    /// from `kinds` under the cap, projecting `observed` touches plus
-    /// `extra` bytes, and migrate the views of every slot whose kind
-    /// changed. Returns how many did.
-    fn fit_shadows(&mut self, kinds: &[ShadowKind], observed: &[usize], extra: u64) -> usize {
-        let cap = self.cfg.budget.cap().unwrap_or(u64::MAX);
-        let p = self.cfg.p as u64;
-        let kinds = rlrpd_shadow::fit_budget(kinds, &self.tested_sizes, observed, p, extra, cap);
-        let mut migrated = 0;
-        for (slot, kind) in kinds.into_iter().enumerate() {
-            if kind != self.tested_shadow[slot] {
-                self.tested_shadow[slot] = kind;
-                for st in &mut self.states {
-                    st.views[slot].migrate(kind);
-                }
-                migrated += 1;
-            }
+    /// Fit the slots' kinds to the cap through the run's one ladder
+    /// ([`rlrpd_shadow::fit_budget`]), projecting `touched` per slot
+    /// plus `extra` bytes, and rebuild the views if a kind changed —
+    /// which discards their marks, so they must be empty or forfeit.
+    /// Returns how many slots changed.
+    pub(crate) fn fit_shadows(&mut self, touched: &[usize], extra: u64) -> usize {
+        let Some(cap) = self.cfg.shadow_cap else {
+            return 0;
+        };
+        let (sizes, p) = (&self.tested_sizes, self.cfg.p as u64);
+        let kinds = rlrpd_shadow::fit_budget(&self.tested_shadow, sizes, touched, p, extra, cap);
+        let changed = (kinds.iter().zip(&self.tested_shadow))
+            .filter(|(a, b)| a != b)
+            .count();
+        self.tested_shadow = kinds;
+        if changed > 0 {
+            self.rebuild_views();
         }
-        migrated
-    }
-
-    /// Fit the current representations to the cap before the next
-    /// stage runs: a worker handed a budget smaller than its static
-    /// selection assumed degrades here instead of crashing. The ladder
-    /// projects the live views' touches; the accountant's bytes beyond
-    /// this engine's (other engines of the same run) count as extra.
-    /// Ladder exhaustion is not an error: the first stage's pressure
-    /// check and the driver's window-shrink / sequential-fallback rungs
-    /// take over from there.
-    pub(crate) fn enforce_budget_at_entry(&mut self) {
-        self.account_shadow();
-        let others = self.cfg.budget.used().saturating_sub(self.accounted_bytes);
-        let kinds = self.tested_shadow.clone();
-        if self.fit_shadows(&kinds, &self.densest_touches(), others) > 0 {
-            self.account_shadow();
-        }
+        changed
     }
 
     /// Run one speculative stage over `schedule` (which must carry
@@ -496,33 +483,21 @@ impl<'l, T: Value> Engine<'l, T> {
         let timed = self.executor.mode() != ExecMode::Simulated;
         stats.phases.execute_seconds = timing.wall_seconds;
 
-        // 3.5 Budget accounting at the execute→analysis boundary: the
-        // shadows grew during the doall; charge the delta and decide
-        // whether the run is under budget pressure. Injected pressure
-        // is a phantom spike on top of the live bytes (it shows in the
-        // peak, never in `used`) — only a run with a cap armed can trip.
-        self.account_shadow();
-        let mut pressured = self.cfg.budget.over();
-        let mut phantom = 0u64;
-        if let Some(bytes) = fault_plan
+        // 3.5 The cap check at the execute→analysis boundary, where the
+        // views are at their largest. Injected pressure is a spike on
+        // top of the live bytes: it shows in the peak, and the ladder
+        // must shed enough to absorb it.
+        let spike = fault_plan
             .as_ref()
             .and_then(|plan| plan.shadow_pressure(stage))
-        {
-            if self.cfg.budget.spike(bytes) {
-                pressured = true;
-                // The injected spike is real pressure to the relief
-                // ladder: the representations must shed enough bytes
-                // to absorb it, or the ladder is exhausted.
-                phantom = bytes;
-            }
-        }
-        if pressured {
+            .unwrap_or(0);
+        if self.over_cap(spike) {
             // Containment, exactly like a speculation fault whose sink
             // is block 0: nothing commits, every untested write is
-            // restored, and the whole stage re-executes — under a
-            // smaller configuration when the relief ladder made
-            // progress, under the driver's window-shrink or
-            // sequential-fallback rung when it did not. Never an abort.
+            // restored, and the whole stage re-executes — under smaller
+            // kinds when the ladder found any, under the driver's
+            // window-shrink or sequential-fallback rung when it did
+            // not. Never an abort.
             stats.shadow_pressure_events = 1;
             for buf in &mut self.shared {
                 buf.new_epoch();
@@ -534,10 +509,15 @@ impl<'l, T: Value> Engine<'l, T> {
                     max_restored as f64 * cost.restore_per_elem,
                 );
             }
-            let relieved = self.relieve_pressure(phantom, &mut stats);
-            self.rebuild_views();
-            self.account_shadow();
-            stats.shadow_bytes_peak = stats.shadow_bytes_peak.max(self.cfg.budget.peak());
+            let touched = self.densest_touches();
+            let changed = self.fit_shadows(&touched, spike);
+            stats.shadow_migrations = changed;
+            if changed == 0 {
+                // A fresh build (unlike `clear`, which keeps
+                // allocations) returns memory even below the ladder.
+                self.rebuild_views();
+            }
+            stats.shadow_bytes_peak = stats.shadow_bytes_peak.max(self.shadow_peak);
             stats.fork_joins = self.executor.fork_joins() - forks_before;
             // Nothing committed: re-execution starts where the schedule
             // does — its first non-empty block, since an NRD restart
@@ -553,7 +533,7 @@ impl<'l, T: Value> Engine<'l, T> {
                 fault: None,
                 delta: self.delta_bits.map(|_| StageDelta::default()),
                 shadow_pressure: true,
-                shadow_relieved: relieved,
+                shadow_relieved: changed > 0,
             });
         }
 
@@ -691,9 +671,12 @@ impl<'l, T: Value> Engine<'l, T> {
         );
         let record = self.record_marks;
         let num_slots = self.tested_ids.len();
-        // Observed density for the commit-point re-selection below,
-        // captured before the clear wipes it.
-        let observed = self.densest_touches();
+        let touched = self.densest_touches();
+        for (seen, now) in self.densest_seen.iter_mut().zip(touched) {
+            if now > 0 {
+                *seen = now;
+            }
+        }
         for st in &mut self.states {
             for v in &mut st.views {
                 v.clear();
@@ -707,24 +690,9 @@ impl<'l, T: Value> Engine<'l, T> {
             stats.phases.shadow_clear_seconds = phase_start.elapsed().as_secs_f64();
         }
 
-        // 8.5 Commit-point re-selection: with the stage's work safely
-        // committed or restored and the views empty, re-decide each
-        // array's representation from the observed touch density (a
-        // slot the stage never touched keeps its kind), fit the picks
-        // to the cap and migrate (O(1) per unchanged slot). Then
-        // reconcile the accountant: this is where dense→sparse
-        // migrations give bytes back.
-        let picks: Vec<ShadowKind> = (0..num_slots)
-            .map(|slot| match observed[slot] {
-                0 => self.tested_shadow[slot],
-                seen => rlrpd_shadow::choose(self.tested_sizes[slot], seen),
-            })
-            .collect();
-        stats.shadow_migrations += self.fit_shadows(&picks, &observed, 0);
-        self.account_shadow();
         // Max-fold rather than overwrite: on a distributed stage the
         // workers' reported footprints are already folded in.
-        stats.shadow_bytes_peak = stats.shadow_bytes_peak.max(self.cfg.budget.peak());
+        stats.shadow_bytes_peak = stats.shadow_bytes_peak.max(self.shadow_peak);
 
         // 9. Barrier.
         stats.overhead.add(OverheadKind::Sync, cost.sync);
@@ -797,60 +765,9 @@ impl<'l, T: Value> Engine<'l, T> {
         Ok(max_restored)
     }
 
-    /// Budget-pressure relief: walk the largest-footprint arrays down
-    /// the dense→packed→sparse ladder until the projected footprint
-    /// (from observed touch counts, plus any injected `extra` bytes the
-    /// fault plan charged) fits the cap or the ladder runs out. Returns
-    /// whether any representation changed — `false` means the ladder is
-    /// exhausted and the driver's window-shrink or sequential-fallback
-    /// rung must relieve the pressure instead.
-    fn relieve_pressure(&mut self, extra: u64, stats: &mut StageStats) -> bool {
-        let Some(cap) = self.cfg.budget.cap() else {
-            return false;
-        };
-        let p = self.cfg.p as u64;
-        let mut by_size: Vec<(usize, u64, usize)> = self
-            .densest_touches()
-            .into_iter()
-            .enumerate()
-            .map(|(slot, touched)| {
-                let bytes = self
-                    .states
-                    .iter()
-                    .map(|st| st.views[slot].shadow_bytes())
-                    .sum();
-                (slot, bytes, touched)
-            })
-            .collect();
-        by_size.sort_by_key(|&(_, bytes, _)| std::cmp::Reverse(bytes));
-        let mut total: u64 = by_size
-            .iter()
-            .map(|&(_, b, _)| b)
-            .sum::<u64>()
-            .saturating_add(extra);
-        let mut changed = false;
-        for &(slot, bytes, touched) in &by_size {
-            if total <= cap {
-                break;
-            }
-            let Some(next) = self.tested_shadow[slot].down_tier() else {
-                continue;
-            };
-            self.tested_shadow[slot] = next;
-            stats.shadow_migrations += 1;
-            changed = true;
-            let projected = p * rlrpd_shadow::footprint(next, self.tested_sizes[slot], touched);
-            total = total.saturating_sub(bytes).saturating_add(projected);
-        }
-        changed
-    }
-
-    /// Rebuild every view fresh from the current per-slot kinds —
-    /// the pressure path's replacement for the O(touched) clear. A
-    /// fresh build (unlike `clear`, which keeps allocations for reuse)
-    /// actually returns memory: already-sparse slots drop their hash
-    /// capacity and every view its private-value slab, so relief is
-    /// real even below the ladder.
+    /// Rebuild every view fresh from the current per-slot kinds: how a
+    /// kind changes, and the pressure path's replacement for the
+    /// O(touched) clear.
     fn rebuild_views(&mut self) {
         let record = self.record_marks;
         let num_slots = self.tested_ids.len();
@@ -1243,7 +1160,7 @@ mod tests {
             checkpoint: CheckpointPolicy::OnDemand,
             commit_prefix_on_failure: true,
             fault: fault.map(Arc::new),
-            budget: Arc::new(ShadowBudget::unlimited()),
+            shadow_cap: None,
         }
     }
 

@@ -671,7 +671,7 @@ pub(crate) fn attach_remote<T: Value>(
         // 0 = worker default; the transport connector overrides this
         // from its policy before the hello goes on a wire.
         heartbeat_millis: 0,
-        shadow_budget: engine.cfg.budget.cap().unwrap_or(0),
+        shadow_budget: engine.cfg.shadow_cap.unwrap_or(0),
         header,
         spec: spec.to_string(),
     };
@@ -740,9 +740,7 @@ pub fn serve_worker<T: Value + JournalElem>(
             checkpoint: CheckpointPolicy::OnDemand,
             commit_prefix_on_failure: true,
             fault: None,
-            budget: std::sync::Arc::new(rlrpd_shadow::ShadowBudget::new(
-                (hello.shadow_budget != 0).then_some(hello.shadow_budget),
-            )),
+            shadow_cap: (hello.shadow_budget != 0).then_some(hello.shadow_budget),
         },
         false,
     );
@@ -905,15 +903,15 @@ fn run_block<T: Value + JournalElem>(engine: &mut Engine<'_, T>, req: &BlockRequ
         .restore_untested_writes(0, None, 0)
         .expect("the on-demand policy restores from its undo log");
     // Worker-side governance: a block whose touches project past the
-    // hello's cap down-tiers here, before the clear, so the ladder
-    // sees what the block touched — the worker degrades rather than
-    // outgrowing the budget it was handed.
-    engine.enforce_budget_at_entry();
+    // hello's cap down-tiers its now empty views, so the worker
+    // degrades rather than outgrowing the budget it was handed.
+    let touched = engine.densest_touches();
     let st = &mut engine.states[0];
     for v in &mut st.views {
         v.clear();
     }
     st.wlog.clear();
+    engine.fit_shadows(&touched, 0);
     reply
 }
 
@@ -2303,7 +2301,7 @@ mod tests {
             checkpoint: CheckpointPolicy::OnDemand,
             commit_prefix_on_failure: true,
             fault: None,
-            budget: std::sync::Arc::new(rlrpd_shadow::ShadowBudget::new(None)),
+            shadow_cap: None,
         };
         let engine = Engine::new(&lp, ecfg, false);
         let header = JournalHeader {
@@ -2372,7 +2370,7 @@ mod tests {
             checkpoint: CheckpointPolicy::OnDemand,
             commit_prefix_on_failure: true,
             fault: None,
-            budget: std::sync::Arc::new(rlrpd_shadow::ShadowBudget::new(None)),
+            shadow_cap: None,
         };
         let engine = Engine::new(&lp, ecfg, false);
         let header = JournalHeader {

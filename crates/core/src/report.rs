@@ -41,9 +41,13 @@ pub struct RunReport {
     /// configuration (`None` = unlimited).
     pub shadow_budget: Option<u64>,
     /// Per tested array, in declaration order: `(name, final shadow
-    /// representation)` at the end of the run — the observable trace of
-    /// commit-point re-selection and budget degradation.
+    /// representation)` at the end of the run — the static pick, or
+    /// what the budget ladder made of it.
     pub shadow_reprs: Vec<(String, String)>,
+    /// Beside `shadow_reprs`: per tested array, the densest processor's
+    /// distinct touches in the last stage that touched it (0
+    /// when none did) — the observed density of `rlrpd analyze --audit`.
+    pub shadow_touches: Vec<usize>,
     /// Commit frontier at which a cooperative stop
     /// ([`crate::Runner::with_stop`]) paused this run; `None` for a run
     /// that completed. A paused journaled run resumes from here.
@@ -169,9 +173,9 @@ impl RunReport {
     }
 
     /// Peak shadow-memory footprint over the run, in bytes: the max
-    /// over stages of the accountant's high-water mark (monotone within
-    /// a run, so this is the final stage's reading; distributed runs
-    /// fold worker peaks in per stage).
+    /// over stages of the engine's high-water mark (monotone within a
+    /// run, so this is the final stage's reading; distributed runs fold
+    /// worker footprints in per stage).
     pub fn shadow_bytes_peak(&self) -> u64 {
         self.stages
             .iter()
@@ -180,8 +184,8 @@ impl RunReport {
             .unwrap_or(0)
     }
 
-    /// Shadow-representation migrations across all stages (commit-point
-    /// re-selections plus budget-relief down-tiers).
+    /// Shadow-representation changes the budget-pressure ladder made,
+    /// over all stages.
     pub fn shadow_migrations(&self) -> usize {
         self.stages.iter().map(|s| s.shadow_migrations).sum()
     }

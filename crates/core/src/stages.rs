@@ -13,8 +13,8 @@
 //! 2. after a clean stage that leaves work, the next window;
 //! 3. after a violation at block `q`, the next schedule and what
 //!    redistributing to it costs;
-//! 4. after budget pressure the per-array ladder could not relieve, a
-//!    smaller window — or nothing left to shrink.
+//! 4. after budget pressure the representation ladder could not
+//!    relieve, a smaller window — or nothing left to shrink.
 //!
 //! **The commit invariant**, stated here once. When a stage ends,
 //! everything below its frontier — the iteration after a trusted exit,

@@ -117,7 +117,6 @@ pub struct ProcView<T> {
     accum: Option<PagedStore<T>>,
     op: Option<Reduction<T>>,
     shadow: Shadow,
-    size: usize,
     refs: u64,
 }
 
@@ -130,7 +129,6 @@ impl<T: Value> ProcView<T> {
             accum: op.map(|_| PagedStore::new(size)),
             op,
             shadow: Shadow::for_kind(kind, size),
-            size,
             refs: 0,
         }
     }
@@ -319,29 +317,10 @@ impl<T: Value> ProcView<T> {
         self.refs = 0;
     }
 
-    /// Shadow memory this view holds, in bytes (what the view reports
-    /// through the footprint accountant; sparse is a capacity-based
-    /// estimate).
+    /// Shadow memory this view holds, in bytes (what the engine holds
+    /// against its cap; sparse is a capacity-based estimate).
     pub fn shadow_bytes(&self) -> u64 {
         self.shadow.shadow_bytes()
-    }
-
-    /// Migrate this view's shadow to representation `kind`, carrying
-    /// every mark across. The private values and reduction deltas stay
-    /// where they are: the paged store is the same for every kind.
-    ///
-    /// **Byte-identity guarantee:** after migration the view answers
-    /// every query identically — `mark(e)`, `written_value(e)`,
-    /// `reduction_delta(e)`, `num_touched()`, `refs()`, and the touched
-    /// *set* (touched *order* may differ; analysis must not depend on
-    /// it). The engine invokes this at commit points, where views are
-    /// empty and migration is O(1); this module's
-    /// `migrating_a_live_view_changes_no_answer` test holds it to the
-    /// contract on live views, every kind to every kind.
-    pub fn migrate(&mut self, kind: ShadowKind) {
-        if self.shadow.kind() != kind {
-            self.shadow = self.shadow.migrated(kind, self.size);
-        }
     }
 }
 
@@ -518,61 +497,6 @@ mod tests {
         let mut store = PagedStore::<f64>::new(4 * PAGE);
         store.set(PAGE, 1.0);
         let _ = store.get(2 * PAGE);
-    }
-
-    type PerElem = (Mark, Option<i64>, Option<i64>);
-
-    /// Every answer a view of a `size`-element array gives: per element
-    /// its mark, written value and delta; the touched set; the counts.
-    fn answers(v: &ProcView<i64>, size: usize) -> (Vec<PerElem>, Vec<(usize, Mark)>, usize, u64) {
-        let per_elem = (0..size)
-            .map(|e| {
-                let m = v.mark(e);
-                let value = m.is_written().then(|| v.written_value(e));
-                let delta = m.is_reduction_only().then(|| v.reduction_delta(e));
-                (m, value, delta)
-            })
-            .collect();
-        let mut touched: Vec<_> = v.touched().collect();
-        touched.sort_by_key(|&(e, _)| e);
-        (per_elem, touched, v.num_touched(), v.refs())
-    }
-
-    #[test]
-    fn migrating_a_live_view_changes_no_answer() {
-        const SIZE: usize = 3 * PAGE + 5;
-        let sum = Reduction {
-            identity: 0,
-            combine: |a: i64, b| a + b,
-        };
-        let shared = |e: usize| 1000 + e as i64;
-        for from in [Dense, Packed, Sparse] {
-            for to in [Dense, Packed, Sparse] {
-                let mut v = ProcView::new(SIZE, from, Some(sum));
-                // Every state of the machine, on page edges and inside
-                // pages: written, read-then-written, exposed read,
-                // reduction-only, materialized.
-                v.write(0, 1);
-                let _ = v.read(PAGE - 1, shared);
-                v.write(PAGE - 1, 2);
-                let _ = v.read(PAGE, shared);
-                v.reduce(2 * PAGE - 1, 3, shared);
-                v.reduce(2 * PAGE, 4, shared);
-                let _ = v.read(2 * PAGE, shared);
-                v.reduce(SIZE - 1, 5, shared);
-                let before = answers(&v, SIZE);
-                v.migrate(to);
-                assert_eq!(answers(&v, SIZE), before, "{from:?} -> {to:?}");
-                // The migrated view keeps working: later references
-                // land on the values carried across.
-                v.reduce(SIZE - 1, 6, shared);
-                v.write(PAGE, 7);
-                assert_eq!(v.reduction_delta(SIZE - 1), 11);
-                assert_eq!(v.read(PAGE - 1, shared), 2);
-                assert_eq!(v.read(2 * PAGE, shared), shared(2 * PAGE) + 4);
-                assert_eq!(v.written_value(PAGE), 7);
-            }
-        }
     }
 
     #[test]

@@ -139,8 +139,8 @@ pub struct CompiledProgram {
 
 /// One row of the observed-vs-predicted shadow audit
 /// (`rlrpd analyze --audit`): what the static touch-density model
-/// predicted for an array against the representation the run's
-/// commit-point re-selection converged on.
+/// predicted for an array against the representation its observed
+/// touch density calls for.
 #[derive(Clone, Debug)]
 pub struct DensityAuditRow {
     /// Which loop the row concerns.
@@ -153,7 +153,8 @@ pub struct DensityAuditRow {
     pub predicted_touched: usize,
     /// Representation the static selector chose from the prediction.
     pub predicted_repr: &'static str,
-    /// Representation the run settled on after observing real touches.
+    /// Representation the observed touch density calls for (the run's
+    /// own kind for an array no stage touched).
     pub observed_repr: String,
 }
 
@@ -466,9 +467,10 @@ impl CompiledProgram {
     }
 
     /// Run the program speculatively and compare every instrumented
-    /// array's statically predicted shadow representation against the
-    /// one the run's commit-point re-selection settled on — the static
-    /// touch-density model audited against observed marking behavior.
+    /// array's statically predicted shadow representation against
+    /// [`rlrpd_shadow::select::choose`] over the run's observed touches
+    /// (the densest processor of the last stage touching it)
+    /// — the static touch-density model audited against marking.
     pub fn density_audit(&self, cfg: RunConfig) -> Vec<DensityAuditRow> {
         let res = self.run(cfg);
         let mut rows = Vec::new();
@@ -478,12 +480,15 @@ impl CompiledProgram {
                 let predicted = rlrpd_shadow::select::choose(decl.size, touched).describe();
                 // Only arrays the run actually instrumented appear on
                 // the report (elided arrays have no shadow to audit).
-                let Some((_, observed)) = report
-                    .shadow_reprs
-                    .iter()
-                    .find(|(name, _)| name == &decl.name)
-                else {
+                let reprs = &report.shadow_reprs;
+                let Some(at) = reprs.iter().position(|(name, _)| name == &decl.name) else {
                     continue;
+                };
+                let observed_repr = match report.shadow_touches[at] {
+                    0 => reprs[at].1.clone(),
+                    seen => rlrpd_shadow::select::choose(decl.size, seen)
+                        .describe()
+                        .into(),
                 };
                 rows.push(DensityAuditRow {
                     loop_index: k,
@@ -491,7 +496,7 @@ impl CompiledProgram {
                     size: decl.size,
                     predicted_touched: touched,
                     predicted_repr: predicted,
-                    observed_repr: observed.clone(),
+                    observed_repr,
                 });
             }
         }

@@ -15,7 +15,7 @@
 //!   driver's watchdog budget trips deterministically;
 //! * at a **stage**: a *checkpoint fault* (the checkpoint phase fails
 //!   before any speculative write) or *shadow pressure* (phantom bytes
-//!   charged to the budget accountant);
+//!   added to the engine's shadow footprint);
 //! * at a **journal record**: a *short write* (the append is torn and
 //!   the run aborts, a crash mid-append), a *silent corruption* (the
 //!   next open must detect and truncate it), an *fsync failure*,
@@ -297,10 +297,10 @@ impl FaultPlan {
         self.site(kind, dispatch, None, 1)
     }
 
-    /// Charge `bytes` of phantom shadow growth to the budget accountant
-    /// at the end of stage ordinal `stage`'s execute phase (released
-    /// right after the pressure check), one-shot — so the stage's
-    /// re-execution under the degraded configuration runs clean.
+    /// Add `bytes` of phantom shadow growth to the engine's footprint
+    /// at the end of stage ordinal `stage`'s execute phase (for the
+    /// pressure check only), one-shot — so the stage's re-execution
+    /// under the degraded configuration runs clean.
     /// Exercises the budget-pressure containment path (down-tier ladder,
     /// window shrink, sequential fallback) deterministically; a run with
     /// no budget cap armed records the charge in the peak but never

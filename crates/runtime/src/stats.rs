@@ -183,14 +183,13 @@ pub struct StageStats {
     /// their own respawn budget or failing a deterministic handshake
     /// check (0 except under distributed execution).
     pub quarantined: usize,
-    /// Peak shadow-memory footprint observed during this stage, in
-    /// bytes, summed across this engine's processors (the budget
-    /// accountant's high-water mark delta). Under distributed execution
-    /// the supervisor folds in the workers' own peaks.
+    /// The engine's peak shadow footprint so far, in bytes, summed
+    /// across its processors (an injected spike included). Under
+    /// distributed execution the supervisor folds in the workers' own
+    /// footprints.
     pub shadow_bytes_peak: u64,
-    /// Shadow-representation migrations performed at this stage's
-    /// commit point (re-selection from observed touch density) or by
-    /// the budget-pressure relief ladder.
+    /// Arrays whose shadow representation the budget-pressure ladder
+    /// changed at this stage.
     pub shadow_migrations: usize,
     /// Budget-pressure events contained during this stage: the shadow
     /// footprint crossed the cap and the stage re-executes under a

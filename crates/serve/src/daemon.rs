@@ -63,9 +63,11 @@ pub struct ServeConfig {
     pub pool_budget: u64,
     /// Maximum concurrently *running* jobs; also the fair-share
     /// divisor for submissions that ask the daemon to pick a budget.
+    /// At least 1: [`Daemon::start`] refuses 0.
     pub max_jobs: usize,
     /// Per-subscriber stream buffer, in frames — the daemon's entire
-    /// memory commitment to one slow client.
+    /// memory commitment to one slow client. At least 1, like
+    /// `max_jobs`.
     pub stream_buffer: usize,
     /// How long a single blocked write to a client may stall before
     /// the client is declared dead and disconnected.
@@ -217,6 +219,12 @@ impl Daemon {
     /// jobs is refused (start with `resume` to pick them up) — a
     /// silent fresh start over live journals would strand them.
     pub fn start(cfg: ServeConfig) -> std::io::Result<DaemonHandle> {
+        if cfg.max_jobs == 0 || cfg.stream_buffer == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "max_jobs and stream_buffer must be at least 1",
+            ));
+        }
         std::fs::create_dir_all(&cfg.state_dir)?;
         let listener = TcpListener::bind(&cfg.listen)?;
         let mut wake = listener.local_addr()?;
@@ -500,7 +508,7 @@ fn scheduler(shared: Arc<Shared>) {
 /// One dispatch attempt under the scheduler lock: find the next
 /// queued job (round-robin) whose budget carves from the pool.
 fn try_dispatch(shared: &Arc<Shared>, sched: &mut Sched) -> Option<(Arc<Job>, BudgetLease)> {
-    if shared.running.load(Ordering::SeqCst) >= shared.cfg.max_jobs.max(1) {
+    if shared.running.load(Ordering::SeqCst) >= shared.cfg.max_jobs {
         return None;
     }
     let key = sched.pop_next()?;
@@ -526,7 +534,7 @@ fn grant_bytes(cfg: &ServeConfig, spec: &JobSpec) -> u64 {
     if spec.budget_bytes > 0 {
         spec.budget_bytes
     } else {
-        (cfg.pool_budget / cfg.max_jobs.max(1) as u64).max(1)
+        (cfg.pool_budget / cfg.max_jobs as u64).max(1)
     }
 }
 
@@ -1021,5 +1029,21 @@ mod tests {
         assert_eq!(grant_bytes(&cfg, &spec), 250);
         spec.budget_bytes = 777;
         assert_eq!(grant_bytes(&cfg, &spec), 777);
+    }
+
+    #[test]
+    fn zero_job_slots_or_stream_buffer_are_refused_before_anything_starts() {
+        let dir = std::env::temp_dir().join(format!("rlrpd-zero-cfg-{}", std::process::id()));
+        for (max_jobs, stream_buffer) in [(0, 256), (4, 0)] {
+            let cfg = ServeConfig {
+                state_dir: dir.clone(),
+                max_jobs,
+                stream_buffer,
+                ..ServeConfig::default()
+            };
+            let err = Daemon::start(cfg).err().expect("a zero must be refused");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert!(!dir.exists(), "no state directory for a refused config");
+        }
     }
 }

@@ -144,7 +144,7 @@ impl Subscriber {
                 gone: false,
             }),
             cond: Condvar::new(),
-            cap: cap.max(1),
+            cap,
         }
     }
 

@@ -93,8 +93,8 @@ impl DenseShadow {
         self.touched.clear();
     }
 
-    /// Install a previously observed mark verbatim (representation
-    /// migration and replay). `mark` must be a touched, legal mark and
+    /// Install a previously observed mark verbatim (a copy between
+    /// representations). `mark` must be a touched, legal mark and
     /// `elem` must currently be untouched.
     pub fn restore(&mut self, elem: usize, mark: Mark) {
         debug_assert!(mark.is_touched(), "restoring an untouched mark");
@@ -104,7 +104,7 @@ impl DenseShadow {
     }
 
     /// Shadow memory held, in bytes: the mark array plus the touched
-    /// list's allocation (reported to the footprint accountant).
+    /// list's allocation.
     pub fn shadow_bytes(&self) -> usize {
         self.marks.len() + self.touched.capacity() * 4
     }

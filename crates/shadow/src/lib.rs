@@ -17,7 +17,7 @@
 //!   patterns where the array is huge and touches are sparse,
 //! * [`PackedShadow`] — the paper's literal bit-packed layout (3 bits
 //!   per element in planes), ~4× smaller than the byte shadow,
-//! * [`Shadow`] — a runtime-selected combination of the two,
+//! * [`Shadow`] — one of the three, chosen per array,
 //! * [`IterMarks`] — per-*iteration* mark lists (the paper's "N-level
 //!   mark list") used by sliding-window DDG extraction.
 //!
@@ -52,7 +52,7 @@ pub mod select;
 pub mod shadow;
 pub mod sparse;
 
-pub use budget::{BudgetLease, BudgetPool, ShadowBudget};
+pub use budget::{BudgetLease, BudgetPool};
 pub use dense::DenseShadow;
 pub use iter_marks::{ElemEvents, EventKind, IterMarks};
 pub use marks::Mark;

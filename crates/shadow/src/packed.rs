@@ -152,8 +152,8 @@ impl PackedShadow {
         self.touched.clear();
     }
 
-    /// Install a previously observed mark verbatim (representation
-    /// migration and replay): sets the bit planes directly, bypassing
+    /// Install a previously observed mark verbatim (a copy between
+    /// representations): sets the bit planes directly, bypassing
     /// the transition rules. `mark` must be a touched, legal mark and
     /// `e` must currently be untouched.
     pub fn restore(&mut self, e: usize, mark: Mark) {
@@ -174,7 +174,7 @@ impl PackedShadow {
     }
 
     /// Shadow memory in bytes: the bit planes plus the touched list's
-    /// allocation (reported to the footprint accountant).
+    /// allocation.
     pub fn shadow_bytes(&self) -> usize {
         (self.write.len() + self.read.len() + self.red.len()) * 8 + self.touched.capacity() * 4
     }

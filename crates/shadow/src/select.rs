@@ -5,20 +5,16 @@
 //! array size — but only if the right structure is picked: a dense byte
 //! shadow is fastest per mark yet allocates (and, bit-packed, clears)
 //! the whole array; a sparse hash shadow allocates per touch but pays
-//! hashing on every mark. The run-time pass historically picked by
-//! array size alone; with the symbolic dependence analysis predicting
-//! per-array **touch density** ahead of the run, the choice can be made
-//! statically per loop — and re-made at commit points from *observed*
-//! density (the ROADMAP "adaptive shadow selection under memory
-//! budgets" item).
+//! hashing on every mark. With the symbolic dependence analysis
+//! predicting per-array **touch density** ahead of the run, the choice
+//! is made statically per loop, before the engine is built.
 //!
 //! [`choose`] is a pure function of `(size, predicted_touched)` so the
-//! decision is auditable and testable in isolation; the engine declares
-//! and migrates shadows in the same [`ShadowKind`]. There is no
+//! decision is auditable and testable in isolation. There is no
 //! per-array budget: the byte cap is a run setting, and [`fit_budget`]
-//! is the run's one dense→packed→sparse ladder over all of a loop's
-//! tested arrays at once. Sparse is the floor — its footprint follows
-//! touches, not `n`, so it is always admissible.
+//! is the run's one ladder over all of a loop's tested arrays at once.
+//! A step always shrinks the projection; a slot with no smaller tier
+//! left is at its floor.
 
 /// Which shadow structure to instrument an array with (re-exported by
 /// the engine as `rlrpd_core::ShadowKind`). Only the marks differ by
@@ -81,9 +77,9 @@ pub const TOUCH_LIST_BYTES: u64 = 4;
 /// Predicted per-processor footprint, in bytes, of one shadow of
 /// `kind` over an array of `size` elements with `touched` distinct
 /// references per stage. Pure; mirrors what the live structures report
-/// through the accountant (dense: a mark byte per element; packed:
+/// as their `shadow_bytes` (dense: a mark byte per element; packed:
 /// three bit-planes; sparse: hash entries), so [`fit_budget`]'s
-/// projection and the accountant agree on which representations fit.
+/// projection and the engine's cap check agree on what fits.
 pub fn footprint(kind: ShadowKind, size: usize, touched: usize) -> u64 {
     // Distinct touches cannot exceed the array (overcounted predictions
     // clamp, mirroring `choose`'s density clamp).
@@ -117,10 +113,12 @@ pub fn choose(size: usize, touched: usize) -> ShadowKind {
 /// over `sizes[s]` elements, `touched[s]` of them per processor; the
 /// projection is `p` copies of every slot's [`footprint`] plus `extra`
 /// bytes the slots do not model. While it exceeds `cap`, the slot with
-/// the largest predicted footprint that is not yet sparse steps one
-/// tier down. Sparse is the floor: the result may still exceed `cap`,
-/// and the runtime's window-shrink / sequential-fallback rungs take
-/// over from there.
+/// the largest predicted footprint steps to the first tier below it
+/// (dense → packed → sparse) whose footprint is strictly smaller — for
+/// a small, fully touched array sparse is the *largest* tier. A slot
+/// with no smaller tier is at its floor: the result may still exceed
+/// `cap`, and the runtime's window-shrink / sequential-fallback rungs
+/// take over from there.
 pub fn fit_budget(
     kinds: &[ShadowKind],
     sizes: &[usize],
@@ -130,17 +128,21 @@ pub fn fit_budget(
     cap: u64,
 ) -> Vec<ShadowKind> {
     let mut kinds = kinds.to_vec();
-    let foot = |kinds: &[ShadowKind], s: usize| {
-        p.saturating_mul(footprint(kinds[s], sizes[s], touched[s]))
-    };
+    let foot = |kind, s: usize| p.saturating_mul(footprint(kind, sizes[s], touched[s]));
     loop {
-        let total = (0..kinds.len()).fold(extra, |t, s| t.saturating_add(foot(&kinds, s)));
+        let total = (0..kinds.len()).fold(extra, |t, s| t.saturating_add(foot(kinds[s], s)));
         if total <= cap {
             return kinds;
         }
-        let Some((slot, next)) = (0..kinds.len())
-            .filter_map(|s| Some((s, kinds[s].down_tier()?)))
-            .max_by_key(|&(s, _)| foot(&kinds, s))
+        let smaller = |s: usize| {
+            let now = foot(kinds[s], s);
+            std::iter::successors(kinds[s].down_tier(), |k| k.down_tier())
+                .find(|&k| foot(k, s) < now)
+                .map(|k| (s, now, k))
+        };
+        let Some((slot, _, next)) = (0..kinds.len())
+            .filter_map(smaller)
+            .max_by_key(|&(_, now, _)| now)
         else {
             return kinds;
         };
@@ -217,8 +219,12 @@ mod tests {
         // Nothing smaller exists: a starvation cap walks every slot to
         // sparse and stops there (the runtime's rungs handle the rest).
         let sizes = [1 << 20, 512];
-        let kinds = fit_budget(&[Dense, Packed], &sizes, &[1 << 19, 4], 4, 0, 1);
+        let kinds = fit_budget(&[Dense, Dense], &sizes, &[1 << 12, 4], 4, 0, 1);
         assert_eq!(kinds, [Sparse, Sparse]);
+        // Half touched, the big slot's sparse tier would outweigh its
+        // dense one: it stops at packed.
+        let kinds = fit_budget(&[Dense, Packed], &sizes, &[1 << 19, 4], 4, 0, 1);
+        assert_eq!(kinds, [Packed, Sparse]);
         // The small-array fast path is a performance default, not an
         // exemption from the ladder.
         assert_eq!(
@@ -237,11 +243,28 @@ mod tests {
             [Packed]
         );
         // An unbounded extra cannot overflow the projection: it walks
-        // to the floor.
+        // to the floor, which at density ½ is packed (sparse would be
+        // 2.7× dense).
         assert_eq!(
             fit_budget(&[Dense], &sizes, &touched, 4, u64::MAX, dense),
-            [Sparse]
+            [Packed]
         );
+    }
+
+    #[test]
+    fn a_slot_never_steps_into_a_bigger_tier() {
+        // A small, fully touched array: sparse costs 16 B a touch, four
+        // times the dense byte plus touch list. Under a tiny cap the
+        // ladder stops at packed instead of growing the footprint.
+        let (sizes, touched) = ([4096], [4096]);
+        assert!(footprint(Sparse, 4096, 4096) > footprint(Dense, 4096, 4096));
+        assert_eq!(fit_budget(&[Dense], &sizes, &touched, 4, 0, 1), [Packed]);
+        assert_eq!(fit_budget(&[Packed], &sizes, &touched, 4, 0, 1), [Packed]);
+        // Below 24 elements packed outweighs dense, so a lightly touched
+        // dense slot skips it on the way to sparse, and a fully touched
+        // one has no smaller tier at all.
+        assert_eq!(fit_budget(&[Dense], &[16], &[1], 1, 0, 1), [Sparse]);
+        assert_eq!(fit_budget(&[Dense], &[16], &[16], 1, 0, 1), [Dense]);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Runtime-selected shadow representation.
 //!
-//! The driver picks dense or sparse per tested array: dense when the
-//! array is small relative to the expected touch count (TRACK's NUSED),
-//! sparse for huge, sparsely touched arrays (SPICE's VALUE workspace).
-//! [`Shadow`] dispatches to either with a uniform API so the rest of the
-//! engine never branches on representation.
+//! The engine builds one kind per tested array when it starts: dense
+//! when the array is small relative to the expected touch count
+//! (TRACK's NUSED), packed for moderate density, sparse for huge,
+//! sparsely touched arrays (SPICE's VALUE workspace). A kind changes
+//! only on empty views, by building a fresh shadow. [`Shadow`]
+//! dispatches with a uniform API so the rest of the engine never
+//! branches on representation.
 
 use crate::dense::DenseShadow;
 use crate::marks::Mark;
@@ -137,8 +139,8 @@ impl Shadow {
         }
     }
 
-    /// Install a previously observed mark verbatim (representation
-    /// migration and replay). `mark` must be touched and `elem` must
+    /// Install a previously observed mark verbatim (a copy between
+    /// representations). `mark` must be touched and `elem` must
     /// currently be untouched.
     #[inline]
     pub fn restore(&mut self, elem: usize, mark: Mark) {
@@ -150,31 +152,13 @@ impl Shadow {
     }
 
     /// Shadow memory held, in bytes (sparse is a capacity-based
-    /// estimate) — what this shadow reports through the footprint
-    /// accountant.
+    /// estimate) — what the engine holds against its cap.
     pub fn shadow_bytes(&self) -> u64 {
         match self {
             Shadow::Dense(s) => s.shadow_bytes() as u64,
             Shadow::Packed(s) => s.shadow_bytes() as u64,
             Shadow::Sparse(s) => s.shadow_bytes() as u64,
         }
-    }
-
-    /// A copy of this shadow in representation `kind` over `size`
-    /// elements, carrying every live mark across.
-    ///
-    /// **Byte-identity guarantee:** the migrated shadow answers every
-    /// query identically — `mark(e)` for all `e`, `num_touched()`, and
-    /// the touched *set* (touched *order* may differ; analysis must not
-    /// depend on it, per [`Shadow::touched`]'s contract). The proptest
-    /// suite holds Dense↔Packed↔Sparse round-trips to this contract
-    /// for arbitrary mark sequences.
-    pub fn migrated(&self, kind: ShadowKind, size: usize) -> Shadow {
-        let mut out = Shadow::for_kind(kind, size);
-        for (e, m) in self.touched() {
-            out.restore(e, m);
-        }
-        out
     }
 }
 

@@ -70,8 +70,8 @@ impl SparseShadow {
         self.marks.clear();
     }
 
-    /// Install a previously observed mark verbatim (representation
-    /// migration and replay). `mark` must be a touched, legal mark and
+    /// Install a previously observed mark verbatim (a copy between
+    /// representations). `mark` must be a touched, legal mark and
     /// `elem` must currently be untouched.
     pub fn restore(&mut self, elem: usize, mark: Mark) {
         debug_assert!(mark.is_touched(), "restoring an untouched mark");
@@ -81,10 +81,8 @@ impl SparseShadow {
 
     /// Estimated shadow memory held, in bytes: the hash table's
     /// capacity at ~16 bytes per slot (key + mark + control/padding),
-    /// reported to the footprint accountant. An estimate — `HashMap`
-    /// does not expose its exact layout — but a deliberate *over*-count
-    /// is impossible to promise, so the accountant treats every sparse
-    /// figure as approximate.
+    /// what the engine holds against its cap. An estimate — `HashMap`
+    /// does not expose its exact layout.
     pub fn shadow_bytes(&self) -> usize {
         self.marks.capacity() * 16
     }

@@ -2,7 +2,7 @@
 //! identical, and per-iteration mark lists obey the exposure rule.
 
 use proptest::prelude::*;
-use rlrpd_shadow::{DenseShadow, IterMarks, PackedShadow, SparseShadow};
+use rlrpd_shadow::{DenseShadow, IterMarks, PackedShadow, Shadow, ShadowKind, SparseShadow};
 
 /// An operation against an element, mirroring the view layer's legal
 /// routing (ordinary ops materialize reduction-marked elements first).
@@ -148,9 +148,18 @@ proptest! {
     }
 }
 
+/// A fresh shadow of `kind` holding every touched mark of `shadow`.
+fn copy_as(shadow: &Shadow, kind: ShadowKind, size: usize) -> Shadow {
+    let mut out = Shadow::for_kind(kind, size);
+    for (e, m) in shadow.touched() {
+        out.restore(e, m);
+    }
+    out
+}
+
 /// Apply one legal op to a [`Shadow`] (the runtime-selected wrapper),
 /// mirroring the view layer's materialize-before-ordinary routing.
-fn apply(shadow: &mut rlrpd_shadow::Shadow, op: &Op) {
+fn apply(shadow: &mut Shadow, op: &Op) {
     match *op {
         Op::Read(e) => {
             if shadow.mark(e).is_reduction_only() {
@@ -175,12 +184,12 @@ fn apply(shadow: &mut rlrpd_shadow::Shadow, op: &Op) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Migration is a byte-identity on mark state: after any legal op
-    /// sequence, walking the representation ladder in any order — and
-    /// round-tripping back — preserves every element's mark exactly.
+    /// Copying every touched mark into a fresh shadow of another kind
+    /// (`for_kind` + `restore`) is a byte-identity on mark state: after
+    /// any legal op sequence, every kind to every kind — and back —
+    /// preserves every element's mark exactly.
     #[test]
-    fn migration_preserves_all_marks(ops in ops(64)) {
-        use rlrpd_shadow::{Shadow, ShadowKind};
+    fn copying_marks_across_kinds_preserves_them(ops in ops(64)) {
         let size = 64;
         for start in [ShadowKind::Dense, ShadowKind::Packed, ShadowKind::Sparse] {
             let mut shadow = Shadow::for_kind(start, size);
@@ -188,17 +197,17 @@ proptest! {
                 apply(&mut shadow, op);
             }
             for dest in [ShadowKind::Dense, ShadowKind::Packed, ShadowKind::Sparse] {
-                let migrated = shadow.migrated(dest, size);
-                prop_assert_eq!(migrated.kind(), dest);
+                let copied = copy_as(&shadow, dest, size);
+                prop_assert_eq!(copied.kind(), dest);
                 for e in 0..size {
                     prop_assert_eq!(
-                        shadow.mark(e), migrated.mark(e),
+                        shadow.mark(e), copied.mark(e),
                         "mark of {} diverged across {:?} -> {:?}", e, start, dest
                     );
                 }
-                prop_assert_eq!(shadow.num_touched(), migrated.num_touched());
+                prop_assert_eq!(shadow.num_touched(), copied.num_touched());
                 // And back: the round trip is also an identity.
-                let back = migrated.migrated(start, size);
+                let back = copy_as(&copied, start, size);
                 for e in 0..size {
                     prop_assert_eq!(shadow.mark(e), back.mark(e));
                 }
@@ -206,27 +215,26 @@ proptest! {
         }
     }
 
-    /// Migrating under live marks keeps operating correctly: ops applied
-    /// after a mid-sequence migration behave as if no migration happened.
+    /// A copy keeps operating correctly: ops applied after a
+    /// mid-sequence copy behave as if no copy happened.
     #[test]
-    fn migration_mid_sequence_is_transparent(
+    fn marking_continues_on_a_copy(
         ops_a in ops(48), ops_b in ops(48),
         route in 0usize..3,
     ) {
-        use rlrpd_shadow::{Shadow, ShadowKind};
         let size = 48;
         let dest = [ShadowKind::Dense, ShadowKind::Packed, ShadowKind::Sparse][route];
-        // Reference: one dense shadow, no migration.
+        // Reference: one dense shadow, never copied.
         let mut reference = Shadow::dense(size);
         for op in ops_a.iter().chain(&ops_b) {
             apply(&mut reference, op);
         }
-        // Subject: migrate between the two halves of the sequence.
+        // Subject: copied between the two halves of the sequence.
         let mut subject = Shadow::dense(size);
         for op in &ops_a {
             apply(&mut subject, op);
         }
-        subject = subject.migrated(dest, size);
+        subject = copy_as(&subject, dest, size);
         for op in &ops_b {
             apply(&mut subject, op);
         }

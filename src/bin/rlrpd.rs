@@ -524,9 +524,9 @@ fn cmd_serve(args: Vec<String>) -> Result<(), CliError> {
         listen: flags.get("--listen").unwrap_or("127.0.0.1:0").to_string(),
         state_dir: state_dir.into(),
         pool_budget,
-        max_jobs: flags.usize_of("--max-jobs", 4).map_err(CliError::Usage)?,
+        max_jobs: flags.count_of("--max-jobs", 4).map_err(CliError::Usage)?,
         stream_buffer: flags
-            .usize_of("--stream-buffer", 256)
+            .count_of("--stream-buffer", 256)
             .map_err(CliError::Usage)?,
         resume: flags.has("--resume"),
         job_ttl: flags.seconds_of("--job-ttl").map_err(CliError::Usage)?,
@@ -1460,9 +1460,9 @@ fn cmd_analyze(args: Vec<String>) -> Result<(), CliError> {
 
 /// `rlrpd analyze --audit`: execute the program speculatively and
 /// compare the static touch-density predictions (which pick each
-/// array's initial shadow representation) against the representations
-/// the run's commit-point re-selection converged on. Disagreement is
-/// reported, not fatal — the run self-corrects; the audit shows where
+/// array's shadow representation) against the representations the
+/// run's observed touches call for. Disagreement is reported, not
+/// fatal — it costs speed, never correctness; the audit shows where
 /// the static model was wrong.
 fn audit_densities(src: &str, p: usize) -> Result<(), CliError> {
     let prog = rlrpd::lang::CompiledProgram::compile(src).map_err(|e| {
@@ -1482,7 +1482,7 @@ fn audit_densities(src: &str, p: usize) -> Result<(), CliError> {
         } else {
             disagreements += 1;
             format!(
-                "run settled on {} — static density model missed",
+                "observed touches call for {} — static density model missed",
                 r.observed_repr
             )
         };

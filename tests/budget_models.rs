@@ -3,7 +3,7 @@
 //! shadow budgets stepped from generous to starvation, under every
 //! fixed strategy plus the sliding window — and every run must stay
 //! byte-identical to sequential execution. Budget exhaustion is never
-//! an abort: the degradation ladder (representation migration → window
+//! an abort: the degradation ladder (smaller representations → window
 //! shrink → sequential fallback) absorbs it, and the report records
 //! what degraded.
 
@@ -35,7 +35,8 @@ fn nlfilt_degrades_gracefully_under_budgets() {
 
 /// Injected pressure spikes (`FaultPlan::shadow_pressure_at`) are
 /// contained like speculation faults: a spike the ladder can absorb is
-/// relieved by migration and the run completes speculatively; a spike
+/// relieved by smaller representations and the run completes
+/// speculatively; a spike
 /// beyond the ladder falls back to sequential — and both remain
 /// byte-identical to sequential execution. The injection is
 /// deterministic: two identically-built plans produce identical runs.
@@ -89,6 +90,68 @@ fn injected_pressure_is_contained_and_deterministic() {
     assert_eq!(inert.arrays, seq);
 }
 
+/// `A[512 i] = i` over a 64 Ki-element array declared dense: two
+/// processors touch 64 elements each, so packed is half the dense
+/// footprint and sparse a fiftieth of it.
+fn sparse_scatter() -> rlrpd::ClosureLoop {
+    use rlrpd::{ArrayDecl, ArrayId, ClosureLoop, ShadowKind};
+    ClosureLoop::new(
+        128,
+        || {
+            vec![ArrayDecl::tested(
+                "A",
+                vec![0.0; 1 << 16],
+                ShadowKind::Dense,
+            )]
+        },
+        |i, ctx| ctx.write(ArrayId(0), 512 * i, i as f64),
+    )
+}
+
+/// Spikes are measured saturating: under a cap, a `u64::MAX` spike
+/// trips it once (the ladder absorbs nothing, the stage re-runs) and
+/// reads as peak `u64::MAX`; uncapped, the same spike trips nothing.
+#[test]
+fn a_spike_of_any_size_trips_a_cap_and_saturates_the_peak() {
+    let lp = sparse_scatter();
+    let (seq, _) = run_sequential(&lp);
+    let run = |cap: Option<u64>| {
+        Runner::new(RunConfig::new(2).with_shadow_budget(cap))
+            .with_fault(Arc::new(FaultPlan::new().shadow_pressure_at(0, u64::MAX)))
+            .try_run(&lp)
+            .expect("pressure is never an abort")
+    };
+    let capped = run(Some(1 << 20));
+    assert_eq!(capped.report.shadow_pressure_events(), 1);
+    assert_eq!(capped.report.shadow_bytes_peak(), u64::MAX);
+    assert_eq!(capped.arrays, seq);
+    let uncapped = run(None);
+    assert_eq!(uncapped.report.shadow_pressure_events(), 0);
+    assert_eq!(uncapped.arrays, seq);
+}
+
+/// One pressure event walks a slot as far down the ladder as the
+/// projection needs: the spike at stages 0 and 1 fits only once the
+/// dense slot is sparse, two tiers down, so the re-run of stage 0 is
+/// already under the cap.
+#[test]
+fn one_pressure_event_steps_a_slot_as_many_tiers_as_it_needs() {
+    let lp = sparse_scatter();
+    let (seq, _) = run_sequential(&lp);
+    let (cap, spike) = (1 << 18, 240_000);
+    let plan = FaultPlan::new()
+        .shadow_pressure_at(0, spike)
+        .shadow_pressure_at(1, spike);
+    let res = Runner::new(RunConfig::new(2).with_shadow_budget(Some(cap)))
+        .with_fault(Arc::new(plan))
+        .try_run(&lp)
+        .expect("pressure is never an abort");
+    assert_eq!(res.report.shadow_pressure_events(), 1);
+    assert_eq!(res.report.shadow_reprs, [("A".into(), "sparse".into())]);
+    assert_eq!(res.report.fallback, None);
+    assert_eq!(res.arrays, seq);
+}
+
 /// A pressured stage commits nothing, so the commit point stays where
 /// it was — also when the stage is an NRD re-run whose leading blocks
 /// were emptied by an earlier restart. (Those idle blocks sit parked
@@ -107,8 +170,7 @@ fn pressure_after_an_nrd_restart_does_not_rerun_committed_iterations() {
         240,
         move || {
             vec![
-                // Far larger than the 240 elements the loop touches, so
-                // commit-point re-selection keeps the shadow sparse.
+                // Far larger than the 240 elements the loop touches.
                 ArrayDecl::tested("A", vec![1.0; 1 << 16], ShadowKind::Sparse),
                 ArrayDecl::untested("B", vec![0.0; 240]),
             ]

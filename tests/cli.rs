@@ -1391,6 +1391,18 @@ fn illegal_combinations_exit_64_name_the_rule_and_print_nothing_else() {
             vec![beta.as_str(), "--procs", "2000"],
             "--procs above 1024",
         ),
+        // A daemon of no job slots or no stream buffer, refused before
+        // its state directory (here the journal path) is created.
+        (
+            "serve",
+            vec!["--state-dir", j, "--max-jobs", "0"],
+            "--max-jobs",
+        ),
+        (
+            "serve",
+            vec!["--state-dir", j, "--stream-buffer", "0"],
+            "--stream-buffer",
+        ),
     ] {
         assert_refused(cmd, &args, &[needle], &journal);
     }

@@ -477,9 +477,8 @@ pub fn check(deck: &Deck, t: &Tuple, tally: &mut Tally) {
                 assert_eq!(res.report.shadow_budget, Some(budget), "{what}: stamp");
                 res
             };
-            // Commit-point re-selection is density-driven and runs with
-            // or without a cap, so the migration counts agree too: the
-            // cap itself adds nothing when there is headroom.
+            // Only pressure changes a kind, so a cap with headroom adds
+            // nothing: the migration counts agree too.
             let armed = run(u64::MAX / 2);
             let ran = |r: &RunResult<f64>| (r.report.stages.len(), r.report.restarts);
             assert_eq!(armed.arrays, res.arrays, "{what}: armed");
@@ -491,7 +490,7 @@ pub fn check(deck: &Deck, t: &Tuple, tally: &mut Tally) {
             if matches!(t.strategy, Strategy::Doacross(_)) {
                 assert_eq!(peak, 0, "{what}: the pipeline keeps no shadow");
             } else {
-                assert!(peak > 0, "{what}: accountant saw no shadows");
+                assert!(peak > 0, "{what}: no shadow footprint seen");
                 // Generous (fits outright), tight (the ladder must shed
                 // bytes), tighter, starvation (even sparse marks
                 // overflow).
