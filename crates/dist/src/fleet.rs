@@ -93,7 +93,7 @@ impl DistPolicy {
             return Err("--heartbeat-interval must be positive".into());
         }
         let window = self.block_deadline.max(MIN_HEARTBEAT_TIMEOUT);
-        if self.heartbeat * 2 > window {
+        if self.heartbeat.saturating_mul(2) > window {
             return Err(format!(
                 "--heartbeat-interval {}s is incoherent with --block-deadline: at least \
                  two heartbeats must fit in the failure-detection window ({}s); lower the \
@@ -703,7 +703,7 @@ impl Fleet {
         self.policy
             .block_deadline
             .max(MIN_HEARTBEAT_TIMEOUT)
-            .max(self.policy.heartbeat * 4)
+            .max(self.policy.heartbeat.saturating_mul(4))
     }
 }
 

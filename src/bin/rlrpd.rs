@@ -1,37 +1,7 @@
 //! The `rlrpd` command-line tool: compile and speculatively execute
-//! mini-language loop programs.
-//!
-//! ```text
-//! rlrpd run <file.rlp> [--procs N] [--strategy nrd|rd|adaptive|sw:W]
-//!                      [--checkpoint eager|ondemand]
-//!                      [--balance even|feedback|trend]
-//!                      [--pooled] [--timeline] [--report] [--runs K]
-//!                      [--fault-seed S] [--watchdog F] [--max-restarts R]
-//!                      [--max-stages M] [--journal <path>] [--resume]
-//!                      [--dist-workers N|auto|SPEC] [--block-deadline SECS]
-//!                      [--max-respawns R] [--fleet-max-respawns R]
-//!                      [--heartbeat-interval SECS]
-//!                      [--dist-fault k:O[,k:O...]] [--no-compile]
-//!                      [--shadow-budget BYTES|auto]
-//!                      [--shadow-fault STAGE:BYTES[,...]]
-//!                      [--doacross auto|on|off] [--format text|json]
-//! rlrpd worker [--listen ADDR [--idle-timeout SECS]]
-//! rlrpd serve --state-dir DIR [--listen ADDR] [--pool-budget BYTES|auto]
-//!             [--max-jobs N] [--stream-buffer FRAMES] [--resume]
-//!             [--job-ttl SECS]
-//! rlrpd submit --connect ADDR --key K <file.rlp | --spec SPEC> [--procs N]
-//!              [--strategy S] [--shadow-budget BYTES|auto] [--fault-seed S]
-//!              [--shadow-fault STAGE:BYTES[,...]] [--max-stages M]
-//!              [--retry SECS] [--format text|json]
-//! rlrpd status --connect ADDR --key K [--retry SECS] [--format text|json]
-//! rlrpd chaos-proxy --listen ADDR --connect ADDR [--fault SPEC | --seed N]
-//! rlrpd classify <file.rlp>
-//! rlrpd analyze <file.rlp> [--procs N] [--format text|json] [--deny-warnings]
-//!                          [--emit bytecode] [--audit]
-//! rlrpd fmt <file.rlp>
-//! rlrpd ddg <file.rlp> [--procs N] [--window W] [--save <out.bin>] [--pooled]
-//! rlrpd model [n] [p] [omega] [ell] [sync] [alpha]
-//! ```
+//! mini-language loop programs. `rlrpd help [COMMAND]` prints every
+//! subcommand's arguments and flags, generated from [`OPTIONS`]: the one
+//! table that also parses and checks them.
 //!
 //! Exit codes:
 //!
@@ -68,7 +38,7 @@ use rlrpd::{
     extract_ddg, run_sequential, BalancePolicy, CheckpointPolicy, ExecMode, FallbackReason,
     Journal, RlrpdError, RunConfig, RunPlan, Runner, Strategy, WindowConfig,
 };
-use std::num::NonZeroUsize;
+use std::fmt;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -138,157 +108,378 @@ fn main() -> ExitCode {
     }
 }
 
-fn usage() -> String {
-    "usage:\n  rlrpd run <file.rlp> [--procs N] [--strategy nrd|rd|adaptive|sw:W] \
-     [--checkpoint eager|ondemand] [--balance even|feedback|trend] [--pooled] \
-     [--timeline] [--report] [--runs K] [--fault-seed S] [--watchdog F] \
-     [--max-restarts R] [--max-stages M] [--journal <path>] [--resume] \
-     [--dist-workers N|auto|host:port[:N],local[:N],...] [--block-deadline SECS] \
-     [--max-respawns R] [--fleet-max-respawns R] [--heartbeat-interval SECS] \
-     [--dist-fault kill|hang|corrupt:ORDINAL[,...]] [--no-compile] \
-     [--shadow-budget BYTES|auto] [--shadow-fault STAGE:BYTES[,...]] \
-     [--doacross auto|on|off] [--format text|json]\n  rlrpd worker \
-     [--listen ADDR [--idle-timeout SECS]]\n  rlrpd serve --state-dir DIR [--listen ADDR] \
-     [--pool-budget BYTES|auto] [--max-jobs N] [--stream-buffer FRAMES] [--resume] \
-     [--job-ttl SECS]\n  \
-     rlrpd submit --connect ADDR --key K <file.rlp | --spec SPEC> [--procs N] \
-     [--strategy S] [--shadow-budget BYTES|auto] [--fault-seed S] \
-     [--shadow-fault STAGE:BYTES[,...]] [--max-stages M] [--retry SECS] \
-     [--format text|json]\n  rlrpd status --connect ADDR --key K [--retry SECS] \
-     [--format text|json]\n  rlrpd chaos-proxy --listen ADDR --connect ADDR \
-     [--fault kind:conn[:arg][,...] | --seed N]\n  rlrpd classify \
-     <file.rlp>\n  rlrpd analyze <file.rlp> [--procs N] [--format text|json] \
-     [--deny-warnings] [--emit bytecode] [--audit]\n  rlrpd fmt <file.rlp>\n  rlrpd ddg <file.rlp> \
-     [--procs N] [--window W] [--save <out.bin>] [--pooled]\n  rlrpd model [n p omega ell sync alpha]"
-        .into()
-}
+/// What a subcommand does with the command line [`parse`] accepted.
+type Command = fn(Opts) -> Result<(), CliError>;
 
-fn run(args: Vec<String>) -> Result<(), CliError> {
-    let mut it = args.into_iter();
-    let cmd = it.next().ok_or_else(|| CliError::Usage(usage()))?;
-    let rest: Vec<String> = it.collect();
-    match cmd.as_str() {
-        "run" => cmd_run(rest),
-        "worker" => cmd_worker(rest),
-        "serve" => cmd_serve(rest),
-        "submit" => cmd_submit(rest),
-        "status" => cmd_status(rest),
-        "chaos-proxy" => cmd_chaos_proxy(rest),
-        "classify" => cmd_classify(parse_flags(rest, &[], &[])?).map_err(CliError::from),
-        "analyze" => cmd_analyze(rest),
-        "fmt" => cmd_fmt(parse_flags(rest, &[], &[])?).map_err(CliError::from),
-        "ddg" => cmd_ddg(parse_flags(
-            rest,
-            &["--procs", "--window", "--save"],
-            &["--pooled"],
-        )?),
-        "model" => cmd_model(rest),
-        "--help" | "-h" | "help" => {
-            println!("{}", usage());
-            Ok(())
+/// Every subcommand: its positional arguments as help shows them, how
+/// many it takes at most, and what runs it.
+const COMMANDS: [(&str, &str, usize, Command); 11] = [
+    ("run", "<file.rlp>", 1, cmd_run),
+    ("worker", "", 0, cmd_worker),
+    ("serve", "", 0, cmd_serve),
+    ("submit", "<file.rlp> | --spec SPEC", 1, cmd_submit),
+    ("status", "", 0, cmd_status),
+    ("chaos-proxy", "", 0, cmd_chaos_proxy),
+    ("classify", "<file.rlp>", 1, cmd_classify),
+    ("analyze", "<file.rlp>", 1, cmd_analyze),
+    ("fmt", "<file.rlp>", 1, cmd_fmt),
+    ("ddg", "<file.rlp>", 1, cmd_ddg),
+    ("model", "[n p omega ell sync alpha]", 6, cmd_model),
+];
+
+/// What a flag's value must be; `parse` refuses any other.
+#[derive(Clone, Copy)]
+enum Domain {
+    /// No value: the flag alone.
+    Lone,
+    /// An integer of at least this much.
+    Count(usize),
+    /// Any `u64`; `true` takes `0x` hex too.
+    Seed(bool),
+    /// A byte count (K/M/G suffix) or `auto`.
+    Bytes,
+    /// Seconds, above 0 when `true`.
+    Seconds(bool),
+    /// A finite factor above 0.
+    Factor,
+    /// One of these `|`-separated words.
+    Choice(&'static str),
+    /// What the parser accepts, shown as the metavariable.
+    Spec(&'static str, fn(&str) -> Result<(), String>),
+    /// A non-empty address or path, shown as the metavariable.
+    Text(&'static str),
+}
+use Domain::*;
+
+impl Domain {
+    /// `Ok` for a value of the domain, else what the value should be.
+    fn check(self, v: &str) -> Result<(), String> {
+        let ok = match self {
+            Lone => true,
+            Count(min) => v.parse::<usize>().is_ok_and(|n| n >= min),
+            Seed(hex) => int(v, hex).is_some(),
+            Bytes => v == "auto" || parse_bytes(v).is_ok(),
+            Seconds(above) => secs(v).is_some_and(|d| !(above && d.is_zero())),
+            Factor => v.parse::<f64>().is_ok_and(|x| x.is_finite() && x > 0.0),
+            Choice(words) => words.split('|').any(|w| w == v),
+            Spec(meta, parse) => return parse(v).map_err(|e| format!("{meta} ({e})")),
+            Text(_) => !v.is_empty(),
+        };
+        let want = match self {
+            Count(min) if min > 0 => format!("an integer of at least {min}"),
+            Count(_) | Seed(false) => "an integer".into(),
+            Seed(true) => "an integer (decimal or 0x hex)".into(),
+            Bytes => "a byte count (K/M/G suffix) or auto".into(),
+            Seconds(false) => "seconds".into(),
+            Seconds(true) => "seconds above 0".into(),
+            Factor => "a finite number > 0".into(),
+            Text(what) => format!("a non-empty {what}"),
+            Lone | Choice(_) | Spec(..) => self.metavar().into(),
+        };
+        ok.then_some(()).ok_or(want)
+    }
+
+    fn metavar(self) -> &'static str {
+        match self {
+            Lone => "",
+            Count(_) | Seed(_) => "N",
+            Bytes => "BYTES|auto",
+            Seconds(_) => "SECS",
+            Factor => "F",
+            Choice(words) | Spec(words, _) | Text(words) => words,
         }
-        other => Err(CliError::Usage(format!(
-            "unknown command '{other}'\n{}",
-            usage()
-        ))),
     }
 }
 
-/// Pull `--flag value` pairs and lone `--flag`s out of `args`; the
-/// remaining positional arguments are returned in order.
-struct Flags {
-    pairs: Vec<(String, String)>,
-    lone: Vec<String>,
+/// An integer in decimal, or in `0x` hex when `hex`.
+fn int(v: &str, hex: bool) -> Option<u64> {
+    match v.strip_prefix("0x") {
+        Some(digits) if hex => u64::from_str_radix(digits, 16).ok(),
+        _ => v.parse().ok(),
+    }
+}
+
+fn secs(v: &str) -> Option<Duration> {
+    Duration::try_from_secs_f64(v.parse().ok()?).ok()
+}
+
+/// One row of [`OPTIONS`].
+struct Opt {
+    flag: &'static str,
+    domain: Domain,
+    /// The value taken when the flag is absent: "" for none,
+    /// [`REQUIRED`] when it must be given.
+    default: &'static str,
+    /// The subcommands that take the flag, space-separated.
+    subs: &'static str,
+    /// The flag it needs ("" for none).
+    needs: &'static str,
+    /// The flags it cannot be given with.
+    excludes: &'static [&'static str],
+    doc: &'static str,
+}
+
+const REQUIRED: &str = "required";
+
+/// Why a required flag, or one with a default, has a value after
+/// [`parse`].
+const SET: &str = "parse gives a required or defaulted flag its value";
+
+impl Opt {
+    fn takes(&self, sub: &str) -> bool {
+        self.subs.split(' ').any(|s| s == sub)
+    }
+}
+
+/// A table of `(flag, domain, default, subcommands, needs, excludes,
+/// doc)` rows. rustfmt leaves a brace-delimited macro call as written,
+/// so each row stays one line.
+macro_rules! options {
+    ($(($flag:expr, $dom:expr, $def:expr, $subs:expr, $needs:expr, $excl:expr, $doc:expr),)*) => {
+        [$(Opt { flag: $flag, domain: $dom, default: $def, subs: $subs, needs: $needs, excludes: &$excl, doc: $doc },)*]
+    };
+}
+
+/// Every flag of every subcommand. A flag some subcommands read
+/// differently has a row for each reading. `parse` holds a command line
+/// to it before any subcommand body runs, and `rlrpd help` prints it.
+/// The rules that depend on the program or on the whole plan — the
+/// `--procs` range among them — are [`KIND_RULES`] and
+/// [`RunPlan::validate`].
+const OPTIONS: [Opt; 49] = options! {
+    ("--procs", Count(0), "8", "run submit analyze ddg", "", [], "processors (at most 1 024)"),
+    ("--strategy", Spec("nrd|rd|adaptive|sw:W", |v| v.parse::<Strategy>().map(drop)), "adaptive", "run submit", "", [], "stage schedule"),
+    ("--checkpoint", Choice("eager|ondemand"), "ondemand", "run", "", [], "when a stage saves what it may roll back"),
+    ("--balance", Choice("even|feedback|trend"), "even", "run", "", [], "how iterations are dealt to processors"),
+    ("--pooled", Lone, "", "run ddg", "", [], "run on the worker pool's threads, not the simulated machine"),
+    ("--timeline", Lone, "", "run", "", [], "print the stage timeline"),
+    ("--report", Lone, "", "run", "", [], "print the full run report"),
+    ("--runs", Count(1), "1", "run", "", [], "instantiations of each loop on one runner"),
+    ("--fault-seed", Seed(false), "", "run", "", [], "inject one seeded panic into an iteration"),
+    ("--fault-seed", Count(1), "", "submit", "", [], "as run's; not 0, which a job spec reads as unset"),
+    ("--watchdog", Factor, "", "run", "", [], "fall back to sequential when a stage takes F times its estimate"),
+    ("--max-restarts", Count(0), "", "run", "", [], "fall back to sequential after N restarts"),
+    ("--max-stages", Count(0), "", "run", "", [], "stop after N stages (exit 3)"),
+    ("--max-stages", Count(1), "", "submit", "", [], "as run's; not 0, which a job spec reads as unset"),
+    ("--journal", Text("PATH"), "", "run", "", [], "crash journal: one record per commit"),
+    ("--resume", Lone, "", "run", "", [], "continue the run the journal holds"),
+    ("--dist-workers", Spec("N|auto|SPEC", |v| parse_dist_workers(v).map(drop)), "", "run", "", [], "worker fleet: N local, or local[:N] and host:port[:N] entries"),
+    ("--block-deadline", Seconds(false), "", "run", "--dist-workers", [], "re-dispatch a block not back by then"),
+    ("--max-respawns", Count(0), "", "run", "--dist-workers", [], "respawns per worker slot"),
+    ("--fleet-max-respawns", Count(0), "", "run", "--dist-workers", [], "respawns across the fleet"),
+    ("--heartbeat-interval", Seconds(false), "", "run", "--dist-workers", [], "worker heartbeat period"),
+    ("--dist-fault", Spec("kill|hang|corrupt:ORDINAL[,...]", |v| dist_faults(v).map(drop)), "", "run", "--dist-workers", [], "inject worker faults by dispatch ordinal"),
+    ("--no-compile", Lone, "", "run", "", [], "run on the tree-walking interpreter"),
+    ("--shadow-budget", Bytes, "", "run", "", [], "shadow memory cap; auto is a quarter of MemAvailable"),
+    ("--shadow-budget", Bytes, "auto", "submit", "", [], "the job's shadow memory; auto asks the daemon for a share"),
+    ("--shadow-fault", Spec("STAGE:BYTES[,...]", |v| FaultPlan::new().shadow_pressure_spec(v).map(drop)), "", "run submit", "", [], "inject shadow-memory pressure at a stage"),
+    ("--doacross", Choice("auto|on|off"), "auto", "run", "", [], "pipeline the loops with proven distances; on demands it"),
+    ("--format", Choice("text|json"), "text", "run submit status analyze", "", [], "output format"),
+    ("--listen", Text("ADDR"), "", "worker", "", [], "serve TCP sessions, not stdin/stdout"),
+    ("--idle-timeout", Seconds(false), "", "worker", "--listen", [], "reclaim a session that sends no hello by then (0: never)"),
+    ("--state-dir", Text("DIR"), REQUIRED, "serve", "", [], "every job's durable state"),
+    ("--listen", Text("ADDR"), "127.0.0.1:0", "serve", "", [], "where submissions arrive"),
+    ("--pool-budget", Bytes, "64M", "serve", "", [], "shadow memory shared by every job"),
+    ("--max-jobs", Count(1), "4", "serve", "", [], "concurrent runs"),
+    ("--stream-buffer", Count(1), "256", "serve", "", [], "progress frames buffered per client"),
+    ("--resume", Lone, "", "serve", "", [], "resume the incomplete jobs of the state directory"),
+    ("--job-ttl", Seconds(false), "", "serve", "", [], "forget a finished job after SECS"),
+    ("--connect", Text("ADDR"), REQUIRED, "submit status chaos-proxy", "", [], "the daemon (chaos-proxy: where to forward)"),
+    ("--key", Seed(true), REQUIRED, "submit status", "", [], "the job's idempotency key"),
+    ("--spec", Text("SPEC"), "", "submit", "", [], "a registry spec in place of a program file"),
+    ("--retry", Seconds(true), "60", "submit status", "", [], "keep reconnecting for SECS"),
+    ("--listen", Text("ADDR"), REQUIRED, "chaos-proxy", "", [], "where connections arrive"),
+    ("--fault", Spec("kind:conn[:arg][,...]", |v| ChaosPlan::parse(v).map(drop)), "", "chaos-proxy", "", ["--seed"], "network faults by connection ordinal"),
+    ("--seed", Seed(false), "", "chaos-proxy", "", [], "a seed-derived fault plan"),
+    ("--emit", Choice("bytecode"), "", "analyze", "", ["--audit", "--format", "--deny-warnings"], "print the lowered bytecode only"),
+    ("--audit", Lone, "", "analyze", "", ["--format", "--deny-warnings"], "run the program; check the shadow density predictions (text)"),
+    ("--deny-warnings", Lone, "", "analyze", "", [], "exit 1 on warnings"),
+    ("--window", Count(1), "32", "ddg", "", [], "iterations per extraction window"),
+    ("--save", Text("PATH"), "", "ddg", "", [], "write the wavefront schedule"),
+};
+
+/// A command line `parse` refuses (exit 64): the flag at fault (or the
+/// subcommand, for a positional argument), the value given and what was
+/// wanted — the whole sentence when the fault is not a value.
+#[derive(Debug)]
+struct OptError {
+    flag: String,
+    value: Option<String>,
+    want: String,
+}
+
+impl fmt::Display for OptError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.value {
+            Some(v) => write!(f, "{} expects {}, got '{v}'", self.flag, self.want),
+            None => f.write_str(&self.want),
+        }
+    }
+}
+
+impl From<OptError> for CliError {
+    fn from(e: OptError) -> Self {
+        CliError::Usage(e.to_string())
+    }
+}
+
+/// A command line [`parse`] accepted.
+struct Opts {
+    sub: &'static str,
+    /// Every flag given with its value ("" for a lone flag), in order.
+    given: Vec<(&'static str, String)>,
     positional: Vec<String>,
 }
 
-/// Split `args` into flags and positionals. `valued` names the
-/// `--flag VALUE` pairs and `lone` the valueless flags *this
-/// subcommand* understands; any other `--word` is a usage error naming
-/// it, not a silently ignored word.
-fn parse_flags(args: Vec<String>, valued: &[&str], lone: &[&str]) -> Result<Flags, CliError> {
-    let mut flags = Flags {
-        pairs: Vec::new(),
-        lone: Vec::new(),
-        positional: Vec::new(),
-    };
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if valued.contains(&a.as_str()) {
-            let v = it
-                .next()
-                .ok_or_else(|| CliError::Usage(format!("{a} needs a value")))?;
-            flags.pairs.push((a, v));
-        } else if lone.contains(&a.as_str()) {
-            flags.lone.push(a);
-        } else if a.starts_with("--") {
-            return Err(CliError::Usage(format!("unknown flag '{a}'\n{}", usage())));
-        } else {
-            flags.positional.push(a);
+impl Opts {
+    /// `flag`'s value: the last one given, else its default.
+    fn get(&self, flag: &str) -> Option<&str> {
+        match self.given.iter().rev().find(|(f, _)| *f == flag) {
+            Some((_, v)) => Some(v),
+            None => OPTIONS
+                .iter()
+                .find(|o| o.flag == flag && o.takes(self.sub))
+                .map(|o| o.default)
+                .filter(|d| !d.is_empty()),
         }
     }
-    Ok(flags)
-}
 
-impl Flags {
-    fn get(&self, name: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.lone.iter().any(|f| f == name)
+    fn has(&self, flag: &str) -> bool {
+        self.given.iter().any(|(f, _)| *f == flag)
     }
 
     /// Is `flag` on the command line? `--name` asks for the flag with
     /// any value (or the lone flag); `--name value` for that value.
     fn given(&self, flag: &str) -> bool {
         match flag.split_once(' ') {
-            Some((name, value)) => self.get(name) == Some(value),
-            None => self.get(flag).is_some() || self.has(flag),
+            Some((name, value)) => self.has(name) && self.get(name) == Some(value),
+            None => self.has(flag),
         }
     }
 
-    /// `--format text|json` (text when absent): is it JSON?
-    fn json(&self) -> Result<bool, CliError> {
-        match self.get("--format").unwrap_or("text") {
-            "text" => Ok(false),
-            "json" => Ok(true),
-            other => Err(CliError::Usage(format!(
-                "--format expects 'text' or 'json', got '{other}'"
-            ))),
-        }
+    /// An integer flag's value, which `parse` has checked.
+    fn num<T: TryFrom<u64>>(&self, flag: &str) -> Option<T> {
+        let n = |v| int(v, true).and_then(|n| T::try_from(n).ok());
+        self.get(flag)
+            .map(|v| n(v).expect("parse checked the value"))
     }
 
-    /// `name`'s value as a `T` (`None` when absent); `what` says what
-    /// a `T` is when the value is not one.
-    fn parsed<T: std::str::FromStr>(&self, name: &str, what: &str) -> Result<Option<T>, String> {
-        let parse = |v: &str| {
-            v.parse()
-                .map_err(|_| format!("{name} expects {what}, got '{v}'"))
+    fn secs(&self, flag: &str) -> Option<Duration> {
+        self.get(flag)
+            .map(|v| secs(v).expect("parse checked the value"))
+    }
+
+    fn json(&self) -> bool {
+        self.get("--format") == Some("json")
+    }
+}
+
+/// Hold the arguments of subcommand `sub` to [`OPTIONS`]: every flag
+/// one `sub` takes, every value in its domain, no more positional
+/// arguments than `sub` takes, every required flag given, every flag's
+/// need met and none of its exclusions given.
+fn parse(sub: &'static str, args: Vec<String>) -> Result<Opts, OptError> {
+    let refuse = |flag: &str, value: Option<&str>, want: String| OptError {
+        flag: flag.into(),
+        value: value.map(Into::into),
+        want,
+    };
+    let mut opts = Opts {
+        sub,
+        given: Vec::new(),
+        positional: Vec::new(),
+    };
+    let mut it = args.into_iter();
+    while let Some(word) = it.next() {
+        if !word.starts_with("--") {
+            opts.positional.push(word);
+            continue;
+        }
+        let Some(opt) = OPTIONS.iter().find(|o| o.flag == word && o.takes(sub)) else {
+            let want = format!("unknown flag '{word}'\n{}", help(Some(sub)));
+            return Err(refuse(&word, None, want));
         };
-        self.get(name).map(parse).transpose()
+        let value = match opt.domain {
+            Lone => String::new(),
+            domain => {
+                let lack = || refuse(&word, None, format!("{word} needs a value"));
+                let v = it.next().ok_or_else(lack)?;
+                domain
+                    .check(&v)
+                    .map_err(|want| refuse(&word, Some(&v), want))?;
+                v
+            }
+        };
+        opts.given.push((opt.flag, value));
     }
+    let (_, args, most, _) = COMMANDS.iter().find(|c| c.0 == sub).expect("a subcommand");
+    if let Some(extra) = opts.positional.get(*most) {
+        let want = match most {
+            0 => "no arguments".into(),
+            _ => format!("at most {most} arguments ({args})"),
+        };
+        return Err(refuse(sub, Some(extra), want));
+    }
+    for o in OPTIONS.iter().filter(|o| o.takes(sub)) {
+        let (flag, given) = (o.flag, opts.has(o.flag));
+        let want = if !given && o.default == REQUIRED {
+            format!("{sub} needs {flag} {}", o.domain.metavar())
+        } else if given && !o.needs.is_empty() && !opts.has(o.needs) {
+            format!("{flag} requires {}", o.needs)
+        } else if let Some(x) = o.excludes.iter().find(|x| given && opts.has(x)) {
+            format!("{flag} cannot be combined with {x}")
+        } else {
+            continue;
+        };
+        return Err(refuse(flag, None, want));
+    }
+    Ok(opts)
+}
 
-    fn usize_of(&self, name: &str, default: usize) -> Result<usize, String> {
-        Ok(self.parsed(name, "an integer")?.unwrap_or(default))
+/// The synopsis and flags of subcommand `only` (of every subcommand
+/// when `None`), from [`COMMANDS`] and [`OPTIONS`].
+fn help(only: Option<&str>) -> String {
+    let mut out = String::new();
+    for (sub, args, ..) in COMMANDS.iter().filter(|c| only.is_none_or(|s| s == c.0)) {
+        out += format!("usage: rlrpd {sub} {args}").trim_end();
+        out.push('\n');
+        for o in OPTIONS.iter().filter(|o| o.takes(sub)) {
+            let head = format!("{} {}", o.flag, o.domain.metavar());
+            let mut doc = o.doc.to_string();
+            match o.default {
+                "" => {}
+                REQUIRED => doc += " [required]",
+                value => doc += &format!(" [default {value}]"),
+            }
+            if !o.needs.is_empty() {
+                doc += &format!(" [needs {}]", o.needs);
+            }
+            if !o.excludes.is_empty() {
+                doc += &format!(" [not with {}]", o.excludes.join(" "));
+            }
+            out += &format!("  {head:<40} {doc}\n");
+        }
     }
+    out
+}
 
-    /// [`Flags::usize_of`] for a count that cannot be 0.
-    fn count_of(&self, name: &str, default: usize) -> Result<usize, String> {
-        let count = self.parsed::<NonZeroUsize>(name, "an integer of at least 1")?;
-        Ok(count.map_or(default, NonZeroUsize::get))
+fn run(args: Vec<String>) -> Result<(), CliError> {
+    let mut it = args.into_iter();
+    let Some(cmd) = it.next() else {
+        return Err(CliError::Usage(help(None)));
+    };
+    let rest: Vec<String> = it.collect();
+    let command = |name: &str| {
+        let unknown = || CliError::Usage(format!("unknown command '{name}'; see rlrpd help"));
+        COMMANDS.iter().find(|c| c.0 == name).ok_or_else(unknown)
+    };
+    if let "help" | "--help" | "-h" = cmd.as_str() {
+        let only = rest.first().map(|name| command(name)).transpose()?;
+        print!("{}", help(only.map(|c| c.0)));
+        return Ok(());
     }
-
-    /// `name SECS` as a duration (`None` when absent).
-    fn seconds_of(&self, name: &str) -> Result<Option<Duration>, String> {
-        let secs = self.parsed::<f64>(name, "seconds")?;
-        let span = secs.map(Duration::try_from_secs_f64).transpose();
-        span.map_err(|e| format!("{name} expects seconds: {e}"))
-    }
+    let (sub, .., body) = command(&cmd)?;
+    body(parse(sub, rest)?)
 }
 
 /// `MemAvailable` from `/proc/meminfo`, in bytes.
@@ -303,41 +494,32 @@ fn mem_available() -> Result<u64, String> {
         .ok_or_else(|| "no MemAvailable in /proc/meminfo".into())
 }
 
-/// The machine-derived budget `auto` resolves to for a *standalone*
-/// process: a quarter of `MemAvailable`. (Under `rlrpd serve`, `auto`
-/// means something else entirely — "carve my share from the daemon's
-/// pool" — and never consults the machine; the daemon's admission
-/// control is the authority there.)
-fn auto_budget(flag: &str) -> Result<u64, String> {
-    let avail = mem_available().map_err(|e| format!("{flag} auto: {e}"))?;
-    Ok((avail / 4).max(1))
-}
-
-/// Resolve `--shadow-budget` (`None` when the flag is absent: shadow
-/// memory stays ungoverned). `auto` derives a cap from the machine's
-/// available memory (a quarter of `MemAvailable`); an unreadable
-/// `/proc/meminfo` is a usage error rather than a silent unlimited run.
-/// A budget that cannot actually be satisfied warns up front instead
-/// of thrashing silently mid-run.
-fn shadow_budget(flags: &Flags) -> Result<Option<u64>, String> {
-    let Some(v) = flags.get("--shadow-budget") else {
+/// Resolve a `BYTES|auto` flag of this process (`None` when it is
+/// absent: shadow memory stays ungoverned). `auto` is a quarter of the
+/// machine's `MemAvailable`; an unreadable `/proc/meminfo` is a usage
+/// error rather than a silent unlimited run. A budget that cannot
+/// actually be satisfied warns up front instead of thrashing silently
+/// mid-run. (`submit --shadow-budget auto` asks the daemon for a share
+/// of its pool instead.)
+fn budget(opts: &Opts, flag: &str) -> Result<Option<u64>, String> {
+    let Some(v) = opts.get(flag) else {
         return Ok(None);
     };
     if v == "auto" {
-        let cap = auto_budget("--shadow-budget")?;
+        let cap = (mem_available().map_err(|e| format!("{flag} auto: {e}"))? / 4).max(1);
         if cap < (1 << 20) {
             eprintln!(
-                "rlrpd: warning: --shadow-budget auto resolved to only {cap} bytes \
+                "rlrpd: warning: {flag} auto resolved to only {cap} bytes \
                  (the machine is memory-starved); expect down-tiering or sequential fallback"
             );
         }
         return Ok(Some(cap));
     }
-    let bytes = parse_bytes(v).map_err(|e| format!("--shadow-budget {e}"))?;
+    let bytes = parse_bytes(v)?;
     if let Ok(avail) = mem_available() {
         if bytes > avail {
             eprintln!(
-                "rlrpd: warning: --shadow-budget {bytes} exceeds available memory \
+                "rlrpd: warning: {flag} {bytes} exceeds available memory \
                  ({avail} bytes); the budget cannot be honored if the shadows actually \
                  grow that large"
             );
@@ -349,12 +531,10 @@ fn shadow_budget(flags: &Flags) -> Result<Option<u64>, String> {
 /// The fault plan `--fault-seed` / `--shadow-fault` arm on a loop of `n`
 /// iterations, with the lines that announce it (`None` when neither
 /// flag is given).
-fn fault_plan(flags: &Flags, n: usize) -> Result<Option<(Arc<FaultPlan>, String)>, String> {
-    let seed = flags.parsed("--fault-seed", "an integer")?;
-    let spec = flags.get("--shadow-fault");
-    let Some(plan) =
-        FaultPlan::from_options(seed, spec, n).map_err(|e| format!("--shadow-fault {e}"))?
-    else {
+fn fault_plan(opts: &Opts, n: usize) -> Result<Option<(Arc<FaultPlan>, String)>, String> {
+    let seed = opts.num("--fault-seed");
+    let spec = opts.get("--shadow-fault");
+    let Some(plan) = FaultPlan::from_options(seed, spec, n)? else {
         return Ok(None);
     };
     let mut said = String::new();
@@ -370,87 +550,47 @@ fn fault_plan(flags: &Flags, n: usize) -> Result<Option<(Arc<FaultPlan>, String)
     Ok(Some((Arc::new(plan), said)))
 }
 
-fn source(flags: &Flags) -> Result<String, String> {
-    let path = flags
+fn source(opts: &Opts) -> Result<String, String> {
+    let path = opts
         .positional
         .first()
         .ok_or("expected a program file (.rlp)".to_string())?;
     std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
 }
 
-fn load(flags: &Flags) -> Result<CompiledProgram, String> {
-    CompiledProgram::compile(&source(flags)?).map_err(|e| e.to_string())
-}
-
-/// `--procs` and `--strategy` when absent, for every subcommand that
-/// takes them.
-const DEFAULT_PROCS: usize = 8;
-const DEFAULT_STRATEGY: &str = "adaptive";
-
-fn config(flags: &Flags) -> Result<RunConfig, String> {
-    let p = flags.usize_of("--procs", DEFAULT_PROCS)?;
-    let strategy: Strategy = flags
-        .get("--strategy")
-        .unwrap_or(DEFAULT_STRATEGY)
-        .parse()
-        .map_err(|e| format!("--strategy: {e}"))?;
-    let checkpoint = match flags.get("--checkpoint").unwrap_or("ondemand") {
-        "eager" => CheckpointPolicy::Eager,
-        "ondemand" => CheckpointPolicy::OnDemand,
-        other => return Err(format!("unknown checkpoint policy '{other}'")),
+/// The run `opts` configure; every subcommand that builds one takes
+/// `--procs` (`ddg` takes no `--strategy`: it extracts under its own).
+fn config(opts: &Opts) -> Result<RunConfig, String> {
+    let p = opts.num("--procs").expect(SET);
+    let checkpoint = match opts.get("--checkpoint") {
+        Some("eager") => CheckpointPolicy::Eager,
+        _ => CheckpointPolicy::OnDemand,
     };
-    let balance = match flags.get("--balance").unwrap_or("even") {
-        "even" => BalancePolicy::Even,
-        "feedback" => BalancePolicy::FeedbackGuided,
-        "trend" => BalancePolicy::FeedbackTrend,
-        other => return Err(format!("unknown balance policy '{other}'")),
+    let balance = match opts.get("--balance") {
+        Some("feedback") => BalancePolicy::FeedbackGuided,
+        Some("trend") => BalancePolicy::FeedbackTrend,
+        _ => BalancePolicy::Even,
     };
-    let exec = if flags.has("--pooled") {
+    let exec = if opts.has("--pooled") {
         ExecMode::Pooled
     } else {
         ExecMode::Simulated
     };
-    let watchdog = flags.parsed::<f64>("--watchdog", "a number")?;
-    if watchdog.is_some_and(|factor| !(factor.is_finite() && factor > 0.0)) {
-        let bad = flags.get("--watchdog").unwrap_or_default();
-        return Err(format!(
-            "--watchdog expects a finite number > 0, got '{bad}'"
-        ));
-    }
+    let watchdog = opts.get("--watchdog").map(|f| f.parse().expect("a factor"));
     let fallback = FallbackPolicy::default()
-        .with_max_restarts(flags.usize_of("--max-restarts", usize::MAX)?)
+        .with_max_restarts(opts.num("--max-restarts").unwrap_or(usize::MAX))
         .with_watchdog(watchdog.unwrap_or(f64::INFINITY));
     let mut cfg = RunConfig::new(p)
-        .with_strategy(strategy)
         .with_checkpoint(checkpoint)
         .with_balance(balance)
         .with_exec(exec)
         .with_fallback(fallback);
-    cfg.max_stages = flags.usize_of("--max-stages", cfg.max_stages)?;
-    cfg = cfg.with_shadow_budget(shadow_budget(flags)?);
-    Ok(cfg)
-}
-
-/// `--doacross` selection: whether proven dependence distances may (or
-/// must) replace speculation with post/wait pipelining.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum DoacrossMode {
-    /// Pipeline loops the classifier proves eligible; speculate on the
-    /// rest (the default).
-    Auto,
-    /// Require the proof: exit 64 if any loop is not eligible.
-    On,
-    /// Never pipeline; always speculate.
-    Off,
-}
-
-fn doacross_mode(flags: &Flags) -> Result<DoacrossMode, String> {
-    match flags.get("--doacross").unwrap_or("auto") {
-        "auto" => Ok(DoacrossMode::Auto),
-        "on" => Ok(DoacrossMode::On),
-        "off" => Ok(DoacrossMode::Off),
-        other => Err(format!("--doacross expects auto|on|off, got '{other}'")),
+    if let Some(strategy) = opts.get("--strategy") {
+        cfg = cfg.with_strategy(strategy.parse()?);
     }
+    cfg.max_stages = opts.num("--max-stages").unwrap_or(cfg.max_stages);
+    cfg = cfg.with_shadow_budget(budget(opts, "--shadow-budget")?);
+    Ok(cfg)
 }
 
 /// `rlrpd worker`: speak the distributed worker protocol — on
@@ -458,35 +598,17 @@ fn doacross_mode(flags: &Flags) -> Result<DoacrossMode, String> {
 /// listener under `--listen ADDR` (serving any number of supervisors
 /// until killed). Exits 64 on protocol or usage errors, matching the
 /// CLI's usage-error convention.
-fn cmd_worker(args: Vec<String>) -> Result<(), CliError> {
-    let flags = parse_flags(args, &["--listen", "--idle-timeout"], &[])?;
-    if !flags.positional.is_empty() {
-        return Err(CliError::Usage(
-            "worker takes only --listen ADDR [--idle-timeout SECS]; without --listen, \
-             it speaks the fleet protocol on stdin/stdout"
-                .into(),
-        ));
-    }
+fn cmd_worker(opts: Opts) -> Result<(), CliError> {
     // Idle reaper for listener sessions: a connection that never sends
     // its hello within this window is reclaimed. 0 disables.
-    let idle = match flags
-        .seconds_of("--idle-timeout")
-        .map_err(CliError::Usage)?
-    {
+    let idle = match opts.secs("--idle-timeout") {
         None => Some(rlrpd::dist::DEFAULT_IDLE_TIMEOUT),
         Some(d) => (!d.is_zero()).then_some(d),
     };
-    match flags.get("--listen") {
-        Some(addr) => std::process::exit(rlrpd::dist::listen_entry(addr, idle)),
-        None => {
-            if flags.get("--idle-timeout").is_some() {
-                return Err(CliError::Usage(
-                    "--idle-timeout requires --listen (stdio sessions have no accept loop)".into(),
-                ));
-            }
-            std::process::exit(rlrpd::dist::worker_entry())
-        }
-    }
+    std::process::exit(match opts.get("--listen") {
+        Some(addr) => rlrpd::dist::listen_entry(addr, idle),
+        None => rlrpd::dist::worker_entry(),
+    })
 }
 
 /// `rlrpd serve`: the long-lived multi-tenant job daemon. Accepts
@@ -494,70 +616,29 @@ fn cmd_worker(args: Vec<String>) -> Result<(), CliError> {
 /// one process-wide budget pool, journals every job under
 /// `--state-dir`, drains gracefully on SIGTERM, and resumes
 /// incomplete jobs on restart under `--resume`. Runs until signalled.
-fn cmd_serve(args: Vec<String>) -> Result<(), CliError> {
-    let flags = parse_flags(
-        args,
-        &[
-            "--state-dir",
-            "--listen",
-            "--pool-budget",
-            "--max-jobs",
-            "--stream-buffer",
-            "--job-ttl",
-        ],
-        &["--resume"],
-    )?;
-    if !flags.positional.is_empty() {
-        return Err(CliError::Usage(
-            "serve takes no positional arguments (jobs arrive over the wire)".into(),
-        ));
-    }
-    let state_dir = flags
-        .get("--state-dir")
-        .ok_or_else(|| CliError::Usage("serve needs --state-dir DIR".into()))?;
-    let pool_budget = match flags.get("--pool-budget") {
-        None => 64 << 20,
-        Some("auto") => auto_budget("--pool-budget").map_err(CliError::Usage)?,
-        Some(v) => parse_bytes(v).map_err(|e| CliError::Usage(format!("--pool-budget {e}")))?,
-    };
+fn cmd_serve(opts: Opts) -> Result<(), CliError> {
+    let value = |flag| opts.get(flag).expect(SET);
+    let pool_budget = budget(&opts, "--pool-budget").map_err(CliError::Usage)?;
     let cfg = rlrpd::serve::ServeConfig {
-        listen: flags.get("--listen").unwrap_or("127.0.0.1:0").to_string(),
-        state_dir: state_dir.into(),
-        pool_budget,
-        max_jobs: flags.count_of("--max-jobs", 4).map_err(CliError::Usage)?,
-        stream_buffer: flags
-            .count_of("--stream-buffer", 256)
-            .map_err(CliError::Usage)?,
-        resume: flags.has("--resume"),
-        job_ttl: flags.seconds_of("--job-ttl").map_err(CliError::Usage)?,
+        listen: value("--listen").into(),
+        state_dir: value("--state-dir").into(),
+        pool_budget: pool_budget.expect(SET),
+        max_jobs: opts.num("--max-jobs").expect(SET),
+        stream_buffer: opts.num("--stream-buffer").expect(SET),
+        resume: opts.has("--resume"),
+        job_ttl: opts.secs("--job-ttl"),
         ..rlrpd::serve::ServeConfig::default()
     };
     std::process::exit(rlrpd::serve::serve_entry(cfg))
 }
 
-/// Parse `--key K` (decimal or 0x-prefixed hex).
-fn job_key(flags: &Flags) -> Result<u64, CliError> {
-    let v = flags
-        .get("--key")
-        .ok_or_else(|| CliError::Usage("--key K is required (the job's idempotency key)".into()))?;
-    let parsed = match v.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => v.parse(),
-    };
-    parsed.map_err(|_| CliError::Usage(format!("--key expects an integer, got '{v}'")))
-}
-
-/// Shared client retry options from `--retry SECS`.
-fn client_options(flags: &Flags, progress: bool) -> Result<rlrpd::serve::ClientOptions, CliError> {
-    let deadline = flags.seconds_of("--retry").map_err(CliError::Usage)?;
-    if deadline.is_some_and(|d| d.is_zero()) {
-        return Err(CliError::Usage("--retry must be positive seconds".into()));
-    }
-    Ok(rlrpd::serve::ClientOptions {
-        deadline: deadline.unwrap_or(Duration::from_secs(60)),
+/// Shared client options: `--retry SECS`, and whether to print progress.
+fn client_options(opts: &Opts, progress: bool) -> rlrpd::serve::ClientOptions {
+    rlrpd::serve::ClientOptions {
+        deadline: opts.secs("--retry").expect(SET),
         progress,
         ..rlrpd::serve::ClientOptions::default()
-    })
+    }
 }
 
 /// A job-status frame as one JSON object (the embedded report uses
@@ -586,29 +667,13 @@ fn status_json(st: &rlrpd::core::remote::JobStatusFrame) -> String {
 /// code under the CLI contract (0 success / 2 program fault / 3 stage
 /// limit / 4 journal / 1 other), so shell pipelines treat a remote
 /// run exactly like a local one.
-fn cmd_submit(args: Vec<String>) -> Result<(), CliError> {
-    let flags = parse_flags(
-        args,
-        &[
-            "--connect",
-            "--key",
-            "--spec",
-            "--procs",
-            "--strategy",
-            "--shadow-budget",
-            "--fault-seed",
-            "--shadow-fault",
-            "--max-stages",
-            "--retry",
-            "--format",
-        ],
-        &[],
-    )?;
-    let addr = flags
-        .get("--connect")
-        .ok_or_else(|| CliError::Usage("submit needs --connect ADDR".into()))?;
-    let key = job_key(&flags)?;
-    let spec_str = match (flags.get("--spec"), flags.positional.first()) {
+fn cmd_submit(opts: Opts) -> Result<(), CliError> {
+    let key = opts.num("--key").expect(SET);
+    // The daemon admits `p` as a `u32`: refuse what no run can take
+    // before connecting, rather than sending it truncated.
+    let p = opts.num("--procs").expect(SET);
+    RunPlan::default().validate(&RunConfig::new(p), None)?;
+    let spec_str = match (opts.get("--spec"), opts.positional.first()) {
         (Some(s), None) => s.to_string(),
         (None, Some(path)) => {
             let src = std::fs::read_to_string(path)
@@ -621,45 +686,39 @@ fn cmd_submit(args: Vec<String>) -> Result<(), CliError> {
             ))
         }
     };
-    // `auto` (or omitting the flag) asks the daemon to carve a fair
-    // share of its pool; an explicit byte count is a hard request the
-    // daemon may queue behind, or reject if it exceeds the whole pool.
-    let budget_bytes = match flags.get("--shadow-budget") {
-        None | Some("auto") => 0,
-        Some(v) => parse_bytes(v).map_err(|e| CliError::Usage(format!("--shadow-budget {e}")))?,
+    // `auto` (the default) asks the daemon to carve a fair share of its
+    // pool; an explicit byte count is a hard request the daemon may
+    // queue behind, or reject if it exceeds the whole pool.
+    let budget_bytes = match opts.get("--shadow-budget") {
+        Some("auto") | None => 0,
+        Some(v) => parse_bytes(v).map_err(CliError::Usage)?,
     };
-    let json = flags.json()?;
     let spec = rlrpd::core::remote::JobSpec {
         protocol: rlrpd::core::remote::SERVE_PROTOCOL_VERSION,
         key,
         spec: spec_str,
-        p: flags
-            .usize_of("--procs", DEFAULT_PROCS)
-            .map_err(CliError::Usage)? as u32,
-        strategy: flags
-            .get("--strategy")
-            .unwrap_or(DEFAULT_STRATEGY)
-            .to_string(),
+        p: u32::try_from(p).expect("validate holds --procs to 1 024"),
+        strategy: opts.get("--strategy").expect(SET).into(),
         budget_bytes,
-        // A job spec reads 0 as unset, so the 0 that `run` would act
-        // on is refused here rather than dropped.
-        fault_seed: flags.count_of("--fault-seed", 0).map_err(CliError::Usage)? as u64,
-        shadow_fault: flags.get("--shadow-fault").unwrap_or("").to_string(),
-        max_stages: flags.count_of("--max-stages", 0).map_err(CliError::Usage)? as u64,
+        // A job spec reads 0 as unset; the table refuses the 0 that
+        // `run` would act on.
+        fault_seed: opts.num("--fault-seed").unwrap_or(0),
+        shadow_fault: opts.get("--shadow-fault").unwrap_or("").to_string(),
+        max_stages: opts.num("--max-stages").unwrap_or(0),
     };
-    let opts = client_options(&flags, !json)?;
-    match rlrpd::serve::submit(addr, &spec, &opts) {
+    let json = opts.json();
+    match rlrpd::serve::submit(
+        opts.get("--connect").expect(SET),
+        &spec,
+        &client_options(&opts, !json),
+    ) {
         Ok(out) => {
             if json {
                 println!("{}", status_json(&out.status));
             } else {
                 println!(
-                    "job {key:016x}: {:?}, exit {}, verified {}, frontier {}, \
-                     {} frames ({} dropped, {} reconnects)",
-                    out.status.state,
-                    out.status.exit_code,
-                    out.status.verified,
-                    out.status.frontier,
+                    "{}, {} frames ({} dropped, {} reconnects)",
+                    status_line(key, &out.status),
                     out.frames,
                     out.dropped,
                     out.reconnects
@@ -677,35 +736,29 @@ fn cmd_submit(args: Vec<String>) -> Result<(), CliError> {
     }
 }
 
+/// The head of every status line `submit` and `status` print.
+fn status_line(key: u64, st: &rlrpd::core::remote::JobStatusFrame) -> String {
+    format!(
+        "job {key:016x}: {:?}, exit {}, verified {}, frontier {}",
+        st.state, st.exit_code, st.verified, st.frontier
+    )
+}
+
 /// `rlrpd status`: one status query by key. Exits with the job's exit
 /// code when it is terminal, 0 while it is queued/running/paused, and
 /// 1 when the daemon has no job under the key.
-fn cmd_status(args: Vec<String>) -> Result<(), CliError> {
+fn cmd_status(opts: Opts) -> Result<(), CliError> {
     use rlrpd::core::remote::JobState;
-    let flags = parse_flags(args, &["--connect", "--key", "--retry", "--format"], &[])?;
-    let addr = flags
-        .get("--connect")
-        .ok_or_else(|| CliError::Usage("status needs --connect ADDR".into()))?;
-    let key = job_key(&flags)?;
-    let json = flags.json()?;
-    let opts = client_options(&flags, false)?;
-    let st =
-        rlrpd::serve::query_status(addr, key, &opts).map_err(|e| CliError::Other(e.to_string()))?;
-    if json {
+    let addr = opts.get("--connect").expect(SET);
+    let key = opts.num("--key").expect(SET);
+    let st = rlrpd::serve::query_status(addr, key, &client_options(&opts, false))
+        .map_err(|e| CliError::Other(e.to_string()))?;
+    if opts.json() {
         println!("{}", status_json(&st));
+    } else if st.message.is_empty() {
+        println!("{}", status_line(key, &st));
     } else {
-        println!(
-            "job {key:016x}: {:?}, exit {}, verified {}, frontier {}{}",
-            st.state,
-            st.exit_code,
-            st.verified,
-            st.frontier,
-            if st.message.is_empty() {
-                String::new()
-            } else {
-                format!(" ({})", st.message)
-            }
-        );
+        println!("{} ({})", status_line(key, &st), st.message);
     }
     match st.state {
         JobState::Done | JobState::Failed => std::process::exit(st.exit_code as i32),
@@ -719,31 +772,11 @@ fn cmd_status(args: Vec<String>) -> Result<(), CliError> {
 /// to `--connect`, injecting the faults of `--fault SPEC` (or a
 /// seed-derived plan under `--seed N`) keyed by connection ordinal.
 /// Runs until killed.
-fn cmd_chaos_proxy(args: Vec<String>) -> Result<(), CliError> {
-    let flags = parse_flags(args, &["--listen", "--connect", "--fault", "--seed"], &[])?;
-    if !flags.positional.is_empty() {
-        return Err(CliError::Usage(
-            "chaos-proxy takes only --listen, --connect, and --fault/--seed".into(),
-        ));
-    }
-    let listen = flags
-        .get("--listen")
-        .ok_or_else(|| CliError::Usage("chaos-proxy needs --listen ADDR".into()))?;
-    let target = flags
-        .get("--connect")
-        .ok_or_else(|| CliError::Usage("chaos-proxy needs --connect ADDR".into()))?;
-    let plan = match (
-        flags.get("--fault"),
-        flags
-            .parsed("--seed", "an integer")
-            .map_err(CliError::Usage)?,
-    ) {
-        (Some(_), Some(_)) => {
-            return Err(CliError::Usage(
-                "--fault and --seed are mutually exclusive".into(),
-            ))
-        }
-        (Some(spec), None) => ChaosPlan::parse(spec).map_err(CliError::Usage)?,
+fn cmd_chaos_proxy(opts: Opts) -> Result<(), CliError> {
+    let listen = opts.get("--listen").expect(SET);
+    let target = opts.get("--connect").expect(SET);
+    let plan = match (opts.get("--fault"), opts.num("--seed")) {
+        (Some(spec), _) => ChaosPlan::parse(spec).map_err(CliError::Usage)?,
         (None, Some(seed)) => ChaosPlan::seeded(seed),
         (None, None) => ChaosPlan::new(),
     };
@@ -768,64 +801,56 @@ fn cmd_chaos_proxy(args: Vec<String>) -> Result<(), CliError> {
 /// `host:port`, and `host:port:N` entries composing subprocess and
 /// remote TCP workers in one fleet.
 fn parse_dist_workers(spec: &str) -> Result<Vec<Endpoint>, String> {
-    let available = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if spec == "auto" {
-        return Ok(vec![Endpoint::Local; available]);
-    }
-    if let Ok(n) = spec.parse::<usize>() {
-        if n == 0 {
-            return Err("--dist-workers expects at least 1 worker".into());
-        }
-        let n = if n > available {
-            eprintln!(
-                "rlrpd: warning: --dist-workers {n} exceeds available parallelism \
-                 ({available}); clamping to {available}"
-            );
-            available
-        } else {
-            n
-        };
-        return Ok(vec![Endpoint::Local; n]);
-    }
+    let spec = match spec {
+        "auto" => format!("local:{}", available_parallelism()),
+        n if n.parse::<usize>().is_ok() => format!("local:{n}"),
+        entries => entries.to_string(),
+    };
     let mut endpoints = Vec::new();
     for entry in spec.split(',') {
-        let usage = || {
-            format!(
-                "bad --dist-workers entry '{entry}' (expected local, local:N, \
-                 host:port, or host:port:N)"
-            )
+        let bad =
+            || format!("bad entry '{entry}' (expected local, local:N, host:port, or host:port:N)");
+        // A trailing `:N` counts the slots of `local` or of a host:port
+        // pair.
+        let (head, n) = match entry.rsplit_once(':') {
+            Some((head, n)) if head == "local" || head.contains(':') => (head, n),
+            _ => (entry, "1"),
         };
-        if entry == "local" {
-            endpoints.push(Endpoint::Local);
-        } else if let Some(count) = entry.strip_prefix("local:") {
-            let n: usize = count.parse().map_err(|_| usage())?;
-            if n == 0 {
-                return Err(usage());
-            }
-            endpoints.extend(std::iter::repeat_n(Endpoint::Local, n));
-        } else {
-            // host:port, or host:port:N — split the trailing count off
-            // only when what remains still holds a host:port pair.
-            let (addr, n) = match entry.rsplit_once(':') {
-                Some((head, tail)) if head.contains(':') => {
-                    let n: usize = tail.parse().map_err(|_| usage())?;
-                    (head, n)
-                }
-                Some(_) => (entry, 1),
-                None => return Err(usage()),
-            };
-            if n == 0 || addr.is_empty() {
-                return Err(usage());
-            }
-            endpoints.extend(std::iter::repeat_n(Endpoint::Tcp(addr.to_string()), n));
+        let endpoint = match head {
+            "local" => Endpoint::Local,
+            addr if addr.contains(':') => Endpoint::Tcp(addr.into()),
+            _ => return Err(bad()),
+        };
+        match n.parse() {
+            Ok(n @ 1..) => endpoints.extend(std::iter::repeat_n(endpoint, n)),
+            _ => return Err(bad()),
         }
     }
-    if endpoints.is_empty() {
-        return Err("--dist-workers expects at least 1 worker".into());
-    }
     Ok(endpoints)
+}
+
+fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The worker faults of a `--dist-fault` spec, `kind:ORDINAL[,...]`.
+fn dist_faults(spec: &str) -> Result<FaultPlan, String> {
+    let mut plan = FaultPlan::new();
+    for part in spec.split(',') {
+        let (kind, ordinal) = part
+            .split_once(':')
+            .ok_or(format!("expected kind:ordinal entries, got '{part}'"))?;
+        let ordinal: usize = ordinal
+            .parse()
+            .map_err(|_| format!("bad dispatch ordinal '{ordinal}'"))?;
+        plan = match kind {
+            "kill" => plan.kill_worker_at(ordinal),
+            "hang" => plan.hang_worker_at(ordinal),
+            "corrupt" => plan.corrupt_result_at(ordinal),
+            other => return Err(format!("unknown worker fault '{other}'")),
+        };
+    }
+    Ok(plan)
 }
 
 /// The fleet `--dist-workers` asks for (`None` without it): a launcher
@@ -833,33 +858,31 @@ fn parse_dist_workers(spec: &str) -> Result<Vec<Endpoint>, String> {
 /// `host:port` slots dial standalone listeners, under the policy and
 /// worker-fault plan of the fleet's other flags. Nothing is launched
 /// until a run connects.
-fn dist_launcher(flags: &Flags) -> Result<Option<DistLauncher>, String> {
-    let Some(workers) = flags.get("--dist-workers") else {
-        for f in [
-            "--block-deadline",
-            "--max-respawns",
-            "--fleet-max-respawns",
-            "--heartbeat-interval",
-            "--dist-fault",
-        ] {
-            if flags.get(f).is_some() {
-                return Err(format!("{f} requires --dist-workers"));
-            }
-        }
+fn dist_launcher(opts: &Opts) -> Result<Option<DistLauncher>, String> {
+    let Some(workers) = opts.get("--dist-workers") else {
         return Ok(None);
     };
-    let endpoints = parse_dist_workers(workers)?;
+    let mut endpoints = parse_dist_workers(workers)?;
+    let available = available_parallelism();
+    if workers.parse::<usize>().is_ok_and(|n| n > available) {
+        eprintln!(
+            "rlrpd: warning: --dist-workers {workers} exceeds available parallelism \
+             ({available}); clamping to {available}"
+        );
+        endpoints.truncate(available);
+    }
     let mut policy = DistPolicy {
         workers: endpoints.len(),
         ..DistPolicy::default()
     };
-    if let Some(d) = flags.seconds_of("--block-deadline")? {
+    if let Some(d) = opts.secs("--block-deadline") {
         policy.block_deadline = d;
     }
-    policy.max_respawns = flags.usize_of("--max-respawns", policy.max_respawns)?;
-    policy.fleet_max_respawns =
-        flags.usize_of("--fleet-max-respawns", policy.fleet_max_respawns)?;
-    if let Some(d) = flags.seconds_of("--heartbeat-interval")? {
+    policy.max_respawns = opts.num("--max-respawns").unwrap_or(policy.max_respawns);
+    policy.fleet_max_respawns = opts
+        .num("--fleet-max-respawns")
+        .unwrap_or(policy.fleet_max_respawns);
+    if let Some(d) = opts.secs("--heartbeat-interval") {
         policy.heartbeat = d;
     }
     policy.validate()?;
@@ -867,27 +890,8 @@ fn dist_launcher(flags: &Flags) -> Result<Option<DistLauncher>, String> {
     let mut launcher = DistLauncher::new(exe, vec!["worker".into()])
         .with_policy(policy)
         .with_endpoints(endpoints);
-    if let Some(spec) = flags.get("--dist-fault") {
-        let mut plan = FaultPlan::new();
-        for part in spec.split(',') {
-            let (kind, ordinal) = part.split_once(':').ok_or(format!(
-                "--dist-fault expects kind:ordinal entries, got '{part}'"
-            ))?;
-            let ordinal: usize = ordinal
-                .parse()
-                .map_err(|_| format!("bad dispatch ordinal '{ordinal}' in --dist-fault"))?;
-            plan = match kind {
-                "kill" => plan.kill_worker_at(ordinal),
-                "hang" => plan.hang_worker_at(ordinal),
-                "corrupt" => plan.corrupt_result_at(ordinal),
-                other => {
-                    return Err(format!(
-                        "unknown worker fault '{other}' (expected kill, hang, or corrupt)"
-                    ))
-                }
-            };
-        }
-        launcher = launcher.with_fault(Arc::new(plan));
+    if let Some(spec) = opts.get("--dist-fault") {
+        launcher = launcher.with_fault(Arc::new(dist_faults(spec)?));
     }
     Ok(Some(launcher))
 }
@@ -951,9 +955,9 @@ const KIND_RULES: [(&str, &[&str], &str); 8] = [
 ];
 
 /// Refuse the first flag on the command line that `kind` cannot honour.
-fn check_kind(kind: &str, flags: &Flags) -> Result<(), CliError> {
+fn check_kind(kind: &str, opts: &Opts) -> Result<(), CliError> {
     for (_, refused, reason) in KIND_RULES.iter().filter(|(k, ..)| *k == kind) {
-        if let Some(flag) = refused.iter().find(|f| flags.given(f)) {
+        if let Some(flag) = refused.iter().find(|f| opts.given(f)) {
             return Err(CliError::Usage(format!("{flag} on {kind}: {reason}")));
         }
     }
@@ -995,21 +999,21 @@ struct Leg {
 fn plan_legs(
     prog: &CompiledProgram,
     cfg: RunConfig,
-    flags: &Flags,
-    doacross: DoacrossMode,
+    opts: &Opts,
     probe: &RunPlan<'_>,
 ) -> Result<Vec<Leg>, CliError> {
+    let doacross = opts.get("--doacross").expect(SET);
     let mut legs = Vec::new();
     for k in 0..prog.num_loops() {
         let (lo, hi) = prog.program().loops[k].range;
-        let fault = fault_plan(flags, hi - lo).map_err(CliError::Usage)?;
+        let fault = fault_plan(opts, hi - lo).map_err(CliError::Usage)?;
         let armed = fault.as_ref().map(|(plan, _)| &**plan);
         let cfg = cfg.with_dependence_prediction(prog.predicted_first_dependence(k));
         let mut proven = match doacross {
-            DoacrossMode::Off => None,
+            "off" => None,
             _ => prog.doacross_config(k),
         };
-        if doacross == DoacrossMode::On && proven.is_none() {
+        if doacross == "on" && proven.is_none() {
             let reason = match &prog.doacross_plan(k).verdict {
                 DoacrossVerdict::Blocked(b) => b.reason.clone(),
                 DoacrossVerdict::Independent => "no cross-iteration dependence exists (a doall: \
@@ -1022,7 +1026,7 @@ fn plan_legs(
             )));
         }
         let mut skipped = None;
-        if doacross == DoacrossMode::Auto && proven.is_some() {
+        if doacross == "auto" && proven.is_some() {
             if let Err(e) = probe.validate(&cfg.auto_strategy(proven), armed) {
                 (skipped, proven) = (Some(e), None);
             }
@@ -1070,54 +1074,20 @@ fn run_line(report: &RunReport) -> String {
     )
 }
 
-fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
-    let flags = parse_flags(
-        args,
-        &[
-            "--procs",
-            "--strategy",
-            "--checkpoint",
-            "--balance",
-            "--runs",
-            "--fault-seed",
-            "--watchdog",
-            "--max-restarts",
-            "--max-stages",
-            "--journal",
-            "--dist-workers",
-            "--block-deadline",
-            "--max-respawns",
-            "--fleet-max-respawns",
-            "--heartbeat-interval",
-            "--dist-fault",
-            "--shadow-budget",
-            "--shadow-fault",
-            "--doacross",
-            "--format",
-        ],
-        &[
-            "--pooled",
-            "--resume",
-            "--no-compile",
-            "--report",
-            "--timeline",
-        ],
-    )?;
-    let src = source(&flags)?;
-    let journal_path = flags.get("--journal");
-    let resume = flags.has("--resume");
-    let mut connector = dist_launcher(&flags).map_err(CliError::Usage)?;
+fn cmd_run(opts: Opts) -> Result<(), CliError> {
+    let src = source(&opts)?;
+    let journal_path = opts.get("--journal");
+    let resume = opts.has("--resume");
+    let mut connector = dist_launcher(&opts).map_err(CliError::Usage)?;
     let workers = connector.as_ref().map(|fleet| fleet.policy.workers);
-    let json = flags.json()?;
-    let no_compile = flags.has("--no-compile");
-    let doacross = doacross_mode(&flags).map_err(CliError::Usage)?;
-    let runs = flags.count_of("--runs", 1).map_err(CliError::Usage)?;
+    let no_compile = opts.has("--no-compile");
+    let runs = opts.num("--runs").expect(SET);
     if journal_path.is_some() && runs > 1 {
         return Err(CliError::Usage(
             "--journal records exactly one run; drop --runs".into(),
         ));
     }
-    let mut cfg = config(&flags).map_err(CliError::Usage)?;
+    let mut cfg = config(&opts).map_err(CliError::Usage)?;
     if connector.is_some() {
         cfg.exec = ExecMode::Distributed;
     }
@@ -1141,7 +1111,7 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
 
     // Counter programs run under the EXTEND two-pass induction scheme.
     if let Ok(ind) = CompiledInduction::compile(&src) {
-        check_kind(COUNTER, &flags)?;
+        check_kind(COUNTER, &opts)?;
         probe.validate(&cfg, None)?;
         let ind = if no_compile {
             ind.with_interpreter()
@@ -1156,10 +1126,10 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
     }
     let multi = prog.num_loops() > 1;
     if multi {
-        check_kind(MULTI, &flags)?;
+        check_kind(MULTI, &opts)?;
     }
 
-    let legs = plan_legs(&prog, cfg, &flags, doacross, &probe)?;
+    let legs = plan_legs(&prog, cfg, &opts, &probe)?;
 
     if let Some(cap) = cfg.shadow_budget {
         println!("shadow budget: {cap} bytes");
@@ -1260,10 +1230,10 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
             );
         }
         println!("{at}program-lifetime PR = {:.3}", runner.pr.pr());
-        if flags.has("--report") {
+        if opts.has("--report") {
             println!("\n{}", res.report);
         }
-        if flags.has("--timeline") {
+        if opts.has("--timeline") {
             println!("\n{}", Timeline::from_result(&res, cfg.p).render());
         }
 
@@ -1288,7 +1258,7 @@ fn cmd_run(args: Vec<String>) -> Result<(), CliError> {
     if multi {
         println!("whole-program speedup = {:.2}x", res.speedup());
     }
-    if json {
+    if opts.json() {
         // Machine-readable report(s), last on stdout so pipelines can
         // `tail -1 | jq`: one object for a single loop (the schema that
         // rides inside the daemon's job-status frames), an array of
@@ -1343,16 +1313,16 @@ fn verify(
     verify_against_sequential(seq, spec, reductions).map_err(|e| format!("INTERNAL: {e}"))
 }
 
-fn cmd_fmt(flags: Flags) -> Result<(), String> {
-    let src = source(&flags)?;
+fn cmd_fmt(opts: Opts) -> Result<(), CliError> {
+    let src = source(&opts)?;
     // Both compilation schemes share the parser; format whatever parses.
     let program = rlrpd::lang::parse(&src).map_err(|e| e.to_string())?;
     print!("{}", rlrpd::lang::print_program(&program));
     Ok(())
 }
 
-fn cmd_classify(flags: Flags) -> Result<(), String> {
-    let report = with_program(&source(&flags)?, CompiledProgram::report);
+fn cmd_classify(opts: Opts) -> Result<(), CliError> {
+    let report = with_program(&source(&opts)?, CompiledProgram::report);
     print!("{}", report.map_err(|e| e.to_string())?);
     Ok(())
 }
@@ -1373,31 +1343,18 @@ fn with_program<R>(
 /// `rlrpd analyze`: the static lint pass. Exit 0 when clean (notes are
 /// fine), 1 on error-level findings or on warnings under
 /// `--deny-warnings`, 64 on usage or parse errors.
-fn cmd_analyze(args: Vec<String>) -> Result<(), CliError> {
+fn cmd_analyze(opts: Opts) -> Result<(), CliError> {
     use rlrpd::lang::Level;
-    let flags = parse_flags(
-        args,
-        &["--procs", "--format", "--emit"],
-        &["--audit", "--deny-warnings"],
-    )?;
+    let p = opts.num("--procs").expect(SET);
+    RunPlan::default().validate(&RunConfig::new(p), None)?;
     // A missing or unreadable input is an invocation problem for a
     // static analysis (nothing ran), same bucket as a parse error.
-    let p = flags
-        .usize_of("--procs", DEFAULT_PROCS)
-        .map_err(CliError::Usage)?;
-    RunPlan::default().validate(&RunConfig::new(p), None)?;
-    let src = source(&flags).map_err(CliError::Usage)?;
-    match flags.get("--emit") {
-        None => {}
-        Some("bytecode") => return emit_bytecode(&src),
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "--emit expects 'bytecode', got '{other}'"
-            )))
-        }
+    let src = source(&opts).map_err(CliError::Usage)?;
+    if opts.has("--emit") {
+        return emit_bytecode(&src);
     }
     let program = rlrpd::lang::parse(&src).map_err(|e| CliError::Usage(e.to_string()))?;
-    if flags.has("--audit") {
+    if opts.has("--audit") {
         return audit_densities(&src, p);
     }
     let diags = rlrpd::lang::lint(&program, p);
@@ -1407,7 +1364,7 @@ fn cmd_analyze(args: Vec<String>) -> Result<(), CliError> {
         count(Level::Warning),
         count(Level::Note),
     );
-    if flags.json()? {
+    if opts.json() {
         let mut out = String::from("{\"diagnostics\":[");
         for (k, d) in diags.iter().enumerate() {
             if k > 0 {
@@ -1426,9 +1383,8 @@ fn cmd_analyze(args: Vec<String>) -> Result<(), CliError> {
                     Some(a) => json_string(a),
                     None => "null".into(),
                 },
-                // The satellite fix: a guarded (May) conflict with
-                // known geometry keeps its distance — `guarded`
-                // tells the consumer it is contingent.
+                // A guarded (May) conflict with known geometry keeps its
+                // distance; `guarded` says it is contingent.
                 match d.distance {
                     Some(dist) => dist.to_string(),
                     None => "null".into(),
@@ -1450,7 +1406,7 @@ fn cmd_analyze(args: Vec<String>) -> Result<(), CliError> {
     if errors > 0 {
         return Err(CliError::Other(format!("analysis found {errors} error(s)")));
     }
-    if flags.has("--deny-warnings") && warnings > 0 {
+    if opts.has("--deny-warnings") && warnings > 0 {
         return Err(CliError::Other(format!(
             "analysis found {warnings} warning(s) (--deny-warnings)"
         )));
@@ -1511,11 +1467,11 @@ fn emit_bytecode(src: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_ddg(flags: Flags) -> Result<(), CliError> {
-    let cfg = config(&flags).map_err(CliError::Usage)?;
+fn cmd_ddg(opts: Opts) -> Result<(), CliError> {
+    let cfg = config(&opts).map_err(CliError::Usage)?;
     RunPlan::default().validate(&cfg, None)?;
-    let w = flags.count_of("--window", 32).map_err(CliError::Usage)?;
-    let prog = load(&flags)?;
+    let w = opts.num("--window").expect(SET);
+    let prog = CompiledProgram::compile(&source(&opts)?).map_err(|e| e.to_string())?;
     if prog.num_loops() != 1 {
         return Err(CliError::Other(
             "ddg extraction needs a single-loop program".into(),
@@ -1537,7 +1493,7 @@ fn cmd_ddg(flags: Flags) -> Result<(), CliError> {
         ddg.graph.flow_critical_path(),
         schedule.avg_width()
     );
-    if let Some(path) = flags.get("--save") {
+    if let Some(path) = opts.get("--save") {
         std::fs::write(path, schedule.to_bytes()).map_err(|e| format!("{path}: {e}"))?;
         println!("schedule saved to {path}");
     }
@@ -1547,7 +1503,7 @@ fn cmd_ddg(flags: Flags) -> Result<(), CliError> {
 /// The §4 model for a geometric loop: the parameters, the closed forms
 /// (k_s, k_d, the Eq. 4 cutoff, T_static, T(n)) and the per-stage
 /// simulation under each redistribution policy.
-fn cmd_model(args: Vec<String>) -> Result<(), CliError> {
+fn cmd_model(opts: Opts) -> Result<(), CliError> {
     use rlrpd::model::{
         k_d_geometric, k_s_geometric, simulate_stages, t_static, t_total_geometric, ModelParams,
         RedistPolicy, MAX_SIM_STAGES,
@@ -1560,12 +1516,8 @@ fn cmd_model(args: Vec<String>) -> Result<(), CliError> {
         ("sync", 50.0, "a finite number >= 0"),
         ("alpha", 0.5, "in [0, 1)"),
     ];
-    if args.len() > ARGS.len() {
-        let msg = format!("model takes at most 6 numbers (n p omega ell sync alpha), got {args:?}");
-        return Err(CliError::Usage(msg));
-    }
     let mut nums = ARGS.map(|(_, default, _)| default);
-    for (k, a) in args.iter().enumerate() {
+    for (k, a) in opts.positional.iter().enumerate() {
         let ok = |x: f64| match k {
             0 | 1 => x >= 1.0 && x as usize as f64 == x,
             5 => (0.0..1.0).contains(&x),
@@ -1632,4 +1584,257 @@ fn cmd_model(args: Vec<String>) -> Result<(), CliError> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn words(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    /// The row of `flag` that `sub` reads.
+    fn row(sub: &str, flag: &str) -> &'static Opt {
+        let found = OPTIONS.iter().find(|o| o.flag == flag && o.takes(sub));
+        found.unwrap_or_else(|| panic!("{sub} takes no {flag}"))
+    }
+
+    /// A value `o` takes.
+    fn valid(o: &Opt) -> &'static str {
+        match (o.domain, o.default) {
+            (_, "" | REQUIRED) => {}
+            (_, default) => return default,
+        }
+        match o.domain {
+            Lone => "",
+            Count(0) => "0",
+            Count(_) | Seed(_) | Seconds(_) | Factor => "2",
+            Bytes => "1M",
+            Choice(words) => words.split('|').next().unwrap(),
+            Text(_) => "127.0.0.1:0",
+            Spec(..) => match o.flag {
+                "--dist-workers" => "local:2",
+                "--dist-fault" => "kill:0,hang:3",
+                "--shadow-fault" => "0:64K",
+                "--fault" => "refuse:0,delay:1:5",
+                other => panic!("no sample for {other}"),
+            },
+        }
+    }
+
+    /// Each value at the edge of `o`'s domain — below its minimum, the
+    /// minimum, the maximum, above the maximum, not a number, empty —
+    /// and whether it is in the domain.
+    fn edges(o: &Opt) -> Vec<(String, bool)> {
+        let over = "18446744073709551616";
+        let rows: Vec<(&str, bool)> = match o.domain {
+            Lone => vec![],
+            Count(min) => {
+                let below = (min as i128 - 1).to_string();
+                let (min, max) = (min.to_string(), usize::MAX.to_string());
+                let owned = [(below, false), (min, true), (max, true)];
+                return owned
+                    .into_iter()
+                    .chain([
+                        (over.into(), false),
+                        ("x".into(), false),
+                        ("".into(), false),
+                    ])
+                    .collect();
+            }
+            Seed(hex) => vec![
+                ("-1", false),
+                ("0", true),
+                ("18446744073709551615", true),
+                (over, false),
+                ("0xff", hex),
+                ("x", false),
+                ("", false),
+            ],
+            Bytes => vec![
+                ("0", false),
+                ("1", true),
+                ("17179869183G", true),
+                ("17179869184G", false),
+                ("auto", true),
+                ("x", false),
+                ("", false),
+            ],
+            Seconds(above) => vec![
+                ("-1", false),
+                ("0", !above),
+                ("1e-9", true),
+                ("1.8e19", true),
+                ("1e20", false),
+                ("inf", false),
+                ("nan", false),
+                ("", false),
+            ],
+            Factor => vec![
+                ("0", false),
+                ("1e-300", true),
+                ("1e308", true),
+                ("inf", false),
+                ("nan", false),
+                ("", false),
+            ],
+            Choice(words) => {
+                let mut rows: Vec<(&str, bool)> = words.split('|').map(|w| (w, true)).collect();
+                rows.extend([("x", false), ("", false)]);
+                rows
+            }
+            Spec(..) => vec![(valid(o), true), ("0", false), ("x", false), ("", false)],
+            Text(_) => vec![("x", true), ("", false)],
+        };
+        rows.into_iter()
+            .map(|(v, ok)| (v.to_string(), ok))
+            .collect()
+    }
+
+    /// What `sub` needs for `flag` to parse: its required flags and the
+    /// flag `flag` needs, with values they take.
+    fn context(sub: &str, flag: &str) -> Vec<String> {
+        let read = OPTIONS.iter().find(|o| o.flag == flag && o.takes(sub));
+        let needed = read.map_or("", |o| o.needs);
+        let rows = OPTIONS.iter().filter(|o| o.takes(sub) && o.flag != flag);
+        let rows = rows.filter(|o| o.default == REQUIRED || o.flag == needed);
+        rows.flat_map(|o| [o.flag, valid(o)])
+            .filter(|w| !w.is_empty())
+            .map(String::from)
+            .collect()
+    }
+
+    /// Refused with `flag` named, and `value` when it is the fault.
+    fn assert_names(res: Result<Opts, OptError>, flag: &str, value: Option<&str>, case: &str) {
+        let e = res.err().unwrap_or_else(|| panic!("{case}: accepted"));
+        assert_eq!(
+            (e.flag.as_str(), e.value.as_deref()),
+            (flag, value),
+            "{case}"
+        );
+        let said = e.to_string();
+        assert!(said.contains(flag), "{case}: {said}");
+        if let Some(v) = value {
+            assert!(said.contains(&format!("'{v}'")), "{case}: {said}");
+        }
+    }
+
+    /// Every (subcommand, flag) pair at every edge of the flag's domain,
+    /// through `parse` alone: nothing runs, so no extreme value starts a
+    /// thread, a worker or a daemon.
+    #[test]
+    fn every_flag_of_every_subcommand_parses_or_names_flag_and_value() {
+        for (sub, ..) in COMMANDS {
+            assert!(parse(sub, context(sub, "")).is_ok(), "{sub}");
+            for o in OPTIONS.iter().filter(|o| o.takes(sub)) {
+                let default = [o.default]
+                    .into_iter()
+                    .filter(|d| !["", REQUIRED].contains(d));
+                for d in default {
+                    assert!(o.domain.check(d).is_ok(), "{sub} {}: default {d}", o.flag);
+                }
+                for (value, ok) in edges(o) {
+                    let mut args = context(sub, o.flag);
+                    args.extend(words(&[o.flag, &value]));
+                    let case = format!("{sub} {} '{value}'", o.flag);
+                    match ok {
+                        true => assert!(parse(sub, args).is_ok(), "{case}: refused"),
+                        false => assert_names(parse(sub, args), o.flag, Some(&value), &case),
+                    }
+                }
+                let mut args = context(sub, o.flag);
+                args.extend(
+                    words(&[o.flag, valid(o)])
+                        .into_iter()
+                        .filter(|w| !w.is_empty()),
+                );
+                assert!(parse(sub, args.clone()).is_ok(), "{sub} {}", o.flag);
+                if o.domain.metavar().is_empty() {
+                    continue;
+                }
+                // The value missing, at the end of the line.
+                args.pop();
+                assert_names(parse(sub, args), o.flag, None, &format!("{sub} {}", o.flag));
+            }
+        }
+    }
+
+    #[test]
+    fn a_flag_a_subcommand_does_not_take_is_named_unknown() {
+        for (sub, ..) in COMMANDS {
+            for o in OPTIONS
+                .iter()
+                .filter(|o| !OPTIONS.iter().any(|r| r.flag == o.flag && r.takes(sub)))
+            {
+                let mut args = context(sub, "");
+                args.extend(words(&[o.flag, valid(o)]));
+                let e = parse(sub, args).err().expect("refused");
+                assert_eq!(e.flag, o.flag, "{sub}");
+                assert!(e
+                    .to_string()
+                    .starts_with(&format!("unknown flag '{}'", o.flag)));
+                assert!(e.to_string().contains(&help(Some(sub))), "{sub}: the usage");
+            }
+        }
+        assert_names(parse("run", words(&["--"])), "--", None, "a bare --");
+    }
+
+    #[test]
+    fn required_needed_and_excluded_flags_are_named() {
+        for (sub, ..) in COMMANDS {
+            for o in OPTIONS.iter().filter(|o| o.takes(sub)) {
+                let case = format!("{sub} {}", o.flag);
+                if o.default == REQUIRED {
+                    let args = context(sub, o.flag);
+                    assert_names(parse(sub, args), o.flag, None, &case);
+                }
+                if !o.needs.is_empty() {
+                    let mut args = context(sub, o.needs);
+                    args.extend(words(&[o.flag, valid(o)]));
+                    assert_names(parse(sub, args), o.flag, None, &case);
+                }
+                for x in o.excludes {
+                    let mut args = context(sub, o.flag);
+                    args.extend(words(&[o.flag, valid(o), x, valid(row(sub, x))]));
+                    let args = args.into_iter().filter(|w| !w.is_empty()).collect();
+                    let res = parse(sub, args);
+                    assert!(
+                        res.as_ref().is_err_and(|e| e.to_string().contains(x)),
+                        "{case} {x}"
+                    );
+                    assert_names(res, o.flag, None, &case);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn positional_arguments_past_the_last_are_named() {
+        for (sub, _, most, _) in COMMANDS {
+            let mut args = context(sub, "");
+            args.extend((0..=most).map(|k| format!("arg{k}")));
+            let extra = format!("arg{most}");
+            assert_names(parse(sub, args), sub, Some(&extra), sub);
+        }
+    }
+
+    #[test]
+    fn help_lists_every_row_under_its_subcommands() {
+        for (sub, ..) in COMMANDS {
+            let text = help(Some(sub));
+            assert!(text.starts_with(&format!("usage: rlrpd {sub}")), "{text}");
+            let listed: Vec<&str> = text
+                .lines()
+                .filter_map(|l| l.strip_prefix("  --"))
+                .map(|l| l.split(' ').next().unwrap())
+                .collect();
+            let rows: Vec<&str> = OPTIONS
+                .iter()
+                .filter(|o| o.takes(sub))
+                .map(|o| &o.flag[2..])
+                .collect();
+            assert_eq!(listed, rows, "{sub}");
+        }
+    }
 }

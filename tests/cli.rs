@@ -783,19 +783,30 @@ fn unknown_flags_exit_64_and_are_named() {
 
 /// A job spec reads 0 as "unset", but `run` acts on `--fault-seed 0`
 /// (it arms a plan) and `--max-stages 0` (it exits 3). `submit`
-/// refuses both before it connects instead of dropping them.
+/// refuses both before it connects instead of dropping them — and
+/// every value `run` refuses, rather than retrying to a timeout; and a
+/// `--procs` no run can take, rather than sending it truncated to 32
+/// bits (`4294967298` ran as `p = 2`).
 #[test]
 fn submit_refuses_the_zeros_a_job_reads_as_unset() {
     let prog = program("tracking.rlp");
-    for flag in ["--fault-seed", "--max-stages"] {
+    for (flag, value, needle) in [
+        ("--fault-seed", "0", "--fault-seed expects"),
+        ("--max-stages", "0", "--max-stages expects"),
+        ("--strategy", "bogus", "--strategy expects"),
+        ("--shadow-fault", "bogus", "--shadow-fault expects"),
+        ("--shadow-fault", "0:1K:9", "--shadow-fault expects"),
+        ("--procs", "4294967298", "--procs above 1024"),
+        ("--procs", "4294967296", "--procs above 1024"),
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_rlrpd"))
             .args(["submit", "--connect", "127.0.0.1:1", "--key", "1"])
-            .args(["--retry", "0.2", flag, "0", &prog])
+            .args(["--retry", "0.2", flag, value, &prog])
             .output()
             .expect("binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(64), "{flag}: {stderr}");
-        assert!(stderr.contains(&format!("{flag} expects")), "{stderr}");
+        assert_eq!(out.status.code(), Some(64), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(needle), "{stderr}");
         assert!(!stderr.contains("reconnecting"), "{flag}: it connected");
         assert!(out.stdout.is_empty(), "{flag}");
     }
@@ -1220,10 +1231,10 @@ fn proven_chain() -> std::path::PathBuf {
 }
 
 /// Every combination `rlrpd run` refuses — a row per `PlanError`
-/// variant, per row of the program-kind table, and per flag that needs
-/// another — is refused before the first line of output and the first
+/// variant, per row of the program-kind table, and per kind of value
+/// domain — is refused before the first line of output and the first
 /// file, with the flag and the reason named; so is an illegal `--procs`
-/// given to `ddg` or `analyze`.
+/// given to `ddg` or `analyze`, and a pair of `analyze` modes.
 #[test]
 fn illegal_combinations_exit_64_name_the_rule_and_print_nothing_else() {
     let single = program("tracking.rlp");
@@ -1300,42 +1311,51 @@ fn illegal_combinations_exit_64_name_the_rule_and_print_nothing_else() {
         // `crates/core/tests/journal.rs` produce it.)
         // One journal file is one run.
         (vec![&single, "--journal", j, "--runs", "2"], vec!["--runs"]),
-        // Values that used to be coerced without a word: `--runs 0` ran
-        // once, `sw:0` ran as `sw:1` under another journal fingerprint,
-        // `--watchdog nan` disabled the watchdog.
+        // One refused value per kind of domain in the option table (the
+        // walk in `src/bin/rlrpd.rs` holds every flag of every subcommand
+        // to the edges of its domain).
         (
-            vec![&single, "--runs", "0", "--journal", j],
-            vec!["--runs", "at least 1"],
+            vec![&single, "--max-stages", "-1", "--journal", j],
+            vec!["--max-stages", "an integer", "'-1'"],
         ),
         (
-            vec![&single, "--strategy", "sw:0", "--journal", j],
-            vec!["--strategy", "'sw:0'", "an integer ≥ 1"],
+            vec![&single, "--fault-seed", "0x10", "--journal", j],
+            vec!["--fault-seed", "'0x10'"],
         ),
         (
-            vec![&single, "--watchdog", "nan", "--journal", j],
-            vec!["--watchdog", "finite number > 0", "'nan'"],
+            vec![&single, "--shadow-budget", "0", "--journal", j],
+            vec!["--shadow-budget", "byte count", "'0'"],
         ),
         (
-            vec![&single, "--watchdog", "-1"],
-            vec!["--watchdog", "finite number > 0", "'-1'"],
+            vec![&single, "--dist-workers", "1", "--block-deadline", "inf"],
+            vec!["--block-deadline", "seconds", "'inf'"],
+        ),
+        (
+            vec![&single, "--watchdog", "inf", "--journal", j],
+            vec!["--watchdog", "finite number > 0", "'inf'"],
+        ),
+        (
+            vec![&single, "--checkpoint", "lazy", "--journal", j],
+            vec!["--checkpoint", "eager|ondemand", "'lazy'"],
+        ),
+        (
+            vec![&single, "--dist-workers", "1", "--dist-fault", "boom:1"],
+            vec!["--dist-fault", "unknown worker fault", "'boom:1'"],
+        ),
+        (vec![&single, "--journal", ""], vec!["--journal", "''"]),
+        // A heartbeat too long to fit twice into any window: refused by
+        // `DistPolicy::validate`, whose doubling used to overflow.
+        (
+            vec![
+                &single,
+                "--dist-workers",
+                "1",
+                "--heartbeat-interval",
+                "1e19",
+            ],
+            vec!["--heartbeat-interval", "two heartbeats must fit"],
         ),
     ];
-    // The fleet's knobs need a fleet.
-    for flag in [
-        "--block-deadline",
-        "--max-respawns",
-        "--fleet-max-respawns",
-        "--heartbeat-interval",
-    ] {
-        rows.push((
-            vec![&single, flag, "1"],
-            vec![flag, "requires --dist-workers"],
-        ));
-    }
-    rows.push((
-        vec![&single, "--dist-fault", "kill:0"],
-        vec!["--dist-fault requires --dist-workers"],
-    ));
     // The program-kind table: what a multi-loop program cannot honour …
     for flag in [["--journal", j], ["--dist-workers", "2"]] {
         let mut args = vec![multi.as_str()];
@@ -1391,17 +1411,33 @@ fn illegal_combinations_exit_64_name_the_rule_and_print_nothing_else() {
             vec![beta.as_str(), "--procs", "2000"],
             "--procs above 1024",
         ),
-        // A daemon of no job slots or no stream buffer, refused before
-        // its state directory (here the journal path) is created.
+        // `analyze` refuses the flags a mode would drop: the audit
+        // prints text and never fails on its disagreements; the
+        // disassembly is neither linted nor JSON.
         (
-            "serve",
-            vec!["--state-dir", j, "--max-jobs", "0"],
-            "--max-jobs",
+            "analyze",
+            vec![beta.as_str(), "--audit", "--format", "json"],
+            "--audit cannot be combined with --format",
         ),
         (
-            "serve",
-            vec!["--state-dir", j, "--stream-buffer", "0"],
-            "--stream-buffer",
+            "analyze",
+            vec![beta.as_str(), "--audit", "--deny-warnings"],
+            "--audit cannot be combined with --deny-warnings",
+        ),
+        (
+            "analyze",
+            vec![beta.as_str(), "--emit", "bytecode", "--audit"],
+            "--emit cannot be combined with --audit",
+        ),
+        (
+            "analyze",
+            vec![beta.as_str(), "--emit", "bytecode", "--format", "json"],
+            "--emit cannot be combined with --format",
+        ),
+        (
+            "analyze",
+            vec![beta.as_str(), "--emit", "bytecode", "--deny-warnings"],
+            "--emit cannot be combined with --deny-warnings",
         ),
     ] {
         assert_refused(cmd, &args, &[needle], &journal);
@@ -1445,8 +1481,8 @@ fn a_multi_loop_program_honours_fault_injection_runs_and_reports() {
     assert!(stdout.contains("whole-program speedup"), "{stdout}");
 }
 
-/// What a pair of (flag, program kind) must do: `run` accepts 25 flags,
-/// and each is honoured by each kind of program or refused by name.
+/// What a pair of (flag, program kind) must do: each flag `rlrpd help
+/// run` lists is honoured by each kind of program or refused by name.
 enum Honour {
     /// Exit 64 naming the flag, nothing printed.
     Refused,
@@ -1540,7 +1576,21 @@ fn every_run_flag_is_honoured_or_refused_by_every_program_kind() {
         ("--report", "", [Changes(0), Changes(0), Refused]),
         ("--timeline", "", [Changes(0), Changes(0), Refused]),
     ];
-    assert_eq!(table.len(), 25);
+    // The table covers exactly the flags `rlrpd help run` lists.
+    let (ok, help, _) = rlrpd(&["help", "run"]);
+    assert!(ok);
+    let mut listed: Vec<&str> = help
+        .lines()
+        .filter_map(|l| l.trim_start().split(' ').next())
+        .filter(|w| w.starts_with("--"))
+        .collect();
+    let mut covered: Vec<&str> = table
+        .iter()
+        .map(|(f, ..)| f.split(' ').next().unwrap())
+        .collect();
+    listed.sort_unstable();
+    covered.sort_unstable();
+    assert_eq!(covered, listed);
     let run = |args: &[&str]| {
         let out = Command::new(env!("CARGO_BIN_EXE_rlrpd"))
             .arg("run")
