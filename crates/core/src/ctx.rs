@@ -21,7 +21,7 @@ use crate::array::{ArrayDecl, ArrayId, ArrayKind, ShadowKind};
 use crate::buf::SharedBuf;
 use crate::checkpoint::WriteLog;
 use crate::value::{Reduction, Value};
-use crate::view::ProcView;
+use crate::view::{lanes, ProcView};
 use rlrpd_shadow::IterMarks;
 
 /// Where an array's references are routed.
@@ -245,10 +245,7 @@ impl<'a, T: Value> IterCtx<'a, T> {
             Route::Tested { slot } if !self.views.is_empty() => Some(&self.views[slot]),
             _ => None,
         };
-        let mut m = live;
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
+        for l in lanes(live) {
             let i = idx[l];
             if i >= len {
                 return false;
@@ -330,6 +327,59 @@ impl<'a, T: Value> IterCtx<'a, T> {
                 panic!("reduce on untested array '{}'", m.name)
             }
         }
+    }
+
+    /// [`IterCtx::read`] of element `idx[l]` for every lane `l` set in
+    /// `live`, in lane order, the values dropped; a read with no effect
+    /// (direct mode, an untested array) is skipped. With its siblings,
+    /// how a strip replays one instruction: a tested array's route,
+    /// shadow representation and reduction operator are resolved once.
+    #[inline]
+    pub fn read_lanes(&mut self, a: ArrayId, live: u32, idx: &[usize]) {
+        if let Some((view, buf)) = self.batched(a) {
+            // SAFETY: as in `read`.
+            view.read_lanes(live, idx, |e| unsafe { buf.get(e) });
+        } else if self.iter_marks.is_some() {
+            for l in lanes(live) {
+                self.read(a, idx[l]);
+            }
+        }
+    }
+
+    /// [`IterCtx::write`] of each lane (see [`IterCtx::read_lanes`]).
+    #[inline]
+    pub fn write_lanes(&mut self, a: ArrayId, live: u32, idx: &[usize], val: &[T]) {
+        match self.batched(a) {
+            Some((view, _)) => view.write_lanes(live, idx, val),
+            None => lanes(live).for_each(|l| self.write(a, idx[l], val[l])),
+        }
+    }
+
+    /// [`IterCtx::reduce`] of each lane (see [`IterCtx::read_lanes`]).
+    #[inline]
+    pub fn reduce_lanes(&mut self, a: ArrayId, live: u32, idx: &[usize], val: &[T]) {
+        match self.batched(a) {
+            // SAFETY: as in `reduce`.
+            Some((view, buf)) => view.reduce_lanes(live, idx, val, |e| unsafe { buf.get(e) }),
+            None => lanes(live).for_each(|l| self.reduce(a, idx[l], val[l])),
+        }
+    }
+
+    /// The view and data the lane entries batch on: a tested array's,
+    /// in a speculative context that logs no marks per iteration.
+    #[inline]
+    fn batched(&mut self, a: ArrayId) -> Option<(&mut ProcView<T>, &SharedBuf<T>)> {
+        match self.meta[a.index()].route {
+            Route::Tested { slot } if !self.views.is_empty() && self.iter_marks.is_none() => {
+                Some((&mut self.views[slot], &self.shared[a.index()]))
+            }
+            _ => None,
+        }
+    }
+
+    /// This block's write log so far (`None` in direct mode); read only.
+    pub fn write_log(&self) -> Option<&WriteLog<T>> {
+        self.wlog.as_deref()
     }
 
     /// Add `cost` virtual time units to this iteration beyond the loop's

@@ -415,6 +415,7 @@ impl<'l, T: Value> Engine<'l, T> {
         for st in &self.states {
             stats.batched_iters += st.tally.batched_iters;
             stats.scalar_strips += st.tally.scalar_strips;
+            stats.lane_replays += st.tally.lane_replays;
         }
         stats.loop_time = timing.critical_path();
         stats.total_work = timing.total_work();

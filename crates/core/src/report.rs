@@ -214,6 +214,11 @@ impl RunReport {
         self.stages.iter().map(|s| s.scalar_strips).sum()
     }
 
+    /// Strips that passed but replayed lane by lane, over all stages.
+    pub fn lane_replays(&self) -> u64 {
+        self.stages.iter().map(|s| s.lane_replays).sum()
+    }
+
     /// Machine-readable JSON image of the report: the schema behind
     /// `rlrpd run --format json` and the daemon's job-status frames.
     /// Hand-rolled (no JSON dependency); keys are stable.
@@ -258,7 +263,7 @@ impl RunReport {
                 "\"shadow_budget\":{},\"shadow_bytes_peak\":{},",
                 "\"shadow_migrations\":{},\"shadow_pressure_events\":{},",
                 "\"shadow_reprs\":[{}],\"fork_joins\":{},",
-                "\"batched_iters\":{},\"scalar_strips\":{}}}"
+                "\"batched_iters\":{},\"scalar_strips\":{},\"lane_replays\":{}}}"
             ),
             self.stages.len(),
             self.restarts,
@@ -286,7 +291,8 @@ impl RunReport {
             reprs.join(","),
             self.fork_joins(),
             self.batched_iters(),
-            self.scalar_strips()
+            self.scalar_strips(),
+            self.lane_replays()
         )
     }
 }
@@ -408,9 +414,10 @@ impl std::fmt::Display for RunReport {
         if self.batched_iters() > 0 || self.scalar_strips() > 0 {
             writeln!(
                 f,
-                "strips: {} iterations batched, {} strips re-executed scalar",
+                "strips: {} iterations batched, {} strips re-executed scalar, {} replayed lane by lane",
                 self.batched_iters(),
-                self.scalar_strips()
+                self.scalar_strips(),
+                self.lane_replays()
             )?;
         }
         writeln!(

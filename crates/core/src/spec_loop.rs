@@ -25,6 +25,8 @@ pub struct BatchTally {
     /// abandoned on a would-be fault) and that re-ran one iteration at
     /// a time.
     pub scalar_strips: u64,
+    /// Groups that passed but replayed their references lane by lane.
+    pub lane_replays: u64,
 }
 
 /// A loop prepared for speculative parallelization.
@@ -50,10 +52,11 @@ pub trait SpecLoop<T: Value = f64>: Sync {
     ///
     /// The default is the per-iteration loop, which passes `n = 1`. A
     /// body tier that can run several iterations per dispatch overrides
-    /// it; whatever it does inside, every reference must reach
-    /// `ctx.read` / `write` / `reduce` in iteration order and, within
-    /// an iteration, in program order — so marks, private values and
-    /// reference counts are those of the default. It may close several
+    /// it; whatever it does inside, every element must see its
+    /// references — through `ctx.read` / `write` / `reduce` or the lane
+    /// entries (`IterCtx::read_lanes` …) — in iteration order and,
+    /// within an iteration, in program order, so marks, private values
+    /// and reference counts are those of the default. It may close several
     /// iterations with one `after` only when none of them can exit,
     /// charge cost, fault, or be recorded under its own iteration
     /// number: the engine charges a fault to the first iteration

@@ -34,7 +34,7 @@
 
 use crate::array::ShadowKind;
 use crate::value::{Reduction, Value};
-use rlrpd_shadow::{Mark, Shadow};
+use rlrpd_shadow::{Mark, Marking, Shadow};
 
 /// Elements per page of a [`PagedStore`], the unit a store grows by.
 /// Scattered writes pay a whole page each, a sweep pays the directory
@@ -110,59 +110,37 @@ pub(crate) enum Contribution<T> {
     Delta(T),
 }
 
-/// One processor's privatized view of one tested array for one stage.
-pub struct ProcView<T> {
+/// A view's private values, and its reduction deltas and operator.
+struct Values<T> {
     store: PagedStore<T>,
     /// Reduction deltas; `Some` exactly when the array has an operator.
     accum: Option<PagedStore<T>>,
     op: Option<Reduction<T>>,
-    shadow: Shadow,
-    refs: u64,
 }
 
-impl<T: Value> ProcView<T> {
-    /// A fresh view for an array of `size` elements, in O(size /
-    /// `PAGE`): no private value exists until it is written.
-    pub fn new(size: usize, kind: ShadowKind, op: Option<Reduction<T>>) -> Self {
-        ProcView {
-            store: PagedStore::new(size),
-            accum: op.map(|_| PagedStore::new(size)),
-            op,
-            shadow: Shadow::for_kind(kind, size),
-            refs: 0,
-        }
-    }
-
-    /// Ordinary read of element `e`; `shared` supplies the committed
-    /// shared value for copy-in.
-    pub fn read(&mut self, e: usize, shared: impl Fn(usize) -> T) -> T {
-        self.refs += 1;
-        let m = self.shadow.mark(e);
-        if m.is_written() {
-            self.store.get(e)
-        } else if m.is_reduction_only() {
-            // Materialize: value = shared ⊕ delta; henceforth ordinary.
-            let op = self.op.expect("reduction mark without operator");
-            let val = (op.combine)(shared(e), self.accum.as_ref().expect("accum").get(e));
+impl<T: Value> Values<T> {
+    // The per-element rules of `ProcView::read / write / reduce`, on
+    // the representation `m` the view's shadow holds.
+    #[inline(always)]
+    fn read(&mut self, m: &mut impl Marking, e: usize, shared: &impl Fn(usize) -> T) -> T {
+        let mark = m.mark(e);
+        let val = self.value(mark, e, shared);
+        if mark.is_reduction_only() {
+            // Materialized: henceforth ordinary.
             self.store.set(e, val);
-            self.shadow.materialize(e);
-            val
-        } else {
-            self.shadow.on_read(e); // exposed: copy-in from shared
-            shared(e)
+            m.materialize(e);
+        } else if !mark.is_written() {
+            m.on_read(e); // exposed: copy-in from shared
         }
+        val
     }
 
-    /// The value [`ProcView::read`] would return for element `e`,
-    /// computed without side effects: no mark, no materialization, no
-    /// reference counted. A reduction-only element folds its delta
-    /// onto the shared value with the same `combine` call `read`'s
-    /// materialization makes, so the two agree to the bit.
-    pub fn peek(&self, e: usize, shared: impl Fn(usize) -> T) -> T {
-        let m = self.shadow.mark(e);
-        if m.is_written() {
+    /// Element `e`'s value under `mark`: private, `shared ⊕ delta`, or shared.
+    #[inline(always)]
+    fn value(&self, mark: Mark, e: usize, shared: &impl Fn(usize) -> T) -> T {
+        if mark.is_written() {
             self.store.get(e)
-        } else if m.is_reduction_only() {
+        } else if mark.is_reduction_only() {
             let op = self.op.expect("reduction mark without operator");
             (op.combine)(shared(e), self.accum.as_ref().expect("accum").get(e))
         } else {
@@ -170,42 +148,39 @@ impl<T: Value> ProcView<T> {
         }
     }
 
-    /// Ordinary write of element `e`.
-    pub fn write(&mut self, e: usize, v: T) {
-        self.refs += 1;
-        let m = self.shadow.mark(e);
-        if m.is_reduction_only() {
+    #[inline(always)]
+    fn write(&mut self, m: &mut impl Marking, e: usize, v: T) {
+        if m.mark(e).is_reduction_only() {
             // Conservative: treat as materialize-then-overwrite. The
             // extra EXPOSED_READ mark can only add a false dependence,
             // never an incorrect result.
-            self.shadow.materialize(e);
+            m.materialize(e);
         } else {
-            self.shadow.on_write(e);
+            m.on_write(e);
         }
         self.store.set(e, v);
     }
 
-    /// Reduction update `x[e] = x[e] ⊕ v`.
-    ///
-    /// # Panics
-    /// Panics if the array was declared without a reduction operator.
-    pub fn reduce(&mut self, e: usize, v: T, shared: impl Fn(usize) -> T) {
-        self.refs += 1;
-        let op = self
-            .op
-            .expect("reduce on array declared without a reduction operator");
-        let m = self.shadow.mark(e);
-        if m.is_written() {
+    #[inline(always)]
+    fn reduce(
+        &mut self,
+        m: &mut impl Marking,
+        op: Reduction<T>,
+        e: usize,
+        v: T,
+        shared: &impl Fn(usize) -> T,
+    ) {
+        let mark = m.mark(e);
+        if mark.is_written() {
             // Ordinary read-modify-write on the private value.
             let cur = self.store.get(e);
             self.store.set(e, (op.combine)(cur, v));
-        } else if m.is_exposed_read() {
+        } else if mark.is_exposed_read() {
             // The element was already read ordinarily: its reduction can
             // no longer be delta-accumulated; fold onto the copy-in.
-            let val = (op.combine)(shared(e), v);
-            self.store.set(e, val);
-            self.shadow.on_write(e);
-        } else if m.is_reduction_only() {
+            self.store.set(e, (op.combine)(shared(e), v));
+            m.on_write(e);
+        } else if mark.is_reduction_only() {
             let accum = self.accum.as_mut().expect("accum");
             let cur = accum.get(e);
             accum.set(e, (op.combine)(cur, v));
@@ -215,8 +190,115 @@ impl<T: Value> ProcView<T> {
                 .as_mut()
                 .expect("accum")
                 .set(e, (op.combine)(op.identity, v));
-            self.shadow.on_reduce(e);
+            m.on_reduce(e);
         }
+    }
+}
+
+/// The lanes set in `live`, lowest first.
+#[inline(always)]
+pub fn lanes(mut live: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let l = live.trailing_zeros() as usize;
+        live &= live.wrapping_sub(1);
+        (l < 32).then_some(l)
+    })
+}
+
+/// `$body` with `$m` bound to the representation `$shadow` holds.
+macro_rules! with_marks {
+    ($shadow:expr, |$m:ident| $body:expr) => {
+        match $shadow {
+            Shadow::Dense($m) => $body,
+            Shadow::Packed($m) => $body,
+            Shadow::Sparse($m) => $body,
+        }
+    };
+}
+
+/// One processor's privatized view of one tested array for one stage.
+pub struct ProcView<T> {
+    vals: Values<T>,
+    shadow: Shadow,
+    refs: u64,
+}
+
+impl<T: Value> ProcView<T> {
+    /// A fresh view for an array of `size` elements, in O(size /
+    /// `PAGE`): no private value exists until it is written.
+    pub fn new(size: usize, kind: ShadowKind, op: Option<Reduction<T>>) -> Self {
+        ProcView {
+            vals: Values {
+                store: PagedStore::new(size),
+                accum: op.map(|_| PagedStore::new(size)),
+                op,
+            },
+            shadow: Shadow::for_kind(kind, size),
+            refs: 0,
+        }
+    }
+
+    /// Ordinary read of element `e`; `shared` supplies the committed
+    /// shared value for copy-in.
+    pub fn read(&mut self, e: usize, shared: impl Fn(usize) -> T) -> T {
+        self.refs += 1;
+        with_marks!(&mut self.shadow, |m| self.vals.read(m, e, &shared))
+    }
+
+    /// [`ProcView::read`] of element `idx[l]` for each lane `l` of
+    /// `live`, in lane order, the values dropped.
+    pub fn read_lanes(&mut self, live: u32, idx: &[usize], shared: impl Fn(usize) -> T) {
+        self.refs += u64::from(live.count_ones());
+        with_marks!(&mut self.shadow, |m| for l in lanes(live) {
+            self.vals.read(m, idx[l], &shared);
+        })
+    }
+
+    /// The value [`ProcView::read`] would return for element `e`,
+    /// computed the same way but without side effects: no mark, no
+    /// materialization, no reference counted.
+    pub fn peek(&self, e: usize, shared: impl Fn(usize) -> T) -> T {
+        self.vals.value(self.shadow.mark(e), e, &shared)
+    }
+
+    /// Ordinary write of element `e`.
+    pub fn write(&mut self, e: usize, v: T) {
+        self.write_lanes(1, &[e], &[v])
+    }
+
+    /// [`ProcView::write`] of `val[l]` to `idx[l]` for each lane of `live`.
+    pub fn write_lanes(&mut self, live: u32, idx: &[usize], val: &[T]) {
+        self.refs += u64::from(live.count_ones());
+        with_marks!(&mut self.shadow, |m| for l in lanes(live) {
+            self.vals.write(m, idx[l], val[l]);
+        })
+    }
+
+    /// Reduction update `x[e] = x[e] ⊕ v`.
+    ///
+    /// # Panics
+    /// Panics if the array was declared without a reduction operator.
+    pub fn reduce(&mut self, e: usize, v: T, shared: impl Fn(usize) -> T) {
+        self.reduce_lanes(1, &[e], &[v], shared)
+    }
+
+    /// [`ProcView::reduce`] by `val[l]` of `idx[l]` for each lane of
+    /// `live`, in lane order, the operator looked up once.
+    pub fn reduce_lanes(
+        &mut self,
+        live: u32,
+        idx: &[usize],
+        val: &[T],
+        shared: impl Fn(usize) -> T,
+    ) {
+        self.refs += u64::from(live.count_ones());
+        let op = self
+            .vals
+            .op
+            .expect("reduce on an array without a reduction operator");
+        with_marks!(&mut self.shadow, |m| for l in lanes(live) {
+            self.vals.reduce(m, op, idx[l], val[l], &shared);
+        })
     }
 
     /// The mark of element `e`.
@@ -227,13 +309,13 @@ impl<T: Value> ProcView<T> {
     /// Final private value of an element this view wrote (W mark set).
     pub fn written_value(&self, e: usize) -> T {
         debug_assert!(self.shadow.mark(e).is_written());
-        self.store.get(e)
+        self.vals.store.get(e)
     }
 
     /// Accumulated reduction delta of a REDUCTION-marked element.
     pub fn reduction_delta(&self, e: usize) -> T {
         debug_assert!(self.shadow.mark(e).is_reduction_only());
-        self.accum.as_ref().expect("accum").get(e)
+        self.vals.accum.as_ref().expect("accum").get(e)
     }
 
     /// Touched elements with marks (see [`Shadow::touched`]).
@@ -286,11 +368,12 @@ impl<T: Value> ProcView<T> {
         match produced {
             Some(Contribution::Write(v)) => {
                 self.shadow.on_write(e);
-                self.store.set(e, v);
+                self.vals.store.set(e, v);
             }
             Some(Contribution::Delta(delta)) => {
                 self.shadow.on_reduce(e);
                 let accum = self
+                    .vals
                     .accum
                     .as_mut()
                     .expect("reduction replay without operator");
@@ -310,8 +393,8 @@ impl<T: Value> ProcView<T> {
     /// Re-initialize for the next stage in O(touched).
     pub fn clear(&mut self) {
         self.shadow.clear();
-        self.store.clear();
-        if let Some(a) = &mut self.accum {
+        self.vals.store.clear();
+        if let Some(a) = &mut self.vals.accum {
             a.clear();
         }
         self.refs = 0;
@@ -341,7 +424,7 @@ impl<T: Value> ProcView<T> {
     /// reserve for values: what the stores cost beyond their
     /// directories.
     fn store_bytes(&self) -> (usize, usize) {
-        let stores = std::iter::once(&self.store).chain(&self.accum);
+        let stores = std::iter::once(&self.vals.store).chain(&self.vals.accum);
         stores.fold((0, 0), |(pages, bytes), s| {
             (
                 pages + s.pages.len(),

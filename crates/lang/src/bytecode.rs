@@ -424,6 +424,9 @@ pub(crate) struct StripPlan {
     /// The memory instructions, by slot.
     pub ops: Vec<MemOp>,
     pub hazards: Vec<Hazard>,
+    /// Every pair of slots `(s, t)`, `s < t`, on one array that are not
+    /// both loads: the pairs whose shared elements replay must order.
+    pub pairs: Vec<(u16, u16)>,
 }
 
 impl StripPlan {
@@ -467,10 +470,16 @@ impl StripPlan {
             slot_of[pc] = ops.len() as u16;
             ops.push(op);
         }
-        let mut hazards = Vec::new();
+        let (mut hazards, mut pairs) = (Vec::new(), Vec::new());
         for (s, st) in ops.iter().enumerate() {
             for (l, ld) in ops.iter().enumerate() {
-                if st.kind == MemKind::Load || ld.kind != MemKind::Load || st.arr != ld.arr {
+                if st.arr != ld.arr || (st.kind, ld.kind) == (MemKind::Load, MemKind::Load) {
+                    continue;
+                }
+                if s < l {
+                    pairs.push((s as u16, l as u16));
+                }
+                if st.kind == MemKind::Load || ld.kind != MemKind::Load {
                     continue;
                 }
                 let cross = own(st.arr as usize).class != Class::Untested;
@@ -487,6 +496,7 @@ impl StripPlan {
             slot_of,
             ops,
             hazards,
+            pairs,
         })
     }
 }

@@ -8,6 +8,7 @@
 
 use crate::analyze::Class;
 use crate::ast::*;
+use crate::bytecode::MemKind;
 use rlrpd_core::{ArrayId, IndCtx, IterCtx};
 use std::cell::RefCell;
 use std::ops::ControlFlow;
@@ -82,6 +83,10 @@ pub(crate) trait DataCtx {
     fn read(&mut self, a: usize, i: usize) -> f64;
     fn write(&mut self, a: usize, i: usize, v: f64);
     fn reduce(&mut self, a: usize, i: usize, v: f64);
+    /// What a `kind` reference to element `idx[l]` of array `a`, with
+    /// value `val[l]`, for every lane `l` set in `live` in lane order,
+    /// would leave behind: one memory instruction of a validated strip.
+    fn replay_lanes(&mut self, a: usize, kind: MemKind, live: u32, idx: &[usize], val: &[f64]);
     fn exit(&mut self);
     /// Current induction-counter value (induction contexts only).
     fn counter(&self) -> usize {
@@ -102,6 +107,14 @@ impl DataCtx for IterCtx<'_, f64> {
     }
     fn reduce(&mut self, a: usize, i: usize, v: f64) {
         IterCtx::reduce(self, ArrayId(a as u32), i, v)
+    }
+    fn replay_lanes(&mut self, a: usize, kind: MemKind, live: u32, idx: &[usize], val: &[f64]) {
+        let a = ArrayId(a as u32);
+        match kind {
+            MemKind::Load => self.read_lanes(a, live, idx),
+            MemKind::Store => self.write_lanes(a, live, idx, val),
+            MemKind::Reduce => self.reduce_lanes(a, live, idx, val),
+        }
     }
     fn exit(&mut self) {
         IterCtx::exit(self)
@@ -138,6 +151,9 @@ impl DataCtx for IndCtx<'_, f64> {
     }
     fn reduce(&mut self, _a: usize, _i: usize, _v: f64) {
         panic!("reductions are not supported inside induction loops")
+    }
+    fn replay_lanes(&mut self, _: usize, _: MemKind, _: u32, _: &[usize], _: &[f64]) {
+        unreachable!("induction loops run no strips")
     }
     fn exit(&mut self) {
         panic!("premature exit is not supported inside induction loops")

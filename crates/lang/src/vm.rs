@@ -19,10 +19,12 @@
 //!   are only logged, and a would-be program fault abandons the strip.
 //!   (2) *Validate*: no load may have observed an element that an
 //!   earlier iteration of the strip — or its own iteration, earlier in
-//!   program order — stores or reduces. (3) *Replay* the log lane by
-//!   lane, in program order, through the ordinary context calls, so
-//!   marks, private values, reference counts and reduction association
-//!   are exactly the scalar VM's. A failed or abandoned strip re-runs
+//!   program order — stores or reduces. (3) *Replay* the log, one
+//!   context call per memory instruction for all its lanes
+//!   ([`DataCtx::replay_lanes`]), or lane by lane where that would
+//!   reorder an element's references, so marks, private values,
+//!   reference counts and reduction association are exactly the scalar
+//!   VM's. A failed or abandoned strip re-runs
 //!   on width 1, which is where a real fault then fires, at its
 //!   iteration, with its message. This is the paper's test one level
 //!   down: speculate that `STRIP` iterations are independent, test the
@@ -41,8 +43,9 @@
 //! preserved — so fault-containment tests observe identical behavior
 //! on either backend.
 
-use crate::bytecode::{Insn, LoopCode, MemKind, Pred, StripPlan, EXACT_INT, REG_I, STRIP};
+use crate::bytecode::{Insn, LoopCode, Pred, StripPlan, EXACT_INT, REG_I, STRIP};
 use crate::interp::{rem_value, round_i64, DataCtx, PeekCtx};
+use rlrpd_core::view::lanes;
 use rlrpd_core::BatchTally;
 use std::cell::RefCell;
 use std::ops::Range;
@@ -142,7 +145,7 @@ fn step<C: DataCtx>(code: &LoopCode, one: &mut File<1>, i: f64, ctx: &mut C) {
 /// subscript was checked against its array's length during execution,
 /// every load's value was peeked, and an eligible loop holds no
 /// counter, bump or exit. The references it replays are in-bounds
-/// `read` / `write` / `reduce` calls; whatever can fault (a bad
+/// `replay_lanes` calls; whatever can fault (a bad
 /// subscript, `%` by zero) abandons the strip instead, and its
 /// iterations then run and fault one at a time.
 pub(crate) fn run_range<C: PeekCtx>(
@@ -182,8 +185,13 @@ pub(crate) fn run_range<C: PeekCtx>(
                     run(code, &mut strip.regs, &mut ahead) && independent(plan, log)
                 };
                 if batched {
-                    for l in 0..STRIP {
-                        replay(plan, log, l, ctx);
+                    if out_of_order(plan, log) {
+                        tally.lane_replays += 1;
+                        for l in 0..STRIP {
+                            replay(plan, log, 1 << l, ctx);
+                        }
+                    } else {
+                        replay(plan, log, u32::MAX, ctx);
                     }
                     if !after(ctx, STRIP) {
                         return;
@@ -233,15 +241,13 @@ fn steps<C: DataCtx>(
 /// iteration would have seen unless an earlier iteration of the strip
 /// (or the same one, earlier in program order) stores or reduces that
 /// element. Loads are the only references that observe anything before
-/// replay — stores and reduces are deferred and replayed in order — so
+/// replay — stores and reduces are deferred, and replay keeps each
+/// element's references in order — so
 /// anti and output dependences inside a strip are legal.
 fn independent(plan: &StripPlan, log: &[Access]) -> bool {
     for h in &plan.hazards {
         let (st, ld) = (&log[h.store as usize], &log[h.load as usize]);
-        let mut stores = st.lanes;
-        while stores != 0 && ld.lanes != 0 {
-            let l = stores.trailing_zeros();
-            stores &= stores - 1;
+        for l in lanes(st.lanes) {
             let mut after = 0;
             if h.cross {
                 after |= ld.lanes & !((2u32 << l) - 1);
@@ -249,31 +255,33 @@ fn independent(plan: &StripPlan, log: &[Access]) -> bool {
             if h.load > h.store {
                 after |= ld.lanes & (1 << l);
             }
-            while after != 0 {
-                let k = after.trailing_zeros() as usize;
-                after &= after - 1;
-                if ld.idx[k] == st.idx[l as usize] {
-                    return false;
-                }
+            if lanes(after).any(|k| ld.idx[k] == st.idx[l]) {
+                return false;
             }
         }
     }
     true
 }
 
-/// Make lane `l`'s logged references happen, in program order.
-fn replay<C: DataCtx>(plan: &StripPlan, log: &[Access], l: usize, ctx: &mut C) {
+/// Whether replaying the strip instruction by instruction would
+/// reorder an element's references: a pair `s < t` of
+/// [`StripPlan::pairs`] where `t` touches, in an earlier lane, an
+/// element `s` touches in a later one. No other reordering exists.
+fn out_of_order(plan: &StripPlan, log: &[Access]) -> bool {
+    plan.pairs.iter().any(|&(s, t)| {
+        let (a, b) = (&log[s as usize], &log[t as usize]);
+        lanes(a.lanes).any(|k| lanes(b.lanes & ((1 << k) - 1)).any(|l| a.idx[k] == b.idx[l]))
+    })
+}
+
+/// Make the logged references of the lanes in `mask` happen: one
+/// context call per memory instruction, in program order, each for its
+/// lanes in lane order.
+fn replay<C: DataCtx>(plan: &StripPlan, log: &[Access], mask: u32, ctx: &mut C) {
     for (op, acc) in plan.ops.iter().zip(log) {
-        if acc.lanes >> l & 1 == 0 {
-            continue;
-        }
-        let (a, j) = (op.arr as usize, acc.idx[l]);
-        match op.kind {
-            MemKind::Load => {
-                ctx.read(a, j);
-            }
-            MemKind::Store => ctx.write(a, j, acc.val[l]),
-            MemKind::Reduce => ctx.reduce(a, j, acc.val[l]),
+        let live = acc.lanes & mask;
+        if live != 0 {
+            ctx.replay_lanes(op.arr as usize, op.kind, live, &acc.idx, &acc.val);
         }
     }
 }
@@ -406,10 +414,7 @@ impl<C: PeekCtx> Ahead<'_, C> {
             }
             acc.idx = idx.map(|v| ((v + ROUND).to_bits() & MANTISSA) as usize);
         } else {
-            let mut m = live;
-            while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                m &= m - 1;
+            for l in lanes(live) {
                 match at.try_index(idx[l]) {
                     Some(j) if j < len => acc.idx[l] = j,
                     _ => return false,
@@ -607,17 +612,6 @@ fn run<const W: usize, P: Port<W>>(code: &LoopCode, regs: &mut [[f64; W]], port:
             unsafe { regs.get_unchecked_mut($r as usize) }
         };
     }
-    // `body` for each live lane.
-    macro_rules! lanes {
-        (|$l:ident| $body:expr) => {{
-            let mut m = live;
-            while m != 0 {
-                let $l = m.trailing_zeros() as usize;
-                m &= m - 1;
-                $body
-            }
-        }};
-    }
     // `dst[l] <- e` for each live lane; with every lane live, a plain
     // loop into a local the compiler vectorises.
     macro_rules! set {
@@ -629,10 +623,10 @@ fn run<const W: usize, P: Port<W>>(code: &LoopCode, regs: &mut [[f64; W]], port:
                 }
                 *rm!($dst) = out;
             } else {
-                lanes!(|$l| {
+                for $l in lanes(live) {
                     let v = $e;
                     rm!($dst)[$l] = v;
-                })
+                }
             }
         }};
     }
@@ -645,10 +639,8 @@ fn run<const W: usize, P: Port<W>>(code: &LoopCode, regs: &mut [[f64; W]], port:
                     pc = $target as usize;
                 }
             } else if go != 0 {
-                let mut m = go;
-                while m != 0 {
-                    resume[m.trailing_zeros() as usize] = $target;
-                    m &= m - 1;
+                for l in lanes(go) {
+                    resume[l] = $target;
                 }
                 live &= !go;
                 wake = wake.min($target);
@@ -696,9 +688,9 @@ fn run<const W: usize, P: Port<W>>(code: &LoopCode, regs: &mut [[f64; W]], port:
                 } else {
                     if W > 1 && !int {
                         // A zero divisor is a fault in waiting.
-                        lanes!(|l| if round_i64(r!(b)[l]) == 0 {
+                        if lanes(live).any(|l| round_i64(r!(b)[l]) == 0) {
                             return false;
-                        });
+                        }
                     }
                     set!(dst, |l| rem(r!(a)[l], r!(b)[l], int));
                 }
@@ -818,7 +810,7 @@ fn run<const W: usize, P: Port<W>>(code: &LoopCode, regs: &mut [[f64; W]], port:
 mod tests {
     use super::*;
     use crate::analyze::classify_loop;
-    use crate::bytecode::{lower_loop, StripRefusal};
+    use crate::bytecode::{lower_loop, MemKind, StripRefusal};
     use crate::parse;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -841,6 +833,24 @@ mod tests {
         arrays: Vec<Vec<f64>>,
         trace: Vec<Ref>,
         exited: bool,
+        /// The lanes of each replay call since the last `after`.
+        calls: Vec<u32>,
+        /// Per `Done` of the trace: whether the references it closes
+        /// were replayed out of lane-by-lane order — some call carried
+        /// two lanes, or a lane below the one before it.
+        reordered: Vec<bool>,
+    }
+
+    impl MemCtx {
+        fn new(arrays: Vec<Vec<f64>>) -> Self {
+            MemCtx {
+                arrays,
+                trace: Vec::new(),
+                exited: false,
+                calls: Vec::new(),
+                reordered: Vec::new(),
+            }
+        }
     }
 
     impl DataCtx for MemCtx {
@@ -855,6 +865,18 @@ mod tests {
         fn reduce(&mut self, a: usize, i: usize, v: f64) {
             self.trace.push(Ref::Reduce(a, i, v.to_bits()));
             self.arrays[a][i] += v;
+        }
+        fn replay_lanes(&mut self, a: usize, kind: MemKind, live: u32, idx: &[usize], val: &[f64]) {
+            self.calls.push(live);
+            for l in lanes(live) {
+                match kind {
+                    MemKind::Load => {
+                        self.read(a, idx[l]);
+                    }
+                    MemKind::Store => self.write(a, idx[l], val[l]),
+                    MemKind::Reduce => self.reduce(a, idx[l], val[l]),
+                }
+            }
         }
         fn exit(&mut self) {
             self.exited = true;
@@ -878,7 +900,41 @@ mod tests {
 
     fn after(ctx: &mut MemCtx, n: usize) -> bool {
         ctx.trace.push(Ref::Done(n));
+        let calls = std::mem::take(&mut ctx.calls);
+        let in_lane_order =
+            calls.iter().all(|m| m.count_ones() == 1) && calls.windows(2).all(|w| w[0] <= w[1]);
+        ctx.reordered.push(!in_lane_order);
         !ctx.exited
+    }
+
+    /// `got`'s trace against `want` (which closes iterations where
+    /// `got` does), strip by strip. A strip replayed lane by lane makes
+    /// `want`'s references in `want`'s order; one replayed instruction
+    /// by instruction makes the same references, each `(array,
+    /// element)` seeing its own in `want`'s order.
+    fn assert_same_references(what: &str, got: &MemCtx, want: &[Ref]) {
+        let strips = |t: &[Ref]| -> Vec<Vec<Ref>> {
+            t.split_inclusive(|r| matches!(r, Ref::Done(_)))
+                .map(<[Ref]>::to_vec)
+                .collect()
+        };
+        // A stable sort keeps each element's references in order.
+        let by_element = |mut refs: Vec<Ref>| {
+            refs.sort_by_key(|r| match *r {
+                Ref::Read(a, i) | Ref::Write(a, i, _) | Ref::Reduce(a, i, _) => (a, i),
+                Ref::Done(_) => (usize::MAX, 0),
+            });
+            refs
+        };
+        let (got_strips, want_strips) = (strips(&got.trace), strips(want));
+        assert_eq!(got_strips.len(), want_strips.len(), "{what}: strips");
+        for (k, (g, w)) in got_strips.into_iter().zip(want_strips).enumerate() {
+            if got.reordered.get(k) == Some(&true) {
+                assert_eq!(by_element(g), by_element(w), "{what}: strip {k}");
+            } else {
+                assert_eq!(g, w, "{what}: strip {k}, replayed lane by lane");
+            }
+        }
     }
 
     /// `per_iter` (a trace closing one iteration per `after`) with the
@@ -926,11 +982,7 @@ mod tests {
         let arrays = classify_loop(&prog, 0);
         let classes: Vec<_> = arrays.iter().map(|c| c.class).collect();
         let code = lower_loop(nest, &arrays);
-        let mk = || MemCtx {
-            arrays: prog.arrays.iter().map(|d| vec![d.init; d.size]).collect(),
-            trace: Vec::new(),
-            exited: false,
-        };
+        let mk = || MemCtx::new(prog.arrays.iter().map(|d| vec![d.init; d.size]).collect());
         let mut tree_walk = mk();
         for it in iters.clone() {
             let mut locals = vec![0.0; nest.num_locals];
@@ -965,9 +1017,11 @@ mod tests {
         }
     }
 
-    /// All three tiers made the same references in the same order and
-    /// left the same bits behind; the scalar VM closes every iteration
-    /// on its own, strips close each batched strip's [`STRIP`] at once.
+    /// All three tiers made the same references and left the same bits
+    /// behind: the scalar VM in the tree walk's order, closing every
+    /// iteration on its own; strips closing each batched strip's
+    /// [`STRIP`] at once, in the tree walk's order per element
+    /// ([`assert_same_references`]).
     fn assert_identical(src: &str, iters: Range<usize>) -> BatchTally {
         let t = run_tiers(src, iters);
         let closed = |ctx: &MemCtx, n| ctx.trace.iter().filter(|r| **r == Ref::Done(n)).count();
@@ -980,11 +1034,7 @@ mod tests {
             _ => true,
         }));
         for (name, got) in [("scalar VM", &t.scalar), ("strips", &t.strips)] {
-            assert_eq!(
-                got.trace,
-                merge_boundaries(&t.tree_walk.trace, &got.trace),
-                "{name}: references diverged"
-            );
+            assert_same_references(name, got, &merge_boundaries(&t.tree_walk.trace, &got.trace));
             for (a, (ga, wa)) in got.arrays.iter().zip(&t.tree_walk.arrays).enumerate() {
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(ga), bits(wa), "{name}: array {a} diverged");
@@ -1116,6 +1166,31 @@ mod tests {
     }
 
     #[test]
+    fn a_strip_whose_instructions_share_an_element_replays_lane_by_lane() {
+        // An anti dependence with the store first in program order
+        // passes the strip test: lane k loads A[k + 1] before lane
+        // k + 1 stores it. Replayed store-first, that load would be a
+        // covered read instead of an exposed one.
+        let src = "array A[80] = 1;\narray B[80];\nfor i in 0..64 {\n  if i % 2 == 0 || i % 2 == 1 { A[i] = i * 0.5; }\n  B[i] = A[i + 1];\n}";
+        assert_eq!(refusal(src), None);
+        let tally = assert_identical(src, 0..64);
+        assert_eq!(
+            (tally.batched_iters, tally.scalar_strips, tally.lane_replays),
+            (64, 0, 4)
+        );
+        // Two reduces of one element in one strip keep their association.
+        let tally = assert_identical(
+            "array Y[4] : reduction(+);\nfor i in 0..64 { Y[i % 4] += i * 0.1; Y[0] += 1; }",
+            0..64,
+        );
+        assert_eq!(tally.lane_replays, 4);
+        // The same shapes a strip apart share nothing inside one.
+        let src = "array A[80] = 1;\narray B[80];\nfor i in 0..64 {\n  if i % 2 == 0 || i % 2 == 1 { A[i] = i * 0.5; }\n  B[i] = A[i + 16];\n}";
+        let tally = assert_identical(src, 0..64);
+        assert_eq!((tally.batched_iters, tally.lane_replays), (64, 0));
+    }
+
+    #[test]
     fn an_unsound_untested_hint_cannot_bend_sequential_execution() {
         // The hint routes A around the LRPD test, but the strip test
         // takes the classifier's word, not the declaration's.
@@ -1202,11 +1277,7 @@ mod tests {
         let prog = parse(src).unwrap();
         let nest = &prog.loops[0];
         let code = lower_loop(nest, &classify_loop(&prog, 0));
-        let mut ctx = MemCtx {
-            arrays: prog.arrays.iter().map(|d| vec![d.init; d.size]).collect(),
-            trace: Vec::new(),
-            exited: false,
-        };
+        let mut ctx = MemCtx::new(prog.arrays.iter().map(|d| vec![d.init; d.size]).collect());
         let err = catch_unwind(AssertUnwindSafe(|| {
             run_range(&code, nest.range.0, 0..n, strips, &mut ctx, &mut after);
         }))
@@ -1242,11 +1313,8 @@ mod tests {
             let (scalar_msg, scalar) = run_to_fault(src, 64, false);
             let (strip_msg, strips) = run_to_fault(src, 64, true);
             assert_eq!(strip_msg, scalar_msg, "{src}");
-            assert_eq!(
-                strips.trace,
-                merge_boundaries(&scalar.trace, &strips.trace),
-                "{src}"
-            );
+            let want = merge_boundaries(&scalar.trace, &strips.trace);
+            assert_same_references(src, &strips, &want);
             assert_eq!(strips.arrays, scalar.arrays, "{src}");
             // The strips before the faulting one really ran batched.
             assert!(
@@ -1352,6 +1420,7 @@ mod tests {
             }
             fn write(&mut self, _: usize, _: usize, _: f64) {}
             fn reduce(&mut self, _: usize, _: usize, _: f64) {}
+            fn replay_lanes(&mut self, _: usize, _: MemKind, _: u32, _: &[usize], _: &[f64]) {}
             fn exit(&mut self) {}
         }
         impl PeekCtx for Sized {
@@ -1424,11 +1493,7 @@ mod tests {
         };
         let (code_a, _) = mk("array A[4];\nfor i in 0..4 { A[i] = 111; }");
         let (code_b, _) = mk("array B[4];\nfor i in 0..4 { B[i] = 222; }");
-        let mut ctx = MemCtx {
-            arrays: vec![vec![0.0; 4]],
-            trace: Vec::new(),
-            exited: false,
-        };
+        let mut ctx = MemCtx::new(vec![vec![0.0; 4]]);
         for i in 0..4 {
             iterate(&code_a, i as f64, &mut ctx);
             iterate(&code_b, i as f64, &mut ctx);
@@ -1438,11 +1503,7 @@ mod tests {
         let (wide_a, _) = mk("array A[64];\nfor i in 0..64 { A[i] = 111; }");
         let (wide_b, _) =
             mk("array B[64];\narray C[64];\nfor i in 0..64 { B[i] = 222; C[i] = B[i] + i; }");
-        let mut ctx = MemCtx {
-            arrays: vec![vec![0.0; 64], vec![0.0; 64]],
-            trace: Vec::new(),
-            exited: false,
-        };
+        let mut ctx = MemCtx::new(vec![vec![0.0; 64], vec![0.0; 64]]);
         for lo in [0, 16, 32, 48] {
             run_range(&wide_b, 0, lo..lo + 16, true, &mut ctx, &mut after);
             run_range(&wide_a, 0, lo..lo + 16, true, &mut ctx, &mut after);

@@ -211,6 +211,8 @@ pub struct StageStats {
     /// Strips whose speculation failed or was abandoned and that
     /// re-executed one iteration at a time, summed over blocks.
     pub scalar_strips: u64,
+    /// Strips that passed but replayed lane by lane, summed over blocks.
+    pub lane_replays: u64,
 }
 
 impl StageStats {

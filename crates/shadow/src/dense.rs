@@ -6,6 +6,7 @@
 //! processor, not to the array size.
 
 use crate::marks::Mark;
+use crate::shadow::Marking;
 
 /// A dense, per-processor shadow of one array under test.
 #[derive(Clone, Debug)]
@@ -27,11 +28,6 @@ impl DenseShadow {
         }
     }
 
-    /// Number of elements shadowed.
-    pub fn size(&self) -> usize {
-        self.marks.len()
-    }
-
     #[inline]
     fn touch(&mut self, elem: usize) -> &mut Mark {
         let m = &mut self.marks[elem];
@@ -39,37 +35,6 @@ impl DenseShadow {
             self.touched.push(elem as u32);
         }
         m
-    }
-
-    /// Record an ordinary read of `elem`.
-    #[inline]
-    pub fn on_read(&mut self, elem: usize) {
-        self.touch(elem).on_read();
-    }
-
-    /// Record an ordinary write of `elem`.
-    #[inline]
-    pub fn on_write(&mut self, elem: usize) {
-        self.touch(elem).on_write();
-    }
-
-    /// Record a reduction update of `elem`.
-    #[inline]
-    pub fn on_reduce(&mut self, elem: usize) {
-        self.touch(elem).on_reduce();
-    }
-
-    /// Convert `elem`'s reduction marks to ordinary marks (see
-    /// [`Mark::materialize_reduction`]).
-    #[inline]
-    pub fn materialize(&mut self, elem: usize) {
-        self.marks[elem].materialize_reduction();
-    }
-
-    /// Current mark of `elem`.
-    #[inline]
-    pub fn mark(&self, elem: usize) -> Mark {
-        self.marks[elem]
     }
 
     /// Distinct elements referenced, in first-touch order.
@@ -93,20 +58,37 @@ impl DenseShadow {
         self.touched.clear();
     }
 
-    /// Install a previously observed mark verbatim (a copy between
-    /// representations). `mark` must be a touched, legal mark and
-    /// `elem` must currently be untouched.
-    pub fn restore(&mut self, elem: usize, mark: Mark) {
-        debug_assert!(mark.is_touched(), "restoring an untouched mark");
-        debug_assert!(!self.marks[elem].is_touched(), "restore over a live mark");
-        self.marks[elem] = mark;
-        self.touched.push(elem as u32);
-    }
-
     /// Shadow memory held, in bytes: the mark array plus the touched
     /// list's allocation.
     pub fn shadow_bytes(&self) -> usize {
         self.marks.len() + self.touched.capacity() * 4
+    }
+}
+
+impl Marking for DenseShadow {
+    #[inline]
+    fn on_read(&mut self, elem: usize) {
+        self.touch(elem).on_read();
+    }
+
+    #[inline]
+    fn on_write(&mut self, elem: usize) {
+        self.touch(elem).on_write();
+    }
+
+    #[inline]
+    fn on_reduce(&mut self, elem: usize) {
+        self.touch(elem).on_reduce();
+    }
+
+    #[inline]
+    fn materialize(&mut self, elem: usize) {
+        self.marks[elem].materialize_reduction();
+    }
+
+    #[inline]
+    fn mark(&self, elem: usize) -> Mark {
+        self.marks[elem]
     }
 }
 

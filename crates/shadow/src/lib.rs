@@ -58,5 +58,5 @@ pub use iter_marks::{ElemEvents, EventKind, IterMarks};
 pub use marks::Mark;
 pub use packed::PackedShadow;
 pub use select::{choose, fit_budget, footprint, ShadowKind};
-pub use shadow::Shadow;
+pub use shadow::{Marking, Shadow};
 pub use sparse::SparseShadow;

@@ -14,6 +14,7 @@
 //! the byte-per-element shadow under random access sequences.
 
 use crate::marks::Mark;
+use crate::shadow::Marking;
 
 /// Dense shadow storing marks at 3 bits per element across packed
 /// planes, with a touched list for O(touched) analysis/re-init.
@@ -48,11 +49,6 @@ impl PackedShadow {
         }
     }
 
-    /// Number of elements shadowed.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
     #[inline]
     fn is_touched(&self, e: usize) -> bool {
         let (w, m) = slot(e);
@@ -64,69 +60,6 @@ impl PackedShadow {
         if !self.is_touched(e) {
             self.touched.push(e as u32);
         }
-    }
-
-    /// Record an ordinary read of `e` (exposed unless already written).
-    #[inline]
-    pub fn on_read(&mut self, e: usize) {
-        debug_assert!(e < self.size);
-        self.note_touch(e);
-        let (w, m) = slot(e);
-        if self.write[w] & m == 0 {
-            self.read[w] |= m;
-        }
-    }
-
-    /// Record an ordinary write of `e`.
-    #[inline]
-    pub fn on_write(&mut self, e: usize) {
-        debug_assert!(e < self.size);
-        self.note_touch(e);
-        let (w, m) = slot(e);
-        debug_assert!(self.red[w] & m == 0, "materialize before ordinary access");
-        self.write[w] |= m;
-    }
-
-    /// Record a reduction update of `e`.
-    #[inline]
-    pub fn on_reduce(&mut self, e: usize) {
-        debug_assert!(e < self.size);
-        self.note_touch(e);
-        let (w, m) = slot(e);
-        debug_assert!(
-            (self.write[w] | self.read[w]) & m == 0,
-            "reduce after ordinary access must go through the ordinary path"
-        );
-        self.red[w] |= m;
-    }
-
-    /// Convert `e`'s reduction mark to ordinary marks (see
-    /// [`Mark::materialize_reduction`]).
-    #[inline]
-    pub fn materialize(&mut self, e: usize) {
-        let (w, m) = slot(e);
-        debug_assert!(self.red[w] & m != 0);
-        self.red[w] &= !m;
-        self.read[w] |= m;
-        self.write[w] |= m;
-    }
-
-    /// The element's mark byte, identical to what a [`Mark`]-based
-    /// shadow would hold.
-    #[inline]
-    pub fn mark(&self, e: usize) -> Mark {
-        let (w, m) = slot(e);
-        let mut bits = 0u8;
-        if self.write[w] & m != 0 {
-            bits |= Mark::WRITE;
-        }
-        if self.read[w] & m != 0 {
-            bits |= Mark::EXPOSED_READ;
-        }
-        if self.red[w] & m != 0 {
-            bits |= Mark::REDUCTION;
-        }
-        Mark(bits)
     }
 
     /// Distinct elements referenced, in first-touch order.
@@ -152,31 +85,68 @@ impl PackedShadow {
         self.touched.clear();
     }
 
-    /// Install a previously observed mark verbatim (a copy between
-    /// representations): sets the bit planes directly, bypassing
-    /// the transition rules. `mark` must be a touched, legal mark and
-    /// `e` must currently be untouched.
-    pub fn restore(&mut self, e: usize, mark: Mark) {
-        debug_assert!(e < self.size);
-        debug_assert!(mark.is_touched(), "restoring an untouched mark");
-        debug_assert!(!self.is_touched(e), "restore over a live mark");
-        let (w, m) = slot(e);
-        if mark.is_written() {
-            self.write[w] |= m;
-        }
-        if mark.is_exposed_read() {
-            self.read[w] |= m;
-        }
-        if mark.is_reduction_only() {
-            self.red[w] |= m;
-        }
-        self.touched.push(e as u32);
-    }
-
     /// Shadow memory in bytes: the bit planes plus the touched list's
     /// allocation.
     pub fn shadow_bytes(&self) -> usize {
         (self.write.len() + self.read.len() + self.red.len()) * 8 + self.touched.capacity() * 4
+    }
+}
+
+impl Marking for PackedShadow {
+    #[inline]
+    fn on_read(&mut self, e: usize) {
+        debug_assert!(e < self.size);
+        self.note_touch(e);
+        let (w, m) = slot(e);
+        if self.write[w] & m == 0 {
+            self.read[w] |= m;
+        }
+    }
+
+    #[inline]
+    fn on_write(&mut self, e: usize) {
+        debug_assert!(e < self.size);
+        self.note_touch(e);
+        let (w, m) = slot(e);
+        debug_assert!(self.red[w] & m == 0, "materialize before ordinary access");
+        self.write[w] |= m;
+    }
+
+    #[inline]
+    fn on_reduce(&mut self, e: usize) {
+        debug_assert!(e < self.size);
+        self.note_touch(e);
+        let (w, m) = slot(e);
+        debug_assert!(
+            (self.write[w] | self.read[w]) & m == 0,
+            "reduce after ordinary access must go through the ordinary path"
+        );
+        self.red[w] |= m;
+    }
+
+    #[inline]
+    fn materialize(&mut self, e: usize) {
+        let (w, m) = slot(e);
+        debug_assert!(self.red[w] & m != 0);
+        self.red[w] &= !m;
+        self.read[w] |= m;
+        self.write[w] |= m;
+    }
+
+    #[inline]
+    fn mark(&self, e: usize) -> Mark {
+        let (w, m) = slot(e);
+        let mut bits = 0u8;
+        if self.write[w] & m != 0 {
+            bits |= Mark::WRITE;
+        }
+        if self.read[w] & m != 0 {
+            bits |= Mark::EXPOSED_READ;
+        }
+        if self.red[w] & m != 0 {
+            bits |= Mark::REDUCTION;
+        }
+        Mark(bits)
     }
 }
 

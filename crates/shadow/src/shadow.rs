@@ -14,6 +14,22 @@ use crate::packed::PackedShadow;
 use crate::select::ShadowKind;
 use crate::sparse::SparseShadow;
 
+/// The per-element transitions of one representation. Code written
+/// once over `M: Marking` runs on whichever representation a [`Shadow`]
+/// holds, matched once for a batch of references.
+pub trait Marking {
+    /// Current mark of `elem`.
+    fn mark(&self, elem: usize) -> Mark;
+    /// Record an ordinary read of `elem`.
+    fn on_read(&mut self, elem: usize);
+    /// Record an ordinary write of `elem`.
+    fn on_write(&mut self, elem: usize);
+    /// Record a reduction update of `elem`.
+    fn on_reduce(&mut self, elem: usize);
+    /// Convert `elem`'s reduction marks to ordinary marks.
+    fn materialize(&mut self, elem: usize);
+}
+
 /// A per-processor shadow of one array under test, dense or sparse.
 #[derive(Clone, Debug)]
 pub enum Shadow {
@@ -136,18 +152,6 @@ impl Shadow {
             Shadow::Dense(s) => s.clear(),
             Shadow::Packed(s) => s.clear(),
             Shadow::Sparse(s) => s.clear(),
-        }
-    }
-
-    /// Install a previously observed mark verbatim (a copy between
-    /// representations). `mark` must be touched and `elem` must
-    /// currently be untouched.
-    #[inline]
-    pub fn restore(&mut self, elem: usize, mark: Mark) {
-        match self {
-            Shadow::Dense(s) => s.restore(elem, mark),
-            Shadow::Packed(s) => s.restore(elem, mark),
-            Shadow::Sparse(s) => s.restore(elem, mark),
         }
     }
 

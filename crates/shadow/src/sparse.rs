@@ -7,6 +7,7 @@
 
 use crate::hasher::FxBuildHasher;
 use crate::marks::Mark;
+use crate::shadow::Marking;
 use std::collections::HashMap;
 
 /// A sparse, per-processor shadow of one array under test.
@@ -20,39 +21,6 @@ impl SparseShadow {
     /// marked).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Record an ordinary read of `elem`.
-    #[inline]
-    pub fn on_read(&mut self, elem: usize) {
-        self.marks.entry(elem).or_default().on_read();
-    }
-
-    /// Record an ordinary write of `elem`.
-    #[inline]
-    pub fn on_write(&mut self, elem: usize) {
-        self.marks.entry(elem).or_default().on_write();
-    }
-
-    /// Record a reduction update of `elem`.
-    #[inline]
-    pub fn on_reduce(&mut self, elem: usize) {
-        self.marks.entry(elem).or_default().on_reduce();
-    }
-
-    /// Convert `elem`'s reduction marks to ordinary marks.
-    #[inline]
-    pub fn materialize(&mut self, elem: usize) {
-        self.marks
-            .get_mut(&elem)
-            .expect("materialize of untouched element")
-            .materialize_reduction();
-    }
-
-    /// Current mark of `elem` ([`Mark::CLEAR`] when untouched).
-    #[inline]
-    pub fn mark(&self, elem: usize) -> Mark {
-        self.marks.get(&elem).copied().unwrap_or(Mark::CLEAR)
     }
 
     /// Distinct elements referenced (arbitrary order).
@@ -70,21 +38,42 @@ impl SparseShadow {
         self.marks.clear();
     }
 
-    /// Install a previously observed mark verbatim (a copy between
-    /// representations). `mark` must be a touched, legal mark and
-    /// `elem` must currently be untouched.
-    pub fn restore(&mut self, elem: usize, mark: Mark) {
-        debug_assert!(mark.is_touched(), "restoring an untouched mark");
-        let prev = self.marks.insert(elem, mark);
-        debug_assert!(prev.is_none(), "restore over a live mark");
-    }
-
     /// Estimated shadow memory held, in bytes: the hash table's
     /// capacity at ~16 bytes per slot (key + mark + control/padding),
     /// what the engine holds against its cap. An estimate — `HashMap`
     /// does not expose its exact layout.
     pub fn shadow_bytes(&self) -> usize {
         self.marks.capacity() * 16
+    }
+}
+
+impl Marking for SparseShadow {
+    #[inline]
+    fn on_read(&mut self, elem: usize) {
+        self.marks.entry(elem).or_default().on_read();
+    }
+
+    #[inline]
+    fn on_write(&mut self, elem: usize) {
+        self.marks.entry(elem).or_default().on_write();
+    }
+
+    #[inline]
+    fn on_reduce(&mut self, elem: usize) {
+        self.marks.entry(elem).or_default().on_reduce();
+    }
+
+    #[inline]
+    fn materialize(&mut self, elem: usize) {
+        self.marks
+            .get_mut(&elem)
+            .expect("materialize of untouched element")
+            .materialize_reduction();
+    }
+
+    #[inline]
+    fn mark(&self, elem: usize) -> Mark {
+        self.marks.get(&elem).copied().unwrap_or(Mark::CLEAR)
     }
 }
 

@@ -2,7 +2,9 @@
 //! identical, and per-iteration mark lists obey the exposure rule.
 
 use proptest::prelude::*;
-use rlrpd_shadow::{DenseShadow, IterMarks, PackedShadow, Shadow, ShadowKind, SparseShadow};
+use rlrpd_shadow::{
+    DenseShadow, IterMarks, Marking, PackedShadow, Shadow, ShadowKind, SparseShadow,
+};
 
 /// An operation against an element, mirroring the view layer's legal
 /// routing (ordinary ops materialize reduction-marked elements first).
@@ -148,11 +150,23 @@ proptest! {
     }
 }
 
-/// A fresh shadow of `kind` holding every touched mark of `shadow`.
+/// A fresh shadow of `kind` holding every touched mark of `shadow`,
+/// rebuilt through the public transitions. A legal mark is `R`, `W`,
+/// `R|W` or `RED`: an exposed read is recorded before the write that
+/// cannot cover it, and a reduction-only mark is one reduce.
 fn copy_as(shadow: &Shadow, kind: ShadowKind, size: usize) -> Shadow {
     let mut out = Shadow::for_kind(kind, size);
     for (e, m) in shadow.touched() {
-        out.restore(e, m);
+        if m.is_reduction_only() {
+            out.on_reduce(e);
+            continue;
+        }
+        if m.is_exposed_read() {
+            out.on_read(e);
+        }
+        if m.is_written() {
+            out.on_write(e);
+        }
     }
     out
 }
@@ -185,7 +199,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Copying every touched mark into a fresh shadow of another kind
-    /// (`for_kind` + `restore`) is a byte-identity on mark state: after
+    /// (`for_kind` + the transitions) is a byte-identity on mark state: after
     /// any legal op sequence, every kind to every kind — and back —
     /// preserves every element's mark exactly.
     #[test]

@@ -41,7 +41,7 @@ use rlrpd::{
 use std::fmt;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A CLI failure, classified for the process exit code.
 enum CliError {
@@ -1175,7 +1175,7 @@ fn cmd_run(opts: Opts) -> Result<(), CliError> {
             said.lines().for_each(|line| println!("{at}{line}"));
             runner = runner.with_fault(Arc::clone(plan));
         }
-        let mut last = None;
+        let (mut last, mut spec_s) = (None, 0.0);
         for r in 0..runs {
             let mut journal = match journal_path {
                 Some(path) if resume => {
@@ -1192,7 +1192,9 @@ fn cmd_run(opts: Opts) -> Result<(), CliError> {
                 None => None,
             };
             let plan = attach(journal.as_mut(), &spec, &mut connector, resume);
+            let started = Instant::now();
             let res = runner.execute(&lp, plan)?;
+            spec_s = started.elapsed().as_secs_f64();
             if let (Some(path), Some(journal)) = (journal_path, &journal) {
                 println!(
                     "journal: {path} holds {} records ({} commits)",
@@ -1244,7 +1246,9 @@ fn cmd_run(opts: Opts) -> Result<(), CliError> {
         // The plain view of a DOACROSS run declares none: it runs in
         // sequential-equivalent order and must be byte-identical
         // throughout.
+        let started = Instant::now();
         let (seq, _) = run_sequential(&lp);
+        let seq_s = started.elapsed().as_secs_f64();
         verify(&seq, &res.arrays, &reduction_mask(&lp))?;
         println!(
             "{at}verified {} sequential execution ✓",
@@ -1253,6 +1257,11 @@ fn cmd_run(opts: Opts) -> Result<(), CliError> {
                 None => "against",
             }
         );
+        // The paper's promise on the clock, on real threads only.
+        if cfg.exec == ExecMode::Pooled {
+            let ratio = spec_s / seq_s;
+            println!("{at}wall: spec {spec_s:.6} s, seq {seq_s:.6} s (spec/seq {ratio:.2})");
+        }
         Ok(res)
     })?;
     if multi {

@@ -74,6 +74,7 @@ fn decisions(report: &rlrpd::core::RunReport, simulated: bool) -> Vec<rlrpd::run
                 let mut s = s.clone();
                 s.batched_iters = 0;
                 s.scalar_strips = 0;
+                s.lane_replays = 0;
                 s
             } else {
                 // Wall-clock fields differ run to run; keep the counts.

@@ -108,20 +108,21 @@ fn the_report_says_whether_strips_ran_and_classify_says_why_not() {
             .unwrap_or_else(|| panic!("no strips line in the report:\n{stdout}"));
         assert!(!line.starts_with("strips: 0 iterations"), "{line}");
         assert!(
-            line.ends_with(" batched, 0 strips re-executed scalar"),
+            line.ends_with(" batched, 0 strips re-executed scalar, 0 replayed lane by lane"),
             "{deck}: {line}"
         );
         let json = stdout.lines().last().unwrap();
         assert!(json.contains(",\"batched_iters\":"), "{json}");
         assert!(!json.contains("\"batched_iters\":0,"), "{json}");
         assert!(
-            json.trim_end().ends_with(",\"scalar_strips\":0}"),
+            json.trim_end()
+                .ends_with(",\"scalar_strips\":0,\"lane_replays\":0}"),
             "{deck}: {json}"
         );
         let tail = &json[json.find("\"fork_joins\"").expect("fork_joins")..];
         assert!(
             tail.find("\"batched_iters\"") < tail.find("\"scalar_strips\""),
-            "the two counters are the last keys: {tail}"
+            "the three counters are the last keys: {tail}"
         );
     }
 
@@ -154,11 +155,35 @@ fn the_report_says_whether_strips_ran_and_classify_says_why_not() {
     assert!(ok, "{stdout}");
     let json = stdout.lines().last().unwrap();
     assert!(
-        json.ends_with("\"batched_iters\":0,\"scalar_strips\":0}"),
+        json.ends_with("\"batched_iters\":0,\"scalar_strips\":0,\"lane_replays\":0}"),
         "{json}"
     );
     let (_, stdout, _) = rlrpd(&["classify", &program("premature_exit.rlp")]);
     assert!(stdout.contains("strips: off — 'break if'"), "{stdout}");
+}
+
+/// A run on real threads prints the wall-clock ratio the paper's
+/// guarantee is about; a simulated run prints no wall-clock line.
+#[test]
+fn a_pooled_run_prints_its_wall_clock_against_sequential() {
+    let deck = program("tracking.rlp");
+    let (ok, stdout, _) = rlrpd(&["run", &deck, "--procs", "2", "--pooled"]);
+    assert!(ok, "{stdout}");
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("wall: "))
+        .unwrap_or_else(|| panic!("no wall line:\n{stdout}"));
+    let seconds = |field: &str, end: &str| -> f64 {
+        let from = line.find(field).unwrap_or_else(|| panic!("{line}")) + field.len();
+        let to = from + line[from..].find(end).unwrap_or_else(|| panic!("{line}"));
+        line[from..to].parse().unwrap_or_else(|_| panic!("{line}"))
+    };
+    let (spec, seq) = (seconds("wall: spec ", " s, "), seconds(", seq ", " s ("));
+    let ratio = seconds("(spec/seq ", ")");
+    assert!(spec > 0.0 && seq > 0.0 && ratio > 0.0, "{line}");
+    assert!(line.ends_with(')'), "{line}");
+    let (ok, stdout, _) = rlrpd(&["run", &deck, "--procs", "2"]);
+    assert!(ok && !stdout.contains("wall"), "{stdout}");
 }
 
 #[test]

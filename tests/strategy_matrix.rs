@@ -165,15 +165,19 @@ mod pinned {
         })
     }
 
-    /// `json` without `"key":<number>,` — the wall-clock fields of a
-    /// report are not behaviour.
+    /// `json` without `"key":<number>` and its comma — the wall-clock
+    /// fields of a report are not behaviour, and neither is which order
+    /// a validated strip replayed its references in (`lane_replays`,
+    /// the last key; the replay oracle holds both orders to one state).
     fn without_key(json: &str, key: &str) -> String {
         let pat = format!("\"{key}\":");
         let Some(at) = json.find(&pat) else {
             return json.to_string();
         };
-        let end = at + json[at..].find(',').expect("not the last key") + 1;
-        format!("{}{}", &json[..at], &json[end..])
+        match json[at..].find(',') {
+            Some(len) => format!("{}{}", &json[..at], &json[at + len + 1..]),
+            None => format!("{}}}", json[..at].trim_end_matches(',')),
+        }
     }
 
     /// Append everything about `res` that must not move.
@@ -182,6 +186,7 @@ mod pinned {
             &without_key(&res.report.to_json(), "wall_seconds"),
             "journal_seconds",
         );
+        let json = without_key(&json, "lane_replays");
         out.extend_from_slice(json.as_bytes());
         for s in &res.report.stages {
             for v in [
