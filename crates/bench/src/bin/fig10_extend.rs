@@ -23,7 +23,7 @@ fn main() {
         let mut sp_row = vec![p.to_string()];
         for input in ExtendInput::all() {
             let lp = ExtendLoop::new(input);
-            let res = run_induction(&lp, p, ExecMode::Simulated, cost);
+            let res = run_induction(&lp, p, ExecMode::Simulated, cost).unwrap();
             pr_row.push(fmt(res.report.pr()));
             sp_row.push(fmt(res.report.speedup()));
         }
@@ -57,7 +57,7 @@ fn main() {
     let compiled = rlrpd_lang::CompiledInduction::compile(src).expect("compiles");
     let mut rows = Vec::new();
     for &p in PROCS {
-        let res = run_induction(&compiled, p, ExecMode::Simulated, cost);
+        let res = run_induction(&compiled, p, ExecMode::Simulated, cost).unwrap();
         assert!(
             res.test_passed,
             "source-level EXTEND must pass the range test"

@@ -138,6 +138,7 @@ fn main() {
             ExecMode::Simulated,
             cost,
         )
+        .expect("EXTEND runs")
         .report
         .speedup();
         let fp = best_speedup(&FptrakLoop::new(FptrakInput::chained()), p);

@@ -14,8 +14,9 @@
 //!   storage.
 //!
 //! The context also accumulates the iteration's extra virtual cost via
-//! [`IterCtx::charge`] and, in DDG-extraction mode, logs per-iteration
-//! marks.
+//! [`IterCtx::charge`], carries a counter loop's induction counter
+//! ([`IterCtx::counter`] / [`IterCtx::bump`]) and, in DDG-extraction
+//! mode, logs per-iteration marks.
 
 use crate::array::{ArrayDecl, ArrayId, ArrayKind, ShadowKind};
 use crate::buf::SharedBuf;
@@ -122,6 +123,9 @@ pub struct IterCtx<'a, T: Value = f64> {
     pub(crate) extra_cost: f64,
     /// Set when this iteration requested a premature loop exit.
     pub(crate) exited: bool,
+    /// The loop's induction counter (0, and unread, in a loop without
+    /// one); carried across iterations like `iter`.
+    pub(crate) counter: usize,
 }
 
 impl<'a, T: Value> IterCtx<'a, T> {
@@ -144,6 +148,7 @@ impl<'a, T: Value> IterCtx<'a, T> {
             iter_marks: None,
             extra_cost: 0.0,
             exited: false,
+            counter: 0,
         }
     }
 
@@ -380,6 +385,19 @@ impl<'a, T: Value> IterCtx<'a, T> {
     /// This block's write log so far (`None` in direct mode); read only.
     pub fn write_log(&self) -> Option<&WriteLog<T>> {
         self.wlog.as_deref()
+    }
+
+    /// The current value of the loop's induction counter
+    /// ([`crate::spec_loop::SpecLoop::initial_counter`]).
+    #[inline]
+    pub fn counter(&self) -> usize {
+        self.counter
+    }
+
+    /// Increment the induction counter.
+    #[inline]
+    pub fn bump(&mut self) {
+        self.counter += 1;
     }
 
     /// Add `cost` virtual time units to this iteration beyond the loop's

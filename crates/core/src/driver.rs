@@ -581,7 +581,8 @@ impl Runner {
     /// (by rollback and, if the [`FallbackPolicy`] demands it,
     /// sequential execution of the remainder) and reported on the
     /// [`RunReport`]. An `Err` means the plan was refused before anything
-    /// ran ([`RlrpdError::Plan`], see [`RunPlan::validate`]), the loop
+    /// ran ([`RlrpdError::Plan`], see [`RunPlan::validate`]; a counter
+    /// loop is refused as [`PlanError::CounterLoop`]), the loop
     /// itself is faulty ([`RlrpdError::ProgramFault`]), the run hit its
     /// hard stage cap, or the journal failed: [`JournalError::NotEmpty`]
     /// for a fresh run over a used journal, [`JournalError::NoHeader`]
@@ -669,6 +670,9 @@ impl Runner {
         elem: Option<ElemBits<T>>,
     ) -> Result<RunResult<T>, RlrpdError> {
         plan.validate(&self.cfg, self.fault.as_deref())?;
+        if lp.initial_counter().is_some() {
+            return Err(PlanError::CounterLoop.into());
+        }
         let RunPlan {
             mut journal,
             fleet,

@@ -70,6 +70,9 @@ pub(crate) struct BlockState<T: Value> {
     pub exit_iter: Option<u32>,
     /// What the loop's batch entry reported for this stage's block.
     pub tally: BatchTally,
+    /// The induction counter the block starts from; once it has run,
+    /// where the block left it (a counter loop's, [`crate::induction`]).
+    pub counter: usize,
 }
 
 /// Per-iteration marks of one committed block (DDG extraction).
@@ -208,11 +211,26 @@ pub(crate) struct Engine<'l, T: Value> {
     /// High-water mark of the views' footprint, injected spikes
     /// included (saturating: a spike of `u64::MAX` reads as that).
     pub shadow_peak: u64,
+    /// The induction counter [`Engine::run_direct`] starts from and
+    /// leaves behind: a counter loop's initial value until then (0, and
+    /// unread, for a loop without one).
+    pub counter: usize,
 }
 
 impl<'l, T: Value> Engine<'l, T> {
     /// Build an engine for `lp`, cloning the declared initial data.
+    /// A counter loop is refused: its counter moves only under
+    /// [`crate::run_induction`], which builds with [`Engine::build`].
     pub fn new(lp: &'l dyn SpecLoop<T>, cfg: EngineCfg, record_marks: bool) -> Self {
+        assert!(
+            lp.initial_counter().is_none(),
+            "a counter loop runs under run_induction"
+        );
+        Self::build(lp, cfg, record_marks)
+    }
+
+    /// [`Engine::new`] for any loop, a counter loop included.
+    pub(crate) fn build(lp: &'l dyn SpecLoop<T>, cfg: EngineCfg, record_marks: bool) -> Self {
         assert!(cfg.p > 0, "need at least one processor");
         let n = lp.num_iters();
         let RoutedArrays {
@@ -239,6 +257,7 @@ impl<'l, T: Value> Engine<'l, T> {
                 iter_costs: CostRuns::default(),
                 exit_iter: None,
                 tally: BatchTally::default(),
+                counter: 0,
             })
             .collect();
 
@@ -265,6 +284,7 @@ impl<'l, T: Value> Engine<'l, T> {
             remote: None,
             worker_loss: false,
             shadow_peak: 0,
+            counter: lp.initial_counter().unwrap_or(0),
         };
         // Fit the static picks to the cap before any stage runs: a
         // worker handed a smaller cap than the selection assumed
@@ -783,12 +803,13 @@ impl<'l, T: Value> Engine<'l, T> {
 
     /// The one block body. Execute the stage's blocks on the in-process
     /// executor — per block: reset its state, run its iterations
-    /// against its private views, record each iteration's cost and a
-    /// requested exit — containing any panic, and return the timing plus
-    /// the contained fault (if any). The local half of phase 3 of
-    /// [`Engine::run_stage`], and the whole of a fleet worker's block
-    /// ([`crate::remote`]: a one-block schedule on a one-processor
-    /// engine).
+    /// against its private views from the block's counter, record each
+    /// iteration's cost and a requested exit, and leave the counter
+    /// where the block ended — containing any panic, and return the
+    /// timing plus the contained fault (if any). The local half of
+    /// phase 3 of [`Engine::run_stage`], the whole of a fleet worker's
+    /// block ([`crate::remote`]: a one-block schedule on a
+    /// one-processor engine), and each doall of [`crate::run_induction`].
     ///
     /// The loop gets a block's whole range in one
     /// [`SpecLoop::run_iters`] call unless something must act between
@@ -822,6 +843,7 @@ impl<'l, T: Value> Engine<'l, T> {
                 &mut st.wlog,
                 record.then_some(&mut st.marks[..]),
             );
+            ctx.counter = st.counter;
             let iter_costs = &mut st.iter_costs;
             let exit_iter = &mut st.exit_iter;
             let mut after = |ctx: &mut IterCtx<'_, T>, n: usize| {
@@ -859,6 +881,7 @@ impl<'l, T: Value> Engine<'l, T> {
                     }
                 }
             }
+            st.counter = ctx.counter;
             total
         });
         let fault = panic.map(|jp| {
@@ -976,10 +999,11 @@ impl<'l, T: Value> Engine<'l, T> {
     }
 
     /// Execute `range` directly (no speculation) against the engine's
-    /// current shared state, returning the virtual work performed and
-    /// the exit iteration if the body requested a premature exit. Used
-    /// by the classic-LRPD baseline's sequential re-execution and by
-    /// the driver's sequential fallback.
+    /// current shared state and [`Engine::counter`], returning the
+    /// virtual work performed and the exit iteration if the body
+    /// requested a premature exit. Used by the classic-LRPD baseline's
+    /// sequential re-execution, the driver's sequential fallback and
+    /// the induction scheme's.
     ///
     /// A panic here *is* a genuine program fault — the iteration ran on
     /// exactly the state sequential execution would have given it — and
@@ -997,8 +1021,10 @@ impl<'l, T: Value> Engine<'l, T> {
         let lp = self.lp;
         let meta = &self.meta;
         let shared = &self.shared;
+        let counter = &mut self.counter;
         let run = catch_unwind(AssertUnwindSafe(|| {
             let mut ctx = IterCtx::direct(range.start, 0, meta, shared);
+            ctx.counter = *counter;
             lp.run_iters(range, &mut ctx, &mut |ctx, n| {
                 for _ in 0..n {
                     let (iter, extra, exit) = ctx.advance();
@@ -1011,6 +1037,7 @@ impl<'l, T: Value> Engine<'l, T> {
                 }
                 true
             });
+            *counter = ctx.counter;
         }));
         match run {
             Ok(()) => Ok((work, exited)),
@@ -1053,9 +1080,20 @@ fn fresh_views<T: Value>(
 /// truth every speculative strategy is tested against, and the
 /// denominator of reported speedups.
 pub fn run_sequential<T: Value>(lp: &dyn SpecLoop<T>) -> (Vec<(&'static str, Vec<T>)>, f64) {
+    let (arrays, work, _) = run_sequential_counted(lp);
+    (arrays, work)
+}
+
+/// [`run_sequential`], also returning where a counter loop's counter
+/// ends (`None` for a loop without one).
+#[allow(clippy::type_complexity)]
+pub fn run_sequential_counted<T: Value>(
+    lp: &dyn SpecLoop<T>,
+) -> (Vec<(&'static str, Vec<T>)>, f64, Option<usize>) {
     let RoutedArrays { meta, shared, .. } = RoutedArrays::new(lp.arrays());
     let mut work = 0.0;
     let mut ctx = IterCtx::direct(0, 0, &meta, &shared);
+    ctx.counter = lp.initial_counter().unwrap_or(0);
     lp.run_iters(0..lp.num_iters(), &mut ctx, &mut |ctx, n| {
         for _ in 0..n {
             let (iter, extra, exited) = ctx.advance();
@@ -1066,13 +1104,14 @@ pub fn run_sequential<T: Value>(lp: &dyn SpecLoop<T>) -> (Vec<(&'static str, Vec
         }
         true
     });
+    let counter = lp.initial_counter().map(|_| ctx.counter);
 
     let arrays = meta
         .iter()
         .map(|m| m.name)
         .zip(shared.into_iter().map(SharedBuf::into_vec))
         .collect();
-    (arrays, work)
+    (arrays, work, counter)
 }
 
 /// Which of `lp`'s arrays (in declaration order) declare a reduction

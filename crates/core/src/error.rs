@@ -35,6 +35,10 @@ pub enum PlanError {
     /// A fault plan that arms journal-record sites without a
     /// [`crate::RunPlan::journal`] to visit them.
     RecordFaultsWithoutJournal,
+    /// A loop with an induction counter
+    /// ([`crate::SpecLoop::initial_counter`]): it runs under
+    /// [`crate::run_induction`], whose blocks start from counted bases.
+    CounterLoop,
 }
 
 impl std::fmt::Display for PlanError {
@@ -68,6 +72,10 @@ impl std::fmt::Display for PlanError {
             PlanError::RecordFaultsWithoutJournal => {
                 "fault injection at a journal record requires a journal (--journal <path>): \
                  the plan arms sites an unjournaled run never visits"
+            }
+            PlanError::CounterLoop => {
+                "a loop with an induction counter runs under the induction scheme \
+                 (run_induction), not under a stage strategy"
             }
         })
     }

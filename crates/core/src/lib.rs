@@ -46,7 +46,9 @@
 //!   proper inspector; [`WavefrontSchedule`] + [`execute_wavefronts`]
 //!   run the resulting topological schedule (SPICE's DCDCMP technique).
 //! * [`run_induction`] — the EXTEND_400 conditional-induction-variable
-//!   scheme (two doalls + prefix sum + range test).
+//!   scheme (two doalls + prefix sum + range test) for a loop that
+//!   declares a counter ([`SpecLoop::initial_counter`]): a policy over
+//!   the same engine, views and commit.
 //! * Baselines: [`run_sequential`], [`run_classic_lrpd`] (speculate
 //!   once, serial on failure), [`run_inspector_executor`] (for loops
 //!   that *do* admit an inspector).
@@ -91,11 +93,11 @@ pub use driver::{
     run_speculative, AdaptRule, BalancePolicy, DoacrossConfig, FallbackPolicy, FallbackReason,
     RunConfig, RunPlan, RunResult, Runner, Strategy,
 };
-pub use engine::{reduction_mask, run_sequential, verify_against_sequential};
-pub use error::{PlanError, RlrpdError};
-pub use induction::{
-    run_induction, run_induction_sequential, IndCtx, InductionLoop, InductionResult,
+pub use engine::{
+    reduction_mask, run_sequential, run_sequential_counted, verify_against_sequential,
 };
+pub use error::{PlanError, RlrpdError};
+pub use induction::{run_induction, InductionResult};
 pub use inspector::{run_inspector_executor, AccessTrace, Inspectable, InspectorResult};
 pub use journal::{CommitRecord, FrameObserver, Journal, JournalElem, JournalError, JournalHeader};
 pub use ledger::{CostRun, CostRuns};

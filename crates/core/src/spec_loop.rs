@@ -83,6 +83,15 @@ pub trait SpecLoop<T: Value = f64>: Sync {
         1.0
     }
 
+    /// The loop's induction counter at loop entry, for a loop that has
+    /// one (EXTEND_400's LSTTRK): the body reads it with
+    /// [`IterCtx::counter`] and advances it with [`IterCtx::bump`]. A
+    /// counter loop runs under [`crate::run_induction`] only; every
+    /// other entry point refuses it. Defaults to none.
+    fn initial_counter(&self) -> Option<usize> {
+        None
+    }
+
     /// Human-readable name of the execution tier running this body —
     /// surfaced in CLI/diagnostic output so operators can tell which
     /// path a run exercised. Hand-written Rust bodies are `"native"`;
@@ -202,6 +211,10 @@ impl<T: Value> SpecLoop<T> for FullyInstrumented<'_, T> {
 
     fn cost(&self, iter: usize) -> f64 {
         self.inner.cost(iter)
+    }
+
+    fn initial_counter(&self) -> Option<usize> {
+        self.inner.initial_counter()
     }
 
     fn backend(&self) -> &'static str {

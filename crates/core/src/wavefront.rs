@@ -114,6 +114,10 @@ pub fn execute_wavefronts<T: Value>(
     cost: CostModel,
 ) -> (Vec<(&'static str, Vec<T>)>, WavefrontReport) {
     assert!(p > 0);
+    assert!(
+        lp.initial_counter().is_none(),
+        "a counter loop runs under run_induction"
+    );
     assert_eq!(
         schedule.num_iters(),
         lp.num_iters(),

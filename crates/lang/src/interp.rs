@@ -1,15 +1,14 @@
 //! The interpreter: executes a parsed loop body against the speculative
 //! engine's instrumented context — the run-time half of the pass.
 //!
-//! The evaluator is generic over [`DataCtx`] so the same body can run
-//! against the ordinary speculative context ([`rlrpd_core::IterCtx`])
-//! or the induction-variable context ([`rlrpd_core::IndCtx`], the
-//! EXTEND two-pass scheme).
+//! The evaluator is generic over [`DataCtx`]: the engine's context
+//! ([`rlrpd_core::IterCtx`], which also carries a counter program's
+//! induction counter) and the tests' stand-ins.
 
 use crate::analyze::Class;
 use crate::ast::*;
 use crate::bytecode::MemKind;
-use rlrpd_core::{ArrayId, IndCtx, IterCtx};
+use rlrpd_core::{ArrayId, IterCtx};
 use std::cell::RefCell;
 use std::ops::ControlFlow;
 
@@ -88,13 +87,13 @@ pub(crate) trait DataCtx {
     /// would leave behind: one memory instruction of a validated strip.
     fn replay_lanes(&mut self, a: usize, kind: MemKind, live: u32, idx: &[usize], val: &[f64]);
     fn exit(&mut self);
-    /// Current induction-counter value (induction contexts only).
+    /// Current induction-counter value.
     fn counter(&self) -> usize {
-        panic!("counters are only available in induction loops")
+        panic!("this context carries no counter")
     }
-    /// Bump the induction counter (induction contexts only).
+    /// Bump the induction counter.
     fn bump(&mut self) {
-        panic!("counters are only available in induction loops")
+        panic!("this context carries no counter")
     }
 }
 
@@ -119,6 +118,12 @@ impl DataCtx for IterCtx<'_, f64> {
     fn exit(&mut self) {
         IterCtx::exit(self)
     }
+    fn counter(&self) -> usize {
+        IterCtx::counter(self)
+    }
+    fn bump(&mut self) {
+        IterCtx::bump(self)
+    }
 }
 
 /// A context the VM's strip executor can run ahead on: it answers what
@@ -139,30 +144,6 @@ impl PeekCtx for IterCtx<'_, f64> {
     }
     fn len(&self, a: usize) -> usize {
         IterCtx::len(self, ArrayId(a as u32))
-    }
-}
-
-impl DataCtx for IndCtx<'_, f64> {
-    fn read(&mut self, a: usize, i: usize) -> f64 {
-        IndCtx::read(self, a, i)
-    }
-    fn write(&mut self, a: usize, i: usize, v: f64) {
-        IndCtx::write(self, a, i, v)
-    }
-    fn reduce(&mut self, _a: usize, _i: usize, _v: f64) {
-        panic!("reductions are not supported inside induction loops")
-    }
-    fn replay_lanes(&mut self, _: usize, _: MemKind, _: u32, _: &[usize], _: &[f64]) {
-        unreachable!("induction loops run no strips")
-    }
-    fn exit(&mut self) {
-        panic!("premature exit is not supported inside induction loops")
-    }
-    fn counter(&self) -> usize {
-        IndCtx::counter(self)
-    }
-    fn bump(&mut self) {
-        IndCtx::bump(self)
     }
 }
 

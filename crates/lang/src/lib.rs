@@ -44,10 +44,11 @@
 //!
 //! There is one compile path: parse, analyse every loop, lower. Its
 //! output is a [`CompiledProgram`], which [`CompiledLoop`] (one loop)
-//! and [`CompiledInduction`] (one loop and a `counter`) wrap for the
-//! runtime they hand it to — the speculative drivers or the EXTEND
-//! induction scheme. One tier dispatch (bytecode VM or tree-walk) runs
-//! the bodies of both.
+//! and [`CompiledInduction`] (one loop and a `counter`) wrap as
+//! [`SpecLoop`]s — for the speculative drivers, and for the EXTEND
+//! induction scheme ([`rlrpd_core::run_induction`]), which runs on the
+//! same engine. One tier dispatch (bytecode VM or tree-walk) runs the
+//! bodies of both, on the one iteration context.
 
 #![warn(missing_docs)]
 
@@ -77,8 +78,8 @@ use ast::Program;
 use bytecode::{lower_loop, LoopCode};
 use interp::Eval;
 use rlrpd_core::{
-    ArrayDecl, ArrayKind, BatchTally, IndCtx, InductionLoop, IterCtx, Reduction, RunConfig,
-    RunReport, RunResult, ShadowKind, SpecLoop,
+    ArrayDecl, ArrayKind, BatchTally, IterCtx, Reduction, RunConfig, RunReport, RunResult,
+    ShadowKind, SpecLoop,
 };
 use std::ops::Range;
 
@@ -211,10 +212,11 @@ impl CompiledProgram {
     /// leak per compilation), build the class tables and lower.
     ///
     /// A counter program's `Reduction` verdicts are demoted to `Tested`
-    /// first: the induction context has no reduction path
-    /// ([`IndCtx::reduce`] panics), so `⊕=` routes as plain
-    /// read-modify-write and no `Reduce` instruction is emitted. Every
-    /// other verdict is the speculative scheme's.
+    /// first: the induction scheme is held to bit identity with
+    /// sequential execution, which a reassociated fold would break, so
+    /// `⊕=` routes as plain read-modify-write and no `Reduce`
+    /// instruction is emitted. Every other verdict is the speculative
+    /// scheme's.
     fn build(program: Program) -> Self {
         let mut analyses = analyze_program(&program);
         if program.counter.is_some() {
@@ -561,10 +563,9 @@ impl CompiledProgram {
         }
     }
 
-    /// The body of iteration `iter` of loop `k`, on the speculative
-    /// context or the induction one: the one tier dispatch of both
-    /// schemes.
-    fn body_of<C: interp::DataCtx>(&self, k: usize, iter: usize, ctx: &mut C) {
+    /// The body of iteration `iter` of loop `k`: the one tier dispatch
+    /// of both schemes.
+    fn body_of(&self, k: usize, iter: usize, ctx: &mut IterCtx<'_, f64>) {
         let nest = &self.program.loops[k];
         let i = (nest.range.0 + iter) as f64;
         match self.backend {
@@ -696,6 +697,10 @@ impl SpecLoop<f64> for ProgramLoop<'_> {
         self.prog.program.loops[self.k].cost
     }
 
+    fn initial_counter(&self) -> Option<usize> {
+        self.prog.program.counter.as_ref().map(|&(_, init)| init)
+    }
+
     fn backend(&self) -> &'static str {
         self.prog.backend.describe()
     }
@@ -775,13 +780,13 @@ pub fn compile(src: &str) -> Result<CompiledLoop, LangError> {
     CompiledLoop::compile(src)
 }
 
-/// A compiled induction-pattern loop (a `counter` declaration): runs
-/// under the EXTEND two-pass scheme
+/// A compiled induction-pattern loop (a `counter` declaration): a
+/// counter [`SpecLoop`] for the EXTEND two-pass scheme
 /// ([`rlrpd_core::run_induction`]) — first doall from zero offsets
-/// collecting bump counts and reference ranges, prefix sum, range
-/// test, second doall with exact offsets. The type guarantees a counter
-/// and exactly one loop; the compiled program is the speculative
-/// scheme's, built by the same path.
+/// for the bump totals, running sum, second doall from exact starts,
+/// range test. The type guarantees a counter and exactly one loop; the
+/// compiled program is the speculative scheme's, built by the same
+/// path.
 #[derive(Debug)]
 pub struct CompiledInduction(CompiledProgram);
 
@@ -821,18 +826,18 @@ impl CompiledInduction {
     }
 }
 
-impl InductionLoop<f64> for CompiledInduction {
+impl SpecLoop<f64> for CompiledInduction {
     fn num_iters(&self) -> usize {
         self.0.iters_of(0)
     }
 
-    fn initial_counter(&self) -> usize {
-        self.counter().1
+    fn initial_counter(&self) -> Option<usize> {
+        Some(self.counter().1)
     }
 
     fn arrays(&self) -> Vec<ArrayDecl<f64>> {
-        // The induction runtime range-tests every array itself; the
-        // declared kinds are ignored (ArrayDecl::tested as carrier).
+        // The induction scheme range-tests every array, whatever its
+        // static verdict: all are tested.
         self.0
             .names
             .iter()
@@ -841,12 +846,16 @@ impl InductionLoop<f64> for CompiledInduction {
             .collect()
     }
 
-    fn body(&self, iter: usize, ctx: &mut IndCtx<'_, f64>) {
+    fn body(&self, iter: usize, ctx: &mut IterCtx<'_, f64>) {
         self.0.body_of(0, iter, ctx)
     }
 
     fn cost(&self, _iter: usize) -> f64 {
         self.0.program.loops[0].cost
+    }
+
+    fn backend(&self) -> &'static str {
+        self.0.backend.describe()
     }
 }
 
@@ -1286,7 +1295,13 @@ mod tests {
         ";
         let lp = CompiledInduction::compile(src).unwrap();
         assert_eq!(lp.counter(), ("lsttrk", 100));
-        let res = run_induction(&lp, 8, ExecMode::Simulated, CostModel::default());
+        // The program's own loop view states the counter too: no entry
+        // point starts it at 0.
+        let view = lp
+            .as_program()
+            .loop_view(0, lp.as_program().initial_arrays());
+        assert_eq!(view.initial_counter(), Some(100));
+        let res = run_induction(&lp, 8, ExecMode::Simulated, CostModel::default()).unwrap();
         assert!(
             res.test_passed,
             "range test passes: reads stay in the prefix"
@@ -1327,7 +1342,7 @@ mod tests {
             }
         ";
         let lp = CompiledInduction::compile(src).unwrap();
-        let res = run_induction(&lp, 4, ExecMode::Simulated, CostModel::default());
+        let res = run_induction(&lp, 4, ExecMode::Simulated, CostModel::default()).unwrap();
         assert!(!res.test_passed, "reads intersect writes");
         assert_eq!(res.final_counter, 250);
         // Ground truth: a running chain starting from T[49] = 0.

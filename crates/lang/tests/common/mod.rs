@@ -1,5 +1,8 @@
 //! The program generators the VM's differential suites share.
 
+// Each suite draws on some of the generators, not all.
+#![allow(dead_code)]
+
 /// Build a random guarded/affine program over A (strided + backward
 /// refs), B (disjoint rows — elision candidates), and H (modulo
 /// reduction). Subscripts stay in bounds by construction (sizes leave
@@ -80,4 +83,44 @@ pub fn strip_program(n: usize, stmts: &[(u8, usize, usize)], fault: Option<usize
         "array A[{sz}] = 1;\narray B[{sz}] = 2;\narray C[{sz}];\n\
          array H[8] : reduction(+);\nfor i in 0..{n} {{\n{body}}}"
     )
+}
+
+/// A counter program: `counter c = K` over a track array T whose first
+/// `K` elements are the read-only prefix, and a plain array B. The
+/// statements cover bumps guarded by `i`, by the prefix's contents and
+/// by contents the loop itself wrote (the extension region and B
+/// behind `i`); writes at the counter and one past it; reads in the
+/// prefix and in the extension region; and, rarely, a premature exit.
+/// T leaves room past every bump, so subscripts stay in bounds.
+pub fn counter_program(n: usize, k: usize, stmts: &[(u8, usize, usize)]) -> String {
+    let sz = k + (stmts.len() + 1) * n + 2;
+    let mut body = String::new();
+    for &(kind, a, b) in stmts {
+        let a = a % 5 + 1; // 1..=5
+        let b = b % k; // a prefix index
+        match kind % 9 {
+            0 => body.push_str(&format!("  T[c] = T[(i * {a} + {b}) % {k}] * 0.5 + i;\n")),
+            1 => body.push_str(&format!(
+                "  if i % {} == {} {{ bump c; }}\n",
+                a + 1,
+                b % (a + 1)
+            )),
+            2 => body.push_str(&format!(
+                "  if T[(i + {b}) % {k}] + i % {} > 2 {{ bump c; }}\n",
+                a + 1
+            )),
+            3 => body.push_str(&format!("  T[c + 1] = T[c] + {a};\n")),
+            4 => body.push_str(&format!("  if T[c - 1] > {a} {{ bump c; }}\n")),
+            5 => body.push_str(&format!(
+                "  let v = T[{k} + (i * {a}) % {n}];\n  B[i] = v + T[c];\n"
+            )),
+            6 => body.push_str(&format!(
+                "  if B[i] < 1 {{ T[c] = i * {a}; }} else {{ bump c; }}\n"
+            )),
+            7 => body.push_str(&format!("  if i > {b} && B[i - 1] > {a} {{ bump c; }}\n")),
+            _ if a == 1 => body.push_str(&format!("  break if i == {n} - 2 + {};\n", b % 3)),
+            _ => body.push_str("  T[c] = i;\n"),
+        }
+    }
+    format!("array T[{sz}] = 1;\narray B[{n}];\ncounter c = {k};\nfor i in 0..{n} {{\n{body}}}")
 }

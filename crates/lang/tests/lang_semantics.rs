@@ -108,7 +108,7 @@ fn counter_value_is_readable_in_expressions() {
     use rlrpd_core::{run_induction, CostModel, ExecMode};
     let src = "array A[40];\ncounter c = 5;\nfor i in 0..10 {\n  A[c] = c * 10 + i;\n  bump c;\n}";
     let ind = rlrpd_lang::CompiledInduction::compile(src).unwrap();
-    let res = run_induction(&ind, 4, ExecMode::Simulated, CostModel::default());
+    let res = run_induction(&ind, 4, ExecMode::Simulated, CostModel::default()).unwrap();
     assert!(res.test_passed);
     // A[5] = 50, A[6] = 61, …
     assert_eq!(res.arrays[0].1[5], 50.0);

@@ -9,21 +9,22 @@
 //! counter (LSTTRK) that is incremented conditionally and whose values
 //! cannot be precomputed."*
 //!
-//! The kernel implements exactly that pattern against
-//! [`rlrpd_core::InductionLoop`]: iteration `i` reads a few slots of
-//! the read-only prefix (the existing tracks), writes a candidate track
-//! into the slot at the current counter (the temporary extension), and
-//! — when the input-dependent gate fires — bumps LSTTRK to make the
-//! extension permanent. Unbumped slots are overwritten by the next
+//! The kernel implements exactly that pattern as a counter
+//! [`rlrpd_core::SpecLoop`] for [`rlrpd_core::run_induction`]:
+//! iteration `i` reads a few slots of the read-only prefix (the
+//! existing tracks), writes a candidate track into the slot at the
+//! current counter (the temporary extension), and — when the
+//! input-dependent gate fires — bumps LSTTRK to make the extension
+//! permanent. Unbumped slots are overwritten by the next
 //! iteration; the one-slot overlap between consecutive processors is
 //! resolved by the last-value commit of the two-pass scheme.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rlrpd_core::{ArrayDecl, IndCtx, InductionLoop, ShadowKind};
+use rlrpd_core::{ArrayDecl, ArrayId, IterCtx, ShadowKind, SpecLoop};
 
-/// Declaration index of the TRACK array.
-const TRACK: usize = 0;
+/// The TRACK array.
+const TRACK: ArrayId = ArrayId(0);
 
 /// An input deck for EXTEND_400.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -142,13 +143,13 @@ impl ExtendLoop {
     }
 }
 
-impl InductionLoop for ExtendLoop {
+impl SpecLoop for ExtendLoop {
     fn num_iters(&self) -> usize {
         self.input.n
     }
 
-    fn initial_counter(&self) -> usize {
-        self.input.initial_tracks
+    fn initial_counter(&self) -> Option<usize> {
+        Some(self.input.initial_tracks)
     }
 
     fn arrays(&self) -> Vec<ArrayDecl<f64>> {
@@ -159,7 +160,7 @@ impl InductionLoop for ExtendLoop {
         vec![ArrayDecl::tested("TRACK", init, ShadowKind::Sparse)]
     }
 
-    fn body(&self, i: usize, ctx: &mut IndCtx<'_, f64>) {
+    fn body(&self, i: usize, ctx: &mut IterCtx<'_, f64>) {
         // Correlate the observation against existing tracks (read-only
         // prefix: indices < initial LSTTRK, offset-independent).
         let a = ctx.read(TRACK, self.probes[i][0]);
@@ -208,7 +209,7 @@ mod tests {
         for input in ExtendInput::all() {
             let lp = ExtendLoop::new(input);
             let (expect, final_counter) = sequential_extend(&lp);
-            let res = run_induction(&lp, 8, ExecMode::Simulated, CostModel::default());
+            let res = run_induction(&lp, 8, ExecMode::Simulated, CostModel::default()).unwrap();
             let should_pass = input.wild_probe_rate == 0.0;
             assert_eq!(
                 res.test_passed, should_pass,
@@ -231,7 +232,7 @@ mod tests {
     fn contended_deck_fails_range_test_but_stays_correct() {
         let lp = ExtendLoop::new(ExtendInput::contended());
         let (expect, _) = sequential_extend(&lp);
-        let res = run_induction(&lp, 8, ExecMode::Simulated, CostModel::default());
+        let res = run_induction(&lp, 8, ExecMode::Simulated, CostModel::default()).unwrap();
         assert!(!res.test_passed);
         assert_eq!(res.arrays[0].1, expect);
         assert!(res.report.pr() < 1.0);
@@ -240,7 +241,7 @@ mod tests {
     #[test]
     fn final_counter_counts_accepts() {
         let lp = ExtendLoop::new(ExtendInput::sparse());
-        let res = run_induction(&lp, 4, ExecMode::Simulated, CostModel::default());
+        let res = run_induction(&lp, 4, ExecMode::Simulated, CostModel::default()).unwrap();
         assert_eq!(
             res.final_counter,
             lp.input.initial_tracks + lp.expected_accepts()
@@ -251,7 +252,7 @@ mod tests {
     fn works_on_one_processor() {
         let lp = ExtendLoop::new(ExtendInput::dense());
         let (expect, _) = sequential_extend(&lp);
-        let res = run_induction(&lp, 1, ExecMode::Simulated, CostModel::default());
+        let res = run_induction(&lp, 1, ExecMode::Simulated, CostModel::default()).unwrap();
         assert!(res.test_passed);
         assert_eq!(res.arrays[0].1, expect);
     }

@@ -9,7 +9,7 @@
 //! here recreates the loop's *memory-reference structure* — the guarded
 //! writes, indirections, induction counters, sparsity patterns and
 //! dependence distances the paper describes — as a Rust
-//! [`rlrpd_core::SpecLoop`] (or [`rlrpd_core::InductionLoop`]) with
+//! [`rlrpd_core::SpecLoop`] (EXTEND's with an induction counter) with
 //! seeded, deterministic generators standing in for the input decks.
 //! The LRPD machinery observes only address streams, so faithful
 //! address streams reproduce the algorithmic behaviour (stage counts,

@@ -1285,7 +1285,7 @@ fn run_induction_program(ind: CompiledInduction, cfg: &RunConfig) -> Result<(), 
     let (name, init) = ind.counter();
     println!("induction program: counter '{name}' starting at {init}");
     println!("backend: {}", ind.as_program().backend().describe());
-    let res = rlrpd::run_induction(&ind, cfg.p, cfg.exec, cfg.cost);
+    let res = rlrpd::run_induction(&ind, cfg.p, cfg.exec, cfg.cost)?;
     println!(
         "range test {}; stages = {}, PR = {:.3}, speedup = {:.2}x, final {name} = {}",
         if res.test_passed {
@@ -1300,11 +1300,11 @@ fn run_induction_program(ind: CompiledInduction, cfg: &RunConfig) -> Result<(), 
     );
     // The scheme declares no reductions: bit identity, and the counter
     // must end where sequential execution leaves it.
-    let (seq, counter) = rlrpd::core::run_induction_sequential(&ind);
+    let (seq, _, counter) = rlrpd::core::run_sequential_counted(&ind);
     verify(&seq, &res.arrays, &vec![false; seq.len()])?;
-    if res.final_counter != counter {
+    if Some(res.final_counter) != counter {
         return Err(CliError::Other(format!(
-            "INTERNAL: final {name} = {}, sequential execution ends at {counter}",
+            "INTERNAL: final {name} = {}, sequential execution ends at {counter:?}",
             res.final_counter
         )));
     }

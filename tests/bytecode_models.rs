@@ -262,7 +262,7 @@ fn extend_induction_program_is_byte_identical_across_modes() {
             if interp {
                 ind = ind.with_interpreter();
             }
-            let res = run_induction(&ind, 4, exec, CostModel::default());
+            let res = run_induction(&ind, 4, exec, CostModel::default()).unwrap();
             let arrays: Vec<(&'static str, Vec<u64>)> = res
                 .arrays
                 .iter()

@@ -586,6 +586,39 @@ fn genuine_program_fault_exits_2() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A counter that runs past its array is the loop's fault, not the
+/// runtime's: the range test refuses the touch beyond the array, and the
+/// sequential fallback faults at the iteration that makes it — on every
+/// backend and executor.
+#[test]
+fn a_counter_past_its_array_is_a_program_fault() {
+    let path = scratch("counter_oob.rlp");
+    std::fs::write(
+        &path,
+        "array T[10];\ncounter c = 5;\nfor i in 0..100 { T[c] = i; bump c; }\n",
+    )
+    .unwrap();
+    let file = path.to_str().unwrap();
+    for args in [
+        &["--procs", "4"][..],
+        &["--no-compile", "--procs", "1"],
+        &["--pooled", "--procs", "2"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_rlrpd"))
+            .args(["run", file])
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("program fault at iteration 5"),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn stage_limit_exits_3() {
     // tracking.rlp needs more than one stage under NRD; a cap of 1

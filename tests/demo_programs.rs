@@ -66,7 +66,7 @@ fn induction_demos_pass_their_range_tests() {
         let Ok(ind) = CompiledInduction::compile(&src) else {
             continue;
         };
-        let res = rlrpd::run_induction(&ind, 8, ExecMode::Simulated, CostModel::default());
+        let res = rlrpd::run_induction(&ind, 8, ExecMode::Simulated, CostModel::default()).unwrap();
         assert!(res.test_passed, "{name}: range test should pass");
         assert!(
             res.report.speedup() > 1.0,

@@ -128,8 +128,8 @@ fn induction_scheme_agrees_across_executors() {
     use rlrpd::loops::extend::{ExtendInput, ExtendLoop};
     use rlrpd::{run_induction, CostModel};
     let lp = ExtendLoop::new(ExtendInput::dense());
-    let sim = run_induction(&lp, 8, ExecMode::Simulated, CostModel::default());
-    let thr = run_induction(&lp, 8, ExecMode::Pooled, CostModel::default());
+    let sim = run_induction(&lp, 8, ExecMode::Simulated, CostModel::default()).unwrap();
+    let thr = run_induction(&lp, 8, ExecMode::Pooled, CostModel::default()).unwrap();
     assert_eq!(sim.test_passed, thr.test_passed);
     assert_eq!(sim.final_counter, thr.final_counter);
     assert_eq!(sim.arrays, thr.arrays);

@@ -10,7 +10,8 @@ mod common;
 use common::{check, seeded, Deck, JournalLeg, Leg, Tally, Tuple, DECKS, STRATEGIES};
 use rlrpd::core::driver::MAX_PROCESSORS;
 use rlrpd::core::PlanError;
-use rlrpd::{ExecMode, Strategy};
+use rlrpd::loops::extend::{ExtendInput, ExtendLoop};
+use rlrpd::{ExecMode, RlrpdError, RunConfig, RunPlan, Runner, Strategy};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Every tuple of `deck`: the strategies (the pipeline where proven) on
@@ -101,6 +102,15 @@ fn validate_and_execute_agree_on_every_tuple() {
     for (what, n) in other {
         *counts.entry(what).or_default() += n;
     }
+    // No deck above has a counter: a counter loop is refused whatever
+    // the plan, so it takes a row of its own.
+    let extend = ExtendLoop::new(ExtendInput::sparse());
+    for strategy in common::strategies(&STRATEGIES) {
+        let mut runner = Runner::new(RunConfig::new(4).with_strategy(strategy));
+        let got = runner.execute(&extend, RunPlan::default()).err();
+        assert_eq!(got, Some(RlrpdError::Plan(PlanError::CounterLoop)));
+        *counts.entry("CounterLoop".into()).or_default() += 1;
+    }
     println!("plan matrix: tuples, refusals, and runs in which a site fired: {counts:?}");
     // A `PlanError` variant no tuple produced, or a leg whose site never
     // fires, tests nothing. (A new variant does not compile until it is
@@ -113,7 +123,8 @@ fn validate_and_execute_agree_on_every_tuple() {
         | DoacrossOverFleet
         | DoacrossWithFaults
         | FleetWithIterationFaults
-        | RecordFaultsWithoutJournal => [
+        | RecordFaultsWithoutJournal
+        | CounterLoop => [
             NoProcessors,
             TooManyProcessors,
             ResumeWithoutJournal,
@@ -121,6 +132,7 @@ fn validate_and_execute_agree_on_every_tuple() {
             DoacrossWithFaults,
             FleetWithIterationFaults,
             RecordFaultsWithoutJournal,
+            CounterLoop,
         ],
     };
     let kinds = "panic shadow-pressure budget short-write fsync-fail corrupt slow-fsync \
