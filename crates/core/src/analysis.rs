@@ -36,6 +36,10 @@ use rlrpd_shadow::hasher::FxBuildHasher;
 use rlrpd_shadow::Mark;
 use std::collections::HashMap;
 
+/// The arc rule's map, element -> (earliest producing block position,
+/// arc reported): the engine's, kept at its capacity between stages.
+pub(crate) type Producers = HashMap<usize, (u32, bool), FxBuildHasher>;
+
 /// One detected cross-block flow arc (first arc per element reported).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DepArc {
@@ -82,9 +86,9 @@ fn flow_arcs(
     blocks: impl Iterator<Item = impl Iterator<Item = (usize, Mark)>>,
     array: u32,
     arcs: &mut Vec<DepArc>,
+    producers: &mut Producers,
 ) {
-    // element -> (earliest producing block position, arc reported).
-    let mut producers: HashMap<usize, (u32, bool), FxBuildHasher> = HashMap::default();
+    producers.clear();
     for (pos, block) in blocks.enumerate() {
         for (elem, mark) in block {
             // Check the read against *strictly earlier* producers
@@ -118,10 +122,12 @@ fn flow_arcs(
 ///
 /// `per_pos_views[pos][slot]` is block `pos`'s view of tested array
 /// `slot`; `tested_ids[slot]` maps a slot back to its declaration index
-/// for reporting. Arcs are returned in canonical `(array, elem)` order.
+/// for reporting; `producers` is the engine's scratch. Arcs are returned
+/// in canonical `(array, elem)` order.
 pub(crate) fn analyze<T: Value>(
     per_pos_views: &[&[ProcView<T>]],
     tested_ids: &[usize],
+    producers: &mut Producers,
 ) -> AnalysisResult {
     let mut result = AnalysisResult::default();
     for (slot, &id) in tested_ids.iter().enumerate() {
@@ -129,6 +135,7 @@ pub(crate) fn analyze<T: Value>(
             per_pos_views.iter().map(|views| views[slot].touched()),
             id as u32,
             &mut result.arcs,
+            producers,
         );
     }
     // The scan emits arcs in touch order; at most one arc per
@@ -164,7 +171,7 @@ mod tests {
     fn run(views: Vec<ProcView<f64>>) -> AnalysisResult {
         let wrapped: Vec<Vec<ProcView<f64>>> = views.into_iter().map(|v| vec![v]).collect();
         let refs: Vec<&[ProcView<f64>]> = wrapped.iter().map(|v| v.as_slice()).collect();
-        analyze(&refs, &[0])
+        analyze(&refs, &[0], &mut Producers::default())
     }
 
     #[test]

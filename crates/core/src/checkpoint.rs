@@ -145,8 +145,8 @@ impl<T: Value> WriteLog<T> {
     /// Record a write of `elem` in untested array `slot`; `old` supplies
     /// the pre-write value and is only called on the first write of the
     /// element this stage, and only for an undo slot under the
-    /// on-demand policy.
-    #[inline]
+    /// on-demand policy. Inline; the log's growth is out of line.
+    #[inline(always)]
     pub fn record(&mut self, slot: usize, elem: usize, old: impl FnOnce() -> T) {
         let log = &mut self.slots[slot];
         let (word, bit) = (&mut log.written[elem / 64], 1u64 << (elem % 64));

@@ -38,6 +38,10 @@ pub(crate) struct CommitStats {
     pub max_per_block: usize,
 }
 
+/// The fold's map, element -> (value so far, last contributing block
+/// position): the engine's, kept at its capacity between stages.
+pub(crate) type FinalValues<T> = HashMap<usize, (T, usize), FxBuildHasher>;
+
 /// Write-back work list per contributing block:
 /// (array declaration index, element, final value).
 pub(crate) type PerBlock<T> = Vec<Vec<(u32, usize, T)>>;
@@ -49,18 +53,19 @@ pub(crate) type PerBlock<T> = Vec<Vec<(u32, usize, T)>>;
 /// `per_pos_views` must be the committing prefix, in block order;
 /// `reductions[slot]` is the declared operator of tested slot `slot`;
 /// `tested_ids[slot]` maps the slot to its array declaration index in
-/// `shared`.
+/// `shared`; `final_vals` is the engine's scratch.
 pub(crate) fn commit_tested<T: Value>(
     per_pos_views: &[&[ProcView<T>]],
     tested_ids: &[usize],
     reductions: &[Option<Reduction<T>>],
     shared: &[SharedBuf<T>],
+    final_vals: &mut FinalValues<T>,
 ) -> (CommitStats, PerBlock<T>) {
     let mut stats = CommitStats::default();
     let mut per_block: PerBlock<T> = vec![Vec::new(); per_pos_views.len()];
     for (slot, &array_id) in tested_ids.iter().enumerate() {
         let buf = &shared[array_id];
-        let (final_vals, most) = fold_in_block_order(
+        let most = fold_in_block_order(
             per_pos_views
                 .iter()
                 .map(|views| views[slot].contributions()),
@@ -68,10 +73,11 @@ pub(crate) fn commit_tested<T: Value>(
             // concurrent writers of tested shared data.
             |elem| unsafe { buf.get(elem) },
             reductions[slot],
+            final_vals,
         );
         stats.max_per_block = stats.max_per_block.max(most);
         stats.elems_committed += final_vals.len();
-        for (elem, (v, who)) in final_vals {
+        for (elem, (v, who)) in final_vals.drain() {
             // SAFETY: the commit runs on one thread, and each element
             // is written once, as its last contributing block `who`.
             unsafe { buf.set(elem, v, who as u32) };
@@ -85,16 +91,16 @@ pub(crate) fn commit_tested<T: Value>(
 /// block's contributions to one tested array. A write replaces the
 /// element's value; a delta folds, with the array's `reduction`, onto
 /// the value so far — `shared_value(elem)` when no earlier block
-/// contributed. Returns each element's final value with the last block
-/// that contributed to it, and the largest number of contributions any
-/// one block made.
+/// contributed. Leaves each element's final value with the last block
+/// that contributed to it in `final_vals`, and returns the largest
+/// number of contributions any one block made.
 fn fold_in_block_order<T: Value>(
     blocks: impl Iterator<Item = impl Iterator<Item = (usize, Contribution<T>)>>,
     shared_value: impl Fn(usize) -> T,
     reduction: Option<Reduction<T>>,
-) -> (HashMap<usize, (T, usize), FxBuildHasher>, usize) {
-    // element -> (value so far, last contributing block position).
-    let mut final_vals: HashMap<usize, (T, usize), FxBuildHasher> = HashMap::default();
+    final_vals: &mut FinalValues<T>,
+) -> usize {
+    final_vals.clear();
     let mut max_per_block = 0usize;
     for (pos, block) in blocks.enumerate() {
         let mut contributions = 0usize;
@@ -115,7 +121,7 @@ fn fold_in_block_order<T: Value>(
         }
         max_per_block = max_per_block.max(contributions);
     }
-    (final_vals, max_per_block)
+    max_per_block
 }
 
 #[cfg(test)]
@@ -136,7 +142,7 @@ mod tests {
         let wrapped: Vec<Vec<ProcView<f64>>> = views.into_iter().map(|v| vec![v]).collect();
         let refs: Vec<&[ProcView<f64>]> = wrapped.iter().map(|v| v.as_slice()).collect();
         let bufs = std::slice::from_ref(buf);
-        commit_tested(&refs, &[0], &[red], bufs).0
+        commit_tested(&refs, &[0], &[red], bufs, &mut FinalValues::default()).0
     }
 
     #[test]

@@ -191,27 +191,26 @@ impl<'a, T: Value> IterCtx<'a, T> {
         self.iter
     }
 
-    /// Read element `i` of array `a`.
-    #[inline]
+    /// Read element `i` of array `a`. Like `write` and `reduce`, an
+    /// inline arm per route; DDG marks, a tested update's bound check
+    /// and direct-mode updates of a tested array are out of line.
+    #[inline(always)]
     pub fn read(&mut self, a: ArrayId, i: usize) -> T {
-        let m = &self.meta[a.index()];
-        match m.route {
+        let buf = &self.shared[a.index()];
+        match self.meta[a.index()].route {
             Route::Tested { slot } if !self.views.is_empty() => {
-                if let Some(marks) = self.iter_marks.as_deref_mut() {
-                    marks[slot].on_read(i, self.iter as u32);
+                if self.iter_marks.is_some() {
+                    self.tested_cold(slot, i, None);
                 }
-                let buf = &self.shared[a.index()];
                 // SAFETY: tested arrays are never written during a
                 // speculative stage (all writes are privatized).
                 self.views[slot].read(i, |e| unsafe { buf.get(e) })
             }
-            _ => {
-                // Direct mode, or untested array: read shared.
-                // SAFETY: untested disjointness contract — no concurrent
-                // writer of an element another iteration reads; direct
-                // mode is governed by the wavefront/sequential schedule.
-                unsafe { self.shared[a.index()].get(i) }
-            }
+            // Direct mode, or untested array: read shared.
+            // SAFETY: untested disjointness contract — no concurrent
+            // writer of an element another iteration reads; direct
+            // mode is governed by the wavefront/sequential schedule.
+            _ => unsafe { buf.get(i) },
         }
     }
 
@@ -267,18 +266,17 @@ impl<'a, T: Value> IterCtx<'a, T> {
     }
 
     /// Write `v` to element `i` of array `a`.
-    #[inline]
+    #[inline(always)]
     pub fn write(&mut self, a: ArrayId, i: usize, v: T) {
-        let m = &self.meta[a.index()];
-        match m.route {
+        let buf = &self.shared[a.index()];
+        match self.meta[a.index()].route {
             Route::Tested { slot } if !self.views.is_empty() => {
-                if let Some(marks) = self.iter_marks.as_deref_mut() {
-                    marks[slot].on_write(i, self.iter as u32);
+                if i >= buf.len() || self.iter_marks.is_some() {
+                    self.tested_cold(slot, i, Some(buf.len()));
                 }
                 self.views[slot].write(i, v);
             }
             Route::Untested { slot } => {
-                let buf = &self.shared[a.index()];
                 if let Some(wlog) = self.wlog.as_deref_mut() {
                     // SAFETY: first-write snapshot read of an element
                     // only this block writes (untested contract).
@@ -288,12 +286,7 @@ impl<'a, T: Value> IterCtx<'a, T> {
                 // writer of element i this stage.
                 unsafe { buf.set(i, v, self.writer) };
             }
-            Route::Tested { .. } => {
-                // Direct mode write to a tested array.
-                // SAFETY: the direct schedule (sequential or wavefront
-                // level) guarantees exclusivity.
-                unsafe { self.shared[a.index()].set(i, v, self.writer) };
-            }
+            Route::Tested { .. } => self.direct_cold(a, i, v, false),
         }
     }
 
@@ -302,36 +295,62 @@ impl<'a, T: Value> IterCtx<'a, T> {
     /// # Panics
     /// Panics when `a` was declared without a reduction operator, or is
     /// untested.
-    #[inline]
+    #[inline(always)]
     pub fn reduce(&mut self, a: ArrayId, i: usize, v: T) {
-        let m = &self.meta[a.index()];
-        match m.route {
+        let buf = &self.shared[a.index()];
+        match self.meta[a.index()].route {
             Route::Tested { slot } if !self.views.is_empty() => {
-                if let Some(marks) = self.iter_marks.as_deref_mut() {
-                    // Conservative: a reduction is a producer; log as a
-                    // write for DDG purposes.
-                    marks[slot].on_write(i, self.iter as u32);
+                if i >= buf.len() || self.iter_marks.is_some() {
+                    self.tested_cold(slot, i, Some(buf.len()));
                 }
-                let buf = &self.shared[a.index()];
                 // SAFETY: as in `read` — tested shared data is stable
                 // during the stage.
                 self.views[slot].reduce(i, v, |e| unsafe { buf.get(e) });
             }
-            Route::Tested { .. } => {
-                // Direct mode: apply the operator in place.
-                let op = m
-                    .reduction
-                    .unwrap_or_else(|| panic!("reduce on array '{}' without operator", m.name));
-                // SAFETY: direct-mode exclusivity (see `write`).
-                unsafe {
-                    let cur = self.shared[a.index()].get(i);
-                    self.shared[a.index()].set(i, (op.combine)(cur, v), self.writer);
-                }
-            }
+            Route::Tested { .. } => self.direct_cold(a, i, v, true),
             Route::Untested { .. } => {
-                panic!("reduce on untested array '{}'", m.name)
+                panic!("reduce on untested array '{}'", self.meta[a.index()].name)
             }
         }
+    }
+
+    /// Before a speculative reference to element `i` of tested `slot`:
+    /// refuse an update (`len` given) past the array's end — a view
+    /// pages values by 32 and a sparse shadow takes any element, so the
+    /// commit would write out of bounds: the block faults here instead —
+    /// then log the DDG mark, a reduction as a producer (a write).
+    #[cold]
+    #[inline(never)]
+    fn tested_cold(&mut self, slot: usize, i: usize, len: Option<usize>) {
+        if let Some(len) = len {
+            assert!(
+                i < len,
+                "index out of bounds: the len is {len} but the index is {i}"
+            );
+        }
+        if let Some(marks) = self.iter_marks.as_deref_mut() {
+            match len {
+                None => marks[slot].on_read(i, self.iter as u32),
+                Some(_) => marks[slot].on_write(i, self.iter as u32),
+            }
+        }
+    }
+
+    /// A direct-mode write, or with `reduce` reduction, of tested array
+    /// `a`, in place.
+    #[cold]
+    #[inline(never)]
+    fn direct_cold(&self, a: ArrayId, i: usize, v: T, reduce: bool) {
+        let (m, buf) = (&self.meta[a.index()], &self.shared[a.index()]);
+        let v = match m.reduction {
+            _ if !reduce => v,
+            // SAFETY: the direct schedule (sequential or wavefront
+            // level) guarantees exclusivity.
+            Some(op) => (op.combine)(unsafe { buf.get(i) }, v),
+            None => panic!("reduce on array '{}' without operator", m.name),
+        };
+        // SAFETY: as above.
+        unsafe { buf.set(i, v, self.writer) };
     }
 
     /// [`IterCtx::read`] of element `idx[l]` for every lane `l` set in
@@ -418,5 +437,272 @@ impl<'a, T: Value> IterCtx<'a, T> {
     #[inline]
     pub fn exit(&mut self) {
         self.exited = true;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::array::ArrayDecl;
+    use crate::array::ShadowKind::{Dense, Packed, Sparse};
+    use crate::checkpoint::CheckpointPolicy;
+    use crate::view::Contribution;
+    use proptest::prelude::*;
+    use rlrpd_shadow::Mark;
+
+    /// `read` / `write` / `reduce` as one function, before the hot and
+    /// cold arms were split: the oracle the split must agree with.
+    /// SAFETY, for every block: one context on one thread, nothing else
+    /// touches its arrays.
+    fn unsplit(ctx: &mut IterCtx<'_, f64>, op: u8, a: ArrayId, i: usize, v: f64) -> f64 {
+        let m = &ctx.meta[a.index()];
+        let buf = &ctx.shared[a.index()];
+        match (op, m.route) {
+            (0, Route::Tested { slot }) if !ctx.views.is_empty() => {
+                if let Some(marks) = ctx.iter_marks.as_deref_mut() {
+                    marks[slot].on_read(i, ctx.iter as u32);
+                }
+                ctx.views[slot].read(i, |e| unsafe { buf.get(e) })
+            }
+            (0, _) => unsafe { buf.get(i) },
+            (_, Route::Tested { slot }) if !ctx.views.is_empty() => {
+                if let Some(marks) = ctx.iter_marks.as_deref_mut() {
+                    marks[slot].on_write(i, ctx.iter as u32);
+                }
+                match op {
+                    1 => ctx.views[slot].write(i, v),
+                    _ => ctx.views[slot].reduce(i, v, |e| unsafe { buf.get(e) }),
+                }
+                0.0
+            }
+            (1, Route::Untested { slot }) => {
+                if let Some(wlog) = ctx.wlog.as_deref_mut() {
+                    wlog.record(slot, i, || unsafe { buf.get(i) });
+                }
+                unsafe { buf.set(i, v, ctx.writer) };
+                0.0
+            }
+            (_, Route::Tested { .. }) => {
+                let v = match op {
+                    1 => v,
+                    _ => (m.reduction.unwrap().combine)(unsafe { buf.get(i) }, v),
+                };
+                unsafe { buf.set(i, v, ctx.writer) };
+                0.0
+            }
+            _ => unreachable!("no reduction of an untested array is drawn"),
+        }
+    }
+
+    /// Three arrays: a dense reduction array, a sparse array whose last
+    /// page is partial, an untested array.
+    fn decls(kind: ShadowKind) -> Vec<ArrayDecl<f64>> {
+        vec![
+            ArrayDecl::reduction("A", vec![1.0; 100], kind, Reduction::sum()),
+            ArrayDecl::tested("B", (0..70).map(f64::from).collect(), Sparse),
+            ArrayDecl::untested("C", vec![2.0; 50]),
+        ]
+    }
+
+    /// Everything a run of references leaves behind, per engine-visible
+    /// structure: per tested slot the marks, private values and deltas,
+    /// touched count and reference count; the DDG marks; the write log;
+    /// the shared arrays; the values the reads returned.
+    #[derive(Debug, PartialEq)]
+    struct Left {
+        views: Vec<(Vec<Mark>, Vec<Option<Contribution<f64>>>, usize, u64)>,
+        ddg: Vec<Vec<(usize, Vec<(u32, rlrpd_shadow::EventKind)>)>>,
+        wlog: Option<(Vec<usize>, Vec<(usize, usize, f64)>)>,
+        shared: Vec<Vec<f64>>,
+        reads: Vec<f64>,
+    }
+
+    /// Run `ops` — `(op, array, element, value, next iteration?)` —
+    /// through `path` in a context of `mode` (0 direct, 1 speculative,
+    /// 2 speculative with DDG marks).
+    fn run(
+        kind: ShadowKind,
+        mode: u8,
+        ops: &[(u8, u32, usize, f64, bool)],
+        path: fn(&mut IterCtx<'_, f64>, u8, ArrayId, usize, f64) -> f64,
+    ) -> Left {
+        let routed = RoutedArrays::new(decls(kind));
+        let mut views: Vec<ProcView<f64>> = (0..2)
+            .map(|s| {
+                ProcView::new(
+                    routed.tested_sizes[s],
+                    routed.tested_shadow[s],
+                    routed.reductions[s],
+                )
+            })
+            .collect();
+        let mut wlog = WriteLog::new(&routed.untested_sizes, &[true], CheckpointPolicy::OnDemand);
+        let mut marks = vec![IterMarks::new(), IterMarks::new()];
+        let mut reads = Vec::new();
+        {
+            let mut ctx = match mode {
+                0 => IterCtx::direct(3, 0, &routed.meta, &routed.shared),
+                _ => IterCtx::speculative(
+                    3,
+                    0,
+                    &routed.meta,
+                    &routed.shared,
+                    &mut views,
+                    &mut wlog,
+                    (mode == 2).then_some(&mut marks[..]),
+                ),
+            };
+            for &(op, a, i, v, next) in ops {
+                let (a, i) = (ArrayId(a), i % ctx.len(ArrayId(a)));
+                reads.push(path(&mut ctx, op, a, i, v));
+                if next {
+                    ctx.advance();
+                }
+            }
+        }
+        let views = (views.iter().zip(&routed.tested_sizes))
+            .map(|(view, &size)| {
+                let marks: Vec<Mark> = (0..size).map(|e| view.mark(e)).collect();
+                let vals = (0..size).map(|e| view.contribution(e, marks[e])).collect();
+                (marks, vals, view.num_touched(), view.refs())
+            })
+            .collect();
+        let ddg = (marks.iter())
+            .map(|m| {
+                let mut elems: Vec<_> =
+                    m.elems().map(|(e, ev)| (e, ev.events().to_vec())).collect();
+                elems.sort_unstable_by_key(|&(e, _)| e);
+                elems
+            })
+            .collect();
+        Left {
+            views,
+            ddg,
+            wlog: (mode > 0).then(|| (wlog.written(0).collect(), wlog.undo_rev().collect())),
+            shared: routed.shared.into_iter().map(SharedBuf::into_vec).collect(),
+            reads,
+        }
+    }
+
+    /// The path under test.
+    fn split(ctx: &mut IterCtx<'_, f64>, op: u8, a: ArrayId, i: usize, v: f64) -> f64 {
+        match op {
+            0 => return ctx.read(a, i),
+            1 => ctx.write(a, i, v),
+            _ => ctx.reduce(a, i, v),
+        }
+        0.0
+    }
+
+    /// Both paths over `ops`, asserted equal; the state they left.
+    fn agree(kind: ShadowKind, mode: u8, ops: &[(u8, u32, usize, f64, bool)]) -> Left {
+        let left = run(kind, mode, ops, split);
+        assert_eq!(left, run(kind, mode, ops, unsplit), "{kind:?} mode {mode}");
+        left
+    }
+
+    #[test]
+    fn ddg_marks_on_read_write_and_reduce_are_the_unsplit_ones() {
+        // Read, write, reduce, read again, over two iterations, on the
+        // reduction array and the sparse one.
+        let ops = [
+            (0, 0, 7, 0.0, false),
+            (1, 0, 7, 2.0, false),
+            (2, 0, 9, 3.0, true),
+            (0, 0, 9, 0.0, false),
+            (2, 0, 9, 1.0, false),
+            (0, 1, 40, 0.0, false),
+            (1, 1, 41, 5.0, true),
+            (0, 1, 41, 0.0, false),
+        ];
+        for kind in [Dense, Packed, Sparse] {
+            let left = agree(kind, 2, &ops);
+            assert_eq!(left.ddg[0].len(), 2, "{kind:?}: A[7], A[9] logged");
+            assert_eq!(left.ddg[1].len(), 2, "{kind:?}: B[40], B[41] logged");
+            assert_eq!(left.views[0].3, 5, "{kind:?}: every reference counted");
+            assert_eq!(left.reads, [1.0, 0.0, 0.0, 4.0, 0.0, 40.0, 0.0, 5.0]);
+        }
+    }
+
+    #[test]
+    fn direct_writes_and_reductions_of_a_tested_array_are_the_unsplit_ones() {
+        let ops = [
+            (1, 0, 3, 4.0, false),
+            (2, 0, 3, 0.5, false),
+            (2, 0, 99, 2.0, true),
+            (0, 0, 3, 0.0, false),
+            (1, 1, 69, -1.0, false),
+            (1, 2, 10, 6.0, false),
+        ];
+        for kind in [Dense, Packed, Sparse] {
+            let left = agree(kind, 0, &ops);
+            assert_eq!((left.shared[0][3], left.shared[0][99]), (4.5, 3.0));
+            assert_eq!((left.shared[1][69], left.shared[2][10]), (-1.0, 6.0));
+            assert_eq!(left.views[0].3, 0, "direct mode marks nothing");
+        }
+    }
+
+    #[test]
+    fn a_page_laid_down_mid_block_keeps_every_page_before_it() {
+        // A[5]'s page, then A[70]'s laid down between references to
+        // the first, then a delta on a third page and a read of it.
+        let ops = [
+            (1, 0, 5, 1.5, false),
+            (1, 0, 70, 2.5, true),
+            (0, 0, 5, 0.0, false),
+            (1, 0, 6, 3.5, false),
+            (2, 0, 40, 4.0, false),
+            (0, 0, 70, 0.0, false),
+            (0, 0, 40, 0.0, false),
+        ];
+        for kind in [Dense, Packed, Sparse] {
+            for mode in [1, 2] {
+                let left = agree(kind, mode, &ops);
+                let vals: Vec<_> = [5, 6, 40, 70].map(|e| left.views[0].1[e]).into();
+                let want = [1.5, 3.5, 5.0, 2.5].map(|v| Some(Contribution::Write(v)));
+                assert_eq!(vals, want);
+                assert_eq!(left.reads[2..], [1.5, 0.0, 0.0, 2.5, 5.0]);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds: the len is 70 but the index is 70")]
+    fn a_tested_write_past_the_end_faults_in_the_block() {
+        // B's last page covers 64..96 and its sparse shadow takes any
+        // element: only the bound check refuses 70.
+        run(Sparse, 1, &[(1, 1, 0, 0.0, false)], |ctx, _, a, _, v| {
+            ctx.write(a, 70, v);
+            0.0
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds: the len is 100 but the index is 101")]
+    fn a_tested_reduction_past_the_end_faults_in_the_block() {
+        run(Sparse, 1, &[(2, 0, 0, 1.0, false)], |ctx, _, a, _, v| {
+            ctx.reduce(a, 101, v);
+            0.0
+        });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn the_split_arms_leave_what_the_unsplit_path_left(
+            kind in 0usize..3,
+            mode in 0u8..3,
+            ops in prop::collection::vec((0u8..3, 0u32..3, 0usize..200, -4i8..5, any::<bool>()), 0..60),
+        ) {
+            // Reductions only of the array with an operator.
+            let ops: Vec<_> = ops
+                .into_iter()
+                .map(|(op, a, i, v, next)| (if a > 0 { op.min(1) } else { op }, a, i, f64::from(v), next))
+                .collect();
+            let kind = [Dense, Packed, Sparse][kind];
+            let (left, oracle) = (run(kind, mode, &ops, split), run(kind, mode, &ops, unsplit));
+            prop_assert_eq!(left, oracle);
+        }
     }
 }

@@ -6,11 +6,11 @@
 //! *which* [`BlockSchedule`] it hands to [`Engine::run_stage`] next;
 //! everything inside a stage is identical and lives here.
 
-use crate::analysis::{analyze, AnalysisResult, DepArc};
+use crate::analysis::{analyze, AnalysisResult, DepArc, Producers};
 use crate::array::{ArrayKind, ShadowKind};
 use crate::buf::SharedBuf;
 use crate::checkpoint::{CheckpointPolicy, EagerSnapshot, WriteLog};
-use crate::commit::{commit_tested, PerBlock};
+use crate::commit::{commit_tested, CommitStats, FinalValues, PerBlock};
 use crate::ctx::{ArrayMeta, IterCtx, RoutedArrays};
 use crate::error::RlrpdError;
 use crate::journal::CommitRecord;
@@ -215,6 +215,10 @@ pub(crate) struct Engine<'l, T: Value> {
     /// leaves behind: a counter loop's initial value until then (0, and
     /// unread, for a loop without one).
     pub counter: usize,
+    /// The analysis' and the commit's maps, kept at their capacity
+    /// from stage to stage.
+    pub producers: Producers,
+    pub final_vals: FinalValues<T>,
 }
 
 impl<'l, T: Value> Engine<'l, T> {
@@ -285,12 +289,21 @@ impl<'l, T: Value> Engine<'l, T> {
             worker_loss: false,
             shadow_peak: 0,
             counter: lp.initial_counter().unwrap_or(0),
+            producers: Producers::default(),
+            final_vals: FinalValues::default(),
         };
         // Fit the static picks to the cap before any stage runs: a
         // worker handed a smaller cap than the selection assumed
         // degrades here instead of crashing.
         eng.fit_shadows(&vec![0; eng.tested_ids.len()], 0);
         eng
+    }
+
+    /// [`commit_tested`] of blocks `..upto` on the engine's views.
+    pub(crate) fn commit(&mut self, upto: usize) -> (CommitStats, PerBlock<T>) {
+        let views: Vec<&[ProcView<T>]> = self.states[..upto].iter().map(|s| &s.views[..]).collect();
+        let (ids, reductions, shared) = (&self.tested_ids, &self.reductions, &self.shared);
+        commit_tested(&views, ids, reductions, shared, &mut self.final_vals)
     }
 
     /// Current shadow footprint of every view, in bytes.
@@ -565,7 +578,7 @@ impl<'l, T: Value> Engine<'l, T> {
         // tree merge over p shadows costs O(max_touched · log p).
         let phase_start = std::time::Instant::now();
         let per_pos: Vec<&[ProcView<T>]> = self.states.iter().map(|s| s.views.as_slice()).collect();
-        let analysis: AnalysisResult = analyze(&per_pos, &self.tested_ids);
+        let analysis: AnalysisResult = analyze(&per_pos, &self.tested_ids, &mut self.producers);
         if timed {
             stats.phases.analysis_seconds = phase_start.elapsed().as_secs_f64();
         }
@@ -609,21 +622,11 @@ impl<'l, T: Value> Engine<'l, T> {
         for buf in &mut self.shared {
             buf.new_epoch();
         }
-        let committing: Vec<&[ProcView<T>]> = self.states[..commit_upto]
-            .iter()
-            .map(|s| s.views.as_slice())
-            .collect();
-        let (cstats, written) = commit_tested(
-            &committing,
-            &self.tested_ids,
-            &self.reductions,
-            &self.shared,
-        );
+        let (cstats, written) = self.commit(commit_upto);
         stats.overhead.add(
             OverheadKind::Commit,
             cstats.max_per_block as f64 * cost.commit_per_elem,
         );
-        drop(committing);
         if timed {
             stats.phases.commit_seconds = phase_start.elapsed().as_secs_f64();
         }

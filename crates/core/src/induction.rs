@@ -28,7 +28,6 @@
 //! tested and every write is at a counter-derived index; reads may
 //! also target the read-only prefix.
 
-use crate::commit::commit_tested;
 use crate::driver::RunConfig;
 use crate::engine::Engine;
 use crate::error::RlrpdError;
@@ -102,8 +101,7 @@ pub fn run_induction<T: Value>(
             for buf in &mut eng.shared {
                 buf.new_epoch();
             }
-            let views: Vec<&[ProcView<T>]> = eng.states.iter().map(|s| &s.views[..]).collect();
-            commit_tested(&views, &eng.tested_ids, &eng.reductions, &eng.shared);
+            eng.commit(p);
             second.iters_committed = n;
             second.overhead.add(
                 OverheadKind::Commit,

@@ -68,22 +68,29 @@ impl<T: Value> PagedStore<T> {
         }
     }
 
+    #[inline(always)]
     fn get(&self, e: usize) -> T {
         let at = self.dir[e / PAGE];
         assert!(at != 0, "private read of unwritten element");
         self.slab[(at as usize - 1) * PAGE + e % PAGE]
     }
 
+    #[inline(always)]
     fn set(&mut self, e: usize, val: T) {
-        let page = e / PAGE;
-        let mut at = self.dir[page];
+        let mut at = self.dir[e / PAGE];
         if at == 0 {
-            self.pages.push(page as u32);
-            at = self.pages.len() as u32;
-            self.dir[page] = at;
-            self.slab.resize(self.slab.len() + PAGE, T::default());
+            at = self.lay_down(e / PAGE);
         }
         self.slab[(at as usize - 1) * PAGE + e % PAGE] = val;
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn lay_down(&mut self, page: usize) -> u32 {
+        self.pages.push(page as u32);
+        self.dir[page] = self.pages.len() as u32;
+        self.slab.resize(self.slab.len() + PAGE, T::default());
+        self.pages.len() as u32
     }
 
     /// Forget every page in O(pages written); the slab keeps its
@@ -239,7 +246,9 @@ impl<T: Value> ProcView<T> {
     }
 
     /// Ordinary read of element `e`; `shared` supplies the committed
-    /// shared value for copy-in.
+    /// shared value for copy-in. Inline, like `write` and `reduce`: the
+    /// tail of `IterCtx`'s hot arm.
+    #[inline(always)]
     pub fn read(&mut self, e: usize, shared: impl Fn(usize) -> T) -> T {
         self.refs += 1;
         with_marks!(&mut self.shadow, |m| self.vals.read(m, e, &shared))
@@ -262,8 +271,10 @@ impl<T: Value> ProcView<T> {
     }
 
     /// Ordinary write of element `e`.
+    #[inline(always)]
     pub fn write(&mut self, e: usize, v: T) {
-        self.write_lanes(1, &[e], &[v])
+        self.refs += 1;
+        with_marks!(&mut self.shadow, |m| self.vals.write(m, e, v))
     }
 
     /// [`ProcView::write`] of `val[l]` to `idx[l]` for each lane of `live`.
@@ -278,8 +289,14 @@ impl<T: Value> ProcView<T> {
     ///
     /// # Panics
     /// Panics if the array was declared without a reduction operator.
+    #[inline(always)]
     pub fn reduce(&mut self, e: usize, v: T, shared: impl Fn(usize) -> T) {
-        self.reduce_lanes(1, &[e], &[v], shared)
+        self.refs += 1;
+        let op = self
+            .vals
+            .op
+            .expect("reduce on an array without a reduction operator");
+        with_marks!(&mut self.shadow, |m| self.vals.reduce(m, op, e, v, &shared))
     }
 
     /// [`ProcView::reduce`] by `val[l]` of `idx[l]` for each lane of

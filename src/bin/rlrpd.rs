@@ -934,8 +934,8 @@ const KIND_RULES: [(&str, &[&str], &str); 8] = [
     (
         COUNTER,
         &["--fault-seed", "--shadow-fault", "--shadow-budget"],
-        "the induction scheme keeps no shadow memory and has no rollback for an \
-         injected fault to exercise",
+        "the induction scheme's views answer to no shadow cap, and it has no \
+         rollback for an injected fault to exercise",
     ),
     (
         COUNTER,

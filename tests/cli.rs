@@ -619,6 +619,47 @@ fn a_counter_past_its_array_is_a_program_fault() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A tested update past its array's end is the loop's fault too: a view
+/// pages private values by 32 and a sparse shadow takes any element, so
+/// the write (or `+=`) must be refused inside the block — where the
+/// fault is contained and direct re-execution reports it — not reach the
+/// commit, which would write past the end.
+#[test]
+fn a_tested_update_past_its_array_is_a_program_fault() {
+    for (name, update) in [("write", "T"), ("reduce", "R")] {
+        let path = scratch(&format!("tested_oob_{name}.rlp"));
+        let op = if update == "T" { "=" } else { "+=" };
+        std::fs::write(
+            &path,
+            format!(
+                "array T[100001];\narray R[100001];\n\
+                 for i in 0..64 {{ T[i] = T[(i * i) % 100] + 1; {update}[100000 + i % 8] {op} i; }}\n"
+            ),
+        )
+        .unwrap();
+        let file = path.to_str().unwrap();
+        for args in [
+            &["--procs", "4"][..],
+            &["--procs", "2", "--pooled"],
+            &["--procs", "1"],
+            &["--procs", "4", "--no-compile"],
+        ] {
+            let out = Command::new(env!("CARGO_BIN_EXE_rlrpd"))
+                .args(["run", file])
+                .args(args)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
+            assert!(
+                stderr.contains("program fault at iteration 1"),
+                "{name} {args:?}: {stderr}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
 #[test]
 fn stage_limit_exits_3() {
     // tracking.rlp needs more than one stage under NRD; a cap of 1
