@@ -18,13 +18,12 @@
 //!
 //! # The write log is kept as runs
 //!
-//! A [`WriteLog`] answers "is this the block's first write of the
-//! element?" with one flag bit per element, and remembers *which* elements
-//! were written as **runs**: `(slot, first, len)` stands for the `len`
-//! elements `first..first + len` of untested array `slot`, first-written
-//! in that order. A write extends the last run when it lands on that
-//! run's `first + len` in the same slot, and opens a run otherwise — the
-//! last run only, because first-write order is the order everything
+//! A [`WriteLog`] remembers *which* elements a block first-wrote as
+//! **runs**: `(slot, first, len)` stands for the `len` elements
+//! `first..first + len` of untested array `slot`, first-written in that
+//! order. A write extends the last run when it lands on that run's
+//! `first + len` in the same slot, and opens a run otherwise — the last
+//! run only, because first-write order is the order everything
 //! downstream is defined in (the undo replay is its exact reverse; a
 //! worker reply lists a block's untested writes in it, so wire bytes
 //! depend on it), and a run that absorbed a later write out of order
@@ -34,11 +33,32 @@
 //!
 //! A block that sweeps an array — the common case: `B[i] = …` over the
 //! block's consecutive iterations — is one run however long the sweep:
-//! 1 flag bit + 8 bytes of old value per write where the per-element
-//! log held a flag byte + 4 (touched list) + 16 (`(slot, elem, old)`
-//! triple). A fully scattered block is one run per write, 12 + 8 bytes
-//! and a bit: never more than before. Clearing zeroes each run's bit
-//! range, a word at a time.
+//! 8 bytes of old value per write where the per-element log held a flag
+//! byte + 4 (touched list) + 16 (`(slot, elem, old)` triple). A fully
+//! scattered block is one run per write, 12 + 8 bytes: never more than
+//! before.
+//!
+//! # The open run is the hot state, and it lives in the context
+//!
+//! The last run stays *open* (`OpenRun`: slot, first and next
+//! element, the slot's saves-old flag, and the old values). While a
+//! block runs, its [`crate::ctx::IterCtx`] holds the open run in its own
+//! fields, so a sweep keeps it in registers, and hands it back to the
+//! log when dropped — also when the block panics, so a faulted block
+//! leaves a complete log.
+//!
+//! Each slot keeps a high-water mark: one past the highest element of
+//! its closed runs this stage. A run whose next element is at or above
+//! the mark is *fresh*: that element is above everything the slot has
+//! written, so writing it is a first write — a compare, a push and an
+//! increment, with no flag to test. Every other write asks whether it
+//! is the block's first of the element: one above the mark is; one
+//! below is answered by the slot's first-write flags, one bit an
+//! element. A slot's flags are allocated and built from its runs the
+//! first time a write lands below its mark, and kept up to date from
+//! then on, so a block that only sweeps upward never touches them.
+//! Clearing resets each mark and zeroes each flagged run's bit range, a
+//! word at a time.
 //!
 //! # Undo only what must be restored
 //!
@@ -75,48 +95,204 @@ impl WriteRun {
     }
 }
 
-/// Clear bits `elems` of a bitset, whole words in the middle and the
-/// partial words at both ends by mask.
-fn clear_bits(words: &mut [u64], elems: std::ops::Range<usize>) {
+/// Set (`on`) or clear bits `elems` of a bitset, whole words in the
+/// middle and the partial words at both ends by mask.
+fn fill_bits(words: &mut [u64], elems: std::ops::Range<usize>, on: bool) {
     if elems.is_empty() {
         return;
     }
     let (lo, hi) = (elems.start / 64, (elems.end - 1) / 64);
     let head = !0u64 << (elems.start % 64);
     let tail = !0u64 >> (63 - (elems.end - 1) % 64);
+    let apply = |w: &mut u64, mask: u64| *w = if on { *w | mask } else { *w & !mask };
     if lo == hi {
-        words[lo] &= !(head & tail);
+        apply(&mut words[lo], head & tail);
     } else {
-        words[lo] &= !head;
-        words[lo + 1..hi].fill(0);
-        words[hi] &= !tail;
+        apply(&mut words[lo], head);
+        words[lo + 1..hi].fill(if on { !0 } else { 0 });
+        apply(&mut words[hi], tail);
     }
 }
 
 /// One untested array's part of a [`WriteLog`].
 #[derive(Debug)]
 struct SlotLog {
-    /// First-write flags, 64 elements a word.
-    written: Vec<u64>,
+    /// Elements in the array.
+    size: u32,
+    /// One past the highest element of the slot's closed runs this
+    /// stage (module docs).
+    high: u32,
+    /// First-write flags, 64 elements a word: empty until first needed,
+    /// then kept (zeroed) across stages.
+    flags: Vec<u64>,
+    /// `flags` hold this stage's closed runs (and the first
+    /// [`OpenRun::flagged`] elements of the open run, if in this slot).
+    flagged: bool,
     /// Are the array's writes undone when their block is discarded?
     undo: bool,
-    /// `undo` under the on-demand policy: first writes save old values
-    /// (one flag for `record` to test on every first write).
+    /// `undo` under the on-demand policy: first writes save old values.
     save_old: bool,
+}
+
+/// The last run of a [`WriteLog`], still open, and the saved old
+/// values: the log's hot state, held by the iteration context while a
+/// block runs (module docs). Empty when `next == first`.
+#[derive(Debug, Default)]
+pub(crate) struct OpenRun<T> {
+    slot: u32,
+    first: u32,
+    /// One past the run's last element: the element that extends it.
+    next: u32,
+    /// `next` is at or above the slot's high-water mark: writing it is
+    /// a first write.
+    fresh: bool,
+    /// The slot's [`SlotLog::save_old`].
+    save_old: bool,
+    /// Leading elements of the run whose flags are set, when its slot
+    /// is flagged.
+    flagged: u32,
+    /// On-demand policy: the pre-write value of every first-written
+    /// element of an undo slot, in write order. Empty under the eager
+    /// policy.
+    old: Vec<T>,
+}
+
+impl<T> OpenRun<T> {
+    /// Does a write of `elem` in `slot` extend a fresh run — a first
+    /// write that [`OpenRun::push`] records?
+    #[inline(always)]
+    pub(crate) fn extends(&self, slot: usize, elem: usize) -> bool {
+        self.fresh && self.slot as usize == slot && self.next as usize == elem
+    }
+
+    /// Extend the run by its next element, saving its old value if the
+    /// slot saves old values.
+    #[inline(always)]
+    pub(crate) fn push(&mut self, old: impl FnOnce() -> T) {
+        if self.save_old {
+            self.old.push(old());
+        }
+        self.next += 1;
+    }
+
+    fn run(&self) -> Option<WriteRun> {
+        (self.next > self.first).then_some(WriteRun {
+            slot: self.slot,
+            first: self.first,
+            len: self.next - self.first,
+        })
+    }
+
+    /// Is the run non-empty and in `slot`?
+    fn in_slot(&self, slot: usize) -> bool {
+        self.slot as usize == slot && self.next > self.first
+    }
+}
+
+/// A [`WriteLog`]'s per-slot state and closed runs: everything but the
+/// open run.
+#[derive(Debug)]
+struct Closed {
+    /// One per untested array slot.
+    slots: Vec<SlotLog>,
+    /// Closed runs, in write order (module docs).
+    runs: Vec<WriteRun>,
+}
+
+impl Closed {
+    /// Record a write of `elem` in `slot` that does not extend a fresh
+    /// run; `open` is the log's open run, wherever it lives.
+    #[inline(always)]
+    fn record<T>(
+        &mut self,
+        open: &mut OpenRun<T>,
+        slot: usize,
+        elem: usize,
+        old: impl FnOnce() -> T,
+    ) {
+        let log = &self.slots[slot];
+        let size = log.size as usize;
+        assert!(
+            elem < size,
+            "index out of bounds: the len is {size} but the index is {elem}"
+        );
+        let in_run = open.in_slot(slot);
+        let high = if in_run {
+            log.high.max(open.next)
+        } else {
+            log.high
+        };
+        if elem < high as usize {
+            // Below the high-water mark: the flags decide.
+            if !log.flagged {
+                self.flag(open, slot);
+            } else if in_run && open.flagged < open.next - open.first {
+                let from = (open.first + open.flagged) as usize;
+                fill_bits(&mut self.slots[slot].flags, from..open.next as usize, true);
+                open.flagged = open.next - open.first;
+            }
+            if self.slots[slot].flags[elem / 64] >> (elem % 64) & 1 != 0 {
+                return;
+            }
+        }
+        if in_run && elem == open.next as usize {
+            open.push(old);
+        } else {
+            let save_old = self.slots[slot].save_old;
+            if save_old {
+                open.old.push(old());
+            }
+            self.close(open);
+            let elem = elem as u32;
+            (open.slot, open.first, open.next) = (slot as u32, elem, elem + 1);
+            (open.save_old, open.flagged) = (save_old, 0);
+        }
+        open.fresh = open.next >= self.slots[slot].high;
+    }
+
+    /// Close the open run: flag what it has not flagged, raise its
+    /// slot's mark, append it to the closed runs.
+    fn close<T>(&mut self, open: &OpenRun<T>) {
+        let Some(run) = open.run() else { return };
+        let log = &mut self.slots[run.slot as usize];
+        if log.flagged {
+            let from = (run.first + open.flagged) as usize;
+            fill_bits(&mut log.flags, from..open.next as usize, true);
+        }
+        log.high = log.high.max(open.next);
+        self.runs.push(run);
+    }
+
+    /// Build `slot`'s flags from its runs, the open one included: the
+    /// first write below its mark this stage.
+    #[cold]
+    #[inline(never)]
+    fn flag<T>(&mut self, open: &mut OpenRun<T>, slot: usize) {
+        let log = &mut self.slots[slot];
+        if log.flags.is_empty() {
+            log.flags = vec![0; (log.size as usize).div_ceil(64)];
+        }
+        log.flagged = true;
+        let open_run = open.run().filter(|_| open.in_slot(slot));
+        for run in self.runs.iter().chain(&open_run) {
+            if run.slot as usize == slot {
+                fill_bits(&mut log.flags, run.elems(), true);
+            }
+        }
+        if let Some(run) = open_run {
+            open.flagged = run.len;
+        }
+    }
 }
 
 /// One processor's write tracking for all untested arrays during one
 /// stage.
 #[derive(Debug)]
 pub struct WriteLog<T> {
-    /// One per untested array slot.
-    slots: Vec<SlotLog>,
-    /// What was first-written, in write order (module docs).
-    runs: Vec<WriteRun>,
-    /// On-demand policy: the pre-write value of every first-written
-    /// element of an undo slot, in write order. Empty under the eager
-    /// policy.
-    old: Vec<T>,
+    closed: Closed,
+    /// The open run, taken by an iteration context while it lives
+    /// (module docs).
+    pub(crate) open: OpenRun<T>,
     policy: CheckpointPolicy,
 }
 
@@ -126,18 +302,20 @@ impl<T: Value> WriteLog<T> {
     pub fn new(sizes: &[usize], undo: &[bool], policy: CheckpointPolicy) -> Self {
         assert!(sizes.iter().all(|&s| s <= u32::MAX as usize));
         assert_eq!(sizes.len(), undo.len());
+        let slot = |(&size, &undo)| SlotLog {
+            size: size as u32,
+            high: 0,
+            flags: Vec::new(),
+            flagged: false,
+            undo,
+            save_old: undo && policy == CheckpointPolicy::OnDemand,
+        };
         WriteLog {
-            slots: sizes
-                .iter()
-                .zip(undo)
-                .map(|(&s, &undo)| SlotLog {
-                    written: vec![0; s.div_ceil(64)],
-                    undo,
-                    save_old: undo && policy == CheckpointPolicy::OnDemand,
-                })
-                .collect(),
-            runs: Vec::new(),
-            old: Vec::new(),
+            closed: Closed {
+                slots: sizes.iter().zip(undo).map(slot).collect(),
+                runs: Vec::new(),
+            },
+            open: OpenRun::default(),
             policy,
         }
     }
@@ -145,71 +323,76 @@ impl<T: Value> WriteLog<T> {
     /// Record a write of `elem` in untested array `slot`; `old` supplies
     /// the pre-write value and is only called on the first write of the
     /// element this stage, and only for an undo slot under the
-    /// on-demand policy. Inline; the log's growth is out of line.
-    #[inline(always)]
+    /// on-demand policy. One write at a time on the log's own open run:
+    /// what a supervisor applying a worker's reply calls.
     pub fn record(&mut self, slot: usize, elem: usize, old: impl FnOnce() -> T) {
-        let log = &mut self.slots[slot];
-        let (word, bit) = (&mut log.written[elem / 64], 1u64 << (elem % 64));
-        if *word & bit != 0 {
-            return;
+        if self.open.extends(slot, elem) {
+            self.open.push(old);
+        } else {
+            self.closed.record(&mut self.open, slot, elem, old);
         }
-        *word |= bit;
-        if log.save_old {
-            self.old.push(old());
-        }
-        let (slot, elem) = (slot as u32, elem as u32);
-        match self.runs.last_mut() {
-            Some(run) if run.slot == slot && run.first + run.len == elem => run.len += 1,
-            _ => self.runs.push(WriteRun {
-                slot,
-                first: elem,
-                len: 1,
-            }),
+    }
+
+    /// [`WriteLog::record`] on the open run an iteration context holds,
+    /// for a write [`OpenRun::extends`] refused. Out of line: inlined
+    /// into every untested write of a body, as the bytecode VM's, it
+    /// made speculative runs of the `serve_mix` NLFILT decks 4–6 %
+    /// slower (`docs/results/PR-46.md`).
+    #[inline(never)]
+    pub(crate) fn record_at(&mut self, open: &mut OpenRun<T>, slot: usize, elem: usize, old: T) {
+        self.closed.record(open, slot, elem, || old);
+    }
+
+    /// The log as read, with `open` as its open run.
+    pub(crate) fn view<'a>(&'a self, open: &'a OpenRun<T>) -> LogView<'a, T> {
+        LogView {
+            closed: &self.closed,
+            open,
         }
     }
 
     /// Elements this processor wrote in untested array `slot`, in
     /// first-write order.
     pub fn written(&self, slot: usize) -> impl Iterator<Item = usize> + '_ {
-        self.runs
-            .iter()
-            .filter(move |run| run.slot as usize == slot)
-            .flat_map(WriteRun::elems)
+        self.view(&self.open).written(slot)
     }
 
     /// Whether untested array `slot`'s writes are undone.
     pub fn needs_undo(&self, slot: usize) -> bool {
-        self.slots[slot].undo
+        self.closed.slots[slot].undo
     }
 
     /// Undo entries in reverse write order: replaying them restores the
     /// pre-stage state of everything this processor wrote in an undo
     /// slot.
     pub fn undo_rev(&self) -> impl Iterator<Item = (usize, usize, T)> + '_ {
-        self.runs
-            .iter()
-            .rev()
-            .filter(|run| self.slots[run.slot as usize].undo)
-            .flat_map(|run| run.elems().rev().map(move |elem| (run.slot as usize, elem)))
-            .zip(self.old.iter().rev())
-            .map(|((slot, elem), &old)| (slot, elem, old))
+        self.view(&self.open).undo_rev()
     }
 
     /// Total writes recorded (distinct elements across all slots).
     pub fn num_written(&self) -> usize {
-        self.runs.iter().map(|run| run.len as usize).sum()
+        self.view(&self.open).num_written()
     }
 
     /// Number of saved undo entries.
     pub fn num_undo(&self) -> usize {
-        self.old.len()
+        self.open.old.len()
     }
 
-    /// Runs the log holds — what its memory beyond the flags scales
-    /// with.
+    /// Runs the log holds — what its memory scales with.
     #[cfg(test)]
     pub(crate) fn num_runs(&self) -> usize {
-        self.runs.len()
+        self.view(&self.open).runs().count()
+    }
+
+    /// Slots whose first-write flags are allocated.
+    #[cfg(test)]
+    pub(crate) fn num_flag_sets(&self) -> usize {
+        self.closed
+            .slots
+            .iter()
+            .filter(|s| !s.flags.is_empty())
+            .count()
     }
 
     /// The active checkpoint policy.
@@ -219,11 +402,61 @@ impl<T: Value> WriteLog<T> {
 
     /// Reset for the next stage, O(written).
     pub fn clear(&mut self) {
-        for run in &self.runs {
-            clear_bits(&mut self.slots[run.slot as usize].written, run.elems());
+        let Closed { slots, runs } = &mut self.closed;
+        for run in runs.iter().chain(&self.open.run()) {
+            let log = &mut slots[run.slot as usize];
+            if log.flagged {
+                fill_bits(&mut log.flags, run.elems(), false);
+            }
         }
-        self.runs.clear();
-        self.old.clear();
+        for log in slots {
+            (log.high, log.flagged) = (0, false);
+        }
+        runs.clear();
+        let mut old = std::mem::take(&mut self.open.old);
+        old.clear();
+        self.open = OpenRun {
+            old,
+            ..OpenRun::default()
+        };
+    }
+}
+
+/// A [`WriteLog`] as read: its closed runs, then the open run wherever
+/// it lives (an iteration context's [`crate::ctx::IterCtx::write_log`]
+/// reads it between iterations).
+#[derive(Clone, Copy)]
+pub struct LogView<'a, T> {
+    closed: &'a Closed,
+    open: &'a OpenRun<T>,
+}
+
+impl<'a, T: Value> LogView<'a, T> {
+    fn runs(self) -> impl DoubleEndedIterator<Item = WriteRun> + 'a {
+        self.closed.runs.iter().copied().chain(self.open.run())
+    }
+
+    /// [`WriteLog::written`].
+    pub fn written(self, slot: usize) -> impl Iterator<Item = usize> + 'a {
+        self.runs()
+            .filter(move |run| run.slot as usize == slot)
+            .flat_map(|run| run.elems())
+    }
+
+    /// [`WriteLog::undo_rev`].
+    pub fn undo_rev(self) -> impl Iterator<Item = (usize, usize, T)> + 'a {
+        let slots = &self.closed.slots;
+        self.runs()
+            .rev()
+            .filter(move |run| slots[run.slot as usize].undo)
+            .flat_map(|run| run.elems().rev().map(move |elem| (run.slot as usize, elem)))
+            .zip(self.open.old.iter().rev())
+            .map(|((slot, elem), &old)| (slot, elem, old))
+    }
+
+    /// [`WriteLog::num_written`].
+    pub fn num_written(self) -> usize {
+        self.runs().map(|run| run.len as usize).sum()
     }
 }
 
@@ -255,6 +488,8 @@ impl<T: Value> EagerSnapshot<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::array::{ArrayDecl, ArrayId, ArrayKind};
+    use crate::ctx::{IterCtx, RoutedArrays};
     use proptest::prelude::*;
 
     #[test]
@@ -312,11 +547,12 @@ mod tests {
 
     /// The per-element log this one replaced: a flag and a touched list
     /// per slot, `(slot, elem, old)` triples in write order — for the
-    /// slots that need undo.
+    /// slots that need undo — and every first write in order.
     struct FlatLog {
         flags: Vec<Vec<bool>>,
         touched: Vec<Vec<usize>>,
         undo: Vec<(usize, usize, i64)>,
+        order: Vec<(usize, usize)>,
         on_demand: bool,
         undo_slots: [bool; 2],
     }
@@ -326,11 +562,34 @@ mod tests {
             let first = !std::mem::replace(&mut self.flags[slot][elem], true);
             if first {
                 self.touched[slot].push(elem);
+                self.order.push((slot, elem));
                 if self.on_demand && self.undo_slots[slot] {
                     self.undo.push((slot, elem, old));
                 }
             }
             first
+        }
+
+        /// The runs the first writes make: each extends the last when it
+        /// is that run's next element in the same slot.
+        fn runs(&self) -> Vec<(u32, u32, u32)> {
+            let mut runs: Vec<(u32, u32, u32)> = Vec::new();
+            for &(slot, elem) in &self.order {
+                let (slot, elem) = (slot as u32, elem as u32);
+                match runs.last_mut() {
+                    Some(r) if r.0 == slot && r.1 + r.2 == elem => r.2 += 1,
+                    _ => runs.push((slot, elem, 1)),
+                }
+            }
+            runs
+        }
+    }
+
+    impl<T: Value> WriteLog<T> {
+        /// `(slot, first, len)` of every run, the open one last.
+        fn run_list(&self) -> Vec<(u32, u32, u32)> {
+            let runs = self.view(&self.open).runs();
+            runs.map(|r| (r.slot, r.first, r.len)).collect()
         }
     }
 
@@ -342,54 +601,82 @@ mod tests {
             on_demand in any::<bool>(),
             undo_slots in (any::<bool>(), any::<bool>()),
             // Two stages of writes over two slots: sweeps up (runs),
-            // sweeps down and repeats (no runs), slot changes mid-sweep.
+            // sweeps down and repeats (no runs), slot changes mid-sweep,
+            // writes below a sweep's high-water mark; a sweep may start
+            // in a new context, as each block's does.
             stages in prop::collection::vec(
-                prop::collection::vec((0usize..2, 0usize..12, 0usize..6, any::<bool>()), 0..10),
+                prop::collection::vec(
+                    (0usize..2, 0usize..12, 0usize..6, any::<bool>(), any::<bool>()),
+                    0..10,
+                ),
                 2..3,
             ),
         ) {
             let sizes = [16usize, 12];
             let undo_slots = [undo_slots.0, undo_slots.1];
             let policy = if on_demand { CheckpointPolicy::OnDemand } else { CheckpointPolicy::Eager };
+            // The same writes one at a time through `record`, and as a
+            // block's writes through an iteration context.
             let mut log = WriteLog::<i64>::new(&sizes, &undo_slots, policy);
+            let mut ctx_log = WriteLog::<i64>::new(&sizes, &undo_slots, policy);
+            let decls = sizes.iter().zip(undo_slots).map(|(&size, undo)| {
+                let mut decl = ArrayDecl::untested("U", vec![0i64; size]);
+                decl.kind = ArrayKind::Untested { restore_free: !undo };
+                decl
+            });
+            let routed = RoutedArrays::new(decls.collect());
+            let mut stamp = 0i64;
             for sweeps in stages {
                 let mut flat = FlatLog {
                     flags: sizes.iter().map(|&s| vec![false; s]).collect(),
                     touched: vec![Vec::new(); 2],
                     undo: Vec::new(),
+                    order: Vec::new(),
                     on_demand,
                     undo_slots,
                 };
-                let mut stamp = 0i64;
-                for (slot, from, len, up) in sweeps {
+                let (meta, shared) = (&routed.meta, &routed.shared);
+                let mut ctx = IterCtx::speculative(0, 0, meta, shared, &mut [], &mut ctx_log, None);
+                for (slot, from, len, up, new_ctx) in sweeps {
+                    if new_ctx {
+                        drop(ctx);
+                        ctx = IterCtx::speculative(0, 0, meta, shared, &mut [], &mut ctx_log, None);
+                    }
                     for k in 0..len {
                         let elem = if up { from + k } else { from + len - 1 - k } % sizes[slot];
+                        // SAFETY: one thread, one context.
+                        let before = unsafe { routed.shared[slot].get(elem) };
                         stamp += 1;
+                        ctx.write(ArrayId(slot as u32), elem, stamp);
                         let mut called = false;
                         log.record(slot, elem, || {
                             called = true;
-                            stamp
+                            before
                         });
-                        let first = flat.record(slot, elem, stamp);
+                        let first = flat.record(slot, elem, before);
                         // `old` runs on first writes of an undo slot
                         // exactly, and never under the eager policy.
                         prop_assert_eq!(called, first && on_demand && undo_slots[slot]);
                     }
                 }
-                for slot in 0..2 {
-                    prop_assert_eq!(log.written(slot).collect::<Vec<_>>(), flat.touched[slot].clone());
-                }
-                let undo: Vec<_> = log.undo_rev().collect();
+                drop(ctx);
                 let mut want = flat.undo.clone();
                 want.reverse();
-                prop_assert_eq!(undo, want);
-                prop_assert_eq!(log.num_written(), flat.touched.iter().map(Vec::len).sum::<usize>());
-                prop_assert_eq!(log.num_undo(), flat.undo.len());
-                prop_assert!(log.num_runs() <= log.num_written());
+                for log in [&log, &ctx_log] {
+                    for slot in 0..2 {
+                        prop_assert_eq!(log.written(slot).collect::<Vec<_>>(), flat.touched[slot].clone());
+                    }
+                    prop_assert_eq!(log.undo_rev().collect::<Vec<_>>(), want.clone());
+                    prop_assert_eq!(log.run_list(), flat.runs());
+                    prop_assert_eq!(log.num_written(), flat.order.len());
+                    prop_assert_eq!(log.num_undo(), flat.undo.len());
+                }
                 // After the clear every element is first-write again:
                 // the next stage is checked against a fresh flat log.
-                log.clear();
-                prop_assert_eq!((log.num_written(), log.num_undo(), log.num_runs()), (0, 0, 0));
+                for log in [&mut log, &mut ctx_log] {
+                    log.clear();
+                    prop_assert_eq!((log.num_written(), log.num_undo(), log.num_runs()), (0, 0, 0));
+                }
             }
         }
     }
@@ -448,20 +735,56 @@ mod tests {
     }
 
     #[test]
-    fn clearing_a_run_clears_exactly_its_bits() {
+    fn filling_a_run_sets_or_clears_exactly_its_bits() {
         // Every range over three words: inside one word, across one
         // boundary, across two, starting and ending on word edges.
         const BITS: usize = 192;
-        for start in 0..BITS {
-            for end in start..=BITS {
-                let mut words = [!0u64; BITS / 64];
-                clear_bits(&mut words, start..end);
-                for e in 0..BITS {
-                    let set = words[e / 64] >> (e % 64) & 1 == 1;
-                    assert_eq!(set, !(start..end).contains(&e), "{start}..{end} bit {e}");
+        for on in [false, true] {
+            for start in 0..BITS {
+                for end in start..=BITS {
+                    let mut words = [if on { 0 } else { !0u64 }; BITS / 64];
+                    fill_bits(&mut words, start..end, on);
+                    for e in 0..BITS {
+                        let set = words[e / 64] >> (e % 64) & 1 == 1;
+                        assert_eq!(
+                            set != on,
+                            !(start..end).contains(&e),
+                            "{start}..{end} bit {e}"
+                        );
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_monotone_sweep_allocates_no_flags() {
+        // NLFILT's shape: each block sweeps its stripes upward, across
+        // two arrays turn about, over several stages.
+        let mut log = WriteLog::<f64>::new(
+            &[1 << 20, 1 << 20],
+            &[true, false],
+            CheckpointPolicy::OnDemand,
+        );
+        for stage in 0..3 {
+            for e in (stage * 1000..stage * 1000 + 4096).step_by(2) {
+                log.record(0, e, || 1.0);
+                log.record(0, e + 1, || 1.0);
+                log.record(1, e / 2, || unreachable!("restore-free"));
+            }
+            assert_eq!((log.num_written(), log.num_undo()), (4096 + 2048, 4096));
+            assert_eq!(log.num_flag_sets(), 0, "stage {stage}");
+            log.clear();
+        }
+        // A write below the mark flags that slot only, and repeats there
+        // are told apart from first writes.
+        log.record(0, 10, || 1.0);
+        log.record(0, 5, || 2.0);
+        log.record(0, 10, || unreachable!("a repeat"));
+        log.record(0, 6, || 3.0);
+        log.record(1, 1, || unreachable!("restore-free"));
+        assert_eq!(log.num_flag_sets(), 1);
+        assert_eq!(log.written(0).collect::<Vec<_>>(), [10, 5, 6]);
     }
 
     #[test]

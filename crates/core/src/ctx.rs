@@ -8,7 +8,9 @@
 //!   [`crate::view::ProcView`] (shadow marking, copy-in, reduction
 //!   deltas);
 //! * **untested** arrays write directly to shared memory through the
-//!   [`crate::buf::SharedBuf`] contract, recording checkpoint entries;
+//!   [`crate::buf::SharedBuf`] contract, recording checkpoint entries —
+//!   the write log's open run lives in the context while it runs
+//!   ([`crate::checkpoint`]);
 //! * in **direct** mode (sequential baseline, wavefront executor) all
 //!   speculation is bypassed and references go straight to shared
 //!   storage.
@@ -20,7 +22,7 @@
 
 use crate::array::{ArrayDecl, ArrayId, ArrayKind, ShadowKind};
 use crate::buf::SharedBuf;
-use crate::checkpoint::WriteLog;
+use crate::checkpoint::{LogView, OpenRun, WriteLog};
 use crate::value::{Reduction, Value};
 use crate::view::{lanes, ProcView};
 use rlrpd_shadow::IterMarks;
@@ -118,6 +120,9 @@ pub struct IterCtx<'a, T: Value = f64> {
     pub(crate) views: &'a mut [ProcView<T>],
     /// `None` in direct mode.
     pub(crate) wlog: Option<&'a mut WriteLog<T>>,
+    /// `wlog`'s open run, held here while the context lives and handed
+    /// back on drop; empty in direct mode.
+    open: OpenRun<T>,
     /// Per tested slot; present only during DDG extraction.
     pub(crate) iter_marks: Option<&'a mut [IterMarks]>,
     pub(crate) extra_cost: f64,
@@ -145,6 +150,7 @@ impl<'a, T: Value> IterCtx<'a, T> {
             shared,
             views: &mut [],
             wlog: None,
+            open: OpenRun::default(),
             iter_marks: None,
             extra_cost: 0.0,
             exited: false,
@@ -166,12 +172,12 @@ impl<'a, T: Value> IterCtx<'a, T> {
         wlog: &'a mut WriteLog<T>,
         iter_marks: Option<&'a mut [IterMarks]>,
     ) -> Self {
-        IterCtx {
-            views,
-            wlog: Some(wlog),
-            iter_marks,
-            ..IterCtx::direct(iter, writer, meta, shared)
-        }
+        let mut ctx = IterCtx::direct(iter, writer, meta, shared);
+        ctx.views = views;
+        ctx.open = std::mem::take(&mut wlog.open);
+        ctx.wlog = Some(wlog);
+        ctx.iter_marks = iter_marks;
+        ctx
     }
 
     /// Close the current iteration — its number, the extra cost it
@@ -276,16 +282,25 @@ impl<'a, T: Value> IterCtx<'a, T> {
                 }
                 self.views[slot].write(i, v);
             }
-            Route::Untested { slot } => {
-                if let Some(wlog) = self.wlog.as_deref_mut() {
-                    // SAFETY: first-write snapshot read of an element
-                    // only this block writes (untested contract).
-                    wlog.record(slot, i, || unsafe { buf.get(i) });
+            Route::Untested { slot } => match self.wlog.as_deref_mut() {
+                // SAFETY: direct schedule — no other thread touches
+                // element i while this one writes it.
+                None => unsafe { buf.set(i, v, self.writer) },
+                Some(wlog) => {
+                    // SAFETY: untested contract — this block is the sole
+                    // writer of element i this stage. Bound-checked, as
+                    // is the store: a write past the end faults before
+                    // the log records it.
+                    let old = unsafe { buf.get(i) };
+                    // SAFETY: as above.
+                    unsafe { buf.set(i, v, self.writer) };
+                    if self.open.extends(slot, i) {
+                        self.open.push(|| old);
+                    } else {
+                        wlog.record_at(&mut self.open, slot, i, old);
+                    }
                 }
-                // SAFETY: untested contract — this block is the sole
-                // writer of element i this stage.
-                unsafe { buf.set(i, v, self.writer) };
-            }
+            },
             Route::Tested { .. } => self.direct_cold(a, i, v, false),
         }
     }
@@ -401,9 +416,10 @@ impl<'a, T: Value> IterCtx<'a, T> {
         }
     }
 
-    /// This block's write log so far (`None` in direct mode); read only.
-    pub fn write_log(&self) -> Option<&WriteLog<T>> {
-        self.wlog.as_deref()
+    /// This block's write log so far, the open run included (`None` in
+    /// direct mode); read only.
+    pub fn write_log(&self) -> Option<LogView<'_, T>> {
+        Some(self.wlog.as_deref()?.view(&self.open))
     }
 
     /// The current value of the loop's induction counter
@@ -440,6 +456,16 @@ impl<'a, T: Value> IterCtx<'a, T> {
     }
 }
 
+impl<T: Value> Drop for IterCtx<'_, T> {
+    /// Hand the open run back to the write log, also when the block
+    /// panicked.
+    fn drop(&mut self) {
+        if let Some(wlog) = self.wlog.as_deref_mut() {
+            wlog.open = std::mem::take(&mut self.open);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,10 +477,20 @@ mod tests {
     use rlrpd_shadow::Mark;
 
     /// `read` / `write` / `reduce` as one function, before the hot and
-    /// cold arms were split: the oracle the split must agree with.
+    /// cold arms were split and the write log's open run moved into the
+    /// context: the oracle the split must agree with. It logs untested
+    /// writes one at a time with [`WriteLog::record`] into `side`, a log
+    /// the context does not hold.
     /// SAFETY, for every block: one context on one thread, nothing else
     /// touches its arrays.
-    fn unsplit(ctx: &mut IterCtx<'_, f64>, op: u8, a: ArrayId, i: usize, v: f64) -> f64 {
+    fn unsplit(
+        ctx: &mut IterCtx<'_, f64>,
+        side: &mut WriteLog<f64>,
+        op: u8,
+        a: ArrayId,
+        i: usize,
+        v: f64,
+    ) -> f64 {
         let m = &ctx.meta[a.index()];
         let buf = &ctx.shared[a.index()];
         match (op, m.route) {
@@ -476,8 +512,8 @@ mod tests {
                 0.0
             }
             (1, Route::Untested { slot }) => {
-                if let Some(wlog) = ctx.wlog.as_deref_mut() {
-                    wlog.record(slot, i, || unsafe { buf.get(i) });
+                if ctx.wlog.is_some() {
+                    side.record(slot, i, || unsafe { buf.get(i) });
                 }
                 unsafe { buf.set(i, v, ctx.writer) };
                 0.0
@@ -494,38 +530,39 @@ mod tests {
         }
     }
 
-    /// Three arrays: a dense reduction array, a sparse array whose last
-    /// page is partial, an untested array.
+    /// Four arrays: a dense reduction array, a sparse array whose last
+    /// page is partial, an untested array and a restore-free one.
     fn decls(kind: ShadowKind) -> Vec<ArrayDecl<f64>> {
+        let mut free = ArrayDecl::untested("D", (0..150).map(f64::from).collect());
+        free.kind = ArrayKind::Untested { restore_free: true };
         vec![
             ArrayDecl::reduction("A", vec![1.0; 100], kind, Reduction::sum()),
             ArrayDecl::tested("B", (0..70).map(f64::from).collect(), Sparse),
             ArrayDecl::untested("C", vec![2.0; 50]),
+            free,
         ]
     }
 
     /// Everything a run of references leaves behind, per engine-visible
     /// structure: per tested slot the marks, private values and deltas,
-    /// touched count and reference count; the DDG marks; the write log;
-    /// the shared arrays; the values the reads returned.
+    /// touched count and reference count; the DDG marks; the write log —
+    /// per untested slot its elements in first-write order, then its
+    /// undo entries, its runs and its allocated flag sets; the shared
+    /// arrays; the values the reads returned.
     #[derive(Debug, PartialEq)]
     struct Left {
         views: Vec<(Vec<Mark>, Vec<Option<Contribution<f64>>>, usize, u64)>,
         ddg: Vec<Vec<(usize, Vec<(u32, rlrpd_shadow::EventKind)>)>>,
-        wlog: Option<(Vec<usize>, Vec<(usize, usize, f64)>)>,
+        wlog: Option<(Vec<Vec<usize>>, Vec<(usize, usize, f64)>, usize)>,
         shared: Vec<Vec<f64>>,
         reads: Vec<f64>,
     }
 
     /// Run `ops` — `(op, array, element, value, next iteration?)` —
     /// through `path` in a context of `mode` (0 direct, 1 speculative,
-    /// 2 speculative with DDG marks).
-    fn run(
-        kind: ShadowKind,
-        mode: u8,
-        ops: &[(u8, u32, usize, f64, bool)],
-        path: fn(&mut IterCtx<'_, f64>, u8, ArrayId, usize, f64) -> f64,
-    ) -> Left {
+    /// 2 speculative with DDG marks). The context's write log and the
+    /// side log `path` may use are read as one: one of them stays empty.
+    fn run(kind: ShadowKind, mode: u8, ops: &[(u8, u32, usize, f64, bool)], path: Path) -> Left {
         let routed = RoutedArrays::new(decls(kind));
         let mut views: Vec<ProcView<f64>> = (0..2)
             .map(|s| {
@@ -536,7 +573,14 @@ mod tests {
                 )
             })
             .collect();
-        let mut wlog = WriteLog::new(&routed.untested_sizes, &[true], CheckpointPolicy::OnDemand);
+        let log = || {
+            WriteLog::new(
+                &routed.untested_sizes,
+                &[true, false],
+                CheckpointPolicy::OnDemand,
+            )
+        };
+        let (mut wlog, mut side) = (log(), log());
         let mut marks = vec![IterMarks::new(), IterMarks::new()];
         let mut reads = Vec::new();
         {
@@ -554,7 +598,7 @@ mod tests {
             };
             for &(op, a, i, v, next) in ops {
                 let (a, i) = (ArrayId(a), i % ctx.len(ArrayId(a)));
-                reads.push(path(&mut ctx, op, a, i, v));
+                reads.push(path(&mut ctx, &mut side, op, a, i, v));
                 if next {
                     ctx.advance();
                 }
@@ -575,17 +619,33 @@ mod tests {
                 elems
             })
             .collect();
+        let logs = [&wlog, &side];
+        let wlog = (0..2)
+            .map(|slot| logs.iter().flat_map(|log| log.written(slot)).collect())
+            .collect();
+        let undo = logs.iter().flat_map(|log| log.undo_rev()).collect();
+        let runs = logs.map(|log| log.num_runs()).iter().sum();
         Left {
             views,
             ddg,
-            wlog: (mode > 0).then(|| (wlog.written(0).collect(), wlog.undo_rev().collect())),
+            wlog: (mode > 0).then_some((wlog, undo, runs)),
             shared: routed.shared.into_iter().map(SharedBuf::into_vec).collect(),
             reads,
         }
     }
 
+    /// A path the references run through (`split` or `unsplit`).
+    type Path = fn(&mut IterCtx<'_, f64>, &mut WriteLog<f64>, u8, ArrayId, usize, f64) -> f64;
+
     /// The path under test.
-    fn split(ctx: &mut IterCtx<'_, f64>, op: u8, a: ArrayId, i: usize, v: f64) -> f64 {
+    fn split(
+        ctx: &mut IterCtx<'_, f64>,
+        _: &mut WriteLog<f64>,
+        op: u8,
+        a: ArrayId,
+        i: usize,
+        v: f64,
+    ) -> f64 {
         match op {
             0 => return ctx.read(a, i),
             1 => ctx.write(a, i, v),
@@ -671,7 +731,7 @@ mod tests {
     fn a_tested_write_past_the_end_faults_in_the_block() {
         // B's last page covers 64..96 and its sparse shadow takes any
         // element: only the bound check refuses 70.
-        run(Sparse, 1, &[(1, 1, 0, 0.0, false)], |ctx, _, a, _, v| {
+        run(Sparse, 1, &[(1, 1, 0, 0.0, false)], |ctx, _, _, a, _, v| {
             ctx.write(a, 70, v);
             0.0
         });
@@ -680,7 +740,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "index out of bounds: the len is 100 but the index is 101")]
     fn a_tested_reduction_past_the_end_faults_in_the_block() {
-        run(Sparse, 1, &[(2, 0, 0, 1.0, false)], |ctx, _, a, _, v| {
+        run(Sparse, 1, &[(2, 0, 0, 1.0, false)], |ctx, _, _, a, _, v| {
             ctx.reduce(a, 101, v);
             0.0
         });
@@ -693,12 +753,24 @@ mod tests {
         fn the_split_arms_leave_what_the_unsplit_path_left(
             kind in 0usize..3,
             mode in 0u8..3,
-            ops in prop::collection::vec((0u8..3, 0u32..3, 0usize..200, -4i8..5, any::<bool>()), 0..60),
+            ops in prop::collection::vec(
+                (0u8..3, 0u32..4, 0usize..200, -4i8..5, any::<bool>(), 0u8..4),
+                0..80,
+            ),
         ) {
-            // Reductions only of the array with an operator.
+            // Reductions only of the array with an operator. Three times
+            // in four a reference steps to the element after the
+            // array's last one: ascending sweeps, within one array or
+            // across a switch; the rest jump anywhere, which repeats,
+            // descends and lands below a sweep's high-water mark.
+            let mut last = [0usize; 4];
             let ops: Vec<_> = ops
                 .into_iter()
-                .map(|(op, a, i, v, next)| (if a > 0 { op.min(1) } else { op }, a, i, f64::from(v), next))
+                .map(|(op, a, i, v, next, step)| {
+                    let i = if step > 0 { last[a as usize] + 1 } else { i };
+                    last[a as usize] = i;
+                    (if a > 0 { op.min(1) } else { op }, a, i, f64::from(v), next)
+                })
                 .collect();
             let kind = [Dense, Packed, Sparse][kind];
             let (left, oracle) = (run(kind, mode, &ops, split), run(kind, mode, &ops, unsplit));

@@ -50,7 +50,7 @@ use crate::journal::JournalSink;
 use crate::report::RunReport;
 use crate::stages::{journal_stage, settle_journal};
 use crate::value::Value;
-use rlrpd_runtime::{panic_message, ExecMode, OverheadKind, PostCell, StageStats};
+use rlrpd_runtime::{panic_message, ExecMode, Executor, OverheadKind, PostCell, StageStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -83,6 +83,7 @@ pub(crate) fn run_doacross<T: Value>(
     let depth = dcfg.pipeline_depth(cfg.p).min(total.max(1));
     let mut stats = StageStats {
         iters_attempted: total,
+        threads: 1,
         ..Default::default()
     };
 
@@ -98,6 +99,7 @@ pub(crate) fn run_doacross<T: Value>(
         }
         (work, work / dcfg.pipeline_depth(cfg.p) as f64, 0.0)
     } else {
+        stats.threads = depth;
         run_lanes(engine, &dcfg, depth, start)?
     };
 
@@ -137,8 +139,8 @@ fn premature_exit(iter: usize) -> RlrpdError {
     }
 }
 
-/// Execute the pipeline on real threads: `depth` lanes on the engine's
-/// executor, one post/wait cell between them.
+/// Execute the pipeline on real threads: `depth` lanes on a pool that
+/// wide, one post/wait cell between them.
 /// Returns `(total_work, loop_time, wall_seconds)`.
 fn run_lanes<T: Value>(
     engine: &mut Engine<'_, T>,
@@ -162,7 +164,10 @@ fn run_lanes<T: Value>(
     let lp = engine.lp;
     let meta = &engine.meta;
     let shared = &engine.shared;
-    let executor = engine.executor.clone();
+    // Lanes wait on each other's posts: all `depth` must run at once,
+    // so they take a pool that wide even where the engine's executor
+    // runs blocks inline (one CPU).
+    let executor = Executor::lanes(engine.executor.mode(), depth);
 
     let stop_pipeline = |iter: usize, slot: &Mutex<Option<(usize, String)>>, message: String| {
         {
@@ -385,5 +390,8 @@ mod tests {
         let exec = ExecMode::Pooled;
         let res = run_speculative(&lp, doacross_cfg(8, 64, exec));
         assert_eq!(res.array("A"), &seq[0].1[..], "exec={exec:?}");
+        // The report says how many lanes ran: six, not the eight `p`
+        // and `d` would allow.
+        assert_eq!(res.report.threads(), 6);
     }
 }

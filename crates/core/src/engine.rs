@@ -442,6 +442,7 @@ impl<'l, T: Value> Engine<'l, T> {
         let (timing, fault) = if let Some(r) = remote_result {
             r
         } else {
+            stats.threads = self.executor.threads();
             self.run_blocks_local(schedule, fault_plan.as_deref(), false)
         };
         stats.contained_faults = fault.is_some() as usize;
@@ -1108,6 +1109,7 @@ pub fn run_sequential_counted<T: Value>(
         true
     });
     let counter = lp.initial_counter().map(|_| ctx.counter);
+    drop(ctx);
 
     let arrays = meta
         .iter()

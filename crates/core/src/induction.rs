@@ -123,6 +123,7 @@ pub fn run_induction<T: Value>(
             total_work: work,
             iters_attempted: n,
             iters_committed: n,
+            threads: 1,
             ..Default::default()
         };
         seq.overhead.add(OverheadKind::Sync, cost.sync);
@@ -159,6 +160,7 @@ fn doall<T: Value>(
         total_work: timing.total_work(),
         iters_attempted: n,
         wall_seconds: timing.wall_seconds,
+        threads: eng.executor.threads(),
         ..Default::default()
     };
     let cost = &eng.cfg.cost;

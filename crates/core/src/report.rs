@@ -109,6 +109,12 @@ impl RunReport {
         self.wall_seconds = self.total(|s| s.wall_seconds);
     }
 
+    /// Most threads that ran one stage's blocks in process
+    /// ([`StageStats::threads`]); 0 for a run with no stages.
+    pub fn threads(&self) -> usize {
+        self.stages.iter().map(|s| s.threads).max().unwrap_or(0)
+    }
+
     /// Panics contained across all stages (each was recorded as a
     /// speculation fault of its block and recovered by re-execution).
     pub fn contained_faults(&self) -> usize {

@@ -412,6 +412,7 @@ pub(crate) fn sequential_fallback<T: Value>(
         total_work: work,
         iters_attempted: attempted,
         iters_committed: committed,
+        threads: 1,
         ..Default::default()
     };
     seq.overhead.add(OverheadKind::Sync, cfg.cost.sync);

@@ -23,6 +23,7 @@ use rlrpd_core::{
 };
 use rlrpd_core::{AdaptRule, RunResult};
 use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const A: ArrayId = ArrayId(0);
@@ -364,4 +365,53 @@ fn default_policy_never_changes_a_fault_free_run() {
     assert_eq!(base.report.restarts, with_default.report.restarts);
     assert_eq!(with_default.report.fallback, None);
     assert_eq!(with_default.report.contained_faults(), 0);
+}
+
+#[test]
+fn a_block_that_panics_mid_sweep_restores_exactly_its_untested_writes() {
+    // Each iteration updates its own 16-element stripe of an untested
+    // array in place, as NLFILT's STATE. One iteration panics once,
+    // part-way through its stripe: the run its block was extending was
+    // still open in the iteration context, and must reach the log, be
+    // restored — that block's writes and no other's — and re-execute.
+    // An element left unrestored is updated twice; one restored that
+    // another block committed loses its update.
+    const STRIPE: usize = 16;
+    let n = 48;
+    for (fire_at, mid) in [(0, 0), (5, 7), (17, 15), (40, 3), (47, 9)] {
+        for p in [1usize, 2, 4] {
+            for ckpt in [CheckpointPolicy::OnDemand, CheckpointPolicy::Eager] {
+                for exec in [ExecMode::Simulated, ExecMode::Pooled] {
+                    let fired = Arc::new(AtomicBool::new(false));
+                    let once = Arc::clone(&fired);
+                    let lp = ClosureLoop::<i64>::new(
+                        n,
+                        move || {
+                            let init = (0..n * STRIPE).map(|e| e as i64).collect();
+                            vec![ArrayDecl::untested("U", init)]
+                        },
+                        move |i, ctx| {
+                            for k in 0..STRIPE {
+                                let e = i * STRIPE + k;
+                                let u = ctx.read(ArrayId(0), e);
+                                ctx.write(ArrayId(0), e, 3 * u + 1);
+                                if (i, k) == (fire_at, mid) && !once.swap(true, Ordering::SeqCst) {
+                                    resume_unwind(Box::new("mid-sweep"));
+                                }
+                            }
+                        },
+                    );
+                    let label = format!("iteration {fire_at} k {mid} p={p} {ckpt:?} {exec:?}");
+                    let cfg = RunConfig::new(p).with_checkpoint(ckpt).with_exec(exec);
+                    let res = Runner::new(cfg)
+                        .try_run(&lp)
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    fired.store(true, Ordering::SeqCst);
+                    let (seq, _) = run_sequential(&lp);
+                    assert_eq!(res.array("U"), &seq[0].1[..], "{label}");
+                    assert_eq!(res.report.contained_faults(), 1, "{label}");
+                }
+            }
+        }
+    }
 }

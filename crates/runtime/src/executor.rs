@@ -9,7 +9,8 @@
 //!
 //! * [`ExecMode::Pooled`] — blocks run on real threads: a persistent
 //!   fork-join [`WorkerPool`] created once and reused by every
-//!   stage and restart (see [`crate::pool`]). This proves the
+//!   stage and restart (see [`crate::pool`]); one thread wide, blocks
+//!   inline, on a thread confined to one CPU ([`Executor::with_procs`]). This proves the
 //!   engine is genuinely parallel and data-race-free and provides real
 //!   wall-clock measurements.
 //! * [`ExecMode::Distributed`] — block bodies run in worker processes;
@@ -30,6 +31,27 @@ use crate::cost::Cost;
 use crate::pool::{run_inline, JobPanic, SendPtr, WorkerPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// May the calling thread run on just one CPU? Its affinity mask,
+/// one system call: no cgroup files are read, unlike
+/// `available_parallelism`. A mask wider than 1 024 CPUs reads as no.
+#[cfg(target_os = "linux")]
+fn on_one_cpu() -> bool {
+    extern "C" {
+        fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
+    }
+    let mut mask = [0u64; 16];
+    // SAFETY: `mask` is a live buffer of exactly the size passed; pid 0
+    // names the calling thread.
+    let rc = unsafe { sched_getaffinity(0, std::mem::size_of_val(&mask), mask.as_mut_ptr()) };
+    rc == 0 && mask.iter().map(|w| w.count_ones()).sum::<u32>() == 1
+}
+
+/// May the calling thread run on just one CPU?
+#[cfg(not(target_os = "linux"))]
+fn on_one_cpu() -> bool {
+    std::thread::available_parallelism().is_ok_and(|n| n.get() == 1)
+}
 
 /// How to run the blocks of one stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,10 +116,23 @@ impl Executor {
         Self::with_procs(mode, procs)
     }
 
-    /// Create an executor whose pool (if any) has `procs` workers.
-    /// Pools are memoized per width, so repeated construction — e.g.
-    /// one engine per restarted run — reuses the same OS threads.
+    /// Create an executor for `procs` blocks a stage. Its pool (if
+    /// any) is `procs` wide, or 1 wide when the calling thread may run
+    /// on just one CPU (read here once): such a thread runs every block
+    /// in order on itself — the same blocks, no hand-off to a helper
+    /// that could only time-share that CPU. Pools are memoized per
+    /// width, so repeated construction — e.g. one engine per restarted
+    /// run — reuses the same OS threads.
     pub fn with_procs(mode: ExecMode, procs: usize) -> Self {
+        let inline = mode != ExecMode::Simulated && on_one_cpu();
+        Self::lanes(mode, if inline { 1 } else { procs })
+    }
+
+    /// Create an executor whose pool (if any) is `procs` wide whatever
+    /// the CPU set: every block of a stage no wider runs at once. For
+    /// blocks that wait on each other (DOACROSS lanes), which a
+    /// narrower pool would deadlock.
+    pub fn lanes(mode: ExecMode, procs: usize) -> Self {
         let pool = match mode {
             ExecMode::Pooled | ExecMode::Distributed => Some(WorkerPool::shared(procs)),
             ExecMode::Simulated => None,
@@ -112,6 +147,12 @@ impl Executor {
     /// The executor's mode.
     pub fn mode(&self) -> ExecMode {
         self.mode
+    }
+
+    /// Threads that run a stage's blocks: the pool's width, 1 when
+    /// simulated.
+    pub fn threads(&self) -> usize {
+        self.pool.as_ref().map_or(1, |pool| pool.threads())
     }
 
     /// Parallel sections (pool jobs) this executor and its clones have

@@ -203,6 +203,10 @@ pub struct StageStats {
     /// under the simulated executor, and 0 for the doall of a stage
     /// whose blocks ran on a worker fleet.
     pub fork_joins: usize,
+    /// Threads that ran the stage's blocks in process: the pool's width
+    /// (a DOACROSS pipeline's lanes), 1 under the simulated executor,
+    /// 0 for blocks that ran on a worker fleet.
+    pub threads: usize,
     /// Iterations the loop's body tier executed several-at-a-time
     /// during this stage's doall (the bytecode VM's strips), summed over
     /// blocks; 0 for a loop without such a tier and for blocks that ran

@@ -1257,10 +1257,17 @@ fn cmd_run(opts: Opts) -> Result<(), CliError> {
                 None => "against",
             }
         );
-        // The paper's promise on the clock, on real threads only.
+        // The paper's promise on the clock, on real threads only, and
+        // how many threads the run put on its blocks.
         if cfg.exec == ExecMode::Pooled {
             let ratio = spec_s / seq_s;
-            println!("{at}wall: spec {spec_s:.6} s, seq {seq_s:.6} s (spec/seq {ratio:.2})");
+            let threads = res.report.threads();
+            let s = if threads == 1 { "" } else { "s" };
+            println!(
+                "{at}wall: spec {spec_s:.6} s, seq {seq_s:.6} s \
+                 (spec/seq {ratio:.2}; p = {} on {threads} thread{s})",
+                cfg.p
+            );
         }
         Ok(res)
     })?;
