@@ -47,14 +47,6 @@ pub enum Strategy {
     AdaptiveRd(AdaptRule),
     /// Strip-mine with the sliding-window R-LRPD test.
     SlidingWindow(WindowConfig),
-    /// Don't speculate at all: the static analyzer *proved* every
-    /// cross-iteration dependence sits at a uniform distance, so
-    /// iterations pipeline across the worker pool with point-to-point
-    /// post/wait cells at the proven distances — no shadow memory, no
-    /// restarts, byte-identical to sequential execution by
-    /// construction (DESIGN.md §16). Select it through
-    /// [`RunConfig::auto_strategy`] with the classifier's verdict.
-    Doacross(DoacrossConfig),
 }
 
 /// The CLI's and the daemon's strategy syntax: `nrd`, `rd`, `adaptive`
@@ -76,78 +68,6 @@ impl std::str::FromStr for Strategy {
                 None => Err(format!("unknown strategy '{s}'")),
             },
         }
-    }
-}
-
-/// The statically proven uniform dependence distances that schedule a
-/// [`Strategy::Doacross`] run.
-///
-/// `Copy` (so [`Strategy`] stays `Copy`) by bounding the stored vector:
-/// the eight *smallest* distinct distances are kept — the minimum is
-/// what bounds the pipeline depth, and waiting at a distance smaller
-/// than the true one is always sound (it only over-synchronizes), so
-/// dropping the largest entries never breaks the protocol.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DoacrossConfig {
-    len: u8,
-    distances: [u32; Self::MAX_DEPS],
-}
-
-impl DoacrossConfig {
-    /// Distinct distances retained (ascending; smallest kept on
-    /// overflow).
-    pub const MAX_DEPS: usize = 8;
-
-    /// A single proven distance `d ≥ 1`.
-    ///
-    /// # Panics
-    /// Panics when `d == 0` (distance zero is an intra-iteration
-    /// reference, not a cross-iteration dependence).
-    pub fn at(d: usize) -> Self {
-        Self::from_distances(&[d]).expect("DOACROSS distance must be >= 1")
-    }
-
-    /// Package a proven distance set. Returns `None` when `ds` is empty
-    /// or contains 0; keeps the [`Self::MAX_DEPS`] smallest distinct
-    /// distances (clamped into `u32`, which is correctness-safe: any
-    /// stored value ≤ the true distance keeps the protocol sound).
-    pub fn from_distances(ds: &[usize]) -> Option<Self> {
-        if ds.is_empty() || ds.contains(&0) {
-            return None;
-        }
-        let mut sorted: Vec<u32> = ds
-            .iter()
-            .map(|&d| d.min(u32::MAX as usize) as u32)
-            .collect();
-        sorted.sort_unstable();
-        sorted.dedup();
-        sorted.truncate(Self::MAX_DEPS);
-        let mut distances = [0u32; Self::MAX_DEPS];
-        for (slot, &d) in distances.iter_mut().zip(&sorted) {
-            *slot = d;
-        }
-        Some(DoacrossConfig {
-            len: sorted.len() as u8,
-            distances,
-        })
-    }
-
-    /// The proven distances, ascending.
-    pub fn distances(&self) -> &[u32] {
-        &self.distances[..self.len as usize]
-    }
-
-    /// The minimum proven distance — the dependence that bounds the
-    /// pipeline's parallelism.
-    pub fn min_distance(&self) -> usize {
-        self.distances[0] as usize
-    }
-
-    /// Concurrent lanes a `p`-processor run can sustain:
-    /// `min(d_min, p)` — iterations closer than `d_min` are proven
-    /// independent, so up to `d_min` of them may be in flight at once.
-    pub fn pipeline_depth(&self, p: usize) -> usize {
-        self.min_distance().min(p).max(1)
     }
 }
 
@@ -372,20 +292,6 @@ impl RunConfig {
         self
     }
 
-    /// Consult the static classifier's verdict: with a *proven*
-    /// distance vector the run is scheduled [`Strategy::Doacross`] (the
-    /// analyzer acting as a scheduler, not a linter); with `None` —
-    /// a `May` dependence, an opaque subscript, a guard, a non-uniform
-    /// distance — the configured speculative strategy is kept. This is
-    /// the top rung of the Doacross → R-LRPD → sequential degradation
-    /// ladder (DESIGN.md §16).
-    pub fn auto_strategy(mut self, proven: Option<DoacrossConfig>) -> Self {
-        if let Some(d) = proven {
-            self.strategy = Strategy::Doacross(d);
-        }
-        self
-    }
-
     pub(crate) fn engine_cfg(&self) -> EngineCfg {
         EngineCfg {
             p: self.p,
@@ -498,18 +404,6 @@ impl RunPlan<'_> {
             return Err(PlanError::ResumeWithoutJournal);
         }
         let arms = |domain| fault.is_some_and(|f| f.arms(domain));
-        if matches!(cfg.strategy, Strategy::Doacross(_)) {
-            if self.fleet.is_some() {
-                return Err(PlanError::DoacrossOverFleet);
-            }
-            // The pipeline runs every iteration once, directly: it has
-            // no stage for a shadow-pressure site and no rollback for a
-            // panic site, so either would silently never fire. Its
-            // journal does visit every record site.
-            if arms(FaultDomain::Iteration) || arms(FaultDomain::Stage) {
-                return Err(PlanError::DoacrossWithFaults);
-            }
-        }
         // A fleet's workers run their blocks with no plan
         // (`remote::run_blocks_local(…, None, …)`): an iteration site
         // would be announced and never fire.
@@ -658,8 +552,8 @@ impl Runner {
     }
 
     /// The one run body: validate the plan, build the engine, bring
-    /// journal and fleet to the run's starting point, run the stages (or
-    /// the DOACROSS pipeline), fold the outcome into a [`RunResult`].
+    /// journal and fleet to the run's starting point, run the stages,
+    /// fold the outcome into a [`RunResult`].
     ///
     /// `elem` is `None` only from [`Runner::try_run`], whose `T` has no
     /// journal image and whose plan is therefore empty.
@@ -789,11 +683,8 @@ impl Runner {
         }
 
         let (cfg, partitioner, stop) = (&self.cfg, &self.partitioner, self.stop.as_deref());
-        let mut drive = |sink: &mut Option<JournalSink>| match cfg.strategy {
-            Strategy::Doacross(dcfg) => {
-                crate::doacross::run_doacross(&mut engine, cfg, dcfg, start, sink, stop)
-            }
-            _ => run_stages(&mut engine, cfg, partitioner, start, sink, stop, |_| {}),
+        let mut drive = |sink: &mut Option<JournalSink>| {
+            run_stages(&mut engine, cfg, partitioner, start, sink, stop, |_| {})
         };
         let (mut report, arcs) = match (complete, attached) {
             (Some(report), _) => (report, Vec::new()),

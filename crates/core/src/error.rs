@@ -24,11 +24,6 @@ pub enum PlanError {
     TooManyProcessors,
     /// [`crate::RunPlan::resume`] without a [`crate::RunPlan::journal`].
     ResumeWithoutJournal,
-    /// [`crate::Strategy::Doacross`] with a [`crate::RunPlan::fleet`].
-    DoacrossOverFleet,
-    /// [`crate::Strategy::Doacross`] with a fault plan that arms
-    /// iteration or stage sites ([`crate::FaultPlan::arms`]).
-    DoacrossWithFaults,
     /// A [`crate::RunPlan::fleet`] with a fault plan that arms iteration
     /// sites: workers run their blocks with no plan.
     FleetWithIterationFaults,
@@ -54,15 +49,6 @@ impl std::fmt::Display for PlanError {
             }
             PlanError::ResumeWithoutJournal => {
                 "--resume requires --journal <path>: the journal holds the run to continue"
-            }
-            PlanError::DoacrossOverFleet => {
-                "the DOACROSS tier (--doacross) cannot combine with a worker fleet \
-                 (--dist-workers): post/wait cells synchronize threads in one address space"
-            }
-            PlanError::DoacrossWithFaults => {
-                "the DOACROSS tier (--doacross) cannot combine with fault injection at an \
-                 iteration or a stage (--fault-seed, --shadow-fault): the plan arms sites the \
-                 pipeline never visits"
             }
             PlanError::FleetWithIterationFaults => {
                 "a worker fleet (--dist-workers) cannot combine with fault injection at an \

@@ -63,7 +63,6 @@ pub mod checkpoint;
 pub mod commit;
 pub mod ctx;
 pub mod ddg;
-mod doacross;
 pub mod driver;
 mod engine;
 pub mod error;
@@ -90,8 +89,8 @@ pub use checkpoint::CheckpointPolicy;
 pub use ctx::IterCtx;
 pub use ddg::{extract_ddg, DdgResult, DepCollector, DepGraph, EdgeKind};
 pub use driver::{
-    run_speculative, AdaptRule, BalancePolicy, DoacrossConfig, FallbackPolicy, FallbackReason,
-    RunConfig, RunPlan, RunResult, Runner, Strategy,
+    run_speculative, AdaptRule, BalancePolicy, FallbackPolicy, FallbackReason, RunConfig, RunPlan,
+    RunResult, Runner, Strategy,
 };
 pub use engine::{
     reduction_mask, run_sequential, run_sequential_counted, verify_against_sequential,

@@ -178,7 +178,6 @@ fn stage_loop<T: Value>(
             w: wcfg.iters_per_proc,
             rotation: 0,
         },
-        Strategy::Doacross(_) => unreachable!("a DOACROSS run is a pipeline, not a stage loop"),
     };
     // First uncommitted iteration (everything below it is final).
     let mut commit_point = start;

@@ -944,13 +944,13 @@ pub struct DoacrossDep {
     pub sink: RefInfo,
 }
 
-/// Why a loop was demoted from DOACROSS to speculation.
+/// Why the proof refused a loop.
 #[derive(Clone, Debug)]
 pub struct DoacrossBlock {
     /// Array declaration index of the blocking reference, when the
     /// block is attributable to one array.
     pub array: Option<usize>,
-    /// The reference that forced speculation, when one.
+    /// The reference that defeats the proof, when one.
     pub reference: Option<RefInfo>,
     /// Human-readable reason.
     pub reason: String,
@@ -960,28 +960,27 @@ pub struct DoacrossBlock {
 #[derive(Clone, Debug)]
 pub enum DoacrossVerdict {
     /// Every cross-iteration dependence is proven (`Must`) with a
-    /// uniform distance: the loop can run DOACROSS under post/wait
-    /// cells at those distances, with no speculation and no shadow.
+    /// uniform distance: the distances a synchronized (DOACROSS)
+    /// schedule would wait at.
     Eligible,
-    /// No cross-iteration dependence exists at all — a doall. DOACROSS
-    /// synchronization would be pure overhead; plain speculation never
-    /// restarts on such a loop.
+    /// No cross-iteration dependence exists at all — a doall;
+    /// speculation never restarts on such a loop.
     Independent,
-    /// At least one reference defeats the proof; the loop must
-    /// speculate (R-LRPD).
+    /// At least one reference defeats the proof.
     Blocked(DoacrossBlock),
 }
 
-/// The per-array distance-vector proof behind the hybrid DOACROSS
-/// tier: either *every* cross-iteration dependence of the loop is a
-/// `Must` at a uniform (iteration-independent) distance — in which
-/// case the distance set is a complete synchronization recipe — or the
-/// loop is demoted to speculation, with the demoting reference named.
+/// The per-array distance-vector proof: either *every* cross-iteration
+/// dependence of the loop is a `Must` at a uniform
+/// (iteration-independent) distance — in which case the distance set
+/// is a complete synchronization recipe — or the reference that
+/// defeats the proof is named. `rlrpd analyze` and the lint notes
+/// report it; every loop speculates either way.
 ///
 /// The proof is deliberately all-or-nothing: one `May`, one opaque or
 /// non-uniform subscript, one guarded conflicting pair, and the whole
-/// loop speculates. A DOACROSS run performs direct (undo-less) writes,
-/// so there is no partial-credit mode.
+/// loop is blocked. A synchronized run would perform direct
+/// (undo-less) writes, so there is no partial credit.
 #[derive(Clone, Debug)]
 pub struct DoacrossPlan {
     /// Eligibility verdict.
@@ -994,13 +993,13 @@ pub struct DoacrossPlan {
 }
 
 impl DoacrossPlan {
-    /// Is the loop proven DOACROSS-runnable?
+    /// Is every cross-iteration dependence proven at a uniform
+    /// distance?
     pub fn eligible(&self) -> bool {
         matches!(self.verdict, DoacrossVerdict::Eligible)
     }
 
-    /// Minimum proven distance (the pipeline-limiting one), when the
-    /// plan has dependences.
+    /// Minimum proven distance, when the plan has dependences.
     pub fn min_distance(&self) -> Option<usize> {
         self.deps.iter().map(|d| d.distance).min()
     }
@@ -1012,22 +1011,12 @@ impl DoacrossPlan {
         ds.dedup();
         ds
     }
-
-    /// Iterations that can be in flight concurrently on `p` processors:
-    /// `min(d_min, p)` — iteration `i` may only overlap iterations
-    /// within `d_min` of it, and no more than `p` run at once.
-    pub fn pipeline_depth(&self, p: usize) -> usize {
-        match self.min_distance() {
-            Some(d) => d.min(p).max(1),
-            None => p.max(1),
-        }
-    }
 }
 
-/// Is there a `break` anywhere in `body`? A premature exit under
-/// DOACROSS would leave direct writes from in-flight later iterations
-/// with nothing to undo them, so it demotes the loop to speculation;
-/// under speculation it keeps every untested array's undo log.
+/// Is there a `break` anywhere in `body`? A premature exit under a
+/// synchronized schedule would leave direct writes from in-flight later
+/// iterations with nothing to undo them, so it blocks the proof; under
+/// speculation it keeps every untested array's undo log.
 pub(crate) fn body_has_break(body: &[Stmt]) -> bool {
     body.iter().any(|s| match s {
         Stmt::Break { .. } => true,
@@ -1407,8 +1396,6 @@ mod tests {
         assert!(plan.eligible(), "{:?}", plan.verdict);
         assert_eq!(plan.min_distance(), Some(3));
         assert_eq!(plan.distances(), vec![3]);
-        assert_eq!(plan.pipeline_depth(8), 3);
-        assert_eq!(plan.pipeline_depth(2), 2);
         let dep = &plan.deps[0];
         assert!(dep.source.is_write && !dep.sink.is_write);
     }

@@ -340,20 +340,6 @@ impl CompiledProgram {
             prog: self,
             k,
             init,
-            plain: false,
-        }
-    }
-
-    /// A *plain* [`SpecLoop`] view of loop `k`: every array is declared
-    /// untested regardless of the classifier's verdict, so the engine
-    /// allocates no shadow memory and performs no marking. Only valid
-    /// for execution tiers that never speculate — the DOACROSS tier,
-    /// whose post/wait protocol makes cross-iteration order correct by
-    /// construction, or plain sequential execution.
-    pub fn loop_view_plain(&self, k: usize, init: Vec<Vec<f64>>) -> ProgramLoop<'_> {
-        ProgramLoop {
-            plain: true,
-            ..self.loop_view(k, init)
         }
     }
 
@@ -363,17 +349,6 @@ impl CompiledProgram {
     /// [`depend::doacross_plan`].
     pub fn doacross_plan(&self, k: usize) -> &DoacrossPlan {
         &self.analyses[k].plan
-    }
-
-    /// The proven distance vector of loop `k` packaged for
-    /// [`rlrpd_core::Strategy::Doacross`] — `Some` exactly when the
-    /// plan's verdict is `Eligible` (a proof, not a heuristic).
-    pub fn doacross_config(&self, k: usize) -> Option<rlrpd_core::DoacrossConfig> {
-        let plan = self.doacross_plan(k);
-        if !plan.eligible() {
-            return None;
-        }
-        rlrpd_core::DoacrossConfig::from_distances(&plan.distances())
     }
 
     /// Initial array contents from the declarations (declaration
@@ -431,38 +406,9 @@ impl CompiledProgram {
     /// first dependence sink so the report can compare it with the
     /// observed one.
     pub fn run(&self, cfg: RunConfig) -> ProgramResult {
-        self.run_tiers(cfg, |_| None)
-    }
-
-    /// Execute the whole program with per-loop strategy auto-selection:
-    /// loops the classifier *proves* regular (an [`DoacrossPlan`]
-    /// eligibility verdict) run DOACROSS over a plain zero-shadow view
-    /// — no speculation, no restarts — while `May`/opaque loops keep
-    /// the speculative strategy of `cfg`. This is the degradation
-    /// ladder of DESIGN.md §16, surfaced on the CLI as
-    /// `--doacross auto`.
-    pub fn run_auto(&self, cfg: RunConfig) -> ProgramResult {
-        self.run_tiers(cfg, |k| self.doacross_config(k))
-    }
-
-    /// [`CompiledProgram::run_loops`] with each loop on the tier
-    /// `proven` selects for it: DOACROSS over a plain view at the
-    /// distances it returns, the speculative strategy of `cfg` over the
-    /// tested view where it returns none.
-    fn run_tiers(
-        &self,
-        cfg: RunConfig,
-        proven: impl Fn(usize) -> Option<rlrpd_core::DoacrossConfig>,
-    ) -> ProgramResult {
         let Ok(res) = self.run_loops(|k, state| {
-            let proven = proven(k);
-            let view = ProgramLoop {
-                plain: proven.is_some(),
-                ..self.loop_view(k, state)
-            };
-            let cfg = cfg
-                .with_dependence_prediction(self.predicted_first_dependence(k))
-                .auto_strategy(proven);
+            let cfg = cfg.with_dependence_prediction(self.predicted_first_dependence(k));
+            let view = self.loop_view(k, state);
             Ok::<_, std::convert::Infallible>(rlrpd_core::run_speculative(&view, cfg))
         });
         res
@@ -654,9 +600,6 @@ pub struct ProgramLoop<'a> {
     prog: &'a CompiledProgram,
     k: usize,
     init: Vec<Vec<f64>>,
-    /// Zero-shadow view: declare every array untested (see
-    /// [`CompiledProgram::loop_view_plain`]).
-    plain: bool,
 }
 
 impl SpecLoop<f64> for ProgramLoop<'_> {
@@ -665,19 +608,7 @@ impl SpecLoop<f64> for ProgramLoop<'_> {
     }
 
     fn arrays(&self) -> Vec<ArrayDecl<f64>> {
-        let init = self.init.clone();
-        if !self.plain {
-            return self.prog.decls_for(self.k, init);
-        }
-        // Every array untested: the engine neither allocates shadow
-        // state nor marks accesses. The bytecode is unchanged — elided
-        // ops route through the context, which skips marking when no
-        // shadow exists.
-        let names = self.prog.names.iter();
-        names
-            .zip(init)
-            .map(|(&name, data)| ArrayDecl::untested(name, data))
-            .collect()
+        self.prog.decls_for(self.k, self.init.clone())
     }
 
     fn body(&self, iter: usize, ctx: &mut IterCtx<'_, f64>) {
@@ -882,46 +813,50 @@ mod tests {
     }
 
     #[test]
-    fn doacross_config_is_some_exactly_for_proven_loops() {
+    fn doacross_plan_is_eligible_exactly_for_proven_loops() {
         let prog = CompiledProgram::compile(
             "array A[256] = 1;\nfor i in 4..256 { A[i] = A[i - 4] * 0.5 + 1; }",
         )
         .unwrap();
-        let cfg = prog.doacross_config(0).expect("uniform distance 4 proven");
-        assert_eq!(cfg.min_distance(), 4);
+        let plan = prog.doacross_plan(0);
+        assert!(plan.eligible(), "uniform distance 4 proven");
+        assert_eq!(plan.min_distance(), Some(4));
 
         // Guarded conflict: the proof must refuse.
         let prog = CompiledProgram::compile(
             "array A[300];\nfor i in 0..256 { if i % 3 == 0 { A[i + 7] = 1; } A[i] = i; }",
         )
         .unwrap();
-        assert!(prog.doacross_config(0).is_none());
+        assert!(!prog.doacross_plan(0).eligible());
 
         // Opaque subscript: refuse.
         let prog = CompiledProgram::compile(
             "array A[300];\nfor i in 0..256 { A[(i * 7) % 200] = A[i] + 1; }",
         )
         .unwrap();
-        assert!(prog.doacross_config(0).is_none());
+        assert!(!prog.doacross_plan(0).eligible());
 
-        // Doall: Independent, not Eligible — no synchronization plan.
+        // Doall: Independent, not Eligible — no distance to prove.
         let prog = CompiledProgram::compile("array A[64];\nfor i in 0..64 { A[i] = i; }").unwrap();
-        assert!(prog.doacross_config(0).is_none());
+        assert!(!prog.doacross_plan(0).eligible());
     }
 
     #[test]
-    fn run_auto_is_byte_identical_and_shadow_free_on_the_beta_deck() {
+    fn run_is_bit_identical_to_sequential_on_the_beta_deck() {
         let src = std::fs::read_to_string(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../examples/programs/beta_pipeline.rlp"
         ))
         .unwrap();
         let prog = CompiledProgram::compile(&src).unwrap();
+        assert!((0..2).all(|k| prog.doacross_plan(k).eligible()));
         // Ground truth: sequential execution, state flowing loop to loop.
         let seq = prog.run_sequential();
 
         for p in [1usize, 2, 4, 8] {
-            let res = prog.run_auto(RunConfig::new(p));
+            // Proven loops speculate like any other: the R-LRPD test
+            // finds the dependences the proof states and restarts.
+            let res = prog.run(RunConfig::new(p));
             for ((name, want), (rn, got)) in seq.iter().zip(&res.arrays) {
                 assert_eq!(name, rn);
                 let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
@@ -929,28 +864,12 @@ mod tests {
                 assert_eq!(want, got, "array {name} at p = {p}");
             }
             for (k, report) in res.reports.iter().enumerate() {
-                assert_eq!(report.shadow_bytes_peak(), 0, "loop {k}: no shadow");
-                assert_eq!(report.restarts, 0, "loop {k}: no restarts");
-                assert_eq!(report.stages.len(), 1, "loop {k}: one pipelined stage");
+                assert!(
+                    report.shadow_bytes_peak() > 0,
+                    "loop {k}: tested at p = {p}"
+                );
             }
         }
-    }
-
-    #[test]
-    fn run_auto_still_speculates_on_may_loops() {
-        // Opaque scatter: the proof refuses, so run_auto must fall back
-        // to the speculative tier (shadow memory present) and still
-        // match plain run().
-        let src = "array STATE[600] = 1;\narray W[128];\nfor i in 0..128 {\n  let s = (i * 11 + 3) % 128;\n  W[i] = STATE[s] * 0.5 + i;\n  STATE[(s * 3) % 400] = W[i];\n}";
-        let prog = CompiledProgram::compile(src).unwrap();
-        assert!(prog.doacross_config(0).is_none(), "May loop must not prove");
-        let auto = prog.run_auto(RunConfig::new(4));
-        let spec = prog.run(RunConfig::new(4));
-        assert_eq!(auto.arrays, spec.arrays);
-        assert!(
-            auto.reports[0].shadow_bytes_peak() > 0,
-            "the fallback really is the instrumented R-LRPD tier"
-        );
     }
 
     #[test]

@@ -101,12 +101,11 @@ pub fn lint(program: &Program, p: usize) -> Vec<Diagnostic> {
             });
         }
 
-        // DOACROSS verdict: can proven uniform distances replace the
-        // speculation entirely?
+        // The distance proof: every cross-iteration dependence at a
+        // proven uniform distance, or the reference that blocks it.
         match &plan.verdict {
             DoacrossVerdict::Eligible => {
                 let dmin = plan.min_distance().unwrap_or(1);
-                let depth = plan.pipeline_depth(p);
                 let distances = plan.distances();
                 out.push(Diagnostic {
                     level: Level::Note,
@@ -117,10 +116,8 @@ pub fn lint(program: &Program, p: usize) -> Vec<Diagnostic> {
                     distance: Some(dmin),
                     guarded: false,
                     message: format!(
-                        "loop {k} is DOACROSS-eligible: every cross-iteration dependence \
-                         is proven at uniform distance{} {distances:?}; post/wait cells \
-                         give pipeline depth min(d, p) = min({dmin}, {p}) = {depth} with \
-                         no shadow memory and no restarts",
+                        "loop {k}: every cross-iteration dependence is proven at uniform \
+                         distance{} {distances:?}",
                         if distances.len() == 1 { "" } else { "s" },
                     ),
                 });
@@ -139,14 +136,11 @@ pub fn lint(program: &Program, p: usize) -> Vec<Diagnostic> {
                     array: b.array.map(|id| program.arrays[id].name.clone()),
                     distance: None,
                     guarded: b.reference.as_ref().is_some_and(|r| r.guard.is_some()),
-                    message: format!(
-                        "loop {k} cannot run DOACROSS and will speculate: {}",
-                        b.reason
-                    ),
+                    message: format!("loop {k} has no uniform-distance proof: {}", b.reason),
                 });
             }
-            // A doall: the loop-parallel / per-array notes already say
-            // everything DOACROSS synchronization could add (nothing).
+            // A doall: no dependence to prove a distance for; the
+            // loop-parallel / per-array notes say so.
             DoacrossVerdict::Independent => {}
         }
         for (id, c) in classes.iter().enumerate() {
@@ -511,14 +505,13 @@ mod tests {
     }
 
     #[test]
-    fn doacross_eligible_carries_distance_and_depth() {
+    fn doacross_eligible_carries_the_proven_distances() {
         let ds = lints("array A[200];\nfor i in 8..100 { A[i] = A[i - 8] + 1; }");
         let d = find(&ds, "doacross-eligible");
         assert_eq!(d.level, Level::Note);
         assert_eq!(d.distance, Some(8));
         assert!(!d.guarded);
-        // p = 4 < d = 8, so the projected pipeline depth is p.
-        assert!(d.message.contains("min(8, 4) = 4"), "{}", d.message);
+        assert!(d.message.ends_with("uniform distance [8]"), "{}", d.message);
     }
 
     #[test]

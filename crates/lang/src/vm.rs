@@ -976,7 +976,7 @@ mod tests {
 
     /// Run iterations `iters` of `src` on the tree-walk oracle, on the
     /// VM at one iteration per dispatch, and on the VM in strips.
-    fn run_tiers(src: &str, iters: Range<usize>) -> Tiers {
+    fn run_each_tier(src: &str, iters: Range<usize>) -> Tiers {
         let prog = parse(src).unwrap();
         let nest = &prog.loops[0];
         let arrays = classify_loop(&prog, 0);
@@ -1023,7 +1023,7 @@ mod tests {
     /// [`STRIP`] at once, in the tree walk's order per element
     /// ([`assert_same_references`]).
     fn assert_identical(src: &str, iters: Range<usize>) -> BatchTally {
-        let t = run_tiers(src, iters);
+        let t = run_each_tier(src, iters);
         let closed = |ctx: &MemCtx, n| ctx.trace.iter().filter(|r| **r == Ref::Done(n)).count();
         assert_eq!(
             closed(&t.strips, STRIP) * STRIP,
@@ -1229,7 +1229,7 @@ mod tests {
     #[test]
     fn premature_exit_stops_the_iteration_body() {
         let src = "array A[32];\nfor i in 0..32 {\n  break if i == 5;\n  A[i] = i;\n}";
-        let t = run_tiers(src, 0..32);
+        let t = run_each_tier(src, 0..32);
         assert!(t.scalar.exited && t.tree_walk.exited);
         assert_eq!(assert_identical(src, 0..32), BatchTally::default());
         // Iterations 0..5 wrote; 5 broke before its store.

@@ -124,17 +124,10 @@ impl Executor {
     /// width, so repeated construction — e.g. one engine per restarted
     /// run — reuses the same OS threads.
     pub fn with_procs(mode: ExecMode, procs: usize) -> Self {
-        let inline = mode != ExecMode::Simulated && on_one_cpu();
-        Self::lanes(mode, if inline { 1 } else { procs })
-    }
-
-    /// Create an executor whose pool (if any) is `procs` wide whatever
-    /// the CPU set: every block of a stage no wider runs at once. For
-    /// blocks that wait on each other (DOACROSS lanes), which a
-    /// narrower pool would deadlock.
-    pub fn lanes(mode: ExecMode, procs: usize) -> Self {
         let pool = match mode {
-            ExecMode::Pooled | ExecMode::Distributed => Some(WorkerPool::shared(procs)),
+            ExecMode::Pooled | ExecMode::Distributed => {
+                Some(WorkerPool::shared(if on_one_cpu() { 1 } else { procs }))
+            }
             ExecMode::Simulated => None,
         };
         Executor {

@@ -59,7 +59,6 @@ pub mod prefix;
 pub mod proc;
 pub mod schedule;
 pub mod stats;
-pub mod sync;
 
 pub use balance::{FeedbackPartitioner, TrendMode};
 pub use cost::{Cost, CostModel};
@@ -71,4 +70,3 @@ pub use pool::{JobPanic, WorkerPool};
 pub use proc::ProcId;
 pub use schedule::{Block, BlockSchedule};
 pub use stats::{OverheadBreakdown, OverheadKind, PhaseSeconds, StageStats};
-pub use sync::PostCell;

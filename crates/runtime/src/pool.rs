@@ -495,9 +495,9 @@ mod tests {
 
     #[test]
     fn every_task_of_a_job_no_wider_than_the_pool_runs_at_once() {
-        // DOACROSS lanes wait on each other, so each task of a job with
-        // `n <= threads` needs a thread of its own. A hang fails the
-        // test after a minute instead of stalling the suite.
+        // Each task of a job with `n <= threads` gets a thread of its
+        // own, so tasks that wait on each other all arrive. A hang
+        // fails the test after a minute instead of stalling the suite.
         let (done, finished) = std::sync::mpsc::channel();
         let jobs = std::thread::spawn(move || {
             let wide = WorkerPool::new(4);

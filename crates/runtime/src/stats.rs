@@ -203,8 +203,8 @@ pub struct StageStats {
     /// under the simulated executor, and 0 for the doall of a stage
     /// whose blocks ran on a worker fleet.
     pub fork_joins: usize,
-    /// Threads that ran the stage's blocks in process: the pool's width
-    /// (a DOACROSS pipeline's lanes), 1 under the simulated executor,
+    /// Threads that ran the stage's blocks in process: the pool's width,
+    /// 1 under the simulated executor,
     /// 0 for blocks that ran on a worker fleet.
     pub threads: usize,
     /// Iterations the loop's body tier executed several-at-a-time

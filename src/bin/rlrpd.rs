@@ -28,11 +28,11 @@
 
 use rlrpd::core::report::json_string;
 use rlrpd::core::{
-    reduction_mask, verify_against_sequential, DistConnector, DoacrossConfig, FallbackPolicy,
-    FaultPlan, PlanError, RunReport, Timeline,
+    reduction_mask, verify_against_sequential, DistConnector, FallbackPolicy, FaultPlan, PlanError,
+    RunReport, Timeline,
 };
 use rlrpd::dist::{ChaosPlan, ChaosProxy, DistLauncher, DistPolicy, Endpoint};
-use rlrpd::lang::{CompiledInduction, CompiledProgram, DoacrossVerdict};
+use rlrpd::lang::{CompiledInduction, CompiledProgram};
 use rlrpd::runtime::parse_bytes;
 use rlrpd::{
     extract_ddg, run_sequential, BalancePolicy, CheckpointPolicy, ExecMode, FallbackReason,
@@ -246,7 +246,7 @@ macro_rules! options {
 /// The rules that depend on the program or on the whole plan — the
 /// `--procs` range among them — are [`KIND_RULES`] and
 /// [`RunPlan::validate`].
-const OPTIONS: [Opt; 49] = options! {
+const OPTIONS: [Opt; 48] = options! {
     ("--procs", Count(0), "8", "run submit analyze ddg", "", [], "processors (at most 1 024)"),
     ("--strategy", Spec("nrd|rd|adaptive|sw:W", |v| v.parse::<Strategy>().map(drop)), "adaptive", "run submit", "", [], "stage schedule"),
     ("--checkpoint", Choice("eager|ondemand"), "ondemand", "run", "", [], "when a stage saves what it may roll back"),
@@ -273,7 +273,6 @@ const OPTIONS: [Opt; 49] = options! {
     ("--shadow-budget", Bytes, "", "run", "", [], "shadow memory cap; auto is a quarter of MemAvailable"),
     ("--shadow-budget", Bytes, "auto", "submit", "", [], "the job's shadow memory; auto asks the daemon for a share"),
     ("--shadow-fault", Spec("STAGE:BYTES[,...]", |v| FaultPlan::new().shadow_pressure_spec(v).map(drop)), "", "run submit", "", [], "inject shadow-memory pressure at a stage"),
-    ("--doacross", Choice("auto|on|off"), "auto", "run", "", [], "pipeline the loops with proven distances; on demands it"),
     ("--format", Choice("text|json"), "text", "run submit status analyze", "", [], "output format"),
     ("--listen", Text("ADDR"), "", "worker", "", [], "serve TCP sessions, not stdin/stdout"),
     ("--idle-timeout", Seconds(false), "", "worker", "--listen", [], "reclaim a session that sends no hello by then (0: never)"),
@@ -906,7 +905,7 @@ const COUNTER: &str = "a counter program";
 /// them all) or is a row here; with [`RunPlan::validate`] this is
 /// checked before the first line of output, the first file created and
 /// the first worker launched.
-const KIND_RULES: [(&str, &[&str], &str); 8] = [
+const KIND_RULES: [(&str, &[&str], &str); 7] = [
     (
         MULTI,
         &["--journal"],
@@ -947,11 +946,6 @@ const KIND_RULES: [(&str, &[&str], &str); 8] = [
         &["--dist-workers"],
         "the induction scheme has no block to dispatch",
     ),
-    (
-        COUNTER,
-        &["--doacross on"],
-        "the induction scheme has no loop body to pipeline",
-    ),
 ];
 
 /// Refuse the first flag on the command line that `kind` cannot honour.
@@ -984,61 +978,25 @@ fn attach<'a>(
 /// One loop's run, decided before anything is printed.
 struct Leg {
     cfg: RunConfig,
-    /// The proven distances, when the loop pipelines.
-    proven: Option<DoacrossConfig>,
-    /// Why `--doacross auto` stepped a provable loop down to speculation.
-    skipped: Option<PlanError>,
     fault: Option<(Arc<FaultPlan>, String)>,
 }
 
-/// Decide every loop's leg, top rung of the ladder first: `--doacross
-/// on` demands the proof and the pipeline; `auto` pipelines the loops
-/// that have the proof where the plan allows it and speculates on the
-/// rest. `probe` is the run's plan as far as it is known before the
-/// journal is opened; nothing is printed and nothing started.
+/// Decide and validate every loop's leg. `probe` is the run's plan as
+/// far as it is known before the journal is opened; nothing is printed
+/// and nothing started.
 fn plan_legs(
     prog: &CompiledProgram,
     cfg: RunConfig,
     opts: &Opts,
     probe: &RunPlan<'_>,
 ) -> Result<Vec<Leg>, CliError> {
-    let doacross = opts.get("--doacross").expect(SET);
     let mut legs = Vec::new();
     for k in 0..prog.num_loops() {
         let (lo, hi) = prog.program().loops[k].range;
         let fault = fault_plan(opts, hi - lo).map_err(CliError::Usage)?;
-        let armed = fault.as_ref().map(|(plan, _)| &**plan);
         let cfg = cfg.with_dependence_prediction(prog.predicted_first_dependence(k));
-        let mut proven = match doacross {
-            "off" => None,
-            _ => prog.doacross_config(k),
-        };
-        if doacross == "on" && proven.is_none() {
-            let reason = match &prog.doacross_plan(k).verdict {
-                DoacrossVerdict::Blocked(b) => b.reason.clone(),
-                DoacrossVerdict::Independent => "no cross-iteration dependence exists (a doall: \
-                                                 synchronization would be pure overhead)"
-                    .into(),
-                DoacrossVerdict::Eligible => unreachable!("eligible proves Some"),
-            };
-            return Err(CliError::Usage(format!(
-                "--doacross on: loop {k} is not provably DOACROSS-eligible: {reason}"
-            )));
-        }
-        let mut skipped = None;
-        if doacross == "auto" && proven.is_some() {
-            if let Err(e) = probe.validate(&cfg.auto_strategy(proven), armed) {
-                (skipped, proven) = (Some(e), None);
-            }
-        }
-        let cfg = cfg.auto_strategy(proven);
-        probe.validate(&cfg, armed)?;
-        legs.push(Leg {
-            cfg,
-            proven,
-            skipped,
-            fault,
-        });
+        probe.validate(&cfg, fault.as_ref().map(|(plan, _)| &**plan))?;
+        legs.push(Leg { cfg, fault });
     }
     Ok(legs)
 }
@@ -1139,35 +1097,13 @@ fn cmd_run(opts: Opts) -> Result<(), CliError> {
 
     // The one per-loop body; a program is its loops through it in turn.
     let res = prog.run_loops(|k, state| -> Result<_, CliError> {
-        let Leg {
-            cfg,
-            proven,
-            skipped,
-            fault,
-        } = &legs[k];
+        let Leg { cfg, fault } = &legs[k];
         let at = if multi {
             format!("loop {k}: ")
         } else {
             String::new()
         };
-        let lp = match proven {
-            // The proof licenses a plain zero-shadow view: post/wait
-            // cells, not the LRPD test, order conflicting accesses.
-            Some(_) => prog.loop_view_plain(k, state),
-            None => prog.loop_view(k, state),
-        };
-        if let Some(why) = skipped {
-            println!("{at}doacross: skipped ({why})");
-        }
-        if let Some(d) = proven {
-            println!(
-                "{at}doacross: proven distances {:?}, pipeline depth min({}, {}) = {}",
-                d.distances(),
-                d.min_distance(),
-                cfg.p,
-                d.pipeline_depth(cfg.p)
-            );
-        }
+        let lp = prog.loop_view(k, state);
         // A stateful runner accumulates PR and balancing history across
         // --runs instantiations.
         let mut runner = Runner::new(*cfg);
@@ -1243,20 +1179,11 @@ fn cmd_run(opts: Opts) -> Result<(), CliError> {
         // the state it started from: bit identity, except that a
         // reduction reassociates floating-point sums across blocks, so
         // arrays declaring one compare at a rounding-level tolerance.
-        // The plain view of a DOACROSS run declares none: it runs in
-        // sequential-equivalent order and must be byte-identical
-        // throughout.
         let started = Instant::now();
         let (seq, _) = run_sequential(&lp);
         let seq_s = started.elapsed().as_secs_f64();
         verify(&seq, &res.arrays, &reduction_mask(&lp))?;
-        println!(
-            "{at}verified {} sequential execution ✓",
-            match proven {
-                Some(_) => "byte-identical to",
-                None => "against",
-            }
-        );
+        println!("{at}verified against sequential execution ✓");
         // The paper's promise on the clock, on real threads only, and
         // how many threads the run put on its blocks.
         if cfg.exec == ExecMode::Pooled {

@@ -142,16 +142,7 @@ fn the_report_says_whether_strips_ran_and_classify_says_why_not() {
         stdout.contains("strips: off — 'A' carries a Must dependence at distance 3 < 16"),
         "{stdout}"
     );
-    let (ok, stdout, _) = rlrpd(&[
-        "run",
-        chain,
-        "--procs",
-        "2",
-        "--doacross",
-        "off",
-        "--format",
-        "json",
-    ]);
+    let (ok, stdout, _) = rlrpd(&["run", chain, "--procs", "2", "--format", "json"]);
     assert!(ok, "{stdout}");
     let json = stdout.lines().last().unwrap();
     assert!(
@@ -1203,87 +1194,72 @@ fn distributed_run_recovers_from_an_injected_worker_kill() {
     );
 }
 
-/// The β-deck's loops carry statically proven uniform distances, so
-/// the default `--doacross auto` routes both to the DOACROSS tier:
-/// one stage, zero restarts, byte-identical verification.
+/// The name is kept from the deleted DOACROSS tier, which `--doacross
+/// auto` once picked for this deck. The default run now speculates:
+/// the classification states each proven distance, the R-LRPD test
+/// restarts past the dependences it uncovers, and both loops verify.
 #[test]
 fn doacross_auto_pipelines_the_beta_deck() {
     let (ok, stdout, stderr) = rlrpd(&["run", &program("beta_pipeline.rlp"), "--procs", "4"]);
     assert!(ok, "{stderr}");
     assert!(
-        stdout.contains("loop 0: doacross: proven distances [4], pipeline depth min(4, 4) = 4"),
+        stdout.contains("cross-iteration dependence between A[i] and A[(i - 4)] (min distance 4)"),
         "{stdout}"
     );
     assert!(
-        stdout.contains("loop 1: doacross: proven distances [2], pipeline depth min(2, 4) = 2"),
+        stdout.contains("cross-iteration dependence between B[j] and B[(j - 2)] (min distance 2)"),
         "{stdout}"
     );
-    assert!(!stdout.contains("restarts = 1"), "{stdout}");
-    assert!(
-        stdout.contains("verified byte-identical to sequential execution"),
-        "{stdout}"
-    );
+    for k in 0..2 {
+        let head = format!("loop {k}: run 0: stages = ");
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with(&head))
+            .expect(&stdout);
+        let mut counts = line[head.len()..].split(", restarts = ");
+        let stages: usize = counts.next().unwrap().parse().unwrap();
+        let restarts: usize = counts
+            .next()
+            .unwrap()
+            .split(',')
+            .next()
+            .unwrap()
+            .parse()
+            .unwrap();
+        assert!(
+            restarts > 0,
+            "a proven dependence must cost a restart: {line}"
+        );
+        assert_eq!(stages, restarts + 1, "{line}");
+        assert!(
+            stdout.contains(&format!(
+                "loop {k}: verified against sequential execution ✓"
+            )),
+            "{stdout}"
+        );
+    }
 }
 
+/// With the DOACROSS tier deleted, speculation is the one path: the β
+/// deck's proven loops run on it like every other loop, every stage is
+/// reported, and neither loop prints a `doacross:` line.
 #[test]
 fn doacross_off_still_speculates_the_beta_deck() {
-    let (ok, stdout, stderr) = rlrpd(&[
-        "run",
-        &program("beta_pipeline.rlp"),
-        "--procs",
-        "4",
-        "--doacross",
-        "off",
-    ]);
+    let (ok, stdout, stderr) = rlrpd(&["run", &program("beta_pipeline.rlp"), "--procs", "4"]);
     assert!(ok, "{stderr}");
-    assert!(
-        !stdout.contains("DOACROSS"),
-        "--doacross off must fall back to the R-LRPD test: {stdout}"
-    );
-    assert!(
-        stdout.contains("verified against sequential execution"),
-        "{stdout}"
-    );
-}
-
-#[test]
-fn doacross_single_loop_announces_the_proof() {
-    let path = scratch("single_d3.rlp");
-    std::fs::write(
-        &path,
-        "array A[64] = 1;\nfor i in 3..64 { A[i] = A[i - 3] * 0.5 + i; }\n",
-    )
-    .unwrap();
-    let (ok, stdout, stderr) = rlrpd(&[
-        "run",
-        path.to_str().unwrap(),
-        "--procs",
-        "2",
-        "--doacross",
-        "on",
-    ]);
-    assert!(ok, "{stderr}");
-    assert!(
-        stdout.contains("doacross: proven distances [3], pipeline depth min(3, 2) = 2"),
-        "{stdout}"
-    );
-    assert!(
-        stdout.contains("verified byte-identical to sequential execution"),
-        "{stdout}"
-    );
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn doacross_flag_misuse_exits_64() {
-    let beta = program("beta_pipeline.rlp");
-    // Unknown mode.
-    assert_eq!(exit_code(&["run", &beta, "--doacross", "bogus"]), 64);
-    // `on` demands a proof: tracking's indirection has none.
-    assert_eq!(
-        exit_code(&["run", &program("tracking.rlp"), "--doacross", "on"]),
-        64
-    );
+    assert!(!stdout.contains("doacross"), "{stdout}");
+    for k in 0..2 {
+        assert!(
+            stdout.contains(&format!("loop {k}: run 0: stages = ")),
+            "{stdout}"
+        );
+        assert!(
+            stdout.contains(&format!(
+                "loop {k}: verified against sequential execution ✓"
+            )),
+            "{stdout}"
+        );
+    }
 }
 
 #[test]
@@ -1306,7 +1282,7 @@ fn analyze_names_doacross_blocked_references() {
     assert!(ok);
     assert!(stdout.contains("note[doacross-blocked]"), "{stdout}");
     assert!(
-        stdout.contains("cannot run DOACROSS and will speculate"),
+        stdout.contains("loop 0 has no uniform-distance proof: 'STATE[__l0]'"),
         "{stdout}"
     );
 }
@@ -1369,18 +1345,6 @@ fn assert_refused(cmd: &str, args: &[&str], needles: &[&str], journal: &std::pat
     assert!(!journal.exists(), "{args:?}: nothing may be created");
 }
 
-/// A single loop whose dependence distance is proven (d = 3): the one
-/// program kind that reaches the DOACROSS × fleet rule.
-fn proven_chain() -> std::path::PathBuf {
-    let path = scratch("proven_chain.rlp");
-    std::fs::write(
-        &path,
-        "array A[64] = 1;\nfor i in 3..64 { A[i] = A[i - 3] * 0.5 + i; }\n",
-    )
-    .unwrap();
-    path
-}
-
 /// Every combination `rlrpd run` refuses — a row per `PlanError`
 /// variant, per row of the program-kind table, and per kind of value
 /// domain — is refused before the first line of output and the first
@@ -1392,8 +1356,6 @@ fn illegal_combinations_exit_64_name_the_rule_and_print_nothing_else() {
     let multi = program("two_phase.rlp");
     let counter = program("extend.rlp");
     let beta = program("beta_pipeline.rlp");
-    let chain = proven_chain();
-    let chain = chain.to_str().unwrap();
     let journal = scratch("refused.journal");
     let j = journal.to_str().unwrap();
 
@@ -1423,20 +1385,6 @@ fn illegal_combinations_exit_64_name_the_rule_and_print_nothing_else() {
         (
             vec![&multi, "--resume"],
             vec!["--resume requires --journal"],
-        ),
-        // PlanError::DoacrossOverFleet.
-        (
-            vec![chain, "--doacross", "on", "--dist-workers", "1"],
-            vec!["--doacross", "--dist-workers", "one address space"],
-        ),
-        // PlanError::DoacrossWithFaults, by either injection flag.
-        (
-            vec![chain, "--doacross", "on", "--fault-seed", "7"],
-            vec!["--doacross", "--fault-seed", "never visits"],
-        ),
-        (
-            vec![&beta, "--doacross", "on", "--shadow-fault", "0:1K"],
-            vec!["--doacross", "--shadow-fault", "never visits"],
         ),
         // PlanError::FleetWithIterationFaults, journaled or not: the
         // workers would run their blocks with no plan, and the parent
@@ -1530,7 +1478,6 @@ fn illegal_combinations_exit_64_name_the_rule_and_print_nothing_else() {
         vec!["--shadow-budget", "1M"],
         vec!["--journal", j],
         vec!["--dist-workers", "2"],
-        vec!["--doacross", "on"],
     ] {
         let mut args = vec![counter.as_str()];
         args.extend(&flag);
@@ -1655,7 +1602,6 @@ enum Honour {
 fn every_run_flag_is_honoured_or_refused_by_every_program_kind() {
     use Honour::*;
     let journal = scratch("honoured.journal");
-    let chain = proven_chain();
     let programs = [
         program("tracking.rlp"),
         program("two_phase.rlp"),
@@ -1713,8 +1659,6 @@ fn every_run_flag_is_honoured_or_refused_by_every_program_kind() {
         ),
         ("--shadow-budget 1M", "", [Changes(0), Changes(0), Refused]),
         ("--shadow-fault 0:1K", "", [Changes(0), Changes(0), Refused]),
-        // (No proof on these decks; the proven chain is run below.)
-        ("--doacross on", "", [Refused, Refused, Refused]),
         ("--format json", "", [Changes(0), Changes(0), Refused]),
         // The executor shows in the JSON report's `fork_joins`; the
         // induction scheme's (it takes the flag) prints nowhere.
@@ -1800,13 +1744,6 @@ fn every_run_flag_is_honoured_or_refused_by_every_program_kind() {
             }
         }
     }
-    // `--doacross`, on a loop that has the proof: `off` keeps it on the
-    // speculative tier, `on` and `auto` pipeline it.
-    let chain = chain.to_str().unwrap();
-    let (_, auto) = run(&[chain]);
-    assert!(auto.contains("doacross: proven distances [3]"), "{auto}");
-    assert_eq!(run(&[chain, "--doacross", "on"]).1, auto);
-    assert!(!run(&[chain, "--doacross", "off"]).1.contains("doacross:"));
     // `--block-deadline`: a worker hung on its first block is caught at
     // the deadline (0.3 s here, 5 s by default) and the run recovers.
     let t = std::time::Instant::now();

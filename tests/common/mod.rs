@@ -15,19 +15,16 @@
 //! of `tests/{fault,journal,dist,budget}_models.rs` is a [`slice`].
 //!
 //! **Decks** ([`DECKS`]). Three loop-language sources, which a fleet
-//! resolves from an `rlp:` spec: `chain` (a proven distance-4 chain, the
-//! only deck with a DOACROSS row), `spice` (the May-dependence SPICE
-//! deck) and `track` (TRACK with its energy reduction). Three registry
-//! models ([`MODELS`]), which `dist::resolve_spec` names on both sides
-//! of a fleet: `fptrak:0`, `dcdcmp15:17`, `nlfilt:i4_50`.
+//! resolves from an `rlp:` spec: `chain` (a proven distance-4 chain),
+//! `spice` (the May-dependence SPICE deck) and `track` (TRACK with its
+//! energy reduction). Three registry models ([`MODELS`]), which
+//! `dist::resolve_spec` names on both sides of a fleet: `fptrak:0`,
+//! `dcdcmp15:17`, `nlfilt:i4_50`.
 #![allow(dead_code)] // every suite uses a different part
 
 use rlrpd::core::remote::{BlockDispatcher, DistConnector, WireHello};
-use rlrpd::core::{
-    reduction_mask, verify_against_sequential, AdaptRule, DoacrossConfig, FaultDomain, PlanError,
-};
+use rlrpd::core::{reduction_mask, verify_against_sequential, AdaptRule, FaultDomain, PlanError};
 use rlrpd::dist::{resolve_spec, DistLauncher, DistPolicy};
-use rlrpd::lang::CompiledProgram;
 use rlrpd::loops::dsl;
 use rlrpd::{
     run_sequential, ExecMode, FallbackReason, FaultPlan, Journal, RlrpdError, RunConfig, RunPlan,
@@ -118,9 +115,6 @@ pub struct Deck {
     pub name: &'static str,
     pub spec: String,
     pub lp: Box<dyn SpecLoop<f64>>,
-    /// Where the source proves a dependence distance: the distances,
-    /// and the plain zero-shadow view they license.
-    pub proven: Option<(DoacrossConfig, Box<dyn SpecLoop<f64>>)>,
     pub seq: Vec<(&'static str, Vec<f64>)>,
     reductions: Vec<bool>,
 }
@@ -136,13 +130,6 @@ impl Deck {
             registered => registered.to_string(),
         };
         let lp = resolve_spec(&spec).expect(name);
-        let proven = spec.strip_prefix("rlp:").and_then(|src| {
-            // Leaked, so that the deck can hold a view that borrows it.
-            let prog: &'static _ = Box::leak(Box::new(CompiledProgram::compile(src).unwrap()));
-            let plain = prog.loop_view_plain(0, prog.initial_arrays());
-            let plain = Box::new(plain) as Box<dyn SpecLoop<f64>>;
-            prog.doacross_config(0).map(|distances| (distances, plain))
-        });
         let reductions = reduction_mask(lp.as_ref());
         // The registry models are verified to the bit, as they always were.
         assert!(spec.starts_with("rlp:") || !reductions.contains(&true));
@@ -152,7 +139,6 @@ impl Deck {
             reductions,
             spec,
             lp,
-            proven,
         }
     }
 
@@ -164,15 +150,6 @@ impl Deck {
         };
         let ran = Runner::new(cfg).execute(self.lp.as_ref(), plan);
         ran.unwrap_or_else(|e| panic!("{}: {cfg:?}: over the fleet: {e}", self.name))
-    }
-
-    /// The view `strategy` runs: the proof licenses the plain one,
-    /// every other strategy runs the tested one.
-    fn view(&self, strategy: Strategy) -> &dyn SpecLoop<f64> {
-        match (strategy, &self.proven) {
-            (Strategy::Doacross(_), Some((_, plain))) => plain.as_ref(),
-            _ => self.lp.as_ref(),
-        }
     }
 
     /// Final arrays equal sequential execution's — to the bit, but for
@@ -333,7 +310,7 @@ fn run_once(
         resume: resume || t.journal == JournalLeg::ResumeWithout,
     };
     let verdict = plan.validate(&cfg, to_runner.as_deref());
-    let outcome = runner.execute(deck.view(t.strategy), plan);
+    let outcome = runner.execute(deck.lp.as_ref(), plan);
     drop(journal);
     match verdict {
         Ok(()) => {
@@ -487,22 +464,17 @@ pub fn check(deck: &Deck, t: &Tuple, tally: &mut Tally) {
             assert_eq!(migrations, report.shadow_migrations(), "{what}: armed");
             assert_eq!(armed.report.shadow_pressure_events(), 0, "{what}: armed");
             let peak = armed.report.shadow_bytes_peak();
-            if matches!(t.strategy, Strategy::Doacross(_)) {
-                assert_eq!(peak, 0, "{what}: the pipeline keeps no shadow");
-            } else {
-                assert!(peak > 0, "{what}: no shadow footprint seen");
-                // Generous (fits outright), tight (the ladder must shed
-                // bytes), tighter, starvation (even sparse marks
-                // overflow).
-                let ladder = [peak.saturating_mul(2), peak / 2, peak / 8, 64];
-                let engaged = ladder.map(|b| run(b.max(1)).report).iter().any(|r| {
-                    r.shadow_pressure_events() > 0
-                        || r.fallback == Some(FallbackReason::ShadowBudget)
-                        || r.shadow_migrations() > migrations
-                });
-                assert!(engaged, "{what}: no budget engaged the governance");
-                tally.count("budget");
-            }
+            assert!(peak > 0, "{what}: no shadow footprint seen");
+            // Generous (fits outright), tight (the ladder must shed
+            // bytes), tighter, starvation (even sparse marks overflow).
+            let ladder = [peak.saturating_mul(2), peak / 2, peak / 8, 64];
+            let engaged = ladder.map(|b| run(b.max(1)).report).iter().any(|r| {
+                r.shadow_pressure_events() > 0
+                    || r.fallback == Some(FallbackReason::ShadowBudget)
+                    || r.shadow_migrations() > migrations
+            });
+            assert!(engaged, "{what}: no budget engaged the governance");
+            tally.count("budget");
         }
         Leg::KillAtEveryCommit => {
             let records = frame_ends(&path).len();

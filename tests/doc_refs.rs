@@ -297,7 +297,7 @@ const REQUIRED_PROSE: &[&str] = &["CHANGES.md", "DESIGN.md", "README.md", "PAPER
 /// The byte budget of [`REQUIRED_PROSE`]: its size when the budget was
 /// last set, rounded up to the next KiB, so that growing the prose is a
 /// visible decision.
-const REQUIRED_PROSE_BUDGET: u64 = 168 * 1024;
+const REQUIRED_PROSE_BUDGET: u64 = 164 * 1024;
 
 /// The most bytes one CHANGES entry may take: the claim, the verdict
 /// with its numbers, what the change did to tests, checks and CI, and

@@ -11,11 +11,10 @@ use common::{check, seeded, Deck, JournalLeg, Leg, Tally, Tuple, DECKS, STRATEGI
 use rlrpd::core::driver::MAX_PROCESSORS;
 use rlrpd::core::PlanError;
 use rlrpd::loops::extend::{ExtendInput, ExtendLoop};
-use rlrpd::{ExecMode, RlrpdError, RunConfig, RunPlan, Runner, Strategy};
+use rlrpd::{ExecMode, RlrpdError, RunConfig, RunPlan, Runner};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Every tuple of `deck`: the strategies (the pipeline where proven) on
-/// both executors, crossed with
+/// Every tuple a deck runs: the strategies on both executors, crossed with
 ///
 /// * the journal legs × `p` ∈ {0, 1, 4} in process and the fleet's
 ///   width over it × {no fault, injected pressure, a seeded panic};
@@ -25,9 +24,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// * the slow fsync, journaled in process and over the fleet — and with
 ///   no journal, where it is refused;
 /// * the seeded dispatch faults over the fleet.
-fn tuples(deck: &Deck) -> Vec<Tuple> {
-    let mut strategies = common::strategies(&STRATEGIES);
-    strategies.extend(deck.proven.as_ref().map(|(d, _)| Strategy::Doacross(*d)));
+fn tuples() -> Vec<Tuple> {
+    let strategies = common::strategies(&STRATEGIES);
     let mut crossed = vec![Leg::None, Leg::Pressure];
     crossed.extend(seeded(Leg::SeededPanic));
     let mut journaled = vec![Leg::KillAtEveryCommit];
@@ -83,9 +81,8 @@ fn validate_and_execute_agree_on_every_tuple() {
         let mut tally = Tally::default();
         while let Some(name) = DECKS.get(next.fetch_add(1, Ordering::Relaxed)) {
             let deck = Deck::named(name);
-            assert_eq!(deck.proven.is_some(), *name == "chain", "{name}: proof");
             let before = (tally.get("legal"), tally.get("illegal"));
-            for t in tuples(&deck) {
+            for t in tuples() {
                 check(&deck, &t, &mut tally);
             }
             let legal = tally.get("legal") - before.0;
@@ -120,16 +117,12 @@ fn validate_and_execute_agree_on_every_tuple() {
         NoProcessors
         | TooManyProcessors
         | ResumeWithoutJournal
-        | DoacrossOverFleet
-        | DoacrossWithFaults
         | FleetWithIterationFaults
         | RecordFaultsWithoutJournal
         | CounterLoop => [
             NoProcessors,
             TooManyProcessors,
             ResumeWithoutJournal,
-            DoacrossOverFleet,
-            DoacrossWithFaults,
             FleetWithIterationFaults,
             RecordFaultsWithoutJournal,
             CounterLoop,
@@ -145,31 +138,4 @@ fn validate_and_execute_agree_on_every_tuple() {
     {
         assert!(counts.contains_key(what), "no {what} in {counts:?}");
     }
-}
-
-/// Legality asks what a plan *arms*: the pipeline has no stage and no
-/// rollback, but a journaled pipeline does append a record. So a plan
-/// of journal-record sites is legal under DOACROSS and fires — the
-/// fsync site of its one commit record fails the run, which resumes to
-/// sequential's arrays — and a plan of iteration sites is still refused
-/// before a journal byte is written. (The parent refused both:
-/// `Plan(DoacrossWithFaults)` for any non-empty plan.)
-#[test]
-fn doacross_is_refused_only_the_sites_the_pipeline_never_visits() {
-    let deck = Deck::named("chain");
-    let (proven, _) = deck.proven.as_ref().expect("the chain's distance");
-    let mut t = Tuple {
-        strategy: Strategy::Doacross(*proven),
-        exec: ExecMode::Pooled,
-        journal: JournalLeg::Fresh,
-        fleet: false,
-        leg: Leg::SeededIo(0),
-        p: 4,
-    };
-    let mut tally = Tally::default();
-    check(&deck, &t, &mut tally);
-    assert_eq!((tally.get("legal"), tally.get("fsync-fail")), (1, 1));
-    t.leg = Leg::SeededPanic(0);
-    check(&deck, &t, &mut tally);
-    assert_eq!(tally.get("DoacrossWithFaults"), 1);
 }

@@ -1,4 +1,4 @@
-//! Property-based tests of the hybrid DOACROSS tier (DESIGN.md §16),
+//! Property-based tests of the uniform-distance proof (DESIGN.md §16),
 //! fuzzing over randomly generated affine loops with *planted*
 //! uniform dependence distances.
 //!
@@ -9,14 +9,14 @@
 //!    its verdict agrees with [`classify_loop_exact`] — the
 //!    enumerate-every-subscript ground-truth oracle (loops are kept
 //!    small enough to afford it).
-//! 2. A DOACROSS run is *bit-identical* to sequential execution for
-//!    every processor count 1..=8 — not merely within a tolerance:
-//!    post/wait cells impose the sequential write order per element,
-//!    so even float rounding must match — with one pipelined stage,
-//!    zero restarts, and zero shadow bytes.
-//! 3. One guard on a conflicting pair demotes the whole loop: the
-//!    verdict flips to Blocked, `run_auto` falls back to speculation,
-//!    and the result still matches sequential execution.
+//! 2. A proven loop speculates like any other, and the run is
+//!    *bit-identical* to sequential execution for every processor
+//!    count 1..=8 — not merely within a tolerance: the planted loops
+//!    have no reduction, so every element is computed in sequential
+//!    order and even float rounding must match.
+//! 3. One guard on a conflicting pair blocks the whole proof: the
+//!    verdict flips to Blocked, and the speculative run still matches
+//!    sequential execution.
 
 use proptest::prelude::*;
 use rlrpd::lang::{classify_loop_exact, parse, Class, CompiledProgram, DoacrossVerdict};
@@ -32,7 +32,7 @@ const COEFS: [&str; 7] = ["0.125", "0.25", "0.375", "0.5", "0.625", "0.75", "0.8
 /// exact oracle must see them too. With `guarded`, B's statement goes
 /// behind a data-independent guard — the conflict still exists, but
 /// the proof must refuse it (the dependence may or may not fire at
-/// runtime, and a DOACROSS run has no way to undo a wrong guess).
+/// runtime).
 fn planted_source(n: usize, d: usize, e: usize, ca: usize, cb: usize, guarded: bool) -> String {
     let m = d.max(e);
     let (ca, cb) = (COEFS[ca % COEFS.len()], COEFS[cb % COEFS.len()]);
@@ -59,8 +59,8 @@ proptest! {
 
     /// Invariant 1: the proof recovers the planted distance set, and
     /// the exact-enumeration oracle confirms each proven dependence is
-    /// a real cross-iteration conflict (`Tested`), so DOACROSS never
-    /// pipelines a loop the oracle calls independent.
+    /// a real cross-iteration conflict (`Tested`): the proof never
+    /// states a distance for a loop the oracle calls independent.
     #[test]
     fn planted_distances_are_proven_and_confirmed_by_the_oracle(
         (n, d, e, ca, cb) in planted_params(),
@@ -91,34 +91,28 @@ proptest! {
         }
     }
 
-    /// Invariant 2: DOACROSS output is bit-identical to sequential
-    /// execution at every width, in one stage, with no restarts and no
-    /// shadow memory.
+    /// Invariant 2: the speculative run of a proven loop is
+    /// bit-identical to sequential execution at every width.
     #[test]
-    fn doacross_is_bit_identical_to_sequential_for_all_widths(
+    fn a_proven_loop_speculates_bit_identical_to_sequential_for_all_widths(
         (n, d, e, ca, cb) in planted_params(),
         p in 1usize..=8,
     ) {
         let src = planted_source(n, d, e, ca, cb, false);
         let prog = CompiledProgram::compile(&src).unwrap();
-        prop_assert!(prog.doacross_config(0).is_some());
+        prop_assert!(prog.doacross_plan(0).eligible());
         let seq = prog.run_sequential();
-        let res = prog.run_auto(RunConfig::new(p));
+        let res = prog.run(RunConfig::new(p));
         for ((name, want), (rn, got)) in seq.iter().zip(&res.arrays) {
             prop_assert_eq!(name, rn);
             let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
             let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(want, got, "array {} at p = {}", name, p);
         }
-        let report = &res.reports[0];
-        prop_assert_eq!(report.restarts, 0);
-        prop_assert_eq!(report.stages.len(), 1);
-        prop_assert_eq!(report.shadow_bytes_peak(), 0);
     }
 
-    /// Invariant 3: one guard on a conflicting pair demotes the loop —
-    /// Blocked verdict, no DOACROSS config — and the speculative
-    /// fallback still matches sequential execution.
+    /// Invariant 3: one guard on a conflicting pair blocks the proof,
+    /// and the speculative run still matches sequential execution.
     #[test]
     fn a_guard_demotes_to_speculation_which_still_verifies(
         (n, d, e, ca, cb) in planted_params(),
@@ -131,10 +125,9 @@ proptest! {
             matches!(plan.verdict, DoacrossVerdict::Blocked(_)),
             "a guarded conflict must block: {:?}", plan.verdict
         );
-        prop_assert!(prog.doacross_config(0).is_none());
 
         let seq = prog.run_sequential();
-        let res = prog.run_auto(RunConfig::new(p));
+        let res = prog.run(RunConfig::new(p));
         for ((name, want), (rn, got)) in seq.iter().zip(&res.arrays) {
             prop_assert_eq!(name, rn);
             for (k, (w, g)) in want.iter().zip(got).enumerate() {
